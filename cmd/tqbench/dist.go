@@ -7,10 +7,12 @@ package main
 // are protocol cost, not network) — and hammered with the same topk
 // requests. The frontend's answers are byte-identical to the single
 // process (that's the dist package's property suite); this experiment
-// records the throughput tax of the extra hop and the `pruned/query`
-// counter, the facilities whose exact RPCs the upper-bound merge never
-// had to pay for. It lives here rather than in internal/bench because
-// internal/dist fronts the server wire format.
+// records the throughput tax of the extra hop, the `pruned/query`
+// counter — the facilities the round merge never sent for exact
+// evaluation — and `exact rpcs/query`, what the rounds cost on the wire
+// (one RPC per group per round: O(log N), not O(N)). It lives here
+// rather than in internal/bench because internal/dist fronts the server
+// wire format.
 
 import (
 	"fmt"
@@ -33,6 +35,7 @@ func expDist(ctx *bench.Context) (*bench.Table, error) {
 			{Method: "single-process"},
 			{Method: "frontend"},
 			{Method: "pruned/query (n)"},
+			{Method: "exact rpcs/query (n)"},
 		},
 	}
 	users := ctx.Users("nyt", datagen.NYT1Day)
@@ -147,14 +150,17 @@ func expDist(ctx *bench.Context) (*bench.Table, error) {
 		if qerr != nil {
 			return nil, qerr
 		}
-		prunedPerQuery := 0.0
-		if stats.Requests > 0 {
-			prunedPerQuery = float64(stats.PrunedFacilities) / float64(stats.Requests)
+		perQuery := func(n uint64) float64 {
+			if stats.Requests == 0 {
+				return 0
+			}
+			return float64(n) / float64(stats.Requests)
 		}
 		t.XTicks = append(t.XTicks, fmt.Sprint(n))
 		t.Series[0].Y = append(t.Series[0].Y, rate(refSec))
 		t.Series[1].Y = append(t.Series[1].Y, rate(feSec))
-		t.Series[2].Y = append(t.Series[2].Y, prunedPerQuery)
+		t.Series[2].Y = append(t.Series[2].Y, perQuery(stats.PrunedFacilities))
+		t.Series[3].Y = append(t.Series[3].Y, perQuery(stats.ExactRPCs))
 	}
 	return t, nil
 }

@@ -35,6 +35,9 @@ type Config struct {
 	// MaxSeconds soft-bounds a single measured operation: when one
 	// repetition exceeds it, no further repetitions run. 0 means 30s.
 	MaxSeconds float64 `json:"max_seconds"`
+	// NProc is the recording host's core count, stamped by WriteJSON:
+	// worker, shard and scatter series only compare between equal values.
+	NProc int `json:"nproc,omitempty"`
 }
 
 func (c Config) withDefaults() Config {

@@ -3,6 +3,7 @@ package bench
 import (
 	"encoding/json"
 	"io"
+	"runtime"
 )
 
 // Row is one (experiment, method, x-tick) measurement in machine-readable
@@ -48,10 +49,11 @@ type RunDoc struct {
 }
 
 // WriteJSON writes the tables as an indented RunDoc. The config is
-// normalized with defaults so the document records the effective run
-// parameters.
+// normalized with defaults and stamped with the host's core count, so the
+// document records the effective run parameters.
 func WriteJSON(w io.Writer, cfg Config, tables []*Table) error {
 	doc := RunDoc{Config: cfg.withDefaults()}
+	doc.Config.NProc = runtime.NumCPU()
 	for _, t := range tables {
 		doc.Rows = append(doc.Rows, t.Rows()...)
 	}

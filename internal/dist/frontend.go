@@ -15,7 +15,6 @@ import (
 
 	trajcover "github.com/trajcover/trajcover"
 	"github.com/trajcover/trajcover/internal/server"
-	"github.com/trajcover/trajcover/internal/shard"
 )
 
 // FrontendConfig tunes the scatter-gather frontend. The zero value
@@ -37,7 +36,8 @@ type FrontendConfig struct {
 	// RetryAfter is the Retry-After hint on transient rejections
 	// (<= 0: 1s).
 	RetryAfter time.Duration
-	// Client is the backend HTTP client (nil: http.DefaultTransport).
+	// Client is the backend HTTP client (nil: a client on a transport of
+	// the frontend's own, closed by Close).
 	Client *http.Client
 	// Logf, when non-nil, receives operational events (member removal
 	// and readmission).
@@ -63,11 +63,14 @@ func (c FrontendConfig) withDefaults() FrontendConfig {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
-	if c.Client == nil {
-		c.Client = &http.Client{}
-	}
 	return c
 }
+
+// idleConnsPerBackend is how many keep-alive connections the frontend's
+// own transport holds per backend. Every concurrent read has one RPC in
+// flight per group, and http.DefaultTransport keeps only two idle per
+// host, closing and redialling the rest on every RPC.
+const idleConnsPerBackend = 64
 
 // feMember is one backend process. healthy is the probe's verdict,
 // flipped false eagerly by any failed RPC (removal) and true again
@@ -89,6 +92,7 @@ type feGroup struct {
 // Handler, stop with Close.
 type Frontend struct {
 	cfg        FrontendConfig
+	transport  *http.Transport // non-nil when the frontend made its own client
 	groups     []*feGroup
 	mux        *http.ServeMux
 	retryAfter string
@@ -98,13 +102,15 @@ type Frontend struct {
 	probeDone  chan struct{}
 	closeOnce  sync.Once
 
-	requests  atomic.Uint64
-	errs      atomic.Uint64
-	partials  atomic.Uint64
-	failovers atomic.Uint64
-	boundRPCs atomic.Uint64
-	exactRPCs atomic.Uint64
-	pruned    atomic.Uint64 // facilities answered without an exact RPC
+	requests        atomic.Uint64
+	errs            atomic.Uint64
+	partials        atomic.Uint64
+	failovers       atomic.Uint64
+	boundRPCs       atomic.Uint64
+	exactRPCs       atomic.Uint64
+	exactRounds     atomic.Uint64
+	exactFacilities atomic.Uint64 // (facility, group) legs evaluated exactly
+	pruned          atomic.Uint64 // facilities no exact RPC ever carried
 }
 
 // NewFrontend builds a frontend over the group map and starts its
@@ -122,6 +128,12 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 		start:      time.Now(),
 		probeStop:  make(chan struct{}),
 		probeDone:  make(chan struct{}),
+	}
+	if cfg.Client == nil {
+		fe.transport = http.DefaultTransport.(*http.Transport).Clone()
+		fe.transport.MaxIdleConns = 0 // bounded per host instead
+		fe.transport.MaxIdleConnsPerHost = idleConnsPerBackend
+		fe.cfg.Client = &http.Client{Transport: fe.transport}
 	}
 	for gi, g := range cfg.Groups {
 		if len(g.Members) == 0 {
@@ -156,10 +168,14 @@ func (fe *Frontend) Handler() http.Handler { return fe.mux }
 // new work is rejected with 503 + Retry-After. Idempotent.
 func (fe *Frontend) BeginDrain() { fe.draining.Store(true) }
 
-// Close stops the health-probe loop. Idempotent.
+// Close stops the health-probe loop and drops the frontend's own idle
+// backend connections. Idempotent.
 func (fe *Frontend) Close() {
 	fe.closeOnce.Do(func() { close(fe.probeStop) })
 	<-fe.probeDone
+	if fe.transport != nil {
+		fe.transport.CloseIdleConnections()
+	}
 }
 
 func (fe *Frontend) logf(format string, args ...any) {
@@ -372,10 +388,9 @@ func (fe *Frontend) failRead(w http.ResponseWriter, ctx context.Context, err err
 		writeRaw(w, perm.status, perm.body)
 		return
 	}
-	// 504 only on genuine deadline expiry. A scatter that died mid-merge
-	// cancels its own context (sc.fail), and that self-inflicted
-	// cancellation is a transient backend failure, not a timeout — it
-	// must fall through to 503 + Retry-After so clients retry.
+	// 504 only on genuine deadline expiry. A group lost mid-merge is a
+	// transient backend failure, not a timeout — it must fall through to
+	// 503 + Retry-After so clients retry.
 	if errors.Is(ctx.Err(), context.DeadlineExceeded) || errors.Is(err, context.DeadlineExceeded) {
 		writeJSON(w, http.StatusGatewayTimeout, server.ErrorResponse{Error: err.Error()})
 		return
@@ -400,43 +415,6 @@ type PartialValuesResponse struct {
 	MissingGroups []int     `json:"missing_groups"`
 }
 
-// scatterBounds runs the upper-bound scatter: one /v1/upperbounds RPC
-// per group over the full facility list. It returns per-group bounds
-// (nil for failed groups), the missing group indexes, and the first
-// failure.
-func (fe *Frontend) scatterBounds(ctx context.Context, body []byte, nFacs int) (bounds [][]float64, missing []int, firstErr error) {
-	bounds = make([][]float64, len(fe.groups))
-	gerrs := make([]error, len(fe.groups))
-	var wg sync.WaitGroup
-	for gi, g := range fe.groups {
-		wg.Add(1)
-		go func(gi int, g *feGroup) {
-			defer wg.Done()
-			fe.boundRPCs.Add(1)
-			var resp server.BoundsResponse
-			err := fe.readGroup(ctx, g, server.PathUpperBounds, body, &resp)
-			if err == nil && len(resp.Bounds) != nFacs {
-				err = fmt.Errorf("group %d answered %d bounds for %d facilities", gi, len(resp.Bounds), nFacs)
-			}
-			if err != nil {
-				gerrs[gi] = err
-				return
-			}
-			bounds[gi] = resp.Bounds
-		}(gi, g)
-	}
-	wg.Wait()
-	for gi, err := range gerrs {
-		if err != nil {
-			missing = append(missing, gi)
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	return bounds, missing, firstErr
-}
-
 func (fe *Frontend) handleTopK(w http.ResponseWriter, r *http.Request) {
 	body, ok := fe.admit(w, r)
 	if !ok {
@@ -452,37 +430,19 @@ func (fe *Frontend) handleTopK(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), fe.requestTimeout(req.TimeoutMS))
 	defer cancel()
 
-	sc := newScatter(fe, ctx, cancel, req, facs)
-	bounds, missing, scErr := fe.scatterBounds(ctx, sc.allFacsBody(), len(facs))
-	if scErr != nil && (!partial || len(missing) == len(fe.groups)) {
-		fe.failRead(w, ctx, scErr)
-		return
-	}
-
-	exps := sc.explorations(bounds)
-	res, err := shard.MergeExplorations(ctx, facs, exps, req.K, req.Workers, nil)
-	if rpcErr := sc.err(); rpcErr != nil {
-		// A group answered its bounds, then lost every member before an
-		// exact RPC landed. The merged state is unusable even in partial
-		// mode — the client retries against the new group health.
-		fe.failRead(w, ctx, rpcErr)
-		return
-	}
-	if err != nil {
+	q := newWireQuery(req)
+	fe.boundRPCs.Add(uint64(len(fe.groups)))
+	bounds, missing, err := fe.scatter(ctx, fe.groups, server.PathUpperBounds, q.body(q.facs), len(facs))
+	if err != nil && (!partial || len(missing) == len(fe.groups)) {
 		fe.failRead(w, ctx, err)
 		return
 	}
-	for _, row := range exps {
-		paid := false
-		for _, e := range row {
-			if re, ok := e.(*remoteExploration); ok && re.paid {
-				paid = true
-				break
-			}
-		}
-		if !paid {
-			fe.pruned.Add(1)
-		}
+	// A group lost after its bounds counted it present fails the request
+	// even in partial mode: the client retries against the new health.
+	res, err := fe.topKRounds(ctx, q, facs, bounds, req.K)
+	if err != nil {
+		fe.failRead(w, ctx, err)
+		return
 	}
 	if len(missing) > 0 {
 		fe.partials.Add(1)
@@ -512,39 +472,10 @@ func (fe *Frontend) handleServiceValues(w http.ResponseWriter, r *http.Request) 
 	// partition the corpus). Sums run in group order — deterministic,
 	// and exact (hence byte-identical to one process) for integral
 	// scenarios.
-	fwd := marshalQuery(req, req.Facilities)
-	values := make([][]float64, len(fe.groups))
-	gerrs := make([]error, len(fe.groups))
-	var wg sync.WaitGroup
-	for gi, g := range fe.groups {
-		wg.Add(1)
-		go func(gi int, g *feGroup) {
-			defer wg.Done()
-			var resp server.ValuesResponse
-			err := fe.readGroup(ctx, g, server.PathServiceValues, fwd, &resp)
-			if err == nil && len(resp.Values) != len(facs) {
-				err = fmt.Errorf("group %d answered %d values for %d facilities", gi, len(resp.Values), len(facs))
-			}
-			if err != nil {
-				gerrs[gi] = err
-				return
-			}
-			values[gi] = resp.Values
-		}(gi, g)
-	}
-	wg.Wait()
-	var missing []int
-	var scErr error
-	for gi, err := range gerrs {
-		if err != nil {
-			missing = append(missing, gi)
-			if scErr == nil {
-				scErr = err
-			}
-		}
-	}
-	if scErr != nil && (!partial || len(missing) == len(fe.groups)) {
-		fe.failRead(w, ctx, scErr)
+	q := newWireQuery(req)
+	values, missing, err := fe.scatter(ctx, fe.groups, server.PathServiceValues, q.body(q.facs), len(facs))
+	if err != nil && (!partial || len(missing) == len(fe.groups)) {
+		fe.failRead(w, ctx, err)
 		return
 	}
 	sums := make([]float64, len(facs))
@@ -687,7 +618,10 @@ func (fe *Frontend) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, FrontendHealth{Status: status, Groups: groups})
 }
 
-// FrontendStats is the frontend's /statsz document.
+// FrontendStats is the frontend's /statsz document. One exact RPC
+// carries a whole merge round's batch, so what the prune saved reads off
+// ExactFacilities — the (facility, group) legs evaluated exactly over
+// ExactRounds rounds — and PrunedFacilities, those no exact RPC carried.
 type FrontendStats struct {
 	UptimeSeconds    float64       `json:"uptime_seconds"`
 	Groups           []GroupHealth `json:"groups"`
@@ -697,6 +631,8 @@ type FrontendStats struct {
 	Failovers        uint64        `json:"failovers"`
 	BoundRPCs        uint64        `json:"bound_rpcs"`
 	ExactRPCs        uint64        `json:"exact_rpcs"`
+	ExactRounds      uint64        `json:"exact_rounds"`
+	ExactFacilities  uint64        `json:"exact_facilities"`
 	PrunedFacilities uint64        `json:"pruned_facilities"`
 }
 
@@ -712,6 +648,8 @@ func (fe *Frontend) Stats() FrontendStats {
 		Failovers:        fe.failovers.Load(),
 		BoundRPCs:        fe.boundRPCs.Load(),
 		ExactRPCs:        fe.exactRPCs.Load(),
+		ExactRounds:      fe.exactRounds.Load(),
+		ExactFacilities:  fe.exactFacilities.Load(),
 		PrunedFacilities: fe.pruned.Load(),
 	}
 }
@@ -728,18 +666,6 @@ func toRankedJSON(res []trajcover.Ranked) []server.RankedJSON {
 	return out
 }
 
-// marshalQuery rebuilds a backend query body from the decoded request
-// with the given facility subset: scenario, ψ, and workers pass
-// through; k and tenant do not (backends answer per-group exact work,
-// and the tier is single-tenant).
-func marshalQuery(req *server.QueryRequest, facs []server.FacilityJSON) []byte {
-	b, err := json.Marshal(server.QueryRequest{Facilities: facs, Scenario: req.Scenario, Psi: req.Psi, Workers: req.Workers})
-	if err != nil {
-		panic(fmt.Sprintf("dist: marshal query: %v", err))
-	}
-	return b
-}
-
 func writeRaw(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -747,9 +673,5 @@ func writeRaw(w http.ResponseWriter, status int, body []byte) {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(fmt.Sprintf("dist: marshal response: %v", err))
-	}
-	writeRaw(w, status, b)
+	writeRaw(w, status, mustMarshal(v))
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -124,11 +125,12 @@ type distEnv struct {
 	ref      *server.Server
 	refTS    *httptest.Server
 	client   *http.Client
+	newConns []atomic.Int64 // connections each backend has accepted
 }
 
 func newDistEnv(t *testing.T, users []*trajcover.Trajectory, nGroups int, feCfg FrontendConfig) *distEnv {
 	t.Helper()
-	e := &distEnv{t: t}
+	e := &distEnv{t: t, newConns: make([]atomic.Int64, nGroups)}
 	parts := partitionUsers(users, nGroups)
 	var groups []Group
 	for g := 0; g < nGroups; g++ {
@@ -137,7 +139,14 @@ func newDistEnv(t *testing.T, users []*trajcover.Trajectory, nGroups int, feCfg 
 			t.Fatal(err)
 		}
 		srv := server.New(idx, server.Config{Workers: 2, QueueDepth: 16, DefaultTimeout: 30 * time.Second})
-		ts := httptest.NewServer(srv.Handler())
+		ts := httptest.NewUnstartedServer(srv.Handler())
+		accepted := &e.newConns[g]
+		ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+			if st == http.StateNew {
+				accepted.Add(1)
+			}
+		}
+		ts.Start()
 		e.srvs = append(e.srvs, srv)
 		e.backends = append(e.backends, ts)
 		groups = append(groups, Group{Members: []string{ts.URL}})
@@ -316,9 +325,43 @@ func TestFrontendByteIdentity(t *testing.T) {
 	}
 }
 
+// flakyGroup is a fake backend that answers every /v1/upperbounds with
+// un-prunable bounds, the next okRounds /v1/servicevalues calls with
+// zeros, and every other exact RPC with a 500 — a group that dies after
+// the scatter counted it present.
+func flakyGroup(okRounds int) *httptest.Server {
+	var left atomic.Int64
+	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == server.PathHealth {
+			w.Write([]byte(`{"status":"ok"}`))
+			return
+		}
+		var req struct {
+			Facilities []json.RawMessage `json:"facilities"`
+		}
+		body, _ := io.ReadAll(r.Body)
+		json.Unmarshal(body, &req)
+		nums := make([]float64, len(req.Facilities))
+		switch {
+		case r.URL.Path == server.PathUpperBounds:
+			left.Store(int64(okRounds))
+			for i := range nums {
+				nums[i] = 1e9
+			}
+			json.NewEncoder(w).Encode(map[string]any{"bounds": nums})
+		case left.Add(-1) >= 0:
+			json.NewEncoder(w).Encode(map[string]any{"values": nums})
+		default:
+			w.WriteHeader(http.StatusInternalServerError)
+			w.Write([]byte(`{"error":"killed"}`))
+		}
+	}))
+}
+
 // TestFrontendPartialMatrix is the degradation contract, table-driven:
 // the same read against (a) a dead group, (b) a deadline-starved group,
-// and (c) a mid-merge death answers exactly per the contract — default
+// and (c) a death mid-merge, before or between exact rounds, answers
+// exactly per the contract — default
 // mode fails with the right status, ?partial=1 either serves the
 // surviving groups' exact answer with the partial flag or still fails
 // when the merge itself was poisoned.
@@ -394,33 +437,20 @@ func TestFrontendPartialMatrix(t *testing.T) {
 			partialOK:  true,
 		},
 		{
-			name: "mid-merge death",
-			group1: func(t *testing.T) (string, func()) {
-				// Answers the bounds scatter with un-prunable bounds, then
-				// fails every exact RPC: the merge is poisoned after the
-				// group was counted present.
-				ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-					switch r.URL.Path {
-					case server.PathHealth:
-						w.Write([]byte(`{"status":"ok"}`))
-					case server.PathUpperBounds:
-						var req struct {
-							Facilities []json.RawMessage `json:"facilities"`
-						}
-						body, _ := io.ReadAll(r.Body)
-						json.Unmarshal(body, &req)
-						bounds := make([]float64, len(req.Facilities))
-						for i := range bounds {
-							bounds[i] = 1e9
-						}
-						json.NewEncoder(w).Encode(map[string]any{"bounds": bounds})
-					default:
-						w.WriteHeader(http.StatusInternalServerError)
-						w.Write([]byte(`{"error":"killed"}`))
-					}
-				}))
-				return ts.URL, ts.Close
-			},
+			// Group 1 is counted present by the bounds scatter, then fails
+			// the first round's exact RPC.
+			name:        "mid-merge death",
+			group1:      func(t *testing.T) (string, func()) { ts := flakyGroup(0); return ts.URL, ts.Close },
+			wantStatus:  http.StatusServiceUnavailable,
+			wantRetry:   true,
+			partialOK:   false,
+			partialCode: http.StatusServiceUnavailable,
+		},
+		{
+			// ... or answers round one and dies before round two: still a
+			// retryable 503, never a 504 and never a top k over half a sum.
+			name:        "mid-round death",
+			group1:      func(t *testing.T) (string, func()) { ts := flakyGroup(1); return ts.URL, ts.Close },
 			wantStatus:  http.StatusServiceUnavailable,
 			wantRetry:   true,
 			partialOK:   false,
@@ -773,10 +803,14 @@ func TestFrontendPrunesAcrossTheWire(t *testing.T) {
 	if stats.PrunedFacilities == 0 {
 		t.Fatalf("no facility pruned under heavy skew: %+v", stats)
 	}
-	// The pruned facilities must not have paid exact RPCs: at most the
-	// contenders (6 - pruned) across 2 groups each.
-	if max := (6 - stats.PrunedFacilities) * 2; stats.ExactRPCs > max {
-		t.Fatalf("%d exact RPCs for %d unpruned facilities over 2 groups (max %d)", stats.ExactRPCs, 6-stats.PrunedFacilities, max)
+	// The pruned facilities must not have paid exact work: at most the
+	// contenders (6 - pruned) on 2 groups each, however few RPCs carried
+	// them.
+	if max := (6 - stats.PrunedFacilities) * 2; stats.ExactFacilities > max {
+		t.Fatalf("%d exact legs for %d unpruned facilities over 2 groups (max %d)", stats.ExactFacilities, 6-stats.PrunedFacilities, max)
+	}
+	if stats.ExactRPCs != 2*stats.ExactRounds {
+		t.Fatalf("%d exact RPCs over %d rounds on 2 groups, want one per group per round", stats.ExactRPCs, stats.ExactRounds)
 	}
 }
 

@@ -1,62 +1,11 @@
 package shard
 
-// The scatter-gather merge, exported for callers that seed their own
-// explorations. internal/dist's query frontend is the motivating one:
-// its per-(facility, backend) explorations answer Exact() with an HTTP
-// call to a remote tqserve process, and MergeExplorations schedules
-// them with exactly the heap the in-process paths use — so the
-// shard-prune (never relaxing an exploration whose summed upper bound
-// cannot reach the top k) holds across the wire, and the emission
-// order (value descending, ID ascending) matches the single-process
-// TopK byte for byte.
-
 import (
-	"container/heap"
 	"context"
-	"fmt"
 
 	"github.com/trajcover/trajcover/internal/query"
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
-
-// MergeExplorations runs the kMaxRRST scatter-gather merge over
-// pre-seeded explorations: exps[i] holds facility facs[i]'s per-shard
-// explorations (every facility must carry the same shard count, in the
-// same shard order). The merge relaxes only explorations whose
-// facility's summed upper bound can still reach the top k, emits a
-// facility once every shard's optimistic remainder is zero, and
-// returns the k best (value descending, ID ascending on ties) — the
-// same answers as Sharded.TopK when the explorations come from the
-// same trees. workers > 1 relaxes up to that many facilities
-// concurrently per round (identical answers, as in TopKParallel); ctx
-// (nil means "never") cancels between relaxations; m (nil means
-// "discard") collects relaxation counters.
-func MergeExplorations(ctx context.Context, facs []*trajectory.Facility, exps [][]query.Exploration, k, workers int, m *query.Metrics) ([]query.Result, error) {
-	if len(facs) != len(exps) {
-		return nil, fmt.Errorf("shard: %d facilities but %d exploration sets", len(facs), len(exps))
-	}
-	if m == nil {
-		m = &query.Metrics{}
-	}
-	if k <= 0 || len(facs) == 0 {
-		return nil, nil
-	}
-	if k > len(facs) {
-		k = len(facs)
-	}
-	h := make(facHeap, 0, len(facs))
-	for i, f := range facs {
-		fs := &facState{fac: f, exps: exps[i]}
-		fs.refresh()
-		h = append(h, fs)
-	}
-	heap.Init(&h)
-	workers = query.ResolveWorkers(workers, len(facs))
-	if workers > 1 {
-		return mergeTopKParallel(ctx, &h, k, workers, m)
-	}
-	return mergeTopK(ctx, &h, k, m)
-}
 
 // UpperBounds seeds (without relaxing) every facility's exploration on
 // every shard of a captured epoch set and returns the summed initial
