@@ -14,8 +14,6 @@ package trajcover
 // changes.
 
 import (
-	"context"
-
 	"github.com/trajcover/trajcover/internal/query"
 	"github.com/trajcover/trajcover/internal/shard"
 	"github.com/trajcover/trajcover/internal/tqtree"
@@ -28,8 +26,13 @@ import (
 // readers, and cannot be mutated — Insert/Delete and the coverage-based
 // queries (ServedUsers, MaxCoverage) stay on the mutable Index.
 type FrozenIndex struct {
+	querier
 	engine *query.FrozenEngine
 	set    *trajectory.Set
+}
+
+func newFrozenIndex(engine *query.FrozenEngine) *FrozenIndex {
+	return &FrozenIndex{querier: querier{engine}, engine: engine, set: engine.Users()}
 }
 
 // Freeze produces the frozen columnar form of the index. The index is
@@ -41,7 +44,7 @@ func (x *Index) Freeze() (*FrozenIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FrozenIndex{engine: query.NewFrozenEngine(f, x.set), set: x.set}, nil
+	return newFrozenIndex(query.NewFrozenEngine(f, x.set)), nil
 }
 
 // NewFrozenIndex builds a frozen index directly from user trajectories:
@@ -58,63 +61,15 @@ func NewFrozenIndex(users []*Trajectory, opts IndexOptions) (*FrozenIndex, error
 // Len returns the number of indexed user trajectories.
 func (x *FrozenIndex) Len() int { return x.set.Len() }
 
-// ServiceValue computes SO(U, f): the exact service value of one facility
-// (Algorithm 1 of the paper) over the flat layout.
-func (x *FrozenIndex) ServiceValue(f *Facility, q Query) (float64, error) {
-	v, _, err := x.engine.ServiceValue(f, q.params())
-	return v, err
-}
-
-// ServiceValues computes the exact service value of every facility in
-// one batch across a pool of `workers` goroutines (<= 0 uses GOMAXPROCS).
-func (x *FrozenIndex) ServiceValues(facilities []*Facility, q Query, workers int) ([]float64, error) {
-	vs, _, err := x.engine.ServiceValues(facilities, q.params(), workers)
-	return vs, err
-}
-
-// TopK answers the kMaxRRST query best first (Algorithm 3).
-func (x *FrozenIndex) TopK(facilities []*Facility, k int, q Query) ([]Ranked, error) {
-	res, _, err := x.engine.TopK(facilities, k, q.params())
-	return res, err
-}
-
-// TopKWithMetrics is TopK returning work metrics for diagnostics.
-func (x *FrozenIndex) TopKWithMetrics(facilities []*Facility, k int, q Query) ([]Ranked, QueryMetrics, error) {
-	return x.engine.TopK(facilities, k, q.params())
-}
-
-// TopKParallel is TopK with up to `workers` best-first exploration steps
-// run concurrently per round; the answer is identical to TopK.
-func (x *FrozenIndex) TopKParallel(facilities []*Facility, k int, q Query, workers int) ([]Ranked, error) {
-	res, _, err := x.engine.TopKParallel(facilities, k, q.params(), workers)
-	return res, err
-}
-
-// ServiceValuesCtx is ServiceValues with cooperative cancellation; see
-// the deadline-aware variants note on Index.
-func (x *FrozenIndex) ServiceValuesCtx(ctx context.Context, facilities []*Facility, q Query, workers int) ([]float64, error) {
-	vs, _, err := x.engine.ServiceValuesCtx(ctx, facilities, q.params(), workers)
-	return vs, err
-}
-
-// TopKCtx is TopK with cooperative cancellation; see the deadline-aware
-// variants note on Index.
-func (x *FrozenIndex) TopKCtx(ctx context.Context, facilities []*Facility, k int, q Query) ([]Ranked, error) {
-	res, _, err := x.engine.TopKCtx(ctx, facilities, k, q.params())
-	return res, err
-}
-
-// TopKParallelCtx is TopKParallel with cooperative cancellation; see the
-// deadline-aware variants note on Index.
-func (x *FrozenIndex) TopKParallelCtx(ctx context.Context, facilities []*Facility, k int, q Query, workers int) ([]Ranked, error) {
-	res, _, err := x.engine.TopKParallelCtx(ctx, facilities, k, q.params(), workers)
-	return res, err
-}
-
 // FrozenShardedIndex is the immutable columnar form of a ShardedIndex:
 // every shard's tree frozen, served by the same scatter-gather merge.
 type FrozenShardedIndex struct {
+	querier
 	s *shard.Frozen
+}
+
+func newFrozenShardedIndex(s *shard.Frozen) *FrozenShardedIndex {
+	return &FrozenShardedIndex{querier: querier{s}, s: s}
 }
 
 // Freeze produces the frozen serving form of the sharded index, freezing
@@ -124,7 +79,7 @@ func (x *ShardedIndex) Freeze() (*FrozenShardedIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FrozenShardedIndex{s: s}, nil
+	return newFrozenShardedIndex(s), nil
 }
 
 // NumShards returns the number of shards.
@@ -135,55 +90,3 @@ func (x *FrozenShardedIndex) ShardSizes() []int { return x.s.Sizes() }
 
 // Len returns the total number of indexed user trajectories.
 func (x *FrozenShardedIndex) Len() int { return x.s.Len() }
-
-// ServiceValue computes SO(U, f) as the sum of per-shard service values.
-func (x *FrozenShardedIndex) ServiceValue(f *Facility, q Query) (float64, error) {
-	v, _, err := x.s.ServiceValue(f, q.params())
-	return v, err
-}
-
-// ServiceValues computes the exact service value of every facility,
-// scattering each shard's batch across `workers` goroutines.
-func (x *FrozenShardedIndex) ServiceValues(facilities []*Facility, q Query, workers int) ([]float64, error) {
-	vs, _, err := x.s.ServiceValues(facilities, q.params(), workers)
-	return vs, err
-}
-
-// TopK answers kMaxRRST over all frozen shards by scatter-gather.
-func (x *FrozenShardedIndex) TopK(facilities []*Facility, k int, q Query) ([]Ranked, error) {
-	res, _, err := x.s.TopK(facilities, k, q.params())
-	return res, err
-}
-
-// TopKWithMetrics is TopK returning the merged per-shard work metrics.
-func (x *FrozenShardedIndex) TopKWithMetrics(facilities []*Facility, k int, q Query) ([]Ranked, QueryMetrics, error) {
-	return x.s.TopK(facilities, k, q.params())
-}
-
-// TopKParallel is TopK with up to `workers` facility relaxations run
-// concurrently per round; the answer is identical to TopK.
-func (x *FrozenShardedIndex) TopKParallel(facilities []*Facility, k int, q Query, workers int) ([]Ranked, error) {
-	res, _, err := x.s.TopKParallel(facilities, k, q.params(), workers)
-	return res, err
-}
-
-// ServiceValuesCtx is ServiceValues with cooperative cancellation; see
-// the deadline-aware variants note on Index.
-func (x *FrozenShardedIndex) ServiceValuesCtx(ctx context.Context, facilities []*Facility, q Query, workers int) ([]float64, error) {
-	vs, _, err := x.s.ServiceValuesCtx(ctx, facilities, q.params(), workers)
-	return vs, err
-}
-
-// TopKCtx is TopK with cooperative cancellation; see the deadline-aware
-// variants note on Index.
-func (x *FrozenShardedIndex) TopKCtx(ctx context.Context, facilities []*Facility, k int, q Query) ([]Ranked, error) {
-	res, _, err := x.s.TopKCtx(ctx, facilities, k, q.params())
-	return res, err
-}
-
-// TopKParallelCtx is TopKParallel with cooperative cancellation; see the
-// deadline-aware variants note on Index.
-func (x *FrozenShardedIndex) TopKParallelCtx(ctx context.Context, facilities []*Facility, k int, q Query, workers int) ([]Ranked, error) {
-	res, _, err := x.s.TopKParallelCtx(ctx, facilities, k, q.params(), workers)
-	return res, err
-}

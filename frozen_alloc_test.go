@@ -1,6 +1,9 @@
 package trajcover
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestFrozenServiceValueAllocs asserts the frozen hot path stays within
 // the pooled pointer path's allocation budget: at most 1 alloc/op (the
@@ -47,5 +50,35 @@ func TestFrozenServiceValueAllocs(t *testing.T) {
 	}
 	if frozen > ptr+0.5 {
 		t.Fatalf("frozen ServiceValue allocates %.2f/op, pointer path %.2f/op", frozen, ptr)
+	}
+}
+
+// TestLiveTopKWithMetricsAllocs asserts the embedded query surface is
+// free on the serving path: the public LiveShardedIndex.TopKWithMetrics
+// allocates no more than the shard.Live.TopKCtx call it forwards to.
+func TestLiveTopKWithMetricsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are not meaningful under -race: sync.Pool drops items deliberately")
+	}
+	ny := NewYorkCity()
+	routes := BusRoutes(ny, 8, 32, 3)
+	lsh, err := NewLiveShardedIndex(TaxiTrips(ny, 3000, 7), LiveShardOptions{Shards: 2, Index: IndexOptions{Ordering: ZOrdering}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Scenario: Binary, Psi: DefaultPsi}
+	direct := testing.AllocsPerRun(50, func() {
+		if _, _, err := lsh.s.TopKCtx(context.Background(), routes, 4, q.params()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	public := testing.AllocsPerRun(50, func() {
+		if _, _, err := lsh.TopKWithMetrics(routes, 4, q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("TopK allocs/op: shard.Live.TopKCtx %.0f, LiveShardedIndex.TopKWithMetrics %.0f", direct, public)
+	if public > direct {
+		t.Fatalf("LiveShardedIndex.TopKWithMetrics allocates %.0f/op, the direct shard call %.0f/op", public, direct)
 	}
 }

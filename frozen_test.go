@@ -231,8 +231,8 @@ func TestFrozenRejectsUnsupportedScenario(t *testing.T) {
 	}
 }
 
-// TestPublicCtxVariantsAcrossIndexTypes pins the promise in the
-// deadline-aware variants note on Index: EVERY index type exposes
+// TestPublicCtxVariantsAcrossIndexTypes pins the promise of the one
+// embedded query surface (querier.go): EVERY index type exposes
 // ServiceValuesCtx/TopKCtx/TopKParallelCtx, a background context
 // changes nothing, and an expired deadline aborts with
 // context.DeadlineExceeded.
@@ -242,45 +242,8 @@ func TestPublicCtxVariantsAcrossIndexTypes(t *testing.T) {
 	routes := BusRoutes(ny, 24, 8, 18)
 	q := Query{Scenario: Binary, Psi: 300}
 
-	idx, err := NewIndex(users, IndexOptions{Ordering: ZOrdering})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fz, err := idx.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := NewShardedIndex(users, ShardOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fsh, err := sh.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lv, err := idx.Live(LivePolicy{Manual: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lsh, err := sh.Live(LivePolicy{Manual: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	type ctxAPI struct {
-		name string
-		sv   func(context.Context, []*Facility, Query, int) ([]float64, error)
-		topk func(context.Context, []*Facility, int, Query) ([]Ranked, error)
-		par  func(context.Context, []*Facility, int, Query, int) ([]Ranked, error)
-	}
-	apis := []ctxAPI{
-		{"Index", idx.ServiceValuesCtx, idx.TopKCtx, idx.TopKParallelCtx},
-		{"FrozenIndex", fz.ServiceValuesCtx, fz.TopKCtx, fz.TopKParallelCtx},
-		{"ShardedIndex", sh.ServiceValuesCtx, sh.TopKCtx, sh.TopKParallelCtx},
-		{"FrozenShardedIndex", fsh.ServiceValuesCtx, fsh.TopKCtx, fsh.TopKParallelCtx},
-		{"LiveIndex", lv.ServiceValuesCtx, lv.TopKCtx, lv.TopKParallelCtx},
-		{"LiveShardedIndex", lsh.ServiceValuesCtx, lsh.TopKCtx, lsh.TopKParallelCtx},
-	}
+	apis := allFlavors(t, users)
+	idx := apis[0]
 	wantV, err := idx.ServiceValues(routes, q, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -292,8 +255,8 @@ func TestPublicCtxVariantsAcrossIndexTypes(t *testing.T) {
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	for _, api := range apis {
-		t.Run(api.name, func(t *testing.T) {
-			vs, err := api.sv(context.Background(), routes, q, 2)
+		t.Run(flavorName(api), func(t *testing.T) {
+			vs, err := api.ServiceValuesCtx(context.Background(), routes, q, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -302,11 +265,11 @@ func TestPublicCtxVariantsAcrossIndexTypes(t *testing.T) {
 					t.Fatalf("ServiceValuesCtx[%d] = %v, want %v", i, vs[i], wantV[i])
 				}
 			}
-			top, err := api.topk(context.Background(), routes, 6, q)
+			top, err := api.TopKCtx(context.Background(), routes, 6, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := api.par(context.Background(), routes, 6, q, 3)
+			par, err := api.TopKParallelCtx(context.Background(), routes, 6, q, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -319,13 +282,13 @@ func TestPublicCtxVariantsAcrossIndexTypes(t *testing.T) {
 					t.Fatalf("TopKParallelCtx[%d] differs from TopKCtx", i)
 				}
 			}
-			if _, err := api.sv(expired, routes, q, 2); !errors.Is(err, context.DeadlineExceeded) {
+			if _, err := api.ServiceValuesCtx(expired, routes, q, 2); !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("ServiceValuesCtx(expired) err = %v", err)
 			}
-			if _, err := api.topk(expired, routes, 6, q); !errors.Is(err, context.DeadlineExceeded) {
+			if _, err := api.TopKCtx(expired, routes, 6, q); !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("TopKCtx(expired) err = %v", err)
 			}
-			if _, err := api.par(expired, routes, 6, q, 3); !errors.Is(err, context.DeadlineExceeded) {
+			if _, err := api.TopKParallelCtx(expired, routes, 6, q, 3); !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("TopKParallelCtx(expired) err = %v", err)
 			}
 		})

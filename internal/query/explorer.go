@@ -45,7 +45,7 @@ var _ Exploration = (*Explorer)(nil)
 
 // NewExplorer seeds a facility's exploration at the smallest q-node
 // containing its EMBR, exactly as TopK's initialization does.
-func (e *Engine) NewExplorer(f *trajectory.Facility, p Params) (*Explorer, error) {
+func (e *Engine) NewExplorer(f *trajectory.Facility, p Params) (Exploration, error) {
 	core, err := newExplorerCore[*tqtreeNode](ptrLayout{e.tree}, f, p)
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package query
 import (
 	"runtime"
 
+	"github.com/trajcover/trajcover/internal/service"
 	"github.com/trajcover/trajcover/internal/tqtree"
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
@@ -30,6 +31,9 @@ func (e *FrozenEngine) Frozen() *tqtree.Frozen { return e.f }
 
 // Users returns the indexed user set.
 func (e *FrozenEngine) Users() *trajectory.Set { return e.users }
+
+// ValidateScenario checks that queries under sc are exact on the index.
+func (e *FrozenEngine) ValidateScenario(sc service.Scenario) error { return e.f.ValidateScenario(sc) }
 
 // ServiceValue computes SO(U, f) exactly via the divide-and-conquer
 // traversal of Algorithm 1 over the flat layout.
@@ -94,7 +98,7 @@ var _ Exploration = (*FrozenExplorer)(nil)
 
 // NewExplorer seeds a facility's exploration at the smallest q-node
 // containing its EMBR, exactly as TopK's initialization does.
-func (e *FrozenEngine) NewExplorer(f *trajectory.Facility, p Params) (*FrozenExplorer, error) {
+func (e *FrozenEngine) NewExplorer(f *trajectory.Facility, p Params) (Exploration, error) {
 	core, err := newExplorerCore[int32](frozenLayout{e.f}, f, p)
 	if err != nil {
 		return nil, err

@@ -78,6 +78,9 @@ func (e *Engine) Tree() *tqtree.Tree { return e.tree }
 // Users returns the indexed user set.
 func (e *Engine) Users() *trajectory.Set { return e.users }
 
+// ValidateScenario checks that queries under sc are exact on the tree.
+func (e *Engine) ValidateScenario(sc service.Scenario) error { return e.tree.ValidateScenario(sc) }
+
 // ServiceValue computes SO(U, f) exactly via the divide-and-conquer
 // traversal of Algorithm 1. The returned Metrics describe the work done.
 func (e *Engine) ServiceValue(f *trajectory.Facility, p Params) (float64, Metrics, error) {

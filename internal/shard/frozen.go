@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/trajcover/trajcover/internal/geo"
@@ -12,10 +11,11 @@ import (
 
 // Frozen is a set of frozen columnar TQ-trees jointly indexing one
 // trajectory corpus — the read-optimized serving form of Sharded. It
-// answers the same scatter-gather queries through the shared merge in
-// topk.go, is immutable (no Insert), and each shard serializes nearly
-// verbatim into the TQSHRD02 snapshot container.
+// answers the same scatter-gather queries through the embedded scatter
+// over one frozen engine per shard, is immutable (no Insert), and each
+// shard serializes nearly verbatim into the TQSHRD02 snapshot container.
 type Frozen struct {
+	scatter[*query.FrozenEngine]
 	bounds  geo.Rect
 	kind    string
 	engines []*query.FrozenEngine
@@ -26,19 +26,19 @@ type Frozen struct {
 // index is only read and remains fully usable; dropping it afterwards
 // releases all pointer-tree storage.
 func (s *Sharded) Freeze() (*Frozen, error) {
-	f := &Frozen{
-		bounds:  s.bounds,
-		kind:    s.PartitionerKind(),
-		engines: make([]*query.FrozenEngine, len(s.shards)),
-	}
-	for i, sh := range s.shards {
-		fz, err := tqtree.Freeze(sh.engine.Tree())
+	engines := make([]*query.FrozenEngine, len(s.engines))
+	for i, e := range s.engines {
+		fz, err := tqtree.Freeze(e.Tree())
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		f.engines[i] = query.NewFrozenEngine(fz, sh.set)
+		engines[i] = query.NewFrozenEngine(fz, e.Users())
 	}
-	return f, nil
+	return newFrozen(engines, s.bounds, s.PartitionerKind()), nil
+}
+
+func newFrozen(engines []*query.FrozenEngine, bounds geo.Rect, kind string) *Frozen {
+	return &Frozen{scatter: fixedUnits(engines), bounds: bounds, kind: kind, engines: engines}
 }
 
 // FrozenFromEngines assembles a Frozen from per-shard frozen engines —
@@ -63,7 +63,7 @@ func FrozenFromEngines(engines []*query.FrozenEngine, bounds geo.Rect, kind stri
 			seen[u.ID] = struct{}{}
 		}
 	}
-	return &Frozen{bounds: bounds, kind: kind, engines: engines}, nil
+	return newFrozen(engines, bounds, kind), nil
 }
 
 // NumShards returns the shard count.
@@ -105,116 +105,4 @@ func (f *Frozen) Partition() [][]*trajectory.Trajectory {
 		out[i] = e.Frozen().Trajectories()
 	}
 	return out
-}
-
-// validate checks the query parameters against every shard's index.
-func (f *Frozen) validate(p query.Params) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	for _, e := range f.engines {
-		if err := e.Frozen().ValidateScenario(p.Scenario); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ServiceValue computes SO(U, f) as the sum of per-shard service values,
-// accumulated in shard order so the answer is deterministic.
-func (f *Frozen) ServiceValue(fac *trajectory.Facility, p Params) (float64, query.Metrics, error) {
-	var m query.Metrics
-	var so float64
-	for _, e := range f.engines {
-		v, sm, err := e.ServiceValue(fac, p)
-		if err != nil {
-			return 0, m, err
-		}
-		so += v
-		m.Add(sm)
-	}
-	return so, m, nil
-}
-
-// ServiceValues computes the exact service value of every facility by
-// scattering the batch to every shard and summing per-shard answers in
-// shard order; the output is indexed like facilities and deterministic.
-func (f *Frozen) ServiceValues(facilities []*trajectory.Facility, p Params, workers int) ([]float64, query.Metrics, error) {
-	return f.ServiceValuesCtx(nil, facilities, p, workers)
-}
-
-// ServiceValuesCtx is ServiceValues with cooperative cancellation: every
-// per-shard batch polls ctx between facilities, returning ctx.Err()
-// instead of an answer once the context is done.
-func (f *Frozen) ServiceValuesCtx(ctx context.Context, facilities []*trajectory.Facility, p Params, workers int) ([]float64, query.Metrics, error) {
-	var m query.Metrics
-	out := make([]float64, len(facilities))
-	for _, e := range f.engines {
-		vs, sm, err := e.ServiceValuesCtx(ctx, facilities, p, workers)
-		if err != nil {
-			return nil, m, err
-		}
-		for i, v := range vs {
-			out[i] += v
-		}
-		m.Add(sm)
-	}
-	return out, m, nil
-}
-
-// numShards implements explorerSeeder.
-func (f *Frozen) numShards() int { return len(f.engines) }
-
-// newExploration implements explorerSeeder over the frozen indexes.
-func (f *Frozen) newExploration(i int, fac *trajectory.Facility, p Params) (query.Exploration, error) {
-	return f.engines[i].NewExplorer(fac, p)
-}
-
-// TopK answers kMaxRRST over all frozen shards by scatter-gather, best
-// first — the same merge as Sharded.TopK over the columnar layout.
-func (f *Frozen) TopK(facilities []*trajectory.Facility, k int, p Params) ([]query.Result, query.Metrics, error) {
-	return f.TopKCtx(nil, facilities, k, p)
-}
-
-// TopKCtx is TopK with cooperative cancellation: the scatter-gather
-// merge polls ctx between facility relaxations and returns ctx.Err()
-// instead of an answer once the context is done.
-func (f *Frozen) TopKCtx(ctx context.Context, facilities []*trajectory.Facility, k int, p Params) ([]query.Result, query.Metrics, error) {
-	var m query.Metrics
-	if err := f.validate(p); err != nil {
-		return nil, m, err
-	}
-	h, k, err := seedHeap(f, facilities, k, p)
-	if err != nil || k == 0 {
-		return nil, m, err
-	}
-	res, err := mergeTopK(ctx, h, k, &m)
-	return res, m, err
-}
-
-// TopKParallel is TopK with up to `workers` facility relaxations run
-// concurrently per round; the answer is identical to TopK. workers is
-// normalized by query.ResolveWorkers; a single-worker pool falls back to
-// the serial TopK.
-func (f *Frozen) TopKParallel(facilities []*trajectory.Facility, k int, p Params, workers int) ([]query.Result, query.Metrics, error) {
-	return f.TopKParallelCtx(nil, facilities, k, p, workers)
-}
-
-// TopKParallelCtx is TopKParallel with cooperative cancellation, checked
-// between relaxation rounds.
-func (f *Frozen) TopKParallelCtx(ctx context.Context, facilities []*trajectory.Facility, k int, p Params, workers int) ([]query.Result, query.Metrics, error) {
-	workers = query.ResolveWorkers(workers, len(facilities))
-	if workers <= 1 {
-		return f.TopKCtx(ctx, facilities, k, p)
-	}
-	var m query.Metrics
-	if err := f.validate(p); err != nil {
-		return nil, m, err
-	}
-	h, k, err := seedHeap(f, facilities, k, p)
-	if err != nil || k == 0 {
-		return nil, m, err
-	}
-	res, err := mergeTopKParallel(ctx, h, k, workers, &m)
-	return res, m, err
 }

@@ -31,7 +31,6 @@ package shard
 // subtlety that makes writes-during-rebuild linearizable.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -133,6 +132,10 @@ type liveShard struct {
 // Insert/Delete/Compact and with each other; Insert/Delete serialize on
 // an internal writer lock.
 type Live struct {
+	// scatter is the query surface: every query captures l.Epochs() once
+	// and runs over that cut.
+	scatter[*query.Epoch]
+
 	bounds   geo.Rect
 	part     Partitioner
 	treeOpts tqtree.Options
@@ -281,6 +284,7 @@ func LiveFromEpochs(epochs []*query.Epoch, part Partitioner, pol Policy) (*Live,
 		policy:   pol.withDefaults(),
 		shards:   make([]*liveShard, len(epochs)),
 	}
+	l.scatter.capture = l.Epochs
 	for i, ep := range epochs {
 		sh := &liveShard{
 			delta:     ep.Delta(),
@@ -841,125 +845,4 @@ func (l *Live) rebuildShard(sh *liveShard) error {
 	clearCapture()
 	l.wmu.Unlock()
 	return err
-}
-
-// validate checks the query parameters against every shard's epoch.
-func validateEpochs(eps []*query.Epoch, p query.Params) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	for _, ep := range eps {
-		if err := ep.ValidateScenario(p.Scenario); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// epochSeeder seeds scatter-gather explorations over a captured epoch
-// set — the explorerSeeder the shared merge in topk.go consumes.
-type epochSeeder []*query.Epoch
-
-func (s epochSeeder) numShards() int { return len(s) }
-
-func (s epochSeeder) newExploration(i int, f *trajectory.Facility, p Params) (query.Exploration, error) {
-	return s[i].NewExplorer(f, p)
-}
-
-// ServiceValue computes SO(U, f) as the sum of per-shard epoch service
-// values, accumulated in shard order so the answer is deterministic.
-func (l *Live) ServiceValue(fac *trajectory.Facility, p Params) (float64, query.Metrics, error) {
-	eps := l.Epochs()
-	var m query.Metrics
-	var so float64
-	for _, ep := range eps {
-		v, sm, err := ep.ServiceValue(fac, p)
-		if err != nil {
-			return 0, m, err
-		}
-		so += v
-		m.Add(sm)
-	}
-	return so, m, nil
-}
-
-// ServiceValues computes the exact service value of every facility by
-// scattering the batch to every shard's epoch and summing per-shard
-// answers in shard order; the output is indexed like facilities.
-func (l *Live) ServiceValues(facilities []*trajectory.Facility, p Params, workers int) ([]float64, query.Metrics, error) {
-	return l.ServiceValuesCtx(nil, facilities, p, workers)
-}
-
-// ServiceValuesCtx is ServiceValues with cooperative cancellation: every
-// per-epoch batch polls ctx between facilities and the fold checks it
-// between epochs, returning ctx.Err() instead of an answer once the
-// context is done. The whole batch still answers over one write-
-// consistent epoch capture.
-func (l *Live) ServiceValuesCtx(ctx context.Context, facilities []*trajectory.Facility, p Params, workers int) ([]float64, query.Metrics, error) {
-	eps := l.Epochs()
-	var m query.Metrics
-	out := make([]float64, len(facilities))
-	for _, ep := range eps {
-		vs, sm, err := ep.ServiceValuesCtx(ctx, facilities, p, workers)
-		if err != nil {
-			return nil, m, err
-		}
-		for i, v := range vs {
-			out[i] += v
-		}
-		m.Add(sm)
-	}
-	return out, m, nil
-}
-
-// TopK answers kMaxRRST over the live shards by scatter-gather, best
-// first — the same merge as Sharded/Frozen over a captured epoch set,
-// so a query is unaffected by swaps that land while it runs.
-func (l *Live) TopK(facilities []*trajectory.Facility, k int, p Params) ([]query.Result, query.Metrics, error) {
-	return l.TopKCtx(nil, facilities, k, p)
-}
-
-// TopKCtx is TopK with cooperative cancellation: the scatter-gather
-// merge polls ctx between facility relaxations and returns ctx.Err()
-// instead of an answer once the context is done.
-func (l *Live) TopKCtx(ctx context.Context, facilities []*trajectory.Facility, k int, p Params) ([]query.Result, query.Metrics, error) {
-	eps := l.Epochs()
-	var m query.Metrics
-	if err := validateEpochs(eps, p); err != nil {
-		return nil, m, err
-	}
-	h, k, err := seedHeap(epochSeeder(eps), facilities, k, p)
-	if err != nil || k == 0 {
-		return nil, m, err
-	}
-	res, err := mergeTopK(ctx, h, k, &m)
-	return res, m, err
-}
-
-// TopKParallel is TopK with up to `workers` facility relaxations run
-// concurrently per round; the answer is identical to TopK. workers is
-// normalized by query.ResolveWorkers; a single-worker pool falls back to
-// the serial TopK.
-func (l *Live) TopKParallel(facilities []*trajectory.Facility, k int, p Params, workers int) ([]query.Result, query.Metrics, error) {
-	return l.TopKParallelCtx(nil, facilities, k, p, workers)
-}
-
-// TopKParallelCtx is TopKParallel with cooperative cancellation, checked
-// between relaxation rounds.
-func (l *Live) TopKParallelCtx(ctx context.Context, facilities []*trajectory.Facility, k int, p Params, workers int) ([]query.Result, query.Metrics, error) {
-	workers = query.ResolveWorkers(workers, len(facilities))
-	if workers <= 1 {
-		return l.TopKCtx(ctx, facilities, k, p)
-	}
-	eps := l.Epochs()
-	var m query.Metrics
-	if err := validateEpochs(eps, p); err != nil {
-		return nil, m, err
-	}
-	h, k, err := seedHeap(epochSeeder(eps), facilities, k, p)
-	if err != nil || k == 0 {
-		return nil, m, err
-	}
-	res, err := mergeTopKParallel(ctx, h, k, workers, &m)
-	return res, m, err
 }

@@ -14,7 +14,7 @@ import (
 // means "never") is polled between facilities.
 func (l *Live) UpperBounds(ctx context.Context, facilities []*trajectory.Facility, p Params) ([]float64, error) {
 	eps := l.Epochs()
-	if err := validateEpochs(eps, p); err != nil {
+	if err := validate(eps, p); err != nil {
 		return nil, err
 	}
 	out := make([]float64, len(facilities))

@@ -1,0 +1,182 @@
+package shard
+
+import (
+	"context"
+
+	"github.com/trajcover/trajcover/internal/query"
+	"github.com/trajcover/trajcover/internal/service"
+	"github.com/trajcover/trajcover/internal/trajectory"
+)
+
+// Params re-exports the query parameter bundle for shard callers.
+type Params = query.Params
+
+// unit is one shard as the scatter-gather sees it: something that can
+// check a scenario against its data, answer exact service values, and
+// seed a best-first exploration. *query.Engine (pointer tree),
+// *query.FrozenEngine (frozen columns) and *query.Epoch (frozen base +
+// delta overlay + tombstones) all are one. Users are disjoint across
+// units, so a facility's service value is the sum of its per-unit values
+// and its upper bound the sum of its per-unit upper bounds — which is all
+// the code below relies on.
+type unit interface {
+	ValidateScenario(service.Scenario) error
+	ServiceValue(*trajectory.Facility, Params) (float64, query.Metrics, error)
+	ServiceValuesCtx(ctx context.Context, facilities []*trajectory.Facility, p Params, workers int) ([]float64, query.Metrics, error)
+	NewExplorer(*trajectory.Facility, Params) (query.Exploration, error)
+}
+
+// scatter is the query surface of a sharded index, written once over a
+// slice of units and embedded in Sharded, Frozen and Live. capture
+// returns the units one query runs over: the fixed shard slice for
+// Sharded and Frozen, one write-consistent epoch cut (Live.Epochs) for
+// Live — taken once per call, so a query (or a whole stream) is
+// unaffected by writes and swaps that land while it runs.
+type scatter[U unit] struct {
+	capture func() []U
+}
+
+func fixedUnits[U unit](units []U) scatter[U] {
+	return scatter[U]{capture: func() []U { return units }}
+}
+
+// validate checks the query parameters and their compatibility with
+// every unit — scenario validity depends on per-shard data (a TwoPoint
+// tree over multipoint data answers Binary only), so all are consulted.
+func validate[U unit](units []U, p Params) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	for _, u := range units {
+		if err := u.ValidateScenario(p.Scenario); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sumValues scatters one batch to every unit and folds the per-unit
+// answers in shard order, so the sums are deterministic.
+func sumValues[U unit](ctx context.Context, units []U, facilities []*trajectory.Facility, p Params, workers int, m *query.Metrics) ([]float64, error) {
+	out := make([]float64, len(facilities))
+	for _, u := range units {
+		vs, um, err := u.ServiceValuesCtx(ctx, facilities, p, workers)
+		if err != nil {
+			return nil, err
+		}
+		for i, v := range vs {
+			out[i] += v
+		}
+		m.Add(um)
+	}
+	return out, nil
+}
+
+// ServiceValue computes SO(U, f) as the sum of per-shard service values,
+// accumulated in shard order so the answer is deterministic.
+func (s scatter[U]) ServiceValue(f *trajectory.Facility, p Params) (float64, query.Metrics, error) {
+	var m query.Metrics
+	var so float64
+	for _, u := range s.capture() {
+		v, um, err := u.ServiceValue(f, p)
+		if err != nil {
+			return 0, m, err
+		}
+		so += v
+		m.Add(um)
+	}
+	return so, m, nil
+}
+
+// ServiceValues is ServiceValuesCtx without a deadline.
+func (s scatter[U]) ServiceValues(facilities []*trajectory.Facility, p Params, workers int) ([]float64, query.Metrics, error) {
+	return s.ServiceValuesCtx(context.Background(), facilities, p, workers)
+}
+
+// ServiceValuesCtx computes the exact service value of every facility by
+// scattering the batch to every shard and summing per-shard answers in
+// shard order. Each shard's batch runs on the shared worker budget and
+// polls ctx between facilities, returning ctx.Err() instead of an answer
+// once the context is done. The output is indexed like facilities.
+func (s scatter[U]) ServiceValuesCtx(ctx context.Context, facilities []*trajectory.Facility, p Params, workers int) ([]float64, query.Metrics, error) {
+	var m query.Metrics
+	out, err := sumValues(ctx, s.capture(), facilities, p, workers, &m)
+	return out, m, err
+}
+
+// ServiceValuesStreamCtx streams SO(U, f) in chunks of the given size
+// (<= 0: query.DefaultStreamChunk), calling yield(start, vals) once per
+// chunk in facility order. Each chunk runs the ordinary per-shard batch
+// and the same fold as ServiceValuesCtx, so streamed values are
+// bit-identical to the batch answer. A yield error or a done context
+// aborts the stream; Metrics accumulate across yielded chunks.
+func (s scatter[U]) ServiceValuesStreamCtx(ctx context.Context, facilities []*trajectory.Facility, p Params, workers, chunk int, yield func(start int, vals []float64) error) (query.Metrics, error) {
+	units := s.capture()
+	var m query.Metrics
+	// Validate before the loop so an empty facility list still surfaces
+	// bad parameters, like the batch path.
+	if err := validate(units, p); err != nil {
+		return m, err
+	}
+	if chunk <= 0 {
+		chunk = query.DefaultStreamChunk
+	}
+	for start := 0; start < len(facilities); start += chunk {
+		end := min(start+chunk, len(facilities))
+		vals, err := sumValues(ctx, units, facilities[start:end], p, workers, &m)
+		if err != nil {
+			return m, err
+		}
+		if err := yield(start, vals); err != nil {
+			return m, err
+		}
+	}
+	return m, nil
+}
+
+// TopK is TopKCtx without a deadline.
+func (s scatter[U]) TopK(facilities []*trajectory.Facility, k int, p Params) ([]query.Result, query.Metrics, error) {
+	return s.TopKCtx(context.Background(), facilities, k, p)
+}
+
+// TopKCtx answers kMaxRRST over all shards: the k facilities with the
+// highest total service value, best first. Answers match the single-tree
+// TopK (exactly for integral scenarios such as Binary; up to
+// floating-point summation order otherwise). The merge polls ctx between
+// facility relaxations and returns ctx.Err() instead of an answer once
+// the context is done.
+func (s scatter[U]) TopKCtx(ctx context.Context, facilities []*trajectory.Facility, k int, p Params) ([]query.Result, query.Metrics, error) {
+	return s.topK(ctx, facilities, k, p, 1)
+}
+
+// TopKParallel is TopKParallelCtx without a deadline.
+func (s scatter[U]) TopKParallel(facilities []*trajectory.Facility, k int, p Params, workers int) ([]query.Result, query.Metrics, error) {
+	return s.TopKParallelCtx(context.Background(), facilities, k, p, workers)
+}
+
+// TopKParallelCtx is TopKCtx with up to `workers` facility relaxations
+// run concurrently per round; the answer is identical. workers is
+// normalized by query.ResolveWorkers; a single-worker pool runs the
+// serial merge.
+func (s scatter[U]) TopKParallelCtx(ctx context.Context, facilities []*trajectory.Facility, k int, p Params, workers int) ([]query.Result, query.Metrics, error) {
+	return s.topK(ctx, facilities, k, p, query.ResolveWorkers(workers, len(facilities)))
+}
+
+func (s scatter[U]) topK(ctx context.Context, facilities []*trajectory.Facility, k int, p Params, workers int) ([]query.Result, query.Metrics, error) {
+	units := s.capture()
+	var m query.Metrics
+	if err := validate(units, p); err != nil {
+		return nil, m, err
+	}
+	h, k, err := seedHeap(units, facilities, k, p)
+	if err != nil || k == 0 {
+		return nil, m, err
+	}
+	var res []query.Result
+	if workers <= 1 {
+		res, err = mergeTopK(ctx, h, k, &m)
+	} else {
+		res, err = mergeTopKParallel(ctx, h, k, workers, &m)
+	}
+	return res, m, err
+}

@@ -15,7 +15,6 @@
 package shard
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -49,19 +48,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// oneShard is one partition: its trajectory set and the engine over its
-// TQ-tree.
-type oneShard struct {
-	set    *trajectory.Set
-	engine *query.Engine
-}
-
 // Sharded is a set of TQ-trees jointly indexing one trajectory corpus,
-// answering the same queries as a single tree by scatter-gather.
+// answering the same queries as a single tree by scatter-gather (the
+// embedded scatter over one engine per shard).
 type Sharded struct {
-	opts   Options
-	bounds geo.Rect
-	shards []oneShard
+	scatter[*query.Engine]
+	opts    Options
+	bounds  geo.Rect
+	engines []*query.Engine
 }
 
 // Build partitions users with opts.Partitioner and builds one TQ-tree
@@ -143,7 +137,8 @@ func fromParts(parts [][]*trajectory.Trajectory, bounds geo.Rect, opts Options) 
 	treeOpts.Bounds = bounds
 	treeOpts.Parallelism = perTree
 
-	s := &Sharded{opts: opts, bounds: bounds, shards: make([]oneShard, len(parts))}
+	s := &Sharded{opts: opts, bounds: bounds, engines: make([]*query.Engine, len(parts))}
+	s.scatter = fixedUnits(s.engines)
 	sem := make(chan struct{}, across)
 	errs := make([]error, len(parts))
 	var wg sync.WaitGroup
@@ -162,7 +157,7 @@ func fromParts(parts [][]*trajectory.Trajectory, bounds geo.Rect, opts Options) 
 				errs[i] = err
 				return
 			}
-			s.shards[i] = oneShard{set: set, engine: query.NewEngine(tree, set)}
+			s.engines[i] = query.NewEngine(tree, set)
 		}(i, part)
 	}
 	wg.Wait()
@@ -185,22 +180,22 @@ func clampShard(i, n int) int {
 }
 
 // NumShards returns the shard count.
-func (s *Sharded) NumShards() int { return len(s.shards) }
+func (s *Sharded) NumShards() int { return len(s.engines) }
 
 // Len returns the total number of indexed trajectories.
 func (s *Sharded) Len() int {
 	n := 0
-	for _, sh := range s.shards {
-		n += sh.set.Len()
+	for _, e := range s.engines {
+		n += e.Users().Len()
 	}
 	return n
 }
 
 // Sizes returns the number of trajectories in each shard.
 func (s *Sharded) Sizes() []int {
-	out := make([]int, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = sh.set.Len()
+	out := make([]int, len(s.engines))
+	for i, e := range s.engines {
+		out[i] = e.Users().Len()
 	}
 	return out
 }
@@ -211,7 +206,7 @@ func (s *Sharded) Bounds() geo.Rect { return s.bounds }
 // Engine returns the query engine of shard i — for diagnostics and for
 // per-shard maintenance (the rebuild-and-swap path operates one shard at
 // a time).
-func (s *Sharded) Engine(i int) *query.Engine { return s.shards[i].engine }
+func (s *Sharded) Engine(i int) *query.Engine { return s.engines[i] }
 
 // PartitionerKind returns the configured partitioner's kind, or "" when
 // none survives (a snapshot restored from an unknown custom kind).
@@ -225,9 +220,9 @@ func (s *Sharded) PartitionerKind() string {
 // Partition returns each shard's trajectories, in shard order — the
 // payload a snapshot records.
 func (s *Sharded) Partition() [][]*trajectory.Trajectory {
-	out := make([][]*trajectory.Trajectory, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = sh.set.All
+	out := make([][]*trajectory.Trajectory, len(s.engines))
+	for i, e := range s.engines {
+		out[i] = e.Users().All
 	}
 	return out
 }
@@ -235,8 +230,8 @@ func (s *Sharded) Partition() [][]*trajectory.Trajectory {
 // ByID returns the trajectory with the given id from whichever shard
 // holds it, or nil.
 func (s *Sharded) ByID(id trajectory.ID) *trajectory.Trajectory {
-	for _, sh := range s.shards {
-		if t := sh.set.ByID(id); t != nil {
+	for _, e := range s.engines {
+		if t := e.Users().ByID(id); t != nil {
 			return t
 		}
 	}
@@ -255,74 +250,12 @@ func (s *Sharded) Insert(u *trajectory.Trajectory) error {
 		return fmt.Errorf("%w: cannot route insert", ErrImmutable)
 	}
 	if s.ByID(u.ID) != nil {
-		return fmt.Errorf("shard: duplicate id %d", u.ID)
+		return fmt.Errorf("%w: %d", ErrDuplicateID, u.ID)
 	}
-	i := clampShard(s.opts.Partitioner.Assign(u, s.bounds, len(s.shards)), len(s.shards))
-	if err := s.shards[i].set.Add(u); err != nil {
+	e := s.engines[clampShard(s.opts.Partitioner.Assign(u, s.bounds, len(s.engines)), len(s.engines))]
+	if err := e.Users().Add(u); err != nil {
 		return err
 	}
-	s.shards[i].engine.Tree().Insert(u)
+	e.Tree().Insert(u)
 	return nil
 }
-
-// validate checks the query parameters and their compatibility with
-// every shard's tree — scenario validity depends on per-shard data (a
-// TwoPoint tree over multipoint data answers Binary only), so all shards
-// are consulted.
-func (s *Sharded) validate(p query.Params) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	for _, sh := range s.shards {
-		if err := sh.engine.Tree().ValidateScenario(p.Scenario); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ServiceValue computes SO(U, f) as the sum of per-shard service values,
-// accumulated in shard order so the answer is deterministic.
-func (s *Sharded) ServiceValue(f *trajectory.Facility, p Params) (float64, query.Metrics, error) {
-	var m query.Metrics
-	var so float64
-	for _, sh := range s.shards {
-		v, sm, err := sh.engine.ServiceValue(f, p)
-		if err != nil {
-			return 0, m, err
-		}
-		so += v
-		m.Add(sm)
-	}
-	return so, m, nil
-}
-
-// ServiceValues computes the exact service value of every facility by
-// scattering the batch to every shard and summing per-shard answers in
-// shard order. Each shard's batch runs on the shared worker budget; the
-// output is indexed like facilities and deterministic.
-func (s *Sharded) ServiceValues(facilities []*trajectory.Facility, p Params, workers int) ([]float64, query.Metrics, error) {
-	return s.ServiceValuesCtx(nil, facilities, p, workers)
-}
-
-// ServiceValuesCtx is ServiceValues with cooperative cancellation: every
-// per-shard batch polls ctx between facilities, returning ctx.Err()
-// instead of an answer once the context is done.
-func (s *Sharded) ServiceValuesCtx(ctx context.Context, facilities []*trajectory.Facility, p Params, workers int) ([]float64, query.Metrics, error) {
-	var m query.Metrics
-	out := make([]float64, len(facilities))
-	for _, sh := range s.shards {
-		vs, sm, err := sh.engine.ServiceValuesCtx(ctx, facilities, p, workers)
-		if err != nil {
-			return nil, m, err
-		}
-		for i, v := range vs {
-			out[i] += v
-		}
-		m.Add(sm)
-	}
-	return out, m, nil
-}
-
-// Params re-exports the query parameter bundle for shard callers.
-type Params = query.Params

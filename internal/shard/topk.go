@@ -27,8 +27,8 @@ import (
 //     descending, ID ascending on ties) matches the single-tree TopK.
 //
 // The merge is written over query.Exploration, so the same code serves
-// the mutable pointer shards (Sharded) and the frozen columnar shards
-// (Frozen) — only the seeding differs.
+// every kind of unit (scatter.go) — pointer trees, frozen columns and
+// live epochs differ only in what NewExplorer returns.
 
 // facState is one facility's scatter state: its per-shard explorations
 // and the cached bound sums the heap orders by.
@@ -101,18 +101,13 @@ func (h *facHeap) Pop() any {
 	return f
 }
 
-// explorerSeeder seeds one facility's exploration on every shard of an
-// index. Shards with an empty tree contribute a zero upper bound and
-// start Done, so they cost nothing beyond the seed.
-type explorerSeeder interface {
-	numShards() int
-	newExploration(shard int, f *trajectory.Facility, p Params) (query.Exploration, error)
-}
-
-func newFacState(s explorerSeeder, f *trajectory.Facility, p Params) (*facState, error) {
-	fs := &facState{fac: f, exps: make([]query.Exploration, 0, s.numShards())}
-	for i := 0; i < s.numShards(); i++ {
-		x, err := s.newExploration(i, f, p)
+// newFacState seeds one facility's exploration on every unit. Units with
+// an empty tree contribute a zero upper bound and start Done, so they
+// cost nothing beyond the seed.
+func newFacState[U unit](units []U, f *trajectory.Facility, p Params) (*facState, error) {
+	fs := &facState{fac: f, exps: make([]query.Exploration, 0, len(units))}
+	for _, u := range units {
+		x, err := u.NewExplorer(f, p)
 		if err != nil {
 			return nil, err
 		}
@@ -124,8 +119,8 @@ func newFacState(s explorerSeeder, f *trajectory.Facility, p Params) (*facState,
 
 // seedHeap clamps k and seeds the global heap with one facState per
 // facility. The returned k is 0 when there is nothing to do. The caller
-// must have validated the query against every shard already.
-func seedHeap(s explorerSeeder, facilities []*trajectory.Facility, k int, p Params) (*facHeap, int, error) {
+// must have validated the query against every unit already.
+func seedHeap[U unit](units []U, facilities []*trajectory.Facility, k int, p Params) (*facHeap, int, error) {
 	if k <= 0 || len(facilities) == 0 {
 		return nil, 0, nil
 	}
@@ -134,7 +129,7 @@ func seedHeap(s explorerSeeder, facilities []*trajectory.Facility, k int, p Para
 	}
 	h := make(facHeap, 0, len(facilities))
 	for _, f := range facilities {
-		fs, err := newFacState(s, f, p)
+		fs, err := newFacState(units, f, p)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -218,63 +213,4 @@ func mergeTopKParallel(ctx context.Context, h *facHeap, k, workers int, m *query
 		m.Add(wm)
 	}
 	return results, nil
-}
-
-// numShards implements explorerSeeder.
-func (s *Sharded) numShards() int { return len(s.shards) }
-
-// newExploration implements explorerSeeder over the pointer trees.
-func (s *Sharded) newExploration(i int, f *trajectory.Facility, p Params) (query.Exploration, error) {
-	return s.shards[i].engine.NewExplorer(f, p)
-}
-
-// TopK answers kMaxRRST over the sharded index: the k facilities with
-// the highest total service value, best first. Answers match the
-// single-tree TopK (exactly for integral scenarios such as Binary; up to
-// floating-point summation order otherwise).
-func (s *Sharded) TopK(facilities []*trajectory.Facility, k int, p Params) ([]query.Result, query.Metrics, error) {
-	return s.TopKCtx(nil, facilities, k, p)
-}
-
-// TopKCtx is TopK with cooperative cancellation: the scatter-gather
-// merge polls ctx between facility relaxations and returns ctx.Err()
-// instead of an answer once the context is done.
-func (s *Sharded) TopKCtx(ctx context.Context, facilities []*trajectory.Facility, k int, p Params) ([]query.Result, query.Metrics, error) {
-	var m query.Metrics
-	if err := s.validate(p); err != nil {
-		return nil, m, err
-	}
-	h, k, err := seedHeap(s, facilities, k, p)
-	if err != nil || k == 0 {
-		return nil, m, err
-	}
-	res, err := mergeTopK(ctx, h, k, &m)
-	return res, m, err
-}
-
-// TopKParallel is TopK with up to `workers` facility relaxations run
-// concurrently per round; the answer is identical to TopK. workers is
-// normalized by query.ResolveWorkers; a single-worker pool falls back to
-// the serial TopK.
-func (s *Sharded) TopKParallel(facilities []*trajectory.Facility, k int, p Params, workers int) ([]query.Result, query.Metrics, error) {
-	return s.TopKParallelCtx(nil, facilities, k, p, workers)
-}
-
-// TopKParallelCtx is TopKParallel with cooperative cancellation, checked
-// between relaxation rounds.
-func (s *Sharded) TopKParallelCtx(ctx context.Context, facilities []*trajectory.Facility, k int, p Params, workers int) ([]query.Result, query.Metrics, error) {
-	workers = query.ResolveWorkers(workers, len(facilities))
-	if workers <= 1 {
-		return s.TopKCtx(ctx, facilities, k, p)
-	}
-	var m query.Metrics
-	if err := s.validate(p); err != nil {
-		return nil, m, err
-	}
-	h, k, err := seedHeap(s, facilities, k, p)
-	if err != nil || k == 0 {
-		return nil, m, err
-	}
-	res, err := mergeTopKParallel(ctx, h, k, workers, &m)
-	return res, m, err
 }

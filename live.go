@@ -77,7 +77,12 @@ type LiveShardStats = shard.ShardStats
 // from-scratch Index over the same logical corpus (exactly for integral
 // scenarios such as Binary; up to float summation order otherwise).
 type LiveIndex struct {
+	querier
 	s *shard.Live
+}
+
+func newLiveIndex(s *shard.Live) *LiveIndex {
+	return &LiveIndex{querier: querier{s}, s: s}
 }
 
 // LiveIndexOptions configures NewLiveIndex.
@@ -95,7 +100,7 @@ func NewLiveIndex(users []*Trajectory, opts LiveIndexOptions) (*LiveIndex, error
 	if err != nil {
 		return nil, err
 	}
-	return &LiveIndex{s: s}, nil
+	return newLiveIndex(s), nil
 }
 
 // Live converts a built Index into its live serving form: the tree is
@@ -117,7 +122,7 @@ func (x *FrozenIndex) Live(pol LivePolicy) (*LiveIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &LiveIndex{s: s}, nil
+	return newLiveIndex(s), nil
 }
 
 func (x *FrozenIndex) liveCore(pol LivePolicy) (*shard.Live, error) {
@@ -158,61 +163,6 @@ func (x *LiveIndex) Err() error { return x.s.Err() }
 // LiveShardedIndex.Version.
 func (x *LiveIndex) Version() uint64 { return x.s.Version() }
 
-// ServiceValue computes SO(U, f) over the current epoch (Algorithm 1
-// over the frozen base, masked by tombstones, plus the delta overlay).
-func (x *LiveIndex) ServiceValue(f *Facility, q Query) (float64, error) {
-	v, _, err := x.s.ServiceValue(f, q.params())
-	return v, err
-}
-
-// ServiceValues computes the exact service value of every facility in
-// one batch across a pool of `workers` goroutines (<= 0 uses
-// GOMAXPROCS). The whole batch answers over one epoch.
-func (x *LiveIndex) ServiceValues(facilities []*Facility, q Query, workers int) ([]float64, error) {
-	vs, _, err := x.s.ServiceValues(facilities, q.params(), workers)
-	return vs, err
-}
-
-// TopK answers the kMaxRRST query best first over the current epoch.
-func (x *LiveIndex) TopK(facilities []*Facility, k int, q Query) ([]Ranked, error) {
-	res, _, err := x.s.TopK(facilities, k, q.params())
-	return res, err
-}
-
-// TopKWithMetrics is TopK returning work metrics for diagnostics.
-func (x *LiveIndex) TopKWithMetrics(facilities []*Facility, k int, q Query) ([]Ranked, QueryMetrics, error) {
-	return x.s.TopK(facilities, k, q.params())
-}
-
-// TopKParallel is TopK with up to `workers` facility relaxations run
-// concurrently per round; the answer is identical to TopK.
-func (x *LiveIndex) TopKParallel(facilities []*Facility, k int, q Query, workers int) ([]Ranked, error) {
-	res, _, err := x.s.TopKParallel(facilities, k, q.params(), workers)
-	return res, err
-}
-
-// ServiceValuesCtx is ServiceValues with cooperative cancellation; see
-// the deadline-aware variants note on Index. The whole batch still
-// answers over one write-consistent epoch capture.
-func (x *LiveIndex) ServiceValuesCtx(ctx context.Context, facilities []*Facility, q Query, workers int) ([]float64, error) {
-	vs, _, err := x.s.ServiceValuesCtx(ctx, facilities, q.params(), workers)
-	return vs, err
-}
-
-// TopKCtx is TopK with cooperative cancellation; see the deadline-aware
-// variants note on Index.
-func (x *LiveIndex) TopKCtx(ctx context.Context, facilities []*Facility, k int, q Query) ([]Ranked, error) {
-	res, _, err := x.s.TopKCtx(ctx, facilities, k, q.params())
-	return res, err
-}
-
-// TopKParallelCtx is TopKParallel with cooperative cancellation; see the
-// deadline-aware variants note on Index.
-func (x *LiveIndex) TopKParallelCtx(ctx context.Context, facilities []*Facility, k int, q Query, workers int) ([]Ranked, error) {
-	res, _, err := x.s.TopKParallelCtx(ctx, facilities, k, q.params(), workers)
-	return res, err
-}
-
 // LiveShardedIndex is the live serving form of a ShardedIndex: every
 // shard serves from an atomically-swappable epoch, writes route to
 // their shard's delta overlay, and background rebuilds fold one shard
@@ -220,6 +170,7 @@ func (x *LiveIndex) TopKParallelCtx(ctx context.Context, facilities []*Facility,
 // scatter-gather merge as ShardedIndex/FrozenShardedIndex over a
 // consistent per-shard epoch capture.
 type LiveShardedIndex struct {
+	querier
 	s *shard.Live
 
 	// wal holds the durability state when the index was opened with
@@ -241,6 +192,10 @@ type LiveShardOptions struct {
 	Policy LivePolicy
 }
 
+func newLiveShardedIndex(s *shard.Live) *LiveShardedIndex {
+	return &LiveShardedIndex{querier: querier{s}, s: s}
+}
+
 // NewLiveShardedIndex partitions users and builds one frozen-epoch
 // shard per partition.
 func NewLiveShardedIndex(users []*Trajectory, opts LiveShardOptions) (*LiveShardedIndex, error) {
@@ -249,7 +204,7 @@ func NewLiveShardedIndex(users []*Trajectory, opts LiveShardOptions) (*LiveShard
 	if err != nil {
 		return nil, err
 	}
-	return &LiveShardedIndex{s: s}, nil
+	return newLiveShardedIndex(s), nil
 }
 
 // Live converts a built (or snapshot-restored) ShardedIndex into its
@@ -262,7 +217,7 @@ func (x *ShardedIndex) Live(pol LivePolicy) (*LiveShardedIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &LiveShardedIndex{s: s}, nil
+	return newLiveShardedIndex(s), nil
 }
 
 // Live converts a frozen sharded index into its live serving form — the
@@ -272,7 +227,7 @@ func (x *FrozenShardedIndex) Live(pol LivePolicy) (*LiveShardedIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &LiveShardedIndex{s: s}, nil
+	return newLiveShardedIndex(s), nil
 }
 
 // NumShards returns the number of shards.
@@ -312,61 +267,6 @@ func (x *LiveShardedIndex) Version() uint64 { return x.s.Version() }
 
 // Err returns the most recent background-rebuild error, or nil.
 func (x *LiveShardedIndex) Err() error { return x.s.Err() }
-
-// ServiceValue computes SO(U, f) as the sum of per-shard epoch service
-// values.
-func (x *LiveShardedIndex) ServiceValue(f *Facility, q Query) (float64, error) {
-	v, _, err := x.s.ServiceValue(f, q.params())
-	return v, err
-}
-
-// ServiceValues computes the exact service value of every facility,
-// scattering each shard's batch across `workers` goroutines.
-func (x *LiveShardedIndex) ServiceValues(facilities []*Facility, q Query, workers int) ([]float64, error) {
-	vs, _, err := x.s.ServiceValues(facilities, q.params(), workers)
-	return vs, err
-}
-
-// TopK answers kMaxRRST over all live shards by scatter-gather, best
-// first, over a consistent per-shard epoch capture.
-func (x *LiveShardedIndex) TopK(facilities []*Facility, k int, q Query) ([]Ranked, error) {
-	res, _, err := x.s.TopK(facilities, k, q.params())
-	return res, err
-}
-
-// TopKWithMetrics is TopK returning the merged per-shard work metrics.
-func (x *LiveShardedIndex) TopKWithMetrics(facilities []*Facility, k int, q Query) ([]Ranked, QueryMetrics, error) {
-	return x.s.TopK(facilities, k, q.params())
-}
-
-// TopKParallel is TopK with up to `workers` facility relaxations run
-// concurrently per round; the answer is identical to TopK.
-func (x *LiveShardedIndex) TopKParallel(facilities []*Facility, k int, q Query, workers int) ([]Ranked, error) {
-	res, _, err := x.s.TopKParallel(facilities, k, q.params(), workers)
-	return res, err
-}
-
-// ServiceValuesCtx is ServiceValues with cooperative cancellation; see
-// the deadline-aware variants note on Index. The whole batch still
-// answers over one write-consistent epoch capture.
-func (x *LiveShardedIndex) ServiceValuesCtx(ctx context.Context, facilities []*Facility, q Query, workers int) ([]float64, error) {
-	vs, _, err := x.s.ServiceValuesCtx(ctx, facilities, q.params(), workers)
-	return vs, err
-}
-
-// TopKCtx is TopK with cooperative cancellation; see the deadline-aware
-// variants note on Index.
-func (x *LiveShardedIndex) TopKCtx(ctx context.Context, facilities []*Facility, k int, q Query) ([]Ranked, error) {
-	res, _, err := x.s.TopKCtx(ctx, facilities, k, q.params())
-	return res, err
-}
-
-// TopKParallelCtx is TopKParallel with cooperative cancellation; see the
-// deadline-aware variants note on Index.
-func (x *LiveShardedIndex) TopKParallelCtx(ctx context.Context, facilities []*Facility, k int, q Query, workers int) ([]Ranked, error) {
-	res, _, err := x.s.TopKParallelCtx(ctx, facilities, k, q.params(), workers)
-	return res, err
-}
 
 // UpperBoundsCtx seeds (without exploring) every facility's search over
 // one write-consistent epoch capture and returns the initial upper

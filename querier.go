@@ -1,0 +1,114 @@
+package trajcover
+
+import (
+	"context"
+
+	"github.com/trajcover/trajcover/internal/query"
+)
+
+// queryCore is the index behind a querier. *query.Engine and
+// *query.FrozenEngine (one tree, queried directly) and *shard.Sharded,
+// *shard.Frozen and *shard.Live (scatter-gather over several) all
+// satisfy it.
+type queryCore interface {
+	ServiceValue(*Facility, query.Params) (float64, query.Metrics, error)
+	ServiceValuesCtx(ctx context.Context, facilities []*Facility, p query.Params, workers int) ([]float64, query.Metrics, error)
+	TopKCtx(ctx context.Context, facilities []*Facility, k int, p query.Params) ([]query.Result, query.Metrics, error)
+	TopKParallelCtx(ctx context.Context, facilities []*Facility, k int, p query.Params, workers int) ([]query.Result, query.Metrics, error)
+	ServiceValuesStreamCtx(ctx context.Context, facilities []*Facility, p query.Params, workers, chunk int, yield func(start int, vals []float64) error) (query.Metrics, error)
+}
+
+// querier is the kMaxRRST query surface, embedded in every index type:
+// Index, FrozenIndex, ShardedIndex, FrozenShardedIndex, LiveIndex and
+// LiveShardedIndex answer the nine methods below identically and differ
+// only in how they are constructed and whether (and how safely) they can
+// be mutated.
+//
+// A sharded index sums per-shard answers, so its values match the
+// single-tree ones exactly for integral scenarios (Binary; every
+// scenario over integral service values) and up to floating-point
+// summation order otherwise. A live index answers each call — a whole
+// batch, a whole stream — over one write-consistent epoch capture taken
+// when the call starts. Index and ShardedIndex must not be mutated
+// concurrently with queries; the frozen and live types are safe for any
+// number of concurrent readers.
+type querier struct {
+	core queryCore
+}
+
+// ServiceValue computes SO(U, f): the exact service value of one facility
+// (Algorithm 1 of the paper).
+func (x *querier) ServiceValue(f *Facility, q Query) (float64, error) {
+	v, _, err := x.core.ServiceValue(f, q.params())
+	return v, err
+}
+
+// ServiceValues computes the exact service value of every facility in
+// one batch, sharding the work across a pool of `workers` goroutines
+// (workers <= 0 uses GOMAXPROCS). The result is indexed like facilities
+// and identical to calling ServiceValue in a loop.
+func (x *querier) ServiceValues(facilities []*Facility, q Query, workers int) ([]float64, error) {
+	return x.ServiceValuesCtx(context.Background(), facilities, q, workers)
+}
+
+// TopK answers the kMaxRRST query: the k facilities with the highest
+// service value, best first (Algorithm 3) — over several shards, by a
+// scatter-gather merge through one global k-heap.
+func (x *querier) TopK(facilities []*Facility, k int, q Query) ([]Ranked, error) {
+	return x.TopKCtx(context.Background(), facilities, k, q)
+}
+
+// TopKWithMetrics is TopK returning work metrics for diagnostics (merged
+// over the shards, where there are several).
+func (x *querier) TopKWithMetrics(facilities []*Facility, k int, q Query) ([]Ranked, QueryMetrics, error) {
+	return x.core.TopKCtx(context.Background(), facilities, k, q.params())
+}
+
+// TopKParallel is TopK with up to `workers` best-first exploration steps
+// run concurrently per round. The answer is identical to TopK; spare
+// cores buy wall-clock speed at the cost of some speculative work.
+func (x *querier) TopKParallel(facilities []*Facility, k int, q Query, workers int) ([]Ranked, error) {
+	return x.TopKParallelCtx(context.Background(), facilities, k, q, workers)
+}
+
+// Deadline-aware variants. A context that cannot be cancelled
+// (context.Background) adds no measurable overhead, which is why the
+// plain forms above are the *Ctx forms with one. Cancellation is what
+// lets a serving front end (cmd/tqserve) bound every request: an expired
+// deadline stops the query instead of letting it run on and steal
+// workers from queued requests.
+
+// ServiceValuesCtx is ServiceValues with cooperative cancellation: ctx
+// is polled between per-facility evaluations, and a done context aborts
+// the batch with ctx.Err() and no partial answer.
+func (x *querier) ServiceValuesCtx(ctx context.Context, facilities []*Facility, q Query, workers int) ([]float64, error) {
+	vs, _, err := x.core.ServiceValuesCtx(ctx, facilities, q.params(), workers)
+	return vs, err
+}
+
+// TopKCtx is TopK with cooperative cancellation: ctx is polled between
+// facility relaxations, and a done context aborts the search with
+// ctx.Err() and no partial answer.
+func (x *querier) TopKCtx(ctx context.Context, facilities []*Facility, k int, q Query) ([]Ranked, error) {
+	res, _, err := x.core.TopKCtx(ctx, facilities, k, q.params())
+	return res, err
+}
+
+// TopKParallelCtx is TopKParallel with cooperative cancellation, polled
+// between relaxation rounds; see TopKCtx.
+func (x *querier) TopKParallelCtx(ctx context.Context, facilities []*Facility, k int, q Query, workers int) ([]Ranked, error) {
+	res, _, err := x.core.TopKParallelCtx(ctx, facilities, k, q.params(), workers)
+	return res, err
+}
+
+// ServiceValuesStreamCtx streams SO(U, f) for every facility in chunks
+// of the given size (<= 0 uses a default of a few hundred), calling
+// yield once per chunk in facility order. Each chunk's values are
+// computed by the same batch core as ServiceValuesCtx, and a facility's
+// value does not depend on which other facilities share its batch — so
+// streamed values are bit-identical to the batch answer over the same
+// facilities. A yield error or a done context aborts the stream early.
+func (x *querier) ServiceValuesStreamCtx(ctx context.Context, facilities []*Facility, q Query, workers, chunk int, yield StreamVisitor) error {
+	_, err := x.core.ServiceValuesStreamCtx(ctx, facilities, q.params(), workers, chunk, yield)
+	return err
+}

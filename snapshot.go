@@ -9,8 +9,6 @@ package trajcover
 // Two rebuild-format streams share the encoding of a trajectory payload:
 //
 //	TQSNAP02 — single index: header, one trajectory payload, CRC trailer.
-//	           (TQSNAP01, without the MaxDepth header field, is still
-//	           read.)
 //	TQSHRD01 — sharded container: CRC'd shared header (options, shard
 //	           count, partitioner kind), then one length-prefixed,
 //	           individually CRC'd frame per shard. The frames record the
@@ -37,12 +35,11 @@ import (
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
-// Snapshot magic numbers: the single-index stream (current and legacy)
-// and the sharded container.
+// Snapshot magic numbers: the single-index stream and the sharded
+// container.
 var (
-	snapshotMagic   = [8]byte{'T', 'Q', 'S', 'N', 'A', 'P', '0', '2'}
-	snapshotMagicV1 = [8]byte{'T', 'Q', 'S', 'N', 'A', 'P', '0', '1'}
-	shardedMagic    = [8]byte{'T', 'Q', 'S', 'H', 'R', 'D', '0', '1'}
+	snapshotMagic = [8]byte{'T', 'Q', 'S', 'N', 'A', 'P', '0', '2'}
+	shardedMagic  = [8]byte{'T', 'Q', 'S', 'H', 'R', 'D', '0', '1'}
 )
 
 // ErrBadSnapshot is returned when a snapshot stream is malformed or its
@@ -182,31 +179,21 @@ func ReadSnapshot(r io.Reader) (*Index, error) {
 	if magic == liveMagic {
 		return nil, fmt.Errorf("%w: live snapshot; use ReadLiveSnapshot", ErrBadSnapshot)
 	}
-	if magic != snapshotMagic && magic != snapshotMagicV1 {
+	if magic != snapshotMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
-	// The v1 header lacks the MaxDepth field; a zero MaxDepth rebuilds
-	// with the default depth, which is all a v1 stream can promise.
-	nFields := 9
-	if magic == snapshotMagicV1 {
-		nFields = 8
-	}
 	var header [9]uint64
-	for i := 0; i < nFields; i++ {
+	for i := range header {
 		if err := binary.Read(br, binary.LittleEndian, &header[i]); err != nil {
 			return nil, fmt.Errorf("%w: truncated header", ErrBadSnapshot)
 		}
 	}
-	n := header[nFields-1]
-	maxDepth := uint64(0)
-	if magic != snapshotMagicV1 {
-		maxDepth = header[7]
-	}
+	n := header[8]
 	opts := IndexOptions{
 		Variant:  Variant(header[0]),
 		Ordering: Ordering(header[1]),
 		Beta:     int(header[2]),
-		MaxDepth: int(maxDepth),
+		MaxDepth: int(header[7]),
 		Bounds: geo.Rect{
 			MinX: math.Float64frombits(header[3]),
 			MinY: math.Float64frombits(header[4]),
@@ -327,7 +314,7 @@ func ReadShardedSnapshot(r io.Reader) (*ShardedIndex, error) {
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	if magic == snapshotMagic || magic == snapshotMagicV1 || magic == frozenMagic {
+	if magic == snapshotMagic || magic == frozenMagic {
 		return nil, fmt.Errorf("%w: single-index snapshot; use ReadSnapshot or ReadFrozenSnapshot", ErrBadSnapshot)
 	}
 	if magic == shardedFrozenMagic {
@@ -432,5 +419,5 @@ func ReadShardedSnapshot(r io.Reader) (*ShardedIndex, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	return &ShardedIndex{s: s}, nil
+	return newShardedIndex(s), nil
 }

@@ -554,7 +554,7 @@ func ReadFrozenSnapshot(r io.Reader) (*FrozenIndex, error) {
 	}
 	switch magic {
 	case frozenMagic:
-	case snapshotMagic, snapshotMagicV1:
+	case snapshotMagic:
 		return nil, fmt.Errorf("%w: rebuild-format snapshot; use ReadSnapshot", ErrBadSnapshot)
 	case shardedMagic, shardedFrozenMagic:
 		return nil, fmt.Errorf("%w: sharded snapshot; use ReadShardedSnapshot or ReadFrozenShardedSnapshot", ErrBadSnapshot)
@@ -575,7 +575,7 @@ func ReadFrozenSnapshot(r io.Reader) (*FrozenIndex, error) {
 	if got != want {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSnapshot)
 	}
-	return &FrozenIndex{engine: query.NewFrozenEngine(f, set), set: set}, nil
+	return newFrozenIndex(query.NewFrozenEngine(f, set)), nil
 }
 
 // WriteSnapshot serializes the frozen sharded index as a TQSHRD02
@@ -644,7 +644,7 @@ func ReadFrozenShardedSnapshot(r io.Reader) (*FrozenShardedIndex, error) {
 	case shardedFrozenMagic:
 	case shardedMagic:
 		return nil, fmt.Errorf("%w: rebuild-format sharded snapshot; use ReadShardedSnapshot", ErrBadSnapshot)
-	case snapshotMagic, snapshotMagicV1, frozenMagic:
+	case snapshotMagic, frozenMagic:
 		return nil, fmt.Errorf("%w: single-index snapshot; use ReadSnapshot or ReadFrozenSnapshot", ErrBadSnapshot)
 	case liveMagic:
 		return nil, fmt.Errorf("%w: live snapshot; use ReadLiveSnapshot", ErrBadSnapshot)
@@ -720,5 +720,5 @@ func ReadFrozenShardedSnapshot(r io.Reader) (*FrozenShardedIndex, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	return &FrozenShardedIndex{s: sf}, nil
+	return newFrozenShardedIndex(sf), nil
 }

@@ -206,7 +206,7 @@ func ReadLiveSnapshot(r io.Reader, pol LivePolicy) (*LiveShardedIndex, error) {
 	}
 	switch magic {
 	case liveMagic:
-	case snapshotMagic, snapshotMagicV1, frozenMagic:
+	case snapshotMagic, frozenMagic:
 		return nil, fmt.Errorf("%w: single-index snapshot; use ReadSnapshot or ReadFrozenSnapshot", ErrBadSnapshot)
 	case shardedMagic, shardedFrozenMagic:
 		return nil, fmt.Errorf("%w: sharded snapshot; use ReadShardedSnapshot or ReadFrozenShardedSnapshot", ErrBadSnapshot)
@@ -278,5 +278,5 @@ func ReadLiveSnapshot(r io.Reader, pol LivePolicy) (*LiveShardedIndex, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	return &LiveShardedIndex{s: l}, nil
+	return newLiveShardedIndex(l), nil
 }

@@ -361,7 +361,7 @@ func openMappedFrozen(data []byte, tok *mappedToken) (*FrozenIndex, error) {
 	copy(magic[:], data)
 	switch magic {
 	case frozenMagic:
-	case snapshotMagic, snapshotMagicV1:
+	case snapshotMagic:
 		return nil, fmt.Errorf("%w: rebuild-format snapshot; use ReadSnapshot", ErrBadSnapshot)
 	case shardedMagic, shardedFrozenMagic:
 		return nil, fmt.Errorf("%w: sharded snapshot; use OpenMappedFrozenShardedSnapshot", ErrBadSnapshot)
@@ -382,7 +382,7 @@ func openMappedFrozen(data []byte, tok *mappedToken) (*FrozenIndex, error) {
 	if cur.remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, cur.remaining())
 	}
-	return &FrozenIndex{engine: query.NewFrozenEngine(f, set), set: set}, nil
+	return newFrozenIndex(query.NewFrozenEngine(f, set)), nil
 }
 
 // mappedContainerHeader parses and CRC-checks the shared TQSHRD02 /
@@ -486,7 +486,7 @@ func openMappedFrozenSharded(data []byte, tok *mappedToken) (*FrozenShardedIndex
 	case shardedFrozenMagic:
 	case shardedMagic:
 		return nil, fmt.Errorf("%w: rebuild-format sharded snapshot; use ReadShardedSnapshot", ErrBadSnapshot)
-	case snapshotMagic, snapshotMagicV1, frozenMagic:
+	case snapshotMagic, frozenMagic:
 		return nil, fmt.Errorf("%w: single-index snapshot; use ReadSnapshot or OpenMappedFrozenSnapshot", ErrBadSnapshot)
 	case liveMagic:
 		return nil, fmt.Errorf("%w: live snapshot; use OpenMappedLiveSnapshot", ErrBadSnapshot)
@@ -523,7 +523,7 @@ func openMappedFrozenSharded(data []byte, tok *mappedToken) (*FrozenShardedIndex
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	return &FrozenShardedIndex{s: sf}, nil
+	return newFrozenShardedIndex(sf), nil
 }
 
 // OpenMappedLiveSnapshot restores a live index from a TQLIVE01 file by
@@ -555,7 +555,7 @@ func openMappedLive(data []byte, tok *mappedToken, pol LivePolicy) (*LiveSharded
 	copy(magic[:], data)
 	switch magic {
 	case liveMagic:
-	case snapshotMagic, snapshotMagicV1, frozenMagic:
+	case snapshotMagic, frozenMagic:
 		return nil, fmt.Errorf("%w: single-index snapshot; use ReadSnapshot or OpenMappedFrozenSnapshot", ErrBadSnapshot)
 	case shardedMagic, shardedFrozenMagic:
 		return nil, fmt.Errorf("%w: sharded snapshot; use ReadShardedSnapshot or OpenMappedFrozenShardedSnapshot", ErrBadSnapshot)
@@ -589,7 +589,7 @@ func openMappedLive(data []byte, tok *mappedToken, pol LivePolicy) (*LiveSharded
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	return &LiveShardedIndex{s: l}, nil
+	return newLiveShardedIndex(l), nil
 }
 
 // readLivePayloadMapped is readLivePayload over a mapped cursor.

@@ -34,16 +34,9 @@ func writeTempSnapshot(t testing.TB, name string, write func(w *os.File) error) 
 	return path
 }
 
-// queryOracle is the answer surface we compare across restore paths.
-type queryOracle interface {
-	Len() int
-	ServiceValues(facilities []*Facility, q Query, workers int) ([]float64, error)
-	TopK(facilities []*Facility, k int, q Query) ([]Ranked, error)
-}
-
 // assertMappedAnswers requires got to answer bit-identically to want
 // across scenarios, for both batch service values and top-k.
-func assertMappedAnswers(t *testing.T, name string, want, got queryOracle) {
+func assertMappedAnswers(t *testing.T, name string, want, got flavor) {
 	t.Helper()
 	if want.Len() != got.Len() {
 		t.Fatalf("%s: Len %d, want %d", name, got.Len(), want.Len())

@@ -2,9 +2,7 @@ package trajcover
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"math"
 	"testing"
 )
@@ -54,7 +52,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotPersistsMaxDepth checks the v2 header carries the depth
-// bound, and that a legacy v1 stream (no MaxDepth field) still reads.
+// bound, and that a legacy v1 stream (no MaxDepth field) is rejected.
 func TestSnapshotPersistsMaxDepth(t *testing.T) {
 	users, routes := smallWorkload(t)
 	idx, err := NewIndex(users[:500], IndexOptions{MaxDepth: 5})
@@ -82,25 +80,11 @@ func TestSnapshotPersistsMaxDepth(t *testing.T) {
 		t.Fatalf("restored shallow index answers %v, want %v", b, a)
 	}
 
-	// Synthesize the equivalent v1 stream: v1 magic, the same header
-	// minus the MaxDepth field (index 7), same payload, recomputed CRC.
-	v2 := buf.Bytes()
-	payload := v2[8+9*8 : len(v2)-4]
-	var v1 bytes.Buffer
-	v1.WriteString("TQSNAP01")
-	v1.Write(v2[8 : 8+7*8])     // variant..bounds
-	v1.Write(v2[8+8*8 : 8+9*8]) // count
-	v1.Write(payload)
-	sum := crc32.ChecksumIEEE(v1.Bytes())
-	if err := binary.Write(&v1, binary.LittleEndian, sum); err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := ReadSnapshot(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatalf("legacy v1 stream rejected: %v", err)
-	}
-	if legacy.Len() != idx.Len() {
-		t.Fatalf("legacy restore has %d trajectories, want %d", legacy.Len(), idx.Len())
+	// TQSNAP01 (the same header without the MaxDepth field) is no longer
+	// read: its magic is rejected like any unknown one.
+	v1 := append([]byte("TQSNAP01"), buf.Bytes()[8:]...)
+	if _, err := ReadSnapshot(bytes.NewReader(v1)); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("TQSNAP01 stream: err = %v, want ErrBadSnapshot", err)
 	}
 }
 

@@ -1,67 +1,14 @@
 package trajcover
 
-// Streaming service values: every index flavor gains a
-// ServiceValuesStreamCtx variant that yields per-facility results
-// chunk by chunk instead of materializing the whole batch. Each
-// chunk's values are computed by the same batch core as
-// ServiceValuesCtx, and a facility's value does not depend on which
-// other facilities share its batch — so streamed values are
-// bit-identical to the batch answer over the same facility list. The
-// live variants capture their epoch set once before the first chunk:
-// one stream answers from one write-consistent cut even while writes
-// land concurrently.
-
-import "context"
+// Streaming service values: ServiceValuesStreamCtx (querier.go, so on
+// every index type) yields per-facility results chunk by chunk instead
+// of materializing the whole batch, bit-identical to the batch answer
+// over the same facility list. A live index captures its epoch set once
+// before the first chunk: one stream answers from one write-consistent
+// cut even while writes land concurrently.
 
 // StreamVisitor receives one chunk of streamed service values:
 // vals[i] is the service value of facilities[start+i]. Chunks arrive
 // in facility order. Returning a non-nil error aborts the stream and
 // surfaces that error from ServiceValuesStreamCtx.
 type StreamVisitor func(start int, vals []float64) error
-
-// ServiceValuesStreamCtx streams SO(U, f) for every facility in chunks
-// of the given size (<= 0 uses a default of a few hundred), calling
-// yield once per chunk in facility order. Values are bit-identical to
-// ServiceValuesCtx over the same facilities. A yield error or a done
-// context aborts the stream early.
-func (x *Index) ServiceValuesStreamCtx(ctx context.Context, facilities []*Facility, q Query, workers, chunk int, yield StreamVisitor) error {
-	_, err := x.engine.ServiceValuesStreamCtx(ctx, facilities, q.params(), workers, chunk, yield)
-	return err
-}
-
-// ServiceValuesStreamCtx streams service values over the heap shards;
-// see Index.ServiceValuesStreamCtx.
-func (x *ShardedIndex) ServiceValuesStreamCtx(ctx context.Context, facilities []*Facility, q Query, workers, chunk int, yield StreamVisitor) error {
-	_, err := x.s.ServiceValuesStreamCtx(ctx, facilities, q.params(), workers, chunk, yield)
-	return err
-}
-
-// ServiceValuesStreamCtx streams service values over the frozen
-// columns; see Index.ServiceValuesStreamCtx.
-func (x *FrozenIndex) ServiceValuesStreamCtx(ctx context.Context, facilities []*Facility, q Query, workers, chunk int, yield StreamVisitor) error {
-	_, err := x.engine.ServiceValuesStreamCtx(ctx, facilities, q.params(), workers, chunk, yield)
-	return err
-}
-
-// ServiceValuesStreamCtx streams service values over the frozen
-// shards; see Index.ServiceValuesStreamCtx.
-func (x *FrozenShardedIndex) ServiceValuesStreamCtx(ctx context.Context, facilities []*Facility, q Query, workers, chunk int, yield StreamVisitor) error {
-	_, err := x.s.ServiceValuesStreamCtx(ctx, facilities, q.params(), workers, chunk, yield)
-	return err
-}
-
-// ServiceValuesStreamCtx streams service values over the live index.
-// The epoch set is captured once before the first chunk, so the whole
-// stream answers from one write-consistent cut; see
-// Index.ServiceValuesStreamCtx for the chunking contract.
-func (x *LiveIndex) ServiceValuesStreamCtx(ctx context.Context, facilities []*Facility, q Query, workers, chunk int, yield StreamVisitor) error {
-	_, err := x.s.ServiceValuesStreamCtx(ctx, facilities, q.params(), workers, chunk, yield)
-	return err
-}
-
-// ServiceValuesStreamCtx streams service values over the live shards;
-// see LiveIndex.ServiceValuesStreamCtx.
-func (x *LiveShardedIndex) ServiceValuesStreamCtx(ctx context.Context, facilities []*Facility, q Query, workers, chunk int, yield StreamVisitor) error {
-	_, err := x.s.ServiceValuesStreamCtx(ctx, facilities, q.params(), workers, chunk, yield)
-	return err
-}

@@ -8,54 +8,11 @@ import (
 	"testing"
 )
 
-// streamer is any index flavor's streaming entry point, paired with
-// its batch oracle.
-type streamer struct {
-	name   string
-	batch  func(ctx context.Context, facs []*Facility, q Query, workers int) ([]float64, error)
-	stream func(ctx context.Context, facs []*Facility, q Query, workers, chunk int, yield StreamVisitor) error
-}
-
-// streamFixtures builds one index per flavor over the same churned
-// corpus (where the flavor allows churn; frozen flavors freeze the
-// heap build of the same users).
-func streamFixtures(t *testing.T) ([]streamer, []*Facility) {
+// streamFixtures builds every index flavor over one small corpus.
+func streamFixtures(t *testing.T) ([]flavor, []*Facility) {
 	t.Helper()
 	ny := NewYorkCity()
-	users := TaxiTrips(ny, 60, 43)
-	facs := BusRoutes(ny, 33, 6, 44)
-
-	idx, err := NewIndex(users, IndexOptions{Ordering: ZOrdering})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fz, err := idx.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sidx, err := NewShardedIndex(users, ShardOptions{Shards: 3, Index: IndexOptions{Ordering: ZOrdering}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sfz, err := sidx.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lv := churnedLiveIndex(t, users)
-	single, err := NewLiveIndex(users[:40], LiveIndexOptions{Index: IndexOptions{Ordering: ZOrdering}, Policy: LivePolicy{Manual: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ss := []streamer{
-		{"Index", idx.ServiceValuesCtx, idx.ServiceValuesStreamCtx},
-		{"FrozenIndex", fz.ServiceValuesCtx, fz.ServiceValuesStreamCtx},
-		{"ShardedIndex", sidx.ServiceValuesCtx, sidx.ServiceValuesStreamCtx},
-		{"FrozenShardedIndex", sfz.ServiceValuesCtx, sfz.ServiceValuesStreamCtx},
-		{"LiveIndex", single.ServiceValuesCtx, single.ServiceValuesStreamCtx},
-		{"LiveShardedIndex", lv.ServiceValuesCtx, lv.ServiceValuesStreamCtx},
-	}
-	return ss, facs
+	return allFlavors(t, TaxiTrips(ny, 60, 43)), BusRoutes(ny, 33, 6, 44)
 }
 
 // TestServiceValuesStreamMatchesBatch pins the streaming contract:
@@ -69,15 +26,15 @@ func TestServiceValuesStreamMatchesBatch(t *testing.T) {
 	for _, sc := range []Scenario{Binary, PointCount, Length} {
 		q := Query{Scenario: sc, Psi: DefaultPsi}
 		for _, s := range ss {
-			want, err := s.batch(ctx, facs, q, 2)
+			want, err := s.ServiceValuesCtx(ctx, facs, q, 2)
 			if err != nil {
-				t.Fatalf("%s/%v: batch: %v", s.name, sc, err)
+				t.Fatalf("%s/%v: batch: %v", flavorName(s), sc, err)
 			}
 			for _, chunk := range []int{1, 7, 0, len(facs), len(facs) + 10} {
 				got := make([]float64, len(facs))
 				seen := make([]bool, len(facs))
 				next := 0
-				err := s.stream(ctx, facs, q, 2, chunk, func(start int, vals []float64) error {
+				err := s.ServiceValuesStreamCtx(ctx, facs, q, 2, chunk, func(start int, vals []float64) error {
 					if start != next {
 						return fmt.Errorf("chunk start %d, want %d", start, next)
 					}
@@ -92,14 +49,14 @@ func TestServiceValuesStreamMatchesBatch(t *testing.T) {
 					return nil
 				})
 				if err != nil {
-					t.Fatalf("%s/%v chunk %d: %v", s.name, sc, chunk, err)
+					t.Fatalf("%s/%v chunk %d: %v", flavorName(s), sc, chunk, err)
 				}
 				if next != len(facs) {
-					t.Fatalf("%s/%v chunk %d: stream ended at %d of %d", s.name, sc, chunk, next, len(facs))
+					t.Fatalf("%s/%v chunk %d: stream ended at %d of %d", flavorName(s), sc, chunk, next, len(facs))
 				}
 				for i := range want {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%s/%v chunk %d: facility %d: streamed %v, batch %v", s.name, sc, chunk, i, got[i], want[i])
+						t.Fatalf("%s/%v chunk %d: facility %d: streamed %v, batch %v", flavorName(s), sc, chunk, i, got[i], want[i])
 					}
 				}
 			}
@@ -116,42 +73,57 @@ func TestServiceValuesStreamAborts(t *testing.T) {
 	sentinel := errors.New("stop here")
 	for _, s := range ss {
 		calls := 0
-		err := s.stream(context.Background(), facs, q, 1, 8, func(start int, vals []float64) error {
+		err := s.ServiceValuesStreamCtx(context.Background(), facs, q, 1, 8, func(start int, vals []float64) error {
 			calls++
 			return sentinel
 		})
 		if !errors.Is(err, sentinel) {
-			t.Fatalf("%s: yield error = %v, want sentinel", s.name, err)
+			t.Fatalf("%s: yield error = %v, want sentinel", flavorName(s), err)
 		}
 		if calls != 1 {
-			t.Fatalf("%s: %d chunks after aborting yield, want 1", s.name, calls)
+			t.Fatalf("%s: %d chunks after aborting yield, want 1", flavorName(s), calls)
 		}
 
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if err := s.stream(ctx, facs, q, 1, 8, func(int, []float64) error { return nil }); err == nil {
-			t.Fatalf("%s: cancelled stream returned nil error", s.name)
+		if err := s.ServiceValuesStreamCtx(ctx, facs, q, 1, 8, func(int, []float64) error { return nil }); err == nil {
+			t.Fatalf("%s: cancelled stream returned nil error", flavorName(s))
 		}
 	}
 }
 
 // TestServiceValuesStreamValidates pins that parameter validation
-// fires even before the first chunk: a bad psi fails the stream
-// without yielding, matching the batch path's error.
+// fires even before the first chunk — also when there is no chunk at all
+// (an empty facility list): a bad psi, or a scenario the index cannot
+// answer exactly (PointCount on a TwoPoint index over multipoint data),
+// fails the stream without yielding, matching the batch path's error.
 func TestServiceValuesStreamValidates(t *testing.T) {
 	ss, facs := streamFixtures(t)
-	bad := Query{Scenario: Binary, Psi: -1}
-	for _, s := range ss {
-		_, berr := s.batch(context.Background(), facs, bad, 1)
-		if berr == nil {
-			t.Fatalf("%s: batch accepted psi -1", s.name)
-		}
-		serr := s.stream(context.Background(), facs, bad, 1, 8, func(int, []float64) error {
-			t.Fatalf("%s: yield called for invalid query", s.name)
-			return nil
-		})
-		if serr == nil {
-			t.Fatalf("%s: stream accepted psi -1", s.name)
+	multipoint := allFlavors(t, Checkins(NewYorkCity(), 60, 6, 45))
+	cases := []struct {
+		name string
+		ss   []flavor
+		facs []*Facility
+		q    Query
+	}{
+		{"bad psi", ss, facs, Query{Scenario: Binary, Psi: -1}},
+		{"bad psi, no facilities", ss, nil, Query{Scenario: Binary, Psi: -1}},
+		{"unsupported scenario", multipoint, facs, Query{Scenario: PointCount, Psi: DefaultPsi}},
+		{"unsupported scenario, no facilities", multipoint, nil, Query{Scenario: PointCount, Psi: DefaultPsi}},
+	}
+	for _, c := range cases {
+		for _, s := range c.ss {
+			_, berr := s.ServiceValuesCtx(context.Background(), c.facs, c.q, 1)
+			if berr == nil {
+				t.Fatalf("%s/%s: batch accepted the query", flavorName(s), c.name)
+			}
+			serr := s.ServiceValuesStreamCtx(context.Background(), c.facs, c.q, 1, 8, func(int, []float64) error {
+				t.Fatalf("%s/%s: yield called for invalid query", flavorName(s), c.name)
+				return nil
+			})
+			if serr == nil {
+				t.Fatalf("%s/%s: stream accepted the query", flavorName(s), c.name)
+			}
 		}
 	}
 }

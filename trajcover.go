@@ -23,7 +23,6 @@
 package trajcover
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/trajcover/trajcover/internal/datagen"
@@ -145,8 +144,13 @@ type IndexOptions struct {
 // Index is a TQ-tree over a set of user trajectories, answering both
 // kMaxRRST and MaxkCovRST queries.
 type Index struct {
+	querier
 	engine *query.Engine
 	set    *trajectory.Set
+}
+
+func newIndex(engine *query.Engine) *Index {
+	return &Index{querier: querier{engine}, engine: engine, set: engine.Users()}
 }
 
 // NewIndex builds a TQ-tree index over the given user trajectories.
@@ -166,11 +170,15 @@ func NewIndex(users []*Trajectory, opts IndexOptions) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{engine: query.NewEngine(tree, set), set: set}, nil
+	return newIndex(query.NewEngine(tree, set)), nil
 }
 
-// Insert adds a user trajectory to the index.
+// Insert adds a user trajectory to the index; a duplicate ID is rejected
+// with ErrDuplicateID. Not safe concurrently with queries.
 func (x *Index) Insert(u *Trajectory) error {
+	if x.set.ByID(u.ID) != nil {
+		return fmt.Errorf("%w: %d", ErrDuplicateID, u.ID)
+	}
 	if err := x.set.Add(u); err != nil {
 		return err
 	}
@@ -204,75 +212,6 @@ func (x *Index) ServedUsers(f *Facility, q Query) ([]ServedUser, error) {
 
 // Len returns the number of indexed user trajectories.
 func (x *Index) Len() int { return x.set.Len() }
-
-// ServiceValue computes SO(U, f): the exact service value of one facility
-// (Algorithm 1 of the paper).
-func (x *Index) ServiceValue(f *Facility, q Query) (float64, error) {
-	v, _, err := x.engine.ServiceValue(f, q.params())
-	return v, err
-}
-
-// TopK answers the kMaxRRST query: the k facilities with the highest
-// service value, best first (Algorithm 3).
-func (x *Index) TopK(facilities []*Facility, k int, q Query) ([]Ranked, error) {
-	res, _, err := x.engine.TopK(facilities, k, q.params())
-	return res, err
-}
-
-// TopKWithMetrics is TopK returning work metrics for diagnostics.
-func (x *Index) TopKWithMetrics(facilities []*Facility, k int, q Query) ([]Ranked, QueryMetrics, error) {
-	return x.engine.TopK(facilities, k, q.params())
-}
-
-// ServiceValues computes the exact service value of every facility in
-// one batch, sharding the work across a pool of `workers` goroutines
-// (workers <= 0 uses GOMAXPROCS). The result is indexed like facilities
-// and identical to calling ServiceValue in a loop. A built index is
-// safe for any number of concurrent readers; do not Insert/Delete
-// concurrently with queries.
-func (x *Index) ServiceValues(facilities []*Facility, q Query, workers int) ([]float64, error) {
-	vs, _, err := x.engine.ServiceValues(facilities, q.params(), workers)
-	return vs, err
-}
-
-// TopKParallel is TopK with up to `workers` best-first exploration steps
-// run concurrently per round. The answer is identical to TopK; spare
-// cores buy wall-clock speed at the cost of some speculative work.
-func (x *Index) TopKParallel(facilities []*Facility, k int, q Query, workers int) ([]Ranked, error) {
-	res, _, err := x.engine.TopKParallel(facilities, k, q.params(), workers)
-	return res, err
-}
-
-// Deadline-aware variants. Every index type exposes *Ctx forms of its
-// batch and top-k entry points: the search polls ctx between facility
-// relaxations (TopK) or between per-facility evaluations (ServiceValues)
-// and aborts with ctx.Err() — context.DeadlineExceeded or
-// context.Canceled — returning no partial answer. A context that cannot
-// be cancelled (context.Background) adds no measurable overhead. This is
-// what lets a serving front end (cmd/tqserve) bound every request:
-// an expired deadline stops the query instead of letting it run on and
-// steal workers from queued requests.
-
-// ServiceValuesCtx is ServiceValues with cooperative cancellation; see
-// the deadline-aware variants note above.
-func (x *Index) ServiceValuesCtx(ctx context.Context, facilities []*Facility, q Query, workers int) ([]float64, error) {
-	vs, _, err := x.engine.ServiceValuesCtx(ctx, facilities, q.params(), workers)
-	return vs, err
-}
-
-// TopKCtx is TopK with cooperative cancellation; see the deadline-aware
-// variants note above.
-func (x *Index) TopKCtx(ctx context.Context, facilities []*Facility, k int, q Query) ([]Ranked, error) {
-	res, _, err := x.engine.TopKCtx(ctx, facilities, k, q.params())
-	return res, err
-}
-
-// TopKParallelCtx is TopKParallel with cooperative cancellation; see the
-// deadline-aware variants note above.
-func (x *Index) TopKParallelCtx(ctx context.Context, facilities []*Facility, k int, q Query, workers int) ([]Ranked, error) {
-	res, _, err := x.engine.TopKParallelCtx(ctx, facilities, k, q.params(), workers)
-	return res, err
-}
 
 // Partitioner assigns trajectories to shards; see HashPartitioner and
 // GridPartitioner for the built-in strategies.
@@ -326,7 +265,12 @@ func (o ShardOptions) shardOptions() shard.Options {
 // (Binary; every scenario over integral service values) and up to
 // floating-point summation order otherwise.
 type ShardedIndex struct {
+	querier
 	s *shard.Sharded
+}
+
+func newShardedIndex(s *shard.Sharded) *ShardedIndex {
+	return &ShardedIndex{querier: querier{s}, s: s}
 }
 
 // NewShardedIndex partitions users with opts.Partitioner and builds one
@@ -336,7 +280,7 @@ func NewShardedIndex(users []*Trajectory, opts ShardOptions) (*ShardedIndex, err
 	if err != nil {
 		return nil, err
 	}
-	return &ShardedIndex{s: s}, nil
+	return newShardedIndex(s), nil
 }
 
 // NumShards returns the number of shards.
@@ -350,61 +294,9 @@ func (x *ShardedIndex) Len() int { return x.s.Len() }
 
 // Insert routes a user trajectory to its shard and inserts it there.
 // Like Index.Insert it is not safe concurrently with queries, but only
-// the target shard is affected.
+// the target shard is affected. A duplicate ID is rejected with
+// ErrDuplicateID.
 func (x *ShardedIndex) Insert(u *Trajectory) error { return x.s.Insert(u) }
-
-// ServiceValue computes SO(U, f) as the sum of per-shard service values.
-func (x *ShardedIndex) ServiceValue(f *Facility, q Query) (float64, error) {
-	v, _, err := x.s.ServiceValue(f, q.params())
-	return v, err
-}
-
-// ServiceValues computes the exact service value of every facility,
-// scattering each shard's batch across `workers` goroutines (<= 0 uses
-// GOMAXPROCS). The result is indexed like facilities.
-func (x *ShardedIndex) ServiceValues(facilities []*Facility, q Query, workers int) ([]float64, error) {
-	vs, _, err := x.s.ServiceValues(facilities, q.params(), workers)
-	return vs, err
-}
-
-// TopK answers kMaxRRST over all shards by scatter-gather, best first.
-func (x *ShardedIndex) TopK(facilities []*Facility, k int, q Query) ([]Ranked, error) {
-	res, _, err := x.s.TopK(facilities, k, q.params())
-	return res, err
-}
-
-// TopKWithMetrics is TopK returning the merged per-shard work metrics.
-func (x *ShardedIndex) TopKWithMetrics(facilities []*Facility, k int, q Query) ([]Ranked, QueryMetrics, error) {
-	return x.s.TopK(facilities, k, q.params())
-}
-
-// TopKParallel is TopK with up to `workers` facility relaxations run
-// concurrently per round; the answer is identical to TopK.
-func (x *ShardedIndex) TopKParallel(facilities []*Facility, k int, q Query, workers int) ([]Ranked, error) {
-	res, _, err := x.s.TopKParallel(facilities, k, q.params(), workers)
-	return res, err
-}
-
-// ServiceValuesCtx is ServiceValues with cooperative cancellation; see
-// the deadline-aware variants note on Index.
-func (x *ShardedIndex) ServiceValuesCtx(ctx context.Context, facilities []*Facility, q Query, workers int) ([]float64, error) {
-	vs, _, err := x.s.ServiceValuesCtx(ctx, facilities, q.params(), workers)
-	return vs, err
-}
-
-// TopKCtx is TopK with cooperative cancellation; see the deadline-aware
-// variants note on Index.
-func (x *ShardedIndex) TopKCtx(ctx context.Context, facilities []*Facility, k int, q Query) ([]Ranked, error) {
-	res, _, err := x.s.TopKCtx(ctx, facilities, k, q.params())
-	return res, err
-}
-
-// TopKParallelCtx is TopKParallel with cooperative cancellation; see the
-// deadline-aware variants note on Index.
-func (x *ShardedIndex) TopKParallelCtx(ctx context.Context, facilities []*Facility, k int, q Query, workers int) ([]Ranked, error) {
-	res, _, err := x.s.TopKParallelCtx(ctx, facilities, k, q.params(), workers)
-	return res, err
-}
 
 // CoverageAlgorithm selects the MaxkCovRST solver.
 type CoverageAlgorithm int

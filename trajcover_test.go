@@ -1,6 +1,7 @@
 package trajcover
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -163,9 +164,24 @@ func TestPublicAPIInsert(t *testing.T) {
 	if idx.Len() != 2000 {
 		t.Fatalf("Len after insert = %d", idx.Len())
 	}
-	// Duplicate insert must fail.
-	if err := idx.Insert(users[0]); err == nil {
-		t.Error("duplicate insert accepted")
+	// Duplicate insert must fail with the typed error, on every
+	// insertable type.
+	sh, err := NewShardedIndex(users[:1000], ShardOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv, err := idx.Live(LivePolicy{Manual: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsh, err := sh.Live(LivePolicy{Manual: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []interface{ Insert(*Trajectory) error }{idx, sh, lv, lsh} {
+		if err := x.Insert(users[0]); !errors.Is(err, ErrDuplicateID) {
+			t.Errorf("%T: duplicate insert: err = %v, want ErrDuplicateID", x, err)
+		}
 	}
 	// Post-insert queries must agree with a fresh index.
 	fresh, err := NewIndex(users, IndexOptions{Bounds: Rect{MaxX: 30000, MaxY: 40000}})
