@@ -34,12 +34,20 @@ var (
 func flavorName(f flavor) string { return fmt.Sprintf("%T", f)[len("*trajcover."):] }
 
 // allFlavors builds one index of every type over the same logical
-// corpus, in the order of the pins above. The live flavors reach it
-// through churn, so their epochs carry a non-empty delta overlay (and,
-// for the sharded one, tombstones): LiveIndex is built over the first two
-// thirds and inserts the rest; LiveShardedIndex is built over the first
-// half, inserts the rest, then deletes and re-inserts the first six.
+// corpus, in the order of the pins above, TQ(Z) with three shards where
+// there are shards; see allFlavorsWith.
 func allFlavors(t testing.TB, users []*Trajectory) []flavor {
+	t.Helper()
+	return allFlavorsWith(t, users, IndexOptions{Ordering: ZOrdering}, 3)
+}
+
+// allFlavorsWith is allFlavors for a given tree configuration and shard
+// count. The live flavors reach the corpus through churn, so their
+// epochs carry a non-empty delta overlay (and, for the sharded one,
+// tombstones): LiveIndex is built over the first two thirds and inserts
+// the rest; LiveShardedIndex is built over the first half, inserts the
+// rest, then deletes and re-inserts the first six.
+func allFlavorsWith(t testing.TB, users []*Trajectory, opts IndexOptions, shards int) []flavor {
 	t.Helper()
 	must := func(err error) {
 		t.Helper()
@@ -47,14 +55,13 @@ func allFlavors(t testing.TB, users []*Trajectory) []flavor {
 			t.Fatal(err)
 		}
 	}
-	opts := IndexOptions{Ordering: ZOrdering}
 	manual := LivePolicy{Manual: true}
 
 	idx, err := NewIndex(users, opts)
 	must(err)
 	fz, err := idx.Freeze()
 	must(err)
-	sh, err := NewShardedIndex(users, ShardOptions{Shards: 3, Index: opts})
+	sh, err := NewShardedIndex(users, ShardOptions{Shards: shards, Index: opts})
 	must(err)
 	fsh, err := sh.Freeze()
 	must(err)
@@ -67,7 +74,7 @@ func allFlavors(t testing.TB, users []*Trajectory) []flavor {
 	}
 
 	cut = len(users) / 2
-	lsh, err := NewLiveShardedIndex(users[:cut], LiveShardOptions{Shards: 2, Index: opts, Policy: manual})
+	lsh, err := NewLiveShardedIndex(users[:cut], LiveShardOptions{Shards: shards, Index: opts, Policy: manual})
 	must(err)
 	for _, u := range users[cut:] {
 		must(lsh.Insert(u))

@@ -82,3 +82,45 @@ func TestLiveTopKWithMetricsAllocs(t *testing.T) {
 		t.Fatalf("LiveShardedIndex.TopKWithMetrics allocates %.0f/op, the direct shard call %.0f/op", public, direct)
 	}
 }
+
+// TestLiveShardedTopKAllocs pins the serving path's allocations at the
+// paper's query shape (N=128 × S=32, k=8, 2 shards): the sharded top-k
+// evaluates through the same batches ServiceValues does, so it stays
+// within a small multiple of ServiceValues' count — a handful per round
+// of the schedule, nothing per (facility, shard) — and reading the bounds
+// alone allocates the answer and nothing else.
+func TestLiveShardedTopKAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are not meaningful under -race: sync.Pool drops items deliberately")
+	}
+	ny := NewYorkCity()
+	routes := BusRoutes(ny, 128, 32, 3)
+	lsh, err := NewLiveShardedIndex(TaxiTrips(ny, 3000, 7), LiveShardOptions{Shards: 2, Index: IndexOptions{Ordering: ZOrdering}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Scenario: Binary, Psi: DefaultPsi}
+	ctx := context.Background()
+	values := testing.AllocsPerRun(20, func() {
+		if _, err := lsh.ServiceValuesCtx(ctx, routes, q, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	topk := testing.AllocsPerRun(20, func() {
+		if _, err := lsh.TopKCtx(ctx, routes, 8, q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	bounds := testing.AllocsPerRun(20, func() {
+		if _, err := lsh.UpperBoundsCtx(ctx, routes, q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs/op at N=128 S=32 k=8, 2 shards: ServiceValues %.0f, TopK %.0f, UpperBounds %.0f", values, topk, bounds)
+	if topk > 16*values {
+		t.Fatalf("TopK allocates %.0f/op, ServiceValues %.0f/op: more than 16×", topk, values)
+	}
+	if bounds > 2 {
+		t.Fatalf("UpperBoundsCtx allocates %.0f/op, want <= 2", bounds)
+	}
+}

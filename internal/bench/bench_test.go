@@ -29,6 +29,7 @@ func TestRegistryCoversEveryFigure(t *testing.T) {
 		"shards",
 		"frozen",
 		"churn",
+		"bound",
 	}
 	reg := Registry()
 	have := map[string]bool{}

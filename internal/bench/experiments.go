@@ -59,6 +59,7 @@ func Registry() []Experiment {
 		{ID: "shards", Title: "extra — sharded scatter-gather build time and throughput vs shard count (NYT, not in the paper)", Run: expShards},
 		{ID: "frozen", Title: "extra — frozen columnar vs pointer TQ(Z) read path (NYT, not in the paper)", Run: expFrozen},
 		{ID: "churn", Title: "extra — query latency under live insert/delete churn with background epoch swaps (NYT, not in the paper)", Run: expChurn},
+		{ID: "bound", Title: "extra — seed upper bound tightness (UB/exact, rank gap at k) and stop-rule cuts over the N, k, ψ sweeps (NYT, BJG; not in the paper)", Run: expBound},
 	}
 	return append(reg, extra...)
 }

@@ -15,31 +15,20 @@
 // Exactness across the wire. /v1/topk is NOT answered by merging
 // per-group top-k lists — that would be wrong (a global winner can be
 // mediocre in every group) and would do exact work for facilities the
-// bound search never needs. Service value is additive over the groups'
-// disjoint user sets, so the frontend runs a round-based threshold
-// merge: one cheap POST /v1/upperbounds per group gives every facility
-// a sound summed bound; facilities are ordered by it (ties by ID); and
-// each round sends every answering group, in parallel, ONE batched
-// /v1/servicevalues RPC for the next stretch of that order. The batch
-// starts at k and doubles every round — a fixed schedule — so a request
-// costs at most ⌈log2(N/k)⌉+1 exact RPCs per group.
-//
-// The stop rule uses the answer's own ranking (value descending, ID
-// ascending): a facility can still displace the k-th best exact value
-// known only if its summed bound is larger, or equal with a smaller ID.
-// Each batch is cut at the first facility that cannot, and the merge
-// stops when nothing is left to send. Everything a one-at-a-time
-// best-first search would evaluate has then been evaluated, so answers
-// are byte-identical to one process over the same corpus for integral
-// scenarios (Binary), and equal up to float summation order otherwise
-// — the same contract the in-process sharded merge documents. A last
-// round starts only while best-first still has work, which bounds the
-// speculation: with m facilities needed by best-first, fewer than
-// 2m + k are evaluated. Every facility never sent counts in
-// pruned_facilities — no group computes its exact value, the paper's
-// shard-prune preserved across process boundaries — and a sent one is
-// evaluated on every answering group of its round (exact_facilities
-// counts those legs, exact_rounds the rounds).
+// bounds rule out. Service value is additive over the groups' disjoint
+// user sets, so the frontend runs query.TopKRounds — the threshold-round
+// schedule every sharded index runs in-process, whose doc comment has
+// the order, the doubling and the stop rule — with groups for shards:
+// one cheap POST /v1/upperbounds per group gives every facility a sound
+// summed bound, and each round sends every answering group, in parallel,
+// ONE batched /v1/servicevalues RPC for the round's stretch of the bound
+// order, so a request costs at most ⌈log2(N/k)⌉+1 exact RPCs per group.
+// Answers are byte-identical to one process over the same corpus for
+// integral scenarios (Binary), and equal up to float summation order
+// otherwise. Every facility never sent counts in pruned_facilities — no
+// group computes its exact value — and a sent one is evaluated on every
+// answering group of its round (exact_facilities counts those legs,
+// exact_rounds the rounds).
 //
 // Degradation. Per-member health probes remove unresponsive backends
 // and readmit them when they recover; reads fail over among a group's

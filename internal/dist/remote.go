@@ -5,10 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 
 	trajcover "github.com/trajcover/trajcover"
+	"github.com/trajcover/trajcover/internal/query"
 	"github.com/trajcover/trajcover/internal/server"
 )
 
@@ -97,12 +97,15 @@ func (fe *Frontend) scatter(ctx context.Context, groups []*feGroup, path string,
 	return answers, missing, firstErr
 }
 
-// topKRounds is the round-based threshold merge behind /v1/topk (the
-// package comment has the schedule and why it is exact). bounds holds
-// each answering group's /v1/upperbounds reply, nil for a group missing
-// from a partial answer — which then covers the surviving groups' corpus
-// exactly. A group that fails a round fails the request: the other
-// groups' sums are not an answer over any corpus without it.
+// topKRounds answers /v1/topk with query.TopKRounds — the threshold-round
+// schedule the in-process sharded top-k runs — over shard groups: a
+// facility's bound is the sum of the answering groups' /v1/upperbounds
+// replies, and a round's exact values come from one batched
+// /v1/servicevalues RPC per group. bounds holds each group's reply, nil
+// for a group missing from a partial answer — which then covers the
+// surviving groups' corpus exactly. A group that fails a round fails the
+// request: the other groups' sums are not an answer over any corpus
+// without it.
 func (fe *Frontend) topKRounds(ctx context.Context, q wireQuery, facs []*trajcover.Facility, bounds [][]float64, k int) ([]trajcover.Ranked, error) {
 	var live []*feGroup
 	for _, g := range fe.groups {
@@ -110,72 +113,40 @@ func (fe *Frontend) topKRounds(ctx context.Context, q wireQuery, facs []*trajcov
 			live = append(live, g)
 		}
 	}
-	n := len(facs)
-	if k > n {
-		k = n
-	}
-	ub := make([]float64, n)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	ub := make([]float64, len(facs))
+	for i := range ub {
 		for _, g := range live {
 			ub[i] += bounds[g.id][i]
 		}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		i, j := order[a], order[b]
-		return ranksBefore(ub[i], facs[i].ID, ub[j], facs[j].ID)
-	})
-	wire := make([][]byte, n) // q.facs in bound order: a batch is a subslice
-	for j, fi := range order {
-		wire[j] = q.facs[fi]
-	}
-
-	best := make([]trajcover.Ranked, 0, n) // every evaluated facility, best first
-	sent := 0
-	for batch := k; sent < n; batch *= 2 {
-		end := min(sent+batch, n)
-		if len(best) >= k {
-			// Cut the batch at the first facility whose bound no longer
-			// ranks before the k-th result: it cannot displace it.
-			kth := best[k-1]
-			for end > sent && !ranksBefore(ub[order[end-1]], facs[order[end-1]].ID, kth.Service, kth.Facility.ID) {
-				end--
-			}
-			if end == sent {
-				break
-			}
-		}
+	var wire [][]byte // q.facs of the round's batch, in bound order
+	res, sent, err := query.TopKRounds(facs, ub, k, func(batch []int) ([]float64, error) {
 		fe.exactRounds.Add(1)
 		fe.exactRPCs.Add(uint64(len(live)))
-		fe.exactFacilities.Add(uint64((end - sent) * len(live)))
-		vals, _, err := fe.scatter(ctx, live, server.PathServiceValues, q.body(wire[sent:end]), end-sent)
+		fe.exactFacilities.Add(uint64(len(batch) * len(live)))
+		wire = wire[:0]
+		for _, fi := range batch {
+			wire = append(wire, q.facs[fi])
+		}
+		vals, _, err := fe.scatter(ctx, live, server.PathServiceValues, q.body(wire), len(batch))
 		if err != nil {
 			return nil, err
 		}
-		for j, fi := range order[sent:end] {
-			// Group order, like the in-process merge's shard order: exact,
-			// hence byte-identical to one process, for integral scenarios.
-			var v float64
-			for _, g := range live {
-				v += vals[g.id][j]
+		// Group order, like the in-process scatter's shard order: exact,
+		// hence byte-identical to one process, for integral scenarios.
+		out := make([]float64, len(batch))
+		for _, g := range live {
+			for j, v := range vals[g.id] {
+				out[j] += v
 			}
-			best = append(best, trajcover.Ranked{Facility: facs[fi], Service: v})
 		}
-		sort.Slice(best, func(a, b int) bool {
-			return ranksBefore(best[a].Service, best[a].Facility.ID, best[b].Service, best[b].Facility.ID)
-		})
-		sent = end
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	fe.pruned.Add(uint64(n - sent))
-	return best[:k], nil
-}
-
-// ranksBefore is the one ordering of the merge — value descending, ID
-// ascending — applied to bounds, to exact values, and to a bound against
-// an exact value in the stop rule.
-func ranksBefore(v1 float64, id1 trajcover.ID, v2 float64, id2 trajcover.ID) bool {
-	return v1 > v2 || (v1 == v2 && id1 < id2)
+	fe.pruned.Add(uint64(len(facs) - sent))
+	return res, nil
 }
 
 func mustMarshal(v any) []byte {

@@ -51,7 +51,6 @@ func (l maskedFrozenLayout) Rect(n int32) geo.Rect                       { retur
 func (l maskedFrozenLayout) ListLen(n int32) int                         { return l.f.ListLen(n) }
 func (l maskedFrozenLayout) OwnUB(n int32, sc service.Scenario) float64  { return l.f.OwnUB(n, sc) }
 func (l maskedFrozenLayout) TreeUB(n int32, sc service.Scenario) float64 { return l.f.TreeUB(n, sc) }
-func (l maskedFrozenLayout) ContainingPath(r geo.Rect) []int32           { return l.f.ContainingPath(r) }
 func (l maskedFrozenLayout) FilterModeFor(sc service.Scenario) tqtree.FilterMode {
 	return l.f.FilterModeFor(sc)
 }
@@ -74,8 +73,7 @@ type Epoch struct {
 	dead  map[trajectory.ID]struct{}
 
 	// deltaUB is the delta overlay's per-scenario service upper bound —
-	// the delta's counterpart of the root `sub`, seeding the delta
-	// exploration's optimistic remainder.
+	// the delta's counterpart of the root `sub`.
 	deltaUB         [service.NumScenarios]float64
 	deltaMultipoint bool
 	gen             uint64
@@ -370,120 +368,17 @@ func (ep *Epoch) serviceValues(facilities []*trajectory.Facility, p Params, work
 	return out, m, nil
 }
 
-// epochBaseExplorer is the masked-base half of an epoch exploration —
-// the shared best-first core instantiated over the masked layout.
-type epochBaseExplorer struct {
-	explorerCore[int32, maskedFrozenLayout]
-}
-
-var _ Exploration = (*epochBaseExplorer)(nil)
-
-// deltaExplorer is the delta overlay's Exploration: it starts with the
-// overlay's precomputed upper bound as its optimistic remainder and
-// resolves to the exact delta contribution in a single relaxation (the
-// overlay is small by construction — the rebuild thresholds bound it).
-type deltaExplorer struct {
-	ep    *Epoch
-	fac   *trajectory.Facility
-	p     Params
-	exact float64
-	opt   float64
-}
-
-var _ Exploration = (*deltaExplorer)(nil)
-
-func (d *deltaExplorer) Facility() *trajectory.Facility { return d.fac }
-func (d *deltaExplorer) Exact() float64                 { return d.exact }
-func (d *deltaExplorer) Optimistic() float64            { return d.opt }
-func (d *deltaExplorer) UpperBound() float64            { return d.exact + d.opt }
-func (d *deltaExplorer) Done() bool                     { return d.opt == 0 }
-
-func (d *deltaExplorer) Relax(m *Metrics) {
-	if d.Done() {
-		return
+// UpperBound is a sound overestimate of f's service value over the
+// epoch's logical corpus, read without evaluating anything: the frozen
+// base's seed bound (FrozenEngine.UpperBound — tombstones only lower the
+// true value) plus, when the overlay is non-empty, its precomputed
+// per-scenario bound. Like the engines' it does not validate p. This is
+// what the sharded top-k orders its rounds by and what /v1/upperbounds
+// serves to a distributed frontend.
+func (ep *Epoch) UpperBound(f *trajectory.Facility, p Params) float64 {
+	ub := ep.base.UpperBound(f, p)
+	if len(ep.delta) > 0 {
+		ub += ep.deltaUB[p.Scenario]
 	}
-	m.Relaxations++
-	d.exact = d.ep.deltaService(d.fac, d.p, m)
-	d.opt = 0
-}
-
-func (d *deltaExplorer) Run(m *Metrics) float64 {
-	if !d.Done() {
-		d.Relax(m)
-	}
-	return d.exact
-}
-
-// epochExplorer merges the masked-base and delta explorations of one
-// facility into a single Exploration: sums for the bounds, and each
-// relaxation advances the part with the larger optimistic remainder —
-// the same policy the shard scatter-gather merge applies across shards.
-type epochExplorer struct {
-	parts [2]Exploration
-}
-
-var _ Exploration = (*epochExplorer)(nil)
-
-func (x *epochExplorer) Facility() *trajectory.Facility { return x.parts[0].Facility() }
-func (x *epochExplorer) Exact() float64                 { return x.parts[0].Exact() + x.parts[1].Exact() }
-func (x *epochExplorer) Optimistic() float64 {
-	return x.parts[0].Optimistic() + x.parts[1].Optimistic()
-}
-func (x *epochExplorer) UpperBound() float64 { return x.Exact() + x.Optimistic() }
-func (x *epochExplorer) Done() bool          { return x.Optimistic() == 0 }
-
-func (x *epochExplorer) Relax(m *Metrics) {
-	if x.parts[1].Optimistic() > x.parts[0].Optimistic() {
-		x.parts[1].Relax(m)
-		return
-	}
-	if !x.parts[0].Done() {
-		x.parts[0].Relax(m)
-		return
-	}
-	x.parts[1].Relax(m)
-}
-
-func (x *epochExplorer) Run(m *Metrics) float64 {
-	for !x.Done() {
-		x.Relax(m)
-	}
-	return x.Exact()
-}
-
-// NewExplorer seeds one facility's best-first exploration over the
-// epoch's logical corpus. With an empty delta the returned Exploration
-// is the masked base exploration alone — byte-identical to the frozen
-// explorer when there are no tombstones either — so the shard merge's
-// work over an all-frozen epoch matches the PR 3 path exactly.
-func (ep *Epoch) NewExplorer(f *trajectory.Facility, p Params) (Exploration, error) {
-	if err := ep.validate(p); err != nil {
-		return nil, err
-	}
-	core, err := newExplorerCore[int32](ep.layout(), f, p)
-	if err != nil {
-		return nil, err
-	}
-	base := &epochBaseExplorer{core}
-	if len(ep.delta) == 0 {
-		return base, nil
-	}
-	d := &deltaExplorer{ep: ep, fac: f, p: p, opt: ep.deltaUB[p.Scenario]}
-	return &epochExplorer{parts: [2]Exploration{base, d}}, nil
-}
-
-// UpperBound seeds (without relaxing) one facility's exploration and
-// returns its initial upper bound — a sound overestimate of the
-// facility's service value over the epoch's logical corpus, computed in
-// one tree descent. This is the scatter unit of the distributed tier:
-// a query frontend asks every backend for per-facility upper bounds
-// first and spends the expensive exact evaluations only on facilities
-// whose summed bounds can still reach the global top k (the paper's
-// `sub`-bound shard-prune, preserved across the wire).
-func (ep *Epoch) UpperBound(f *trajectory.Facility, p Params) (float64, error) {
-	x, err := ep.NewExplorer(f, p)
-	if err != nil {
-		return 0, err
-	}
-	return x.UpperBound(), nil
+	return ub
 }

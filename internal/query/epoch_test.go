@@ -73,23 +73,10 @@ func TestEpochEmptyDeltaByteIdentical(t *testing.T) {
 			}
 		}
 
-		// The exploration path: run each facility's exploration to
-		// completion on both engines and compare value and work.
+		// The seed bound: an empty overlay adds nothing to the base's.
 		for _, f := range facilities {
-			wx, err := feng.NewExplorer(f, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gx, err := ep.NewExplorer(f, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wm, gm Metrics
-			wv := wx.Run(&wm)
-			gv := gx.Run(&gm)
-			if gv != wv || gm != wm {
-				t.Fatalf("%s: epoch explorer(%d) = (%v, %+v), frozen = (%v, %+v)",
-					name, f.ID, gv, gm, wv, wm)
+			if got, want := ep.UpperBound(f, p), feng.UpperBound(f, p); got != want {
+				t.Fatalf("%s: epoch UpperBound(%d) = %v, frozen = %v", name, f.ID, got, want)
 			}
 		}
 	}
@@ -157,58 +144,11 @@ func TestEpochMatchesFreshBuild(t *testing.T) {
 				t.Fatalf("%s: epoch ServiceValue(%d) = %v, fresh build = %v", name, f.ID, got, want)
 			}
 
-			// The exploration must converge to the same value (exactly
-			// for integral scenarios; best-first relaxations group float
-			// additions differently otherwise, as in the TopK-vs-
-			// exhaustive comparisons).
-			x, err := ep.NewExplorer(f, p)
-			if err != nil {
-				t.Fatal(err)
+			// The seed bound stays sound over tombstones (which only
+			// lower the value) and the overlay (whose own bound it adds).
+			if ub := ep.UpperBound(f, p); ub < got {
+				t.Fatalf("%s: UpperBound(%d) = %v below the exact value %v", name, f.ID, ub, got)
 			}
-			var m Metrics
-			xv := x.Run(&m)
-			if cfg.scenario == service.Binary {
-				if xv != got {
-					t.Fatalf("%s: explorer(%d) = %v, ServiceValue = %v", name, f.ID, xv, got)
-				}
-			} else if math.Abs(xv-got) > 1e-6*(1+got) {
-				t.Fatalf("%s: explorer(%d) = %v, ServiceValue = %v", name, f.ID, xv, got)
-			}
-		}
-	}
-}
-
-// TestEpochExplorerInvariants checks the Exploration contract over a
-// churned epoch: Exact is non-decreasing, Optimistic non-increasing,
-// and UpperBound always bounds the final exact value.
-func TestEpochExplorerInvariants(t *testing.T) {
-	users := makeUsers(500, 2, 505)
-	facilities := makeFacilities(12, 8, 506)
-	ep, _ := epochOver(t, users, tqtree.TwoPoint, tqtree.ZOrder, 400, 7)
-	p := Params{Scenario: service.Binary, Psi: 40}
-	for _, f := range facilities {
-		x, err := ep.NewExplorer(f, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var m Metrics
-		prevExact, prevOpt := x.Exact(), x.Optimistic()
-		for !x.Done() {
-			x.Relax(&m)
-			if x.Exact() < prevExact {
-				t.Fatalf("facility %d: Exact decreased %v -> %v", f.ID, prevExact, x.Exact())
-			}
-			if x.Optimistic() > prevOpt {
-				t.Fatalf("facility %d: Optimistic increased %v -> %v", f.ID, prevOpt, x.Optimistic())
-			}
-			prevExact, prevOpt = x.Exact(), x.Optimistic()
-		}
-		want, _, err := ep.ServiceValue(f, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if x.Exact() != want {
-			t.Fatalf("facility %d: explorer exact %v, ServiceValue %v", f.ID, x.Exact(), want)
 		}
 	}
 }

@@ -88,20 +88,9 @@ func (e *FrozenEngine) TopKParallel(facilities []*trajectory.Facility, k int, p 
 	return topKParallelG[int32](frozenLayout{e.f}, facilities, k, p, workers, nil)
 }
 
-// FrozenExplorer drives one facility's best-first exploration over a
-// frozen index incrementally — the frozen counterpart of Explorer.
-type FrozenExplorer struct {
-	explorerCore[int32, frozenLayout]
-}
-
-var _ Exploration = (*FrozenExplorer)(nil)
-
-// NewExplorer seeds a facility's exploration at the smallest q-node
-// containing its EMBR, exactly as TopK's initialization does.
-func (e *FrozenEngine) NewExplorer(f *trajectory.Facility, p Params) (Exploration, error) {
-	core, err := newExplorerCore[int32](frozenLayout{e.f}, f, p)
-	if err != nil {
-		return nil, err
-	}
-	return &FrozenExplorer{core}, nil
+// UpperBound is the seed bound of f's best-first search; see
+// Engine.UpperBound.
+func (e *FrozenEngine) UpperBound(f *trajectory.Facility, p Params) float64 {
+	defer runtime.KeepAlive(e.f)
+	return upperBoundG[int32](frozenLayout{e.f}, f, p)
 }

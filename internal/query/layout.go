@@ -5,7 +5,7 @@ package query
 // *tqtree.Node) and the immutable frozen columnar layout (tqtree.Frozen,
 // node handle int32) — and every query algorithm in this package
 // (Algorithm 1's divide-and-conquer service evaluation, Algorithm 3/4's
-// best-first top-k search, the incremental Explorer) is written once here
+// best-first top-k search and its seed upper bound) is written once here
 // over the tlayout abstraction and instantiated per layout. Both
 // instantiations traverse nodes, carve components, and accumulate floats
 // in exactly the same order, so their answers are bit-identical; the
@@ -41,7 +41,6 @@ type tlayout[N comparable] interface {
 	ListLen(N) int
 	OwnUB(N, service.Scenario) float64
 	TreeUB(N, service.Scenario) float64
-	ContainingPath(geo.Rect) []N
 	FilterModeFor(service.Scenario) tqtree.FilterMode
 	AncestorsCanServe(service.Scenario) bool
 	ValidateScenario(service.Scenario) error
@@ -72,7 +71,6 @@ func (l ptrLayout) OwnUB(n *tqtree.Node, sc service.Scenario) float64 {
 func (l ptrLayout) TreeUB(n *tqtree.Node, sc service.Scenario) float64 {
 	return n.TreeUB(sc)
 }
-func (l ptrLayout) ContainingPath(r geo.Rect) []*tqtree.Node { return l.t.ContainingPath(r) }
 func (l ptrLayout) FilterModeFor(sc service.Scenario) tqtree.FilterMode {
 	return l.t.FilterModeFor(sc)
 }
@@ -95,7 +93,6 @@ func (l frozenLayout) Rect(n int32) geo.Rect                       { return l.f.
 func (l frozenLayout) ListLen(n int32) int                         { return l.f.ListLen(n) }
 func (l frozenLayout) OwnUB(n int32, sc service.Scenario) float64  { return l.f.OwnUB(n, sc) }
 func (l frozenLayout) TreeUB(n int32, sc service.Scenario) float64 { return l.f.TreeUB(n, sc) }
-func (l frozenLayout) ContainingPath(r geo.Rect) []int32           { return l.f.ContainingPath(r) }
 func (l frozenLayout) FilterModeFor(sc service.Scenario) tqtree.FilterMode {
 	return l.f.FilterModeFor(sc)
 }
@@ -233,27 +230,57 @@ func (h *stateHeapG[N]) Pop() any {
 	return s
 }
 
-// initialStateG seeds a facility's exploration at the smallest q-node
-// containing its EMBR (the paper's containingQNode). When entries stored
-// at proper ancestors can still be served — multipoint variants — the
-// ancestors' own lists are enqueued as list-only pairs so the search
-// stays exact while hserve stays tight.
-func initialStateG[N comparable, L tlayout[N]](l L, f *trajectory.Facility, p Params, ancestors bool) *stateG[N] {
+// seedBoundG walks from the root to the smallest q-node containing the
+// facility's EMBR (the paper's containingQNode) and returns the upper
+// bound a best-first search starts from: that subtree's `sub`, plus —
+// when entries stored at proper ancestors can still be served (the
+// multipoint variants) — the ancestors' own-list bounds. It allocates
+// nothing when s is nil, which is how the sharded top-k and
+// /v1/upperbounds read one number per (facility, unit); with a state it
+// also enqueues the pairs the bound was summed over (ancestors as
+// list-only pairs), so the search stays exact while hserve stays tight.
+func seedBoundG[N comparable, L tlayout[N]](l L, f *trajectory.Facility, p Params, ancestors bool, s *stateG[N]) float64 {
 	embr := f.EMBR(p.Psi)
-	path := l.ContainingPath(embr)
-	q := path[len(path)-1]
-	s := &stateG[N]{fac: f}
-	if ancestors {
-		for _, a := range path[:len(path)-1] {
-			if l.ListLen(a) == 0 {
-				continue
-			}
-			s.pairs = append(s.pairs, qfPairG[N]{node: a, stops: f.Stops, listOnly: true})
-			s.hserve += l.OwnUB(a, p.Scenario)
+	var ub float64
+	n := l.Root()
+	for c := childContaining(l, n, embr); c != l.Nil(); n, c = c, childContaining(l, c, embr) {
+		if !ancestors || l.ListLen(n) == 0 {
+			continue
+		}
+		ub += l.OwnUB(n, p.Scenario)
+		if s != nil {
+			s.pairs = append(s.pairs, qfPairG[N]{node: n, stops: f.Stops, listOnly: true})
 		}
 	}
-	s.pairs = append(s.pairs, qfPairG[N]{node: q, stops: f.Stops})
-	s.hserve += l.TreeUB(q, p.Scenario)
+	if s != nil {
+		s.pairs = append(s.pairs, qfPairG[N]{node: n, stops: f.Stops})
+	}
+	return ub + l.TreeUB(n, p.Scenario)
+}
+
+// upperBoundG is seedBoundG as a query of its own: the bound alone.
+func upperBoundG[N comparable, L tlayout[N]](l L, f *trajectory.Facility, p Params) float64 {
+	return seedBoundG[N](l, f, p, l.AncestorsCanServe(p.Scenario), nil)
+}
+
+// childContaining returns n's child whose cell contains r, Nil when n is
+// a leaf or r straddles its children.
+func childContaining[N comparable, L tlayout[N]](l L, n N, r geo.Rect) N {
+	if !l.IsLeaf(n) {
+		for q := 0; q < 4; q++ {
+			if c := l.Child(n, q); c != l.Nil() && l.Rect(c).ContainsRect(r) {
+				return c
+			}
+		}
+	}
+	return l.Nil()
+}
+
+// initialStateG seeds a facility's exploration: no exact service yet,
+// the seed bound as its optimistic remainder.
+func initialStateG[N comparable, L tlayout[N]](l L, f *trajectory.Facility, p Params, ancestors bool) *stateG[N] {
+	s := &stateG[N]{fac: f}
+	s.hserve = seedBoundG(l, f, p, ancestors, s)
 	return s
 }
 
@@ -506,56 +533,4 @@ func topKExhaustiveG[N comparable, L tlayout[N]](l L, facilities []*trajectory.F
 	putCompArena(arena)
 	sortResults(results)
 	return results[:k], m, nil
-}
-
-// explorerCore drives one facility's best-first exploration incrementally
-// over either layout; Explorer and FrozenExplorer are its exported
-// instantiations.
-type explorerCore[N comparable, L tlayout[N]] struct {
-	l    L
-	p    Params
-	mode tqtree.FilterMode
-	st   *stateG[N]
-}
-
-func newExplorerCore[N comparable, L tlayout[N]](l L, f *trajectory.Facility, p Params) (explorerCore[N, L], error) {
-	if err := validateQuery[N](l, p); err != nil {
-		return explorerCore[N, L]{}, err
-	}
-	st := initialStateG(l, f, p, l.AncestorsCanServe(p.Scenario))
-	return explorerCore[N, L]{l: l, p: p, mode: l.FilterModeFor(p.Scenario), st: st}, nil
-}
-
-// Facility returns the facility being explored.
-func (x *explorerCore[N, L]) Facility() *trajectory.Facility { return x.st.fac }
-
-// Exact returns the service value accumulated so far (the paper's
-// aserve). When Done, this is the facility's exact service value.
-func (x *explorerCore[N, L]) Exact() float64 { return x.st.aserve }
-
-// Optimistic returns the upper bound on service still obtainable from
-// the unexplored frontier (the paper's hserve).
-func (x *explorerCore[N, L]) Optimistic() float64 { return x.st.hserve }
-
-// UpperBound returns Exact + Optimistic: the best-first priority.
-func (x *explorerCore[N, L]) UpperBound() float64 { return x.st.fserve() }
-
-// Done reports whether the exploration is complete: no unexplored pair
-// can add service, so Exact is the facility's true service value.
-func (x *explorerCore[N, L]) Done() bool { return x.st.done() }
-
-// Relax performs one relaxation round (Algorithm 4). No-op when Done.
-func (x *explorerCore[N, L]) Relax(m *Metrics) {
-	if x.Done() {
-		return
-	}
-	relaxStateG(x.l, x.st, x.p, x.mode, m)
-}
-
-// Run relaxes until Done and returns the exact service value.
-func (x *explorerCore[N, L]) Run(m *Metrics) float64 {
-	for !x.Done() {
-		x.Relax(m)
-	}
-	return x.st.aserve
 }

@@ -7,11 +7,14 @@
 //     q-node `sub` upper bounds (topKG + relaxStateG in layout.go).
 //   - The paper's baseline (BL): per-facility circular range queries over
 //     a traditional point quadtree.
+//   - TopKRounds (rounds.go): the threshold-round top-k over summed
+//     per-part bounds and batched exact values that the sharded indexes
+//     (internal/shard) and the distributed frontend (internal/dist) run.
 //
 // The search core in layout.go is generic over the two tree layouts —
-// the mutable pointer tree (Engine/Explorer) and the frozen columnar
-// index (FrozenEngine/FrozenExplorer) — so both produce bit-identical
-// answers from one implementation.
+// the mutable pointer tree (Engine) and the frozen columnar index
+// (FrozenEngine) — so both produce bit-identical answers from one
+// implementation.
 package query
 
 import (

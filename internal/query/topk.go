@@ -20,6 +20,15 @@ func (e *Engine) TopK(facilities []*trajectory.Facility, k int, p Params) ([]Res
 	return topKG[*tqtreeNode](ptrLayout{e.tree}, facilities, k, p, nil)
 }
 
+// UpperBound returns the bound TopK seeds f's search with — the `sub` of
+// the smallest q-node containing f's EMBR, plus ancestor own-list bounds
+// where those can serve: a sound overestimate of SO(U, f), read in one
+// descent without allocating. It does not validate p; the callers
+// (internal/shard's scatter) validate once per query, not per facility.
+func (e *Engine) UpperBound(f *trajectory.Facility, p Params) float64 {
+	return upperBoundG[*tqtreeNode](ptrLayout{e.tree}, f, p)
+}
+
 // TopKExhaustive computes the same answer as TopK by evaluating every
 // facility's service value with Algorithm 1 and sorting — no best-first
 // pruning. It is the reference the best-first path is tested against, and
@@ -43,9 +52,6 @@ func maxStops(facilities []*trajectory.Facility) int {
 // determinism.
 func sortResults(rs []Result) {
 	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Service != rs[j].Service {
-			return rs[i].Service > rs[j].Service
-		}
-		return rs[i].Facility.ID < rs[j].Facility.ID
+		return ranksBefore(rs[i].Service, rs[i].Facility.ID, rs[j].Service, rs[j].Facility.ID)
 	})
 }

@@ -634,9 +634,10 @@ func (s *Server) rejectQuota(w http.ResponseWriter, ep *endpointStats, tid strin
 // quotas bound real queue + worker occupancy. All terminal paths update
 // the endpoint's counters; only this handler goroutine writes w.
 //
-// reqHash, when non-nil, is the request's canonical digest and makes
-// the work cacheable: the handler captures the index version v, probes
-// the cache at (hash, tenant, v) — a hit answers from the handler
+// reqHash, when non-nil, is the request's canonical digest (cacheHash:
+// reads on a server that has a cache) and makes the work cacheable: the
+// handler captures the index version v, probes the cache at
+// (hash, tenant, v) — a hit answers from the handler
 // goroutine, bypassing the queue entirely — and on a miss the worker
 // stores its 200 answer only if the version still reads v afterwards.
 // That capture/compute/recheck protocol is what keeps the cache
@@ -674,7 +675,7 @@ func (s *Server) executeTenant(w http.ResponseWriter, r *http.Request, ep *endpo
 		return
 	}
 
-	if reqHash != nil && s.cache != nil {
+	if reqHash != nil {
 		ver := idx.Version()
 		key := rescache.Key{Hash: *reqHash, Tenant: tid, Version: ver}
 		if body, ok := s.cache.Get(key); ok {
@@ -800,6 +801,18 @@ func (s *Server) replLock() func() {
 	return s.replmu.Unlock
 }
 
+// cacheHash is a read request's result-cache key hash, nil when there is
+// no cache to look it up in: hashing a paper-default body costs more than
+// admission and encode together, and every backend of a distributed tier
+// runs cacheless.
+func (s *Server) cacheHash(endpoint string, req *QueryRequest, k int, q trajcover.Query) *[32]byte {
+	if s.cache == nil {
+		return nil
+	}
+	h := CanonicalQueryHash(endpoint, req, k, q)
+	return &h
+}
+
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	ep := s.stats[PathTopK]
 	body, ok := s.admit(w, r, ep)
@@ -816,8 +829,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		s.rejectDecode(w, ep, err)
 		return
 	}
-	hash := CanonicalQueryHash(PathTopK, req, req.K, q)
-	s.executeTenant(w, r, ep, tid, false, req.TimeoutMS, &hash, func(ctx context.Context, idx *trajcover.LiveShardedIndex) response {
+	s.executeTenant(w, r, ep, tid, false, req.TimeoutMS, s.cacheHash(PathTopK, req, req.K, q), func(ctx context.Context, idx *trajcover.LiveShardedIndex) response {
 		res, err := idx.TopKParallelCtx(ctx, facs, req.K, q, req.Workers)
 		if err != nil {
 			return errResponse(err)
@@ -846,8 +858,7 @@ func (s *Server) handleServiceValues(w http.ResponseWriter, r *http.Request) {
 		s.streamServiceValues(w, r, ep, tid, req, facs, q)
 		return
 	}
-	hash := CanonicalQueryHash(PathServiceValues, req, 0, q)
-	s.executeTenant(w, r, ep, tid, false, req.TimeoutMS, &hash, func(ctx context.Context, idx *trajcover.LiveShardedIndex) response {
+	s.executeTenant(w, r, ep, tid, false, req.TimeoutMS, s.cacheHash(PathServiceValues, req, 0, q), func(ctx context.Context, idx *trajcover.LiveShardedIndex) response {
 		vs, err := idx.ServiceValuesCtx(ctx, facs, q, req.Workers)
 		if err != nil {
 			return errResponse(err)
@@ -977,8 +988,7 @@ func (s *Server) handleUpperBounds(w http.ResponseWriter, r *http.Request) {
 		s.rejectDecode(w, ep, err)
 		return
 	}
-	hash := CanonicalQueryHash(PathUpperBounds, req, 0, q)
-	s.executeTenant(w, r, ep, tid, false, req.TimeoutMS, &hash, func(ctx context.Context, idx *trajcover.LiveShardedIndex) response {
+	s.executeTenant(w, r, ep, tid, false, req.TimeoutMS, s.cacheHash(PathUpperBounds, req, 0, q), func(ctx context.Context, idx *trajcover.LiveShardedIndex) response {
 		bs, err := idx.UpperBoundsCtx(ctx, facs, q)
 		if err != nil {
 			return errResponse(err)

@@ -1,82 +1,84 @@
 package service
 
 import (
-	"sort"
 	"sync"
 
 	"github.com/trajcover/trajcover/internal/geo"
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
-// stopGridThreshold is the component size above which StopSet builds a
-// grid; at or below it a linear scan is faster than the indexing.
-const stopGridThreshold = 48
+// The raster is built only where it can pay for itself, judged from what
+// init can see: enough stops that a linear scan costs more than a bit
+// test, enough expected queries to amortize marking 9 cells per stop, and
+// few enough cells that clearing the bitmap stays cheap (8 KB at the
+// cap). Over the cap — ψ tiny against the component's extent — the set
+// scans linearly.
+const (
+	rasterMinStops   = 4
+	rasterMinQueries = 16
+	rasterMaxCells   = 1 << 16
+)
 
-// gridMinQueries is the expected-query count below which building the
-// grid cannot amortize: grid construction costs a few linear scans, so a
-// set answering fewer queries than this stays in linear mode.
-const gridMinQueries = 16
+// unhintedRasterStops is the stop count above which a set built with no
+// query-count hint (NewStopSet) is assumed to answer enough queries for
+// the raster.
+const unhintedRasterStops = 48
+
+// rasterCellSlack widens the raster's cells a hair past ψ, so that two
+// points within ψ of each other land at most one cell apart even after
+// the cell arithmetic's rounding (which is below 2^-34 of a cell at the
+// cell cap): the raster may pass a point no stop serves, never reject one
+// a stop does.
+const rasterCellSlack = 1 + 1.0/(1<<20)
 
 // StopSet answers "is this point within ψ of any stop?" for a fixed stop
-// set. For small sets it scans linearly; for larger sets it buckets the
-// stops into a uniform grid with ψ-sized cells, stored as two sorted
-// parallel arrays (cell key → stop index) so a query probes the 3×3
-// neighborhood of the point's cell with binary searches and no per-query
-// allocation. The node-level evaluators build one StopSet per ⟨q-node,
-// component⟩ evaluation and reuse it for every surviving candidate.
+// set — the inner test of every exact evaluation. Most points a node's
+// list offers are near no stop at all, so beside the stops the set keeps
+// a bitmap over the component's EMBR in ψ-sized cells with the 3×3 block
+// round every stop's cell marked: Served is a bounds check and one bit
+// test, and only a point in a marked cell pays the exact scan over the
+// stops (filter and refine; answers are those of the scan alone). Small
+// or rarely queried sets skip the bitmap and scan. The node-level
+// evaluators build one StopSet per ⟨q-node, component⟩ evaluation and
+// reuse it for every surviving candidate.
 type StopSet struct {
 	stops []geo.Point
 	psi   float64
-	psi2  float64
 
-	// Grid fields; keys is empty in linear mode. keys is sorted and
-	// parallel to order: stops[order[i]] lies in cell keys[i].
-	keys       []uint64
-	order      []int32
+	// Raster fields; cols is 0 in linear mode. Cell (cx, cy) is bit
+	// cy*cols+cx of bits; (minX, minY) is the raster's lower-left corner,
+	// a cell and a half below the stops' MBR so every stop's 3×3 block
+	// lies inside.
+	bits       []uint64
+	cols, rows int
 	minX, minY float64
 	invCell    float64
 }
 
 // NewStopSet prepares a membership structure over stops for threshold
-// psi. With no query-count hint, the choice between linear scan and grid
-// is made purely by set size: sets larger than stopGridThreshold are
-// assumed to answer enough queries to amortize the grid, smaller sets
-// stay linear. (An earlier version passed an effectively-infinite query
-// count here, which silently forced the grid decision onto the size
-// check alone while suggesting otherwise; the heuristic is now explicit.)
+// psi. With no query-count hint the choice between scan and raster is
+// made by set size alone: sets larger than unhintedRasterStops are
+// assumed to answer enough queries to amortize the raster.
 func NewStopSet(stops []geo.Point, psi float64) *StopSet {
-	return NewStopSetHint(stops, psi, defaultExpectedQueries(len(stops)))
-}
-
-// defaultExpectedQueries is NewStopSet's heuristic: just enough expected
-// queries to enable the grid when the stop count clears the threshold,
-// zero otherwise.
-func defaultExpectedQueries(n int) int {
-	if n > stopGridThreshold {
-		return gridMinQueries
-	}
-	return 0
-}
-
-// NewStopSetHint is NewStopSet with an estimate of how many Served
-// queries the set will answer; building the grid costs a few linear
-// scans, so few expected queries keep the cheaper linear mode.
-func NewStopSetHint(stops []geo.Point, psi float64, expectedQueries int) *StopSet {
 	s := &StopSet{}
+	expectedQueries := 0
+	if len(stops) > unhintedRasterStops {
+		expectedQueries = rasterMinQueries
+	}
 	s.init(stops, psi, expectedQueries)
 	return s
 }
 
-// stopSetPool recycles StopSet structs together with their grid backing
-// arrays. The node-level evaluators build one StopSet per ⟨q-node,
-// component⟩ pair, so on the query hot path the grid arrays dominate
-// allocation without pooling.
+// stopSetPool recycles StopSet structs together with their bitmaps. The
+// node-level evaluators build one StopSet per ⟨q-node, component⟩ pair,
+// so on the query hot path the bitmap would dominate allocation without
+// pooling.
 var stopSetPool = sync.Pool{New: func() any { return new(StopSet) }}
 
-// AcquireStopSet is NewStopSetHint backed by a pool: the returned set
-// reuses the key/order arrays of a previously Released set when their
-// capacity suffices. Call Release when done; the set must not be used
-// afterwards.
+// AcquireStopSet is NewStopSet with an estimate of how many Served
+// queries the set will answer, backed by a pool: the returned set reuses
+// the bitmap of a previously Released set when its capacity suffices.
+// Call Release when done; the set must not be used afterwards.
 func AcquireStopSet(stops []geo.Point, psi float64, expectedQueries int) *StopSet {
 	s := stopSetPool.Get().(*StopSet)
 	s.init(stops, psi, expectedQueries)
@@ -84,60 +86,57 @@ func AcquireStopSet(stops []geo.Point, psi float64, expectedQueries int) *StopSe
 }
 
 // Release returns the set to the pool, dropping its reference to the
-// caller's stops but keeping the grid arrays for reuse.
+// caller's stops but keeping the bitmap for reuse.
 func (s *StopSet) Release() {
 	s.stops = nil
 	stopSetPool.Put(s)
 }
 
-// init (re)prepares the set in place, reusing grid capacity if present.
+// init (re)prepares the set in place, reusing bitmap capacity if present.
 func (s *StopSet) init(stops []geo.Point, psi float64, expectedQueries int) {
-	s.stops, s.psi, s.psi2 = stops, psi, psi*psi
-	s.keys = s.keys[:0]
-	s.order = s.order[:0]
-	if len(stops) <= stopGridThreshold || psi <= 0 || expectedQueries < gridMinQueries {
+	s.stops, s.psi = stops, psi
+	s.cols = 0
+	if len(stops) < rasterMinStops || psi <= 0 || expectedQueries < rasterMinQueries {
 		return
 	}
 	r := geo.RectOf(stops)
-	s.minX, s.minY = r.MinX, r.MinY
-	s.invCell = 1 / psi
-	for i, st := range stops {
-		s.keys = append(s.keys, s.cellKey(st.X, st.Y))
-		s.order = append(s.order, int32(i))
+	cell := psi * rasterCellSlack
+	s.minX, s.minY = r.MinX-1.5*cell, r.MinY-1.5*cell
+	s.invCell = 1 / cell
+	// The MBR corners' cells bracket every stop's. Compared as floats
+	// before any conversion: the extent in cells may be astronomically
+	// large, and is NaN for non-finite input.
+	fx, fy := s.cell(r.MaxX, s.minX), s.cell(r.MaxY, s.minY)
+	if !(s.cell(r.MinX, s.minX) >= 1 && s.cell(r.MinY, s.minY) >= 1 && fx < rasterMaxCells && fy < rasterMaxCells) {
+		return
 	}
-	sort.Sort(gridSorter{s})
-}
-
-// gridSorter sorts keys and order together.
-type gridSorter struct{ s *StopSet }
-
-func (g gridSorter) Len() int           { return len(g.s.keys) }
-func (g gridSorter) Less(i, j int) bool { return g.s.keys[i] < g.s.keys[j] }
-func (g gridSorter) Swap(i, j int) {
-	g.s.keys[i], g.s.keys[j] = g.s.keys[j], g.s.keys[i]
-	g.s.order[i], g.s.order[j] = g.s.order[j], g.s.order[i]
-}
-
-// cellKey maps coordinates to a packed grid-cell key. Negative cell
-// indexes (points slightly outside the stop MBR) are fine: the int32
-// cast preserves distinctness.
-func (s *StopSet) cellKey(x, y float64) uint64 {
-	cx := int32(fastFloor((x - s.minX) * s.invCell))
-	cy := int32(fastFloor((y - s.minY) * s.invCell))
-	return packCell(cx, cy)
-}
-
-func packCell(cx, cy int32) uint64 {
-	return uint64(uint32(cx))<<32 | uint64(uint32(cy))
-}
-
-func fastFloor(v float64) int64 {
-	i := int64(v)
-	if v < 0 && float64(i) != v {
-		i--
+	cols, rows := int(fx)+2, int(fy)+2
+	if cols*rows > rasterMaxCells {
+		return
 	}
-	return i
+	s.cols, s.rows = cols, rows
+	words := (cols*rows + 63) / 64
+	if cap(s.bits) < words {
+		s.bits = make([]uint64, words)
+	}
+	s.bits = s.bits[:words]
+	clear(s.bits)
+	for _, st := range stops {
+		fx, fy := s.cell(st.X, s.minX), s.cell(st.Y, s.minY)
+		if !(fx >= 1 && fy >= 1 && fx < float64(cols-1) && fy < float64(rows-1)) {
+			continue // a NaN coordinate the MBR ignored: the stop serves no point
+		}
+		for y := int(fy) - 1; y <= int(fy)+1; y++ {
+			for x := int(fx) - 1; x <= int(fx)+1; x++ {
+				bit := y*cols + x
+				s.bits[bit>>6] |= 1 << (bit & 63)
+			}
+		}
+	}
 }
+
+// cell maps a coordinate to its (fractional) cell index along one axis.
+func (s *StopSet) cell(v, origin float64) float64 { return (v - origin) * s.invCell }
 
 // Psi returns the threshold the set was built for.
 func (s *StopSet) Psi() float64 { return s.psi }
@@ -147,23 +146,17 @@ func (s *StopSet) Stops() []geo.Point { return s.stops }
 
 // Served reports whether p is within ψ of any stop.
 func (s *StopSet) Served(p geo.Point) bool {
-	if len(s.keys) == 0 {
-		return PointServed(p, s.stops, s.psi)
-	}
-	cx := int32(fastFloor((p.X - s.minX) * s.invCell))
-	cy := int32(fastFloor((p.Y - s.minY) * s.invCell))
-	for dx := int32(-1); dx <= 1; dx++ {
-		for dy := int32(-1); dy <= 1; dy++ {
-			key := packCell(cx+dx, cy+dy)
-			i := sort.Search(len(s.keys), func(i int) bool { return s.keys[i] >= key })
-			for ; i < len(s.keys) && s.keys[i] == key; i++ {
-				if p.Dist2(s.stops[s.order[i]]) <= s.psi2 {
-					return true
-				}
-			}
+	if s.cols > 0 {
+		fx, fy := s.cell(p.X, s.minX), s.cell(p.Y, s.minY)
+		if !(fx >= 0 && fy >= 0 && fx < float64(s.cols) && fy < float64(s.rows)) {
+			return false
+		}
+		bit := int(fy)*s.cols + int(fx)
+		if s.bits[bit>>6]&(1<<(bit&63)) == 0 {
+			return false
 		}
 	}
-	return false
+	return PointServed(p, s.stops, s.psi)
 }
 
 // ValueSet is Value with the stop-membership test delegated to a StopSet.

@@ -9,81 +9,150 @@ import (
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
-func TestStopSetServedMatchesLinear(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 50; trial++ {
-		// Alternate between linear (small) and gridded (large) sets.
-		n := 3
-		if trial%2 == 0 {
-			n = stopGridThreshold + rng.Intn(200)
-		}
-		stops := make([]geo.Point, n)
-		for i := range stops {
-			stops[i] = geo.Pt(rng.Float64()*5000, rng.Float64()*5000)
-		}
-		psi := 50 + rng.Float64()*400
-		ss := NewStopSet(stops, psi)
-		if n > stopGridThreshold && len(ss.keys) == 0 {
-			t.Fatal("large stop set did not build a grid")
-		}
-		for probe := 0; probe < 500; probe++ {
-			// Bias probes near stops so both outcomes are exercised,
-			// including boundary-ish distances.
-			var p geo.Point
-			switch probe % 3 {
-			case 0:
-				p = geo.Pt(rng.Float64()*5000, rng.Float64()*5000)
-			case 1:
-				s := stops[rng.Intn(n)]
-				p = geo.Pt(s.X+rng.NormFloat64()*psi, s.Y+rng.NormFloat64()*psi)
-			default:
-				s := stops[rng.Intn(n)]
-				ang := rng.Float64() * 2 * math.Pi
-				p = geo.Pt(s.X+math.Cos(ang)*psi*0.999, s.Y+math.Sin(ang)*psi*0.999)
-			}
-			if got, want := ss.Served(p), PointServed(p, stops, psi); got != want {
-				t.Fatalf("trial %d: Served(%v) = %v, linear = %v (n=%d psi=%v)",
-					trial, p, got, want, n, psi)
-			}
-		}
+// rastered reports whether the set built its ψ-cell bitmap.
+func rastered(ss *StopSet) bool { return ss.cols > 0 }
+
+// checkServed asserts the set answers exactly as the linear scan does.
+func checkServed(t *testing.T, ss *StopSet, p geo.Point) {
+	t.Helper()
+	if got, want := ss.Served(p), PointServed(p, ss.Stops(), ss.Psi()); got != want {
+		t.Fatalf("Served(%v) = %v, linear scan = %v (stops=%d psi=%v raster=%dx%d)",
+			p, got, want, len(ss.Stops()), ss.Psi(), ss.cols, ss.rows)
 	}
 }
 
-// TestNewStopSetGridHeuristic is the regression test for NewStopSet's
-// grid decision: with no query-count hint the grid is built exactly when
-// the stop count clears stopGridThreshold. The earlier 1<<30 default
-// pretended an unbounded query count, so the expectedQueries gate was
-// dead for every NewStopSet caller regardless of set size.
-func TestNewStopSetGridHeuristic(t *testing.T) {
-	mkStops := func(n int) []geo.Point {
+// TestStopSetServedMatchesLinear is the raster's contract: whatever mode
+// a set chose, Served equals PointServed — on random points, on points a
+// hair inside, exactly at, and a hair past ψ from a stop (along the axes,
+// where a cell-border error would show, and at arbitrary angles), on the
+// raster's own cell borders, outside the EMBR, and on negative
+// coordinates.
+func TestStopSetServedMatchesLinear(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	sawRaster, sawScan := false, false
+	for trial := 0; trial < 120; trial++ {
+		n := 1 + rng.Intn(6)
+		if trial%2 == 0 {
+			n = rasterMinStops + rng.Intn(300)
+		}
+		// Origins far from zero (and negative) make the cell arithmetic
+		// round; integral ψ and coordinates make "exactly ψ away" exact.
+		ox, oy := (rng.Float64()-0.5)*2e6, (rng.Float64()-0.5)*2e6
+		span := 500 + rng.Float64()*20000
+		psi := 50 + rng.Float64()*400
+		if trial%3 == 0 {
+			ox, oy, psi = math.Round(ox), math.Round(oy), math.Round(psi)
+		}
 		stops := make([]geo.Point, n)
 		for i := range stops {
-			stops[i] = geo.Pt(float64(i)*100, float64(i%7)*100)
+			stops[i] = geo.Pt(ox+rng.Float64()*span, oy+rng.Float64()*span)
+			if trial%3 == 0 {
+				stops[i] = geo.Pt(math.Round(stops[i].X), math.Round(stops[i].Y))
+			}
+		}
+		ss := AcquireStopSet(stops, psi, 1<<20)
+		if rastered(ss) {
+			sawRaster = true
+		} else {
+			sawScan = true
+		}
+		for probe := 0; probe < 400; probe++ {
+			s := stops[rng.Intn(n)]
+			switch probe % 5 {
+			case 0: // anywhere over the EMBR and a margin outside it
+				checkServed(t, ss, geo.Pt(ox-2*psi+rng.Float64()*(span+4*psi), oy-2*psi+rng.Float64()*(span+4*psi)))
+			case 1: // near a stop
+				checkServed(t, ss, geo.Pt(s.X+rng.NormFloat64()*psi, s.Y+rng.NormFloat64()*psi))
+			case 2: // on the ψ-circle, just inside, just outside
+				ang := rng.Float64() * 2 * math.Pi
+				for _, f := range []float64{1 - 1e-12, 1, 1 + 1e-12} {
+					checkServed(t, ss, geo.Pt(s.X+math.Cos(ang)*psi*f, s.Y+math.Sin(ang)*psi*f))
+				}
+			case 3: // exactly ψ away along an axis, and one ulp to each side
+				for _, d := range [][2]float64{{psi, 0}, {-psi, 0}, {0, psi}, {0, -psi}} {
+					p := geo.Pt(s.X+d[0], s.Y+d[1])
+					checkServed(t, ss, p)
+					checkServed(t, ss, geo.Pt(math.Nextafter(p.X, math.Inf(1)), math.Nextafter(p.Y, math.Inf(1))))
+					checkServed(t, ss, geo.Pt(math.Nextafter(p.X, math.Inf(-1)), math.Nextafter(p.Y, math.Inf(-1))))
+				}
+			default: // on the raster's own cell borders
+				if !rastered(ss) {
+					continue
+				}
+				cell := 1 / ss.invCell
+				bx := ss.minX + float64(rng.Intn(ss.cols+1))*cell
+				by := ss.minY + float64(rng.Intn(ss.rows+1))*cell
+				checkServed(t, ss, geo.Pt(bx, by))
+				checkServed(t, ss, geo.Pt(bx, s.Y))
+				checkServed(t, ss, geo.Pt(math.Nextafter(bx, math.Inf(-1)), by))
+			}
+		}
+		ss.Release()
+	}
+	if !sawRaster || !sawScan {
+		t.Fatalf("modes exercised: raster %v, scan %v — want both", sawRaster, sawScan)
+	}
+}
+
+// TestStopSetModeSelection pins the choice between scan and raster to
+// what init can see: stop count, expected queries, ψ, and the cell count
+// against the cap.
+func TestStopSetModeSelection(t *testing.T) {
+	mkStops := func(n int, step float64) []geo.Point {
+		stops := make([]geo.Point, n)
+		for i := range stops {
+			stops[i] = geo.Pt(float64(i)*step, float64(i%7)*step)
 		}
 		return stops
 	}
 	for _, tc := range []struct {
-		n    int
-		grid bool
+		name    string
+		stops   []geo.Point
+		psi     float64
+		queries int
+		raster  bool
 	}{
-		{1, false},
-		{stopGridThreshold / 2, false},
-		{stopGridThreshold, false},
-		{stopGridThreshold + 1, true},
-		{4 * stopGridThreshold, true},
+		{"paper default component", mkStops(32, 100), 50, 1000, true},
+		{"too few stops", mkStops(rasterMinStops-1, 100), 50, 1000, false},
+		{"just enough stops", mkStops(rasterMinStops, 100), 50, 1000, true},
+		{"too few queries", mkStops(200, 100), 50, rasterMinQueries - 1, false},
+		{"just enough queries", mkStops(200, 100), 50, rasterMinQueries, true},
+		{"zero psi", mkStops(200, 100), 0, 1000, false},
+		{"psi so small the cap trips", mkStops(32, 1000), 1, 1000, false},
+		{"psi tiny beyond any int", mkStops(32, 1e6), 1e-300, 1000, false},
+		{"all stops on one point", make([]geo.Point, 8), 10, 1000, true},
 	} {
-		ss := NewStopSet(mkStops(tc.n), 50)
-		if got := len(ss.keys) > 0; got != tc.grid {
-			t.Errorf("NewStopSet with %d stops: grid=%v, want %v", tc.n, got, tc.grid)
+		ss := AcquireStopSet(tc.stops, tc.psi, tc.queries)
+		if rastered(ss) != tc.raster {
+			t.Errorf("%s: raster=%v, want %v", tc.name, rastered(ss), tc.raster)
 		}
+		if rastered(ss) && ss.cols*ss.rows > rasterMaxCells {
+			t.Errorf("%s: %d cells over the cap", tc.name, ss.cols*ss.rows)
+		}
+		for _, s := range tc.stops {
+			checkServed(t, ss, s)
+			checkServed(t, ss, geo.Pt(s.X+tc.psi, s.Y))
+			checkServed(t, ss, geo.Pt(s.X-3*tc.psi, s.Y+3*tc.psi))
+		}
+		ss.Release()
 	}
-	// An explicit low query-count hint must keep even a large set linear.
-	if ss := NewStopSetHint(mkStops(4*stopGridThreshold), 50, gridMinQueries-1); len(ss.keys) > 0 {
-		t.Error("NewStopSetHint with a tiny query count built a grid")
+	// With no hint, size alone decides.
+	if rastered(NewStopSet(mkStops(unhintedRasterStops, 100), 50)) {
+		t.Error("NewStopSet built a raster for a small set")
 	}
-	// Zero psi never builds a grid (cells would be degenerate).
-	if ss := NewStopSet(mkStops(4*stopGridThreshold), 0); len(ss.keys) > 0 {
-		t.Error("NewStopSet with psi=0 built a grid")
+	if !rastered(NewStopSet(mkStops(unhintedRasterStops+1, 100), 50)) {
+		t.Error("NewStopSet built no raster for a large set")
+	}
+}
+
+// TestStopSetNaNStop: a NaN coordinate (the library does not reject one)
+// must not take the raster out of bounds; such a stop serves nothing.
+func TestStopSetNaNStop(t *testing.T) {
+	stops := []geo.Point{geo.Pt(0, 0), geo.Pt(100, 100), geo.Pt(math.NaN(), 50), geo.Pt(50, math.NaN()), geo.Pt(200, 0)}
+	ss := AcquireStopSet(stops, 30, 1000)
+	defer ss.Release()
+	for _, p := range []geo.Point{geo.Pt(10, 10), geo.Pt(100, 120), geo.Pt(50, 50), geo.Pt(math.NaN(), 0), geo.Pt(1e300, -1e300)} {
+		checkServed(t, ss, p)
 	}
 }
 
@@ -154,11 +223,11 @@ func TestStopSetAccessors(t *testing.T) {
 
 func TestAcquireStopSetMatchesNew(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
-	// Cycle sets of varying sizes through the pool: reused grid arrays
-	// must answer identically to fresh ones, including after shrinking
-	// from a grid-mode set to a linear-mode one.
+	// Cycle sets of varying sizes through the pool: a reused bitmap must
+	// answer identically to a fresh one, including after shrinking from
+	// a raster-mode set to a linear-mode one.
 	for trial := 0; trial < 40; trial++ {
-		n := 3 + rng.Intn(2*stopGridThreshold)
+		n := 3 + rng.Intn(2*unhintedRasterStops)
 		stops := make([]geo.Point, n)
 		for i := range stops {
 			stops[i] = geo.Pt(rng.Float64()*3000, rng.Float64()*3000)

@@ -1,9 +1,12 @@
 // Package shard partitions a trajectory corpus across several TQ-trees
-// and serves kMaxRRST queries by scatter-gather: a query fans out to
-// every shard, per-shard best-first explorations stream candidates into a
-// global k-heap, and each shard's upper bounds prune exploration the
-// global kth answer makes irrelevant — the paper's branch-and-bound
-// lifted one level up.
+// and serves kMaxRRST queries by scatter-gather: exact service values fan
+// out to every shard as one batch and are summed; top-k sums each
+// facility's per-shard seed upper bound, orders the facilities by it and
+// evaluates them in threshold rounds (query.TopKRounds, the schedule the
+// distributed frontend runs over whole processes), so a facility whose
+// bound cannot reach the k-th exact value is never evaluated anywhere —
+// the paper's branch-and-bound lifted one level up. The best-first search
+// itself (Algorithms 3/4) stays on the single-tree engines.
 //
 // Sharding is what keeps datasets larger than one tree's comfortable
 // in-memory size — and rebuilds — from being monolithic: shards build in

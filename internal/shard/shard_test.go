@@ -3,6 +3,7 @@ package shard
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/trajcover/trajcover/internal/geo"
@@ -193,8 +194,16 @@ func TestShardedMatchesSingleTree(t *testing.T) {
 							wantTop[i].Facility.ID, wantTop[i].Service)
 					}
 				}
-				if m.Relaxations == 0 && wantTop[0].Service > 0 {
-					t.Fatalf("%v %s/%d shards: no relaxations recorded", c, part.Kind(), n)
+				// The sharded top-k is sort-and-cut over the same exact
+				// sums ServiceValues reports, bit for bit.
+				for i, r := range gotTop {
+					if sv := gotSV[slices.Index(facilities, r.Facility)]; r.Service != sv {
+						t.Fatalf("%v %s/%d shards: rank %d service %v, ServiceValues %v",
+							c, part.Kind(), n, i, r.Service, sv)
+					}
+				}
+				if m.EntriesScored == 0 && wantTop[0].Service > 0 {
+					t.Fatalf("%v %s/%d shards: no work recorded", c, part.Kind(), n)
 				}
 			}
 		}

@@ -278,30 +278,6 @@ func (f *Frozen) TreeUB(n int32, sc service.Scenario) float64 {
 	return f.treeUB[int(n)*service.NumScenarios+int(sc)]
 }
 
-// ContainingPath returns the chain of node indexes from the root down to
-// the smallest node whose rectangle contains r — identical to the pointer
-// tree's ContainingPath.
-func (f *Frozen) ContainingPath(r geo.Rect) []int32 {
-	path := []int32{0}
-	n := int32(0)
-	for f.childCount[n] > 0 {
-		next := int32(-1)
-		base := f.childBase[n]
-		for i := int32(0); i < f.childCount[n]; i++ {
-			if f.nodeRect[base+i].ContainsRect(r) {
-				next = base + i
-				break
-			}
-		}
-		if next < 0 {
-			break
-		}
-		path = append(path, next)
-		n = next
-	}
-	return path
-}
-
 // ScoreNode runs the zReduce pruning over node n's own list against the
 // EMBR and exactly scores every surviving entry with ss — the frozen
 // counterpart of Tree.NodeCandidatesV feeding an entryScorer, fused into

@@ -563,29 +563,6 @@ const (
 	coverMinList = 256
 )
 
-// ContainingPath returns the chain of nodes from the root down to the
-// smallest node whose rectangle contains r (the last element is the
-// paper's containingQNode).
-func (t *Tree) ContainingPath(r geo.Rect) []*Node {
-	path := []*Node{t.root}
-	n := t.root
-	for !n.leaf {
-		next := (*Node)(nil)
-		for q := 0; q < 4; q++ {
-			if c := n.children[q]; c != nil && c.rect.ContainsRect(r) {
-				next = c
-				break
-			}
-		}
-		if next == nil {
-			break
-		}
-		path = append(path, next)
-		n = next
-	}
-	return path
-}
-
 // pointCode returns the Morton code of p in the given root space.
 func pointCode(bounds geo.Rect, p geo.Point) uint64 {
 	return zorder.PointCode(bounds, p)

@@ -314,38 +314,6 @@ func TestValidateScenario(t *testing.T) {
 	}
 }
 
-func TestContainingPath(t *testing.T) {
-	users := randTrajectories(500, 2, 52, testBounds)
-	tree, err := Build(users, Options{Variant: TwoPoint, Ordering: ZOrder, Beta: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	small := geo.Rect{MinX: 10, MinY: 10, MaxX: 20, MaxY: 20}
-	path := tree.ContainingPath(small)
-	if len(path) == 0 || path[0] != tree.Root() {
-		t.Fatal("path must start at root")
-	}
-	for i, n := range path {
-		if !n.Rect().ContainsRect(small) {
-			t.Errorf("path[%d] rect %v does not contain query", i, n.Rect())
-		}
-	}
-	last := path[len(path)-1]
-	// No child of the last node may contain the rect.
-	if !last.IsLeaf() {
-		for q := 0; q < 4; q++ {
-			if c := last.Child(q); c != nil && c.Rect().ContainsRect(small) {
-				t.Error("ContainingPath stopped early")
-			}
-		}
-	}
-	// A rect spanning the center must stay at the root.
-	center := geo.Rect{MinX: 499, MinY: 499, MaxX: 501, MaxY: 501}
-	if p := tree.ContainingPath(center); len(p) != 1 {
-		t.Errorf("center rect path length = %d, want 1", len(p))
-	}
-}
-
 func TestFilterModeFor(t *testing.T) {
 	users := randTrajectories(10, 4, 53, testBounds)
 	mk := func(v Variant) *Tree {

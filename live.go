@@ -268,12 +268,12 @@ func (x *LiveShardedIndex) Version() uint64 { return x.s.Version() }
 // Err returns the most recent background-rebuild error, or nil.
 func (x *LiveShardedIndex) Err() error { return x.s.Err() }
 
-// UpperBoundsCtx seeds (without exploring) every facility's search over
-// one write-consistent epoch capture and returns the initial upper
-// bounds, indexed like facilities — each a sound overestimate of the
-// facility's exact service value, computed in one tree descent per
-// shard. The distributed query frontend scatters this before deciding
-// which facilities are worth an exact evaluation on which backend.
+// UpperBoundsCtx returns every facility's upper bound over one
+// write-consistent epoch capture, indexed like facilities — each a sound
+// overestimate of the facility's exact service value, read in one tree
+// descent per shard with nothing evaluated. It is the bound TopK orders
+// its rounds by; the distributed query frontend scatters it before
+// deciding which facilities are worth an exact evaluation.
 func (x *LiveShardedIndex) UpperBoundsCtx(ctx context.Context, facilities []*Facility, q Query) ([]float64, error) {
 	return x.s.UpperBounds(ctx, facilities, q.params())
 }

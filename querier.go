@@ -52,8 +52,11 @@ func (x *querier) ServiceValues(facilities []*Facility, q Query, workers int) ([
 }
 
 // TopK answers the kMaxRRST query: the k facilities with the highest
-// service value, best first (Algorithm 3) — over several shards, by a
-// scatter-gather merge through one global k-heap.
+// service value, best first (value descending, ID ascending). A single
+// tree runs the paper's best-first search (Algorithm 3); the sharded and
+// live types evaluate facilities in rounds ordered by their summed
+// per-shard upper bounds, so their answer is exactly sort-and-cut over
+// ServiceValues — the same values, bit for bit.
 func (x *querier) TopK(facilities []*Facility, k int, q Query) ([]Ranked, error) {
 	return x.TopKCtx(context.Background(), facilities, k, q)
 }
@@ -64,9 +67,11 @@ func (x *querier) TopKWithMetrics(facilities []*Facility, k int, q Query) ([]Ran
 	return x.core.TopKCtx(context.Background(), facilities, k, q.params())
 }
 
-// TopKParallel is TopK with up to `workers` best-first exploration steps
-// run concurrently per round. The answer is identical to TopK; spare
-// cores buy wall-clock speed at the cost of some speculative work.
+// TopKParallel is TopK on a pool of `workers` goroutines: best-first
+// relaxations (single tree) or a round's exact evaluations (sharded and
+// live types) run concurrently. The answer is identical to TopK; spare
+// cores buy wall-clock speed, on a single tree at the cost of some
+// speculative work.
 func (x *querier) TopKParallel(facilities []*Facility, k int, q Query, workers int) ([]Ranked, error) {
 	return x.TopKParallelCtx(context.Background(), facilities, k, q, workers)
 }
@@ -87,8 +92,8 @@ func (x *querier) ServiceValuesCtx(ctx context.Context, facilities []*Facility, 
 }
 
 // TopKCtx is TopK with cooperative cancellation: ctx is polled between
-// facility relaxations, and a done context aborts the search with
-// ctx.Err() and no partial answer.
+// facility relaxations or evaluations, and a done context aborts the
+// search with ctx.Err() and no partial answer.
 func (x *querier) TopKCtx(ctx context.Context, facilities []*Facility, k int, q Query) ([]Ranked, error) {
 	res, _, err := x.core.TopKCtx(ctx, facilities, k, q.params())
 	return res, err

@@ -256,9 +256,10 @@ func (o ShardOptions) shardOptions() shard.Options {
 
 // ShardedIndex partitions user trajectories across several TQ-trees and
 // answers kMaxRRST queries by scatter-gather: a query fans out to every
-// shard and per-shard best-first searches merge through a global k-heap
-// whose shard-level upper bounds prune exploration that cannot change
-// the answer. Use it when one tree is too large to build, rebuild, or
+// shard, exact per-shard values are summed, and top-k evaluates
+// facilities in rounds ordered by their summed per-shard upper bounds,
+// skipping those whose bound cannot change the answer. Use it when one
+// tree is too large to build, rebuild, or
 // hold comfortably — shards build in parallel and rebuild independently.
 //
 // Answers match the single-tree Index exactly for integral scenarios
