@@ -40,14 +40,7 @@ func expDist(ctx *bench.Context) (*bench.Table, error) {
 	}
 	users := ctx.Users("nyt", datagen.NYT1Day)
 	routes := ctx.Routes("ny", 64, 16)
-	fjs := make([]server.FacilityJSON, len(routes))
-	for i, f := range routes {
-		stops := make([][2]float64, len(f.Stops))
-		for j, st := range f.Stops {
-			stops[j] = [2]float64{st.X, st.Y}
-		}
-		fjs[i] = server.FacilityJSON{ID: uint32(f.ID), Stops: stops}
-	}
+	fjs := server.FacilitiesJSON(routes)
 	topkBody := mustJSON(server.QueryRequest{Facilities: fjs, K: 8, Psi: ctx.Cfg.Psi, Workers: 1, TimeoutMS: 60_000})
 
 	newBackend := func(us []*trajcover.Trajectory) (*server.Server, *http.Server, string, error) {

@@ -201,14 +201,7 @@ func expRescache(ctx *bench.Context) (*bench.Table, error) {
 		return nil, err
 	}
 	routes := ctx.Routes("ny", 128, 32)
-	fjs := make([]server.FacilityJSON, len(routes))
-	for i, f := range routes {
-		stops := make([][2]float64, len(f.Stops))
-		for j, st := range f.Stops {
-			stops[j] = [2]float64{st.X, st.Y}
-		}
-		fjs[i] = server.FacilityJSON{ID: uint32(f.ID), Stops: stops}
-	}
+	fjs := server.FacilitiesJSON(routes)
 	body := mustJSON(server.QueryRequest{Facilities: fjs, Psi: ctx.Cfg.Psi, Workers: 1, TimeoutMS: 60_000})
 
 	for _, cacheBytes := range []int64{0, 64 << 20} {

@@ -115,18 +115,6 @@ func distIndexOpts() trajcover.LiveShardOptions {
 	}
 }
 
-func facilitiesJSON(fs []*trajcover.Facility) []server.FacilityJSON {
-	out := make([]server.FacilityJSON, len(fs))
-	for i, f := range fs {
-		stops := make([][2]float64, len(f.Stops))
-		for j, st := range f.Stops {
-			stops[j] = [2]float64{st.X, st.Y}
-		}
-		out[i] = server.FacilityJSON{ID: uint32(f.ID), Stops: stops}
-	}
-	return out
-}
-
 func mustJSON(t *testing.T, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
@@ -468,7 +456,7 @@ func TestDistCrashPartition(t *testing.T) {
 		h.oracle[g] = idx
 		h.vecs[g] = [][]float64{h.groupValues(g)}
 	}
-	fjs := facilitiesJSON(routes)
+	fjs := server.FacilitiesJSON(routes)
 	h.svBody = mustJSON(t, server.QueryRequest{Facilities: fjs, Psi: trajcover.DefaultPsi})
 	h.topkBody = mustJSON(t, server.QueryRequest{Facilities: fjs, K: 5, Psi: trajcover.DefaultPsi})
 

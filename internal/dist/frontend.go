@@ -346,7 +346,7 @@ func (fe *Frontend) admit(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 		fe.rejectRetryable(w, http.StatusServiceUnavailable, "frontend draining")
 		return nil, false
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, fe.cfg.MaxBodyBytes))
+	body, err := server.ReadBody(w, r, fe.cfg.MaxBodyBytes)
 	if err != nil {
 		fe.errs.Add(1)
 		status := http.StatusBadRequest

@@ -72,18 +72,6 @@ func testFacilities(n, stops int, seed int64) []*trajcover.Facility {
 	return out
 }
 
-func facilityJSONOf(fs []*trajcover.Facility) []server.FacilityJSON {
-	out := make([]server.FacilityJSON, len(fs))
-	for i, f := range fs {
-		stops := make([][2]float64, len(f.Stops))
-		for j, st := range f.Stops {
-			stops[j] = [2]float64{st.X, st.Y}
-		}
-		out[i] = server.FacilityJSON{ID: uint32(f.ID), Stops: stops}
-	}
-	return out
-}
-
 func liveOpts() trajcover.LiveShardOptions {
 	return trajcover.LiveShardOptions{
 		Shards:      2,
@@ -207,7 +195,7 @@ func TestFrontendByteIdentity(t *testing.T) {
 	users := testUsers(500, 301)
 	e := newDistEnv(t, users[:400], 2, FrontendConfig{DefaultTimeout: 30 * time.Second})
 	facs := testFacilities(14, 7, 302)
-	fjs := facilityJSONOf(facs)
+	fjs := server.FacilitiesJSON(facs)
 
 	check := func(stage string, k, workers int) {
 		t.Helper()
@@ -368,7 +356,7 @@ func flakyGroup(okRounds int) *httptest.Server {
 func TestFrontendPartialMatrix(t *testing.T) {
 	users := testUsers(300, 311)
 	facs := testFacilities(8, 6, 312)
-	fjs := facilityJSONOf(facs)
+	fjs := server.FacilitiesJSON(facs)
 	parts := partitionUsers(users, 2)
 
 	// Group 0 is a real backend; group 1's behavior is the table knob.
@@ -592,7 +580,7 @@ func TestFrontendIntraGroupFailover(t *testing.T) {
 	// Kill group 0's primary. Reads must fail over to the replica and
 	// stay complete (not partial).
 	tsA.Close()
-	body := mustBody(t, server.QueryRequest{Facilities: facilityJSONOf(facs), K: 3, Psi: 40})
+	body := mustBody(t, server.QueryRequest{Facilities: server.FacilitiesJSON(facs), K: 3, Psi: 40})
 	st, got, _ := postTo(t, fets.Client(), fets.URL+server.PathTopK, body)
 	if st != http.StatusOK {
 		t.Fatalf("topk with dead primary: %d %s", st, got)
@@ -743,7 +731,7 @@ func TestFrontendDrainAndLimits(t *testing.T) {
 		t.Fatalf("draining healthz: %d", resp.StatusCode)
 	}
 	st, _, hdr := e.post(server.PathTopK, mustBody(t, server.QueryRequest{
-		Facilities: facilityJSONOf(testFacilities(2, 3, 342)), K: 1, Psi: 40,
+		Facilities: server.FacilitiesJSON(testFacilities(2, 3, 342)), K: 1, Psi: 40,
 	}))
 	if st != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
 		t.Fatalf("draining topk: %d, want 503+Retry-After", st)

@@ -89,7 +89,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 func TestReplicaFollowAndServe(t *testing.T) {
 	users := testUsers(260, 401)
 	facs := testFacilities(6, 5, 402)
-	fjs := facilityJSONOf(facs)
+	fjs := server.FacilitiesJSON(facs)
 	srv, primTS := newPrimary(t, users[:200], replog.DefaultCap)
 	rep, repTS := newReplicaStack(t, primTS.URL)
 
@@ -178,7 +178,7 @@ func TestReplicaFollowAndServe(t *testing.T) {
 func TestReplicaReBootstrapOnPrimaryRestart(t *testing.T) {
 	users := testUsers(220, 411)
 	facs := testFacilities(5, 5, 412)
-	fjs := facilityJSONOf(facs)
+	fjs := server.FacilitiesJSON(facs)
 	topkBody := mustBody(t, server.QueryRequest{Facilities: fjs, K: 3, Psi: 40})
 
 	srvA, tsA := newPrimary(t, users[:150], replog.DefaultCap)

@@ -104,7 +104,7 @@ func runBoundary(t *testing.T, seed int64, nGroups int, skewed bool) []boundaryC
 	rng := rand.New(rand.NewSource(seed))
 	users := boundaryUsers(rng, nGroups, skewed)
 	facs := boundaryFacilities(rng, skewed)
-	fjs := facilityJSONOf(facs)
+	fjs := server.FacilitiesJSON(facs)
 	n := len(facs)
 	e := newDistEnv(t, users, nGroups, FrontendConfig{DefaultTimeout: 30 * time.Second, ProbeInterval: time.Hour})
 	q := trajcover.Query{Scenario: trajcover.Binary, Psi: 30}
@@ -273,7 +273,7 @@ func TestFrontendStopRuleTies(t *testing.T) {
 			kc := min(k, n)
 			before := fe.Stats()
 			st, got, _ := postTo(t, fets.Client(), fets.URL+server.PathTopK,
-				mustBody(t, server.QueryRequest{Facilities: facilityJSONOf(facs), K: k, Psi: 1}))
+				mustBody(t, server.QueryRequest{Facilities: server.FacilitiesJSON(facs), K: k, Psi: 1}))
 			if want := server.MarshalTopKResponse(ranked[:kc]); st != http.StatusOK || !bytes.Equal(got, want) {
 				t.Fatalf("trial %d groups %d n %d k %d: %d\n got: %s\nwant: %s", trial, nGroups, n, k, st, got, want)
 			}
@@ -304,7 +304,7 @@ func TestFrontendStopRuleTies(t *testing.T) {
 // and redialling.
 func TestFrontendReusesBackendConnections(t *testing.T) {
 	e := newDistEnv(t, testUsers(200, 361), 2, FrontendConfig{DefaultTimeout: 30 * time.Second, ProbeInterval: time.Hour})
-	body := mustBody(t, server.QueryRequest{Facilities: facilityJSONOf(testFacilities(16, 5, 362)), K: 2, Psi: 40})
+	body := mustBody(t, server.QueryRequest{Facilities: server.FacilitiesJSON(testFacilities(16, 5, 362)), K: 2, Psi: 40})
 	const clients, waves = 8, 6
 	for w := 0; w < waves; w++ {
 		var wg sync.WaitGroup

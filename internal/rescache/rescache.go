@@ -52,9 +52,11 @@ type Cache struct {
 	shards   [numShards]shard
 	maxShard int64 // per-shard byte budget
 
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	evictions atomic.Uint64
+	hits        atomic.Uint64
+	misses      atomic.Uint64
+	aliasHits   atomic.Uint64
+	aliasMisses atomic.Uint64
+	evictions   atomic.Uint64
 }
 
 // New builds a cache bounded to roughly maxBytes across all shards.
@@ -85,18 +87,36 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
+	return c.get(k, &c.hits, &c.misses)
+}
+
+// GetAlias is Get for an alias entry: a value that names the key an
+// answer lives under (the serving layer maps a request's raw bytes to
+// its canonical key this way) rather than an answer itself. Aliases
+// share the shards, the byte budget and the LRU with answers — losing
+// one costs its owner a recomputation of the key, never a wrong answer —
+// but count under AliasHits/AliasMisses, so Hits/Misses keep meaning
+// answers served and answers computed.
+func (c *Cache) GetAlias(k Key) ([]byte, bool) {
+	if c == nil {
+		return nil, false
+	}
+	return c.get(k, &c.aliasHits, &c.aliasMisses)
+}
+
+func (c *Cache) get(k Key, hits, misses *atomic.Uint64) ([]byte, bool) {
 	s := c.shardOf(k)
 	s.mu.Lock()
 	el, ok := s.byKey[k]
 	if !ok {
 		s.mu.Unlock()
-		c.misses.Add(1)
+		misses.Add(1)
 		return nil, false
 	}
 	s.lru.MoveToFront(el)
 	val := el.Value.(*entry).val
 	s.mu.Unlock()
-	c.hits.Add(1)
+	hits.Add(1)
 	return val, true
 }
 
@@ -142,12 +162,14 @@ func (c *Cache) Put(k Key, v []byte) {
 
 // Snapshot is the cache's observable state, served on /statsz.
 type Snapshot struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
-	Bytes     int64  `json:"bytes"`
-	MaxBytes  int64  `json:"max_bytes"`
+	Hits        uint64 `json:"hits"`
+	Misses      uint64 `json:"misses"`
+	AliasHits   uint64 `json:"alias_hits"`
+	AliasMisses uint64 `json:"alias_misses"`
+	Evictions   uint64 `json:"evictions"`
+	Entries     int    `json:"entries"`
+	Bytes       int64  `json:"bytes"`
+	MaxBytes    int64  `json:"max_bytes"`
 }
 
 // Stats snapshots the counters and current occupancy. Safe on nil (all
@@ -157,10 +179,12 @@ func (c *Cache) Stats() Snapshot {
 		return Snapshot{}
 	}
 	st := Snapshot{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		MaxBytes:  c.maxShard * numShards,
+		Hits:        c.hits.Load(),
+		Misses:      c.misses.Load(),
+		AliasHits:   c.aliasHits.Load(),
+		AliasMisses: c.aliasMisses.Load(),
+		Evictions:   c.evictions.Load(),
+		MaxBytes:    c.maxShard * numShards,
 	}
 	for i := range c.shards {
 		s := &c.shards[i]

@@ -147,3 +147,29 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Fatal("no traffic recorded")
 	}
 }
+
+// TestAliasCountedApart pins what /statsz's hits and misses mean: an
+// alias lookup moves only the alias counters, while its entry lives in
+// the same LRU under the same byte budget as any answer.
+func TestAliasCountedApart(t *testing.T) {
+	c := New(1 << 20)
+	alias := keyOf(1, "", 0)
+	if _, ok := c.GetAlias(alias); ok {
+		t.Fatal("alias hit on empty cache")
+	}
+	c.Put(alias, []byte("points at an answer"))
+	if got, ok := c.GetAlias(alias); !ok || string(got) != "points at an answer" {
+		t.Fatalf("GetAlias = %q, %v", got, ok)
+	}
+	st := c.Stats()
+	if st.Hits != 0 || st.Misses != 0 || st.AliasHits != 1 || st.AliasMisses != 1 {
+		t.Fatalf("stats = %+v, want only the alias counters moved", st)
+	}
+	if want := int64(len("points at an answer")) + entryOverhead; st.Entries != 1 || st.Bytes != want {
+		t.Fatalf("alias entry not charged to the budget: %+v, want 1 entry, %d bytes", st, want)
+	}
+	var nilCache *Cache
+	if _, ok := nilCache.GetAlias(alias); ok {
+		t.Fatal("nil cache hit")
+	}
+}

@@ -61,7 +61,7 @@ func TestServerDegradedWritesAndRecovery(t *testing.T) {
 	inj := faultfs.NewInjector(nil, 71)
 	e, idx := newFaultWALEnv(t, users[:150], Config{Workers: 2, QueueDepth: 16, DefaultTimeout: 10 * time.Second}, inj)
 	facs := testFacilities(4, 4, 72)
-	qbody := mustBody(t, QueryRequest{Facilities: facilityJSONOf(facs), Psi: 40, Workers: 1})
+	qbody := mustBody(t, QueryRequest{Facilities: FacilitiesJSON(facs), Psi: 40, Workers: 1})
 
 	status, body := e.get(PathHealth)
 	if status != http.StatusOK {
@@ -175,7 +175,7 @@ func TestRetryAfterMatrix(t *testing.T) {
 	users := testUsers(120, 75)
 	facs := testFacilities(4, 4, 76)
 	qbody := func(t *testing.T) []byte {
-		return mustBody(t, QueryRequest{Facilities: facilityJSONOf(facs), K: 2, Psi: 40})
+		return mustBody(t, QueryRequest{Facilities: FacilitiesJSON(facs), K: 2, Psi: 40})
 	}
 
 	cases := []struct {

@@ -238,7 +238,7 @@ func TestServerUpperBounds(t *testing.T) {
 	q := trajcover.Query{Scenario: trajcover.Binary, Psi: 40}
 
 	status, raw, _ := e.post(PathUpperBounds, mustBody(t, QueryRequest{
-		Facilities: facilityJSONOf(facs), Psi: 40,
+		Facilities: FacilitiesJSON(facs), Psi: 40,
 	}))
 	if status != http.StatusOK {
 		t.Fatalf("upperbounds: %d %s", status, raw)

@@ -28,6 +28,12 @@
 //	GET  /v1/changes        ?after=N&boot=ID&wait_ms=MS -> replication tail (Config.ReplLog)
 //	GET  /healthz, /statsz
 //
+// With a result cache (Config.ResultCacheBytes) the three query endpoints
+// answer repeats from it: answers key on a canonical hash of the decoded
+// request, the tenant and the index version, and a byte-identical repeat
+// finds that key through an alias on its raw bytes without being decoded
+// at all (serveRead).
+//
 // On a WAL-backed index (tqserve -wal-dir), /v1/snapshot streams the
 // checkpoint it just made durable on disk — so every snapshot download
 // also truncates the WAL — and /v1/checkpoint runs the same checkpoint
@@ -58,6 +64,8 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -94,11 +102,13 @@ type Config struct {
 	MaxBodyBytes int64
 	// RetryAfter is the Retry-After hint on 429 responses (<= 0: 1s).
 	RetryAfter time.Duration
-	// ResultCacheBytes bounds the epoch-keyed result cache for /v1/topk
-	// and /v1/servicevalues answers (<= 0: disabled). Entries key on the
-	// request's canonical hash, the tenant, and the index's write
-	// version, so a cached answer is always what the index would answer
-	// right now — writes invalidate by construction, not by purging.
+	// ResultCacheBytes bounds the epoch-keyed result cache for /v1/topk,
+	// /v1/servicevalues and /v1/upperbounds answers (<= 0: disabled).
+	// Entries key on the request's canonical hash, the tenant, and the
+	// index's write version, so a cached answer is always what the index
+	// would answer right now — writes invalidate by construction, not by
+	// purging. The same budget holds the raw-byte aliases (~170 B each)
+	// that let a byte-identical repeat find its entry without decoding.
 	ResultCacheBytes int64
 	// ReplLog, when non-nil, turns on primary-side replication on a
 	// single-tenant server: every acknowledged insert/delete is appended
@@ -634,18 +644,20 @@ func (s *Server) rejectQuota(w http.ResponseWriter, ep *endpointStats, tid strin
 // quotas bound real queue + worker occupancy. All terminal paths update
 // the endpoint's counters; only this handler goroutine writes w.
 //
-// reqHash, when non-nil, is the request's canonical digest (cacheHash:
-// reads on a server that has a cache) and makes the work cacheable: the
-// handler captures the index version v, probes the cache at
-// (hash, tenant, v) — a hit answers from the handler
+// cached, when non-nil, makes the work cacheable (reads on a server that
+// has a cache): the handler captures the index version v, probes the
+// cache at (cached.hash, tenant, v) — a hit answers from the handler
 // goroutine, bypassing the queue entirely — and on a miss the worker
 // stores its 200 answer only if the version still reads v afterwards.
 // That capture/compute/recheck protocol is what keeps the cache
 // linearizable: an equal recheck proves no epoch was published while
 // the query ran, and a version observed at request time always names
 // an answer the client could have gotten from an uncached server at
-// that moment. Per-tenant quota admission still applies to hits.
-func (s *Server) executeTenant(w http.ResponseWriter, r *http.Request, ep *endpointStats, tid string, isWrite bool, timeoutMS int64, reqHash *[32]byte, run func(ctx context.Context, idx *trajcover.LiveShardedIndex) response) {
+// that moment. Per-tenant quota admission still applies to hits. A
+// request whose hash came from an alias arrives undecoded
+// (cached.decode): only the miss pays for the decode, here on the
+// handler goroutine, and supplies timeoutMS and run.
+func (s *Server) executeTenant(w http.ResponseWriter, r *http.Request, ep *endpointStats, tid string, isWrite bool, timeoutMS int64, cached *cachedRead, run runFunc) {
 	start := time.Now()
 	ep.requests.Add(1)
 
@@ -675,15 +687,26 @@ func (s *Server) executeTenant(w http.ResponseWriter, r *http.Request, ep *endpo
 		return
 	}
 
-	if reqHash != nil {
+	if cached != nil {
 		ver := idx.Version()
-		key := rescache.Key{Hash: *reqHash, Tenant: tid, Version: ver}
+		key := rescache.Key{Hash: cached.hash, Tenant: tid, Version: ver}
 		if body, ok := s.cache.Get(key); ok {
 			gate.Cancel()
 			release()
 			ep.observe(time.Since(start))
 			writeRaw(w, http.StatusOK, body)
 			return
+		}
+		if cached.decode != nil {
+			// An alias is written only after these bytes decoded on this
+			// endpoint under this header, so they decode again.
+			if timeoutMS, run, err = cached.decode(); err != nil {
+				gate.Cancel()
+				release()
+				ep.errors.Add(1)
+				writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+				return
+			}
 		}
 		inner := run
 		run = func(ctx context.Context, idx *trajcover.LiveShardedIndex) response {
@@ -756,7 +779,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, ep *endpointStats
 		s.rejectRetryable(w, http.StatusServiceUnavailable, "server draining")
 		return nil, false
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
 	if err != nil {
 		ep.requests.Add(1)
 		ep.errors.Add(1)
@@ -801,69 +824,159 @@ func (s *Server) replLock() func() {
 	return s.replmu.Unlock
 }
 
-// cacheHash is a read request's result-cache key hash, nil when there is
-// no cache to look it up in: hashing a paper-default body costs more than
-// admission and encode together, and every backend of a distributed tier
-// runs cacheless.
-func (s *Server) cacheHash(endpoint string, req *QueryRequest, k int, q trajcover.Query) *[32]byte {
-	if s.cache == nil {
-		return nil
-	}
-	h := CanonicalQueryHash(endpoint, req, k, q)
-	return &h
+// runFunc is the work of one admitted request, executed on a pool worker
+// against the tenant's index.
+type runFunc func(ctx context.Context, idx *trajcover.LiveShardedIndex) response
+
+// cachedRead is what makes a read answerable from the result cache: its
+// canonical hash, and — when an alias supplied that hash and the body is
+// still undecoded — the decode a result miss must run before any work.
+type cachedRead struct {
+	hash   [32]byte
+	decode func() (timeoutMS int64, run runFunc, err error)
 }
 
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	ep := s.stats[PathTopK]
+// answerFunc computes one read endpoint's 200 body from a decoded
+// request.
+type answerFunc func(ctx context.Context, idx *trajcover.LiveShardedIndex, req *QueryRequest, facs []*trajcover.Facility, q trajcover.Query) ([]byte, error)
+
+// readRequest is one /v1/topk, /v1/servicevalues or /v1/upperbounds
+// request between admit and executeTenant: the raw body, then what
+// decoding it yields. Body bytes stop here — a worker sees only run's
+// decoded fields.
+type readRequest struct {
+	needK  bool
+	answer answerFunc
+	body   []byte
+
+	req  *QueryRequest
+	facs []*trajcover.Facility
+	q    trajcover.Query
+}
+
+// decode parses and validates the body; any error is a 400.
+func (rr *readRequest) decode() (err error) {
+	rr.req, rr.facs, rr.q, err = DecodeQueryRequest(rr.body, rr.needK)
+	rr.body = nil
+	return err
+}
+
+// decodeOnMiss is cachedRead.decode for a request an alias hit sent to
+// the result lookup undecoded (its tenant came with the alias).
+func (rr *readRequest) decodeOnMiss() (int64, runFunc, error) {
+	if err := rr.decode(); err != nil {
+		return 0, nil, err
+	}
+	return rr.req.TimeoutMS, rr.run, nil
+}
+
+func (rr *readRequest) run(ctx context.Context, idx *trajcover.LiveShardedIndex) response {
+	body, err := rr.answer(ctx, idx, rr.req, rr.facs, rr.q)
+	if err != nil {
+		return errResponse(err)
+	}
+	return response{status: http.StatusOK, body: body}
+}
+
+// aliasKey is the cache key of a request as it arrived: a SHA-256 over
+// the endpoint, the X-Tenant header value (both length-prefixed) and the
+// raw body bytes, under a prefix no CanonicalQueryHash input starts with
+// — and with an empty Tenant, which no answer's key has. Its value
+// (aliasValue) names the tenant and canonical hash those bytes decode
+// to, which is all a repeat of them needs to find its answer.
+func aliasKey(endpoint, xTenant string, body []byte) rescache.Key {
+	h := sha256.New()
+	var n [8]byte
+	io.WriteString(h, "alias\x00")
+	for _, field := range [2]string{endpoint, xTenant} {
+		binary.LittleEndian.PutUint64(n[:], uint64(len(field)))
+		h.Write(n[:])
+		io.WriteString(h, field)
+	}
+	h.Write(body)
+	var k rescache.Key
+	h.Sum(k.Hash[:0])
+	return k
+}
+
+func aliasValue(hash [32]byte, tid string) []byte {
+	return append(hash[:], tid...)
+}
+
+func parseAlias(v []byte) (hash [32]byte, tid string) {
+	return [32]byte(v), string(v[len(hash):])
+}
+
+// serveRead is the three cacheable read endpoints' one handler. With a
+// result cache (and no ?stream=1, which bypasses it) the raw bytes are
+// looked up first: an alias hit names the tenant and canonical hash the
+// same bytes decoded to before, so the request goes to its tenant's gate
+// and the result lookup undecoded, and decodes only if that lookup
+// misses (the index moved, or the answer was evicted). An alias miss
+// decodes as always and then writes the alias — so only a valid,
+// tenant-resolved request ever has one, and an invalid body is a 400
+// every time. Bodies that differ in workers, timeout_ms or whitespace
+// each get their own alias and share one answer through the canonical
+// hash.
+func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, path string, needK bool, answer answerFunc) {
+	ep := s.stats[path]
 	body, ok := s.admit(w, r, ep)
 	if !ok {
 		return
 	}
-	req, facs, q, err := DecodeQueryRequest(body, true)
+	rr := &readRequest{needK: needK, answer: answer, body: body}
+	stream := path == PathServiceValues && r.URL.Query().Get("stream") == "1"
+	var alias rescache.Key
+	if s.cache != nil && !stream {
+		alias = aliasKey(path, r.Header.Get("X-Tenant"), body)
+		if v, ok := s.cache.GetAlias(alias); ok {
+			hash, tid := parseAlias(v)
+			s.executeTenant(w, r, ep, tid, false, 0, &cachedRead{hash: hash, decode: rr.decodeOnMiss}, nil)
+			return
+		}
+	}
+	err := rr.decode()
+	var tid string
+	if err == nil {
+		tid, err = resolveTenant(r, rr.req.Tenant)
+	}
 	if err != nil {
 		s.rejectDecode(w, ep, err)
 		return
 	}
-	tid, err := resolveTenant(r, req.Tenant)
-	if err != nil {
-		s.rejectDecode(w, ep, err)
+	if stream {
+		s.streamServiceValues(w, r, ep, tid, rr.req, rr.facs, rr.q)
 		return
 	}
-	s.executeTenant(w, r, ep, tid, false, req.TimeoutMS, s.cacheHash(PathTopK, req, req.K, q), func(ctx context.Context, idx *trajcover.LiveShardedIndex) response {
+	var cached *cachedRead
+	if s.cache != nil {
+		k := 0
+		if needK {
+			k = rr.req.K
+		}
+		cached = &cachedRead{hash: CanonicalQueryHash(path, rr.req, k, rr.q)}
+		s.cache.Put(alias, aliasValue(cached.hash, tid))
+	}
+	s.executeTenant(w, r, ep, tid, false, rr.req.TimeoutMS, cached, rr.run)
+}
+
+func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
+	s.serveRead(w, r, PathTopK, true, func(ctx context.Context, idx *trajcover.LiveShardedIndex, req *QueryRequest, facs []*trajcover.Facility, q trajcover.Query) ([]byte, error) {
 		res, err := idx.TopKParallelCtx(ctx, facs, req.K, q, req.Workers)
 		if err != nil {
-			return errResponse(err)
+			return nil, err
 		}
-		return response{status: http.StatusOK, body: MarshalTopKResponse(res)}
+		return MarshalTopKResponse(res), nil
 	})
 }
 
 func (s *Server) handleServiceValues(w http.ResponseWriter, r *http.Request) {
-	ep := s.stats[PathServiceValues]
-	body, ok := s.admit(w, r, ep)
-	if !ok {
-		return
-	}
-	req, facs, q, err := DecodeQueryRequest(body, false)
-	if err != nil {
-		s.rejectDecode(w, ep, err)
-		return
-	}
-	tid, err := resolveTenant(r, req.Tenant)
-	if err != nil {
-		s.rejectDecode(w, ep, err)
-		return
-	}
-	if r.URL.Query().Get("stream") == "1" {
-		s.streamServiceValues(w, r, ep, tid, req, facs, q)
-		return
-	}
-	s.executeTenant(w, r, ep, tid, false, req.TimeoutMS, s.cacheHash(PathServiceValues, req, 0, q), func(ctx context.Context, idx *trajcover.LiveShardedIndex) response {
+	s.serveRead(w, r, PathServiceValues, false, func(ctx context.Context, idx *trajcover.LiveShardedIndex, req *QueryRequest, facs []*trajcover.Facility, q trajcover.Query) ([]byte, error) {
 		vs, err := idx.ServiceValuesCtx(ctx, facs, q, req.Workers)
 		if err != nil {
-			return errResponse(err)
+			return nil, err
 		}
-		return response{status: http.StatusOK, body: MarshalValuesResponse(vs)}
+		return MarshalValuesResponse(vs), nil
 	})
 }
 
@@ -973,27 +1086,12 @@ func (s *Server) streamServiceValues(w http.ResponseWriter, r *http.Request, ep 
 // facilities. Cached like the other read endpoints — bounds are a pure
 // function of (request, index version).
 func (s *Server) handleUpperBounds(w http.ResponseWriter, r *http.Request) {
-	ep := s.stats[PathUpperBounds]
-	body, ok := s.admit(w, r, ep)
-	if !ok {
-		return
-	}
-	req, facs, q, err := DecodeQueryRequest(body, false)
-	if err != nil {
-		s.rejectDecode(w, ep, err)
-		return
-	}
-	tid, err := resolveTenant(r, req.Tenant)
-	if err != nil {
-		s.rejectDecode(w, ep, err)
-		return
-	}
-	s.executeTenant(w, r, ep, tid, false, req.TimeoutMS, s.cacheHash(PathUpperBounds, req, 0, q), func(ctx context.Context, idx *trajcover.LiveShardedIndex) response {
+	s.serveRead(w, r, PathUpperBounds, false, func(ctx context.Context, idx *trajcover.LiveShardedIndex, _ *QueryRequest, facs []*trajcover.Facility, q trajcover.Query) ([]byte, error) {
 		bs, err := idx.UpperBoundsCtx(ctx, facs, q)
 		if err != nil {
-			return errResponse(err)
+			return nil, err
 		}
-		return response{status: http.StatusOK, body: MarshalBoundsResponse(bs)}
+		return MarshalBoundsResponse(bs), nil
 	})
 }
 

@@ -71,18 +71,6 @@ func testFacilities(n, stops int, seed int64) []*trajcover.Facility {
 	return out
 }
 
-func facilityJSONOf(fs []*trajcover.Facility) []FacilityJSON {
-	out := make([]FacilityJSON, len(fs))
-	for i, f := range fs {
-		stops := make([][2]float64, len(f.Stops))
-		for j, st := range f.Stops {
-			stops[j] = [2]float64{st.X, st.Y}
-		}
-		out[i] = FacilityJSON{ID: uint32(f.ID), Stops: stops}
-	}
-	return out
-}
-
 func liveOpts() trajcover.LiveShardOptions {
 	return trajcover.LiveShardOptions{
 		Shards:      2,
@@ -168,7 +156,7 @@ func TestServerEndToEndMatchesDirect(t *testing.T) {
 	base, feed := users[:400], users[400:]
 	e := newEnv(t, base, Config{Workers: 2, QueueDepth: 32, DefaultTimeout: 30 * time.Second})
 	facs := testFacilities(16, 8, 22)
-	fjs := facilityJSONOf(facs)
+	fjs := FacilitiesJSON(facs)
 	q := trajcover.Query{Scenario: trajcover.Binary, Psi: 40}
 
 	checkQueries := func(stage string, workers int) {
@@ -296,7 +284,7 @@ func TestServerPrefixConsistencyUnderConcurrentWrites(t *testing.T) {
 	base, feed := users[:300], users[300:]
 	e := newEnv(t, base, Config{Workers: 2, QueueDepth: 64, DefaultTimeout: 30 * time.Second})
 	facs := testFacilities(8, 8, 32)
-	fjs := facilityJSONOf(facs)
+	fjs := FacilitiesJSON(facs)
 	q := trajcover.Query{Scenario: trajcover.Binary, Psi: 40}
 
 	// Scripted history: insert feed[i], then delete a base trajectory,
@@ -508,7 +496,7 @@ func TestServerAdmissionControl(t *testing.T) {
 	users := testUsers(200, 41)
 	e := newEnv(t, users, Config{Workers: 1, QueueDepth: 1, DefaultTimeout: 10 * time.Second})
 	facs := testFacilities(4, 4, 42)
-	body := mustBody(t, QueryRequest{Facilities: facilityJSONOf(facs), K: 2, Psi: 40})
+	body := mustBody(t, QueryRequest{Facilities: FacilitiesJSON(facs), K: 2, Psi: 40})
 
 	releaseWorker := blockWorkers(t, e.srv, 1)
 	fillQueue(t, e.srv, 1)
@@ -555,7 +543,7 @@ func TestServerDeadline(t *testing.T) {
 	release := blockWorkers(t, e.srv, 1)
 	start := time.Now()
 	status, body, _ := e.post(PathTopK, mustBody(t, QueryRequest{
-		Facilities: facilityJSONOf(facs), K: 2, Psi: 40, TimeoutMS: 150,
+		Facilities: FacilitiesJSON(facs), K: 2, Psi: 40, TimeoutMS: 150,
 	}))
 	elapsed := time.Since(start)
 	if status != http.StatusGatewayTimeout {
@@ -590,7 +578,7 @@ func TestServerDeadline(t *testing.T) {
 	// And service resumes.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		status, _, _ := e.post(PathTopK, mustBody(t, QueryRequest{Facilities: facilityJSONOf(facs), K: 2, Psi: 40}))
+		status, _, _ := e.post(PathTopK, mustBody(t, QueryRequest{Facilities: FacilitiesJSON(facs), K: 2, Psi: 40}))
 		if status == http.StatusOK {
 			break
 		}
@@ -706,7 +694,7 @@ func TestServerStatsAndHealth(t *testing.T) {
 		t.Fatalf("healthz: %d %s", status, body)
 	}
 	for i := 0; i < 3; i++ {
-		if status, _, _ := e.post(PathTopK, mustBody(t, QueryRequest{Facilities: facilityJSONOf(facs), K: 2, Psi: 40})); status != http.StatusOK {
+		if status, _, _ := e.post(PathTopK, mustBody(t, QueryRequest{Facilities: FacilitiesJSON(facs), K: 2, Psi: 40})); status != http.StatusOK {
 			t.Fatalf("topk warmup: %d", status)
 		}
 	}
@@ -733,7 +721,7 @@ func TestServerStatsAndHealth(t *testing.T) {
 	if status, _ := e.get(PathHealth); status != http.StatusServiceUnavailable {
 		t.Fatalf("draining healthz: %d, want 503", status)
 	}
-	if status, _, _ := e.post(PathTopK, mustBody(t, QueryRequest{Facilities: facilityJSONOf(facs), K: 2, Psi: 40})); status != http.StatusServiceUnavailable {
+	if status, _, _ := e.post(PathTopK, mustBody(t, QueryRequest{Facilities: FacilitiesJSON(facs), K: 2, Psi: 40})); status != http.StatusServiceUnavailable {
 		t.Fatalf("draining topk: %d, want 503", status)
 	}
 	if status, _ := e.get(PathSnapshot); status != http.StatusServiceUnavailable {
@@ -756,7 +744,7 @@ func TestServerDrainLeavesNoGoroutines(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	client := ts.Client()
 	facs := testFacilities(4, 4, 92)
-	body := mustBody(t, QueryRequest{Facilities: facilityJSONOf(facs), K: 2, Psi: 40})
+	body := mustBody(t, QueryRequest{Facilities: FacilitiesJSON(facs), K: 2, Psi: 40})
 	for i := 0; i < 8; i++ {
 		resp, err := client.Post(ts.URL+PathTopK, "application/json", bytes.NewReader(body))
 		if err != nil {

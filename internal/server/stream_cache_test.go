@@ -69,7 +69,7 @@ func TestServerStreamServiceValues(t *testing.T) {
 	users := testUsers(200, 61)
 	e := newEnv(t, users, Config{Workers: 2, QueueDepth: 16, DefaultTimeout: 30 * time.Second})
 	facs := testFacilities(17, 6, 62)
-	body := mustBody(t, QueryRequest{Facilities: facilityJSONOf(facs), Psi: 40, Workers: 1})
+	body := mustBody(t, QueryRequest{Facilities: FacilitiesJSON(facs), Psi: 40, Workers: 1})
 
 	status, batch, _ := e.post(PathServiceValues, body)
 	if status != http.StatusOK {
@@ -132,7 +132,7 @@ func TestServerStreamServiceValues(t *testing.T) {
 	}
 
 	// Streams resolve tenants like the batch path: unknown tenant 404.
-	unknown := mustBody(t, QueryRequest{Facilities: facilityJSONOf(facs), Psi: 40, Tenant: "ghost"})
+	unknown := mustBody(t, QueryRequest{Facilities: FacilitiesJSON(facs), Psi: 40, Tenant: "ghost"})
 	if status, _, _ := e.readStream("?stream=1", unknown); status != http.StatusNotFound {
 		t.Fatalf("unknown tenant stream: status %d, want 404", status)
 	}
@@ -151,7 +151,7 @@ func TestServerResultCache(t *testing.T) {
 		ResultCacheBytes: 1 << 20,
 	})
 	facs := testFacilities(8, 6, 72)
-	fjs := facilityJSONOf(facs)
+	fjs := FacilitiesJSON(facs)
 	q := trajcover.Query{Scenario: trajcover.Binary, Psi: 40}
 	svBody := mustBody(t, QueryRequest{Facilities: fjs, Psi: 40, Workers: 1})
 	topkBody := mustBody(t, QueryRequest{Facilities: fjs, K: 4, Psi: 40, Workers: 1})
@@ -241,7 +241,9 @@ func TestServerResultCache(t *testing.T) {
 // of the history could produce, and (b) immediately after a write is
 // acknowledged, see a body achievable at a prefix at least that new —
 // i.e. the cache can never serve an answer from before an
-// acknowledged write. Run under -race this also exercises the
+// acknowledged write. Every read is byte-identical, so after the first
+// they all arrive through the raw-byte alias and decode only when a
+// write has moved the version. Run under -race this also exercises the
 // capture/compute/recheck protocol for data races.
 func TestServerCacheConsistencyUnderConcurrentWrites(t *testing.T) {
 	users := testUsers(260, 81)
@@ -251,7 +253,7 @@ func TestServerCacheConsistencyUnderConcurrentWrites(t *testing.T) {
 		ResultCacheBytes: 1 << 20,
 	})
 	facs := testFacilities(6, 6, 82)
-	fjs := facilityJSONOf(facs)
+	fjs := FacilitiesJSON(facs)
 	q := trajcover.Query{Scenario: trajcover.Binary, Psi: 40}
 	svBody := mustBody(t, QueryRequest{Facilities: fjs, Psi: 40, Workers: 1})
 
@@ -380,7 +382,14 @@ func TestServerCacheConsistencyUnderConcurrentWrites(t *testing.T) {
 		t.Fatal(readerErr)
 	}
 
-	if rc := e.srv.Stats().ResultCache; rc == nil || rc.Hits+rc.Misses == 0 {
+	rc := e.srv.Stats().ResultCache
+	if rc == nil || rc.Hits+rc.Misses == 0 {
 		t.Fatal("cache saw no traffic during the property test")
+	}
+	// Every read sends the same bytes, so all but each reader's first go
+	// through the alias — each write above turns the next one into an
+	// alias hit whose answer lookup misses and decodes.
+	if rc.AliasHits == 0 || rc.AliasMisses > 2 {
+		t.Fatalf("alias_hits %d, alias_misses %d: the byte-identical reads did not take the alias path", rc.AliasHits, rc.AliasMisses)
 	}
 }

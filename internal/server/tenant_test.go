@@ -153,7 +153,7 @@ func (e *menv) runTenantHistory(h tenantHistory) error {
 	if err != nil {
 		return err
 	}
-	fjs := facilityJSONOf(h.facs)
+	fjs := FacilitiesJSON(h.facs)
 	q := trajcover.Query{Scenario: trajcover.Binary, Psi: 60}
 	check := func(step int) error {
 		status, body, _, err := e.post(PathTopK, h.id, mustBody(e.t, QueryRequest{Facilities: fjs, K: 5, Psi: 60}))
@@ -308,7 +308,7 @@ func TestTenantIsolationProperty(t *testing.T) {
 			return
 		}
 		facs := testFacilities(6, 6, 998)
-		status, body, _, err := e.post(PathServiceValues, "noisy", mustBody(e.t, QueryRequest{Facilities: facilityJSONOf(facs), Psi: 60}))
+		status, body, _, err := e.post(PathServiceValues, "noisy", mustBody(e.t, QueryRequest{Facilities: FacilitiesJSON(facs), Psi: 60}))
 		if err != nil {
 			errs <- err
 			return
@@ -385,7 +385,7 @@ func TestTenantQuotaDeterministic(t *testing.T) {
 	defer release()
 
 	facs := testFacilities(2, 4, 72)
-	query := mustBody(t, QueryRequest{Facilities: facilityJSONOf(facs), K: 1, Psi: 40})
+	query := mustBody(t, QueryRequest{Facilities: FacilitiesJSON(facs), K: 1, Psi: 40})
 
 	// Two noisy queries sit in the global queue holding both of the
 	// tenant's inflight slots.
@@ -531,12 +531,12 @@ func TestTenantInvalidAndUnknown(t *testing.T) {
 	e := newMultiEnv(t, root, Config{Workers: 2, QueueDepth: 16})
 
 	facs := testFacilities(2, 4, 91)
-	query := mustBody(t, QueryRequest{Facilities: facilityJSONOf(facs), K: 1, Psi: 40})
+	query := mustBody(t, QueryRequest{Facilities: FacilitiesJSON(facs), K: 1, Psi: 40})
 	users := testUsers(2, 92)
 
 	// Reads of unknown tenants: 404, never a lazy create.
 	e.mustPost(PathTopK, "ghost", query, http.StatusNotFound)
-	e.mustPost(PathServiceValues, "ghost", mustBody(t, QueryRequest{Facilities: facilityJSONOf(facs), Psi: 40}), http.StatusNotFound)
+	e.mustPost(PathServiceValues, "ghost", mustBody(t, QueryRequest{Facilities: FacilitiesJSON(facs), Psi: 40}), http.StatusNotFound)
 	e.mustPost(PathCompact, "ghost", []byte(`{}`), http.StatusNotFound)
 	e.mustPost(PathCheckpoint, "ghost", nil, http.StatusNotFound)
 	if status, _ := e.getTenant(PathSnapshot, "ghost"); status != http.StatusNotFound {
@@ -667,7 +667,7 @@ func TestTenantMaxTimeoutCap(t *testing.T) {
 	// times out 504 while the worker is parked — fast.
 	start := time.Now()
 	body, _ := e.mustPost(PathTopK, "tight", mustBody(t, QueryRequest{
-		Facilities: facilityJSONOf(facs), K: 1, Psi: 40, TimeoutMS: 5000,
+		Facilities: FacilitiesJSON(facs), K: 1, Psi: 40, TimeoutMS: 5000,
 	}), http.StatusGatewayTimeout)
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("capped request took %v to time out (cap is 50ms): %s", elapsed, body)

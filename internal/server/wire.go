@@ -12,18 +12,28 @@ package server
 // decoded responses reproduces the original coordinates bit-exactly and
 // answers stay byte-identical to direct library calls — the property the
 // end-to-end tests pin.
+//
+// Nearly every byte of a query body is coordinates, so those arrays
+// (Coords) decode themselves in one pass — count, allocate once,
+// strconv.ParseFloat each number — and encoding/json's reflection walks
+// only the small envelope around them.
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"net/http"
+	"strconv"
+	"sync"
 
 	trajcover "github.com/trajcover/trajcover"
 	"github.com/trajcover/trajcover/internal/replog"
+	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
 // Decoder limits. Bodies are already capped by Config.MaxBodyBytes at
@@ -52,10 +62,117 @@ func badRequestf(format string, args ...any) error {
 	return &badRequest{msg: fmt.Sprintf(format, args...)}
 }
 
+// Coords is a coordinate array on the wire: a JSON array of [x, y]
+// pairs. It encodes like the [][2]float64 it is and decodes itself (see
+// UnmarshalJSON).
+type Coords [][2]float64
+
+// UnmarshalJSON decodes a JSON array of [x, y] pairs in one pass over
+// data with one allocation. Every pair must be an array of exactly two
+// numbers — a short, long, null or nested pair is an error, where
+// encoding/json's fixed-size-array rule would zero-fill or truncate it —
+// and each number goes through strconv.ParseFloat exactly as
+// encoding/json's own float64 path does, so accepted coordinates are
+// bit-identical to that path's and out-of-range literals (1e999) are
+// errors. null leaves c untouched, as encoding/json does for a slice.
+//
+// encoding/json hands this method syntax-checked bytes; other input is
+// an error, never a panic.
+func (c *Coords) UnmarshalJSON(data []byte) error {
+	i := skipSpace(data, 0)
+	if string(data[i:]) == "null" {
+		return nil
+	}
+	if i == len(data) || data[i] != '[' {
+		return errors.New("want an array of [x, y] pairs")
+	}
+	// Every '[' past the first opens one pair in a well-formed array, so
+	// the count sizes the slice exactly. It is capped at the longest array
+	// any request may carry: past that (or on a malformed array, where
+	// the count means nothing) the caller is about to reject the result.
+	out := make(Coords, 0, min(bytes.Count(data[i+1:], []byte{'['}), MaxPoints))
+	i = skipSpace(data, i+1)
+	for more := i == len(data) || data[i] != ']'; more; {
+		xy, next, err := parsePair(data, i)
+		if err != nil {
+			return fmt.Errorf("pair %d: %w", len(out), err)
+		}
+		out = append(out, xy)
+		i = skipSpace(data, next)
+		if i == len(data) || (data[i] != ',' && data[i] != ']') {
+			return fmt.Errorf("want ',' or ']' after pair %d", len(out)-1)
+		}
+		if more = data[i] == ','; more {
+			i = skipSpace(data, i+1)
+		}
+	}
+	if skipSpace(data, i+1) != len(data) {
+		return errors.New("trailing data after the array")
+	}
+	*c = out
+	return nil
+}
+
+// parsePair parses one "[x, y]" starting at data[i] and returns the
+// index just past its ']'.
+func parsePair(data []byte, i int) (xy [2]float64, next int, err error) {
+	if i == len(data) || data[i] != '[' {
+		return xy, i, errors.New("not an [x, y] array")
+	}
+	i++
+	for d := range xy {
+		i = skipSpace(data, i)
+		start := i
+		for i < len(data) && isNumberByte(data[i]) {
+			i++
+		}
+		if xy[d], err = strconv.ParseFloat(string(data[start:i]), 64); err != nil {
+			return xy, i, fmt.Errorf("want exactly two numbers: %q is not a float64", data[start:i])
+		}
+		i = skipSpace(data, i)
+		if i == len(data) || data[i] != ",]"[d] {
+			return xy, i, errors.New("want exactly two numbers")
+		}
+		i++
+	}
+	return xy, i, nil
+}
+
+// skipSpace returns the index of the first non-whitespace byte of data
+// at or after i (len(data) if there is none).
+func skipSpace(data []byte, i int) int {
+	for i < len(data) && (data[i] == ' ' || data[i] == '\t' || data[i] == '\n' || data[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// isNumberByte reports whether b can appear in a JSON number. Scanning
+// by this set keeps the spellings strconv.ParseFloat accepts beyond
+// JSON's (inf, nan, hex floats, digit underscores) out of its argument.
+func isNumberByte(b byte) bool {
+	return '0' <= b && b <= '9' || b == '-' || b == '+' || b == '.' || b == 'e' || b == 'E'
+}
+
 // FacilityJSON is one candidate facility on the wire.
 type FacilityJSON struct {
-	ID    uint32       `json:"id"`
-	Stops [][2]float64 `json:"stops"`
+	ID    uint32 `json:"id"`
+	Stops Coords `json:"stops"`
+}
+
+// FacilitiesJSON is the wire form of a facility list, coordinates
+// bit-exact — what a client (or a test, or the bench harness) puts in
+// QueryRequest.Facilities to ask about fs.
+func FacilitiesJSON(fs []*trajcover.Facility) []FacilityJSON {
+	out := make([]FacilityJSON, len(fs))
+	for i, f := range fs {
+		stops := make(Coords, len(f.Stops))
+		for j, st := range f.Stops {
+			stops[j] = [2]float64{st.X, st.Y}
+		}
+		out[i] = FacilityJSON{ID: uint32(f.ID), Stops: stops}
+	}
+	return out
 }
 
 // QueryRequest is the body of /v1/topk and /v1/servicevalues.
@@ -86,9 +203,9 @@ type QueryRequest struct {
 
 // InsertRequest is the body of /v1/insert.
 type InsertRequest struct {
-	ID        uint32       `json:"id"`
-	Points    [][2]float64 `json:"points"`
-	TimeoutMS int64        `json:"timeout_ms,omitempty"`
+	ID        uint32 `json:"id"`
+	Points    Coords `json:"points"`
+	TimeoutMS int64  `json:"timeout_ms,omitempty"`
 	// Tenant names the tenant receiving the write (lazily created on
 	// first write); see QueryRequest.Tenant.
 	Tenant string `json:"tenant,omitempty"`
@@ -186,45 +303,101 @@ func finite(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0)
 }
 
+// ReadBody reads a request body capped at max bytes (past it the error
+// is an *http.MaxBytesError and the connection closes, as
+// http.MaxBytesReader arranges). A body that declares its length is read
+// into one allocation of exactly that size; only a chunked body pays
+// io.ReadAll's growth loop.
+func ReadBody(w http.ResponseWriter, r *http.Request, max int64) ([]byte, error) {
+	rd := http.MaxBytesReader(w, r.Body, max)
+	if n := r.ContentLength; n >= 0 && n <= max {
+		body := make([]byte, n)
+		if _, err := io.ReadFull(rd, body); err != nil {
+			return nil, err
+		}
+		return body, nil
+	}
+	return io.ReadAll(rd)
+}
+
+// strictDecoder is a json.Decoder over a reader that can be pointed at
+// the next body, so the decoder's buffer — which it grows by doubling to
+// hold a whole body, ~3x the body in allocations each time — is grown
+// once and reused. Bodies are a stream of JSON values to it, which is
+// what a Decoder is for.
+type strictDecoder struct {
+	src bytes.Reader
+	dec *json.Decoder
+}
+
+var strictDecoders = sync.Pool{New: func() any {
+	d := new(strictDecoder)
+	d.dec = json.NewDecoder(&d.src)
+	d.dec.DisallowUnknownFields()
+	return d
+}}
+
+// maxPooledBody keeps a decoder that has grown past it out of the pool.
+const maxPooledBody = 1 << 20
+
 // unmarshalStrict decodes with unknown fields and trailing data
 // rejected: a typoed field ("timeoutms", "worker") must be a loud 400,
 // not a silently applied server default.
 func unmarshalStrict(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	d := strictDecoders.Get().(*strictDecoder)
+	d.src.Reset(data)
+	if err := d.dec.Decode(v); err != nil {
 		return badRequestf("bad request body: %v", err)
 	}
-	if dec.More() {
+	if d.dec.More() {
 		return badRequestf("bad request body: trailing data after JSON value")
+	}
+	// Only a decoder that consumed its body whole goes back: one that
+	// failed is stuck on its error, and one with bytes left over (More
+	// lets a stray '}' or ']' pass) would prepend them to the next body.
+	if len(data) <= maxPooledBody && d.src.Len() == 0 && d.dec.Buffered().(*bytes.Reader).Len() == 0 {
+		strictDecoders.Put(d)
 	}
 	return nil
 }
 
+// decodeFacilities validates the wire facilities and builds the library's
+// form of them in three allocations whatever their number: one flat
+// arena holding every stop, one slab of Facility values, and the
+// pointers into it the query API takes.
 func decodeFacilities(fjs []FacilityJSON) ([]*trajcover.Facility, error) {
 	if len(fjs) > MaxFacilities {
 		return nil, badRequestf("too many facilities: %d > %d", len(fjs), MaxFacilities)
 	}
-	out := make([]*trajcover.Facility, len(fjs))
-	for i, fj := range fjs {
+	total := 0
+	for _, fj := range fjs {
 		if len(fj.Stops) == 0 {
 			return nil, badRequestf("facility %d has no stops", fj.ID)
 		}
 		if len(fj.Stops) > MaxStops {
 			return nil, badRequestf("facility %d has too many stops: %d > %d", fj.ID, len(fj.Stops), MaxStops)
 		}
-		stops := make([]trajcover.Point, len(fj.Stops))
+		total += len(fj.Stops)
+	}
+	arena := make([]trajcover.Point, 0, total)
+	slab := make([]trajcover.Facility, len(fjs))
+	out := make([]*trajcover.Facility, len(fjs))
+	for i, fj := range fjs {
+		start := len(arena)
 		for j, st := range fj.Stops {
 			if !finite(st[0]) || !finite(st[1]) {
 				return nil, badRequestf("facility %d stop %d is not finite", fj.ID, j)
 			}
-			stops[j] = trajcover.Pt(st[0], st[1])
+			arena = append(arena, trajcover.Pt(st[0], st[1]))
 		}
-		f, err := trajcover.NewFacility(trajcover.ID(fj.ID), stops)
+		// Capacity stops at the facility's own last stop: an append to
+		// Stops reallocates instead of overwriting its neighbour's.
+		f, err := trajectory.MakeFacility(trajcover.ID(fj.ID), arena[start:len(arena):len(arena)])
 		if err != nil {
 			return nil, badRequestf("facility %d: %v", fj.ID, err)
 		}
-		out[i] = f
+		slab[i] = f
+		out[i] = &slab[i]
 	}
 	return out, nil
 }

@@ -5,16 +5,164 @@ package server
 // request — never panic, never let non-finite geometry, non-positive k,
 // or oversized shapes through (mirrors snapshot_fuzz_test.go's contract
 // for the snapshot readers).
+//
+// The query and insert decoders are also held to a reference: the
+// all-reflection decode they replaced (refDecode*, below — [][2]float64
+// through encoding/json, one NewFacility per facility). Whatever the
+// one-pass decoder accepts the reference accepts too, and the two agree
+// bit for bit on the request, the facilities and the canonical hash.
+// The converse is deliberately false: the reference repairs a pair that
+// is not exactly two numbers ([1] reads as (1, 0)); the decoder rejects
+// it.
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"net/http"
 	"strings"
 	"testing"
 
+	trajcover "github.com/trajcover/trajcover"
 	"github.com/trajcover/trajcover/internal/tenant"
 )
 
+type refFacilityJSON struct {
+	ID    uint32       `json:"id"`
+	Stops [][2]float64 `json:"stops"`
+}
+
+type refQueryRequest struct {
+	Facilities []refFacilityJSON `json:"facilities"`
+	K          int               `json:"k,omitempty"`
+	Scenario   string            `json:"scenario,omitempty"`
+	Psi        float64           `json:"psi"`
+	Workers    int               `json:"workers,omitempty"`
+	TimeoutMS  int64             `json:"timeout_ms,omitempty"`
+	Tenant     string            `json:"tenant,omitempty"`
+}
+
+type refInsertRequest struct {
+	ID        uint32       `json:"id"`
+	Points    [][2]float64 `json:"points"`
+	TimeoutMS int64        `json:"timeout_ms,omitempty"`
+	Tenant    string       `json:"tenant,omitempty"`
+}
+
+// refUnmarshalStrict is unmarshalStrict on a Decoder of its own: the
+// reference shares no pooled state with the decoder under test, so a
+// body decoded against another body's leftovers shows up as a mismatch.
+func refUnmarshalStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return badRequestf("bad request body: %v", err)
+	}
+	if dec.More() {
+		return badRequestf("bad request body: trailing data after JSON value")
+	}
+	return nil
+}
+
+// refDecodeQueryRequest is DecodeQueryRequest as it was before Coords:
+// the same envelope strictness and validation, every number through
+// encoding/json's reflection path. It returns the request in today's
+// wire type so both sides go through the one CanonicalQueryHash.
+func refDecodeQueryRequest(data []byte, needK bool) (*QueryRequest, []*trajcover.Facility, trajcover.Query, error) {
+	var ref refQueryRequest
+	if err := refUnmarshalStrict(data, &ref); err != nil {
+		return nil, nil, trajcover.Query{}, err
+	}
+	if needK && ref.K <= 0 || ref.K > MaxK {
+		return nil, nil, trajcover.Query{}, badRequestf("bad k %d", ref.K)
+	}
+	sc, err := parseScenario(ref.Scenario)
+	if err != nil {
+		return nil, nil, trajcover.Query{}, err
+	}
+	if !finite(ref.Psi) || ref.Psi < 0 || ref.TimeoutMS < 0 || len(ref.Facilities) > MaxFacilities {
+		return nil, nil, trajcover.Query{}, badRequestf("bad psi, timeout_ms or facility count")
+	}
+	req := &QueryRequest{
+		Facilities: make([]FacilityJSON, len(ref.Facilities)),
+		K:          ref.K, Scenario: ref.Scenario, Psi: ref.Psi,
+		Workers: min(max(ref.Workers, 1), MaxRequestWorkers), TimeoutMS: ref.TimeoutMS, Tenant: ref.Tenant,
+	}
+	facs := make([]*trajcover.Facility, len(ref.Facilities))
+	for i, fj := range ref.Facilities {
+		if len(fj.Stops) == 0 || len(fj.Stops) > MaxStops {
+			return nil, nil, trajcover.Query{}, badRequestf("facility %d has %d stops", fj.ID, len(fj.Stops))
+		}
+		stops := make([]trajcover.Point, len(fj.Stops))
+		for j, st := range fj.Stops {
+			if !finite(st[0]) || !finite(st[1]) {
+				return nil, nil, trajcover.Query{}, badRequestf("facility %d stop %d is not finite", fj.ID, j)
+			}
+			stops[j] = trajcover.Pt(st[0], st[1])
+		}
+		if facs[i], err = trajcover.NewFacility(trajcover.ID(fj.ID), stops); err != nil {
+			return nil, nil, trajcover.Query{}, badRequestf("facility %d: %v", fj.ID, err)
+		}
+		req.Facilities[i] = FacilityJSON{ID: fj.ID, Stops: fj.Stops}
+	}
+	return req, facs, trajcover.Query{Scenario: sc, Psi: ref.Psi}, nil
+}
+
+// sameBits reports whether two coordinate arrays hold the same float64
+// bit patterns (== would call -0 and 0 equal).
+func sameBits(a, b [][2]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		for d := range a[i] {
+			if math.Float64bits(a[i][d]) != math.Float64bits(b[i][d]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// requireMatchesReference is the differential half of FuzzDecodeRequest
+// for an accepted query body.
+func requireMatchesReference(t *testing.T, data []byte, needK bool, req *QueryRequest, facs []*trajcover.Facility, q trajcover.Query) {
+	t.Helper()
+	rreq, rfacs, rq, err := refDecodeQueryRequest(data, needK)
+	if err != nil {
+		t.Fatalf("decoder accepted a body the reference rejects: %v", err)
+	}
+	if req.K != rreq.K || req.Scenario != rreq.Scenario || math.Float64bits(req.Psi) != math.Float64bits(rreq.Psi) ||
+		req.Workers != rreq.Workers || req.TimeoutMS != rreq.TimeoutMS || req.Tenant != rreq.Tenant || q != rq {
+		t.Fatalf("request differs from the reference:\n got %+v %+v\nwant %+v %+v", req, q, rreq, rq)
+	}
+	if len(facs) != len(rfacs) || len(req.Facilities) != len(rreq.Facilities) {
+		t.Fatalf("%d facilities (%d on the wire), reference %d (%d)", len(facs), len(req.Facilities), len(rfacs), len(rreq.Facilities))
+	}
+	for i, f := range facs {
+		rf := rfacs[i]
+		if f.ID != rf.ID || f.MBR() != rf.MBR() || req.Facilities[i].ID != rreq.Facilities[i].ID ||
+			!sameBits(req.Facilities[i].Stops, rreq.Facilities[i].Stops) || len(f.Stops) != len(rf.Stops) {
+			t.Fatalf("facility %d differs from the reference:\n got %+v\nwant %+v", i, f, rf)
+		}
+		for j, st := range f.Stops {
+			if math.Float64bits(st.X) != math.Float64bits(rf.Stops[j].X) || math.Float64bits(st.Y) != math.Float64bits(rf.Stops[j].Y) {
+				t.Fatalf("facility %d stop %d = %v, reference %v", i, j, st, rf.Stops[j])
+			}
+		}
+	}
+	k := 0
+	if needK {
+		k = req.K
+	}
+	if got, want := CanonicalQueryHash(PathTopK, req, k, q), CanonicalQueryHash(PathTopK, rreq, k, rq); got != want {
+		t.Fatalf("canonical hash %x, reference %x", got, want)
+	}
+}
+
+// The committed corpus (testdata/fuzz/FuzzDecodeRequest) adds the
+// coordinate-pair shapes: pairs that are not exactly two numbers, null
+// and empty arrays, and number spellings that must stay bit-exact.
 func FuzzDecodeRequest(f *testing.F) {
 	seeds := []string{
 		`{"facilities":[{"id":1,"stops":[[500,500],[800,300]]}],"k":8,"scenario":"binary","psi":300}`,
@@ -83,6 +231,7 @@ func FuzzDecodeRequest(f *testing.F) {
 					}
 				}
 			}
+			requireMatchesReference(t, data, true, req, facs, q)
 		case 1:
 			req, u, err := DecodeInsertRequest(data)
 			if err != nil {
@@ -99,6 +248,20 @@ func FuzzDecodeRequest(f *testing.F) {
 			for _, p := range u.Points {
 				if !finite(p.X) || !finite(p.Y) {
 					t.Fatalf("accepted non-finite point %+v", p)
+				}
+			}
+			// Validation past the shapes is shared code, so the reference
+			// is the reflection decode of the same bytes.
+			var ref refInsertRequest
+			if err := refUnmarshalStrict(data, &ref); err != nil {
+				t.Fatalf("decoder accepted a body the reference rejects: %v", err)
+			}
+			if req.ID != ref.ID || req.TimeoutMS != ref.TimeoutMS || req.Tenant != ref.Tenant || !sameBits(req.Points, ref.Points) {
+				t.Fatalf("insert differs from the reference:\n got %+v\nwant %+v", req, ref)
+			}
+			for i, p := range u.Points {
+				if math.Float64bits(p.X) != math.Float64bits(ref.Points[i][0]) || math.Float64bits(p.Y) != math.Float64bits(ref.Points[i][1]) {
+					t.Fatalf("point %d = %v, reference %v", i, p, ref.Points[i])
 				}
 			}
 		case 2:

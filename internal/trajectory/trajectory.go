@@ -126,10 +126,20 @@ type Facility struct {
 // NewFacility builds a Facility and precomputes its bounding box. A
 // facility needs at least one stop.
 func NewFacility(id ID, stops []geo.Point) (*Facility, error) {
-	if len(stops) == 0 {
-		return nil, fmt.Errorf("trajectory: facility %d has no stops", id)
+	f, err := MakeFacility(id, stops)
+	if err != nil {
+		return nil, err
 	}
-	return &Facility{ID: id, Stops: stops, mbr: geo.RectOf(stops)}, nil
+	return &f, nil
+}
+
+// MakeFacility is NewFacility by value, for a caller that lays a whole
+// request's facilities out in one slab instead of allocating each.
+func MakeFacility(id ID, stops []geo.Point) (Facility, error) {
+	if len(stops) == 0 {
+		return Facility{}, fmt.Errorf("trajectory: facility %d has no stops", id)
+	}
+	return Facility{ID: id, Stops: stops, mbr: geo.RectOf(stops)}, nil
 }
 
 // MustNewFacility is NewFacility but panics on error.
