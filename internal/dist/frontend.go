@@ -15,15 +15,17 @@ import (
 
 	trajcover "github.com/trajcover/trajcover"
 	"github.com/trajcover/trajcover/internal/server"
+	"github.com/trajcover/trajcover/internal/tenant"
 )
 
 // FrontendConfig tunes the scatter-gather frontend. The zero value
-// probes every 250ms, gives each backend RPC 2s, serves requests under
+// probes every 250ms, gives each backend reply 2s, serves requests under
 // a 2s default deadline capped at 30s, and hints 1s retries.
 type FrontendConfig struct {
 	// Groups is the shard-group map (ParseMap); at least one group.
 	Groups []Group
-	// RPCTimeout bounds one backend call (<= 0: 2s).
+	// RPCTimeout bounds one frame round trip of a read's exchange with a
+	// backend, and one health probe (<= 0: 2s).
 	RPCTimeout time.Duration
 	// DefaultTimeout is the per-request deadline when the request names
 	// none (<= 0: 2s); MaxTimeout caps timeout_ms (<= 0: 30s).
@@ -67,13 +69,13 @@ func (c FrontendConfig) withDefaults() FrontendConfig {
 }
 
 // idleConnsPerBackend is how many keep-alive connections the frontend's
-// own transport holds per backend. Every concurrent read has one RPC in
-// flight per group, and http.DefaultTransport keeps only two idle per
-// host, closing and redialling the rest on every RPC.
+// own transport holds per backend. Every concurrent read has one exchange
+// open per group, and http.DefaultTransport keeps only two idle per host,
+// closing and redialling the rest after every read.
 const idleConnsPerBackend = 64
 
 // feMember is one backend process. healthy is the probe's verdict,
-// flipped false eagerly by any failed RPC (removal) and true again
+// flipped false eagerly by any failed exchange or write (removal) and true again
 // only by a successful probe (readmission).
 type feMember struct {
 	url     string
@@ -106,11 +108,12 @@ type Frontend struct {
 	errs            atomic.Uint64
 	partials        atomic.Uint64
 	failovers       atomic.Uint64
-	boundRPCs       atomic.Uint64
-	exactRPCs       atomic.Uint64
+	exchanges       atomic.Uint64 // backend requests opened by reads
+	boundRPCs       atomic.Uint64 // bounds frames received
+	exactRPCs       atomic.Uint64 // round frames sent
 	exactRounds     atomic.Uint64
 	exactFacilities atomic.Uint64 // (facility, group) legs evaluated exactly
-	pruned          atomic.Uint64 // facilities no exact RPC ever carried
+	pruned          atomic.Uint64 // facilities no round frame ever named
 }
 
 // NewFrontend builds a frontend over the group map and starts its
@@ -248,84 +251,6 @@ func (e *groupError) Error() string {
 }
 func (e *groupError) Unwrap() error { return e.err }
 
-// post runs one backend RPC under the per-call timeout and decodes a
-// 200 body into out. Non-200 becomes a permanentError (4xx except 429)
-// or a transient error (everything else).
-func (fe *Frontend) post(ctx context.Context, m *feMember, path string, body []byte, out any) error {
-	rctx, cancel := context.WithTimeout(ctx, fe.cfg.RPCTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, m.url+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := fe.cfg.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 && resp.StatusCode != http.StatusTooManyRequests {
-			return &permanentError{status: resp.StatusCode, body: data}
-		}
-		return fmt.Errorf("%s %s: %s", m.url, resp.Status, data)
-	}
-	if err := json.Unmarshal(data, out); err != nil {
-		return fmt.Errorf("%s: bad response body: %v", m.url, err)
-	}
-	return nil
-}
-
-// readGroup posts a read to some member of g, failing over across the
-// group: healthy members first in round-robin order, then — in case
-// the probe's verdicts are stale — the rest. A member that fails is
-// removed on the spot; a 4xx aborts the failover (the request is at
-// fault). When every member fails the caller gets a groupError wrapping
-// the first failure.
-func (fe *Frontend) readGroup(ctx context.Context, g *feGroup, path string, body []byte, out any) error {
-	n := len(g.members)
-	start := int(g.rr.Add(1)) % n
-	tried := make([]bool, n)
-	var firstErr error
-	for pass := 0; pass < 2; pass++ {
-		for i := 0; i < n; i++ {
-			mi := (start + i) % n
-			m := g.members[mi]
-			if tried[mi] || (pass == 0 && !m.healthy.Load()) {
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return &groupError{group: g.id, err: firstErr}
-			}
-			tried[mi] = true
-			err := fe.post(ctx, m, path, body, out)
-			if err == nil {
-				return nil
-			}
-			var perm *permanentError
-			if errors.As(err, &perm) {
-				return err
-			}
-			m.healthy.Store(false)
-			fe.failovers.Add(1)
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	if firstErr == nil {
-		firstErr = fmt.Errorf("no members")
-	}
-	return &groupError{group: g.id, err: firstErr}
-}
-
 func (fe *Frontend) requirePost(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -415,33 +340,73 @@ type PartialValuesResponse struct {
 	MissingGroups []int     `json:"missing_groups"`
 }
 
-func (fe *Frontend) handleTopK(w http.ResponseWriter, r *http.Request) {
+// singleTenant rejects a request that names a tenant other than the
+// default one, in the X-Tenant header or the body: the tier's backends
+// are single-tenant servers, and answering from the default tenant's
+// corpus would be answering a different question.
+func singleTenant(r *http.Request, bodyTenant string) error {
+	for _, id := range [2]string{r.Header.Get("X-Tenant"), bodyTenant} {
+		if id != "" && id != tenant.DefaultID {
+			return fmt.Errorf("the distributed tier is single-tenant: no tenant %q here (name %q or none)", id, tenant.DefaultID)
+		}
+	}
+	return nil
+}
+
+// beginRead is what /v1/topk and /v1/servicevalues share up to the
+// merge: admission, decode, the tenant check, the request deadline, and
+// the frames every group's exchange opens with — the query frame, built
+// once, carrying the deadline's remaining budget so a backend gives the
+// whole exchange what the client gave the request; for a read without
+// bounds, the one round naming every facility rides behind it. A false
+// return means the request was already answered.
+func (fe *Frontend) beginRead(w http.ResponseWriter, r *http.Request, needK bool) (rd *read, req *server.QueryRequest, facs []*trajcover.Facility, cancel context.CancelFunc, ok bool) {
 	body, ok := fe.admit(w, r)
 	if !ok {
-		return
+		return nil, nil, nil, nil, false
 	}
-	req, facs, _, err := server.DecodeQueryRequest(body, true)
+	req, facs, q, err := server.DecodeQueryRequest(body, needK)
+	if err == nil {
+		err = singleTenant(r, req.Tenant)
+	}
 	if err != nil {
 		fe.errs.Add(1)
 		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
-		return
+		return nil, nil, nil, nil, false
 	}
-	partial := r.URL.Query().Get("partial") == "1"
-	ctx, cancel := context.WithTimeout(r.Context(), fe.requestTimeout(req.TimeoutMS))
-	defer cancel()
+	size, kind := server.QueryFrameLen(facs), server.FrameBounds
+	if !needK {
+		size, kind = size+server.FrameHeaderLen+4*len(facs), server.FrameValues
+	}
+	if int64(size) > fe.cfg.MaxBodyBytes {
+		fe.errs.Add(1)
+		writeJSON(w, http.StatusRequestEntityTooLarge, server.ErrorResponse{Error: fmt.Sprintf("request takes %d bytes between frontend and backend, over the %d-byte limit", size, fe.cfg.MaxBodyBytes)})
+		return nil, nil, nil, nil, false
+	}
+	timeout := fe.requestTimeout(req.TimeoutMS)
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	first := server.AppendQueryFrame(make([]byte, 0, size), facs, server.QueryParams{
+		Query: q, Workers: req.Workers, TimeoutMS: max(timeout.Milliseconds(), 1), Bounds: needK,
+	})
+	if !needK {
+		all := make([]int, len(facs))
+		for i := range all {
+			all[i] = i
+		}
+		first = server.AppendRoundFrame(first, all)
+	}
+	return fe.newRead(ctx, first, kind, len(facs)), req, facs, cancel, true
+}
 
-	q := newWireQuery(req)
-	fe.boundRPCs.Add(uint64(len(fe.groups)))
-	bounds, missing, err := fe.scatter(ctx, fe.groups, server.PathUpperBounds, q.body(q.facs), len(facs))
-	if err != nil && (!partial || len(missing) == len(fe.groups)) {
-		fe.failRead(w, ctx, err)
+func (fe *Frontend) handleTopK(w http.ResponseWriter, r *http.Request) {
+	rd, req, facs, cancel, ok := fe.beginRead(w, r, true)
+	if !ok {
 		return
 	}
-	// A group lost after its bounds counted it present fails the request
-	// even in partial mode: the client retries against the new health.
-	res, err := fe.topKRounds(ctx, q, facs, bounds, req.K)
+	defer cancel()
+	res, missing, err := rd.topK(facs, req.K, r.URL.Query().Get("partial") == "1")
 	if err != nil {
-		fe.failRead(w, ctx, err)
+		fe.failRead(w, rd.ctx, err)
 		return
 	}
 	if len(missing) > 0 {
@@ -453,39 +418,15 @@ func (fe *Frontend) handleTopK(w http.ResponseWriter, r *http.Request) {
 }
 
 func (fe *Frontend) handleServiceValues(w http.ResponseWriter, r *http.Request) {
-	body, ok := fe.admit(w, r)
+	rd, _, _, cancel, ok := fe.beginRead(w, r, false)
 	if !ok {
 		return
 	}
-	req, facs, _, err := server.DecodeQueryRequest(body, false)
-	if err != nil {
-		fe.errs.Add(1)
-		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
-		return
-	}
-	partial := r.URL.Query().Get("partial") == "1"
-	ctx, cancel := context.WithTimeout(r.Context(), fe.requestTimeout(req.TimeoutMS))
 	defer cancel()
-
-	// Scatter the whole batch to every group; the total service value
-	// of a facility is the sum of its per-group values (the groups
-	// partition the corpus). Sums run in group order — deterministic,
-	// and exact (hence byte-identical to one process) for integral
-	// scenarios.
-	q := newWireQuery(req)
-	values, missing, err := fe.scatter(ctx, fe.groups, server.PathServiceValues, q.body(q.facs), len(facs))
-	if err != nil && (!partial || len(missing) == len(fe.groups)) {
-		fe.failRead(w, ctx, err)
+	sums, missing, err := rd.serviceValues(r.URL.Query().Get("partial") == "1")
+	if err != nil {
+		fe.failRead(w, rd.ctx, err)
 		return
-	}
-	sums := make([]float64, len(facs))
-	for _, vs := range values {
-		if vs == nil {
-			continue
-		}
-		for i, v := range vs {
-			sums[i] += v
-		}
 	}
 	if len(missing) > 0 {
 		fe.partials.Add(1)
@@ -507,22 +448,26 @@ func (fe *Frontend) handleWrite(w http.ResponseWriter, r *http.Request, path str
 	}
 	var id uint32
 	var timeoutMS int64
+	var bodyTenant string
+	var err error
 	if path == server.PathInsert {
-		req, _, err := server.DecodeInsertRequest(body)
-		if err != nil {
-			fe.errs.Add(1)
-			writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
-			return
+		var req *server.InsertRequest
+		if req, _, err = server.DecodeInsertRequest(body); err == nil {
+			id, timeoutMS, bodyTenant = req.ID, req.TimeoutMS, req.Tenant
 		}
-		id, timeoutMS = req.ID, req.TimeoutMS
 	} else {
-		req, err := server.DecodeDeleteRequest(body)
-		if err != nil {
-			fe.errs.Add(1)
-			writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
-			return
+		var req *server.DeleteRequest
+		if req, err = server.DecodeDeleteRequest(body); err == nil {
+			id, timeoutMS, bodyTenant = req.ID, req.TimeoutMS, req.Tenant
 		}
-		id, timeoutMS = req.ID, req.TimeoutMS
+	}
+	if err == nil {
+		err = singleTenant(r, bodyTenant)
+	}
+	if err != nil {
+		fe.errs.Add(1)
+		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
+		return
 	}
 	g := fe.groups[RouteID(id, len(fe.groups))]
 	primary := g.members[0]
@@ -618,10 +563,13 @@ func (fe *Frontend) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, FrontendHealth{Status: status, Groups: groups})
 }
 
-// FrontendStats is the frontend's /statsz document. One exact RPC
-// carries a whole merge round's batch, so what the prune saved reads off
-// ExactFacilities — the (facility, group) legs evaluated exactly over
-// ExactRounds rounds — and PrunedFacilities, those no exact RPC carried.
+// FrontendStats is the frontend's /statsz document. A read opens one
+// exchange per group (Exchanges; more only after a failover or a merge
+// restart) and everything else is frames on it: BoundRPCs counts the
+// bounds frames received, ExactRPCs the round frames sent — one carries a
+// whole merge round's batch, so what the prune saved reads off
+// ExactFacilities, the (facility, group) legs evaluated exactly over
+// ExactRounds rounds, and PrunedFacilities, those no round ever named.
 type FrontendStats struct {
 	UptimeSeconds    float64       `json:"uptime_seconds"`
 	Groups           []GroupHealth `json:"groups"`
@@ -629,6 +577,7 @@ type FrontendStats struct {
 	Errors           uint64        `json:"errors"`
 	PartialResponses uint64        `json:"partial_responses"`
 	Failovers        uint64        `json:"failovers"`
+	Exchanges        uint64        `json:"exchanges"`
 	BoundRPCs        uint64        `json:"bound_rpcs"`
 	ExactRPCs        uint64        `json:"exact_rpcs"`
 	ExactRounds      uint64        `json:"exact_rounds"`
@@ -646,6 +595,7 @@ func (fe *Frontend) Stats() FrontendStats {
 		Errors:           fe.errs.Load(),
 		PartialResponses: fe.partials.Load(),
 		Failovers:        fe.failovers.Load(),
+		Exchanges:        fe.exchanges.Load(),
 		BoundRPCs:        fe.boundRPCs.Load(),
 		ExactRPCs:        fe.exactRPCs.Load(),
 		ExactRounds:      fe.exactRounds.Load(),
@@ -674,4 +624,12 @@ func writeRaw(w http.ResponseWriter, status int, body []byte) {
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	writeRaw(w, status, mustMarshal(v))
+}
+
+func mustMarshal(v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(fmt.Sprintf("dist: marshal: %v", err))
+	}
+	return b
 }

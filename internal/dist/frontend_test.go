@@ -302,10 +302,10 @@ func TestFrontendByteIdentity(t *testing.T) {
 		t.Fatalf("duplicate insert through frontend: %d %s, want 409", st, body)
 	}
 
-	// The prune accounting moved: every topk scattered one bounds RPC
-	// per group, and exact RPCs were spent.
+	// The prune accounting moved: every topk opened one exchange per
+	// group, took its bounds frame and spent round frames on it.
 	stats := e.fe.Stats()
-	if stats.BoundRPCs == 0 || stats.ExactRPCs == 0 {
+	if stats.Exchanges == 0 || stats.BoundRPCs == 0 || stats.ExactRPCs == 0 {
 		t.Fatalf("scatter counters never moved: %+v", stats)
 	}
 	if stats.Errors != 1 { // the 409 is the only error
@@ -313,10 +313,76 @@ func TestFrontendByteIdentity(t *testing.T) {
 	}
 }
 
-// flakyGroup is a fake backend that answers every /v1/upperbounds with
-// un-prunable bounds, the next okRounds /v1/servicevalues calls with
-// zeros, and every other exact RPC with a 500 — a group that dies after
-// the scatter counted it present.
+// fakeExchange serves the backend side of one /v1/exchange from
+// callbacks keyed by facility ID: bounds answers the bounds frame, values
+// a round (false: fail it with a 500 — the HTTP answer while no frame has
+// gone out, an error frame after).
+func fakeExchange(w http.ResponseWriter, r *http.Request, bounds func(ids []uint32) []float64, values func(ids []uint32) ([]float64, bool)) {
+	rc := http.NewResponseController(w)
+	if err := rc.EnableFullDuplex(); err != nil {
+		panic(err)
+	}
+	kind, payload, err := server.ReadFrame(r.Body, nil, 8<<20)
+	var qf server.QueryFrame
+	if err == nil && kind == server.FrameQuery {
+		err = qf.Decode(payload)
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	idsOf := func(idx []int) []uint32 {
+		ids := make([]uint32, len(idx))
+		for j, i := range idx {
+			ids[j] = uint32(qf.Facilities[i].ID)
+		}
+		return ids
+	}
+	replied := false
+	reply := func(frame []byte) {
+		replied = true
+		w.Write(frame)
+		rc.Flush()
+	}
+	if qf.Bounds {
+		all := make([]int, len(qf.Facilities))
+		for i := range all {
+			all[i] = i
+		}
+		reply(server.AppendFloatsFrame(nil, server.FrameBounds, bounds(idsOf(all))))
+	}
+	for {
+		kind, payload, err := server.ReadFrame(r.Body, nil, 8<<20)
+		if err != nil || kind != server.FrameRound {
+			return
+		}
+		round, err := server.DecodeRoundFrame(payload, len(qf.Facilities), nil)
+		if err != nil {
+			return
+		}
+		vals, ok := values(idsOf(round))
+		switch {
+		case ok:
+			reply(server.AppendFloatsFrame(nil, server.FrameValues, vals))
+		case replied:
+			reply(server.AppendErrorFrame(nil, http.StatusInternalServerError, false, []byte(`{"error":"killed"}`)))
+		default:
+			w.WriteHeader(http.StatusInternalServerError)
+			reply([]byte(`{"error":"killed"}`))
+		}
+		if !ok {
+			// Like the real handler, leave with the request body read to its
+			// end (server.leaveEarly has the reason).
+			io.Copy(io.Discard, r.Body)
+			return
+		}
+	}
+}
+
+// flakyGroup is a fake backend that answers every bounds frame with
+// un-prunable bounds, the next okRounds round frames with zeros, and
+// every other round with a 500 — a group that dies after the bounds
+// counted it present.
 func flakyGroup(okRounds int) *httptest.Server {
 	var left atomic.Int64
 	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -324,25 +390,16 @@ func flakyGroup(okRounds int) *httptest.Server {
 			w.Write([]byte(`{"status":"ok"}`))
 			return
 		}
-		var req struct {
-			Facilities []json.RawMessage `json:"facilities"`
-		}
-		body, _ := io.ReadAll(r.Body)
-		json.Unmarshal(body, &req)
-		nums := make([]float64, len(req.Facilities))
-		switch {
-		case r.URL.Path == server.PathUpperBounds:
+		fakeExchange(w, r, func(ids []uint32) []float64 {
 			left.Store(int64(okRounds))
+			nums := make([]float64, len(ids))
 			for i := range nums {
 				nums[i] = 1e9
 			}
-			json.NewEncoder(w).Encode(map[string]any{"bounds": nums})
-		case left.Add(-1) >= 0:
-			json.NewEncoder(w).Encode(map[string]any{"values": nums})
-		default:
-			w.WriteHeader(http.StatusInternalServerError)
-			w.Write([]byte(`{"error":"killed"}`))
-		}
+			return nums
+		}, func(ids []uint32) ([]float64, bool) {
+			return make([]float64, len(ids)), left.Add(-1) >= 0
+		})
 	}))
 }
 
@@ -414,10 +471,9 @@ func TestFrontendPartialMatrix(t *testing.T) {
 						w.Write([]byte(`{"status":"ok"}`))
 						return
 					}
-					select { // hang until the caller gives up
-					case <-r.Context().Done():
-					case <-time.After(30 * time.Second):
-					}
+					// Hang until the caller gives up: an exchange's body ends
+					// only when the frontend closes or abandons it.
+					io.Copy(io.Discard, r.Body)
 				}))
 				return ts.URL, ts.Close
 			},
@@ -425,8 +481,8 @@ func TestFrontendPartialMatrix(t *testing.T) {
 			partialOK:  true,
 		},
 		{
-			// Group 1 is counted present by the bounds scatter, then fails
-			// the first round's exact RPC.
+			// Group 1 is counted present by its bounds frame, then fails the
+			// first round.
 			name:        "mid-merge death",
 			group1:      func(t *testing.T) (string, func()) { ts := flakyGroup(0); return ts.URL, ts.Close },
 			wantStatus:  http.StatusServiceUnavailable,
@@ -581,12 +637,16 @@ func TestFrontendIntraGroupFailover(t *testing.T) {
 	// stay complete (not partial).
 	tsA.Close()
 	body := mustBody(t, server.QueryRequest{Facilities: server.FacilitiesJSON(facs), K: 3, Psi: 40})
-	st, got, _ := postTo(t, fets.Client(), fets.URL+server.PathTopK, body)
-	if st != http.StatusOK {
-		t.Fatalf("topk with dead primary: %d %s", st, got)
-	}
-	if strings.Contains(string(got), `"partial":true`) {
-		t.Fatalf("failover answer flagged partial: %s", got)
+	// Two reads: the round-robin cursor starts one of them on the dead
+	// primary.
+	for i := 0; i < 2; i++ {
+		st, got, _ := postTo(t, fets.Client(), fets.URL+server.PathTopK, body)
+		if st != http.StatusOK {
+			t.Fatalf("topk with dead primary: %d %s", st, got)
+		}
+		if strings.Contains(string(got), `"partial":true`) {
+			t.Fatalf("failover answer flagged partial: %s", got)
+		}
 	}
 	if fe.Stats().Failovers == 0 {
 		t.Fatal("failover counter never moved")
@@ -699,7 +759,7 @@ func TestFrontendProbeRemovalReadmission(t *testing.T) {
 
 // TestFrontendDrainAndLimits: drain flips healthz and rejects reads with
 // Retry-After; oversized bodies are 413; bad JSON is 400 without any
-// backend RPC.
+// backend being asked.
 func TestFrontendDrainAndLimits(t *testing.T) {
 	users := testUsers(60, 341)
 	e := newDistEnv(t, users, 2, FrontendConfig{MaxBodyBytes: 512})
@@ -740,8 +800,8 @@ func TestFrontendDrainAndLimits(t *testing.T) {
 
 // TestFrontendPrunesAcrossTheWire pins the distributed shard-prune: a
 // facility whose summed upper bounds cannot reach the top k must be
-// answered without ANY group computing its exact value — the exact-RPC
-// spend stays proportional to the contenders, not the candidate set.
+// answered without ANY group computing its exact value — the exact work
+// stays proportional to the contenders, not the candidate set.
 func TestFrontendPrunesAcrossTheWire(t *testing.T) {
 	// A dense cluster in one corner and a near-empty one far away:
 	// heavily skewed, so bounds separate the contenders immediately.
@@ -792,13 +852,14 @@ func TestFrontendPrunesAcrossTheWire(t *testing.T) {
 		t.Fatalf("no facility pruned under heavy skew: %+v", stats)
 	}
 	// The pruned facilities must not have paid exact work: at most the
-	// contenders (6 - pruned) on 2 groups each, however few RPCs carried
-	// them.
+	// contenders (6 - pruned) on 2 groups each, however few round frames
+	// carried them.
 	if max := (6 - stats.PrunedFacilities) * 2; stats.ExactFacilities > max {
 		t.Fatalf("%d exact legs for %d unpruned facilities over 2 groups (max %d)", stats.ExactFacilities, 6-stats.PrunedFacilities, max)
 	}
-	if stats.ExactRPCs != 2*stats.ExactRounds {
-		t.Fatalf("%d exact RPCs over %d rounds on 2 groups, want one per group per round", stats.ExactRPCs, stats.ExactRounds)
+	if stats.ExactRPCs != 2*stats.ExactRounds || stats.Exchanges != 2 || stats.BoundRPCs != 2 {
+		t.Fatalf("%d round frames over %d rounds, %d bounds frames, %d exchanges on 2 groups: want one frame per group per round on one exchange per group",
+			stats.ExactRPCs, stats.ExactRounds, stats.BoundRPCs, stats.Exchanges)
 	}
 }
 

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -90,15 +89,16 @@ func boundaryFacilities(rng *rand.Rand, skewed bool) []*trajcover.Facility {
 
 // boundaryCounts is what one /v1/topk moved on the frontend's counters.
 type boundaryCounts struct {
-	K                          int
-	Partial                    bool
-	Bound, Exact, Legs, Pruned uint64
+	K                                     int
+	Partial                               bool
+	Exchanges, Bound, Exact, Legs, Pruned uint64
 }
 
 // runBoundary builds one seeded tier and asks it for the top k of the
 // tied facility set at every k, strict and ?partial=1: each answer must
 // be byte-identical to the single-process library TopK, within the round
-// schedule's RPC budget.
+// schedule's frame budget: one exchange and one bounds frame per group,
+// at most ⌈log2(N/k)⌉+1 round frames on each.
 func runBoundary(t *testing.T, seed int64, nGroups int, skewed bool) []boundaryCounts {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -144,15 +144,16 @@ func runBoundary(t *testing.T, seed int64, nGroups int, skewed bool) []boundaryC
 			}
 			c := boundaryCounts{
 				K: k, Partial: partial,
-				Bound:  after.BoundRPCs - before.BoundRPCs,
-				Exact:  after.ExactRPCs - before.ExactRPCs,
-				Legs:   after.ExactFacilities - before.ExactFacilities,
-				Pruned: after.PrunedFacilities - before.PrunedFacilities,
+				Exchanges: after.Exchanges - before.Exchanges,
+				Bound:     after.BoundRPCs - before.BoundRPCs,
+				Exact:     after.ExactRPCs - before.ExactRPCs,
+				Legs:      after.ExactFacilities - before.ExactFacilities,
+				Pruned:    after.PrunedFacilities - before.PrunedFacilities,
 			}
 			rounds := math.Ceil(math.Log2(float64(n)/float64(min(k, n)))) + 1
-			if c.Bound != uint64(nGroups) || c.Exact > uint64(nGroups)*uint64(rounds) {
-				t.Fatalf("seed %d groups %d skewed %v k %d: %d bound and %d exact RPCs, budget %d and %d·%v",
-					seed, nGroups, skewed, k, c.Bound, c.Exact, nGroups, nGroups, rounds)
+			if c.Exchanges != uint64(nGroups) || c.Bound != uint64(nGroups) || c.Exact > uint64(nGroups)*uint64(rounds) {
+				t.Fatalf("seed %d groups %d skewed %v k %d: %d exchanges, %d bounds frames and %d round frames, budget %d, %d and %d·%v",
+					seed, nGroups, skewed, k, c.Exchanges, c.Bound, c.Exact, nGroups, nGroups, nGroups, rounds)
 			}
 			if c.Legs != (uint64(n)-c.Pruned)*uint64(nGroups) {
 				t.Fatalf("seed %d groups %d skewed %v k %d: %d legs but %d of %d facilities pruned", seed, nGroups, skewed, k, c.Legs, c.Pruned, n)
@@ -167,8 +168,8 @@ func runBoundary(t *testing.T, seed int64, nGroups int, skewed bool) []boundaryC
 // it is thinnest: facilities with equal exact values on both sides of
 // rank k and equal summed bounds, over uniform and heavily skewed corpora
 // on 1–3 groups. Answers must equal one process's byte for byte, and the
-// same seed must spend the same RPCs and prune the same facilities twice
-// running (the benchmark's TestDeterminism leans on that).
+// same seed must spend the same frames and prune the same facilities
+// twice running (the benchmark's TestDeterminism leans on that).
 func TestFrontendThresholdBoundary(t *testing.T) {
 	seeds := int64(3)
 	if os.Getenv("TRAJCOVER_STRESS") != "" {
@@ -193,21 +194,20 @@ func TestFrontendThresholdBoundary(t *testing.T) {
 	}
 }
 
-// tableGroup is a fake backend answering /v1/upperbounds and
-// /v1/servicevalues from per-facility-ID tables.
+// tableGroup is a fake backend answering bounds and round frames from
+// per-facility-ID tables.
 func tableGroup(bounds, values map[uint32]float64) *httptest.Server {
+	lookup := func(table map[uint32]float64, ids []uint32) []float64 {
+		nums := make([]float64, len(ids))
+		for i, id := range ids {
+			nums[i] = table[id]
+		}
+		return nums
+	}
 	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req server.QueryRequest
-		json.NewDecoder(r.Body).Decode(&req)
-		table, key := values, "values"
-		if r.URL.Path == server.PathUpperBounds {
-			table, key = bounds, "bounds"
-		}
-		nums := make([]float64, len(req.Facilities))
-		for i, f := range req.Facilities {
-			nums[i] = table[f.ID]
-		}
-		json.NewEncoder(w).Encode(map[string]any{key: nums})
+		fakeExchange(w, r,
+			func(ids []uint32) []float64 { return lookup(bounds, ids) },
+			func(ids []uint32) ([]float64, bool) { return lookup(values, ids), true })
 	}))
 }
 
@@ -298,14 +298,14 @@ func TestFrontendStopRuleTies(t *testing.T) {
 }
 
 // TestFrontendReusesBackendConnections: under 8 concurrent /v1/topk
-// requests a backend sees 8 RPCs at a time, wave after wave. The
-// frontend's own transport must keep those connections between rounds
-// instead of closing all but http.DefaultTransport's two idle per host
-// and redialling.
+// requests a backend has 8 exchanges open at a time, wave after wave. An
+// exchange that ends cleanly — request body closed, response read to its
+// end — must leave its connection in the frontend's pool for the next
+// wave, not cost a dial per read.
 func TestFrontendReusesBackendConnections(t *testing.T) {
 	e := newDistEnv(t, testUsers(200, 361), 2, FrontendConfig{DefaultTimeout: 30 * time.Second, ProbeInterval: time.Hour})
 	body := mustBody(t, server.QueryRequest{Facilities: server.FacilitiesJSON(testFacilities(16, 5, 362)), K: 2, Psi: 40})
-	const clients, waves = 8, 6
+	const clients, waves = 8, 12
 	for w := 0; w < waves; w++ {
 		var wg sync.WaitGroup
 		errs := make(chan error, clients)
@@ -331,15 +331,17 @@ func TestFrontendReusesBackendConnections(t *testing.T) {
 		}
 	}
 	stats := e.fe.Stats()
-	perBackend := (stats.BoundRPCs + stats.ExactRPCs) / 2
+	if perBackend := stats.Exchanges / 2; perBackend != clients*waves {
+		t.Fatalf("%d exchanges per backend for %d reads", perBackend, clients*waves)
+	}
+	if stats.ExactRPCs < 4*stats.Exchanges {
+		t.Fatalf("%d round frames on %d exchanges: too few for an exchange to be worth keeping open", stats.ExactRPCs, stats.Exchanges)
+	}
 	for g := range e.newConns {
 		// A dial can race a connection going idle, so allow twice the
-		// concurrency; without reuse it is most of the RPC count.
+		// concurrency; without reuse it is one per exchange.
 		if got := e.newConns[g].Load(); got > 2*clients {
-			t.Fatalf("backend %d accepted %d connections for %d RPCs from %d concurrent requests", g, got, perBackend, clients)
+			t.Fatalf("backend %d accepted %d connections for %d exchanges from %d concurrent requests", g, got, clients*waves, clients)
 		}
-	}
-	if perBackend < 4*2*clients {
-		t.Fatalf("only %d RPCs per backend: too few to tell reuse from redial", perBackend)
 	}
 }

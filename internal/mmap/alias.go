@@ -82,3 +82,17 @@ func Points(b []byte) []geo.Point {
 	}
 	return decodePoints(b)
 }
+
+// bytesOf views s's memory as bytes — the inverse of alias, for writing
+// a column out. A byte view has no alignment to satisfy.
+func bytesOf[T any](s []T) []byte {
+	var zero T
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), uintptr(len(s))*unsafe.Sizeof(zero))
+}
+
+// AppendF64s appends vals to dst in the layout F64s reads (one copy of
+// their memory on this build).
+func AppendF64s(dst []byte, vals []float64) []byte { return append(dst, bytesOf(vals)...) }
+
+// AppendPoints appends pts to dst in the layout Points reads.
+func AppendPoints(dst []byte, pts []geo.Point) []byte { return append(dst, bytesOf(pts)...) }

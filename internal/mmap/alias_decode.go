@@ -28,3 +28,9 @@ func Rects(b []byte) []geo.Rect { return decodeRects(b) }
 
 // Points views b as geo.Points.
 func Points(b []byte) []geo.Point { return decodePoints(b) }
+
+// AppendF64s appends vals to dst in the layout F64s reads.
+func AppendF64s(dst []byte, vals []float64) []byte { return encodeF64s(dst, vals) }
+
+// AppendPoints appends pts to dst in the layout Points reads.
+func AppendPoints(dst []byte, pts []geo.Point) []byte { return encodePoints(dst, pts) }

@@ -69,3 +69,22 @@ func decodePoints(b []byte) []geo.Point {
 	}
 	return out
 }
+
+// Encoded-copy writers: the inverse of the decoders above, used on the
+// builds that cannot copy a column's memory out as it stands (and by the
+// tests, as the reference the aliasing builds must match).
+
+func encodeF64s(dst []byte, vals []float64) []byte {
+	for _, v := range vals {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	return dst
+}
+
+func encodePoints(dst []byte, pts []geo.Point) []byte {
+	for _, p := range pts {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.X))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Y))
+	}
+	return dst
+}

@@ -1,6 +1,7 @@
 package mmap
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"os"
@@ -132,5 +133,37 @@ func TestMisalignedFallsBack(t *testing.T) {
 func TestEmptyViews(t *testing.T) {
 	if len(U64s(nil)) != 0 || len(I32s(nil)) != 0 || len(Rects(nil)) != 0 {
 		t.Fatal("empty input produced non-empty view")
+	}
+}
+
+// TestAppendMatchesEncode pins the column writers to the explicit
+// little-endian encode, and the views to what they wrote: a column
+// appended at an odd offset (so the view takes the copy path) reads back
+// bit for bit.
+func TestAppendMatchesEncode(t *testing.T) {
+	vals := []float64{0, -0.0, 3.5, math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(-1)}
+	pts := []geo.Point{{X: 1, Y: -2}, {X: math.Pi, Y: 1e-300}, {X: -0.0, Y: 7}}
+	for _, prefix := range [][]byte{nil, {0xAA}, make([]byte, 8)} {
+		f := AppendF64s(append([]byte(nil), prefix...), vals)
+		if want := encodeF64s(append([]byte(nil), prefix...), vals); !bytes.Equal(f, want) {
+			t.Fatalf("AppendF64s after %d bytes = %x, want %x", len(prefix), f, want)
+		}
+		for i, v := range F64s(f[len(prefix):]) {
+			if math.Float64bits(v) != math.Float64bits(vals[i]) {
+				t.Fatalf("F64s[%d] after %d bytes = %v, want %v", i, len(prefix), v, vals[i])
+			}
+		}
+		p := AppendPoints(append([]byte(nil), prefix...), pts)
+		if want := encodePoints(append([]byte(nil), prefix...), pts); !bytes.Equal(p, want) {
+			t.Fatalf("AppendPoints after %d bytes = %x, want %x", len(prefix), p, want)
+		}
+		for i, pt := range Points(p[len(prefix):]) {
+			if math.Float64bits(pt.X) != math.Float64bits(pts[i].X) || math.Float64bits(pt.Y) != math.Float64bits(pts[i].Y) {
+				t.Fatalf("Points[%d] after %d bytes = %v, want %v", i, len(prefix), pt, pts[i])
+			}
+		}
+	}
+	if got := AppendPoints([]byte{1}, nil); !bytes.Equal(got, []byte{1}) {
+		t.Fatalf("AppendPoints(nil) = %x", got)
 	}
 }

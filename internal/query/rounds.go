@@ -16,7 +16,8 @@ import (
 // (the sum of the parts' seed bounds). Facilities are ordered by bound,
 // ties by ID, and evaluated in rounds: eval receives the next stretch of
 // that order as indexes into facilities and returns their exact values,
-// indexed like the stretch. The batch starts at k and doubles every round
+// indexed like the stretch (read before the next call and not kept, so
+// eval may reuse the slice). The batch starts at k and doubles every round
 // — a fixed schedule, at most ⌈log2(N/k)⌉+1 rounds — so exact work is
 // batched (one call per part per round) rather than issued per facility.
 //

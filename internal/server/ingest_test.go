@@ -105,7 +105,7 @@ func TestCoordinatePairShapes(t *testing.T) {
 	// the old decoder would have stored as (1,2),(4,0) stores nothing.
 	e := newEnv(t, testUsers(50, 11), Config{Workers: 1, QueueDepth: 4, ResultCacheBytes: 1 << 20})
 	for _, stops := range rejected {
-		for _, path := range []string{PathTopK, PathServiceValues, PathUpperBounds} {
+		for _, path := range []string{PathTopK, PathServiceValues} {
 			if status, body, _ := e.post(path, []byte(query(stops))); status != http.StatusBadRequest {
 				t.Errorf("%s stops %s: status %d (%s), want 400", path, stops, status, body)
 			}

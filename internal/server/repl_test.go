@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -224,60 +223,6 @@ func TestServerChangesLongPoll(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("long poll never answered after the append")
-	}
-}
-
-// TestServerUpperBounds: the scatter unit of the distributed tier. The
-// endpoint's bounds must equal the library's UpperBoundsCtx and
-// dominate the exact service values (admissibility — the property the
-// distributed prune is sound under).
-func TestServerUpperBounds(t *testing.T) {
-	users := testUsers(300, 251)
-	e := newEnv(t, users, Config{Workers: 2, QueueDepth: 16, DefaultTimeout: 30 * time.Second})
-	facs := testFacilities(12, 6, 252)
-	q := trajcover.Query{Scenario: trajcover.Binary, Psi: 40}
-
-	status, raw, _ := e.post(PathUpperBounds, mustBody(t, QueryRequest{
-		Facilities: FacilitiesJSON(facs), Psi: 40,
-	}))
-	if status != http.StatusOK {
-		t.Fatalf("upperbounds: %d %s", status, raw)
-	}
-	var br BoundsResponse
-	if err := json.Unmarshal(raw, &br); err != nil {
-		t.Fatal(err)
-	}
-	if len(br.Bounds) != len(facs) {
-		t.Fatalf("%d bounds for %d facilities", len(br.Bounds), len(facs))
-	}
-	want, err := e.srv.Index().UpperBoundsCtx(context.Background(), facs, trajcover.Query{Scenario: trajcover.Binary, Psi: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := e.mirror.ServiceValuesCtx(context.Background(), facs, q, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range facs {
-		if br.Bounds[i] != want[i] {
-			t.Fatalf("facility %d: endpoint bound %v, library %v", facs[i].ID, br.Bounds[i], want[i])
-		}
-		if br.Bounds[i] < exact[i] {
-			t.Fatalf("facility %d: bound %v below exact value %v (inadmissible)", facs[i].ID, br.Bounds[i], exact[i])
-		}
-	}
-
-	// Bad request surface matches the other query endpoints.
-	if status, _, _ := e.post(PathUpperBounds, []byte(`{"facilities":[{"id":1,"stops":[]}],"psi":10}`)); status != http.StatusBadRequest {
-		t.Fatalf("stopless facility: %d, want 400", status)
-	}
-	resp, err := e.client.Get(e.ts.URL + PathUpperBounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET upperbounds: %d", resp.StatusCode)
 	}
 }
 

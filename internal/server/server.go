@@ -19,7 +19,7 @@
 //
 //	POST /v1/topk           {"facilities":[{"id":1,"stops":[[x,y],...]}],"k":8,"scenario":"binary","psi":300}
 //	POST /v1/servicevalues  {"facilities":[...],"scenario":"binary","psi":300}
-//	POST /v1/upperbounds    {"facilities":[...],"scenario":"binary","psi":300} (initial bounds; dist scatter unit)
+//	POST /v1/exchange       binary frames, full duplex (internal: one per (frontend read, shard group); exchange.go)
 //	POST /v1/insert         {"id":9001,"points":[[x,y],[x,y]]}
 //	POST /v1/delete         {"id":9001}
 //	POST /v1/compact        {}
@@ -28,7 +28,7 @@
 //	GET  /v1/changes        ?after=N&boot=ID&wait_ms=MS -> replication tail (Config.ReplLog)
 //	GET  /healthz, /statsz
 //
-// With a result cache (Config.ResultCacheBytes) the three query endpoints
+// With a result cache (Config.ResultCacheBytes) the two query endpoints
 // answer repeats from it: answers key on a canonical hash of the decoded
 // request, the tenant and the index version, and a byte-identical repeat
 // finds that key through an alias on its raw bytes without being decoded
@@ -102,8 +102,8 @@ type Config struct {
 	MaxBodyBytes int64
 	// RetryAfter is the Retry-After hint on 429 responses (<= 0: 1s).
 	RetryAfter time.Duration
-	// ResultCacheBytes bounds the epoch-keyed result cache for /v1/topk,
-	// /v1/servicevalues and /v1/upperbounds answers (<= 0: disabled).
+	// ResultCacheBytes bounds the epoch-keyed result cache for /v1/topk
+	// and /v1/servicevalues answers (<= 0: disabled).
 	// Entries key on the request's canonical hash, the tenant, and the
 	// index's write version, so a cached answer is always what the index
 	// would answer right now — writes invalidate by construction, not by
@@ -373,7 +373,7 @@ type Server struct {
 const (
 	PathTopK          = "/v1/topk"
 	PathServiceValues = "/v1/servicevalues"
-	PathUpperBounds   = "/v1/upperbounds"
+	PathExchange      = "/v1/exchange"
 	PathInsert        = "/v1/insert"
 	PathDelete        = "/v1/delete"
 	PathCompact       = "/v1/compact"
@@ -417,12 +417,12 @@ func newServer(idx *trajcover.LiveShardedIndex, reg *trajcover.TenantRegistry, c
 	if reg == nil {
 		s.repl = cfg.ReplLog
 	}
-	for _, p := range []string{PathTopK, PathServiceValues, PathUpperBounds, PathInsert, PathDelete, PathCompact, PathSnapshot, PathCheckpoint, PathChanges} {
+	for _, p := range []string{PathTopK, PathServiceValues, PathExchange, PathInsert, PathDelete, PathCompact, PathSnapshot, PathCheckpoint, PathChanges} {
 		s.stats[p] = &endpointStats{}
 	}
 	s.mux.HandleFunc(PathTopK, s.requirePost(s.handleTopK))
 	s.mux.HandleFunc(PathServiceValues, s.requirePost(s.handleServiceValues))
-	s.mux.HandleFunc(PathUpperBounds, s.requirePost(s.handleUpperBounds))
+	s.mux.HandleFunc(PathExchange, s.requirePost(s.handleExchange))
 	s.mux.HandleFunc(PathInsert, s.requirePost(s.handleInsert))
 	s.mux.HandleFunc(PathDelete, s.requirePost(s.handleDelete))
 	s.mux.HandleFunc(PathCompact, s.requirePost(s.handleCompact))
@@ -534,6 +534,19 @@ func (s *Server) acquireTenant(id string, create bool) (*trajcover.LiveShardedIn
 		return nil, nil, fmt.Errorf("%w: %q", trajcover.ErrUnknownTenant, id)
 	}
 	return s.idx.Load(), func() {}, nil
+}
+
+// acquireStatus maps an acquireTenant failure to its status: 404 for a
+// tenant that does not exist, 400 for an ID the registry refuses, 500
+// for anything else.
+func acquireStatus(err error) int {
+	switch {
+	case errors.Is(err, trajcover.ErrUnknownTenant):
+		return http.StatusNotFound
+	case trajcover.IsBadTenantID(err):
+		return http.StatusBadRequest
+	}
+	return http.StatusInternalServerError
 }
 
 // BeginDrain flips the server into draining: /healthz reports 503 (so
@@ -677,13 +690,7 @@ func (s *Server) executeTenant(w http.ResponseWriter, r *http.Request, ep *endpo
 	if err != nil {
 		gate.Cancel()
 		ep.errors.Add(1)
-		status := http.StatusInternalServerError
-		if errors.Is(err, trajcover.ErrUnknownTenant) {
-			status = http.StatusNotFound
-		} else if trajcover.IsBadTenantID(err) {
-			status = http.StatusBadRequest
-		}
-		writeJSON(w, status, ErrorResponse{Error: err.Error()})
+		writeJSON(w, acquireStatus(err), ErrorResponse{Error: err.Error()})
 		return
 	}
 
@@ -730,24 +737,37 @@ func (s *Server) executeTenant(w http.ResponseWriter, r *http.Request, ep *endpo
 			release()
 		},
 	}
-	ok, err = s.enqueue(t)
-	if err != nil {
+	resp, admitted := s.runOnPool(ep, t)
+	if !admitted {
 		gate.Cancel()
 		release()
+	}
+	s.writeResponse(w, resp)
+	if admitted {
+		// Only admitted requests are timed: rejections return in
+		// microseconds and would otherwise dilute the served-latency mean.
+		ep.observe(time.Since(start))
+	}
+}
+
+// runOnPool is global admission and the wait: it submits t to the worker
+// pool and returns the worker's response, or the rejection that stands in
+// for one — 429 on a full queue, 503 once the pool is closed (neither
+// admitted: t's hooks will never run), 504 when t's deadline or the
+// client's disconnect comes first (the query layer unwinds on its own and
+// the worker drops the task, running its finished hook then). Every
+// outcome is counted on ep; nothing here touches a ResponseWriter, so
+// the caller decides how the response travels.
+func (s *Server) runOnPool(ep *endpointStats, t *task) (resp response, admitted bool) {
+	ok, err := s.enqueue(t)
+	if err != nil {
 		ep.errors.Add(1)
-		s.rejectRetryable(w, http.StatusServiceUnavailable, err.Error())
-		return
+		return response{status: http.StatusServiceUnavailable, body: mustMarshal(ErrorResponse{Error: err.Error()}), retryAfter: true}, false
 	}
 	if !ok {
-		gate.Cancel()
-		release()
 		ep.rejected.Add(1)
-		s.rejectRetryable(w, http.StatusTooManyRequests, "worker queue full")
-		return
+		return response{status: http.StatusTooManyRequests, body: mustMarshal(ErrorResponse{Error: "worker queue full"}), retryAfter: true}, false
 	}
-	// Only admitted requests are timed: rejections return in
-	// microseconds and would otherwise dilute the served-latency mean.
-	defer func() { ep.observe(time.Since(start)) }()
 	select {
 	case <-t.done:
 		if t.resp.status >= 400 {
@@ -756,18 +776,20 @@ func (s *Server) executeTenant(w http.ResponseWriter, r *http.Request, ep *endpo
 				ep.deadline.Add(1)
 			}
 		}
-		if t.resp.retryAfter {
-			w.Header().Set("Retry-After", s.retryAfter)
-		}
-		writeRaw(w, t.resp.status, t.resp.body)
-	case <-ctx.Done():
-		// Deadline or client disconnect while queued or mid-query; the
-		// query layer unwinds on its own and the worker drops the task
-		// (releasing the gate slots and the tenant reference then).
+		return t.resp, true
+	case <-t.ctx.Done():
 		ep.errors.Add(1)
 		ep.deadline.Add(1)
-		writeJSON(w, http.StatusGatewayTimeout, ErrorResponse{Error: ctx.Err().Error()})
+		return response{status: http.StatusGatewayTimeout, body: mustMarshal(ErrorResponse{Error: t.ctx.Err().Error()})}, true
 	}
+}
+
+// writeResponse sends a response as an ordinary HTTP answer.
+func (s *Server) writeResponse(w http.ResponseWriter, resp response) {
+	if resp.retryAfter {
+		w.Header().Set("Retry-After", s.retryAfter)
+	}
+	writeRaw(w, resp.status, resp.body)
 }
 
 // admit gates an endpoint handler on drain state and reads the capped
@@ -840,10 +862,9 @@ type cachedRead struct {
 // request.
 type answerFunc func(ctx context.Context, idx *trajcover.LiveShardedIndex, req *QueryRequest, facs []*trajcover.Facility, q trajcover.Query) ([]byte, error)
 
-// readRequest is one /v1/topk, /v1/servicevalues or /v1/upperbounds
-// request between admit and executeTenant: the raw body, then what
-// decoding it yields. Body bytes stop here — a worker sees only run's
-// decoded fields.
+// readRequest is one /v1/topk or /v1/servicevalues request between
+// admit and executeTenant: the raw body, then what decoding it yields.
+// Body bytes stop here — a worker sees only run's decoded fields.
 type readRequest struct {
 	needK  bool
 	answer answerFunc
@@ -907,7 +928,7 @@ func parseAlias(v []byte) (hash [32]byte, tid string) {
 	return [32]byte(v), string(v[len(hash):])
 }
 
-// serveRead is the three cacheable read endpoints' one handler. With a
+// serveRead is the two cacheable read endpoints' one handler. With a
 // result cache (and no ?stream=1, which bypasses it) the raw bytes are
 // looked up first: an alias hit names the tenant and canonical hash the
 // same bytes decoded to before, so the request goes to its tenant's gate
@@ -1023,13 +1044,7 @@ func (s *Server) streamServiceValues(w http.ResponseWriter, r *http.Request, ep 
 	idx, release, err := s.acquireTenant(tid, false)
 	if err != nil {
 		ep.errors.Add(1)
-		status := http.StatusInternalServerError
-		if errors.Is(err, trajcover.ErrUnknownTenant) {
-			status = http.StatusNotFound
-		} else if trajcover.IsBadTenantID(err) {
-			status = http.StatusBadRequest
-		}
-		writeJSON(w, status, ErrorResponse{Error: err.Error()})
+		writeJSON(w, acquireStatus(err), ErrorResponse{Error: err.Error()})
 		return
 	}
 	defer release()
@@ -1075,24 +1090,6 @@ func (s *Server) streamServiceValues(w http.ResponseWriter, r *http.Request, ep 
 		flusher.Flush()
 	}
 	ep.observe(time.Since(start))
-}
-
-// handleUpperBounds answers POST /v1/upperbounds: per-facility initial
-// upper bounds (seeded, never relaxed — cheap) over the live corpus.
-// This is the distributed frontend's scatter unit: a facility whose
-// bounds summed across every backend cannot reach the provisional top
-// k is pruned without any backend doing exact work for it. The body is
-// a /v1/servicevalues request (k ignored); bounds are indexed like the
-// facilities. Cached like the other read endpoints — bounds are a pure
-// function of (request, index version).
-func (s *Server) handleUpperBounds(w http.ResponseWriter, r *http.Request) {
-	s.serveRead(w, r, PathUpperBounds, false, func(ctx context.Context, idx *trajcover.LiveShardedIndex, _ *QueryRequest, facs []*trajcover.Facility, q trajcover.Query) ([]byte, error) {
-		bs, err := idx.UpperBoundsCtx(ctx, facs, q)
-		if err != nil {
-			return nil, err
-		}
-		return MarshalBoundsResponse(bs), nil
-	})
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
@@ -1261,11 +1258,7 @@ func (s *Server) opsTenant(w http.ResponseWriter, r *http.Request, ep *endpointS
 	idx, release, err := s.acquireTenant(tid, false)
 	if err != nil {
 		ep.errors.Add(1)
-		status := http.StatusInternalServerError
-		if errors.Is(err, trajcover.ErrUnknownTenant) {
-			status = http.StatusNotFound
-		}
-		writeJSON(w, status, ErrorResponse{Error: err.Error()})
+		writeJSON(w, acquireStatus(err), ErrorResponse{Error: err.Error()})
 		return nil, nil, false
 	}
 	return idx, release, true

@@ -237,15 +237,6 @@ type ValuesResponse struct {
 	Values []float64 `json:"values"`
 }
 
-// BoundsResponse is the body of a /v1/upperbounds answer: per-facility
-// initial upper bounds, indexed like the request's facilities. Each is
-// a sound overestimate of the facility's exact service value, so a
-// scatter-gather frontend may prune on sums of them without losing
-// exactness.
-type BoundsResponse struct {
-	Bounds []float64 `json:"bounds"`
-}
-
 // ChangesResponse is the body of a /v1/changes answer: the primary's
 // replication boot identity, its newest sequence number, and the
 // ordered entries past the request's `after` cursor.
@@ -361,21 +352,55 @@ func unmarshalStrict(data []byte, v any) error {
 	return nil
 }
 
+// The facility checks every decoder applies — the JSON body's and the
+// exchange's query frame's — in this order, with these messages: counts
+// first, so nothing is sized from an unchecked number, then each
+// coordinate.
+
+func checkFacilityCount(n uint64) error {
+	if n > MaxFacilities {
+		return badRequestf("too many facilities: %d > %d", n, MaxFacilities)
+	}
+	return nil
+}
+
+func checkStopCount(id uint32, n uint64) error {
+	if n == 0 {
+		return badRequestf("facility %d has no stops", id)
+	}
+	if n > MaxStops {
+		return badRequestf("facility %d has too many stops: %d > %d", id, n, MaxStops)
+	}
+	return nil
+}
+
+func checkStop(id uint32, j int, x, y float64) error {
+	if !finite(x) || !finite(y) {
+		return badRequestf("facility %d stop %d is not finite", id, j)
+	}
+	return nil
+}
+
+func makeFacility(id uint32, stops []trajcover.Point) (trajcover.Facility, error) {
+	f, err := trajectory.MakeFacility(trajcover.ID(id), stops)
+	if err != nil {
+		return f, badRequestf("facility %d: %v", id, err)
+	}
+	return f, nil
+}
+
 // decodeFacilities validates the wire facilities and builds the library's
 // form of them in three allocations whatever their number: one flat
 // arena holding every stop, one slab of Facility values, and the
 // pointers into it the query API takes.
 func decodeFacilities(fjs []FacilityJSON) ([]*trajcover.Facility, error) {
-	if len(fjs) > MaxFacilities {
-		return nil, badRequestf("too many facilities: %d > %d", len(fjs), MaxFacilities)
+	if err := checkFacilityCount(uint64(len(fjs))); err != nil {
+		return nil, err
 	}
 	total := 0
 	for _, fj := range fjs {
-		if len(fj.Stops) == 0 {
-			return nil, badRequestf("facility %d has no stops", fj.ID)
-		}
-		if len(fj.Stops) > MaxStops {
-			return nil, badRequestf("facility %d has too many stops: %d > %d", fj.ID, len(fj.Stops), MaxStops)
+		if err := checkStopCount(fj.ID, uint64(len(fj.Stops))); err != nil {
+			return nil, err
 		}
 		total += len(fj.Stops)
 	}
@@ -385,16 +410,16 @@ func decodeFacilities(fjs []FacilityJSON) ([]*trajcover.Facility, error) {
 	for i, fj := range fjs {
 		start := len(arena)
 		for j, st := range fj.Stops {
-			if !finite(st[0]) || !finite(st[1]) {
-				return nil, badRequestf("facility %d stop %d is not finite", fj.ID, j)
+			if err := checkStop(fj.ID, j, st[0], st[1]); err != nil {
+				return nil, err
 			}
 			arena = append(arena, trajcover.Pt(st[0], st[1]))
 		}
 		// Capacity stops at the facility's own last stop: an append to
 		// Stops reallocates instead of overwriting its neighbour's.
-		f, err := trajectory.MakeFacility(trajcover.ID(fj.ID), arena[start:len(arena):len(arena)])
+		f, err := makeFacility(fj.ID, arena[start:len(arena):len(arena)])
 		if err != nil {
-			return nil, badRequestf("facility %d: %v", fj.ID, err)
+			return nil, err
 		}
 		slab[i] = f
 		out[i] = &slab[i]
@@ -402,27 +427,21 @@ func decodeFacilities(fjs []FacilityJSON) ([]*trajcover.Facility, error) {
 	return out, nil
 }
 
-// DecodeQueryRequest parses and validates a /v1/topk (needK) or
-// /v1/servicevalues body. Any error is a 4xx: the decoder never panics
-// and never lets a non-finite, oversized, or non-positive-k request
-// through to the index.
-func DecodeQueryRequest(data []byte, needK bool) (*QueryRequest, []*trajcover.Facility, trajcover.Query, error) {
-	var req QueryRequest
-	if err := unmarshalStrict(data, &req); err != nil {
-		return nil, nil, trajcover.Query{}, err
-	}
+// validate checks and normalizes everything in a query but its
+// facilities — what the JSON body and the exchange's query frame share.
+func (req *QueryRequest) validate(needK bool) (trajcover.Query, error) {
 	if needK && req.K <= 0 {
-		return nil, nil, trajcover.Query{}, badRequestf("k must be >= 1, got %d", req.K)
+		return trajcover.Query{}, badRequestf("k must be >= 1, got %d", req.K)
 	}
 	if req.K > MaxK {
-		return nil, nil, trajcover.Query{}, badRequestf("k too large: %d > %d", req.K, MaxK)
+		return trajcover.Query{}, badRequestf("k too large: %d > %d", req.K, MaxK)
 	}
 	sc, err := parseScenario(req.Scenario)
 	if err != nil {
-		return nil, nil, trajcover.Query{}, err
+		return trajcover.Query{}, err
 	}
 	if !finite(req.Psi) || req.Psi < 0 {
-		return nil, nil, trajcover.Query{}, badRequestf("psi must be finite and >= 0, got %v", req.Psi)
+		return trajcover.Query{}, badRequestf("psi must be finite and >= 0, got %v", req.Psi)
 	}
 	// 0 or negative normalizes to 1, NOT to the library's GOMAXPROCS
 	// default: a request must not widen past what it asked for, or the
@@ -435,13 +454,29 @@ func DecodeQueryRequest(data []byte, needK bool) (*QueryRequest, []*trajcover.Fa
 		req.Workers = MaxRequestWorkers
 	}
 	if req.TimeoutMS < 0 {
-		return nil, nil, trajcover.Query{}, badRequestf("timeout_ms must be >= 0, got %d", req.TimeoutMS)
+		return trajcover.Query{}, badRequestf("timeout_ms must be >= 0, got %d", req.TimeoutMS)
+	}
+	return trajcover.Query{Scenario: sc, Psi: req.Psi}, nil
+}
+
+// DecodeQueryRequest parses and validates a /v1/topk (needK) or
+// /v1/servicevalues body. Any error is a 4xx: the decoder never panics
+// and never lets a non-finite, oversized, or non-positive-k request
+// through to the index.
+func DecodeQueryRequest(data []byte, needK bool) (*QueryRequest, []*trajcover.Facility, trajcover.Query, error) {
+	var req QueryRequest
+	if err := unmarshalStrict(data, &req); err != nil {
+		return nil, nil, trajcover.Query{}, err
+	}
+	q, err := req.validate(needK)
+	if err != nil {
+		return nil, nil, trajcover.Query{}, err
 	}
 	facs, err := decodeFacilities(req.Facilities)
 	if err != nil {
 		return nil, nil, trajcover.Query{}, err
 	}
-	return &req, facs, trajcover.Query{Scenario: sc, Psi: req.Psi}, nil
+	return &req, facs, q, nil
 }
 
 // DecodeInsertRequest parses and validates a /v1/insert body.
@@ -526,12 +561,6 @@ func MarshalTopKResponse(results []trajcover.Ranked) []byte {
 // handler does.
 func MarshalValuesResponse(values []float64) []byte {
 	return mustMarshal(ValuesResponse{Values: values})
-}
-
-// MarshalBoundsResponse encodes an upperbounds answer exactly as the
-// handler does.
-func MarshalBoundsResponse(bounds []float64) []byte {
-	return mustMarshal(BoundsResponse{Bounds: bounds})
 }
 
 // StreamChunk is one NDJSON line of a streamed servicevalues

@@ -155,8 +155,8 @@ func (s scatter[U]) ServiceValuesStreamCtx(ctx context.Context, facilities []*tr
 // like facilities — each a sound overestimate of its exact service value
 // over the captured units, with nothing evaluated. It is what topK orders
 // its rounds by, exposed because a distributed frontend runs the same
-// rounds over whole processes (/v1/upperbounds). ctx is polled between
-// facilities.
+// rounds over whole processes (the bounds frame of /v1/exchange). ctx is
+// polled between facilities.
 func (s scatter[U]) UpperBounds(ctx context.Context, facilities []*trajectory.Facility, p Params) ([]float64, error) {
 	units := s.capture()
 	if err := validate(units, p); err != nil {

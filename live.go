@@ -278,6 +278,31 @@ func (x *LiveShardedIndex) UpperBoundsCtx(ctx context.Context, facilities []*Fac
 	return x.s.UpperBounds(ctx, facilities, q.params())
 }
 
+// LiveView is a LiveShardedIndex pinned to one write-consistent epoch
+// capture: the same nine query methods and UpperBoundsCtx, every call
+// answered from the corpus as it stood at Pin, whatever has been written
+// since. A caller that asks in several steps — bounds, then rounds of
+// exact values, as the distributed frontend does over one exchange — gets
+// one acknowledged prefix of the write history for all of them.
+type LiveView struct {
+	querier
+	s *shard.LiveView
+}
+
+// Pin captures the index as it stands now. The view costs one epoch
+// capture, holds no lock, and blocks neither writes nor rebuilds; drop
+// it to let the epochs it holds be collected.
+func (x *LiveShardedIndex) Pin() *LiveView {
+	s := x.s.Pin()
+	return &LiveView{querier: querier{s}, s: s}
+}
+
+// UpperBoundsCtx is LiveShardedIndex.UpperBoundsCtx over the view's
+// capture.
+func (v *LiveView) UpperBoundsCtx(ctx context.Context, facilities []*Facility, q Query) ([]float64, error) {
+	return v.s.UpperBounds(ctx, facilities, q.params())
+}
+
 // epochs exposes the current per-shard epoch capture to the snapshot
 // writer.
 func (x *LiveShardedIndex) epochs() []*query.Epoch { return x.s.Epochs() }
