@@ -96,6 +96,12 @@ func main() {
 		Run:   expDist,
 	})
 
+	bench.RegisterExtra(bench.Experiment{
+		ID:    "mem",
+		Title: "extra — live heap bytes per indexed trajectory for the six index types (NYT/NYF/BJG, not in the paper)",
+		Run:   expMem,
+	})
+
 	if *list {
 		for _, e := range bench.Registry() {
 			fmt.Printf("%-10s %s\n", e.ID, e.Title)

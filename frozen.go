@@ -17,7 +17,6 @@ import (
 	"github.com/trajcover/trajcover/internal/query"
 	"github.com/trajcover/trajcover/internal/shard"
 	"github.com/trajcover/trajcover/internal/tqtree"
-	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
 // FrozenIndex is the immutable columnar form of an Index. It answers
@@ -28,38 +27,42 @@ import (
 type FrozenIndex struct {
 	querier
 	engine *query.FrozenEngine
-	set    *trajectory.Set
 }
 
 func newFrozenIndex(engine *query.FrozenEngine) *FrozenIndex {
-	return &FrozenIndex{querier: querier{engine}, engine: engine, set: engine.Users()}
+	return &FrozenIndex{querier: querier{engine}, engine: engine}
 }
 
-// Freeze produces the frozen columnar form of the index. The index is
-// only read and remains fully usable; dropping it afterwards releases all
-// pointer-tree storage (the frozen form shares only the trajectory
-// objects).
-func (x *Index) Freeze() (*FrozenIndex, error) {
-	f, err := tqtree.Freeze(x.engine.Tree())
+func freezeTree(tree *tqtree.Tree) (*FrozenIndex, error) {
+	f, err := tqtree.Freeze(tree)
 	if err != nil {
 		return nil, err
 	}
-	return newFrozenIndex(query.NewFrozenEngine(f, x.set)), nil
+	return newFrozenIndex(query.NewFrozenEngine(f, nil)), nil
+}
+
+// Freeze produces the frozen columnar form of the index. The index is
+// only read and remains fully usable; the frozen form copies the
+// trajectories into its own table and shares nothing with the index, so
+// dropping the index (and the trajectories it was built from) afterwards
+// releases them.
+func (x *Index) Freeze() (*FrozenIndex, error) {
+	return freezeTree(x.engine.Tree())
 }
 
 // NewFrozenIndex builds a frozen index directly from user trajectories:
 // the mutable tree is built, frozen, and discarded, so only the columnar
-// form is retained.
+// form is retained — nothing of users or the trajectories in it.
 func NewFrozenIndex(users []*Trajectory, opts IndexOptions) (*FrozenIndex, error) {
-	idx, err := NewIndex(users, opts)
+	tree, err := tqtree.Build(users, opts.treeOptions())
 	if err != nil {
 		return nil, err
 	}
-	return idx.Freeze()
+	return freezeTree(tree)
 }
 
 // Len returns the number of indexed user trajectories.
-func (x *FrozenIndex) Len() int { return x.set.Len() }
+func (x *FrozenIndex) Len() int { return x.engine.Table().Len() }
 
 // FrozenShardedIndex is the immutable columnar form of a ShardedIndex:
 // every shard's tree frozen, served by the same scatter-gather merge.

@@ -83,7 +83,7 @@ func expFrozen(ctx *Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	feng := query.NewFrozenEngine(fz, eng.Users())
+	feng := query.NewFrozenEngine(fz, nil)
 	fs := ctx.Routes("ny", defaultFacilities, defaultStops)
 	p := ctx.Params(service.Binary)
 

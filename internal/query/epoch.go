@@ -25,6 +25,7 @@ package query
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -85,9 +86,9 @@ type Epoch struct {
 // delta re-insert). gen is an opaque generation counter for diagnostics.
 func NewEpoch(base *FrozenEngine, delta []*trajectory.Trajectory, dead map[trajectory.ID]struct{}, gen uint64) (*Epoch, error) {
 	ep := &Epoch{base: base, delta: delta, dead: dead, gen: gen}
-	users := base.Users()
+	users := base.Table()
 	for id := range dead {
-		if users.ByID(id) == nil {
+		if !users.Has(id) {
 			return nil, fmt.Errorf("query: tombstone %d names no base trajectory", id)
 		}
 	}
@@ -97,7 +98,7 @@ func NewEpoch(base *FrozenEngine, delta []*trajectory.Trajectory, dead map[traje
 		if _, dup := seen[u.ID]; dup {
 			return nil, fmt.Errorf("query: duplicate id %d in delta", u.ID)
 		}
-		if users.ByID(u.ID) != nil {
+		if users.Has(u.ID) {
 			if _, gone := dead[u.ID]; !gone {
 				return nil, fmt.Errorf("query: delta id %d collides with a live base trajectory", u.ID)
 			}
@@ -197,38 +198,68 @@ func (ep *Epoch) TombstoneCount() int { return len(ep.dead) }
 
 // Len returns the logical corpus size: surviving base plus delta.
 func (ep *Epoch) Len() int {
-	return ep.base.Users().Len() - len(ep.dead) + len(ep.delta)
+	return ep.base.Table().Len() - len(ep.dead) + len(ep.delta)
 }
 
 // Has reports whether the logical corpus contains id. The delta check
 // is a linear scan — the overlay is bounded by the compaction policy,
 // and this path serves lookups, not queries.
-func (ep *Epoch) Has(id trajectory.ID) bool { return ep.ByID(id) != nil }
-
-// ByID returns the logical corpus trajectory with the given id, or nil.
-func (ep *Epoch) ByID(id trajectory.ID) *trajectory.Trajectory {
+func (ep *Epoch) Has(id trajectory.ID) bool {
 	for _, u := range ep.delta {
 		if u.ID == id {
-			return u
+			return true
 		}
 	}
 	if _, gone := ep.dead[id]; gone {
-		return nil
+		return false
 	}
-	return ep.base.Users().ByID(id)
+	return ep.base.Table().Has(id)
 }
 
 // LogicalCorpus returns the epoch's logical corpus — surviving base
-// trajectories in base-set order followed by the delta — the input a
-// background rebuild hands to a from-scratch build.
+// trajectories in table order followed by the delta — the input a
+// background rebuild hands to a from-scratch build. The base part is one
+// slice of views whose points alias the base's table (Table.View): two
+// allocations however large the corpus, valid while the epoch is
+// reachable, and garbage once the rebuild has frozen its tree.
 func (ep *Epoch) LogicalCorpus() []*trajectory.Trajectory {
-	out := make([]*trajectory.Trajectory, 0, ep.Len())
-	for _, u := range ep.base.Users().All {
-		if _, gone := ep.dead[u.ID]; !gone {
-			out = append(out, u)
+	tab := ep.base.Table()
+	views := make([]trajectory.Trajectory, tab.Len()-len(ep.dead))
+	out := make([]*trajectory.Trajectory, 0, len(views)+len(ep.delta))
+	for i := int32(0); int(i) < tab.Len(); i++ {
+		if _, gone := ep.dead[tab.ID(i)]; !gone {
+			v := &views[len(out)]
+			tab.View(i, v)
+			out = append(out, v)
 		}
 	}
 	return append(out, ep.delta...)
+}
+
+// SortedIDs returns the logical corpus's IDs in ascending order — one
+// column of the cross-shard uniqueness merge.
+func (ep *Epoch) SortedIDs() []trajectory.ID {
+	ids := make([]trajectory.ID, 0, ep.Len())
+	ids = ep.base.Table().AppendSortedIDs(ids, ep.dead)
+	d := make([]trajectory.ID, len(ep.delta))
+	for i, u := range ep.delta {
+		d[i] = u.ID
+	}
+	slices.Sort(d)
+	// Merge the sorted overlay in from the back, in place.
+	i := len(ids) - 1
+	ids = append(ids, d...)
+	k := len(ids) - 1
+	for j := len(d) - 1; j >= 0; k-- {
+		if i >= 0 && ids[i] > d[j] {
+			ids[k] = ids[i]
+			i--
+		} else {
+			ids[k] = d[j]
+			j--
+		}
+	}
+	return ids
 }
 
 // ValidateScenario checks that queries under sc are exact over the

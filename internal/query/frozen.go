@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"runtime"
 
 	"github.com/trajcover/trajcover/internal/service"
@@ -16,21 +17,26 @@ import (
 // frozen from. A FrozenEngine is immutable and safe for any number of
 // concurrent readers.
 type FrozenEngine struct {
-	f     *tqtree.Frozen
-	users *trajectory.Set
+	f *tqtree.Frozen
 }
 
-// NewFrozenEngine wraps a frozen index. users must be the set the index
-// was built over.
+// NewFrozenEngine wraps a frozen index. The index carries its own corpus
+// (Frozen.Table), so users is not retained: a non-nil set is only checked
+// to have the index's trajectory count — a mismatch is a caller bug and
+// panics — and callers inside this module pass nil. The parameter stays
+// for benchmark/layers.go, which a PR scoped to benchmark/ can update.
 func NewFrozenEngine(f *tqtree.Frozen, users *trajectory.Set) *FrozenEngine {
-	return &FrozenEngine{f: f, users: users}
+	if users != nil && users.Len() != f.NumTrajectories() {
+		panic(fmt.Sprintf("query: NewFrozenEngine: set of %d trajectories for an index of %d", users.Len(), f.NumTrajectories()))
+	}
+	return &FrozenEngine{f: f}
 }
 
 // Frozen returns the underlying flat index.
 func (e *FrozenEngine) Frozen() *tqtree.Frozen { return e.f }
 
-// Users returns the indexed user set.
-func (e *FrozenEngine) Users() *trajectory.Set { return e.users }
+// Table returns the indexed trajectories.
+func (e *FrozenEngine) Table() *trajectory.Table { return e.f.Table() }
 
 // ValidateScenario checks that queries under sc are exact on the index.
 func (e *FrozenEngine) ValidateScenario(sc service.Scenario) error { return e.f.ValidateScenario(sc) }

@@ -448,6 +448,12 @@ func TestExchangeInBandErrors(t *testing.T) {
 	q := trajcover.Query{Scenario: trajcover.Binary, Psi: 40}
 	open := func(timeoutMS int64) *testExchange {
 		t.Helper()
+		// An exchange whose deadline ran out leaves a connection the server
+		// is about to close, and the client may be handed it again before
+		// it has: every exchange here dials its own.
+		tr := &http.Transport{}
+		t.Cleanup(tr.CloseIdleConnections)
+		e.client = &http.Client{Transport: tr}
 		x := e.openExchange(AppendQueryFrame(nil, facs, QueryParams{Query: q, TimeoutMS: timeoutMS, Bounds: true}))
 		if x.resp.StatusCode != http.StatusOK {
 			t.Fatalf("exchange: %s", x.resp.Status)

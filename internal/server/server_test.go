@@ -716,6 +716,13 @@ func TestServerStatsAndHealth(t *testing.T) {
 	if st.Index.Len != e.srv.Index().Len() || st.Index.Shards != 2 {
 		t.Fatalf("statsz index: %+v", st.Index)
 	}
+	// Each shard reports its base's footprint: at least the 72-byte entry
+	// and the 52-byte table row of every two-point trajectory it holds.
+	for i, sh := range st.Index.PerShard {
+		if sh.Mapped || sh.BaseBytes < int64(sh.Len)*(72+52) {
+			t.Fatalf("statsz shard %d: %+v", i, sh)
+		}
+	}
 
 	e.srv.BeginDrain()
 	if status, _ := e.get(PathHealth); status != http.StatusServiceUnavailable {

@@ -161,34 +161,41 @@ func (s *StopSet) Served(p geo.Point) bool {
 
 // ValueSet is Value with the stop-membership test delegated to a StopSet.
 func ValueSet(sc Scenario, u *trajectory.Trajectory, ss *StopSet) float64 {
+	return ValueSetPoints(sc, u.Points, u.Length(), ss)
+}
+
+// ValueSetPoints is ValueSet over a trajectory given as its points and
+// cached polyline length — the form a columnar trajectory table serves
+// without materialising a Trajectory.
+func ValueSetPoints(sc Scenario, points []geo.Point, length float64, ss *StopSet) float64 {
 	switch sc {
 	case Binary:
-		if ss.Served(u.Source()) && ss.Served(u.Dest()) {
+		if ss.Served(points[0]) && ss.Served(points[len(points)-1]) {
 			return 1
 		}
 		return 0
 	case PointCount:
 		served := 0
-		for _, p := range u.Points {
+		for _, p := range points {
 			if ss.Served(p) {
 				served++
 			}
 		}
-		return float64(served) / float64(u.Len())
+		return float64(served) / float64(len(points))
 	case Length:
-		if u.Length() == 0 {
+		if length == 0 {
 			return 0
 		}
 		var sl float64
-		prev := ss.Served(u.Points[0])
-		for i := 1; i < u.Len(); i++ {
-			cur := ss.Served(u.Points[i])
+		prev := ss.Served(points[0])
+		for i := 1; i < len(points); i++ {
+			cur := ss.Served(points[i])
 			if prev && cur {
-				sl += u.SegmentLength(i - 1)
+				sl += points[i-1].Dist(points[i])
 			}
 			prev = cur
 		}
-		return sl / u.Length()
+		return sl / length
 	}
 	panic("service: invalid scenario")
 }

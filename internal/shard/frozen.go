@@ -22,9 +22,9 @@ type Frozen struct {
 }
 
 // Freeze produces the frozen serving form of the sharded index: every
-// shard's pointer tree is frozen into its columnar layout. The source
-// index is only read and remains fully usable; dropping it afterwards
-// releases all pointer-tree storage.
+// shard's pointer tree is frozen into its columnar layout, trajectories
+// copied. The source index is only read and remains fully usable;
+// dropping it afterwards releases all pointer-tree storage.
 func (s *Sharded) Freeze() (*Frozen, error) {
 	engines := make([]*query.FrozenEngine, len(s.engines))
 	for i, e := range s.engines {
@@ -32,35 +32,64 @@ func (s *Sharded) Freeze() (*Frozen, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		engines[i] = query.NewFrozenEngine(fz, e.Users())
+		engines[i] = query.NewFrozenEngine(fz, nil)
 	}
 	return newFrozen(engines, s.bounds, s.PartitionerKind()), nil
+}
+
+// buildFrozen is Build followed by Freeze without the mutable index in
+// between: each shard's tree is frozen as soon as it is built, so no
+// per-shard Set (and its ID map) is ever made. A duplicate ID inside a
+// shard fails that shard's Freeze; one shared by two shards fails the
+// merge in FrozenFromEngines. opts must carry its defaults.
+func buildFrozen(users []*trajectory.Trajectory, opts Options) (*Frozen, error) {
+	parts, bounds := partition(users, opts)
+	engines := make([]*query.FrozenEngine, len(parts))
+	err := buildTrees(parts, bounds, opts, func(i int, tree *tqtree.Tree) error {
+		fz, err := tqtree.Freeze(tree)
+		if err != nil {
+			return err
+		}
+		engines[i] = query.NewFrozenEngine(fz, nil)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return FrozenFromEngines(engines, bounds, opts.Partitioner.Kind())
 }
 
 func newFrozen(engines []*query.FrozenEngine, bounds geo.Rect, kind string) *Frozen {
 	return &Frozen{scatter: fixedUnits(engines), bounds: bounds, kind: kind, engines: engines}
 }
 
+// uniqueAcross rejects an ID that two of the given sorted, duplicate-free
+// per-shard ID columns share: every query sums over shards, so it would
+// be counted twice.
+func uniqueAcross(cols [][]trajectory.ID, what string) error {
+	if id, i, dup := trajectory.FirstDuplicateAcross(cols); dup {
+		return fmt.Errorf("shard: duplicate id %d across %s shards (shard %d)", id, what, i)
+	}
+	return nil
+}
+
 // FrozenFromEngines assembles a Frozen from per-shard frozen engines —
 // the snapshot restore path. kind records the partitioner the partition
 // was produced with ("" when unknown); bounds is the shared root space.
+// IDs must be unique across the whole corpus, exactly as the mutable
+// build checks; each table is unique in itself, so one merge of their
+// sorted ID columns decides it.
 func FrozenFromEngines(engines []*query.FrozenEngine, bounds geo.Rect, kind string) (*Frozen, error) {
 	if len(engines) == 0 {
 		return nil, fmt.Errorf("shard: no frozen shards")
 	}
-	// IDs must be unique across the whole corpus, exactly as the mutable
-	// build checks — a cross-shard duplicate would be double-counted.
-	total := 0
-	for _, e := range engines {
-		total += e.Users().Len()
-	}
-	seen := make(map[trajectory.ID]struct{}, total)
-	for i, e := range engines {
-		for _, u := range e.Users().All {
-			if _, dup := seen[u.ID]; dup {
-				return nil, fmt.Errorf("shard: duplicate id %d across frozen shards (shard %d)", u.ID, i)
-			}
-			seen[u.ID] = struct{}{}
+	if len(engines) > 1 {
+		cols := make([][]trajectory.ID, len(engines))
+		for i, e := range engines {
+			cols[i] = e.Table().AppendSortedIDs(make([]trajectory.ID, 0, e.Table().Len()), nil)
+		}
+		if err := uniqueAcross(cols, "frozen"); err != nil {
+			return nil, err
 		}
 	}
 	return newFrozen(engines, bounds, kind), nil
@@ -73,7 +102,7 @@ func (f *Frozen) NumShards() int { return len(f.engines) }
 func (f *Frozen) Len() int {
 	n := 0
 	for _, e := range f.engines {
-		n += e.Users().Len()
+		n += e.Table().Len()
 	}
 	return n
 }
@@ -82,7 +111,7 @@ func (f *Frozen) Len() int {
 func (f *Frozen) Sizes() []int {
 	out := make([]int, len(f.engines))
 	for i, e := range f.engines {
-		out[i] = e.Users().Len()
+		out[i] = e.Table().Len()
 	}
 	return out
 }
@@ -96,13 +125,3 @@ func (f *Frozen) PartitionerKind() string { return f.kind }
 
 // Engine returns the frozen query engine of shard i.
 func (f *Frozen) Engine(i int) *query.FrozenEngine { return f.engines[i] }
-
-// Partition returns each shard's trajectories in the frozen trajectory-
-// table order — the payload the TQSHRD02 snapshot records.
-func (f *Frozen) Partition() [][]*trajectory.Trajectory {
-	out := make([][]*trajectory.Trajectory, len(f.engines))
-	for i, e := range f.engines {
-		out[i] = e.Frozen().Trajectories()
-	}
-	return out
-}

@@ -33,6 +33,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -203,13 +204,15 @@ type Health struct {
 }
 
 // BuildLive partitions users and builds one frozen-epoch shard per
-// partition — Build followed by Sharded.Live.
+// partition. It answers as Build followed by Sharded.Live would, without
+// building the mutable index's per-shard sets on the way.
 func BuildLive(users []*trajectory.Trajectory, opts Options, pol Policy) (*Live, error) {
-	s, err := Build(users, opts)
+	opts = opts.withDefaults()
+	f, err := buildFrozen(users, opts)
 	if err != nil {
 		return nil, err
 	}
-	return s.Live(pol)
+	return liveFromEngines(f.engines, opts.Partitioner, pol)
 }
 
 // Live freezes every shard and wraps the result in the epoch-serving
@@ -244,6 +247,8 @@ func treeOptsOf(fz *tqtree.Frozen) tqtree.Options {
 	}
 }
 
+// liveFromEngines wraps the engines of a Frozen — whose IDs are already
+// unique across shards — in epochs with empty overlays.
 func liveFromEngines(engines []*query.FrozenEngine, part Partitioner, pol Policy) (*Live, error) {
 	epochs := make([]*query.Epoch, len(engines))
 	for i, e := range engines {
@@ -253,29 +258,35 @@ func liveFromEngines(engines []*query.FrozenEngine, part Partitioner, pol Policy
 		}
 		epochs[i] = ep
 	}
-	return LiveFromEpochs(epochs, part, pol)
+	return newLive(epochs, part, pol), nil
 }
 
 // LiveFromEpochs assembles a Live from per-shard epochs — the snapshot
 // restore path (the epochs may carry non-empty deltas and tombstones).
-// IDs must be unique across every shard's logical corpus; the shared
-// root space and rebuild options come from the first shard's base
-// (every shard is built with one configuration over one root space).
+// IDs must be unique across every shard's logical corpus: NewEpoch made
+// each unique in itself, and one merge of their sorted ID columns checks
+// the rest. The shared root space and rebuild options come from the
+// first shard's base (every shard is built with one configuration over
+// one root space).
 func LiveFromEpochs(epochs []*query.Epoch, part Partitioner, pol Policy) (*Live, error) {
 	if len(epochs) == 0 {
 		return nil, fmt.Errorf("shard: no live shards")
 	}
-	bounds := epochs[0].Base().Frozen().Bounds()
-	treeOpts := treeOptsOf(epochs[0].Base().Frozen())
-	seen := make(map[trajectory.ID]struct{})
-	for i, ep := range epochs {
-		for _, u := range ep.LogicalCorpus() {
-			if _, dup := seen[u.ID]; dup {
-				return nil, fmt.Errorf("shard: duplicate id %d across live shards (shard %d)", u.ID, i)
-			}
-			seen[u.ID] = struct{}{}
+	if len(epochs) > 1 {
+		cols := make([][]trajectory.ID, len(epochs))
+		for i, ep := range epochs {
+			cols[i] = ep.SortedIDs()
+		}
+		if err := uniqueAcross(cols, "live"); err != nil {
+			return nil, err
 		}
 	}
+	return newLive(epochs, part, pol), nil
+}
+
+func newLive(epochs []*query.Epoch, part Partitioner, pol Policy) *Live {
+	bounds := epochs[0].Base().Frozen().Bounds()
+	treeOpts := treeOptsOf(epochs[0].Base().Frozen())
 	treeOpts.Parallelism = 0 // rebuild parallelism comes from the policy
 	l := &Live{
 		bounds:   bounds,
@@ -301,7 +312,7 @@ func LiveFromEpochs(epochs []*query.Epoch, part Partitioner, pol Policy) (*Live,
 		sh.epoch.Store(ep)
 		l.shards[i] = sh
 	}
-	return l, nil
+	return l
 }
 
 // NumShards returns the shard count.
@@ -376,16 +387,6 @@ func (l *Live) Sizes() []int {
 	return out
 }
 
-// ByID returns the logical-corpus trajectory with the given id, or nil.
-func (l *Live) ByID(id trajectory.ID) *trajectory.Trajectory {
-	for _, ep := range l.Epochs() {
-		if u := ep.ByID(id); u != nil {
-			return u
-		}
-	}
-	return nil
-}
-
 // Err returns the most recent background-rebuild error, or nil.
 func (l *Live) Err() error {
 	l.wmu.RLock()
@@ -404,6 +405,15 @@ type ShardStats struct {
 	Generation uint64
 	// Compactions counts completed rebuild-and-swap cycles.
 	Compactions uint64
+	// BaseBytes is the size of the shard's frozen base — index columns
+	// plus trajectory table — summed from slice lengths. With Mapped
+	// false it is heap the process holds for as long as the base serves;
+	// with Mapped true the bytes alias a snapshot file mapping, resident
+	// only as far as the OS keeps their pages (the table's ID, offset
+	// and lookup columns, about 12 bytes per trajectory, are heap either
+	// way). The delta overlay is not counted: Policy bounds it.
+	BaseBytes int64
+	Mapped    bool
 }
 
 // Stats returns per-shard serving statistics over one consistent
@@ -419,6 +429,8 @@ func (l *Live) Stats() []ShardStats {
 			Tombstones:  ep.TombstoneCount(),
 			Generation:  ep.Generation(),
 			Compactions: sh.compactions.Load(),
+			BaseBytes:   ep.Base().Frozen().Bytes(),
+			Mapped:      ep.Base().Frozen().Mapped(),
 		}
 	}
 	return out
@@ -433,7 +445,7 @@ func (sh *liveShard) has(id trajectory.ID) bool {
 	if _, gone := sh.dead[id]; gone {
 		return false
 	}
-	return sh.epoch.Load().Base().Users().ByID(id) != nil
+	return sh.epoch.Load().Base().Table().Has(id)
 }
 
 // AttachWAL makes the index durable: every subsequent Insert/Delete is
@@ -675,7 +687,7 @@ func (l *Live) Delete(id trajectory.ID) (bool, error) {
 		if _, gone := sh.dead[id]; gone {
 			continue
 		}
-		if sh.epoch.Load().Base().Users().ByID(id) == nil {
+		if !sh.epoch.Load().Base().Table().Has(id) {
 			continue
 		}
 		lsn, err := l.appendDeleteLocked(id)
@@ -741,7 +753,7 @@ func (l *Live) maybeCompact(sh *liveShard) {
 	}
 	trigger := pending >= l.policy.MaxDelta
 	if !trigger && l.policy.MaxDeltaFraction > 0 && pending >= fractionFloor {
-		if base := ep.Base().Users().Len(); float64(pending) >= l.policy.MaxDeltaFraction*float64(base) {
+		if base := ep.Base().Table().Len(); float64(pending) >= l.policy.MaxDeltaFraction*float64(base) {
 			trigger = true
 		}
 	}
@@ -809,53 +821,53 @@ func (l *Live) rebuildShard(sh *liveShard) error {
 	}
 
 	// Build off-lock: readers and writers proceed against the current
-	// epochs while the fold runs.
-	corpus := e0.LogicalCorpus()
+	// epochs while the fold runs. The corpus is views over e0's table —
+	// Freeze copies what the new base keeps, so nothing of e0 (or of a
+	// file mapping under it) is referenced once e0 is dropped.
 	opts := l.treeOpts
 	opts.Parallelism = l.policy.RebuildParallelism
-	set, err := trajectory.NewSet(corpus)
+	tree, err := tqtree.Build(e0.LogicalCorpus(), opts)
+	var fz *tqtree.Frozen
 	if err == nil {
-		var tree *tqtree.Tree
-		if tree, err = tqtree.Build(corpus, opts); err == nil {
-			var fz *tqtree.Frozen
-			if fz, err = tqtree.Freeze(tree); err == nil {
-				// Swap: fold the writes that landed during the build onto
-				// the new base and publish.
-				base1 := query.NewFrozenEngine(fz, set)
-				l.wmu.Lock()
-				newDelta := make([]*trajectory.Trajectory, 0, len(sh.delta))
-				for _, u := range sh.delta {
-					if _, baked := sh.baking[u]; !baked {
-						newDelta = append(newDelta, u)
-					}
-				}
-				newDead := make(map[trajectory.ID]struct{}, len(sh.pendingDead))
-				for id := range sh.dead {
-					if _, old := sh.dead0[id]; !old {
-						newDead[id] = struct{}{}
-					}
-				}
-				for id := range sh.pendingDead {
-					newDead[id] = struct{}{}
-				}
-				var ep *query.Epoch
-				if ep, err = query.NewEpoch(base1, newDelta, newDead, sh.gen+1); err == nil {
-					sh.gen++
-					sh.delta = newDelta
-					sh.deltaByID = make(map[trajectory.ID]*trajectory.Trajectory, len(newDelta))
-					for _, u := range newDelta {
-						sh.deltaByID[u.ID] = u
-					}
-					sh.dead = newDead
-					sh.epoch.Store(ep)
-					l.version.Add(1)
-					sh.compactions.Add(1)
-				}
-				clearCapture()
-				l.wmu.Unlock()
-				return err
+		fz, err = tqtree.Freeze(tree)
+	}
+	runtime.KeepAlive(e0) // the views alias e0's table until Freeze has copied them
+	if err == nil {
+		// Swap: fold the writes that landed during the build onto the new
+		// base and publish.
+		base1 := query.NewFrozenEngine(fz, nil)
+		l.wmu.Lock()
+		newDelta := make([]*trajectory.Trajectory, 0, len(sh.delta))
+		for _, u := range sh.delta {
+			if _, baked := sh.baking[u]; !baked {
+				newDelta = append(newDelta, u)
 			}
 		}
+		newDead := make(map[trajectory.ID]struct{}, len(sh.pendingDead))
+		for id := range sh.dead {
+			if _, old := sh.dead0[id]; !old {
+				newDead[id] = struct{}{}
+			}
+		}
+		for id := range sh.pendingDead {
+			newDead[id] = struct{}{}
+		}
+		var ep *query.Epoch
+		if ep, err = query.NewEpoch(base1, newDelta, newDead, sh.gen+1); err == nil {
+			sh.gen++
+			sh.delta = newDelta
+			sh.deltaByID = make(map[trajectory.ID]*trajectory.Trajectory, len(newDelta))
+			for _, u := range newDelta {
+				sh.deltaByID[u.ID] = u
+			}
+			sh.dead = newDead
+			sh.epoch.Store(ep)
+			l.version.Add(1)
+			sh.compactions.Add(1)
+		}
+		clearCapture()
+		l.wmu.Unlock()
+		return err
 	}
 	l.wmu.Lock()
 	clearCapture()

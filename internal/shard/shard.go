@@ -20,6 +20,7 @@ package shard
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"github.com/trajcover/trajcover/internal/geo"
@@ -64,16 +65,17 @@ type Sharded struct {
 // Build partitions users with opts.Partitioner and builds one TQ-tree
 // per shard, constructing shards in parallel within the
 // opts.Tree.Parallelism goroutine budget. Duplicate IDs are rejected
-// across the whole corpus, exactly as a single-tree build would.
+// across the whole corpus, exactly as a single-tree build would. The
+// index keeps nothing of the users slice itself.
 func Build(users []*trajectory.Trajectory, opts Options) (*Sharded, error) {
 	opts = opts.withDefaults()
-	seen := make(map[trajectory.ID]struct{}, len(users))
-	for _, u := range users {
-		if _, dup := seen[u.ID]; dup {
-			return nil, fmt.Errorf("shard: duplicate id %d", u.ID)
-		}
-		seen[u.ID] = struct{}{}
-	}
+	parts, bounds := partition(users, opts)
+	return fromParts(parts, bounds, opts)
+}
+
+// partition assigns users to opts.Shards parts over the shared root space
+// (opts.Tree.Bounds extended to the data). opts must carry its defaults.
+func partition(users []*trajectory.Trajectory, opts Options) ([][]*trajectory.Trajectory, geo.Rect) {
 	bounds := opts.Tree.Bounds
 	for _, u := range users {
 		bounds = bounds.ExtendRect(u.MBR())
@@ -83,7 +85,7 @@ func Build(users []*trajectory.Trajectory, opts Options) (*Sharded, error) {
 		i := clampShard(opts.Partitioner.Assign(u, bounds, opts.Shards), opts.Shards)
 		parts[i] = append(parts[i], u)
 	}
-	return fromParts(parts, bounds, opts)
+	return parts, bounds
 }
 
 // FromPartition builds a Sharded from an existing per-shard partition —
@@ -97,33 +99,22 @@ func FromPartition(parts [][]*trajectory.Trajectory, opts Options) (*Sharded, er
 	if opts.Shards == 0 {
 		return nil, fmt.Errorf("shard: empty partition")
 	}
-	// IDs must be unique across the whole corpus, not just within each
-	// part — per-shard sets only catch intra-shard duplicates, and a
-	// cross-shard duplicate would be double-counted by every query.
-	total := 0
-	for _, part := range parts {
-		total += len(part)
-	}
-	seen := make(map[trajectory.ID]struct{}, total)
 	bounds := opts.Tree.Bounds
 	for _, part := range parts {
 		for _, u := range part {
-			if _, dup := seen[u.ID]; dup {
-				return nil, fmt.Errorf("shard: duplicate id %d across shards", u.ID)
-			}
-			seen[u.ID] = struct{}{}
 			bounds = bounds.ExtendRect(u.MBR())
 		}
 	}
 	return fromParts(parts, bounds, opts)
 }
 
-// fromParts builds every shard's set and tree. Shards build concurrently
-// — each over a disjoint trajectory slice — with the total goroutine
-// budget split between cross-shard fan-out and each tree's own parallel
-// build, so Tree.Parallelism bounds live goroutines whichever way the
-// shards divide the work.
-func fromParts(parts [][]*trajectory.Trajectory, bounds geo.Rect, opts Options) (*Sharded, error) {
+// buildTrees builds one TQ-tree per part and hands each to finish, which
+// turns it into the shard's engine. Shards build concurrently — each over
+// a disjoint trajectory slice — with the total goroutine budget split
+// between cross-shard fan-out and each tree's own parallel build, so
+// Tree.Parallelism bounds live goroutines whichever way the shards divide
+// the work.
+func buildTrees(parts [][]*trajectory.Trajectory, bounds geo.Rect, opts Options, finish func(i int, tree *tqtree.Tree) error) error {
 	budget := opts.Tree.Parallelism
 	if budget <= 0 {
 		budget = runtime.GOMAXPROCS(0)
@@ -140,8 +131,6 @@ func fromParts(parts [][]*trajectory.Trajectory, bounds geo.Rect, opts Options) 
 	treeOpts.Bounds = bounds
 	treeOpts.Parallelism = perTree
 
-	s := &Sharded{opts: opts, bounds: bounds, engines: make([]*query.Engine, len(parts))}
-	s.scatter = fixedUnits(s.engines)
 	sem := make(chan struct{}, across)
 	errs := make([]error, len(parts))
 	var wg sync.WaitGroup
@@ -150,24 +139,49 @@ func fromParts(parts [][]*trajectory.Trajectory, bounds geo.Rect, opts Options) 
 		sem <- struct{}{}
 		go func(i int, part []*trajectory.Trajectory) {
 			defer func() { <-sem; wg.Done() }()
-			set, err := trajectory.NewSet(part)
-			if err != nil {
-				errs[i] = err
-				return
-			}
 			tree, err := tqtree.Build(part, treeOpts)
-			if err != nil {
-				errs[i] = err
-				return
+			if err == nil {
+				err = finish(i, tree)
 			}
-			s.engines[i] = query.NewEngine(tree, set)
+			errs[i] = err
 		}(i, part)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
+	}
+	return nil
+}
+
+// fromParts builds every shard's set and tree. A set rejects a duplicate
+// ID within its shard; the merge of the shards' sorted ID columns rejects
+// one that two shards share, which every query would double-count.
+func fromParts(parts [][]*trajectory.Trajectory, bounds geo.Rect, opts Options) (*Sharded, error) {
+	cols := make([][]trajectory.ID, len(parts))
+	for i, part := range parts {
+		cols[i] = make([]trajectory.ID, len(part))
+		for j, u := range part {
+			cols[i][j] = u.ID
+		}
+		slices.Sort(cols[i])
+	}
+	if id, _, dup := trajectory.FirstDuplicateAcross(cols); dup {
+		return nil, fmt.Errorf("shard: duplicate id %d", id)
+	}
+	s := &Sharded{opts: opts, bounds: bounds, engines: make([]*query.Engine, len(parts))}
+	s.scatter = fixedUnits(s.engines)
+	err := buildTrees(parts, bounds, opts, func(i int, tree *tqtree.Tree) error {
+		set, err := trajectory.NewSet(parts[i])
+		if err != nil {
+			return err
+		}
+		s.engines[i] = query.NewEngine(tree, set)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
 }

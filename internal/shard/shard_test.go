@@ -451,3 +451,83 @@ func TestFromPartitionRejectsCrossShardDuplicates(t *testing.T) {
 		t.Fatal("cross-shard duplicate IDs accepted")
 	}
 }
+
+// frozenShardOf builds one frozen shard over users in the shared test
+// space.
+func frozenShardOf(t *testing.T, users []*trajectory.Trajectory) *query.FrozenEngine {
+	t.Helper()
+	tree, err := tqtree.Build(users, tqtree.Options{Ordering: tqtree.ZOrder, Bounds: testBounds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fz, err := tqtree.Freeze(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return query.NewFrozenEngine(fz, nil)
+}
+
+// TestFrozenAndLiveRejectDuplicateIDs: every way of assembling frozen or
+// live shards refuses an ID held twice — inside one shard (the table's
+// sort), across two shards' bases (the merge of the sorted ID columns),
+// and, for restored epochs, a delta ID equal to another shard's base ID —
+// while a delta that re-uses an ID its own shard has tombstoned, and any
+// duplicate-free assembly, is accepted.
+func TestFrozenAndLiveRejectDuplicateIDs(t *testing.T) {
+	users := makeUsers(40, 3, 91)
+	dupOf := func(u *trajectory.Trajectory) *trajectory.Trajectory {
+		return trajectory.MustNew(u.ID, []geo.Point{geo.Pt(900, 900), geo.Pt(950, 950)})
+	}
+
+	// Inside one shard: hash partitioning sends both to the same shard.
+	in := append(append([]*trajectory.Trajectory(nil), users...), dupOf(users[3]))
+	if _, err := BuildLive(in, Options{Shards: 2}, manualPolicy()); err == nil {
+		t.Fatal("BuildLive accepted a duplicate id inside one shard")
+	}
+	// Across shards: the grid sends the far-away duplicate elsewhere.
+	if _, err := BuildLive(in, Options{Shards: 4, Partitioner: Grid{}, Tree: tqtree.Options{Bounds: testBounds}}, manualPolicy()); err == nil {
+		t.Fatal("BuildLive accepted a duplicate id across shards")
+	}
+
+	a, b := frozenShardOf(t, users[:20]), frozenShardOf(t, users[20:])
+	if _, err := FrozenFromEngines([]*query.FrozenEngine{a, b}, testBounds, "hash"); err != nil {
+		t.Fatalf("disjoint frozen shards: %v", err)
+	}
+	clash := frozenShardOf(t, append([]*trajectory.Trajectory{dupOf(users[5])}, users[20:]...))
+	if _, err := FrozenFromEngines([]*query.FrozenEngine{a, clash}, testBounds, "hash"); err == nil {
+		t.Fatal("FrozenFromEngines accepted a base id in two shards")
+	}
+
+	epochOf := func(e *query.FrozenEngine, delta []*trajectory.Trajectory, dead ...trajectory.ID) *query.Epoch {
+		t.Helper()
+		tomb := map[trajectory.ID]struct{}{}
+		for _, id := range dead {
+			tomb[id] = struct{}{}
+		}
+		ep, err := query.NewEpoch(e, delta, tomb, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ep
+	}
+	// Shard 1's overlay re-inserts an ID that is live in shard 0's base.
+	eps := []*query.Epoch{epochOf(a, nil), epochOf(b, []*trajectory.Trajectory{dupOf(users[5])})}
+	if _, err := LiveFromEpochs(eps, Hash{}, manualPolicy()); err == nil {
+		t.Fatal("LiveFromEpochs accepted a delta id equal to another shard's base id")
+	}
+	// The same overlay is fine once shard 0 has tombstoned the ID (a
+	// delete and a re-insert the partitioner routed elsewhere)...
+	eps = []*query.Epoch{epochOf(a, nil, users[5].ID), epochOf(b, []*trajectory.Trajectory{dupOf(users[5])})}
+	l, err := LiveFromEpochs(eps, Hash{}, manualPolicy())
+	if err != nil {
+		t.Fatalf("tombstoned id re-inserted in another shard: %v", err)
+	}
+	if l.Len() != len(users) {
+		t.Fatalf("Len = %d, want %d", l.Len(), len(users))
+	}
+	// ...and so is one its own shard tombstoned.
+	eps = []*query.Epoch{epochOf(a, []*trajectory.Trajectory{dupOf(users[5])}, users[5].ID), epochOf(b, nil)}
+	if _, err := LiveFromEpochs(eps, Hash{}, manualPolicy()); err != nil {
+		t.Fatalf("tombstoned id re-inserted in its own shard: %v", err)
+	}
+}

@@ -22,6 +22,7 @@ func (t *Tree) Delete(u *trajectory.Trajectory) bool {
 	}
 	if all {
 		t.numTrajs--
+		t.numPoints -= u.Len()
 	}
 	return all
 }

@@ -11,11 +11,12 @@ package tqtree
 //   - per-node entry lists become ranges into one SoA entry slab
 //     (first/last/mbr/startCode/endCode/ub columns);
 //   - z-node buckets become ranges into bucket aggregate columns;
-//   - Entry.Traj shrinks to an int32 index into one trajectory table,
-//     touched only when a surviving candidate needs interior points.
+//   - Entry.Traj shrinks to an int32 ordinal into one columnar
+//     trajectory.Table, touched only when a surviving candidate needs
+//     interior points.
 //
-// Beyond cache locality, the layout has ~zero pointer words for the GC
-// to scan and serializes nearly verbatim (see the TQSNAP03/TQSHRD02
+// Beyond cache locality, the layout has no pointer words for the GC to
+// scan — the table included — and serializes nearly verbatim (see the TQSNAP03/TQSHRD02
 // snapshot formats), so restoring a frozen index is a bulk read plus
 // bounds checks instead of a rebuild.
 
@@ -77,9 +78,9 @@ type Frozen struct {
 	entTraj  []int32
 	entSeg   []int32
 
-	// trajs is the trajectory table entTraj indexes into, ordered by
-	// first appearance in the entry slab.
-	trajs []*trajectory.Trajectory
+	// table holds the indexed trajectories; entTraj values are its
+	// ordinals, dense in order of first appearance in the entry slab.
+	table *trajectory.Table
 
 	// pin, when non-nil, keeps the backing store of the columns
 	// reachable: a Frozen restored from a mapped snapshot aliases its
@@ -95,8 +96,10 @@ type Frozen struct {
 func (f *Frozen) SetPin(p any) { f.pin = p }
 
 // Freeze builds the flat representation of a built tree. The tree is only
-// read; the result shares the trajectory objects but none of the node or
-// list storage, so dropping the tree afterwards releases it entirely.
+// read, and the result shares nothing with it: points are copied into the
+// trajectory table in slab order, so dropping the tree — and the
+// trajectories it was built over — afterwards releases them entirely.
+// Two indexed trajectories with one ID are rejected.
 func Freeze(t *Tree) (*Frozen, error) {
 	// BFS so each node's children land contiguously in quadrant order.
 	nodes := make([]*Node, 0, 64)
@@ -131,12 +134,16 @@ func Freeze(t *Tree) (*Frozen, error) {
 		entMBR:        make([]geo.Rect, 0, t.numEntries),
 		entTraj:       make([]int32, 0, t.numEntries),
 		entSeg:        make([]int32, 0, t.numEntries),
-		trajs:         make([]*trajectory.Trajectory, 0, t.numTrajs),
 	}
 	if t.opts.Ordering == ZOrder {
 		f.bucketOff = make([]int32, nn+1)
 	}
-	trajIdx := make(map[*trajectory.Trajectory]int32, t.numTrajs)
+	fb := freezeBuilder{f: f, table: trajectory.NewTableBuilder(t.numTrajs, t.numPoints)}
+	if t.opts.Variant == Segmented {
+		// Only a segmented tree stores a trajectory under more than one
+		// entry; the others take a fresh ordinal per entry, no lookup.
+		fb.ordinal = make(map[*trajectory.Trajectory]int32, t.numTrajs)
+	}
 	cursor := int32(1)
 	for i, n := range nodes {
 		f.nodeRect[i] = n.rect
@@ -156,7 +163,7 @@ func Freeze(t *Tree) (*Frozen, error) {
 		switch l := n.list.(type) {
 		case *basicList:
 			for j := range l.entries {
-				f.appendEntry(&l.entries[j], trajIdx)
+				fb.appendEntry(&l.entries[j])
 			}
 		case *zList:
 			for _, b := range l.buckets {
@@ -167,7 +174,7 @@ func Freeze(t *Tree) (*Frozen, error) {
 				f.bktEndMBR = append(f.bktEndMBR, b.endMBR)
 				f.bktFullMBR = append(f.bktFullMBR, b.fullMBR)
 				for j := range b.entries {
-					f.appendEntry(&b.entries[j], trajIdx)
+					fb.appendEntry(&b.entries[j])
 				}
 			}
 		default:
@@ -182,15 +189,29 @@ func Freeze(t *Tree) (*Frozen, error) {
 		// Close the cumulative bucket → entry mapping.
 		f.bktEntryOff = append(f.bktEntryOff, int32(len(f.entFirst)))
 	}
+	var err error
+	if f.table, err = fb.table.Build(); err != nil {
+		return nil, err
+	}
 	return f, nil
 }
 
-func (f *Frozen) appendEntry(e *Entry, trajIdx map[*trajectory.Trajectory]int32) {
-	ti, ok := trajIdx[e.Traj]
-	if !ok {
-		ti = int32(len(f.trajs))
-		trajIdx[e.Traj] = ti
-		f.trajs = append(f.trajs, e.Traj)
+// freezeBuilder is Freeze's running state: the slab under construction
+// and the trajectory table filled alongside it.
+type freezeBuilder struct {
+	f       *Frozen
+	table   *trajectory.TableBuilder
+	ordinal map[*trajectory.Trajectory]int32 // nil: one entry per trajectory
+}
+
+func (fb *freezeBuilder) appendEntry(e *Entry) {
+	f := fb.f
+	ti, seen := fb.ordinal[e.Traj]
+	if !seen {
+		ti = fb.table.Append(e.Traj)
+		if fb.ordinal != nil {
+			fb.ordinal[e.Traj] = ti
+		}
 	}
 	f.entFirst = append(f.entFirst, e.first)
 	f.entLast = append(f.entLast, e.last)
@@ -221,15 +242,30 @@ func (f *Frozen) NumNodes() int { return len(f.nodeRect) }
 func (f *Frozen) NumEntries() int { return len(f.entFirst) }
 
 // NumTrajectories returns the number of indexed user trajectories.
-func (f *Frozen) NumTrajectories() int { return len(f.trajs) }
+func (f *Frozen) NumTrajectories() int { return f.table.Len() }
 
 // HasMultipoint reports whether any indexed trajectory has more than two
 // points.
 func (f *Frozen) HasMultipoint() bool { return f.hasMultipoint }
 
-// Trajectories returns the trajectory table in entTraj index order — the
-// order the snapshot formats record.
-func (f *Frozen) Trajectories() []*trajectory.Trajectory { return f.trajs }
+// Table returns the trajectory table; its ordinal order is the order the
+// snapshot formats record.
+func (f *Frozen) Table() *trajectory.Table { return f.table }
+
+// Mapped reports whether the columns alias a file mapping instead of
+// heap memory.
+func (f *Frozen) Mapped() bool { return f.pin != nil }
+
+// Bytes returns the size of everything the index addresses — the column
+// slices and the trajectory table — from their lengths.
+func (f *Frozen) Bytes() int64 {
+	const rect, point = 32, 16
+	return f.table.Bytes() +
+		rect*int64(len(f.nodeRect)+len(f.bktStartMBR)+len(f.bktEndMBR)+len(f.bktFullMBR)+len(f.entMBR)) +
+		point*int64(len(f.entFirst)+len(f.entLast)) +
+		8*int64(len(f.ownUB)+len(f.treeUB)+len(f.bktMinStart)+len(f.bktMaxStart)) +
+		4*int64(len(f.childBase)+len(f.childCount)+len(f.entryOff)+len(f.bucketOff)+len(f.bktEntryOff)+len(f.entTraj)+len(f.entSeg))
+}
 
 // ValidateScenario checks that queries under sc are exact on this index.
 func (f *Frozen) ValidateScenario(sc service.Scenario) error {
@@ -394,43 +430,38 @@ func (f *Frozen) scoreRange(lo, hi int32, embr geo.Rect, mode FilterMode, ss *se
 // serve computes entry e's exact service contribution — the columnar
 // counterpart of Entry.ServeSet, producing identical floats.
 func (f *Frozen) serve(e int32, sc service.Scenario, ss *service.StopSet) float64 {
-	seg := f.entSeg[e]
-	if seg < 0 {
-		if sc == service.Binary {
-			if ss.Served(f.entFirst[e]) && ss.Served(f.entLast[e]) {
-				return 1
-			}
-			return 0
-		}
-		return service.ValueSet(sc, f.trajs[f.entTraj[e]], ss)
-	}
-	switch sc {
-	case service.Binary:
+	if sc == service.Binary {
 		if ss.Served(f.entFirst[e]) && ss.Served(f.entLast[e]) {
 			return 1
 		}
 		return 0
+	}
+	ti, seg := f.entTraj[e], int(f.entSeg[e])
+	if seg < 0 {
+		return service.ValueSetPoints(sc, f.table.Points(ti), f.table.Length(ti), ss)
+	}
+	switch sc {
 	case service.PointCount:
-		u := f.trajs[f.entTraj[e]]
-		lo, hi := int(seg), int(seg)+1
-		if int(seg) == u.NumSegments()-1 {
-			hi = int(seg) + 2
+		pts := f.table.Points(ti)
+		lo, hi := seg, seg+1
+		if seg == len(pts)-2 {
+			hi = seg + 2
 		}
 		served := 0
 		for i := lo; i < hi; i++ {
-			if ss.Served(u.Points[i]) {
+			if ss.Served(pts[i]) {
 				served++
 			}
 		}
-		return float64(served) / float64(u.Len())
+		return float64(served) / float64(len(pts))
 	case service.Length:
-		u := f.trajs[f.entTraj[e]]
-		L := u.Length()
+		L := f.table.Length(ti)
 		if L == 0 {
 			return 0
 		}
 		if ss.Served(f.entFirst[e]) && ss.Served(f.entLast[e]) {
-			return u.SegmentLength(int(seg)) / L
+			// entFirst/entLast are the segment's own endpoints.
+			return f.entFirst[e].Dist(f.entLast[e]) / L
 		}
 		return 0
 	}

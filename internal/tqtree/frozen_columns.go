@@ -78,8 +78,8 @@ func (f *Frozen) Columns() FrozenColumns {
 
 // FrozenFromColumns assembles a Frozen from deserialized columns and its
 // trajectory table, validating every structural invariant the query paths
-// rely on. The slices are adopted, not copied.
-func FrozenFromColumns(c FrozenColumns, trajs []*trajectory.Trajectory) (*Frozen, error) {
+// rely on. The slices and the table are adopted, not copied.
+func FrozenFromColumns(c FrozenColumns, table *trajectory.Table) (*Frozen, error) {
 	if c.Variant < TwoPoint || c.Variant > FullTrajectory {
 		return nil, fmt.Errorf("tqtree: frozen columns: invalid variant %d", int(c.Variant))
 	}
@@ -169,20 +169,13 @@ func FrozenFromColumns(c FrozenColumns, trajs []*trajectory.Trajectory) (*Frozen
 		return nil, fmt.Errorf("tqtree: frozen columns: basic ordering with bucket columns")
 	}
 
-	hasMultipoint := false
-	for _, t := range trajs {
-		if t.Len() > 2 {
-			hasMultipoint = true
-			break
-		}
-	}
 	for e := 0; e < ne; e++ {
 		ti := c.EntTraj[e]
-		if ti < 0 || int(ti) >= len(trajs) {
-			return nil, fmt.Errorf("tqtree: frozen columns: entry %d references trajectory %d of %d", e, ti, len(trajs))
+		if ti < 0 || int(ti) >= table.Len() {
+			return nil, fmt.Errorf("tqtree: frozen columns: entry %d references trajectory %d of %d", e, ti, table.Len())
 		}
-		if seg := c.EntSeg[e]; seg < -1 || (seg >= 0 && int(seg) >= trajs[ti].NumSegments()) {
-			return nil, fmt.Errorf("tqtree: frozen columns: entry %d has segment %d of %d", e, seg, trajs[ti].NumSegments())
+		if seg, segs := c.EntSeg[e], table.NumPoints(ti)-1; seg < -1 || int(seg) >= segs {
+			return nil, fmt.Errorf("tqtree: frozen columns: entry %d has segment %d of %d", e, seg, segs)
 		}
 	}
 
@@ -192,7 +185,7 @@ func FrozenFromColumns(c FrozenColumns, trajs []*trajectory.Trajectory) (*Frozen
 		beta:          c.Beta,
 		maxDepth:      c.MaxDepth,
 		bounds:        c.Bounds,
-		hasMultipoint: hasMultipoint,
+		hasMultipoint: table.HasMultipoint(),
 
 		nodeRect:   c.NodeRect,
 		childBase:  c.ChildBase,
@@ -215,6 +208,6 @@ func FrozenFromColumns(c FrozenColumns, trajs []*trajectory.Trajectory) (*Frozen
 		entTraj:  c.EntTraj,
 		entSeg:   c.EntSeg,
 
-		trajs: trajs,
+		table: table,
 	}, nil
 }

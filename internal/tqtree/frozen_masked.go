@@ -99,7 +99,7 @@ func (f *Frozen) scoreBucketMasked(b int32, embr geo.Rect, mode FilterMode, ss *
 // scoreRangeMasked is scoreRange with tombstoned entries skipped.
 func (f *Frozen) scoreRangeMasked(lo, hi int32, embr geo.Rect, mode FilterMode, ss *service.StopSet, sc service.Scenario, so float64, scored int, dead map[trajectory.ID]struct{}) (float64, int) {
 	alive := func(e int32) bool {
-		_, gone := dead[f.trajs[f.entTraj[e]].ID]
+		_, gone := dead[f.table.ID(f.entTraj[e])]
 		return !gone
 	}
 	switch mode {

@@ -62,7 +62,7 @@ func TestFreezeStructure(t *testing.T) {
 			}
 
 			// Column view must reassemble without loss.
-			f2, err := FrozenFromColumns(f.Columns(), f.Trajectories())
+			f2, err := FrozenFromColumns(f.Columns(), f.Table())
 			if err != nil {
 				t.Fatalf("%v/%v: FrozenFromColumns: %v", v, o, err)
 			}
@@ -97,7 +97,7 @@ func TestFrozenFromColumnsRejectsCorruption(t *testing.T) {
 		c.EntTraj = append([]int32(nil), c.EntTraj...)
 		c.EntSeg = append([]int32(nil), c.EntSeg...)
 		fn(&c)
-		if _, err := FrozenFromColumns(c, f.Trajectories()); err == nil {
+		if _, err := FrozenFromColumns(c, f.Table()); err == nil {
 			t.Fatalf("%s: corruption accepted", name)
 		}
 	}
@@ -107,7 +107,7 @@ func TestFrozenFromColumnsRejectsCorruption(t *testing.T) {
 	mutate("entry offset regression", func(c *FrozenColumns) {
 		c.EntryOff[1] = c.EntryOff[2] + 1
 	})
-	mutate("trajectory out of range", func(c *FrozenColumns) { c.EntTraj[0] = int32(len(f.Trajectories())) })
+	mutate("trajectory out of range", func(c *FrozenColumns) { c.EntTraj[0] = int32(f.Table().Len()) })
 	mutate("segment out of range", func(c *FrozenColumns) { c.EntSeg[0] = 1 << 20 })
 }
 

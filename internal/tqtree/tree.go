@@ -106,6 +106,7 @@ type Tree struct {
 	root          *Node
 	numTrajs      int
 	numEntries    int
+	numPoints     int // sizes Freeze's arena; an overestimate after a partial Delete
 	hasMultipoint bool
 }
 
@@ -158,6 +159,7 @@ func Build(users []*trajectory.Trajectory, opts Options) (*Tree, error) {
 
 func (t *Tree) noteTrajectory(u *trajectory.Trajectory) {
 	t.numTrajs++
+	t.numPoints += u.Len()
 	if u.Len() > 2 {
 		t.hasMultipoint = true
 	}

@@ -1,0 +1,325 @@
+package trajectory
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"sort"
+
+	"github.com/trajcover/trajcover/internal/geo"
+)
+
+// Table is an immutable, pointer-free collection of user trajectories laid
+// out in columns: one ID per trajectory, one contiguous point arena, an
+// offset column into it, the cached polyline lengths, and a permutation of
+// the ordinals sorted by ID for lookup. A trajectory is addressed by its
+// ordinal — its dense position 0..Len()-1 in the table — and IDs are
+// unique within a table. It is what a frozen index keeps of its corpus:
+// about 20 bytes of fixed columns per trajectory beside its points, and
+// not one pointer for the garbage collector to follow.
+//
+// A Table is never mutated after construction and is safe for any number
+// of concurrent readers. The slices Points returns alias the arena: treat
+// them as read-only, and do not retain them past the table's owner when
+// the table was built over a file mapping (NewRecordTable).
+type Table struct {
+	ids []ID
+	// off has Len()+1 entries; ordinal i's points are
+	// points[off[i] : off[i+1]-gap].
+	off    []uint32
+	points []geo.Point
+	// gap is the number of arena slots between one trajectory's last
+	// point and the next one's first: 0 for a table built by a
+	// TableBuilder, RecordHeaderPoints for one laid over snapshot records,
+	// whose headers sit in the arena between the point runs.
+	gap uint32
+	// length is nil for a table over snapshot records: the record header
+	// holds the length, and Length reads it in place.
+	length []float64
+	// byID lists the ordinals in ascending ID order.
+	byID       []int32
+	multipoint bool
+}
+
+// RecordHeaderPoints is the width, in 16-byte point slots, of the header
+// of a frozen-snapshot trajectory record: u32 id, u32 point count, f64
+// length, then the MBR's four f64s — 48 bytes, followed directly by the
+// points. A []geo.Point view over a run of such records therefore
+// addresses every trajectory's points by index, with the record's cached
+// length in the Y of the first header slot.
+const RecordHeaderPoints = 3
+
+// lengthOf is the polyline length of points, summed left to right — the
+// one arithmetic every cached length in the library comes from, so
+// lengths computed at different times compare bit-equal.
+func lengthOf(points []geo.Point) float64 {
+	var l float64
+	for i := 1; i < len(points); i++ {
+		l += points[i-1].Dist(points[i])
+	}
+	return l
+}
+
+// maxTablePoints bounds a table's arena so uint32 offsets address it.
+const maxTablePoints = math.MaxUint32 - RecordHeaderPoints
+
+// TableBuilder accumulates trajectories into a Table. Ordinals are
+// assigned in Append order.
+type TableBuilder struct {
+	t Table
+}
+
+// NewTableBuilder returns a builder with room for the given number of
+// trajectories and points; both are capacity hints, not limits.
+func NewTableBuilder(trajectories, points int) *TableBuilder {
+	b := &TableBuilder{}
+	b.t.ids = make([]ID, 0, trajectories)
+	b.t.off = make([]uint32, 1, trajectories+1)
+	b.t.length = make([]float64, 0, trajectories)
+	b.t.points = make([]geo.Point, 0, points)
+	return b
+}
+
+// Append copies u into the table and returns its ordinal.
+func (b *TableBuilder) Append(u *Trajectory) int32 {
+	b.t.points = append(b.t.points, u.Points...)
+	return b.close(u.ID, u.length)
+}
+
+// AppendRead appends a trajectory of n points produced by read, which
+// must append exactly n points to the slice it is given and return it —
+// the shape of a streaming decoder, so a restore fills the arena in place
+// instead of staging each trajectory in a buffer of its own. It returns
+// the appended points (aliasing the arena, valid until the next append)
+// and the length computed from them.
+func (b *TableBuilder) AppendRead(id ID, n int, read func(dst []geo.Point, n int) ([]geo.Point, error)) ([]geo.Point, float64, error) {
+	if n < 2 {
+		return nil, 0, fmt.Errorf("%w (id %d has %d)", ErrTooShort, id, n)
+	}
+	start := len(b.t.points)
+	pts, err := read(b.t.points, n)
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(pts) != start+n {
+		return nil, 0, fmt.Errorf("trajectory: id %d: read %d points, want %d", id, len(pts)-start, n)
+	}
+	b.t.points = pts
+	run := pts[start:]
+	l := lengthOf(run)
+	b.close(id, l)
+	return run, l, nil
+}
+
+func (b *TableBuilder) close(id ID, length float64) int32 {
+	ord := int32(len(b.t.ids))
+	if len(b.t.points)-int(b.t.off[ord]) > 2 {
+		b.t.multipoint = true
+	}
+	b.t.ids = append(b.t.ids, id)
+	b.t.length = append(b.t.length, length)
+	// Truncation of an over-long arena is caught in Build, once.
+	b.t.off = append(b.t.off, uint32(len(b.t.points)))
+	return ord
+}
+
+// Build finishes the table: it trims the columns to size, sorts the ID
+// permutation and rejects duplicate IDs. The builder must not be used
+// afterwards.
+func (b *TableBuilder) Build() (*Table, error) {
+	t := &b.t
+	if uint64(len(t.points)) > maxTablePoints || len(t.ids) > math.MaxInt32 {
+		return nil, fmt.Errorf("trajectory: table too large (%d trajectories, %d points)", len(t.ids), len(t.points))
+	}
+	// A column grown by append carries up to a quarter of slack the
+	// table would hold for life.
+	t.ids = trim(t.ids)
+	t.off = trim(t.off)
+	t.length = trim(t.length)
+	t.points = trim(t.points)
+	if err := t.index(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+func trim[T any](s []T) []T {
+	if cap(s) == len(s) {
+		return s
+	}
+	return slices.Clone(s)
+}
+
+// NewRecordTable lays a table over a run of frozen-snapshot trajectory
+// records without copying them: region is the records' bytes viewed as
+// points (RecordHeaderPoints header slots, then the points, per record),
+// ids[i] the ID of record i and first[i] the arena index of its first
+// point, with one closing entry first[len(ids)] = len(region) +
+// RecordHeaderPoints — where a further record's points would start. The
+// caller has validated the records (point counts ≥ 2, within region); the
+// table adopts all three slices. Duplicate IDs are rejected.
+func NewRecordTable(ids []ID, first []uint32, region []geo.Point) (*Table, error) {
+	if len(first) != len(ids)+1 || uint64(len(region)) > maxTablePoints || len(ids) > math.MaxInt32 {
+		return nil, fmt.Errorf("trajectory: record table: %d ids, %d offsets, %d point slots", len(ids), len(first), len(region))
+	}
+	t := &Table{ids: ids, off: first, points: region, gap: RecordHeaderPoints}
+	for i := range ids {
+		if first[i+1]-first[i] > 2+RecordHeaderPoints {
+			t.multipoint = true
+			break
+		}
+	}
+	if err := t.index(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// index builds the sorted-by-ID permutation, rejecting duplicate IDs with
+// an adjacent-equal test on the sorted keys.
+func (t *Table) index() error {
+	keys := make([]uint64, len(t.ids))
+	for i, id := range t.ids {
+		keys[i] = uint64(id)<<32 | uint64(i)
+	}
+	slices.Sort(keys)
+	t.byID = make([]int32, len(keys))
+	for i, k := range keys {
+		if i > 0 && k>>32 == keys[i-1]>>32 {
+			return fmt.Errorf("trajectory: duplicate id %d", k>>32)
+		}
+		t.byID[i] = int32(uint32(k))
+	}
+	return nil
+}
+
+// Len returns the number of trajectories.
+func (t *Table) Len() int { return len(t.ids) }
+
+// ID returns the ID of the trajectory at ordinal i.
+func (t *Table) ID(i int32) ID { return t.ids[i] }
+
+// Points returns the points of the trajectory at ordinal i (read-only).
+func (t *Table) Points(i int32) []geo.Point {
+	lo, hi := t.off[i], t.off[i+1]-t.gap
+	return t.points[lo:hi:hi]
+}
+
+// NumPoints returns the number of points of the trajectory at ordinal i.
+func (t *Table) NumPoints(i int32) int { return int(t.off[i+1] - t.gap - t.off[i]) }
+
+// Length returns the polyline length of the trajectory at ordinal i.
+func (t *Table) Length(i int32) float64 {
+	if t.length == nil {
+		return t.points[t.off[i]-RecordHeaderPoints].Y
+	}
+	return t.length[i]
+}
+
+// TotalPoints returns the number of points across the table.
+func (t *Table) TotalPoints() int {
+	return len(t.points) - len(t.ids)*int(t.gap)
+}
+
+// HasMultipoint reports whether any trajectory has more than two points.
+func (t *Table) HasMultipoint() bool { return t.multipoint }
+
+// Lookup returns the ordinal of the trajectory with the given id.
+func (t *Table) Lookup(id ID) (int32, bool) {
+	j := sort.Search(len(t.byID), func(j int) bool { return t.ids[t.byID[j]] >= id })
+	if j < len(t.byID) && t.ids[t.byID[j]] == id {
+		return t.byID[j], true
+	}
+	return 0, false
+}
+
+// Has reports whether the table holds a trajectory with the given id.
+func (t *Table) Has(id ID) bool {
+	_, ok := t.Lookup(id)
+	return ok
+}
+
+// AppendSortedIDs appends the table's IDs to dst in ascending order,
+// leaving out those in skip.
+func (t *Table) AppendSortedIDs(dst []ID, skip map[ID]struct{}) []ID {
+	for _, ord := range t.byID {
+		id := t.ids[ord]
+		if _, gone := skip[id]; !gone {
+			dst = append(dst, id)
+		}
+	}
+	return dst
+}
+
+// View fills dst with the trajectory at ordinal i: its points alias the
+// arena and its bounding box is recomputed from them (the same arithmetic
+// New uses). A rebuild materialises its whole input this way, in one
+// slice of views that is garbage once the new table has copied what it
+// needs.
+func (t *Table) View(i int32, dst *Trajectory) {
+	pts := t.Points(i)
+	*dst = Trajectory{ID: t.ids[i], Points: pts, length: t.Length(i), mbr: geo.RectOf(pts)}
+}
+
+// Bytes returns the size of the table's columns and arena, from their
+// lengths. For a table over snapshot records the arena is the mapped (or
+// decoded) record region, headers included.
+func (t *Table) Bytes() int64 {
+	return 4*int64(len(t.ids)) + 4*int64(len(t.off)) + 16*int64(len(t.points)) +
+		8*int64(len(t.length)) + 4*int64(len(t.byID))
+}
+
+// FirstDuplicateAcross reports an ID present in more than one of the
+// given columns, each sorted ascending and duplicate-free in itself —
+// the cross-shard half of the uniqueness check, a k-way merge that needs
+// no corpus-sized map. which is the index of the later column holding it.
+func FirstDuplicateAcross(cols [][]ID) (id ID, which int, found bool) {
+	// h is a min-heap of column indices keyed by each column's head.
+	pos := make([]int, len(cols))
+	h := make([]int, 0, len(cols))
+	less := func(a, b int) bool {
+		x, y := cols[a][pos[a]], cols[b][pos[b]]
+		return x < y || (x == y && a < b)
+	}
+	down := func(i int) {
+		for {
+			m := i
+			if l := 2*i + 1; l < len(h) && less(h[l], h[m]) {
+				m = l
+			}
+			if r := 2*i + 2; r < len(h) && less(h[r], h[m]) {
+				m = r
+			}
+			if m == i {
+				return
+			}
+			h[i], h[m] = h[m], h[i]
+			i = m
+		}
+	}
+	for c := range cols {
+		if len(cols[c]) > 0 {
+			h = append(h, c)
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	havePrev := false
+	var prev ID
+	for len(h) > 0 {
+		c := h[0]
+		cur := cols[c][pos[c]]
+		if havePrev && cur == prev {
+			return cur, c, true
+		}
+		prev, havePrev = cur, true
+		pos[c]++
+		if pos[c] == len(cols[c]) {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+	}
+	return 0, 0, false
+}

@@ -1,0 +1,228 @@
+package trajectory
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"github.com/trajcover/trajcover/internal/geo"
+)
+
+func tableTestUsers(n int, seed int64) []*Trajectory {
+	rng := rand.New(rand.NewSource(seed))
+	ids := rng.Perm(4 * n) // sparse, unordered IDs
+	users := make([]*Trajectory, n)
+	for i := range users {
+		pts := make([]geo.Point, 2+rng.Intn(5))
+		for j := range pts {
+			pts[j] = geo.Pt(rng.Float64()*1000, rng.Float64()*1000)
+		}
+		users[i] = MustNew(ID(ids[i]), pts)
+	}
+	return users
+}
+
+// TestTableMirrorsTrajectories: every column of a built table reads back
+// what was appended — IDs, points, lengths bit for bit — ordinals are
+// dense in append order, lookup finds exactly the IDs present, and a view
+// is indistinguishable from the trajectory it was copied from.
+func TestTableMirrorsTrajectories(t *testing.T) {
+	users := tableTestUsers(300, 1)
+	tb := NewTableBuilder(0, 0) // no hints: columns grow, Build trims
+	for i, u := range users {
+		if ord := tb.Append(u); int(ord) != i {
+			t.Fatalf("ordinal %d for append %d", ord, i)
+		}
+	}
+	tab, err := tb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.Len() != len(users) || !tab.HasMultipoint() {
+		t.Fatalf("Len %d multipoint %v", tab.Len(), tab.HasMultipoint())
+	}
+	total := 0
+	for i, u := range users {
+		ord := int32(i)
+		total += u.Len()
+		if tab.ID(ord) != u.ID || tab.NumPoints(ord) != u.Len() || !slices.Equal(tab.Points(ord), u.Points) ||
+			math.Float64bits(tab.Length(ord)) != math.Float64bits(u.Length()) {
+			t.Fatalf("ordinal %d does not mirror trajectory %d", i, u.ID)
+		}
+		if &tab.Points(ord)[0] == &u.Points[0] {
+			t.Fatalf("ordinal %d aliases the caller's points", i)
+		}
+		if got, ok := tab.Lookup(u.ID); !ok || got != ord {
+			t.Fatalf("Lookup(%d) = %d, %v; want %d", u.ID, got, ok, ord)
+		}
+		var v Trajectory
+		tab.View(ord, &v)
+		if v.ID != u.ID || !slices.Equal(v.Points, u.Points) || v.MBR() != u.MBR() ||
+			math.Float64bits(v.Length()) != math.Float64bits(u.Length()) {
+			t.Fatalf("view of ordinal %d differs from trajectory %d", i, u.ID)
+		}
+	}
+	if tab.TotalPoints() != total {
+		t.Fatalf("TotalPoints %d, want %d", tab.TotalPoints(), total)
+	}
+	// Sparse IDs: every absent one must miss.
+	present := map[ID]bool{}
+	for _, u := range users {
+		present[u.ID] = true
+	}
+	for id := ID(0); id < ID(4*len(users)+2); id++ {
+		if tab.Has(id) != present[id] {
+			t.Fatalf("Has(%d) = %v", id, tab.Has(id))
+		}
+	}
+	// The footprint is the points plus 20 bytes of fixed columns each
+	// (and one closing offset): no per-trajectory object, no slack.
+	if want := int64(16*total + 20*len(users) + 4); tab.Bytes() != want {
+		t.Fatalf("Bytes %d, want %d", tab.Bytes(), want)
+	}
+
+	skip := map[ID]struct{}{users[0].ID: {}, users[7].ID: {}}
+	ids := tab.AppendSortedIDs(nil, skip)
+	if len(ids) != len(users)-2 || !slices.IsSorted(ids) || slices.Contains(ids, users[7].ID) {
+		t.Fatalf("AppendSortedIDs: %d ids, sorted %v", len(ids), slices.IsSorted(ids))
+	}
+}
+
+// TestTableRejectsDuplicateIDs: the sort that builds the lookup
+// permutation is also the uniqueness check.
+func TestTableRejectsDuplicateIDs(t *testing.T) {
+	users := tableTestUsers(50, 2)
+	tb := NewTableBuilder(len(users)+1, 0)
+	for _, u := range users {
+		tb.Append(u)
+	}
+	tb.Append(MustNew(users[31].ID, []geo.Point{geo.Pt(1, 1), geo.Pt(2, 2)}))
+	if _, err := tb.Build(); err == nil || !strings.Contains(err.Error(), "duplicate id") {
+		t.Fatalf("duplicate id accepted: %v", err)
+	}
+}
+
+// TestTableAppendRead: the streaming form fills the arena in place,
+// reports the length New would compute, and refuses a short trajectory or
+// a reader that delivers the wrong number of points.
+func TestTableAppendRead(t *testing.T) {
+	u := tableTestUsers(1, 3)[0]
+	tb := NewTableBuilder(0, 0)
+	read := func(dst []geo.Point, n int) ([]geo.Point, error) { return append(dst, u.Points[:n]...), nil }
+	pts, length, err := tb.AppendRead(u.ID, u.Len(), read)
+	if err != nil || !slices.Equal(pts, u.Points) || math.Float64bits(length) != math.Float64bits(u.Length()) {
+		t.Fatalf("AppendRead = %v, %v, %v", pts, length, err)
+	}
+	if _, _, err := tb.AppendRead(9, 1, read); err == nil {
+		t.Fatal("one-point trajectory accepted")
+	}
+	short := func(dst []geo.Point, n int) ([]geo.Point, error) { return append(dst, u.Points[0]), nil }
+	if _, _, err := tb.AppendRead(9, 2, short); err == nil {
+		t.Fatal("reader that delivered 1 of 2 points accepted")
+	}
+}
+
+// TestRecordTable: a table laid over snapshot records in place — header
+// slots between the point runs, length read out of the header — answers
+// like the built table over the same trajectories, with only the ID and
+// offset columns (and the lookup permutation) of its own.
+func TestRecordTable(t *testing.T) {
+	users := tableTestUsers(120, 4)
+	var region []geo.Point
+	ids := make([]ID, len(users))
+	first := make([]uint32, len(users)+1)
+	for i, u := range users {
+		// Header: (id|npts as raw bits, length), then the MBR's corners.
+		hdr := uint64(u.ID) | uint64(u.Len())<<32
+		region = append(region,
+			geo.Point{X: math.Float64frombits(hdr), Y: u.Length()},
+			geo.Pt(u.MBR().MinX, u.MBR().MinY), geo.Pt(u.MBR().MaxX, u.MBR().MaxY))
+		ids[i], first[i] = u.ID, uint32(len(region))
+		region = append(region, u.Points...)
+	}
+	first[len(users)] = uint32(len(region)) + RecordHeaderPoints
+	tab, err := NewRecordTable(ids, first, region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for i, u := range users {
+		ord := int32(i)
+		total += u.Len()
+		if tab.ID(ord) != u.ID || !slices.Equal(tab.Points(ord), u.Points) ||
+			math.Float64bits(tab.Length(ord)) != math.Float64bits(u.Length()) {
+			t.Fatalf("record %d does not mirror trajectory %d", i, u.ID)
+		}
+		if &tab.Points(ord)[0] != &region[first[i]] {
+			t.Fatalf("record %d was copied", i)
+		}
+		if got, ok := tab.Lookup(u.ID); !ok || got != ord {
+			t.Fatalf("Lookup(%d) = %d, %v", u.ID, got, ok)
+		}
+	}
+	if tab.TotalPoints() != total || !tab.HasMultipoint() {
+		t.Fatalf("TotalPoints %d (want %d), multipoint %v", tab.TotalPoints(), total, tab.HasMultipoint())
+	}
+	ids[5] = ids[6]
+	if _, err := NewRecordTable(ids, first, region); err == nil {
+		t.Fatal("duplicate record id accepted")
+	}
+}
+
+// TestFirstDuplicateAcross: the k-way merge finds an ID two columns
+// share wherever it sits, names the later column, and passes disjoint
+// (and empty) columns.
+func TestFirstDuplicateAcross(t *testing.T) {
+	cols := [][]ID{{1, 4, 9, 30}, {}, {2, 5, 31}, {0, 3, 40}, {6}}
+	if id, _, dup := FirstDuplicateAcross(cols); dup {
+		t.Fatalf("disjoint columns: duplicate %d", id)
+	}
+	if _, _, dup := FirstDuplicateAcross(nil); dup {
+		t.Fatal("no columns: duplicate")
+	}
+	for _, c := range []struct {
+		col  int
+		id   ID
+		want int
+	}{{2, 30, 2}, {3, 1, 3}, {4, 40, 4}, {0, 6, 4}} {
+		mut := make([][]ID, len(cols))
+		for i := range cols {
+			mut[i] = slices.Clone(cols[i])
+		}
+		mut[c.col] = append(mut[c.col], c.id)
+		slices.Sort(mut[c.col])
+		id, which, dup := FirstDuplicateAcross(mut)
+		if !dup || id != c.id || which != c.want {
+			t.Fatalf("id %d added to column %d: got (%d, %d, %v), want column %d", c.id, c.col, id, which, dup, c.want)
+		}
+	}
+	// Randomised agreement with a map.
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		k := 1 + rng.Intn(6)
+		rcols := make([][]ID, k)
+		seen := map[ID]bool{}
+		wantDup := false
+		for i := range rcols {
+			own := map[ID]bool{}
+			for j := rng.Intn(20); j > 0; j-- {
+				id := ID(rng.Intn(120))
+				if own[id] {
+					continue
+				}
+				own[id] = true
+				wantDup = wantDup || seen[id]
+				rcols[i] = append(rcols[i], id)
+			}
+			for id := range own {
+				seen[id] = true
+			}
+			slices.Sort(rcols[i])
+		}
+		if _, _, dup := FirstDuplicateAcross(rcols); dup != wantDup {
+			t.Fatalf("trial %d: duplicate %v, want %v (%v)", trial, dup, wantDup, rcols)
+		}
+	}
+}

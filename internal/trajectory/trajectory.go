@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"github.com/trajcover/trajcover/internal/geo"
 )
@@ -29,12 +28,6 @@ type Trajectory struct {
 
 	length float64
 	mbr    geo.Rect
-
-	// pin, when non-nil, keeps the backing store of Points reachable: a
-	// trajectory restored from a mapped snapshot aliases its points onto
-	// the file mapping, and the mapping's release is driven by a
-	// finalizer on the pinned token. Heap trajectories leave it nil.
-	pin any
 }
 
 // New builds a Trajectory and precomputes its length and bounding box.
@@ -42,42 +35,7 @@ func New(id ID, points []geo.Point) (*Trajectory, error) {
 	if len(points) < 2 {
 		return nil, fmt.Errorf("%w (id %d has %d)", ErrTooShort, id, len(points))
 	}
-	t := &Trajectory{ID: id, Points: points}
-	t.mbr = geo.RectOf(points)
-	for i := 1; i < len(points); i++ {
-		t.length += points[i-1].Dist(points[i])
-	}
-	return t, nil
-}
-
-// FromParts builds a Trajectory adopting a precomputed length and MBR
-// instead of deriving them from the points — the mapped-snapshot restore
-// path, where points alias a checksummed file mapping and the cached
-// geometry was recorded by the writer (which computed it with the same
-// arithmetic New uses, so the values are bit-equal). pin, when non-nil,
-// is retained for the life of the trajectory; see Trajectory.pin.
-func FromParts(id ID, points []geo.Point, length float64, mbr geo.Rect, pin any) (*Trajectory, error) {
-	t := new(Trajectory)
-	if err := FromPartsInto(t, id, points, length, mbr, pin); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// FromPartsInto is FromParts writing into caller-provided storage
-// instead of allocating: restore paths batch-allocate their
-// trajectories in one arena, which is most of the difference between
-// a mapped open and a heap restore at scale.
-func FromPartsInto(dst *Trajectory, id ID, points []geo.Point, length float64, mbr geo.Rect, pin any) error {
-	if len(points) < 2 {
-		return fmt.Errorf("%w (id %d has %d)", ErrTooShort, id, len(points))
-	}
-	dst.ID = id
-	dst.Points = points
-	dst.length = length
-	dst.mbr = mbr
-	dst.pin = pin
-	return nil
+	return &Trajectory{ID: id, Points: points, length: lengthOf(points), mbr: geo.RectOf(points)}, nil
 }
 
 // MustNew is New but panics on error; intended for tests and generators
@@ -161,82 +119,33 @@ func (f *Facility) MBR() geo.Rect { return f.mbr }
 // threshold psi. Any user point servable by f lies inside EMBR(psi).
 func (f *Facility) EMBR(psi float64) geo.Rect { return f.mbr.Expand(psi) }
 
-// Set is an ordered collection of user trajectories with ID lookup.
+// Set is a mutable, ordered collection of user trajectories with ID
+// lookup — the corpus of the pointer-tree indexes. (A frozen index keeps
+// its corpus in a Table instead.)
 type Set struct {
 	All  []*Trajectory
-	byID map[ID]*Trajectory
-
-	// lazy builds byID on first lookup for sets constructed with
-	// NewSetLazy: restore paths validate uniqueness with a sort pass
-	// (cheaper than a map build) and defer the map until someone
-	// actually asks for ID lookup — often never for a frozen serving
-	// index, and a measurable slice of a mapped open when they do.
-	lazy sync.Once
+	byID map[ID]setEntry
 }
 
-// NewSet builds a Set from trajectories; duplicate IDs are rejected.
+// setEntry is what the ID index holds: the trajectory itself, so a
+// lookup is one probe, and its position in All, so Remove is too.
+type setEntry struct {
+	t   *Trajectory
+	pos int
+}
+
+// NewSet builds a Set from trajectories; duplicate IDs are rejected. The
+// set keeps its own copy of the slice, so Add and Remove never reorder or
+// grow the caller's.
 func NewSet(ts []*Trajectory) (*Set, error) {
-	s := &Set{All: ts, byID: make(map[ID]*Trajectory, len(ts))}
-	for _, t := range ts {
+	s := &Set{All: slices.Clone(ts), byID: make(map[ID]setEntry, len(ts))}
+	for i, t := range s.All {
 		if _, dup := s.byID[t.ID]; dup {
 			return nil, fmt.Errorf("trajectory: duplicate id %d", t.ID)
 		}
-		s.byID[t.ID] = t
+		s.byID[t.ID] = setEntry{t, i}
 	}
 	return s, nil
-}
-
-// NewSetLazy is NewSet with the ID map deferred to first lookup.
-// Duplicate IDs are still rejected here — with a bitmap pass when the
-// ID space is dense (the overwhelmingly common 0..n-1 corpus, and far
-// cheaper than a map build) or a sorted scratch copy otherwise — so a
-// corrupt snapshot fails at open, not at first query. Mutating methods
-// (Add, Remove) remain valid: they materialize the map first.
-func NewSetLazy(ts []*Trajectory) (*Set, error) {
-	var maxID uint32
-	for _, t := range ts {
-		if uint32(t.ID) > maxID {
-			maxID = uint32(t.ID)
-		}
-	}
-	if uint64(maxID) <= 8*uint64(len(ts))+64 {
-		seen := make([]uint64, maxID/64+1)
-		for _, t := range ts {
-			w, b := t.ID/64, uint(t.ID%64)
-			if seen[w]&(1<<b) != 0 {
-				return nil, fmt.Errorf("trajectory: duplicate id %d", t.ID)
-			}
-			seen[w] |= 1 << b
-		}
-	} else {
-		ids := make([]uint32, len(ts))
-		for i, t := range ts {
-			ids[i] = uint32(t.ID)
-		}
-		slices.Sort(ids)
-		for i := 1; i < len(ids); i++ {
-			if ids[i] == ids[i-1] {
-				return nil, fmt.Errorf("trajectory: duplicate id %d", ids[i])
-			}
-		}
-	}
-	return &Set{All: ts}, nil
-}
-
-// idMap returns the ID index, building it on first use for lazy sets.
-// Concurrent lookups are safe (sync.Once); mutators are exclusive with
-// lookups by the callers' locking, as before.
-func (s *Set) idMap() map[ID]*Trajectory {
-	s.lazy.Do(func() {
-		if s.byID == nil {
-			m := make(map[ID]*Trajectory, len(s.All))
-			for _, t := range s.All {
-				m[t.ID] = t
-			}
-			s.byID = m
-		}
-	})
-	return s.byID
 }
 
 // MustNewSet is NewSet but panics on error.
@@ -253,37 +162,35 @@ func (s *Set) Len() int { return len(s.All) }
 
 // Add appends a trajectory to the set; duplicate IDs are rejected.
 func (s *Set) Add(t *Trajectory) error {
-	m := s.idMap()
-	if _, dup := m[t.ID]; dup {
+	if _, dup := s.byID[t.ID]; dup {
 		return fmt.Errorf("trajectory: duplicate id %d", t.ID)
 	}
+	s.byID[t.ID] = setEntry{t, len(s.All)}
 	s.All = append(s.All, t)
-	m[t.ID] = t
 	return nil
 }
 
 // Remove deletes the trajectory with the given id, reporting whether it
 // was present. Order of All is not preserved (swap-delete).
 func (s *Set) Remove(id ID) bool {
-	m := s.idMap()
-	if _, ok := m[id]; !ok {
+	e, ok := s.byID[id]
+	if !ok {
 		return false
 	}
-	delete(m, id)
-	for i, t := range s.All {
-		if t.ID == id {
-			last := len(s.All) - 1
-			s.All[i] = s.All[last]
-			s.All[last] = nil
-			s.All = s.All[:last]
-			return true
-		}
+	delete(s.byID, id)
+	last := len(s.All) - 1
+	if e.pos != last {
+		moved := s.All[last]
+		s.All[e.pos] = moved
+		s.byID[moved.ID] = setEntry{moved, e.pos}
 	}
-	return false
+	s.All[last] = nil
+	s.All = s.All[:last]
+	return true
 }
 
 // ByID returns the trajectory with the given id, or nil.
-func (s *Set) ByID(id ID) *Trajectory { return s.idMap()[id] }
+func (s *Set) ByID(id ID) *Trajectory { return s.byID[id].t }
 
 // Bounds returns the MBR of every trajectory in the set; ok is false for
 // an empty set.

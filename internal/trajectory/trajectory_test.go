@@ -137,6 +137,43 @@ func TestSetAddRemove(t *testing.T) {
 	}
 }
 
+// TestSetOwnsItsSlice: a set's swap-deletes and appends stay in its own
+// copy of the slice it was built from, and lookup survives every move.
+func TestSetOwnsItsSlice(t *testing.T) {
+	var in []*Trajectory
+	for id := ID(0); id < 40; id++ {
+		in = append(in, MustNew(id, []geo.Point{geo.Pt(float64(id), 0), geo.Pt(float64(id), 1)}))
+	}
+	orig := append([]*Trajectory(nil), in...)
+	s := MustNewSet(in)
+	for id := ID(0); id < 40; id += 2 {
+		if !s.Remove(id) {
+			t.Fatalf("Remove(%d) failed", id)
+		}
+	}
+	if err := s.Add(MustNew(99, []geo.Point{geo.Pt(0, 0), geo.Pt(1, 1)})); err != nil {
+		t.Fatal(err)
+	}
+	for i := range in {
+		if in[i] != orig[i] {
+			t.Fatalf("caller's slice changed at %d", i)
+		}
+	}
+	if s.Len() != 21 {
+		t.Fatalf("Len = %d, want 21", s.Len())
+	}
+	for id := ID(0); id < 40; id++ {
+		if got := s.ByID(id); (got != nil) != (id%2 == 1) || (got != nil && got != orig[id]) {
+			t.Fatalf("ByID(%d) = %v after removals", id, got)
+		}
+	}
+	for i, u := range s.All {
+		if s.ByID(u.ID) != s.All[i] {
+			t.Fatalf("position index stale for id %d", u.ID)
+		}
+	}
+}
+
 func TestEmptySetBounds(t *testing.T) {
 	s := MustNewSet(nil)
 	if _, ok := s.Bounds(); ok {

@@ -10,8 +10,10 @@ package trajcover
 //	           individually CRC'd frozen payload per shard.
 //
 // A frozen payload is the column slices of tqtree.FrozenColumns in fixed
-// order plus the trajectory table (in entry-slab first-appearance order,
-// so entTraj indexes resolve by position). Restoring is a bulk read, the
+// order plus the trajectory table, one record per trajectory in ordinal
+// order (entry-slab first appearance, so entTraj values resolve by
+// position) — row-shaped on disk, column-shaped (trajectory.Table) in
+// memory. Restoring is a bulk read, the
 // CRC check, and the structural bounds validation in
 // tqtree.FrozenFromColumns — no tree rebuild, no sorting — which is what
 // makes frozen restore several times faster than the rebuild formats.
@@ -302,56 +304,135 @@ func frozenPayloadSize(f *tqtree.Frozen) uint64 {
 	size += ne * 16 * 2 // entFirst, entLast
 	size += ne * 32     // entMBR
 	size += ne * 4 * 2  // entTraj, entSeg (8·ne bytes — already 8-aligned)
-	for _, t := range f.Trajectories() {
-		size += frozenTrajectorySize(t)
-	}
+	tab := f.Table()
+	size += trajRecordHeaderBytes*uint64(tab.Len()) + 16*uint64(tab.TotalPoints())
 	return size
 }
 
+// trajRecordHeaderBytes is the fixed part of one frozen trajectory
+// record: u32 id, u32 point count, f64 length, Rect MBR; the points
+// follow. 48+16n bytes in all — a multiple of 16, so records never break
+// column alignment and a run of them reads as one []geo.Point
+// (trajectory.RecordHeaderPoints). (The rebuild formats keep the smaller
+// trajectorySize record; only the frozen/live payloads cache length and
+// MBR.)
+const trajRecordHeaderBytes = 4 + 4 + 8 + 32
+
 // frozenTrajectorySize is the encoded size of one frozen trajectory
-// record: u32 id, u32 point count, f64 length, Rect MBR, then the
-// points. 48+16n bytes — a multiple of 8, so records never break column
-// alignment. (The rebuild formats keep the smaller trajectorySize
-// record; only the frozen/live payloads cache length and MBR.)
+// record.
 func frozenTrajectorySize(t *trajectory.Trajectory) uint64 {
-	return 4 + 4 + 8 + 32 + 16*uint64(t.Len())
+	return trajRecordHeaderBytes + 16*uint64(t.Len())
 }
 
-// readFrozenTrajectoryRecord decodes one frozen trajectory record. The
-// recorded length/MBR are what the mapped reader serves without touching
-// the points; this heap reader recomputes them from the points (same
-// arithmetic, so bit-equal) and cross-checks, which catches a writer bug
-// or a CRC-fixed-up forgery before it can diverge the two restore paths.
-func readFrozenTrajectoryRecord(cr *colReader, i uint64) (*trajectory.Trajectory, error) {
-	b := cr.buf[:8]
+// trajRecord writes one frozen trajectory record.
+func (cw *colWriter) trajRecord(id trajectory.ID, pts []geo.Point, length float64, mbr geo.Rect) {
+	cw.u32(uint32(id))
+	cw.u32(uint32(len(pts)))
+	cw.u64(math.Float64bits(length))
+	cw.rects([]geo.Rect{mbr})
+	cw.points(pts)
+}
+
+// trajRecordHeader is the decoded fixed part of a trajectory record.
+type trajRecordHeader struct {
+	id      trajectory.ID
+	npts    uint32
+	lenBits uint64
+	mbr     geo.Rect
+}
+
+// maxTrajPoints bounds the point count a reader believes of one record.
+const maxTrajPoints = 1 << 24
+
+// decodeTrajHeader decodes and range-checks the header of record i from
+// its trajRecordHeaderBytes bytes — shared by the streaming and the
+// mapped readers, so both believe exactly the same records.
+func decodeTrajHeader(b []byte, i uint64) (trajRecordHeader, error) {
+	h := trajRecordHeader{
+		id:      trajectory.ID(binary.LittleEndian.Uint32(b)),
+		npts:    binary.LittleEndian.Uint32(b[4:]),
+		lenBits: binary.LittleEndian.Uint64(b[8:]),
+		mbr: geo.Rect{
+			MinX: math.Float64frombits(binary.LittleEndian.Uint64(b[16:])),
+			MinY: math.Float64frombits(binary.LittleEndian.Uint64(b[24:])),
+			MaxX: math.Float64frombits(binary.LittleEndian.Uint64(b[32:])),
+			MaxY: math.Float64frombits(binary.LittleEndian.Uint64(b[40:])),
+		},
+	}
+	if h.npts < 2 || h.npts > maxTrajPoints {
+		return h, fmt.Errorf("%w: trajectory %d has %d points", ErrBadSnapshot, i, h.npts)
+	}
+	return h, nil
+}
+
+// trajHeader reads the header of record i off the stream.
+func (cr *colReader) trajHeader(i uint64) (trajRecordHeader, error) {
+	b := cr.buf[:trajRecordHeaderBytes]
 	if _, err := io.ReadFull(cr.r, b); err != nil {
-		return nil, fmt.Errorf("%w: truncated trajectory %d", ErrBadSnapshot, i)
+		return trajRecordHeader{}, fmt.Errorf("%w: truncated trajectory %d", ErrBadSnapshot, i)
 	}
-	id := binary.LittleEndian.Uint32(b)
-	npts := binary.LittleEndian.Uint32(b[4:])
-	if npts < 2 || npts > 1<<24 {
-		return nil, fmt.Errorf("%w: trajectory %d has %d points", ErrBadSnapshot, i, npts)
+	return decodeTrajHeader(b, i)
+}
+
+// check compares the header's cached length and MBR with the values
+// recomputed from the record's points. The mapped reader serves the
+// cached length without touching the points; the heap readers recompute
+// (same arithmetic, so bit-equal) and cross-check here, which catches a
+// writer bug or a CRC-fixed-up forgery before it can diverge the two
+// restore paths.
+func (h trajRecordHeader) check(i uint64, length float64, mbr geo.Rect) error {
+	if math.Float64bits(length) != h.lenBits || mbr != h.mbr {
+		return fmt.Errorf("%w: trajectory %d cached length/MBR disagree with points", ErrBadSnapshot, i)
 	}
-	var lenBits uint64
-	if err := cr.u64(&lenBits); err != nil {
-		return nil, fmt.Errorf("%w: truncated trajectory %d", ErrBadSnapshot, i)
-	}
-	mbrCol, err := cr.rects(1)
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated trajectory %d", ErrBadSnapshot, i)
-	}
-	pts, err := cr.pointsInto(make([]geo.Point, 0, npts), int(npts))
+	return nil
+}
+
+// readFrozenTrajectoryRecord decodes one frozen trajectory record into a
+// heap Trajectory — the delta overlay's records.
+func readFrozenTrajectoryRecord(cr *colReader, i uint64) (*trajectory.Trajectory, error) {
+	h, err := cr.trajHeader(i)
 	if err != nil {
 		return nil, err
 	}
-	t, err := trajectory.New(trajectory.ID(id), pts)
+	pts, err := cr.pointsInto(make([]geo.Point, 0, minInt(int(h.npts), 1<<12)), int(h.npts))
+	if err != nil {
+		return nil, err
+	}
+	t, err := trajectory.New(h.id, pts)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	if math.Float64bits(t.Length()) != lenBits || t.MBR() != mbrCol[0] {
-		return nil, fmt.Errorf("%w: trajectory %d cached length/MBR disagree with points", ErrBadSnapshot, i)
+	if err := h.check(i, t.Length(), t.MBR()); err != nil {
+		return nil, err
 	}
 	return t, nil
+}
+
+// readTrajectoryTable decodes nt trajectory records straight into the
+// columns of a table: the points stream into its arena, so a restore
+// allocates a handful of columns instead of two objects per record.
+// Duplicate IDs are rejected.
+func readTrajectoryTable(cr *colReader, nt uint64) (*trajectory.Table, error) {
+	hint := minInt(int(nt), 1<<16)
+	tb := trajectory.NewTableBuilder(hint, 2*hint)
+	for i := uint64(0); i < nt; i++ {
+		h, err := cr.trajHeader(i)
+		if err != nil {
+			return nil, err
+		}
+		pts, length, err := tb.AppendRead(h.id, int(h.npts), cr.pointsInto)
+		if err != nil {
+			return nil, err
+		}
+		if err := h.check(i, length, geo.RectOf(pts)); err != nil {
+			return nil, err
+		}
+	}
+	tab, err := tb.Build()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	}
+	return tab, nil
 }
 
 // writeFrozenPayload encodes the frozen index: a fixed header, the column
@@ -370,7 +451,8 @@ func writeFrozenPayload(w io.Writer, f *tqtree.Frozen) error {
 	cw.u64(uint64(len(c.NodeRect)))
 	cw.u64(uint64(len(c.BktMinStart)))
 	cw.u64(uint64(len(c.EntFirst)))
-	cw.u64(uint64(len(f.Trajectories())))
+	tab := f.Table()
+	cw.u64(uint64(tab.Len()))
 
 	nn := uint64(len(c.NodeRect))
 	nb := uint64(len(c.BktMinStart))
@@ -397,25 +479,24 @@ func writeFrozenPayload(w io.Writer, f *tqtree.Frozen) error {
 	cw.i32s(c.EntTraj)
 	cw.i32s(c.EntSeg)
 
-	for _, t := range f.Trajectories() {
-		cw.u32(uint32(t.ID))
-		cw.u32(uint32(t.Len()))
-		cw.u64(math.Float64bits(t.Length()))
-		cw.rects([]geo.Rect{t.MBR()})
-		cw.points(t.Points)
+	for i := int32(0); int(i) < tab.Len(); i++ {
+		// The table keeps no bounding boxes; RectOf is the arithmetic that
+		// produced the ones recorded before, so the bytes are the same.
+		pts := tab.Points(i)
+		cw.trajRecord(tab.ID(i), pts, tab.Length(i), geo.RectOf(pts))
 	}
 	cw.flush()
 	return cw.err
 }
 
 // readFrozenPayload decodes a frozen payload and reassembles the index
-// (structural validation included) together with its trajectory set.
-func readFrozenPayload(r io.Reader) (*tqtree.Frozen, *trajectory.Set, error) {
+// (structural validation included), trajectory table and all.
+func readFrozenPayload(r io.Reader) (*tqtree.Frozen, error) {
 	cr := newColReader(r)
 	var header [12]uint64
 	for i := range header {
 		if err := cr.u64(&header[i]); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	c := tqtree.FrozenColumns{
@@ -432,18 +513,18 @@ func readFrozenPayload(r io.Reader) (*tqtree.Frozen, *trajectory.Set, error) {
 	}
 	nn, nb, ne, nt := header[8], header[9], header[10], header[11]
 	if c.Ordering != tqtree.ZOrder && c.Ordering != tqtree.Basic {
-		return nil, nil, fmt.Errorf("%w: invalid ordering %d", ErrBadSnapshot, header[1])
+		return nil, fmt.Errorf("%w: invalid ordering %d", ErrBadSnapshot, header[1])
 	}
 	// Structural plausibility before any large read: every bucket holds
 	// at least one entry and every indexed trajectory contributes at
 	// least one entry, so corrupt counts fail here.
 	const maxCount = 1 << 31
 	if nn == 0 || nn > maxCount || ne > maxCount || nb > ne || nt > ne || (ne > 0 && nt == 0) {
-		return nil, nil, fmt.Errorf("%w: implausible frozen counts (nodes %d, buckets %d, entries %d, trajectories %d)",
+		return nil, fmt.Errorf("%w: implausible frozen counts (nodes %d, buckets %d, entries %d, trajectories %d)",
 			ErrBadSnapshot, nn, nb, ne, nt)
 	}
 	if c.Ordering == tqtree.Basic && nb != 0 {
-		return nil, nil, fmt.Errorf("%w: basic ordering with %d buckets", ErrBadSnapshot, nb)
+		return nil, fmt.Errorf("%w: basic ordering with %d buckets", ErrBadSnapshot, nb)
 	}
 
 	var err error
@@ -504,26 +585,18 @@ func readFrozenPayload(r io.Reader) (*tqtree.Frozen, *trajectory.Set, error) {
 		c.EntSeg, err = cr.i32s(int(ne))
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
-	trajs := make([]*trajectory.Trajectory, 0, minInt(int(nt), 1<<16))
-	for i := uint64(0); i < nt; i++ {
-		t, err := readFrozenTrajectoryRecord(cr, i)
-		if err != nil {
-			return nil, nil, err
-		}
-		trajs = append(trajs, t)
-	}
-	set, err := trajectory.NewSet(trajs)
+	tab, err := readTrajectoryTable(cr, nt)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+		return nil, err
 	}
-	f, err := tqtree.FrozenFromColumns(c, trajs)
+	f, err := tqtree.FrozenFromColumns(c, tab)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	return f, set, nil
+	return f, nil
 }
 
 // WriteSnapshot serializes the frozen index as a TQSNAP03 stream: the
@@ -563,7 +636,7 @@ func ReadFrozenSnapshot(r io.Reader) (*FrozenIndex, error) {
 	default:
 		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
-	f, set, err := readFrozenPayload(br)
+	f, err := readFrozenPayload(br)
 	if err != nil {
 		return nil, err
 	}
@@ -575,7 +648,7 @@ func ReadFrozenSnapshot(r io.Reader) (*FrozenIndex, error) {
 	if got != want {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSnapshot)
 	}
-	return newFrozenIndex(query.NewFrozenEngine(f, set)), nil
+	return newFrozenIndex(query.NewFrozenEngine(f, nil)), nil
 }
 
 // WriteSnapshot serializes the frozen sharded index as a TQSHRD02
@@ -691,7 +764,7 @@ func ReadFrozenShardedSnapshot(r io.Reader) (*FrozenShardedIndex, error) {
 		}
 		fcrc := crc32.NewIEEE()
 		fr := &hashReader{r: io.LimitReader(base, int64(payloadLen)), crc: fcrc}
-		f, set, err := readFrozenPayload(fr)
+		f, err := readFrozenPayload(fr)
 		if err != nil {
 			return nil, fmt.Errorf("frame %d: %w", s, err)
 		}
@@ -714,7 +787,7 @@ func ReadFrozenShardedSnapshot(r io.Reader) (*FrozenShardedIndex, error) {
 		if s == 0 {
 			bounds = f.Bounds()
 		}
-		engines = append(engines, query.NewFrozenEngine(f, set))
+		engines = append(engines, query.NewFrozenEngine(f, nil))
 	}
 	sf, err := shard.FrozenFromEngines(engines, bounds, string(kindBuf))
 	if err != nil {

@@ -281,6 +281,17 @@ func TestSnapshotBitFlip(t *testing.T) {
 	}
 }
 
+// addHostileSeeds seeds a fuzz target with the forged trajectory sections
+// of TestSnapshotHostileTrajectorySection in the given format: inputs
+// that pass every checksum and reach the table and column validation.
+func addHostileSeeds(f *testing.F, format string) {
+	for _, h := range hostileSnapshots(f) {
+		if h.format == format {
+			f.Add(h.data)
+		}
+	}
+}
+
 // FuzzReadSnapshot feeds arbitrary bytes to both single-index readers;
 // neither may panic.
 func FuzzReadSnapshot(f *testing.F) {
@@ -294,6 +305,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	}
 	f.Add([]byte("TQSNAP03"))
 	f.Add([]byte{})
+	addHostileSeeds(f, "TQSNAP03")
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = ReadSnapshot(bytes.NewReader(data))
 		_, _ = ReadFrozenSnapshot(bytes.NewReader(data))
@@ -308,6 +320,7 @@ func FuzzReadShardedSnapshot(f *testing.F) {
 		f.Add(snapshotBytes(f, sf))
 	}
 	f.Add([]byte("TQSHRD02"))
+	addHostileSeeds(f, "TQSHRD02")
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = ReadShardedSnapshot(bytes.NewReader(data))
 		_, _ = ReadFrozenShardedSnapshot(bytes.NewReader(data))
@@ -321,6 +334,7 @@ func FuzzReadLiveSnapshot(f *testing.F) {
 		f.Add(snapshotBytes(f, sf))
 	}
 	f.Add([]byte("TQLIVE01"))
+	addHostileSeeds(f, "TQLIVE01")
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = ReadLiveSnapshot(bytes.NewReader(data), LivePolicy{})
 	})

@@ -25,10 +25,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"sort"
 
-	"github.com/trajcover/trajcover/internal/geo"
 	"github.com/trajcover/trajcover/internal/query"
 	"github.com/trajcover/trajcover/internal/shard"
 	"github.com/trajcover/trajcover/internal/trajectory"
@@ -71,11 +69,7 @@ func writeLivePayload(w io.Writer, ep *query.Epoch) error {
 	delta := ep.Delta()
 	cw.u64(uint64(len(delta)))
 	for _, u := range delta {
-		cw.u32(uint32(u.ID))
-		cw.u32(uint32(u.Len()))
-		cw.u64(math.Float64bits(u.Length()))
-		cw.rects([]geo.Rect{u.MBR()})
-		cw.points(u.Points)
+		cw.trajRecord(u.ID, u.Points, u.Length(), u.MBR())
 	}
 	cw.flush()
 	return cw.err
@@ -84,7 +78,7 @@ func writeLivePayload(w io.Writer, ep *query.Epoch) error {
 // readLivePayload decodes one epoch frame and reassembles the epoch,
 // revalidating tombstones and delta against the restored base.
 func readLivePayload(r io.Reader) (*query.Epoch, error) {
-	f, set, err := readFrozenPayload(r)
+	f, err := readFrozenPayload(r)
 	if err != nil {
 		return nil, err
 	}
@@ -93,8 +87,8 @@ func readLivePayload(r io.Reader) (*query.Epoch, error) {
 	if err := cr.u64(&nDead); err != nil {
 		return nil, fmt.Errorf("%w: truncated tombstones", ErrBadSnapshot)
 	}
-	if nDead > uint64(set.Len()) {
-		return nil, fmt.Errorf("%w: %d tombstones over %d base trajectories", ErrBadSnapshot, nDead, set.Len())
+	if nDead > uint64(f.NumTrajectories()) {
+		return nil, fmt.Errorf("%w: %d tombstones over %d base trajectories", ErrBadSnapshot, nDead, f.NumTrajectories())
 	}
 	deadIDs, err := cr.i32s(int(nDead))
 	if err != nil {
@@ -125,7 +119,7 @@ func readLivePayload(r io.Reader) (*query.Epoch, error) {
 		}
 		delta = append(delta, u)
 	}
-	ep, err := query.NewEpoch(query.NewFrozenEngine(f, set), delta, dead, 0)
+	ep, err := query.NewEpoch(query.NewFrozenEngine(f, nil), delta, dead, 0)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}

@@ -12,18 +12,17 @@ package trajcover
 //
 // Lifetime. Aliased slices are views into the mapping, so the mapping
 // must outlive every object that can reach one. Each mapped file gets
-// one token holding the mapping; the restored tqtree.Frozen pins the
-// token (Frozen.SetPin), and every mapped trajectory pins it too
-// (trajectory.FromParts) — the latter matters because a background
-// rebuild builds a fresh heap base that keeps referencing the *same*
-// trajectory objects, so the mapping stays alive exactly as long as any
-// epoch (original or rebuilt) can still dereference mapped points, and
-// is released by the token's finalizer when the last such epoch is
-// dropped. Query entry points pin their engine with runtime.KeepAlive so
-// the finalizer cannot fire mid-query. Background rebuilds therefore
-// retire a mapping naturally: once compaction has folded every mapped
-// trajectory out of the live set and the old epochs are gone, the token
-// becomes unreachable and the file is unmapped.
+// one token holding the mapping, and the restored tqtree.Frozen — the
+// only object that keeps such views: its columns, and its trajectory
+// table laid over the records where they sit — pins the token
+// (Frozen.SetPin); the token's finalizer releases the mapping when the
+// last such Frozen is dropped. Query entry points pin their engine with
+// runtime.KeepAlive so the finalizer cannot fire mid-query. Delta
+// trajectories are copied to the heap at open (the overlay is small), and
+// a background rebuild copies the points it keeps into a fresh heap
+// table, so rebuilds retire a mapping naturally: once every shard has
+// been folded and the old epochs are gone, the token becomes unreachable
+// and the file is unmapped.
 //
 // Integrity. The CRCs (trailer for TQSNAP03, header+frame for the
 // containers) are verified once at open over the raw bytes, before any
@@ -39,6 +38,7 @@ import (
 	"hash/crc32"
 	"math"
 	"runtime"
+	"slices"
 
 	"github.com/trajcover/trajcover/internal/geo"
 	"github.com/trajcover/trajcover/internal/mmap"
@@ -163,14 +163,15 @@ func (c *mapCursor) skip(n uint64) error {
 // readFrozenPayloadMapped is readFrozenPayload over a mapped cursor:
 // identical header parse, plausibility checks, and structural validation
 // (tqtree.FrozenFromColumns), but every column aliases the mapping and
-// each trajectory adopts its recorded length/MBR instead of recomputing
-// them from the points — the open never touches point data.
-func readFrozenPayloadMapped(cur *mapCursor, pin *mappedToken) (*tqtree.Frozen, *trajectory.Set, error) {
+// the trajectory table is laid over the records in place, serving each
+// recorded length instead of recomputing it from the points — the open
+// reads the record headers and never touches point data.
+func readFrozenPayloadMapped(cur *mapCursor, pin *mappedToken) (*tqtree.Frozen, error) {
 	var header [12]uint64
 	for i := range header {
 		v, err := cur.u64()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		header[i] = v
 	}
@@ -188,15 +189,15 @@ func readFrozenPayloadMapped(cur *mapCursor, pin *mappedToken) (*tqtree.Frozen, 
 	}
 	nn, nb, ne, nt := header[8], header[9], header[10], header[11]
 	if c.Ordering != tqtree.ZOrder && c.Ordering != tqtree.Basic {
-		return nil, nil, fmt.Errorf("%w: invalid ordering %d", ErrBadSnapshot, header[1])
+		return nil, fmt.Errorf("%w: invalid ordering %d", ErrBadSnapshot, header[1])
 	}
 	const maxCount = 1 << 31
 	if nn == 0 || nn > maxCount || ne > maxCount || nb > ne || nt > ne || (ne > 0 && nt == 0) {
-		return nil, nil, fmt.Errorf("%w: implausible frozen counts (nodes %d, buckets %d, entries %d, trajectories %d)",
+		return nil, fmt.Errorf("%w: implausible frozen counts (nodes %d, buckets %d, entries %d, trajectories %d)",
 			ErrBadSnapshot, nn, nb, ne, nt)
 	}
 	if c.Ordering == tqtree.Basic && nb != 0 {
-		return nil, nil, fmt.Errorf("%w: basic ordering with %d buckets", ErrBadSnapshot, nb)
+		return nil, fmt.Errorf("%w: basic ordering with %d buckets", ErrBadSnapshot, nb)
 	}
 
 	var err error
@@ -257,81 +258,94 @@ func readFrozenPayloadMapped(cur *mapCursor, pin *mappedToken) (*tqtree.Frozen, 
 		c.EntSeg, err = cur.i32s(ne)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
-	arena, trajs, err := mappedTrajectoryArena(cur, nt)
+	tab, err := mappedTrajectoryTable(cur, nt)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	for i := range arena {
-		if err := readMappedTrajectoryRecordInto(cur, uint64(i), pin, &arena[i]); err != nil {
-			return nil, nil, err
-		}
-		trajs[i] = &arena[i]
-	}
-	set, err := trajectory.NewSetLazy(trajs)
+	f, err := tqtree.FrozenFromColumns(c, tab)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	f, err := tqtree.FrozenFromColumns(c, trajs)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	f.SetPin(pin)
-	return f, set, nil
+	return f, nil
 }
 
 // minTrajRecordBytes is the smallest possible encoded trajectory
-// record: id + point count + length bits + MBR + the two-point
-// minimum. It bounds how many records the remaining bytes can hold.
-const minTrajRecordBytes = 4 + 4 + 8 + 32 + 2*16
+// record: the header and the two-point minimum. It bounds how many
+// records the remaining bytes can hold.
+const minTrajRecordBytes = trajRecordHeaderBytes + 2*16
 
-// mappedTrajectoryArena allocates backing storage for n trajectory
-// records in one block — the pointer slice NewSet and the tree want,
-// over one arena allocation instead of n — after checking the cursor
-// can possibly hold n records, so a corrupt count cannot force a huge
-// allocation. The arena is sized up front and never grows: record
-// pointers taken from it stay valid.
-func mappedTrajectoryArena(cur *mapCursor, n uint64) ([]trajectory.Trajectory, []*trajectory.Trajectory, error) {
-	if rem := uint64(len(cur.b) - cur.off); n > rem/minTrajRecordBytes {
-		return nil, nil, fmt.Errorf("%w: trajectory count %d exceeds remaining bytes", ErrBadSnapshot, n)
+// mappedTrajHeader reads the header of record i off the cursor, leaving
+// it at the record's points.
+func mappedTrajHeader(cur *mapCursor, i uint64) (trajRecordHeader, error) {
+	b, err := cur.take(trajRecordHeaderBytes)
+	if err != nil {
+		return trajRecordHeader{}, fmt.Errorf("%w: truncated trajectory %d", ErrBadSnapshot, i)
 	}
-	return make([]trajectory.Trajectory, n), make([]*trajectory.Trajectory, n), nil
+	return decodeTrajHeader(b, i)
 }
 
-// readMappedTrajectoryRecordInto decodes one frozen trajectory record
-// off the cursor into dst, aliasing the points and adopting the
-// recorded length and MBR (integrity is the frame CRC, verified
-// before parsing).
-func readMappedTrajectoryRecordInto(cur *mapCursor, i uint64, pin *mappedToken, dst *trajectory.Trajectory) error {
-	id, err := cur.u32()
+// mappedTrajectoryTable lays a trajectory table over the next nt records
+// where they sit: one walk of the headers collects the IDs and where each
+// record's points start, and the records' whole byte range becomes the
+// table's arena (trajectory.NewRecordTable) — two heap columns of nt
+// values, no copy of a point. The recorded lengths are served as they are
+// (integrity is the frame CRC, verified before parsing). The count is
+// checked against the remaining bytes first, so a corrupt one cannot
+// force a huge allocation.
+func mappedTrajectoryTable(cur *mapCursor, nt uint64) (*trajectory.Table, error) {
+	if nt > uint64(cur.remaining())/minTrajRecordBytes {
+		return nil, fmt.Errorf("%w: trajectory count %d exceeds remaining bytes", ErrBadSnapshot, nt)
+	}
+	ids := make([]trajectory.ID, nt)
+	first := make([]uint32, nt+1)
+	start := cur.off
+	for i := range ids {
+		h, err := mappedTrajHeader(cur, uint64(i))
+		if err != nil {
+			return nil, err
+		}
+		slot := uint64(cur.off-start) / 16
+		if slot > math.MaxUint32-(maxTrajPoints+trajectory.RecordHeaderPoints) {
+			return nil, fmt.Errorf("%w: trajectory section too large to address", ErrBadSnapshot)
+		}
+		ids[i], first[i] = h.id, uint32(slot)
+		if err := cur.skip(16 * uint64(h.npts)); err != nil {
+			return nil, err
+		}
+	}
+	first[nt] = uint32((cur.off-start)/16) + trajectory.RecordHeaderPoints
+	tab, err := trajectory.NewRecordTable(ids, first, mmap.Points(cur.b[start:cur.off:cur.off]))
 	if err != nil {
-		return fmt.Errorf("%w: truncated trajectory %d", ErrBadSnapshot, i)
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	npts, err := cur.u32()
+	return tab, nil
+}
+
+// readMappedTrajectoryRecord decodes one frozen trajectory record off the
+// cursor into a heap Trajectory — the delta overlay's records, copied so
+// that nothing but the Frozen aliases the mapping — with the heap
+// reader's cross-check of the cached length and MBR.
+func readMappedTrajectoryRecord(cur *mapCursor, i uint64) (*trajectory.Trajectory, error) {
+	h, err := mappedTrajHeader(cur, i)
 	if err != nil {
-		return fmt.Errorf("%w: truncated trajectory %d", ErrBadSnapshot, i)
+		return nil, err
 	}
-	if npts < 2 || npts > 1<<24 {
-		return fmt.Errorf("%w: trajectory %d has %d points", ErrBadSnapshot, i, npts)
-	}
-	lenBits, err := cur.u64()
+	pts, err := cur.points(uint64(h.npts))
 	if err != nil {
-		return fmt.Errorf("%w: truncated trajectory %d", ErrBadSnapshot, i)
+		return nil, err
 	}
-	mbrCol, err := cur.rects(1)
+	t, err := trajectory.New(h.id, slices.Clone(pts))
 	if err != nil {
-		return fmt.Errorf("%w: truncated trajectory %d", ErrBadSnapshot, i)
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	pts, err := cur.points(uint64(npts))
-	if err != nil {
-		return err
+	if err := h.check(i, t.Length(), t.MBR()); err != nil {
+		return nil, err
 	}
-	if err := trajectory.FromPartsInto(dst, trajectory.ID(id), pts, math.Float64frombits(lenBits), mbrCol[0], pin); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	return nil
+	return t, nil
 }
 
 // OpenMappedFrozenSnapshot restores a FrozenIndex from a TQSNAP03 file
@@ -375,14 +389,14 @@ func openMappedFrozen(data []byte, tok *mappedToken) (*FrozenIndex, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSnapshot)
 	}
 	cur := &mapCursor{b: body[8:]}
-	f, set, err := readFrozenPayloadMapped(cur, tok)
+	f, err := readFrozenPayloadMapped(cur, tok)
 	if err != nil {
 		return nil, err
 	}
 	if cur.remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, cur.remaining())
 	}
-	return newFrozenIndex(query.NewFrozenEngine(f, set)), nil
+	return newFrozenIndex(query.NewFrozenEngine(f, nil)), nil
 }
 
 // mappedContainerHeader parses and CRC-checks the shared TQSHRD02 /
@@ -504,7 +518,7 @@ func openMappedFrozenSharded(data []byte, tok *mappedToken) (*FrozenShardedIndex
 		if err != nil {
 			return nil, err
 		}
-		f, set, err := readFrozenPayloadMapped(fcur, tok)
+		f, err := readFrozenPayloadMapped(fcur, tok)
 		if err != nil {
 			return nil, fmt.Errorf("frame %d: %w", s, err)
 		}
@@ -514,7 +528,7 @@ func openMappedFrozenSharded(data []byte, tok *mappedToken) (*FrozenShardedIndex
 		if s == 0 {
 			bounds = f.Bounds()
 		}
-		engines = append(engines, query.NewFrozenEngine(f, set))
+		engines = append(engines, query.NewFrozenEngine(f, nil))
 	}
 	if cur.remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes after last frame", ErrBadSnapshot, cur.remaining())
@@ -594,7 +608,7 @@ func openMappedLive(data []byte, tok *mappedToken, pol LivePolicy) (*LiveSharded
 
 // readLivePayloadMapped is readLivePayload over a mapped cursor.
 func readLivePayloadMapped(cur *mapCursor, tok *mappedToken) (*query.Epoch, error) {
-	f, set, err := readFrozenPayloadMapped(cur, tok)
+	f, err := readFrozenPayloadMapped(cur, tok)
 	if err != nil {
 		return nil, err
 	}
@@ -602,8 +616,8 @@ func readLivePayloadMapped(cur *mapCursor, tok *mappedToken) (*query.Epoch, erro
 	if err != nil {
 		return nil, fmt.Errorf("%w: truncated tombstones", ErrBadSnapshot)
 	}
-	if nDead > uint64(set.Len()) {
-		return nil, fmt.Errorf("%w: %d tombstones over %d base trajectories", ErrBadSnapshot, nDead, set.Len())
+	if nDead > uint64(f.NumTrajectories()) {
+		return nil, fmt.Errorf("%w: %d tombstones over %d base trajectories", ErrBadSnapshot, nDead, f.NumTrajectories())
 	}
 	deadIDs, err := cur.u32s(nDead)
 	if err != nil {
@@ -626,17 +640,16 @@ func readLivePayloadMapped(cur *mapCursor, tok *mappedToken) (*query.Epoch, erro
 	if nDelta > maxTrajectories {
 		return nil, fmt.Errorf("%w: implausible delta count %d", ErrBadSnapshot, nDelta)
 	}
-	arena, delta, err := mappedTrajectoryArena(cur, nDelta)
-	if err != nil {
-		return nil, err
+	if nDelta > uint64(cur.remaining())/minTrajRecordBytes {
+		return nil, fmt.Errorf("%w: delta count %d exceeds remaining bytes", ErrBadSnapshot, nDelta)
 	}
-	for i := range arena {
-		if err := readMappedTrajectoryRecordInto(cur, uint64(i), tok, &arena[i]); err != nil {
+	delta := make([]*trajectory.Trajectory, nDelta)
+	for i := range delta {
+		if delta[i], err = readMappedTrajectoryRecord(cur, uint64(i)); err != nil {
 			return nil, err
 		}
-		delta[i] = &arena[i]
 	}
-	ep, err := query.NewEpoch(query.NewFrozenEngine(f, set), delta, dead, 0)
+	ep, err := query.NewEpoch(query.NewFrozenEngine(f, nil), delta, dead, 0)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}

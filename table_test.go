@@ -1,0 +1,504 @@
+package trajcover
+
+// What the columnar trajectory table promises at the public surface: an
+// index keeps nothing of the slice or the trajectories it was built from,
+// a served index costs a stated number of bytes per trajectory, the
+// snapshot bytes did not move, and a hostile trajectory section is an
+// error from every reader.
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"math"
+	"os"
+	"runtime"
+	"testing"
+
+	"github.com/trajcover/trajcover/internal/query"
+	"github.com/trajcover/trajcover/internal/shard"
+	"github.com/trajcover/trajcover/internal/tqtree"
+	"github.com/trajcover/trajcover/internal/trajectory"
+)
+
+// TestConstructorsDoNotAliasInput: the constructors that take a caller's
+// slice keep their own list. Deleting half of the corpus (a swap-delete
+// per trajectory inside the index) and inserting more leaves the slice
+// the caller passed exactly as it was, so it can be reused positionally —
+// for a reference index, say.
+func TestConstructorsDoNotAliasInput(t *testing.T) {
+	ny := NewYorkCity()
+	all := TaxiTrips(ny, 400, 23)
+	users, extra := all[:300:300], all[300:]
+	orig := append([]*Trajectory(nil), users...)
+	unchanged := func(who string) {
+		t.Helper()
+		for i := range users {
+			if users[i] != orig[i] {
+				t.Fatalf("%s reordered the caller's slice at %d (id %d, was %d)", who, i, users[i].ID, orig[i].ID)
+			}
+		}
+	}
+
+	idx, err := NewIndex(users, IndexOptions{Ordering: ZOrdering})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range orig[:150] {
+		if !idx.Delete(u) {
+			t.Fatalf("Delete(%d) failed", u.ID)
+		}
+	}
+	for _, u := range extra {
+		if err := idx.Insert(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unchanged("Index")
+	if idx.Len() != 250 {
+		t.Fatalf("Index.Len = %d, want 250", idx.Len())
+	}
+
+	sh, err := NewShardedIndex(users, ShardOptions{Shards: 3, Index: IndexOptions{Ordering: ZOrdering}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range extra {
+		if err := sh.Insert(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unchanged("ShardedIndex")
+
+	bl, err := NewBaseline(users, TwoPoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The baseline has no write path; mutate its set as an Insert would.
+	if err := bl.set.Add(extra[0]); err != nil || !bl.set.Remove(orig[0].ID) {
+		t.Fatalf("baseline set: add %v", err)
+	}
+	unchanged("Baseline")
+
+	// And the answers of an index built from the untouched slice equal a
+	// reference built from a private copy.
+	routes := BusRoutes(ny, 8, 8, 5)
+	q := Query{Scenario: Binary, Psi: DefaultPsi}
+	ref, err := NewIndex(orig, IndexOptions{Ordering: ZOrdering})
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := NewIndex(users, IndexOptions{Ordering: ZOrdering})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := ref.ServiceValues(routes, q, 1)
+	got, _ := again.ServiceValues(routes, q, 1)
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("facility %d: %v from the reused slice, %v from the copy", i, got[i], want[i])
+		}
+	}
+}
+
+// liveHeap is the heap that survives two collections.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestIndexHeapPerTrajectory pins what a served index holds per
+// trajectory once its input is dropped: the 72-byte entry slab, a few
+// bytes of node and bucket columns, and the trajectory table's 52 (two
+// points, ID, offset, length, lookup slot) — no Trajectory object, point
+// slice, map slot or pointer beside them. A mapped index holds the
+// table's ID, offset and lookup columns and nothing else.
+func TestIndexHeapPerTrajectory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under the race detector")
+	}
+	const n = 50000
+	ny := NewYorkCity()
+	opts := IndexOptions{Ordering: ZOrdering}
+	path := t.TempDir() + "/corpus.tqlive"
+	cases := []struct {
+		name  string
+		limit float64
+		build func() (any, error)
+	}{
+		{"NewLiveShardedIndex", 140, func() (any, error) {
+			return NewLiveShardedIndex(TaxiTrips(ny, n, 7), LiveShardOptions{Shards: 2, Index: opts})
+		}},
+		{"NewFrozenIndex", 140, func() (any, error) {
+			return NewFrozenIndex(TaxiTrips(ny, n, 7), opts)
+		}},
+		{"OpenMappedLiveSnapshot", 24, func() (any, error) {
+			return OpenMappedLiveSnapshot(path, LivePolicy{})
+		}},
+	}
+	for _, c := range cases {
+		if c.name == "OpenMappedLiveSnapshot" {
+			// The file is written here, not in build, so the index that
+			// wrote it is garbage before the baseline is read.
+			built, err := NewLiveShardedIndex(TaxiTrips(ny, n, 7), LiveShardOptions{Shards: 2, Index: opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := built.WriteSnapshot(f); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := liveHeap()
+		idx, err := c.build()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		per := (float64(liveHeap()) - float64(before)) / n
+		runtime.KeepAlive(idx)
+		t.Logf("%s: %.1f heap bytes per trajectory", c.name, per)
+		if per > c.limit {
+			t.Errorf("%s holds %.1f heap bytes per trajectory, want <= %.0f", c.name, per, c.limit)
+		}
+	}
+}
+
+// TestTableBytesMultipoint: over multipoint check-ins on a segmented
+// index the table is the points, 16 bytes each, and at most 24 bytes of
+// fixed columns per trajectory — however many segments index it.
+func TestTableBytesMultipoint(t *testing.T) {
+	users := Checkins(NewYorkCity(), 3000, 9, 31)
+	points := 0
+	for _, u := range users {
+		points += u.Len()
+	}
+	fz, err := NewFrozenIndex(users, IndexOptions{Variant: Segmented, Ordering: ZOrdering})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := fz.engine.Table()
+	if tab.Len() != len(users) || tab.TotalPoints() != points {
+		t.Fatalf("table of %d trajectories, %d points; want %d, %d", tab.Len(), tab.TotalPoints(), len(users), points)
+	}
+	fixed := tab.Bytes() - 16*int64(points)
+	if fixed <= 0 || fixed > 24*int64(len(users)) {
+		t.Fatalf("table is %d bytes over %d points: %d fixed bytes for %d trajectories, want at most 24 each",
+			tab.Bytes(), points, fixed, len(users))
+	}
+	if st := fz.engine.Frozen().Bytes(); st <= tab.Bytes() {
+		t.Fatalf("index bytes %d do not include the columns beside the table's %d", st, tab.Bytes())
+	}
+}
+
+// TestSnapshotRoundTripMultipoint: write → read → write is byte-identical
+// through the heap, mapped and live readers over multipoint trajectories
+// (records of differing widths, segment entries that share a table row),
+// and all restores answer bit-identically — the mapped table addresses
+// points inside the records where the heap table holds copies.
+func TestSnapshotRoundTripMultipoint(t *testing.T) {
+	users := Checkins(NewYorkCity(), 400, 7, 43)
+	for _, v := range []Variant{Segmented, FullTrajectory} {
+		opts := IndexOptions{Variant: v, Ordering: ZOrdering}
+		fz, err := NewFrozenIndex(users, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := writeTempSnapshot(t, "frozen.tqsnap", func(w *os.File) error { return fz.WriteSnapshot(w) })
+		orig, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		heap, err := ReadFrozenSnapshot(bytes.NewReader(orig))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := OpenMappedFrozenSnapshot(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMappedAnswers(t, v.String()+" heap restore", fz, heap)
+		assertMappedAnswers(t, v.String()+" mapped restore", fz, mapped)
+		for name, x := range map[string]*FrozenIndex{"heap": heap, "mapped": mapped} {
+			var out bytes.Buffer
+			if err := x.WriteSnapshot(&out); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(orig, out.Bytes()) {
+				t.Fatalf("%v: %s re-snapshot differs (%d vs %d bytes)", v, name, out.Len(), len(orig))
+			}
+		}
+
+		lv, err := NewLiveShardedIndex(users[:300], LiveShardOptions{Shards: 2, Index: opts, Policy: LivePolicy{Manual: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range users[300:] {
+			if err := lv.Insert(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, u := range users[:9] {
+			if ok, err := lv.Delete(u.ID); err != nil || !ok {
+				t.Fatalf("Delete(%d) = %v, %v", u.ID, ok, err)
+			}
+		}
+		lpath := writeTempSnapshot(t, "live.tqlive", func(w *os.File) error { return lv.WriteSnapshot(w) })
+		lorig, err := os.ReadFile(lpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lheap, err := ReadLiveSnapshot(bytes.NewReader(lorig), LivePolicy{Manual: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lmapped, err := OpenMappedLiveSnapshot(lpath, LivePolicy{Manual: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMappedAnswers(t, v.String()+" live heap restore", lv, lheap)
+		assertMappedAnswers(t, v.String()+" live mapped restore", lv, lmapped)
+		for name, x := range map[string]*LiveShardedIndex{"heap": lheap, "mapped": lmapped} {
+			var out bytes.Buffer
+			if err := x.WriteSnapshot(&out); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(lorig, out.Bytes()) {
+				t.Fatalf("%v: live %s re-snapshot differs (%d vs %d bytes)", v, name, out.Len(), len(lorig))
+			}
+		}
+		if st, hst := lmapped.Stats(), lheap.Stats(); !st[0].Mapped || hst[0].Mapped || st[0].BaseBytes <= hst[0].BaseBytes {
+			// The mapped table's arena includes the record headers.
+			t.Fatalf("%v: mapped shard reports %+v, heap shard %+v", v, st[0], hst[0])
+		}
+		// A fold over mapped records copies what it keeps: same answers
+		// from a base that no longer reads the file.
+		if err := lmapped.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if err := lheap.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		assertMappedAnswers(t, v.String()+" after compact", lheap, lmapped)
+		if st := lmapped.Stats(); st[0].Mapped || st[0].BaseBytes == 0 {
+			t.Fatalf("%v: compacted shard reports Mapped %v, BaseBytes %d", v, st[0].Mapped, st[0].BaseBytes)
+		}
+	}
+}
+
+// frozenPayloadLayout locates the sections of a frozen payload a hostile
+// writer would aim at.
+type frozenPayloadLayout struct {
+	ne, nt          int
+	entTraj, entSeg int // byte offsets of the two int32 columns
+	trajs           int // byte offset of the first trajectory record
+}
+
+func layoutOf(t testing.TB, payload []byte) frozenPayloadLayout {
+	t.Helper()
+	u := func(i int) uint64 { return binary.LittleEndian.Uint64(payload[8*i:]) }
+	nn, nb, ne, nt := u(8), u(9), u(10), u(11)
+	off := uint64(12*8) + nn*32 + (3*nn+1)*4 + pad8(4*(3*nn+1)) + nn*8*2*3
+	if tqtree.Ordering(u(1)) == tqtree.ZOrder {
+		off += (nn+nb+2)*4 + pad8(4*(nn+nb+2)) + nb*16 + nb*96
+	}
+	off += ne * 64
+	return frozenPayloadLayout{ne: int(ne), nt: int(nt), entTraj: int(off), entSeg: int(off + 4*ne), trajs: int(off + 8*ne)}
+}
+
+// hostileTrajectoryCases are single-field forgeries of a frozen payload
+// over two-point trajectories (80-byte records), each leaving every
+// checksum to be recomputed — what a CRC cannot catch. mappedRejects is
+// false where the mapped reader, which serves cached lengths and never
+// reads MBRs, has nothing to compare.
+var hostileTrajectoryCases = []struct {
+	name          string
+	mappedRejects bool
+	forge         func(p []byte, l frozenPayloadLayout)
+}{
+	{"point count 0", true, func(p []byte, l frozenPayloadLayout) { binary.LittleEndian.PutUint32(p[l.trajs+4:], 0) }},
+	{"point count 1", true, func(p []byte, l frozenPayloadLayout) { binary.LittleEndian.PutUint32(p[l.trajs+80+4:], 1) }},
+	{"point count 2^24+1", true, func(p []byte, l frozenPayloadLayout) { binary.LittleEndian.PutUint32(p[l.trajs+4:], 1<<24+1) }},
+	{"point count past the remaining bytes", true, func(p []byte, l frozenPayloadLayout) {
+		binary.LittleEndian.PutUint32(p[l.trajs+80*(l.nt-1)+4:], 1000)
+	}},
+	{"point count 2^24 in the first record", true, func(p []byte, l frozenPayloadLayout) {
+		binary.LittleEndian.PutUint32(p[l.trajs+4:], 1<<24)
+	}},
+	{"entSeg >= segments", true, func(p []byte, l frozenPayloadLayout) { binary.LittleEndian.PutUint32(p[l.entSeg:], 1) }},
+	{"entTraj >= table length", true, func(p []byte, l frozenPayloadLayout) {
+		binary.LittleEndian.PutUint32(p[l.entTraj+4*(l.ne-1):], uint32(l.nt))
+	}},
+	{"entTraj negative", true, func(p []byte, l frozenPayloadLayout) {
+		binary.LittleEndian.PutUint32(p[l.entTraj:], math.MaxUint32)
+	}},
+	{"duplicate id in two records", true, func(p []byte, l frozenPayloadLayout) {
+		copy(p[l.trajs+80*3:l.trajs+80*3+4], p[l.trajs:l.trajs+4])
+	}},
+	{"cached length disagrees with points", false, func(p []byte, l frozenPayloadLayout) { p[l.trajs+8+3] ^= 0x10 }},
+	{"cached MBR disagrees with points", false, func(p []byte, l frozenPayloadLayout) { p[l.trajs+80+16+5] ^= 0x01 }},
+}
+
+// hostileSnapshot is one forged image.
+type hostileSnapshot struct {
+	format, name  string
+	mappedRejects bool
+	data          []byte
+}
+
+// hostileSnapshots forges every case into a valid TQSNAP03, one-shard
+// TQSHRD02 and one-shard TQLIVE01 image, checksums recomputed.
+func hostileSnapshots(t testing.TB) (out []hostileSnapshot) {
+	t.Helper()
+	users := TaxiTrips(NewYorkCity(), 30, 41)
+	opts := IndexOptions{Ordering: ZOrdering}
+	fz, err := NewFrozenIndex(users, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := NewShardedIndex(users, ShardOptions{Shards: 1, Index: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sfz, err := sh.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv, err := sfz.Live(LivePolicy{Manual: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var single, sharded, live bytes.Buffer
+	for _, w := range []struct {
+		buf   *bytes.Buffer
+		write func(*bytes.Buffer) error
+	}{
+		{&single, func(b *bytes.Buffer) error { return fz.WriteSnapshot(b) }},
+		{&sharded, func(b *bytes.Buffer) error { return sfz.WriteSnapshot(b) }},
+		{&live, func(b *bytes.Buffer) error { return lv.WriteSnapshot(b) }},
+	} {
+		if err := w.write(w.buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One-frame container: magic, shard count, kind, header CRC, pad;
+	// then the frame's length, payload, CRC and pad.
+	framePayload := func(data []byte) (lo, hi int) {
+		kl := int(binary.LittleEndian.Uint32(data[16:]))
+		lo = 20 + kl + 4 + int(pad8(uint64(kl))) + 8
+		return lo, lo + int(binary.LittleEndian.Uint64(data[lo-8:]))
+	}
+	for _, c := range hostileTrajectoryCases {
+		s := bytes.Clone(single.Bytes())
+		c.forge(s[8:len(s)-4], layoutOf(t, s[8:]))
+		binary.LittleEndian.PutUint32(s[len(s)-4:], crc32.ChecksumIEEE(s[:len(s)-4]))
+		out = append(out, hostileSnapshot{"TQSNAP03", c.name, c.mappedRejects, s})
+		for format, img := range map[string][]byte{"TQSHRD02": sharded.Bytes(), "TQLIVE01": live.Bytes()} {
+			d := bytes.Clone(img)
+			lo, hi := framePayload(d)
+			c.forge(d[lo:hi], layoutOf(t, d[lo:hi]))
+			binary.LittleEndian.PutUint32(d[hi:], crc32.ChecksumIEEE(d[lo:hi]))
+			out = append(out, hostileSnapshot{format, c.name, c.mappedRejects, d})
+		}
+	}
+	return out
+}
+
+// TestSnapshotHostileTrajectorySection: a trajectory section forged
+// under valid checksums — impossible point counts, a count that runs off
+// the file, entries naming a row or a segment that does not exist, one ID
+// in two records, cached geometry that is not the points' — is an
+// ErrBadSnapshot from the heap readers, and from the mapped readers
+// wherever they look; none of them panics or serves the forgery's index.
+func TestSnapshotHostileTrajectorySection(t *testing.T) {
+	heapRead := map[string]func([]byte) error{
+		"TQSNAP03": func(d []byte) error { _, err := ReadFrozenSnapshot(bytes.NewReader(d)); return err },
+		"TQSHRD02": func(d []byte) error { _, err := ReadFrozenShardedSnapshot(bytes.NewReader(d)); return err },
+		"TQLIVE01": func(d []byte) error { _, err := ReadLiveSnapshot(bytes.NewReader(d), LivePolicy{}); return err },
+	}
+	mappedOpen := map[string]func(string) error{
+		"TQSNAP03": func(p string) error { _, err := OpenMappedFrozenSnapshot(p); return err },
+		"TQSHRD02": func(p string) error { _, err := OpenMappedFrozenShardedSnapshot(p); return err },
+		"TQLIVE01": func(p string) error { _, err := OpenMappedLiveSnapshot(p, LivePolicy{}); return err },
+	}
+	noPanic := func(read func() error) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("PANIC: %v", r)
+			}
+		}()
+		return read()
+	}
+	for _, h := range hostileSnapshots(t) {
+		err := noPanic(func() error { return heapRead[h.format](h.data) })
+		if !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s, %s: heap reader returned %v, want ErrBadSnapshot", h.format, h.name, err)
+		}
+		path := writeTempSnapshot(t, "hostile", func(w *os.File) error { _, err := w.Write(h.data); return err })
+		err = openMappedNoPanic(mappedOpen[h.format], path)
+		if h.mappedRejects && !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s, %s: mapped reader returned %v, want ErrBadSnapshot", h.format, h.name, err)
+		}
+		if err != nil && !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s, %s: mapped reader failed with %v", h.format, h.name, err)
+		}
+	}
+}
+
+// TestLiveSnapshotRejectsCrossShardDeltaID: a TQLIVE01 whose second
+// shard's overlay holds an ID that is live in the first shard's base is
+// refused by both readers — each frame is valid in itself, so only the
+// merge across shards can see it.
+func TestLiveSnapshotRejectsCrossShardDeltaID(t *testing.T) {
+	users := TaxiTrips(NewYorkCity(), 40, 41)
+	epoch := func(base, delta []*Trajectory) *query.Epoch {
+		t.Helper()
+		tree, err := tqtree.Build(base, tqtree.Options{Ordering: tqtree.ZOrder})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fz, err := tqtree.Freeze(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep, err := query.NewEpoch(query.NewFrozenEngine(fz, nil), delta, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ep
+	}
+	clash := trajectory.MustNew(users[5].ID, users[30].Points)
+	for _, c := range []struct {
+		name  string
+		delta []*Trajectory
+		ok    bool
+	}{
+		{"disjoint", []*Trajectory{users[39]}, true},
+		{"delta id in another shard's base", []*Trajectory{users[39], clash}, false},
+	} {
+		eps := []*query.Epoch{epoch(users[:20], nil), epoch(users[20:39], c.delta)}
+		var buf bytes.Buffer
+		if err := writeLiveSnapshot(&buf, eps, shard.Hash{}.Kind()); err != nil {
+			t.Fatal(err)
+		}
+		_, herr := ReadLiveSnapshot(bytes.NewReader(buf.Bytes()), LivePolicy{Manual: true})
+		path := writeTempSnapshot(t, "live.tqlive", func(w *os.File) error { _, err := w.Write(buf.Bytes()); return err })
+		_, merr := OpenMappedLiveSnapshot(path, LivePolicy{Manual: true})
+		if c.ok && (herr != nil || merr != nil) {
+			t.Fatalf("%s: heap %v, mapped %v", c.name, herr, merr)
+		}
+		if !c.ok && (!errors.Is(herr, ErrBadSnapshot) || !errors.Is(merr, ErrBadSnapshot)) {
+			t.Fatalf("%s: heap %v, mapped %v; want ErrBadSnapshot from both", c.name, herr, merr)
+		}
+	}
+}

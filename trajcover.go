@@ -153,20 +153,26 @@ func newIndex(engine *query.Engine) *Index {
 	return &Index{querier: querier{engine}, engine: engine, set: engine.Users()}
 }
 
-// NewIndex builds a TQ-tree index over the given user trajectories.
+func (o IndexOptions) treeOptions() tqtree.Options {
+	return tqtree.Options{
+		Variant:     o.Variant,
+		Ordering:    o.Ordering,
+		Beta:        o.Beta,
+		MaxDepth:    o.MaxDepth,
+		Bounds:      o.Bounds,
+		Parallelism: o.Parallelism,
+	}
+}
+
+// NewIndex builds a TQ-tree index over the given user trajectories. The
+// index keeps its own list of them: later Inserts and Deletes leave the
+// users slice as the caller passed it.
 func NewIndex(users []*Trajectory, opts IndexOptions) (*Index, error) {
 	set, err := trajectory.NewSet(users)
 	if err != nil {
 		return nil, err
 	}
-	tree, err := tqtree.Build(users, tqtree.Options{
-		Variant:     opts.Variant,
-		Ordering:    opts.Ordering,
-		Beta:        opts.Beta,
-		MaxDepth:    opts.MaxDepth,
-		Bounds:      opts.Bounds,
-		Parallelism: opts.Parallelism,
-	})
+	tree, err := tqtree.Build(users, opts.treeOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -243,14 +249,7 @@ func (o ShardOptions) shardOptions() shard.Options {
 	return shard.Options{
 		Shards:      o.Shards,
 		Partitioner: o.Partitioner,
-		Tree: tqtree.Options{
-			Variant:     o.Index.Variant,
-			Ordering:    o.Index.Ordering,
-			Beta:        o.Index.Beta,
-			MaxDepth:    o.Index.MaxDepth,
-			Bounds:      o.Index.Bounds,
-			Parallelism: o.Index.Parallelism,
-		},
+		Tree:        o.Index.treeOptions(),
 	}
 }
 
