@@ -10,7 +10,6 @@ package trajcover
 // 11b) report their metric through b.ReportMetric next to the timing.
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"strconv"
@@ -516,45 +515,6 @@ func BenchmarkTopKFrozen(b *testing.B) {
 	b.Run("layout=frozen", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, err := feng.TopK(fs, benchK, p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkSnapshotRestore — restore cost of the two single-index
-// snapshot formats over the same corpus: TQSNAP02 re-builds the TQ-tree
-// from raw trajectories, TQSNAP03 bulk-reads the frozen columns.
-func BenchmarkSnapshotRestore(b *testing.B) {
-	c := ctx()
-	users := c.Users("nyt", datagen.NYT1Day)
-	idx, err := NewIndex(users.All, IndexOptions{Ordering: ZOrdering})
-	if err != nil {
-		b.Fatal(err)
-	}
-	fz, err := idx.Freeze()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var rebuildBuf, frozenBuf bytes.Buffer
-	if err := idx.WriteSnapshot(&rebuildBuf); err != nil {
-		b.Fatal(err)
-	}
-	if err := fz.WriteSnapshot(&frozenBuf); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("format=rebuild-TQSNAP02", func(b *testing.B) {
-		b.SetBytes(int64(rebuildBuf.Len()))
-		for i := 0; i < b.N; i++ {
-			if _, err := ReadSnapshot(bytes.NewReader(rebuildBuf.Bytes())); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("format=frozen-TQSNAP03", func(b *testing.B) {
-		b.SetBytes(int64(frozenBuf.Len()))
-		for i := 0; i < b.N; i++ {
-			if _, err := ReadFrozenSnapshot(bytes.NewReader(frozenBuf.Bytes())); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -26,15 +26,12 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
-	trajcover "github.com/trajcover/trajcover"
 	"github.com/trajcover/trajcover/internal/bench"
-	"github.com/trajcover/trajcover/internal/datagen"
 )
 
 func main() {
@@ -55,11 +52,6 @@ func main() {
 		os.Exit(runDiff(flag.Args(), *threshold))
 	}
 
-	bench.RegisterExtra(bench.Experiment{
-		ID:    "restore",
-		Title: "extra — snapshot restore: frozen columnar read vs tree rebuild (NYT, not in the paper)",
-		Run:   expRestore,
-	})
 	bench.RegisterExtra(bench.Experiment{
 		ID:    "serve",
 		Title: "extra — tqserve worker-pool HTTP front end requests/sec vs pool size (NYT, not in the paper)",
@@ -173,61 +165,4 @@ func runDiff(args []string, threshold float64) int {
 	}
 	fmt.Println("# no regressions")
 	return 0
-}
-
-// expRestore measures snapshot restore for the two single-index formats:
-// TQSNAP02 (store trajectories, rebuild the tree on read) against
-// TQSNAP03 (frozen columns, bulk read + bounds check + CRC). Both
-// streams describe the same index; the frozen restore's advantage is
-// precisely the rebuild it skips. It lives here rather than in
-// internal/bench because only the public package exposes the snapshot
-// formats.
-func expRestore(ctx *bench.Context) (*bench.Table, error) {
-	t := &bench.Table{
-		ID: "restore", Title: "snapshot restore: frozen columns vs tree rebuild (NYT)",
-		XLabel: "users", YLabel: "restores/sec",
-		Series: []bench.Series{{Method: "rebuild(TQSNAP02)"}, {Method: "frozen(TQSNAP03)"}},
-	}
-	for _, paperN := range []int{datagen.NYT1Day, datagen.NYT3Days} {
-		users := ctx.Users("nyt", paperN)
-		idx, err := trajcover.NewIndex(users.All, trajcover.IndexOptions{Ordering: trajcover.ZOrdering})
-		if err != nil {
-			return nil, err
-		}
-		fz, err := idx.Freeze()
-		if err != nil {
-			return nil, err
-		}
-		var rebuildBuf, frozenBuf bytes.Buffer
-		if err := idx.WriteSnapshot(&rebuildBuf); err != nil {
-			return nil, err
-		}
-		if err := fz.WriteSnapshot(&frozenBuf); err != nil {
-			return nil, err
-		}
-		var rerr error
-		rebuildSec := ctx.Time(func() {
-			if _, err := trajcover.ReadSnapshot(bytes.NewReader(rebuildBuf.Bytes())); err != nil {
-				rerr = err
-			}
-		})
-		frozenSec := ctx.Time(func() {
-			if _, err := trajcover.ReadFrozenSnapshot(bytes.NewReader(frozenBuf.Bytes())); err != nil {
-				rerr = err
-			}
-		})
-		if rerr != nil {
-			return nil, rerr
-		}
-		rate := func(sec float64) float64 {
-			if sec <= 0 {
-				return 0
-			}
-			return 1 / sec
-		}
-		t.XTicks = append(t.XTicks, fmt.Sprint(users.Len()))
-		t.Series[0].Y = append(t.Series[0].Y, rate(rebuildSec))
-		t.Series[1].Y = append(t.Series[1].Y, rate(frozenSec))
-	}
-	return t, nil
 }

@@ -39,7 +39,7 @@ func TestRunDiffExitCodes(t *testing.T) {
 	base := []bench.Row{
 		row("churn", "1000", "insert", "seconds", 1.0),
 		row("churn", "1000", "swaps (n)", "seconds", 4),
-		row("restore", "1000", "frozen(TQSNAP03)", "restores/sec", 5.0),
+		row("mmaptier", "1000", "heap(TQSNAP03)", "restores/sec", 5.0),
 		// Sub-millisecond baseline: below the gate floor, never fails.
 		row("micro", "10", "lookup", "seconds", 1e-5),
 	}

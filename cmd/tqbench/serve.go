@@ -9,7 +9,7 @@ package main
 // sit below the library-level `thrpt` numbers by the HTTP+JSON tax; on n
 // cores the pool should scale like the batch executor underneath it. It
 // lives here rather than in internal/bench because internal/server
-// fronts the public package (like the restore experiment's snapshots).
+// fronts the public package (like the mmaptier experiment's snapshots).
 
 import (
 	"bytes"

@@ -282,7 +282,7 @@ var extra []Experiment
 
 // RegisterExtra appends an experiment to the registry for this process.
 // cmd/tqbench uses it to contribute experiments that need the public
-// trajcover API (the snapshot-restore comparison): internal/bench cannot
+// trajcover API (the snapshot open comparison, mmaptier): internal/bench cannot
 // import the root package itself, because the root package's in-package
 // tests import internal/bench and would close an import cycle.
 func RegisterExtra(e Experiment) { extra = append(extra, e) }

@@ -308,17 +308,6 @@ func TestLiveImmutableInsert(t *testing.T) {
 	if lv.Len() != 299 {
 		t.Fatalf("Len = %d, want 299", lv.Len())
 	}
-
-	// The restored-Sharded path reports the same typed error.
-	s2, err := FromPartition([][]*trajectory.Trajectory{users[:150], users[150:]}, Options{Tree: tqtree.Options{
-		Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder, Beta: 8, Bounds: testBounds,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Insert(extra); !errors.Is(err, ErrImmutable) {
-		t.Fatalf("Sharded.Insert = %v, want ErrImmutable", err)
-	}
 }
 
 // TestLiveDeletesDuringCompact races deletions against a synchronous

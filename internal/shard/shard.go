@@ -88,26 +88,6 @@ func partition(users []*trajectory.Trajectory, opts Options) ([][]*trajectory.Tr
 	return parts, bounds
 }
 
-// FromPartition builds a Sharded from an existing per-shard partition —
-// the snapshot restore path, which must reproduce the recorded partition
-// without re-running the partitioner. Unlike Build, a nil
-// opts.Partitioner is kept nil (the partition may have been produced by
-// a partitioner this build does not know); such an index serves queries
-// but rejects Inserts.
-func FromPartition(parts [][]*trajectory.Trajectory, opts Options) (*Sharded, error) {
-	opts.Shards = len(parts)
-	if opts.Shards == 0 {
-		return nil, fmt.Errorf("shard: empty partition")
-	}
-	bounds := opts.Tree.Bounds
-	for _, part := range parts {
-		for _, u := range part {
-			bounds = bounds.ExtendRect(u.MBR())
-		}
-	}
-	return fromParts(parts, bounds, opts)
-}
-
 // buildTrees builds one TQ-tree per part and hands each to finish, which
 // turns it into the shard's engine. Shards build concurrently — each over
 // a disjoint trajectory slice — with the total goroutine budget split
@@ -225,24 +205,8 @@ func (s *Sharded) Bounds() geo.Rect { return s.bounds }
 // a time).
 func (s *Sharded) Engine(i int) *query.Engine { return s.engines[i] }
 
-// PartitionerKind returns the configured partitioner's kind, or "" when
-// none survives (a snapshot restored from an unknown custom kind).
-func (s *Sharded) PartitionerKind() string {
-	if s.opts.Partitioner == nil {
-		return ""
-	}
-	return s.opts.Partitioner.Kind()
-}
-
-// Partition returns each shard's trajectories, in shard order — the
-// payload a snapshot records.
-func (s *Sharded) Partition() [][]*trajectory.Trajectory {
-	out := make([][]*trajectory.Trajectory, len(s.engines))
-	for i, e := range s.engines {
-		out[i] = e.Users().All
-	}
-	return out
-}
+// PartitionerKind returns the configured partitioner's kind.
+func (s *Sharded) PartitionerKind() string { return s.opts.Partitioner.Kind() }
 
 // ByID returns the trajectory with the given id from whichever shard
 // holds it, or nil.
@@ -258,14 +222,8 @@ func (s *Sharded) ByID(id trajectory.ID) *trajectory.Trajectory {
 // Insert routes a trajectory to its shard and inserts it there. Like the
 // single-tree Insert it is not safe concurrently with queries — but only
 // the target shard is touched, so serving systems can quiesce one shard
-// at a time. Restored snapshots of unknown partitioner kinds return
-// ErrImmutable: the recorded partition could not be extended
-// consistently — convert such an index with Live to delete (and, with a
-// known partitioner, insert) again.
+// at a time.
 func (s *Sharded) Insert(u *trajectory.Trajectory) error {
-	if s.opts.Partitioner == nil {
-		return fmt.Errorf("%w: cannot route insert", ErrImmutable)
-	}
 	if s.ByID(u.ID) != nil {
 		return fmt.Errorf("%w: %d", ErrDuplicateID, u.ID)
 	}

@@ -368,44 +368,6 @@ func TestEmptyAndTinyCorpora(t *testing.T) {
 	}
 }
 
-// TestFromPartitionPreservesAssignment checks the snapshot-restore
-// constructor reproduces the recorded partition verbatim.
-func TestFromPartitionPreservesAssignment(t *testing.T) {
-	users := makeUsers(800, 2, 71)
-	s, err := Build(users, Options{Shards: 4, Partitioner: Grid{}, Tree: tqtree.Options{Bounds: testBounds}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := FromPartition(s.Partition(), Options{
-		Shards: 4, Partitioner: Grid{}, Tree: tqtree.Options{Bounds: testBounds},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws, rs := s.Sizes(), restored.Sizes()
-	for i := range ws {
-		if ws[i] != rs[i] {
-			t.Fatalf("shard %d: restored size %d, want %d", i, rs[i], ws[i])
-		}
-	}
-	fs := makeFacilities(8, 8, 72)
-	p := query.Params{Scenario: service.Binary, Psi: 40}
-	want, _, err := s.TopK(fs, 4, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := restored.TopK(fs, 4, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i].Facility.ID != want[i].Facility.ID || got[i].Service != want[i].Service {
-			t.Fatalf("rank %d: (%d, %v), want (%d, %v)", i,
-				got[i].Facility.ID, got[i].Service, want[i].Facility.ID, want[i].Service)
-		}
-	}
-}
-
 // TestShardedValidates checks parameter and scenario validation fan out.
 func TestShardedValidates(t *testing.T) {
 	users := makeUsers(300, 4, 81) // multipoint
@@ -437,18 +399,6 @@ func TestPartitionerOfRoundTrip(t *testing.T) {
 	}
 	if _, ok := PartitionerOf("bogus"); ok {
 		t.Fatal("unknown kind resolved")
-	}
-}
-
-// TestFromPartitionRejectsCrossShardDuplicates checks the restore path
-// refuses a partition that repeats an ID in two shards — such an index
-// would silently double-count that user in every answer.
-func TestFromPartitionRejectsCrossShardDuplicates(t *testing.T) {
-	a := trajectory.MustNew(7, []geo.Point{geo.Pt(1, 1), geo.Pt(2, 2)})
-	b := trajectory.MustNew(7, []geo.Point{geo.Pt(900, 900), geo.Pt(950, 950)})
-	parts := [][]*trajectory.Trajectory{{a}, {b}}
-	if _, err := FromPartition(parts, Options{}); err == nil {
-		t.Fatal("cross-shard duplicate IDs accepted")
 	}
 }
 

@@ -86,29 +86,17 @@ func (b *TableBuilder) Append(u *Trajectory) int32 {
 	return b.close(u.ID, u.length)
 }
 
-// AppendRead appends a trajectory of n points produced by read, which
-// must append exactly n points to the slice it is given and return it —
-// the shape of a streaming decoder, so a restore fills the arena in place
-// instead of staging each trajectory in a buffer of its own. It returns
-// the appended points (aliasing the arena, valid until the next append)
-// and the length computed from them.
-func (b *TableBuilder) AppendRead(id ID, n int, read func(dst []geo.Point, n int) ([]geo.Point, error)) ([]geo.Point, float64, error) {
-	if n < 2 {
-		return nil, 0, fmt.Errorf("%w (id %d has %d)", ErrTooShort, id, n)
+// AppendPoints copies a trajectory given as its ID and points — what a
+// snapshot record holds, with no Trajectory object built for it — and
+// returns the length computed from the points.
+func (b *TableBuilder) AppendPoints(id ID, pts []geo.Point) (float64, error) {
+	if len(pts) < 2 {
+		return 0, fmt.Errorf("%w (id %d has %d)", ErrTooShort, id, len(pts))
 	}
-	start := len(b.t.points)
-	pts, err := read(b.t.points, n)
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(pts) != start+n {
-		return nil, 0, fmt.Errorf("trajectory: id %d: read %d points, want %d", id, len(pts)-start, n)
-	}
-	b.t.points = pts
-	run := pts[start:]
-	l := lengthOf(run)
+	b.t.points = append(b.t.points, pts...)
+	l := lengthOf(pts)
 	b.close(id, l)
-	return run, l, nil
+	return l, nil
 }
 
 func (b *TableBuilder) close(id ID, length float64) int32 {

@@ -104,23 +104,21 @@ func TestTableRejectsDuplicateIDs(t *testing.T) {
 	}
 }
 
-// TestTableAppendRead: the streaming form fills the arena in place,
-// reports the length New would compute, and refuses a short trajectory or
-// a reader that delivers the wrong number of points.
-func TestTableAppendRead(t *testing.T) {
+// TestTableAppendPoints: an (id, points) pair is copied into the arena
+// with the length New would compute; a short trajectory is refused.
+func TestTableAppendPoints(t *testing.T) {
 	u := tableTestUsers(1, 3)[0]
 	tb := NewTableBuilder(0, 0)
-	read := func(dst []geo.Point, n int) ([]geo.Point, error) { return append(dst, u.Points[:n]...), nil }
-	pts, length, err := tb.AppendRead(u.ID, u.Len(), read)
-	if err != nil || !slices.Equal(pts, u.Points) || math.Float64bits(length) != math.Float64bits(u.Length()) {
-		t.Fatalf("AppendRead = %v, %v, %v", pts, length, err)
+	length, err := tb.AppendPoints(u.ID, u.Points)
+	if err != nil || math.Float64bits(length) != math.Float64bits(u.Length()) {
+		t.Fatalf("AppendPoints = %v, %v", length, err)
 	}
-	if _, _, err := tb.AppendRead(9, 1, read); err == nil {
+	if _, err := tb.AppendPoints(9, u.Points[:1]); err == nil {
 		t.Fatal("one-point trajectory accepted")
 	}
-	short := func(dst []geo.Point, n int) ([]geo.Point, error) { return append(dst, u.Points[0]), nil }
-	if _, _, err := tb.AppendRead(9, 2, short); err == nil {
-		t.Fatal("reader that delivered 1 of 2 points accepted")
+	tab, err := tb.Build()
+	if err != nil || tab.Len() != 1 || !slices.Equal(tab.Points(0), u.Points) || &tab.Points(0)[0] == &u.Points[0] {
+		t.Fatalf("built table = %v, %v; want one private copy of the points", tab, err)
 	}
 }
 

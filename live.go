@@ -207,11 +207,8 @@ func NewLiveShardedIndex(users []*Trajectory, opts LiveShardOptions) (*LiveShard
 	return newLiveShardedIndex(s), nil
 }
 
-// Live converts a built (or snapshot-restored) ShardedIndex into its
-// live serving form: every shard's tree is frozen into its first
-// epoch's base. An index restored with an unknown custom partitioner
-// converts too — it serves queries and Deletes, and Insert returns
-// ErrImmutable because new writes cannot be routed.
+// Live converts a ShardedIndex into its live serving form: every
+// shard's tree is frozen into its first epoch's base.
 func (x *ShardedIndex) Live(pol LivePolicy) (*LiveShardedIndex, error) {
 	s, err := x.s.Live(pol.policy())
 	if err != nil {
@@ -221,7 +218,10 @@ func (x *ShardedIndex) Live(pol LivePolicy) (*LiveShardedIndex, error) {
 }
 
 // Live converts a frozen sharded index into its live serving form — the
-// restore path that makes a read-only sharded snapshot mutable again.
+// restore path that makes a read-only sharded snapshot mutable again. An
+// index restored with a partitioner kind this build does not know
+// converts too: it serves queries and Deletes, and Insert returns
+// ErrImmutable because new writes cannot be routed.
 func (x *FrozenShardedIndex) Live(pol LivePolicy) (*LiveShardedIndex, error) {
 	s, err := x.s.Live(pol.policy())
 	if err != nil {

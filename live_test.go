@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-// rewriteShardedHeaderCRC recomputes the TQSHRD01 header checksum over
+// rewriteShardedHeaderCRC recomputes the TQSHRD02 header checksum over
 // data[:headerEnd] in place — used to forge a snapshot whose partitioner
 // kind this build does not know without tripping the CRC.
 func rewriteShardedHeaderCRC(t *testing.T, data []byte, headerEnd int) []byte {
@@ -191,10 +191,33 @@ func TestIndexLiveConversion(t *testing.T) {
 	}
 }
 
-// TestRestoredSnapshotBecomesMutable: the restored-snapshot types route
-// into the live path — including the previously write-rejecting
-// unknown-partitioner case, which now yields a typed ErrImmutable from
-// Insert while Delete keeps working.
+// restoredFrozenSharded freezes sidx, writes it as a TQSHRD02 stream —
+// passed through forge, if any — and reads it back.
+func restoredFrozenSharded(t *testing.T, sidx *ShardedIndex, forge func(data []byte) []byte) *FrozenShardedIndex {
+	t.Helper()
+	fz, err := sidx.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := fz.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	if forge != nil {
+		data = forge(data)
+	}
+	restored, err := ReadFrozenShardedSnapshot(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return restored
+}
+
+// TestRestoredSnapshotBecomesMutable: a mutable sharded index persists as
+// its frozen form and comes back mutable as the restored index's Live —
+// inserts route by the recorded partitioner kind, deletes by ID, and the
+// answers move by exactly the trajectories written.
 func TestRestoredSnapshotBecomesMutable(t *testing.T) {
 	base, feed, routes := liveWorkload(t)
 	q := Query{Scenario: Binary, Psi: DefaultPsi}
@@ -202,15 +225,7 @@ func TestRestoredSnapshotBecomesMutable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := sidx.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := ReadShardedSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lv, err := restored.Live(LivePolicy{Manual: true})
+	lv, err := restoredFrozenSharded(t, sidx, nil).Live(LivePolicy{Manual: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,65 +262,33 @@ func TestRestoredSnapshotBecomesMutable(t *testing.T) {
 	if got != want+dv-rv {
 		t.Fatalf("restored live ServiceValue = %v, want %v", got, want+dv-rv)
 	}
-
-	// A frozen sharded snapshot converts too.
-	ffz, err := sidx.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := ffz.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	frestored, err := ReadFrozenShardedSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	flv, err := frestored.Live(LivePolicy{Manual: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := flv.Insert(feed[1]); err != nil {
-		t.Fatal(err)
-	}
 }
 
-// TestErrImmutableTyped: restored indexes whose partitioner kind this
-// build does not know report ErrImmutable (testable with errors.Is and
-// IsImmutable) from Insert — on both the classic ShardedIndex and its
-// live conversion — while Delete on the live form still works.
+// TestErrImmutableTyped: a restored index whose partitioner kind this
+// build does not know reports ErrImmutable (testable with errors.Is and
+// IsImmutable) from its live form's Insert, while Delete still works.
 func TestErrImmutableTyped(t *testing.T) {
 	base, feed, _ := liveWorkload(t)
 	sidx, err := NewShardedIndex(base[:500], ShardOptions{Shards: 2, Index: IndexOptions{Ordering: ZOrdering}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := sidx.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
 	// Forge an unknown partitioner kind in the header ("hash" -> "hasq")
 	// and fix up the header CRC so only the kind differs.
-	data := buf.Bytes()
-	i := bytes.Index(data, []byte("hash"))
-	if i < 0 {
-		t.Fatal("kind not found in stream")
-	}
-	data[i+3] = 'q'
-	// Header CRC covers magic..kind; recompute it in place.
-	fixed := rewriteShardedHeaderCRC(t, data, i+4)
-	restored, err := ReadShardedSnapshot(bytes.NewReader(fixed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.Insert(feed[0]); !errors.Is(err, ErrImmutable) || !IsImmutable(err) {
-		t.Fatalf("restored Insert = %v, want ErrImmutable", err)
-	}
+	restored := restoredFrozenSharded(t, sidx, func(data []byte) []byte {
+		i := bytes.Index(data, []byte("hash"))
+		if i < 0 {
+			t.Fatal("kind not found in stream")
+		}
+		data[i+3] = 'q'
+		// Header CRC covers magic..kind; recompute it in place.
+		return rewriteShardedHeaderCRC(t, data, i+4)
+	})
 	lv, err := restored.Live(LivePolicy{Manual: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lv.Insert(feed[0]); !errors.Is(err, ErrImmutable) {
+	if err := lv.Insert(feed[0]); !errors.Is(err, ErrImmutable) || !IsImmutable(err) {
 		t.Fatalf("live Insert = %v, want ErrImmutable", err)
 	}
 	if ok, err := lv.Delete(base[0].ID); err != nil || !ok {

@@ -1,423 +1,333 @@
 package trajcover
 
-// Snapshot persistence: an Index or ShardedIndex can be written to and
-// restored from a compact binary stream. A snapshot stores the
-// configuration and the raw trajectories; restoring rebuilds the
-// TQ-tree(s), which is fast (a few hundred milliseconds per million
-// trips) and keeps the format decoupled from the in-memory node layout.
+// Snapshot persistence. A frozen or live index is written as its columns
+// and read back without rebuilding a tree. One column encoding — the
+// frozen payload of snapshot_frozen.go — travels in three framings, told
+// apart by an 8-byte magic:
 //
-// Two rebuild-format streams share the encoding of a trajectory payload:
+//	TQSNAP03 — one frozen index: magic, frozen payload, CRC32 trailer.
+//	TQSHRD02 — sharded frozen container: CRC'd header (shard count,
+//	           partitioner kind), then one length-prefixed, individually
+//	           CRC'd frozen payload per shard.
+//	TQLIVE01 — live container: the same header and framing; each frame
+//	           holds a shard's frozen base, its tombstones and its delta
+//	           (snapshot_live.go).
 //
-//	TQSNAP02 — single index: header, one trajectory payload, CRC trailer.
-//	TQSHRD01 — sharded container: CRC'd shared header (options, shard
-//	           count, partitioner kind), then one length-prefixed,
-//	           individually CRC'd frame per shard. The frames record the
-//	           partition itself, so restoring never re-runs the
-//	           partitioner — each shard rebuilds from its own frame, one
-//	           frame (and one shard) at a time.
+// A mutable Index or ShardedIndex persists as its Freeze() and comes
+// back mutable as the restored index's Live(). The rebuild formats that
+// stored raw trajectories (TQSNAP02, TQSHRD01) are retired; their magics
+// are still recognised, to say so.
 //
-// The frozen columnar formats (TQSNAP03/TQSHRD02, snapshot_frozen.go)
-// serialize a FrozenIndex's flat slices verbatim instead, trading the
-// rebuild for a bulk read plus bounds checks on restore.
+// This file is the one reader of those framings. Everything is parsed
+// off a cursor over a []byte, and the cursor's only parameter is who
+// owns the bytes. A mapping pin (snapshot_mmap.go): columns alias the
+// file where it is mapped, the trajectory table is laid over the records
+// in place, and the restored tqtree.Frozen pins the mapping. Nobody (the
+// io.Reader entry points): the bytes are one frame — the whole stream
+// for TQSNAP03 — read into a buffer that is dropped after the parse, so
+// every column is copied out at its exact size and every trajectory
+// record into a table of its own. The two owners differ in one check,
+// by design: the copy recomputes each record's length and bounding box
+// from its points and compares them with the cached ones, while an
+// aliasing open must stay O(columns), not O(points), and serves the
+// cached length as recorded.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"github.com/trajcover/trajcover/internal/geo"
-	"github.com/trajcover/trajcover/internal/shard"
-	"github.com/trajcover/trajcover/internal/tqtree"
-	"github.com/trajcover/trajcover/internal/trajectory"
-)
-
-// Snapshot magic numbers: the single-index stream and the sharded
-// container.
-var (
-	snapshotMagic = [8]byte{'T', 'Q', 'S', 'N', 'A', 'P', '0', '2'}
-	shardedMagic  = [8]byte{'T', 'Q', 'S', 'H', 'R', 'D', '0', '1'}
+	"github.com/trajcover/trajcover/internal/mmap"
 )
 
 // ErrBadSnapshot is returned when a snapshot stream is malformed or its
 // checksum does not match.
 var ErrBadSnapshot = errors.New("trajcover: invalid snapshot")
 
-// WriteSnapshot serializes the index (configuration and trajectories) to
-// w. The stream is framed with a magic header and a CRC32 trailer.
-func (x *Index) WriteSnapshot(w io.Writer) error {
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriter(io.MultiWriter(w, crc))
-	if _, err := bw.Write(snapshotMagic[:]); err != nil {
+// badSnapshot marks an error from a layer below as a malformed snapshot.
+func badSnapshot(err error) error {
+	if err == nil || errors.Is(err, ErrBadSnapshot) {
 		return err
 	}
-	tree := x.engine.Tree()
-	header := []uint64{
-		uint64(tree.Variant()),
-		uint64(tree.Ordering()),
-		uint64(tree.Beta()),
-		math.Float64bits(tree.Bounds().MinX),
-		math.Float64bits(tree.Bounds().MinY),
-		math.Float64bits(tree.Bounds().MaxX),
-		math.Float64bits(tree.Bounds().MaxY),
-		uint64(tree.MaxDepth()),
-		uint64(x.set.Len()),
-	}
-	for _, v := range header {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	for _, t := range x.set.All {
-		if err := writeTrajectory(bw, t); err != nil {
-			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	// Trailer: checksum of everything written so far, outside the
-	// checksummed stream itself.
-	return binary.Write(w, binary.LittleEndian, crc.Sum32())
+	return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 }
 
-// writeTrajectory encodes one trajectory: uint32 id, uint32 point count,
-// then the points as float64 x/y pairs.
-func writeTrajectory(w io.Writer, t *Trajectory) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(t.ID)); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(t.Len())); err != nil {
-		return err
-	}
-	for _, p := range t.Points {
-		if err := binary.Write(w, binary.LittleEndian, p.X); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, p.Y); err != nil {
-			return err
-		}
-	}
-	return nil
+// The magics: eight bytes that open every snapshot stream.
+const (
+	frozenMagic        = "TQSNAP03"
+	shardedFrozenMagic = "TQSHRD02"
+	liveMagic          = "TQLIVE01"
+)
+
+// otherFormats says, for each magic a reader can meet in place of its
+// own, what the stream is and which entry points take it.
+var otherFormats = map[string]string{
+	frozenMagic:        "single frozen snapshot (TQSNAP03); use ReadFrozenSnapshot or OpenMappedFrozenSnapshot",
+	shardedFrozenMagic: "sharded frozen snapshot (TQSHRD02); use ReadFrozenShardedSnapshot or OpenMappedFrozenShardedSnapshot",
+	liveMagic:          "live snapshot (TQLIVE01); use ReadLiveSnapshot or OpenMappedLiveSnapshot",
+	"TQSNAP02":         "rebuild-format snapshot (TQSNAP02) is no longer readable; rebuild the index and write a frozen snapshot",
+	"TQSHRD01":         "rebuild-format snapshot (TQSHRD01) is no longer readable; rebuild the index and write a frozen snapshot",
 }
 
-// trajectorySize returns the encoded byte size of writeTrajectory's
-// output — used to length-prefix shard frames without buffering them.
-func trajectorySize(t *Trajectory) uint64 {
-	return 4 + 4 + 16*uint64(t.Len())
+// checkMagic is the one magic dispatch: nil when the stream opens with
+// want, otherwise an error naming the format it does open with.
+func checkMagic(got []byte, want string) error {
+	if string(got) == want {
+		return nil
+	}
+	if what, known := otherFormats[string(got)]; known {
+		return fmt.Errorf("%w: %s", ErrBadSnapshot, what)
+	}
+	return fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 }
 
-// readTrajectory decodes one trajectory written by writeTrajectory.
-func readTrajectory(r io.Reader, i uint64) (*Trajectory, error) {
-	var id, npts uint32
-	if err := binary.Read(r, binary.LittleEndian, &id); err != nil {
-		return nil, fmt.Errorf("%w: truncated trajectory %d", ErrBadSnapshot, i)
-	}
-	if err := binary.Read(r, binary.LittleEndian, &npts); err != nil {
-		return nil, fmt.Errorf("%w: truncated trajectory %d", ErrBadSnapshot, i)
-	}
-	if npts < 2 || npts > 1<<24 {
-		return nil, fmt.Errorf("%w: trajectory %d has %d points", ErrBadSnapshot, i, npts)
-	}
-	pts := make([]geo.Point, npts)
-	for j := range pts {
-		if err := binary.Read(r, binary.LittleEndian, &pts[j].X); err != nil {
-			return nil, fmt.Errorf("%w: truncated points", ErrBadSnapshot)
-		}
-		if err := binary.Read(r, binary.LittleEndian, &pts[j].Y); err != nil {
-			return nil, fmt.Errorf("%w: truncated points", ErrBadSnapshot)
-		}
-	}
-	t, err := trajectory.New(trajectory.ID(id), pts)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	return t, nil
+// cursor is the bounds-checked reader over a snapshot's bytes. Every read
+// is validated against what remains, so a corrupt count is an
+// ErrBadSnapshot, never an out-of-range slice or an allocation the bytes
+// present could not fill. The first failure sticks in err and every
+// later read returns zero values: a parse reads a run of fields, then
+// checks err once.
+type cursor struct {
+	b   []byte
+	off int
+	// pin owns b on behalf of everything parsed from it: columns alias b
+	// and the parse result must keep pin reachable. nil means nobody owns
+	// b past the parse, and whatever is kept is copied out of it.
+	pin *mappedToken
+	err error
 }
 
-// hashReader hashes exactly the bytes its consumer reads, regardless of
-// any read-ahead the underlying reader performs — required so a trailing
-// checksum can be read outside the hashed region.
-type hashReader struct {
+func (c *cursor) remaining() int { return len(c.b) - c.off }
+
+func (c *cursor) take(n uint64) []byte {
+	if c.err != nil {
+		return nil
+	}
+	if n > uint64(c.remaining()) {
+		c.err = fmt.Errorf("%w: truncated (need %d bytes, have %d)", ErrBadSnapshot, n, c.remaining())
+		return nil
+	}
+	b := c.b[c.off : c.off+int(n) : c.off+int(n)]
+	c.off += int(n)
+	return b
+}
+
+// next is take for the container walk, which checks every step.
+func (c *cursor) next(n uint64) ([]byte, error) {
+	b := c.take(n)
+	return b, c.err
+}
+
+func (c *cursor) u64() uint64 {
+	if b := c.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+// column takes n values of the given byte width and views them as a []T —
+// where they sit under a pin (internal/mmap decodes to the heap by itself
+// where the host cannot alias), as a copy of exactly n values otherwise.
+func column[T any](c *cursor, n, width uint64, view func([]byte) []T) []T {
+	if c.err == nil && n > uint64(c.remaining())/width {
+		c.err = fmt.Errorf("%w: column of %d %d-byte values exceeds the %d bytes remaining", ErrBadSnapshot, n, width, c.remaining())
+	}
+	b := c.take(n * width)
+	if c.err != nil {
+		return nil
+	}
+	v := view(b)
+	if c.pin == nil {
+		v = append(make([]T, 0, len(v)), v...)
+	}
+	return v
+}
+
+func (c *cursor) rects(n uint64) []geo.Rect   { return column(c, n, 32, mmap.Rects) }
+func (c *cursor) points(n uint64) []geo.Point { return column(c, n, 16, mmap.Points) }
+func (c *cursor) i32s(n uint64) []int32       { return column(c, n, 4, mmap.I32s) }
+func (c *cursor) f64s(n uint64) []float64     { return column(c, n, 8, mmap.F64s) }
+func (c *cursor) u64s(n uint64) []uint64      { return column(c, n, 8, mmap.U64s) }
+
+// streamSource reads a snapshot off an io.Reader into one buffer, reused
+// from read to read — each invalidates the bytes of the one before. The
+// buffer grows only as bytes arrive, doubling, so a forged length prefix
+// costs at most twice what the stream really holds.
+type streamSource struct {
 	r   io.Reader
-	crc io.Writer
+	buf []byte
 }
 
-func (h *hashReader) Read(p []byte) (int, error) {
-	n, err := h.r.Read(p)
-	if n > 0 {
-		h.crc.Write(p[:n])
-	}
-	return n, err
-}
+// minStreamBuf is the least the buffer grows by.
+const minStreamBuf = 64 << 10
 
-// maxTrajectories bounds the per-stream (and per-frame) trajectory count
-// a reader will believe, so corrupt counts fail fast instead of
-// attempting absurd allocations.
-const maxTrajectories = 1 << 31
-
-// ReadSnapshot restores an Index written by WriteSnapshot, rebuilding the
-// TQ-tree over the stored trajectories. Sharded snapshots are detected
-// and rejected with a pointer to ReadShardedSnapshot.
-func ReadSnapshot(r io.Reader) (*Index, error) {
-	base := bufio.NewReader(r)
-	crc := crc32.NewIEEE()
-	br := &hashReader{r: base, crc: crc}
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	if magic == shardedMagic || magic == shardedFrozenMagic {
-		return nil, fmt.Errorf("%w: sharded snapshot; use ReadShardedSnapshot or ReadFrozenShardedSnapshot", ErrBadSnapshot)
-	}
-	if magic == frozenMagic {
-		return nil, fmt.Errorf("%w: frozen snapshot; use ReadFrozenSnapshot", ErrBadSnapshot)
-	}
-	if magic == liveMagic {
-		return nil, fmt.Errorf("%w: live snapshot; use ReadLiveSnapshot", ErrBadSnapshot)
-	}
-	if magic != snapshotMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
-	}
-	var header [9]uint64
-	for i := range header {
-		if err := binary.Read(br, binary.LittleEndian, &header[i]); err != nil {
-			return nil, fmt.Errorf("%w: truncated header", ErrBadSnapshot)
+// fill reads until the buffer holds n bytes, or the stream ends (io.EOF,
+// io.ErrUnexpectedEOF) or fails first.
+func (s *streamSource) fill(n uint64) error {
+	s.buf = s.buf[:0]
+	for uint64(len(s.buf)) < n {
+		if len(s.buf) == cap(s.buf) {
+			s.buf = slices.Grow(s.buf, int(min(n-uint64(len(s.buf)), uint64(max(len(s.buf), minStreamBuf)))))
 		}
-	}
-	n := header[8]
-	opts := IndexOptions{
-		Variant:  Variant(header[0]),
-		Ordering: Ordering(header[1]),
-		Beta:     int(header[2]),
-		MaxDepth: int(header[7]),
-		Bounds: geo.Rect{
-			MinX: math.Float64frombits(header[3]),
-			MinY: math.Float64frombits(header[4]),
-			MaxX: math.Float64frombits(header[5]),
-			MaxY: math.Float64frombits(header[6]),
-		},
-	}
-	if n > maxTrajectories {
-		return nil, fmt.Errorf("%w: implausible trajectory count %d", ErrBadSnapshot, n)
-	}
-	users := make([]*Trajectory, 0, n)
-	for i := uint64(0); i < n; i++ {
-		t, err := readTrajectory(br, i)
+		end := int(min(n, uint64(cap(s.buf))))
+		m, err := io.ReadFull(s.r, s.buf[len(s.buf):end])
+		s.buf = s.buf[:len(s.buf)+m]
 		if err != nil {
-			return nil, err
-		}
-		users = append(users, t)
-	}
-	want := crc.Sum32()
-	var got uint32
-	// The trailer is outside the hashed region: read it from the base
-	// reader, not through the hashReader.
-	if err := binary.Read(base, binary.LittleEndian, &got); err != nil {
-		return nil, fmt.Errorf("%w: missing checksum", ErrBadSnapshot)
-	}
-	if got != want {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSnapshot)
-	}
-	return NewIndex(users, opts)
-}
-
-// WriteSnapshot serializes the sharded index to w as a multi-shard
-// container: a CRC'd shared header followed by one length-prefixed,
-// individually CRC'd trajectory frame per shard. Per-frame checksums let
-// a reader localize corruption to one shard, and the length prefixes let
-// tooling skip frames without decoding them.
-func (x *ShardedIndex) WriteSnapshot(w io.Writer) error {
-	parts := x.s.Partition()
-	eng := x.s.Engine(0)
-	bounds := x.s.Bounds()
-	kind := x.s.PartitionerKind()
-
-	// Shared header, hashed into its own CRC.
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriter(io.MultiWriter(w, crc))
-	if _, err := bw.Write(shardedMagic[:]); err != nil {
-		return err
-	}
-	header := []uint64{
-		uint64(eng.Tree().Variant()),
-		uint64(eng.Tree().Ordering()),
-		uint64(eng.Tree().Beta()),
-		math.Float64bits(bounds.MinX),
-		math.Float64bits(bounds.MinY),
-		math.Float64bits(bounds.MaxX),
-		math.Float64bits(bounds.MaxY),
-		uint64(eng.Tree().MaxDepth()),
-		uint64(len(parts)),
-	}
-	for _, v := range header {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(kind))); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(kind); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, crc.Sum32()); err != nil {
-		return err
-	}
-
-	// Per-shard frames: uint64 payload length, payload (uint64 count +
-	// trajectories), uint32 payload CRC.
-	for _, part := range parts {
-		payloadLen := uint64(8)
-		for _, t := range part {
-			payloadLen += trajectorySize(t)
-		}
-		if err := binary.Write(w, binary.LittleEndian, payloadLen); err != nil {
-			return err
-		}
-		fcrc := crc32.NewIEEE()
-		fw := bufio.NewWriter(io.MultiWriter(w, fcrc))
-		if err := binary.Write(fw, binary.LittleEndian, uint64(len(part))); err != nil {
-			return err
-		}
-		for _, t := range part {
-			if err := writeTrajectory(fw, t); err != nil {
-				return err
-			}
-		}
-		if err := fw.Flush(); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, fcrc.Sum32()); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// ReadShardedSnapshot restores a ShardedIndex written by
-// (*ShardedIndex).WriteSnapshot, rebuilding each shard's TQ-tree from its
-// own frame — the recorded partition is reproduced verbatim, so the
-// partitioner is never re-run. Snapshots recorded with a custom
-// partitioner restore fully for serving but reject further Inserts.
-func ReadShardedSnapshot(r io.Reader) (*ShardedIndex, error) {
-	base := bufio.NewReader(r)
-	crc := crc32.NewIEEE()
-	br := &hashReader{r: base, crc: crc}
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+// take returns the stream's next n bytes.
+func (s *streamSource) take(n uint64) ([]byte, error) {
+	if err := s.fill(n); err != nil {
+		return nil, fmt.Errorf("%w: truncated (need %d bytes, have %d: %v)", ErrBadSnapshot, n, len(s.buf), err)
 	}
-	if magic == snapshotMagic || magic == frozenMagic {
-		return nil, fmt.Errorf("%w: single-index snapshot; use ReadSnapshot or ReadFrozenSnapshot", ErrBadSnapshot)
-	}
-	if magic == shardedFrozenMagic {
-		return nil, fmt.Errorf("%w: frozen sharded snapshot; use ReadFrozenShardedSnapshot", ErrBadSnapshot)
-	}
-	if magic == liveMagic {
-		return nil, fmt.Errorf("%w: live snapshot; use ReadLiveSnapshot", ErrBadSnapshot)
-	}
-	if magic != shardedMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
-	}
-	var header [9]uint64
-	for i := range header {
-		if err := binary.Read(br, binary.LittleEndian, &header[i]); err != nil {
-			return nil, fmt.Errorf("%w: truncated header", ErrBadSnapshot)
-		}
-	}
-	var kindLen uint32
-	if err := binary.Read(br, binary.LittleEndian, &kindLen); err != nil {
-		return nil, fmt.Errorf("%w: truncated header", ErrBadSnapshot)
-	}
-	if kindLen > 256 {
-		return nil, fmt.Errorf("%w: implausible partitioner kind length %d", ErrBadSnapshot, kindLen)
-	}
-	kindBuf := make([]byte, kindLen)
-	if _, err := io.ReadFull(br, kindBuf); err != nil {
-		return nil, fmt.Errorf("%w: truncated header", ErrBadSnapshot)
-	}
-	wantHdr := crc.Sum32()
-	var gotHdr uint32
-	if err := binary.Read(base, binary.LittleEndian, &gotHdr); err != nil {
-		return nil, fmt.Errorf("%w: missing header checksum", ErrBadSnapshot)
-	}
-	if gotHdr != wantHdr {
-		return nil, fmt.Errorf("%w: header checksum mismatch", ErrBadSnapshot)
-	}
+	return s.buf, nil
+}
 
-	nShards := header[8]
-	const maxShards = 1 << 16
-	if nShards == 0 || nShards > maxShards {
-		return nil, fmt.Errorf("%w: implausible shard count %d", ErrBadSnapshot, nShards)
+// all returns the rest of the stream.
+func (s *streamSource) all() ([]byte, error) {
+	if err := s.fill(math.MaxUint64); err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, badSnapshot(err)
 	}
-	parts := make([][]*Trajectory, nShards)
-	for s := uint64(0); s < nShards; s++ {
-		var payloadLen uint64
-		if err := binary.Read(base, binary.LittleEndian, &payloadLen); err != nil {
-			return nil, fmt.Errorf("%w: truncated frame %d", ErrBadSnapshot, s)
-		}
-		fcrc := crc32.NewIEEE()
-		fr := &hashReader{r: io.LimitReader(base, int64(payloadLen)), crc: fcrc}
-		var count uint64
-		if err := binary.Read(fr, binary.LittleEndian, &count); err != nil {
-			return nil, fmt.Errorf("%w: truncated frame %d", ErrBadSnapshot, s)
-		}
-		// The smallest encodable trajectory is 40 bytes (id + count + 2
-		// points), so the frame length bounds a plausible count — a
-		// corrupt count field must fail here, before the allocation
-		// below could ask for gigabytes.
-		if count > maxTrajectories || payloadLen < 8 || count > (payloadLen-8)/40 {
-			return nil, fmt.Errorf("%w: implausible trajectory count %d in frame %d", ErrBadSnapshot, count, s)
-		}
-		part := make([]*Trajectory, 0, count)
-		for i := uint64(0); i < count; i++ {
-			t, err := readTrajectory(fr, i)
-			if err != nil {
-				return nil, fmt.Errorf("frame %d: %w", s, err)
-			}
-			part = append(part, t)
-		}
-		// The frame must be fully consumed: leftover bytes mean the
-		// length prefix and the payload disagree.
-		if n, _ := io.Copy(io.Discard, fr); n != 0 {
-			return nil, fmt.Errorf("%w: frame %d has %d trailing bytes", ErrBadSnapshot, s, n)
-		}
-		wantFrame := fcrc.Sum32()
-		var gotFrame uint32
-		if err := binary.Read(base, binary.LittleEndian, &gotFrame); err != nil {
-			return nil, fmt.Errorf("%w: frame %d missing checksum", ErrBadSnapshot, s)
-		}
-		if gotFrame != wantFrame {
-			return nil, fmt.Errorf("%w: frame %d checksum mismatch", ErrBadSnapshot, s)
-		}
-		parts[s] = part
-	}
+	return s.buf, nil
+}
 
-	part, _ := shard.PartitionerOf(string(kindBuf))
-	s, err := shard.FromPartition(parts, shard.Options{
-		Partitioner: part,
-		Tree: tqtree.Options{
-			Variant:  tqtree.Variant(header[0]),
-			Ordering: tqtree.Ordering(header[1]),
-			Beta:     int(header[2]),
-			MaxDepth: int(header[7]),
-			Bounds: geo.Rect{
-				MinX: math.Float64frombits(header[3]),
-				MinY: math.Float64frombits(header[4]),
-				MaxX: math.Float64frombits(header[5]),
-				MaxY: math.Float64frombits(header[6]),
-			},
-		},
-	})
+// Limits on what a reader believes of a container or a delta before the
+// bytes have borne it out.
+const (
+	maxShards       = 1 << 16
+	maxKindLen      = 256
+	maxTrajectories = 1 << 31
+)
+
+// writeContainer writes a TQSHRD02 or TQLIVE01 container of n frames:
+// the CRC'd header, then per frame its length (size must return exactly
+// what payload writes, so no frame is buffered), the payload, its CRC and
+// a pad. The pads keep every payload 8-aligned in the file — the header
+// is 24+len(kind) bytes, a frame 8+payload+4+4 — because a mapped open
+// aliases columns at file offsets.
+func writeContainer(w io.Writer, magic, kind string, n int, size func(i int) uint64, payload func(w io.Writer, i int) error) error {
+	head := []byte(magic)
+	head = binary.LittleEndian.AppendUint64(head, uint64(n))
+	head = binary.LittleEndian.AppendUint32(head, uint32(len(kind)))
+	head = append(head, kind...)
+	head = binary.LittleEndian.AppendUint32(head, crc32.ChecksumIEEE(head))
+	head = append(head, make([]byte, pad8(uint64(len(kind))))...)
+	if _, err := w.Write(head); err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		if err := binary.Write(w, binary.LittleEndian, size(i)); err != nil {
+			return err
+		}
+		crc := crc32.NewIEEE()
+		if err := payload(io.MultiWriter(w, crc), i); err != nil {
+			return err
+		}
+		var trailer [8]byte // the CRC, then four zero pad bytes
+		binary.LittleEndian.PutUint32(trailer[:], crc.Sum32())
+		if _, err := w.Write(trailer[:]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readContainer parses a TQSHRD02 or TQLIVE01 container whose bytes take
+// hands out in order: the CRC'd header (magic, shard count, partitioner
+// kind, zero pad to 8), then per shard a length prefix, the payload, its
+// CRC and a zero pad. Each payload is CRC-checked before frame sees a
+// byte of it, and must be consumed exactly; frame parses it with a cursor
+// owned by pin. Bytes after the last declared frame are not read here: a
+// stream reader never sees them, a mapped open rejects them itself.
+func readContainer(take func(n uint64) ([]byte, error), want string, pin *mappedToken, frame func(c *cursor) error) (kind string, err error) {
+	var crc uint32
+	hashed := func(n uint64) ([]byte, error) {
+		b, err := take(n)
+		crc = crc32.Update(crc, crc32.IEEETable, b)
+		return b, err
+	}
+	magic, err := hashed(8)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+		return "", err
 	}
-	return newShardedIndex(s), nil
+	if err := checkMagic(magic, want); err != nil {
+		return "", err
+	}
+	fixed, err := hashed(12)
+	if err != nil {
+		return "", err
+	}
+	nShards, kindLen := binary.LittleEndian.Uint64(fixed), uint64(binary.LittleEndian.Uint32(fixed[8:]))
+	if kindLen > maxKindLen {
+		return "", fmt.Errorf("%w: implausible partitioner kind length %d", ErrBadSnapshot, kindLen)
+	}
+	kindBytes, err := hashed(kindLen)
+	if err != nil {
+		return "", err
+	}
+	kind = string(kindBytes)
+	// The pads realign the stream after a CRC and sit outside every CRC,
+	// so they are checked to be zero: a flipped pad bit stays a loud error.
+	tail, err := take(4 + pad8(kindLen))
+	if err != nil {
+		return "", err
+	}
+	if binary.LittleEndian.Uint32(tail) != crc {
+		return "", fmt.Errorf("%w: header checksum mismatch", ErrBadSnapshot)
+	}
+	if !allZero(tail[4:]) {
+		return "", fmt.Errorf("%w: nonzero padding", ErrBadSnapshot)
+	}
+	if nShards == 0 || nShards > maxShards {
+		return "", fmt.Errorf("%w: implausible shard count %d", ErrBadSnapshot, nShards)
+	}
+
+	for s := uint64(0); s < nShards; s++ {
+		prefix, err := take(8)
+		if err != nil {
+			return "", fmt.Errorf("frame %d: %w", s, err)
+		}
+		payloadLen := binary.LittleEndian.Uint64(prefix)
+		if payloadLen > math.MaxUint64-8 {
+			return "", fmt.Errorf("%w: frame %d: implausible length %d", ErrBadSnapshot, s, payloadLen)
+		}
+		// Payload, CRC and pad in one take: a stream's buffer holds one.
+		b, err := take(payloadLen + 8)
+		if err != nil {
+			return "", fmt.Errorf("frame %d: %w", s, err)
+		}
+		payload, trailer := b[:payloadLen:payloadLen], b[payloadLen:]
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(trailer) {
+			return "", fmt.Errorf("%w: frame %d checksum mismatch", ErrBadSnapshot, s)
+		}
+		if !allZero(trailer[4:]) {
+			return "", fmt.Errorf("%w: frame %d nonzero padding", ErrBadSnapshot, s)
+		}
+		c := &cursor{b: payload, pin: pin}
+		if err := frame(c); err != nil {
+			return "", fmt.Errorf("frame %d: %w", s, err)
+		}
+		if c.remaining() != 0 {
+			return "", fmt.Errorf("%w: frame %d has %d trailing bytes", ErrBadSnapshot, s, c.remaining())
+		}
+	}
+	return kind, nil
+}
+
+func allZero(b []byte) bool {
+	for _, v := range b {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
 }

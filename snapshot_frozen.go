@@ -1,37 +1,28 @@
 package trajcover
 
-// Frozen snapshot persistence. Unlike TQSNAP02/TQSHRD01 — which store
-// raw trajectories and rebuild the TQ-tree on restore — the frozen
-// formats serialize the columnar index slices nearly verbatim:
-//
-//	TQSNAP03 — single frozen index: magic, frozen payload, CRC trailer.
-//	TQSHRD02 — sharded frozen container: CRC'd shared header (shard
-//	           count, partitioner kind), then one length-prefixed,
-//	           individually CRC'd frozen payload per shard.
+// The frozen payload: the one column encoding every snapshot format
+// carries (snapshot.go lists the framings), its writer, and its one
+// reader.
 //
 // A frozen payload is the column slices of tqtree.FrozenColumns in fixed
 // order plus the trajectory table, one record per trajectory in ordinal
 // order (entry-slab first appearance, so entTraj values resolve by
 // position) — row-shaped on disk, column-shaped (trajectory.Table) in
-// memory. Restoring is a bulk read, the
-// CRC check, and the structural bounds validation in
-// tqtree.FrozenFromColumns — no tree rebuild, no sorting — which is what
-// makes frozen restore several times faster than the rebuild formats.
+// memory. Restoring is the CRC check, a copy or an aliasing of each
+// column, and the structural bounds validation in
+// tqtree.FrozenFromColumns — no tree rebuild, no sorting.
 //
 // Every multi-byte column starts at an offset that is a multiple of 8
 // from the payload start (zero pad bytes follow the int32 column groups
 // and the container headers/frames where needed), and each trajectory
 // record carries its precomputed length and MBR. Both exist for the
-// mapped-restore path (snapshot_mmap.go): 8-alignment lets the reader
-// alias float64/uint64/Rect/Point columns directly onto a page-aligned
-// file mapping, and the cached length/MBR make a mapped open O(columns)
-// instead of O(points). Pad bytes are covered by the CRCs like any other
-// payload byte. This is an internal revision of the TQSNAP03/TQSHRD02
-// (and TQLIVE01) encodings; streams written by earlier builds are not
-// readable, which these formats never promised.
+// mapped open (snapshot_mmap.go): 8-alignment lets the reader alias
+// float64/uint64/Rect/Point columns directly onto a page-aligned file
+// mapping, and the cached length makes a mapped open O(columns) instead
+// of O(points). Pad bytes are covered by the CRCs like any other payload
+// byte.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -39,16 +30,12 @@ import (
 	"math"
 
 	"github.com/trajcover/trajcover/internal/geo"
+	"github.com/trajcover/trajcover/internal/mmap"
 	"github.com/trajcover/trajcover/internal/query"
 	"github.com/trajcover/trajcover/internal/service"
 	"github.com/trajcover/trajcover/internal/shard"
 	"github.com/trajcover/trajcover/internal/tqtree"
 	"github.com/trajcover/trajcover/internal/trajectory"
-)
-
-var (
-	frozenMagic        = [8]byte{'T', 'Q', 'S', 'N', 'A', 'P', '0', '3'}
-	shardedFrozenMagic = [8]byte{'T', 'Q', 'S', 'H', 'R', 'D', '0', '2'}
 )
 
 // colWriter batches little-endian column writes through one buffer so a
@@ -137,149 +124,6 @@ func pad8(size uint64) uint64 { return (8 - size%8) % 8 }
 // i32Pad returns the pad after an n-value int32 column group.
 func i32Pad(n uint64) int { return int(pad8(4 * n)) }
 
-// readZeroPad consumes n container pad bytes and requires them to be
-// zero. Container pads sit outside the header/frame CRCs (they realign
-// the stream after a CRC), so this explicit check is what keeps a
-// flipped pad bit a loud error instead of silently accepted input.
-func readZeroPad(r io.Reader, n uint64) error {
-	if n == 0 {
-		return nil
-	}
-	var buf [8]byte
-	b := buf[:n]
-	if _, err := io.ReadFull(r, b); err != nil {
-		return fmt.Errorf("%w: truncated padding", ErrBadSnapshot)
-	}
-	for _, c := range b {
-		if c != 0 {
-			return fmt.Errorf("%w: nonzero padding", ErrBadSnapshot)
-		}
-	}
-	return nil
-}
-
-// colReader is the bulk little-endian reader. Columns are grown by
-// append in bounded chunks, so memory consumption tracks the bytes
-// actually present in the stream — a corrupt count fails with a
-// truncation error instead of one absurd allocation.
-type colReader struct {
-	r   io.Reader
-	buf []byte
-}
-
-func newColReader(r io.Reader) *colReader {
-	return &colReader{r: r, buf: make([]byte, 1<<16)}
-}
-
-// chunk reads exactly n*width bytes in buffer-sized pieces, invoking fn
-// on each piece.
-func (cr *colReader) chunk(n, width int, fn func(b []byte)) error {
-	per := len(cr.buf) / width
-	for n > 0 {
-		c := n
-		if c > per {
-			c = per
-		}
-		b := cr.buf[:c*width]
-		if _, err := io.ReadFull(cr.r, b); err != nil {
-			return fmt.Errorf("%w: truncated column (%v)", ErrBadSnapshot, err)
-		}
-		fn(b)
-		n -= c
-	}
-	return nil
-}
-
-func (cr *colReader) u64(dst *uint64) error {
-	b := cr.buf[:8]
-	if _, err := io.ReadFull(cr.r, b); err != nil {
-		return fmt.Errorf("%w: truncated header (%v)", ErrBadSnapshot, err)
-	}
-	*dst = binary.LittleEndian.Uint64(b)
-	return nil
-}
-
-func (cr *colReader) u64s(n int) ([]uint64, error) {
-	out := make([]uint64, 0, minInt(n, 1<<16))
-	err := cr.chunk(n, 8, func(b []byte) {
-		for i := 0; i < len(b); i += 8 {
-			out = append(out, binary.LittleEndian.Uint64(b[i:]))
-		}
-	})
-	return out, err
-}
-
-func (cr *colReader) f64s(n int) ([]float64, error) {
-	out := make([]float64, 0, minInt(n, 1<<16))
-	err := cr.chunk(n, 8, func(b []byte) {
-		for i := 0; i < len(b); i += 8 {
-			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(b[i:])))
-		}
-	})
-	return out, err
-}
-
-func (cr *colReader) i32s(n int) ([]int32, error) {
-	out := make([]int32, 0, minInt(n, 1<<16))
-	err := cr.chunk(n, 4, func(b []byte) {
-		for i := 0; i < len(b); i += 4 {
-			out = append(out, int32(binary.LittleEndian.Uint32(b[i:])))
-		}
-	})
-	return out, err
-}
-
-func (cr *colReader) rects(n int) ([]geo.Rect, error) {
-	out := make([]geo.Rect, 0, minInt(n, 1<<14))
-	err := cr.chunk(n, 32, func(b []byte) {
-		for i := 0; i < len(b); i += 32 {
-			out = append(out, geo.Rect{
-				MinX: math.Float64frombits(binary.LittleEndian.Uint64(b[i:])),
-				MinY: math.Float64frombits(binary.LittleEndian.Uint64(b[i+8:])),
-				MaxX: math.Float64frombits(binary.LittleEndian.Uint64(b[i+16:])),
-				MaxY: math.Float64frombits(binary.LittleEndian.Uint64(b[i+24:])),
-			})
-		}
-	})
-	return out, err
-}
-
-func (cr *colReader) pointsInto(dst []geo.Point, n int) ([]geo.Point, error) {
-	err := cr.chunk(n, 16, func(b []byte) {
-		for i := 0; i < len(b); i += 16 {
-			dst = append(dst, geo.Point{
-				X: math.Float64frombits(binary.LittleEndian.Uint64(b[i:])),
-				Y: math.Float64frombits(binary.LittleEndian.Uint64(b[i+8:])),
-			})
-		}
-	})
-	return dst, err
-}
-
-func (cr *colReader) points(n int) ([]geo.Point, error) {
-	return cr.pointsInto(make([]geo.Point, 0, minInt(n, 1<<15)), n)
-}
-
-// skip consumes n pad bytes (their value is ignored; the CRC covers
-// them).
-func (cr *colReader) skip(n int) error {
-	if n == 0 {
-		return nil
-	}
-	b := cr.buf[:n]
-	if _, err := io.ReadFull(cr.r, b); err != nil {
-		return fmt.Errorf("%w: truncated padding (%v)", ErrBadSnapshot, err)
-	}
-	return nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // frozenPayloadSize returns the exact encoded byte size of
 // writeFrozenPayload's output — used to length-prefix TQSHRD02 frames
 // without buffering them.
@@ -313,10 +157,13 @@ func frozenPayloadSize(f *tqtree.Frozen) uint64 {
 // record: u32 id, u32 point count, f64 length, Rect MBR; the points
 // follow. 48+16n bytes in all — a multiple of 16, so records never break
 // column alignment and a run of them reads as one []geo.Point
-// (trajectory.RecordHeaderPoints). (The rebuild formats keep the smaller
-// trajectorySize record; only the frozen/live payloads cache length and
-// MBR.)
+// (trajectory.RecordHeaderPoints).
 const trajRecordHeaderBytes = 4 + 4 + 8 + 32
+
+// minTrajRecordBytes is the smallest possible encoded trajectory
+// record: the header and the two-point minimum. It bounds how many
+// records the remaining bytes can hold.
+const minTrajRecordBytes = trajRecordHeaderBytes + 2*16
 
 // frozenTrajectorySize is the encoded size of one frozen trajectory
 // record.
@@ -345,8 +192,7 @@ type trajRecordHeader struct {
 const maxTrajPoints = 1 << 24
 
 // decodeTrajHeader decodes and range-checks the header of record i from
-// its trajRecordHeaderBytes bytes — shared by the streaming and the
-// mapped readers, so both believe exactly the same records.
+// its trajRecordHeaderBytes bytes.
 func decodeTrajHeader(b []byte, i uint64) (trajRecordHeader, error) {
 	h := trajRecordHeader{
 		id:      trajectory.ID(binary.LittleEndian.Uint32(b)),
@@ -365,21 +211,26 @@ func decodeTrajHeader(b []byte, i uint64) (trajRecordHeader, error) {
 	return h, nil
 }
 
-// trajHeader reads the header of record i off the stream.
-func (cr *colReader) trajHeader(i uint64) (trajRecordHeader, error) {
-	b := cr.buf[:trajRecordHeaderBytes]
-	if _, err := io.ReadFull(cr.r, b); err != nil {
-		return trajRecordHeader{}, fmt.Errorf("%w: truncated trajectory %d", ErrBadSnapshot, i)
+// trajRecord takes record i off the cursor: its range-checked header and
+// its points, viewed where they sit (valid as long as the cursor's bytes).
+func (c *cursor) trajRecord(i uint64) (trajRecordHeader, []geo.Point) {
+	b := c.take(trajRecordHeaderBytes)
+	if c.err != nil {
+		return trajRecordHeader{}, nil
 	}
-	return decodeTrajHeader(b, i)
+	h, err := decodeTrajHeader(b, i)
+	if err != nil {
+		c.err = err
+		return h, nil
+	}
+	return h, mmap.Points(c.take(16 * uint64(h.npts)))
 }
 
 // check compares the header's cached length and MBR with the values
-// recomputed from the record's points. The mapped reader serves the
-// cached length without touching the points; the heap readers recompute
-// (same arithmetic, so bit-equal) and cross-check here, which catches a
-// writer bug or a CRC-fixed-up forgery before it can diverge the two
-// restore paths.
+// recomputed from the record's points (same arithmetic, so bit-equal),
+// which catches a writer bug or a CRC-fixed-up forgery. Whatever is
+// copied to the heap is checked; a base table aliased under a pin is not
+// — it serves the cached length without touching the points.
 func (h trajRecordHeader) check(i uint64, length float64, mbr geo.Rect) error {
 	if math.Float64bits(length) != h.lenBits || mbr != h.mbr {
 		return fmt.Errorf("%w: trajectory %d cached length/MBR disagree with points", ErrBadSnapshot, i)
@@ -387,52 +238,56 @@ func (h trajRecordHeader) check(i uint64, length float64, mbr geo.Rect) error {
 	return nil
 }
 
-// readFrozenTrajectoryRecord decodes one frozen trajectory record into a
-// heap Trajectory — the delta overlay's records.
-func readFrozenTrajectoryRecord(cr *colReader, i uint64) (*trajectory.Trajectory, error) {
-	h, err := cr.trajHeader(i)
-	if err != nil {
-		return nil, err
+// readTrajectoryTable turns the next nt records into the base's table.
+// The count is checked against the remaining bytes first, so a corrupt
+// one cannot force a huge allocation. Duplicate IDs are rejected.
+func readTrajectoryTable(c *cursor, nt uint64) (*trajectory.Table, error) {
+	if nt > uint64(c.remaining())/minTrajRecordBytes {
+		return nil, fmt.Errorf("%w: trajectory count %d exceeds remaining bytes", ErrBadSnapshot, nt)
 	}
-	pts, err := cr.pointsInto(make([]geo.Point, 0, minInt(int(h.npts), 1<<12)), int(h.npts))
-	if err != nil {
-		return nil, err
-	}
-	t, err := trajectory.New(h.id, pts)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	if err := h.check(i, t.Length(), t.MBR()); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// readTrajectoryTable decodes nt trajectory records straight into the
-// columns of a table: the points stream into its arena, so a restore
-// allocates a handful of columns instead of two objects per record.
-// Duplicate IDs are rejected.
-func readTrajectoryTable(cr *colReader, nt uint64) (*trajectory.Table, error) {
-	hint := minInt(int(nt), 1<<16)
-	tb := trajectory.NewTableBuilder(hint, 2*hint)
-	for i := uint64(0); i < nt; i++ {
-		h, err := cr.trajHeader(i)
-		if err != nil {
-			return nil, err
+	if c.pin == nil {
+		// Nobody owns the bytes: the points are copied into one arena
+		// (sized by the bytes present; Build trims it) and each record's
+		// cached geometry checked against them.
+		tb := trajectory.NewTableBuilder(int(nt), (c.remaining()-int(nt)*trajRecordHeaderBytes)/16)
+		for i := uint64(0); i < nt; i++ {
+			h, pts := c.trajRecord(i)
+			if c.err != nil {
+				return nil, c.err
+			}
+			length, err := tb.AppendPoints(h.id, pts)
+			if err == nil {
+				err = h.check(i, length, geo.RectOf(pts))
+			}
+			if err != nil {
+				return nil, badSnapshot(err)
+			}
 		}
-		pts, length, err := tb.AppendRead(h.id, int(h.npts), cr.pointsInto)
-		if err != nil {
-			return nil, err
-		}
-		if err := h.check(i, length, geo.RectOf(pts)); err != nil {
-			return nil, err
-		}
+		tab, err := tb.Build()
+		return tab, badSnapshot(err)
 	}
-	tab, err := tb.Build()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	// Under a pin the table is laid over the records where they sit: one
+	// walk of the headers collects the IDs and where each record's points
+	// start, and the records' whole byte range becomes the table's arena
+	// (trajectory.NewRecordTable) — two heap columns of nt values, no
+	// copy of a point, the recorded lengths served as they are.
+	ids := make([]trajectory.ID, nt)
+	first := make([]uint32, nt+1)
+	start := c.off
+	for i := range ids {
+		slot := uint64(c.off-start)/16 + trajectory.RecordHeaderPoints
+		if slot > math.MaxUint32-(maxTrajPoints+trajectory.RecordHeaderPoints) {
+			return nil, fmt.Errorf("%w: trajectory section too large to address", ErrBadSnapshot)
+		}
+		h, _ := c.trajRecord(uint64(i))
+		if c.err != nil {
+			return nil, c.err
+		}
+		ids[i], first[i] = h.id, uint32(slot)
 	}
-	return tab, nil
+	first[nt] = uint32((c.off-start)/16) + trajectory.RecordHeaderPoints
+	tab, err := trajectory.NewRecordTable(ids, first, mmap.Points(c.b[start:c.off:c.off]))
+	return tab, badSnapshot(err)
 }
 
 // writeFrozenPayload encodes the frozen index: a fixed header, the column
@@ -489,15 +344,17 @@ func writeFrozenPayload(w io.Writer, f *tqtree.Frozen) error {
 	return cw.err
 }
 
-// readFrozenPayload decodes a frozen payload and reassembles the index
-// (structural validation included), trajectory table and all.
-func readFrozenPayload(r io.Reader) (*tqtree.Frozen, error) {
-	cr := newColReader(r)
+// readFrozenPayload decodes a frozen payload off the cursor and
+// reassembles the index (structural validation included), trajectory
+// table and all. Under a pin the columns alias the cursor's bytes and the
+// index pins their owner.
+func readFrozenPayload(cur *cursor) (*tqtree.Frozen, error) {
 	var header [12]uint64
 	for i := range header {
-		if err := cr.u64(&header[i]); err != nil {
-			return nil, err
-		}
+		header[i] = cur.u64()
+	}
+	if cur.err != nil {
+		return nil, cur.err
 	}
 	c := tqtree.FrozenColumns{
 		Variant:  tqtree.Variant(header[0]),
@@ -515,9 +372,9 @@ func readFrozenPayload(r io.Reader) (*tqtree.Frozen, error) {
 	if c.Ordering != tqtree.ZOrder && c.Ordering != tqtree.Basic {
 		return nil, fmt.Errorf("%w: invalid ordering %d", ErrBadSnapshot, header[1])
 	}
-	// Structural plausibility before any large read: every bucket holds
-	// at least one entry and every indexed trajectory contributes at
-	// least one entry, so corrupt counts fail here.
+	// Structural plausibility before any column: every bucket holds at
+	// least one entry and every indexed trajectory contributes at least
+	// one entry, so corrupt counts fail here.
 	const maxCount = 1 << 31
 	if nn == 0 || nn > maxCount || ne > maxCount || nb > ne || nt > ne || (ne > 0 && nt == 0) {
 		return nil, fmt.Errorf("%w: implausible frozen counts (nodes %d, buckets %d, entries %d, trajectories %d)",
@@ -527,74 +384,42 @@ func readFrozenPayload(r io.Reader) (*tqtree.Frozen, error) {
 		return nil, fmt.Errorf("%w: basic ordering with %d buckets", ErrBadSnapshot, nb)
 	}
 
-	var err error
-	if c.NodeRect, err = cr.rects(int(nn)); err == nil {
-		if c.ChildBase, err = cr.i32s(int(nn)); err == nil {
-			c.ChildCount, err = cr.i32s(int(nn))
-		}
+	c.NodeRect = cur.rects(nn)
+	c.ChildBase = cur.i32s(nn)
+	c.ChildCount = cur.i32s(nn)
+	c.EntryOff = cur.i32s(nn + 1)
+	cur.take(pad8(4 * (3*nn + 1)))
+	c.OwnUB = cur.f64s(nn * uint64(service.NumScenarios))
+	c.TreeUB = cur.f64s(nn * uint64(service.NumScenarios))
+	if c.Ordering == tqtree.ZOrder {
+		c.BucketOff = cur.i32s(nn + 1)
+		c.BktEntryOff = cur.i32s(nb + 1)
+		cur.take(pad8(4 * (nn + nb + 2)))
+		c.BktMinStart = cur.u64s(nb)
+		c.BktMaxStart = cur.u64s(nb)
+		c.BktStartMBR = cur.rects(nb)
+		c.BktEndMBR = cur.rects(nb)
+		c.BktFullMBR = cur.rects(nb)
 	}
-	if err == nil {
-		c.EntryOff, err = cr.i32s(int(nn) + 1)
-	}
-	if err == nil {
-		err = cr.skip(i32Pad(3*nn + 1))
-	}
-	if err == nil {
-		c.OwnUB, err = cr.f64s(int(nn) * service.NumScenarios)
-	}
-	if err == nil {
-		c.TreeUB, err = cr.f64s(int(nn) * service.NumScenarios)
-	}
-	if err == nil && c.Ordering == tqtree.ZOrder {
-		c.BucketOff, err = cr.i32s(int(nn) + 1)
-		if err == nil {
-			c.BktEntryOff, err = cr.i32s(int(nb) + 1)
-		}
-		if err == nil {
-			err = cr.skip(i32Pad(nn + nb + 2))
-		}
-		if err == nil {
-			c.BktMinStart, err = cr.u64s(int(nb))
-		}
-		if err == nil {
-			c.BktMaxStart, err = cr.u64s(int(nb))
-		}
-		if err == nil {
-			c.BktStartMBR, err = cr.rects(int(nb))
-		}
-		if err == nil {
-			c.BktEndMBR, err = cr.rects(int(nb))
-		}
-		if err == nil {
-			c.BktFullMBR, err = cr.rects(int(nb))
-		}
-	}
-	if err == nil {
-		c.EntFirst, err = cr.points(int(ne))
-	}
-	if err == nil {
-		c.EntLast, err = cr.points(int(ne))
-	}
-	if err == nil {
-		c.EntMBR, err = cr.rects(int(ne))
-	}
-	if err == nil {
-		c.EntTraj, err = cr.i32s(int(ne))
-	}
-	if err == nil {
-		c.EntSeg, err = cr.i32s(int(ne))
-	}
-	if err != nil {
-		return nil, err
+	c.EntFirst = cur.points(ne)
+	c.EntLast = cur.points(ne)
+	c.EntMBR = cur.rects(ne)
+	c.EntTraj = cur.i32s(ne)
+	c.EntSeg = cur.i32s(ne)
+	if cur.err != nil {
+		return nil, cur.err
 	}
 
-	tab, err := readTrajectoryTable(cr, nt)
+	tab, err := readTrajectoryTable(cur, nt)
 	if err != nil {
 		return nil, err
 	}
 	f, err := tqtree.FrozenFromColumns(c, tab)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+		return nil, badSnapshot(err)
+	}
+	if cur.pin != nil {
+		f.SetPin(cur.pin)
 	}
 	return f, nil
 }
@@ -604,7 +429,7 @@ func readFrozenPayload(r io.Reader) (*tqtree.Frozen, error) {
 func (x *FrozenIndex) WriteSnapshot(w io.Writer) error {
 	crc := crc32.NewIEEE()
 	mw := io.MultiWriter(w, crc)
-	if _, err := mw.Write(frozenMagic[:]); err != nil {
+	if _, err := io.WriteString(mw, frozenMagic); err != nil {
 		return err
 	}
 	if err := writeFrozenPayload(mw, x.engine.Frozen()); err != nil {
@@ -614,39 +439,42 @@ func (x *FrozenIndex) WriteSnapshot(w io.Writer) error {
 }
 
 // ReadFrozenSnapshot restores a FrozenIndex written by
-// (*FrozenIndex).WriteSnapshot. The columns are bulk-read, checksummed,
-// and bounds-checked — no tree rebuild. Rebuild-format and sharded
-// streams are detected and rejected with a pointer to the right reader.
+// (*FrozenIndex).WriteSnapshot. The stream is read to its end, its CRC
+// verified, and the columns copied out and bounds-checked — no tree
+// rebuild. A stream of another format is rejected with a pointer to the
+// right reader.
 func ReadFrozenSnapshot(r io.Reader) (*FrozenIndex, error) {
-	base := bufio.NewReader(r)
-	crc := crc32.NewIEEE()
-	br := &hashReader{r: base, crc: crc}
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	switch magic {
-	case frozenMagic:
-	case snapshotMagic:
-		return nil, fmt.Errorf("%w: rebuild-format snapshot; use ReadSnapshot", ErrBadSnapshot)
-	case shardedMagic, shardedFrozenMagic:
-		return nil, fmt.Errorf("%w: sharded snapshot; use ReadShardedSnapshot or ReadFrozenShardedSnapshot", ErrBadSnapshot)
-	case liveMagic:
-		return nil, fmt.Errorf("%w: live snapshot; use ReadLiveSnapshot", ErrBadSnapshot)
-	default:
-		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
-	}
-	f, err := readFrozenPayload(br)
+	data, err := (&streamSource{r: r}).all()
 	if err != nil {
 		return nil, err
 	}
-	want := crc.Sum32()
-	var got uint32
-	if err := binary.Read(base, binary.LittleEndian, &got); err != nil {
-		return nil, fmt.Errorf("%w: missing checksum", ErrBadSnapshot)
+	return parseFrozenSnapshot(data, nil)
+}
+
+// parseFrozenSnapshot parses a whole TQSNAP03 image. Bytes after the
+// payload are rejected under either owner: the trailer is the image's
+// last four bytes, so anything extra sits inside the checksummed region.
+func parseFrozenSnapshot(data []byte, pin *mappedToken) (*FrozenIndex, error) {
+	if len(data) < 8 {
+		return nil, fmt.Errorf("%w: truncated (%d bytes)", ErrBadSnapshot, len(data))
 	}
-	if got != want {
+	if err := checkMagic(data[:8], frozenMagic); err != nil {
+		return nil, err
+	}
+	if len(data) < 12 {
+		return nil, fmt.Errorf("%w: truncated (%d bytes)", ErrBadSnapshot, len(data))
+	}
+	body, trailer := data[:len(data)-4], data[len(data)-4:]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSnapshot)
+	}
+	cur := &cursor{b: body[8:], pin: pin}
+	f, err := readFrozenPayload(cur)
+	if err != nil {
+		return nil, err
+	}
+	if cur.remaining() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, cur.remaining())
 	}
 	return newFrozenIndex(query.NewFrozenEngine(f, nil)), nil
 }
@@ -657,141 +485,33 @@ func ReadFrozenSnapshot(r io.Reader) (*FrozenIndex, error) {
 // Per-frame checksums localize corruption to one shard and the length
 // prefixes let tooling skip frames without decoding them.
 func (x *FrozenShardedIndex) WriteSnapshot(w io.Writer) error {
-	kind := x.s.PartitionerKind()
-
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(w, crc)
-	if _, err := mw.Write(shardedFrozenMagic[:]); err != nil {
-		return err
-	}
-	if err := binary.Write(mw, binary.LittleEndian, uint64(x.s.NumShards())); err != nil {
-		return err
-	}
-	if err := binary.Write(mw, binary.LittleEndian, uint32(len(kind))); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(mw, kind); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, crc.Sum32()); err != nil {
-		return err
-	}
-	// Realign so every frame's payload starts 8-aligned in the file (the
-	// header is 24+len(kind) bytes, each frame 8+payload+4+4): the mapped
-	// reader aliases columns at file offsets.
-	if _, err := w.Write(make([]byte, pad8(uint64(len(kind))))); err != nil {
-		return err
-	}
-
-	for i := 0; i < x.s.NumShards(); i++ {
-		f := x.s.Engine(i).Frozen()
-		if err := binary.Write(w, binary.LittleEndian, frozenPayloadSize(f)); err != nil {
-			return err
-		}
-		fcrc := crc32.NewIEEE()
-		if err := writeFrozenPayload(io.MultiWriter(w, fcrc), f); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, fcrc.Sum32()); err != nil {
-			return err
-		}
-		if _, err := w.Write([]byte{0, 0, 0, 0}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeContainer(w, shardedFrozenMagic, x.s.PartitionerKind(), x.s.NumShards(),
+		func(i int) uint64 { return frozenPayloadSize(x.s.Engine(i).Frozen()) },
+		func(w io.Writer, i int) error { return writeFrozenPayload(w, x.s.Engine(i).Frozen()) })
 }
 
 // ReadFrozenShardedSnapshot restores a FrozenShardedIndex written by
-// (*FrozenShardedIndex).WriteSnapshot, bulk-reading each shard's columns
-// from its own frame.
+// (*FrozenShardedIndex).WriteSnapshot, one frame's bytes in memory at a
+// time. It stops reading at the last declared frame.
 func ReadFrozenShardedSnapshot(r io.Reader) (*FrozenShardedIndex, error) {
-	base := bufio.NewReader(r)
-	crc := crc32.NewIEEE()
-	br := &hashReader{r: base, crc: crc}
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	switch magic {
-	case shardedFrozenMagic:
-	case shardedMagic:
-		return nil, fmt.Errorf("%w: rebuild-format sharded snapshot; use ReadShardedSnapshot", ErrBadSnapshot)
-	case snapshotMagic, frozenMagic:
-		return nil, fmt.Errorf("%w: single-index snapshot; use ReadSnapshot or ReadFrozenSnapshot", ErrBadSnapshot)
-	case liveMagic:
-		return nil, fmt.Errorf("%w: live snapshot; use ReadLiveSnapshot", ErrBadSnapshot)
-	default:
-		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
-	}
-	var nShards uint64
-	if err := binary.Read(br, binary.LittleEndian, &nShards); err != nil {
-		return nil, fmt.Errorf("%w: truncated header", ErrBadSnapshot)
-	}
-	var kindLen uint32
-	if err := binary.Read(br, binary.LittleEndian, &kindLen); err != nil {
-		return nil, fmt.Errorf("%w: truncated header", ErrBadSnapshot)
-	}
-	if kindLen > 256 {
-		return nil, fmt.Errorf("%w: implausible partitioner kind length %d", ErrBadSnapshot, kindLen)
-	}
-	kindBuf := make([]byte, kindLen)
-	if _, err := io.ReadFull(br, kindBuf); err != nil {
-		return nil, fmt.Errorf("%w: truncated header", ErrBadSnapshot)
-	}
-	wantHdr := crc.Sum32()
-	var gotHdr uint32
-	if err := binary.Read(base, binary.LittleEndian, &gotHdr); err != nil {
-		return nil, fmt.Errorf("%w: missing header checksum", ErrBadSnapshot)
-	}
-	if gotHdr != wantHdr {
-		return nil, fmt.Errorf("%w: header checksum mismatch", ErrBadSnapshot)
-	}
-	if err := readZeroPad(base, pad8(uint64(kindLen))); err != nil {
+	return readFrozenSharded((&streamSource{r: r}).take, nil)
+}
+
+func readFrozenSharded(take func(n uint64) ([]byte, error), pin *mappedToken) (*FrozenShardedIndex, error) {
+	var engines []*query.FrozenEngine
+	kind, err := readContainer(take, shardedFrozenMagic, pin, func(c *cursor) error {
+		f, err := readFrozenPayload(c)
+		if err == nil {
+			engines = append(engines, query.NewFrozenEngine(f, nil))
+		}
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
-
-	const maxShards = 1 << 16
-	if nShards == 0 || nShards > maxShards {
-		return nil, fmt.Errorf("%w: implausible shard count %d", ErrBadSnapshot, nShards)
-	}
-	engines := make([]*query.FrozenEngine, 0, nShards)
-	bounds := geo.Rect{}
-	for s := uint64(0); s < nShards; s++ {
-		var payloadLen uint64
-		if err := binary.Read(base, binary.LittleEndian, &payloadLen); err != nil {
-			return nil, fmt.Errorf("%w: truncated frame %d", ErrBadSnapshot, s)
-		}
-		fcrc := crc32.NewIEEE()
-		fr := &hashReader{r: io.LimitReader(base, int64(payloadLen)), crc: fcrc}
-		f, err := readFrozenPayload(fr)
-		if err != nil {
-			return nil, fmt.Errorf("frame %d: %w", s, err)
-		}
-		// The frame must be fully consumed: leftover bytes mean the
-		// length prefix and the payload disagree.
-		if n, _ := io.Copy(io.Discard, fr); n != 0 {
-			return nil, fmt.Errorf("%w: frame %d has %d trailing bytes", ErrBadSnapshot, s, n)
-		}
-		wantFrame := fcrc.Sum32()
-		var gotFrame uint32
-		if err := binary.Read(base, binary.LittleEndian, &gotFrame); err != nil {
-			return nil, fmt.Errorf("%w: frame %d missing checksum", ErrBadSnapshot, s)
-		}
-		if gotFrame != wantFrame {
-			return nil, fmt.Errorf("%w: frame %d checksum mismatch", ErrBadSnapshot, s)
-		}
-		if err := readZeroPad(base, 4); err != nil {
-			return nil, fmt.Errorf("frame %d: %w", s, err)
-		}
-		if s == 0 {
-			bounds = f.Bounds()
-		}
-		engines = append(engines, query.NewFrozenEngine(f, nil))
-	}
-	sf, err := shard.FrozenFromEngines(engines, bounds, string(kindBuf))
+	sf, err := shard.FrozenFromEngines(engines, engines[0].Frozen().Bounds(), kind)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+		return nil, badSnapshot(err)
 	}
 	return newFrozenShardedIndex(sf), nil
 }

@@ -1,38 +1,30 @@
 package trajcover
 
-// Live snapshot persistence (TQLIVE01). A live index checkpoints
-// without stopping writes: the writer captures each shard's current
-// epoch — one atomic pointer load per shard — and serializes from those
-// immutable values while inserts, deletes, and even background rebuilds
-// keep running. Each shard's frame records the full epoch state:
+// Live snapshot persistence (TQLIVE01; snapshot.go has the framing). A
+// live index checkpoints without stopping writes: the writer captures
+// each shard's current epoch — one atomic pointer load per shard — and
+// serializes from those immutable values while inserts, deletes, and even
+// background rebuilds keep running. Each shard's frame records the full
+// epoch state: the frozen base payload, the tombstone IDs (sorted, so
+// output is deterministic), and the delta trajectories.
 //
-//	TQLIVE01 — live container: CRC'd shared header (shard count,
-//	           partitioner kind), then one length-prefixed,
-//	           individually CRC'd frame per shard holding the frozen
-//	           base payload (the TQSNAP03 column encoding), the
-//	           tombstone IDs (sorted, so output is deterministic), and
-//	           the delta trajectories.
-//
-// Restoring reassembles the epochs verbatim — frozen columns bulk-read
-// and bounds-checked, tombstones and delta revalidated against the base
-// — so a restored index resumes exactly the logical corpus the capture
-// saw, still mutable, with its pending churn intact for the next
+// Restoring reassembles the epochs verbatim — frozen columns copied or
+// aliased and bounds-checked, tombstones and delta revalidated against
+// the base — so a restored index resumes exactly the logical corpus the
+// capture saw, still mutable, with its pending churn intact for the next
 // rebuild to fold.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"slices"
 	"sort"
 
 	"github.com/trajcover/trajcover/internal/query"
 	"github.com/trajcover/trajcover/internal/shard"
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
-
-var liveMagic = [8]byte{'T', 'Q', 'L', 'I', 'V', 'E', '0', '1'}
 
 // livePayloadSize returns the exact encoded size of one epoch's frame
 // payload — used to length-prefix frames without buffering them.
@@ -49,8 +41,7 @@ func livePayloadSize(ep *query.Epoch) uint64 {
 
 // writeLivePayload encodes one epoch: frozen base columns, sorted
 // tombstone IDs (padded back to 8-alignment), then the delta
-// trajectories in overlay order using the frozen record format
-// (cached length/MBR), so a mapped open can alias delta points too.
+// trajectories in overlay order, in the frozen record format.
 func writeLivePayload(w io.Writer, ep *query.Epoch) error {
 	if err := writeFrozenPayload(w, ep.Base().Frozen()); err != nil {
 		return err
@@ -76,98 +67,59 @@ func writeLivePayload(w io.Writer, ep *query.Epoch) error {
 }
 
 // readLivePayload decodes one epoch frame and reassembles the epoch,
-// revalidating tombstones and delta against the restored base.
-func readLivePayload(r io.Reader) (*query.Epoch, error) {
-	f, err := readFrozenPayload(r)
+// revalidating tombstones and delta against the restored base. The delta
+// records are copied to the heap under either owner (the overlay is small
+// and outlives any base), with the cached length and MBR checked.
+func readLivePayload(c *cursor) (*query.Epoch, error) {
+	f, err := readFrozenPayload(c)
 	if err != nil {
 		return nil, err
 	}
-	cr := newColReader(r)
-	var nDead uint64
-	if err := cr.u64(&nDead); err != nil {
-		return nil, fmt.Errorf("%w: truncated tombstones", ErrBadSnapshot)
-	}
-	if nDead > uint64(f.NumTrajectories()) {
+	nDead := c.u64()
+	if c.err == nil && nDead > uint64(f.NumTrajectories()) {
 		return nil, fmt.Errorf("%w: %d tombstones over %d base trajectories", ErrBadSnapshot, nDead, f.NumTrajectories())
 	}
-	deadIDs, err := cr.i32s(int(nDead))
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated tombstones", ErrBadSnapshot)
+	ids := c.take(4 * nDead)
+	c.take(pad8(4 * nDead))
+	nDelta := c.u64()
+	if c.err != nil {
+		return nil, c.err
 	}
 	dead := make(map[trajectory.ID]struct{}, nDead)
-	for _, id := range deadIDs {
-		dead[trajectory.ID(uint32(id))] = struct{}{}
+	for ; len(ids) > 0; ids = ids[4:] {
+		dead[trajectory.ID(binary.LittleEndian.Uint32(ids))] = struct{}{}
 	}
 	if uint64(len(dead)) != nDead {
 		return nil, fmt.Errorf("%w: duplicate tombstone ids", ErrBadSnapshot)
 	}
-	if err := cr.skip(i32Pad(nDead)); err != nil {
-		return nil, err
+	if nDelta > maxTrajectories || nDelta > uint64(c.remaining())/minTrajRecordBytes {
+		return nil, fmt.Errorf("%w: delta count %d exceeds remaining bytes", ErrBadSnapshot, nDelta)
 	}
-	var nDelta uint64
-	if err := cr.u64(&nDelta); err != nil {
-		return nil, fmt.Errorf("%w: truncated delta", ErrBadSnapshot)
-	}
-	if nDelta > maxTrajectories {
-		return nil, fmt.Errorf("%w: implausible delta count %d", ErrBadSnapshot, nDelta)
-	}
-	delta := make([]*trajectory.Trajectory, 0, minInt(int(nDelta), 1<<16))
-	for i := uint64(0); i < nDelta; i++ {
-		u, err := readFrozenTrajectoryRecord(cr, i)
-		if err != nil {
-			return nil, err
+	delta := make([]*trajectory.Trajectory, nDelta)
+	for i := range delta {
+		h, pts := c.trajRecord(uint64(i))
+		if c.err != nil {
+			return nil, c.err
 		}
-		delta = append(delta, u)
+		u, err := trajectory.New(h.id, slices.Clone(pts))
+		if err == nil {
+			err = h.check(uint64(i), u.Length(), u.MBR())
+		}
+		if err != nil {
+			return nil, badSnapshot(err)
+		}
+		delta[i] = u
 	}
 	ep, err := query.NewEpoch(query.NewFrozenEngine(f, nil), delta, dead, 0)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	return ep, nil
+	return ep, badSnapshot(err)
 }
 
 // writeLiveSnapshot serializes a captured epoch set as a TQLIVE01
 // container.
 func writeLiveSnapshot(w io.Writer, eps []*query.Epoch, kind string) error {
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(w, crc)
-	if _, err := mw.Write(liveMagic[:]); err != nil {
-		return err
-	}
-	if err := binary.Write(mw, binary.LittleEndian, uint64(len(eps))); err != nil {
-		return err
-	}
-	if err := binary.Write(mw, binary.LittleEndian, uint32(len(kind))); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(mw, kind); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, crc.Sum32()); err != nil {
-		return err
-	}
-	// Realign so every frame's payload starts 8-aligned in the file —
-	// the mapped reader aliases columns at file offsets. See
-	// snapshot_frozen.go.
-	if _, err := w.Write(make([]byte, pad8(uint64(len(kind))))); err != nil {
-		return err
-	}
-	for _, ep := range eps {
-		if err := binary.Write(w, binary.LittleEndian, livePayloadSize(ep)); err != nil {
-			return err
-		}
-		fcrc := crc32.NewIEEE()
-		if err := writeLivePayload(io.MultiWriter(w, fcrc), ep); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, fcrc.Sum32()); err != nil {
-			return err
-		}
-		if _, err := w.Write([]byte{0, 0, 0, 0}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeContainer(w, liveMagic, kind, len(eps),
+		func(i int) uint64 { return livePayloadSize(eps[i]) },
+		func(w io.Writer, i int) error { return writeLivePayload(w, eps[i]) })
 }
 
 // WriteSnapshot checkpoints the live index as a TQLIVE01 stream. The
@@ -189,88 +141,29 @@ func (x *LiveIndex) WriteSnapshot(w io.Writer) error {
 // folds as usual. pol tunes the restored index's compaction policy
 // (policy is operational state, not data, so it is not recorded).
 // A single-shard stream (a LiveIndex checkpoint) restores as a
-// one-shard LiveShardedIndex, which serves identically.
+// one-shard LiveShardedIndex, which serves identically. One frame's
+// bytes are in memory at a time, and reading stops at the last declared
+// frame.
 func ReadLiveSnapshot(r io.Reader, pol LivePolicy) (*LiveShardedIndex, error) {
-	base := bufio.NewReader(r)
-	crc := crc32.NewIEEE()
-	br := &hashReader{r: base, crc: crc}
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	switch magic {
-	case liveMagic:
-	case snapshotMagic, frozenMagic:
-		return nil, fmt.Errorf("%w: single-index snapshot; use ReadSnapshot or ReadFrozenSnapshot", ErrBadSnapshot)
-	case shardedMagic, shardedFrozenMagic:
-		return nil, fmt.Errorf("%w: sharded snapshot; use ReadShardedSnapshot or ReadFrozenShardedSnapshot", ErrBadSnapshot)
-	default:
-		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
-	}
-	var nShards uint64
-	if err := binary.Read(br, binary.LittleEndian, &nShards); err != nil {
-		return nil, fmt.Errorf("%w: truncated header", ErrBadSnapshot)
-	}
-	var kindLen uint32
-	if err := binary.Read(br, binary.LittleEndian, &kindLen); err != nil {
-		return nil, fmt.Errorf("%w: truncated header", ErrBadSnapshot)
-	}
-	if kindLen > 256 {
-		return nil, fmt.Errorf("%w: implausible partitioner kind length %d", ErrBadSnapshot, kindLen)
-	}
-	kindBuf := make([]byte, kindLen)
-	if _, err := io.ReadFull(br, kindBuf); err != nil {
-		return nil, fmt.Errorf("%w: truncated header", ErrBadSnapshot)
-	}
-	wantHdr := crc.Sum32()
-	var gotHdr uint32
-	if err := binary.Read(base, binary.LittleEndian, &gotHdr); err != nil {
-		return nil, fmt.Errorf("%w: missing header checksum", ErrBadSnapshot)
-	}
-	if gotHdr != wantHdr {
-		return nil, fmt.Errorf("%w: header checksum mismatch", ErrBadSnapshot)
-	}
-	if err := readZeroPad(base, pad8(uint64(kindLen))); err != nil {
+	return readLive((&streamSource{r: r}).take, nil, pol)
+}
+
+func readLive(take func(n uint64) ([]byte, error), pin *mappedToken, pol LivePolicy) (*LiveShardedIndex, error) {
+	var eps []*query.Epoch
+	kind, err := readContainer(take, liveMagic, pin, func(c *cursor) error {
+		ep, err := readLivePayload(c)
+		if err == nil {
+			eps = append(eps, ep)
+		}
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
-
-	const maxShards = 1 << 16
-	if nShards == 0 || nShards > maxShards {
-		return nil, fmt.Errorf("%w: implausible shard count %d", ErrBadSnapshot, nShards)
-	}
-	eps := make([]*query.Epoch, 0, nShards)
-	for s := uint64(0); s < nShards; s++ {
-		var payloadLen uint64
-		if err := binary.Read(base, binary.LittleEndian, &payloadLen); err != nil {
-			return nil, fmt.Errorf("%w: truncated frame %d", ErrBadSnapshot, s)
-		}
-		fcrc := crc32.NewIEEE()
-		fr := &hashReader{r: io.LimitReader(base, int64(payloadLen)), crc: fcrc}
-		ep, err := readLivePayload(fr)
-		if err != nil {
-			return nil, fmt.Errorf("frame %d: %w", s, err)
-		}
-		if n, _ := io.Copy(io.Discard, fr); n != 0 {
-			return nil, fmt.Errorf("%w: frame %d has %d trailing bytes", ErrBadSnapshot, s, n)
-		}
-		wantFrame := fcrc.Sum32()
-		var gotFrame uint32
-		if err := binary.Read(base, binary.LittleEndian, &gotFrame); err != nil {
-			return nil, fmt.Errorf("%w: frame %d missing checksum", ErrBadSnapshot, s)
-		}
-		if gotFrame != wantFrame {
-			return nil, fmt.Errorf("%w: frame %d checksum mismatch", ErrBadSnapshot, s)
-		}
-		if err := readZeroPad(base, 4); err != nil {
-			return nil, fmt.Errorf("frame %d: %w", s, err)
-		}
-		eps = append(eps, ep)
-	}
-
-	part, _ := shard.PartitionerOf(string(kindBuf))
+	part, _ := shard.PartitionerOf(kind)
 	l, err := shard.LiveFromEpochs(eps, part, pol.policy())
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+		return nil, badSnapshot(err)
 	}
 	return newLiveShardedIndex(l), nil
 }

@@ -1,13 +1,13 @@
 package trajcover
 
 // Mapped restore must be indistinguishable from the streaming readers:
-// bit-identical answers, byte-identical re-snapshots, and the same
+// bit-identical answers and byte-identical re-snapshots. The
 // loud-rejection contract for corrupt files — a truncated or flipped
-// mapped file errors at open, never SIGBUSes or serves wrong values.
+// image errors at open, never faults or serves wrong values — is swept
+// for both owners of the bytes in snapshot_fuzz_test.go.
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -194,133 +194,6 @@ func TestMappedLiveMatchesHeapAndStaysMutable(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertMappedAnswers(t, "TQLIVE01 mapped after compact", heap, mapped)
-}
-
-// mappedOpenFormats wires each mapped open path to a valid file image.
-func mappedOpenFormats(t testing.TB) []struct {
-	name string
-	data []byte
-	open func(path string) error
-} {
-	t.Helper()
-	ny := NewYorkCity()
-	users := TaxiTrips(ny, 30, 41)
-	idx, err := NewIndex(users, IndexOptions{Ordering: ZOrdering})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fz, err := idx.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sidx, err := NewShardedIndex(users, ShardOptions{Shards: 2, Index: IndexOptions{Ordering: ZOrdering}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sfz, err := sidx.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lv := churnedLiveIndex(t, users)
-	var b1, b2, b3 bytes.Buffer
-	if err := fz.WriteSnapshot(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := sfz.WriteSnapshot(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if err := lv.WriteSnapshot(&b3); err != nil {
-		t.Fatal(err)
-	}
-	return []struct {
-		name string
-		data []byte
-		open func(path string) error
-	}{
-		{"TQSNAP03", b1.Bytes(), func(p string) error { _, err := OpenMappedFrozenSnapshot(p); return err }},
-		{"TQSHRD02", b2.Bytes(), func(p string) error { _, err := OpenMappedFrozenShardedSnapshot(p); return err }},
-		{"TQLIVE01", b3.Bytes(), func(p string) error { _, err := OpenMappedLiveSnapshot(p, LivePolicy{}); return err }},
-	}
-}
-
-// openMappedNoPanic runs a mapped open and converts panics to errors;
-// the property is that corrupt mapped files fail loudly at open.
-func openMappedNoPanic(open func(string) error, path string) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("PANIC: %v", r)
-		}
-	}()
-	return open(path)
-}
-
-// TestMappedSnapshotTruncation: every proper prefix of a valid snapshot
-// file is rejected by the mapped open with an error — never a panic and
-// never an out-of-bounds fault (every cursor read is length-checked).
-func TestMappedSnapshotTruncation(t *testing.T) {
-	dir := t.TempDir()
-	for _, f := range mappedOpenFormats(t) {
-		path := filepath.Join(dir, f.name)
-		step := 1
-		if len(f.data) > 2048 {
-			step = 7
-		}
-		for cut := 0; cut < len(f.data); cut += step {
-			if err := os.WriteFile(path, f.data[:cut], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if err := openMappedNoPanic(f.open, path); err == nil {
-				t.Fatalf("%s: mapped open of %d/%d-byte truncation accepted", f.name, cut, len(f.data))
-			}
-		}
-	}
-}
-
-// TestMappedSnapshotBitFlip: flipping any single bit of a valid
-// snapshot file is rejected by the mapped open — the CRCs are verified
-// over the raw mapping before any column is trusted.
-func TestMappedSnapshotBitFlip(t *testing.T) {
-	dir := t.TempDir()
-	for _, f := range mappedOpenFormats(t) {
-		path := filepath.Join(dir, f.name)
-		data := f.data
-		step := 1
-		if len(data) > 2048 {
-			step = 11
-		}
-		for i := 0; i < len(data); i += pick(i < 128 || i >= len(data)-8, 1, step) {
-			data[i] ^= 1 << (i % 8)
-			werr := os.WriteFile(path, data, 0o644)
-			data[i] ^= 1 << (i % 8)
-			if werr != nil {
-				t.Fatal(werr)
-			}
-			if err := openMappedNoPanic(f.open, path); err == nil {
-				t.Fatalf("%s: mapped open with bit flip at byte %d/%d accepted", f.name, i, len(data))
-			}
-		}
-	}
-}
-
-// TestMappedOpenWrongFormat: each mapped open rejects the other
-// formats' magics with a pointed error instead of misparsing.
-func TestMappedOpenWrongFormat(t *testing.T) {
-	formats := mappedOpenFormats(t)
-	dir := t.TempDir()
-	for _, f := range formats {
-		for _, g := range formats {
-			if f.name == g.name {
-				continue
-			}
-			path := filepath.Join(dir, "cross")
-			if err := os.WriteFile(path, g.data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.open(path); err == nil {
-				t.Fatalf("%s open accepted a %s file", f.name, g.name)
-			}
-		}
-	}
 }
 
 // TestMappedOpenMissingFile: opening a nonexistent path errors cleanly.

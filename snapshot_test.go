@@ -3,10 +3,12 @@ package trajcover
 import (
 	"bytes"
 	"errors"
-	"math"
+	"strings"
 	"testing"
 )
 
+// TestSnapshotRoundTrip: a frozen index of every variant and ordering
+// restores to the same corpus and the same answers.
 func TestSnapshotRoundTrip(t *testing.T) {
 	users, routes := smallWorkload(t)
 	for _, opts := range []IndexOptions{
@@ -14,29 +16,28 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		{Variant: FullTrajectory, Ordering: ZOrdering, Beta: 16},
 		{Variant: Segmented, Ordering: BasicOrdering, Beta: 32},
 	} {
-		idx, err := NewIndex(users, opts)
+		fz, err := NewFrozenIndex(users, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := idx.WriteSnapshot(&buf); err != nil {
+		if err := fz.WriteSnapshot(&buf); err != nil {
 			t.Fatal(err)
 		}
-		back, err := ReadSnapshot(&buf)
+		back, err := ReadFrozenSnapshot(&buf)
 		if err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
-		if back.Len() != idx.Len() {
-			t.Fatalf("restored %d trajectories, want %d", back.Len(), idx.Len())
+		if back.Len() != fz.Len() {
+			t.Fatalf("restored %d trajectories, want %d", back.Len(), fz.Len())
 		}
-		// Restored index must answer queries identically.
 		sc := Binary
 		if opts.Variant == Segmented || opts.Variant == FullTrajectory {
 			sc = PointCount
 		}
 		q := Query{Scenario: sc, Psi: DefaultPsi}
 		for _, f := range routes[:5] {
-			a, err := idx.ServiceValue(f, q)
+			a, err := fz.ServiceValue(f, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,28 +45,43 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if math.Abs(a-b) > 1e-9 {
+			if a != b {
 				t.Fatalf("facility %d: original %v, restored %v", f.ID, a, b)
 			}
 		}
 	}
 }
 
-// TestSnapshotPersistsMaxDepth checks the v2 header carries the depth
-// bound, and that a legacy v1 stream (no MaxDepth field) is rejected.
+// freezeRoundTrip persists a mutable index the one way there is — freeze,
+// write, read — and returns the restored frozen index.
+func freezeRoundTrip(t *testing.T, idx *Index) *FrozenIndex {
+	t.Helper()
+	fz, err := idx.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := fz.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadFrozenSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return back
+}
+
+// TestSnapshotPersistsMaxDepth checks the payload header carries the
+// depth bound — what a rebuild of the restored index's live form reuses.
 func TestSnapshotPersistsMaxDepth(t *testing.T) {
 	users, routes := smallWorkload(t)
 	idx, err := NewIndex(users[:500], IndexOptions{MaxDepth: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := idx.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	back := freezeRoundTrip(t, idx)
+	if got := back.engine.Frozen().MaxDepth(); got != 5 {
+		t.Fatalf("restored MaxDepth = %d, want 5", got)
 	}
 	q := Query{Scenario: Binary, Psi: DefaultPsi}
 	a, err := idx.ServiceValue(routes[0], q)
@@ -79,52 +95,10 @@ func TestSnapshotPersistsMaxDepth(t *testing.T) {
 	if a != b {
 		t.Fatalf("restored shallow index answers %v, want %v", b, a)
 	}
-
-	// TQSNAP01 (the same header without the MaxDepth field) is no longer
-	// read: its magic is rejected like any unknown one.
-	v1 := append([]byte("TQSNAP01"), buf.Bytes()[8:]...)
-	if _, err := ReadSnapshot(bytes.NewReader(v1)); !errors.Is(err, ErrBadSnapshot) {
-		t.Fatalf("TQSNAP01 stream: err = %v, want ErrBadSnapshot", err)
-	}
 }
 
-func TestSnapshotDetectsCorruption(t *testing.T) {
-	users, _ := smallWorkload(t)
-	idx, err := NewIndex(users[:100], IndexOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := idx.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-
-	// Flip a payload byte: checksum must catch it.
-	bad := append([]byte(nil), good...)
-	bad[len(bad)/2] ^= 0xFF
-	if _, err := ReadSnapshot(bytes.NewReader(bad)); !errors.Is(err, ErrBadSnapshot) {
-		t.Errorf("corrupted payload: err = %v, want ErrBadSnapshot", err)
-	}
-
-	// Truncated stream.
-	if _, err := ReadSnapshot(bytes.NewReader(good[:len(good)/3])); !errors.Is(err, ErrBadSnapshot) {
-		t.Errorf("truncated stream: err = %v, want ErrBadSnapshot", err)
-	}
-
-	// Wrong magic.
-	bad2 := append([]byte(nil), good...)
-	bad2[0] = 'X'
-	if _, err := ReadSnapshot(bytes.NewReader(bad2)); !errors.Is(err, ErrBadSnapshot) {
-		t.Errorf("bad magic: err = %v, want ErrBadSnapshot", err)
-	}
-
-	// Empty stream.
-	if _, err := ReadSnapshot(bytes.NewReader(nil)); !errors.Is(err, ErrBadSnapshot) {
-		t.Errorf("empty stream: err = %v, want ErrBadSnapshot", err)
-	}
-}
-
+// TestSnapshotPreservesInsertedTrajectories: trajectories inserted after
+// the build are in the frozen snapshot like the ones built over.
 func TestSnapshotPreservesInsertedTrajectories(t *testing.T) {
 	users, routes := smallWorkload(t)
 	idx, err := NewIndex(users[:1500], IndexOptions{Bounds: Rect{MaxX: 30000, MaxY: 40000}})
@@ -136,13 +110,9 @@ func TestSnapshotPreservesInsertedTrajectories(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := idx.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
+	back := freezeRoundTrip(t, idx)
+	if back.Len() != len(users) {
+		t.Fatalf("restored %d trajectories, want %d", back.Len(), len(users))
 	}
 	q := Query{Scenario: Binary, Psi: DefaultPsi}
 	a, err := idx.ServiceValue(routes[0], q)
@@ -153,11 +123,14 @@ func TestSnapshotPreservesInsertedTrajectories(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(a-b) > 1e-9 {
+	if a != b {
 		t.Fatalf("post-insert snapshot mismatch: %v vs %v", a, b)
 	}
 }
 
+// TestShardedSnapshotRoundTrip: the recorded partition — shard count,
+// shard sizes, partitioner kind — and the answers survive a frozen
+// sharded round trip, and the restored index goes live and takes writes.
 func TestShardedSnapshotRoundTrip(t *testing.T) {
 	users, routes := smallWorkload(t)
 	for _, opts := range []ShardOptions{
@@ -169,11 +142,15 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := idx.WriteSnapshot(&buf); err != nil {
+		fz, err := idx.Freeze()
+		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := ReadShardedSnapshot(&buf)
+		var buf bytes.Buffer
+		if err := fz.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadFrozenShardedSnapshot(&buf)
 		if err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
@@ -187,8 +164,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 				t.Fatalf("shard %d restored with %d trajectories, want %d", i, rs[i], ws[i])
 			}
 		}
-		// Restored index must answer identically: Binary values are
-		// integral, so exact equality is required.
+		// Binary values are integral, so exact equality is required.
 		q := Query{Scenario: Binary, Psi: DefaultPsi}
 		wantTop, err := idx.TopK(routes, 8, q)
 		if err != nil {
@@ -206,71 +182,108 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 					wantTop[i].Facility.ID, wantTop[i].Service)
 			}
 		}
-		// A restored built-in partitioner must keep accepting Inserts.
+		// A restored built-in partitioner must keep routing Inserts.
+		lv, err := back.Live(LivePolicy{Manual: true})
+		if err != nil {
+			t.Fatal(err)
+		}
 		u, err := NewTrajectory(ID(900000), []Point{Pt(100, 100), Pt(200, 200)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := back.Insert(u); err != nil {
+		if err := lv.Insert(u); err != nil {
 			t.Fatalf("insert into restored index: %v", err)
 		}
 	}
 }
 
-func TestShardedSnapshotDetectsCorruption(t *testing.T) {
-	users, _ := smallWorkload(t)
-	idx, err := NewShardedIndex(users[:300], ShardOptions{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := idx.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-
-	// Flip a byte in the middle (some shard frame): the frame CRC must
-	// catch it.
-	bad := append([]byte(nil), good...)
-	bad[len(bad)/2] ^= 0xFF
-	if _, err := ReadShardedSnapshot(bytes.NewReader(bad)); !errors.Is(err, ErrBadSnapshot) {
-		t.Errorf("corrupted frame: err = %v, want ErrBadSnapshot", err)
-	}
-
-	// Flip a header byte.
-	bad2 := append([]byte(nil), good...)
-	bad2[20] ^= 0xFF
-	if _, err := ReadShardedSnapshot(bytes.NewReader(bad2)); !errors.Is(err, ErrBadSnapshot) {
-		t.Errorf("corrupted header: err = %v, want ErrBadSnapshot", err)
-	}
-
-	// Truncated stream.
-	if _, err := ReadShardedSnapshot(bytes.NewReader(good[:len(good)-9])); !errors.Is(err, ErrBadSnapshot) {
-		t.Errorf("truncated stream: err = %v, want ErrBadSnapshot", err)
+// assertRejected requires every image to be an ErrBadSnapshot under both
+// owners.
+func assertRejected(t *testing.T, f snapshotFormat, images map[string][]byte) {
+	t.Helper()
+	for what, data := range images {
+		for _, owner := range snapshotOwners {
+			if _, err := f.parse(data, owner); !errors.Is(err, ErrBadSnapshot) {
+				t.Errorf("%s, %s, %s: err = %v, want ErrBadSnapshot", f.name, owner, what, err)
+			}
+		}
 	}
 }
 
+// TestSnapshotDetectsCorruption: damage coarser than the single-bit
+// sweeps make — a whole payload byte, two thirds of the stream gone, a
+// foreign magic, nothing at all.
+func TestSnapshotDetectsCorruption(t *testing.T) {
+	f := snapshotFormats(t, 30)[0]
+	good := snapshotBytes(t, f)
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)/2] ^= 0xFF
+	badMagic := bytes.Clone(good)
+	badMagic[0] = 'X'
+	assertRejected(t, f, map[string][]byte{
+		"corrupted payload": flipped,
+		"truncated stream":  good[:len(good)/3],
+		"bad magic":         badMagic,
+		"empty stream":      nil,
+	})
+}
+
+// TestShardedSnapshotDetectsCorruption: the same for the two containers —
+// a whole byte of some frame (the frame CRC must catch it), a whole byte
+// of the header, and a stream cut inside the last frame's trailer.
+func TestShardedSnapshotDetectsCorruption(t *testing.T) {
+	for _, f := range snapshotFormats(t, 30)[1:] {
+		good := snapshotBytes(t, f)
+		frame := bytes.Clone(good)
+		frame[len(frame)/2] ^= 0xFF
+		header := bytes.Clone(good)
+		header[20] ^= 0xFF
+		assertRejected(t, f, map[string][]byte{
+			"corrupted frame":  frame,
+			"corrupted header": header,
+			"truncated stream": good[:len(good)-9],
+		})
+	}
+}
+
+// TestSnapshotFormatsAreDistinguished: every reader, under both owners,
+// refuses every other format's stream with an error that names what the
+// stream is — the two retired rebuild formats included, which say they
+// are no longer readable rather than "bad magic".
 func TestSnapshotFormatsAreDistinguished(t *testing.T) {
-	users, _ := smallWorkload(t)
-	single, err := NewIndex(users[:100], IndexOptions{})
-	if err != nil {
-		t.Fatal(err)
+	formats := snapshotFormats(t, 30)
+	body := snapshotBytes(t, formats[0])[8:]
+	streams := map[string][]byte{
+		"TQSNAP02": append([]byte("TQSNAP02"), body...),
+		"TQSHRD01": append([]byte("TQSHRD01"), body...),
+		"TQSNAP01": append([]byte("TQSNAP01"), body...),
+		"TQSNAP0":  []byte("TQSNAP0"),
 	}
-	sharded, err := NewShardedIndex(users[:100], ShardOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
+	for _, g := range formats {
+		streams[g.name] = snapshotBytes(t, g)
 	}
-	var sbuf, shbuf bytes.Buffer
-	if err := single.WriteSnapshot(&sbuf); err != nil {
-		t.Fatal(err)
+	says := func(name string) string {
+		switch name {
+		case "TQSNAP02", "TQSHRD01":
+			return "rebuild-format snapshot (" + name + ") is no longer readable; rebuild the index and write a frozen snapshot"
+		case "TQSNAP01":
+			return "bad magic"
+		case "TQSNAP0":
+			return "truncated"
+		}
+		return "(" + name + "); use "
 	}
-	if err := sharded.WriteSnapshot(&shbuf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadSnapshot(bytes.NewReader(shbuf.Bytes())); !errors.Is(err, ErrBadSnapshot) {
-		t.Errorf("ReadSnapshot on sharded stream: err = %v, want ErrBadSnapshot", err)
-	}
-	if _, err := ReadShardedSnapshot(bytes.NewReader(sbuf.Bytes())); !errors.Is(err, ErrBadSnapshot) {
-		t.Errorf("ReadShardedSnapshot on single stream: err = %v, want ErrBadSnapshot", err)
+	for _, f := range formats {
+		for name, data := range streams {
+			if name == f.name {
+				continue
+			}
+			for _, owner := range snapshotOwners {
+				_, err := f.parse(data, owner)
+				if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), says(name)) {
+					t.Errorf("%s reader, %s, on a %s stream: err = %v, want ErrBadSnapshot saying %q", f.name, owner, name, err, says(name))
+				}
+			}
+		}
 	}
 }

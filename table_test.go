@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -349,6 +348,15 @@ var hostileTrajectoryCases = []struct {
 	{"cached MBR disagrees with points", false, func(p []byte, l frozenPayloadLayout) { p[l.trajs+80+16+5] ^= 0x01 }},
 }
 
+// framePayload locates the first frame's payload in a container image:
+// magic, shard count, kind, header CRC, pad; then the frame's length,
+// payload, CRC and pad.
+func framePayload(data []byte) (lo, hi int) {
+	kl := int(binary.LittleEndian.Uint32(data[16:]))
+	lo = 20 + kl + 4 + int(pad8(uint64(kl))) + 8
+	return lo, lo + int(binary.LittleEndian.Uint64(data[lo-8:]))
+}
+
 // hostileSnapshot is one forged image.
 type hostileSnapshot struct {
 	format, name  string
@@ -391,13 +399,6 @@ func hostileSnapshots(t testing.TB) (out []hostileSnapshot) {
 			t.Fatal(err)
 		}
 	}
-	// One-frame container: magic, shard count, kind, header CRC, pad;
-	// then the frame's length, payload, CRC and pad.
-	framePayload := func(data []byte) (lo, hi int) {
-		kl := int(binary.LittleEndian.Uint32(data[16:]))
-		lo = 20 + kl + 4 + int(pad8(uint64(kl))) + 8
-		return lo, lo + int(binary.LittleEndian.Uint64(data[lo-8:]))
-	}
 	for _, c := range hostileTrajectoryCases {
 		s := bytes.Clone(single.Bytes())
 		c.forge(s[8:len(s)-4], layoutOf(t, s[8:]))
@@ -418,39 +419,24 @@ func hostileSnapshots(t testing.TB) (out []hostileSnapshot) {
 // under valid checksums — impossible point counts, a count that runs off
 // the file, entries naming a row or a segment that does not exist, one ID
 // in two records, cached geometry that is not the points' — is an
-// ErrBadSnapshot from the heap readers, and from the mapped readers
-// wherever they look; none of them panics or serves the forgery's index.
+// ErrBadSnapshot when the reader copies the bytes, and when it aliases
+// them wherever it looks (mappedRejects); neither panics or serves the
+// forgery's index.
 func TestSnapshotHostileTrajectorySection(t *testing.T) {
-	heapRead := map[string]func([]byte) error{
-		"TQSNAP03": func(d []byte) error { _, err := ReadFrozenSnapshot(bytes.NewReader(d)); return err },
-		"TQSHRD02": func(d []byte) error { _, err := ReadFrozenShardedSnapshot(bytes.NewReader(d)); return err },
-		"TQLIVE01": func(d []byte) error { _, err := ReadLiveSnapshot(bytes.NewReader(d), LivePolicy{}); return err },
-	}
-	mappedOpen := map[string]func(string) error{
-		"TQSNAP03": func(p string) error { _, err := OpenMappedFrozenSnapshot(p); return err },
-		"TQSHRD02": func(p string) error { _, err := OpenMappedFrozenShardedSnapshot(p); return err },
-		"TQLIVE01": func(p string) error { _, err := OpenMappedLiveSnapshot(p, LivePolicy{}); return err },
-	}
-	noPanic := func(read func() error) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("PANIC: %v", r)
-			}
-		}()
-		return read()
+	readers := map[string]snapshotFormat{}
+	for _, f := range snapshotFormats(t, 30) {
+		readers[f.name] = f
 	}
 	for _, h := range hostileSnapshots(t) {
-		err := noPanic(func() error { return heapRead[h.format](h.data) })
-		if !errors.Is(err, ErrBadSnapshot) {
-			t.Errorf("%s, %s: heap reader returned %v, want ErrBadSnapshot", h.format, h.name, err)
+		if _, err := readers[h.format].parse(h.data, "copy"); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s, %s: copying reader returned %v, want ErrBadSnapshot", h.format, h.name, err)
 		}
-		path := writeTempSnapshot(t, "hostile", func(w *os.File) error { _, err := w.Write(h.data); return err })
-		err = openMappedNoPanic(mappedOpen[h.format], path)
+		_, err := readers[h.format].parse(h.data, "alias")
 		if h.mappedRejects && !errors.Is(err, ErrBadSnapshot) {
-			t.Errorf("%s, %s: mapped reader returned %v, want ErrBadSnapshot", h.format, h.name, err)
+			t.Errorf("%s, %s: aliasing reader returned %v, want ErrBadSnapshot", h.format, h.name, err)
 		}
 		if err != nil && !errors.Is(err, ErrBadSnapshot) {
-			t.Errorf("%s, %s: mapped reader failed with %v", h.format, h.name, err)
+			t.Errorf("%s, %s: aliasing reader failed with %v", h.format, h.name, err)
 		}
 	}
 }
