@@ -1,18 +1,15 @@
 package main
 
-// The `dist` experiment: what the distributed serving tier costs and
-// what the cross-process prune saves. The same NYT corpus is served two
-// ways — one tqserve core holding everything, and a scatter-gather
-// frontend over n shard-group backends (in-process HTTP, so the deltas
-// are protocol cost, not network) — and hammered with the same topk
-// requests. The frontend's answers are byte-identical to the single
-// process (that's the dist package's property suite); this experiment
-// records the throughput tax of the extra hop, the `pruned/query`
-// counter — the facilities the round merge never sent for exact
-// evaluation — and `exact rpcs/query`, what the rounds cost on the wire
-// (one RPC per group per round: O(log N), not O(N)). It lives here
-// rather than in internal/bench because internal/dist fronts the server
-// wire format.
+// The `dist` experiment: what the distributed serving tier costs. The
+// same NYT corpus is served two ways — one tqserve core holding
+// everything, and a scatter-gather frontend over n shard-group backends
+// (in-process HTTP, so the deltas are protocol cost, not network) — and
+// hammered with the same topk requests. The frontend's answers are
+// byte-identical to the single process (that's the dist package's
+// property suite); this experiment records the throughput tax of the
+// extra hop and `exchanges/query`, what a read costs on the wire (one
+// request per group, whatever N and k). It lives here rather than in
+// internal/bench because internal/dist fronts the server wire format.
 
 import (
 	"fmt"
@@ -34,8 +31,7 @@ func expDist(ctx *bench.Context) (*bench.Table, error) {
 		Series: []bench.Series{
 			{Method: "single-process"},
 			{Method: "frontend"},
-			{Method: "pruned/query (n)"},
-			{Method: "exact rpcs/query (n)"},
+			{Method: "exchanges/query (n)"},
 		},
 	}
 	users := ctx.Users("nyt", datagen.NYT1Day)
@@ -143,17 +139,10 @@ func expDist(ctx *bench.Context) (*bench.Table, error) {
 		if qerr != nil {
 			return nil, qerr
 		}
-		perQuery := func(n uint64) float64 {
-			if stats.Requests == 0 {
-				return 0
-			}
-			return float64(n) / float64(stats.Requests)
-		}
 		t.XTicks = append(t.XTicks, fmt.Sprint(n))
 		t.Series[0].Y = append(t.Series[0].Y, rate(refSec))
 		t.Series[1].Y = append(t.Series[1].Y, rate(feSec))
-		t.Series[2].Y = append(t.Series[2].Y, perQuery(stats.PrunedFacilities))
-		t.Series[3].Y = append(t.Series[3].Y, perQuery(stats.ExactRPCs))
+		t.Series[2].Y = append(t.Series[2].Y, float64(stats.Exchanges)/float64(max(stats.Requests, 1)))
 	}
 	return t, nil
 }

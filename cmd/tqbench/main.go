@@ -84,7 +84,7 @@ func main() {
 	})
 	bench.RegisterExtra(bench.Experiment{
 		ID:    "dist",
-		Title: "extra — scatter-gather frontend over shard-group backends vs one process, with prune counters (NYT, not in the paper)",
+		Title: "extra — scatter-gather frontend over shard-group backends vs one process, with exchanges per query (NYT, not in the paper)",
 		Run:   expDist,
 	})
 

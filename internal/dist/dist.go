@@ -14,48 +14,39 @@
 //
 // Exactness across the wire. /v1/topk is NOT answered by merging
 // per-group top-k lists — that would be wrong (a global winner can be
-// mediocre in every group) and would do exact work for facilities the
-// bounds rule out. Service value is additive over the groups' disjoint
-// user sets, so the frontend runs query.TopKRounds — the threshold-round
-// schedule every sharded index runs in-process, whose doc comment has
-// the order, the doubling and the stop rule — with groups for shards.
-// Answers are byte-identical to one process over the same corpus for
-// integral scenarios (Binary), and equal up to float summation order
-// otherwise. Every facility never named in a round counts in
-// pruned_facilities — no group computes its exact value — and one that is
-// named is evaluated on every answering group of its round
-// (exact_facilities counts those legs, exact_rounds the rounds).
+// mediocre in every group). Service value is additive over the groups'
+// disjoint user sets, so the frontend does what every sharded index does
+// in-process, with groups for shards: it sums every facility's exact
+// per-group values in group order and sorts (query.Results). Answers are
+// byte-identical to one process over the same corpus for integral
+// scenarios (Binary), and equal up to float summation order otherwise. No
+// bound crosses the wire: summed over hash-partitioned groups the seed
+// bound never cut a facility (EXPERIMENTS.md), so every group evaluates
+// every facility, once.
 //
-// The wire. Everything one read asks of one group travels on ONE open
-// HTTP request, POST /v1/exchange (exchange.go here; the frame layout
-// and the backend half are internal/server/exchange.go): the request
-// body is a stream of binary frames written as the merge proceeds, the
-// response body the stream of replies. The first frame carries the query
-// and all facilities once, as columns the backend aliases without
-// parsing; the backend answers a bounds frame; each round is then a frame
-// of facility indexes answered by a frame of float64 values, at most
-// ⌈log2(N/k)⌉+1 of them; the frontend ends the body when the stop rule
-// cuts. /v1/servicevalues is the same exchange with no bounds frame and
-// one round. Nothing is re-sent, re-marshalled or re-parsed per round,
-// and the only JSON a read touches is the client's own request and
-// answer. Writes and health probes stay JSON, passed through.
+// The wire. Everything one read asks of one group is ONE ordinary HTTP
+// request, POST /v1/exchange (exchange.go here; the frame layout and the
+// backend half are internal/server/exchange.go): the body is a binary
+// query frame carrying the query and all facilities as columns the
+// backend aliases without parsing, the answer one frame of float64
+// values. /v1/servicevalues and /v1/topk send the same request; the only
+// JSON a read touches is the client's own request and answer. Writes and
+// health probes stay JSON, passed through.
 //
-// One epoch per group. The backend pins one epoch capture per exchange,
-// so a group's whole contribution to an answer — bounds and every round —
-// comes from one acknowledged prefix of its write history. Failover never
-// splices two: a member that fails before its first reply frame is failed
-// over within its group (healthy members first; a 4xx aborts), and one
-// lost after it is marked unhealthy and the merge restarts from the top
-// on fresh exchanges, at most once per member.
+// One epoch per group. A group's whole contribution to an answer is one
+// ServiceValuesCtx call on one member, hence one epoch capture: one
+// acknowledged prefix of its write history. A member that fails — before
+// answering, or with its reply half out — is failed over within its group
+// (healthy members first; a 4xx aborts); there is no partial state to
+// splice, so the next member is simply asked from the top.
 //
 // Degradation. Per-member health probes remove unresponsive backends
 // and readmit them when they recover. When an entire group is unreachable
 // the default answer is 503 with Retry-After (the frontend never silently
 // narrows the corpus); a client that opts in with ?partial=1 instead gets
 // 200 over the surviving groups plus a partial flag naming the missing
-// ones. A group that answered and then has no member left to restart on
-// is 503 in both modes. The tier is single-tenant: a request naming any
-// tenant but the default is a 400.
+// ones: a group answers wholly or is missing. The tier is single-tenant:
+// a request naming any tenant but the default is a 400.
 package dist
 
 import (

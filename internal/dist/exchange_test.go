@@ -19,32 +19,19 @@ import (
 	"github.com/trajcover/trajcover/internal/server"
 )
 
-// frameTap wraps a backend's ResponseWriter to see an exchange's reply
-// frames go by — the handler writes each in one Write — and to interfere
-// at a chosen one. Unwrap keeps http.ResponseController working.
-type frameTap struct {
+// replyTap wraps a backend's ResponseWriter to interfere just before an
+// exchange's reply — which the handler writes in one Write — goes out.
+// Unwrap keeps http.ResponseController working.
+type replyTap struct {
 	http.ResponseWriter
-	frames int
-	// before runs ahead of the n-th frame's Write (1-based).
-	before func(n int)
+	before func()
 }
 
-func (w *frameTap) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+func (w *replyTap) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-func (w *frameTap) Write(p []byte) (int, error) {
-	w.frames++
-	w.before(w.frames)
+func (w *replyTap) Write(p []byte) (int, error) {
+	w.before()
 	return w.ResponseWriter.Write(p)
-}
-
-// tapExchanges serves h with every /v1/exchange response tapped.
-func tapExchanges(h http.Handler, before func(n int)) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == server.PathExchange {
-			w = &frameTap{ResponseWriter: w, before: before}
-		}
-		h.ServeHTTP(w, r)
-	})
 }
 
 func newBackend(t *testing.T, users []*trajcover.Trajectory) *server.Server {
@@ -58,14 +45,15 @@ func newBackend(t *testing.T, users []*trajcover.Trajectory) *server.Server {
 	return srv
 }
 
-// TestFrontendMidExchangeLoss: the member serving a group dies after its
-// second round, with a replica behind it that lags — it lacks writes the
-// dead member had. The merge restarts from the top against the replica,
-// so the answer is byte-identical to the replica's own single-epoch
-// answer (summed with the other group's), never the dead member's bounds
-// and first rounds spliced onto the replica's later ones. With no
-// replica to restart on it is 503 + Retry-After, strict and ?partial=1
-// alike.
+// TestFrontendMidExchangeLoss: the member serving a group dies after
+// accepting the request — its 200 is out, its values frame never arrives
+// — with a replica behind it that lags: it lacks writes the dead member
+// had. The member is failed over within the group, once, and since an
+// exchange is one request and one reply nothing of the dead member's is
+// left to splice: the answer is byte-identical to the replica's own
+// (summed with the other group's). With no replica to fail over to the
+// group is missing: 503 + Retry-After, or under ?partial=1 the other
+// group's answer, flagged.
 func TestFrontendMidExchangeLoss(t *testing.T) {
 	users := testUsers(300, 411)
 	parts := partitionUsers(users, 2)
@@ -79,7 +67,7 @@ func TestFrontendMidExchangeLoss(t *testing.T) {
 	}
 	facs := hubFacilities(t, 32, 412)
 	q := trajcover.Query{Scenario: trajcover.Binary, Psi: 30}
-	const k = 2 // rounds of 2, 4, 8, 16, 2: the death comes with three to go
+	const k = 2
 
 	var killed atomic.Int64
 	type connKey struct{}
@@ -90,13 +78,12 @@ func TestFrontendMidExchangeLoss(t *testing.T) {
 	{
 		h := newBackend(t, ahead).Handler()
 		primary.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			h.ServeHTTP(&frameTap{ResponseWriter: w, before: func(n int) {
-				if n == 4 { // bounds, round 1 and round 2 went out; round 3's answer never does
-					killed.Add(1)
-					// As a killed process goes: the socket closes under everyone.
-					r.Context().Value(connKey{}).(net.Conn).Close()
-					panic(http.ErrAbortHandler)
-				}
+			h.ServeHTTP(&replyTap{ResponseWriter: w, before: func() {
+				killed.Add(1)
+				http.NewResponseController(w).Flush() // the 200 went out; the values frame never does
+				// As a killed process goes: the socket closes under everyone.
+				r.Context().Value(connKey{}).(net.Conn).Close()
+				panic(http.ErrAbortHandler)
 			}}, r)
 		})
 	}
@@ -155,30 +142,86 @@ func TestFrontendMidExchangeLoss(t *testing.T) {
 		}
 	})
 	if killed.Load() != 1 || stats.Failovers != 1 {
-		t.Fatalf("the primary died mid-exchange %d times and the frontend failed over %d times, want 1 and 1", killed.Load(), stats.Failovers)
+		t.Fatalf("the primary died holding a request %d times and the frontend failed over %d times, want 1 and 1", killed.Load(), stats.Failovers)
 	}
-	if stats.Exchanges != 4*2+2 {
-		t.Fatalf("%d exchanges for four reads on two groups and one restart, want 10", stats.Exchanges)
+	if stats.Exchanges != 4*2+1 || stats.ExactRPCs != 4*2 {
+		t.Fatalf("%d exchanges answered 200 and %d values frames came back for four reads on two groups and one death, want 9 and 8", stats.Exchanges, stats.ExactRPCs)
 	}
 
+	otherOnly, err := trajcover.NewLiveShardedIndex(parts[1], liveOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	survivor, err := otherOnly.TopK(facs, k, q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	killed.Store(0)
 	stats = run([]string{primary.URL}, func(path string, st int, got []byte, hdr http.Header) {
 		if killed.Load() == 0 {
 			t.Fatalf("%s: answered %d before the member died", path, st)
 		}
-		if st != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
-			t.Fatalf("%s with no member left: %d %s (Retry-After %q), want 503 + Retry-After", path, st, got, hdr.Get("Retry-After"))
+		if path == server.PathTopK {
+			if st != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
+				t.Fatalf("%s with no member left: %d %s (Retry-After %q), want 503 + Retry-After", path, st, got, hdr.Get("Retry-After"))
+			}
+			return
+		}
+		wantPartial := mustBody(t, PartialTopKResponse{Results: toRankedJSON(survivor), Partial: true, MissingGroups: []int{0}})
+		if st != http.StatusOK || !bytes.Equal(got, wantPartial) {
+			t.Fatalf("%s with no member left: %d %s, want the other group's answer %s", path, st, got, wantPartial)
 		}
 	})
-	if stats.PartialResponses != 0 {
-		t.Fatalf("%d partial answers after a mid-exchange loss", stats.PartialResponses)
+	if stats.PartialResponses != 2 {
+		t.Fatalf("%d partial answers for two ?partial=1 reads with group 0 gone", stats.PartialResponses)
+	}
+}
+
+// TestFrontendHostileReplies: a 200 that is not exactly one values frame
+// of the count asked for is the member's failure — a retryable 503, the
+// member removed — never an answer built from what did parse.
+func TestFrontendHostileReplies(t *testing.T) {
+	facs := testFacilities(3, 4, 461)
+	body := mustBody(t, server.QueryRequest{Facilities: server.FacilitiesJSON(facs), K: 2, Psi: 40})
+	good := server.AppendFloatsFrame(nil, []float64{3, 2, 1})
+	for name, reply := range map[string][]byte{
+		"nothing":          nil,
+		"one value short":  server.AppendFloatsFrame(nil, []float64{3, 2}),
+		"one value over":   server.AppendFloatsFrame(nil, []float64{3, 2, 1, 0}),
+		"a trailing byte":  append(append([]byte(nil), good...), 0),
+		"a second frame":   append(append([]byte(nil), good...), good...),
+		"a query frame":    server.AppendQueryFrame(nil, facs, server.QueryParams{}),
+		"a retired kind":   {24, 0, 0, 0, 4, 0, 0, 0},
+		"half the payload": good[:len(good)-12],
+	} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
+			w.Write(reply)
+		}))
+		fe, err := NewFrontend(FrontendConfig{Groups: []Group{{Members: []string{ts.URL}}}, ProbeInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fets := httptest.NewServer(fe.Handler())
+		for _, path := range []string{server.PathTopK, server.PathServiceValues} {
+			st, got, hdr := postTo(t, fets.Client(), fets.URL+path, body)
+			if st != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
+				t.Errorf("%s, %s: %d %s (Retry-After %q), want 503 + Retry-After", name, path, st, got, hdr.Get("Retry-After"))
+			}
+		}
+		if stats := fe.Stats(); stats.Exchanges != 2 || stats.ExactRPCs != 0 || stats.Groups[0].Healthy != 0 {
+			t.Errorf("%s: %+v, want 2 exchanges answered 200, no values frame accepted, the member removed", name, stats)
+		}
+		fets.Close()
+		fe.Close()
+		ts.Close()
 	}
 }
 
 // TestFrontendClientGone: a client that abandons its /v1/topk while the
-// exchanges are open takes them down with it — each backend's handler
-// returns, its tenant gate slot and frame buffers with it, and no
-// goroutine on either side outlives the request.
+// exchanges are in flight takes them down with it — each backend's
+// handler returns, its tenant gate slot with it, and no goroutine on
+// either side outlives the request.
 func TestFrontendClientGone(t *testing.T) {
 	users := testUsers(300, 421)
 	parts := partitionUsers(users, 2)
@@ -189,11 +232,17 @@ func TestFrontendClientGone(t *testing.T) {
 	var groups []Group
 	for g := range parts {
 		srv := newBackend(t, parts[g])
-		ts := httptest.NewServer(tapExchanges(srv.Handler(), func(n int) {
-			if n == 3 && holding.Load() { // mid-exchange: bounds and one round are out
-				held <- struct{}{}
-				<-release
+		h := srv.Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == server.PathExchange {
+				w = &replyTap{ResponseWriter: w, before: func() {
+					if holding.Load() { // the work is done, the reply not yet out
+						held <- struct{}{}
+						<-release
+					}
+				}}
 			}
+			h.ServeHTTP(w, r)
 		}))
 		defer ts.Close()
 		srvs = append(srvs, srv)
@@ -232,12 +281,7 @@ func TestFrontendClientGone(t *testing.T) {
 		select {
 		case <-held:
 		case <-time.After(10 * time.Second):
-			t.Fatal("the exchanges never reached their second round")
-		}
-	}
-	for g, srv := range srvs {
-		if got := srv.Stats().Tenants["default"].Gate.Inflight; got != 1 {
-			t.Fatalf("backend %d holds %d gate slots mid-exchange, want 1", g, got)
+			t.Fatal("the exchanges never reached their replies")
 		}
 	}
 	abandon()
@@ -367,43 +411,18 @@ func TestFrontendCursorWrap(t *testing.T) {
 }
 
 // loopback is an http.RoundTripper that answers /v1/exchange in process
-// from a real backend's numbers computed once: the frontend half of an
+// with a real backend's numbers computed once: the frontend half of an
 // exchange without net/http's client or a backend's work in the count.
 type loopback struct {
-	bounds []float64
-	values []float64 // per facility
+	reply []byte // the values frame
 }
 
 func (lb *loopback) RoundTrip(req *http.Request) (*http.Response, error) {
-	pr, pw := io.Pipe()
-	go func() {
-		defer req.Body.Close()
-		kind, payload, err := server.ReadFrame(req.Body, nil, 8<<20)
-		if err != nil || kind != server.FrameQuery {
-			pw.CloseWithError(fmt.Errorf("loopback: first frame: kind %d, %v", kind, err))
-			return
-		}
-		var buf, out []byte
-		pw.Write(server.AppendFloatsFrame(out[:0], server.FrameBounds, lb.bounds))
-		var round []int
-		var vals []float64
-		for {
-			kind, payload, err = server.ReadFrame(req.Body, buf, 8<<20)
-			buf = payload
-			if err != nil {
-				pw.CloseWithError(err) // io.EOF: the frontend is done
-				return
-			}
-			round, _ = server.DecodeRoundFrame(payload, len(lb.values), round[:0])
-			vals = vals[:0]
-			for _, i := range round {
-				vals = append(vals, lb.values[i])
-			}
-			out = server.AppendFloatsFrame(out[:0], server.FrameValues, vals)
-			pw.Write(out)
-		}
-	}()
-	return &http.Response{StatusCode: http.StatusOK, Body: pr, Request: req}, nil
+	defer req.Body.Close()
+	if kind, _, err := server.ReadFrame(req.Body, nil, 8<<20); err != nil || kind != server.FrameQuery {
+		return nil, fmt.Errorf("loopback: request frame: kind %d, %v", kind, err)
+	}
+	return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(bytes.NewReader(lb.reply)), Request: req}, nil
 }
 
 type nullWriter struct {
@@ -416,13 +435,12 @@ func (w *nullWriter) WriteHeader(status int)      { w.status = status }
 func (w *nullWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestExchangeAllocs pins the frontend half of one paper-default
-// /v1/topk — 128 facilities of 32 stops, k = 4, so a bounds frame and six
-// rounds on each of two groups — with the backends replaced by an
-// in-process loopback: the count is the JSON decode of the 160 KB body
-// (about 140, pinned by internal/server's TestDecodeQueryRequestAllocs),
-// the query frame, two exchanges' bookkeeping (about 30 each), the merge,
-// and some 60 of the loopback's own. Per round it is the round's sums and
-// the re-sort of what has been evaluated, nothing per facility.
+// /v1/topk — 128 facilities of 32 stops over two groups — with the
+// backends replaced by an in-process loopback: the count is the JSON
+// decode of the 160 KB body (about 140, pinned by internal/server's
+// TestDecodeQueryRequestAllocs), the query frame, two exchanges'
+// bookkeeping (a request, its context and timer, a reply), the merge and
+// the sort, and a few of the loopback's own. Nothing is per facility.
 func TestExchangeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -433,16 +451,13 @@ func TestExchangeAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := trajcover.Query{Scenario: trajcover.Binary, Psi: 40}
-	lb := &loopback{}
-	if lb.bounds, err = idx.UpperBoundsCtx(context.Background(), facs, q); err != nil {
-		t.Fatal(err)
-	}
-	if lb.values, err = idx.ServiceValues(facs, q, 1); err != nil {
+	values, err := idx.ServiceValues(facs, q, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	fe, err := NewFrontend(FrontendConfig{
 		Groups:        []Group{{Members: []string{"http://group0"}}, {Members: []string{"http://group1"}}},
-		Client:        &http.Client{Transport: lb},
+		Client:        &http.Client{Transport: &loopback{reply: server.AppendFloatsFrame(nil, values)}},
 		ProbeInterval: time.Hour,
 	})
 	if err != nil {
@@ -461,12 +476,12 @@ func TestExchangeAllocs(t *testing.T) {
 	before := fe.Stats()
 	run()
 	after := fe.Stats()
-	if w.status != http.StatusOK || after.Exchanges-before.Exchanges != 2 || after.BoundRPCs-before.BoundRPCs != 2 || after.ExactRPCs-before.ExactRPCs != 12 {
-		t.Fatalf("status %d, counters %+v -> %+v, want 2 exchanges carrying 2 bounds frames and 12 rounds", w.status, before, after)
+	if w.status != http.StatusOK || after.Exchanges-before.Exchanges != 2 || after.ExactRPCs-before.ExactRPCs != 2 {
+		t.Fatalf("status %d, counters %+v -> %+v, want 2 exchanges bringing 2 values frames", w.status, before, after)
 	}
 	allocs := testing.AllocsPerRun(20, run)
-	t.Logf("frontend half of a /v1/topk over two 7-frame exchanges: %.0f allocs", allocs)
-	if allocs > 400 {
-		t.Fatalf("frontend /v1/topk allocates %.0f/op, want <= 400", allocs)
+	t.Logf("frontend half of a /v1/topk over two exchanges: %.0f allocs", allocs)
+	if allocs > 250 {
+		t.Fatalf("frontend /v1/topk allocates %.0f/op, want <= 250", allocs)
 	}
 }

@@ -14,18 +14,19 @@ import (
 	"time"
 
 	trajcover "github.com/trajcover/trajcover"
+	"github.com/trajcover/trajcover/internal/query"
 	"github.com/trajcover/trajcover/internal/server"
 	"github.com/trajcover/trajcover/internal/tenant"
 )
 
 // FrontendConfig tunes the scatter-gather frontend. The zero value
-// probes every 250ms, gives each backend reply 2s, serves requests under
-// a 2s default deadline capped at 30s, and hints 1s retries.
+// probes every 250ms, gives each backend 2s to answer, serves requests
+// under a 2s default deadline capped at 30s, and hints 1s retries.
 type FrontendConfig struct {
 	// Groups is the shard-group map (ParseMap); at least one group.
 	Groups []Group
-	// RPCTimeout bounds one frame round trip of a read's exchange with a
-	// backend, and one health probe (<= 0: 2s).
+	// RPCTimeout bounds one attempt at a read's exchange with one backend
+	// — request sent, whole reply read — and one health probe (<= 0: 2s).
 	RPCTimeout time.Duration
 	// DefaultTimeout is the per-request deadline when the request names
 	// none (<= 0: 2s); MaxTimeout caps timeout_ms (<= 0: 30s).
@@ -70,8 +71,8 @@ func (c FrontendConfig) withDefaults() FrontendConfig {
 
 // idleConnsPerBackend is how many keep-alive connections the frontend's
 // own transport holds per backend. Every concurrent read has one exchange
-// open per group, and http.DefaultTransport keeps only two idle per host,
-// closing and redialling the rest after every read.
+// in flight per group, and http.DefaultTransport keeps only two idle per
+// host, closing and redialling the rest after every read.
 const idleConnsPerBackend = 64
 
 // feMember is one backend process. healthy is the probe's verdict,
@@ -104,16 +105,12 @@ type Frontend struct {
 	probeDone  chan struct{}
 	closeOnce  sync.Once
 
-	requests        atomic.Uint64
-	errs            atomic.Uint64
-	partials        atomic.Uint64
-	failovers       atomic.Uint64
-	exchanges       atomic.Uint64 // backend requests opened by reads
-	boundRPCs       atomic.Uint64 // bounds frames received
-	exactRPCs       atomic.Uint64 // round frames sent
-	exactRounds     atomic.Uint64
-	exactFacilities atomic.Uint64 // (facility, group) legs evaluated exactly
-	pruned          atomic.Uint64 // facilities no round frame ever named
+	requests  atomic.Uint64
+	errs      atomic.Uint64
+	partials  atomic.Uint64
+	failovers atomic.Uint64
+	exchanges atomic.Uint64 // exchanges a backend answered 200
+	exactRPCs atomic.Uint64 // values frames received whole
 }
 
 // NewFrontend builds a frontend over the group map and starts its
@@ -313,9 +310,9 @@ func (fe *Frontend) failRead(w http.ResponseWriter, ctx context.Context, err err
 		writeRaw(w, perm.status, perm.body)
 		return
 	}
-	// 504 only on genuine deadline expiry. A group lost mid-merge is a
-	// transient backend failure, not a timeout — it must fall through to
-	// 503 + Retry-After so clients retry.
+	// 504 only on genuine deadline expiry. A lost group is a transient
+	// backend failure, not a timeout — it must fall through to 503 +
+	// Retry-After so clients retry.
 	if errors.Is(ctx.Err(), context.DeadlineExceeded) || errors.Is(err, context.DeadlineExceeded) {
 		writeJSON(w, http.StatusGatewayTimeout, server.ErrorResponse{Error: err.Error()})
 		return
@@ -355,11 +352,9 @@ func singleTenant(r *http.Request, bodyTenant string) error {
 
 // beginRead is what /v1/topk and /v1/servicevalues share up to the
 // merge: admission, decode, the tenant check, the request deadline, and
-// the frames every group's exchange opens with — the query frame, built
-// once, carrying the deadline's remaining budget so a backend gives the
-// whole exchange what the client gave the request; for a read without
-// bounds, the one round naming every facility rides behind it. A false
-// return means the request was already answered.
+// the query frame every group is sent — built once, carrying the
+// deadline's budget so a backend gives the exchange what the client gave
+// the request. A false return means the request was already answered.
 func (fe *Frontend) beginRead(w http.ResponseWriter, r *http.Request, needK bool) (rd *read, req *server.QueryRequest, facs []*trajcover.Facility, cancel context.CancelFunc, ok bool) {
 	body, ok := fe.admit(w, r)
 	if !ok {
@@ -374,10 +369,7 @@ func (fe *Frontend) beginRead(w http.ResponseWriter, r *http.Request, needK bool
 		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
 		return nil, nil, nil, nil, false
 	}
-	size, kind := server.QueryFrameLen(facs), server.FrameBounds
-	if !needK {
-		size, kind = size+server.FrameHeaderLen+4*len(facs), server.FrameValues
-	}
+	size := server.QueryFrameLen(facs)
 	if int64(size) > fe.cfg.MaxBodyBytes {
 		fe.errs.Add(1)
 		writeJSON(w, http.StatusRequestEntityTooLarge, server.ErrorResponse{Error: fmt.Sprintf("request takes %d bytes between frontend and backend, over the %d-byte limit", size, fe.cfg.MaxBodyBytes)})
@@ -385,17 +377,10 @@ func (fe *Frontend) beginRead(w http.ResponseWriter, r *http.Request, needK bool
 	}
 	timeout := fe.requestTimeout(req.TimeoutMS)
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	first := server.AppendQueryFrame(make([]byte, 0, size), facs, server.QueryParams{
-		Query: q, Workers: req.Workers, TimeoutMS: max(timeout.Milliseconds(), 1), Bounds: needK,
+	frame := server.AppendQueryFrame(make([]byte, 0, size), facs, server.QueryParams{
+		Query: q, Workers: req.Workers, TimeoutMS: max(timeout.Milliseconds(), 1),
 	})
-	if !needK {
-		all := make([]int, len(facs))
-		for i := range all {
-			all[i] = i
-		}
-		first = server.AppendRoundFrame(first, all)
-	}
-	return fe.newRead(ctx, first, kind, len(facs)), req, facs, cancel, true
+	return &read{fe: fe, ctx: ctx, frame: frame, n: len(facs)}, req, facs, cancel, true
 }
 
 func (fe *Frontend) handleTopK(w http.ResponseWriter, r *http.Request) {
@@ -404,11 +389,14 @@ func (fe *Frontend) handleTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	res, missing, err := rd.topK(facs, req.K, r.URL.Query().Get("partial") == "1")
+	sums, missing, err := rd.serviceValues(r.URL.Query().Get("partial") == "1")
 	if err != nil {
 		fe.failRead(w, rd.ctx, err)
 		return
 	}
+	// The in-process sharded top-k, with groups for shards: sort-and-cut
+	// over the summed exact values (the decoder has refused k < 1).
+	res := query.Results(facs, sums, req.K)
 	if len(missing) > 0 {
 		fe.partials.Add(1)
 		writeJSON(w, http.StatusOK, PartialTopKResponse{Results: toRankedJSON(res), Partial: true, MissingGroups: missing})
@@ -484,11 +472,11 @@ func (fe *Frontend) handleWrite(w http.ResponseWriter, r *http.Request, path str
 	resp, err := fe.cfg.Client.Do(req)
 	if err != nil {
 		fe.errs.Add(1)
-		primary.healthy.Store(false)
-		if ctx.Err() != nil {
+		if ctx.Err() != nil { // our own deadline (or the client left), not the primary's failure
 			writeJSON(w, http.StatusGatewayTimeout, server.ErrorResponse{Error: ctx.Err().Error()})
 			return
 		}
+		primary.healthy.Store(false)
 		fe.rejectRetryable(w, http.StatusServiceUnavailable, fmt.Sprintf("shard group %d primary unavailable: %v", g.id, err))
 		return
 	}
@@ -563,13 +551,12 @@ func (fe *Frontend) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, FrontendHealth{Status: status, Groups: groups})
 }
 
-// FrontendStats is the frontend's /statsz document. A read opens one
-// exchange per group (Exchanges; more only after a failover or a merge
-// restart) and everything else is frames on it: BoundRPCs counts the
-// bounds frames received, ExactRPCs the round frames sent — one carries a
-// whole merge round's batch, so what the prune saved reads off
-// ExactFacilities, the (facility, group) legs evaluated exactly over
-// ExactRounds rounds, and PrunedFacilities, those no round ever named.
+// FrontendStats is the frontend's /statsz document. A read costs one
+// exchange per group: Exchanges counts those a backend answered 200 (more
+// than one per group only after a failover), ExactRPCs the values frames
+// that came back whole. BoundRPCs and PrunedFacilities always read 0 — no
+// read asks for a bound, so none prunes; the fields remain because the
+// repository benchmark reads them (ROADMAP item 1b drops both).
 type FrontendStats struct {
 	UptimeSeconds    float64       `json:"uptime_seconds"`
 	Groups           []GroupHealth `json:"groups"`
@@ -580,8 +567,6 @@ type FrontendStats struct {
 	Exchanges        uint64        `json:"exchanges"`
 	BoundRPCs        uint64        `json:"bound_rpcs"`
 	ExactRPCs        uint64        `json:"exact_rpcs"`
-	ExactRounds      uint64        `json:"exact_rounds"`
-	ExactFacilities  uint64        `json:"exact_facilities"`
 	PrunedFacilities uint64        `json:"pruned_facilities"`
 }
 
@@ -596,11 +581,7 @@ func (fe *Frontend) Stats() FrontendStats {
 		PartialResponses: fe.partials.Load(),
 		Failovers:        fe.failovers.Load(),
 		Exchanges:        fe.exchanges.Load(),
-		BoundRPCs:        fe.boundRPCs.Load(),
 		ExactRPCs:        fe.exactRPCs.Load(),
-		ExactRounds:      fe.exactRounds.Load(),
-		ExactFacilities:  fe.exactFacilities.Load(),
-		PrunedFacilities: fe.pruned.Load(),
 	}
 }
 

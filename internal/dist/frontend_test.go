@@ -302,26 +302,20 @@ func TestFrontendByteIdentity(t *testing.T) {
 		t.Fatalf("duplicate insert through frontend: %d %s, want 409", st, body)
 	}
 
-	// The prune accounting moved: every topk opened one exchange per
-	// group, took its bounds frame and spent round frames on it.
+	// Every read cost one exchange per group and one values frame back;
+	// no read asks for a bound, so none prunes.
 	stats := e.fe.Stats()
-	if stats.Exchanges == 0 || stats.BoundRPCs == 0 || stats.ExactRPCs == 0 {
-		t.Fatalf("scatter counters never moved: %+v", stats)
+	if stats.Exchanges == 0 || stats.ExactRPCs != stats.Exchanges || stats.BoundRPCs != 0 || stats.PrunedFacilities != 0 {
+		t.Fatalf("scatter counters: %+v", stats)
 	}
 	if stats.Errors != 1 { // the 409 is the only error
 		t.Fatalf("errors = %d, want 1 (the 409): %+v", stats.Errors, stats)
 	}
 }
 
-// fakeExchange serves the backend side of one /v1/exchange from
-// callbacks keyed by facility ID: bounds answers the bounds frame, values
-// a round (false: fail it with a 500 — the HTTP answer while no frame has
-// gone out, an error frame after).
-func fakeExchange(w http.ResponseWriter, r *http.Request, bounds func(ids []uint32) []float64, values func(ids []uint32) ([]float64, bool)) {
-	rc := http.NewResponseController(w)
-	if err := rc.EnableFullDuplex(); err != nil {
-		panic(err)
-	}
+// fakeExchange serves the backend side of one /v1/exchange from a
+// callback keyed by facility ID.
+func fakeExchange(w http.ResponseWriter, r *http.Request, values func(ids []uint32) []float64) {
 	kind, payload, err := server.ReadFrame(r.Body, nil, 8<<20)
 	var qf server.QueryFrame
 	if err == nil && kind == server.FrameQuery {
@@ -331,85 +325,33 @@ func fakeExchange(w http.ResponseWriter, r *http.Request, bounds func(ids []uint
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	idsOf := func(idx []int) []uint32 {
-		ids := make([]uint32, len(idx))
-		for j, i := range idx {
-			ids[j] = uint32(qf.Facilities[i].ID)
-		}
-		return ids
+	ids := make([]uint32, len(qf.Facilities))
+	for i, f := range qf.Facilities {
+		ids[i] = uint32(f.ID)
 	}
-	replied := false
-	reply := func(frame []byte) {
-		replied = true
-		w.Write(frame)
-		rc.Flush()
-	}
-	if qf.Bounds {
-		all := make([]int, len(qf.Facilities))
-		for i := range all {
-			all[i] = i
-		}
-		reply(server.AppendFloatsFrame(nil, server.FrameBounds, bounds(idsOf(all))))
-	}
-	for {
-		kind, payload, err := server.ReadFrame(r.Body, nil, 8<<20)
-		if err != nil || kind != server.FrameRound {
-			return
-		}
-		round, err := server.DecodeRoundFrame(payload, len(qf.Facilities), nil)
-		if err != nil {
-			return
-		}
-		vals, ok := values(idsOf(round))
-		switch {
-		case ok:
-			reply(server.AppendFloatsFrame(nil, server.FrameValues, vals))
-		case replied:
-			reply(server.AppendErrorFrame(nil, http.StatusInternalServerError, false, []byte(`{"error":"killed"}`)))
-		default:
-			w.WriteHeader(http.StatusInternalServerError)
-			reply([]byte(`{"error":"killed"}`))
-		}
-		if !ok {
-			// Like the real handler, leave with the request body read to its
-			// end (server.leaveEarly has the reason).
-			io.Copy(io.Discard, r.Body)
-			return
-		}
-	}
+	w.Write(server.AppendFloatsFrame(nil, values(ids)))
 }
 
-// flakyGroup is a fake backend that answers every bounds frame with
-// un-prunable bounds, the next okRounds round frames with zeros, and
-// every other round with a 500 — a group that dies after the bounds
-// counted it present.
-func flakyGroup(okRounds int) *httptest.Server {
-	var left atomic.Int64
+// dyingGroup is a fake backend that accepts an exchange and dies on it:
+// the connection drops with nothing said (reply == nil), or after the 200
+// and those bytes of a reply.
+func dyingGroup(reply []byte) *httptest.Server {
 	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == server.PathHealth {
-			w.Write([]byte(`{"status":"ok"}`))
-			return
+		io.Copy(io.Discard, r.Body)
+		if reply != nil {
+			w.Write(reply)
+			http.NewResponseController(w).Flush()
 		}
-		fakeExchange(w, r, func(ids []uint32) []float64 {
-			left.Store(int64(okRounds))
-			nums := make([]float64, len(ids))
-			for i := range nums {
-				nums[i] = 1e9
-			}
-			return nums
-		}, func(ids []uint32) ([]float64, bool) {
-			return make([]float64, len(ids)), left.Add(-1) >= 0
-		})
+		panic(http.ErrAbortHandler)
 	}))
 }
 
 // TestFrontendPartialMatrix is the degradation contract, table-driven:
 // the same read against (a) a dead group, (b) a deadline-starved group,
-// and (c) a death mid-merge, before or between exact rounds, answers
-// exactly per the contract — default
-// mode fails with the right status, ?partial=1 either serves the
-// surviving groups' exact answer with the partial flag or still fails
-// when the merge itself was poisoned.
+// and (c) a group that dies holding the request, before or in the middle
+// of its reply, answers exactly per the contract — default mode fails
+// with the right status, ?partial=1 serves the surviving groups' exact
+// answer with the partial flag: a group answers wholly or is missing.
 func TestFrontendPartialMatrix(t *testing.T) {
 	users := testUsers(300, 311)
 	facs := testFacilities(8, 6, 312)
@@ -445,11 +387,9 @@ func TestFrontendPartialMatrix(t *testing.T) {
 	cases := []struct {
 		name string
 		// group1 returns the second group's base URL and a cleanup.
-		group1      func(t *testing.T) (string, func())
-		wantStatus  int  // default-mode status
-		wantRetry   bool // default-mode Retry-After present
-		partialOK   bool // ?partial=1 serves a 200 partial answer
-		partialCode int  // when !partialOK, the ?partial=1 status
+		group1     func(t *testing.T) (string, func())
+		wantStatus int  // default-mode status
+		wantRetry  bool // default-mode Retry-After present
 	}{
 		{
 			name: "group down",
@@ -461,7 +401,6 @@ func TestFrontendPartialMatrix(t *testing.T) {
 			},
 			wantStatus: http.StatusServiceUnavailable,
 			wantRetry:  true,
-			partialOK:  true,
 		},
 		{
 			name: "group deadline-starved",
@@ -471,34 +410,33 @@ func TestFrontendPartialMatrix(t *testing.T) {
 						w.Write([]byte(`{"status":"ok"}`))
 						return
 					}
-					// Hang until the caller gives up: an exchange's body ends
-					// only when the frontend closes or abandons it.
+					// Hang until the caller gives up.
 					io.Copy(io.Discard, r.Body)
+					<-r.Context().Done()
 				}))
 				return ts.URL, ts.Close
 			},
 			wantStatus: http.StatusGatewayTimeout,
-			partialOK:  true,
 		},
 		{
-			// Group 1 is counted present by its bounds frame, then fails the
-			// first round.
-			name:        "mid-merge death",
-			group1:      func(t *testing.T) (string, func()) { ts := flakyGroup(0); return ts.URL, ts.Close },
-			wantStatus:  http.StatusServiceUnavailable,
-			wantRetry:   true,
-			partialOK:   false,
-			partialCode: http.StatusServiceUnavailable,
+			// Group 1 takes the request and the connection drops: a
+			// retryable 503, never a 504.
+			name:       "mid-merge death",
+			group1:     func(t *testing.T) (string, func()) { ts := dyingGroup(nil); return ts.URL, ts.Close },
+			wantStatus: http.StatusServiceUnavailable,
+			wantRetry:  true,
 		},
 		{
-			// ... or answers round one and dies before round two: still a
-			// retryable 503, never a 504 and never a top k over half a sum.
-			name:        "mid-round death",
-			group1:      func(t *testing.T) (string, func()) { ts := flakyGroup(1); return ts.URL, ts.Close },
-			wantStatus:  http.StatusServiceUnavailable,
-			wantRetry:   true,
-			partialOK:   false,
-			partialCode: http.StatusServiceUnavailable,
+			// ... or it drops in the middle of the reply's round trip, the
+			// 200 and half a values frame already out: still a group that
+			// is missing, never a top k over half a sum.
+			name: "mid-round death",
+			group1: func(t *testing.T) (string, func()) {
+				ts := dyingGroup(server.AppendFloatsFrame(nil, make([]float64, len(facs)))[:8+8*len(facs)/2])
+				return ts.URL, ts.Close
+			},
+			wantStatus: http.StatusServiceUnavailable,
+			wantRetry:  true,
 		},
 	}
 
@@ -540,12 +478,6 @@ func TestFrontendPartialMatrix(t *testing.T) {
 
 			// ?partial=1.
 			st, body, _ = postTo(t, fets.Client(), fets.URL+server.PathTopK+"?partial=1", topkBody)
-			if !tc.partialOK {
-				if st != tc.partialCode {
-					t.Fatalf("partial topk after poisoned merge: %d %s, want %d", st, body, tc.partialCode)
-				}
-				return
-			}
 			if st != http.StatusOK {
 				t.Fatalf("partial topk: %d %s", st, body)
 			}
@@ -681,6 +613,42 @@ func TestFrontendIntraGroupFailover(t *testing.T) {
 	}
 }
 
+// TestFrontendWriteDeadline: a write whose own timeout_ms runs out against
+// a slow primary is a 504 — the request's deadline, not the primary's
+// failure — so the primary stays in the map: /healthz still says ok.
+func TestFrontendWriteDeadline(t *testing.T) {
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		<-r.Context().Done()
+	}))
+	defer slow.Close()
+	fe, err := NewFrontend(FrontendConfig{Groups: []Group{{Members: []string{slow.URL}}}, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fe.Close()
+	fets := httptest.NewServer(fe.Handler())
+	defer fets.Close()
+
+	st, got, _ := postTo(t, fets.Client(), fets.URL+server.PathInsert,
+		mustBody(t, server.InsertRequest{ID: 7, Points: [][2]float64{{1, 1}, {2, 2}}, TimeoutMS: 1}))
+	if st != http.StatusGatewayTimeout {
+		t.Fatalf("1 ms write against a slow primary: %d %s, want 504", st, got)
+	}
+	resp, err := fets.Client().Get(fets.URL + server.PathHealth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var health FrontendHealth
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+		t.Fatal(err)
+	}
+	if health.Status != "ok" {
+		t.Fatalf("healthz says %q after a write timed out on its own deadline: %+v", health.Status, health)
+	}
+}
+
 // TestFrontendProbeRemovalReadmission: the probe loop removes a member
 // that stops answering /healthz and readmits it when it recovers,
 // surfacing both through /healthz ("degraded" vs "ok") and the log.
@@ -795,71 +763,6 @@ func TestFrontendDrainAndLimits(t *testing.T) {
 	}))
 	if st != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
 		t.Fatalf("draining topk: %d, want 503+Retry-After", st)
-	}
-}
-
-// TestFrontendPrunesAcrossTheWire pins the distributed shard-prune: a
-// facility whose summed upper bounds cannot reach the top k must be
-// answered without ANY group computing its exact value — the exact work
-// stays proportional to the contenders, not the candidate set.
-func TestFrontendPrunesAcrossTheWire(t *testing.T) {
-	// A dense cluster in one corner and a near-empty one far away:
-	// heavily skewed, so bounds separate the contenders immediately.
-	var users []*trajcover.Trajectory
-	rng := rand.New(rand.NewSource(351))
-	for i := 0; i < 300; i++ {
-		x, y := 40+rng.Float64()*80, 40+rng.Float64()*80
-		u, err := trajcover.NewTrajectory(trajcover.ID(i), []trajcover.Point{
-			trajcover.Pt(x, y), trajcover.Pt(clampF(x+rng.NormFloat64()*5, 0, 1000), clampF(y+rng.NormFloat64()*5, 0, 1000)),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		users = append(users, u)
-	}
-	for i := 300; i < 303; i++ { // three stragglers by the far corner
-		u, err := trajcover.NewTrajectory(trajcover.ID(i), []trajcover.Point{
-			trajcover.Pt(900+float64(i-300), 900), trajcover.Pt(905+float64(i-300), 905),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		users = append(users, u)
-	}
-	e := newDistEnv(t, users, 2, FrontendConfig{DefaultTimeout: 30 * time.Second})
-
-	// One facility in the cluster, several out in the sparse corner.
-	mkFac := func(id uint32, x, y float64) server.FacilityJSON {
-		return server.FacilityJSON{ID: id, Stops: [][2]float64{{x, y}, {x + 30, y + 30}}}
-	}
-	fjs := []server.FacilityJSON{mkFac(1, 80, 80)}
-	for i := uint32(2); i <= 6; i++ {
-		fjs = append(fjs, mkFac(i, 880+float64(i), 880))
-	}
-	st, body, _ := e.post(server.PathTopK, mustBody(t, server.QueryRequest{Facilities: fjs, K: 1, Psi: 30}))
-	if st != http.StatusOK {
-		t.Fatalf("topk: %d %s", st, body)
-	}
-	var tr server.TopKResponse
-	if err := json.Unmarshal(body, &tr); err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Results) != 1 || tr.Results[0].ID != 1 {
-		t.Fatalf("top-1 = %s, want facility 1", body)
-	}
-	stats := e.fe.Stats()
-	if stats.PrunedFacilities == 0 {
-		t.Fatalf("no facility pruned under heavy skew: %+v", stats)
-	}
-	// The pruned facilities must not have paid exact work: at most the
-	// contenders (6 - pruned) on 2 groups each, however few round frames
-	// carried them.
-	if max := (6 - stats.PrunedFacilities) * 2; stats.ExactFacilities > max {
-		t.Fatalf("%d exact legs for %d unpruned facilities over 2 groups (max %d)", stats.ExactFacilities, 6-stats.PrunedFacilities, max)
-	}
-	if stats.ExactRPCs != 2*stats.ExactRounds || stats.Exchanges != 2 || stats.BoundRPCs != 2 {
-		t.Fatalf("%d round frames over %d rounds, %d bounds frames, %d exchanges on 2 groups: want one frame per group per round on one exchange per group",
-			stats.ExactRPCs, stats.ExactRounds, stats.BoundRPCs, stats.Exchanges)
 	}
 }
 

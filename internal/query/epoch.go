@@ -403,9 +403,8 @@ func (ep *Epoch) serviceValues(facilities []*trajectory.Facility, p Params, work
 // epoch's logical corpus, read without evaluating anything: the frozen
 // base's seed bound (FrozenEngine.UpperBound — tombstones only lower the
 // true value) plus, when the overlay is non-empty, its precomputed
-// per-scenario bound. Like the engines' it does not validate p. This is
-// what the sharded top-k orders its rounds by and what an exchange's
-// bounds frame carries to a distributed frontend.
+// per-scenario bound. Like the engines' it does not validate p, and like
+// theirs it is a diagnostic: no top-k consults it.
 func (ep *Epoch) UpperBound(f *trajectory.Facility, p Params) float64 {
 	ub := ep.base.UpperBound(f, p)
 	if len(ep.delta) > 0 {

@@ -188,11 +188,24 @@ func TestServiceValuesValidation(t *testing.T) {
 	}
 }
 
+// TestResultsHelper pins the one ranking every top-k answer has — value
+// descending, ties by facility ID ascending — and Results' reading of k:
+// the first k, all of them for k >= N, and all of them for k <= 0 too
+// (which is why the served top-k guards k <= 0 itself).
 func TestResultsHelper(t *testing.T) {
 	fs := makeFacilities(3, 4, 207)
 	rs := Results(fs, []float64{1, 3, 2}, 2)
 	if len(rs) != 2 || rs[0].Service != 3 || rs[1].Service != 2 {
 		t.Errorf("unexpected results %+v", rs)
+	}
+	tied := Results(fs, []float64{2, 5, 2}, 3)
+	if tied[0].Facility != fs[1] || tied[1].Facility.ID > tied[2].Facility.ID {
+		t.Errorf("ties not broken by ascending ID: %+v", tied)
+	}
+	for _, k := range []int{-1, 0, 3, 4} {
+		if got := Results(fs, []float64{2, 5, 2}, k); len(got) != 3 {
+			t.Errorf("k = %d: %d results, want all 3", k, len(got))
+		}
 	}
 	defer func() {
 		if recover() == nil {

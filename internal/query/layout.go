@@ -235,10 +235,10 @@ func (h *stateHeapG[N]) Pop() any {
 // bound a best-first search starts from: that subtree's `sub`, plus —
 // when entries stored at proper ancestors can still be served (the
 // multipoint variants) — the ancestors' own-list bounds. It allocates
-// nothing when s is nil, which is how the sharded top-k and an exchange's
-// bounds frame read one number per (facility, unit); with a state it
-// also enqueues the pairs the bound was summed over (ancestors as
-// list-only pairs), so the search stays exact while hserve stays tight.
+// nothing when s is nil, which is how UpperBound reads the number alone;
+// with a state it also enqueues the pairs the bound was summed over
+// (ancestors as list-only pairs), so the search stays exact while hserve
+// stays tight.
 func seedBoundG[N comparable, L tlayout[N]](l L, f *trajectory.Facility, p Params, ancestors bool, s *stateG[N]) float64 {
 	embr := f.EMBR(p.Psi)
 	var ub float64

@@ -7,9 +7,11 @@
 //     q-node `sub` upper bounds (topKG + relaxStateG in layout.go).
 //   - The paper's baseline (BL): per-facility circular range queries over
 //     a traditional point quadtree.
-//   - TopKRounds (rounds.go): the threshold-round top-k over summed
-//     per-part bounds and batched exact values that the sharded indexes
-//     (internal/shard) and the distributed frontend (internal/dist) run.
+//   - Results (executor.go): the sort-and-cut from a batch of exact
+//     values to a top-k answer, which is the whole served top-k of the
+//     sharded indexes (internal/shard) and the distributed frontend
+//     (internal/dist) — across disjoint parts of a corpus no bound this
+//     cheap has ever cut a facility (EXPERIMENTS.md, tqbench -exp bound).
 //
 // The search core in layout.go is generic over the two tree layouts —
 // the mutable pointer tree (Engine) and the frozen columnar index

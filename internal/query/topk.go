@@ -23,8 +23,11 @@ func (e *Engine) TopK(facilities []*trajectory.Facility, k int, p Params) ([]Res
 // UpperBound returns the bound TopK seeds f's search with — the `sub` of
 // the smallest q-node containing f's EMBR, plus ancestor own-list bounds
 // where those can serve: a sound overestimate of SO(U, f), read in one
-// descent without allocating. It does not validate p; the callers
-// (internal/shard's scatter) validate once per query, not per facility.
+// descent without allocating. It does not validate p. No serving path
+// calls it: it is what tqbench -exp bound measures (a bound would have to
+// rank fewer than N − k facilities above the k-th value before it could
+// save a served top-k anything) and what LiveShardedIndex.UpperBoundsCtx
+// sums as a diagnostic.
 func (e *Engine) UpperBound(f *trajectory.Facility, p Params) float64 {
 	return upperBoundG[*tqtreeNode](ptrLayout{e.tree}, f, p)
 }
@@ -52,6 +55,9 @@ func maxStops(facilities []*trajectory.Facility) int {
 // determinism.
 func sortResults(rs []Result) {
 	sort.Slice(rs, func(i, j int) bool {
-		return ranksBefore(rs[i].Service, rs[i].Facility.ID, rs[j].Service, rs[j].Facility.ID)
+		if rs[i].Service != rs[j].Service {
+			return rs[i].Service > rs[j].Service
+		}
+		return rs[i].Facility.ID < rs[j].Facility.ID
 	})
 }

@@ -2,30 +2,25 @@ package server
 
 // The exchange: the internal frontend↔backend leg of a distributed read.
 //
-// A scatter-gather frontend (internal/dist) asks a shard group in steps —
-// every facility's upper bound, then round after round of exact values
-// for the facilities the bounds still allow. POST /v1/exchange carries all
-// of one read's steps against one backend on ONE open request: the
-// request body is a stream of frames the frontend writes as the merge
-// proceeds, the response body the stream of reply frames, both chunked
-// and interleaved (http.ResponseController.EnableFullDuplex on HTTP/1.1;
-// HTTP/2 streams are full duplex as they are). The facilities cross once,
-// in the first frame, as columns this side aliases in place; later frames
-// name them by index. And because the handler pins one epoch capture
-// (LiveShardedIndex.Pin) for the life of the request, every number a
-// backend contributes to one answer comes from one acknowledged prefix of
-// its write history.
+// A scatter-gather frontend (internal/dist) needs one thing of a shard
+// group: every facility's exact service value over the group's corpus.
+// POST /v1/exchange is that question as an ordinary request — the body is
+// one query frame, whose facilities this side aliases in place, the 200
+// answer one values frame — and since the whole answer is one
+// ServiceValuesCtx call, every number a backend contributes to one
+// /v1/topk comes from one epoch capture, one acknowledged prefix of its
+// write history. Anything else is the HTTP error every endpoint gives:
+// status, JSON body, Retry-After.
 //
 // Frames are little-endian, length-prefixed: an 8-byte header — payload
 // length (u32), kind (u8), three zero bytes — then the payload.
 //
-//	query  (→ backend, first, once)
+//	query  (→ backend)
 //	    0  ψ                f64
 //	    8  timeout_ms       u32   0: the server default
 //	   12  workers          u32
 //	   16  scenario         u8    0 binary, 1 pointcount, 2 length
-//	   17  flags            u8    bit 0: answer a bounds frame before any round
-//	   18  zero             u16
+//	   17  zero             u8, u16
 //	   20  n  facilities    u32
 //	   24  t  stops in all  u32
 //	   28  zero             u32
@@ -33,24 +28,15 @@ package server
 //	       stop offsets     (n+1) × u32, offsets[0] = 0, offsets[n] = t, never decreasing
 //	       zero             u32   pads the columns above to a multiple of 8
 //	       coordinates      t × (x f64, y f64); facility i owns [offsets[i], offsets[i+1])
-//	round  (→ backend)   c × u32 facility indexes, each < n, c <= n
-//	bounds (→ frontend)  n × f64, indexed like the facilities
-//	values (→ frontend)  c × f64, indexed like the round that asked
-//	error  (→ frontend)  status u32, flags u32 (bit 0: retry after the hint),
-//	                     then the JSON error body an HTTP answer would carry
+//	values (→ frontend)  n × f64, indexed like the facilities
 //
 // With the 8-byte frame header and the 32-byte head, the coordinate
 // column starts 8-aligned in any buffer that is, so mmap.Points aliases
 // it; a misaligned buffer (or a big-endian build) takes mmap's copying
 // fallback and decodes to the same facilities.
 //
-// Errors before the first reply frame are ordinary HTTP answers (status,
-// JSON body, Retry-After) like every other endpoint's; once the 200 and a
-// frame have gone out, an error is an error frame and ends the exchange.
-// The frontend ends a healthy one by closing the request body.
-//
-// This is not a public API: it needs a full-duplex path end to end (no
-// buffering proxy), and the frame layout may change with the frontend.
+// This is not a public API: the frame layout may change with the
+// frontend.
 
 import (
 	"context"
@@ -59,9 +45,7 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"os"
 	"sync"
-	"time"
 
 	trajcover "github.com/trajcover/trajcover"
 	"github.com/trajcover/trajcover/internal/mmap"
@@ -73,10 +57,7 @@ type FrameKind uint8
 // The frame kinds; see the layout above.
 const (
 	FrameQuery FrameKind = iota + 1
-	FrameRound
-	FrameBounds
 	FrameValues
-	FrameError
 )
 
 const (
@@ -105,7 +86,7 @@ func ReadFrame(r io.Reader, buf []byte, max int64) (FrameKind, []byte, error) {
 		return 0, buf[:0], err
 	}
 	n, kind := int64(binary.LittleEndian.Uint32(hdr)), FrameKind(hdr[4])
-	if kind < FrameQuery || kind > FrameError || hdr[5]|hdr[6]|hdr[7] != 0 {
+	if kind < FrameQuery || kind > FrameValues || hdr[5]|hdr[6]|hdr[7] != 0 {
 		return 0, buf[:0], badRequestf("exchange: bad frame header % x", hdr)
 	}
 	if n > max {
@@ -135,8 +116,6 @@ type QueryParams struct {
 	Query     trajcover.Query
 	Workers   int
 	TimeoutMS int64
-	// Bounds asks for a bounds frame before any round.
-	Bounds bool
 }
 
 func countStops(facs []*trajcover.Facility) int {
@@ -158,14 +137,10 @@ func QueryFrameLen(facs []*trajcover.Facility) int {
 func AppendQueryFrame(dst []byte, facs []*trajcover.Facility, p QueryParams) []byte {
 	stops := countStops(facs)
 	dst = appendFrameHeader(dst, FrameQuery, queryHeadLen+8*(len(facs)+1)+16*stops)
-	var flags byte
-	if p.Bounds {
-		flags = 1
-	}
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Query.Psi))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(min(max(p.TimeoutMS, 0), math.MaxUint32)))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(max(p.Workers, 0)))
-	dst = append(dst, byte(p.Query.Scenario), flags, 0, 0)
+	dst = append(dst, byte(p.Query.Scenario), 0, 0, 0)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(facs)))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(stops))
 	dst = binary.LittleEndian.AppendUint32(dst, 0)
@@ -207,11 +182,11 @@ func (qf *QueryFrame) Decode(payload []byte) error {
 		return badRequestf("exchange: query frame of %d bytes is shorter than its %d-byte head", len(payload), queryHeadLen)
 	}
 	le := binary.LittleEndian
-	scenario, flags := payload[16], payload[17]
+	scenario := payload[16]
 	if int(scenario) >= len(scenarioNames) {
 		return badRequestf("exchange: unknown scenario code %d", scenario)
 	}
-	if flags&^1 != 0 || le.Uint16(payload[18:]) != 0 || le.Uint32(payload[28:]) != 0 {
+	if payload[17] != 0 || le.Uint16(payload[18:]) != 0 || le.Uint32(payload[28:]) != 0 {
 		return badRequestf("exchange: query frame sets reserved bits")
 	}
 	req := QueryRequest{
@@ -224,7 +199,7 @@ func (qf *QueryFrame) Decode(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	qf.QueryParams = QueryParams{Query: q, Workers: req.Workers, TimeoutMS: req.TimeoutMS, Bounds: flags&1 != 0}
+	qf.QueryParams = QueryParams{Query: q, Workers: req.Workers, TimeoutMS: req.TimeoutMS}
 
 	n, stops := uint64(le.Uint32(payload[20:])), uint64(le.Uint32(payload[24:]))
 	if err := checkFacilityCount(n); err != nil {
@@ -276,306 +251,111 @@ func (qf *QueryFrame) Decode(payload []byte) error {
 	return nil
 }
 
-// AppendRoundFrame appends the round frame asking for batch — indexes
-// into the query frame's facilities.
-func AppendRoundFrame(dst []byte, batch []int) []byte {
-	dst = appendFrameHeader(dst, FrameRound, 4*len(batch))
-	for _, i := range batch {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(i))
-	}
-	return dst
+// AppendFloatsFrame appends the values frame holding vals.
+func AppendFloatsFrame(dst []byte, vals []float64) []byte {
+	return mmap.AppendF64s(appendFrameHeader(dst, FrameValues, 8*len(vals)), vals)
 }
 
-// DecodeRoundFrame appends a round frame's indexes to dst, each checked
-// against the n facilities of the exchange.
-func DecodeRoundFrame(payload []byte, n int, dst []int) ([]int, error) {
-	if len(payload)%4 != 0 || len(payload)/4 > n {
-		return dst, badRequestf("exchange: round frame of %d bytes over %d facilities", len(payload), n)
-	}
-	for ; len(payload) > 0; payload = payload[4:] {
-		i := binary.LittleEndian.Uint32(payload)
-		if uint64(i) >= uint64(n) {
-			return dst, badRequestf("exchange: round names facility %d of %d", i, n)
-		}
-		dst = append(dst, int(i))
-	}
-	return dst, nil
-}
-
-// AppendFloatsFrame appends a bounds or values frame.
-func AppendFloatsFrame(dst []byte, kind FrameKind, vals []float64) []byte {
-	return mmap.AppendF64s(appendFrameHeader(dst, kind, 8*len(vals)), vals)
-}
-
-// DecodeFloatsFrame views a bounds or values payload as the n numbers it
-// must hold (aliased in place when the payload is 8-aligned).
-func DecodeFloatsFrame(payload []byte, n int) ([]float64, error) {
-	if len(payload) != 8*n {
+// DecodeFloatsFrame reads an exchange's whole reply from r: one values
+// frame of exactly n numbers and nothing behind it. A reply of any other
+// shape — another kind, another count, bytes left over, a second frame —
+// is an error, never an answer.
+func DecodeFloatsFrame(r io.Reader, n int) ([]float64, error) {
+	kind, payload, err := ReadFrame(r, nil, 8*int64(n))
+	switch {
+	case err == io.EOF:
+		return nil, io.ErrUnexpectedEOF
+	case err != nil:
+		return nil, err
+	case kind != FrameValues:
+		return nil, badRequestf("exchange: reply frame of kind %d, want the values frame", kind)
+	case len(payload) != 8*n:
 		return nil, badRequestf("exchange: reply of %d bytes for %d facilities", len(payload), n)
+	}
+	if m, _ := io.ReadFull(r, make([]byte, 1)); m > 0 {
+		return nil, badRequestf("exchange: bytes after the values frame")
 	}
 	return mmap.F64s(payload), nil
 }
 
-// AppendErrorFrame appends an error frame: the status, whether the client
-// should retry after the hint, and the JSON body of the HTTP answer the
-// error would otherwise have been.
-func AppendErrorFrame(dst []byte, status int, retryAfter bool, body []byte) []byte {
-	dst = appendFrameHeader(dst, FrameError, 8+len(body))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(status))
-	var flags uint32
-	if retryAfter {
-		flags = 1
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, flags)
-	return append(dst, body...)
-}
-
-// DecodeErrorFrame is AppendErrorFrame's inverse; body aliases payload.
-func DecodeErrorFrame(payload []byte) (status int, retryAfter bool, body []byte, err error) {
-	if len(payload) < 8 {
-		return 0, false, nil, badRequestf("exchange: error frame of %d bytes", len(payload))
-	}
-	status = int(binary.LittleEndian.Uint32(payload))
-	if status < 400 || status > 599 {
-		return 0, false, nil, badRequestf("exchange: error frame with status %d", status)
-	}
-	return status, binary.LittleEndian.Uint32(payload[4:])&1 != 0, payload[8:], nil
-}
-
 // exchangeState is the storage one exchange works in, pooled so that a
 // steady stream of exchanges allocates none of it: the query frame's
-// payload (which the decoded facilities alias for the whole exchange),
-// the current round frame's, the reply being built, and the decoded
-// forms. It goes back to the pool only after every pool task that could
-// touch it has finished.
+// payload, which the decoded facilities alias, and the decoded form. The
+// pool task that answers the exchange puts it back when it is done; an
+// exchange refused before a worker took it leaves its state to the
+// collector, because only the worker knows nothing will touch it again.
 type exchangeState struct {
-	query, in, out []byte
-	qf             QueryFrame
-	round          []int
-	batch          []*trajcover.Facility
+	query []byte
+	qf    QueryFrame
+	tail  [1]byte
 }
 
 var exchangeStates = sync.Pool{New: func() any { return new(exchangeState) }}
 
 func (x *exchangeState) release() {
 	// Like strictDecoder: storage grown past maxPooledBody is not kept.
-	if cap(x.query) <= maxPooledBody && cap(x.in) <= maxPooledBody {
+	if cap(x.query) <= maxPooledBody {
 		exchangeStates.Put(x)
 	}
 }
 
-// handleExchange serves POST /v1/exchange (layout and protocol above).
-// This goroutine only moves frames: the bounds pass and every round run
-// as worker-pool tasks under the pool's global admission and the
-// exchange's one deadline — the query frame's timeout_ms, capped like any
-// request's — while the tenant's gate slot and the pinned view are taken
-// once and held to the end.
+// read takes an exchange's request body — one query frame and nothing
+// behind it — into x. Every failure is a 400 but a frame over max (413).
+func (x *exchangeState) read(body io.Reader, max int64) error {
+	kind, payload, err := ReadFrame(body, x.query, max)
+	x.query = payload
+	var bad *badRequest
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &bad), errors.As(err, &tooBig):
+		return err
+	case err != nil: // the body ended inside the frame, or before it
+		return badRequestf("exchange: reading the query frame: %v", err)
+	case kind != FrameQuery:
+		return badRequestf("exchange: frame of kind %d, want the query frame", kind)
+	}
+	if err := x.qf.Decode(payload); err != nil {
+		return err
+	}
+	if n, _ := io.ReadFull(body, x.tail[:]); n > 0 {
+		return badRequestf("exchange: bytes after the query frame")
+	}
+	return nil
+}
+
+// handleExchange serves POST /v1/exchange (layout above): a read like
+// /v1/servicevalues — the tenant's gate, the worker pool's admission, the
+// query frame's timeout_ms as the deadline, capped like any request's —
+// with its body read into pooled storage and no result cache in front.
 func (s *Server) handleExchange(w http.ResponseWriter, r *http.Request) {
 	ep := s.stats[PathExchange]
-	start := time.Now()
-	ep.requests.Add(1)
-	reject := func(status int, err error) {
-		ep.errors.Add(1)
-		writeJSON(w, status, ErrorResponse{Error: err.Error()})
-	}
 	if s.draining.Load() {
+		ep.requests.Add(1)
 		ep.errors.Add(1)
 		s.rejectRetryable(w, http.StatusServiceUnavailable, "server draining")
 		return
 	}
-	tid, err := resolveTenant(r, "")
-	if err != nil {
-		reject(http.StatusBadRequest, err)
-		return
-	}
-	rc := http.NewResponseController(w)
-	// HTTP/2 streams are full duplex already and say "not supported".
-	if err := rc.EnableFullDuplex(); err != nil && !errors.Is(err, http.ErrNotSupported) {
-		reject(http.StatusInternalServerError, err)
-		return
-	}
-	// A frontend that goes quiet must not hold this goroutine — nor, further
-	// down, a gate slot and the frame buffers — for ever; the exchange's own
-	// deadline tightens this once it is known. (Not every ResponseWriter can
-	// set one; the ones that cannot are not sockets.)
-	_ = rc.SetReadDeadline(start.Add(s.cfg.MaxTimeout))
-	ended := false
-	defer func() {
-		if !ended {
-			leaveEarly(rc, r.Body)
-		}
-	}()
-
 	x := exchangeStates.Get().(*exchangeState)
-	defer x.release()
-	kind, payload, err := ReadFrame(r.Body, x.query, s.cfg.MaxBodyBytes)
-	x.query = payload
-	if err == nil && kind != FrameQuery {
-		err = badRequestf("exchange: first frame is kind %d, want the query frame", kind)
-	}
+	tid, err := resolveTenant(r, "")
 	if err == nil {
-		err = x.qf.Decode(payload)
+		err = x.read(r.Body, s.cfg.MaxBodyBytes)
 	}
 	if err != nil {
-		status := frameErrorStatus(err)
-		if status == 0 { // the body ended inside the frame
-			status, err = http.StatusBadRequest, badRequestf("exchange: reading the query frame: %v", err)
-		}
-		reject(status, err)
+		x.release()
+		ep.requests.Add(1)
+		ep.errors.Add(1)
+		writeJSON(w, bodyErrorStatus(err), ErrorResponse{Error: err.Error()})
 		return
 	}
-
-	lim := s.limitsFor(tid)
-	gate := s.gateOf(tid)
-	if ok, reason := gate.Admit(lim); !ok {
-		s.rejectQuota(w, ep, tid, reason)
-		return
-	}
-	// Like a stream, an exchange occupies its tenant for as long as it is
-	// open, not per task.
-	gate.Started()
-	defer gate.Finished()
-	idx, release, err := s.acquireTenant(tid, false)
-	if err != nil {
-		reject(acquireStatus(err), err)
-		return
-	}
-	defer release()
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(x.qf.TimeoutMS, lim))
-	defer cancel()
-	if deadline, ok := ctx.Deadline(); ok {
-		_ = rc.SetReadDeadline(deadline)
-	}
-	view := idx.Pin()
-
-	replied, timed := false, false
-	defer func() {
-		if timed {
-			ep.observe(time.Since(start))
-		}
-	}()
-	// fail ends the exchange with resp: as the HTTP answer while there is
-	// still one to give, in band after that.
-	fail := func(resp response) {
-		if !replied {
-			s.writeResponse(w, resp)
-			return
-		}
-		// Not built in x: a task the deadline overtook may still be there.
-		if _, err := w.Write(AppendErrorFrame(nil, resp.status, resp.retryAfter, resp.body)); err == nil {
-			_ = rc.Flush()
-		}
-	}
-	// step runs one pass on the pool — it leaves its reply frame in x.out —
-	// and sends the reply. When the deadline answers before the task has,
-	// the frontend hears at once, but x goes nowhere until the task is done
-	// with it.
-	step := func(run func(context.Context) response) bool {
-		t := &task{ctx: ctx, run: run, done: make(chan struct{})}
-		resp, admitted := s.runOnPool(ep, t)
-		timed = timed || admitted
-		if resp.status != http.StatusOK {
-			fail(resp)
-			if admitted {
-				<-t.done
-			}
-			return false
-		}
-		if !replied {
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.WriteHeader(http.StatusOK)
-			replied = true
-		}
-		if _, err := w.Write(x.out); err != nil {
-			return false
-		}
-		// A writer with nothing to flush holds nothing back.
-		err := rc.Flush()
-		return err == nil || errors.Is(err, http.ErrNotSupported)
-	}
-	facs := x.qf.Facilities
-	floats := func(kind FrameKind, vals []float64, err error) response {
+	s.executeTenant(w, r, ep, tid, false, x.qf.TimeoutMS, nil, func(ctx context.Context, idx *trajcover.LiveShardedIndex) response {
+		defer x.release()
+		vals, err := idx.ServiceValuesCtx(ctx, x.qf.Facilities, x.qf.Query, x.qf.Workers)
 		if err != nil {
 			return errResponse(err)
 		}
-		x.out = AppendFloatsFrame(x.out[:0], kind, vals)
-		return response{status: http.StatusOK}
-	}
-
-	if x.qf.Bounds {
-		ok := step(func(ctx context.Context) response {
-			bounds, err := view.UpperBoundsCtx(ctx, facs, x.qf.Query)
-			return floats(FrameBounds, bounds, err)
-		})
-		if !ok {
-			return
-		}
-	}
-	values := func(ctx context.Context) response {
-		vals, err := view.ServiceValuesCtx(ctx, x.batch, x.qf.Query, x.qf.Workers)
-		return floats(FrameValues, vals, err)
-	}
-	for {
-		kind, payload, err := ReadFrame(r.Body, x.in, s.cfg.MaxBodyBytes)
-		x.in = payload
-		if err == io.EOF {
-			ended = true // the frontend has what it needs
-			return
-		}
-		if err == nil && kind != FrameRound {
-			err = badRequestf("exchange: frame of kind %d where a round was due", kind)
-		}
-		if err == nil {
-			x.round, err = DecodeRoundFrame(payload, len(facs), x.round[:0])
-		}
-		if err != nil {
-			ep.errors.Add(1)
-			switch status := frameErrorStatus(err); {
-			case errors.Is(err, os.ErrDeadlineExceeded):
-				ep.deadline.Add(1)
-				fail(errResponse(context.DeadlineExceeded))
-			case status != 0:
-				fail(response{status: status, body: mustMarshal(ErrorResponse{Error: err.Error()})})
-			}
-			return // anything else: the frontend is gone
-		}
-		x.batch = x.batch[:0]
-		for _, i := range x.round {
-			x.batch = append(x.batch, facs[i])
-		}
-		if !step(values) {
-			return
-		}
-	}
-}
-
-// leaveEarly is how the handler returns while the frontend has not ended
-// the request body: what has been said is flushed — the frontend ends the
-// body when it hears an error — and the rest of the body is read off
-// here. Left unread, net/http would discard it after the handler returns,
-// and on reaching its end restart the connection's background read just
-// before reading the next request itself — a panic in its own connection
-// loop (go 1.22–1.24). A body that does not end within what net/http
-// itself would discard is not a frontend's: the connection is dropped.
-func leaveEarly(rc *http.ResponseController, body io.Reader) {
-	_ = rc.Flush()
-	if _, err := io.CopyN(io.Discard, body, 256<<10); err == nil {
-		panic(http.ErrAbortHandler)
-	}
-}
-
-// frameErrorStatus maps a frame read or decode error to the status the
-// JSON path gives its counterpart — 400 for bytes that do not decode, 413
-// for more of them than MaxBodyBytes — and 0 for an I/O failure.
-func frameErrorStatus(err error) int {
-	var bad *badRequest
-	var tooBig *http.MaxBytesError
-	switch {
-	case errors.As(err, &bad):
-		return http.StatusBadRequest
-	case errors.As(err, &tooBig):
-		return http.StatusRequestEntityTooLarge
-	}
-	return 0
+		// The reply is not built in x: the handler writes it after x has
+		// gone back to the pool.
+		frame := make([]byte, 0, FrameHeaderLen+8*len(vals))
+		return response{status: http.StatusOK, ctype: "application/octet-stream", body: AppendFloatsFrame(frame, vals)}
+	})
 }

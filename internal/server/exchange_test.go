@@ -10,6 +10,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -17,103 +18,14 @@ import (
 	trajcover "github.com/trajcover/trajcover"
 )
 
-// replyFrame is one frame of an exchange's response.
-type replyFrame struct {
-	kind    FrameKind
-	payload []byte
-}
-
-// parseFrames splits a whole exchange response into its frames.
-func parseFrames(t *testing.T, raw []byte) []replyFrame {
+// valuesOf decodes an exchange's 200 body: one values frame of n numbers.
+func valuesOf(t *testing.T, raw []byte, n int) []float64 {
 	t.Helper()
-	var out []replyFrame
-	for r := bytes.NewReader(raw); ; {
-		kind, payload, err := ReadFrame(r, nil, 1<<30)
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			t.Fatalf("response is not a frame stream: %v (%d bytes: %.80q)", err, len(raw), raw)
-		}
-		out = append(out, replyFrame{kind, payload})
-	}
-}
-
-// floatsOf decodes a bounds or values frame.
-func floatsOf(t *testing.T, f replyFrame, kind FrameKind, n int) []float64 {
-	t.Helper()
-	if f.kind != kind {
-		t.Fatalf("frame of kind %d (%q), want %d", f.kind, f.payload, kind)
-	}
-	vals, err := DecodeFloatsFrame(f.payload, n)
+	vals, err := DecodeFloatsFrame(bytes.NewReader(raw), n)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("reply is not a values frame of %d numbers: %v (%d bytes: %.80q)", n, err, len(raw), raw)
 	}
 	return vals
-}
-
-// testExchange is a streaming exchange client: frames go out one at a
-// time on an open request and replies are read as they come.
-type testExchange struct {
-	t    *testing.T
-	pw   *io.PipeWriter
-	resp *http.Response
-	stop context.CancelFunc
-}
-
-// openExchange POSTs first (the query frame, plus anything behind it)
-// and returns once the response has started.
-func (e *env) openExchange(first []byte) *testExchange {
-	e.t.Helper()
-	pr, pw := io.Pipe()
-	ctx, stop := context.WithCancel(context.Background())
-	// The transport does not return from a cancelled round trip while its
-	// write loop still waits on the body.
-	context.AfterFunc(ctx, func() { pw.CloseWithError(context.Canceled) })
-	e.t.Cleanup(stop)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, e.ts.URL+PathExchange, io.MultiReader(bytes.NewReader(first), pr))
-	if err != nil {
-		e.t.Fatal(err)
-	}
-	resp, err := e.client.Do(req)
-	if err != nil {
-		e.t.Fatalf("open exchange: %v", err)
-	}
-	e.t.Cleanup(func() { resp.Body.Close() })
-	return &testExchange{t: e.t, pw: pw, resp: resp, stop: stop}
-}
-
-func (x *testExchange) send(frame []byte) {
-	x.t.Helper()
-	if _, err := x.pw.Write(frame); err != nil {
-		x.t.Fatalf("send frame: %v", err)
-	}
-}
-
-func (x *testExchange) recv() replyFrame {
-	x.t.Helper()
-	kind, payload, err := ReadFrame(x.resp.Body, nil, 1<<30)
-	if err != nil {
-		x.t.Fatalf("read reply frame: %v", err)
-	}
-	return replyFrame{kind, payload}
-}
-
-// end closes the request body and expects the response to end too.
-func (x *testExchange) end() {
-	x.t.Helper()
-	x.pw.Close()
-	if _, _, err := ReadFrame(x.resp.Body, nil, 1<<30); err != io.EOF {
-		x.t.Fatalf("after the request ended: %v, want the response to end", err)
-	}
-}
-
-func allIndexes(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 func errorOf(t *testing.T, body []byte) string {
@@ -125,46 +37,63 @@ func errorOf(t *testing.T, body []byte) string {
 	return er.Error
 }
 
-// TestExchangeBounds: the bounds frame is the scatter unit of the
-// distributed tier. It must equal the library's UpperBoundsCtx and
-// dominate the exact service values (admissibility — the property the
-// distributed prune is sound under), and the endpoint's bad-request
-// surface must match the JSON endpoints'.
-func TestExchangeBounds(t *testing.T) {
-	users := testUsers(300, 251)
-	e := newEnv(t, users, Config{Workers: 2, QueueDepth: 16, DefaultTimeout: 30 * time.Second})
-	facs := testFacilities(12, 6, 252)
-	q := trajcover.Query{Scenario: trajcover.Binary, Psi: 40}
-
-	status, raw, _ := e.post(PathExchange, AppendQueryFrame(nil, facs, QueryParams{Query: q, Bounds: true}))
-	if status != http.StatusOK {
-		t.Fatalf("exchange: %d %s", status, raw)
+// TestExchangeValues: the values frame is the scatter unit of the
+// distributed tier. It must equal the library's ServiceValues over the
+// frame's facilities bit for bit, fractional scenarios included, from the
+// index as it stands when the request arrives — writes show in the next
+// exchange — and the endpoint's bad-request surface must match the JSON
+// endpoints'.
+func TestExchangeValues(t *testing.T) {
+	base := testUsers(300, 251)
+	e := newEnv(t, base, Config{Workers: 2, QueueDepth: 16, DefaultTimeout: 30 * time.Second})
+	facs := testFacilities(16, 6, 252)
+	q := trajcover.Query{Scenario: trajcover.PointCount, Psi: 60}
+	frame := AppendQueryFrame(nil, facs, QueryParams{Query: q, Workers: 2})
+	ask := func() []float64 {
+		t.Helper()
+		status, raw, hdr := e.post(PathExchange, frame)
+		if status != http.StatusOK || hdr.Get("Content-Type") != "application/octet-stream" {
+			t.Fatalf("exchange: %d (%s) %.120s", status, hdr.Get("Content-Type"), raw)
+		}
+		return valuesOf(t, raw, len(facs))
 	}
-	frames := parseFrames(t, raw)
-	if len(frames) != 1 {
-		t.Fatalf("%d reply frames to a query frame alone, want the bounds frame", len(frames))
+	same := func(got, want []float64) bool {
+		return slices.EqualFunc(got, want, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) })
 	}
-	bounds := floatsOf(t, frames[0], FrameBounds, len(facs))
-	want, err := e.srv.Index().UpperBoundsCtx(context.Background(), facs, q)
+	before, err := e.mirror.ServiceValuesCtx(context.Background(), facs, q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := e.mirror.ServiceValuesCtx(context.Background(), facs, q, 1)
+	if got := ask(); !same(got, before) {
+		t.Fatalf("values frame %v, library %v", got, before)
+	}
+	// Writes that move the answers: copies of served users under fresh IDs.
+	for i, u := range base[:40] {
+		c, err := trajcover.NewTrajectory(trajcover.ID(10_000+i), u.Points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.srv.Index().Insert(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.srv.Index().Delete(base[41].ID); err != nil {
+		t.Fatal(err)
+	}
+	now, err := e.srv.Index().ServiceValuesCtx(context.Background(), facs, q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range facs {
-		if bounds[i] != want[i] {
-			t.Fatalf("facility %d: frame bound %v, library %v", facs[i].ID, bounds[i], want[i])
-		}
-		if bounds[i] < exact[i] {
-			t.Fatalf("facility %d: bound %v below exact value %v (inadmissible)", facs[i].ID, bounds[i], exact[i])
-		}
+	if same(now, before) {
+		t.Fatal("the writes moved no value")
+	}
+	if got := ask(); !same(got, now) {
+		t.Fatalf("values frame %v after the writes, index says %v", got, now)
 	}
 
 	// A stopless facility is the same 400, word for word, as on the JSON
 	// path.
-	status, raw, _ = e.post(PathExchange, AppendQueryFrame(nil, []*trajcover.Facility{{ID: 1}}, QueryParams{Query: q, Bounds: true}))
+	status, raw, _ := e.post(PathExchange, AppendQueryFrame(nil, []*trajcover.Facility{{ID: 1}}, QueryParams{Query: q}))
 	_, jsonRaw, _ := e.post(PathServiceValues, []byte(`{"facilities":[{"id":1,"stops":[]}],"psi":40}`))
 	if status != http.StatusBadRequest || !bytes.Equal(raw, jsonRaw) {
 		t.Fatalf("stopless facility: %d %s, want 400 %s", status, raw, jsonRaw)
@@ -177,121 +106,20 @@ func TestExchangeBounds(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET exchange: %d", resp.StatusCode)
 	}
-}
-
-// TestExchangeRoundsPinned: every frame of an exchange is answered from
-// the epoch capture taken when it opened — writes that land between
-// frames show in the next exchange, never in this one — and a values
-// frame equals the library's ServiceValues over the round's facilities,
-// bit for bit, in the round's order.
-func TestExchangeRoundsPinned(t *testing.T) {
-	base := testUsers(300, 261)
-	e := newEnv(t, base, Config{Workers: 2, QueueDepth: 16, DefaultTimeout: 30 * time.Second})
-	facs := testFacilities(16, 6, 262)
-	q := trajcover.Query{Scenario: trajcover.PointCount, Psi: 60}
-	ctx := context.Background()
-	// Writes that move the answers: copies of served users under fresh IDs.
-	extra := make([]*trajcover.Trajectory, 40)
-	for i := range extra {
-		u, err := trajcover.NewTrajectory(trajcover.ID(10_000+i), base[i].Points)
-		if err != nil {
-			t.Fatal(err)
-		}
-		extra[i] = u
-	}
-	write := func(from, to int) {
-		t.Helper()
-		for _, u := range extra[from:to] {
-			if err := e.srv.Index().Insert(u); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := e.srv.Index().Delete(base[from].ID); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pick := func(idx []int) []*trajcover.Facility {
-		out := make([]*trajcover.Facility, len(idx))
-		for j, i := range idx {
-			out[j] = facs[i]
-		}
-		return out
-	}
-
-	x := e.openExchange(AppendQueryFrame(nil, facs, QueryParams{Query: q, Workers: 2, Bounds: true}))
-	if x.resp.StatusCode != http.StatusOK {
-		t.Fatalf("exchange: %s", x.resp.Status)
-	}
-	wantBounds, err := e.mirror.UpperBoundsCtx(ctx, facs, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range floatsOf(t, x.recv(), FrameBounds, len(facs)) {
-		if b != wantBounds[i] {
-			t.Fatalf("bound %d = %v, the opening epoch's is %v", i, b, wantBounds[i])
-		}
-	}
-	moved := false
-	for r, round := range [][]int{{3, 0, 15}, {7}, {1, 2, 4, 5, 6, 8, 9, 10}, {}, {15, 14, 13, 12, 11}} {
-		write(r*8, r*8+8)
-		x.send(AppendRoundFrame(nil, round))
-		got := floatsOf(t, x.recv(), FrameValues, len(round))
-		want, err := e.mirror.ServiceValuesCtx(ctx, pick(round), q, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		now, err := e.srv.Index().ServiceValuesCtx(ctx, pick(round), q, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range round {
-			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-				t.Fatalf("round %d facility %d = %v, the opening epoch's is %v (the index now says %v)", r, round[j], got[j], want[j], now[j])
-			}
-			moved = moved || now[j] != want[j]
-		}
-	}
-	x.end()
-	if !moved {
-		t.Fatal("the writes moved no value: the pin was never exercised")
-	}
-
-	// The next exchange — here the one-POST shape /v1/servicevalues takes
-	// through a frontend: no bounds, one round, both frames up front —
-	// sees every write.
-	body := AppendRoundFrame(AppendQueryFrame(nil, facs, QueryParams{Query: q}), allIndexes(len(facs)))
-	status, raw, _ := e.post(PathExchange, body)
-	if status != http.StatusOK {
-		t.Fatalf("one-round exchange: %d %s", status, raw)
-	}
-	frames := parseFrames(t, raw)
-	if len(frames) != 1 {
-		t.Fatalf("%d reply frames, want one values frame", len(frames))
-	}
-	now, err := e.srv.Index().ServiceValuesCtx(ctx, facs, q, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range floatsOf(t, frames[0], FrameValues, len(facs)) {
-		if math.Float64bits(v) != math.Float64bits(now[i]) {
-			t.Fatalf("value %d = %v after the writes, index says %v", i, v, now[i])
-		}
-	}
 	if got := e.srv.Stats().Tenants["default"].Gate.Inflight; got != 0 {
 		t.Fatalf("%d gate slots held after every exchange ended", got)
 	}
 }
 
-// TestExchangeHostileFrames: bytes that are not a well-formed exchange
-// are a 400 (413 past MaxBodyBytes) while there is still an HTTP answer
-// to give and an error frame after the first reply — never a panic,
-// never an aliased out-of-range slice — and where the JSON path has the
-// same check, the message is the same.
+// TestExchangeHostileFrames: bytes that are not one well-formed query
+// frame are a 400 (413 past MaxBodyBytes) — never a panic, never an
+// aliased out-of-range slice — and where the JSON path has the same
+// check, the message is the same.
 func TestExchangeHostileFrames(t *testing.T) {
 	e := newEnv(t, testUsers(100, 271), Config{Workers: 1, QueueDepth: 4, MaxBodyBytes: 1 << 20})
 	q := trajcover.Query{Scenario: trajcover.Binary, Psi: 40}
 	facs := testFacilities(3, 4, 272)
-	good := AppendQueryFrame(nil, facs, QueryParams{Query: q, Bounds: true})
+	good := AppendQueryFrame(nil, facs, QueryParams{Query: q})
 	le := binary.LittleEndian
 	// edit returns a copy of the good query frame with its payload patched.
 	edit := func(patch func(payload []byte)) []byte {
@@ -302,7 +130,7 @@ func TestExchangeHostileFrames(t *testing.T) {
 	longRoute := &trajcover.Facility{ID: 7, Stops: make([]trajcover.Point, MaxStops+1)}
 	nan := math.Float64bits(math.NaN())
 
-	before := []struct {
+	cases := []struct {
 		name, wantErr string
 		body          []byte
 		status        int
@@ -311,7 +139,7 @@ func TestExchangeHostileFrames(t *testing.T) {
 		{"half a header", "reading the query frame", good[:5], 400},
 		{"unknown kind", "bad frame header", append([]byte{0, 0, 0, 0, 9, 0, 0, 0}, good...), 400},
 		{"reserved header bytes", "bad frame header", edit(func([]byte) {})[:0], 400}, // body set below
-		{"round frame first", "want the query frame", AppendRoundFrame(nil, []int{0}), 400},
+		{"a reply kind", "want the query frame", AppendFloatsFrame(nil, []float64{1}), 400},
 		{"truncated payload", "reading the query frame", good[:len(good)-9], 400},
 		{"declares 2 MiB", "request body too large", append(le.AppendUint32(nil, 2<<20), byte(FrameQuery), 0, 0, 0), 413},
 		{"shorter than its head", "shorter than its 32-byte head", append(appendFrameHeader(nil, FrameQuery, 16), make([]byte, 16)...), 400},
@@ -326,14 +154,17 @@ func TestExchangeHostileFrames(t *testing.T) {
 		{"NaN coordinate", fmt.Sprintf("facility %d stop 1 is not finite", facs[1].ID), edit(func(p []byte) { le.PutUint64(p[32+8*4+16*5:], nan) }), 400},
 		{"padding set", "reserved bits", edit(func(p []byte) { le.PutUint32(p[32+8*4-4:], 1) }), 400},
 		{"reserved head bits", "reserved bits", edit(func(p []byte) { p[18] = 1 }), 400},
-		{"unknown flag", "reserved bits", edit(func(p []byte) { p[17] = 3 }), 400},
+		{"a flag", "reserved bits", edit(func(p []byte) { p[17] = 1 }), 400},
+		{"second query frame", "bytes after the query frame", append(append([]byte(nil), good...), good...), 400},
+		{"a frame behind the query", "bytes after the query frame", AppendFloatsFrame(append([]byte(nil), good...), []float64{1}), 400},
+		{"one stray byte", "bytes after the query frame", append(append([]byte(nil), good...), 0), 400},
 		{"unknown scenario", "unknown scenario code 3", edit(func(p []byte) { p[16] = 3 }), 400},
 		{"negative psi", "psi must be finite and >= 0, got -1", edit(func(p []byte) { le.PutUint64(p, math.Float64bits(-1)) }), 400},
 		{"too many stops", fmt.Sprintf("facility 7 has too many stops: %d > %d", MaxStops+1, MaxStops), AppendQueryFrame(nil, []*trajcover.Facility{longRoute}, QueryParams{Query: q}), 400},
 	}
-	before[3].body = append([]byte(nil), good...)
-	before[3].body[6] = 1
-	for _, tc := range before {
+	cases[3].body = append([]byte(nil), good...)
+	cases[3].body[6] = 1
+	for _, tc := range cases {
 		status, raw, _ := e.post(PathExchange, tc.body)
 		if status != tc.status {
 			t.Errorf("%s: status %d (%.120s), want %d", tc.name, status, raw, tc.status)
@@ -356,44 +187,6 @@ func TestExchangeHostileFrames(t *testing.T) {
 		}
 	}
 
-	// After the bounds frame an error travels in band.
-	after := []struct {
-		name, wantErr string
-		frame         []byte
-		status        int
-	}{
-		{"index out of range", "round names facility 3 of 3", AppendRoundFrame(nil, []int{0, 3}), 400},
-		{"more indexes than facilities", "round frame of 16 bytes over 3 facilities", AppendRoundFrame(nil, []int{0, 1, 2, 0}), 400},
-		{"ragged round", "round frame of 5 bytes", append(appendFrameHeader(nil, FrameRound, 5), 0, 0, 0, 0, 0), 400},
-		{"second query frame", "where a round was due", good, 400},
-		{"a reply kind", "where a round was due", AppendFloatsFrame(nil, FrameValues, []float64{1}), 400},
-		{"oversized round", "request body too large", append(le.AppendUint32(nil, 2<<20), byte(FrameRound), 0, 0, 0), 413},
-		{"bad header", "bad frame header", []byte{4, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4}, 400},
-	}
-	for _, tc := range after {
-		status, raw, _ := e.post(PathExchange, append(append([]byte(nil), good...), tc.frame...))
-		if status != http.StatusOK {
-			t.Errorf("%s: status %d (%.120s), want 200 and an error frame", tc.name, status, raw)
-			continue
-		}
-		frames := parseFrames(t, raw)
-		if len(frames) != 2 || frames[0].kind != FrameBounds || frames[1].kind != FrameError {
-			t.Errorf("%s: reply frames %+v, want bounds then error", tc.name, frames)
-			continue
-		}
-		st, retry, body, err := DecodeErrorFrame(frames[1].payload)
-		if err != nil || st != tc.status || retry {
-			t.Errorf("%s: error frame (%d, retry %v, %v), want status %d", tc.name, st, retry, err, tc.status)
-		}
-		if msg := errorOf(t, body); !strings.Contains(msg, tc.wantErr) {
-			t.Errorf("%s: error %q, want it to say %q", tc.name, msg, tc.wantErr)
-		}
-	}
-	// A body that ends inside a later frame just ends the exchange.
-	status, raw, _ := e.post(PathExchange, append(append([]byte(nil), good...), AppendRoundFrame(nil, []int{0, 1})[:10]...))
-	if frames := parseFrames(t, raw); status != http.StatusOK || len(frames) != 1 || frames[0].kind != FrameBounds {
-		t.Errorf("body cut inside a round frame: %d, frames %+v", status, frames)
-	}
 	if got := e.srv.Stats().Tenants["default"].Gate.Inflight; got != 0 {
 		t.Fatalf("%d gate slots held after every exchange ended", got)
 	}
@@ -404,7 +197,7 @@ func TestExchangeHostileFrames(t *testing.T) {
 // facilities as the aliased path.
 func TestQueryFrameMisaligned(t *testing.T) {
 	facs := testFacilities(9, 5, 281)
-	frame := AppendQueryFrame(nil, facs, QueryParams{Query: trajcover.Query{Scenario: trajcover.Length, Psi: 12.5}, Workers: 3, TimeoutMS: 1500, Bounds: true})
+	frame := AppendQueryFrame(nil, facs, QueryParams{Query: trajcover.Query{Scenario: trajcover.Length, Psi: 12.5}, Workers: 3, TimeoutMS: 1500})
 	for shift := 0; shift < 8; shift++ {
 		buf := make([]byte, shift+len(frame))
 		payload := buf[shift : shift+copy(buf[shift:], frame[FrameHeaderLen:])]
@@ -412,7 +205,7 @@ func TestQueryFrameMisaligned(t *testing.T) {
 		if err := qf.Decode(payload); err != nil {
 			t.Fatalf("shift %d: %v", shift, err)
 		}
-		if qf.Query.Scenario != trajcover.Length || qf.Query.Psi != 12.5 || qf.Workers != 3 || qf.TimeoutMS != 1500 || !qf.Bounds {
+		if qf.Query.Scenario != trajcover.Length || qf.Query.Psi != 12.5 || qf.Workers != 3 || qf.TimeoutMS != 1500 {
 			t.Fatalf("shift %d: parameters %+v", shift, qf.QueryParams)
 		}
 		requireSameFacilities(t, qf.Facilities, facs)
@@ -437,41 +230,14 @@ func requireSameFacilities(t *testing.T, got, want []*trajcover.Facility) {
 	}
 }
 
-// TestExchangeInBandErrors: the pool still bounds backend CPU under an
-// open exchange. A round that finds the queue full is an error frame
-// carrying the 429 and the retry hint; one whose deadline runs out —
-// queued behind a busy pool, or because the frontend went quiet — the
-// 504; each ends the exchange and frees the tenant's gate slot.
-func TestExchangeInBandErrors(t *testing.T) {
+// TestExchangeRejections: the pool bounds backend CPU under exchanges as
+// under any read. One that finds the queue full is a plain 429 with the
+// retry hint, one whose deadline runs out behind a busy pool a 504; each
+// is counted on the endpoint and frees the tenant's gate slot.
+func TestExchangeRejections(t *testing.T) {
 	e := newEnv(t, testUsers(200, 291), Config{Workers: 1, QueueDepth: 1, DefaultTimeout: 10 * time.Second})
 	facs := testFacilities(6, 4, 292)
 	q := trajcover.Query{Scenario: trajcover.Binary, Psi: 40}
-	open := func(timeoutMS int64) *testExchange {
-		t.Helper()
-		// An exchange whose deadline ran out leaves a connection the server
-		// is about to close, and the client may be handed it again before
-		// it has: every exchange here dials its own.
-		tr := &http.Transport{}
-		t.Cleanup(tr.CloseIdleConnections)
-		e.client = &http.Client{Transport: tr}
-		x := e.openExchange(AppendQueryFrame(nil, facs, QueryParams{Query: q, TimeoutMS: timeoutMS, Bounds: true}))
-		if x.resp.StatusCode != http.StatusOK {
-			t.Fatalf("exchange: %s", x.resp.Status)
-		}
-		floatsOf(t, x.recv(), FrameBounds, len(facs))
-		return x
-	}
-	wantError := func(x *testExchange, status int, retry bool, says string) {
-		t.Helper()
-		f := x.recv()
-		if f.kind != FrameError {
-			t.Fatalf("frame of kind %d, want an error frame", f.kind)
-		}
-		st, ra, body, err := DecodeErrorFrame(f.payload)
-		if err != nil || st != status || ra != retry || !strings.Contains(errorOf(t, body), says) {
-			t.Fatalf("error frame (%d, retry %v, %s, %v), want %d, retry %v, %q", st, ra, body, err, status, retry, says)
-		}
-	}
 	gateFree := func() {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
@@ -483,70 +249,44 @@ func TestExchangeInBandErrors(t *testing.T) {
 		}
 	}
 
-	// Queue full mid-exchange.
-	x := open(0)
 	release := blockWorkers(t, e.srv, 1)
 	fillQueue(t, e.srv, 1)
-	x.send(AppendRoundFrame(nil, []int{0, 1}))
-	wantError(x, http.StatusTooManyRequests, true, "worker queue full")
+	status, raw, hdr := e.post(PathExchange, AppendQueryFrame(nil, facs, QueryParams{Query: q}))
+	if status != http.StatusTooManyRequests || hdr.Get("Retry-After") == "" || !strings.Contains(errorOf(t, raw), "worker queue full") {
+		t.Fatalf("saturated pool: %d %s (Retry-After %q), want a plain 429", status, raw, hdr.Get("Retry-After"))
+	}
 	if got := e.srv.Stats().Endpoints[PathExchange].Rejected; got != 1 {
 		t.Fatalf("rejected counter = %d, want 1", got)
 	}
-	// The backend reads the request body to its end before it lets go, and
-	// a frontend ends it on hearing an error.
-	x.end()
 	release()
 	gateFree()
 
-	// Deadline while queued behind a busy pool.
-	x = open(150)
 	release = blockWorkers(t, e.srv, 1)
-	x.send(AppendRoundFrame(nil, []int{2}))
-	wantError(x, http.StatusGatewayTimeout, false, "deadline")
-	// The frontend has heard; the frame buffers the queued task was given
-	// stay out of the pool until a worker has dropped it.
-	release()
-	x.end()
-	gateFree()
-
-	// Deadline while the frontend says nothing.
-	x = open(100)
-	wantError(x, http.StatusGatewayTimeout, false, "deadline")
-	x.stop() // the read deadline has passed: the connection is done for
-	gateFree()
-	if got := e.srv.Stats().Endpoints[PathExchange].DeadlineExceeded; got != 2 {
-		t.Fatalf("deadline counter = %d, want 2", got)
+	status, raw, _ = e.post(PathExchange, AppendQueryFrame(nil, facs, QueryParams{Query: q, TimeoutMS: 150}))
+	if status != http.StatusGatewayTimeout || !strings.Contains(errorOf(t, raw), "deadline") {
+		t.Fatalf("queued behind a busy pool: %d %s, want 504", status, raw)
 	}
-
-	// Before the first reply frame the same rejections are plain HTTP.
-	release = blockWorkers(t, e.srv, 1)
-	fillQueue(t, e.srv, 1)
-	status, raw, hdr := e.post(PathExchange, AppendQueryFrame(nil, facs, QueryParams{Query: q, Bounds: true}))
-	if status != http.StatusTooManyRequests || hdr.Get("Retry-After") == "" || !strings.Contains(errorOf(t, raw), "worker queue full") {
-		t.Fatalf("saturated open: %d %s (Retry-After %q), want a plain 429", status, raw, hdr.Get("Retry-After"))
+	if got := e.srv.Stats().Endpoints[PathExchange].DeadlineExceeded; got != 1 {
+		t.Fatalf("deadline counter = %d, want 1", got)
 	}
+	// The slot is the tenant's until a worker has dropped the queued task.
 	release()
 	gateFree()
 }
 
 // TestExchangeAllocs pins the backend half of one paper-default exchange
-// — 128 facilities of 32 stops, a bounds frame and six rounds, on two
-// shards — driven straight into the handler, so net/http's own cost is
-// not in the count: what is left is the pool tasks and the per-shard
-// batches. The frames are read into pooled storage and the facilities
-// alias it, so the 67 KB query frame costs no allocation at all.
+// — 128 facilities of 32 stops on two shards — driven straight into the
+// handler, so net/http's own cost is not in the count: what is left is
+// the admission path, one pool task, the per-shard batches and the reply.
+// The frame is read into pooled storage and the facilities alias it, so
+// the 67 KB query frame costs no allocation at all.
 func TestExchangeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	e := newEnv(t, testUsers(2000, 301), Config{Workers: 1, QueueDepth: 4, DefaultTimeout: 30 * time.Second})
 	facs := testFacilities(128, 32, 302)
-	body := AppendQueryFrame(nil, facs, QueryParams{Query: trajcover.Query{Scenario: trajcover.Binary, Psi: 40}, Bounds: true})
-	sent := 0
-	for _, size := range []int{4, 8, 16, 32, 64, 4} { // k = 4: the schedule's six rounds over 128
-		body = AppendRoundFrame(body, allIndexes(sent + size)[sent:])
-		sent += size
-	}
+	body := AppendQueryFrame(nil, facs, QueryParams{Query: trajcover.Query{Scenario: trajcover.Binary, Psi: 40}})
 	rb := &replayBody{}
 	req, err := http.NewRequest(http.MethodPost, PathExchange, rb)
 	if err != nil {
@@ -559,89 +299,74 @@ func TestExchangeAllocs(t *testing.T) {
 		e.srv.handleExchange(w, req)
 	}
 	run()
-	if want := 7*FrameHeaderLen + 8*(128+sent); w.status != http.StatusOK || w.n != want {
-		t.Fatalf("exchange answered %d with %d bytes, want 200 with %d (seven reply frames)", w.status, w.n, want)
+	if want := FrameHeaderLen + 8*128; w.status != http.StatusOK || w.n != want {
+		t.Fatalf("exchange answered %d with %d bytes, want 200 with %d (one values frame)", w.status, w.n, want)
 	}
 	allocs := testing.AllocsPerRun(20, run)
-	t.Logf("backend half of a 7-frame, 128-facility exchange: %.0f allocs", allocs)
-	if allocs > 100 {
-		t.Fatalf("exchange handler allocates %.0f/op, want <= 100", allocs)
+	t.Logf("backend half of a 128-facility exchange: %.0f allocs", allocs)
+	if allocs > 25 {
+		t.Fatalf("exchange handler allocates %.0f/op, want <= 25", allocs)
 	}
 }
 
 // FuzzExchangeFrames throws arbitrary bytes at the exchange's decoders as
-// a backend meets them: a stream of frames, the first decoded as the
-// query frame — at a fuzzed alignment, so the aliasing and the copying
-// paths both run — and the rest as rounds and replies. Whatever the
-// bytes, the result is an error or a fully validated value, never a
-// panic; and an accepted query frame decodes to exactly the facilities
-// (IDs, stop bits, MBR, canonical hash) that DecodeQueryRequest produces
-// from the equivalent JSON body.
+// each side meets them. As a request body (the handler's own reader, then
+// the query frame again at a fuzzed alignment, so the aliasing and the
+// copying paths both run) the result is an error or a fully validated
+// frame that decodes to exactly the facilities (IDs, stop bits, MBR,
+// canonical hash) DecodeQueryRequest produces from the equivalent JSON
+// body. As a reply (the frontend's reader) they are an answer only when
+// they are one values frame of exactly the count asked for and nothing
+// else. Never a panic.
 func FuzzExchangeFrames(f *testing.F) {
 	q := trajcover.Query{Scenario: trajcover.PointCount, Psi: 300}
 	facs := testFacilities(3, 4, 311)
-	good := AppendQueryFrame(nil, facs, QueryParams{Query: q, Workers: 2, TimeoutMS: 250, Bounds: true})
+	good := AppendQueryFrame(nil, facs, QueryParams{Query: q, Workers: 2, TimeoutMS: 250})
 	f.Add(byte(0), good)
-	f.Add(byte(3), AppendRoundFrame(append([]byte(nil), good...), []int{2, 0}))
-	f.Add(byte(0), AppendRoundFrame(AppendQueryFrame(nil, nil, QueryParams{}), nil))
-	f.Add(byte(1), AppendFloatsFrame(AppendErrorFrame(nil, 429, true, []byte(`{"error":"worker queue full"}`)), FrameBounds, []float64{1, 2.5}))
+	f.Add(byte(3), AppendFloatsFrame(append([]byte(nil), good...), []float64{2, 0}))
+	f.Add(byte(0), AppendQueryFrame(nil, nil, QueryParams{}))
+	f.Add(byte(2), AppendFloatsFrame(nil, []float64{1, 2.5}))
 	f.Add(byte(7), good[:len(good)-3])
+	f.Add(byte(2), append(AppendFloatsFrame(nil, []float64{1, 2.5}), 0))
+	f.Add(byte(1), AppendFloatsFrame(AppendFloatsFrame(nil, []float64{4}), []float64{4}))
 	f.Fuzz(func(t *testing.T, shift byte, data []byte) {
-		r := bytes.NewReader(data)
-		var qf QueryFrame
-		n := -1 // facilities of the exchange, once a query frame has decoded
-		for {
-			kind, payload, err := ReadFrame(r, nil, 1<<20)
-			if err != nil {
-				var tooBig *http.MaxBytesError
-				if err != io.EOF && err != io.ErrUnexpectedEOF && !errors.As(err, &tooBig) {
-					requireBadRequest(t, err)
-				}
-				return
+		requireWireError := func(err error) {
+			t.Helper()
+			var tooBig *http.MaxBytesError
+			if !errors.As(err, &tooBig) {
+				requireBadRequest(t, err)
 			}
-			if len(payload) > 1<<20 {
-				t.Fatalf("ReadFrame returned %d bytes past its limit", len(payload))
+		}
+		var x exchangeState
+		if err := x.read(bytes.NewReader(data), 1<<20); err != nil {
+			requireWireError(err)
+		} else {
+			if want := FrameHeaderLen + len(x.query); len(data) != want {
+				t.Fatalf("accepted a %d-byte body as one %d-byte frame", len(data), want)
 			}
-			switch kind {
-			case FrameQuery:
-				buf := make([]byte, int(shift%8)+len(payload))
-				moved := buf[int(shift%8):]
-				copy(moved, payload)
-				if err := qf.Decode(moved); err != nil {
-					requireBadRequest(t, err)
-					if len(qf.Facilities) != 0 {
-						t.Fatalf("a rejected frame left %d facilities behind", len(qf.Facilities))
-					}
-					continue
+			requireFrameMatchesJSON(t, &x.qf)
+		}
+		if kind, payload, err := ReadFrame(bytes.NewReader(data), nil, 1<<20); err == nil && kind == FrameQuery {
+			moved := make([]byte, int(shift%8)+len(payload))[shift%8:]
+			copy(moved, payload)
+			var qf QueryFrame
+			if err := qf.Decode(moved); err != nil {
+				requireBadRequest(t, err)
+				if len(qf.Facilities) != 0 {
+					t.Fatalf("a rejected frame left %d facilities behind", len(qf.Facilities))
 				}
-				n = len(qf.Facilities)
+			} else {
 				requireFrameMatchesJSON(t, &qf)
-			case FrameRound:
-				round, err := DecodeRoundFrame(payload, max(n, 0), nil)
-				if err != nil {
-					requireBadRequest(t, err)
-					continue
-				}
-				for _, i := range round {
-					if i < 0 || i >= n {
-						t.Fatalf("accepted round index %d of %d facilities", i, n)
-					}
-				}
-			case FrameBounds, FrameValues:
-				if vals, err := DecodeFloatsFrame(payload, len(payload)/8); err != nil {
-					requireBadRequest(t, err)
-				} else if len(vals) != len(payload)/8 {
-					t.Fatalf("%d numbers from %d bytes", len(vals), len(payload))
-				}
-			case FrameError:
-				status, _, _, err := DecodeErrorFrame(payload)
-				if err != nil {
-					requireBadRequest(t, err)
-				} else if status < 400 || status > 599 {
-					t.Fatalf("accepted error status %d", status)
-				}
-			default:
-				t.Fatalf("ReadFrame returned kind %d", kind)
+			}
+		}
+		for _, n := range []int{int(shift), (len(data) - FrameHeaderLen) / 8} {
+			vals, err := DecodeFloatsFrame(bytes.NewReader(data), max(n, 0))
+			switch {
+			case err == io.ErrUnexpectedEOF: // cut short
+			case err != nil:
+				requireWireError(err)
+			case len(vals) != n || len(data) != FrameHeaderLen+8*n || FrameKind(data[4]) != FrameValues:
+				t.Fatalf("accepted %d bytes of kind %d as a reply of %d values to %d facilities", len(data), data[4], len(vals), n)
 			}
 		}
 	})

@@ -19,7 +19,7 @@
 //
 //	POST /v1/topk           {"facilities":[{"id":1,"stops":[[x,y],...]}],"k":8,"scenario":"binary","psi":300}
 //	POST /v1/servicevalues  {"facilities":[...],"scenario":"binary","psi":300}
-//	POST /v1/exchange       binary frames, full duplex (internal: one per (frontend read, shard group); exchange.go)
+//	POST /v1/exchange       one binary query frame -> one values frame (internal: one per (frontend read, shard group); exchange.go)
 //	POST /v1/insert         {"id":9001,"points":[[x,y],[x,y]]}
 //	POST /v1/delete         {"id":9001}
 //	POST /v1/compact        {}
@@ -145,11 +145,13 @@ func (c Config) withDefaults() Config {
 // response is a computed answer a worker hands back to the waiting
 // handler; the handler alone touches the ResponseWriter. retryAfter
 // marks a transient rejection (degraded writes) the handler must stamp
-// with a Retry-After header — the worker never touches w.
+// with a Retry-After header — the worker never touches w. ctype is the
+// body's Content-Type when it is not JSON.
 type response struct {
 	status     int
 	body       []byte
 	retryAfter bool
+	ctype      string
 }
 
 // task is one admitted request: the deadline context, the work closure,
@@ -789,6 +791,12 @@ func (s *Server) writeResponse(w http.ResponseWriter, resp response) {
 	if resp.retryAfter {
 		w.Header().Set("Retry-After", s.retryAfter)
 	}
+	if resp.ctype != "" {
+		w.Header().Set("Content-Type", resp.ctype)
+		w.WriteHeader(resp.status)
+		w.Write(resp.body)
+		return
+	}
 	writeRaw(w, resp.status, resp.body)
 }
 
@@ -805,15 +813,20 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, ep *endpointStats
 	if err != nil {
 		ep.requests.Add(1)
 		ep.errors.Add(1)
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, status, ErrorResponse{Error: err.Error()})
+		writeJSON(w, bodyErrorStatus(err), ErrorResponse{Error: err.Error()})
 		return nil, false
 	}
 	return body, true
+}
+
+// bodyErrorStatus is the status of a request body that could not be
+// taken: 413 past MaxBodyBytes, 400 for anything else.
+func bodyErrorStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 func (s *Server) requirePost(h http.HandlerFunc) http.HandlerFunc {

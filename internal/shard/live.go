@@ -346,22 +346,6 @@ func (l *Live) Epochs() []*query.Epoch {
 	return out
 }
 
-// LiveView is a Live's query surface pinned to one epoch cut: every
-// method of the scatter, over the units Pin captured, however many calls
-// are made and whatever is written meanwhile. It is how a caller that
-// asks in several steps — bounds, then round after round of exact values
-// — gets all of them from one acknowledged prefix of the write history.
-type LiveView struct {
-	scatter[*query.Epoch]
-}
-
-// Pin captures the current epoch cut (Epochs) as a LiveView. The view
-// holds the epochs, not the index: it stays answerable, unchanged, until
-// dropped.
-func (l *Live) Pin() *LiveView {
-	return &LiveView{fixedUnits(l.Epochs())}
-}
-
 // Version returns the epoch-publish counter: it increases after every
 // acknowledged write and every rebuild swap, and is never reused. Two
 // equal reads bracketing a computation prove no epoch was published

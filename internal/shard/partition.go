@@ -47,9 +47,9 @@ func (Hash) Kind() string { return "hash" }
 // Grid partitions by geographic cell: the data bounds are cut into a
 // ceil(sqrt(n)) × ceil(sqrt(n)) grid and a trajectory goes to the shard
 // of its source point's cell (row-major, modulo n). Queries with small
-// EMBRs then touch few shards with meaningful upper bounds in the rest,
-// which the scatter-gather TopK prunes; the price is load skew when the
-// data is geographically concentrated.
+// EMBRs then do their work in few shards — the rest answer 0 from the
+// first node test; the price is load skew when the data is
+// geographically concentrated.
 type Grid struct{}
 
 // Assign implements Partitioner.

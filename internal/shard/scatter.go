@@ -12,19 +12,16 @@ import (
 type Params = query.Params
 
 // unit is one shard as the scatter-gather sees it: something that can
-// check a scenario against its data, answer exact service values (for
-// one facility or a batch), and bound a facility's value from above
-// without evaluating it. *query.Engine (pointer tree),
+// check a scenario against its data and answer exact service values, for
+// one facility or a batch. *query.Engine (pointer tree),
 // *query.FrozenEngine (frozen columns) and *query.Epoch (frozen base +
 // delta overlay + tombstones) all are one. Users are disjoint across
 // units, so a facility's service value is the sum of its per-unit values
-// and its upper bound the sum of its per-unit upper bounds — which is all
-// the code below relies on.
+// — which is all the code below relies on.
 type unit interface {
 	ValidateScenario(service.Scenario) error
 	ServiceValue(*trajectory.Facility, Params) (float64, query.Metrics, error)
 	ServiceValuesCtx(ctx context.Context, facilities []*trajectory.Facility, p Params, workers int) ([]float64, query.Metrics, error)
-	UpperBound(*trajectory.Facility, Params) float64
 }
 
 // scatter is the query surface of a sharded index, written once over a
@@ -69,22 +66,6 @@ func sumValues[U unit](ctx context.Context, units []U, facilities []*trajectory.
 			out[i] += v
 		}
 		m.Add(um)
-	}
-	return out, nil
-}
-
-// sumBounds is sumValues for the units' seed upper bounds: per facility,
-// summed in shard order, nothing evaluated and nothing allocated but the
-// answer. The caller must have validated p against every unit.
-func sumBounds[U unit](ctx context.Context, units []U, facilities []*trajectory.Facility, p Params) ([]float64, error) {
-	out := make([]float64, len(facilities))
-	for i, f := range facilities {
-		if err := query.CtxErr(ctx); err != nil {
-			return nil, err
-		}
-		for _, u := range units {
-			out[i] += u.UpperBound(f, p)
-		}
 	}
 	return out, nil
 }
@@ -151,20 +132,6 @@ func (s scatter[U]) ServiceValuesStreamCtx(ctx context.Context, facilities []*tr
 	return m, nil
 }
 
-// UpperBounds returns every facility's summed seed upper bound, indexed
-// like facilities — each a sound overestimate of its exact service value
-// over the captured units, with nothing evaluated. It is what topK orders
-// its rounds by, exposed because a distributed frontend runs the same
-// rounds over whole processes (the bounds frame of /v1/exchange). ctx is
-// polled between facilities.
-func (s scatter[U]) UpperBounds(ctx context.Context, facilities []*trajectory.Facility, p Params) ([]float64, error) {
-	units := s.capture()
-	if err := validate(units, p); err != nil {
-		return nil, err
-	}
-	return sumBounds(ctx, units, facilities, p)
-}
-
 // TopK is TopKCtx without a deadline.
 func (s scatter[U]) TopK(facilities []*trajectory.Facility, k int, p Params) ([]query.Result, query.Metrics, error) {
 	return s.TopKCtx(context.Background(), facilities, k, p)
@@ -172,12 +139,11 @@ func (s scatter[U]) TopK(facilities []*trajectory.Facility, k int, p Params) ([]
 
 // TopKCtx answers kMaxRRST over all shards: the k facilities with the
 // highest total service value, best first (value descending, ID
-// ascending) — exactly sort-and-cut over ServiceValuesCtx, bit for bit,
-// without evaluating a facility whose summed bound cannot reach the
-// answer (topK below). Answers match the single-tree TopK exactly for
-// integral scenarios such as Binary, up to floating-point summation
-// order otherwise. ctx is polled between facilities and a done context
-// returns ctx.Err() instead of an answer.
+// ascending) — exactly sort-and-cut over ServiceValuesCtx, bit for bit.
+// Answers match the single-tree TopK exactly for integral scenarios such
+// as Binary, up to floating-point summation order otherwise. ctx is
+// polled between facilities and a done context returns ctx.Err() instead
+// of an answer.
 func (s scatter[U]) TopKCtx(ctx context.Context, facilities []*trajectory.Facility, k int, p Params) ([]query.Result, query.Metrics, error) {
 	return s.topK(ctx, facilities, k, p, 1)
 }
@@ -187,36 +153,30 @@ func (s scatter[U]) TopKParallel(facilities []*trajectory.Facility, k int, p Par
 	return s.TopKParallelCtx(context.Background(), facilities, k, p, workers)
 }
 
-// TopKParallelCtx is TopKCtx with every round's batch evaluated on a
-// pool of `workers` goroutines per shard (normalized by
-// query.ResolveWorkers); the answer is identical.
+// TopKParallelCtx is TopKCtx with the batch evaluated on a pool of
+// `workers` goroutines per shard (normalized by query.ResolveWorkers);
+// the answer is identical.
 func (s scatter[U]) TopKParallelCtx(ctx context.Context, facilities []*trajectory.Facility, k int, p Params, workers int) ([]query.Result, query.Metrics, error) {
 	return s.topK(ctx, facilities, k, p, workers)
 }
 
-// topK is the sharded kMaxRRST: one seed bound per (facility, unit),
-// summed per facility, then query.TopKRounds — the threshold-round
-// schedule the distributed frontend also runs — with a round's exact
-// values computed by the same sumValues that answers ServiceValuesCtx.
-// The paper's best-first search (Algorithms 3/4) stays on the
-// single-tree engines; across units only the summed bound can prune.
+// topK is the sharded kMaxRRST: every facility's exact value in one
+// sumValues pass, then query.Results. The paper's best-first search
+// (Algorithms 3/4) stays on the single-tree engines: across units only a
+// summed seed bound could prune, and measured (tqbench -exp bound) it
+// never ranks a facility below the k-th value.
 func (s scatter[U]) topK(ctx context.Context, facilities []*trajectory.Facility, k int, p Params, workers int) ([]query.Result, query.Metrics, error) {
 	units := s.capture()
 	var m query.Metrics
 	if err := validate(units, p); err != nil {
 		return nil, m, err
 	}
-	bounds, err := sumBounds(ctx, units, facilities, p)
+	if k <= 0 || len(facilities) == 0 {
+		return nil, m, nil // query.Results reads k <= 0 as "every facility"
+	}
+	vals, err := sumValues(ctx, units, facilities, p, workers, &m)
 	if err != nil {
 		return nil, m, err
 	}
-	var batch []*trajectory.Facility
-	res, _, err := query.TopKRounds(facilities, bounds, k, func(idx []int) ([]float64, error) {
-		batch = batch[:0]
-		for _, i := range idx {
-			batch = append(batch, facilities[i])
-		}
-		return sumValues(ctx, units, batch, p, workers, &m)
-	})
-	return res, m, err
+	return query.Results(facilities, vals, k), m, nil
 }

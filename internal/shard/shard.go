@@ -1,12 +1,10 @@
 // Package shard partitions a trajectory corpus across several TQ-trees
 // and serves kMaxRRST queries by scatter-gather: exact service values fan
-// out to every shard as one batch and are summed; top-k sums each
-// facility's per-shard seed upper bound, orders the facilities by it and
-// evaluates them in threshold rounds (query.TopKRounds, the schedule the
-// distributed frontend runs over whole processes), so a facility whose
-// bound cannot reach the k-th exact value is never evaluated anywhere —
-// the paper's branch-and-bound lifted one level up. The best-first search
-// itself (Algorithms 3/4) stays on the single-tree engines.
+// out to every shard as one batch and are summed, and top-k is the
+// sort-and-cut of those sums (query.Results) — what the distributed
+// frontend does over whole processes. The paper's best-first search
+// (Algorithms 3/4) stays on the single-tree engines: a bound summed over
+// shards never ranked a facility below the k-th value (scatter.topK).
 //
 // Sharding is what keeps datasets larger than one tree's comfortable
 // in-memory size — and rebuilds — from being monolithic: shards build in

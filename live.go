@@ -268,39 +268,33 @@ func (x *LiveShardedIndex) Version() uint64 { return x.s.Version() }
 // Err returns the most recent background-rebuild error, or nil.
 func (x *LiveShardedIndex) Err() error { return x.s.Err() }
 
-// UpperBoundsCtx returns every facility's upper bound over one
-// write-consistent epoch capture, indexed like facilities — each a sound
-// overestimate of the facility's exact service value, read in one tree
-// descent per shard with nothing evaluated. It is the bound TopK orders
-// its rounds by; the distributed query frontend scatters it before
-// deciding which facilities are worth an exact evaluation.
+// UpperBoundsCtx returns every facility's seed upper bound summed over
+// one write-consistent epoch capture, indexed like facilities — each a
+// sound overestimate of the facility's exact service value, read in one
+// tree descent per shard with nothing evaluated. It is a diagnostic: no
+// query consults it (kept because the repository benchmark times it as
+// query.upperbounds_ms; ROADMAP item 1b drops both).
 func (x *LiveShardedIndex) UpperBoundsCtx(ctx context.Context, facilities []*Facility, q Query) ([]float64, error) {
-	return x.s.UpperBounds(ctx, facilities, q.params())
-}
-
-// LiveView is a LiveShardedIndex pinned to one write-consistent epoch
-// capture: the same nine query methods and UpperBoundsCtx, every call
-// answered from the corpus as it stood at Pin, whatever has been written
-// since. A caller that asks in several steps — bounds, then rounds of
-// exact values, as the distributed frontend does over one exchange — gets
-// one acknowledged prefix of the write history for all of them.
-type LiveView struct {
-	querier
-	s *shard.LiveView
-}
-
-// Pin captures the index as it stands now. The view costs one epoch
-// capture, holds no lock, and blocks neither writes nor rebuilds; drop
-// it to let the epochs it holds be collected.
-func (x *LiveShardedIndex) Pin() *LiveView {
-	s := x.s.Pin()
-	return &LiveView{querier: querier{s}, s: s}
-}
-
-// UpperBoundsCtx is LiveShardedIndex.UpperBoundsCtx over the view's
-// capture.
-func (v *LiveView) UpperBoundsCtx(ctx context.Context, facilities []*Facility, q Query) ([]float64, error) {
-	return v.s.UpperBounds(ctx, facilities, q.params())
+	p := q.params()
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	epochs := x.s.Epochs()
+	for _, ep := range epochs {
+		if err := ep.ValidateScenario(p.Scenario); err != nil {
+			return nil, err
+		}
+	}
+	out := make([]float64, len(facilities))
+	for i, f := range facilities {
+		if err := query.CtxErr(ctx); err != nil {
+			return nil, err
+		}
+		for _, ep := range epochs {
+			out[i] += ep.UpperBound(f, p)
+		}
+	}
+	return out, nil
 }
 
 // epochs exposes the current per-shard epoch capture to the snapshot

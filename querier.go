@@ -54,9 +54,8 @@ func (x *querier) ServiceValues(facilities []*Facility, q Query, workers int) ([
 // TopK answers the kMaxRRST query: the k facilities with the highest
 // service value, best first (value descending, ID ascending). A single
 // tree runs the paper's best-first search (Algorithm 3); the sharded and
-// live types evaluate facilities in rounds ordered by their summed
-// per-shard upper bounds, so their answer is exactly sort-and-cut over
-// ServiceValues — the same values, bit for bit.
+// live types evaluate every facility in one batch, so their answer is
+// exactly sort-and-cut over ServiceValues — the same values, bit for bit.
 func (x *querier) TopK(facilities []*Facility, k int, q Query) ([]Ranked, error) {
 	return x.TopKCtx(context.Background(), facilities, k, q)
 }
@@ -68,7 +67,7 @@ func (x *querier) TopKWithMetrics(facilities []*Facility, k int, q Query) ([]Ran
 }
 
 // TopKParallel is TopK on a pool of `workers` goroutines: best-first
-// relaxations (single tree) or a round's exact evaluations (sharded and
+// relaxations (single tree) or the batch's exact evaluations (sharded and
 // live types) run concurrently. The answer is identical to TopK; spare
 // cores buy wall-clock speed, on a single tree at the cost of some
 // speculative work.

@@ -1,9 +1,11 @@
 package trajcover
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -12,9 +14,9 @@ import (
 // points (so PointCount and Length sum thirds and quarters, whose float
 // sums depend on their order). Uniform spreads them over the map; skewed
 // packs all but a handful into the south-west corner and the rest into
-// the north-east one, so two quadrants stay empty and the seed bounds
-// separate contenders from the rest at once — the corpus shape of
-// internal/dist's TestFrontendThresholdBoundary.
+// the north-east one, so two quadrants stay empty and the values are far
+// apart — the corpus shape of internal/dist's
+// TestFrontendThresholdBoundary.
 func boundaryTrips(t *testing.T, rng *rand.Rand, skewed bool) []*Trajectory {
 	t.Helper()
 	clamp := func(v float64) float64 { return min(max(v, 0), 1000) }
@@ -42,12 +44,10 @@ func boundaryTrips(t *testing.T, rng *rand.Rand, skewed bool) []*Trajectory {
 }
 
 // boundaryRoutes is 8 routes, each present three times under different
-// shuffled IDs: copies have equal exact values and equal summed bounds,
-// so sorted by value the ranks come in runs of three and both k = 1 and
-// k = 8 cut a run. Skewed routes are short — a small EMBR seeds its bound
-// deep in the tree — and sit in the cluster (2), beside it (2) and among
-// the far stragglers (4), whose bounds fall below the cluster routes'
-// values.
+// shuffled IDs: copies have equal exact values, so sorted by value the
+// ranks come in runs of three and both k = 1 and k = 8 cut a run. Skewed
+// routes are short and sit in the cluster (2), beside it (2) and among the
+// far stragglers (4).
 func boundaryRoutes(t *testing.T, rng *rand.Rand, skewed bool) []*Facility {
 	t.Helper()
 	ids := rng.Perm(24)
@@ -81,21 +81,20 @@ func boundaryRoutes(t *testing.T, rng *rand.Rand, skewed bool) []*Facility {
 	return out
 }
 
-// TestTopKThresholdBoundary attacks the sharded top-k's stop rule where
-// it is thinnest — facilities with equal exact values on both sides of
-// rank k and equal summed bounds — on every index type, every scenario,
-// 1/2/4 shards, with the live types' delta overlays and tombstones in
-// play. The contract: TopK is sort-and-cut over ServiceValues (value
-// descending, ID ascending), and on the scatter-backed types the reported
-// Service is ServiceValues' bit for bit, fractional scenarios included.
-// (A single tree's best-first search adds the same terms in another
-// order, so there the comparison is exact for Binary only.)
+// TestTopKThresholdBoundary attacks the top-k's cut at rank k where it is
+// thinnest — facilities with equal exact values on both sides of it — on
+// every index type, every scenario, 1/2/4 shards, with the live types'
+// delta overlays and tombstones in play. The contract: TopK is
+// sort-and-cut over ServiceValues (value descending, ID ascending), and on
+// the scatter-backed types the reported Service is ServiceValues' bit for
+// bit, fractional scenarios included, from one exact pass: the same work
+// whatever k is. (A single tree's best-first search adds the same terms
+// in another order, so there the comparison is exact for Binary only.)
 func TestTopKThresholdBoundary(t *testing.T) {
 	seeds := int64(2)
 	if os.Getenv("TRAJCOVER_STRESS") != "" {
 		seeds = 8
 	}
-	cut := false // some k=1 query scored fewer entries than k=N did
 	for seed := int64(1); seed <= seeds; seed++ {
 		for _, skewed := range []bool{false, true} {
 			rng := rand.New(rand.NewSource(seed))
@@ -134,7 +133,7 @@ func TestTopKThresholdBoundary(t *testing.T) {
 								t.Fatalf("%s: ranks %d and %d are not tied (%v, %v)", name, k, k+1, want[k-1].Service, want[k].Service)
 							}
 						}
-						var scoredAtK1 int
+						var pass QueryMetrics // the scatter-backed types' one exact pass
 						for _, k := range []int{1, 8, n, n + 5} {
 							got, m, err := fl.TopKWithMetrics(facs, k, q)
 							if err != nil {
@@ -153,14 +152,16 @@ func TestTopKThresholdBoundary(t *testing.T) {
 										got[i].Facility.ID, got[i].Service, par[i].Facility.ID, par[i].Service, want[i].Facility.ID, want[i].Service)
 								}
 							}
-							if scatterBacked && m.Relaxations != 0 {
+							if !scatterBacked {
+								continue
+							}
+							if m.Relaxations != 0 {
 								t.Fatalf("%s k %d: %d best-first relaxations on a scatter-backed type", name, k, m.Relaxations)
 							}
-							switch k {
-							case 1:
-								scoredAtK1 = m.EntriesScored
-							case n:
-								cut = cut || scatterBacked && scoredAtK1 < m.EntriesScored
+							if k == 1 {
+								pass = m
+							} else if m != pass {
+								t.Fatalf("%s: k = %d did %+v, k = 1 %+v: the work of an exact pass does not depend on k", name, k, m, pass)
 							}
 						}
 					}
@@ -168,7 +169,47 @@ func TestTopKThresholdBoundary(t *testing.T) {
 			}
 		}
 	}
-	if !cut {
-		t.Fatal("no k=1 query did less exact work than k=N: the stop rule was never exercised")
+}
+
+// TestTopKEdgeK pins what every index type answers at the edges of k: an
+// empty list for k <= 0 (query.Results alone reads that as "every
+// facility"), all N for k >= N, and an error for bad parameters even when
+// there is nothing to rank — the same on all three entry points.
+func TestTopKEdgeK(t *testing.T) {
+	ny := NewYorkCity()
+	routes := BusRoutes(ny, 9, 6, 52)
+	q := Query{Scenario: Binary, Psi: 300}
+	n := len(routes)
+	for _, fl := range allFlavors(t, TaxiTrips(ny, 400, 51)) {
+		name := flavorName(fl)
+		all, err := fl.TopK(routes, n, q)
+		if err != nil || len(all) != n {
+			t.Fatalf("%s: TopK(k = N) = %d results, %v", name, len(all), err)
+		}
+		entries := map[string]func(fs []*Facility, k int, q Query) ([]Ranked, error){
+			"TopK":         fl.TopK,
+			"TopKParallel": func(fs []*Facility, k int, q Query) ([]Ranked, error) { return fl.TopKParallel(fs, k, q, 3) },
+			"TopKCtx": func(fs []*Facility, k int, q Query) ([]Ranked, error) {
+				return fl.TopKCtx(context.Background(), fs, k, q)
+			},
+		}
+		for entry, topK := range entries {
+			for _, k := range []int{-1, 0, 1, n, n + 1} {
+				got, err := topK(routes, k, q)
+				if want := all[:min(max(k, 0), n)]; err != nil || !slices.Equal(got, want) {
+					t.Errorf("%s %s(k = %d) = %d results, %v; want the first %d of the full ranking", name, entry, k, len(got), err, len(want))
+				}
+			}
+			if got, err := topK(nil, 3, q); err != nil || len(got) != 0 {
+				t.Errorf("%s %s over no facilities = %v, %v", name, entry, got, err)
+			}
+			for _, bad := range []Query{{Scenario: Binary, Psi: -1}, {Scenario: Scenario(9), Psi: 300}} {
+				for _, k := range []int{0, 3} {
+					if _, err := topK(nil, k, bad); err == nil {
+						t.Errorf("%s %s(k = %d) over no facilities accepted %+v", name, entry, k, bad)
+					}
+				}
+			}
+		}
 	}
 }

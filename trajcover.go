@@ -228,8 +228,8 @@ type Partitioner = shard.Partitioner
 func HashPartitioner() Partitioner { return shard.Hash{} }
 
 // GridPartitioner partitions by geographic cell of each trajectory's
-// source point: localized queries touch few shards and the scatter-gather
-// search prunes the rest, at the cost of load skew on concentrated data.
+// source point: localized queries do their work in few shards and the
+// rest answer at once, at the cost of load skew on concentrated data.
 func GridPartitioner() Partitioner { return shard.Grid{} }
 
 // ShardOptions configures NewShardedIndex. The zero value builds a
@@ -255,11 +255,10 @@ func (o ShardOptions) shardOptions() shard.Options {
 
 // ShardedIndex partitions user trajectories across several TQ-trees and
 // answers kMaxRRST queries by scatter-gather: a query fans out to every
-// shard, exact per-shard values are summed, and top-k evaluates
-// facilities in rounds ordered by their summed per-shard upper bounds,
-// skipping those whose bound cannot change the answer. Use it when one
-// tree is too large to build, rebuild, or
-// hold comfortably — shards build in parallel and rebuild independently.
+// shard, exact per-shard values are summed, and top-k is the
+// sort-and-cut of those sums. Use it when one tree is too large to
+// build, rebuild, or hold comfortably — shards build in parallel and
+// rebuild independently.
 //
 // Answers match the single-tree Index exactly for integral scenarios
 // (Binary; every scenario over integral service values) and up to
