@@ -33,8 +33,7 @@ func newFrozenIndex(engine *query.FrozenEngine) *FrozenIndex {
 	return &FrozenIndex{querier: querier{engine}, engine: engine}
 }
 
-func freezeTree(tree *tqtree.Tree) (*FrozenIndex, error) {
-	f, err := tqtree.Freeze(tree)
+func frozenIndexOf(f *tqtree.Frozen, err error) (*FrozenIndex, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -47,18 +46,15 @@ func freezeTree(tree *tqtree.Tree) (*FrozenIndex, error) {
 // dropping the index (and the trajectories it was built from) afterwards
 // releases them.
 func (x *Index) Freeze() (*FrozenIndex, error) {
-	return freezeTree(x.engine.Tree())
+	return frozenIndexOf(tqtree.Freeze(x.engine.Tree()))
 }
 
 // NewFrozenIndex builds a frozen index directly from user trajectories:
-// the mutable tree is built, frozen, and discarded, so only the columnar
-// form is retained — nothing of users or the trajectories in it.
+// the columns are written straight from the build's partition, with no
+// mutable tree in between, and nothing of users or the trajectories in it
+// is retained. It equals NewIndex followed by Freeze.
 func NewFrozenIndex(users []*Trajectory, opts IndexOptions) (*FrozenIndex, error) {
-	tree, err := tqtree.Build(users, opts.treeOptions())
-	if err != nil {
-		return nil, err
-	}
-	return freezeTree(tree)
+	return frozenIndexOf(tqtree.BuildFrozen(users, opts.treeOptions()))
 }
 
 // Len returns the number of indexed user trajectories.

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 
 	"github.com/trajcover/trajcover/internal/datagen"
 	"github.com/trajcover/trajcover/internal/maxcov"
@@ -55,7 +56,7 @@ func Registry() []Experiment {
 		{ID: "build", Title: "§VI.B.4 — index construction time vs #user trajectories (NYT)", Run: expBuild},
 		{ID: "scaling", Title: "extra — BL/TQ(Z) gap growth with dataset scale (not in the paper)", Run: expScaling},
 		{ID: "thrpt", Title: "extra — batch kMaxRRST throughput vs worker count (NYT, not in the paper)", Run: expThroughput},
-		{ID: "pbuild", Title: "extra — TQ(Z) construction time vs build parallelism (NYT, not in the paper)", Run: expParallelBuild},
+		{ID: "pbuild", Title: "extra — TQ(Z) construction (pointer tree and frozen columns) vs build parallelism (NYT, not in the paper)", Run: expParallelBuild},
 		{ID: "shards", Title: "extra — sharded scatter-gather build time and throughput vs shard count (NYT, not in the paper)", Run: expShards},
 		{ID: "frozen", Title: "extra — frozen columnar vs pointer TQ(Z) read path (NYT, not in the paper)", Run: expFrozen},
 		{ID: "churn", Title: "extra — query latency under live insert/delete churn with background epoch swaps (NYT, not in the paper)", Run: expChurn},
@@ -117,11 +118,12 @@ func expFrozen(ctx *Context) (*Table, error) {
 	}
 
 	// The freeze step itself, so the trajectory records what entering the
-	// frozen regime costs relative to a build (pointer series: Build).
+	// frozen regime costs relative to a build (pointer series: Build), and
+	// what it costs without the pointer tree: Build + Freeze against
+	// BuildFrozen, which every served index runs.
+	opts := tqtree.Options{Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder}
 	buildSec := ctx.Time(func() {
-		if _, err := tqtree.Build(eng.Users().All, tqtree.Options{
-			Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder,
-		}); err != nil {
+		if _, err := tqtree.Build(eng.Users().All, opts); err != nil {
 			panic(err)
 		}
 	})
@@ -130,8 +132,14 @@ func expFrozen(ctx *Context) (*Table, error) {
 			panic(err)
 		}
 	})
-	t.XTicks = append(t.XTicks, "build/freeze(s)")
+	directSec := ctx.Time(func() {
+		if _, err := tqtree.BuildFrozen(eng.Users().All, opts); err != nil {
+			panic(err)
+		}
+	})
+	t.XTicks = append(t.XTicks, "build/freeze(s)", "build+freeze/buildfrozen(s)")
 	appendRow(t, buildSec, freezeSec)
+	appendRow(t, buildSec+freezeSec, directSec)
 	return t, nil
 }
 
@@ -239,24 +247,45 @@ func expThroughput(ctx *Context) (*Table, error) {
 // expParallelBuild measures TQ(Z) construction with Options.Parallelism
 // swept over the worker axis — the companion series to the paper's §VI.B.4
 // build-time experiment, demonstrating that index construction scales
-// with cores while producing an identical tree.
+// with cores while producing an identical tree — for both products of the
+// one build plan: the pointer tree (Build) and the frozen columns every
+// served index is built as (BuildFrozen). Each gets seconds (min of the
+// repeats), then the heap allocations and MB allocated by one more build.
 func expParallelBuild(ctx *Context) (*Table, error) {
 	t := &Table{
-		ID: "pbuild", Title: "TQ(Z) build time vs parallelism (NYT)",
-		XLabel: "parallelism", YLabel: "seconds to build",
-		Series: []Series{{Method: "TQ(Z)"}},
+		ID: "pbuild", Title: "TQ(Z) build vs parallelism: pointer tree and frozen columns (NYT)",
+		XLabel: "parallelism", YLabel: "seconds to build (allocs, MB: per build)",
+		Series: []Series{
+			{Method: "Build"}, {Method: "Build allocs(n)"}, {Method: "Build MB(n)"},
+			{Method: "BuildFrozen"}, {Method: "BuildFrozen allocs(n)"}, {Method: "BuildFrozen MB(n)"},
+		},
 	}
 	users := ctx.Users(dsNYT, datagen.NYT1Day)
 	for _, w := range workerAxis {
-		sec := ctx.Time(func() {
-			if _, err := tqtree.Build(users.All, tqtree.Options{
-				Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder, Parallelism: w,
-			}); err != nil {
-				panic(err)
+		opts := tqtree.Options{Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder, Parallelism: w}
+		var row []float64
+		for _, build := range []func() error{
+			func() error { _, err := tqtree.Build(users.All, opts); return err },
+			func() error { _, err := tqtree.BuildFrozen(users.All, opts); return err },
+		} {
+			var berr error
+			run := func() {
+				if err := build(); err != nil {
+					berr = err
+				}
 			}
-		})
+			sec := ctx.Time(run)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			if berr != nil {
+				return nil, berr
+			}
+			row = append(row, sec, float64(after.Mallocs-before.Mallocs), float64(after.TotalAlloc-before.TotalAlloc)/(1<<20))
+		}
 		t.XTicks = append(t.XTicks, fmt.Sprint(w))
-		appendRow(t, sec)
+		appendRow(t, row...)
 	}
 	return t, nil
 }

@@ -38,15 +38,16 @@ func (s *Sharded) Freeze() (*Frozen, error) {
 }
 
 // buildFrozen is Build followed by Freeze without the mutable index in
-// between: each shard's tree is frozen as soon as it is built, so no
-// per-shard Set (and its ID map) is ever made. A duplicate ID inside a
-// shard fails that shard's Freeze; one shared by two shards fails the
-// merge in FrozenFromEngines. opts must carry its defaults.
+// between: each shard's columns are written straight from its build plan,
+// so neither a pointer tree nor a per-shard Set (and its ID map) is ever
+// made. A duplicate ID inside a shard fails that shard's build; one shared
+// by two shards fails the merge in FrozenFromEngines. opts must carry its
+// defaults.
 func buildFrozen(users []*trajectory.Trajectory, opts Options) (*Frozen, error) {
 	parts, bounds := partition(users, opts)
 	engines := make([]*query.FrozenEngine, len(parts))
-	err := buildTrees(parts, bounds, opts, func(i int, tree *tqtree.Tree) error {
-		fz, err := tqtree.Freeze(tree)
+	err := buildTrees(parts, bounds, opts, func(i int, treeOpts tqtree.Options) error {
+		fz, err := tqtree.BuildFrozen(parts[i], treeOpts)
 		if err != nil {
 			return err
 		}

@@ -7,10 +7,10 @@ package shard
 // while writes land in the delta under the writer lock and publish a
 // successor epoch.
 // When a shard's pending churn (delta + tombstones) crosses the policy
-// thresholds, a background rebuild folds it into a fresh pointer tree,
-// freezes it, and swaps the shard's epoch — readers never wait on a
-// rebuild, and the writer is blocked only for the capture and the swap,
-// never for the build itself.
+// thresholds, a background rebuild folds it into a fresh frozen base,
+// built straight from the logical corpus, and swaps the shard's epoch —
+// readers never wait on a rebuild, and the writer is blocked only for the
+// capture and the swap, never for the build itself.
 //
 // Epoch lifecycle per shard (generation g):
 //
@@ -18,7 +18,7 @@ package shard
 //	             g+1, g+2, ... as inserts/deletes land in the delta.
 //	capture    — a rebuild starts: it pins the current epoch e0 and
 //	             marks e0's delta as "baking"; writes keep flowing.
-//	build      — off-lock: build + freeze a tree over e0's logical
+//	build      — off-lock: build a frozen base over e0's logical
 //	             corpus (base − tombstones + delta).
 //	swap       — under the writer lock: the epoch becomes {new base,
 //	             delta written since capture, tombstones added since
@@ -776,9 +776,9 @@ func (l *Live) Compact() error {
 	return nil
 }
 
-// rebuildShard rebuilds one shard: capture the epoch, build + freeze its
-// logical corpus off-lock, then swap the shard onto the new base and
-// carry forward the writes that landed during the build.
+// rebuildShard rebuilds one shard: capture the epoch, build a frozen base
+// over its logical corpus off-lock, then swap the shard onto the new base
+// and carry forward the writes that landed during the build.
 func (l *Live) rebuildShard(sh *liveShard) error {
 	sh.rebuildMu.Lock()
 	defer sh.rebuildMu.Unlock()
@@ -806,16 +806,12 @@ func (l *Live) rebuildShard(sh *liveShard) error {
 
 	// Build off-lock: readers and writers proceed against the current
 	// epochs while the fold runs. The corpus is views over e0's table —
-	// Freeze copies what the new base keeps, so nothing of e0 (or of a
-	// file mapping under it) is referenced once e0 is dropped.
+	// BuildFrozen copies what the new base keeps, so nothing of e0 (or of
+	// a file mapping under it) is referenced once e0 is dropped.
 	opts := l.treeOpts
 	opts.Parallelism = l.policy.RebuildParallelism
-	tree, err := tqtree.Build(e0.LogicalCorpus(), opts)
-	var fz *tqtree.Frozen
-	if err == nil {
-		fz, err = tqtree.Freeze(tree)
-	}
-	runtime.KeepAlive(e0) // the views alias e0's table until Freeze has copied them
+	fz, err := tqtree.BuildFrozen(e0.LogicalCorpus(), opts)
+	runtime.KeepAlive(e0) // the views alias e0's table until BuildFrozen has copied them
 	if err == nil {
 		// Swap: fold the writes that landed during the build onto the new
 		// base and publish.

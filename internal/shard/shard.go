@@ -86,13 +86,13 @@ func partition(users []*trajectory.Trajectory, opts Options) ([][]*trajectory.Tr
 	return parts, bounds
 }
 
-// buildTrees builds one TQ-tree per part and hands each to finish, which
-// turns it into the shard's engine. Shards build concurrently — each over
-// a disjoint trajectory slice — with the total goroutine budget split
-// between cross-shard fan-out and each tree's own parallel build, so
+// buildTrees calls build once per part with the tree options for that
+// part's build; build makes the shard's index. Shards build concurrently —
+// each over a disjoint trajectory slice — with the total goroutine budget
+// split between cross-shard fan-out and each tree's own parallel build, so
 // Tree.Parallelism bounds live goroutines whichever way the shards divide
 // the work.
-func buildTrees(parts [][]*trajectory.Trajectory, bounds geo.Rect, opts Options, finish func(i int, tree *tqtree.Tree) error) error {
+func buildTrees(parts [][]*trajectory.Trajectory, bounds geo.Rect, opts Options, build func(i int, treeOpts tqtree.Options) error) error {
 	budget := opts.Tree.Parallelism
 	if budget <= 0 {
 		budget = runtime.GOMAXPROCS(0)
@@ -112,17 +112,13 @@ func buildTrees(parts [][]*trajectory.Trajectory, bounds geo.Rect, opts Options,
 	sem := make(chan struct{}, across)
 	errs := make([]error, len(parts))
 	var wg sync.WaitGroup
-	for i, part := range parts {
+	for i := range parts {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(i int, part []*trajectory.Trajectory) {
+		go func(i int) {
 			defer func() { <-sem; wg.Done() }()
-			tree, err := tqtree.Build(part, treeOpts)
-			if err == nil {
-				err = finish(i, tree)
-			}
-			errs[i] = err
-		}(i, part)
+			errs[i] = build(i, treeOpts)
+		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -150,7 +146,11 @@ func fromParts(parts [][]*trajectory.Trajectory, bounds geo.Rect, opts Options) 
 	}
 	s := &Sharded{opts: opts, bounds: bounds, engines: make([]*query.Engine, len(parts))}
 	s.scatter = fixedUnits(s.engines)
-	err := buildTrees(parts, bounds, opts, func(i int, tree *tqtree.Tree) error {
+	err := buildTrees(parts, bounds, opts, func(i int, treeOpts tqtree.Options) error {
+		tree, err := tqtree.Build(parts[i], treeOpts)
+		if err != nil {
+			return err
+		}
 		set, err := trajectory.NewSet(parts[i])
 		if err != nil {
 			return err

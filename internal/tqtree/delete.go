@@ -1,6 +1,8 @@
 package tqtree
 
 import (
+	"slices"
+
 	"github.com/trajcover/trajcover/internal/service"
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
@@ -11,7 +13,7 @@ import (
 // as Insert routed them. Nodes are not merged on underflow — the tree
 // only shrinks logically, which keeps deletion O(depth + β) per entry.
 func (t *Tree) Delete(u *trajectory.Trajectory) bool {
-	entries := t.appendEntries(nil, u)
+	entries := appendEntries(nil, t.opts.Variant, t.bounds, u)
 	all := true
 	for i := range entries {
 		if t.deleteEntry(&entries[i]) {
@@ -39,7 +41,7 @@ func (t *Tree) deleteEntry(e *Entry) bool {
 		if n.leaf {
 			break
 		}
-		q, ok := t.routeQuadrant(n.rect, *e)
+		q, ok := routeQuadrant(t.opts.Variant, n.rect, e)
 		if !ok {
 			break
 		}
@@ -80,7 +82,7 @@ func sameEntry(a *Entry, id trajectory.ID, segIdx int) bool {
 func (l *basicList) remove(e *Entry) bool {
 	for i := range l.entries {
 		if sameEntry(&l.entries[i], e.Traj.ID, e.SegIdx) {
-			l.entries = append(l.entries[:i], l.entries[i+1:]...)
+			l.entries = slices.Delete(l.entries, i, i+1)
 			return true
 		}
 	}
@@ -96,10 +98,10 @@ func (l *zList) remove(e *Entry) bool {
 		}
 		for i := range b.entries {
 			if sameEntry(&b.entries[i], e.Traj.ID, e.SegIdx) {
-				b.entries = append(b.entries[:i], b.entries[i+1:]...)
+				b.entries = slices.Delete(b.entries, i, i+1)
 				l.size--
 				if len(b.entries) == 0 {
-					l.buckets = append(l.buckets[:bi], l.buckets[bi+1:]...)
+					l.buckets = slices.Delete(l.buckets, bi, bi+1)
 				} else {
 					b.recompute()
 				}

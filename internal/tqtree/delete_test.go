@@ -3,7 +3,10 @@ package tqtree
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/trajcover/trajcover/internal/geo"
 	"github.com/trajcover/trajcover/internal/service"
@@ -138,5 +141,58 @@ func TestDeleteUnknownTrajectory(t *testing.T) {
 	}
 	if tree.NumTrajectories() != 50 {
 		t.Error("unknown delete changed trajectory count")
+	}
+}
+
+// TestSplitLeafReleasesDrainedEntries: a leaf nothing can route out of —
+// every entry spans the centre of the root's quadrant 0 — is a window on
+// the build's entry slab, which quadrant 3's list keeps alive. Inserts
+// after some deletes make it split (and stay a leaf) over and over; once
+// its trajectories are deleted, none may stay reachable through a stale
+// copy in the slab its first split drained.
+func TestSplitLeafReleasesDrainedEntries(t *testing.T) {
+	for _, o := range []Ordering{Basic, ZOrder} {
+		t.Run(o.String(), func(t *testing.T) {
+			var freed atomic.Int64
+			var straddlers, others []*trajectory.Trajectory
+			for i := 0; i < 160; i++ {
+				d := 1 + float64(i)/2
+				u := trajectory.MustNew(trajectory.ID(i), []geo.Point{geo.Pt(250-d, 250-d), geo.Pt(250+d, 250+d)})
+				runtime.SetFinalizer(u, func(*trajectory.Trajectory) { freed.Add(1) })
+				straddlers = append(straddlers, u)
+			}
+			for i := 0; i < 20; i++ {
+				x := 700 + 10*float64(i)
+				others = append(others, trajectory.MustNew(trajectory.ID(1000+i), []geo.Point{geo.Pt(x, 800), geo.Pt(x+5, 805)}))
+			}
+			tree, err := Build(append(straddlers[:100:100], others...), Options{Ordering: o, Beta: 8, Bounds: testBounds})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, u := range straddlers[:50] {
+				tree.Delete(u)
+			}
+			for _, u := range straddlers[100:] {
+				tree.Insert(u)
+			}
+			if err := tree.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			for _, u := range straddlers[50:] {
+				if !tree.Delete(u) {
+					t.Fatalf("Delete(%d) found nothing", u.ID)
+				}
+			}
+			straddlers = nil
+			deadline := time.Now().Add(10 * time.Second)
+			for freed.Load() < 160 && time.Now().Before(deadline) {
+				runtime.GC()
+				time.Sleep(10 * time.Millisecond)
+			}
+			if got := freed.Load(); got != 160 {
+				t.Fatalf("%d of 160 deleted trajectories collected", got)
+			}
+			runtime.KeepAlive(tree)
+		})
 	}
 }

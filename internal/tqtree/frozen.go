@@ -1,10 +1,10 @@
 package tqtree
 
-// The frozen columnar TQ-tree: an immutable mirror of a built *Tree laid
-// out in a handful of contiguous slices. The pointer tree stays the
-// mutable build/Insert path; Freeze produces a read-optimized copy whose
-// hot loops — best-first node expansion and zReduce bucket scans — walk
-// flat arrays instead of chasing *Node / *Entry / *Trajectory pointers:
+// The frozen columnar TQ-tree: an immutable TQ-tree laid out in a handful
+// of contiguous slices, written straight from the build plan (BuildFrozen)
+// or copied from a pointer tree that took writes (Freeze). Its hot loops —
+// best-first node expansion and zReduce bucket scans — walk flat arrays
+// instead of chasing *Node / *Entry / *Trajectory pointers:
 //
 //   - q-nodes become parallel columns indexed by int32 (BFS order, each
 //     node's children contiguous at childBase..childBase+childCount);
@@ -95,129 +95,219 @@ type Frozen struct {
 // before the Frozen is shared.
 func (f *Frozen) SetPin(p any) { f.pin = p }
 
-// Freeze builds the flat representation of a built tree. The tree is only
-// read, and the result shares nothing with it: points are copied into the
+// BuildFrozen builds the flat representation directly from user
+// trajectories: the same index Freeze(Build(users, opts)) yields, column
+// for column, written from the build plan without a pointer tree in
+// between. Points are copied into the trajectory table, so the result
+// keeps nothing of users. Two trajectories with one ID are rejected.
+func BuildFrozen(users []*trajectory.Trajectory, opts Options) (*Frozen, error) {
+	pl, err := planCorpus(users, opts)
+	if err != nil {
+		return nil, err
+	}
+	order := pl.bfs()
+	beta := pl.opts.Beta
+	buckets := 0
+	for _, n := range pl.nodes {
+		buckets += (int(n.own-n.lo) + beta - 1) / beta
+	}
+	w, err := newFrozenWriter(pl.Tree, len(order), buckets)
+	if err != nil {
+		return nil, err
+	}
+	// first holds each trajectory's ordinal, plus one, at the slab index
+	// of its first entry.
+	first := make([]int32, len(pl.slab))
+	for i, id := range order {
+		n := &pl.nodes[id]
+		w.node(i, n.rect, kids(n.child, -1), &n.ownUB, &n.treeUB)
+		for own := pl.perm[n.lo:n.own]; len(own) > 0; {
+			k := len(own)
+			if pl.opts.Ordering == ZOrder {
+				k = min(k, beta)
+				var a zAgg
+				a.reset(&pl.slab[own[0]])
+				for _, p := range own[1:k] {
+					a.extend(&pl.slab[p])
+				}
+				w.bucket(&a)
+			}
+			for _, p := range own[:k] {
+				e := &pl.slab[p]
+				head := p - int32(max(e.SegIdx, 0))
+				if first[head] == 0 {
+					first[head] = w.table.Append(e.Traj) + 1
+				}
+				w.entry(e, first[head]-1)
+			}
+			own = own[k:]
+		}
+	}
+	return w.finish()
+}
+
+// Freeze builds the flat representation of a built tree — one that took
+// Inserts or Deletes; BuildFrozen skips the tree. The tree is only read,
+// and the result shares nothing with it: points are copied into the
 // trajectory table in slab order, so dropping the tree — and the
 // trajectories it was built over — afterwards releases them entirely.
 // Two indexed trajectories with one ID are rejected.
 func Freeze(t *Tree) (*Frozen, error) {
 	// BFS so each node's children land contiguously in quadrant order.
-	nodes := make([]*Node, 0, 64)
-	nodes = append(nodes, t.root)
+	nodes := append(make([]*Node, 0, 64), t.root)
 	for i := 0; i < len(nodes); i++ {
-		n := nodes[i]
-		for q := 0; q < 4; q++ {
-			if c := n.children[q]; c != nil {
+		for _, c := range nodes[i].children {
+			if c != nil {
 				nodes = append(nodes, c)
 			}
 		}
 	}
-	if len(nodes) > math.MaxInt32 || t.numEntries > math.MaxInt32 {
-		return nil, fmt.Errorf("tqtree: tree too large to freeze (%d nodes, %d entries)", len(nodes), t.numEntries)
+	w, err := newFrozenWriter(t, len(nodes), 0)
+	if err != nil {
+		return nil, err
 	}
-	nn := len(nodes)
-	f := &Frozen{
-		variant:       t.opts.Variant,
-		ordering:      t.opts.Ordering,
-		beta:          t.opts.Beta,
-		maxDepth:      t.opts.MaxDepth,
-		bounds:        t.bounds,
-		hasMultipoint: t.hasMultipoint,
-		nodeRect:      make([]geo.Rect, nn),
-		childBase:     make([]int32, nn),
-		childCount:    make([]int32, nn),
-		entryOff:      make([]int32, nn+1),
-		ownUB:         make([]float64, nn*service.NumScenarios),
-		treeUB:        make([]float64, nn*service.NumScenarios),
-		entFirst:      make([]geo.Point, 0, t.numEntries),
-		entLast:       make([]geo.Point, 0, t.numEntries),
-		entMBR:        make([]geo.Rect, 0, t.numEntries),
-		entTraj:       make([]int32, 0, t.numEntries),
-		entSeg:        make([]int32, 0, t.numEntries),
-	}
-	if t.opts.Ordering == ZOrder {
-		f.bucketOff = make([]int32, nn+1)
-	}
-	fb := freezeBuilder{f: f, table: trajectory.NewTableBuilder(t.numTrajs, t.numPoints)}
+	var ordinal map[*trajectory.Trajectory]int32
 	if t.opts.Variant == Segmented {
 		// Only a segmented tree stores a trajectory under more than one
 		// entry; the others take a fresh ordinal per entry, no lookup.
-		fb.ordinal = make(map[*trajectory.Trajectory]int32, t.numTrajs)
+		ordinal = make(map[*trajectory.Trajectory]int32, t.numTrajs)
 	}
-	cursor := int32(1)
-	for i, n := range nodes {
-		f.nodeRect[i] = n.rect
-		cnt := int32(0)
-		for q := 0; q < 4; q++ {
-			if n.children[q] != nil {
-				cnt++
+	entry := func(e *Entry) {
+		ti, seen := ordinal[e.Traj]
+		if !seen {
+			ti = w.table.Append(e.Traj)
+			if ordinal != nil {
+				ordinal[e.Traj] = ti
 			}
 		}
-		f.childBase[i] = cursor
-		f.childCount[i] = cnt
-		cursor += cnt
-		for sc := 0; sc < service.NumScenarios; sc++ {
-			f.ownUB[i*service.NumScenarios+sc] = n.ownUB[sc]
-			f.treeUB[i*service.NumScenarios+sc] = n.treeUB[sc]
-		}
+		w.entry(e, ti)
+	}
+	for i, n := range nodes {
+		w.node(i, n.rect, kids(n.children, nil), &n.ownUB, &n.treeUB)
 		switch l := n.list.(type) {
 		case *basicList:
 			for j := range l.entries {
-				fb.appendEntry(&l.entries[j])
+				entry(&l.entries[j])
 			}
 		case *zList:
 			for _, b := range l.buckets {
-				f.bktEntryOff = append(f.bktEntryOff, int32(len(f.entFirst)))
-				f.bktMinStart = append(f.bktMinStart, b.minStart)
-				f.bktMaxStart = append(f.bktMaxStart, b.maxStart)
-				f.bktStartMBR = append(f.bktStartMBR, b.startMBR)
-				f.bktEndMBR = append(f.bktEndMBR, b.endMBR)
-				f.bktFullMBR = append(f.bktFullMBR, b.fullMBR)
+				w.bucket(&b.zAgg)
 				for j := range b.entries {
-					fb.appendEntry(&b.entries[j])
+					entry(&b.entries[j])
 				}
 			}
 		default:
 			return nil, fmt.Errorf("tqtree: unknown list type %T", n.list)
 		}
-		f.entryOff[i+1] = int32(len(f.entFirst))
-		if f.bucketOff != nil {
-			f.bucketOff[i+1] = int32(len(f.bktMinStart))
-		}
 	}
+	return w.finish()
+}
+
+// frozenWriter lays a tree out as Frozen columns in BFS node order, from a
+// plan (BuildFrozen) or a pointer tree (Freeze), filling the table too.
+type frozenWriter struct {
+	f     *Frozen
+	table *trajectory.TableBuilder
+	next  int32 // the next node's first child
+}
+
+// newFrozenWriter sizes the columns for t; buckets is a capacity hint.
+func newFrozenWriter(t *Tree, nodes, buckets int) (*frozenWriter, error) {
+	o, entries := t.opts, t.numEntries
+	if nodes > math.MaxInt32 || entries > math.MaxInt32 {
+		return nil, fmt.Errorf("tqtree: tree too large to freeze (%d nodes, %d entries)", nodes, entries)
+	}
+	f := &Frozen{
+		variant:       o.Variant,
+		ordering:      o.Ordering,
+		beta:          o.Beta,
+		maxDepth:      o.MaxDepth,
+		bounds:        t.bounds,
+		hasMultipoint: t.hasMultipoint,
+		nodeRect:      make([]geo.Rect, nodes),
+		childBase:     make([]int32, nodes),
+		childCount:    make([]int32, nodes),
+		entryOff:      make([]int32, nodes+1),
+		ownUB:         make([]float64, nodes*service.NumScenarios),
+		treeUB:        make([]float64, nodes*service.NumScenarios),
+		entFirst:      make([]geo.Point, 0, entries),
+		entLast:       make([]geo.Point, 0, entries),
+		entMBR:        make([]geo.Rect, 0, entries),
+		entTraj:       make([]int32, 0, entries),
+		entSeg:        make([]int32, 0, entries),
+	}
+	if o.Ordering == ZOrder {
+		f.bucketOff = make([]int32, nodes+1)
+		f.bktEntryOff = make([]int32, 0, buckets+1)
+		f.bktMinStart = make([]uint64, 0, buckets)
+		f.bktMaxStart = make([]uint64, 0, buckets)
+		f.bktStartMBR = make([]geo.Rect, 0, buckets)
+		f.bktEndMBR = make([]geo.Rect, 0, buckets)
+		f.bktFullMBR = make([]geo.Rect, 0, buckets)
+	}
+	return &frozenWriter{f: f, table: trajectory.NewTableBuilder(t.numTrajs, t.numPoints), next: 1}, nil
+}
+
+// node opens node i, which has cnt children, at the next entry and
+// bucket.
+func (w *frozenWriter) node(i int, rect geo.Rect, cnt int32, own, tree *[service.NumScenarios]float64) {
+	f := w.f
+	f.entryOff[i] = int32(len(f.entFirst))
 	if f.bucketOff != nil {
-		// Close the cumulative bucket → entry mapping.
-		f.bktEntryOff = append(f.bktEntryOff, int32(len(f.entFirst)))
+		f.bucketOff[i] = int32(len(f.bktMinStart))
 	}
-	var err error
-	if f.table, err = fb.table.Build(); err != nil {
-		return nil, err
-	}
-	return f, nil
+	f.nodeRect[i] = rect
+	f.childBase[i] = w.next
+	f.childCount[i] = cnt
+	w.next += cnt
+	copy(f.ownUB[i*service.NumScenarios:], own[:])
+	copy(f.treeUB[i*service.NumScenarios:], tree[:])
 }
 
-// freezeBuilder is Freeze's running state: the slab under construction
-// and the trajectory table filled alongside it.
-type freezeBuilder struct {
-	f       *Frozen
-	table   *trajectory.TableBuilder
-	ordinal map[*trajectory.Trajectory]int32 // nil: one entry per trajectory
+// bucket opens a z-node at the next entry.
+func (w *frozenWriter) bucket(a *zAgg) {
+	f := w.f
+	f.bktEntryOff = append(f.bktEntryOff, int32(len(f.entFirst)))
+	f.bktMinStart = append(f.bktMinStart, a.minStart)
+	f.bktMaxStart = append(f.bktMaxStart, a.maxStart)
+	f.bktStartMBR = append(f.bktStartMBR, a.startMBR)
+	f.bktEndMBR = append(f.bktEndMBR, a.endMBR)
+	f.bktFullMBR = append(f.bktFullMBR, a.fullMBR)
 }
 
-func (fb *freezeBuilder) appendEntry(e *Entry) {
-	f := fb.f
-	ti, seen := fb.ordinal[e.Traj]
-	if !seen {
-		ti = fb.table.Append(e.Traj)
-		if fb.ordinal != nil {
-			fb.ordinal[e.Traj] = ti
-		}
-	}
+// entry appends e, whose trajectory has table ordinal ti.
+func (w *frozenWriter) entry(e *Entry, ti int32) {
+	f := w.f
 	f.entFirst = append(f.entFirst, e.first)
 	f.entLast = append(f.entLast, e.last)
 	f.entMBR = append(f.entMBR, e.mbr)
 	f.entTraj = append(f.entTraj, ti)
 	f.entSeg = append(f.entSeg, int32(e.SegIdx))
+}
+
+// finish closes the last node and the cumulative bucket → entry mapping.
+func (w *frozenWriter) finish() (*Frozen, error) {
+	f := w.f
+	f.entryOff[len(f.nodeRect)] = int32(len(f.entFirst))
+	if f.bucketOff != nil {
+		f.bucketOff[len(f.nodeRect)] = int32(len(f.bktMinStart))
+		f.bktEntryOff = append(f.bktEntryOff, int32(len(f.entFirst)))
+	}
+	var err error
+	if f.table, err = w.table.Build(); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// kids counts the quadrants holding a child.
+func kids[T comparable](child [4]T, none T) (n int32) {
+	for _, c := range child {
+		if c != none {
+			n++
+		}
+	}
+	return n
 }
 
 // Bounds returns the root space the index was built over.

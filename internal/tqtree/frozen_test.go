@@ -1,8 +1,12 @@
 package tqtree
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -141,5 +145,128 @@ func TestFreezeDoesNotRetainTree(t *testing.T) {
 			t.Fatal("tree root not collected: Freeze retains the mutable tree")
 		case <-time.After(10 * time.Millisecond):
 		}
+	}
+}
+
+// assertFrozenEqual fails unless got and want have deep-equal columns and
+// tables that agree row by row.
+func assertFrozenEqual(t *testing.T, name string, got, want *Frozen) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Columns(), want.Columns()) {
+		t.Fatalf("%s: columns differ", name)
+	}
+	if got.HasMultipoint() != want.HasMultipoint() {
+		t.Fatalf("%s: multipoint %v, want %v", name, got.HasMultipoint(), want.HasMultipoint())
+	}
+	gt, wt := got.Table(), want.Table()
+	if gt.Len() != wt.Len() {
+		t.Fatalf("%s: table has %d rows, want %d", name, gt.Len(), wt.Len())
+	}
+	for i := int32(0); int(i) < wt.Len(); i++ {
+		if gt.ID(i) != wt.ID(i) || gt.Length(i) != wt.Length(i) || !slices.Equal(gt.Points(i), wt.Points(i)) {
+			t.Fatalf("%s: table row %d differs", name, i)
+		}
+	}
+}
+
+// TestBuildFrozenMatchesFreeze: BuildFrozen writes exactly the index
+// Freeze makes of Build's tree, for every variant, ordering, β, depth
+// bound and parallelism, over a uniform corpus and the shapes the plan
+// must get right — every point in one cell (the depth-limit leaf), every
+// entry straddling the root centre (nothing routes), one user, none.
+func TestBuildFrozenMatchesFreeze(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	cell := make([]*trajectory.Trajectory, 300)
+	for i := range cell {
+		pts := make([]geo.Point, 2+rng.Intn(3))
+		for j := range pts {
+			pts[j] = geo.Pt(10+rng.Float64()*1e-9, 10+rng.Float64()*1e-9)
+		}
+		cell[i] = trajectory.MustNew(trajectory.ID(i), pts)
+	}
+	straddle := make([]*trajectory.Trajectory, 300)
+	for i := range straddle {
+		d := 1 + rng.Float64()*400
+		straddle[i] = trajectory.MustNew(trajectory.ID(i), []geo.Point{geo.Pt(500-d, 500-d), geo.Pt(500+d, 500+d*rng.Float64())})
+	}
+	corpora := map[string][]*trajectory.Trajectory{
+		"uniform":  randTrajectories(3000, 5, 101, testBounds),
+		"cell":     cell,
+		"straddle": straddle,
+		"one":      randTrajectories(1, 4, 102, testBounds),
+		"empty":    nil,
+	}
+	for cname, users := range corpora {
+		for _, v := range []Variant{TwoPoint, Segmented, FullTrajectory} {
+			for _, o := range []Ordering{Basic, ZOrder} {
+				for _, beta := range []int{1, 8, 64} {
+					for _, depth := range []int{1, 3, 0} {
+						for _, par := range []int{1, 4} {
+							opts := Options{Variant: v, Ordering: o, Beta: beta, MaxDepth: depth, Bounds: testBounds, Parallelism: par}
+							name := fmt.Sprintf("%s/%v/%v/b%d/d%d/p%d", cname, v, o, beta, depth, par)
+							direct, err := BuildFrozen(users, opts)
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							tree, err := Build(users, opts)
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							frozen, err := Freeze(tree)
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							assertFrozenEqual(t, name, direct, frozen)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBuildFrozenRejectsDuplicateIDs: as Freeze rejects a tree holding
+// two trajectories with one ID, BuildFrozen rejects such a corpus.
+func TestBuildFrozenRejectsDuplicateIDs(t *testing.T) {
+	users := randTrajectories(200, 4, 103, testBounds)
+	users[150] = trajectory.MustNew(users[17].ID, users[150].Points)
+	for _, v := range []Variant{TwoPoint, Segmented, FullTrajectory} {
+		opts := Options{Variant: v, Ordering: ZOrder, Beta: 8}
+		if _, err := BuildFrozen(users, opts); err == nil || !strings.Contains(err.Error(), "duplicate id") {
+			t.Fatalf("%v: BuildFrozen over a duplicate id: %v", v, err)
+		}
+		tree, err := Build(users, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Freeze(tree); err == nil {
+			t.Fatalf("%v: Freeze over a duplicate id accepted it", v)
+		}
+	}
+}
+
+// TestBuildFrozenAllocs pins BuildFrozen's allocation count: a fixed
+// number of columns and buffers, not a count that grows with the corpus.
+func TestBuildFrozenAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins skip under -race")
+	}
+	opts := Options{Ordering: ZOrder, Bounds: testBounds, Parallelism: 1}
+	allocs := func(n int) float64 {
+		users := randTrajectories(n, 2, 104, testBounds)
+		return testing.AllocsPerRun(1, func() {
+			if _, err := BuildFrozen(users, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(20000), allocs(200000)
+	t.Logf("BuildFrozen allocations: %.0f at 20k users, %.0f at 200k", small, large)
+	const bound = 60
+	if small > bound || large > bound {
+		t.Errorf("BuildFrozen allocations %.0f / %.0f, pinned at <= %d", small, large, bound)
+	}
+	if large-small >= 50 {
+		t.Errorf("BuildFrozen allocations grow with the corpus: %.0f at 20k, %.0f at 200k", small, large)
 	}
 }

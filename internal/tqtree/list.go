@@ -1,6 +1,8 @@
 package tqtree
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"github.com/trajcover/trajcover/internal/geo"
@@ -42,18 +44,18 @@ func entryMatches(e *Entry, embr geo.Rect, mode FilterMode) bool {
 // entries sorted by (start z-id, end z-id) in β-sized buckets — the
 // paper's z-nodes — enabling bucket-level pruning (TQ(Z)).
 type entryList interface {
-	add(e Entry)
+	add(e *Entry)
 	len() int
 	// forEach visits every entry; stops early if fn returns false.
-	forEach(fn func(Entry) bool)
+	forEach(fn func(*Entry) bool)
 	// candidates visits entries that pass the zReduce pruning for the
 	// given EMBR. ivs is the Morton-code interval cover of the EMBR in
 	// the tree's root space (used only by the z-ordered list, and only
 	// for modes that pin the start point inside the EMBR; may be nil
 	// otherwise).
 	candidates(embr geo.Rect, ivs []zorder.Interval, mode FilterMode, v EntryVisitor)
-	// drain returns the entries and empties the list (used when a leaf
-	// splits).
+	// drain returns a copy of the entries and empties the list, clearing
+	// its storage (used when a leaf splits).
 	drain() []Entry
 	// remove deletes the entry matching e's identity (trajectory ID and
 	// segment index), reporting whether it was present.
@@ -65,17 +67,13 @@ type basicList struct {
 	entries []Entry
 }
 
-func newBasicList(entries []Entry) *basicList {
-	return &basicList{entries: entries}
-}
-
-func (l *basicList) add(e Entry) { l.entries = append(l.entries, e) }
+func (l *basicList) add(e *Entry) { l.entries = insertAt(l.entries, len(l.entries), e) }
 
 func (l *basicList) len() int { return len(l.entries) }
 
-func (l *basicList) forEach(fn func(Entry) bool) {
-	for _, e := range l.entries {
-		if !fn(e) {
+func (l *basicList) forEach(fn func(*Entry) bool) {
+	for i := range l.entries {
+		if !fn(&l.entries[i]) {
 			return
 		}
 	}
@@ -90,15 +88,32 @@ func (l *basicList) candidates(embr geo.Rect, _ []zorder.Interval, mode FilterMo
 }
 
 func (l *basicList) drain() []Entry {
-	out := l.entries
+	out := slices.Clone(l.entries)
+	clear(l.entries)
 	l.entries = nil
+	return out
+}
+
+// insertAt inserts *e into s at i. When s must grow, its old storage —
+// maybe a window on a slab other lists still use — is cleared, or a stale
+// copy there would keep a deleted trajectory reachable.
+func insertAt(s []Entry, i int, e *Entry) []Entry {
+	out := slices.Insert(s, i, *e)
+	if len(s) == cap(s) {
+		clear(s)
+	}
 	return out
 }
 
 // zBucket is one z-node: up to β entries, consecutive in (startCode,
 // endCode) order, with cached aggregates for bucket-level pruning.
 type zBucket struct {
-	entries  []Entry
+	entries []Entry
+	zAgg
+}
+
+// zAgg holds a z-node's pruning aggregates (the frozen bucket columns).
+type zAgg struct {
 	minStart uint64
 	maxStart uint64
 	startMBR geo.Rect // MBR of first points
@@ -116,27 +131,30 @@ func (b *zBucket) recompute() {
 	if len(b.entries) == 0 {
 		return
 	}
-	e0 := b.entries[0]
-	b.minStart, b.maxStart = e0.startCode, e0.startCode
-	f, l := e0.First(), e0.Last()
-	b.startMBR = geo.NewRect(f, f)
-	b.endMBR = geo.NewRect(l, l)
-	b.fullMBR = e0.MBR()
-	for _, e := range b.entries[1:] {
-		b.extendAggregates(e)
+	b.reset(&b.entries[0])
+	for i := 1; i < len(b.entries); i++ {
+		b.extend(&b.entries[i])
 	}
 }
 
-func (b *zBucket) extendAggregates(e Entry) {
-	if e.startCode < b.minStart {
-		b.minStart = e.startCode
+// reset makes a the aggregates of e alone.
+func (a *zAgg) reset(e *Entry) {
+	a.minStart, a.maxStart = e.startCode, e.startCode
+	a.startMBR = geo.NewRect(e.first, e.first)
+	a.endMBR = geo.NewRect(e.last, e.last)
+	a.fullMBR = e.mbr
+}
+
+func (a *zAgg) extend(e *Entry) {
+	if e.startCode < a.minStart {
+		a.minStart = e.startCode
 	}
-	if e.startCode > b.maxStart {
-		b.maxStart = e.startCode
+	if e.startCode > a.maxStart {
+		a.maxStart = e.startCode
 	}
-	b.startMBR = b.startMBR.ExtendPoint(e.First())
-	b.endMBR = b.endMBR.ExtendPoint(e.Last())
-	b.fullMBR = b.fullMBR.ExtendRect(e.MBR())
+	a.startMBR = a.startMBR.ExtendPoint(e.first)
+	a.endMBR = a.endMBR.ExtendPoint(e.last)
+	a.fullMBR = a.fullMBR.ExtendRect(e.mbr)
 }
 
 // survives reports whether the bucket can contain candidates for the EMBR
@@ -160,34 +178,28 @@ type zList struct {
 	size    int
 }
 
-func entryLess(a, b Entry) bool {
-	if a.startCode != b.startCode {
-		return a.startCode < b.startCode
-	}
-	return a.endCode < b.endCode
+// cmpEntry orders entries by (start, end) z-ids, the z-lists' order.
+func cmpEntry(a, b *Entry) int {
+	return cmp.Or(cmp.Compare(a.startCode, b.startCode), cmp.Compare(a.endCode, b.endCode))
 }
 
+// newZList chunks z-sorted entries into buckets of β.
 func newZList(entries []Entry, beta int) *zList {
-	sorted := append([]Entry(nil), entries...)
-	sort.Slice(sorted, func(i, j int) bool { return entryLess(sorted[i], sorted[j]) })
-	l := &zList{beta: beta, size: len(sorted)}
-	for len(sorted) > 0 {
-		n := beta
-		if n > len(sorted) {
-			n = len(sorted)
-		}
-		l.buckets = append(l.buckets, newZBucket(sorted[:n:n]))
-		sorted = sorted[n:]
+	l := &zList{beta: beta, size: len(entries), buckets: make([]*zBucket, 0, (len(entries)+beta-1)/beta)}
+	for len(entries) > 0 {
+		n := min(beta, len(entries))
+		l.buckets = append(l.buckets, newZBucket(entries[:n:n]))
+		entries = entries[n:]
 	}
 	return l
 }
 
 func (l *zList) len() int { return l.size }
 
-func (l *zList) add(e Entry) {
+func (l *zList) add(e *Entry) {
 	l.size++
 	if len(l.buckets) == 0 {
-		l.buckets = append(l.buckets, newZBucket([]Entry{e}))
+		l.buckets = append(l.buckets, newZBucket([]Entry{*e}))
 		return
 	}
 	// First bucket whose maxStart >= e.startCode keeps bucket start-code
@@ -200,12 +212,10 @@ func (l *zList) add(e Entry) {
 	}
 	b := l.buckets[i]
 	pos := sort.Search(len(b.entries), func(j int) bool {
-		return !entryLess(b.entries[j], e)
+		return cmpEntry(&b.entries[j], e) >= 0
 	})
-	b.entries = append(b.entries, Entry{})
-	copy(b.entries[pos+1:], b.entries[pos:])
-	b.entries[pos] = e
-	b.extendAggregates(e)
+	b.entries = insertAt(b.entries, pos, e)
+	b.extend(e)
 	if len(b.entries) > l.beta {
 		l.splitBucket(i)
 	}
@@ -214,18 +224,17 @@ func (l *zList) add(e Entry) {
 func (l *zList) splitBucket(i int) {
 	b := l.buckets[i]
 	mid := len(b.entries) / 2
-	right := newZBucket(append([]Entry(nil), b.entries[mid:]...))
+	right := newZBucket(slices.Clone(b.entries[mid:]))
+	clear(b.entries[mid:])
 	b.entries = b.entries[:mid]
 	b.recompute()
-	l.buckets = append(l.buckets, nil)
-	copy(l.buckets[i+2:], l.buckets[i+1:])
-	l.buckets[i+1] = right
+	l.buckets = slices.Insert(l.buckets, i+1, right)
 }
 
-func (l *zList) forEach(fn func(Entry) bool) {
+func (l *zList) forEach(fn func(*Entry) bool) {
 	for _, b := range l.buckets {
-		for _, e := range b.entries {
-			if !fn(e) {
+		for i := range b.entries {
+			if !fn(&b.entries[i]) {
 				return
 			}
 		}
@@ -274,6 +283,7 @@ func (l *zList) drain() []Entry {
 	out := make([]Entry, 0, l.size)
 	for _, b := range l.buckets {
 		out = append(out, b.entries...)
+		clear(b.entries)
 	}
 	l.buckets = nil
 	l.size = 0

@@ -29,7 +29,7 @@ func flattenTree(t *Tree) []nodeFingerprint {
 			ownUB:  n.ownUB,
 			treeUB: n.treeUB,
 		}
-		n.list.forEach(func(e Entry) bool {
+		n.list.forEach(func(e *Entry) bool {
 			fp.entries = append(fp.entries, fmt.Sprintf("%d/%d/%d/%d",
 				e.Traj.ID, e.SegIdx, e.startCode, e.endCode))
 			return true
@@ -72,8 +72,9 @@ func assertTreesIdentical(t *testing.T, serial, parallel *Tree) {
 // TestParallelBuildMatchesSerial verifies the headline guarantee of the
 // parallel construction: for every variant and ordering, Parallelism > 1
 // produces a tree byte-identical to the serial build (same structure,
-// same entry order, same upper bounds). Run with -race to also exercise
-// the goroutine fan-out for data races.
+// same entry order, same upper bounds), and a frozen index column for
+// column the serial one. Run with -race to also exercise the goroutine
+// fan-out for data races.
 func TestParallelBuildMatchesSerial(t *testing.T) {
 	users := randTrajectories(6000, 5, 97, testBounds)
 	for _, variant := range []Variant{TwoPoint, Segmented, FullTrajectory} {
@@ -100,6 +101,15 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 					t.Fatalf("parallel tree invariants: %v", err)
 				}
 				assertTreesIdentical(t, serial, parallel)
+				serialFz, err := BuildFrozen(users, serialOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				parFz, err := BuildFrozen(users, parOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertFrozenEqual(t, name, parFz, serialFz)
 			})
 		}
 	}

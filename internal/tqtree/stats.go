@@ -55,16 +55,16 @@ func (t *Tree) CheckInvariants() error {
 	check = func(n *Node) error {
 		var own [service.NumScenarios]float64
 		var err error
-		n.list.forEach(func(e Entry) bool {
+		n.list.forEach(func(e *Entry) bool {
 			total++
-			rr := t.routingRect(e)
+			rr := routingRect(t.opts.Variant, e)
 			if !n.rect.ContainsRect(rr) {
 				err = fmt.Errorf("entry %d/%d routing rect %v outside node rect %v",
 					e.Traj.ID, e.SegIdx, rr, n.rect)
 				return false
 			}
 			if !n.leaf {
-				if q, ok := t.routeQuadrant(n.rect, e); ok {
+				if q, ok := routeQuadrant(t.opts.Variant, n.rect, e); ok {
 					err = fmt.Errorf("entry %d/%d at internal node but routable to child %d",
 						e.Traj.ID, e.SegIdx, q)
 					return false
@@ -135,7 +135,7 @@ func (l *zList) checkSorted(beta int) error {
 			return fmt.Errorf("bucket %d has %d entries > beta %d", i, len(b.entries), beta)
 		}
 		for j := 1; j < len(b.entries); j++ {
-			if entryLess(b.entries[j], b.entries[j-1]) {
+			if cmpEntry(&b.entries[j], &b.entries[j-1]) < 0 {
 				return fmt.Errorf("bucket %d not sorted at %d", i, j)
 			}
 		}

@@ -12,9 +12,7 @@ package tqtree
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"github.com/trajcover/trajcover/internal/geo"
 	"github.com/trajcover/trajcover/internal/service"
@@ -91,10 +89,10 @@ type Options struct {
 	// Bounds is the root space. It is extended to cover the data; a
 	// zero Rect derives bounds entirely from the data.
 	Bounds geo.Rect
-	// Parallelism bounds the number of goroutines Build may run
-	// concurrently. 0 means runtime.GOMAXPROCS(0); 1 forces the serial
-	// build. The parallel build produces a tree identical to the serial
-	// one: subtrees are built independently and their `sub` upper bounds
+	// Parallelism bounds the number of goroutines Build and BuildFrozen
+	// may run concurrently. 0 means runtime.GOMAXPROCS(0); 1 forces the
+	// serial build. A parallel build is identical to the serial one:
+	// subtrees are planned independently and their `sub` upper bounds
 	// are merged in quadrant order after the joins.
 	Parallelism int
 }
@@ -124,37 +122,30 @@ type Node struct {
 
 // Build constructs a TQ-tree over the given trajectories.
 func Build(users []*trajectory.Trajectory, opts Options) (*Tree, error) {
-	if opts.Beta <= 0 {
-		opts.Beta = DefaultBeta
+	pl, err := planCorpus(users, opts)
+	if err != nil {
+		return nil, err
 	}
-	if opts.MaxDepth <= 0 {
-		opts.MaxDepth = DefaultMaxDepth
-	}
-	if opts.Variant < TwoPoint || opts.Variant > FullTrajectory {
-		return nil, fmt.Errorf("tqtree: invalid variant %d", int(opts.Variant))
-	}
-	if opts.Ordering < Basic || opts.Ordering > ZOrder {
-		return nil, fmt.Errorf("tqtree: invalid ordering %d", int(opts.Ordering))
-	}
-	bounds := opts.Bounds
-	for _, u := range users {
-		bounds = bounds.ExtendRect(u.MBR())
-	}
-	t := &Tree{opts: opts, bounds: bounds}
-	entries := make([]Entry, 0, len(users))
-	for _, u := range users {
-		t.noteTrajectory(u)
-		entries = t.appendEntries(entries, u)
-	}
-	t.numEntries = len(entries)
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	b := &treeBuilder{t: t}
-	b.slots.Store(int64(par - 1))
-	t.root = b.build(bounds, 0, entries)
+	t := pl.Tree
+	t.root = &Node{rect: t.bounds, treeUB: pl.nodes[pl.top].treeUB}
+	t.adopt(pl, pl.sorted(), pl.top, t.root)
 	return t, nil
+}
+
+// adopt makes n plan node id and grows its subtree; n's rect, depth and
+// treeUB are the caller's. Lists are cap-limited windows on sorted, so a
+// list an Insert grows is reallocated instead of overwriting a neighbour.
+func (t *Tree) adopt(pl *plan, sorted []Entry, id int32, n *Node) {
+	pn := &pl.nodes[id]
+	n.leaf, n.ownUB = pn.leaf, pn.ownUB
+	n.list = t.newList(sorted[pn.lo:pn.own:pn.own])
+	for q, c := range pn.child {
+		if c >= 0 {
+			cn := &pl.nodes[c]
+			n.children[q] = &Node{rect: cn.rect, depth: n.depth + 1, treeUB: cn.treeUB}
+			t.adopt(pl, sorted, c, n.children[q])
+		}
+	}
 }
 
 func (t *Tree) noteTrajectory(u *trajectory.Trajectory) {
@@ -165,14 +156,12 @@ func (t *Tree) noteTrajectory(u *trajectory.Trajectory) {
 	}
 }
 
-func (t *Tree) appendEntries(dst []Entry, u *trajectory.Trajectory) []Entry {
-	switch t.opts.Variant {
-	case Segmented:
-		for i := 0; i < u.NumSegments(); i++ {
-			dst = append(dst, newSegmentEntry(u, i, t.bounds))
-		}
-	default:
-		dst = append(dst, newEntry(u, t.bounds))
+func appendEntries(dst []Entry, v Variant, bounds geo.Rect, u *trajectory.Trajectory) []Entry {
+	if v != Segmented {
+		return append(dst, newEntry(u, bounds))
+	}
+	for i := 0; i < u.NumSegments(); i++ {
+		dst = append(dst, newSegmentEntry(u, i, bounds))
 	}
 	return dst
 }
@@ -180,132 +169,30 @@ func (t *Tree) appendEntries(dst []Entry, u *trajectory.Trajectory) []Entry {
 // routingRect returns the rectangle that determines where an entry is
 // stored: source/destination span for TwoPoint, the segment for
 // Segmented, and the full MBR for FullTrajectory.
-func (t *Tree) routingRect(e Entry) geo.Rect {
-	if t.opts.Variant == FullTrajectory {
-		return e.Traj.MBR()
+func routingRect(v Variant, e *Entry) geo.Rect {
+	if v == FullTrajectory {
+		return e.mbr
 	}
-	return geo.NewRect(e.First(), e.Last())
+	return geo.NewRect(e.first, e.last)
 }
 
 // routeQuadrant returns the child quadrant that wholly contains the
 // entry's routing rectangle, or ok=false when the entry must stay at a
 // node with this rect (it is "inter-node" there).
-func (t *Tree) routeQuadrant(rect geo.Rect, e Entry) (q int, ok bool) {
-	rr := t.routingRect(e)
-	q = rect.QuadrantOf(e.First())
-	if rect.Quadrant(q).ContainsRect(rr) {
+func routeQuadrant(v Variant, rect geo.Rect, e *Entry) (q int, ok bool) {
+	q = rect.QuadrantOf(e.first)
+	if rect.Quadrant(q).ContainsRect(routingRect(v, e)) {
 		return q, true
 	}
 	return 0, false
 }
 
+// newList wraps entries, z-sorted already under ZOrder, as a node list.
 func (t *Tree) newList(entries []Entry) entryList {
 	if t.opts.Ordering == ZOrder {
 		return newZList(entries, t.opts.Beta)
 	}
-	return newBasicList(entries)
-}
-
-// parallelBuildCutoff is the subtree entry count below which fanning out
-// a goroutine costs more than building inline.
-const parallelBuildCutoff = 2048
-
-// treeBuilder runs the recursive construction with a bounded goroutine
-// budget. Each quadrant's entry slice is disjoint, so subtrees build
-// without sharing mutable state; the only cross-goroutine writes are the
-// n.children[q] stores, which the WaitGroup join orders before the parent
-// reads them back for the treeUB merge.
-type treeBuilder struct {
-	t     *Tree
-	slots atomic.Int64 // extra goroutines still allowed
-}
-
-func (b *treeBuilder) acquireSlot() bool {
-	for {
-		s := b.slots.Load()
-		if s <= 0 {
-			return false
-		}
-		if b.slots.CompareAndSwap(s, s-1) {
-			return true
-		}
-	}
-}
-
-// build is the serial construction used by Insert-time leaf splits.
-func (t *Tree) build(rect geo.Rect, depth int, entries []Entry) *Node {
-	return (&treeBuilder{t: t}).build(rect, depth, entries)
-}
-
-func (b *treeBuilder) build(rect geo.Rect, depth int, entries []Entry) *Node {
-	t := b.t
-	n := &Node{rect: rect, depth: depth}
-	if len(entries) <= t.opts.Beta || depth >= t.opts.MaxDepth {
-		n.leaf = true
-		n.list = t.newList(entries)
-		n.recomputeOwnUB()
-		n.treeUB = n.ownUB
-		return n
-	}
-	var stay []Entry
-	var routed [4][]Entry
-	anyRouted := false
-	for _, e := range entries {
-		if q, ok := t.routeQuadrant(rect, e); ok {
-			routed[q] = append(routed[q], e)
-			anyRouted = true
-		} else {
-			stay = append(stay, e)
-		}
-	}
-	if !anyRouted {
-		n.leaf = true
-		n.list = t.newList(entries)
-		n.recomputeOwnUB()
-		n.treeUB = n.ownUB
-		return n
-	}
-	n.list = t.newList(stay)
-	n.recomputeOwnUB()
-	n.treeUB = n.ownUB
-	var wg sync.WaitGroup
-	for q := 0; q < 4; q++ {
-		if len(routed[q]) == 0 {
-			continue
-		}
-		crect := rect.Quadrant(q)
-		if len(routed[q]) >= parallelBuildCutoff && b.acquireSlot() {
-			wg.Add(1)
-			go func(q int, ents []Entry) {
-				defer wg.Done()
-				n.children[q] = b.build(crect, depth+1, ents)
-				b.slots.Add(1)
-			}(q, routed[q])
-		} else {
-			n.children[q] = b.build(crect, depth+1, routed[q])
-		}
-	}
-	wg.Wait()
-	// Merge after the joins, in quadrant order, so the floating-point
-	// accumulation matches the serial build bit for bit.
-	for q := 0; q < 4; q++ {
-		if c := n.children[q]; c != nil {
-			for sc := 0; sc < service.NumScenarios; sc++ {
-				n.treeUB[sc] += c.treeUB[sc]
-			}
-		}
-	}
-	return n
-}
-
-func (n *Node) recomputeOwnUB() {
-	n.ownUB = [service.NumScenarios]float64{}
-	n.list.forEach(func(e Entry) bool {
-		for sc := 0; sc < service.NumScenarios; sc++ {
-			n.ownUB[sc] += e.ub[sc]
-		}
-		return true
-	})
+	return &basicList{entries: entries}
 }
 
 // Insert adds a user trajectory to the tree. The tree's root space is
@@ -314,14 +201,14 @@ func (n *Node) recomputeOwnUB() {
 // dynamic workloads).
 func (t *Tree) Insert(u *trajectory.Trajectory) {
 	t.noteTrajectory(u)
-	entries := t.appendEntries(nil, u)
+	entries := appendEntries(nil, t.opts.Variant, t.bounds, u)
 	t.numEntries += len(entries)
-	for _, e := range entries {
-		t.insertEntry(e)
+	for i := range entries {
+		t.insertEntry(&entries[i])
 	}
 }
 
-func (t *Tree) insertEntry(e Entry) {
+func (t *Tree) insertEntry(e *Entry) {
 	n := t.root
 	for {
 		for sc := 0; sc < service.NumScenarios; sc++ {
@@ -332,12 +219,12 @@ func (t *Tree) insertEntry(e Entry) {
 			for sc := 0; sc < service.NumScenarios; sc++ {
 				n.ownUB[sc] += e.ub[sc]
 			}
-			if n.list.len() > t.opts.Beta && n.depth < t.opts.MaxDepth {
+			if !t.opts.leafFits(n.list.len(), n.depth) {
 				t.splitLeaf(n)
 			}
 			return
 		}
-		q, ok := t.routeQuadrant(n.rect, e)
+		q, ok := routeQuadrant(t.opts.Variant, n.rect, e)
 		if !ok {
 			n.list.add(e)
 			for sc := 0; sc < service.NumScenarios; sc++ {
@@ -356,34 +243,11 @@ func (t *Tree) insertEntry(e Entry) {
 
 // splitLeaf converts an overflowing leaf into an internal node, pushing
 // routable entries into fresh children. If nothing routes down, the node
-// stays a (large) leaf.
+// stays a (large) leaf. Its treeUB, kept by the Inserts, stands.
 func (t *Tree) splitLeaf(n *Node) {
-	entries := n.list.drain()
-	var stay []Entry
-	var routed [4][]Entry
-	anyRouted := false
-	for _, e := range entries {
-		if q, ok := t.routeQuadrant(n.rect, e); ok {
-			routed[q] = append(routed[q], e)
-			anyRouted = true
-		} else {
-			stay = append(stay, e)
-		}
-	}
-	if !anyRouted {
-		n.list = t.newList(entries)
-		n.recomputeOwnUB()
-		return
-	}
-	n.leaf = false
-	n.list = t.newList(stay)
-	n.recomputeOwnUB()
-	for q := 0; q < 4; q++ {
-		if len(routed[q]) == 0 {
-			continue
-		}
-		n.children[q] = t.build(n.rect.Quadrant(q), n.depth+1, routed[q])
-	}
+	pl := &plan{Tree: t}
+	pl.run(n.list.drain(), n.rect, n.depth, 1)
+	t.adopt(pl, pl.sorted(), pl.top, n)
 }
 
 // Bounds returns the tree's root space.
@@ -594,7 +458,7 @@ func (n *Node) TreeUB(sc service.Scenario) float64 { return n.treeUB[sc] }
 
 // ForEachEntry visits the node's own entries; stops early when fn
 // returns false.
-func (n *Node) ForEachEntry(fn func(Entry) bool) { n.list.forEach(fn) }
+func (n *Node) ForEachEntry(fn func(*Entry) bool) { n.list.forEach(fn) }
 
 // Walk visits n and every descendant in depth-first order.
 func (n *Node) Walk(fn func(*Node)) {

@@ -189,7 +189,7 @@ func TestCandidatePruningIsSound(t *testing.T) {
 				mode := tree.FilterModeFor(sc)
 				got := collectCandidates(tree, embr, mode)
 				// Every entry with positive service must be a candidate.
-				checkEntry := func(e Entry) {
+				checkEntry := func(e *Entry) {
 					if e.Serve(sc, stops, psi) > 0 {
 						found := false
 						for _, si := range got[e.Traj.ID] {
@@ -205,7 +205,7 @@ func TestCandidatePruningIsSound(t *testing.T) {
 					}
 				}
 				tree.Root().Walk(func(n *Node) {
-					n.ForEachEntry(func(e Entry) bool { checkEntry(e); return true })
+					n.ForEachEntry(func(e *Entry) bool { checkEntry(e); return true })
 				})
 			}
 		}
@@ -228,7 +228,7 @@ func TestTreeUBDominatesAnyService(t *testing.T) {
 			var subtreeService func(n *Node) float64
 			subtreeService = func(n *Node) float64 {
 				var total float64
-				n.ForEachEntry(func(e Entry) bool {
+				n.ForEachEntry(func(e *Entry) bool {
 					total += e.Serve(sc, stops, psi)
 					return true
 				})
