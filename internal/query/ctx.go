@@ -73,7 +73,7 @@ func (c *canceller) stopped() error {
 // batch checks ctx between per-facility evaluations (in every worker)
 // and returns ctx.Err() instead of an answer once the context is done.
 func (e *Engine) ServiceValuesCtx(ctx context.Context, facilities []*trajectory.Facility, p Params, workers int) ([]float64, Metrics, error) {
-	return serviceValuesG[*tqtreeNode](ptrLayout{e.tree}, facilities, p, workers, newCanceller(ctx))
+	return serviceValuesG[*tqtreeNode](ptrLayout{e.tree}, facilities, p, workers, newCanceller(ctx), nil)
 }
 
 // TopKCtx is TopK with cooperative cancellation: the best-first search
@@ -98,14 +98,14 @@ func (e *Engine) TopKParallelCtx(ctx context.Context, facilities []*trajectory.F
 // cancellation; see Engine.ServiceValuesCtx.
 func (e *FrozenEngine) ServiceValuesCtx(ctx context.Context, facilities []*trajectory.Facility, p Params, workers int) ([]float64, Metrics, error) {
 	defer runtime.KeepAlive(e.f)
-	return serviceValuesG[int32](frozenLayout{e.f}, facilities, p, workers, newCanceller(ctx))
+	return serviceValuesG[int32](frozenLayout{f: e.f}, facilities, p, workers, newCanceller(ctx), nil)
 }
 
 // TopKCtx is FrozenEngine.TopK with cooperative cancellation; see
 // Engine.TopKCtx.
 func (e *FrozenEngine) TopKCtx(ctx context.Context, facilities []*trajectory.Facility, k int, p Params) ([]Result, Metrics, error) {
 	defer runtime.KeepAlive(e.f)
-	return topKG[int32](frozenLayout{e.f}, facilities, k, p, newCanceller(ctx))
+	return topKG[int32](frozenLayout{f: e.f}, facilities, k, p, newCanceller(ctx))
 }
 
 // TopKParallelCtx is FrozenEngine.TopKParallel with cooperative
@@ -116,12 +116,11 @@ func (e *FrozenEngine) TopKParallelCtx(ctx context.Context, facilities []*trajec
 	if workers <= 1 {
 		return e.TopKCtx(ctx, facilities, k, p)
 	}
-	return topKParallelG[int32](frozenLayout{e.f}, facilities, k, p, workers, newCanceller(ctx))
+	return topKParallelG[int32](frozenLayout{f: e.f}, facilities, k, p, workers, newCanceller(ctx))
 }
 
-// ServiceValuesCtx is Epoch.ServiceValues with cooperative cancellation:
-// both the masked base batch and the per-facility delta folds check ctx
-// between facilities.
+// ServiceValuesCtx is Epoch.ServiceValues with cooperative cancellation,
+// checked between facilities.
 func (ep *Epoch) ServiceValuesCtx(ctx context.Context, facilities []*trajectory.Facility, p Params, workers int) ([]float64, Metrics, error) {
 	defer runtime.KeepAlive(ep)
 	return ep.serviceValues(facilities, p, workers, newCanceller(ctx))

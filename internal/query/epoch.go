@@ -3,12 +3,12 @@ package query
 // The epoch: the immutable unit of the live serving path. Queries over a
 // mutating corpus always run against an Epoch — a frozen columnar base
 // index, a small append-only delta overlay (trajectories inserted since
-// the base was frozen, answered by linear scan), and a tombstone set
-// masking deleted base trajectories out of every scan. An Epoch is a
-// value: once published (internal/shard stores one behind an
-// atomic.Pointer per shard) it never changes, so any number of readers
-// share it without locks while a writer publishes successors and a
-// background rebuild folds delta and tombstones into a fresh base.
+// the base was frozen, answered by linear scan), and a tombstone set —
+// one bit per base ordinal — masking deleted base trajectories out of
+// every scan. An Epoch is a value: once published (internal/shard stores one
+// behind an atomic.Pointer per shard) it never changes, so any number of
+// readers share it without locks while a writer publishes successors and
+// a background rebuild folds delta and tombstones into a fresh base.
 //
 // Logical-corpus equivalence: every query over an Epoch answers for the
 // corpus (base trajectories − tombstones) ∪ delta. The masked base scan
@@ -19,51 +19,18 @@ package query
 // integral scenario) are identical to a from-scratch build of the
 // logical corpus, and fractional scenarios agree up to float summation
 // order. With an empty delta and no tombstones, every path below
-// delegates to the plain frozen engine, byte-identical in both answers
-// and Metrics.
+// runs the plain frozen engine's, byte-identical in both answers and
+// Metrics.
 
 import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
-	"github.com/trajcover/trajcover/internal/geo"
 	"github.com/trajcover/trajcover/internal/service"
 	"github.com/trajcover/trajcover/internal/tqtree"
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
-
-// maskedFrozenLayout adapts the frozen columnar layout with a tombstone
-// mask: identical to frozenLayout except that ScoreList skips entries of
-// tombstoned trajectories. With an empty mask it is byte-identical to
-// frozenLayout (ScoreNodeMasked delegates to ScoreNode).
-type maskedFrozenLayout struct {
-	f    *tqtree.Frozen
-	dead map[trajectory.ID]struct{}
-}
-
-func (l maskedFrozenLayout) Root() int32                                 { return 0 }
-func (l maskedFrozenLayout) Nil() int32                                  { return -1 }
-func (l maskedFrozenLayout) IsLeaf(n int32) bool                         { return l.f.IsLeaf(n) }
-func (l maskedFrozenLayout) Child(n int32, i int) int32                  { return l.f.Child(n, i) }
-func (l maskedFrozenLayout) Rect(n int32) geo.Rect                       { return l.f.Rect(n) }
-func (l maskedFrozenLayout) ListLen(n int32) int                         { return l.f.ListLen(n) }
-func (l maskedFrozenLayout) OwnUB(n int32, sc service.Scenario) float64  { return l.f.OwnUB(n, sc) }
-func (l maskedFrozenLayout) TreeUB(n int32, sc service.Scenario) float64 { return l.f.TreeUB(n, sc) }
-func (l maskedFrozenLayout) FilterModeFor(sc service.Scenario) tqtree.FilterMode {
-	return l.f.FilterModeFor(sc)
-}
-func (l maskedFrozenLayout) AncestorsCanServe(sc service.Scenario) bool {
-	return l.f.AncestorsCanServe(sc)
-}
-func (l maskedFrozenLayout) ValidateScenario(sc service.Scenario) error {
-	return l.f.ValidateScenario(sc)
-}
-func (l maskedFrozenLayout) ScoreList(n int32, embr geo.Rect, mode tqtree.FilterMode, ss *service.StopSet, sc service.Scenario, _ *entryScorer) (float64, int) {
-	return l.f.ScoreNodeMasked(n, embr, mode, ss, sc, l.dead)
-}
 
 // Epoch is one immutable serving state of a live index: a frozen base, a
 // delta overlay, and a tombstone set. Construct with NewEpoch; all
@@ -71,7 +38,12 @@ func (l maskedFrozenLayout) ScoreList(n int32, embr geo.Rect, mode tqtree.Filter
 type Epoch struct {
 	base  *FrozenEngine
 	delta []*trajectory.Trajectory
-	dead  map[trajectory.ID]struct{}
+	// dead holds the base table ordinals of deleted trajectories, one
+	// bit each, and nDead counts them. It is nil while nothing is
+	// deleted, and a published set is never written again: a delete
+	// copies it.
+	dead  trajectory.OrdinalSet
+	nDead int
 
 	// deltaUB is the delta overlay's per-scenario service upper bound —
 	// the delta's counterpart of the root `sub`.
@@ -81,16 +53,21 @@ type Epoch struct {
 }
 
 // NewEpoch assembles an epoch and validates its invariants: tombstones
-// must name base trajectories, and delta IDs must be unique and distinct
-// from every surviving base ID (a tombstoned base ID may be re-used by a
-// delta re-insert). gen is an opaque generation counter for diagnostics.
-func NewEpoch(base *FrozenEngine, delta []*trajectory.Trajectory, dead map[trajectory.ID]struct{}, gen uint64) (*Epoch, error) {
-	ep := &Epoch{base: base, delta: delta, dead: dead, gen: gen}
-	users := base.Table()
-	for id := range dead {
-		if !users.Has(id) {
+// must name distinct base trajectories, and delta IDs must be unique and
+// distinct from every surviving base ID (a tombstoned base ID may be
+// re-used by a delta re-insert). gen is an opaque generation counter for
+// diagnostics.
+func NewEpoch(base *FrozenEngine, delta []*trajectory.Trajectory, dead []trajectory.ID, gen uint64) (*Epoch, error) {
+	ep := &Epoch{base: base, delta: delta, gen: gen}
+	for _, id := range dead {
+		ord, ok := base.Table().Lookup(id)
+		if !ok {
 			return nil, fmt.Errorf("query: tombstone %d names no base trajectory", id)
 		}
+		if ep.dead.Has(ord) {
+			return nil, fmt.Errorf("query: duplicate tombstone %d", id)
+		}
+		ep.tombstone(ord)
 	}
 	seen := make(map[trajectory.ID]struct{}, len(delta))
 	variant := base.Frozen().Variant()
@@ -98,10 +75,8 @@ func NewEpoch(base *FrozenEngine, delta []*trajectory.Trajectory, dead map[traje
 		if _, dup := seen[u.ID]; dup {
 			return nil, fmt.Errorf("query: duplicate id %d in delta", u.ID)
 		}
-		if users.Has(u.ID) {
-			if _, gone := dead[u.ID]; !gone {
-				return nil, fmt.Errorf("query: delta id %d collides with a live base trajectory", u.ID)
-			}
+		if _, live := ep.BaseOrdinal(u.ID); live {
+			return nil, fmt.Errorf("query: delta id %d collides with a live base trajectory", u.ID)
 		}
 		seen[u.ID] = struct{}{}
 		if u.Len() > 2 {
@@ -112,6 +87,17 @@ func NewEpoch(base *FrozenEngine, delta []*trajectory.Trajectory, dead map[traje
 		ep.deltaUB[service.Length]++
 	}
 	return ep, nil
+}
+
+// tombstone adds ord to the set in place, allocating it — one bit per
+// base trajectory — on the first delete. Only an epoch nobody else can
+// see yet may be written.
+func (ep *Epoch) tombstone(ord int32) {
+	if ep.dead == nil {
+		ep.dead = trajectory.NewOrdinalSet(ep.base.Table().Len())
+	}
+	ep.dead.Add(ord)
+	ep.nDead++
 }
 
 // deltaBinaryUB is a delta trajectory's maximum Binary objective: served
@@ -131,18 +117,14 @@ func deltaBinaryUB(v tqtree.Variant, u *trajectory.Trajectory) float64 {
 // over the same slice would, so successor and from-scratch epochs are
 // bit-identical.
 func (ep *Epoch) WithInsert(u *trajectory.Trajectory, gen uint64) *Epoch {
-	next := &Epoch{
-		base:            ep.base,
-		delta:           append(ep.delta, u),
-		dead:            ep.dead,
-		deltaUB:         ep.deltaUB,
-		deltaMultipoint: ep.deltaMultipoint || u.Len() > 2,
-		gen:             gen,
-	}
+	next := *ep
+	next.delta = append(ep.delta, u)
+	next.deltaMultipoint = ep.deltaMultipoint || u.Len() > 2
+	next.gen = gen
 	next.deltaUB[service.Binary] += deltaBinaryUB(ep.base.Frozen().Variant(), u)
 	next.deltaUB[service.PointCount]++
 	next.deltaUB[service.Length]++
-	return next
+	return &next
 }
 
 // WithDelta returns the successor epoch with the delta overlay replaced
@@ -150,7 +132,7 @@ func (ep *Epoch) WithInsert(u *trajectory.Trajectory, gen uint64) *Epoch {
 // recomputed over the new overlay, O(len(delta)), matching the slice
 // rewrite the removal already paid for.
 func (ep *Epoch) WithDelta(delta []*trajectory.Trajectory, gen uint64) *Epoch {
-	next := &Epoch{base: ep.base, delta: delta, dead: ep.dead, gen: gen}
+	next := &Epoch{base: ep.base, delta: delta, dead: ep.dead, nDead: ep.nDead, gen: gen}
 	variant := ep.base.Frozen().Variant()
 	for _, u := range delta {
 		if u.Len() > 2 {
@@ -163,19 +145,16 @@ func (ep *Epoch) WithDelta(delta []*trajectory.Trajectory, gen uint64) *Epoch {
 	return next
 }
 
-// WithTombstones returns the successor epoch with the tombstone set
-// replaced (a base-item deletion). dead must be a fresh map the caller
-// never mutates again (copy-on-write); it must only name base
-// trajectories.
-func (ep *Epoch) WithTombstones(dead map[trajectory.ID]struct{}, gen uint64) *Epoch {
-	return &Epoch{
-		base:            ep.base,
-		delta:           ep.delta,
-		dead:            dead,
-		deltaUB:         ep.deltaUB,
-		deltaMultipoint: ep.deltaMultipoint,
-		gen:             gen,
-	}
+// WithTombstone returns the successor epoch with base ordinal ord
+// tombstoned (a base-item deletion): the set is copied, one allocation of
+// one bit per base trajectory. ord must name a surviving base
+// trajectory (see BaseOrdinal).
+func (ep *Epoch) WithTombstone(ord int32, gen uint64) *Epoch {
+	next := *ep
+	next.dead = slices.Clone(ep.dead)
+	next.tombstone(ord)
+	next.gen = gen
+	return &next
 }
 
 // Base returns the frozen base engine.
@@ -184,8 +163,26 @@ func (ep *Epoch) Base() *FrozenEngine { return ep.base }
 // Delta returns the delta overlay (read-only).
 func (ep *Epoch) Delta() []*trajectory.Trajectory { return ep.delta }
 
-// Tombstones returns the tombstone set (read-only).
-func (ep *Epoch) Tombstones() map[trajectory.ID]struct{} { return ep.dead }
+// TombstoneIDs returns the IDs of the tombstoned base trajectories in
+// ascending order.
+func (ep *Epoch) TombstoneIDs() []trajectory.ID {
+	tab := ep.base.Table()
+	ids := make([]trajectory.ID, 0, ep.nDead)
+	for i := int32(0); len(ids) < ep.nDead; i++ {
+		if ep.dead.Has(i) {
+			ids = append(ids, tab.ID(i))
+		}
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// BaseOrdinal returns the base ordinal of id when the base holds it and
+// it is not tombstoned.
+func (ep *Epoch) BaseOrdinal(id trajectory.ID) (int32, bool) {
+	ord, ok := ep.base.Table().Lookup(id)
+	return ord, ok && !ep.dead.Has(ord)
+}
 
 // Generation returns the epoch's generation counter.
 func (ep *Epoch) Generation() uint64 { return ep.gen }
@@ -194,11 +191,11 @@ func (ep *Epoch) Generation() uint64 { return ep.gen }
 func (ep *Epoch) DeltaLen() int { return len(ep.delta) }
 
 // TombstoneCount returns the number of tombstoned base trajectories.
-func (ep *Epoch) TombstoneCount() int { return len(ep.dead) }
+func (ep *Epoch) TombstoneCount() int { return ep.nDead }
 
 // Len returns the logical corpus size: surviving base plus delta.
 func (ep *Epoch) Len() int {
-	return ep.base.Table().Len() - len(ep.dead) + len(ep.delta)
+	return ep.base.Table().Len() - ep.nDead + len(ep.delta)
 }
 
 // Has reports whether the logical corpus contains id. The delta check
@@ -210,10 +207,8 @@ func (ep *Epoch) Has(id trajectory.ID) bool {
 			return true
 		}
 	}
-	if _, gone := ep.dead[id]; gone {
-		return false
-	}
-	return ep.base.Table().Has(id)
+	_, ok := ep.BaseOrdinal(id)
+	return ok
 }
 
 // LogicalCorpus returns the epoch's logical corpus — surviving base
@@ -224,10 +219,10 @@ func (ep *Epoch) Has(id trajectory.ID) bool {
 // reachable, and garbage once the rebuild has frozen its tree.
 func (ep *Epoch) LogicalCorpus() []*trajectory.Trajectory {
 	tab := ep.base.Table()
-	views := make([]trajectory.Trajectory, tab.Len()-len(ep.dead))
+	views := make([]trajectory.Trajectory, tab.Len()-ep.nDead)
 	out := make([]*trajectory.Trajectory, 0, len(views)+len(ep.delta))
 	for i := int32(0); int(i) < tab.Len(); i++ {
-		if _, gone := ep.dead[tab.ID(i)]; !gone {
+		if !ep.dead.Has(i) {
 			v := &views[len(out)]
 			tab.View(i, v)
 			out = append(out, v)
@@ -273,8 +268,8 @@ func (ep *Epoch) ValidateScenario(sc service.Scenario) error {
 	return tqtree.ValidateScenarioFor(ep.base.Frozen().Variant(), ep.deltaMultipoint, sc)
 }
 
-func (ep *Epoch) layout() maskedFrozenLayout {
-	return maskedFrozenLayout{f: ep.base.Frozen(), dead: ep.dead}
+func (ep *Epoch) layout() frozenLayout {
+	return frozenLayout{f: ep.base.Frozen(), dead: ep.dead}
 }
 
 func (ep *Epoch) validate(p Params) error {
@@ -286,9 +281,10 @@ func (ep *Epoch) validate(p Params) error {
 
 // deltaService scans the delta overlay for one facility, accumulating
 // each intersecting trajectory's exact objective. The whole overlay is
-// accounted as one q-node list in the metrics.
+// accounted as one q-node list in the metrics. A nil epoch, or an empty
+// overlay, adds 0 and counts nothing.
 func (ep *Epoch) deltaService(f *trajectory.Facility, p Params, m *Metrics) float64 {
-	if len(ep.delta) == 0 {
+	if ep == nil || len(ep.delta) == 0 {
 		return 0
 	}
 	m.NodesVisited++
@@ -344,8 +340,8 @@ func (ep *Epoch) ServiceValue(f *trajectory.Facility, p Params) (float64, Metric
 }
 
 // ServiceValues computes SO(U, f) for every facility in one batch across
-// a pool of workers; see Engine.ServiceValues. The delta contributions
-// are folded in per facility after the batch, preserving determinism.
+// a pool of workers; see Engine.ServiceValues. Each facility's delta scan
+// runs in the same step as its base traversal and is added after it.
 func (ep *Epoch) ServiceValues(facilities []*trajectory.Facility, p Params, workers int) ([]float64, Metrics, error) {
 	return ep.serviceValues(facilities, p, workers, nil)
 }
@@ -357,46 +353,7 @@ func (ep *Epoch) serviceValues(facilities []*trajectory.Facility, p Params, work
 	if err := ep.validate(p); err != nil {
 		return nil, Metrics{}, err
 	}
-	out, m, err := serviceValuesG[int32](ep.layout(), facilities, p, workers, cc)
-	if err != nil {
-		return nil, m, err
-	}
-	if len(ep.delta) > 0 {
-		workers = ResolveWorkers(workers, len(facilities))
-		if workers <= 1 {
-			for i, f := range facilities {
-				if err := cc.stopped(); err != nil {
-					return nil, m, err
-				}
-				out[i] += ep.deltaService(f, p, &m)
-			}
-		} else {
-			var next atomic.Int64
-			perWorker := make([]Metrics, workers)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for cc.stopped() == nil {
-						i := int(next.Add(1)) - 1
-						if i >= len(facilities) {
-							return
-						}
-						out[i] += ep.deltaService(facilities[i], p, &perWorker[w])
-					}
-				}(w)
-			}
-			wg.Wait()
-			for _, wm := range perWorker {
-				m.Add(wm)
-			}
-			if err := cc.stopped(); err != nil {
-				return nil, m, err
-			}
-		}
-	}
-	return out, m, nil
+	return serviceValuesG[int32](ep.layout(), facilities, p, workers, cc, ep)
 }
 
 // UpperBound is a sound overestimate of f's service value over the

@@ -89,11 +89,11 @@ func epochOver(t *testing.T, users *trajectory.Set, v tqtree.Variant, o tqtree.O
 	base := trajectory.MustNewSet(users.All[:baseN])
 	feng := frozenEngineOver(t, base, v, o)
 	delta := users.All[baseN:]
-	dead := map[trajectory.ID]struct{}{}
+	var dead []trajectory.ID
 	logical := make([]*trajectory.Trajectory, 0, users.Len())
 	for i, u := range base.All {
 		if deadEvery > 0 && i%deadEvery == 0 {
-			dead[u.ID] = struct{}{}
+			dead = append(dead, u.ID)
 			continue
 		}
 		logical = append(logical, u)
@@ -159,8 +159,12 @@ func TestNewEpochValidation(t *testing.T) {
 	feng := frozenEngineOver(t, base, tqtree.TwoPoint, tqtree.ZOrder)
 
 	// Tombstone naming no base trajectory.
-	if _, err := NewEpoch(feng, nil, map[trajectory.ID]struct{}{999: {}}, 0); err == nil {
+	if _, err := NewEpoch(feng, nil, []trajectory.ID{999}, 0); err == nil {
 		t.Error("tombstone for unknown id accepted")
+	}
+	// One base trajectory tombstoned twice.
+	if _, err := NewEpoch(feng, nil, []trajectory.ID{users.All[3].ID, users.All[5].ID, users.All[3].ID}, 0); err == nil {
+		t.Error("duplicate tombstone accepted")
 	}
 	// Duplicate id inside the delta.
 	dup := []*trajectory.Trajectory{users.All[80], users.All[80]}
@@ -172,7 +176,7 @@ func TestNewEpochValidation(t *testing.T) {
 		t.Error("delta collision with live base id accepted")
 	}
 	// ... but re-using a tombstoned base id is the re-insert path.
-	dead := map[trajectory.ID]struct{}{users.All[0].ID: {}}
+	dead := []trajectory.ID{users.All[0].ID}
 	if _, err := NewEpoch(feng, users.All[:1], dead, 0); err != nil {
 		t.Errorf("re-insert over tombstone rejected: %v", err)
 	}

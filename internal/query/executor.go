@@ -61,7 +61,7 @@ func (m *Metrics) Add(other Metrics) {
 // are as well, because each facility's traversal is independent.
 // workers is normalized by ResolveWorkers.
 func (e *Engine) ServiceValues(facilities []*trajectory.Facility, p Params, workers int) ([]float64, Metrics, error) {
-	return serviceValuesG[*tqtreeNode](ptrLayout{e.tree}, facilities, p, workers, nil)
+	return serviceValuesG[*tqtreeNode](ptrLayout{e.tree}, facilities, p, workers, nil, nil)
 }
 
 // TopKExhaustiveParallel is TopKExhaustive with the per-facility scoring

@@ -50,7 +50,7 @@ func (e *FrozenEngine) ServiceValue(f *trajectory.Facility, p Params) (float64, 
 	// proves e.f itself dead mid-call. Same pattern on every query entry
 	// point below and on Epoch.
 	defer runtime.KeepAlive(e.f)
-	l := frozenLayout{e.f}
+	l := frozenLayout{f: e.f}
 	if err := validateQuery[int32](l, p); err != nil {
 		return 0, Metrics{}, err
 	}
@@ -67,20 +67,20 @@ func (e *FrozenEngine) ServiceValue(f *trajectory.Facility, p Params) (float64, 
 // Engine.ServiceValues.
 func (e *FrozenEngine) ServiceValues(facilities []*trajectory.Facility, p Params, workers int) ([]float64, Metrics, error) {
 	defer runtime.KeepAlive(e.f)
-	return serviceValuesG[int32](frozenLayout{e.f}, facilities, p, workers, nil)
+	return serviceValuesG[int32](frozenLayout{f: e.f}, facilities, p, workers, nil, nil)
 }
 
 // TopK answers the kMaxRRST query best first; see Engine.TopK.
 func (e *FrozenEngine) TopK(facilities []*trajectory.Facility, k int, p Params) ([]Result, Metrics, error) {
 	defer runtime.KeepAlive(e.f)
-	return topKG[int32](frozenLayout{e.f}, facilities, k, p, nil)
+	return topKG[int32](frozenLayout{f: e.f}, facilities, k, p, nil)
 }
 
 // TopKExhaustive evaluates every facility and sorts; see
 // Engine.TopKExhaustive.
 func (e *FrozenEngine) TopKExhaustive(facilities []*trajectory.Facility, k int, p Params) ([]Result, Metrics, error) {
 	defer runtime.KeepAlive(e.f)
-	return topKExhaustiveG[int32](frozenLayout{e.f}, facilities, k, p)
+	return topKExhaustiveG[int32](frozenLayout{f: e.f}, facilities, k, p)
 }
 
 // TopKParallel is TopK with up to `workers` frontier states relaxed
@@ -91,12 +91,12 @@ func (e *FrozenEngine) TopKParallel(facilities []*trajectory.Facility, k int, p 
 	if workers <= 1 {
 		return e.TopK(facilities, k, p)
 	}
-	return topKParallelG[int32](frozenLayout{e.f}, facilities, k, p, workers, nil)
+	return topKParallelG[int32](frozenLayout{f: e.f}, facilities, k, p, workers, nil)
 }
 
 // UpperBound is the seed bound of f's best-first search; see
 // Engine.UpperBound.
 func (e *FrozenEngine) UpperBound(f *trajectory.Facility, p Params) float64 {
 	defer runtime.KeepAlive(e.f)
-	return upperBoundG[int32](frozenLayout{e.f}, f, p)
+	return upperBoundG[int32](frozenLayout{f: e.f}, f, p)
 }

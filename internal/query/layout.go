@@ -82,8 +82,12 @@ func (l ptrLayout) ScoreList(n *tqtree.Node, embr geo.Rect, mode tqtree.FilterMo
 	return sco.so, sco.n
 }
 
-// frozenLayout adapts the immutable columnar layout.
-type frozenLayout struct{ f *tqtree.Frozen }
+// frozenLayout adapts the immutable columnar layout. dead is the
+// tombstone set an Epoch masks its base with; FrozenEngine leaves it nil.
+type frozenLayout struct {
+	f    *tqtree.Frozen
+	dead trajectory.OrdinalSet
+}
 
 func (l frozenLayout) Root() int32                                 { return 0 }
 func (l frozenLayout) Nil() int32                                  { return -1 }
@@ -99,7 +103,7 @@ func (l frozenLayout) FilterModeFor(sc service.Scenario) tqtree.FilterMode {
 func (l frozenLayout) AncestorsCanServe(sc service.Scenario) bool { return l.f.AncestorsCanServe(sc) }
 func (l frozenLayout) ValidateScenario(sc service.Scenario) error { return l.f.ValidateScenario(sc) }
 func (l frozenLayout) ScoreList(n int32, embr geo.Rect, mode tqtree.FilterMode, ss *service.StopSet, sc service.Scenario, _ *entryScorer) (float64, int) {
-	return l.f.ScoreNode(n, embr, mode, ss, sc)
+	return l.f.ScoreNode(n, embr, mode, ss, sc, l.dead)
 }
 
 // validateQuery checks the parameters and their compatibility with the
@@ -453,10 +457,12 @@ func topKParallelG[N comparable, L tlayout[N]](l L, facilities []*trajectory.Fac
 // serviceValuesG computes SO(U, f) for every facility in one batch,
 // sharding the facilities across a pool of workers. The returned slice is
 // indexed like facilities; ordering and merged Metrics are deterministic
-// because each facility's traversal is independent. cc (nil means
-// "never") is polled between facilities in every worker; a done context
-// aborts the batch with its error and no partial answer.
-func serviceValuesG[N comparable, L tlayout[N]](l L, facilities []*trajectory.Facility, p Params, workers int, cc *canceller) ([]float64, Metrics, error) {
+// because each facility's traversal is independent. overlay, when
+// non-nil, is the epoch whose delta scan each facility runs in the same
+// step as its traversal, added after it. cc (nil means "never") is polled
+// between facilities in every worker; a done context aborts the batch
+// with its error and no partial answer.
+func serviceValuesG[N comparable, L tlayout[N]](l L, facilities []*trajectory.Facility, p Params, workers int, cc *canceller, overlay *Epoch) ([]float64, Metrics, error) {
 	if err := validateQuery[N](l, p); err != nil {
 		return nil, Metrics{}, err
 	}
@@ -475,7 +481,7 @@ func serviceValuesG[N comparable, L tlayout[N]](l L, facilities []*trajectory.Fa
 				putCompArena(arena)
 				return nil, m, err
 			}
-			out[i] = evaluateServiceG(l, l.Root(), f.Stops, p, mode, &m, arena)
+			out[i] = evaluateServiceG(l, l.Root(), f.Stops, p, mode, &m, arena) + overlay.deltaService(f, p, &m)
 		}
 		putCompArena(arena)
 		return out, m, nil
@@ -494,7 +500,7 @@ func serviceValuesG[N comparable, L tlayout[N]](l L, facilities []*trajectory.Fa
 				if i >= len(facilities) {
 					break
 				}
-				out[i] = evaluateServiceG(l, l.Root(), facilities[i].Stops, p, mode, wm, arena)
+				out[i] = evaluateServiceG(l, l.Root(), facilities[i].Stops, p, mode, wm, arena) + overlay.deltaService(facilities[i], p, wm)
 			}
 			putCompArena(arena)
 		}(w)

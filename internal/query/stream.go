@@ -41,7 +41,7 @@ func serviceValuesStreamG[N comparable, L tlayout[N]](l L, facilities []*traject
 		if end > len(facilities) {
 			end = len(facilities)
 		}
-		vals, cm, err := serviceValuesG[N](l, facilities[start:end], p, workers, cc)
+		vals, cm, err := serviceValuesG[N](l, facilities[start:end], p, workers, cc, nil)
 		m.Add(cm)
 		if err != nil {
 			return m, err
@@ -66,36 +66,5 @@ func (e *Engine) ServiceValuesStreamCtx(ctx context.Context, facilities []*traje
 // columns.
 func (e *FrozenEngine) ServiceValuesStreamCtx(ctx context.Context, facilities []*trajectory.Facility, p Params, workers, chunk int, yield func(start int, vals []float64) error) (Metrics, error) {
 	defer runtime.KeepAlive(e.f)
-	return serviceValuesStreamG[int32](frozenLayout{e.f}, facilities, p, workers, chunk, newCanceller(ctx), yield)
-}
-
-// ServiceValuesStreamCtx streams the epoch's service values (base plus
-// delta, minus tombstones) chunk by chunk; see Engine equivalent. Each
-// chunk runs the same masked batch + delta fold as ServiceValuesCtx,
-// so streamed values are bit-identical to the batch answer.
-func (ep *Epoch) ServiceValuesStreamCtx(ctx context.Context, facilities []*trajectory.Facility, p Params, workers, chunk int, yield func(start int, vals []float64) error) (Metrics, error) {
-	defer runtime.KeepAlive(ep)
-	var m Metrics
-	if err := ep.validate(p); err != nil {
-		return m, err
-	}
-	if chunk <= 0 {
-		chunk = DefaultStreamChunk
-	}
-	cc := newCanceller(ctx)
-	for start := 0; start < len(facilities); start += chunk {
-		end := start + chunk
-		if end > len(facilities) {
-			end = len(facilities)
-		}
-		vals, cm, err := ep.serviceValues(facilities[start:end], p, workers, cc)
-		m.Add(cm)
-		if err != nil {
-			return m, err
-		}
-		if err := yield(start, vals); err != nil {
-			return m, err
-		}
-	}
-	return m, nil
+	return serviceValuesStreamG[int32](frozenLayout{f: e.f}, facilities, p, workers, chunk, newCanceller(ctx), yield)
 }

@@ -26,14 +26,16 @@ package shard
 //	             queries keep their captured epoch; the next query
 //	             sees the compacted one.
 //
-// Deletes that arrive while their target is baking are recorded as
-// pending tombstones so they mask the new base after the swap — the one
-// subtlety that makes writes-during-rebuild linearizable.
+// Deletes of trajectories the new base will hold (baking delta items,
+// and base items that survived the capture) are recorded while the build
+// runs and tombstoned on the new base at the swap — the one subtlety that
+// makes writes-during-rebuild linearizable.
 
 import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -105,21 +107,20 @@ func (p Policy) withDefaults() Policy {
 type liveShard struct {
 	epoch atomic.Pointer[query.Epoch]
 
-	// Writer state (Live.wmu). delta/dead always mirror the published
-	// epoch's overlay; maps handed to an epoch are never mutated again
-	// (copy-on-write), and delta is append-only between rewrites.
+	// Writer state (Live.wmu). delta mirrors the published epoch's
+	// overlay and is append-only between rewrites; a removal keeps the
+	// order of what remains. The published epoch holds the tombstones.
 	delta     []*trajectory.Trajectory
 	deltaByID map[trajectory.ID]*trajectory.Trajectory
-	dead      map[trajectory.ID]struct{}
 	gen       uint64
 
-	// Rebuild bookkeeping (Live.wmu): set while a rebuild is between
-	// capture and swap. baking is the pointer set of the delta being
-	// folded; pendingDead records deletes of baking items; dead0 is the
-	// tombstone set captured at rebuild start.
-	baking      map[*trajectory.Trajectory]struct{}
-	pendingDead map[trajectory.ID]struct{}
-	dead0       map[trajectory.ID]struct{}
+	// Rebuild bookkeeping (Live.wmu), live while a rebuild is between
+	// capture and swap: the first baked items of delta are the overlay
+	// being folded (delta's order makes them a prefix), and landed lists
+	// the deletes of trajectories the new base will hold.
+	building bool
+	baked    int
+	landed   []trajectory.ID
 
 	// rebuildMu serializes rebuilds of this shard (background vs
 	// Compact); rebuildQueued dedups background triggers.
@@ -142,7 +143,7 @@ type Live struct {
 	treeOpts tqtree.Options
 	policy   Policy
 
-	// wmu guards the writer state (delta/tombstone maps, epoch
+	// wmu guards the writer state (overlays, rebuild bookkeeping, epoch
 	// publishes). Queries take the read side only to CAPTURE the epoch
 	// set — never while executing — so a capture is a write-consistent
 	// cut: every shard's epoch reflects the same prefix of the global
@@ -300,14 +301,10 @@ func newLive(epochs []*query.Epoch, part Partitioner, pol Policy) *Live {
 		sh := &liveShard{
 			delta:     ep.Delta(),
 			deltaByID: make(map[trajectory.ID]*trajectory.Trajectory, ep.DeltaLen()),
-			dead:      ep.Tombstones(),
 			gen:       ep.Generation(),
 		}
 		for _, u := range ep.Delta() {
 			sh.deltaByID[u.ID] = u
-		}
-		if sh.dead == nil {
-			sh.dead = map[trajectory.ID]struct{}{}
 		}
 		sh.epoch.Store(ep)
 		l.shards[i] = sh
@@ -426,10 +423,8 @@ func (sh *liveShard) has(id trajectory.ID) bool {
 	if _, ok := sh.deltaByID[id]; ok {
 		return true
 	}
-	if _, gone := sh.dead[id]; gone {
-		return false
-	}
-	return sh.epoch.Load().Base().Table().Has(id)
+	_, ok := sh.epoch.Load().BaseOrdinal(id)
+	return ok
 }
 
 // AttachWAL makes the index durable: every subsequent Insert/Delete is
@@ -640,38 +635,10 @@ func (l *Live) Delete(id trajectory.ID) (bool, error) {
 	}
 	l.wmu.Lock()
 	for _, sh := range l.shards {
-		if u, ok := sh.deltaByID[id]; ok {
-			lsn, err := l.appendDeleteLocked(id)
-			if err != nil {
-				log := l.log
-				l.wmu.Unlock()
-				return false, l.walFailure("wal append", log, err)
-			}
-			newDelta := make([]*trajectory.Trajectory, 0, len(sh.delta)-1)
-			for _, d := range sh.delta {
-				if d != u {
-					newDelta = append(newDelta, d)
-				}
-			}
-			sh.gen++
-			ep := sh.epoch.Load().WithDelta(newDelta, sh.gen)
-			sh.delta = newDelta
-			delete(sh.deltaByID, id)
-			if sh.baking != nil {
-				if _, baked := sh.baking[u]; baked {
-					// u is being folded into the next base: mask it there.
-					sh.pendingDead[id] = struct{}{}
-				}
-			}
-			sh.epoch.Store(ep)
-			l.version.Add(1)
-			l.maybeCompact(sh)
-			return true, l.ackUnlock(lsn)
-		}
-		if _, gone := sh.dead[id]; gone {
-			continue
-		}
-		if !sh.epoch.Load().Base().Table().Has(id) {
+		ep := sh.epoch.Load()
+		u, inDelta := sh.deltaByID[id]
+		ord, inBase := ep.BaseOrdinal(id)
+		if !inDelta && !inBase {
 			continue
 		}
 		lsn, err := l.appendDeleteLocked(id)
@@ -680,14 +647,24 @@ func (l *Live) Delete(id trajectory.ID) (bool, error) {
 			l.wmu.Unlock()
 			return false, l.walFailure("wal append", log, err)
 		}
-		newDead := make(map[trajectory.ID]struct{}, len(sh.dead)+1)
-		for d := range sh.dead {
-			newDead[d] = struct{}{}
-		}
-		newDead[id] = struct{}{}
 		sh.gen++
-		ep := sh.epoch.Load().WithTombstones(newDead, sh.gen)
-		sh.dead = newDead
+		if inDelta {
+			i := slices.Index(sh.delta, u)
+			if i < sh.baked {
+				// u is being folded into the next base: mask it there.
+				sh.baked--
+				sh.landed = append(sh.landed, id)
+			}
+			sh.delta = append(sh.delta[:i:i], sh.delta[i+1:]...)
+			delete(sh.deltaByID, id)
+			ep = ep.WithDelta(sh.delta, sh.gen)
+		} else {
+			if sh.building {
+				// The base being built still holds it.
+				sh.landed = append(sh.landed, id)
+			}
+			ep = ep.WithTombstone(ord, sh.gen)
+		}
 		sh.epoch.Store(ep)
 		l.version.Add(1)
 		l.maybeCompact(sh)
@@ -783,26 +760,16 @@ func (l *Live) rebuildShard(sh *liveShard) error {
 	sh.rebuildMu.Lock()
 	defer sh.rebuildMu.Unlock()
 
-	// Capture: pin the epoch to fold and mark its delta as baking so
-	// concurrent deletes of those trajectories turn into tombstones on
-	// the new base.
+	// Capture: pin the epoch to fold and mark its delta as baking, so
+	// that deletes landing during the build are carried onto the new base.
 	l.wmu.Lock()
 	e0 := sh.epoch.Load()
 	if e0.DeltaLen() == 0 && e0.TombstoneCount() == 0 {
 		l.wmu.Unlock()
 		return nil
 	}
-	sh.baking = make(map[*trajectory.Trajectory]struct{}, e0.DeltaLen())
-	for _, u := range e0.Delta() {
-		sh.baking[u] = struct{}{}
-	}
-	sh.pendingDead = map[trajectory.ID]struct{}{}
-	sh.dead0 = e0.Tombstones()
+	sh.building, sh.baked, sh.landed = true, e0.DeltaLen(), nil
 	l.wmu.Unlock()
-
-	clearCapture := func() {
-		sh.baking, sh.pendingDead, sh.dead0 = nil, nil, nil
-	}
 
 	// Build off-lock: readers and writers proceed against the current
 	// epochs while the fold runs. The corpus is views over e0's table —
@@ -812,45 +779,26 @@ func (l *Live) rebuildShard(sh *liveShard) error {
 	opts.Parallelism = l.policy.RebuildParallelism
 	fz, err := tqtree.BuildFrozen(e0.LogicalCorpus(), opts)
 	runtime.KeepAlive(e0) // the views alias e0's table until BuildFrozen has copied them
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
 	if err == nil {
-		// Swap: fold the writes that landed during the build onto the new
-		// base and publish.
-		base1 := query.NewFrozenEngine(fz, nil)
-		l.wmu.Lock()
-		newDelta := make([]*trajectory.Trajectory, 0, len(sh.delta))
-		for _, u := range sh.delta {
-			if _, baked := sh.baking[u]; !baked {
-				newDelta = append(newDelta, u)
-			}
-		}
-		newDead := make(map[trajectory.ID]struct{}, len(sh.pendingDead))
-		for id := range sh.dead {
-			if _, old := sh.dead0[id]; !old {
-				newDead[id] = struct{}{}
-			}
-		}
-		for id := range sh.pendingDead {
-			newDead[id] = struct{}{}
-		}
+		// Swap: the new base holds e0's logical corpus; the overlay keeps
+		// what was inserted since, and the deletes that landed meanwhile
+		// become its tombstones.
+		newDelta := slices.Clone(sh.delta[sh.baked:])
 		var ep *query.Epoch
-		if ep, err = query.NewEpoch(base1, newDelta, newDead, sh.gen+1); err == nil {
+		if ep, err = query.NewEpoch(query.NewFrozenEngine(fz, nil), newDelta, sh.landed, sh.gen+1); err == nil {
 			sh.gen++
 			sh.delta = newDelta
 			sh.deltaByID = make(map[trajectory.ID]*trajectory.Trajectory, len(newDelta))
 			for _, u := range newDelta {
 				sh.deltaByID[u.ID] = u
 			}
-			sh.dead = newDead
 			sh.epoch.Store(ep)
 			l.version.Add(1)
 			sh.compactions.Add(1)
 		}
-		clearCapture()
-		l.wmu.Unlock()
-		return err
 	}
-	l.wmu.Lock()
-	clearCapture()
-	l.wmu.Unlock()
+	sh.building, sh.baked, sh.landed = false, 0, nil
 	return err
 }

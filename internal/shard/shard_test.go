@@ -450,11 +450,7 @@ func TestFrozenAndLiveRejectDuplicateIDs(t *testing.T) {
 
 	epochOf := func(e *query.FrozenEngine, delta []*trajectory.Trajectory, dead ...trajectory.ID) *query.Epoch {
 		t.Helper()
-		tomb := map[trajectory.ID]struct{}{}
-		for _, id := range dead {
-			tomb[id] = struct{}{}
-		}
-		ep, err := query.NewEpoch(e, delta, tomb, 0)
+		ep, err := query.NewEpoch(e, delta, dead, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -410,13 +410,22 @@ func (f *Frozen) TreeUB(n int32, sc service.Scenario) float64 {
 // one pass over the SoA columns so the hot loop touches nothing but flat
 // arrays. It returns the summed service (in slab order, so float results
 // are bit-identical to the pointer path) and the number of entries scored.
-func (f *Frozen) ScoreNode(n int32, embr geo.Rect, mode FilterMode, ss *service.StopSet, sc service.Scenario) (so float64, scored int) {
+//
+// dead, when non-nil, holds the table ordinals of deleted trajectories:
+// an entry of one that passes the EMBR filter is skipped, neither scored
+// nor counted. This is how the live path deletes from an immutable base.
+// The accumulation order of the survivors is unchanged, so an empty set
+// gives the unmasked answer and counts. The node and bucket aggregates (ownUB/
+// treeUB, bucket MBRs and z-id ranges) still count masked entries; masking
+// only ever removes service, so they stay sound upper bounds and the
+// best-first search keeps its exactness guarantee.
+func (f *Frozen) ScoreNode(n int32, embr geo.Rect, mode FilterMode, ss *service.StopSet, sc service.Scenario, dead trajectory.OrdinalSet) (so float64, scored int) {
 	lo, hi := f.entryOff[n], f.entryOff[n+1]
 	if lo == hi {
 		return 0, 0
 	}
 	if f.ordering != ZOrder {
-		return f.scoreRange(lo, hi, embr, mode, ss, sc, 0, 0)
+		return f.scoreRange(lo, hi, embr, mode, ss, sc, dead, 0, 0)
 	}
 	var ivs []zorder.Interval
 	var scratch *[]zorder.Interval
@@ -435,7 +444,7 @@ func (f *Frozen) ScoreNode(n int32, embr geo.Rect, mode FilterMode, ss *service.
 	blo, bhi := f.bucketOff[n], f.bucketOff[n+1]
 	if mode != NeedBoth || len(ivs) == 0 {
 		for b := blo; b < bhi; b++ {
-			so, scored = f.scoreBucket(b, embr, mode, ss, sc, so, scored)
+			so, scored = f.scoreBucket(b, embr, mode, ss, sc, dead, so, scored)
 		}
 	} else {
 		// Candidates must have their start point inside the EMBR, so only
@@ -447,7 +456,7 @@ func (f *Frozen) ScoreNode(n int32, embr geo.Rect, mode FilterMode, ss *service.
 				bi++
 			}
 			for bi < bhi && f.bktMinStart[bi] <= iv.Hi {
-				so, scored = f.scoreBucket(bi, embr, mode, ss, sc, so, scored)
+				so, scored = f.scoreBucket(bi, embr, mode, ss, sc, dead, so, scored)
 				bi++
 			}
 			if bi == bhi {
@@ -468,7 +477,7 @@ func (f *Frozen) ScoreNode(n int32, embr geo.Rect, mode FilterMode, ss *service.
 // flat left-to-right over all surviving entries, exactly as the pointer
 // path's entry visitor accumulates — per-bucket subtotals would group
 // the additions differently and drift in the last bits.
-func (f *Frozen) scoreBucket(b int32, embr geo.Rect, mode FilterMode, ss *service.StopSet, sc service.Scenario, so float64, scored int) (float64, int) {
+func (f *Frozen) scoreBucket(b int32, embr geo.Rect, mode FilterMode, ss *service.StopSet, sc service.Scenario, dead trajectory.OrdinalSet, so float64, scored int) (float64, int) {
 	switch mode {
 	case NeedBoth:
 		if !embr.Intersects(f.bktStartMBR[b]) || !embr.Intersects(f.bktEndMBR[b]) {
@@ -483,30 +492,30 @@ func (f *Frozen) scoreBucket(b int32, embr geo.Rect, mode FilterMode, ss *servic
 			return so, scored
 		}
 	}
-	return f.scoreRange(f.bktEntryOff[b], f.bktEntryOff[b+1], embr, mode, ss, sc, so, scored)
+	return f.scoreRange(f.bktEntryOff[b], f.bktEntryOff[b+1], embr, mode, ss, sc, dead, so, scored)
 }
 
 // scoreRange filters and scores the entry slab range [lo, hi) into the
-// running accumulators.
-func (f *Frozen) scoreRange(lo, hi int32, embr geo.Rect, mode FilterMode, ss *service.StopSet, sc service.Scenario, so float64, scored int) (float64, int) {
+// running accumulators, skipping the entries of dead's trajectories.
+func (f *Frozen) scoreRange(lo, hi int32, embr geo.Rect, mode FilterMode, ss *service.StopSet, sc service.Scenario, dead trajectory.OrdinalSet, so float64, scored int) (float64, int) {
 	switch mode {
 	case NeedBoth:
 		for e := lo; e < hi; e++ {
-			if embr.Contains(f.entFirst[e]) && embr.Contains(f.entLast[e]) {
+			if embr.Contains(f.entFirst[e]) && embr.Contains(f.entLast[e]) && f.live(e, dead) {
 				scored++
 				so += f.serve(e, sc, ss)
 			}
 		}
 	case NeedAny:
 		for e := lo; e < hi; e++ {
-			if embr.Contains(f.entFirst[e]) || embr.Contains(f.entLast[e]) {
+			if (embr.Contains(f.entFirst[e]) || embr.Contains(f.entLast[e])) && f.live(e, dead) {
 				scored++
 				so += f.serve(e, sc, ss)
 			}
 		}
 	case NeedOverlap:
 		for e := lo; e < hi; e++ {
-			if embr.Intersects(f.entMBR[e]) {
+			if embr.Intersects(f.entMBR[e]) && f.live(e, dead) {
 				scored++
 				so += f.serve(e, sc, ss)
 			}
@@ -515,6 +524,12 @@ func (f *Frozen) scoreRange(lo, hi int32, embr geo.Rect, mode FilterMode, ss *se
 		panic("tqtree: invalid filter mode")
 	}
 	return so, scored
+}
+
+// live reports whether entry e's trajectory is not in dead. A nil dead
+// costs no read of the entry's ordinal.
+func (f *Frozen) live(e int32, dead trajectory.OrdinalSet) bool {
+	return dead == nil || !dead.Has(f.entTraj[e])
 }
 
 // serve computes entry e's exact service contribution — the columnar

@@ -228,16 +228,29 @@ func (t *Table) Has(id ID) bool {
 }
 
 // AppendSortedIDs appends the table's IDs to dst in ascending order,
-// leaving out those in skip.
-func (t *Table) AppendSortedIDs(dst []ID, skip map[ID]struct{}) []ID {
+// leaving out the ordinals in skip.
+func (t *Table) AppendSortedIDs(dst []ID, skip OrdinalSet) []ID {
 	for _, ord := range t.byID {
-		id := t.ids[ord]
-		if _, gone := skip[id]; !gone {
-			dst = append(dst, id)
+		if !skip.Has(ord) {
+			dst = append(dst, t.ids[ord])
 		}
 	}
 	return dst
 }
+
+// OrdinalSet is a set of table ordinals as a bitmap: bit i%64 of word
+// i/64 holds ordinal i. The nil set is empty.
+type OrdinalSet []uint64
+
+// NewOrdinalSet returns an empty set with room for the ordinals of a
+// table of n trajectories.
+func NewOrdinalSet(n int) OrdinalSet { return make(OrdinalSet, (n+63)/64) }
+
+// Has reports whether ordinal i is in the set.
+func (s OrdinalSet) Has(i int32) bool { return s != nil && s[i>>6]&(1<<(i&63)) != 0 }
+
+// Add puts ordinal i in the set.
+func (s OrdinalSet) Add(i int32) { s[i>>6] |= 1 << (i & 63) }
 
 // View fills dst with the trajectory at ordinal i: its points alias the
 // arena and its bounding box is recomputed from them (the same arithmetic

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 
 	"github.com/trajcover/trajcover/internal/query"
 	"github.com/trajcover/trajcover/internal/shard"
@@ -46,15 +45,11 @@ func writeLivePayload(w io.Writer, ep *query.Epoch) error {
 	if err := writeFrozenPayload(w, ep.Base().Frozen()); err != nil {
 		return err
 	}
-	dead := make([]uint32, 0, ep.TombstoneCount())
-	for id := range ep.Tombstones() {
-		dead = append(dead, uint32(id))
-	}
-	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
+	dead := ep.TombstoneIDs()
 	cw := newColWriter(w)
 	cw.u64(uint64(len(dead)))
 	for _, id := range dead {
-		cw.u32(id)
+		cw.u32(uint32(id))
 	}
 	cw.pad(i32Pad(uint64(len(dead))))
 	delta := ep.Delta()
@@ -66,10 +61,11 @@ func writeLivePayload(w io.Writer, ep *query.Epoch) error {
 	return cw.err
 }
 
-// readLivePayload decodes one epoch frame and reassembles the epoch,
-// revalidating tombstones and delta against the restored base. The delta
-// records are copied to the heap under either owner (the overlay is small
-// and outlives any base), with the cached length and MBR checked.
+// readLivePayload decodes one epoch frame and reassembles the epoch;
+// NewEpoch revalidates tombstones and delta against the restored base,
+// refusing unknown and repeated tombstone IDs. The delta records are
+// copied to the heap under either owner (the overlay is small and
+// outlives any base), with the cached length and MBR checked.
 func readLivePayload(c *cursor) (*query.Epoch, error) {
 	f, err := readFrozenPayload(c)
 	if err != nil {
@@ -85,12 +81,9 @@ func readLivePayload(c *cursor) (*query.Epoch, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
-	dead := make(map[trajectory.ID]struct{}, nDead)
-	for ; len(ids) > 0; ids = ids[4:] {
-		dead[trajectory.ID(binary.LittleEndian.Uint32(ids))] = struct{}{}
-	}
-	if uint64(len(dead)) != nDead {
-		return nil, fmt.Errorf("%w: duplicate tombstone ids", ErrBadSnapshot)
+	dead := make([]trajectory.ID, nDead)
+	for i := range dead {
+		dead[i] = trajectory.ID(binary.LittleEndian.Uint32(ids[4*i:]))
 	}
 	if nDelta > maxTrajectories || nDelta > uint64(c.remaining())/minTrajRecordBytes {
 		return nil, fmt.Errorf("%w: delta count %d exceeds remaining bytes", ErrBadSnapshot, nDelta)

@@ -488,3 +488,46 @@ func TestLiveSnapshotRejectsCrossShardDeltaID(t *testing.T) {
 		}
 	}
 }
+
+// TestLiveSnapshotRejectsBadTombstones: a TQLIVE01 frame whose tombstone
+// list repeats an ID, or names an ID its base does not hold, is refused by
+// both readers under a valid checksum — the epoch the frame describes
+// cannot exist, and NewEpoch is where that is checked.
+func TestLiveSnapshotRejectsBadTombstones(t *testing.T) {
+	users := TaxiTrips(NewYorkCity(), 30, 41)
+	fz, err := tqtree.BuildFrozen(users[:20], tqtree.Options{Ordering: tqtree.ZOrder})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := query.NewEpoch(query.NewFrozenEngine(fz, nil), users[20:], []trajectory.ID{users[3].ID, users[7].ID}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := writeLiveSnapshot(&buf, []*query.Epoch{ep}, shard.Hash{}.Kind()); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		forge func(dead []byte) // the tombstone section: count, then u32 IDs
+		ok    bool
+	}{
+		{"as written", func([]byte) {}, true},
+		{"repeated id", func(dead []byte) { copy(dead[12:16], dead[8:12]) }, false},
+		{"id of no base trajectory", func(dead []byte) { binary.LittleEndian.PutUint32(dead[12:], uint32(users[25].ID)) }, false},
+	} {
+		d := bytes.Clone(buf.Bytes())
+		lo, hi := framePayload(d)
+		c.forge(d[lo+int(frozenPayloadSize(fz)):])
+		binary.LittleEndian.PutUint32(d[hi:], crc32.ChecksumIEEE(d[lo:hi]))
+		_, herr := ReadLiveSnapshot(bytes.NewReader(d), LivePolicy{Manual: true})
+		path := writeTempSnapshot(t, "live.tqlive", func(w *os.File) error { _, err := w.Write(d); return err })
+		_, merr := OpenMappedLiveSnapshot(path, LivePolicy{Manual: true})
+		if c.ok && (herr != nil || merr != nil) {
+			t.Fatalf("%s: heap %v, mapped %v", c.name, herr, merr)
+		}
+		if !c.ok && (!errors.Is(herr, ErrBadSnapshot) || !errors.Is(merr, ErrBadSnapshot)) {
+			t.Fatalf("%s: heap %v, mapped %v; want ErrBadSnapshot from both", c.name, herr, merr)
+		}
+	}
+}
