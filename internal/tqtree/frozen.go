@@ -8,8 +8,10 @@ package tqtree
 //
 //   - q-nodes become parallel columns indexed by int32 (BFS order, each
 //     node's children contiguous at childBase..childBase+childCount);
-//   - per-node entry lists become ranges into one SoA entry slab
-//     (first/last/mbr/startCode/endCode/ub columns);
+//   - per-node entry lists become ranges into one SoA entry slab that
+//     holds only the columns its variant reads: the endpoints always,
+//     the MBR on a FullTrajectory base, the trajectory ordinal and
+//     segment index on a Segmented one;
 //   - z-node buckets become ranges into bucket aggregate columns;
 //   - Entry.Traj shrinks to an int32 ordinal into one columnar
 //     trajectory.Table, touched only when a surviving candidate needs
@@ -66,20 +68,29 @@ type Frozen struct {
 	bktEndMBR   []geo.Rect
 	bktFullMBR  []geo.Rect
 
-	// Entry slab, SoA. entSeg is -1 for whole-trajectory entries. The
-	// per-entry Morton codes and upper bounds of the pointer tree are
-	// deliberately NOT carried over: zReduce prunes buckets with the
-	// aggregate columns and filters entries by geometry, and the
-	// immutable index never re-derives node bounds — dropping them
-	// saves 40 bytes per entry in RAM and in every snapshot.
+	// Entry slab, SoA. The per-entry Morton codes and upper bounds of the
+	// pointer tree are deliberately NOT carried over: zReduce prunes
+	// buckets with the aggregate columns and filters entries by geometry,
+	// and the immutable index never re-derives node bounds. Of the rest,
+	// every variant holds the endpoints zReduce filters by; a column only
+	// some variant reads is nil on the others, and EntryMBR /
+	// EntryOrdinal / EntrySegment derive its values there:
+	//   - entMBR, read only by the NeedOverlap filter: FullTrajectory
+	//     (HoldsEntryMBRs).
+	//   - entTraj (table ordinal) and entSeg (segment index, -1 for a
+	//     whole trajectory): Segmented (HoldsEntryOrdinals). Elsewhere
+	//     each trajectory is one whole entry, numbered in slab order, so
+	//     entry e is ordinal e.
+	// A TwoPoint entry is 32 bytes, a Segmented one 40, a FullTrajectory
+	// one 64; the snapshot formats still record all five columns.
 	entFirst []geo.Point
 	entLast  []geo.Point
 	entMBR   []geo.Rect
 	entTraj  []int32
 	entSeg   []int32
 
-	// table holds the indexed trajectories; entTraj values are its
-	// ordinals, dense in order of first appearance in the entry slab.
+	// table holds the indexed trajectories, numbered by ordinal, dense in
+	// order of first appearance in the entry slab.
 	table *trajectory.Table
 
 	// pin, when non-nil, keeps the backing store of the columns
@@ -232,9 +243,13 @@ func newFrozenWriter(t *Tree, nodes, buckets int) (*frozenWriter, error) {
 		treeUB:        make([]float64, nodes*service.NumScenarios),
 		entFirst:      make([]geo.Point, 0, entries),
 		entLast:       make([]geo.Point, 0, entries),
-		entMBR:        make([]geo.Rect, 0, entries),
-		entTraj:       make([]int32, 0, entries),
-		entSeg:        make([]int32, 0, entries),
+	}
+	if o.Variant.HoldsEntryMBRs() {
+		f.entMBR = make([]geo.Rect, 0, entries)
+	}
+	if o.Variant.HoldsEntryOrdinals() {
+		f.entTraj = make([]int32, 0, entries)
+		f.entSeg = make([]int32, 0, entries)
 	}
 	if o.Ordering == ZOrder {
 		f.bucketOff = make([]int32, nodes+1)
@@ -275,14 +290,19 @@ func (w *frozenWriter) bucket(a *zAgg) {
 	f.bktFullMBR = append(f.bktFullMBR, a.fullMBR)
 }
 
-// entry appends e, whose trajectory has table ordinal ti.
+// entry appends e, whose trajectory has table ordinal ti, to the columns
+// the variant holds.
 func (w *frozenWriter) entry(e *Entry, ti int32) {
 	f := w.f
 	f.entFirst = append(f.entFirst, e.first)
 	f.entLast = append(f.entLast, e.last)
-	f.entMBR = append(f.entMBR, e.mbr)
-	f.entTraj = append(f.entTraj, ti)
-	f.entSeg = append(f.entSeg, int32(e.SegIdx))
+	if f.entMBR != nil {
+		f.entMBR = append(f.entMBR, e.mbr)
+	}
+	if f.entTraj != nil {
+		f.entTraj = append(f.entTraj, ti)
+		f.entSeg = append(f.entSeg, int32(e.SegIdx))
+	}
 }
 
 // finish closes the last node and the cumulative bucket → entry mapping.
@@ -347,7 +367,7 @@ func (f *Frozen) Table() *trajectory.Table { return f.table }
 func (f *Frozen) Mapped() bool { return f.pin != nil }
 
 // Bytes returns the size of everything the index addresses — the column
-// slices and the trajectory table — from their lengths.
+// slices it holds and the trajectory table — from their lengths.
 func (f *Frozen) Bytes() int64 {
 	const rect, point = 32, 16
 	return f.table.Bytes() +
@@ -355,6 +375,49 @@ func (f *Frozen) Bytes() int64 {
 		point*int64(len(f.entFirst)+len(f.entLast)) +
 		8*int64(len(f.ownUB)+len(f.treeUB)+len(f.bktMinStart)+len(f.bktMaxStart)) +
 		4*int64(len(f.childBase)+len(f.childCount)+len(f.entryOff)+len(f.bucketOff)+len(f.bktEntryOff)+len(f.entTraj)+len(f.entSeg))
+}
+
+// HoldsEntryMBRs reports whether a frozen index of variant v keeps a
+// per-entry MBR column: only FullTrajectory's NeedOverlap filter reads
+// one.
+func (v Variant) HoldsEntryMBRs() bool { return v == FullTrajectory }
+
+// HoldsEntryOrdinals reports whether a frozen index of variant v keeps
+// per-entry trajectory ordinal and segment columns: only a segmented
+// index files a trajectory under more than one entry.
+func (v Variant) HoldsEntryOrdinals() bool { return v == Segmented }
+
+// EntryOrdinal returns the table ordinal of entry e's trajectory: e itself
+// on a base that files each trajectory once, in slab order.
+func (f *Frozen) EntryOrdinal(e int32) int32 {
+	if f.entTraj == nil {
+		return e
+	}
+	return f.entTraj[e]
+}
+
+// EntrySegment returns entry e's segment index, -1 for a whole
+// trajectory.
+func (f *Frozen) EntrySegment(e int32) int32 {
+	if f.entSeg == nil {
+		return -1
+	}
+	return f.entSeg[e]
+}
+
+// EntryMBR returns entry e's bounding rectangle. Where the base holds no
+// MBR column it is derived with the arithmetic that built the entry
+// (newEntry, newSegmentEntry): RectOf the trajectory's points for a whole
+// trajectory, NewRect of the endpoints for a segment.
+func (f *Frozen) EntryMBR(e int32) geo.Rect {
+	switch {
+	case f.entMBR != nil:
+		return f.entMBR[e]
+	case f.EntrySegment(e) >= 0:
+		return geo.NewRect(f.entFirst[e], f.entLast[e])
+	default:
+		return geo.RectOf(f.table.Points(f.EntryOrdinal(e)))
+	}
 }
 
 // ValidateScenario checks that queries under sc are exact on this index.
@@ -529,7 +592,7 @@ func (f *Frozen) scoreRange(lo, hi int32, embr geo.Rect, mode FilterMode, ss *se
 // live reports whether entry e's trajectory is not in dead. A nil dead
 // costs no read of the entry's ordinal.
 func (f *Frozen) live(e int32, dead trajectory.OrdinalSet) bool {
-	return dead == nil || !dead.Has(f.entTraj[e])
+	return dead == nil || !dead.Has(f.EntryOrdinal(e))
 }
 
 // serve computes entry e's exact service contribution — the columnar
@@ -541,7 +604,7 @@ func (f *Frozen) serve(e int32, sc service.Scenario, ss *service.StopSet) float6
 		}
 		return 0
 	}
-	ti, seg := f.entTraj[e], int(f.entSeg[e])
+	ti, seg := f.EntryOrdinal(e), int(f.EntrySegment(e))
 	if seg < 0 {
 		return service.ValueSetPoints(sc, f.table.Points(ti), f.table.Length(ti), ss)
 	}

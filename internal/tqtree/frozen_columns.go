@@ -2,6 +2,7 @@ package tqtree
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/trajcover/trajcover/internal/geo"
 	"github.com/trajcover/trajcover/internal/service"
@@ -14,6 +15,10 @@ import (
 // with FrozenFromColumns, which re-checks every structural invariant so a
 // corrupt or hostile stream fails with an error instead of an
 // out-of-bounds panic or an unterminated traversal.
+//
+// EntMBR, EntTraj and EntSeg are nil in the view of a Frozen whose
+// variant does not hold them; the snapshot formats record them for every
+// variant, from Frozen.EntryMBR / EntryOrdinal / EntrySegment.
 type FrozenColumns struct {
 	Variant  Variant
 	Ordering Ordering
@@ -78,7 +83,11 @@ func (f *Frozen) Columns() FrozenColumns {
 
 // FrozenFromColumns assembles a Frozen from deserialized columns and its
 // trajectory table, validating every structural invariant the query paths
-// rely on. The slices and the table are adopted, not copied.
+// rely on. Every column must be present, those the variant does not hold
+// included: each of their values must equal what the base derives in
+// their place, so a base accepted here writes back the same columns. They
+// are only read, and may be views of a buffer that dies on return. The
+// slices the variant holds, and the table, are adopted, not copied.
 func FrozenFromColumns(c FrozenColumns, table *trajectory.Table) (*Frozen, error) {
 	if c.Variant < TwoPoint || c.Variant > FullTrajectory {
 		return nil, fmt.Errorf("tqtree: frozen columns: invalid variant %d", int(c.Variant))
@@ -169,17 +178,7 @@ func FrozenFromColumns(c FrozenColumns, table *trajectory.Table) (*Frozen, error
 		return nil, fmt.Errorf("tqtree: frozen columns: basic ordering with bucket columns")
 	}
 
-	for e := 0; e < ne; e++ {
-		ti := c.EntTraj[e]
-		if ti < 0 || int(ti) >= table.Len() {
-			return nil, fmt.Errorf("tqtree: frozen columns: entry %d references trajectory %d of %d", e, ti, table.Len())
-		}
-		if seg, segs := c.EntSeg[e], table.NumPoints(ti)-1; seg < -1 || int(seg) >= segs {
-			return nil, fmt.Errorf("tqtree: frozen columns: entry %d has segment %d of %d", e, seg, segs)
-		}
-	}
-
-	return &Frozen{
+	f := &Frozen{
 		variant:       c.Variant,
 		ordering:      c.Ordering,
 		beta:          c.Beta,
@@ -204,10 +203,41 @@ func FrozenFromColumns(c FrozenColumns, table *trajectory.Table) (*Frozen, error
 
 		entFirst: c.EntFirst,
 		entLast:  c.EntLast,
-		entMBR:   c.EntMBR,
-		entTraj:  c.EntTraj,
-		entSeg:   c.EntSeg,
 
 		table: table,
-	}, nil
+	}
+	if c.Variant.HoldsEntryMBRs() {
+		f.entMBR = c.EntMBR
+	}
+	if c.Variant.HoldsEntryOrdinals() {
+		f.entTraj, f.entSeg = c.EntTraj, c.EntSeg
+	} else if table.Len() != ne {
+		return nil, fmt.Errorf("tqtree: frozen columns: %v base of %d entries holds %d trajectories", c.Variant, ne, table.Len())
+	}
+	for e := int32(0); int(e) < ne; e++ {
+		ti, seg := c.EntTraj[e], c.EntSeg[e]
+		if ti < 0 || int(ti) >= table.Len() {
+			return nil, fmt.Errorf("tqtree: frozen columns: entry %d references trajectory %d of %d", e, ti, table.Len())
+		}
+		if segs := table.NumPoints(ti) - 1; seg < -1 || int(seg) >= segs {
+			return nil, fmt.Errorf("tqtree: frozen columns: entry %d has segment %d of %d", e, seg, segs)
+		}
+		if ti != f.EntryOrdinal(e) || seg != f.EntrySegment(e) {
+			return nil, fmt.Errorf("tqtree: frozen columns: %v entry %d is trajectory %d segment %d, want %d, %d",
+				c.Variant, e, ti, seg, f.EntryOrdinal(e), f.EntrySegment(e))
+		}
+		if want := f.EntryMBR(e); !sameRect(c.EntMBR[e], want) {
+			return nil, fmt.Errorf("tqtree: frozen columns: %v entry %d has MBR %v, its geometry gives %v", c.Variant, e, c.EntMBR[e], want)
+		}
+	}
+	return f, nil
+}
+
+// sameRect reports whether a and b are the same bits: a recorded column
+// value checked against a derived one must write back byte for byte.
+func sameRect(a, b geo.Rect) bool {
+	return math.Float64bits(a.MinX) == math.Float64bits(b.MinX) &&
+		math.Float64bits(a.MinY) == math.Float64bits(b.MinY) &&
+		math.Float64bits(a.MaxX) == math.Float64bits(b.MaxX) &&
+		math.Float64bits(a.MaxY) == math.Float64bits(b.MaxY)
 }

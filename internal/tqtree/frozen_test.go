@@ -2,6 +2,7 @@ package tqtree
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -65,54 +66,103 @@ func TestFreezeStructure(t *testing.T) {
 				}
 			}
 
-			// Column view must reassemble without loss.
-			f2, err := FrozenFromColumns(f.Columns(), f.Table())
+			// The full columns must reassemble without loss, into a base
+			// holding only its variant's entry columns.
+			f2, err := FrozenFromColumns(fullColumns(f), f.Table())
 			if err != nil {
 				t.Fatalf("%v/%v: FrozenFromColumns: %v", v, o, err)
 			}
-			if f2.NumNodes() != f.NumNodes() || f2.NumEntries() != f.NumEntries() ||
-				f2.HasMultipoint() != f.HasMultipoint() {
-				t.Fatalf("%v/%v: columns round-trip mismatch", v, o)
+			assertFrozenEqual(t, fmt.Sprintf("%v/%v: columns round trip", v, o), f2, f)
+			c := f.Columns()
+			if (c.EntMBR != nil) != v.HoldsEntryMBRs() || (c.EntTraj != nil) != v.HoldsEntryOrdinals() || (c.EntSeg != nil) != v.HoldsEntryOrdinals() {
+				t.Fatalf("%v/%v: holds entry columns MBR %v, ordinals %v, segments %v", v, o, c.EntMBR != nil, c.EntTraj != nil, c.EntSeg != nil)
 			}
 		}
 	}
 }
 
+// fullColumns returns f's columns with every entry column present, as a
+// snapshot records them: the ones f does not hold derived afresh.
+func fullColumns(f *Frozen) FrozenColumns {
+	c := f.Columns()
+	ne := int32(f.NumEntries())
+	c.EntMBR, c.EntTraj, c.EntSeg = make([]geo.Rect, ne), make([]int32, ne), make([]int32, ne)
+	for e := int32(0); e < ne; e++ {
+		c.EntMBR[e], c.EntTraj[e], c.EntSeg[e] = f.EntryMBR(e), f.EntryOrdinal(e), f.EntrySegment(e)
+	}
+	return c
+}
+
 // TestFrozenFromColumnsRejectsCorruption spot-checks the structural
-// validation: broken BFS layout, dangling offsets, and out-of-range
-// trajectory references must all error.
+// validation: broken BFS layout, dangling offsets, out-of-range trajectory
+// references, and an entry column the variant does not hold that differs
+// from what the base derives in its place must all error.
 func TestFrozenFromColumnsRejectsCorruption(t *testing.T) {
 	users := frozenTestUsers(500, 5)
-	tree, err := Build(users, Options{Ordering: ZOrder, Beta: 16})
-	if err != nil {
-		t.Fatal(err)
+	frozen := map[Variant]*Frozen{}
+	for _, v := range []Variant{TwoPoint, Segmented, FullTrajectory} {
+		f, err := BuildFrozen(users, Options{Variant: v, Ordering: ZOrder, Beta: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frozen[v] = f
 	}
-	f, err := Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mutate := func(name string, fn func(c *FrozenColumns)) {
-		c := f.Columns()
-		// Deep-copy the slices the mutation touches so cases stay
-		// independent.
-		c.ChildBase = append([]int32(nil), c.ChildBase...)
-		c.ChildCount = append([]int32(nil), c.ChildCount...)
-		c.EntryOff = append([]int32(nil), c.EntryOff...)
-		c.EntTraj = append([]int32(nil), c.EntTraj...)
-		c.EntSeg = append([]int32(nil), c.EntSeg...)
+	// mutate corrupts a fresh copy of the full columns, as the snapshot
+	// reader supplies them, so cases stay independent.
+	mutate := func(v Variant, name string, fn func(c *FrozenColumns)) {
+		t.Helper()
+		f := frozen[v]
+		c := fullColumns(f)
+		c.ChildBase = slices.Clone(c.ChildBase)
+		c.ChildCount = slices.Clone(c.ChildCount)
+		c.EntryOff = slices.Clone(c.EntryOff)
+		if _, err := FrozenFromColumns(c, f.Table()); err != nil {
+			t.Fatalf("%v: %s: the uncorrupted columns: %v", v, name, err)
+		}
 		fn(&c)
 		if _, err := FrozenFromColumns(c, f.Table()); err == nil {
-			t.Fatalf("%s: corruption accepted", name)
+			t.Fatalf("%v: %s: corruption accepted", v, name)
 		}
 	}
-	mutate("cyclic child base", func(c *FrozenColumns) { c.ChildBase[1] = 0 })
-	mutate("child count overflow", func(c *FrozenColumns) { c.ChildCount[0] = 5 })
-	mutate("entry offset overflow", func(c *FrozenColumns) { c.EntryOff[len(c.EntryOff)-1]++ })
-	mutate("entry offset regression", func(c *FrozenColumns) {
-		c.EntryOff[1] = c.EntryOff[2] + 1
-	})
-	mutate("trajectory out of range", func(c *FrozenColumns) { c.EntTraj[0] = int32(f.Table().Len()) })
-	mutate("segment out of range", func(c *FrozenColumns) { c.EntSeg[0] = 1 << 20 })
+	for _, v := range []Variant{TwoPoint, Segmented, FullTrajectory} {
+		mutate(v, "cyclic child base", func(c *FrozenColumns) { c.ChildBase[1] = 0 })
+		mutate(v, "child count overflow", func(c *FrozenColumns) { c.ChildCount[0] = 5 })
+		mutate(v, "entry offset overflow", func(c *FrozenColumns) { c.EntryOff[len(c.EntryOff)-1]++ })
+		mutate(v, "entry offset regression", func(c *FrozenColumns) {
+			c.EntryOff[1] = c.EntryOff[2] + 1
+		})
+		mutate(v, "trajectory out of range", func(c *FrozenColumns) { c.EntTraj[0] = int32(frozen[v].Table().Len()) })
+		mutate(v, "segment out of range", func(c *FrozenColumns) { c.EntSeg[0] = 1 << 20 })
+		mutate(v, "an entry column missing", func(c *FrozenColumns) { c.EntSeg = c.EntSeg[1:] })
+	}
+	// What the base derives in place of the columns it does not hold.
+	nudge := func(r *geo.Rect) { r.MaxX = math.Nextafter(r.MaxX, math.Inf(1)) }
+	mutate(TwoPoint, "MBR not its trajectory's", func(c *FrozenColumns) { nudge(&c.EntMBR[3]) })
+	mutate(Segmented, "MBR not its segment's", func(c *FrozenColumns) { nudge(&c.EntMBR[3]) })
+	for _, v := range []Variant{TwoPoint, FullTrajectory} {
+		mutate(v, "ordinal not the entry's", func(c *FrozenColumns) { c.EntTraj[0], c.EntTraj[1] = c.EntTraj[1], c.EntTraj[0] })
+		mutate(v, "a segment of a whole entry", func(c *FrozenColumns) { c.EntSeg[0] = 0 })
+
+		// A table row no entry references.
+		f := frozen[v]
+		tab := f.Table()
+		tb := trajectory.NewTableBuilder(tab.Len()+1, tab.TotalPoints()+2)
+		for i := int32(0); int(i) < tab.Len(); i++ {
+			if _, err := tb.AppendPoints(tab.ID(i), tab.Points(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := tb.AppendPoints(1<<30, []geo.Point{{}, {X: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		extra, err := tb.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := FrozenFromColumns(fullColumns(f), extra); err == nil {
+			t.Fatalf("%v: a table row no entry references accepted", v)
+		}
+	}
 }
 
 // TestFreezeDoesNotRetainTree proves Freeze copies rather than aliases

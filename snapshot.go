@@ -30,7 +30,9 @@ package trajcover
 // by design: the copy recomputes each record's length and bounding box
 // from its points and compares them with the cached ones, while an
 // aliasing open must stay O(columns), not O(points), and serves the
-// cached length as recorded.
+// cached length as recorded. (Both owners check a TwoPoint base's
+// recorded entry MBRs against its points — the one column the base
+// derives from the table — which reads each record's points once.)
 
 import (
 	"encoding/binary"
@@ -130,10 +132,11 @@ func (c *cursor) u64() uint64 {
 	return 0
 }
 
-// column takes n values of the given byte width and views them as a []T —
-// where they sit under a pin (internal/mmap decodes to the heap by itself
-// where the host cannot alias), as a copy of exactly n values otherwise.
-func column[T any](c *cursor, n, width uint64, view func([]byte) []T) []T {
+// view takes n values of the given byte width and views them as a []T
+// where they sit, under either owner (internal/mmap decodes to the heap
+// by itself where the host cannot alias): for a column the parse only
+// checks, as the view lives no longer than the cursor's bytes.
+func view[T any](c *cursor, n, width uint64, as func([]byte) []T) []T {
 	if c.err == nil && n > uint64(c.remaining())/width {
 		c.err = fmt.Errorf("%w: column of %d %d-byte values exceeds the %d bytes remaining", ErrBadSnapshot, n, width, c.remaining())
 	}
@@ -141,8 +144,14 @@ func column[T any](c *cursor, n, width uint64, view func([]byte) []T) []T {
 	if c.err != nil {
 		return nil
 	}
-	v := view(b)
-	if c.pin == nil {
+	return as(b)
+}
+
+// column is view for a column the parse result keeps: the view itself
+// under a pin, a copy of exactly n values otherwise.
+func column[T any](c *cursor, n, width uint64, as func([]byte) []T) []T {
+	v := view(c, n, width, as)
+	if c.err == nil && c.pin == nil {
 		v = append(make([]T, 0, len(v)), v...)
 	}
 	return v

@@ -8,9 +8,12 @@ package trajcover
 // order plus the trajectory table, one record per trajectory in ordinal
 // order (entry-slab first appearance, so entTraj values resolve by
 // position) — row-shaped on disk, column-shaped (trajectory.Table) in
-// memory. Restoring is the CRC check, a copy or an aliasing of each
-// column, and the structural bounds validation in
-// tqtree.FrozenFromColumns — no tree rebuild, no sorting.
+// memory. All five entry columns are recorded for every variant; the ones
+// a variant does not hold in memory (tqtree.Frozen's entry slab) are
+// derived as they are written and, on restore, viewed in place and
+// checked against the same derivation. Restoring is the CRC check, a copy
+// or an aliasing of each held column, and the structural bounds
+// validation in tqtree.FrozenFromColumns — no tree rebuild, no sorting.
 //
 // Every multi-byte column starts at an offset that is a multiple of 8
 // from the payload start (zero pad bytes follow the int32 column groups
@@ -92,12 +95,16 @@ func (cw *colWriter) i32s(vs []int32) {
 	}
 }
 
+func (cw *colWriter) rect(r geo.Rect) {
+	cw.u64(math.Float64bits(r.MinX))
+	cw.u64(math.Float64bits(r.MinY))
+	cw.u64(math.Float64bits(r.MaxX))
+	cw.u64(math.Float64bits(r.MaxY))
+}
+
 func (cw *colWriter) rects(vs []geo.Rect) {
 	for _, r := range vs {
-		cw.u64(math.Float64bits(r.MinX))
-		cw.u64(math.Float64bits(r.MinY))
-		cw.u64(math.Float64bits(r.MaxX))
-		cw.u64(math.Float64bits(r.MaxY))
+		cw.rect(r)
 	}
 }
 
@@ -176,7 +183,7 @@ func (cw *colWriter) trajRecord(id trajectory.ID, pts []geo.Point, length float6
 	cw.u32(uint32(id))
 	cw.u32(uint32(len(pts)))
 	cw.u64(math.Float64bits(length))
-	cw.rects([]geo.Rect{mbr})
+	cw.rect(mbr)
 	cw.points(pts)
 }
 
@@ -330,9 +337,18 @@ func writeFrozenPayload(w io.Writer, f *tqtree.Frozen) error {
 	}
 	cw.points(c.EntFirst)
 	cw.points(c.EntLast)
-	cw.rects(c.EntMBR)
-	cw.i32s(c.EntTraj)
-	cw.i32s(c.EntSeg)
+	// Every variant records all five entry columns; those the base does
+	// not hold are derived entry by entry.
+	ne := int32(len(c.EntFirst))
+	for e := int32(0); e < ne; e++ {
+		cw.rect(f.EntryMBR(e))
+	}
+	for e := int32(0); e < ne; e++ {
+		cw.u32(uint32(f.EntryOrdinal(e)))
+	}
+	for e := int32(0); e < ne; e++ {
+		cw.u32(uint32(f.EntrySegment(e)))
+	}
 
 	for i := int32(0); int(i) < tab.Len(); i++ {
 		// The table keeps no bounding boxes; RectOf is the arithmetic that
@@ -403,9 +419,19 @@ func readFrozenPayload(cur *cursor) (*tqtree.Frozen, error) {
 	}
 	c.EntFirst = cur.points(ne)
 	c.EntLast = cur.points(ne)
-	c.EntMBR = cur.rects(ne)
-	c.EntTraj = cur.i32s(ne)
-	c.EntSeg = cur.i32s(ne)
+	// An entry column the variant does not hold is only checked against
+	// what the base derives in its place, so under either owner it is
+	// viewed where it sits and never copied.
+	mbrs, ords := view[geo.Rect], view[int32]
+	if c.Variant.HoldsEntryMBRs() {
+		mbrs = column[geo.Rect]
+	}
+	if c.Variant.HoldsEntryOrdinals() {
+		ords = column[int32]
+	}
+	c.EntMBR = mbrs(cur, ne, 32, mmap.Rects)
+	c.EntTraj = ords(cur, ne, 4, mmap.I32s)
+	c.EntSeg = ords(cur, ne, 4, mmap.I32s)
 	if cur.err != nil {
 		return nil, cur.err
 	}

@@ -8,12 +8,14 @@ package trajcover
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"github.com/trajcover/trajcover/internal/mmap"
+	"github.com/trajcover/trajcover/internal/tqtree"
 )
 
 // writeTempSnapshot materializes a snapshot stream as a file for the
@@ -46,6 +48,13 @@ func assertMappedAnswers(t *testing.T, name string, want, got flavor) {
 	for _, sc := range []Scenario{Binary, PointCount, Length} {
 		q := Query{Scenario: sc, Psi: DefaultPsi}
 		wv, err := want.ServiceValues(routes, q, 2)
+		if errors.Is(err, tqtree.ErrUnsupported) {
+			// TwoPoint over multipoint trajectories: both must refuse.
+			if _, gerr := got.ServiceValues(routes, q, 2); !errors.Is(gerr, tqtree.ErrUnsupported) {
+				t.Fatalf("%s: scenario %v: %v, want %v", name, sc, gerr, err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -112,10 +113,11 @@ func liveHeap() uint64 {
 }
 
 // TestIndexHeapPerTrajectory pins what a served index holds per
-// trajectory once its input is dropped: the 72-byte entry slab, a few
-// bytes of node and bucket columns, and the trajectory table's 52 (two
-// points, ID, offset, length, lookup slot) — no Trajectory object, point
-// slice, map slot or pointer beside them. A mapped index holds the
+// trajectory once its input is dropped: a 32-byte TwoPoint entry (its two
+// endpoints), a few bytes of node and bucket columns, and the trajectory
+// table's 52 (two points, ID, offset, length, lookup slot) — no
+// Trajectory object, point slice, map slot or pointer beside them, and no
+// entry column the variant does not read. A mapped index holds the
 // table's ID, offset and lookup columns and nothing else.
 func TestIndexHeapPerTrajectory(t *testing.T) {
 	if raceEnabled {
@@ -130,10 +132,10 @@ func TestIndexHeapPerTrajectory(t *testing.T) {
 		limit float64
 		build func() (any, error)
 	}{
-		{"NewLiveShardedIndex", 140, func() (any, error) {
+		{"NewLiveShardedIndex", 95, func() (any, error) {
 			return NewLiveShardedIndex(TaxiTrips(ny, n, 7), LiveShardOptions{Shards: 2, Index: opts})
 		}},
-		{"NewFrozenIndex", 140, func() (any, error) {
+		{"NewFrozenIndex", 95, func() (any, error) {
 			return NewFrozenIndex(TaxiTrips(ny, n, 7), opts)
 		}},
 		{"OpenMappedLiveSnapshot", 24, func() (any, error) {
@@ -170,6 +172,30 @@ func TestIndexHeapPerTrajectory(t *testing.T) {
 		if per > c.limit {
 			t.Errorf("%s holds %.1f heap bytes per trajectory, want <= %.0f", c.name, per, c.limit)
 		}
+		if fz, ok := idx.(*FrozenIndex); ok {
+			assertTwoPointBytes(t, fz.engine.Frozen())
+		}
+	}
+}
+
+// assertTwoPointBytes: a TwoPoint base holds the entFirst and entLast
+// entry columns and no other, so its Bytes are 32 per entry, the node and
+// bucket columns, and the table.
+func assertTwoPointBytes(t *testing.T, f *tqtree.Frozen) {
+	t.Helper()
+	c := f.Columns()
+	if f.Variant() != tqtree.TwoPoint || c.EntMBR != nil || c.EntTraj != nil || c.EntSeg != nil {
+		t.Fatalf("%v base holds entry columns MBR %v, ordinals %v, segments %v; want only the endpoints",
+			f.Variant(), c.EntMBR != nil, c.EntTraj != nil, c.EntSeg != nil)
+	}
+	const rect, point = 32, 16
+	nodesAndBuckets := rect*(len(c.NodeRect)+len(c.BktStartMBR)+len(c.BktEndMBR)+len(c.BktFullMBR)) +
+		8*(len(c.OwnUB)+len(c.TreeUB)+len(c.BktMinStart)+len(c.BktMaxStart)) +
+		4*(len(c.ChildBase)+len(c.ChildCount)+len(c.EntryOff)+len(c.BucketOff)+len(c.BktEntryOff))
+	want := 2*point*int64(f.NumEntries()) + int64(nodesAndBuckets) + f.Table().Bytes()
+	if got := f.Bytes(); got != want {
+		t.Fatalf("TwoPoint base Bytes() = %d, want %d: 32 × %d entries + %d of node and bucket columns + the table's %d",
+			got, want, f.NumEntries(), nodesAndBuckets, f.Table().Bytes())
 	}
 }
 
@@ -200,107 +226,149 @@ func TestTableBytesMultipoint(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripMultipoint: write → read → write is byte-identical
-// through the heap, mapped and live readers over multipoint trajectories
-// (records of differing widths, segment entries that share a table row),
-// and all restores answer bit-identically — the mapped table addresses
-// points inside the records where the heap table holds copies.
-func TestSnapshotRoundTripMultipoint(t *testing.T) {
-	users := Checkins(NewYorkCity(), 400, 7, 43)
-	for _, v := range []Variant{Segmented, FullTrajectory} {
-		opts := IndexOptions{Variant: v, Ordering: ZOrdering}
-		fz, err := NewFrozenIndex(users, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := writeTempSnapshot(t, "frozen.tqsnap", func(w *os.File) error { return fz.WriteSnapshot(w) })
-		orig, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		heap, err := ReadFrozenSnapshot(bytes.NewReader(orig))
-		if err != nil {
-			t.Fatal(err)
-		}
-		mapped, err := OpenMappedFrozenSnapshot(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertMappedAnswers(t, v.String()+" heap restore", fz, heap)
-		assertMappedAnswers(t, v.String()+" mapped restore", fz, mapped)
-		for name, x := range map[string]*FrozenIndex{"heap": heap, "mapped": mapped} {
-			var out bytes.Buffer
-			if err := x.WriteSnapshot(&out); err != nil {
-				t.Fatal(err)
+// TestSnapshotRoundTripEveryVariant: for every variant and ordering, over
+// two-point and multipoint trajectories, write → read → write is
+// byte-identical through the heap, mapped and live readers, and every
+// restore answers bit-identically to the index BuildFrozen made — whatever
+// entry columns the variant holds in memory, a snapshot records all five,
+// and the mapped table addresses points inside the records where the heap
+// table holds copies.
+func TestSnapshotRoundTripEveryVariant(t *testing.T) {
+	ny := NewYorkCity()
+	corpora := []struct {
+		name  string
+		users []*Trajectory
+	}{
+		{"taxi", TaxiTrips(ny, 400, 43)},
+		{"checkins", Checkins(ny, 400, 7, 43)},
+	}
+	pol := LivePolicy{Manual: true}
+	for _, corpus := range corpora {
+		users := corpus.users
+		for _, v := range []Variant{TwoPoint, Segmented, FullTrajectory} {
+			for _, o := range []Ordering{BasicOrdering, ZOrdering} {
+				name := corpus.name + "/" + v.String() + "/" + o.String()
+				opts := IndexOptions{Variant: v, Ordering: o}
+				fz, err := NewFrozenIndex(users, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				path := writeTempSnapshot(t, "frozen.tqsnap", func(w *os.File) error { return fz.WriteSnapshot(w) })
+				orig, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				heap, err := ReadFrozenSnapshot(bytes.NewReader(orig))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				mapped, err := OpenMappedFrozenSnapshot(path)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for what, x := range map[string]*FrozenIndex{"heap": heap, "mapped": mapped} {
+					assertMappedAnswers(t, name+" "+what+" restore", fz, x)
+					var out bytes.Buffer
+					if err := x.WriteSnapshot(&out); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(orig, out.Bytes()) {
+						t.Fatalf("%s: %s re-snapshot differs (%d vs %d bytes)", name, what, out.Len(), len(orig))
+					}
+				}
+				// A live index answers TopK by one exact pass where a
+				// frozen one searches best-first, so the live form of the
+				// restore answers as the live form of BuildFrozen's index.
+				live, err := heap.Live(pol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fzLive, err := fz.Live(pol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertMappedAnswers(t, name+" live of heap restore", fzLive, live)
+				lv, err := NewLiveShardedIndex(users[:300], LiveShardOptions{Shards: 2, Index: opts, Policy: pol})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, u := range users[300:] {
+					if err := lv.Insert(u); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, u := range users[:9] {
+					if ok, err := lv.Delete(u.ID); err != nil || !ok {
+						t.Fatalf("Delete(%d) = %v, %v", u.ID, ok, err)
+					}
+				}
+				assertLiveRoundTrip(t, name, lv, pol)
+				// The live form of a restored frozen base, too, once it
+				// holds a tombstone for the compaction to fold.
+				if ok, err := live.Delete(users[5].ID); err != nil || !ok {
+					t.Fatalf("Delete(%d) = %v, %v", users[5].ID, ok, err)
+				}
+				assertLiveRoundTrip(t, name+" live of heap restore", live, pol)
 			}
-			if !bytes.Equal(orig, out.Bytes()) {
-				t.Fatalf("%v: %s re-snapshot differs (%d vs %d bytes)", v, name, out.Len(), len(orig))
-			}
 		}
+	}
+}
 
-		lv, err := NewLiveShardedIndex(users[:300], LiveShardOptions{Shards: 2, Index: opts, Policy: LivePolicy{Manual: true}})
-		if err != nil {
+// assertLiveRoundTrip writes lv as TQLIVE01, restores it through the heap
+// and mapped readers, and requires bit-identical answers and a
+// byte-identical re-snapshot from both; then a compaction of the mapped
+// restore, which folds the mapped base into heap columns, must answer as
+// the compacted heap restore does.
+func assertLiveRoundTrip(t *testing.T, name string, lv interface {
+	flavor
+	restored
+}, pol LivePolicy) {
+	t.Helper()
+	lpath := writeTempSnapshot(t, "live.tqlive", func(w *os.File) error { return lv.WriteSnapshot(w) })
+	lorig, err := os.ReadFile(lpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lheap, err := ReadLiveSnapshot(bytes.NewReader(lorig), pol)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	lmapped, err := OpenMappedLiveSnapshot(lpath, pol)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	for what, x := range map[string]*LiveShardedIndex{"heap": lheap, "mapped": lmapped} {
+		assertMappedAnswers(t, name+" live "+what+" restore", lv, x)
+		var out bytes.Buffer
+		if err := x.WriteSnapshot(&out); err != nil {
 			t.Fatal(err)
 		}
-		for _, u := range users[300:] {
-			if err := lv.Insert(u); err != nil {
-				t.Fatal(err)
-			}
+		if !bytes.Equal(lorig, out.Bytes()) {
+			t.Fatalf("%s: live %s re-snapshot differs (%d vs %d bytes)", name, what, out.Len(), len(lorig))
 		}
-		for _, u := range users[:9] {
-			if ok, err := lv.Delete(u.ID); err != nil || !ok {
-				t.Fatalf("Delete(%d) = %v, %v", u.ID, ok, err)
-			}
-		}
-		lpath := writeTempSnapshot(t, "live.tqlive", func(w *os.File) error { return lv.WriteSnapshot(w) })
-		lorig, err := os.ReadFile(lpath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lheap, err := ReadLiveSnapshot(bytes.NewReader(lorig), LivePolicy{Manual: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lmapped, err := OpenMappedLiveSnapshot(lpath, LivePolicy{Manual: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertMappedAnswers(t, v.String()+" live heap restore", lv, lheap)
-		assertMappedAnswers(t, v.String()+" live mapped restore", lv, lmapped)
-		for name, x := range map[string]*LiveShardedIndex{"heap": lheap, "mapped": lmapped} {
-			var out bytes.Buffer
-			if err := x.WriteSnapshot(&out); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(lorig, out.Bytes()) {
-				t.Fatalf("%v: live %s re-snapshot differs (%d vs %d bytes)", v, name, out.Len(), len(lorig))
-			}
-		}
-		if st, hst := lmapped.Stats(), lheap.Stats(); !st[0].Mapped || hst[0].Mapped || st[0].BaseBytes <= hst[0].BaseBytes {
-			// The mapped table's arena includes the record headers.
-			t.Fatalf("%v: mapped shard reports %+v, heap shard %+v", v, st[0], hst[0])
-		}
-		// A fold over mapped records copies what it keeps: same answers
-		// from a base that no longer reads the file.
-		if err := lmapped.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		if err := lheap.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		assertMappedAnswers(t, v.String()+" after compact", lheap, lmapped)
-		if st := lmapped.Stats(); st[0].Mapped || st[0].BaseBytes == 0 {
-			t.Fatalf("%v: compacted shard reports Mapped %v, BaseBytes %d", v, st[0].Mapped, st[0].BaseBytes)
-		}
+	}
+	if st, hst := lmapped.Stats(), lheap.Stats(); !st[0].Mapped || hst[0].Mapped || st[0].BaseBytes <= hst[0].BaseBytes {
+		// The mapped table's arena includes the record headers.
+		t.Fatalf("%s: mapped shard reports %+v, heap shard %+v", name, st[0], hst[0])
+	}
+	if err := lmapped.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := lheap.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	assertMappedAnswers(t, name+" after compact", lheap, lmapped)
+	if st := lmapped.Stats(); st[0].Mapped || st[0].BaseBytes == 0 {
+		t.Fatalf("%s: compacted shard reports Mapped %v, BaseBytes %d", name, st[0].Mapped, st[0].BaseBytes)
 	}
 }
 
 // frozenPayloadLayout locates the sections of a frozen payload a hostile
 // writer would aim at.
 type frozenPayloadLayout struct {
-	ne, nt          int
-	entTraj, entSeg int // byte offsets of the two int32 columns
-	trajs           int // byte offset of the first trajectory record
+	ne, nt                  int
+	entMBR, entTraj, entSeg int // byte offsets of the last three entry columns
+	trajs                   int // byte offset of the first trajectory record
 }
 
 func layoutOf(t testing.TB, payload []byte) frozenPayloadLayout {
@@ -311,41 +379,49 @@ func layoutOf(t testing.TB, payload []byte) frozenPayloadLayout {
 	if tqtree.Ordering(u(1)) == tqtree.ZOrder {
 		off += (nn+nb+2)*4 + pad8(4*(nn+nb+2)) + nb*16 + nb*96
 	}
-	off += ne * 64
-	return frozenPayloadLayout{ne: int(ne), nt: int(nt), entTraj: int(off), entSeg: int(off + 4*ne), trajs: int(off + 8*ne)}
+	off += ne * 32
+	return frozenPayloadLayout{ne: int(ne), nt: int(nt), entMBR: int(off), entTraj: int(off + 32*ne), entSeg: int(off + 36*ne), trajs: int(off + 40*ne)}
 }
 
 // hostileTrajectoryCases are single-field forgeries of a frozen payload
-// over two-point trajectories (80-byte records), each leaving every
-// checksum to be recomputed — what a CRC cannot catch. mappedRejects is
-// false where the mapped reader, which serves cached lengths and never
-// reads MBRs, has nothing to compare.
+// of the given variant over two-point trajectories (80-byte records), each
+// leaving every checksum to be recomputed — what a CRC cannot catch.
+// mappedRejects is false where the mapped reader, which serves cached
+// lengths and never reads a record's MBR, has nothing to compare. The
+// entry columns a variant does not hold are checked against what the base
+// derives in their place, by both readers.
 var hostileTrajectoryCases = []struct {
+	variant       Variant
 	name          string
 	mappedRejects bool
 	forge         func(p []byte, l frozenPayloadLayout)
 }{
-	{"point count 0", true, func(p []byte, l frozenPayloadLayout) { binary.LittleEndian.PutUint32(p[l.trajs+4:], 0) }},
-	{"point count 1", true, func(p []byte, l frozenPayloadLayout) { binary.LittleEndian.PutUint32(p[l.trajs+80+4:], 1) }},
-	{"point count 2^24+1", true, func(p []byte, l frozenPayloadLayout) { binary.LittleEndian.PutUint32(p[l.trajs+4:], 1<<24+1) }},
-	{"point count past the remaining bytes", true, func(p []byte, l frozenPayloadLayout) {
+	{TwoPoint, "point count 0", true, func(p []byte, l frozenPayloadLayout) { binary.LittleEndian.PutUint32(p[l.trajs+4:], 0) }},
+	{TwoPoint, "point count 1", true, func(p []byte, l frozenPayloadLayout) { binary.LittleEndian.PutUint32(p[l.trajs+80+4:], 1) }},
+	{TwoPoint, "point count 2^24+1", true, func(p []byte, l frozenPayloadLayout) { binary.LittleEndian.PutUint32(p[l.trajs+4:], 1<<24+1) }},
+	{TwoPoint, "point count past the remaining bytes", true, func(p []byte, l frozenPayloadLayout) {
 		binary.LittleEndian.PutUint32(p[l.trajs+80*(l.nt-1)+4:], 1000)
 	}},
-	{"point count 2^24 in the first record", true, func(p []byte, l frozenPayloadLayout) {
+	{TwoPoint, "point count 2^24 in the first record", true, func(p []byte, l frozenPayloadLayout) {
 		binary.LittleEndian.PutUint32(p[l.trajs+4:], 1<<24)
 	}},
-	{"entSeg >= segments", true, func(p []byte, l frozenPayloadLayout) { binary.LittleEndian.PutUint32(p[l.entSeg:], 1) }},
-	{"entTraj >= table length", true, func(p []byte, l frozenPayloadLayout) {
+	{TwoPoint, "entSeg >= segments", true, func(p []byte, l frozenPayloadLayout) { binary.LittleEndian.PutUint32(p[l.entSeg:], 1) }},
+	{TwoPoint, "entTraj >= table length", true, func(p []byte, l frozenPayloadLayout) {
 		binary.LittleEndian.PutUint32(p[l.entTraj+4*(l.ne-1):], uint32(l.nt))
 	}},
-	{"entTraj negative", true, func(p []byte, l frozenPayloadLayout) {
+	{TwoPoint, "entTraj negative", true, func(p []byte, l frozenPayloadLayout) {
 		binary.LittleEndian.PutUint32(p[l.entTraj:], math.MaxUint32)
 	}},
-	{"duplicate id in two records", true, func(p []byte, l frozenPayloadLayout) {
+	{TwoPoint, "duplicate id in two records", true, func(p []byte, l frozenPayloadLayout) {
 		copy(p[l.trajs+80*3:l.trajs+80*3+4], p[l.trajs:l.trajs+4])
 	}},
-	{"cached length disagrees with points", false, func(p []byte, l frozenPayloadLayout) { p[l.trajs+8+3] ^= 0x10 }},
-	{"cached MBR disagrees with points", false, func(p []byte, l frozenPayloadLayout) { p[l.trajs+80+16+5] ^= 0x01 }},
+	{TwoPoint, "cached length disagrees with points", false, func(p []byte, l frozenPayloadLayout) { p[l.trajs+8+3] ^= 0x10 }},
+	{TwoPoint, "cached MBR disagrees with points", false, func(p []byte, l frozenPayloadLayout) { p[l.trajs+80+16+5] ^= 0x01 }},
+	{TwoPoint, "entMBR disagrees with its record's points", true, func(p []byte, l frozenPayloadLayout) { p[l.entMBR+32+5] ^= 0x01 }},
+	{TwoPoint, "entTraj != entry index", true, func(p []byte, l frozenPayloadLayout) { binary.LittleEndian.PutUint32(p[l.entTraj:], 1) }},
+	{FullTrajectory, "entTraj != entry index", true, func(p []byte, l frozenPayloadLayout) { binary.LittleEndian.PutUint32(p[l.entTraj:], 1) }},
+	{TwoPoint, "entSeg != -1", true, func(p []byte, l frozenPayloadLayout) { binary.LittleEndian.PutUint32(p[l.entSeg+4:], 0) }},
+	{Segmented, "entMBR != NewRect(first, last)", true, func(p []byte, l frozenPayloadLayout) { p[l.entMBR+32*2+16+5] ^= 0x01 }},
 }
 
 // framePayload locates the first frame's payload in a container image:
@@ -365,11 +441,36 @@ type hostileSnapshot struct {
 }
 
 // hostileSnapshots forges every case into a valid TQSNAP03, one-shard
-// TQSHRD02 and one-shard TQLIVE01 image, checksums recomputed.
+// TQSHRD02 and one-shard TQLIVE01 image of its variant, checksums
+// recomputed.
 func hostileSnapshots(t testing.TB) (out []hostileSnapshot) {
 	t.Helper()
 	users := TaxiTrips(NewYorkCity(), 30, 41)
-	opts := IndexOptions{Ordering: ZOrdering}
+	images := map[Variant]map[string][]byte{}
+	for _, c := range hostileTrajectoryCases {
+		if images[c.variant] == nil {
+			images[c.variant] = hostileBaseImages(t, users, IndexOptions{Variant: c.variant, Ordering: ZOrdering})
+		}
+		for _, format := range []string{"TQSNAP03", "TQSHRD02", "TQLIVE01"} {
+			d := bytes.Clone(images[c.variant][format])
+			if format == "TQSNAP03" {
+				c.forge(d[8:len(d)-4], layoutOf(t, d[8:]))
+				binary.LittleEndian.PutUint32(d[len(d)-4:], crc32.ChecksumIEEE(d[:len(d)-4]))
+			} else {
+				lo, hi := framePayload(d)
+				c.forge(d[lo:hi], layoutOf(t, d[lo:hi]))
+				binary.LittleEndian.PutUint32(d[hi:], crc32.ChecksumIEEE(d[lo:hi]))
+			}
+			out = append(out, hostileSnapshot{format, c.variant.String() + ": " + c.name, c.mappedRejects, d})
+		}
+	}
+	return out
+}
+
+// hostileBaseImages writes one index over users in each format: a
+// frozen index, and a one-shard frozen and live index.
+func hostileBaseImages(t testing.TB, users []*Trajectory, opts IndexOptions) map[string][]byte {
+	t.Helper()
 	fz, err := NewFrozenIndex(users, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -386,33 +487,17 @@ func hostileSnapshots(t testing.TB) (out []hostileSnapshot) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var single, sharded, live bytes.Buffer
-	for _, w := range []struct {
-		buf   *bytes.Buffer
-		write func(*bytes.Buffer) error
-	}{
-		{&single, func(b *bytes.Buffer) error { return fz.WriteSnapshot(b) }},
-		{&sharded, func(b *bytes.Buffer) error { return sfz.WriteSnapshot(b) }},
-		{&live, func(b *bytes.Buffer) error { return lv.WriteSnapshot(b) }},
+	images := map[string][]byte{}
+	for format, write := range map[string]func(io.Writer) error{
+		"TQSNAP03": fz.WriteSnapshot, "TQSHRD02": sfz.WriteSnapshot, "TQLIVE01": lv.WriteSnapshot,
 	} {
-		if err := w.write(w.buf); err != nil {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
 			t.Fatal(err)
 		}
+		images[format] = buf.Bytes()
 	}
-	for _, c := range hostileTrajectoryCases {
-		s := bytes.Clone(single.Bytes())
-		c.forge(s[8:len(s)-4], layoutOf(t, s[8:]))
-		binary.LittleEndian.PutUint32(s[len(s)-4:], crc32.ChecksumIEEE(s[:len(s)-4]))
-		out = append(out, hostileSnapshot{"TQSNAP03", c.name, c.mappedRejects, s})
-		for format, img := range map[string][]byte{"TQSHRD02": sharded.Bytes(), "TQLIVE01": live.Bytes()} {
-			d := bytes.Clone(img)
-			lo, hi := framePayload(d)
-			c.forge(d[lo:hi], layoutOf(t, d[lo:hi]))
-			binary.LittleEndian.PutUint32(d[hi:], crc32.ChecksumIEEE(d[lo:hi]))
-			out = append(out, hostileSnapshot{format, c.name, c.mappedRejects, d})
-		}
-	}
-	return out
+	return images
 }
 
 // TestSnapshotHostileTrajectorySection: a trajectory section forged
