@@ -2,7 +2,7 @@ package main
 
 // The `mmaptier` and `rescache` experiments: the two memory tiers
 // added for cold-start and hot-query cost. mmaptier times opening the
-// SAME TQSNAP03 file through the heap restore (parse + copy every
+// SAME frozen snapshot file through the heap restore (parse + copy every
 // column) and the mapped open (CRC + bounds checks, columns aliased
 // onto the page cache) and reports the resident-memory cost of each
 // as informational series — the mapped open's RSS stays near zero
@@ -58,8 +58,8 @@ func expMmaptier(ctx *bench.Context) (*bench.Table, error) {
 		ID: "mmaptier", Title: "frozen snapshot open: heap restore vs mmap alias (NYT)",
 		XLabel: "users", YLabel: "restores/sec",
 		Series: []bench.Series{
-			{Method: "heap(TQSNAP03)"},
-			{Method: "mapped(TQSNAP03)"},
+			{Method: "heap"},
+			{Method: "mapped"},
 			{Method: "speedup (n)"},
 			{Method: "heap anon RSS delta MB (n)"},
 			{Method: "mapped anon RSS delta MB (n)"},

@@ -14,7 +14,7 @@
 //	tqserve -addr :8081 -replica-of http://127.0.0.1:8080
 //	tqserve -addr :8090 -frontend -backends "http://a:8080|http://a:8081,http://b:8080"
 //
-// The index is either restored from a TQLIVE01 snapshot (-snapshot,
+// The index is either restored from a TQLIVE02 snapshot (-snapshot,
 // written by LiveIndex/LiveShardedIndex.WriteSnapshot or GET
 // /v1/snapshot on a running tqserve) or generated (-synthetic N taxi
 // trips over the synthetic New York). With -wal-dir every acknowledged
@@ -95,7 +95,7 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal, ready func(addr 
 	fs := flag.NewFlagSet("tqserve", flag.ContinueOnError)
 	var (
 		addr          = fs.String("addr", ":8080", "listen address")
-		snapshot      = fs.String("snapshot", "", "serve a TQLIVE01 snapshot file")
+		snapshot      = fs.String("snapshot", "", "serve a TQLIVE02 snapshot file")
 		synthetic     = fs.Int("synthetic", 0, "serve N synthetic NYC taxi trips (when no -snapshot)")
 		seed          = fs.Int64("seed", 1, "synthetic data seed")
 		shards        = fs.Int("shards", 1, "shard count for -synthetic")

@@ -122,7 +122,7 @@ func main() {
 			i+1, got[i].Facility.ID, got[i].Service)
 	}
 
-	// Checkpoint: durable TQLIVE01 snapshot of the current state, then
+	// Checkpoint: durable TQLIVE02 snapshot of the current state, then
 	// the replayed segments are deleted — bounding the next restart's
 	// replay to writes after this point.
 	if err := recovered.Checkpoint(); err != nil {

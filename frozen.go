@@ -6,7 +6,7 @@ package trajcover
 // bit-identically while walking flat arrays instead of chasing pointers:
 // measurably faster single-threaded hot loops, ~zero pointer words for
 // the GC, and snapshots that restore by bulk-reading the slices instead
-// of rebuilding the tree (TQSNAP03/TQSHRD02; see snapshot_frozen.go).
+// of rebuilding the tree (TQSNAP04/TQSHRD03; see snapshot_frozen.go).
 //
 // Freeze when the index has stopped changing and is about to serve reads:
 // the mutable Index remains the build/Insert/Delete path, and a serving

@@ -242,11 +242,11 @@ func stubPrimary(t *testing.T, snapshot []byte, boot, seq string, changes []byte
 // TestReplicaBootstrapCorruption is the satellite-4 sweep: a replica
 // bootstrapping from truncated or bit-flipped snapshot bytes must fail
 // loudly or restore data identical to the original — never panic,
-// never serve silently corrupted state. (The TQLIVE01 container CRCs
+// never serve silently corrupted state. (The TQLIVE02 container CRCs
 // its header and every frame, so a flip that restores cleanly can only
 // have hit bytes the format ignores.)
 func TestReplicaBootstrapCorruption(t *testing.T) {
-	users := testUsers(150, 421)
+	users := testUsers(300, 421)
 	facs := testFacilities(5, 5, 422)
 	idx, err := trajcover.NewLiveShardedIndex(users, liveOpts())
 	if err != nil {
@@ -275,10 +275,16 @@ func TestReplicaBootstrapCorruption(t *testing.T) {
 		{"garbage seq header", valid, "aaaaaaaaaaaaaaaa", "not-a-number"},
 		{"empty body", nil, "aaaaaaaaaaaaaaaa", "0"},
 	}
-	for _, cut := range []int{1, 7, len(valid) / 3, len(valid) / 2, len(valid) - 1} {
+	// The sampled offsets are fixed, so the subtests keep their names when
+	// the format's sizes move; the corpus is sized for the stream to hold
+	// them all. The stream's last byte and its final CRC come on top.
+	if len(valid) <= 31199 {
+		t.Fatalf("a %d-byte snapshot does not reach the sampled offsets", len(valid))
+	}
+	for _, cut := range []int{1, 7, 10400, 15600, 31199, len(valid) - 1} {
 		muts = append(muts, mutation{fmt.Sprintf("truncated to %d bytes", cut), valid[:cut], "aaaaaaaaaaaaaaaa", "0"})
 	}
-	for _, off := range []int{0, 9, 13, len(valid) / 4, len(valid) / 2, 3 * len(valid) / 4, len(valid) - 5} {
+	for _, off := range []int{0, 9, 13, 7800, 15600, 23400, 31195, len(valid) - 5} {
 		flipped := append([]byte(nil), valid...)
 		flipped[off] ^= 0x40
 		muts = append(muts, mutation{fmt.Sprintf("bit flip at offset %d", off), flipped, "aaaaaaaaaaaaaaaa", "0"})

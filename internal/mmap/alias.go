@@ -41,12 +41,12 @@ func U64s(b []byte) []uint64 {
 	return decodeU64s(b)
 }
 
-// U32s views b as little-endian uint32s.
-func U32s(b []byte) []uint32 {
-	if s := alias[uint32](b); s != nil {
+// U32s views b as little-endian uint32s of type T.
+func U32s[T ~uint32](b []byte) []T {
+	if s := alias[T](b); s != nil {
 		return s
 	}
-	return decodeU32s(b)
+	return decodeU32s[T](b)
 }
 
 // I32s views b as little-endian int32s.

@@ -14,8 +14,8 @@ func ZeroCopy() bool { return false }
 // U64s views b as little-endian uint64s (decoded copy on this build).
 func U64s(b []byte) []uint64 { return decodeU64s(b) }
 
-// U32s views b as little-endian uint32s.
-func U32s(b []byte) []uint32 { return decodeU32s(b) }
+// U32s views b as little-endian uint32s of type T.
+func U32s[T ~uint32](b []byte) []T { return decodeU32s[T](b) }
 
 // I32s views b as little-endian int32s.
 func I32s(b []byte) []int32 { return decodeI32s(b) }

@@ -20,10 +20,10 @@ func decodeU64s(b []byte) []uint64 {
 	return out
 }
 
-func decodeU32s(b []byte) []uint32 {
-	out := make([]uint32, len(b)/4)
+func decodeU32s[T ~uint32](b []byte) []T {
+	out := make([]T, len(b)/4)
 	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[i*4:])
+		out[i] = T(binary.LittleEndian.Uint32(b[i*4:]))
 	}
 	return out
 }

@@ -96,7 +96,7 @@ func TestViewsMatchDecode(t *testing.T) {
 	if i32[0] != 7 || i32[1] != -1 {
 		t.Fatalf("I32s = %v, want [7 -1]", i32)
 	}
-	u32 := U32s(ib)
+	u32 := U32s[uint32](ib)
 	if u32[0] != 7 || u32[1] != 0xffffffff {
 		t.Fatalf("U32s = %v", u32)
 	}

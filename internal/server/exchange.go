@@ -209,8 +209,8 @@ func (qf *QueryFrame) Decode(payload []byte) error {
 	if want := columns + 16*stops; uint64(len(payload)) != want {
 		return badRequestf("exchange: query frame is %d bytes, %d facilities with %d stops take %d", len(payload), n, stops, want)
 	}
-	ids := mmap.U32s(payload[queryHeadLen : queryHeadLen+4*n])
-	offs := mmap.U32s(payload[queryHeadLen+4*n : columns-4])
+	ids := mmap.U32s[uint32](payload[queryHeadLen : queryHeadLen+4*n])
+	offs := mmap.U32s[uint32](payload[queryHeadLen+4*n : columns-4])
 	if le.Uint32(payload[columns-4:]) != 0 {
 		return badRequestf("exchange: query frame sets reserved bits")
 	}

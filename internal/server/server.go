@@ -12,7 +12,7 @@
 // context.Context into the cancellation-aware query executor, so an
 // expired request aborts between facility relaxations rather than
 // holding a worker. /healthz and /statsz serve readiness and the
-// per-endpoint latency/queue counters; /v1/snapshot streams a TQLIVE01
+// per-endpoint latency/queue counters; /v1/snapshot streams a TQLIVE02
 // checkpoint without stopping writes.
 //
 // Endpoints:
@@ -23,7 +23,7 @@
 //	POST /v1/insert         {"id":9001,"points":[[x,y],[x,y]]}
 //	POST /v1/delete         {"id":9001}
 //	POST /v1/compact        {}
-//	GET  /v1/snapshot       -> TQLIVE01 stream (+X-Repl-Boot/X-Repl-Seq when replicating)
+//	GET  /v1/snapshot       -> TQLIVE02 stream (+X-Repl-Boot/X-Repl-Seq when replicating)
 //	POST /v1/checkpoint     {} (WAL-backed index only)
 //	GET  /v1/changes        ?after=N&boot=ID&wait_ms=MS -> replication tail (Config.ReplLog)
 //	GET  /healthz, /statsz
@@ -1206,7 +1206,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleSnapshot streams a TQLIVE01 checkpoint of the live index. The
+// handleSnapshot streams a TQLIVE02 checkpoint of the live index. The
 // capture is one atomic epoch-set read, so writes keep flowing while
 // the stream runs; it bypasses the query pool (it is IO-bound ops
 // traffic, not index work) but still counts on /statsz. On a WAL-backed
@@ -1277,7 +1277,7 @@ func (s *Server) opsTenant(w http.ResponseWriter, r *http.Request, ep *endpointS
 	return idx, release, true
 }
 
-// handleCheckpoint runs a WAL checkpoint (durable TQLIVE01 snapshot in
+// handleCheckpoint runs a WAL checkpoint (durable TQLIVE02 snapshot in
 // the WAL directory + segment truncation) without streaming the bytes.
 // Writes keep flowing; like /v1/snapshot it bypasses the query pool.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {

@@ -933,7 +933,7 @@ func TestServerWALCheckpointAndStats(t *testing.T) {
 		t.Fatalf("GET checkpoint: %d, want 405", resp.StatusCode)
 	}
 
-	// /v1/snapshot on a WAL-backed index streams a restorable TQLIVE01
+	// /v1/snapshot on a WAL-backed index streams a restorable TQLIVE02
 	// image and checkpoints as a side effect: afterwards the log holds
 	// only the fresh post-cut segment.
 	status, raw := e.get(PathSnapshot)

@@ -13,7 +13,7 @@ import (
 // trajectory corpus — the read-optimized serving form of Sharded. It
 // answers the same scatter-gather queries through the embedded scatter
 // over one frozen engine per shard, is immutable (no Insert), and each
-// shard serializes nearly verbatim into the TQSHRD02 snapshot container.
+// shard serializes verbatim into the TQSHRD03 snapshot container.
 type Frozen struct {
 	scatter[*query.FrozenEngine]
 	bounds  geo.Rect

@@ -443,7 +443,7 @@ func TestLiveCrossShardIDReuseConsistentCapture(t *testing.T) {
 				}
 				// Every capture must pass the restore-time uniqueness
 				// check — a torn cut would fail LiveFromEpochs exactly
-				// like an unrestorable TQLIVE01 stream.
+				// like an unrestorable TQLIVE02 stream.
 				if _, err := LiveFromEpochs(eps, Grid{}, manualPolicy()); err != nil {
 					t.Errorf("reader %d: capture not restorable: %v", r, err)
 					return

@@ -18,9 +18,9 @@ package tqtree
 //     interior points.
 //
 // Beyond cache locality, the layout has no pointer words for the GC to
-// scan — the table included — and serializes nearly verbatim (see the TQSNAP03/TQSHRD02
-// snapshot formats), so restoring a frozen index is a bulk read plus
-// bounds checks instead of a rebuild.
+// scan — the table included — and serializes verbatim (see the
+// TQSNAP04/TQSHRD03 snapshot formats), so restoring a frozen index is a
+// bulk read plus bounds checks instead of a rebuild.
 
 import (
 	"fmt"
@@ -73,8 +73,8 @@ type Frozen struct {
 	// buckets with the aggregate columns and filters entries by geometry,
 	// and the immutable index never re-derives node bounds. Of the rest,
 	// every variant holds the endpoints zReduce filters by; a column only
-	// some variant reads is nil on the others, and EntryMBR /
-	// EntryOrdinal / EntrySegment derive its values there:
+	// some variant reads is nil on the others, and EntryOrdinal /
+	// EntrySegment derive its values there:
 	//   - entMBR, read only by the NeedOverlap filter: FullTrajectory
 	//     (HoldsEntryMBRs).
 	//   - entTraj (table ordinal) and entSeg (segment index, -1 for a
@@ -82,7 +82,7 @@ type Frozen struct {
 	//     each trajectory is one whole entry, numbered in slab order, so
 	//     entry e is ordinal e.
 	// A TwoPoint entry is 32 bytes, a Segmented one 40, a FullTrajectory
-	// one 64; the snapshot formats still record all five columns.
+	// one 64, in memory and in a snapshot alike.
 	entFirst []geo.Point
 	entLast  []geo.Point
 	entMBR   []geo.Rect
@@ -403,21 +403,6 @@ func (f *Frozen) EntrySegment(e int32) int32 {
 		return -1
 	}
 	return f.entSeg[e]
-}
-
-// EntryMBR returns entry e's bounding rectangle. Where the base holds no
-// MBR column it is derived with the arithmetic that built the entry
-// (newEntry, newSegmentEntry): RectOf the trajectory's points for a whole
-// trajectory, NewRect of the endpoints for a segment.
-func (f *Frozen) EntryMBR(e int32) geo.Rect {
-	switch {
-	case f.entMBR != nil:
-		return f.entMBR[e]
-	case f.EntrySegment(e) >= 0:
-		return geo.NewRect(f.entFirst[e], f.entLast[e])
-	default:
-		return geo.RectOf(f.table.Points(f.EntryOrdinal(e)))
-	}
 }
 
 // ValidateScenario checks that queries under sc are exact on this index.

@@ -2,7 +2,6 @@ package tqtree
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/trajcover/trajcover/internal/geo"
 	"github.com/trajcover/trajcover/internal/service"
@@ -11,14 +10,14 @@ import (
 
 // FrozenColumns is the serializable flat view of a Frozen index: exactly
 // the column slices, with no behavior. The snapshot layer writes these
-// slices nearly verbatim (TQSNAP03/TQSHRD02) and reconstructs a Frozen
+// slices verbatim (TQSNAP04/TQSHRD03/TQLIVE02) and reconstructs a Frozen
 // with FrozenFromColumns, which re-checks every structural invariant so a
 // corrupt or hostile stream fails with an error instead of an
 // out-of-bounds panic or an unterminated traversal.
 //
-// EntMBR, EntTraj and EntSeg are nil in the view of a Frozen whose
-// variant does not hold them; the snapshot formats record them for every
-// variant, from Frozen.EntryMBR / EntryOrdinal / EntrySegment.
+// EntMBR is present only where Variant.HoldsEntryMBRs, EntTraj and
+// EntSeg only where Variant.HoldsEntryOrdinals; elsewhere they are nil,
+// in the view and on disk alike.
 type FrozenColumns struct {
 	Variant  Variant
 	Ordering Ordering
@@ -83,11 +82,8 @@ func (f *Frozen) Columns() FrozenColumns {
 
 // FrozenFromColumns assembles a Frozen from deserialized columns and its
 // trajectory table, validating every structural invariant the query paths
-// rely on. Every column must be present, those the variant does not hold
-// included: each of their values must equal what the base derives in
-// their place, so a base accepted here writes back the same columns. They
-// are only read, and may be views of a buffer that dies on return. The
-// slices the variant holds, and the table, are adopted, not copied.
+// rely on. An entry column the variant does not hold must be nil. The
+// slices and the table are adopted, not copied.
 func FrozenFromColumns(c FrozenColumns, table *trajectory.Table) (*Frozen, error) {
 	if c.Variant < TwoPoint || c.Variant > FullTrajectory {
 		return nil, fmt.Errorf("tqtree: frozen columns: invalid variant %d", int(c.Variant))
@@ -109,9 +105,13 @@ func FrozenFromColumns(c FrozenColumns, table *trajectory.Table) (*Frozen, error
 		return nil, fmt.Errorf("tqtree: frozen columns: upper-bound column length mismatch")
 	}
 	ne := len(c.EntFirst)
-	if len(c.EntLast) != ne || len(c.EntMBR) != ne ||
-		len(c.EntTraj) != ne || len(c.EntSeg) != ne {
-		return nil, fmt.Errorf("tqtree: frozen columns: entry column length mismatch")
+	// An entry column the variant holds has one value per entry; one it
+	// does not hold is absent.
+	fits := func(n int, present, holds bool) bool { return holds && n == ne || !holds && !present }
+	mbrs, ords := c.Variant.HoldsEntryMBRs(), c.Variant.HoldsEntryOrdinals()
+	if len(c.EntLast) != ne || !fits(len(c.EntMBR), c.EntMBR != nil, mbrs) ||
+		!fits(len(c.EntTraj), c.EntTraj != nil, ords) || !fits(len(c.EntSeg), c.EntSeg != nil, ords) {
+		return nil, fmt.Errorf("tqtree: frozen columns: entry columns do not fit a %v base of %d entries", c.Variant, ne)
 	}
 
 	// The BFS layout fully determines a valid forest: node 0 is the root
@@ -203,41 +203,22 @@ func FrozenFromColumns(c FrozenColumns, table *trajectory.Table) (*Frozen, error
 
 		entFirst: c.EntFirst,
 		entLast:  c.EntLast,
+		entMBR:   c.EntMBR,
+		entTraj:  c.EntTraj,
+		entSeg:   c.EntSeg,
 
 		table: table,
 	}
-	if c.Variant.HoldsEntryMBRs() {
-		f.entMBR = c.EntMBR
-	}
-	if c.Variant.HoldsEntryOrdinals() {
-		f.entTraj, f.entSeg = c.EntTraj, c.EntSeg
-	} else if table.Len() != ne {
+	if !ords && table.Len() != ne {
 		return nil, fmt.Errorf("tqtree: frozen columns: %v base of %d entries holds %d trajectories", c.Variant, ne, table.Len())
 	}
-	for e := int32(0); int(e) < ne; e++ {
-		ti, seg := c.EntTraj[e], c.EntSeg[e]
+	for e, ti := range c.EntTraj {
 		if ti < 0 || int(ti) >= table.Len() {
 			return nil, fmt.Errorf("tqtree: frozen columns: entry %d references trajectory %d of %d", e, ti, table.Len())
 		}
-		if segs := table.NumPoints(ti) - 1; seg < -1 || int(seg) >= segs {
+		if seg, segs := c.EntSeg[e], table.NumPoints(ti)-1; seg < -1 || int(seg) >= segs {
 			return nil, fmt.Errorf("tqtree: frozen columns: entry %d has segment %d of %d", e, seg, segs)
-		}
-		if ti != f.EntryOrdinal(e) || seg != f.EntrySegment(e) {
-			return nil, fmt.Errorf("tqtree: frozen columns: %v entry %d is trajectory %d segment %d, want %d, %d",
-				c.Variant, e, ti, seg, f.EntryOrdinal(e), f.EntrySegment(e))
-		}
-		if want := f.EntryMBR(e); !sameRect(c.EntMBR[e], want) {
-			return nil, fmt.Errorf("tqtree: frozen columns: %v entry %d has MBR %v, its geometry gives %v", c.Variant, e, c.EntMBR[e], want)
 		}
 	}
 	return f, nil
-}
-
-// sameRect reports whether a and b are the same bits: a recorded column
-// value checked against a derived one must write back byte for byte.
-func sameRect(a, b geo.Rect) bool {
-	return math.Float64bits(a.MinX) == math.Float64bits(b.MinX) &&
-		math.Float64bits(a.MinY) == math.Float64bits(b.MinY) &&
-		math.Float64bits(a.MaxX) == math.Float64bits(b.MaxX) &&
-		math.Float64bits(a.MaxY) == math.Float64bits(b.MaxY)
 }

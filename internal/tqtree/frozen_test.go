@@ -2,7 +2,6 @@ package tqtree
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -66,9 +65,8 @@ func TestFreezeStructure(t *testing.T) {
 				}
 			}
 
-			// The full columns must reassemble without loss, into a base
-			// holding only its variant's entry columns.
-			f2, err := FrozenFromColumns(fullColumns(f), f.Table())
+			// The columns must reassemble without loss.
+			f2, err := FrozenFromColumns(f.Columns(), f.Table())
 			if err != nil {
 				t.Fatalf("%v/%v: FrozenFromColumns: %v", v, o, err)
 			}
@@ -81,22 +79,11 @@ func TestFreezeStructure(t *testing.T) {
 	}
 }
 
-// fullColumns returns f's columns with every entry column present, as a
-// snapshot records them: the ones f does not hold derived afresh.
-func fullColumns(f *Frozen) FrozenColumns {
-	c := f.Columns()
-	ne := int32(f.NumEntries())
-	c.EntMBR, c.EntTraj, c.EntSeg = make([]geo.Rect, ne), make([]int32, ne), make([]int32, ne)
-	for e := int32(0); e < ne; e++ {
-		c.EntMBR[e], c.EntTraj[e], c.EntSeg[e] = f.EntryMBR(e), f.EntryOrdinal(e), f.EntrySegment(e)
-	}
-	return c
-}
-
 // TestFrozenFromColumnsRejectsCorruption spot-checks the structural
-// validation: broken BFS layout, dangling offsets, out-of-range trajectory
-// references, and an entry column the variant does not hold that differs
-// from what the base derives in its place must all error.
+// validation: broken BFS layout, dangling offsets, a Segmented entry
+// naming a row or a segment that does not exist, an entry column the
+// variant holds missing or one it does not hold present, and a table row
+// no entry references must all error.
 func TestFrozenFromColumnsRejectsCorruption(t *testing.T) {
 	users := frozenTestUsers(500, 5)
 	frozen := map[Variant]*Frozen{}
@@ -107,15 +94,17 @@ func TestFrozenFromColumnsRejectsCorruption(t *testing.T) {
 		}
 		frozen[v] = f
 	}
-	// mutate corrupts a fresh copy of the full columns, as the snapshot
-	// reader supplies them, so cases stay independent.
+	// mutate corrupts a fresh copy of the columns, so cases stay
+	// independent.
 	mutate := func(v Variant, name string, fn func(c *FrozenColumns)) {
 		t.Helper()
 		f := frozen[v]
-		c := fullColumns(f)
+		c := f.Columns()
 		c.ChildBase = slices.Clone(c.ChildBase)
 		c.ChildCount = slices.Clone(c.ChildCount)
 		c.EntryOff = slices.Clone(c.EntryOff)
+		c.EntTraj = slices.Clone(c.EntTraj)
+		c.EntSeg = slices.Clone(c.EntSeg)
 		if _, err := FrozenFromColumns(c, f.Table()); err != nil {
 			t.Fatalf("%v: %s: the uncorrupted columns: %v", v, name, err)
 		}
@@ -131,18 +120,24 @@ func TestFrozenFromColumnsRejectsCorruption(t *testing.T) {
 		mutate(v, "entry offset regression", func(c *FrozenColumns) {
 			c.EntryOff[1] = c.EntryOff[2] + 1
 		})
-		mutate(v, "trajectory out of range", func(c *FrozenColumns) { c.EntTraj[0] = int32(frozen[v].Table().Len()) })
-		mutate(v, "segment out of range", func(c *FrozenColumns) { c.EntSeg[0] = 1 << 20 })
-		mutate(v, "an entry column missing", func(c *FrozenColumns) { c.EntSeg = c.EntSeg[1:] })
+		mutate(v, "an endpoint column short", func(c *FrozenColumns) { c.EntLast = c.EntLast[1:] })
 	}
-	// What the base derives in place of the columns it does not hold.
-	nudge := func(r *geo.Rect) { r.MaxX = math.Nextafter(r.MaxX, math.Inf(1)) }
-	mutate(TwoPoint, "MBR not its trajectory's", func(c *FrozenColumns) { nudge(&c.EntMBR[3]) })
-	mutate(Segmented, "MBR not its segment's", func(c *FrozenColumns) { nudge(&c.EntMBR[3]) })
+	tab := frozen[Segmented].Table()
+	mutate(Segmented, "trajectory out of range", func(c *FrozenColumns) { c.EntTraj[0] = int32(tab.Len()) })
+	mutate(Segmented, "trajectory negative", func(c *FrozenColumns) { c.EntTraj[0] = -1 })
+	mutate(Segmented, "segment out of range", func(c *FrozenColumns) { c.EntSeg[0] = 1 << 20 })
+	mutate(Segmented, "segment below -1", func(c *FrozenColumns) { c.EntSeg[0] = -2 })
+	mutate(Segmented, "a segment column short", func(c *FrozenColumns) { c.EntSeg = c.EntSeg[1:] })
+	mutate(Segmented, "an MBR column it does not hold", func(c *FrozenColumns) { c.EntMBR = make([]geo.Rect, len(c.EntFirst)) })
+	mutate(FullTrajectory, "its MBR column missing", func(c *FrozenColumns) { c.EntMBR = nil })
 	for _, v := range []Variant{TwoPoint, FullTrajectory} {
-		mutate(v, "ordinal not the entry's", func(c *FrozenColumns) { c.EntTraj[0], c.EntTraj[1] = c.EntTraj[1], c.EntTraj[0] })
-		mutate(v, "a segment of a whole entry", func(c *FrozenColumns) { c.EntSeg[0] = 0 })
-
+		mutate(v, "ordinal columns it does not hold", func(c *FrozenColumns) {
+			c.EntTraj, c.EntSeg = make([]int32, len(c.EntFirst)), make([]int32, len(c.EntFirst))
+		})
+		mutate(v, "an empty segment column it does not hold", func(c *FrozenColumns) { c.EntSeg = []int32{} })
+	}
+	mutate(TwoPoint, "an MBR column it does not hold", func(c *FrozenColumns) { c.EntMBR = make([]geo.Rect, len(c.EntFirst)) })
+	for _, v := range []Variant{TwoPoint, FullTrajectory} {
 		// A table row no entry references.
 		f := frozen[v]
 		tab := f.Table()
@@ -159,7 +154,7 @@ func TestFrozenFromColumnsRejectsCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := FrozenFromColumns(fullColumns(f), extra); err == nil {
+		if _, err := FrozenFromColumns(f.Columns(), extra); err == nil {
 			t.Fatalf("%v: a table row no entry references accepted", v)
 		}
 	}

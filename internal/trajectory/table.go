@@ -21,33 +21,18 @@ import (
 // A Table is never mutated after construction and is safe for any number
 // of concurrent readers. The slices Points returns alias the arena: treat
 // them as read-only, and do not retain them past the table's owner when
-// the table was built over a file mapping (NewRecordTable).
+// the columns alias a file mapping (NewTable).
 type Table struct {
 	ids []ID
 	// off has Len()+1 entries; ordinal i's points are
-	// points[off[i] : off[i+1]-gap].
+	// points[off[i]:off[i+1]].
 	off    []uint32
-	points []geo.Point
-	// gap is the number of arena slots between one trajectory's last
-	// point and the next one's first: 0 for a table built by a
-	// TableBuilder, RecordHeaderPoints for one laid over snapshot records,
-	// whose headers sit in the arena between the point runs.
-	gap uint32
-	// length is nil for a table over snapshot records: the record header
-	// holds the length, and Length reads it in place.
 	length []float64
+	points []geo.Point
 	// byID lists the ordinals in ascending ID order.
 	byID       []int32
 	multipoint bool
 }
-
-// RecordHeaderPoints is the width, in 16-byte point slots, of the header
-// of a frozen-snapshot trajectory record: u32 id, u32 point count, f64
-// length, then the MBR's four f64s — 48 bytes, followed directly by the
-// points. A []geo.Point view over a run of such records therefore
-// addresses every trajectory's points by index, with the record's cached
-// length in the Y of the first header slot.
-const RecordHeaderPoints = 3
 
 // lengthOf is the polyline length of points, summed left to right — the
 // one arithmetic every cached length in the library comes from, so
@@ -60,75 +45,63 @@ func lengthOf(points []geo.Point) float64 {
 	return l
 }
 
-// maxTablePoints bounds a table's arena so uint32 offsets address it.
-const maxTablePoints = math.MaxUint32 - RecordHeaderPoints
+// maxPoints bounds the points of one trajectory in a table.
+const maxPoints = 1 << 24
 
 // TableBuilder accumulates trajectories into a Table. Ordinals are
 // assigned in Append order.
 type TableBuilder struct {
-	t Table
+	ids    []ID
+	off    []uint32
+	length []float64
+	points []geo.Point
 }
 
 // NewTableBuilder returns a builder with room for the given number of
 // trajectories and points; both are capacity hints, not limits.
 func NewTableBuilder(trajectories, points int) *TableBuilder {
-	b := &TableBuilder{}
-	b.t.ids = make([]ID, 0, trajectories)
-	b.t.off = make([]uint32, 1, trajectories+1)
-	b.t.length = make([]float64, 0, trajectories)
-	b.t.points = make([]geo.Point, 0, points)
-	return b
+	return &TableBuilder{
+		ids:    make([]ID, 0, trajectories),
+		off:    make([]uint32, 1, trajectories+1),
+		length: make([]float64, 0, trajectories),
+		points: make([]geo.Point, 0, points),
+	}
 }
 
 // Append copies u into the table and returns its ordinal.
 func (b *TableBuilder) Append(u *Trajectory) int32 {
-	b.t.points = append(b.t.points, u.Points...)
+	b.points = append(b.points, u.Points...)
 	return b.close(u.ID, u.length)
 }
 
-// AppendPoints copies a trajectory given as its ID and points — what a
-// snapshot record holds, with no Trajectory object built for it — and
-// returns the length computed from the points.
+// AppendPoints copies a trajectory given as its ID and points, with no
+// Trajectory object built for it, and returns the length computed from
+// the points.
 func (b *TableBuilder) AppendPoints(id ID, pts []geo.Point) (float64, error) {
 	if len(pts) < 2 {
 		return 0, fmt.Errorf("%w (id %d has %d)", ErrTooShort, id, len(pts))
 	}
-	b.t.points = append(b.t.points, pts...)
+	b.points = append(b.points, pts...)
 	l := lengthOf(pts)
 	b.close(id, l)
 	return l, nil
 }
 
 func (b *TableBuilder) close(id ID, length float64) int32 {
-	ord := int32(len(b.t.ids))
-	if len(b.t.points)-int(b.t.off[ord]) > 2 {
-		b.t.multipoint = true
-	}
-	b.t.ids = append(b.t.ids, id)
-	b.t.length = append(b.t.length, length)
-	// Truncation of an over-long arena is caught in Build, once.
-	b.t.off = append(b.t.off, uint32(len(b.t.points)))
+	ord := int32(len(b.ids))
+	b.ids = append(b.ids, id)
+	b.length = append(b.length, length)
+	// Truncation of an over-long arena is caught in NewTable, once.
+	b.off = append(b.off, uint32(len(b.points)))
 	return ord
 }
 
-// Build finishes the table: it trims the columns to size, sorts the ID
-// permutation and rejects duplicate IDs. The builder must not be used
+// Build finishes the table with NewTable over the builder's columns,
+// trimmed to size: a column grown by append carries up to a quarter of
+// slack the table would hold for life. The builder must not be used
 // afterwards.
 func (b *TableBuilder) Build() (*Table, error) {
-	t := &b.t
-	if uint64(len(t.points)) > maxTablePoints || len(t.ids) > math.MaxInt32 {
-		return nil, fmt.Errorf("trajectory: table too large (%d trajectories, %d points)", len(t.ids), len(t.points))
-	}
-	// A column grown by append carries up to a quarter of slack the
-	// table would hold for life.
-	t.ids = trim(t.ids)
-	t.off = trim(t.off)
-	t.length = trim(t.length)
-	t.points = trim(t.points)
-	if err := t.index(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return NewTable(trim(b.ids), trim(b.off), trim(b.length), trim(b.points))
 }
 
 func trim[T any](s []T) []T {
@@ -138,29 +111,47 @@ func trim[T any](s []T) []T {
 	return slices.Clone(s)
 }
 
-// NewRecordTable lays a table over a run of frozen-snapshot trajectory
-// records without copying them: region is the records' bytes viewed as
-// points (RecordHeaderPoints header slots, then the points, per record),
-// ids[i] the ID of record i and first[i] the arena index of its first
-// point, with one closing entry first[len(ids)] = len(region) +
-// RecordHeaderPoints — where a further record's points would start. The
-// caller has validated the records (point counts ≥ 2, within region); the
-// table adopts all three slices. Duplicate IDs are rejected.
-func NewRecordTable(ids []ID, first []uint32, region []geo.Point) (*Table, error) {
-	if len(first) != len(ids)+1 || uint64(len(region)) > maxTablePoints || len(ids) > math.MaxInt32 {
-		return nil, fmt.Errorf("trajectory: record table: %d ids, %d offsets, %d point slots", len(ids), len(first), len(region))
+// NewTable assembles a table from its four columns, which it adopts, not
+// copies: ids[i], length[i] and points[off[i]:off[i+1]] are row i. The
+// offsets must start at 0, rise by 2 to maxPoints points a row and end
+// at len(points); the IDs must be unique. Lengths are taken as given —
+// CheckLengths compares them with the points.
+func NewTable(ids []ID, off []uint32, length []float64, points []geo.Point) (*Table, error) {
+	if len(off) != len(ids)+1 || len(length) != len(ids) || len(ids) > math.MaxInt32 {
+		return nil, fmt.Errorf("trajectory: table of %d ids, %d offsets, %d lengths", len(ids), len(off), len(length))
 	}
-	t := &Table{ids: ids, off: first, points: region, gap: RecordHeaderPoints}
+	if off[0] != 0 {
+		return nil, fmt.Errorf("trajectory: table offsets start at %d", off[0])
+	}
+	t := &Table{ids: ids, off: off, length: length, points: points}
 	for i := range ids {
-		if first[i+1]-first[i] > 2+RecordHeaderPoints {
-			t.multipoint = true
-			break
+		if off[i+1] < off[i] {
+			return nil, fmt.Errorf("trajectory: table offsets decrease at row %d", i)
 		}
+		n := off[i+1] - off[i]
+		if n < 2 || n > maxPoints {
+			return nil, fmt.Errorf("trajectory: row %d (id %d) has %d points", i, ids[i], n)
+		}
+		t.multipoint = t.multipoint || n > 2
+	}
+	if uint64(off[len(ids)]) != uint64(len(points)) {
+		return nil, fmt.Errorf("trajectory: table offsets end at %d, the arena holds %d points", off[len(ids)], len(points))
 	}
 	if err := t.index(); err != nil {
 		return nil, err
 	}
 	return t, nil
+}
+
+// CheckLengths compares every row's length with the length of its points,
+// bit for bit.
+func (t *Table) CheckLengths() error {
+	for i := range t.ids {
+		if l := lengthOf(t.Points(int32(i))); math.Float64bits(l) != math.Float64bits(t.length[i]) {
+			return fmt.Errorf("trajectory: row %d (id %d) has cached length %v, its points give %v", i, t.ids[i], t.length[i], l)
+		}
+	}
+	return nil
 }
 
 // index builds the sorted-by-ID permutation, rejecting duplicate IDs with
@@ -189,24 +180,22 @@ func (t *Table) ID(i int32) ID { return t.ids[i] }
 
 // Points returns the points of the trajectory at ordinal i (read-only).
 func (t *Table) Points(i int32) []geo.Point {
-	lo, hi := t.off[i], t.off[i+1]-t.gap
+	lo, hi := t.off[i], t.off[i+1]
 	return t.points[lo:hi:hi]
 }
 
 // NumPoints returns the number of points of the trajectory at ordinal i.
-func (t *Table) NumPoints(i int32) int { return int(t.off[i+1] - t.gap - t.off[i]) }
+func (t *Table) NumPoints(i int32) int { return int(t.off[i+1] - t.off[i]) }
 
 // Length returns the polyline length of the trajectory at ordinal i.
-func (t *Table) Length(i int32) float64 {
-	if t.length == nil {
-		return t.points[t.off[i]-RecordHeaderPoints].Y
-	}
-	return t.length[i]
-}
+func (t *Table) Length(i int32) float64 { return t.length[i] }
 
 // TotalPoints returns the number of points across the table.
-func (t *Table) TotalPoints() int {
-	return len(t.points) - len(t.ids)*int(t.gap)
+func (t *Table) TotalPoints() int { return len(t.points) }
+
+// Columns returns the four columns NewTable takes (read-only).
+func (t *Table) Columns() (ids []ID, off []uint32, length []float64, points []geo.Point) {
+	return t.ids, t.off, t.length, t.points
 }
 
 // HasMultipoint reports whether any trajectory has more than two points.
@@ -263,8 +252,7 @@ func (t *Table) View(i int32, dst *Trajectory) {
 }
 
 // Bytes returns the size of the table's columns and arena, from their
-// lengths. For a table over snapshot records the arena is the mapped (or
-// decoded) record region, headers included.
+// lengths, wherever they live.
 func (t *Table) Bytes() int64 {
 	return 4*int64(len(t.ids)) + 4*int64(len(t.off)) + 16*int64(len(t.points)) +
 		8*int64(len(t.length)) + 4*int64(len(t.byID))

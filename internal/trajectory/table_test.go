@@ -133,26 +133,34 @@ func TestTableAppendPoints(t *testing.T) {
 	}
 }
 
-// TestRecordTable: a table laid over snapshot records in place — header
-// slots between the point runs, length read out of the header — answers
-// like the built table over the same trajectories, with only the ID and
-// offset columns (and the lookup permutation) of its own.
+// TestRecordTable: a table assembled from recorded columns (NewTable)
+// adopts them in place and answers like the built table over the same
+// trajectories; columns that cannot describe a table — offsets that do
+// not start at 0, decrease, step by fewer than 2 or more than maxPoints
+// points, or end short of the arena, mismatched column lengths, a
+// repeated ID — are refused, and CheckLengths finds a length that is not
+// its points'.
 func TestRecordTable(t *testing.T) {
 	users := tableTestUsers(120, 4)
-	var region []geo.Point
-	ids := make([]ID, len(users))
-	first := make([]uint32, len(users)+1)
-	for i, u := range users {
-		// Header: (id|npts as raw bits, length), then the MBR's corners.
-		hdr := uint64(u.ID) | uint64(u.Len())<<32
-		region = append(region,
-			geo.Point{X: math.Float64frombits(hdr), Y: u.Length()},
-			geo.Pt(u.MBR().MinX, u.MBR().MinY), geo.Pt(u.MBR().MaxX, u.MBR().MaxY))
-		ids[i], first[i] = u.ID, uint32(len(region))
-		region = append(region, u.Points...)
+	type columns struct {
+		ids    []ID
+		off    []uint32
+		length []float64
+		points []geo.Point
 	}
-	first[len(users)] = uint32(len(region)) + RecordHeaderPoints
-	tab, err := NewRecordTable(ids, first, region)
+	recorded := func() *columns {
+		c := &columns{make([]ID, len(users)), make([]uint32, 1, len(users)+1), make([]float64, len(users)), nil}
+		for i, u := range users {
+			c.points = append(c.points, u.Points...)
+			c.ids[i], c.length[i] = u.ID, u.Length()
+			c.off = append(c.off, uint32(len(c.points)))
+		}
+		return c
+	}
+	newTable := func(c *columns) (*Table, error) { return NewTable(c.ids, c.off, c.length, c.points) }
+	c := recorded()
+	ids, off, length, points := c.ids, c.off, c.length, c.points
+	tab, err := newTable(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +170,10 @@ func TestRecordTable(t *testing.T) {
 		total += u.Len()
 		if tab.ID(ord) != u.ID || !slices.Equal(tab.Points(ord), u.Points) ||
 			math.Float64bits(tab.Length(ord)) != math.Float64bits(u.Length()) {
-			t.Fatalf("record %d does not mirror trajectory %d", i, u.ID)
+			t.Fatalf("row %d does not mirror trajectory %d", i, u.ID)
 		}
-		if &tab.Points(ord)[0] != &region[first[i]] {
-			t.Fatalf("record %d was copied", i)
+		if &tab.Points(ord)[0] != &points[off[i]] {
+			t.Fatalf("row %d was copied", i)
 		}
 		if got, ok := tab.Lookup(u.ID); !ok || got != ord {
 			t.Fatalf("Lookup(%d) = %d, %v", u.ID, got, ok)
@@ -174,9 +182,52 @@ func TestRecordTable(t *testing.T) {
 	if tab.TotalPoints() != total || !tab.HasMultipoint() {
 		t.Fatalf("TotalPoints %d (want %d), multipoint %v", tab.TotalPoints(), total, tab.HasMultipoint())
 	}
-	ids[5] = ids[6]
-	if _, err := NewRecordTable(ids, first, region); err == nil {
-		t.Fatal("duplicate record id accepted")
+	if err := tab.CheckLengths(); err != nil {
+		t.Fatal(err)
+	}
+	if i, o, l, p := tab.Columns(); &i[0] != &ids[0] || &o[0] != &off[0] || &l[0] != &length[0] || &p[0] != &points[0] {
+		t.Fatal("Columns are not the columns NewTable adopted")
+	}
+
+	for _, f := range []struct {
+		name, want string
+		forge      func(c *columns)
+	}{
+		{"first offset 2", "start at 2", func(c *columns) { c.off[0] = 2 }},
+		{"a decreasing offset", "decrease at row 5", func(c *columns) { c.off[6] = c.off[5] - 1 }},
+		{"a step of 1", "has 1 points", func(c *columns) { c.off[4] = c.off[3] + 1 }},
+		{"a step past maxPoints", "has 16777217 points", func(c *columns) { c.off[1] = maxPoints + 1 }},
+		{"offsets short of the arena", "the arena holds", func(c *columns) { c.points = append(c.points, geo.Point{}) }},
+		{"one length too few", "lengths", func(c *columns) { c.length = c.length[1:] }},
+		{"a repeated id", "duplicate id", func(c *columns) { c.ids[5] = c.ids[6] }},
+		// Steps of maxPoints up to 2^32-maxPoints, then one more that wraps
+		// the uint32 offset to 0: every difference is a legal step and the
+		// last offset is the arena's end, but the rows lie past it.
+		{"offsets that wrap", "decrease at row 255", func(c *columns) {
+			*c = columns{make([]ID, 257), make([]uint32, 258), make([]float64, 257), make([]geo.Point, 2)}
+			for i := range c.ids {
+				c.ids[i] = ID(i)
+			}
+			for k := 1; k <= 255; k++ {
+				c.off[k] = uint32(k) * maxPoints
+			}
+			c.off[257] = 2
+		}},
+	} {
+		c := recorded()
+		f.forge(c)
+		if _, err := newTable(c); err == nil || !strings.Contains(err.Error(), f.want) {
+			t.Errorf("%s: NewTable = %v, want an error saying %q", f.name, err, f.want)
+		}
+	}
+	c = recorded()
+	c.length[7] = math.Nextafter(c.length[7], math.Inf(1))
+	tab, err = newTable(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.CheckLengths(); err == nil || !strings.Contains(err.Error(), "row 7") {
+		t.Fatalf("CheckLengths = %v, want an error naming row 7", err)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-// rewriteShardedHeaderCRC recomputes the TQSHRD02 header checksum over
+// rewriteShardedHeaderCRC recomputes the TQSHRD03 header checksum over
 // data[:headerEnd] in place — used to forge a snapshot whose partitioner
 // kind this build does not know without tripping the CRC.
 func rewriteShardedHeaderCRC(t *testing.T, data []byte, headerEnd int) []byte {
@@ -191,7 +191,7 @@ func TestIndexLiveConversion(t *testing.T) {
 	}
 }
 
-// restoredFrozenSharded freezes sidx, writes it as a TQSHRD02 stream —
+// restoredFrozenSharded freezes sidx, writes it as a TQSHRD03 stream —
 // passed through forge, if any — and reads it back.
 func restoredFrozenSharded(t *testing.T, sidx *ShardedIndex, forge func(data []byte) []byte) *FrozenShardedIndex {
 	t.Helper()

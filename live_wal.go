@@ -5,7 +5,7 @@ package trajcover
 // acknowledged Insert/Delete is appended to a rotating segment file
 // before its epoch is published, and a write returns to the caller only
 // once the record is durable per the configured sync policy. On boot,
-// Open restores the newest checkpoint (a TQLIVE01 snapshot named after
+// Open restores the newest checkpoint (a TQLIVE02 snapshot named after
 // its WAL cut) and replays the post-checkpoint segments on top, so a
 // reopened index serves exactly the logical corpus the crashed process
 // had acknowledged — plus possibly a suffix of appended-but-unacked
@@ -326,7 +326,7 @@ func OpenLiveShardedIndex(opts WALOptions, pol LivePolicy, bootstrap func() (*Li
 	return x, nil
 }
 
-// Checkpoint writes a durable checkpoint (TQLIVE01 snapshot of a
+// Checkpoint writes a durable checkpoint (TQLIVE02 snapshot of a
 // write-consistent epoch cut) into the WAL directory and truncates the
 // segments it covers. Writes and queries keep running; only the epoch
 // capture + WAL rotation (microseconds) excludes writers. Requires an

@@ -5,34 +5,32 @@ package trajcover
 // frozen payload of snapshot_frozen.go — travels in three framings, told
 // apart by an 8-byte magic:
 //
-//	TQSNAP03 — one frozen index: magic, frozen payload, CRC32 trailer.
-//	TQSHRD02 — sharded frozen container: CRC'd header (shard count,
+//	TQSNAP04 — one frozen index: magic, frozen payload, CRC32 trailer.
+//	TQSHRD03 — sharded frozen container: CRC'd header (shard count,
 //	           partitioner kind), then one length-prefixed, individually
 //	           CRC'd frozen payload per shard.
-//	TQLIVE01 — live container: the same header and framing; each frame
+//	TQLIVE02 — live container: the same header and framing; each frame
 //	           holds a shard's frozen base, its tombstones and its delta
 //	           (snapshot_live.go).
 //
 // A mutable Index or ShardedIndex persists as its Freeze() and comes
-// back mutable as the restored index's Live(). The rebuild formats that
-// stored raw trajectories (TQSNAP02, TQSHRD01) are retired; their magics
-// are still recognised, to say so.
+// back mutable as the restored index's Live(). Retired formats — the
+// rebuild formats that stored raw trajectories (TQSNAP02, TQSHRD01) and
+// the record formats that stored one record per trajectory and every
+// entry column (TQSNAP03, TQSHRD02, TQLIVE01) — are still recognised by
+// their magics, to say so.
 //
 // This file is the one reader of those framings. Everything is parsed
 // off a cursor over a []byte, and the cursor's only parameter is who
-// owns the bytes. A mapping pin (snapshot_mmap.go): columns alias the
-// file where it is mapped, the trajectory table is laid over the records
-// in place, and the restored tqtree.Frozen pins the mapping. Nobody (the
-// io.Reader entry points): the bytes are one frame — the whole stream
-// for TQSNAP03 — read into a buffer that is dropped after the parse, so
-// every column is copied out at its exact size and every trajectory
-// record into a table of its own. The two owners differ in one check,
-// by design: the copy recomputes each record's length and bounding box
-// from its points and compares them with the cached ones, while an
-// aliasing open must stay O(columns), not O(points), and serves the
-// cached length as recorded. (Both owners check a TwoPoint base's
-// recorded entry MBRs against its points — the one column the base
-// derives from the table — which reads each record's points once.)
+// owns the bytes. A mapping pin (snapshot_mmap.go): every column, the
+// trajectory table's included, aliases the file where it is mapped, and
+// the restored tqtree.Frozen pins the mapping. Nobody (the io.Reader
+// entry points): the bytes are one frame — the whole stream for TQSNAP04
+// — read into a buffer that is dropped after the parse, so every column
+// is copied out at its exact size. The two owners differ in one check,
+// by design: the copy recomputes each trajectory's length from its points
+// and compares it with the recorded one, while an aliasing open must stay
+// O(columns), not O(points), and serves the recorded length.
 
 import (
 	"encoding/binary"
@@ -45,6 +43,7 @@ import (
 
 	"github.com/trajcover/trajcover/internal/geo"
 	"github.com/trajcover/trajcover/internal/mmap"
+	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
 // ErrBadSnapshot is returned when a snapshot stream is malformed or its
@@ -61,19 +60,22 @@ func badSnapshot(err error) error {
 
 // The magics: eight bytes that open every snapshot stream.
 const (
-	frozenMagic        = "TQSNAP03"
-	shardedFrozenMagic = "TQSHRD02"
-	liveMagic          = "TQLIVE01"
+	frozenMagic        = "TQSNAP04"
+	shardedFrozenMagic = "TQSHRD03"
+	liveMagic          = "TQLIVE02"
 )
 
 // otherFormats says, for each magic a reader can meet in place of its
 // own, what the stream is and which entry points take it.
 var otherFormats = map[string]string{
-	frozenMagic:        "single frozen snapshot (TQSNAP03); use ReadFrozenSnapshot or OpenMappedFrozenSnapshot",
-	shardedFrozenMagic: "sharded frozen snapshot (TQSHRD02); use ReadFrozenShardedSnapshot or OpenMappedFrozenShardedSnapshot",
-	liveMagic:          "live snapshot (TQLIVE01); use ReadLiveSnapshot or OpenMappedLiveSnapshot",
+	frozenMagic:        "single frozen snapshot (TQSNAP04); use ReadFrozenSnapshot or OpenMappedFrozenSnapshot",
+	shardedFrozenMagic: "sharded frozen snapshot (TQSHRD03); use ReadFrozenShardedSnapshot or OpenMappedFrozenShardedSnapshot",
+	liveMagic:          "live snapshot (TQLIVE02); use ReadLiveSnapshot or OpenMappedLiveSnapshot",
 	"TQSNAP02":         "rebuild-format snapshot (TQSNAP02) is no longer readable; rebuild the index and write a frozen snapshot",
 	"TQSHRD01":         "rebuild-format snapshot (TQSHRD01) is no longer readable; rebuild the index and write a frozen snapshot",
+	"TQSNAP03":         "record-format snapshot (TQSNAP03) is no longer readable; rebuild the index and write a new snapshot",
+	"TQSHRD02":         "record-format snapshot (TQSHRD02) is no longer readable; rebuild the index and write a new snapshot",
+	"TQLIVE01":         "record-format snapshot (TQLIVE01) is no longer readable; rebuild the index and write a new snapshot",
 }
 
 // checkMagic is the one magic dispatch: nil when the stream opens with
@@ -132,11 +134,11 @@ func (c *cursor) u64() uint64 {
 	return 0
 }
 
-// view takes n values of the given byte width and views them as a []T
-// where they sit, under either owner (internal/mmap decodes to the heap
-// by itself where the host cannot alias): for a column the parse only
-// checks, as the view lives no longer than the cursor's bytes.
-func view[T any](c *cursor, n, width uint64, as func([]byte) []T) []T {
+// column takes n values of the given byte width off the cursor as a []T:
+// viewed where they sit under a pin (internal/mmap decodes to the heap by
+// itself where the host cannot alias), a copy of exactly n values
+// otherwise.
+func column[T any](c *cursor, n, width uint64, as func([]byte) []T) []T {
 	if c.err == nil && n > uint64(c.remaining())/width {
 		c.err = fmt.Errorf("%w: column of %d %d-byte values exceeds the %d bytes remaining", ErrBadSnapshot, n, width, c.remaining())
 	}
@@ -144,14 +146,8 @@ func view[T any](c *cursor, n, width uint64, as func([]byte) []T) []T {
 	if c.err != nil {
 		return nil
 	}
-	return as(b)
-}
-
-// column is view for a column the parse result keeps: the view itself
-// under a pin, a copy of exactly n values otherwise.
-func column[T any](c *cursor, n, width uint64, as func([]byte) []T) []T {
-	v := view(c, n, width, as)
-	if c.err == nil && c.pin == nil {
+	v := as(b)
+	if c.pin == nil {
 		v = append(make([]T, 0, len(v)), v...)
 	}
 	return v
@@ -162,6 +158,27 @@ func (c *cursor) points(n uint64) []geo.Point { return column(c, n, 16, mmap.Poi
 func (c *cursor) i32s(n uint64) []int32       { return column(c, n, 4, mmap.I32s) }
 func (c *cursor) f64s(n uint64) []float64     { return column(c, n, 8, mmap.F64s) }
 func (c *cursor) u64s(n uint64) []uint64      { return column(c, n, 8, mmap.U64s) }
+
+// table takes a trajectory section of nt rows and np points off the
+// cursor — four columns: IDs, offsets (nt+1 of them, zero-padded to 8
+// bytes), lengths and points — and assembles them into a table, which
+// checks the offsets and the IDs. Where the columns were copied, each
+// recorded length is checked against its points too.
+func (c *cursor) table(nt, np uint64) (*trajectory.Table, error) {
+	ids := column(c, nt, 4, mmap.U32s[trajectory.ID])
+	off := column(c, nt+1, 4, mmap.U32s[uint32])
+	c.take(pad8(4 * (2*nt + 1)))
+	length := c.f64s(nt)
+	points := c.points(np)
+	if c.err != nil {
+		return nil, c.err
+	}
+	tab, err := trajectory.NewTable(ids, off, length, points)
+	if err == nil && c.pin == nil {
+		err = tab.CheckLengths()
+	}
+	return tab, badSnapshot(err)
+}
 
 // streamSource reads a snapshot off an io.Reader into one buffer, reused
 // from read to read — each invalidates the bytes of the one before. The
@@ -209,15 +226,14 @@ func (s *streamSource) all() ([]byte, error) {
 	return s.buf, nil
 }
 
-// Limits on what a reader believes of a container or a delta before the
-// bytes have borne it out.
+// Limits on what a reader believes of a container before the bytes have
+// borne it out.
 const (
-	maxShards       = 1 << 16
-	maxKindLen      = 256
-	maxTrajectories = 1 << 31
+	maxShards  = 1 << 16
+	maxKindLen = 256
 )
 
-// writeContainer writes a TQSHRD02 or TQLIVE01 container of n frames:
+// writeContainer writes a TQSHRD03 or TQLIVE02 container of n frames:
 // the CRC'd header, then per frame its length (size must return exactly
 // what payload writes, so no frame is buffered), the payload, its CRC and
 // a pad. The pads keep every payload 8-aligned in the file — the header
@@ -250,7 +266,7 @@ func writeContainer(w io.Writer, magic, kind string, n int, size func(i int) uin
 	return nil
 }
 
-// readContainer parses a TQSHRD02 or TQLIVE01 container whose bytes take
+// readContainer parses a TQSHRD03 or TQLIVE02 container whose bytes take
 // hands out in order: the CRC'd header (magic, shard count, partitioner
 // kind, zero pad to 8), then per shard a length prefix, the payload, its
 // CRC and a zero pad. Each payload is CRC-checked before frame sees a

@@ -67,7 +67,7 @@ func (f snapshotFormat) parse(data []byte, owner string) (x restored, err error)
 }
 
 // snapshotFormats builds one small index per format over n taxi trips:
-// TQSNAP03, TQSHRD02 (two shards) and TQLIVE01 (two shards, pending delta
+// TQSNAP04, TQSHRD03 (two shards) and TQLIVE02 (two shards, pending delta
 // and tombstones).
 func snapshotFormats(t testing.TB, n int) []snapshotFormat {
 	t.Helper()
@@ -88,20 +88,20 @@ func snapshotFormats(t testing.TB, n int) []snapshotFormat {
 	lv := churnedLiveIndex(t, users)
 	pol := LivePolicy{Manual: true}
 	return []snapshotFormat{
-		{"TQSNAP03", fz.WriteSnapshot,
+		{"TQSNAP04", fz.WriteSnapshot,
 			func(r io.Reader) (restored, error) { return ReadFrozenSnapshot(r) },
 			func(d []byte, tok *mappedToken) (restored, error) { return parseFrozenSnapshot(d, tok) }},
-		{"TQSHRD02", sfz.WriteSnapshot,
+		{"TQSHRD03", sfz.WriteSnapshot,
 			func(r io.Reader) (restored, error) { return ReadFrozenShardedSnapshot(r) },
 			func(d []byte, tok *mappedToken) (restored, error) { return openMappedFrozenSharded(d, tok) }},
-		{"TQLIVE01", lv.WriteSnapshot,
+		{"TQLIVE02", lv.WriteSnapshot,
 			func(r io.Reader) (restored, error) { return ReadLiveSnapshot(r, pol) },
 			func(d []byte, tok *mappedToken) (restored, error) { return openMappedLive(d, tok, pol) }},
 	}
 }
 
 // churnedLiveIndex builds a small live index whose snapshot exercises
-// every TQLIVE01 section: a frozen base, pending delta, and tombstones.
+// every TQLIVE02 section: a frozen base, pending delta, and tombstones.
 func churnedLiveIndex(t testing.TB, users []*Trajectory) *LiveShardedIndex {
 	t.Helper()
 	lv, err := NewLiveShardedIndex(users[:20], LiveShardOptions{
@@ -237,9 +237,9 @@ func TestSnapshotForgedLengthBuysNoMemory(t *testing.T) {
 // every format's reader under both owners. None may panic or fail with
 // anything but an ErrBadSnapshot, and the two owners must agree on
 // accept/reject, but for the two differences they have by design — only
-// the copy recomputes a record's cached length and MBR from its points,
-// and only a mapped open sees (and rejects) bytes after a container's
-// last frame.
+// the copy recomputes a base trajectory's length from its points, and
+// only a mapped open sees (and rejects) bytes after a container's last
+// frame.
 func fuzzSnapshot(f *testing.F) {
 	formats := snapshotFormats(f, 30)
 	for _, sf := range formats {
@@ -247,7 +247,7 @@ func fuzzSnapshot(f *testing.F) {
 		f.Add(data)
 		f.Add(data[:64])
 	}
-	for _, magic := range []string{"TQSNAP03", "TQSHRD02", "TQLIVE01", "TQSNAP02", "TQSHRD01", ""} {
+	for _, magic := range []string{"TQSNAP04", "TQSHRD03", "TQLIVE02", "TQSNAP03", "TQSHRD02", "TQLIVE01", "TQSNAP02", "TQSHRD01", ""} {
 		f.Add([]byte(magic))
 	}
 	for _, h := range hostileSnapshots(f) {
@@ -264,7 +264,7 @@ func fuzzSnapshot(f *testing.F) {
 			}
 			switch {
 			case (cerr == nil) == (aerr == nil):
-			case cerr != nil && strings.Contains(cerr.Error(), "cached length/MBR disagree"):
+			case cerr != nil && strings.Contains(cerr.Error(), "cached length"):
 			case aerr != nil && strings.Contains(aerr.Error(), "trailing bytes after last frame"):
 			default:
 				t.Fatalf("%s: the owners disagree: copy %v, alias %v", sf.name, cerr, aerr)

@@ -1,12 +1,13 @@
 package trajcover
 
-// Live snapshot persistence (TQLIVE01; snapshot.go has the framing). A
+// Live snapshot persistence (TQLIVE02; snapshot.go has the framing). A
 // live index checkpoints without stopping writes: the writer captures
 // each shard's current epoch — one atomic pointer load per shard — and
 // serializes from those immutable values while inserts, deletes, and even
 // background rebuilds keep running. Each shard's frame records the full
 // epoch state: the frozen base payload, the tombstone IDs (sorted, so
-// output is deterministic), and the delta trajectories.
+// output is deterministic), and the delta trajectories as a trajectory
+// section like the base's.
 //
 // Restoring reassembles the epochs verbatim — frozen columns copied or
 // aliased and bounds-checked, tombstones and delta revalidated against
@@ -15,11 +16,10 @@ package trajcover
 // rebuild to fold.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
-	"slices"
 
+	"github.com/trajcover/trajcover/internal/mmap"
 	"github.com/trajcover/trajcover/internal/query"
 	"github.com/trajcover/trajcover/internal/shard"
 	"github.com/trajcover/trajcover/internal/trajectory"
@@ -31,83 +31,74 @@ func livePayloadSize(ep *query.Epoch) uint64 {
 	size := frozenPayloadSize(ep.Base().Frozen())
 	size += 8 + 4*uint64(ep.TombstoneCount())
 	size += pad8(4 * uint64(ep.TombstoneCount())) // realign after the u32 tombstones
-	size += 8
+	np := 0
 	for _, u := range ep.Delta() {
-		size += frozenTrajectorySize(u)
+		np += u.Len()
 	}
-	return size
+	return size + 16 + tableSize(uint64(len(ep.Delta())), uint64(np))
 }
 
 // writeLivePayload encodes one epoch: frozen base columns, sorted
-// tombstone IDs (padded back to 8-alignment), then the delta
-// trajectories in overlay order, in the frozen record format.
+// tombstone IDs (padded back to 8-alignment), then the delta's row and
+// point counts and its trajectories in overlay order, as a trajectory
+// section.
 func writeLivePayload(w io.Writer, ep *query.Epoch) error {
 	if err := writeFrozenPayload(w, ep.Base().Frozen()); err != nil {
+		return err
+	}
+	delta := ep.Delta()
+	tb := trajectory.NewTableBuilder(len(delta), 0)
+	for _, u := range delta {
+		tb.Append(u)
+	}
+	tab, err := tb.Build()
+	if err != nil {
 		return err
 	}
 	dead := ep.TombstoneIDs()
 	cw := newColWriter(w)
 	cw.u64(uint64(len(dead)))
-	for _, id := range dead {
-		cw.u32(uint32(id))
-	}
+	words(cw, dead)
 	cw.pad(i32Pad(uint64(len(dead))))
-	delta := ep.Delta()
-	cw.u64(uint64(len(delta)))
-	for _, u := range delta {
-		cw.trajRecord(u.ID, u.Points, u.Length(), u.MBR())
-	}
+	cw.u64(uint64(tab.Len()))
+	cw.u64(uint64(tab.TotalPoints()))
+	cw.table(tab)
 	cw.flush()
 	return cw.err
 }
 
 // readLivePayload decodes one epoch frame and reassembles the epoch;
 // NewEpoch revalidates tombstones and delta against the restored base,
-// refusing unknown and repeated tombstone IDs. The delta records are
+// refusing unknown and repeated tombstone IDs. The delta section is
 // copied to the heap under either owner (the overlay is small and
-// outlives any base), with the cached length and MBR checked.
+// outlives any base), so its recorded lengths are checked.
 func readLivePayload(c *cursor) (*query.Epoch, error) {
 	f, err := readFrozenPayload(c)
 	if err != nil {
 		return nil, err
 	}
+	c.pin = nil // the base holds the pin; the rest of the frame is copied
 	nDead := c.u64()
 	if c.err == nil && nDead > uint64(f.NumTrajectories()) {
 		return nil, fmt.Errorf("%w: %d tombstones over %d base trajectories", ErrBadSnapshot, nDead, f.NumTrajectories())
 	}
-	ids := c.take(4 * nDead)
+	dead := column(c, nDead, 4, mmap.U32s[trajectory.ID])
 	c.take(pad8(4 * nDead))
-	nDelta := c.u64()
-	if c.err != nil {
-		return nil, c.err
+	nDelta, np := c.u64(), c.u64()
+	tab, err := c.table(nDelta, np)
+	if err != nil {
+		return nil, err
 	}
-	dead := make([]trajectory.ID, nDead)
-	for i := range dead {
-		dead[i] = trajectory.ID(binary.LittleEndian.Uint32(ids[4*i:]))
-	}
-	if nDelta > maxTrajectories || nDelta > uint64(c.remaining())/minTrajRecordBytes {
-		return nil, fmt.Errorf("%w: delta count %d exceeds remaining bytes", ErrBadSnapshot, nDelta)
-	}
-	delta := make([]*trajectory.Trajectory, nDelta)
+	delta := make([]*trajectory.Trajectory, tab.Len())
 	for i := range delta {
-		h, pts := c.trajRecord(uint64(i))
-		if c.err != nil {
-			return nil, c.err
-		}
-		u, err := trajectory.New(h.id, slices.Clone(pts))
-		if err == nil {
-			err = h.check(uint64(i), u.Length(), u.MBR())
-		}
-		if err != nil {
-			return nil, badSnapshot(err)
-		}
-		delta[i] = u
+		delta[i] = new(trajectory.Trajectory)
+		tab.View(int32(i), delta[i])
 	}
 	ep, err := query.NewEpoch(query.NewFrozenEngine(f, nil), delta, dead, 0)
 	return ep, badSnapshot(err)
 }
 
-// writeLiveSnapshot serializes a captured epoch set as a TQLIVE01
+// writeLiveSnapshot serializes a captured epoch set as a TQLIVE02
 // container.
 func writeLiveSnapshot(w io.Writer, eps []*query.Epoch, kind string) error {
 	return writeContainer(w, liveMagic, kind, len(eps),
@@ -115,7 +106,7 @@ func writeLiveSnapshot(w io.Writer, eps []*query.Epoch, kind string) error {
 		func(w io.Writer, i int) error { return writeLivePayload(w, eps[i]) })
 }
 
-// WriteSnapshot checkpoints the live index as a TQLIVE01 stream. The
+// WriteSnapshot checkpoints the live index as a TQLIVE02 stream. The
 // epoch set is captured atomically per shard up front, so the snapshot
 // is a consistent cut of each shard while writes continue to land in
 // successor epochs.
@@ -123,7 +114,7 @@ func (x *LiveShardedIndex) WriteSnapshot(w io.Writer) error {
 	return writeLiveSnapshot(w, x.epochs(), x.s.PartitionerKind())
 }
 
-// WriteSnapshot checkpoints the live index as a single-shard TQLIVE01
+// WriteSnapshot checkpoints the live index as a single-shard TQLIVE02
 // stream; restore with ReadLiveSnapshot.
 func (x *LiveIndex) WriteSnapshot(w io.Writer) error {
 	return writeLiveSnapshot(w, x.epochs(), x.s.PartitionerKind())

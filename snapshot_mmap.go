@@ -1,22 +1,22 @@
 package trajcover
 
 // Mapped snapshot restore. OpenMappedFrozenSnapshot and friends map a
-// TQSNAP03/TQSHRD02/TQLIVE01 file and alias the frozen column slices
-// (node rects, upper-bound columns, bucket and entry slabs, trajectory
-// points) directly onto the mapping via internal/mmap — a restore that
-// costs one CRC pass plus the structural validation, no per-point work
-// and no column copies (on little-endian hosts; elsewhere the views
-// decode into heap and everything below still holds). The OS pages the
-// columns in and out on demand, so one process can serve snapshots
-// larger than RAM and restarts touch only the pages a query walks.
+// TQSNAP04/TQSHRD03/TQLIVE02 file and alias the frozen column slices
+// (node rects, upper-bound columns, bucket and entry slabs, the
+// trajectory table's four columns) directly onto the mapping via
+// internal/mmap — a restore that costs one CRC pass plus the structural
+// validation, no per-point work and no column copies (on little-endian
+// hosts; elsewhere the views decode into heap and everything below still
+// holds). The OS pages the columns in and out on demand, so one process
+// can serve snapshots larger than RAM and restarts touch only the pages a
+// query walks.
 //
 // Lifetime. Aliased slices are views into the mapping, so the mapping
 // must outlive every object that can reach one. Each mapped file gets
 // one token holding the mapping, and the restored tqtree.Frozen — the
-// only object that keeps such views: its columns, and its trajectory
-// table laid over the records where they sit — pins the token
-// (Frozen.SetPin); the token's finalizer releases the mapping when the
-// last such Frozen is dropped. Query entry points pin their engine with
+// only object that keeps such views: its columns and its trajectory
+// table's — pins the token (Frozen.SetPin); the token's finalizer
+// releases the mapping when the last such Frozen is dropped. Query entry points pin their engine with
 // runtime.KeepAlive so the finalizer cannot fire mid-query. Delta
 // trajectories are copied to the heap at open (the overlay is small), and
 // a background rebuild copies the points it keeps into a fresh heap
@@ -31,10 +31,10 @@ package trajcover
 // against the file length, and the counts go through the same
 // plausibility and structural validation — a truncated or bit-flipped
 // file is a loud ErrBadSnapshot at open, never a fault inside a query.
-// Two differences, both deliberate: an aliased base table serves each
-// record's cached length without recomputing it from the points (an open
-// stays O(columns)), and a container file with bytes after its last frame
-// is rejected, where a stream reader stops reading and never sees them.
+// One difference, deliberate: an aliased base table serves each recorded
+// length without recomputing it from the points (an open stays
+// O(columns)). A container file with bytes after its last frame is
+// rejected too, where a stream reader stops reading and never sees them.
 
 import (
 	"fmt"
@@ -80,7 +80,7 @@ func openContainer[T any](data []byte, read func(take func(n uint64) ([]byte, er
 	return x, err
 }
 
-// OpenMappedFrozenSnapshot restores a FrozenIndex from a TQSNAP03 file
+// OpenMappedFrozenSnapshot restores a FrozenIndex from a TQSNAP04 file
 // by mapping it: the CRC is verified once, the columns alias the mapping
 // (zero-copy on little-endian hosts), and the mapping is released when
 // the last object restored from it is collected. Answers are
@@ -90,7 +90,7 @@ func OpenMappedFrozenSnapshot(path string) (*FrozenIndex, error) {
 }
 
 // OpenMappedFrozenShardedSnapshot restores a FrozenShardedIndex from a
-// TQSHRD02 file by mapping it; every shard's columns alias one shared
+// TQSHRD03 file by mapping it; every shard's columns alias one shared
 // mapping. Answers are byte-identical to ReadFrozenShardedSnapshot.
 func OpenMappedFrozenShardedSnapshot(path string) (*FrozenShardedIndex, error) {
 	return openMapped(path, openMappedFrozenSharded)
@@ -102,7 +102,7 @@ func openMappedFrozenSharded(data []byte, tok *mappedToken) (*FrozenShardedIndex
 	})
 }
 
-// OpenMappedLiveSnapshot restores a live index from a TQLIVE01 file by
+// OpenMappedLiveSnapshot restores a live index from a TQLIVE02 file by
 // mapping it: every shard's frozen base columns alias the mapping (the
 // delta trajectories are copied to the heap), while the restored index
 // stays fully mutable — writes land in heap epochs, and background

@@ -80,7 +80,7 @@ func assertMappedAnswers(t *testing.T, name string, want, got flavor) {
 }
 
 // TestMappedFrozenMatchesHeap: OpenMappedFrozenSnapshot answers
-// bit-identically to ReadFrozenSnapshot of the same TQSNAP03 file, and
+// bit-identically to ReadFrozenSnapshot of the same TQSNAP04 file, and
 // re-snapshotting the mapped restore reproduces the file byte for byte.
 func TestMappedFrozenMatchesHeap(t *testing.T) {
 	ny := NewYorkCity()
@@ -99,7 +99,7 @@ func TestMappedFrozenMatchesHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertMappedAnswers(t, "TQSNAP03 mapped", fz, mapped)
+	assertMappedAnswers(t, "TQSNAP04 mapped", fz, mapped)
 
 	orig, err := os.ReadFile(path)
 	if err != nil {
@@ -136,7 +136,7 @@ func TestMappedFrozenShardedMatchesHeap(t *testing.T) {
 	if mapped.NumShards() != sfz.NumShards() {
 		t.Fatalf("NumShards = %d, want %d", mapped.NumShards(), sfz.NumShards())
 	}
-	assertMappedAnswers(t, "TQSHRD02 mapped", sfz, mapped)
+	assertMappedAnswers(t, "TQSHRD03 mapped", sfz, mapped)
 
 	orig, err := os.ReadFile(path)
 	if err != nil {
@@ -175,7 +175,7 @@ func TestMappedLiveMatchesHeapAndStaysMutable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertMappedAnswers(t, "TQLIVE01 mapped", heap, mapped)
+	assertMappedAnswers(t, "TQLIVE02 mapped", heap, mapped)
 
 	// Mutate both restores identically; answers must stay identical.
 	extra := TaxiTrips(ny, 80, 97)[60:]
@@ -195,14 +195,14 @@ func TestMappedLiveMatchesHeapAndStaysMutable(t *testing.T) {
 			t.Fatalf("mapped Delete(%d) = %v, %v", u.ID, ok, err)
 		}
 	}
-	assertMappedAnswers(t, "TQLIVE01 mapped after churn", heap, mapped)
+	assertMappedAnswers(t, "TQLIVE02 mapped after churn", heap, mapped)
 
 	// Compaction rebuilds heap bases from mapped trajectories; answers
 	// must survive the fold.
 	if err := mapped.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	assertMappedAnswers(t, "TQLIVE01 mapped after compact", heap, mapped)
+	assertMappedAnswers(t, "TQLIVE02 mapped after compact", heap, mapped)
 }
 
 // TestMappedOpenMissingFile: opening a nonexistent path errors cleanly.

@@ -3,6 +3,9 @@ package trajcover
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -248,16 +251,17 @@ func TestShardedSnapshotDetectsCorruption(t *testing.T) {
 
 // TestSnapshotFormatsAreDistinguished: every reader, under both owners,
 // refuses every other format's stream with an error that names what the
-// stream is — the two retired rebuild formats included, which say they
-// are no longer readable rather than "bad magic".
+// stream is — the retired rebuild and record formats included, which say
+// they are no longer readable rather than "bad magic".
 func TestSnapshotFormatsAreDistinguished(t *testing.T) {
 	formats := snapshotFormats(t, 30)
 	body := snapshotBytes(t, formats[0])[8:]
 	streams := map[string][]byte{
-		"TQSNAP02": append([]byte("TQSNAP02"), body...),
-		"TQSHRD01": append([]byte("TQSHRD01"), body...),
 		"TQSNAP01": append([]byte("TQSNAP01"), body...),
 		"TQSNAP0":  []byte("TQSNAP0"),
+	}
+	for _, retired := range []string{"TQSNAP02", "TQSHRD01", "TQSNAP03", "TQSHRD02", "TQLIVE01"} {
+		streams[retired] = append([]byte(retired), body...)
 	}
 	for _, g := range formats {
 		streams[g.name] = snapshotBytes(t, g)
@@ -266,6 +270,8 @@ func TestSnapshotFormatsAreDistinguished(t *testing.T) {
 		switch name {
 		case "TQSNAP02", "TQSHRD01":
 			return "rebuild-format snapshot (" + name + ") is no longer readable; rebuild the index and write a frozen snapshot"
+		case "TQSNAP03", "TQSHRD02", "TQLIVE01":
+			return "record-format snapshot (" + name + ") is no longer readable; rebuild the index and write a new snapshot"
 		case "TQSNAP01":
 			return "bad magic"
 		case "TQSNAP0":
@@ -285,5 +291,68 @@ func TestSnapshotFormatsAreDistinguished(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// A WAL directory whose checkpoint is in a retired live format: the
+	// open fails saying so, without bootstrapping a corpus over the log
+	// and without touching a file of the directory.
+	dir := t.TempDir()
+	pol := LivePolicy{Manual: true}
+	users := TaxiTrips(NewYorkCity(), 40, 41)
+	lv, err := OpenLiveShardedIndex(WALOptions{Dir: dir}, pol, func() (*LiveShardedIndex, error) {
+		return NewLiveShardedIndex(users[:30], LiveShardOptions{Shards: 2, Policy: pol})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range users[30:] {
+		if err := lv.Insert(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ckpts, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.tqlive"))
+	if err != nil || len(ckpts) != 1 {
+		t.Fatalf("checkpoints %v, %v; want one", ckpts, err)
+	}
+	data, err := os.ReadFile(ckpts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(data, "TQLIVE01")
+	if err := os.WriteFile(ckpts[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	files := func() map[string]string {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, e := range ents {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = string(b)
+		}
+		return out
+	}
+	before := files()
+	if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg")); len(segs) == 0 {
+		t.Fatalf("no WAL segment beside the checkpoint: %d files", len(before))
+	}
+	_, err = OpenLiveShardedIndex(WALOptions{Dir: dir}, pol, func() (*LiveShardedIndex, error) {
+		t.Error("bootstrap called over a WAL directory with a checkpoint")
+		return nil, errors.New("bootstrap called")
+	})
+	if want := says("TQLIVE01"); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), want) {
+		t.Errorf("OpenLiveShardedIndex over a TQLIVE01 checkpoint: err = %v, want ErrBadSnapshot saying %q", err, want)
+	}
+	if after := files(); !reflect.DeepEqual(before, after) {
+		t.Errorf("the failed open changed the WAL directory: %d files before, %d after", len(before), len(after))
 	}
 }

@@ -2,9 +2,9 @@ package trajcover
 
 // What the columnar trajectory table promises at the public surface: an
 // index keeps nothing of the slice or the trajectories it was built from,
-// a served index costs a stated number of bytes per trajectory, the
-// snapshot bytes did not move, and a hostile trajectory section is an
-// error from every reader.
+// a served index and its snapshot cost a stated number of bytes per
+// trajectory, and a hostile trajectory section is an error from every
+// reader.
 
 import (
 	"bytes"
@@ -118,7 +118,8 @@ func liveHeap() uint64 {
 // table's 52 (two points, ID, offset, length, lookup slot) — no
 // Trajectory object, point slice, map slot or pointer beside them, and no
 // entry column the variant does not read. A mapped index holds the
-// table's ID, offset and lookup columns and nothing else.
+// table's lookup column and nothing else. The snapshot file of a TwoPoint
+// base is those same columns, byte for byte.
 func TestIndexHeapPerTrajectory(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under the race detector")
@@ -138,7 +139,7 @@ func TestIndexHeapPerTrajectory(t *testing.T) {
 		{"NewFrozenIndex", 95, func() (any, error) {
 			return NewFrozenIndex(TaxiTrips(ny, n, 7), opts)
 		}},
-		{"OpenMappedLiveSnapshot", 24, func() (any, error) {
+		{"OpenMappedLiveSnapshot", 8, func() (any, error) {
 			return OpenMappedLiveSnapshot(path, LivePolicy{})
 		}},
 	}
@@ -173,16 +174,19 @@ func TestIndexHeapPerTrajectory(t *testing.T) {
 			t.Errorf("%s holds %.1f heap bytes per trajectory, want <= %.0f", c.name, per, c.limit)
 		}
 		if fz, ok := idx.(*FrozenIndex); ok {
-			assertTwoPointBytes(t, fz.engine.Frozen())
+			assertTwoPointBytes(t, fz)
 		}
 	}
 }
 
 // assertTwoPointBytes: a TwoPoint base holds the entFirst and entLast
 // entry columns and no other, so its Bytes are 32 per entry, the node and
-// bucket columns, and the table.
-func assertTwoPointBytes(t *testing.T, f *tqtree.Frozen) {
+// bucket columns, and the table; and its TQSNAP04 file is the magic, the
+// 13-word payload header, those columns without the table's lookup
+// permutation, the pads after the 4-byte column groups, and the CRC.
+func assertTwoPointBytes(t *testing.T, fz *FrozenIndex) {
 	t.Helper()
+	f := fz.engine.Frozen()
 	c := f.Columns()
 	if f.Variant() != tqtree.TwoPoint || c.EntMBR != nil || c.EntTraj != nil || c.EntSeg != nil {
 		t.Fatalf("%v base holds entry columns MBR %v, ordinals %v, segments %v; want only the endpoints",
@@ -197,6 +201,19 @@ func assertTwoPointBytes(t *testing.T, f *tqtree.Frozen) {
 		t.Fatalf("TwoPoint base Bytes() = %d, want %d: 32 × %d entries + %d of node and bucket columns + the table's %d",
 			got, want, f.NumEntries(), nodesAndBuckets, f.Table().Bytes())
 	}
+	nn, nb, nt, np := uint64(len(c.NodeRect)), uint64(len(c.BktMinStart)), uint64(f.Table().Len()), uint64(f.Table().TotalPoints())
+	pads := pad8(4*(3*nn+1)) + pad8(4*(nn+nb+2)) + pad8(4*(2*nt+1))
+	table := 4*nt + 4*(nt+1) + 8*nt + 16*np
+	file := 8 + 13*8 + 2*point*uint64(f.NumEntries()) + uint64(nodesAndBuckets) + table + pads + 4
+	var buf bytes.Buffer
+	if err := fz.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if uint64(buf.Len()) != file {
+		t.Fatalf("TwoPoint snapshot is %d bytes, want %d: 112 of magic and header + 32 × %d entries + %d of node and bucket columns + %d of table columns + %d of pads + 4 of CRC",
+			buf.Len(), file, f.NumEntries(), nodesAndBuckets, table, pads)
+	}
+	t.Logf("TwoPoint snapshot: %.1f bytes per trajectory", float64(buf.Len())/float64(nt))
 }
 
 // TestTableBytesMultipoint: over multipoint check-ins on a segmented
@@ -229,10 +246,9 @@ func TestTableBytesMultipoint(t *testing.T) {
 // TestSnapshotRoundTripEveryVariant: for every variant and ordering, over
 // two-point and multipoint trajectories, write → read → write is
 // byte-identical through the heap, mapped and live readers, and every
-// restore answers bit-identically to the index BuildFrozen made — whatever
-// entry columns the variant holds in memory, a snapshot records all five,
-// and the mapped table addresses points inside the records where the heap
-// table holds copies.
+// restore answers bit-identically to the index BuildFrozen made — a
+// snapshot records the entry columns the variant holds, and the mapped
+// table aliases the columns the heap table holds copies of.
 func TestSnapshotRoundTripEveryVariant(t *testing.T) {
 	ny := NewYorkCity()
 	corpora := []struct {
@@ -314,7 +330,7 @@ func TestSnapshotRoundTripEveryVariant(t *testing.T) {
 	}
 }
 
-// assertLiveRoundTrip writes lv as TQLIVE01, restores it through the heap
+// assertLiveRoundTrip writes lv as TQLIVE02, restores it through the heap
 // and mapped readers, and requires bit-identical answers and a
 // byte-identical re-snapshot from both; then a compaction of the mapped
 // restore, which folds the mapped base into heap columns, must answer as
@@ -347,8 +363,8 @@ func assertLiveRoundTrip(t *testing.T, name string, lv interface {
 			t.Fatalf("%s: live %s re-snapshot differs (%d vs %d bytes)", name, what, out.Len(), len(lorig))
 		}
 	}
-	if st, hst := lmapped.Stats(), lheap.Stats(); !st[0].Mapped || hst[0].Mapped || st[0].BaseBytes <= hst[0].BaseBytes {
-		// The mapped table's arena includes the record headers.
+	if st, hst := lmapped.Stats(), lheap.Stats(); !st[0].Mapped || hst[0].Mapped || st[0].BaseBytes != hst[0].BaseBytes {
+		// The two bases hold the same columns, wherever they live.
 		t.Fatalf("%s: mapped shard reports %+v, heap shard %+v", name, st[0], hst[0])
 	}
 	if err := lmapped.Compact(); err != nil {
@@ -363,66 +379,86 @@ func assertLiveRoundTrip(t *testing.T, name string, lv interface {
 	}
 }
 
-// frozenPayloadLayout locates the sections of a frozen payload a hostile
-// writer would aim at.
+// frozenPayloadLayout locates the sections of a frozen payload — or of a
+// live frame, which follows one with its tombstones and delta — that a
+// hostile writer would aim at.
 type frozenPayloadLayout struct {
-	ne, nt                  int
-	entMBR, entTraj, entSeg int // byte offsets of the last three entry columns
-	trajs                   int // byte offset of the first trajectory record
+	ne, nt, np      int
+	entTraj, entSeg int // byte offsets of a Segmented base's ordinal columns
+	ids, off, lens  int // byte offsets of the trajectory section's columns
+	deltaOff        int // byte offsets of a live frame's delta offsets
+	deltaLens       int // and lengths
 }
 
 func layoutOf(t testing.TB, payload []byte) frozenPayloadLayout {
 	t.Helper()
-	u := func(i int) uint64 { return binary.LittleEndian.Uint64(payload[8*i:]) }
-	nn, nb, ne, nt := u(8), u(9), u(10), u(11)
-	off := uint64(12*8) + nn*32 + (3*nn+1)*4 + pad8(4*(3*nn+1)) + nn*8*2*3
-	if tqtree.Ordering(u(1)) == tqtree.ZOrder {
+	u := func(at uint64) uint64 { return binary.LittleEndian.Uint64(payload[at:]) }
+	nn, nb, ne, nt, np := u(8*8), u(9*8), u(10*8), u(11*8), u(12*8)
+	off := uint64(13*8) + nn*32 + (3*nn+1)*4 + pad8(4*(3*nn+1)) + nn*8*2*3
+	if tqtree.Ordering(u(8)) == tqtree.ZOrder {
 		off += (nn+nb+2)*4 + pad8(4*(nn+nb+2)) + nb*16 + nb*96
 	}
 	off += ne * 32
-	return frozenPayloadLayout{ne: int(ne), nt: int(nt), entMBR: int(off), entTraj: int(off + 32*ne), entSeg: int(off + 36*ne), trajs: int(off + 40*ne)}
+	switch tqtree.Variant(u(0)) {
+	case tqtree.FullTrajectory:
+		off += ne * 32
+	case tqtree.Segmented:
+		off += ne * 8
+	}
+	l := frozenPayloadLayout{ne: int(ne), nt: int(nt), np: int(np), entTraj: int(off - 8*ne), entSeg: int(off - 4*ne),
+		ids: int(off), off: int(off + 4*nt), lens: int(off + 4*(2*nt+1) + pad8(4*(2*nt+1)))}
+	if end := uint64(l.lens) + 8*nt + 16*np; end < uint64(len(payload)) {
+		nd := u(end)
+		delta := end + 8 + 4*nd + pad8(4*nd)
+		rows := u(delta)
+		l.deltaOff = int(delta + 16 + 4*rows)
+		l.deltaLens = int(delta + 16 + 4*(2*rows+1) + pad8(4*(2*rows+1)))
+	}
+	return l
 }
 
 // hostileTrajectoryCases are single-field forgeries of a frozen payload
-// of the given variant over two-point trajectories (80-byte records), each
-// leaving every checksum to be recomputed — what a CRC cannot catch.
-// mappedRejects is false where the mapped reader, which serves cached
-// lengths and never reads a record's MBR, has nothing to compare. The
-// entry columns a variant does not hold are checked against what the base
-// derives in their place, by both readers.
+// of the given variant over two-point trajectories, each leaving every
+// checksum to be recomputed — what a CRC cannot catch. mappedRejects is
+// false where the mapped reader, which serves recorded lengths, has
+// nothing to compare; delta cases forge a live frame's delta section and
+// exist in TQLIVE02 images only.
 var hostileTrajectoryCases = []struct {
-	variant       Variant
-	name          string
-	mappedRejects bool
-	forge         func(p []byte, l frozenPayloadLayout)
+	variant              Variant
+	name                 string
+	mappedRejects, delta bool
+	forge                func(p []byte, l frozenPayloadLayout)
 }{
-	{TwoPoint, "point count 0", true, func(p []byte, l frozenPayloadLayout) { binary.LittleEndian.PutUint32(p[l.trajs+4:], 0) }},
-	{TwoPoint, "point count 1", true, func(p []byte, l frozenPayloadLayout) { binary.LittleEndian.PutUint32(p[l.trajs+80+4:], 1) }},
-	{TwoPoint, "point count 2^24+1", true, func(p []byte, l frozenPayloadLayout) { binary.LittleEndian.PutUint32(p[l.trajs+4:], 1<<24+1) }},
-	{TwoPoint, "point count past the remaining bytes", true, func(p []byte, l frozenPayloadLayout) {
-		binary.LittleEndian.PutUint32(p[l.trajs+80*(l.nt-1)+4:], 1000)
+	{TwoPoint, "off[0] != 0", true, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.off, 2) }},
+	{TwoPoint, "a decreasing offset", true, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.off+8, 1) }},
+	{TwoPoint, "a step of 0", true, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.off+4, 0) }},
+	{TwoPoint, "a step of 1", true, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.off+4, 1) }},
+	{TwoPoint, "a step of 2^24+1", true, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.off+4, 1<<24+1) }},
+	{TwoPoint, "a step of 2^24 in the first row", true, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.off+4, 1<<24) }},
+	{TwoPoint, "off[nt] != np", true, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.off+4*l.nt, uint32(l.np+2)) }},
+	{TwoPoint, "np past the remaining bytes", true, false, func(p []byte, l frozenPayloadLayout) {
+		binary.LittleEndian.PutUint64(p[12*8:], uint64(l.np)+1<<40)
 	}},
-	{TwoPoint, "point count 2^24 in the first record", true, func(p []byte, l frozenPayloadLayout) {
-		binary.LittleEndian.PutUint32(p[l.trajs+4:], 1<<24)
+	{TwoPoint, "a duplicate id", true, false, func(p []byte, l frozenPayloadLayout) { copy(p[l.ids+4*3:l.ids+4*4], p[l.ids:l.ids+4]) }},
+	{TwoPoint, "a length that disagrees with its points", false, false, func(p []byte, l frozenPayloadLayout) { p[l.lens+3] ^= 0x10 }},
+	{Segmented, "entTraj >= table length", true, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.entTraj+4*(l.ne-1), uint32(l.nt)) }},
+	{Segmented, "entTraj negative", true, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.entTraj, math.MaxUint32) }},
+	{Segmented, "entSeg >= segments", true, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.entSeg, 1) }},
+	{Segmented, "entSeg < -1", true, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.entSeg, math.MaxUint32-1) }},
+	{FullTrajectory, "a step of 1 in the last row", true, false, func(p []byte, l frozenPayloadLayout) {
+		putU32(p, l.off+4*(l.nt-1), uint32(l.np-1))
 	}},
-	{TwoPoint, "entSeg >= segments", true, func(p []byte, l frozenPayloadLayout) { binary.LittleEndian.PutUint32(p[l.entSeg:], 1) }},
-	{TwoPoint, "entTraj >= table length", true, func(p []byte, l frozenPayloadLayout) {
-		binary.LittleEndian.PutUint32(p[l.entTraj+4*(l.ne-1):], uint32(l.nt))
+	{FullTrajectory, "a duplicate id in the last two rows", true, false, func(p []byte, l frozenPayloadLayout) {
+		copy(p[l.ids+4*(l.nt-1):l.ids+4*l.nt], p[l.ids+4*(l.nt-2):])
 	}},
-	{TwoPoint, "entTraj negative", true, func(p []byte, l frozenPayloadLayout) {
-		binary.LittleEndian.PutUint32(p[l.entTraj:], math.MaxUint32)
+	{TwoPoint, "a delta step of 1", true, true, func(p []byte, l frozenPayloadLayout) { putU32(p, l.deltaOff+4, 1) }},
+	// The delta is copied under either owner, so both check its lengths.
+	{TwoPoint, "a delta length that disagrees with its points", true, true, func(p []byte, l frozenPayloadLayout) {
+		p[l.deltaLens+3] ^= 0x10
 	}},
-	{TwoPoint, "duplicate id in two records", true, func(p []byte, l frozenPayloadLayout) {
-		copy(p[l.trajs+80*3:l.trajs+80*3+4], p[l.trajs:l.trajs+4])
-	}},
-	{TwoPoint, "cached length disagrees with points", false, func(p []byte, l frozenPayloadLayout) { p[l.trajs+8+3] ^= 0x10 }},
-	{TwoPoint, "cached MBR disagrees with points", false, func(p []byte, l frozenPayloadLayout) { p[l.trajs+80+16+5] ^= 0x01 }},
-	{TwoPoint, "entMBR disagrees with its record's points", true, func(p []byte, l frozenPayloadLayout) { p[l.entMBR+32+5] ^= 0x01 }},
-	{TwoPoint, "entTraj != entry index", true, func(p []byte, l frozenPayloadLayout) { binary.LittleEndian.PutUint32(p[l.entTraj:], 1) }},
-	{FullTrajectory, "entTraj != entry index", true, func(p []byte, l frozenPayloadLayout) { binary.LittleEndian.PutUint32(p[l.entTraj:], 1) }},
-	{TwoPoint, "entSeg != -1", true, func(p []byte, l frozenPayloadLayout) { binary.LittleEndian.PutUint32(p[l.entSeg+4:], 0) }},
-	{Segmented, "entMBR != NewRect(first, last)", true, func(p []byte, l frozenPayloadLayout) { p[l.entMBR+32*2+16+5] ^= 0x01 }},
 }
+
+func putU32(p []byte, at int, v uint32) { binary.LittleEndian.PutUint32(p[at:], v) }
 
 // framePayload locates the first frame's payload in a container image:
 // magic, shard count, kind, header CRC, pad; then the frame's length,
@@ -440,21 +476,24 @@ type hostileSnapshot struct {
 	data          []byte
 }
 
-// hostileSnapshots forges every case into a valid TQSNAP03, one-shard
-// TQSHRD02 and one-shard TQLIVE01 image of its variant, checksums
-// recomputed.
+// hostileSnapshots forges every case into a valid TQSNAP04, one-shard
+// TQSHRD03 and one-shard TQLIVE02 image of its variant — a delta case
+// into the TQLIVE02 image only — checksums recomputed.
 func hostileSnapshots(t testing.TB) (out []hostileSnapshot) {
 	t.Helper()
-	users := TaxiTrips(NewYorkCity(), 30, 41)
+	users := TaxiTrips(NewYorkCity(), 34, 41)
 	images := map[Variant]map[string][]byte{}
 	for _, c := range hostileTrajectoryCases {
 		if images[c.variant] == nil {
 			images[c.variant] = hostileBaseImages(t, users, IndexOptions{Variant: c.variant, Ordering: ZOrdering})
 		}
-		for _, format := range []string{"TQSNAP03", "TQSHRD02", "TQLIVE01"} {
+		for _, format := range []string{"TQSNAP04", "TQSHRD03", "TQLIVE02"} {
+			if c.delta && format != "TQLIVE02" {
+				continue
+			}
 			d := bytes.Clone(images[c.variant][format])
-			if format == "TQSNAP03" {
-				c.forge(d[8:len(d)-4], layoutOf(t, d[8:]))
+			if format == "TQSNAP04" {
+				c.forge(d[8:len(d)-4], layoutOf(t, d[8:len(d)-4]))
 				binary.LittleEndian.PutUint32(d[len(d)-4:], crc32.ChecksumIEEE(d[:len(d)-4]))
 			} else {
 				lo, hi := framePayload(d)
@@ -467,15 +506,17 @@ func hostileSnapshots(t testing.TB) (out []hostileSnapshot) {
 	return out
 }
 
-// hostileBaseImages writes one index over users in each format: a
-// frozen index, and a one-shard frozen and live index.
+// hostileBaseImages writes one index over all but the last four users in
+// each format: a frozen index, and a one-shard frozen and live index; the
+// live one holds the last four as its delta.
 func hostileBaseImages(t testing.TB, users []*Trajectory, opts IndexOptions) map[string][]byte {
 	t.Helper()
-	fz, err := NewFrozenIndex(users, opts)
+	base, delta := users[:len(users)-4], users[len(users)-4:]
+	fz, err := NewFrozenIndex(base, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := NewShardedIndex(users, ShardOptions{Shards: 1, Index: opts})
+	sh, err := NewShardedIndex(base, ShardOptions{Shards: 1, Index: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,9 +528,14 @@ func hostileBaseImages(t testing.TB, users []*Trajectory, opts IndexOptions) map
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, u := range delta {
+		if err := lv.Insert(u); err != nil {
+			t.Fatal(err)
+		}
+	}
 	images := map[string][]byte{}
 	for format, write := range map[string]func(io.Writer) error{
-		"TQSNAP03": fz.WriteSnapshot, "TQSHRD02": sfz.WriteSnapshot, "TQLIVE01": lv.WriteSnapshot,
+		"TQSNAP04": fz.WriteSnapshot, "TQSHRD03": sfz.WriteSnapshot, "TQLIVE02": lv.WriteSnapshot,
 	} {
 		var buf bytes.Buffer
 		if err := write(&buf); err != nil {
@@ -501,12 +547,13 @@ func hostileBaseImages(t testing.TB, users []*Trajectory, opts IndexOptions) map
 }
 
 // TestSnapshotHostileTrajectorySection: a trajectory section forged
-// under valid checksums — impossible point counts, a count that runs off
-// the file, entries naming a row or a segment that does not exist, one ID
-// in two records, cached geometry that is not the points' — is an
-// ErrBadSnapshot when the reader copies the bytes, and when it aliases
-// them wherever it looks (mappedRejects); neither panics or serves the
-// forgery's index.
+// under valid checksums — offsets that do not start at 0, decrease, step
+// by fewer than 2 or more than 2^24 points, or end short of the points; a
+// point count that runs off the file; one ID in two rows; a length that is
+// not its points'; Segmented entries naming a row or a segment that does
+// not exist; a delta section as bad as a base's — is an ErrBadSnapshot
+// when the reader copies the bytes, and when it aliases them wherever it
+// looks (mappedRejects); neither panics or serves the forgery's index.
 func TestSnapshotHostileTrajectorySection(t *testing.T) {
 	readers := map[string]snapshotFormat{}
 	for _, f := range snapshotFormats(t, 30) {
@@ -526,7 +573,7 @@ func TestSnapshotHostileTrajectorySection(t *testing.T) {
 	}
 }
 
-// TestLiveSnapshotRejectsCrossShardDeltaID: a TQLIVE01 whose second
+// TestLiveSnapshotRejectsCrossShardDeltaID: a TQLIVE02 whose second
 // shard's overlay holds an ID that is live in the first shard's base is
 // refused by both readers — each frame is valid in itself, so only the
 // merge across shards can see it.
@@ -574,7 +621,7 @@ func TestLiveSnapshotRejectsCrossShardDeltaID(t *testing.T) {
 	}
 }
 
-// TestLiveSnapshotRejectsBadTombstones: a TQLIVE01 frame whose tombstone
+// TestLiveSnapshotRejectsBadTombstones: a TQLIVE02 frame whose tombstone
 // list repeats an ID, or names an ID its base does not hold, is refused by
 // both readers under a valid checksum — the epoch the frame describes
 // cannot exist, and NewEpoch is where that is checked.
