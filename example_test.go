@@ -76,8 +76,8 @@ func ExampleIndex_MaxCoverage() {
 }
 
 // ExampleIndex_TopKParallel answers the same kMaxRRST query as TopK with
-// concurrent best-first relaxations — identical results, scaled across
-// cores (workers <= 0 uses GOMAXPROCS).
+// the facilities' exact evaluations on a pool of workers — identical
+// results, scaled across cores (workers <= 0 uses GOMAXPROCS).
 func ExampleIndex_TopKParallel() {
 	users, routes := exampleWorkload()
 	idx, err := trajcover.NewIndex(users, trajcover.IndexOptions{})

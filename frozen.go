@@ -19,25 +19,30 @@ import (
 	"github.com/trajcover/trajcover/internal/tqtree"
 )
 
-// FrozenIndex is the immutable columnar form of an Index. It answers
-// ServiceValue/ServiceValues/TopK/TopKParallel with answers bit-identical
+// FrozenIndex is the immutable columnar form of an Index — a
+// FrozenShardedIndex of one shard. It answers every query bit-identically
 // to the Index it was frozen from, is safe for any number of concurrent
 // readers, and cannot be mutated — Insert/Delete and the coverage-based
 // queries (ServedUsers, MaxCoverage) stay on the mutable Index.
 type FrozenIndex struct {
 	querier
-	engine *query.FrozenEngine
+	s *shard.Frozen
 }
 
-func newFrozenIndex(engine *query.FrozenEngine) *FrozenIndex {
-	return &FrozenIndex{querier: querier{engine}, engine: engine}
+func newFrozenIndex(s *shard.Frozen) *FrozenIndex {
+	return &FrozenIndex{querier: querier{s}, s: s}
 }
 
+// frozenIndexOf serves one frozen tree as a one-shard scatter.
 func frozenIndexOf(f *tqtree.Frozen, err error) (*FrozenIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newFrozenIndex(query.NewFrozenEngine(f, nil)), nil
+	s, err := shard.FrozenFromEngines([]*query.FrozenEngine{query.NewFrozenEngine(f, nil)}, f.Bounds(), shard.Hash{}.Kind())
+	if err != nil {
+		return nil, err
+	}
+	return newFrozenIndex(s), nil
 }
 
 // Freeze produces the frozen columnar form of the index. The index is
@@ -46,7 +51,11 @@ func frozenIndexOf(f *tqtree.Frozen, err error) (*FrozenIndex, error) {
 // dropping the index (and the trajectories it was built from) afterwards
 // releases them.
 func (x *Index) Freeze() (*FrozenIndex, error) {
-	return frozenIndexOf(tqtree.Freeze(x.engine.Tree()))
+	s, err := x.s.Freeze()
+	if err != nil {
+		return nil, err
+	}
+	return newFrozenIndex(s), nil
 }
 
 // NewFrozenIndex builds a frozen index directly from user trajectories:
@@ -58,7 +67,7 @@ func NewFrozenIndex(users []*Trajectory, opts IndexOptions) (*FrozenIndex, error
 }
 
 // Len returns the number of indexed user trajectories.
-func (x *FrozenIndex) Len() int { return x.engine.Table().Len() }
+func (x *FrozenIndex) Len() int { return x.s.Len() }
 
 // FrozenShardedIndex is the immutable columnar form of a ShardedIndex:
 // every shard's tree frozen, served by the same scatter-gather merge.

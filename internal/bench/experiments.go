@@ -202,16 +202,16 @@ func expShards(ctx *Context) (*Table, error) {
 var workerAxis = []int{1, 2, 4, 8}
 
 // expThroughput measures the concurrent batch executor: queries/sec for
-// per-facility service values (ServiceValues) and full kMaxRRST answers
-// (TopKParallel) as the worker count grows. On a single-core host the
-// series should stay flat; on n cores ServiceValues should approach n×
-// the single-worker rate because facilities shard independently over a
-// read-only tree.
+// per-facility service values (ServiceValues) as the worker count grows.
+// On a single-core host the series should stay flat; on n cores it should
+// approach n× the single-worker rate because facilities shard
+// independently over a read-only tree. A served top-k is this batch plus
+// a sort (expShards times it through the scatter).
 func expThroughput(ctx *Context) (*Table, error) {
 	t := &Table{
 		ID: "thrpt", Title: "batch throughput vs workers (NYT)",
 		XLabel: "workers", YLabel: "queries/sec",
-		Series: []Series{{Method: "ServiceValues"}, {Method: "TopKPar"}},
+		Series: []Series{{Method: "ServiceValues"}},
 	}
 	eng := ctx.Engine(dsNYT, datagen.NYT1Day, tqtree.TwoPoint, tqtree.ZOrder)
 	fs := ctx.Routes("ny", defaultFacilities, defaultStops)
@@ -223,23 +223,15 @@ func expThroughput(ctx *Context) (*Table, error) {
 				qerr = e
 			}
 		})
-		tkSec := ctx.Time(func() {
-			if _, _, e := eng.TopKParallel(fs, defaultK, p, w); e != nil {
-				qerr = e
-			}
-		})
 		if qerr != nil {
 			return nil, qerr
 		}
-		svQPS, tkQPS := 0.0, 0.0
+		svQPS := 0.0
 		if svSec > 0 {
 			svQPS = float64(len(fs)) / svSec
 		}
-		if tkSec > 0 {
-			tkQPS = 1 / tkSec
-		}
 		t.XTicks = append(t.XTicks, fmt.Sprint(w))
-		appendRow(t, svQPS, tkQPS)
+		appendRow(t, svQPS)
 	}
 	return t, nil
 }

@@ -60,20 +60,6 @@ func BenchmarkTopKZOrder(b *testing.B) {
 	}
 }
 
-func BenchmarkTopKParallel(b *testing.B) {
-	env := getEnv(b)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := env.engZ.TopKParallel(env.fs, 8, benchParams, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkServiceValuesWorkers(b *testing.B) {
 	env := getEnv(b)
 	for _, workers := range []int{1, 2, 4, 8} {

@@ -44,8 +44,8 @@ func TestResolveWorkers(t *testing.T) {
 }
 
 // countdownCtx is a context whose Done channel closes after n polls —
-// a deterministic way to cancel mid-query, since the search loops poll
-// Done between relaxations. Safe for concurrent polling.
+// a deterministic way to cancel mid-query, since the batch loop polls
+// Done between facilities. Safe for concurrent polling.
 type countdownCtx struct {
 	n    atomic.Int64
 	ch   chan struct{}
@@ -77,113 +77,92 @@ func (c *countdownCtx) Err() error {
 func (c *countdownCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
 func (c *countdownCtx) Value(any) any               { return nil }
 
-// TestCtxVariantsMatchPlain: with a context that never cancels, every
-// ctx variant answers byte-identically — values, order, and metrics —
-// to its plain counterpart.
+// ctxEngines is the two engines' ServiceValuesCtx over one tree — the
+// pointer layout and its frozen columns — the batch every served top-k
+// runs, and so the one place a query polls its context.
+func ctxEngines(t *testing.T) map[string]func(context.Context, []*trajectory.Facility, Params, int) ([]float64, Metrics, error) {
+	t.Helper()
+	eng := executorEnv(t, tqtree.TwoPoint, tqtree.ZOrder)
+	fz, err := tqtree.Freeze(eng.Tree())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]func(context.Context, []*trajectory.Facility, Params, int) ([]float64, Metrics, error){
+		"Engine":       eng.ServiceValuesCtx,
+		"FrozenEngine": NewFrozenEngine(fz, nil).ServiceValuesCtx,
+	}
+}
+
+// TestCtxVariantsMatchPlain: with a context that never cancels,
+// ServiceValuesCtx answers byte-identically — values and metrics — to
+// ServiceValues, serially and on a pool.
 func TestCtxVariantsMatchPlain(t *testing.T) {
 	eng := executorEnv(t, tqtree.TwoPoint, tqtree.ZOrder)
 	fs := makeFacilities(32, 12, 301)
 	p := Params{Scenario: service.Binary, Psi: 45}
-	ctx := context.Background()
 
-	wantV, wantVM, err := eng.ServiceValues(fs, p, 3)
+	want, wantM, err := eng.ServiceValues(fs, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotV, gotVM, err := eng.ServiceValuesCtx(ctx, fs, p, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotVM != wantVM {
-		t.Fatalf("ServiceValuesCtx metrics %+v, plain %+v", gotVM, wantVM)
-	}
-	for i := range wantV {
-		if gotV[i] != wantV[i] {
-			t.Fatalf("ServiceValuesCtx[%d] = %v, plain %v", i, gotV[i], wantV[i])
-		}
-	}
-
-	wantT, wantTM, err := eng.TopK(fs, 8, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotT, gotTM, err := eng.TopKCtx(ctx, fs, 8, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotTM != wantTM {
-		t.Fatalf("TopKCtx metrics %+v, plain %+v", gotTM, wantTM)
-	}
-	for i := range wantT {
-		if gotT[i] != wantT[i] {
-			t.Fatalf("TopKCtx[%d] = %+v, plain %+v", i, gotT[i], wantT[i])
-		}
-	}
-
-	gotP, _, err := eng.TopKParallelCtx(ctx, fs, 8, p, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range wantT {
-		if gotP[i] != wantT[i] {
-			t.Fatalf("TopKParallelCtx[%d] = %+v, plain %+v", i, gotP[i], wantT[i])
+	for name, values := range ctxEngines(t) {
+		for _, workers := range []int{1, 3} {
+			got, gotM, err := values(context.Background(), fs, p, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotM != wantM {
+				t.Fatalf("%s workers=%d: ServiceValuesCtx metrics %+v, plain %+v", name, workers, gotM, wantM)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s workers=%d: ServiceValuesCtx[%d] = %v, plain %v", name, workers, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }
 
-// TestCtxExpiredAborts: an already-expired deadline aborts every ctx
-// entry point with context.DeadlineExceeded and no answer.
+// TestCtxExpiredAborts: an already-expired deadline aborts
+// ServiceValuesCtx with context.DeadlineExceeded and no answer, serially
+// and on a pool.
 func TestCtxExpiredAborts(t *testing.T) {
-	eng := executorEnv(t, tqtree.TwoPoint, tqtree.ZOrder)
 	fs := makeFacilities(32, 12, 302)
 	p := Params{Scenario: service.Binary, Psi: 45}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 
-	if vs, _, err := eng.ServiceValuesCtx(ctx, fs, p, 2); !errors.Is(err, context.DeadlineExceeded) || vs != nil {
-		t.Fatalf("ServiceValuesCtx = (%v, %v), want (nil, DeadlineExceeded)", vs, err)
-	}
-	if res, _, err := eng.TopKCtx(ctx, fs, 8, p); !errors.Is(err, context.DeadlineExceeded) || res != nil {
-		t.Fatalf("TopKCtx = (%v, %v), want (nil, DeadlineExceeded)", res, err)
-	}
-	if res, _, err := eng.TopKParallelCtx(ctx, fs, 8, p, 4); !errors.Is(err, context.DeadlineExceeded) || res != nil {
-		t.Fatalf("TopKParallelCtx = (%v, %v), want (nil, DeadlineExceeded)", res, err)
+	for name, values := range ctxEngines(t) {
+		for _, workers := range []int{1, 4} {
+			if vs, _, err := values(ctx, fs, p, workers); !errors.Is(err, context.DeadlineExceeded) || vs != nil {
+				t.Fatalf("%s workers=%d: ServiceValuesCtx = (%v, %v), want (nil, DeadlineExceeded)", name, workers, vs, err)
+			}
+		}
 	}
 }
 
 // TestCtxAbortsMidQuery: a context that expires after a fixed number of
-// polls aborts the search partway — proof the loops actually check
-// between relaxations rather than only on entry.
+// polls aborts the batch partway — proof the loop actually checks
+// between facilities rather than only on entry.
 func TestCtxAbortsMidQuery(t *testing.T) {
-	eng := executorEnv(t, tqtree.TwoPoint, tqtree.ZOrder)
 	fs := makeFacilities(32, 12, 303)
 	p := Params{Scenario: service.Binary, Psi: 45}
 
-	// Sanity: the query needs enough relaxations for "mid-query" to mean
-	// something.
-	_, full, err := eng.TopK(fs, 8, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Relaxations < 8 {
-		t.Fatalf("test query too small: %d relaxations", full.Relaxations)
-	}
-
-	ctx := newCountdownCtx(5)
-	res, m, err := eng.TopKCtx(ctx, fs, 8, p)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("TopKCtx err = %v, want DeadlineExceeded", err)
-	}
-	if res != nil {
-		t.Fatalf("TopKCtx returned partial results: %v", res)
-	}
-	if m.Relaxations == 0 || m.Relaxations >= full.Relaxations {
-		t.Fatalf("abort not mid-query: %d relaxations (full run %d)", m.Relaxations, full.Relaxations)
-	}
-
-	vctx := newCountdownCtx(5)
-	if vs, _, err := eng.ServiceValuesCtx(vctx, fs, p, 1); !errors.Is(err, context.DeadlineExceeded) || vs != nil {
-		t.Fatalf("ServiceValuesCtx = (%v, %v), want (nil, DeadlineExceeded)", vs, err)
+	for name, values := range ctxEngines(t) {
+		_, full, err := values(context.Background(), fs, p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs, m, err := values(newCountdownCtx(5), fs, p, 1)
+		if !errors.Is(err, context.DeadlineExceeded) || vs != nil {
+			t.Fatalf("%s: ServiceValuesCtx = (%v, %v), want (nil, DeadlineExceeded)", name, vs, err)
+		}
+		if m.NodesVisited == 0 || m.NodesVisited >= full.NodesVisited {
+			t.Fatalf("%s: abort not mid-query: %d node visits (full run %d)", name, m.NodesVisited, full.NodesVisited)
+		}
+		if vs, _, err := values(newCountdownCtx(5), fs, p, 3); !errors.Is(err, context.DeadlineExceeded) || vs != nil {
+			t.Fatalf("%s workers=3: ServiceValuesCtx = (%v, %v), want (nil, DeadlineExceeded)", name, vs, err)
+		}
 	}
 }
 

@@ -333,7 +333,7 @@ func (ep *Epoch) ServiceValue(f *trajectory.Facility, p Params) (float64, Metric
 	var m Metrics
 	mode := l.FilterModeFor(p.Scenario)
 	arena := acquireCompArena(len(f.Stops))
-	so := evaluateServiceG(l, int32(0), f.Stops, p, mode, &m, arena)
+	so := evaluateServiceG(l, int32(0), f.Stops, p, mode, l.AncestorsCanServe(p.Scenario), &m, arena)
 	putCompArena(arena)
 	so += ep.deltaService(f, p, &m)
 	return so, m, nil

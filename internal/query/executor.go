@@ -6,7 +6,8 @@ import (
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
-// This file exposes the concurrent batch executor over the pointer tree.
+// This file exposes the concurrent batch executor over the pointer tree,
+// and Results, the sort-and-cut that turns a batch into a top-k answer.
 // A built TQ-tree is immutable under queries — every traversal in this
 // package only reads nodes, lists, and cached bounds — so one tree is
 // safely shared by any number of worker goroutines without locking.
@@ -17,22 +18,20 @@ import (
 // Each worker owns its hot-path scratch (compArena, pooled StopSets) and
 // a private Metrics that is summed into the caller's after the join, so
 // the hot loops share no mutable state and the merged totals match the
-// serial run wherever the work split is deterministic. The actual batch
-// loops live in layout.go, shared with the frozen columnar engine.
+// serial run. The batch loop itself is serviceValuesG in layout.go,
+// shared with the frozen columnar engine and the epoch.
 
 // ResolveWorkers maps a caller's `workers` argument to an effective pool
-// size. It is THE normalization for every batch and parallel entry point
-// in this module — Engine, FrozenEngine, Epoch, and the sharded/live
-// scatter-gather in internal/shard all apply the same rule:
+// size. It is THE normalization for every batch entry point in this
+// module — Engine, FrozenEngine, Epoch, and through them the
+// scatter-gather in internal/shard — and applies one rule:
 //
 //   - workers <= 0 means runtime.GOMAXPROCS(0);
 //   - the pool never exceeds `items` (a batch can't use more workers
-//     than units of work, a relaxation round can't usefully batch more
-//     states than facilities);
+//     than units of work);
 //   - the result is never below 1, even for an empty batch.
 //
-// Parallel TopK entry points additionally fall back to their serial
-// search when the resolved pool is 1 — same answers, no goroutines.
+// A pool of 1 runs the batch on the calling goroutine.
 func ResolveWorkers(workers, items int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -64,43 +63,10 @@ func (e *Engine) ServiceValues(facilities []*trajectory.Facility, p Params, work
 	return serviceValuesG[*tqtreeNode](ptrLayout{e.tree}, facilities, p, workers, nil, nil)
 }
 
-// TopKExhaustiveParallel is TopKExhaustive with the per-facility scoring
-// sharded across workers. The answer (and the merged Metrics) is
-// identical to the serial TopKExhaustive: scores are written by facility
-// index and sorted with the same deterministic tie-break.
-func (e *Engine) TopKExhaustiveParallel(facilities []*trajectory.Facility, k int, p Params, workers int) ([]Result, Metrics, error) {
-	if k <= 0 || len(facilities) == 0 {
-		if err := validateQuery[*tqtreeNode](ptrLayout{e.tree}, p); err != nil {
-			return nil, Metrics{}, err
-		}
-		return nil, Metrics{}, nil
-	}
-	values, m, err := e.ServiceValues(facilities, p, workers)
-	if err != nil {
-		return nil, m, err
-	}
-	return Results(facilities, values, k), m, nil
-}
-
-// TopKParallel answers kMaxRRST with the best-first strategy of TopK,
-// relaxing up to `workers` frontier states concurrently per round. A
-// facility is emitted only when it reaches the top of the heap with no
-// optimistic remainder — the same exactness condition as the serial
-// search — so the results are identical to TopK. Metrics.Relaxations may
-// exceed the serial count: batching can relax states the serial search
-// would have pruned by an earlier termination, buying wall-clock time
-// with speculative work. workers is normalized by ResolveWorkers; a
-// single-worker pool falls back to the serial TopK.
-func (e *Engine) TopKParallel(facilities []*trajectory.Facility, k int, p Params, workers int) ([]Result, Metrics, error) {
-	workers = ResolveWorkers(workers, len(facilities))
-	if workers <= 1 {
-		return e.TopK(facilities, k, p)
-	}
-	return topKParallelG[*tqtreeNode](ptrLayout{e.tree}, facilities, k, p, workers, nil)
-}
-
-// Results converts a batch of service values into sorted top-k results —
-// a convenience for callers that already hold ServiceValues output.
+// Results converts a batch of service values into sorted top-k results:
+// value descending, facility ID ascending. With ServiceValues it is the
+// whole served top-k of every public index type (internal/shard) and of
+// the distributed frontend (internal/dist).
 func Results(facilities []*trajectory.Facility, values []float64, k int) []Result {
 	if len(values) != len(facilities) {
 		panic("query: values/facilities length mismatch")

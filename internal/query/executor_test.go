@@ -1,7 +1,6 @@
 package query
 
 import (
-	"math"
 	"sync"
 	"testing"
 
@@ -70,71 +69,6 @@ func TestServiceValuesMatchesSerial(t *testing.T) {
 				}
 				if gotM != wantM {
 					t.Errorf("workers=%d metrics %+v, want %+v", workers, gotM, wantM)
-				}
-			}
-		})
-	}
-}
-
-func TestTopKExhaustiveParallelMatchesSerial(t *testing.T) {
-	eng := executorEnv(t, tqtree.TwoPoint, tqtree.ZOrder)
-	fs := makeFacilities(60, 12, 203)
-	p := Params{Scenario: service.Binary, Psi: 50}
-	want, wantM, err := eng.TopKExhaustive(fs, 10, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 5} {
-		got, gotM, err := eng.TopKExhaustiveParallel(fs, 10, p, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Facility.ID != want[i].Facility.ID || got[i].Service != want[i].Service {
-				t.Errorf("workers=%d rank %d: (%d, %v), want (%d, %v)", workers, i,
-					got[i].Facility.ID, got[i].Service, want[i].Facility.ID, want[i].Service)
-			}
-		}
-		if gotM != wantM {
-			t.Errorf("workers=%d metrics %+v, want %+v", workers, gotM, wantM)
-		}
-	}
-}
-
-func TestTopKParallelMatchesSerial(t *testing.T) {
-	for _, variant := range []tqtree.Variant{tqtree.TwoPoint, tqtree.FullTrajectory} {
-		t.Run(variant.String(), func(t *testing.T) {
-			eng := executorEnv(t, variant, tqtree.ZOrder)
-			fs := makeFacilities(50, 12, 204)
-			sc := service.Binary
-			if variant == tqtree.FullTrajectory {
-				sc = service.PointCount
-			}
-			p := Params{Scenario: sc, Psi: 55}
-			for _, k := range []int{1, 5, 50} {
-				want, _, err := eng.TopK(fs, k, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, workers := range []int{2, 4, 16} {
-					got, _, err := eng.TopKParallel(fs, k, p, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(got) != len(want) {
-						t.Fatalf("k=%d workers=%d: %d results, want %d", k, workers, len(got), len(want))
-					}
-					for i := range got {
-						if got[i].Facility.ID != want[i].Facility.ID ||
-							math.Abs(got[i].Service-want[i].Service) > 1e-12 {
-							t.Errorf("k=%d workers=%d rank %d: (%d, %v), want (%d, %v)",
-								k, workers, i, got[i].Facility.ID, got[i].Service,
-								want[i].Facility.ID, want[i].Service)
-						}
-					}
 				}
 			}
 		})

@@ -57,7 +57,7 @@ func (e *FrozenEngine) ServiceValue(f *trajectory.Facility, p Params) (float64, 
 	var m Metrics
 	mode := e.f.FilterModeFor(p.Scenario)
 	arena := acquireCompArena(len(f.Stops))
-	so := evaluateServiceG(l, int32(0), f.Stops, p, mode, &m, arena)
+	so := evaluateServiceG(l, int32(0), f.Stops, p, mode, l.AncestorsCanServe(p.Scenario), &m, arena)
 	putCompArena(arena)
 	return so, m, nil
 }
@@ -73,25 +73,7 @@ func (e *FrozenEngine) ServiceValues(facilities []*trajectory.Facility, p Params
 // TopK answers the kMaxRRST query best first; see Engine.TopK.
 func (e *FrozenEngine) TopK(facilities []*trajectory.Facility, k int, p Params) ([]Result, Metrics, error) {
 	defer runtime.KeepAlive(e.f)
-	return topKG[int32](frozenLayout{f: e.f}, facilities, k, p, nil)
-}
-
-// TopKExhaustive evaluates every facility and sorts; see
-// Engine.TopKExhaustive.
-func (e *FrozenEngine) TopKExhaustive(facilities []*trajectory.Facility, k int, p Params) ([]Result, Metrics, error) {
-	defer runtime.KeepAlive(e.f)
-	return topKExhaustiveG[int32](frozenLayout{f: e.f}, facilities, k, p)
-}
-
-// TopKParallel is TopK with up to `workers` frontier states relaxed
-// concurrently per round; see Engine.TopKParallel.
-func (e *FrozenEngine) TopKParallel(facilities []*trajectory.Facility, k int, p Params, workers int) ([]Result, Metrics, error) {
-	defer runtime.KeepAlive(e.f)
-	workers = ResolveWorkers(workers, len(facilities))
-	if workers <= 1 {
-		return e.TopK(facilities, k, p)
-	}
-	return topKParallelG[int32](frozenLayout{f: e.f}, facilities, k, p, workers, nil)
+	return topKG[int32](frozenLayout{f: e.f}, facilities, k, p)
 }
 
 // UpperBound is the seed bound of f's best-first search; see

@@ -134,11 +134,21 @@ func evalNodeList[N comparable, L tlayout[N]](l L, n N, stops []geo.Point, p Par
 // evaluateServiceG is Algorithm 1: recursively divide the facility's stop
 // set along the quadtree and evaluate each visited node's own list on the
 // local component.
-func evaluateServiceG[N comparable, L tlayout[N]](l L, n N, stops []geo.Point, p Params, mode tqtree.FilterMode, m *Metrics, arena *compArena) float64 {
+//
+// ancestors is l.AncestorsCanServe(p.Scenario). When it is false, a list
+// the component cannot serve from (inOneQuadrant) would add exactly 0 and
+// is skipped: on the way down to the facility's containing q-node that is
+// every ancestor — the paper's containingQNode seed, which the best-first
+// search takes too (seedBoundG) — and below it every node whose component
+// keeps to one quadrant. The value is bit-identical either way.
+func evaluateServiceG[N comparable, L tlayout[N]](l L, n N, stops []geo.Point, p Params, mode tqtree.FilterMode, ancestors bool, m *Metrics, arena *compArena) float64 {
 	if n == l.Nil() || len(stops) == 0 {
 		return 0
 	}
-	so := evalNodeList(l, n, stops, p, mode, m, &arena.scorer)
+	var so float64
+	if ancestors || !inOneQuadrant(l, n, geo.RectOf(stops).Expand(p.Psi)) {
+		so = evalNodeList(l, n, stops, p, mode, m, &arena.scorer)
+	}
 	if l.IsLeaf(n) {
 		return so
 	}
@@ -152,10 +162,31 @@ func evaluateServiceG[N comparable, L tlayout[N]](l L, n N, stops []geo.Point, p
 			arena.release(mark)
 			continue
 		}
-		so += evaluateServiceG(l, c, cstops, p, mode, m, arena)
+		so += evaluateServiceG(l, c, cstops, p, mode, ancestors, m, arena)
 		arena.release(mark)
 	}
 	return so
+}
+
+// inOneQuadrant reports whether the EMBR e lies in n's cell strictly on
+// one side of both its center lines. Then no entry n keeps can have both
+// endpoints in e, which is what a list needs to serve when ancestors
+// cannot (mode NeedBoth): such an entry has both endpoints in one
+// quadrant, the first off the center lines, so the build (and Insert)
+// routed it to that quadrant's child. Only a leaf keeps routable
+// entries, and only the root entries outside its cell — so e must lie
+// inside the root's. The comparisons are the build's own floats, so the
+// test is exact.
+func inOneQuadrant[N comparable, L tlayout[N]](l L, n N, e geo.Rect) bool {
+	if l.IsLeaf(n) {
+		return false
+	}
+	r := l.Rect(n)
+	if n == l.Root() && !r.ContainsRect(e) {
+		return false
+	}
+	cx, cy := (r.MinX+r.MaxX)/2, (r.MinY+r.MaxY)/2
+	return (e.MaxX < cx || e.MinX > cx) && (e.MaxY < cy || e.MinY > cy)
 }
 
 // qfPairG is one ⟨q-node, facility-component⟩ pair of a search state: the
@@ -267,13 +298,18 @@ func upperBoundG[N comparable, L tlayout[N]](l L, f *trajectory.Facility, p Para
 	return seedBoundG[N](l, f, p, l.AncestorsCanServe(p.Scenario), nil)
 }
 
-// childContaining returns n's child whose cell contains r, Nil when n is
-// a leaf or r straddles its children.
+// childContaining returns n's child whose open cell contains r, Nil when
+// n is a leaf or r straddles or touches its children's borders. The cell
+// is open because the build routes a point on a center line to the
+// higher quadrant: an entry stored at n can have an endpoint on the
+// border of the closed cell that holds r.
 func childContaining[N comparable, L tlayout[N]](l L, n N, r geo.Rect) N {
 	if !l.IsLeaf(n) {
 		for q := 0; q < 4; q++ {
-			if c := l.Child(n, q); c != l.Nil() && l.Rect(c).ContainsRect(r) {
-				return c
+			if c := l.Child(n, q); c != l.Nil() {
+				if cr := l.Rect(c); r.MinX > cr.MinX && r.MaxX < cr.MaxX && r.MinY > cr.MinY && r.MaxY < cr.MaxY {
+					return c
+				}
 			}
 		}
 	}
@@ -338,10 +374,8 @@ func relaxStateG[N comparable, L tlayout[N]](l L, s *stateG[N], p Params, mode t
 }
 
 // topKG answers the kMaxRRST query with the best-first strategy of
-// Algorithm 3 driven by the q-node `sub` upper bounds. cc (nil means
-// "never") is polled between relaxations; a done context aborts the
-// search with its error and no partial answer.
-func topKG[N comparable, L tlayout[N]](l L, facilities []*trajectory.Facility, k int, p Params, cc *canceller) ([]Result, Metrics, error) {
+// Algorithm 3 driven by the q-node `sub` upper bounds.
+func topKG[N comparable, L tlayout[N]](l L, facilities []*trajectory.Facility, k int, p Params) ([]Result, Metrics, error) {
 	if err := validateQuery[N](l, p); err != nil {
 		return nil, Metrics{}, err
 	}
@@ -363,9 +397,6 @@ func topKG[N comparable, L tlayout[N]](l L, facilities []*trajectory.Facility, k
 
 	results := make([]Result, 0, k)
 	for h.Len() > 0 && len(results) < k {
-		if err := cc.stopped(); err != nil {
-			return nil, m, err
-		}
 		s := heap.Pop(&h).(*stateG[N])
 		// hserve == 0 means no unexplored pair can add service: aserve
 		// is exact. This covers both the fully-explored case (empty
@@ -376,80 +407,6 @@ func topKG[N comparable, L tlayout[N]](l L, facilities []*trajectory.Facility, k
 		}
 		relaxStateG(l, s, p, mode, &m)
 		heap.Push(&h, s)
-	}
-	return results, m, nil
-}
-
-// topKParallelG is topKG with up to `workers` frontier states relaxed
-// concurrently per round. A facility is emitted only when it reaches the
-// top of the heap with no optimistic remainder — the same exactness
-// condition as the serial search — so the results are identical;
-// Metrics.Relaxations may exceed the serial count because batching can
-// relax states the serial search would have pruned.
-func topKParallelG[N comparable, L tlayout[N]](l L, facilities []*trajectory.Facility, k int, p Params, workers int, cc *canceller) ([]Result, Metrics, error) {
-	if err := validateQuery[N](l, p); err != nil {
-		return nil, Metrics{}, err
-	}
-	var m Metrics
-	if k <= 0 || len(facilities) == 0 {
-		return nil, m, nil
-	}
-	if k > len(facilities) {
-		k = len(facilities)
-	}
-	mode := l.FilterModeFor(p.Scenario)
-	ancestors := l.AncestorsCanServe(p.Scenario)
-
-	h := make(stateHeapG[N], 0, len(facilities))
-	for _, f := range facilities {
-		h = append(h, initialStateG(l, f, p, ancestors))
-	}
-	heap.Init(&h)
-
-	results := make([]Result, 0, k)
-	batch := make([]*stateG[N], 0, workers)
-	perWorker := make([]Metrics, workers)
-	for h.Len() > 0 && len(results) < k {
-		if err := cc.stopped(); err != nil {
-			for _, wm := range perWorker {
-				m.Add(wm)
-			}
-			return nil, m, err
-		}
-		s := heap.Pop(&h).(*stateG[N])
-		if s.done() {
-			results = append(results, Result{Facility: s.fac, Service: s.aserve})
-			continue
-		}
-		// Grab more non-final states to relax alongside the top one. A
-		// final state stops the grab: it must be re-examined at the top
-		// of the heap after the batch reorders, not emitted early.
-		batch = append(batch[:0], s)
-		for len(batch) < workers && h.Len() > 0 {
-			if h[0].done() {
-				break
-			}
-			batch = append(batch, heap.Pop(&h).(*stateG[N]))
-		}
-		if len(batch) == 1 {
-			relaxStateG(l, s, p, mode, &m)
-		} else {
-			var wg sync.WaitGroup
-			for i, bs := range batch {
-				wg.Add(1)
-				go func(i int, bs *stateG[N]) {
-					defer wg.Done()
-					relaxStateG(l, bs, p, mode, &perWorker[i])
-				}(i, bs)
-			}
-			wg.Wait()
-		}
-		for _, bs := range batch {
-			heap.Push(&h, bs)
-		}
-	}
-	for _, wm := range perWorker {
-		m.Add(wm)
 	}
 	return results, m, nil
 }
@@ -470,7 +427,7 @@ func serviceValuesG[N comparable, L tlayout[N]](l L, facilities []*trajectory.Fa
 	if len(facilities) == 0 {
 		return nil, m, nil
 	}
-	mode := l.FilterModeFor(p.Scenario)
+	mode, ancestors := l.FilterModeFor(p.Scenario), l.AncestorsCanServe(p.Scenario)
 	out := make([]float64, len(facilities))
 	workers = ResolveWorkers(workers, len(facilities))
 	stops := maxStops(facilities)
@@ -481,7 +438,7 @@ func serviceValuesG[N comparable, L tlayout[N]](l L, facilities []*trajectory.Fa
 				putCompArena(arena)
 				return nil, m, err
 			}
-			out[i] = evaluateServiceG(l, l.Root(), f.Stops, p, mode, &m, arena) + overlay.deltaService(f, p, &m)
+			out[i] = evaluateServiceG(l, l.Root(), f.Stops, p, mode, ancestors, &m, arena) + overlay.deltaService(f, p, &m)
 		}
 		putCompArena(arena)
 		return out, m, nil
@@ -500,7 +457,7 @@ func serviceValuesG[N comparable, L tlayout[N]](l L, facilities []*trajectory.Fa
 				if i >= len(facilities) {
 					break
 				}
-				out[i] = evaluateServiceG(l, l.Root(), facilities[i].Stops, p, mode, wm, arena) + overlay.deltaService(facilities[i], p, wm)
+				out[i] = evaluateServiceG(l, l.Root(), facilities[i].Stops, p, mode, ancestors, wm, arena) + overlay.deltaService(facilities[i], p, wm)
 			}
 			putCompArena(arena)
 		}(w)
@@ -513,30 +470,4 @@ func serviceValuesG[N comparable, L tlayout[N]](l L, facilities []*trajectory.Fa
 		return nil, m, err
 	}
 	return out, m, nil
-}
-
-// topKExhaustiveG computes the same answer as topKG by evaluating every
-// facility's service value with Algorithm 1 and sorting — no best-first
-// pruning.
-func topKExhaustiveG[N comparable, L tlayout[N]](l L, facilities []*trajectory.Facility, k int, p Params) ([]Result, Metrics, error) {
-	if err := validateQuery[N](l, p); err != nil {
-		return nil, Metrics{}, err
-	}
-	var m Metrics
-	if k <= 0 || len(facilities) == 0 {
-		return nil, m, nil
-	}
-	if k > len(facilities) {
-		k = len(facilities)
-	}
-	mode := l.FilterModeFor(p.Scenario)
-	results := make([]Result, 0, len(facilities))
-	arena := acquireCompArena(maxStops(facilities))
-	for _, f := range facilities {
-		so := evaluateServiceG(l, l.Root(), f.Stops, p, mode, &m, arena)
-		results = append(results, Result{Facility: f, Service: so})
-	}
-	putCompArena(arena)
-	sortResults(results)
-	return results[:k], m, nil
 }

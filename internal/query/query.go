@@ -4,14 +4,16 @@
 //     computation (evaluateServiceG + evalNodeList in layout.go, with
 //     the zReduce pruning supplied by the tqtree package).
 //   - Algorithm 3/4: best-first top-k facility search driven by the
-//     q-node `sub` upper bounds (topKG + relaxStateG in layout.go).
+//     q-node `sub` upper bounds (topKG + relaxStateG in layout.go), on
+//     Engine.TopK and FrozenEngine.TopK — what the paper's figures time.
 //   - The paper's baseline (BL): per-facility circular range queries over
 //     a traditional point quadtree.
 //   - Results (executor.go): the sort-and-cut from a batch of exact
-//     values to a top-k answer, which is the whole served top-k of the
-//     sharded indexes (internal/shard) and the distributed frontend
-//     (internal/dist) — across disjoint parts of a corpus no bound this
-//     cheap has ever cut a facility (EXPERIMENTS.md, tqbench -exp bound).
+//     values to a top-k answer, which is the whole served top-k of every
+//     public index type (internal/shard's scatter, one shard or several)
+//     and of the distributed frontend (internal/dist) — across disjoint
+//     parts of a corpus no bound this cheap has ever cut a facility
+//     (EXPERIMENTS.md, tqbench -exp bound).
 //
 // The search core in layout.go is generic over the two tree layouts —
 // the mutable pointer tree (Engine) and the frozen columnar index
@@ -61,7 +63,8 @@ type Metrics struct {
 	// EntriesScored counts exact per-entry service computations (entries
 	// surviving zReduce).
 	EntriesScored int
-	// Relaxations counts best-first state relaxations (TopK only).
+	// Relaxations counts best-first state relaxations (Engine.TopK and
+	// FrozenEngine.TopK only; an exact batch reports 0).
 	Relaxations int
 }
 
@@ -96,7 +99,7 @@ func (e *Engine) ServiceValue(f *trajectory.Facility, p Params) (float64, Metric
 	var m Metrics
 	mode := e.tree.FilterModeFor(p.Scenario)
 	arena := acquireCompArena(len(f.Stops))
-	so := evaluateServiceG(l, e.tree.Root(), f.Stops, p, mode, &m, arena)
+	so := evaluateServiceG(l, e.tree.Root(), f.Stops, p, mode, l.AncestorsCanServe(p.Scenario), &m, arena)
 	putCompArena(arena)
 	return so, m, nil
 }

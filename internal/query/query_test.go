@@ -172,6 +172,10 @@ func TestServiceValueRandomizedPsiSweep(t *testing.T) {
 	}
 }
 
+// TestTopKMatchesExhaustiveAndBaseline: the paper's best-first TopK ranks
+// the same values as the exhaustive answer — Results over one exact
+// ServiceValues pass, which is every public index type's top-k — and as
+// the baseline, at every k.
 func TestTopKMatchesExhaustiveAndBaseline(t *testing.T) {
 	users := makeUsers(500, 2, 107)
 	facilities := makeFacilities(40, 8, 108)
@@ -191,10 +195,11 @@ func TestTopKMatchesExhaustiveAndBaseline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			exh, _, err := eng.TopKExhaustive(facilities, k, p)
+			vals, _, err := eng.ServiceValues(facilities, p, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
+			exh := Results(facilities, vals, k)
 			blres, err := bl.TopK(facilities, k, p)
 			if err != nil {
 				t.Fatal(err)

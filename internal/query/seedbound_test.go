@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math"
 	"testing"
 
 	"github.com/trajcover/trajcover/internal/geo"
@@ -14,7 +15,9 @@ import (
 // best-first search seeds with, and its descent
 // ends at the paper's containingQNode — the last enqueued pair's cell
 // contains the facility's EMBR (or is the root) and none of its
-// children's does, with only list-only ancestors before it.
+// children's does, with only list-only ancestors before it. Algorithm 1
+// seeds there too where ancestors cannot serve: it skips lists, and
+// answers as a walk over every list does, bit for bit.
 func TestSeedBound(t *testing.T) {
 	users := makeUsers(1500, 4, 42)
 	facilities := makeFacilities(25, 10, 43)
@@ -36,11 +39,17 @@ func TestSeedBound(t *testing.T) {
 		feng := NewFrozenEngine(frozen, users)
 		p := Params{Scenario: cfg.scenario, Psi: 35}
 		l := ptrLayout{tree}
+		skipped := 0
 		for _, f := range facilities {
-			exact, _, err := eng.ServiceValue(f, p)
+			exact, em, err := eng.ServiceValue(f, p)
 			if err != nil {
 				t.Fatal(err)
 			}
+			all, am := walkEveryList(l, f, p)
+			if math.Float64bits(all) != math.Float64bits(exact) || am.NodesVisited < em.NodesVisited {
+				t.Fatalf("%v facility %d: %v over %d lists, %v over every list (%d)", cfg, f.ID, exact, em.NodesVisited, all, am.NodesVisited)
+			}
+			skipped += am.NodesVisited - em.NodesVisited
 			ub := eng.UpperBound(f, p)
 			if ub < exact {
 				t.Fatalf("%v facility %d: bound %v below exact value %v", cfg, f.ID, ub, exact)
@@ -66,6 +75,96 @@ func TestSeedBound(t *testing.T) {
 			}
 			if f.ID == 999 && q != tree.Root() {
 				t.Fatalf("%v: a route straddling the center seeded below the root", cfg)
+			}
+		}
+		if seeded := !l.AncestorsCanServe(p.Scenario); seeded != (skipped > 0) {
+			t.Fatalf("%v: the seeded walk skipped %d lists", cfg, skipped)
+		}
+	}
+}
+
+// walkEveryList is Algorithm 1 without the containing-node seed: every
+// visited node's own list is scored. The seeded walk must give the same
+// value bit for bit from no more list evaluations.
+func walkEveryList(l ptrLayout, f *trajectory.Facility, p Params) (float64, Metrics) {
+	var m Metrics
+	arena := acquireCompArena(len(f.Stops))
+	defer putCompArena(arena)
+	return evaluateServiceG(l, l.Root(), f.Stops, p, l.FilterModeFor(p.Scenario), true, &m, arena), m
+}
+
+// TestSeedBoundCellBorder pins the cell-border cases of the containing
+// q-node. A route whose EMBR ends exactly on the root's vertical center
+// line, so it lies in the closed south-west quadrant, serves two trips
+// with an endpoint on that line ψ from a stop: one is stored at the root
+// (its first point routes east, its last lies west), the other routes
+// whole into the south-east quadrant. A route off the map's east edge
+// serves a trip inserted there after the build, which the root keeps. Every
+// top-k and every service value must count them all, and Algorithm 1's
+// seed must not skip the lists that hold them.
+func TestSeedBoundCellBorder(t *testing.T) {
+	users := makeUsers(400, 2, 44).All
+	border := []*trajectory.Trajectory{
+		trajectory.MustNew(100001, []geo.Point{geo.Pt(500, 100), geo.Pt(490, 100)}),
+		trajectory.MustNew(100002, []geo.Point{geo.Pt(500, 100), geo.Pt(500, 110)}),
+	}
+	outside := trajectory.MustNew(100003, []geo.Point{geo.Pt(1010, 300), geo.Pt(1015, 300)})
+	built := append(append([]*trajectory.Trajectory{}, users...), border...)
+	set := trajectory.MustNewSet(append(append([]*trajectory.Trajectory{}, built...), outside))
+	west := trajectory.MustNewFacility(7, []geo.Point{geo.Pt(480, 100), geo.Pt(480, 110)})
+	east := trajectory.MustNewFacility(8, []geo.Point{geo.Pt(1005, 300), geo.Pt(1012, 300)})
+	routes := []*trajectory.Facility{west, east}
+	facilities := append(makeFacilities(6, 4, 45), routes...)
+	const psi = 20
+	if !testBounds.Quadrant(geo.QuadSW).ContainsRect(west.EMBR(psi)) {
+		t.Fatalf("route EMBR %v is not in the closed south-west quadrant", west.EMBR(psi))
+	}
+	for _, cfg := range validConfigs(false) {
+		tree, err := tqtree.Build(built, tqtree.Options{
+			Variant: cfg.variant, Ordering: cfg.ordering, Beta: 8, Bounds: testBounds,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree.Insert(outside)
+		frozen, err := tqtree.Freeze(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := Params{Scenario: cfg.scenario, Psi: psi}
+		for name, eng := range map[string]interface {
+			ServiceValue(*trajectory.Facility, Params) (float64, Metrics, error)
+			ServiceValues([]*trajectory.Facility, Params, int) ([]float64, Metrics, error)
+			TopK([]*trajectory.Facility, int, Params) ([]Result, Metrics, error)
+		}{"pointer": NewEngine(tree, set), "frozen": NewFrozenEngine(frozen, nil)} {
+			vs, _, err := eng.ServiceValues(facilities, p, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			top, _, err := eng.TopK(facilities, len(facilities), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, f := range routes {
+				want := ExactServiceValue(cfg.variant, cfg.scenario, set, f.Stops, psi)
+				if without := ExactServiceValue(cfg.variant, cfg.scenario, trajectory.MustNewSet(users), f.Stops, psi); want <= without {
+					t.Fatalf("%+v route %d: the border trips add nothing (%v vs %v)", cfg, f.ID, want, without)
+				}
+				v, _, err := eng.ServiceValue(f, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				best := -1.0
+				for _, r := range top {
+					if r.Facility == f {
+						best = r.Service
+					}
+				}
+				got := vs[len(vs)-len(routes)+i]
+				if math.Abs(v-want) > 1e-9 || math.Abs(got-want) > 1e-9 || math.Abs(best-want) > 1e-9 {
+					t.Fatalf("%+v %s route %d: ServiceValue %v, ServiceValues %v, best-first TopK %v; exact %v",
+						cfg, name, f.ID, v, got, best, want)
+				}
 			}
 		}
 	}

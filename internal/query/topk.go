@@ -15,9 +15,11 @@ type Result struct {
 
 // TopK answers the kMaxRRST query: the k facilities with the highest
 // service value, in non-increasing order, computed with the best-first
-// strategy of Algorithm 3 driven by the q-node `sub` upper bounds.
+// strategy of Algorithm 3 driven by the q-node `sub` upper bounds. It is
+// what the paper's figures time; the public index types answer top-k as
+// one exact ServiceValues pass plus Results instead.
 func (e *Engine) TopK(facilities []*trajectory.Facility, k int, p Params) ([]Result, Metrics, error) {
-	return topKG[*tqtreeNode](ptrLayout{e.tree}, facilities, k, p, nil)
+	return topKG[*tqtreeNode](ptrLayout{e.tree}, facilities, k, p)
 }
 
 // UpperBound returns the bound TopK seeds f's search with — the `sub` of
@@ -30,15 +32,6 @@ func (e *Engine) TopK(facilities []*trajectory.Facility, k int, p Params) ([]Res
 // sums as a diagnostic.
 func (e *Engine) UpperBound(f *trajectory.Facility, p Params) float64 {
 	return upperBoundG[*tqtreeNode](ptrLayout{e.tree}, f, p)
-}
-
-// TopKExhaustive computes the same answer as TopK by evaluating every
-// facility's service value with Algorithm 1 and sorting — no best-first
-// pruning. It is the reference the best-first path is tested against, and
-// the shape the TQ(B)/TQ(Z) comparison in the paper's Figure 7 uses when
-// upper-bound pruning is disabled.
-func (e *Engine) TopKExhaustive(facilities []*trajectory.Facility, k int, p Params) ([]Result, Metrics, error) {
-	return topKExhaustiveG[*tqtreeNode](ptrLayout{e.tree}, facilities, k, p)
 }
 
 func maxStops(facilities []*trajectory.Facility) int {

@@ -10,7 +10,7 @@
 // request carries a deadline (the server default, or the request's
 // timeout_ms capped at Config.MaxTimeout) propagated as a
 // context.Context into the cancellation-aware query executor, so an
-// expired request aborts between facility relaxations rather than
+// expired request aborts between facility evaluations rather than
 // holding a worker. /healthz and /statsz serve readiness and the
 // per-endpoint latency/queue counters; /v1/snapshot streams a TQLIVE02
 // checkpoint without stopping writes.
@@ -1029,7 +1029,7 @@ func (s *Server) handleServiceValues(w http.ResponseWriter, r *http.Request) {
 // admission and count against inflight quota until done. Streamed
 // responses bypass the result cache (the cache stores whole bodies,
 // and a client asking to stream is asking not to wait for one).
-// Chunk size comes from ?chunk=N (default query.DefaultStreamChunk).
+// Chunk size comes from ?chunk=N (default shard.DefaultStreamChunk).
 func (s *Server) streamServiceValues(w http.ResponseWriter, r *http.Request, ep *endpointStats, tid string, req *QueryRequest, facs []*trajcover.Facility, q trajcover.Query) {
 	start := time.Now()
 	ep.requests.Add(1)

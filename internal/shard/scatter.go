@@ -11,6 +11,12 @@ import (
 // Params re-exports the query parameter bundle for shard callers.
 type Params = query.Params
 
+// DefaultStreamChunk is the facility-batch granularity of
+// ServiceValuesStreamCtx when the caller passes chunk <= 0: large enough
+// to amortize per-chunk setup and keep a worker pool busy, small enough
+// that first results arrive quickly.
+const DefaultStreamChunk = 256
+
 // unit is one shard as the scatter-gather sees it: something that can
 // check a scenario against its data and answer exact service values, for
 // one facility or a batch. *query.Engine (pointer tree),
@@ -24,8 +30,10 @@ type unit interface {
 	ServiceValuesCtx(ctx context.Context, facilities []*trajectory.Facility, p Params, workers int) ([]float64, query.Metrics, error)
 }
 
-// scatter is the query surface of a sharded index, written once over a
-// slice of units and embedded in Sharded, Frozen and Live. capture
+// scatter is the query surface of every index, written once over a slice
+// of units and embedded in Sharded, Frozen and Live — with one unit, it
+// is also the single-tree index's (the root package builds its Index,
+// FrozenIndex and LiveIndex as one-shard Sharded, Frozen and Live). capture
 // returns the units one query runs over: the fixed shard slice for
 // Sharded and Frozen, one write-consistent epoch cut (Live.Epochs) for
 // Live — taken once per call, so a query (or a whole stream) is
@@ -103,7 +111,7 @@ func (s scatter[U]) ServiceValuesCtx(ctx context.Context, facilities []*trajecto
 }
 
 // ServiceValuesStreamCtx streams SO(U, f) in chunks of the given size
-// (<= 0: query.DefaultStreamChunk), calling yield(start, vals) once per
+// (<= 0: DefaultStreamChunk), calling yield(start, vals) once per
 // chunk in facility order. Each chunk runs the ordinary per-shard batch
 // and the same fold as ServiceValuesCtx, so streamed values are
 // bit-identical to the batch answer. A yield error or a done context
@@ -117,7 +125,7 @@ func (s scatter[U]) ServiceValuesStreamCtx(ctx context.Context, facilities []*tr
 		return m, err
 	}
 	if chunk <= 0 {
-		chunk = query.DefaultStreamChunk
+		chunk = DefaultStreamChunk
 	}
 	for start := 0; start < len(facilities); start += chunk {
 		end := min(start+chunk, len(facilities))
@@ -140,7 +148,7 @@ func (s scatter[U]) TopK(facilities []*trajectory.Facility, k int, p Params) ([]
 // TopKCtx answers kMaxRRST over all shards: the k facilities with the
 // highest total service value, best first (value descending, ID
 // ascending) — exactly sort-and-cut over ServiceValuesCtx, bit for bit.
-// Answers match the single-tree TopK exactly for integral scenarios such
+// Answers match a one-shard index's exactly for integral scenarios such
 // as Binary, up to floating-point summation order otherwise. ctx is
 // polled between facilities and a done context returns ctx.Err() instead
 // of an answer.
@@ -160,10 +168,11 @@ func (s scatter[U]) TopKParallelCtx(ctx context.Context, facilities []*trajector
 	return s.topK(ctx, facilities, k, p, workers)
 }
 
-// topK is the sharded kMaxRRST: every facility's exact value in one
+// topK is the served kMaxRRST: every facility's exact value in one
 // sumValues pass, then query.Results. The paper's best-first search
-// (Algorithms 3/4) stays on the single-tree engines: across units only a
-// summed seed bound could prune, and measured (tqbench -exp bound) it
+// (Algorithms 3/4) stays on the engines, for the figures: on one tree it
+// scores nearly every entry an exact pass does, and across units only a
+// summed seed bound could prune, which measured (tqbench -exp bound)
 // never ranks a facility below the k-th value.
 func (s scatter[U]) topK(ctx context.Context, facilities []*trajectory.Facility, k int, p Params, workers int) ([]query.Result, query.Metrics, error) {
 	units := s.capture()

@@ -1,10 +1,11 @@
-// Package shard partitions a trajectory corpus across several TQ-trees
-// and serves kMaxRRST queries by scatter-gather: exact service values fan
-// out to every shard as one batch and are summed, and top-k is the
-// sort-and-cut of those sums (query.Results) — what the distributed
-// frontend does over whole processes. The paper's best-first search
-// (Algorithms 3/4) stays on the single-tree engines: a bound summed over
-// shards never ranked a facility below the k-th value (scatter.topK).
+// Package shard partitions a trajectory corpus across one or more
+// TQ-trees and serves kMaxRRST queries by scatter-gather: exact service
+// values fan out to every shard as one batch and are summed, and top-k is
+// the sort-and-cut of those sums (query.Results) — what the distributed
+// frontend does over whole processes. Every public index type is one of
+// the three forms here (Sharded, Frozen, Live), the single-tree ones with
+// one shard, so all answer through scatter. The paper's best-first search
+// (Algorithms 3/4) stays on the engines for the figures (scatter.topK).
 //
 // Sharding is what keeps datasets larger than one tree's comfortable
 // in-memory size — and rebuilds — from being monolithic: shards build in
@@ -217,10 +218,10 @@ func (s *Sharded) ByID(id trajectory.ID) *trajectory.Trajectory {
 	return nil
 }
 
-// Insert routes a trajectory to its shard and inserts it there. Like the
-// single-tree Insert it is not safe concurrently with queries — but only
-// the target shard is touched, so serving systems can quiesce one shard
-// at a time.
+// Insert routes a trajectory to its shard and inserts it there; an ID
+// already indexed is rejected with ErrDuplicateID. It is not safe
+// concurrently with queries — but only the target shard is touched, so
+// serving systems can quiesce one shard at a time.
 func (s *Sharded) Insert(u *trajectory.Trajectory) error {
 	if s.ByID(u.ID) != nil {
 		return fmt.Errorf("%w: %d", ErrDuplicateID, u.ID)

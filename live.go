@@ -118,19 +118,11 @@ func (x *Index) Live(pol LivePolicy) (*LiveIndex, error) {
 // path that makes a read-only snapshot mutable again: the frozen
 // columns become the first epoch's base with an empty overlay.
 func (x *FrozenIndex) Live(pol LivePolicy) (*LiveIndex, error) {
-	s, err := x.liveCore(pol)
+	s, err := x.s.Live(pol.policy())
 	if err != nil {
 		return nil, err
 	}
 	return newLiveIndex(s), nil
-}
-
-func (x *FrozenIndex) liveCore(pol LivePolicy) (*shard.Live, error) {
-	sf, err := shard.FrozenFromEngines([]*query.FrozenEngine{x.engine}, x.engine.Frozen().Bounds(), shard.Hash{}.Kind())
-	if err != nil {
-		return nil, err
-	}
-	return sf.Live(pol.policy())
 }
 
 // Len returns the logical corpus size (base minus deletes plus the

@@ -6,10 +6,10 @@ import (
 	"github.com/trajcover/trajcover/internal/query"
 )
 
-// queryCore is the index behind a querier. *query.Engine and
-// *query.FrozenEngine (one tree, queried directly) and *shard.Sharded,
-// *shard.Frozen and *shard.Live (scatter-gather over several) all
-// satisfy it.
+// queryCore is the index behind a querier: the scatter-gather embedded
+// in *shard.Sharded, *shard.Frozen and *shard.Live — scatter[*query.Engine],
+// scatter[*query.FrozenEngine] and scatter[*query.Epoch] — over one shard
+// or several.
 type queryCore interface {
 	ServiceValue(*Facility, query.Params) (float64, query.Metrics, error)
 	ServiceValuesCtx(ctx context.Context, facilities []*Facility, p query.Params, workers int) ([]float64, query.Metrics, error)
@@ -20,12 +20,12 @@ type queryCore interface {
 
 // querier is the kMaxRRST query surface, embedded in every index type:
 // Index, FrozenIndex, ShardedIndex, FrozenShardedIndex, LiveIndex and
-// LiveShardedIndex answer the nine methods below identically and differ
-// only in how they are constructed and whether (and how safely) they can
-// be mutated.
+// LiveShardedIndex answer the nine methods below through one path and
+// differ only in how they are constructed, how many shards they hold,
+// and whether (and how safely) they can be mutated.
 //
-// A sharded index sums per-shard answers, so its values match the
-// single-tree ones exactly for integral scenarios (Binary; every
+// An index of several shards sums per-shard answers, so its values match
+// a one-shard index's exactly for integral scenarios (Binary; every
 // scenario over integral service values) and up to floating-point
 // summation order otherwise. A live index answers each call — a whole
 // batch, a whole stream — over one write-consistent epoch capture taken
@@ -52,25 +52,23 @@ func (x *querier) ServiceValues(facilities []*Facility, q Query, workers int) ([
 }
 
 // TopK answers the kMaxRRST query: the k facilities with the highest
-// service value, best first (value descending, ID ascending). A single
-// tree runs the paper's best-first search (Algorithm 3); the sharded and
-// live types evaluate every facility in one batch, so their answer is
-// exactly sort-and-cut over ServiceValues — the same values, bit for bit.
+// service value, best first (value descending, ID ascending). Every
+// facility is evaluated in one batch, so the answer is exactly
+// sort-and-cut over ServiceValues — the same values, bit for bit.
 func (x *querier) TopK(facilities []*Facility, k int, q Query) ([]Ranked, error) {
 	return x.TopKCtx(context.Background(), facilities, k, q)
 }
 
 // TopKWithMetrics is TopK returning work metrics for diagnostics (merged
-// over the shards, where there are several).
+// over the shards, where there are several). They are an exact pass's:
+// the same whatever k is, with no best-first relaxations.
 func (x *querier) TopKWithMetrics(facilities []*Facility, k int, q Query) ([]Ranked, QueryMetrics, error) {
 	return x.core.TopKCtx(context.Background(), facilities, k, q.params())
 }
 
-// TopKParallel is TopK on a pool of `workers` goroutines: best-first
-// relaxations (single tree) or the batch's exact evaluations (sharded and
-// live types) run concurrently. The answer is identical to TopK; spare
-// cores buy wall-clock speed, on a single tree at the cost of some
-// speculative work.
+// TopKParallel is TopK with the batch's exact evaluations on a pool of
+// `workers` goroutines per shard (workers <= 0 uses GOMAXPROCS). The
+// answer is identical to TopK; spare cores buy wall-clock speed.
 func (x *querier) TopKParallel(facilities []*Facility, k int, q Query, workers int) ([]Ranked, error) {
 	return x.TopKParallelCtx(context.Background(), facilities, k, q, workers)
 }
@@ -91,15 +89,15 @@ func (x *querier) ServiceValuesCtx(ctx context.Context, facilities []*Facility, 
 }
 
 // TopKCtx is TopK with cooperative cancellation: ctx is polled between
-// facility relaxations or evaluations, and a done context aborts the
-// search with ctx.Err() and no partial answer.
+// per-facility evaluations, and a done context aborts the query with
+// ctx.Err() and no partial answer.
 func (x *querier) TopKCtx(ctx context.Context, facilities []*Facility, k int, q Query) ([]Ranked, error) {
 	res, _, err := x.core.TopKCtx(ctx, facilities, k, q.params())
 	return res, err
 }
 
 // TopKParallelCtx is TopKParallel with cooperative cancellation, polled
-// between relaxation rounds; see TopKCtx.
+// between per-facility evaluations in every worker; see TopKCtx.
 func (x *querier) TopKParallelCtx(ctx context.Context, facilities []*Facility, k int, q Query, workers int) ([]Ranked, error) {
 	res, _, err := x.core.TopKParallelCtx(ctx, facilities, k, q.params(), workers)
 	return res, err

@@ -1,7 +1,11 @@
 package trajcover
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -11,7 +15,10 @@ import (
 // the single-tree index across 1/2/4/8 shards and both partitioners.
 // Binary service values are integral, so float64 sums are exact and ==
 // is the right comparison; run under -race this also exercises the
-// concurrent scatter-gather merge.
+// concurrent scatter-gather merge. Index and FrozenIndex are the one-shard
+// ShardedIndex and FrozenShardedIndex, so against those they agree on
+// every method, work metrics included, before and after Inserts and
+// Deletes.
 func TestShardedEquivalenceProperty(t *testing.T) {
 	city := NewYorkCity()
 	q := Query{Scenario: Binary, Psi: DefaultPsi}
@@ -22,6 +29,7 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkOneShard(t, fmt.Sprintf("seed %d", seed), users, routes, q)
 		wantTop, err := single.TopK(routes, 10, q)
 		if err != nil {
 			t.Fatal(err)
@@ -77,6 +85,135 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// checkOneShard builds Index and ShardedIndex{Shards: 1} over users and
+// requires them — and their frozen forms — to answer identically on every
+// flavor method, then repeats the check after the same Inserts and
+// Deletes land in both mutable indexes.
+func checkOneShard(t *testing.T, name string, users []*Trajectory, routes []*Facility, q Query) {
+	t.Helper()
+	cut := len(users) - 40
+	idx, err := NewIndex(users[:cut], IndexOptions{Ordering: ZOrdering})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := NewShardedIndex(users[:cut], ShardOptions{Shards: 1, Index: IndexOptions{Ordering: ZOrdering}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string) {
+		t.Helper()
+		sameFlavor(t, name+" "+stage+" Index", idx, one, routes, q)
+		fz, err := idx.Freeze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fone, err := one.Freeze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameFlavor(t, name+" "+stage+" FrozenIndex", fz, fone, routes, q)
+	}
+	check("built")
+	for _, u := range users[cut:] {
+		if err := idx.Insert(u); err != nil {
+			t.Fatal(err)
+		}
+		if err := one.Insert(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := idx.Insert(users[0]); !errors.Is(err, ErrDuplicateID) {
+		t.Fatalf("%s: duplicate Insert err = %v, want ErrDuplicateID", name, err)
+	}
+	// A one-shard ShardedIndex has no Delete: its engine takes the one
+	// Index.Delete makes.
+	e := one.s.Engine(0)
+	for _, u := range users[:25] {
+		if !idx.Delete(u) {
+			t.Fatalf("%s: Delete(%d) found nothing", name, u.ID)
+		}
+		if !e.Tree().Delete(u) || !e.Users().Remove(u.ID) {
+			t.Fatalf("%s: one-shard delete of %d found nothing", name, u.ID)
+		}
+	}
+	if idx.Delete(users[0]) {
+		t.Fatalf("%s: Delete(%d) twice reported present", name, users[0].ID)
+	}
+	check("after writes")
+}
+
+// sameFlavor requires a and b to answer every flavor method identically:
+// values bit for bit, rankings, TopKWithMetrics' metrics, streamed chunks.
+func sameFlavor(t *testing.T, name string, a, b flavor, routes []*Facility, q Query) {
+	t.Helper()
+	if a.Len() != b.Len() {
+		t.Fatalf("%s: Len %d, one-shard %d", name, a.Len(), b.Len())
+	}
+	ctx := context.Background()
+	values := map[string]func(x flavor) ([]float64, error){
+		"ServiceValue": func(x flavor) ([]float64, error) {
+			out := make([]float64, len(routes))
+			for i, f := range routes {
+				v, err := x.ServiceValue(f, q)
+				if err != nil {
+					return nil, err
+				}
+				out[i] = v
+			}
+			return out, nil
+		},
+		"ServiceValues":    func(x flavor) ([]float64, error) { return x.ServiceValues(routes, q, 2) },
+		"ServiceValuesCtx": func(x flavor) ([]float64, error) { return x.ServiceValuesCtx(ctx, routes, q, 1) },
+		"ServiceValuesStreamCtx": func(x flavor) ([]float64, error) {
+			var out []float64
+			err := x.ServiceValuesStreamCtx(ctx, routes, q, 2, 7, func(_ int, vals []float64) error {
+				out = append(out, vals...)
+				return nil
+			})
+			return out, err
+		},
+	}
+	for method, get := range values {
+		want, err := get(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := get(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.EqualFunc(got, want, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+			t.Fatalf("%s %s: %v, one-shard %v", name, method, got, want)
+		}
+	}
+	wantTop, wantM, err := b.TopKWithMetrics(routes, 10, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotTop, gotM, err := a.TopKWithMetrics(routes, 10, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotM != wantM || !slices.Equal(gotTop, wantTop) {
+		t.Fatalf("%s TopKWithMetrics: %v %+v, one-shard %v %+v", name, gotTop, gotM, wantTop, wantM)
+	}
+	rankings := map[string]func(x flavor) ([]Ranked, error){
+		"TopK":            func(x flavor) ([]Ranked, error) { return x.TopK(routes, 10, q) },
+		"TopKParallel":    func(x flavor) ([]Ranked, error) { return x.TopKParallel(routes, 10, q, 3) },
+		"TopKCtx":         func(x flavor) ([]Ranked, error) { return x.TopKCtx(ctx, routes, 10, q) },
+		"TopKParallelCtx": func(x flavor) ([]Ranked, error) { return x.TopKParallelCtx(ctx, routes, 10, q, 3) },
+	}
+	for method, get := range rankings {
+		got, err := get(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, wantTop) {
+			t.Fatalf("%s %s: %v, one-shard %v", name, method, got, wantTop)
 		}
 	}
 }

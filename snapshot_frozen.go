@@ -309,7 +309,7 @@ func (x *FrozenIndex) WriteSnapshot(w io.Writer) error {
 	if _, err := io.WriteString(mw, frozenMagic); err != nil {
 		return err
 	}
-	if err := writeFrozenPayload(mw, x.engine.Frozen()); err != nil {
+	if err := writeFrozenPayload(mw, x.s.Engine(0).Frozen()); err != nil {
 		return err
 	}
 	return binary.Write(w, binary.LittleEndian, crc.Sum32())
@@ -353,7 +353,7 @@ func parseFrozenSnapshot(data []byte, pin *mappedToken) (*FrozenIndex, error) {
 	if cur.remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, cur.remaining())
 	}
-	return newFrozenIndex(query.NewFrozenEngine(f, nil)), nil
+	return frozenIndexOf(f, nil)
 }
 
 // WriteSnapshot serializes the frozen sharded index as a TQSHRD03

@@ -210,7 +210,7 @@ func contentDigest(t testing.TB, x restored) string {
 	var eps []*query.Epoch
 	switch x := x.(type) {
 	case *FrozenIndex:
-		bases = append(bases, x.engine.Frozen())
+		bases = append(bases, x.s.Engine(0).Frozen())
 	case *FrozenShardedIndex:
 		for i := 0; i < x.s.NumShards(); i++ {
 			bases = append(bases, x.s.Engine(i).Frozen())

@@ -83,7 +83,7 @@ func TestSnapshotPersistsMaxDepth(t *testing.T) {
 		t.Fatal(err)
 	}
 	back := freezeRoundTrip(t, idx)
-	if got := back.engine.Frozen().MaxDepth(); got != 5 {
+	if got := back.s.Engine(0).Frozen().MaxDepth(); got != 5 {
 		t.Fatalf("restored MaxDepth = %d, want 5", got)
 	}
 	q := Query{Scenario: Binary, Psi: DefaultPsi}

@@ -186,7 +186,7 @@ func TestIndexHeapPerTrajectory(t *testing.T) {
 // permutation, the pads after the 4-byte column groups, and the CRC.
 func assertTwoPointBytes(t *testing.T, fz *FrozenIndex) {
 	t.Helper()
-	f := fz.engine.Frozen()
+	f := fz.s.Engine(0).Frozen()
 	c := f.Columns()
 	if f.Variant() != tqtree.TwoPoint || c.EntMBR != nil || c.EntTraj != nil || c.EntSeg != nil {
 		t.Fatalf("%v base holds entry columns MBR %v, ordinals %v, segments %v; want only the endpoints",
@@ -229,7 +229,7 @@ func TestTableBytesMultipoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := fz.engine.Table()
+	tab := fz.s.Engine(0).Table()
 	if tab.Len() != len(users) || tab.TotalPoints() != points {
 		t.Fatalf("table of %d trajectories, %d points; want %d, %d", tab.Len(), tab.TotalPoints(), len(users), points)
 	}
@@ -238,7 +238,7 @@ func TestTableBytesMultipoint(t *testing.T) {
 		t.Fatalf("table is %d bytes over %d points: %d fixed bytes for %d trajectories, want at most 24 each",
 			tab.Bytes(), points, fixed, len(users))
 	}
-	if st := fz.engine.Frozen().Bytes(); st <= tab.Bytes() {
+	if st := fz.s.Engine(0).Frozen().Bytes(); st <= tab.Bytes() {
 		t.Fatalf("index bytes %d do not include the columns beside the table's %d", st, tab.Bytes())
 	}
 }
@@ -292,18 +292,13 @@ func TestSnapshotRoundTripEveryVariant(t *testing.T) {
 						t.Fatalf("%s: %s re-snapshot differs (%d vs %d bytes)", name, what, out.Len(), len(orig))
 					}
 				}
-				// A live index answers TopK by one exact pass where a
-				// frozen one searches best-first, so the live form of the
-				// restore answers as the live form of BuildFrozen's index.
+				// Frozen and live forms run one exact pass each, so the
+				// live form of the restore answers as BuildFrozen's index.
 				live, err := heap.Live(pol)
 				if err != nil {
 					t.Fatal(err)
 				}
-				fzLive, err := fz.Live(pol)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertMappedAnswers(t, name+" live of heap restore", fzLive, live)
+				assertMappedAnswers(t, name+" live of heap restore", fz, live)
 				lv, err := NewLiveShardedIndex(users[:300], LiveShardOptions{Shards: 2, Index: opts, Policy: pol})
 				if err != nil {
 					t.Fatal(err)

@@ -85,11 +85,9 @@ func boundaryRoutes(t *testing.T, rng *rand.Rand, skewed bool) []*Facility {
 // thinnest — facilities with equal exact values on both sides of it — on
 // every index type, every scenario, 1/2/4 shards, with the live types'
 // delta overlays and tombstones in play. The contract: TopK is
-// sort-and-cut over ServiceValues (value descending, ID ascending), and on
-// the scatter-backed types the reported Service is ServiceValues' bit for
-// bit, fractional scenarios included, from one exact pass: the same work
-// whatever k is. (A single tree's best-first search adds the same terms
-// in another order, so there the comparison is exact for Binary only.)
+// sort-and-cut over ServiceValues (value descending, ID ascending), and
+// the reported Service is ServiceValues' bit for bit, fractional
+// scenarios included, from one exact pass: the same work whatever k is.
 func TestTopKThresholdBoundary(t *testing.T) {
 	seeds := int64(2)
 	if os.Getenv("TRAJCOVER_STRESS") != "" {
@@ -108,12 +106,8 @@ func TestTopKThresholdBoundary(t *testing.T) {
 						opts.Variant = FullTrajectory
 					}
 					q := Query{Scenario: sc, Psi: 30}
-					for fi, fl := range allFlavorsWith(t, users, opts, shards) {
+					for _, fl := range allFlavorsWith(t, users, opts, shards) {
 						name := fmt.Sprintf("seed %d skewed %v shards %d %v %s", seed, skewed, shards, sc, flavorName(fl))
-						scatterBacked := fi >= 2
-						if !scatterBacked && sc != Binary {
-							continue
-						}
 						vals, err := fl.ServiceValues(facs, q, 1)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
@@ -133,7 +127,7 @@ func TestTopKThresholdBoundary(t *testing.T) {
 								t.Fatalf("%s: ranks %d and %d are not tied (%v, %v)", name, k, k+1, want[k-1].Service, want[k].Service)
 							}
 						}
-						var pass QueryMetrics // the scatter-backed types' one exact pass
+						var pass QueryMetrics // the one exact pass
 						for _, k := range []int{1, 8, n, n + 5} {
 							got, m, err := fl.TopKWithMetrics(facs, k, q)
 							if err != nil {
@@ -152,11 +146,8 @@ func TestTopKThresholdBoundary(t *testing.T) {
 										got[i].Facility.ID, got[i].Service, par[i].Facility.ID, par[i].Service, want[i].Facility.ID, want[i].Service)
 								}
 							}
-							if !scatterBacked {
-								continue
-							}
 							if m.Relaxations != 0 {
-								t.Fatalf("%s k %d: %d best-first relaxations on a scatter-backed type", name, k, m.Relaxations)
+								t.Fatalf("%s k %d: %d best-first relaxations", name, k, m.Relaxations)
 							}
 							if k == 1 {
 								pass = m

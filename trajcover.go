@@ -142,15 +142,12 @@ type IndexOptions struct {
 }
 
 // Index is a TQ-tree over a set of user trajectories, answering both
-// kMaxRRST and MaxkCovRST queries.
+// kMaxRRST and MaxkCovRST queries. It is a ShardedIndex of one shard: the
+// tree is the one the single-tree build makes, and every query runs the
+// same scatter path as the sharded and live types.
 type Index struct {
 	querier
-	engine *query.Engine
-	set    *trajectory.Set
-}
-
-func newIndex(engine *query.Engine) *Index {
-	return &Index{querier: querier{engine}, engine: engine, set: engine.Users()}
+	s *shard.Sharded
 }
 
 func (o IndexOptions) treeOptions() tqtree.Options {
@@ -168,40 +165,25 @@ func (o IndexOptions) treeOptions() tqtree.Options {
 // index keeps its own list of them: later Inserts and Deletes leave the
 // users slice as the caller passed it.
 func NewIndex(users []*Trajectory, opts IndexOptions) (*Index, error) {
-	set, err := trajectory.NewSet(users)
+	s, err := shard.Build(users, shard.Options{Shards: 1, Tree: opts.treeOptions()})
 	if err != nil {
 		return nil, err
 	}
-	tree, err := tqtree.Build(users, opts.treeOptions())
-	if err != nil {
-		return nil, err
-	}
-	return newIndex(query.NewEngine(tree, set)), nil
+	return &Index{querier: querier{s}, s: s}, nil
 }
 
 // Insert adds a user trajectory to the index; a duplicate ID is rejected
 // with ErrDuplicateID. Not safe concurrently with queries.
-func (x *Index) Insert(u *Trajectory) error {
-	if x.set.ByID(u.ID) != nil {
-		return fmt.Errorf("%w: %d", ErrDuplicateID, u.ID)
-	}
-	if err := x.set.Add(u); err != nil {
-		return err
-	}
-	x.engine.Tree().Insert(u)
-	return nil
-}
+func (x *Index) Insert(u *Trajectory) error { return x.s.Insert(u) }
 
 // Delete removes a user trajectory from the index, reporting whether it
 // was present.
 func (x *Index) Delete(u *Trajectory) bool {
-	if x.set.ByID(u.ID) == nil {
+	e := x.s.Engine(0)
+	if e.Users().ByID(u.ID) == nil || !e.Tree().Delete(u) {
 		return false
 	}
-	if !x.engine.Tree().Delete(u) {
-		return false
-	}
-	x.set.Remove(u.ID)
+	e.Users().Remove(u.ID)
 	return true
 }
 
@@ -212,12 +194,12 @@ type ServedUser = query.UserService
 // — the reverse range search underlying kMaxRRST — ordered by service
 // value descending.
 func (x *Index) ServedUsers(f *Facility, q Query) ([]ServedUser, error) {
-	us, _, err := x.engine.ServedUsers(f, q.params())
+	us, _, err := x.s.Engine(0).ServedUsers(f, q.params())
 	return us, err
 }
 
 // Len returns the number of indexed user trajectories.
-func (x *Index) Len() int { return x.set.Len() }
+func (x *Index) Len() int { return x.s.Len() }
 
 // Partitioner assigns trajectories to shards; see HashPartitioner and
 // GridPartitioner for the built-in strategies.
@@ -352,10 +334,11 @@ type AnnealOptions = maxcov.AnnealOptions
 // with the (approximately) maximum combined service, where users may be
 // served jointly by multiple facilities.
 func (x *Index) MaxCoverage(facilities []*Facility, k int, q Query, opts CoverageOptions) (CoverageResult, error) {
-	src := maxcov.EngineSource{Engine: x.engine}
+	e := x.s.Engine(0)
+	src := maxcov.EngineSource{Engine: e}
 	switch opts.Algorithm {
 	case TwoStepGreedy:
-		return maxcov.TwoStepGreedy(x.engine, facilities, k, opts.KPrime, q.params())
+		return maxcov.TwoStepGreedy(e, facilities, k, opts.KPrime, q.params())
 	case FullGreedy:
 		return maxcov.Greedy(src, facilities, k, q.params())
 	case Genetic:
