@@ -273,8 +273,8 @@ func maxCovMethodBenches(c *bench.Context, paperN int, fs []*trajectory.Facility
 } {
 	p := benchParams(service.Binary)
 	bl := c.Baseline("nyt", paperN, tqtree.TwoPoint)
-	engB := c.Engine("nyt", paperN, tqtree.TwoPoint, tqtree.Basic)
-	engZ := c.Engine("nyt", paperN, tqtree.TwoPoint, tqtree.ZOrder)
+	srcB := c.Source("nyt", paperN, tqtree.TwoPoint, tqtree.Basic)
+	srcZ := c.Source("nyt", paperN, tqtree.TwoPoint, tqtree.ZOrder)
 	report := func(b *testing.B, served int) {
 		b.ReportMetric(float64(served), "users-served")
 	}
@@ -296,7 +296,7 @@ func maxCovMethodBenches(c *bench.Context, paperN int, fs []*trajectory.Facility
 		{"G-TQ(B)", func(b *testing.B) {
 			var served int
 			for i := 0; i < b.N; i++ {
-				r, err := maxcov.TwoStepGreedy(engB, fs, benchK, 0, p)
+				r, err := maxcov.TwoStep(srcB, fs, benchK, 0, p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -307,7 +307,7 @@ func maxCovMethodBenches(c *bench.Context, paperN int, fs []*trajectory.Facility
 		{"G-TQ(Z)", func(b *testing.B) {
 			var served int
 			for i := 0; i < b.N; i++ {
-				r, err := maxcov.TwoStepGreedy(engZ, fs, benchK, 0, p)
+				r, err := maxcov.TwoStep(srcZ, fs, benchK, 0, p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -318,7 +318,7 @@ func maxCovMethodBenches(c *bench.Context, paperN int, fs []*trajectory.Facility
 		{"Gn-TQ(Z)", func(b *testing.B) {
 			var served int
 			for i := 0; i < b.N; i++ {
-				r, err := maxcov.Genetic(maxcov.EngineSource{Engine: engZ}, fs, benchK, p,
+				r, err := maxcov.Genetic(srcZ, fs, benchK, p,
 					maxcov.GeneticOptions{Seed: 1})
 				if err != nil {
 					b.Fatal(err)
@@ -365,8 +365,7 @@ func BenchmarkFig11ApproxRatio(b *testing.B) {
 	p := benchParams(service.Binary)
 	for _, n := range []int{16, 32} {
 		fs := c.Routes("ny", n, benchStops)
-		engZ := c.Engine("nyt", datagen.NYT1Day, tqtree.TwoPoint, tqtree.ZOrder)
-		src := maxcov.EngineSource{Engine: engZ}
+		src := c.Source("nyt", datagen.NYT1Day, tqtree.TwoPoint, tqtree.ZOrder)
 		exact, err := maxcov.Exact(src, fs, 4, p)
 		if err != nil {
 			b.Fatal(err)
@@ -374,7 +373,7 @@ func BenchmarkFig11ApproxRatio(b *testing.B) {
 		b.Run(fmt.Sprintf("facilities=%d/method=G-TQ(Z)", n), func(b *testing.B) {
 			var ratio float64
 			for i := 0; i < b.N; i++ {
-				r, err := maxcov.TwoStepGreedy(engZ, fs, 4, 0, p)
+				r, err := maxcov.TwoStep(src, fs, 4, 0, p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -417,7 +416,7 @@ func BenchmarkIndexConstruction(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("users=%s/index=%s", d.label, name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := tqtree.Build(users.All, tqtree.Options{
+					if _, err := tqtree.BuildFrozen(users.All, tqtree.Options{
 						Variant: tqtree.TwoPoint, Ordering: o,
 					}); err != nil {
 						b.Fatal(err)
@@ -436,13 +435,13 @@ func BenchmarkAblationBeta(b *testing.B) {
 	fs := c.Routes("ny", benchFacilities, benchStops)
 	p := benchParams(service.Binary)
 	for _, beta := range []int{16, 64, 256} {
-		tree, err := tqtree.Build(users.All, tqtree.Options{
+		fz, err := tqtree.BuildFrozen(users.All, tqtree.Options{
 			Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder, Beta: beta,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng := query.NewEngine(tree, users)
+		eng := query.NewFrozenEngine(fz, nil)
 		b.Run(fmt.Sprintf("beta=%d", beta), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := eng.TopK(fs, benchK, p); err != nil {
@@ -453,83 +452,16 @@ func BenchmarkAblationBeta(b *testing.B) {
 	}
 }
 
-// BenchmarkServiceValueFrozen — the frozen columnar read path against
-// the pointer tree it was frozen from: single-facility service values
-// over TQ(Z), single-threaded. Both layouts run the same search and
-// return bit-identical answers; the comparison isolates the flat SoA
-// layout's cache behavior.
-func BenchmarkServiceValueFrozen(b *testing.B) {
-	c := ctx()
-	users := c.Users("nyt", datagen.NYT1Day)
-	fs := c.Routes("ny", benchFacilities, benchStops)
-	p := benchParams(service.Binary)
-	tree, err := tqtree.Build(users.All, tqtree.Options{Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder})
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng := query.NewEngine(tree, users)
-	fz, err := tqtree.Freeze(tree)
-	if err != nil {
-		b.Fatal(err)
-	}
-	feng := query.NewFrozenEngine(fz, users)
-	b.Run("layout=pointer", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := eng.ServiceValue(fs[i%len(fs)], p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("layout=frozen", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := feng.ServiceValue(fs[i%len(fs)], p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkTopKFrozen — frozen vs pointer best-first kMaxRRST, serial.
-func BenchmarkTopKFrozen(b *testing.B) {
-	c := ctx()
-	users := c.Users("nyt", datagen.NYT1Day)
-	fs := c.Routes("ny", benchFacilities, benchStops)
-	p := benchParams(service.Binary)
-	tree, err := tqtree.Build(users.All, tqtree.Options{Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder})
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng := query.NewEngine(tree, users)
-	fz, err := tqtree.Freeze(tree)
-	if err != nil {
-		b.Fatal(err)
-	}
-	feng := query.NewFrozenEngine(fz, users)
-	b.Run("layout=pointer", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := eng.TopK(fs, benchK, p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("layout=frozen", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := feng.TopK(fs, benchK, p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkInsert — dynamic maintenance: per-trajectory insert cost into
-// a populated TQ(Z) index (Section III-C).
+// a populated TQ(Z) index (Section III-C), which lands in the delta
+// overlay; rebuilds are left to Compact.
 func BenchmarkInsert(b *testing.B) {
 	c := ctx()
 	users := c.Users("nyt", datagen.NYT1Day)
-	bounds, _ := users.Bounds()
 	fresh := datagen.TaxiTrips(datagen.NewYork(), 1<<16, 99)
-	tree, err := tqtree.Build(users.All, tqtree.Options{
-		Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder, Bounds: bounds.Expand(1000),
+	idx, err := NewLiveIndex(users.All, LiveIndexOptions{
+		Index:  IndexOptions{Ordering: ZOrdering},
+		Policy: LivePolicy{Manual: true},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -541,6 +473,8 @@ func BenchmarkInsert(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tree.Insert(t2)
+		if err := idx.Insert(t2); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -2,10 +2,8 @@ package main
 
 // The `mem` experiment: what each of the six index types holds on the
 // heap per indexed trajectory once the slice it was built from has been
-// dropped — the figure the README's sizing table quotes. The frozen and
-// live types keep a columnar trajectory table and nothing of their input;
-// the mutable pointer-tree types keep the caller's Trajectory objects, so
-// their rows include them.
+// dropped — the figure the README's sizing table quotes. Every type keeps
+// a columnar trajectory table and nothing of its input.
 
 import (
 	"fmt"

@@ -109,21 +109,17 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("unknown scenario %q", *scenario)
 	}
 
-	// Both Index and ShardedIndex answer topk/service; MaxkCovRST remains
-	// single-tree (its coverage solvers need one engine's coverage masks).
+	// Every index type answers every query kind.
 	var idx interface {
 		TopK([]*trajcover.Facility, int, trajcover.Query) ([]trajcover.Ranked, error)
 		ServiceValue(*trajcover.Facility, trajcover.Query) (float64, error)
+		MaxCoverage([]*trajcover.Facility, int, trajcover.Query, trajcover.CoverageOptions) (trajcover.CoverageResult, error)
 	}
-	var single *trajcover.Index
 	var liveIdx *trajcover.LiveShardedIndex
 	if *churn > 0 && !*live {
 		return fmt.Errorf("-churn requires -live")
 	}
 	if *live {
-		if *queryKind == "maxcov" {
-			return fmt.Errorf("query=maxcov is not supported with -live; the coverage solvers need the mutable index")
-		}
 		if *frozen {
 			return fmt.Errorf("-live and -frozen are mutually exclusive")
 		}
@@ -157,9 +153,6 @@ func run(args []string, w io.Writer) error {
 		default:
 			return fmt.Errorf("unknown partitioner %q", *partition)
 		}
-		if *queryKind == "maxcov" {
-			return fmt.Errorf("query=maxcov is not supported with -shards > 1; omit -shards")
-		}
 		sidx, err := trajcover.NewShardedIndex(users, trajcover.ShardOptions{
 			Shards: *shards, Partitioner: part, Index: opts,
 		})
@@ -178,9 +171,6 @@ func run(args []string, w io.Writer) error {
 			idx = sidx
 		}
 	} else if *frozen {
-		if *queryKind == "maxcov" {
-			return fmt.Errorf("query=maxcov is not supported with -frozen; the coverage solvers need the mutable index")
-		}
 		fidx, err := trajcover.NewFrozenIndex(users, opts)
 		if err != nil {
 			return err
@@ -192,7 +182,6 @@ func run(args []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		single = s
 		idx = s
 	}
 
@@ -228,7 +217,7 @@ func run(args []string, w io.Writer) error {
 		default:
 			return fmt.Errorf("unknown algorithm %q", *alg)
 		}
-		res, err := single.MaxCoverage(routes, *k, q, copts)
+		res, err := idx.MaxCoverage(routes, *k, q, copts)
 		if err != nil {
 			return err
 		}

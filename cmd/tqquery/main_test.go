@@ -180,15 +180,25 @@ func resultRows(out string) string {
 	return strings.Join(rows, "\n")
 }
 
-// TestRunShardedRejections covers the sharded-mode error paths.
+// TestRunShardedRejections covers the sharded-mode error paths; a
+// MaxkCovRST query is not one — it answers on sharded, frozen and live
+// indexes as on the single tree.
 func TestRunShardedRejections(t *testing.T) {
 	users, routes := writeWorkload(t)
-	var out strings.Builder
-	if err := run([]string{
-		"-users", users, "-routes", routes, "-query", "maxcov", "-shards", "2",
-	}, &out); err == nil {
-		t.Error("maxcov with shards accepted")
+	var single strings.Builder
+	if err := run([]string{"-users", users, "-routes", routes, "-query", "maxcov", "-k", "3"}, &single); err != nil {
+		t.Fatal(err)
 	}
+	for _, mode := range [][]string{{"-shards", "2"}, {"-shards", "2", "-frozen"}, {"-frozen"}, {"-live", "-shards", "2"}} {
+		var out strings.Builder
+		if err := run(append([]string{"-users", users, "-routes", routes, "-query", "maxcov", "-k", "3"}, mode...), &out); err != nil {
+			t.Fatalf("maxcov %v: %v", mode, err)
+		}
+		if got, want := resultRows(out.String()), resultRows(single.String()); got != want || got == "" {
+			t.Errorf("maxcov %v picks:\n%s\nsingle tree:\n%s", mode, got, want)
+		}
+	}
+	var out strings.Builder
 	if err := run([]string{
 		"-users", users, "-routes", routes, "-query", "topk", "-shards", "2", "-partitioner", "nope",
 	}, &out); err == nil {
@@ -197,7 +207,7 @@ func TestRunShardedRejections(t *testing.T) {
 }
 
 // TestRunLiveTopKMatchesSingleTree: -live serving answers the same
-// top-k as the plain mutable index, for 1 and 2 shards.
+// top-k as the plain Index, for 1 and 2 shards.
 func TestRunLiveTopKMatchesSingleTree(t *testing.T) {
 	users, routes := writeWorkload(t)
 	var single strings.Builder
@@ -249,11 +259,6 @@ func TestRunLiveChurn(t *testing.T) {
 func TestRunLiveRejections(t *testing.T) {
 	users, routes := writeWorkload(t)
 	var out strings.Builder
-	if err := run([]string{
-		"-users", users, "-routes", routes, "-query", "maxcov", "-live",
-	}, &out); err == nil {
-		t.Error("maxcov with -live accepted")
-	}
 	if err := run([]string{
 		"-users", users, "-routes", routes, "-query", "topk", "-live", "-frozen",
 	}, &out); err == nil {

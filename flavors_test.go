@@ -7,8 +7,8 @@ import (
 )
 
 // flavor is the public query surface every index type must expose: the
-// nine kMaxRRST entry points plus Len. The assignments below pin the
-// method set at compile time.
+// nine kMaxRRST entry points, the two coverage queries, and Len. The
+// assignments below pin the method set at compile time.
 type flavor interface {
 	Len() int
 	ServiceValue(f *Facility, q Query) (float64, error)
@@ -20,6 +20,8 @@ type flavor interface {
 	TopKCtx(ctx context.Context, facilities []*Facility, k int, q Query) ([]Ranked, error)
 	TopKParallelCtx(ctx context.Context, facilities []*Facility, k int, q Query, workers int) ([]Ranked, error)
 	ServiceValuesStreamCtx(ctx context.Context, facilities []*Facility, q Query, workers, chunk int, yield StreamVisitor) error
+	ServedUsers(f *Facility, q Query) ([]ServedUser, error)
+	MaxCoverage(facilities []*Facility, k int, q Query, opts CoverageOptions) (CoverageResult, error)
 }
 
 var (

@@ -1,17 +1,15 @@
 package trajcover
 
-// The frozen read path. A built Index (or ShardedIndex) can be frozen
-// into an immutable columnar form — the whole TQ-tree laid out in a
-// handful of contiguous slices — that answers the same queries
-// bit-identically while walking flat arrays instead of chasing pointers:
-// measurably faster single-threaded hot loops, ~zero pointer words for
-// the GC, and snapshots that restore by bulk-reading the slices instead
-// of rebuilding the tree (TQSNAP04/TQSHRD03; see snapshot_frozen.go).
+// The frozen read path. Every index is a set of frozen columnar TQ-trees
+// — each laid out in a handful of contiguous slices with ~zero pointer
+// words for the GC — and a FrozenIndex (or FrozenShardedIndex) is that
+// set with no write path: immutable, and written to and restored from
+// snapshots by bulk-reading the slices instead of rebuilding the tree
+// (TQSNAP04/TQSHRD03; see snapshot_frozen.go).
 //
-// Freeze when the index has stopped changing and is about to serve reads:
-// the mutable Index remains the build/Insert/Delete path, and a serving
-// process re-freezes (or freezes one rebuilt shard at a time) to pick up
-// changes.
+// Freeze an Index or ShardedIndex when it has stopped changing: a shard
+// with no pending writes hands over its base as it is, and any other is
+// folded into a fresh base first.
 
 import (
 	"github.com/trajcover/trajcover/internal/query"
@@ -20,10 +18,9 @@ import (
 )
 
 // FrozenIndex is the immutable columnar form of an Index — a
-// FrozenShardedIndex of one shard. It answers every query bit-identically
-// to the Index it was frozen from, is safe for any number of concurrent
-// readers, and cannot be mutated — Insert/Delete and the coverage-based
-// queries (ServedUsers, MaxCoverage) stay on the mutable Index.
+// FrozenShardedIndex of one shard. It answers every query, coverage ones
+// included, as the Index it was frozen from does, is safe for any number
+// of concurrent readers, and cannot be mutated.
 type FrozenIndex struct {
 	querier
 	s *shard.Frozen
@@ -45,11 +42,11 @@ func frozenIndexOf(f *tqtree.Frozen, err error) (*FrozenIndex, error) {
 	return newFrozenIndex(s), nil
 }
 
-// Freeze produces the frozen columnar form of the index. The index is
-// only read and remains fully usable; the frozen form copies the
-// trajectories into its own table and shares nothing with the index, so
-// dropping the index (and the trajectories it was built from) afterwards
-// releases them.
+// Freeze produces the immutable form of the index's current corpus: the
+// base as it is when no write is pending, else a fresh base built from
+// the corpus as a rebuild would build it. The index is only read and
+// remains fully usable; the frozen form shares only an immutable base
+// with it.
 func (x *Index) Freeze() (*FrozenIndex, error) {
 	s, err := x.s.Freeze()
 	if err != nil {
@@ -59,9 +56,9 @@ func (x *Index) Freeze() (*FrozenIndex, error) {
 }
 
 // NewFrozenIndex builds a frozen index directly from user trajectories:
-// the columns are written straight from the build's partition, with no
-// mutable tree in between, and nothing of users or the trajectories in it
-// is retained. It equals NewIndex followed by Freeze.
+// the columns are written straight from the build's partition, and
+// nothing of users or the trajectories in it is retained. It equals
+// NewIndex followed by Freeze.
 func NewFrozenIndex(users []*Trajectory, opts IndexOptions) (*FrozenIndex, error) {
 	return frozenIndexOf(tqtree.BuildFrozen(users, opts.treeOptions()))
 }
@@ -80,8 +77,9 @@ func newFrozenShardedIndex(s *shard.Frozen) *FrozenShardedIndex {
 	return &FrozenShardedIndex{querier: querier{s}, s: s}
 }
 
-// Freeze produces the frozen serving form of the sharded index, freezing
-// each shard's tree. The source index is only read and remains usable.
+// Freeze produces the frozen serving form of the sharded index, shard by
+// shard as Index.Freeze does. The source index is only read and remains
+// usable.
 func (x *ShardedIndex) Freeze() (*FrozenShardedIndex, error) {
 	s, err := x.s.Freeze()
 	if err != nil {

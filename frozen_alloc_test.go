@@ -6,10 +6,10 @@ import (
 )
 
 // TestFrozenServiceValueAllocs asserts the frozen hot path stays within
-// the pooled pointer path's allocation budget: at most 1 alloc/op (the
-// PR 1 pooling target) and never more than the pointer path itself. Both
-// paths draw scratch from sync.Pools, so a couple of warm-up queries
-// populate them before measuring.
+// its allocation budget: at most 1 alloc/op (the pooling target) and
+// never more than the Index it was frozen from, which also captures its
+// epoch. Both draw scratch from sync.Pools, so a couple of warm-up
+// queries populate them before measuring.
 func TestFrozenServiceValueAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are not meaningful under -race: sync.Pool drops items deliberately")
@@ -34,7 +34,7 @@ func TestFrozenServiceValueAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ptr := testing.AllocsPerRun(200, func() {
+	live := testing.AllocsPerRun(200, func() {
 		if _, err := idx.ServiceValue(routes[0], q); err != nil {
 			t.Fatal(err)
 		}
@@ -44,12 +44,12 @@ func TestFrozenServiceValueAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("ServiceValue allocs/op: pointer %.2f, frozen %.2f", ptr, frozen)
+	t.Logf("ServiceValue allocs/op: Index %.2f, frozen %.2f", live, frozen)
 	if frozen > 1 {
 		t.Fatalf("frozen ServiceValue allocates %.2f/op, want <= 1", frozen)
 	}
-	if frozen > ptr+0.5 {
-		t.Fatalf("frozen ServiceValue allocates %.2f/op, pointer path %.2f/op", frozen, ptr)
+	if frozen > live+0.5 {
+		t.Fatalf("frozen ServiceValue allocates %.2f/op, Index %.2f/op", frozen, live)
 	}
 }
 

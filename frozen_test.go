@@ -31,11 +31,11 @@ func frozenCases(t testing.TB) []frozenCase {
 	}
 }
 
-// TestFrozenEquivalence proves the frozen columnar index answers
-// ServiceValues and TopK bit-identically to the pointer tree it was
-// frozen from, across all variants, both orderings, and every scenario
-// the variant supports — including identical work metrics, because both
-// layouts run the same search in the same order.
+// TestFrozenEquivalence proves the frozen index answers ServiceValues and
+// TopK bit-identically to the Index it was frozen from, across all
+// variants, both orderings, and every scenario the variant supports —
+// including identical work metrics, because both run the same search over
+// the same base.
 func TestFrozenEquivalence(t *testing.T) {
 	routes := BusRoutes(NewYorkCity(), 48, 12, 3)
 	const k = 6
@@ -67,7 +67,7 @@ func TestFrozenEquivalence(t *testing.T) {
 					}
 					for i := range want {
 						if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-							t.Fatalf("%v ServiceValues[%d]: pointer %v, frozen %v", sc, i, want[i], got[i])
+							t.Fatalf("%v ServiceValues[%d]: index %v, frozen %v", sc, i, want[i], got[i])
 						}
 					}
 					// The concurrent batch must agree with the serial one.
@@ -77,7 +77,7 @@ func TestFrozenEquivalence(t *testing.T) {
 					}
 					for i := range want {
 						if math.Float64bits(want[i]) != math.Float64bits(got3[i]) {
-							t.Fatalf("%v ServiceValues[%d] (3 workers): pointer %v, frozen %v", sc, i, want[i], got3[i])
+							t.Fatalf("%v ServiceValues[%d] (3 workers): index %v, frozen %v", sc, i, want[i], got3[i])
 						}
 					}
 
@@ -91,7 +91,7 @@ func TestFrozenEquivalence(t *testing.T) {
 					}
 					compareRanked(t, sc, wantTop, gotTop)
 					if wantM != gotM {
-						t.Fatalf("%v TopK metrics: pointer %+v, frozen %+v", sc, wantM, gotM)
+						t.Fatalf("%v TopK metrics: index %+v, frozen %+v", sc, wantM, gotM)
 					}
 
 					gotPar, err := fz.TopKParallel(routes, k, q, 4)
@@ -108,14 +108,14 @@ func TestFrozenEquivalence(t *testing.T) {
 func compareRanked(t *testing.T, sc Scenario, want, got []Ranked) {
 	t.Helper()
 	if len(want) != len(got) {
-		t.Fatalf("%v TopK: pointer returned %d results, frozen %d", sc, len(want), len(got))
+		t.Fatalf("%v TopK: index returned %d results, frozen %d", sc, len(want), len(got))
 	}
 	for i := range want {
 		if want[i].Facility.ID != got[i].Facility.ID {
-			t.Fatalf("%v TopK[%d]: pointer facility %d, frozen %d", sc, i, want[i].Facility.ID, got[i].Facility.ID)
+			t.Fatalf("%v TopK[%d]: index facility %d, frozen %d", sc, i, want[i].Facility.ID, got[i].Facility.ID)
 		}
 		if math.Float64bits(want[i].Service) != math.Float64bits(got[i].Service) {
-			t.Fatalf("%v TopK[%d]: pointer service %v, frozen %v", sc, i, want[i].Service, got[i].Service)
+			t.Fatalf("%v TopK[%d]: index service %v, frozen %v", sc, i, want[i].Service, got[i].Service)
 		}
 	}
 }
@@ -213,8 +213,8 @@ func TestNewFrozenIndex(t *testing.T) {
 	compareRanked(t, q.Scenario, want, got)
 }
 
-// TestFrozenRejectsUnsupportedScenario mirrors the pointer tree's
-// scenario validation on the frozen path.
+// TestFrozenRejectsUnsupportedScenario pins the frozen path's scenario
+// validation.
 func TestFrozenRejectsUnsupportedScenario(t *testing.T) {
 	ny := NewYorkCity()
 	users := Checkins(ny, 200, 5, 19)

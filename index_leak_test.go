@@ -7,14 +7,13 @@ import (
 	"time"
 )
 
-// TestDeleteReleasesTrajectories: a trajectory deleted from a mutable
-// Index is unreachable from it — not through the tail slot a list delete
-// shifts past, an emptied bucket, the half a bucket split moved away, a
-// drained leaf, or the build's shared entry slab that a list grown by an
-// Insert has left. A quarter of the corpus stays indexed while the rest
-// is deleted, so the lists those stale copies would hide in stay alive;
-// then the quarter goes too. Every deleted trajectory's finalizer must
-// run.
+// TestDeleteReleasesTrajectories: a trajectory deleted from an Index is
+// unreachable from it. A built one never was reachable — the base copies
+// points into its table — and an inserted one lives in the delta overlay
+// only until its delete (or a background rebuild) drops it, not in a
+// stale slot of a rewritten overlay. A quarter of the corpus stays
+// indexed while the rest is deleted, so the index stays alive; then the
+// quarter goes too. Every deleted trajectory's finalizer must run.
 func TestDeleteReleasesTrajectories(t *testing.T) {
 	for _, o := range []Ordering{BasicOrdering, ZOrdering} {
 		t.Run(o.String(), func(t *testing.T) {
@@ -43,9 +42,8 @@ func TestDeleteReleasesTrajectories(t *testing.T) {
 					}
 				}
 			}
-			// Deletes before the Inserts leave lists shorter than their
-			// windows on the build's slab, so Inserts fill those windows
-			// before they grow out of them.
+			// Deletes before the Inserts tombstone base trajectories;
+			// deletes after them drop overlay ones too.
 			del(drop[:built/2])
 			for _, u := range users[built:] {
 				if err := idx.Insert(u); err != nil {

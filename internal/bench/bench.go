@@ -15,6 +15,7 @@ import (
 	"github.com/trajcover/trajcover/internal/datagen"
 	"github.com/trajcover/trajcover/internal/query"
 	"github.com/trajcover/trajcover/internal/service"
+	"github.com/trajcover/trajcover/internal/shard"
 	"github.com/trajcover/trajcover/internal/tqtree"
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
@@ -141,8 +142,7 @@ type Context struct {
 	bj *datagen.City
 
 	users   map[string]*trajectory.Set
-	trees   map[string]*tqtree.Tree
-	engines map[string]*query.Engine
+	engines map[string]*query.FrozenEngine
 	bases   map[string]*query.Baseline
 	routes  map[string][]*trajectory.Facility
 }
@@ -154,8 +154,7 @@ func NewContext(cfg Config) *Context {
 		ny:      datagen.NewYork(),
 		bj:      datagen.Beijing(),
 		users:   map[string]*trajectory.Set{},
-		trees:   map[string]*tqtree.Tree{},
-		engines: map[string]*query.Engine{},
+		engines: map[string]*query.FrozenEngine{},
 		bases:   map[string]*query.Baseline{},
 		routes:  map[string][]*trajectory.Facility{},
 	}
@@ -227,19 +226,37 @@ func (c *Context) Routes(city string, n, stops int) []*trajectory.Facility {
 
 // Engine returns a memoized query engine over the given dataset/variant/
 // ordering.
-func (c *Context) Engine(kind string, paperN int, v tqtree.Variant, o tqtree.Ordering) *query.Engine {
+func (c *Context) Engine(kind string, paperN int, v tqtree.Variant, o tqtree.Ordering) *query.FrozenEngine {
 	users := c.Users(kind, paperN)
 	key := fmt.Sprintf("%s/%d/%v/%v", kind, users.Len(), v, o)
 	if e, ok := c.engines[key]; ok {
 		return e
 	}
-	tree, err := tqtree.Build(users.All, tqtree.Options{Variant: v, Ordering: o})
+	e, err := buildEngine(users.All, tqtree.Options{Variant: v, Ordering: o})
 	if err != nil {
 		panic(fmt.Sprintf("bench: build tree: %v", err))
 	}
-	e := query.NewEngine(tree, users)
 	c.engines[key] = e
 	return e
+}
+
+func buildEngine(users []*trajectory.Trajectory, opts tqtree.Options) (*query.FrozenEngine, error) {
+	fz, err := tqtree.BuildFrozen(users, opts)
+	if err != nil {
+		return nil, err
+	}
+	return query.NewFrozenEngine(fz, nil), nil
+}
+
+// Source serves the memoized Engine of the same arguments as a
+// MaxkCovRST coverage source.
+func (c *Context) Source(kind string, paperN int, v tqtree.Variant, o tqtree.Ordering) *shard.Source {
+	e := c.Engine(kind, paperN, v, o)
+	f, err := shard.FrozenFromEngines([]*query.FrozenEngine{e}, e.Frozen().Bounds(), "")
+	if err != nil {
+		panic(fmt.Sprintf("bench: source: %v", err))
+	}
+	return f.Source()
 }
 
 // Baseline returns a memoized baseline index over the dataset.

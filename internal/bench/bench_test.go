@@ -27,7 +27,6 @@ func TestRegistryCoversEveryFigure(t *testing.T) {
 		"thrpt",
 		"pbuild",
 		"shards",
-		"frozen",
 		"churn",
 		"bound",
 	}

@@ -75,7 +75,7 @@ func expBound(ctx *Context) (*Table, error) {
 
 // boundRow is one row of expBound: {median UB/exact, min UB/exact, rank
 // gap at k, facilities the bound ranks below the k-th value}.
-func boundRow(eng *query.Engine, fs []*trajectory.Facility, k int, p query.Params) ([]float64, error) {
+func boundRow(eng *query.FrozenEngine, fs []*trajectory.Facility, k int, p query.Params) ([]float64, error) {
 	exact, _, err := eng.ServiceValues(fs, p, 0)
 	if err != nil {
 		return nil, err

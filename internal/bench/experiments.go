@@ -58,7 +58,6 @@ func Registry() []Experiment {
 		{ID: "thrpt", Title: "extra — batch kMaxRRST throughput vs worker count (NYT, not in the paper)", Run: expThroughput},
 		{ID: "pbuild", Title: "extra — TQ(Z) construction (pointer tree and frozen columns) vs build parallelism (NYT, not in the paper)", Run: expParallelBuild},
 		{ID: "shards", Title: "extra — sharded scatter-gather build time and throughput vs shard count (NYT, not in the paper)", Run: expShards},
-		{ID: "frozen", Title: "extra — frozen columnar vs pointer TQ(Z) read path (NYT, not in the paper)", Run: expFrozen},
 		{ID: "churn", Title: "extra — query latency under live insert/delete churn with background epoch swaps (NYT, not in the paper)", Run: expChurn},
 		{ID: "bound", Title: "extra — seed upper bound tightness (UB/exact, rank gap at k) and stop-rule cuts over the N, k, ψ sweeps (NYT, BJG; not in the paper)", Run: expBound},
 	}
@@ -67,81 +66,6 @@ func Registry() []Experiment {
 
 // shardAxis sweeps the number of TQ-tree shards.
 var shardAxis = []int{1, 2, 4, 8}
-
-// expFrozen measures the frozen columnar read path against the pointer
-// tree it was frozen from: single-threaded ServiceValues batch rate and
-// serial TopK rate over the default NYT configuration. Both run the same
-// search (byte-identical answers); the frozen series isolates what the
-// flat SoA layout buys the hot loops.
-func expFrozen(ctx *Context) (*Table, error) {
-	t := &Table{
-		ID: "frozen", Title: "frozen columnar vs pointer TQ(Z) read path (NYT)",
-		XLabel: "operation", YLabel: "ops/sec single-threaded (freeze series: seconds)",
-		Series: []Series{{Method: "pointer"}, {Method: "frozen"}},
-	}
-	eng := ctx.Engine(dsNYT, datagen.NYT1Day, tqtree.TwoPoint, tqtree.ZOrder)
-	fz, err := tqtree.Freeze(eng.Tree())
-	if err != nil {
-		return nil, err
-	}
-	feng := query.NewFrozenEngine(fz, nil)
-	fs := ctx.Routes("ny", defaultFacilities, defaultStops)
-	p := ctx.Params(service.Binary)
-
-	var qerr error
-	measure := func(fn func() error) float64 {
-		sec := ctx.Time(func() {
-			if err := fn(); err != nil {
-				qerr = err
-			}
-		})
-		return sec
-	}
-	rate := func(ops int, sec float64) float64 {
-		if sec <= 0 {
-			return 0
-		}
-		return float64(ops) / sec
-	}
-
-	svPtr := measure(func() error { _, _, err := eng.ServiceValues(fs, p, 1); return err })
-	svFz := measure(func() error { _, _, err := feng.ServiceValues(fs, p, 1); return err })
-	t.XTicks = append(t.XTicks, "ServiceValues")
-	appendRow(t, rate(len(fs), svPtr), rate(len(fs), svFz))
-
-	tkPtr := measure(func() error { _, _, err := eng.TopK(fs, defaultK, p); return err })
-	tkFz := measure(func() error { _, _, err := feng.TopK(fs, defaultK, p); return err })
-	t.XTicks = append(t.XTicks, "TopK")
-	appendRow(t, rate(1, tkPtr), rate(1, tkFz))
-	if qerr != nil {
-		return nil, qerr
-	}
-
-	// The freeze step itself, so the trajectory records what entering the
-	// frozen regime costs relative to a build (pointer series: Build), and
-	// what it costs without the pointer tree: Build + Freeze against
-	// BuildFrozen, which every served index runs.
-	opts := tqtree.Options{Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder}
-	buildSec := ctx.Time(func() {
-		if _, err := tqtree.Build(eng.Users().All, opts); err != nil {
-			panic(err)
-		}
-	})
-	freezeSec := ctx.Time(func() {
-		if _, err := tqtree.Freeze(eng.Tree()); err != nil {
-			panic(err)
-		}
-	})
-	directSec := ctx.Time(func() {
-		if _, err := tqtree.BuildFrozen(eng.Users().All, opts); err != nil {
-			panic(err)
-		}
-	})
-	t.XTicks = append(t.XTicks, "build/freeze(s)", "build+freeze/buildfrozen(s)")
-	appendRow(t, buildSec, freezeSec)
-	appendRow(t, buildSec+freezeSec, directSec)
-	return t, nil
-}
 
 // expShards measures the sharded serving path: index build time,
 // ServiceValues batch throughput, and scatter-gather kMaxRRST (TopK)
@@ -163,10 +87,10 @@ func expShards(ctx *Context) (*Table, error) {
 		opts := shard.Options{Shards: n, Tree: tqtree.Options{
 			Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder,
 		}}
-		var s *shard.Sharded
+		var s *shard.Live
 		var berr error
 		buildSec := ctx.Time(func() {
-			s, berr = shard.Build(users.All, opts)
+			s, berr = shard.BuildLive(users.All, opts, shard.Policy{Manual: true})
 		})
 		if berr != nil {
 			return nil, berr
@@ -298,11 +222,10 @@ func expScaling(ctx *Context) (*Table, error) {
 		n := int(frac * float64(datagen.NYT3Days))
 		users := trajectory.MustNewSet(datagen.TaxiTrips(datagen.NewYork(), n, ctx.Cfg.Seed+77))
 		bl := query.NewBaseline(users, tqtree.TwoPoint)
-		tree, err := tqtree.Build(users.All, tqtree.Options{Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder})
+		eng, err := buildEngine(users.All, tqtree.Options{Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder})
 		if err != nil {
 			return nil, err
 		}
-		eng := query.NewEngine(tree, users)
 		var qerr error
 		blSec := ctx.Time(func() {
 			if _, e := bl.TopK(fs, defaultK, p); e != nil {
@@ -392,7 +315,7 @@ func expDatasets(ctx *Context) (*Table, error) {
 }
 
 // timeServiceValue measures the average per-facility service-value time.
-func timeServiceValue(ctx *Context, eng *query.Engine, bl *query.Baseline, fs []*trajectory.Facility, p query.Params) (blSec, tqSec float64, err error) {
+func timeServiceValue(ctx *Context, eng *query.FrozenEngine, bl *query.Baseline, fs []*trajectory.Facility, p query.Params) (blSec, tqSec float64, err error) {
 	probe := fs
 	if len(probe) > 16 {
 		probe = probe[:16]
@@ -667,8 +590,8 @@ func expFig9b(ctx *Context) (*Table, error) {
 func maxCovMethods(ctx *Context, paperN int, fs []*trajectory.Facility, k int) (secs, served []float64, err error) {
 	p := ctx.Params(service.Binary)
 	bl := ctx.Baseline(dsNYT, paperN, tqtree.TwoPoint)
-	engB := ctx.Engine(dsNYT, paperN, tqtree.TwoPoint, tqtree.Basic)
-	engZ := ctx.Engine(dsNYT, paperN, tqtree.TwoPoint, tqtree.ZOrder)
+	srcB := ctx.Source(dsNYT, paperN, tqtree.TwoPoint, tqtree.Basic)
+	srcZ := ctx.Source(dsNYT, paperN, tqtree.TwoPoint, tqtree.ZOrder)
 
 	var res maxcov.Result
 	run := func(fn func() (maxcov.Result, error)) float64 {
@@ -688,19 +611,19 @@ func maxCovMethods(ctx *Context, paperN int, fs []*trajectory.Facility, k int) (
 	served = append(served, float64(res.UsersServed))
 	// G-TQ(B): two-step greedy over TQ-tree basic.
 	sec = run(func() (maxcov.Result, error) {
-		return maxcov.TwoStepGreedy(engB, fs, k, 0, p)
+		return maxcov.TwoStep(srcB, fs, k, 0, p)
 	})
 	secs = append(secs, sec)
 	served = append(served, float64(res.UsersServed))
 	// G-TQ(Z): two-step greedy over TQ-tree z-order.
 	sec = run(func() (maxcov.Result, error) {
-		return maxcov.TwoStepGreedy(engZ, fs, k, 0, p)
+		return maxcov.TwoStep(srcZ, fs, k, 0, p)
 	})
 	secs = append(secs, sec)
 	served = append(served, float64(res.UsersServed))
 	// Gn-TQ(Z): genetic over TQ-tree z-order coverage.
 	sec = run(func() (maxcov.Result, error) {
-		return maxcov.Genetic(maxcov.EngineSource{Engine: engZ}, fs, k, p,
+		return maxcov.Genetic(srcZ, fs, k, p,
 			maxcov.GeneticOptions{Seed: ctx.Cfg.Seed})
 	})
 	secs = append(secs, sec)
@@ -780,8 +703,7 @@ const fig11K = 4
 
 func approxRatios(ctx *Context, paperN int, fs []*trajectory.Facility) (greedy, genetic float64, err error) {
 	p := ctx.Params(service.Binary)
-	engZ := ctx.Engine(dsNYT, paperN, tqtree.TwoPoint, tqtree.ZOrder)
-	src := maxcov.EngineSource{Engine: engZ}
+	src := ctx.Source(dsNYT, paperN, tqtree.TwoPoint, tqtree.ZOrder)
 	exact, err := maxcov.Exact(src, fs, fig11K, p)
 	if err != nil {
 		return 0, 0, err
@@ -789,7 +711,7 @@ func approxRatios(ctx *Context, paperN int, fs []*trajectory.Facility) (greedy, 
 	if exact.Value == 0 {
 		return 1, 1, nil
 	}
-	g, err := maxcov.TwoStepGreedy(engZ, fs, fig11K, 0, p)
+	g, err := maxcov.TwoStep(src, fs, fig11K, 0, p)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -846,14 +768,14 @@ func expBuild(ctx *Context) (*Table, error) {
 		users := ctx.Users(dsNYT, userDaySizes[i])
 		var tb, tz float64
 		tb = ctx.Time(func() {
-			if _, err := tqtree.Build(users.All, tqtree.Options{
+			if _, err := tqtree.BuildFrozen(users.All, tqtree.Options{
 				Variant: tqtree.TwoPoint, Ordering: tqtree.Basic,
 			}); err != nil {
 				panic(err)
 			}
 		})
 		tz = ctx.Time(func() {
-			if _, err := tqtree.Build(users.All, tqtree.Options{
+			if _, err := tqtree.BuildFrozen(users.All, tqtree.Options{
 				Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder,
 			}); err != nil {
 				panic(err)

@@ -13,7 +13,7 @@ func TestAnnealNeverBeatsExactAndBeatsRandom(t *testing.T) {
 	users := makeUsers(300, 70)
 	facilities := makeFacilities(14, 5, 71)
 	eng := engineFor(t, users, tqtree.ZOrder)
-	src := EngineSource{Engine: eng}
+	src := eng
 
 	exact, err := Exact(src, facilities, 3, params)
 	if err != nil {
@@ -57,7 +57,7 @@ func TestAnnealDeterministic(t *testing.T) {
 	users := makeUsers(200, 73)
 	facilities := makeFacilities(20, 5, 74)
 	eng := engineFor(t, users, tqtree.ZOrder)
-	src := EngineSource{Engine: eng}
+	src := eng
 	a, err := Anneal(src, facilities, 4, params, AnnealOptions{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestAnnealEdgeCases(t *testing.T) {
 	users := makeUsers(50, 75)
 	facilities := makeFacilities(4, 4, 76)
 	eng := engineFor(t, users, tqtree.ZOrder)
-	src := EngineSource{Engine: eng}
+	src := eng
 	if r, err := Anneal(src, facilities, 0, params, AnnealOptions{}); err != nil || len(r.Facilities) != 0 {
 		t.Errorf("k=0: %+v %v", r, err)
 	}

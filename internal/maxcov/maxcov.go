@@ -5,9 +5,9 @@
 //
 //   - Greedy: the straightforward greedy over all facilities (the paper's
 //     G-BL / G-TQ building block).
-//   - TwoStepGreedy: the paper's solution — first prune to the k' highest
-//     individually-serving facilities with the kMaxRRST engine, then run
-//     greedy on the pruned set (G-TQ(B), G-TQ(Z)).
+//   - TwoStep: the paper's solution — first prune to the k' highest
+//     individually-serving facilities with the served kMaxRRST pass, then
+//     run greedy on the pruned set (G-TQ(B), G-TQ(Z)).
 //   - Genetic: the Gn-TQ(Z) comparison point, a genetic algorithm over
 //     k-subsets.
 //   - Exact: exhaustive subset enumeration, the approximation-ratio
@@ -22,37 +22,22 @@ import (
 
 	"github.com/trajcover/trajcover/internal/query"
 	"github.com/trajcover/trajcover/internal/service"
+	"github.com/trajcover/trajcover/internal/shard"
 	"github.com/trajcover/trajcover/internal/tqtree"
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
-// CoverageSource produces per-facility coverage masks. Both the TQ-tree
-// engine and the baseline satisfy it (see EngineSource / BaselineSource).
+// CoverageSource produces per-facility coverage masks: a TQ-tree index's
+// shards captured once (*shard.Source, the source every public index
+// type answers through) or the baseline (BaselineSource).
 type CoverageSource interface {
 	// Coverage returns which points of which users the facility covers.
 	Coverage(f *trajectory.Facility, p query.Params) (service.Coverage, error)
-	// Users is the user set coverage is computed against.
-	Users() *trajectory.Set
+	// User resolves a covered user's ID to its trajectory.
+	User(id trajectory.ID) *trajectory.Trajectory
 	// Variant selects the objective translation for mask values.
 	Variant() tqtree.Variant
 }
-
-// EngineSource adapts a kMaxRRST engine into a CoverageSource.
-type EngineSource struct {
-	Engine *query.Engine
-}
-
-// Coverage implements CoverageSource.
-func (s EngineSource) Coverage(f *trajectory.Facility, p query.Params) (service.Coverage, error) {
-	cov, _, err := s.Engine.Coverage(f, p)
-	return cov, err
-}
-
-// Users implements CoverageSource.
-func (s EngineSource) Users() *trajectory.Set { return s.Engine.Users() }
-
-// Variant implements CoverageSource.
-func (s EngineSource) Variant() tqtree.Variant { return s.Engine.Tree().Variant() }
 
 // BaselineSource adapts the point-quadtree baseline into a CoverageSource.
 type BaselineSource struct {
@@ -64,8 +49,10 @@ func (s BaselineSource) Coverage(f *trajectory.Facility, p query.Params) (servic
 	return s.Baseline.Coverage(f, p)
 }
 
-// Users implements CoverageSource.
-func (s BaselineSource) Users() *trajectory.Set { return s.Baseline.Users() }
+// User implements CoverageSource.
+func (s BaselineSource) User(id trajectory.ID) *trajectory.Trajectory {
+	return s.Baseline.Users().ByID(id)
+}
 
 // Variant implements CoverageSource.
 func (s BaselineSource) Variant() tqtree.Variant { return s.Baseline.Variant() }
@@ -82,11 +69,13 @@ type Result struct {
 	UsersServed int
 }
 
-// covCache precomputes and stores per-facility coverages.
+// covCache precomputes and stores per-facility coverages, with every
+// covered user resolved once.
 type covCache struct {
-	src  CoverageSource
-	p    query.Params
-	covs map[trajectory.ID]service.Coverage
+	variant tqtree.Variant
+	p       query.Params
+	covs    map[trajectory.ID]service.Coverage
+	users   map[trajectory.ID]*trajectory.Trajectory
 
 	// Binary fast path (non-Segmented variants): per-facility bitsets of
 	// users whose source / destination the facility covers, over a dense
@@ -98,23 +87,48 @@ type covCache struct {
 }
 
 func newCovCache(src CoverageSource, facilities []*trajectory.Facility, p query.Params) (*covCache, error) {
-	c := &covCache{src: src, p: p, covs: make(map[trajectory.ID]service.Coverage, len(facilities))}
+	if err := distinctIDs(facilities); err != nil {
+		return nil, err
+	}
+	c := &covCache{
+		variant: src.Variant(),
+		p:       p,
+		covs:    make(map[trajectory.ID]service.Coverage, len(facilities)),
+		users:   map[trajectory.ID]*trajectory.Trajectory{},
+	}
 	for _, f := range facilities {
 		cov, err := src.Coverage(f, p)
 		if err != nil {
 			return nil, fmt.Errorf("maxcov: coverage of facility %d: %w", f.ID, err)
 		}
 		c.covs[f.ID] = cov
+		for id := range cov {
+			if _, ok := c.users[id]; !ok {
+				c.users[id] = src.User(id)
+			}
+		}
 	}
-	if p.Scenario == service.Binary && src.Variant() != tqtree.Segmented {
+	if p.Scenario == service.Binary && c.variant != tqtree.Segmented {
 		c.buildBinaryPack(facilities)
 	}
 	return c, nil
 }
 
+// distinctIDs rejects a facility list that names one ID twice: coverages
+// are keyed by facility ID, so the two would be scored as one.
+func distinctIDs(facilities []*trajectory.Facility) error {
+	seen := make(map[trajectory.ID]struct{}, len(facilities))
+	for _, f := range facilities {
+		if _, dup := seen[f.ID]; dup {
+			return fmt.Errorf("maxcov: duplicate facility id %d", f.ID)
+		}
+		seen[f.ID] = struct{}{}
+	}
+	return nil
+}
+
 // buildBinaryPack assembles the Binary fast-path bitsets.
 func (c *covCache) buildBinaryPack(facilities []*trajectory.Facility) {
-	users := c.src.Users()
 	c.binIdx = map[trajectory.ID]int{}
 	for _, cov := range c.covs {
 		for id := range cov {
@@ -130,15 +144,11 @@ func (c *covCache) buildBinaryPack(facilities []*trajectory.Facility) {
 		srcBits := make([]uint64, words)
 		dstBits := make([]uint64, words)
 		for id, m := range c.covs[f.ID] {
-			u := users.ByID(id)
-			if u == nil {
-				continue
-			}
 			bit := c.binIdx[id]
 			if m.Get(0) {
 				srcBits[bit/64] |= 1 << (uint(bit) % 64)
 			}
-			if m.Get(u.Len() - 1) {
+			if m.Get(c.users[id].Len() - 1) {
 				dstBits[bit/64] |= 1 << (uint(bit) % 64)
 			}
 		}
@@ -170,7 +180,7 @@ func (c *covCache) binarySubsetValue(subset []*trajectory.Facility, srcBuf, dstB
 
 // valueOf returns the objective value of a single user's mask.
 func (c *covCache) valueOf(u *trajectory.Trajectory, m service.Mask) float64 {
-	return query.ObjectiveFromMask(c.src.Variant(), c.p.Scenario, u, m)
+	return query.ObjectiveFromMask(c.variant, c.p.Scenario, u, m)
 }
 
 // subsetValue computes SO(U, F') for a subset by mask union.
@@ -179,12 +189,9 @@ func (c *covCache) subsetValue(subset []*trajectory.Facility) float64 {
 	for _, f := range subset {
 		merged.Merge(c.covs[f.ID])
 	}
-	users := c.src.Users()
 	var total float64
 	for id, m := range merged {
-		if u := users.ByID(id); u != nil {
-			total += c.valueOf(u, m)
-		}
+		total += c.valueOf(c.users[id], m)
 	}
 	return total
 }
@@ -195,10 +202,9 @@ func (c *covCache) usersServed(subset []*trajectory.Facility) int {
 	for _, f := range subset {
 		merged.Merge(c.covs[f.ID])
 	}
-	users := c.src.Users()
 	n := 0
 	for id, m := range merged {
-		if u := users.ByID(id); u != nil && c.valueOf(u, m) > 0 {
+		if c.valueOf(c.users[id], m) > 0 {
 			n++
 		}
 	}
@@ -226,13 +232,8 @@ func newGreedyState(cache *covCache) *greedyState {
 // the state.
 func (g *greedyState) marginal(f *trajectory.Facility) float64 {
 	cov := g.cache.covs[f.ID]
-	users := g.cache.src.Users()
 	var delta float64
 	for id, m := range cov {
-		u := users.ByID(id)
-		if u == nil {
-			continue
-		}
 		var unioned service.Mask
 		if cur, ok := g.merged[id]; ok {
 			unioned = cur.Clone()
@@ -240,7 +241,7 @@ func (g *greedyState) marginal(f *trajectory.Facility) float64 {
 		} else {
 			unioned = m
 		}
-		delta += g.cache.valueOf(u, unioned) - g.curVal[id]
+		delta += g.cache.valueOf(g.cache.users[id], unioned) - g.curVal[id]
 	}
 	return delta
 }
@@ -248,14 +249,9 @@ func (g *greedyState) marginal(f *trajectory.Facility) float64 {
 // add commits f to the chosen set.
 func (g *greedyState) add(f *trajectory.Facility) {
 	cov := g.cache.covs[f.ID]
-	users := g.cache.src.Users()
 	g.merged.Merge(cov)
 	for id := range cov {
-		u := users.ByID(id)
-		if u == nil {
-			continue
-		}
-		v := g.cache.valueOf(u, g.merged[id])
+		v := g.cache.valueOf(g.cache.users[id], g.merged[id])
 		g.total += v - g.curVal[id]
 		g.curVal[id] = v
 	}
@@ -317,13 +313,17 @@ func DefaultCandidateSize(k, n int) int {
 	return kp
 }
 
-// TwoStepGreedy is the paper's MaxkCovRST solution: step 1 selects the
-// kPrime facilities with the highest individual service using the
-// best-first kMaxRRST search; step 2 runs the greedy on that candidate
-// set. kPrime <= 0 selects DefaultCandidateSize(k, len(facilities)).
-func TwoStepGreedy(eng *query.Engine, facilities []*trajectory.Facility, k, kPrime int, p query.Params) (Result, error) {
+// TwoStep is the paper's MaxkCovRST solution: step 1 selects the kPrime
+// facilities with the highest individual service — the served exact pass
+// over src, sorted and cut by query.Results; step 2 runs the greedy on
+// that candidate set. kPrime <= 0 selects DefaultCandidateSize(k,
+// len(facilities)).
+func TwoStep(src *shard.Source, facilities []*trajectory.Facility, k, kPrime int, p query.Params) (Result, error) {
 	if k <= 0 || len(facilities) == 0 {
 		return Result{}, nil
+	}
+	if err := distinctIDs(facilities); err != nil {
+		return Result{}, err
 	}
 	if k > len(facilities) {
 		k = len(facilities)
@@ -331,25 +331,34 @@ func TwoStepGreedy(eng *query.Engine, facilities []*trajectory.Facility, k, kPri
 	if kPrime <= 0 {
 		kPrime = DefaultCandidateSize(k, len(facilities))
 	}
-	if kPrime < k {
-		kPrime = k
-	}
-	if kPrime > len(facilities) {
-		kPrime = len(facilities)
-	}
-	top, _, err := eng.TopK(facilities, kPrime, p)
+	kPrime = min(max(kPrime, k), len(facilities))
+	vals, err := src.ServiceValues(facilities, p)
 	if err != nil {
 		return Result{}, err
 	}
+	top := query.Results(facilities, vals, kPrime)
 	candidates := make([]*trajectory.Facility, len(top))
 	for i, r := range top {
 		candidates[i] = r.Facility
 	}
-	cache, err := newCovCache(EngineSource{Engine: eng}, candidates, p)
+	cache, err := newCovCache(src, candidates, p)
 	if err != nil {
 		return Result{}, err
 	}
 	return greedyFromCache(cache, candidates, k), nil
+}
+
+// TwoStepGreedy is TwoStep over the pointer tree eng holds, frozen first.
+func TwoStepGreedy(eng *query.Engine, facilities []*trajectory.Facility, k, kPrime int, p query.Params) (Result, error) {
+	fz, err := tqtree.Freeze(eng.Tree())
+	if err != nil {
+		return Result{}, err
+	}
+	f, err := shard.FrozenFromEngines([]*query.FrozenEngine{query.NewFrozenEngine(fz, nil)}, fz.Bounds(), "")
+	if err != nil {
+		return Result{}, err
+	}
+	return TwoStep(f.Source(), facilities, k, kPrime, p)
 }
 
 // Exact enumerates every size-k subset and returns the best — feasible

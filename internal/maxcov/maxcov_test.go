@@ -3,11 +3,14 @@ package maxcov
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/trajcover/trajcover/internal/geo"
 	"github.com/trajcover/trajcover/internal/query"
 	"github.com/trajcover/trajcover/internal/service"
+	"github.com/trajcover/trajcover/internal/shard"
 	"github.com/trajcover/trajcover/internal/tqtree"
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
@@ -52,15 +55,21 @@ func makeFacilities(n, stops int, seed int64) []*trajectory.Facility {
 	return out
 }
 
-func engineFor(t *testing.T, users *trajectory.Set, ordering tqtree.Ordering) *query.Engine {
+// engineFor indexes users in one TwoPoint frozen shard and returns it as
+// the source every public index type hands its solvers.
+func engineFor(t *testing.T, users *trajectory.Set, ordering tqtree.Ordering) *shard.Source {
 	t.Helper()
-	tree, err := tqtree.Build(users.All, tqtree.Options{
+	fz, err := tqtree.BuildFrozen(users.All, tqtree.Options{
 		Variant: tqtree.TwoPoint, Ordering: ordering, Beta: 8, Bounds: testBounds,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return query.NewEngine(tree, users)
+	f, err := shard.FrozenFromEngines([]*query.FrozenEngine{query.NewFrozenEngine(fz, nil)}, fz.Bounds(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.Source()
 }
 
 var params = query.Params{Scenario: service.Binary, Psi: 50}
@@ -79,7 +88,7 @@ func TestNonSubmodularWitness(t *testing.T) {
 	fx := trajectory.MustNewFacility(3, []geo.Point{geo.Pt(900, 905)}) // covers destination
 
 	eng := engineFor(t, users, tqtree.ZOrder)
-	src := EngineSource{Engine: eng}
+	src := eng
 	cache, err := newCovCache(src, []*trajectory.Facility{fa, fb, fx}, params)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +109,7 @@ func TestGreedyMatchesHandRolledReference(t *testing.T) {
 	users := makeUsers(300, 1)
 	facilities := makeFacilities(20, 6, 2)
 	eng := engineFor(t, users, tqtree.ZOrder)
-	src := EngineSource{Engine: eng}
+	src := eng
 
 	got, err := Greedy(src, facilities, 4, params)
 	if err != nil {
@@ -166,11 +175,11 @@ func TestGreedyBaselineAndTQAgree(t *testing.T) {
 	engB := engineFor(t, users, tqtree.Basic)
 	bl := query.NewBaseline(users, tqtree.TwoPoint)
 
-	rz, err := Greedy(EngineSource{Engine: eng}, facilities, 5, params)
+	rz, err := Greedy(eng, facilities, 5, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := Greedy(EngineSource{Engine: engB}, facilities, 5, params)
+	rb, err := Greedy(engB, facilities, 5, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +199,7 @@ func TestExactSmallInstance(t *testing.T) {
 	users := makeUsers(150, 5)
 	facilities := makeFacilities(10, 5, 6)
 	eng := engineFor(t, users, tqtree.ZOrder)
-	src := EngineSource{Engine: eng}
+	src := eng
 
 	exact, err := Exact(src, facilities, 3, params)
 	if err != nil {
@@ -222,7 +231,7 @@ func TestExactMatchesBruteForceTinyInstance(t *testing.T) {
 	users := makeUsers(100, 8)
 	facilities := makeFacilities(6, 4, 9)
 	eng := engineFor(t, users, tqtree.ZOrder)
-	src := EngineSource{Engine: eng}
+	src := eng
 	cache, err := newCovCache(src, facilities, params)
 	if err != nil {
 		t.Fatal(err)
@@ -250,15 +259,23 @@ func TestTwoStepGreedyCloseToFullGreedy(t *testing.T) {
 	users := makeUsers(500, 10)
 	facilities := makeFacilities(40, 6, 11)
 	eng := engineFor(t, users, tqtree.ZOrder)
-	src := EngineSource{Engine: eng}
+	src := eng
 
 	full, err := Greedy(src, facilities, 4, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := TwoStepGreedy(eng, facilities, 4, 0, params)
+	two, err := TwoStep(eng, facilities, 4, 0, params)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The pointer-tree wrapper freezes the tree and runs the same solve.
+	tree, err := tqtree.Build(users.All, tqtree.Options{Ordering: tqtree.ZOrder, Beta: 8, Bounds: testBounds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ptr, err := TwoStepGreedy(query.NewEngine(tree, users), facilities, 4, 0, params); err != nil || !reflect.DeepEqual(ptr, two) {
+		t.Fatalf("TwoStepGreedy over the pointer tree = %+v, %v; TwoStep %+v", ptr, err, two)
 	}
 	if two.Value > full.Value+1e-9 {
 		// Pruning can only remove candidates; the two-step result is a
@@ -280,7 +297,7 @@ func TestTwoStepKPrimeAtLeastK(t *testing.T) {
 	facilities := makeFacilities(10, 4, 13)
 	eng := engineFor(t, users, tqtree.ZOrder)
 	// kPrime below k must be clamped, not error.
-	res, err := TwoStepGreedy(eng, facilities, 5, 2, params)
+	res, err := TwoStep(eng, facilities, 5, 2, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +310,7 @@ func TestGeneticBeatsRandomAndIsDeterministic(t *testing.T) {
 	users := makeUsers(400, 14)
 	facilities := makeFacilities(30, 6, 15)
 	eng := engineFor(t, users, tqtree.ZOrder)
-	src := EngineSource{Engine: eng}
+	src := eng
 	cache, err := newCovCache(src, facilities, params)
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +350,7 @@ func TestGreedyResultValueMatchesSubsetValue(t *testing.T) {
 	users := makeUsers(300, 17)
 	facilities := makeFacilities(15, 5, 18)
 	eng := engineFor(t, users, tqtree.ZOrder)
-	src := EngineSource{Engine: eng}
+	src := eng
 	res, err := Greedy(src, facilities, 4, params)
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +371,7 @@ func TestApproximationRatioReasonable(t *testing.T) {
 		users := makeUsers(200, 20+seed)
 		facilities := makeFacilities(12, 5, 30+seed)
 		eng := engineFor(t, users, tqtree.ZOrder)
-		src := EngineSource{Engine: eng}
+		src := eng
 		exact, err := Exact(src, facilities, 3, params)
 		if err != nil {
 			t.Fatal(err)
@@ -362,7 +379,7 @@ func TestApproximationRatioReasonable(t *testing.T) {
 		if exact.Value == 0 {
 			continue
 		}
-		greedy, err := TwoStepGreedy(eng, facilities, 3, 0, params)
+		greedy, err := TwoStep(eng, facilities, 3, 0, params)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,7 +393,7 @@ func TestEdgeCases(t *testing.T) {
 	users := makeUsers(50, 40)
 	facilities := makeFacilities(5, 4, 41)
 	eng := engineFor(t, users, tqtree.ZOrder)
-	src := EngineSource{Engine: eng}
+	src := eng
 
 	if r, err := Greedy(src, facilities, 0, params); err != nil || len(r.Facilities) != 0 {
 		t.Errorf("k=0: %+v, %v", r, err)
@@ -397,7 +414,7 @@ func TestBinaryFastPathMatchesGeneralPath(t *testing.T) {
 	users := makeUsers(300, 50)
 	facilities := makeFacilities(12, 5, 51)
 	eng := engineFor(t, users, tqtree.ZOrder)
-	src := EngineSource{Engine: eng}
+	src := eng
 	cache, err := newCovCache(src, facilities, params)
 	if err != nil {
 		t.Fatal(err)
@@ -431,6 +448,53 @@ func TestBinomial(t *testing.T) {
 	for _, c := range cases {
 		if got := binomial(c.n, c.k); got != c.want {
 			t.Errorf("binomial(%d,%d) = %d, want %d", c.n, c.k, got, c.want)
+		}
+	}
+}
+
+// TestTwoStepCandidatesMatchBestFirst: step 1 of the two-step greedy is
+// the served exact pass sorted and cut by query.Results; the k' facilities
+// it keeps are the ones the paper's best-first search ranks first, under
+// every variant and scenario.
+func TestTwoStepCandidatesMatchBestFirst(t *testing.T) {
+	users := makeUsers(800, 14)
+	facilities := makeFacilities(40, 6, 15)
+	kPrime := DefaultCandidateSize(5, len(facilities))
+	for _, v := range []tqtree.Variant{tqtree.TwoPoint, tqtree.Segmented, tqtree.FullTrajectory} {
+		fz, err := tqtree.BuildFrozen(users.All, tqtree.Options{Variant: v, Ordering: tqtree.ZOrder, Beta: 8, Bounds: testBounds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := query.NewFrozenEngine(fz, nil)
+		f, err := shard.FrozenFromEngines([]*query.FrozenEngine{eng}, fz.Bounds(), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sc := range []service.Scenario{service.Binary, service.PointCount, service.Length} {
+			p := query.Params{Scenario: sc, Psi: 50}
+			vals, err := f.Source().ServiceValues(facilities, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			best, _, err := eng.TopK(facilities, kPrime, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact := query.Results(facilities, vals, kPrime)
+			if best[len(best)-1].Service == 0 {
+				t.Fatalf("%v/%v: the cut falls among unserved facilities", v, sc)
+			}
+			ids := func(rs []query.Result) []trajectory.ID {
+				out := make([]trajectory.ID, len(rs))
+				for i, r := range rs {
+					out[i] = r.Facility.ID
+				}
+				slices.Sort(out)
+				return out
+			}
+			if got, want := ids(exact), ids(best); !slices.Equal(got, want) {
+				t.Fatalf("%v/%v: exact-pass candidates %v, best-first %v", v, sc, got, want)
+			}
 		}
 	}
 }

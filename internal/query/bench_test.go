@@ -14,8 +14,8 @@ import (
 type benchEnv struct {
 	users *trajectory.Set
 	fs    []*trajectory.Facility
-	engZ  *Engine
-	engB  *Engine
+	engZ  *FrozenEngine
+	engB  *FrozenEngine
 	bl    *Baseline
 }
 
@@ -29,19 +29,11 @@ func getEnv(b *testing.B) *benchEnv {
 	city := datagen.NewYork()
 	users := trajectory.MustNewSet(datagen.TaxiTrips(city, 200000, 2))
 	fs := datagen.BusRoutes(city, 128, 32, 5)
-	treeZ, err := tqtree.Build(users.All, tqtree.Options{Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder})
-	if err != nil {
-		b.Fatal(err)
-	}
-	treeB, err := tqtree.Build(users.All, tqtree.Options{Variant: tqtree.TwoPoint, Ordering: tqtree.Basic})
-	if err != nil {
-		b.Fatal(err)
-	}
 	sharedEnv = &benchEnv{
 		users: users,
 		fs:    fs,
-		engZ:  NewEngine(treeZ, users),
-		engB:  NewEngine(treeB, users),
+		engZ:  engineOver(b, users.All, tqtree.Options{Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder}),
+		engB:  engineOver(b, users.All, tqtree.Options{Variant: tqtree.TwoPoint, Ordering: tqtree.Basic}),
 		bl:    NewBaseline(users, tqtree.TwoPoint),
 	}
 	return sharedEnv

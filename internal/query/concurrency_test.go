@@ -16,13 +16,9 @@ import (
 func TestConcurrentQueriesAreConsistent(t *testing.T) {
 	users := makeUsers(2000, 2, 150)
 	facilities := makeFacilities(30, 12, 151)
-	tree, err := tqtree.Build(users.All, tqtree.Options{
+	eng := engineOver(t, users.All, tqtree.Options{
 		Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder, Bounds: testBounds,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine(tree, users)
 	p := Params{Scenario: service.Binary, Psi: 40}
 
 	wantTop, _, err := eng.TopK(facilities, 5, p)

@@ -10,7 +10,7 @@ package query
 // such batch plus Results (internal/shard's scatter), so this is the one
 // place a query polls its deadline.
 //
-// The plumbing is a *canceller threaded through serviceValuesG in
+// The plumbing is a *canceller threaded through serviceValues in
 // layout.go. A nil canceller (the plain ServiceValues) is a single
 // predictable branch, so the non-ctx path measures identically; a live
 // canceller costs one channel poll per facility, far below the node-list
@@ -70,18 +70,13 @@ func (c *canceller) stopped() error {
 	return CtxErr(c.ctx)
 }
 
-// ServiceValuesCtx is ServiceValues with cooperative cancellation: the
-// batch checks ctx between per-facility evaluations (in every worker)
-// and returns ctx.Err() instead of an answer once the context is done.
-func (e *Engine) ServiceValuesCtx(ctx context.Context, facilities []*trajectory.Facility, p Params, workers int) ([]float64, Metrics, error) {
-	return serviceValuesG[*tqtreeNode](ptrLayout{e.tree}, facilities, p, workers, newCanceller(ctx), nil)
-}
-
 // ServiceValuesCtx is FrozenEngine.ServiceValues with cooperative
-// cancellation; see Engine.ServiceValuesCtx.
+// cancellation: the batch checks ctx between per-facility evaluations (in
+// every worker) and returns ctx.Err() instead of an answer once the
+// context is done.
 func (e *FrozenEngine) ServiceValuesCtx(ctx context.Context, facilities []*trajectory.Facility, p Params, workers int) ([]float64, Metrics, error) {
 	defer runtime.KeepAlive(e.f)
-	return serviceValuesG[int32](frozenLayout{f: e.f}, facilities, p, workers, newCanceller(ctx), nil)
+	return serviceValues(frozenLayout{f: e.f}, facilities, p, workers, newCanceller(ctx), nil)
 }
 
 // ServiceValuesCtx is Epoch.ServiceValues with cooperative cancellation,

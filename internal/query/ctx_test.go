@@ -77,19 +77,19 @@ func (c *countdownCtx) Err() error {
 func (c *countdownCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
 func (c *countdownCtx) Value(any) any               { return nil }
 
-// ctxEngines is the two engines' ServiceValuesCtx over one tree — the
-// pointer layout and its frozen columns — the batch every served top-k
+// ctxEngines is ServiceValuesCtx over one base — the frozen engine and an
+// epoch with an empty overlay over it — the batch every served top-k
 // runs, and so the one place a query polls its context.
 func ctxEngines(t *testing.T) map[string]func(context.Context, []*trajectory.Facility, Params, int) ([]float64, Metrics, error) {
 	t.Helper()
 	eng := executorEnv(t, tqtree.TwoPoint, tqtree.ZOrder)
-	fz, err := tqtree.Freeze(eng.Tree())
+	ep, err := NewEpoch(eng, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return map[string]func(context.Context, []*trajectory.Facility, Params, int) ([]float64, Metrics, error){
-		"Engine":       eng.ServiceValuesCtx,
-		"FrozenEngine": NewFrozenEngine(fz, nil).ServiceValuesCtx,
+		"FrozenEngine": eng.ServiceValuesCtx,
+		"Epoch":        ep.ServiceValuesCtx,
 	}
 }
 
@@ -170,21 +170,10 @@ func TestCtxAbortsMidQuery(t *testing.T) {
 // honors cancellation in both its serial and worker paths.
 func TestEpochServiceValuesCtx(t *testing.T) {
 	users := makeUsers(800, 2, 304)
-	tree, err := tqtree.Build(users.All[:600], tqtree.Options{
+	base := engineOver(t, users.All[:600], tqtree.Options{
 		Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder, Bounds: testBounds,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fz, err := tqtree.Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := trajectory.NewSet(users.All[:600])
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep, err := NewEpoch(NewFrozenEngine(fz, base), users.All[600:], nil, 1)
+	ep, err := NewEpoch(base, users.All[600:], nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

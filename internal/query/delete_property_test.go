@@ -1,11 +1,11 @@
-package query
+package query_test
 
-// Property tests for the mutable delete path: build → insert → delete →
-// query must answer exactly like a fresh build over the surviving
-// corpus, across every variant × ordering. The tqtree package tests
-// deletion structurally (entry counts, bound rollback); these tests
-// close the loop at the query level, where a missed entry or a stale
-// upper bound would surface as a wrong service value or a wrong top-k
+// Property tests for the delete path of the public Index — a live index:
+// deletes tombstone base trajectories or drop delta ones, and a
+// background rebuild folds them away. Build → insert → delete → query
+// must answer exactly like a fresh build over the surviving corpus,
+// across every variant × ordering, where a missed entry or a stale
+// tombstone would surface as a wrong service value or a wrong top-k
 // order.
 
 import (
@@ -13,99 +13,97 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/trajcover/trajcover"
+	"github.com/trajcover/trajcover/internal/query"
 	"github.com/trajcover/trajcover/internal/service"
 	"github.com/trajcover/trajcover/internal/tqtree"
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
-// churnedEngine builds over users[:build], inserts users[build:], then
-// deletes every trajectory with id % deleteEvery == 0, returning the
-// engine and the surviving corpus.
-func churnedEngine(t *testing.T, users []*trajectory.Trajectory, v tqtree.Variant, o tqtree.Ordering, build, deleteEvery int) (*Engine, *trajectory.Set) {
+// eachConfig calls fn with every (variant, ordering, scenario) that is
+// exact over multipoint data.
+func eachConfig(fn func(v tqtree.Variant, o tqtree.Ordering, sc service.Scenario)) {
+	for _, v := range []tqtree.Variant{tqtree.TwoPoint, tqtree.Segmented, tqtree.FullTrajectory} {
+		for _, o := range []tqtree.Ordering{tqtree.Basic, tqtree.ZOrder} {
+			for _, sc := range []service.Scenario{service.Binary, service.PointCount, service.Length} {
+				if v != tqtree.TwoPoint || sc == service.Binary {
+					fn(v, o, sc)
+				}
+			}
+		}
+	}
+}
+
+func newIndex(t *testing.T, users []*trajectory.Trajectory, v tqtree.Variant, o tqtree.Ordering) *trajcover.Index {
 	t.Helper()
-	set := trajectory.MustNewSet(append([]*trajectory.Trajectory(nil), users[:build]...))
-	tree, err := tqtree.Build(users[:build], tqtree.Options{
-		Variant: v, Ordering: o, Beta: 8, Bounds: testBounds,
-	})
+	idx, err := trajcover.NewIndex(users, trajcover.IndexOptions{Variant: v, Ordering: o, Beta: 8, Bounds: query.TestBounds})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, u := range users[build:] {
-		if err := set.Add(u); err != nil {
-			t.Fatal(err)
-		}
-		tree.Insert(u)
-	}
-	var survivors []*trajectory.Trajectory
-	for _, u := range users {
-		if int(u.ID)%deleteEvery == 0 {
-			if !tree.Delete(u) {
-				t.Fatalf("Delete(%d) did not find all entries", u.ID)
-			}
-			if !set.Remove(u.ID) {
-				t.Fatalf("set.Remove(%d) failed", u.ID)
-			}
-		} else {
-			survivors = append(survivors, u)
-		}
-	}
-	return NewEngine(tree, set), trajectory.MustNewSet(survivors)
+	return idx
 }
 
-// TestBuildInsertDeleteMatchesFreshBuild is the satellite property test:
-// the churned tree answers ServiceValue and TopK exactly like a fresh
-// build of the surviving corpus — byte-identical for Binary, within
-// float summation tolerance for the fractional scenarios (the two trees
-// have different shapes, so summation order differs) — across
-// TwoPoint/Segmented/FullTrajectory × Basic/ZOrder.
+// TestBuildInsertDeleteMatchesFreshBuild: an Index built over part of a
+// corpus, given the rest by Insert and a third of it taken away by
+// Delete, answers ServiceValue and TopK exactly like a fresh build of the
+// surviving corpus — byte-identical for Binary, within float summation
+// tolerance for the fractional scenarios.
 func TestBuildInsertDeleteMatchesFreshBuild(t *testing.T) {
-	users := makeUsers(600, 4, 601)
-	facilities := makeFacilities(24, 8, 602)
+	users := query.MakeUsers(600, 4, 601).All
+	facilities := query.MakeFacilities(24, 8, 602)
 	const k = 8
-	for _, cfg := range validConfigs(true) {
-		name := cfg.variant.String() + "/" + cfg.ordering.String() + "/" + cfg.scenario.String()
-		eng, survivors := churnedEngine(t, users.All, cfg.variant, cfg.ordering, 450, 3)
-		tree, err := tqtree.Build(survivors.All, tqtree.Options{
-			Variant: cfg.variant, Ordering: cfg.ordering, Beta: 8, Bounds: testBounds,
-		})
-		if err != nil {
-			t.Fatal(err)
+	eachConfig(func(v tqtree.Variant, o tqtree.Ordering, sc service.Scenario) {
+		name := v.String() + "/" + o.String() + "/" + sc.String()
+		idx := newIndex(t, users[:450], v, o)
+		for _, u := range users[450:] {
+			if err := idx.Insert(u); err != nil {
+				t.Fatal(err)
+			}
 		}
-		fresh := NewEngine(tree, survivors)
-		p := Params{Scenario: cfg.scenario, Psi: 40}
-
+		var survivors []*trajectory.Trajectory
+		for _, u := range users {
+			if u.ID%3 != 0 {
+				survivors = append(survivors, u)
+			} else if !idx.Delete(u) {
+				t.Fatalf("%s: Delete(%d) found nothing", name, u.ID)
+			}
+		}
+		if idx.Len() != len(survivors) {
+			t.Fatalf("%s: Len %d, want %d", name, idx.Len(), len(survivors))
+		}
+		fresh := newIndex(t, survivors, v, o)
+		q := trajcover.Query{Scenario: sc, Psi: 40}
 		same := func(got, want float64) bool {
-			if cfg.scenario == service.Binary {
+			if sc == service.Binary {
 				return got == want
 			}
 			return math.Abs(got-want) <= 1e-6*(1+math.Abs(want))
 		}
-
+		set := trajectory.MustNewSet(survivors)
 		for _, f := range facilities {
-			want, _, err := fresh.ServiceValue(f, p)
+			want, err := fresh.ServiceValue(f, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := eng.ServiceValue(f, p)
+			got, err := idx.ServiceValue(f, q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !same(got, want) {
 				t.Fatalf("%s: churned ServiceValue(%d) = %v, fresh = %v", name, f.ID, got, want)
 			}
-			// And against the brute-force oracle, so both trees being
+			// And against the brute-force oracle, so both indexes being
 			// wrong the same way cannot pass.
-			oracle := ExactServiceValue(cfg.variant, cfg.scenario, survivors, f.Stops, p.Psi)
+			oracle := query.ExactServiceValue(v, sc, set, f.Stops, q.Psi)
 			if math.Abs(got-oracle) > 1e-6*(1+math.Abs(oracle)) {
 				t.Fatalf("%s: churned ServiceValue(%d) = %v, oracle = %v", name, f.ID, got, oracle)
 			}
 		}
-
-		gotTop, _, err := eng.TopK(facilities, k, p)
+		gotTop, err := idx.TopK(facilities, k, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantTop, _, err := fresh.TopK(facilities, k, p)
+		wantTop, err := fresh.TopK(facilities, k, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,71 +116,59 @@ func TestBuildInsertDeleteMatchesFreshBuild(t *testing.T) {
 					gotTop[i].Facility.ID, gotTop[i].Service, wantTop[i].Facility.ID, wantTop[i].Service)
 			}
 		}
-	}
+	})
 }
 
-// TestDeleteAllThenReinsert drives the tree to empty and back, checking
-// queries at both extremes — the underflow edge the delete path never
-// rebalances away.
+// TestDeleteAllThenReinsert drives an Index to empty and back, checking
+// queries at both extremes.
 func TestDeleteAllThenReinsert(t *testing.T) {
-	users := makeUsers(300, 3, 603)
-	facilities := makeFacilities(8, 6, 604)
+	users := query.MakeUsers(300, 3, 603).All
+	facilities := query.MakeFacilities(8, 6, 604)
 	rng := rand.New(rand.NewSource(605))
-	for _, cfg := range validConfigs(true) {
-		if cfg.scenario != service.Binary {
-			continue // one scenario suffices; this is a structural test
+	q := trajcover.Query{Scenario: service.Binary, Psi: 40}
+	eachConfig(func(v tqtree.Variant, o tqtree.Ordering, sc service.Scenario) {
+		if sc != service.Binary {
+			return // one scenario suffices; this is a structural test
 		}
-		set := trajectory.MustNewSet(append([]*trajectory.Trajectory(nil), users.All...))
-		tree, err := tqtree.Build(users.All, tqtree.Options{
-			Variant: cfg.variant, Ordering: cfg.ordering, Beta: 8, Bounds: testBounds,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := NewEngine(tree, set)
-		p := Params{Scenario: cfg.scenario, Psi: 40}
-
+		idx := newIndex(t, users, v, o)
 		// Delete everything, in random order.
-		perm := rng.Perm(len(users.All))
-		for _, i := range perm {
-			if !tree.Delete(users.All[i]) {
-				t.Fatalf("Delete(%d) failed", users.All[i].ID)
+		for _, i := range rng.Perm(len(users)) {
+			if !idx.Delete(users[i]) {
+				t.Fatalf("Delete(%d) failed", users[i].ID)
 			}
 		}
+		if idx.Len() != 0 {
+			t.Fatalf("%v/%v: Len %d after deleting everything", v, o, idx.Len())
+		}
 		for _, f := range facilities {
-			got, _, err := eng.ServiceValue(f, p)
+			got, err := idx.ServiceValue(f, q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != 0 {
-				t.Fatalf("%v/%v: empty tree ServiceValue(%d) = %v", cfg.variant, cfg.ordering, f.ID, got)
+				t.Fatalf("%v/%v: empty index ServiceValue(%d) = %v", v, o, f.ID, got)
 			}
 		}
 
 		// Re-insert everything and compare to a fresh build.
-		for _, u := range users.All {
-			tree.Insert(u)
+		for _, u := range users {
+			if err := idx.Insert(u); err != nil {
+				t.Fatal(err)
+			}
 		}
-		freshTree, err := tqtree.Build(users.All, tqtree.Options{
-			Variant: cfg.variant, Ordering: cfg.ordering, Beta: 8, Bounds: testBounds,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh := NewEngine(freshTree, users)
+		fresh := newIndex(t, users, v, o)
 		for _, f := range facilities {
-			got, _, err := eng.ServiceValue(f, p)
+			got, err := idx.ServiceValue(f, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := fresh.ServiceValue(f, p)
+			want, err := fresh.ServiceValue(f, q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != want {
-				t.Fatalf("%v/%v: reinserted ServiceValue(%d) = %v, fresh = %v",
-					cfg.variant, cfg.ordering, f.ID, got, want)
+				t.Fatalf("%v/%v: reinserted ServiceValue(%d) = %v, fresh = %v", v, o, f.ID, got, want)
 			}
 		}
-	}
+	})
 }

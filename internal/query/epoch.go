@@ -268,6 +268,28 @@ func (ep *Epoch) ValidateScenario(sc service.Scenario) error {
 	return tqtree.ValidateScenarioFor(ep.base.Frozen().Variant(), ep.deltaMultipoint, sc)
 }
 
+// Variant returns the base's decomposition variant, which the delta
+// overlay follows too.
+func (ep *Epoch) Variant() tqtree.Variant { return ep.base.Frozen().Variant() }
+
+// User returns the logical corpus's trajectory with the given id, or nil:
+// the overlay's own object for a delta trajectory, a view whose points
+// alias the base table for a surviving base one.
+func (ep *Epoch) User(id trajectory.ID) *trajectory.Trajectory {
+	for _, u := range ep.delta {
+		if u.ID == id {
+			return u
+		}
+	}
+	ord, ok := ep.BaseOrdinal(id)
+	if !ok {
+		return nil
+	}
+	u := new(trajectory.Trajectory)
+	ep.base.Table().View(ord, u)
+	return u
+}
+
 func (ep *Epoch) layout() frozenLayout {
 	return frozenLayout{f: ep.base.Frozen(), dead: ep.dead}
 }
@@ -331,16 +353,16 @@ func (ep *Epoch) ServiceValue(f *trajectory.Facility, p Params) (float64, Metric
 	}
 	l := ep.layout()
 	var m Metrics
-	mode := l.FilterModeFor(p.Scenario)
+	mode := l.f.FilterModeFor(p.Scenario)
 	arena := acquireCompArena(len(f.Stops))
-	so := evaluateServiceG(l, int32(0), f.Stops, p, mode, l.AncestorsCanServe(p.Scenario), &m, arena)
+	so := evaluateService(l, 0, f.Stops, p, mode, l.f.AncestorsCanServe(p.Scenario), &m, arena)
 	putCompArena(arena)
 	so += ep.deltaService(f, p, &m)
 	return so, m, nil
 }
 
 // ServiceValues computes SO(U, f) for every facility in one batch across
-// a pool of workers; see Engine.ServiceValues. Each facility's delta scan
+// a pool of workers; see FrozenEngine.ServiceValues. Each facility's delta scan
 // runs in the same step as its base traversal and is added after it.
 func (ep *Epoch) ServiceValues(facilities []*trajectory.Facility, p Params, workers int) ([]float64, Metrics, error) {
 	return ep.serviceValues(facilities, p, workers, nil)
@@ -353,7 +375,7 @@ func (ep *Epoch) serviceValues(facilities []*trajectory.Facility, p Params, work
 	if err := ep.validate(p); err != nil {
 		return nil, Metrics{}, err
 	}
-	return serviceValuesG[int32](ep.layout(), facilities, p, workers, cc, ep)
+	return serviceValues(ep.layout(), facilities, p, workers, cc, ep)
 }
 
 // UpperBound is a sound overestimate of f's service value over the
@@ -368,4 +390,33 @@ func (ep *Epoch) UpperBound(f *trajectory.Facility, p Params) float64 {
 		ub += ep.deltaUB[p.Scenario]
 	}
 	return ub
+}
+
+// Coverage computes the per-user coverage masks of a facility over the
+// logical corpus: the base's coverage walk with tombstoned trajectories
+// skipped, then the delta overlay scanned with the masks a rebuild's
+// entries would give its trajectories. With an empty overlay and no
+// tombstones it equals FrozenEngine.Coverage, masks and Metrics.
+func (ep *Epoch) Coverage(f *trajectory.Facility, p Params) (service.Coverage, Metrics, error) {
+	defer runtime.KeepAlive(ep)
+	if err := ep.validate(p); err != nil {
+		return nil, Metrics{}, err
+	}
+	var m Metrics
+	cov := coverage(ep.layout(), f, p, &m)
+	if len(ep.delta) > 0 {
+		m.NodesVisited++
+		embr := f.EMBR(p.Psi)
+		v := ep.Variant()
+		ss := service.AcquireStopSet(f.Stops, p.Psi, len(ep.delta)/4)
+		for _, u := range ep.delta {
+			if embr.Intersects(u.MBR()) {
+				m.EntriesScored++
+				lo, hi, stride := coverSpan(v, -1, u.Len())
+				coverPoints(cov, u.ID, u.Points, lo, hi, stride, ss)
+			}
+		}
+		ss.Release()
+	}
+	return cov, m, nil
 }

@@ -2,6 +2,7 @@ package query
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/trajcover/trajcover/internal/service"
@@ -9,20 +10,10 @@ import (
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
-// frozenEngineOver builds, freezes, and wraps a corpus.
+// frozenEngineOver builds a frozen engine over a corpus.
 func frozenEngineOver(t *testing.T, users *trajectory.Set, v tqtree.Variant, o tqtree.Ordering) *FrozenEngine {
 	t.Helper()
-	tree, err := tqtree.Build(users.All, tqtree.Options{
-		Variant: v, Ordering: o, Beta: 8, Bounds: testBounds,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fz, err := tqtree.Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewFrozenEngine(fz, users)
+	return engineOver(t, users.All, tqtree.Options{Variant: v, Ordering: o, Beta: 8, Bounds: testBounds})
 }
 
 // TestEpochEmptyDeltaByteIdentical is the delta-overlay regression
@@ -73,10 +64,22 @@ func TestEpochEmptyDeltaByteIdentical(t *testing.T) {
 			}
 		}
 
-		// The seed bound: an empty overlay adds nothing to the base's.
+		// The seed bound: an empty overlay adds nothing to the base's; and
+		// the coverage walk: the same masks, the same work.
 		for _, f := range facilities {
 			if got, want := ep.UpperBound(f, p), feng.UpperBound(f, p); got != want {
 				t.Fatalf("%s: epoch UpperBound(%d) = %v, frozen = %v", name, f.ID, got, want)
+			}
+			gotC, gotM, err := ep.Coverage(f, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantC, wantM, err := feng.Coverage(f, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotC, wantC) || gotM != wantM {
+				t.Fatalf("%s: epoch Coverage(%d) = %d users %+v, frozen = %d users %+v", name, f.ID, len(gotC), gotM, len(wantC), wantM)
 			}
 		}
 	}
@@ -114,13 +117,7 @@ func TestEpochMatchesFreshBuild(t *testing.T) {
 	facilities := makeFacilities(24, 8, 504)
 	for _, cfg := range validConfigs(true) {
 		ep, logical := epochOver(t, users, cfg.variant, cfg.ordering, 450, 5)
-		tree, err := tqtree.Build(logical.All, tqtree.Options{
-			Variant: cfg.variant, Ordering: cfg.ordering, Beta: 8, Bounds: testBounds,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh := NewEngine(tree, logical)
+		fresh := frozenEngineOver(t, logical, cfg.variant, cfg.ordering)
 		p := Params{Scenario: cfg.scenario, Psi: 40}
 		name := cfg.variant.String() + "/" + cfg.ordering.String() + "/" + cfg.scenario.String()
 

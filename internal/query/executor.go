@@ -6,24 +6,18 @@ import (
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
-// This file exposes the concurrent batch executor over the pointer tree,
-// and Results, the sort-and-cut that turns a batch into a top-k answer.
-// A built TQ-tree is immutable under queries — every traversal in this
-// package only reads nodes, lists, and cached bounds — so one tree is
-// safely shared by any number of worker goroutines without locking.
-// (Tree.Insert is NOT safe to run concurrently with queries; batch
-// serving of a mutating tree needs external coordination or
-// snapshotting.)
-//
-// Each worker owns its hot-path scratch (compArena, pooled StopSets) and
-// a private Metrics that is summed into the caller's after the join, so
-// the hot loops share no mutable state and the merged totals match the
-// serial run. The batch loop itself is serviceValuesG in layout.go,
-// shared with the frozen columnar engine and the epoch.
+// This file holds the batch executor's worker rule and Results, the
+// sort-and-cut that turns a batch into a top-k answer. A frozen index is
+// immutable, so one base is safely shared by any number of worker
+// goroutines without locking. Each worker owns its hot-path scratch
+// (compArena, pooled StopSets) and a private Metrics that is summed into
+// the caller's after the join, so the hot loops share no mutable state and
+// the merged totals match the serial run. The batch loop itself is
+// serviceValues in layout.go, shared by FrozenEngine and Epoch.
 
 // ResolveWorkers maps a caller's `workers` argument to an effective pool
 // size. It is THE normalization for every batch entry point in this
-// module — Engine, FrozenEngine, Epoch, and through them the
+// module — FrozenEngine, Epoch, and through them the
 // scatter-gather in internal/shard — and applies one rule:
 //
 //   - workers <= 0 means runtime.GOMAXPROCS(0);
@@ -51,16 +45,6 @@ func (m *Metrics) Add(other Metrics) {
 	m.NodesVisited += other.NodesVisited
 	m.EntriesScored += other.EntriesScored
 	m.Relaxations += other.Relaxations
-}
-
-// ServiceValues computes SO(U, f) for every facility in one batch,
-// sharding the facilities across a pool of workers. The returned slice
-// is indexed like facilities, so the ordering is deterministic and
-// identical to calling ServiceValue in a loop; the merged Metrics totals
-// are as well, because each facility's traversal is independent.
-// workers is normalized by ResolveWorkers.
-func (e *Engine) ServiceValues(facilities []*trajectory.Facility, p Params, workers int) ([]float64, Metrics, error) {
-	return serviceValuesG[*tqtreeNode](ptrLayout{e.tree}, facilities, p, workers, nil, nil)
 }
 
 // Results converts a batch of service values into sorted top-k results:

@@ -11,20 +11,16 @@ import (
 // executorEnv builds a moderately sized engine shared by the batch
 // executor tests: multipoint users so every scenario is exercised on the
 // FullTrajectory variant, plus a TwoPoint/ZOrder engine for Binary.
-func executorEnv(t *testing.T, variant tqtree.Variant, ordering tqtree.Ordering) *Engine {
+func executorEnv(t *testing.T, variant tqtree.Variant, ordering tqtree.Ordering) *FrozenEngine {
 	t.Helper()
 	maxPts := 6
 	if variant == tqtree.TwoPoint {
 		maxPts = 2
 	}
 	users := makeUsers(3000, maxPts, 201)
-	tree, err := tqtree.Build(users.All, tqtree.Options{
+	return engineOver(t, users.All, tqtree.Options{
 		Variant: variant, Ordering: ordering, Bounds: testBounds,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewEngine(tree, users)
 }
 
 func TestServiceValuesMatchesSerial(t *testing.T) {

@@ -9,13 +9,10 @@ import (
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
-// FrozenEngine answers kMaxRRST queries over a frozen columnar TQ-tree.
-// It runs exactly the same search implementation as Engine (see
-// layout.go) instantiated over int32 node handles into the flat index, so
-// its answers — values, result order, and work metrics — are
-// bit-identical to the pointer engine's over the tree the index was
-// frozen from. A FrozenEngine is immutable and safe for any number of
-// concurrent readers.
+// FrozenEngine answers kMaxRRST queries over a frozen columnar TQ-tree,
+// walking int32 node handles into the flat index (layout.go). A
+// FrozenEngine is immutable and safe for any number of concurrent
+// readers.
 type FrozenEngine struct {
 	f *tqtree.Frozen
 }
@@ -38,8 +35,24 @@ func (e *FrozenEngine) Frozen() *tqtree.Frozen { return e.f }
 // Table returns the indexed trajectories.
 func (e *FrozenEngine) Table() *trajectory.Table { return e.f.Table() }
 
+// Variant returns the index's decomposition variant, which selects how
+// coverage masks translate into objective values (ObjectiveFromMask).
+func (e *FrozenEngine) Variant() tqtree.Variant { return e.f.Variant() }
+
 // ValidateScenario checks that queries under sc are exact on the index.
 func (e *FrozenEngine) ValidateScenario(sc service.Scenario) error { return e.f.ValidateScenario(sc) }
+
+// User returns the indexed trajectory with the given id — a view whose
+// points alias the table — or nil.
+func (e *FrozenEngine) User(id trajectory.ID) *trajectory.Trajectory {
+	ord, ok := e.f.Table().Lookup(id)
+	if !ok {
+		return nil
+	}
+	u := new(trajectory.Trajectory)
+	e.f.Table().View(ord, u)
+	return u
+}
 
 // ServiceValue computes SO(U, f) exactly via the divide-and-conquer
 // traversal of Algorithm 1 over the flat layout.
@@ -51,34 +64,63 @@ func (e *FrozenEngine) ServiceValue(f *trajectory.Facility, p Params) (float64, 
 	// point below and on Epoch.
 	defer runtime.KeepAlive(e.f)
 	l := frozenLayout{f: e.f}
-	if err := validateQuery[int32](l, p); err != nil {
+	if err := validateQuery(l, p); err != nil {
 		return 0, Metrics{}, err
 	}
 	var m Metrics
 	mode := e.f.FilterModeFor(p.Scenario)
 	arena := acquireCompArena(len(f.Stops))
-	so := evaluateServiceG(l, int32(0), f.Stops, p, mode, l.AncestorsCanServe(p.Scenario), &m, arena)
+	so := evaluateService(l, 0, f.Stops, p, mode, e.f.AncestorsCanServe(p.Scenario), &m, arena)
 	putCompArena(arena)
 	return so, m, nil
 }
 
 // ServiceValues computes SO(U, f) for every facility in one batch,
-// sharding the facilities across a pool of workers; see
-// Engine.ServiceValues.
+// sharding the facilities across a pool of workers (normalized by
+// ResolveWorkers). The returned slice is indexed like facilities, so the
+// ordering is deterministic and identical to calling ServiceValue in a
+// loop; the merged Metrics totals are as well, because each facility's
+// traversal is independent.
 func (e *FrozenEngine) ServiceValues(facilities []*trajectory.Facility, p Params, workers int) ([]float64, Metrics, error) {
 	defer runtime.KeepAlive(e.f)
-	return serviceValuesG[int32](frozenLayout{f: e.f}, facilities, p, workers, nil, nil)
+	return serviceValues(frozenLayout{f: e.f}, facilities, p, workers, nil, nil)
 }
 
-// TopK answers the kMaxRRST query best first; see Engine.TopK.
+// TopK answers the kMaxRRST query: the k facilities with the highest
+// service value, in non-increasing order, computed with the best-first
+// strategy of Algorithm 3 driven by the q-node `sub` upper bounds. It is
+// what the paper's figures time; the public index types answer top-k as
+// one exact ServiceValues pass plus Results instead.
 func (e *FrozenEngine) TopK(facilities []*trajectory.Facility, k int, p Params) ([]Result, Metrics, error) {
 	defer runtime.KeepAlive(e.f)
-	return topKG[int32](frozenLayout{f: e.f}, facilities, k, p)
+	return topK(frozenLayout{f: e.f}, facilities, k, p)
 }
 
-// UpperBound is the seed bound of f's best-first search; see
-// Engine.UpperBound.
+// UpperBound returns the bound TopK seeds f's search with — the `sub` of
+// the smallest q-node containing f's EMBR, plus ancestor own-list bounds
+// where those can serve: a sound overestimate of SO(U, f), read in one
+// descent without allocating. It does not validate p. No serving path
+// calls it: it is what tqbench -exp bound measures (a bound would have to
+// rank fewer than N − k facilities above the k-th value before it could
+// save a served top-k anything) and what LiveShardedIndex.UpperBoundsCtx
+// sums as a diagnostic.
 func (e *FrozenEngine) UpperBound(f *trajectory.Facility, p Params) float64 {
 	defer runtime.KeepAlive(e.f)
-	return upperBoundG[int32](frozenLayout{f: e.f}, f, p)
+	return upperBound(frozenLayout{f: e.f}, f, p)
+}
+
+// Coverage computes the per-user coverage masks of a facility: which
+// points of which users its stops cover — every point of a
+// FullTrajectory user within ψ, the two endpoints of each Segmented
+// segment, and a TwoPoint user's source and destination only. This is
+// the building block of the MaxkCovRST solvers in internal/maxcov.
+func (e *FrozenEngine) Coverage(f *trajectory.Facility, p Params) (service.Coverage, Metrics, error) {
+	defer runtime.KeepAlive(e.f)
+	l := frozenLayout{f: e.f}
+	if err := validateQuery(l, p); err != nil {
+		return nil, Metrics{}, err
+	}
+	var m Metrics
+	cov := coverage(l, f, p, &m)
+	return cov, m, nil
 }

@@ -1,11 +1,13 @@
-// Package query implements kMaxRRST processing over the TQ-tree:
+// Package query implements kMaxRRST processing over the frozen TQ-tree:
 //
 //   - Algorithm 1/2 of the paper: divide-and-conquer service-value
-//     computation (evaluateServiceG + evalNodeList in layout.go, with
+//     computation (evaluateService + evalNodeList in layout.go, with
 //     the zReduce pruning supplied by the tqtree package).
 //   - Algorithm 3/4: best-first top-k facility search driven by the
-//     q-node `sub` upper bounds (topKG + relaxStateG in layout.go), on
-//     Engine.TopK and FrozenEngine.TopK — what the paper's figures time.
+//     q-node `sub` upper bounds (topK + relaxState in layout.go), on
+//     FrozenEngine.TopK — what the paper's figures time.
+//   - Coverage: the per-user point masks of one facility (coverService),
+//     which MaxkCovRST (internal/maxcov) and ServedUsers read.
 //   - The paper's baseline (BL): per-facility circular range queries over
 //     a traditional point quadtree.
 //   - Results (executor.go): the sort-and-cut from a batch of exact
@@ -15,10 +17,9 @@
 //     parts of a corpus no bound this cheap has ever cut a facility
 //     (EXPERIMENTS.md, tqbench -exp bound).
 //
-// The search core in layout.go is generic over the two tree layouts —
-// the mutable pointer tree (Engine) and the frozen columnar index
-// (FrozenEngine) — so both produce bit-identical answers from one
-// implementation.
+// FrozenEngine searches one frozen base; an Epoch (epoch.go) searches a
+// base with tombstones masked out plus its delta overlay, through the
+// same code in layout.go.
 package query
 
 import (
@@ -63,86 +64,33 @@ type Metrics struct {
 	// EntriesScored counts exact per-entry service computations (entries
 	// surviving zReduce).
 	EntriesScored int
-	// Relaxations counts best-first state relaxations (Engine.TopK and
-	// FrozenEngine.TopK only; an exact batch reports 0).
+	// Relaxations counts best-first state relaxations (FrozenEngine.TopK
+	// only; an exact batch reports 0).
 	Relaxations int
 }
 
-// Engine answers kMaxRRST queries over a TQ-tree.
+// Engine holds a pointer TQ-tree, which nothing queries: the one caller
+// left (the repository benchmark) freezes it for maxcov.TwoStepGreedy.
 type Engine struct {
-	tree  *tqtree.Tree
-	users *trajectory.Set
+	tree *tqtree.Tree
 }
 
-// NewEngine wraps an existing TQ-tree. users must be the set the tree
-// indexes (needed to translate coverage masks back into service values).
+// NewEngine wraps a built TQ-tree; users is not read.
 func NewEngine(tree *tqtree.Tree, users *trajectory.Set) *Engine {
-	return &Engine{tree: tree, users: users}
+	return &Engine{tree: tree}
 }
 
 // Tree returns the underlying TQ-tree.
 func (e *Engine) Tree() *tqtree.Tree { return e.tree }
 
-// Users returns the indexed user set.
-func (e *Engine) Users() *trajectory.Set { return e.users }
-
-// ValidateScenario checks that queries under sc are exact on the tree.
-func (e *Engine) ValidateScenario(sc service.Scenario) error { return e.tree.ValidateScenario(sc) }
-
-// ServiceValue computes SO(U, f) exactly via the divide-and-conquer
-// traversal of Algorithm 1. The returned Metrics describe the work done.
-func (e *Engine) ServiceValue(f *trajectory.Facility, p Params) (float64, Metrics, error) {
-	l := ptrLayout{e.tree}
-	if err := validateQuery[*tqtreeNode](l, p); err != nil {
-		return 0, Metrics{}, err
-	}
-	var m Metrics
-	mode := e.tree.FilterModeFor(p.Scenario)
-	arena := acquireCompArena(len(f.Stops))
-	so := evaluateServiceG(l, e.tree.Root(), f.Stops, p, mode, l.AncestorsCanServe(p.Scenario), &m, arena)
-	putCompArena(arena)
-	return so, m, nil
-}
-
 // compArena is a stack-discipline buffer for facility components during a
 // depth-first traversal: children components are carved from the buffer
 // and released (truncated) when their recursion returns, so a whole query
-// does O(1) component allocations instead of one per visited node. It
-// also carries the reusable candidate visitors, so a traversal passes no
-// closures (which would each cost a heap allocation) to the tree.
+// does O(1) component allocations instead of one per visited node. hits
+// is the coverage walk's reusable list of surviving entries.
 type compArena struct {
-	buf     []geo.Point
-	scorer  entryScorer
-	coverer entryCoverer
-}
-
-// entryScorer is the EntryVisitor for exact service accumulation
-// (Algorithm 2's inner loop). Reused across node visits via the arena or
-// the exploration state; the survivor count is accumulated locally and
-// folded into Metrics by evalNodeList.
-type entryScorer struct {
-	ss *service.StopSet
-	sc service.Scenario
-	so float64
-	n  int
-}
-
-func (v *entryScorer) VisitEntry(en *tqtree.Entry) {
-	v.n++
-	v.so += en.ServeSet(v.sc, v.ss)
-}
-
-// entryCoverer is the EntryVisitor recording coverage masks.
-type entryCoverer struct {
-	ss            *service.StopSet
-	cov           service.Coverage
-	m             *Metrics
-	endpointsOnly bool
-}
-
-func (v *entryCoverer) VisitEntry(en *tqtree.Entry) {
-	v.m.EntriesScored++
-	en.CoverInto(v.cov, v.ss, v.endpointsOnly)
+	buf  []geo.Point
+	hits []int32
 }
 
 // compArenaPool recycles arenas across queries: the traversal releases
@@ -160,13 +108,7 @@ func acquireCompArena(stops int) *compArena {
 	return a
 }
 
-func putCompArena(a *compArena) {
-	// Drop visitor references so the pool doesn't pin the caller's
-	// coverage maps or metrics between queries.
-	a.scorer = entryScorer{}
-	a.coverer = entryCoverer{}
-	compArenaPool.Put(a)
-}
+func putCompArena(a *compArena) { compArenaPool.Put(a) }
 
 // carve appends the stops within rect expanded by psi and returns them as
 // a capacity-clamped slice. Release by truncating to the returned mark.
@@ -186,61 +128,93 @@ func (a *compArena) release(mark int) { a.buf = a.buf[:mark] }
 // coverageMode returns the zReduce filter that is sound for coverage
 // collection: any entry with any covered point must survive, because
 // combined (AGG) semantics can join partial coverage across facilities.
-func coverageMode(t *tqtree.Tree) tqtree.FilterMode {
-	if t.Variant() == tqtree.FullTrajectory {
+func coverageMode(v tqtree.Variant) tqtree.FilterMode {
+	if v == tqtree.FullTrajectory {
 		return tqtree.NeedOverlap
 	}
 	return tqtree.NeedAny
 }
 
-// Coverage computes the per-user coverage masks of a facility: which
-// points of which users its stops cover. This is the building block of
-// the MaxkCovRST solvers in internal/maxcov.
-func (e *Engine) Coverage(f *trajectory.Facility, p Params) (service.Coverage, Metrics, error) {
-	if err := p.validate(); err != nil {
-		return nil, Metrics{}, err
-	}
-	if err := e.tree.ValidateScenario(p.Scenario); err != nil {
-		return nil, Metrics{}, err
-	}
-	var m Metrics
+// coverage runs the coverage walk over l from the root; p must be valid
+// for l.
+func coverage(l frozenLayout, f *trajectory.Facility, p Params, m *Metrics) service.Coverage {
 	cov := service.Coverage{}
-	mode := coverageMode(e.tree)
-	endpointsOnly := e.tree.Variant() == tqtree.TwoPoint
 	arena := acquireCompArena(len(f.Stops))
-	e.coverService(e.tree.Root(), f.Stops, p, mode, endpointsOnly, cov, &m, arena)
+	coverService(l, 0, f.Stops, p, coverageMode(l.f.Variant()), cov, m, arena)
 	putCompArena(arena)
-	return cov, m, nil
+	return cov
 }
 
-func (e *Engine) coverService(n *tqtree.Node, stops []geo.Point, p Params, mode tqtree.FilterMode, endpointsOnly bool, cov service.Coverage, m *Metrics, arena *compArena) {
-	if n == nil || len(stops) == 0 {
+// coverService is the coverage walk: Algorithm 1's descent, recording in
+// cov which points of which users the local component's stops serve. It
+// scans every visited node's own list — partial coverage counts under
+// combined semantics, so no list is skipped — through the bucket-MBR and
+// entry filter alone (Frozen.AppendCovered).
+func coverService(l frozenLayout, n int32, stops []geo.Point, p Params, mode tqtree.FilterMode, cov service.Coverage, m *Metrics, arena *compArena) {
+	if len(stops) == 0 {
 		return
 	}
-	if n.ListLen() > 0 {
+	if ll := l.f.ListLen(n); ll > 0 {
 		m.NodesVisited++
-		embr := geo.RectOf(stops).Expand(p.Psi)
-		ss := service.AcquireStopSet(stops, p.Psi, n.ListLen()/4)
-		cv := &arena.coverer
-		cv.ss, cv.cov, cv.m, cv.endpointsOnly = ss, cov, m, endpointsOnly
-		e.tree.NodeCandidatesV(n, embr, mode, cv)
+		ss := service.AcquireStopSet(stops, p.Psi, ll/4)
+		arena.hits = l.f.AppendCovered(arena.hits[:0], n, geo.RectOf(stops).Expand(p.Psi), mode, l.dead)
+		m.EntriesScored += len(arena.hits)
+		tab, v := l.f.Table(), l.f.Variant()
+		for _, e := range arena.hits {
+			ti := l.f.EntryOrdinal(e)
+			pts := tab.Points(ti)
+			lo, hi, stride := coverSpan(v, int(l.f.EntrySegment(e)), len(pts))
+			coverPoints(cov, tab.ID(ti), pts, lo, hi, stride, ss)
+		}
 		ss.Release()
 	}
-	if n.IsLeaf() {
+	if l.f.IsLeaf(n) {
 		return
 	}
 	for q := 0; q < 4; q++ {
-		c := n.Child(q)
-		if c == nil {
+		c := l.f.Child(n, q)
+		if c == nilNode {
 			continue
 		}
-		cstops, mark := arena.carve(stops, c.Rect(), p.Psi)
-		if len(cstops) == 0 {
-			arena.release(mark)
-			continue
+		cstops, mark := arena.carve(stops, l.f.Rect(c), p.Psi)
+		if len(cstops) > 0 {
+			coverService(l, c, cstops, p, mode, cov, m, arena)
 		}
-		e.coverService(c, cstops, p, mode, endpointsOnly, cov, m, arena)
 		arena.release(mark)
+	}
+}
+
+// coverSpan returns the points an entry's coverage tests, as pts[lo:hi]
+// every stride-th: a segment's two endpoints; a TwoPoint trajectory's
+// source and destination only — the bits Binary combined semantics read,
+// and the only points guaranteed to lie inside its storage node; or every
+// point of a whole trajectory. seg is -1 for a whole trajectory of n
+// points.
+func coverSpan(v tqtree.Variant, seg, n int) (lo, hi, stride int) {
+	switch {
+	case seg >= 0:
+		return seg, seg + 2, 1
+	case v == tqtree.TwoPoint:
+		return 0, n, n - 1
+	}
+	return 0, n, 1
+}
+
+// coverPoints sets in id's mask, allocated in cov on first touch, every
+// point of pts[lo:hi:stride] the stops serve.
+func coverPoints(cov service.Coverage, id trajectory.ID, pts []geo.Point, lo, hi, stride int, ss *service.StopSet) {
+	var m service.Mask
+	for i := lo; i < hi; i += stride {
+		if !ss.Served(pts[i]) {
+			continue
+		}
+		if m == nil {
+			if m = cov[id]; m == nil {
+				m = service.NewMask(len(pts))
+				cov[id] = m
+			}
+		}
+		m.Set(i)
 	}
 }
 
@@ -252,27 +226,20 @@ type UserService struct {
 }
 
 // ServedUsers answers the reverse range search underlying kMaxRRST for a
-// single facility: every user with positive service, with their service
-// values, ordered by value descending (ties by ID). This is the per-
-// facility view the paper's Scenario examples motivate ("which commuters
-// would this route convert?").
-func (e *Engine) ServedUsers(f *trajectory.Facility, p Params) ([]UserService, Metrics, error) {
-	cov, m, err := e.Coverage(f, p)
-	if err != nil {
-		return nil, m, err
-	}
+// single facility from its coverage: every user with positive service,
+// with their service values, ordered by value descending (ties by ID).
+// user resolves a covered ID to its trajectory. This is the per-facility
+// view the paper's Scenario examples motivate ("which commuters would
+// this route convert?").
+func ServedUsers(cov service.Coverage, user func(trajectory.ID) *trajectory.Trajectory, v tqtree.Variant, sc service.Scenario) []UserService {
 	out := make([]UserService, 0, len(cov))
 	for id, mask := range cov {
-		u := e.users.ByID(id)
-		if u == nil {
-			continue
-		}
-		if v := ObjectiveFromMask(e.tree.Variant(), p.Scenario, u, mask); v > 0 {
-			out = append(out, UserService{User: id, Value: v})
+		if val := ObjectiveFromMask(v, sc, user(id), mask); val > 0 {
+			out = append(out, UserService{User: id, Value: val})
 		}
 	}
 	sortUserServices(out)
-	return out, m, nil
+	return out
 }
 
 func sortUserServices(us []UserService) {

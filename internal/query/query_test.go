@@ -13,6 +13,16 @@ import (
 
 var testBounds = geo.Rect{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}
 
+// engineOver builds a frozen engine over users.
+func engineOver(t testing.TB, users []*trajectory.Trajectory, opts tqtree.Options) *FrozenEngine {
+	t.Helper()
+	f, err := tqtree.BuildFrozen(users, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewFrozenEngine(f, nil)
+}
+
 // makeUsers generates locality-clustered user trajectories.
 func makeUsers(n, maxPts int, seed int64) *trajectory.Set {
 	rng := rand.New(rand.NewSource(seed))
@@ -96,13 +106,9 @@ func TestServiceValueMatchesOracleTwoPointData(t *testing.T) {
 	facilities := makeFacilities(20, 8, 102)
 	psi := 35.0
 	for _, cfg := range validConfigs(false) {
-		tree, err := tqtree.Build(users.All, tqtree.Options{
+		eng := engineOver(t, users.All, tqtree.Options{
 			Variant: cfg.variant, Ordering: cfg.ordering, Beta: 8, Bounds: testBounds,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := NewEngine(tree, users)
 		p := Params{Scenario: cfg.scenario, Psi: psi}
 		for _, f := range facilities {
 			got, _, err := eng.ServiceValue(f, p)
@@ -123,13 +129,9 @@ func TestServiceValueMatchesOracleMultipointData(t *testing.T) {
 	facilities := makeFacilities(15, 10, 104)
 	psi := 40.0
 	for _, cfg := range validConfigs(true) {
-		tree, err := tqtree.Build(users.All, tqtree.Options{
+		eng := engineOver(t, users.All, tqtree.Options{
 			Variant: cfg.variant, Ordering: cfg.ordering, Beta: 8, Bounds: testBounds,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := NewEngine(tree, users)
 		p := Params{Scenario: cfg.scenario, Psi: psi}
 		for _, f := range facilities {
 			got, _, err := eng.ServiceValue(f, p)
@@ -152,13 +154,9 @@ func TestServiceValueRandomizedPsiSweep(t *testing.T) {
 		psi := 1 + rng.Float64()*150
 		f := makeFacilities(1, 1+rng.Intn(30), int64(trial)+200)[0]
 		for _, cfg := range validConfigs(true) {
-			tree, err := tqtree.Build(users.All, tqtree.Options{
+			eng := engineOver(t, users.All, tqtree.Options{
 				Variant: cfg.variant, Ordering: cfg.ordering, Beta: 4, Bounds: testBounds,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng := NewEngine(tree, users)
 			got, _, err := eng.ServiceValue(f, Params{Scenario: cfg.scenario, Psi: psi})
 			if err != nil {
 				t.Fatal(err)
@@ -181,13 +179,9 @@ func TestTopKMatchesExhaustiveAndBaseline(t *testing.T) {
 	facilities := makeFacilities(40, 8, 108)
 	psi := 30.0
 	for _, cfg := range validConfigs(false) {
-		tree, err := tqtree.Build(users.All, tqtree.Options{
+		eng := engineOver(t, users.All, tqtree.Options{
 			Variant: cfg.variant, Ordering: cfg.ordering, Beta: 8, Bounds: testBounds,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := NewEngine(tree, users)
 		bl := NewBaseline(users, cfg.variant)
 		p := Params{Scenario: cfg.scenario, Psi: psi}
 		for _, k := range []int{1, 4, 10, 40, 100} {
@@ -237,13 +231,9 @@ func TestTopKMultipointAgainstBaseline(t *testing.T) {
 	facilities := makeFacilities(25, 12, 110)
 	psi := 45.0
 	for _, cfg := range validConfigs(true) {
-		tree, err := tqtree.Build(users.All, tqtree.Options{
+		eng := engineOver(t, users.All, tqtree.Options{
 			Variant: cfg.variant, Ordering: cfg.ordering, Beta: 8, Bounds: testBounds,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := NewEngine(tree, users)
 		bl := NewBaseline(users, cfg.variant)
 		p := Params{Scenario: cfg.scenario, Psi: psi}
 		best, _, err := eng.TopK(facilities, 5, p)
@@ -263,71 +253,89 @@ func TestTopKMultipointAgainstBaseline(t *testing.T) {
 	}
 }
 
+// checkCoverage compares an epoch's coverage of f with the brute-force
+// mask of every user: a live user's covered bits must be exactly its
+// served points among points (nil: all of them), and a tombstoned user
+// must not appear.
+func checkCoverage(t *testing.T, name string, ep *Epoch, users, logical *trajectory.Set, f *trajectory.Facility, p Params, points func(u *trajectory.Trajectory) []int) {
+	t.Helper()
+	cov, _, err := ep.Coverage(f, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range cov {
+		if logical.ByID(id) == nil {
+			t.Fatalf("%s facility %d: user %d is not in the logical corpus", name, f.ID, id)
+		}
+	}
+	for _, u := range logical.All {
+		want := service.MaskOf(u, f.Stops, p.Psi)
+		got := cov[u.ID]
+		if got == nil {
+			got = service.NewMask(u.Len())
+		}
+		for i := 0; i < u.Len(); i++ {
+			if got.Get(i) && !want.Get(i) {
+				t.Fatalf("%s facility %d user %d: point %d covered, not served", name, f.ID, u.ID, i)
+			}
+		}
+		idx := points(u)
+		for _, i := range idx {
+			if got.Get(i) != want.Get(i) {
+				t.Fatalf("%s facility %d user %d point %d: got %v want %v", name, f.ID, u.ID, i, got.Get(i), want.Get(i))
+			}
+		}
+	}
+	if len(logical.All) == users.Len() {
+		t.Fatalf("%s: no user was tombstoned", name)
+	}
+}
+
+// TestCoverageMatchesDirectMask: the coverage walk of a Segmented or
+// FullTrajectory epoch — tombstones skipped, delta scanned — marks every
+// served point of every logical user, and nothing else.
 func TestCoverageMatchesDirectMask(t *testing.T) {
 	users := makeUsers(200, 5, 111)
 	facilities := makeFacilities(10, 10, 112)
-	psi := 50.0
+	every := func(u *trajectory.Trajectory) []int {
+		idx := make([]int, u.Len())
+		for i := range idx {
+			idx[i] = i
+		}
+		return idx
+	}
 	for _, variant := range []tqtree.Variant{tqtree.Segmented, tqtree.FullTrajectory} {
 		for _, ordering := range []tqtree.Ordering{tqtree.Basic, tqtree.ZOrder} {
-			tree, err := tqtree.Build(users.All, tqtree.Options{
-				Variant: variant, Ordering: ordering, Beta: 8, Bounds: testBounds,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng := NewEngine(tree, users)
-			p := Params{Scenario: service.PointCount, Psi: psi}
+			ep, logical := epochOver(t, users, variant, ordering, 150, 4)
+			p := Params{Scenario: service.PointCount, Psi: 50}
 			for _, f := range facilities {
-				cov, _, err := eng.Coverage(f, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, u := range users.All {
-					want := service.MaskOf(u, f.Stops, psi)
-					got := cov[u.ID]
-					if got == nil {
-						got = service.NewMask(u.Len())
-					}
-					for i := 0; i < u.Len(); i++ {
-						if got.Get(i) != want.Get(i) {
-							t.Fatalf("%v/%v facility %d user %d point %d: got %v want %v",
-								variant, ordering, f.ID, u.ID, i, got.Get(i), want.Get(i))
-						}
-					}
-				}
+				checkCoverage(t, variant.String()+"/"+ordering.String(), ep, users, logical, f, p, every)
 			}
 		}
 	}
 }
 
+// TestCoverageTwoPointEndpointsExact: TwoPoint coverage marks exactly the
+// served sources and destinations — base and delta alike — and never an
+// interior point.
 func TestCoverageTwoPointEndpointsExact(t *testing.T) {
-	// TwoPoint coverage guarantees exact source/destination bits only.
 	users := makeUsers(200, 5, 113)
 	facilities := makeFacilities(10, 10, 114)
-	psi := 50.0
-	tree, err := tqtree.Build(users.All, tqtree.Options{
-		Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder, Beta: 8, Bounds: testBounds,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine(tree, users)
-	p := Params{Scenario: service.Binary, Psi: psi}
-	for _, f := range facilities {
-		cov, _, err := eng.Coverage(f, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, u := range users.All {
-			want := service.MaskOf(u, f.Stops, psi)
-			got := cov[u.ID]
-			if got == nil {
-				got = service.NewMask(u.Len())
+	endpoints := func(u *trajectory.Trajectory) []int { return []int{0, u.Len() - 1} }
+	for _, ordering := range []tqtree.Ordering{tqtree.Basic, tqtree.ZOrder} {
+		ep, logical := epochOver(t, users, tqtree.TwoPoint, ordering, 150, 4)
+		p := Params{Scenario: service.Binary, Psi: 50}
+		for _, f := range facilities {
+			checkCoverage(t, "twopoint/"+ordering.String(), ep, users, logical, f, p, endpoints)
+			cov, _, err := ep.Coverage(f, p)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, i := range []int{0, u.Len() - 1} {
-				if got.Get(i) != want.Get(i) {
-					t.Fatalf("facility %d user %d endpoint %d: got %v want %v",
-						f.ID, u.ID, i, got.Get(i), want.Get(i))
+			for id, m := range cov {
+				for i := 1; i < logical.ByID(id).Len()-1; i++ {
+					if m.Get(i) {
+						t.Fatalf("facility %d user %d: interior point %d covered", f.ID, id, i)
+					}
 				}
 			}
 		}
@@ -360,11 +368,7 @@ func TestBaselineCoverageMatchesDirect(t *testing.T) {
 func TestTopKEdgeCases(t *testing.T) {
 	users := makeUsers(50, 2, 117)
 	facilities := makeFacilities(5, 4, 118)
-	tree, err := tqtree.Build(users.All, tqtree.Options{Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder, Bounds: testBounds})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine(tree, users)
+	eng := engineOver(t, users.All, tqtree.Options{Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder, Bounds: testBounds})
 	p := Params{Scenario: service.Binary, Psi: 20}
 
 	if res, _, err := eng.TopK(facilities, 0, p); err != nil || len(res) != 0 {
@@ -386,11 +390,7 @@ func TestTopKEdgeCases(t *testing.T) {
 
 func TestScenarioValidationOnMultipointTwoPoint(t *testing.T) {
 	users := makeUsers(50, 5, 119)
-	tree, err := tqtree.Build(users.All, tqtree.Options{Variant: tqtree.TwoPoint, Bounds: testBounds})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine(tree, users)
+	eng := engineOver(t, users.All, tqtree.Options{Variant: tqtree.TwoPoint, Bounds: testBounds})
 	f := makeFacilities(1, 4, 120)[0]
 	if _, _, err := eng.ServiceValue(f, Params{Scenario: service.PointCount, Psi: 10}); err == nil {
 		t.Error("TwoPoint tree over multipoint data accepted PointCount query")
@@ -400,11 +400,7 @@ func TestScenarioValidationOnMultipointTwoPoint(t *testing.T) {
 func TestFarAwayFacilityZeroService(t *testing.T) {
 	users := makeUsers(100, 3, 121)
 	far := trajectory.MustNewFacility(1, []geo.Point{geo.Pt(1e6, 1e6), geo.Pt(1e6+10, 1e6)})
-	tree, err := tqtree.Build(users.All, tqtree.Options{Variant: tqtree.FullTrajectory, Ordering: tqtree.ZOrder, Bounds: testBounds})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine(tree, users)
+	eng := engineOver(t, users.All, tqtree.Options{Variant: tqtree.FullTrajectory, Ordering: tqtree.ZOrder, Bounds: testBounds})
 	for sc := service.Binary; sc <= service.Length; sc++ {
 		got, _, err := eng.ServiceValue(far, Params{Scenario: sc, Psi: 50})
 		if err != nil {
@@ -419,11 +415,7 @@ func TestFarAwayFacilityZeroService(t *testing.T) {
 func TestMetricsPopulated(t *testing.T) {
 	users := makeUsers(500, 2, 122)
 	facilities := makeFacilities(20, 8, 123)
-	tree, err := tqtree.Build(users.All, tqtree.Options{Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder, Beta: 8, Bounds: testBounds})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine(tree, users)
+	eng := engineOver(t, users.All, tqtree.Options{Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder, Beta: 8, Bounds: testBounds})
 	_, m, err := eng.TopK(facilities, 5, Params{Scenario: service.Binary, Psi: 30})
 	if err != nil {
 		t.Fatal(err)
@@ -469,40 +461,42 @@ func TestBaselineModesAgree(t *testing.T) {
 	}
 }
 
+// TestServedUsersMatchesOracle: ServedUsers over an epoch's coverage —
+// tombstones and a delta included — lists every logical user with
+// positive service and no other, with the brute-force value, best first.
 func TestServedUsersMatchesOracle(t *testing.T) {
-	users := makeUsers(300, 2, 130)
+	users := makeUsers(300, 4, 130)
 	f := makeFacilities(1, 12, 131)[0]
 	psi := 60.0
-	tree, err := tqtree.Build(users.All, tqtree.Options{Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder, Bounds: testBounds})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine(tree, users)
-	p := Params{Scenario: service.Binary, Psi: psi}
-	got, _, err := eng.ServedUsers(f, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Oracle: every user with positive service, no others.
-	want := map[trajectory.ID]float64{}
-	for _, u := range users.All {
-		if v := service.Value(service.Binary, u, f.Stops, psi); v > 0 {
-			want[u.ID] = v
+	for _, cfg := range validConfigs(true) {
+		name := cfg.variant.String() + "/" + cfg.ordering.String() + "/" + cfg.scenario.String()
+		ep, logical := epochOver(t, users, cfg.variant, cfg.ordering, 220, 5)
+		cov, _, err := ep.Coverage(f, Params{Scenario: cfg.scenario, Psi: psi})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("ServedUsers returned %d users, oracle found %d", len(got), len(want))
-	}
-	for i, us := range got {
-		wv, ok := want[us.User]
-		if !ok {
-			t.Fatalf("user %d not served per oracle", us.User)
+		got := ServedUsers(cov, ep.User, cfg.variant, cfg.scenario)
+		// Oracle: every user with positive service, no others.
+		want := map[trajectory.ID]float64{}
+		for _, u := range logical.All {
+			if v := ObjectiveFromMask(cfg.variant, cfg.scenario, u, service.MaskOf(u, f.Stops, psi)); v > 0 {
+				want[u.ID] = v
+			}
 		}
-		if math.Abs(us.Value-wv) > 1e-9 {
-			t.Fatalf("user %d value %v, oracle %v", us.User, us.Value, wv)
+		if len(want) == 0 || len(got) != len(want) {
+			t.Fatalf("%s: ServedUsers returned %d users, oracle found %d", name, len(got), len(want))
 		}
-		if i > 0 && got[i].Value > got[i-1].Value {
-			t.Fatal("ServedUsers not sorted by value")
+		for i, us := range got {
+			wv, ok := want[us.User]
+			if !ok {
+				t.Fatalf("%s: user %d not served per oracle", name, us.User)
+			}
+			if math.Abs(us.Value-wv) > 1e-9 {
+				t.Fatalf("%s: user %d value %v, oracle %v", name, us.User, us.Value, wv)
+			}
+			if i > 0 && (got[i].Value > got[i-1].Value || got[i].Value == got[i-1].Value && got[i].User < got[i-1].User) {
+				t.Fatalf("%s: ServedUsers not sorted at %d", name, i)
+			}
 		}
 	}
 }

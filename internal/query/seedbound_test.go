@@ -9,15 +9,14 @@ import (
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
-// TestSeedBound pins the bound every best-first top-k starts from, on
-// both layouts (epoch_test.go covers the overlay's share): it is sound
-// (never below the exact value), it is the optimistic remainder the
-// best-first search seeds with, and its descent
-// ends at the paper's containingQNode — the last enqueued pair's cell
-// contains the facility's EMBR (or is the root) and none of its
-// children's does, with only list-only ancestors before it. Algorithm 1
-// seeds there too where ancestors cannot serve: it skips lists, and
-// answers as a walk over every list does, bit for bit.
+// TestSeedBound pins the bound every best-first top-k starts from
+// (epoch_test.go covers the overlay's share): it is sound (never below
+// the exact value), it is the optimistic remainder the best-first search
+// seeds with, and its descent ends at the paper's containingQNode — the
+// last enqueued pair's cell contains the facility's EMBR (or is the root)
+// and none of its children's does, with only list-only ancestors before
+// it. Algorithm 1 seeds there too where ancestors cannot serve: it skips
+// lists, and answers as a walk over every list does, bit for bit.
 func TestSeedBound(t *testing.T) {
 	users := makeUsers(1500, 4, 42)
 	facilities := makeFacilities(25, 10, 43)
@@ -25,20 +24,11 @@ func TestSeedBound(t *testing.T) {
 	// children, so the descent must stay at the root.
 	facilities = append(facilities, trajectory.MustNewFacility(999, []geo.Point{geo.Pt(499, 499), geo.Pt(501, 501)}))
 	for _, cfg := range validConfigs(true) {
-		tree, err := tqtree.Build(users.All, tqtree.Options{
+		eng := engineOver(t, users.All, tqtree.Options{
 			Variant: cfg.variant, Ordering: cfg.ordering, Beta: 8, Bounds: testBounds,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := NewEngine(tree, users)
-		frozen, err := tqtree.Freeze(tree)
-		if err != nil {
-			t.Fatal(err)
-		}
-		feng := NewFrozenEngine(frozen, users)
 		p := Params{Scenario: cfg.scenario, Psi: 35}
-		l := ptrLayout{tree}
+		l := frozenLayout{f: eng.Frozen()}
 		skipped := 0
 		for _, f := range facilities {
 			exact, em, err := eng.ServiceValue(f, p)
@@ -54,30 +44,27 @@ func TestSeedBound(t *testing.T) {
 			if ub < exact {
 				t.Fatalf("%v facility %d: bound %v below exact value %v", cfg, f.ID, ub, exact)
 			}
-			if fub := feng.UpperBound(f, p); fub != ub {
-				t.Fatalf("%v facility %d: frozen bound %v, pointer bound %v", cfg, f.ID, fub, ub)
-			}
-			s := initialStateG[*tqtreeNode](l, f, p, l.AncestorsCanServe(p.Scenario))
+			s := initialState(l, f, p, l.f.AncestorsCanServe(p.Scenario))
 			if s.aserve != 0 || s.hserve != ub {
 				t.Fatalf("%v facility %d: search seeds with (%v, %v), bound %v", cfg, f.ID, s.aserve, s.hserve, ub)
 			}
 			embr := f.EMBR(p.Psi)
 			for i, pr := range s.pairs {
 				last := i == len(s.pairs)-1
-				inside := pr.node == tree.Root() || pr.node.Rect().ContainsRect(embr) // the root takes what overhangs the map
+				inside := pr.node == 0 || l.f.Rect(pr.node).ContainsRect(embr) // the root takes what overhangs the map
 				if !inside || pr.listOnly == last {
-					t.Fatalf("%v facility %d: pair %d of %d: cell %v, listOnly %v", cfg, f.ID, i, len(s.pairs), pr.node.Rect(), pr.listOnly)
+					t.Fatalf("%v facility %d: pair %d of %d: cell %v, listOnly %v", cfg, f.ID, i, len(s.pairs), l.f.Rect(pr.node), pr.listOnly)
 				}
 			}
 			q := s.pairs[len(s.pairs)-1].node
-			if c := childContaining[*tqtreeNode](l, q, embr); c != nil {
-				t.Fatalf("%v facility %d: descent stopped above %v", cfg, f.ID, c.Rect())
+			if c := childContaining(l.f, q, embr); c != nilNode {
+				t.Fatalf("%v facility %d: descent stopped above %v", cfg, f.ID, l.f.Rect(c))
 			}
-			if f.ID == 999 && q != tree.Root() {
+			if f.ID == 999 && q != 0 {
 				t.Fatalf("%v: a route straddling the center seeded below the root", cfg)
 			}
 		}
-		if seeded := !l.AncestorsCanServe(p.Scenario); seeded != (skipped > 0) {
+		if seeded := !l.f.AncestorsCanServe(p.Scenario); seeded != (skipped > 0) {
 			t.Fatalf("%v: the seeded walk skipped %d lists", cfg, skipped)
 		}
 	}
@@ -86,11 +73,11 @@ func TestSeedBound(t *testing.T) {
 // walkEveryList is Algorithm 1 without the containing-node seed: every
 // visited node's own list is scored. The seeded walk must give the same
 // value bit for bit from no more list evaluations.
-func walkEveryList(l ptrLayout, f *trajectory.Facility, p Params) (float64, Metrics) {
+func walkEveryList(l frozenLayout, f *trajectory.Facility, p Params) (float64, Metrics) {
 	var m Metrics
 	arena := acquireCompArena(len(f.Stops))
 	defer putCompArena(arena)
-	return evaluateServiceG(l, l.Root(), f.Stops, p, l.FilterModeFor(p.Scenario), true, &m, arena), m
+	return evaluateService(l, 0, f.Stops, p, l.f.FilterModeFor(p.Scenario), true, &m, arena), m
 }
 
 // TestSeedBoundCellBorder pins the cell-border cases of the containing
@@ -99,9 +86,9 @@ func walkEveryList(l ptrLayout, f *trajectory.Facility, p Params) (float64, Metr
 // with an endpoint on that line ψ from a stop: one is stored at the root
 // (its first point routes east, its last lies west), the other routes
 // whole into the south-east quadrant. A route off the map's east edge
-// serves a trip inserted there after the build, which the root keeps. Every
-// top-k and every service value must count them all, and Algorithm 1's
-// seed must not skip the lists that hold them.
+// serves a trip inserted there after the build, which the delta overlay
+// keeps. Every top-k and every service value must count them all, and
+// Algorithm 1's seed must not skip the lists that hold them.
 func TestSeedBoundCellBorder(t *testing.T) {
 	users := makeUsers(400, 2, 44).All
 	border := []*trajectory.Trajectory{
@@ -119,43 +106,53 @@ func TestSeedBoundCellBorder(t *testing.T) {
 	if !testBounds.Quadrant(geo.QuadSW).ContainsRect(west.EMBR(psi)) {
 		t.Fatalf("route EMBR %v is not in the closed south-west quadrant", west.EMBR(psi))
 	}
+	type surface interface {
+		ServiceValue(*trajectory.Facility, Params) (float64, Metrics, error)
+		ServiceValues([]*trajectory.Facility, Params, int) ([]float64, Metrics, error)
+	}
+	without := trajectory.MustNewSet(users)
 	for _, cfg := range validConfigs(false) {
-		tree, err := tqtree.Build(built, tqtree.Options{
+		eng := engineOver(t, built, tqtree.Options{
 			Variant: cfg.variant, Ordering: cfg.ordering, Beta: 8, Bounds: testBounds,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tree.Insert(outside)
-		frozen, err := tqtree.Freeze(tree)
+		ep, err := NewEpoch(eng, []*trajectory.Trajectory{outside}, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := Params{Scenario: cfg.scenario, Psi: psi}
-		for name, eng := range map[string]interface {
-			ServiceValue(*trajectory.Facility, Params) (float64, Metrics, error)
-			ServiceValues([]*trajectory.Facility, Params, int) ([]float64, Metrics, error)
-			TopK([]*trajectory.Facility, int, Params) ([]Result, Metrics, error)
-		}{"pointer": NewEngine(tree, set), "frozen": NewFrozenEngine(frozen, nil)} {
-			vs, _, err := eng.ServiceValues(facilities, p, 1)
-			if err != nil {
-				t.Fatal(err)
+		top, _, err := eng.TopK(facilities, len(facilities), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The base answers for the built corpus, best-first TopK included;
+		// the epoch adds the trip inserted off the map.
+		for _, c := range []struct {
+			name   string
+			idx    surface
+			corpus *trajectory.Set
+			gains  []*trajectory.Facility // routes the extra trips serve
+			top    []Result
+		}{
+			{"frozen", eng, trajectory.MustNewSet(built), routes[:1], top},
+			{"epoch", ep, set, routes, nil},
+		} {
+			for _, f := range c.gains {
+				if want, less := ExactServiceValue(cfg.variant, cfg.scenario, c.corpus, f.Stops, psi), ExactServiceValue(cfg.variant, cfg.scenario, without, f.Stops, psi); want <= less {
+					t.Fatalf("%+v %s route %d: the extra trips add nothing (%v vs %v)", cfg, c.name, f.ID, want, less)
+				}
 			}
-			top, _, err := eng.TopK(facilities, len(facilities), p)
+			vs, _, err := c.idx.ServiceValues(facilities, p, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, f := range routes {
-				want := ExactServiceValue(cfg.variant, cfg.scenario, set, f.Stops, psi)
-				if without := ExactServiceValue(cfg.variant, cfg.scenario, trajectory.MustNewSet(users), f.Stops, psi); want <= without {
-					t.Fatalf("%+v route %d: the border trips add nothing (%v vs %v)", cfg, f.ID, want, without)
-				}
-				v, _, err := eng.ServiceValue(f, p)
+				want := ExactServiceValue(cfg.variant, cfg.scenario, c.corpus, f.Stops, psi)
+				v, _, err := c.idx.ServiceValue(f, p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				best := -1.0
-				for _, r := range top {
+				best := want
+				for _, r := range c.top {
 					if r.Facility == f {
 						best = r.Service
 					}
@@ -163,7 +160,7 @@ func TestSeedBoundCellBorder(t *testing.T) {
 				got := vs[len(vs)-len(routes)+i]
 				if math.Abs(v-want) > 1e-9 || math.Abs(got-want) > 1e-9 || math.Abs(best-want) > 1e-9 {
 					t.Fatalf("%+v %s route %d: ServiceValue %v, ServiceValues %v, best-first TopK %v; exact %v",
-						cfg, name, f.ID, v, got, best, want)
+						cfg, c.name, f.ID, v, got, best, want)
 				}
 			}
 		}

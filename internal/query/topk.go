@@ -13,27 +13,6 @@ type Result struct {
 	Service float64
 }
 
-// TopK answers the kMaxRRST query: the k facilities with the highest
-// service value, in non-increasing order, computed with the best-first
-// strategy of Algorithm 3 driven by the q-node `sub` upper bounds. It is
-// what the paper's figures time; the public index types answer top-k as
-// one exact ServiceValues pass plus Results instead.
-func (e *Engine) TopK(facilities []*trajectory.Facility, k int, p Params) ([]Result, Metrics, error) {
-	return topKG[*tqtreeNode](ptrLayout{e.tree}, facilities, k, p)
-}
-
-// UpperBound returns the bound TopK seeds f's search with — the `sub` of
-// the smallest q-node containing f's EMBR, plus ancestor own-list bounds
-// where those can serve: a sound overestimate of SO(U, f), read in one
-// descent without allocating. It does not validate p. No serving path
-// calls it: it is what tqbench -exp bound measures (a bound would have to
-// rank fewer than N − k facilities above the k-th value before it could
-// save a served top-k anything) and what LiveShardedIndex.UpperBoundsCtx
-// sums as a diagnostic.
-func (e *Engine) UpperBound(f *trajectory.Facility, p Params) float64 {
-	return upperBoundG[*tqtreeNode](ptrLayout{e.tree}, f, p)
-}
-
 func maxStops(facilities []*trajectory.Facility) int {
 	most := 0
 	for _, f := range facilities {

@@ -10,10 +10,10 @@ import (
 )
 
 // Frozen is a set of frozen columnar TQ-trees jointly indexing one
-// trajectory corpus — the read-optimized serving form of Sharded. It
-// answers the same scatter-gather queries through the embedded scatter
-// over one frozen engine per shard, is immutable (no Insert), and each
-// shard serializes verbatim into the TQSHRD03 snapshot container.
+// trajectory corpus — the immutable serving form of Live. It answers the
+// same scatter-gather queries through the embedded scatter over one
+// frozen engine per shard, and each shard serializes verbatim into the
+// TQSHRD03 snapshot container.
 type Frozen struct {
 	scatter[*query.FrozenEngine]
 	bounds  geo.Rect
@@ -21,28 +21,10 @@ type Frozen struct {
 	engines []*query.FrozenEngine
 }
 
-// Freeze produces the frozen serving form of the sharded index: every
-// shard's pointer tree is frozen into its columnar layout, trajectories
-// copied. The source index is only read and remains fully usable;
-// dropping it afterwards releases all pointer-tree storage.
-func (s *Sharded) Freeze() (*Frozen, error) {
-	engines := make([]*query.FrozenEngine, len(s.engines))
-	for i, e := range s.engines {
-		fz, err := tqtree.Freeze(e.Tree())
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		engines[i] = query.NewFrozenEngine(fz, nil)
-	}
-	return newFrozen(engines, s.bounds, s.PartitionerKind()), nil
-}
-
-// buildFrozen is Build followed by Freeze without the mutable index in
-// between: each shard's columns are written straight from its build plan,
-// so neither a pointer tree nor a per-shard Set (and its ID map) is ever
-// made. A duplicate ID inside a shard fails that shard's build; one shared
-// by two shards fails the merge in FrozenFromEngines. opts must carry its
-// defaults.
+// buildFrozen partitions users and writes each shard's columns straight
+// from its build plan. A duplicate ID inside a shard fails that shard's
+// build; one shared by two shards fails the merge in FrozenFromEngines.
+// opts must carry its defaults.
 func buildFrozen(users []*trajectory.Trajectory, opts Options) (*Frozen, error) {
 	parts, bounds := partition(users, opts)
 	engines := make([]*query.FrozenEngine, len(parts))
@@ -77,9 +59,9 @@ func uniqueAcross(cols [][]trajectory.ID, what string) error {
 // FrozenFromEngines assembles a Frozen from per-shard frozen engines —
 // the snapshot restore path. kind records the partitioner the partition
 // was produced with ("" when unknown); bounds is the shared root space.
-// IDs must be unique across the whole corpus, exactly as the mutable
-// build checks; each table is unique in itself, so one merge of their
-// sorted ID columns decides it.
+// IDs must be unique across the whole corpus, exactly as a build checks;
+// each table is unique in itself, so one merge of their sorted ID columns
+// decides it.
 func FrozenFromEngines(engines []*query.FrozenEngine, bounds geo.Rect, kind string) (*Frozen, error) {
 	if len(engines) == 0 {
 		return nil, fmt.Errorf("shard: no frozen shards")

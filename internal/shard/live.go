@@ -205,8 +205,7 @@ type Health struct {
 }
 
 // BuildLive partitions users and builds one frozen-epoch shard per
-// partition. It answers as Build followed by Sharded.Live would, without
-// building the mutable index's per-shard sets on the way.
+// partition, each base written straight from its build plan.
 func BuildLive(users []*trajectory.Trajectory, opts Options, pol Policy) (*Live, error) {
 	opts = opts.withDefaults()
 	f, err := buildFrozen(users, opts)
@@ -216,14 +215,37 @@ func BuildLive(users []*trajectory.Trajectory, opts Options, pol Policy) (*Live,
 	return liveFromEngines(f.engines, opts.Partitioner, pol)
 }
 
-// Live freezes every shard and wraps the result in the epoch-serving
-// form. The source index is only read and remains usable.
-func (s *Sharded) Live(pol Policy) (*Live, error) {
-	f, err := s.Freeze()
-	if err != nil {
-		return nil, err
+// Freeze returns the immutable form of the logical corpus over one epoch
+// capture: a shard with no pending churn contributes its base as it is,
+// and any other is folded as a rebuild would fold it. The index is only
+// read and remains usable.
+func (l *Live) Freeze() (*Frozen, error) {
+	eps := l.Epochs()
+	engines := make([]*query.FrozenEngine, len(eps))
+	for i, ep := range eps {
+		if ep.DeltaLen() == 0 && ep.TombstoneCount() == 0 {
+			engines[i] = ep.Base()
+			continue
+		}
+		fz, err := l.fold(ep)
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
+		}
+		engines[i] = query.NewFrozenEngine(fz, nil)
 	}
-	return liveFromEngines(f.engines, s.opts.Partitioner, pol)
+	return newFrozen(engines, l.bounds, l.PartitionerKind()), nil
+}
+
+// fold builds a fresh frozen base over ep's logical corpus. The corpus is
+// views over ep's table — BuildFrozen copies what the new base keeps, so
+// nothing of ep (or of a file mapping under it) is referenced once ep is
+// dropped.
+func (l *Live) fold(ep *query.Epoch) (*tqtree.Frozen, error) {
+	opts := l.treeOpts
+	opts.Parallelism = l.policy.RebuildParallelism
+	fz, err := tqtree.BuildFrozen(ep.LogicalCorpus(), opts)
+	runtime.KeepAlive(ep) // the views alias ep's table until BuildFrozen has copied them
+	return fz, err
 }
 
 // Live wraps the frozen shards in the epoch-serving form with empty
@@ -772,13 +794,8 @@ func (l *Live) rebuildShard(sh *liveShard) error {
 	l.wmu.Unlock()
 
 	// Build off-lock: readers and writers proceed against the current
-	// epochs while the fold runs. The corpus is views over e0's table —
-	// BuildFrozen copies what the new base keeps, so nothing of e0 (or of
-	// a file mapping under it) is referenced once e0 is dropped.
-	opts := l.treeOpts
-	opts.Parallelism = l.policy.RebuildParallelism
-	fz, err := tqtree.BuildFrozen(e0.LogicalCorpus(), opts)
-	runtime.KeepAlive(e0) // the views alias e0's table until BuildFrozen has copied them
+	// epochs while the fold runs.
+	fz, err := l.fold(e0)
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
 	if err == nil {

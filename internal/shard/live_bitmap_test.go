@@ -60,7 +60,7 @@ func TestLiveTombstoneWordBoundaries(t *testing.T) {
 				check := func(stage string) {
 					t.Helper()
 					corpus := oracle.corpus()
-					fresh, err := Build(corpus, opts)
+					fresh, err := build(corpus, opts)
 					if err != nil {
 						t.Fatal(err)
 					}

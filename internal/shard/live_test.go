@@ -52,15 +52,11 @@ func TestLiveEmptyDeltaMatchesFrozen(t *testing.T) {
 				opts := Options{Shards: n, Tree: tqtree.Options{
 					Variant: tqtree.FullTrajectory, Ordering: o, Beta: 8, Bounds: testBounds,
 				}}
-				s, err := Build(users, opts)
+				fz, err := build(users, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				fz, err := s.Freeze()
-				if err != nil {
-					t.Fatal(err)
-				}
-				lv, err := s.Live(manualPolicy())
+				lv, err := fz.Live(manualPolicy())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -185,7 +181,7 @@ func TestLiveChurnMatchesFreshBuild(t *testing.T) {
 
 		check := func(stage string) {
 			corpus := oracle.corpus()
-			fresh, err := Build(corpus, opts)
+			fresh, err := build(corpus, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -283,13 +279,9 @@ func TestLiveAutoCompaction(t *testing.T) {
 // ErrImmutable for Insert.
 func TestLiveImmutableInsert(t *testing.T) {
 	users := makeUsers(300, 2, 77)
-	s, err := Build(users, Options{Shards: 2, Tree: tqtree.Options{
+	fz, err := build(users, Options{Shards: 2, Tree: tqtree.Options{
 		Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder, Beta: 8, Bounds: testBounds,
 	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fz, err := s.Freeze()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +351,7 @@ func TestLiveDeletesDuringCompact(t *testing.T) {
 		}
 		// A second compact folds any tombstones the deletes left behind;
 		// answers must match a fresh build both before and after.
-		fresh, err := Build(survivors, opts)
+		fresh, err := build(survivors, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

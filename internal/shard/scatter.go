@@ -5,6 +5,7 @@ import (
 
 	"github.com/trajcover/trajcover/internal/query"
 	"github.com/trajcover/trajcover/internal/service"
+	"github.com/trajcover/trajcover/internal/tqtree"
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
@@ -18,26 +19,30 @@ type Params = query.Params
 const DefaultStreamChunk = 256
 
 // unit is one shard as the scatter-gather sees it: something that can
-// check a scenario against its data and answer exact service values, for
-// one facility or a batch. *query.Engine (pointer tree),
-// *query.FrozenEngine (frozen columns) and *query.Epoch (frozen base +
-// delta overlay + tombstones) all are one. Users are disjoint across
-// units, so a facility's service value is the sum of its per-unit values
-// — which is all the code below relies on.
+// check a scenario against its data, answer exact service values, for one
+// facility or a batch, and cover a facility's users. *query.FrozenEngine
+// (frozen columns) and *query.Epoch (frozen base + delta overlay +
+// tombstones) both are one. Users are disjoint across units, so a
+// facility's service value is the sum of its per-unit values and its
+// coverage the union of their masks — which is all the code below relies
+// on.
 type unit interface {
 	ValidateScenario(service.Scenario) error
 	ServiceValue(*trajectory.Facility, Params) (float64, query.Metrics, error)
 	ServiceValuesCtx(ctx context.Context, facilities []*trajectory.Facility, p Params, workers int) ([]float64, query.Metrics, error)
+	Coverage(*trajectory.Facility, Params) (service.Coverage, query.Metrics, error)
+	User(trajectory.ID) *trajectory.Trajectory
+	Variant() tqtree.Variant
 }
 
 // scatter is the query surface of every index, written once over a slice
-// of units and embedded in Sharded, Frozen and Live — with one unit, it
-// is also the single-tree index's (the root package builds its Index,
-// FrozenIndex and LiveIndex as one-shard Sharded, Frozen and Live). capture
-// returns the units one query runs over: the fixed shard slice for
-// Sharded and Frozen, one write-consistent epoch cut (Live.Epochs) for
-// Live — taken once per call, so a query (or a whole stream) is
-// unaffected by writes and swaps that land while it runs.
+// of units and embedded in Frozen and Live — with one unit, it is also the
+// single-tree index's (the root package builds its Index, FrozenIndex and
+// LiveIndex as one-shard Live, Frozen and Live). capture returns the units
+// one query runs over: the fixed shard slice for Frozen, one
+// write-consistent epoch cut (Live.Epochs) for Live — taken once per call,
+// so a query (or a whole stream, or a whole MaxkCovRST solve through
+// Source) is unaffected by writes and swaps that land while it runs.
 type scatter[U unit] struct {
 	capture func() []U
 }
@@ -188,4 +193,67 @@ func (s scatter[U]) topK(ctx context.Context, facilities []*trajectory.Facility,
 		return nil, m, err
 	}
 	return query.Results(facilities, vals, k), m, nil
+}
+
+// Source captures the units once and returns them as the input of a
+// query that makes many calls — a MaxkCovRST solve, a served-users answer
+// — so every call sees one epoch cut.
+func (s scatter[U]) Source() *Source {
+	units := s.capture()
+	src := &Source{units: make([]unit, len(units))}
+	for i, u := range units {
+		src.units[i] = u
+	}
+	return src
+}
+
+// Source is one capture of an index's shards as the coverage queries read
+// it: internal/maxcov's coverage source, and the exact batch its two-step
+// greedy ranks by.
+type Source struct {
+	units []unit
+}
+
+// Variant returns the shards' decomposition variant.
+func (s *Source) Variant() tqtree.Variant { return s.units[0].Variant() }
+
+// Coverage computes a facility's per-user coverage masks: the union of
+// every shard's, which never overlap because users are disjoint across
+// shards.
+func (s *Source) Coverage(f *trajectory.Facility, p Params) (service.Coverage, error) {
+	if err := validate(s.units, p); err != nil {
+		return nil, err
+	}
+	cov := service.Coverage{}
+	for _, u := range s.units {
+		c, _, err := u.Coverage(f, p)
+		if err != nil {
+			return nil, err
+		}
+		for id, mask := range c {
+			cov[id] = mask
+		}
+	}
+	return cov, nil
+}
+
+// User returns the trajectory with the given id from whichever shard
+// holds it, or nil.
+func (s *Source) User(id trajectory.ID) *trajectory.Trajectory {
+	for _, u := range s.units {
+		if t := u.User(id); t != nil {
+			return t
+		}
+	}
+	return nil
+}
+
+// ServiceValues is the served exact pass over the captured shards — the
+// sums a top-k sorts and cuts — on one worker per shard.
+func (s *Source) ServiceValues(facilities []*trajectory.Facility, p Params) ([]float64, error) {
+	if err := validate(s.units, p); err != nil {
+		return nil, err
+	}
+	var m query.Metrics
+	return sumValues(context.Background(), s.units, facilities, p, 1, &m)
 }

@@ -1,11 +1,14 @@
-// Package shard partitions a trajectory corpus across one or more
+// Package shard partitions a trajectory corpus across one or more frozen
 // TQ-trees and serves kMaxRRST queries by scatter-gather: exact service
 // values fan out to every shard as one batch and are summed, and top-k is
 // the sort-and-cut of those sums (query.Results) — what the distributed
-// frontend does over whole processes. Every public index type is one of
-// the three forms here (Sharded, Frozen, Live), the single-tree ones with
-// one shard, so all answer through scatter. The paper's best-first search
-// (Algorithms 3/4) stays on the engines for the figures (scatter.topK).
+// frontend does over whole processes. Coverage (MaxkCovRST, served users)
+// is the union of every shard's masks, read through one Source. Every
+// public index type is one of the two forms here — Frozen, immutable, and
+// Live, epoch-serving and mutable — the single-tree ones with one shard,
+// so all answer through scatter. The paper's best-first search
+// (Algorithms 3/4) stays on query.FrozenEngine for the figures
+// (scatter.topK).
 //
 // Sharding is what keeps datasets larger than one tree's comfortable
 // in-memory size — and rebuilds — from being monolithic: shards build in
@@ -17,18 +20,15 @@
 package shard
 
 import (
-	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 
 	"github.com/trajcover/trajcover/internal/geo"
-	"github.com/trajcover/trajcover/internal/query"
 	"github.com/trajcover/trajcover/internal/tqtree"
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
-// Options configures Build.
+// Options configures BuildLive.
 type Options struct {
 	// Shards is the number of TQ-trees to partition across. 0 means 1.
 	Shards int
@@ -49,27 +49,6 @@ func (o Options) withDefaults() Options {
 		o.Partitioner = Hash{}
 	}
 	return o
-}
-
-// Sharded is a set of TQ-trees jointly indexing one trajectory corpus,
-// answering the same queries as a single tree by scatter-gather (the
-// embedded scatter over one engine per shard).
-type Sharded struct {
-	scatter[*query.Engine]
-	opts    Options
-	bounds  geo.Rect
-	engines []*query.Engine
-}
-
-// Build partitions users with opts.Partitioner and builds one TQ-tree
-// per shard, constructing shards in parallel within the
-// opts.Tree.Parallelism goroutine budget. Duplicate IDs are rejected
-// across the whole corpus, exactly as a single-tree build would. The
-// index keeps nothing of the users slice itself.
-func Build(users []*trajectory.Trajectory, opts Options) (*Sharded, error) {
-	opts = opts.withDefaults()
-	parts, bounds := partition(users, opts)
-	return fromParts(parts, bounds, opts)
 }
 
 // partition assigns users to opts.Shards parts over the shared root space
@@ -130,41 +109,6 @@ func buildTrees(parts [][]*trajectory.Trajectory, bounds geo.Rect, opts Options,
 	return nil
 }
 
-// fromParts builds every shard's set and tree. A set rejects a duplicate
-// ID within its shard; the merge of the shards' sorted ID columns rejects
-// one that two shards share, which every query would double-count.
-func fromParts(parts [][]*trajectory.Trajectory, bounds geo.Rect, opts Options) (*Sharded, error) {
-	cols := make([][]trajectory.ID, len(parts))
-	for i, part := range parts {
-		cols[i] = make([]trajectory.ID, len(part))
-		for j, u := range part {
-			cols[i][j] = u.ID
-		}
-		slices.Sort(cols[i])
-	}
-	if id, _, dup := trajectory.FirstDuplicateAcross(cols); dup {
-		return nil, fmt.Errorf("shard: duplicate id %d", id)
-	}
-	s := &Sharded{opts: opts, bounds: bounds, engines: make([]*query.Engine, len(parts))}
-	s.scatter = fixedUnits(s.engines)
-	err := buildTrees(parts, bounds, opts, func(i int, treeOpts tqtree.Options) error {
-		tree, err := tqtree.Build(parts[i], treeOpts)
-		if err != nil {
-			return err
-		}
-		set, err := trajectory.NewSet(parts[i])
-		if err != nil {
-			return err
-		}
-		s.engines[i] = query.NewEngine(tree, set)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 func clampShard(i, n int) int {
 	if i < 0 {
 		return 0
@@ -173,63 +117,4 @@ func clampShard(i, n int) int {
 		return n - 1
 	}
 	return i
-}
-
-// NumShards returns the shard count.
-func (s *Sharded) NumShards() int { return len(s.engines) }
-
-// Len returns the total number of indexed trajectories.
-func (s *Sharded) Len() int {
-	n := 0
-	for _, e := range s.engines {
-		n += e.Users().Len()
-	}
-	return n
-}
-
-// Sizes returns the number of trajectories in each shard.
-func (s *Sharded) Sizes() []int {
-	out := make([]int, len(s.engines))
-	for i, e := range s.engines {
-		out[i] = e.Users().Len()
-	}
-	return out
-}
-
-// Bounds returns the shared root space of every shard's tree.
-func (s *Sharded) Bounds() geo.Rect { return s.bounds }
-
-// Engine returns the query engine of shard i — for diagnostics and for
-// per-shard maintenance (the rebuild-and-swap path operates one shard at
-// a time).
-func (s *Sharded) Engine(i int) *query.Engine { return s.engines[i] }
-
-// PartitionerKind returns the configured partitioner's kind.
-func (s *Sharded) PartitionerKind() string { return s.opts.Partitioner.Kind() }
-
-// ByID returns the trajectory with the given id from whichever shard
-// holds it, or nil.
-func (s *Sharded) ByID(id trajectory.ID) *trajectory.Trajectory {
-	for _, e := range s.engines {
-		if t := e.Users().ByID(id); t != nil {
-			return t
-		}
-	}
-	return nil
-}
-
-// Insert routes a trajectory to its shard and inserts it there; an ID
-// already indexed is rejected with ErrDuplicateID. It is not safe
-// concurrently with queries — but only the target shard is touched, so
-// serving systems can quiesce one shard at a time.
-func (s *Sharded) Insert(u *trajectory.Trajectory) error {
-	if s.ByID(u.ID) != nil {
-		return fmt.Errorf("%w: %d", ErrDuplicateID, u.ID)
-	}
-	e := s.engines[clampShard(s.opts.Partitioner.Assign(u, s.bounds, len(s.engines)), len(s.engines))]
-	if err := e.Users().Add(u); err != nil {
-		return err
-	}
-	e.Tree().Insert(u)
-	return nil
 }

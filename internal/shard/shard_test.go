@@ -3,6 +3,7 @@ package shard
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -68,14 +69,19 @@ func makeFacilities(n, stops int, seed int64) []*trajectory.Facility {
 	return out
 }
 
-func singleEngine(t *testing.T, users []*trajectory.Trajectory, opts tqtree.Options) *query.Engine {
+func singleEngine(t *testing.T, users []*trajectory.Trajectory, opts tqtree.Options) *query.FrozenEngine {
 	t.Helper()
-	set := trajectory.MustNewSet(users)
-	tree, err := tqtree.Build(users, opts)
+	fz, err := tqtree.BuildFrozen(users, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return query.NewEngine(tree, set)
+	return query.NewFrozenEngine(fz, nil)
+}
+
+// build is the frozen index over users the tests compare with: the
+// bases BuildLive serves.
+func build(users []*trajectory.Trajectory, opts Options) (*Frozen, error) {
+	return buildFrozen(users, opts.withDefaults())
 }
 
 var shardCounts = []int{1, 2, 4, 8}
@@ -127,7 +133,8 @@ func TestGridPartitionerClampsOutOfBounds(t *testing.T) {
 // random datasets, every shard count, both partitioners, and every valid
 // (variant, scenario) pair, the sharded ServiceValues and TopK agree with
 // the single-tree engine — exactly for Binary, within float summation
-// tolerance otherwise.
+// tolerance otherwise — and the union of the shards' coverage masks is
+// the single tree's, bit for bit.
 func TestShardedMatchesSingleTree(t *testing.T) {
 	type cfg struct {
 		variant  tqtree.Variant
@@ -155,7 +162,7 @@ func TestShardedMatchesSingleTree(t *testing.T) {
 		}
 		for _, part := range []Partitioner{Hash{}, Grid{}} {
 			for _, n := range shardCounts {
-				s, err := Build(users, Options{Shards: n, Partitioner: part, Tree: treeOpts})
+				s, err := build(users, Options{Shards: n, Partitioner: part, Tree: treeOpts})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -205,6 +212,20 @@ func TestShardedMatchesSingleTree(t *testing.T) {
 				if m.EntriesScored == 0 && wantTop[0].Service > 0 {
 					t.Fatalf("%v %s/%d shards: no work recorded", c, part.Kind(), n)
 				}
+				for _, f := range facilities[:8] {
+					want, _, err := eng.Coverage(f, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := s.Source().Coverage(f, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%v %s/%d shards: facility %d covers %d users, single tree %d",
+							c, part.Kind(), n, f.ID, len(got), len(want))
+					}
+				}
 			}
 		}
 	}
@@ -215,7 +236,7 @@ func TestShardedMatchesSingleTree(t *testing.T) {
 func TestShardedTopKParallelMatchesSerial(t *testing.T) {
 	users := makeUsers(2000, 2, 31)
 	facilities := makeFacilities(32, 8, 32)
-	s, err := Build(users, Options{Shards: 4, Tree: tqtree.Options{
+	s, err := build(users, Options{Shards: 4, Tree: tqtree.Options{
 		Ordering: tqtree.ZOrder, Bounds: testBounds,
 	}})
 	if err != nil {
@@ -251,7 +272,7 @@ func TestBuildParallelismIsEquivalent(t *testing.T) {
 	p := query.Params{Scenario: service.Binary, Psi: 40}
 	var want []float64
 	for _, par := range []int{1, 2, 8} {
-		s, err := Build(users, Options{Shards: 4, Tree: tqtree.Options{
+		s, err := build(users, Options{Shards: 4, Tree: tqtree.Options{
 			Bounds: testBounds, Parallelism: par,
 		}})
 		if err != nil {
@@ -279,7 +300,7 @@ func TestBuildParallelismIsEquivalent(t *testing.T) {
 // across shards.
 func TestShardedInsertRoutesToOneShard(t *testing.T) {
 	users := makeUsers(400, 2, 51)
-	s, err := Build(users, Options{Shards: 4, Tree: tqtree.Options{Bounds: testBounds}})
+	s, err := BuildLive(users, Options{Shards: 4, Tree: tqtree.Options{Bounds: testBounds}}, manualPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +320,7 @@ func TestShardedInsertRoutesToOneShard(t *testing.T) {
 			t.Fatalf("shard %d grew by %d, want 0", i, delta)
 		}
 	}
-	if got := s.ByID(10000); got != u {
+	if got := s.Source().User(10000); got != u {
 		t.Fatal("inserted trajectory not findable by ID")
 	}
 	if err := s.Insert(u); err == nil {
@@ -321,7 +342,7 @@ func TestShardedInsertRoutesToOneShard(t *testing.T) {
 func TestBuildRejectsCrossShardDuplicates(t *testing.T) {
 	a := trajectory.MustNew(7, []geo.Point{geo.Pt(1, 1), geo.Pt(2, 2)})
 	b := trajectory.MustNew(7, []geo.Point{geo.Pt(900, 900), geo.Pt(950, 950)})
-	if _, err := Build([]*trajectory.Trajectory{a, b}, Options{Shards: 4, Partitioner: Grid{}}); err == nil {
+	if _, err := build([]*trajectory.Trajectory{a, b}, Options{Shards: 4, Partitioner: Grid{}}); err == nil {
 		t.Fatal("duplicate IDs accepted")
 	}
 }
@@ -330,7 +351,7 @@ func TestBuildRejectsCrossShardDuplicates(t *testing.T) {
 // than shards (some shards empty), empty facility lists.
 func TestEmptyAndTinyCorpora(t *testing.T) {
 	p := query.Params{Scenario: service.Binary, Psi: 40}
-	s, err := Build(nil, Options{Shards: 4, Tree: tqtree.Options{Bounds: testBounds}})
+	s, err := build(nil, Options{Shards: 4, Tree: tqtree.Options{Bounds: testBounds}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +369,7 @@ func TestEmptyAndTinyCorpora(t *testing.T) {
 		t.Fatal(err)
 	}
 	few := makeUsers(3, 2, 62)
-	s, err = Build(few, Options{Shards: 8, Tree: tqtree.Options{Bounds: testBounds}})
+	s, err = build(few, Options{Shards: 8, Tree: tqtree.Options{Bounds: testBounds}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +392,7 @@ func TestEmptyAndTinyCorpora(t *testing.T) {
 // TestShardedValidates checks parameter and scenario validation fan out.
 func TestShardedValidates(t *testing.T) {
 	users := makeUsers(300, 4, 81) // multipoint
-	s, err := Build(users, Options{Shards: 2, Tree: tqtree.Options{Bounds: testBounds}})
+	s, err := build(users, Options{Shards: 2, Tree: tqtree.Options{Bounds: testBounds}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,15 +427,7 @@ func TestPartitionerOfRoundTrip(t *testing.T) {
 // space.
 func frozenShardOf(t *testing.T, users []*trajectory.Trajectory) *query.FrozenEngine {
 	t.Helper()
-	tree, err := tqtree.Build(users, tqtree.Options{Ordering: tqtree.ZOrder, Bounds: testBounds})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fz, err := tqtree.Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return query.NewFrozenEngine(fz, nil)
+	return singleEngine(t, users, tqtree.Options{Ordering: tqtree.ZOrder, Bounds: testBounds})
 }
 
 // TestFrozenAndLiveRejectDuplicateIDs: every way of assembling frozen or

@@ -21,10 +21,9 @@ type Entry struct {
 	// entry is the whole trajectory.
 	SegIdx int
 
-	// first/last/mbr are cached copies of the entry's endpoint geometry:
-	// the zReduce filter loops touch nothing but the Entry itself, so
-	// bucket scans stay sequential in memory instead of chasing the
-	// trajectory pointer per entry.
+	// first/last/mbr are cached copies of the entry's geometry: routing,
+	// the z-node aggregates and the frozen entry columns read them
+	// without chasing the trajectory pointer per entry.
 	first, last geo.Point
 	mbr         geo.Rect
 
@@ -65,127 +64,4 @@ func newSegmentEntry(t *trajectory.Trajectory, i int, bounds geo.Rect) Entry {
 		e.ub[service.Length] = t.SegmentLength(i) / L
 	}
 	return e
-}
-
-// First returns the entry's first point.
-func (e *Entry) First() geo.Point { return e.first }
-
-// Last returns the entry's last point.
-func (e *Entry) Last() geo.Point { return e.last }
-
-// MBR returns the bounding rectangle of the entry's points.
-func (e *Entry) MBR() geo.Rect { return e.mbr }
-
-// UB returns the entry's maximum possible service contribution under sc.
-func (e *Entry) UB(sc service.Scenario) float64 { return e.ub[sc] }
-
-// IsSegment reports whether the entry is a single segment.
-func (e *Entry) IsSegment() bool { return e.SegIdx >= 0 }
-
-// ownedPoints returns the index range [lo, hi) of the parent trajectory's
-// points this entry accounts for under PointCount semantics.
-func (e *Entry) ownedPoints() (lo, hi int) {
-	if e.SegIdx < 0 {
-		return 0, e.Traj.Len()
-	}
-	if e.SegIdx == e.Traj.NumSegments()-1 {
-		return e.SegIdx, e.SegIdx + 2
-	}
-	return e.SegIdx, e.SegIdx + 1
-}
-
-// Serve computes the entry's exact service contribution against the given
-// stop points under scenario sc and threshold psi.
-//
-// For whole-trajectory entries this is exactly service.Value. For segment
-// entries the semantics are the additive shares documented in DESIGN.md:
-// summing Serve over all segment entries of a trajectory reproduces the
-// trajectory's PointCount/Length value; Binary counts served segments.
-func (e *Entry) Serve(sc service.Scenario, stops []geo.Point, psi float64) float64 {
-	return e.ServeSet(sc, service.NewStopSet(stops, psi))
-}
-
-// ServeSet is Serve with the stop-membership test delegated to a prepared
-// StopSet, so node-level evaluation pays the component indexing cost once
-// for all surviving candidates.
-func (e *Entry) ServeSet(sc service.Scenario, ss *service.StopSet) float64 {
-	if e.SegIdx < 0 {
-		if sc == service.Binary {
-			// Fast path: Binary needs only the cached endpoints, not a
-			// walk of the trajectory's point slice.
-			if ss.Served(e.first) && ss.Served(e.last) {
-				return 1
-			}
-			return 0
-		}
-		return service.ValueSet(sc, e.Traj, ss)
-	}
-	switch sc {
-	case service.Binary:
-		if ss.Served(e.first) && ss.Served(e.last) {
-			return 1
-		}
-		return 0
-	case service.PointCount:
-		lo, hi := e.ownedPoints()
-		served := 0
-		for i := lo; i < hi; i++ {
-			if ss.Served(e.Traj.Points[i]) {
-				served++
-			}
-		}
-		return float64(served) / float64(e.Traj.Len())
-	case service.Length:
-		L := e.Traj.Length()
-		if L == 0 {
-			return 0
-		}
-		if ss.Served(e.first) && ss.Served(e.last) {
-			return e.Traj.SegmentLength(e.SegIdx) / L
-		}
-		return 0
-	}
-	panic("tqtree: invalid scenario")
-}
-
-// CoverInto records which of the entry's points the stops cover into the
-// user's coverage mask, allocating it in cov on first touch. When
-// endpointsOnly is set (TwoPoint-variant trees over multipoint data) only
-// the source and destination are tested — the only bits Binary combined
-// semantics read, and the only points guaranteed to lie inside the
-// entry's storage node.
-func (e *Entry) CoverInto(cov service.Coverage, ss *service.StopSet, endpointsOnly bool) {
-	var m service.Mask
-	mark := func(i int) {
-		if ss.Served(e.Traj.Points[i]) {
-			if m == nil {
-				if m = cov[e.Traj.ID]; m == nil {
-					m = service.NewMask(e.Traj.Len())
-					cov[e.Traj.ID] = m
-				}
-			}
-			m.Set(i)
-		}
-	}
-	if endpointsOnly && e.SegIdx < 0 {
-		mark(0)
-		if e.Traj.Len() > 1 {
-			mark(e.Traj.Len() - 1)
-		}
-		return
-	}
-	lo, hi := e.spanPoints()
-	for i := lo; i < hi; i++ {
-		mark(i)
-	}
-}
-
-// spanPoints returns the index range [lo, hi) of all points the entry
-// spans (for coverage-mask purposes a segment covers both its endpoints;
-// overlap between adjacent segments is harmless because masks are sets).
-func (e *Entry) spanPoints() (lo, hi int) {
-	if e.SegIdx < 0 {
-		return 0, e.Traj.Len()
-	}
-	return e.SegIdx, e.SegIdx + 2
 }

@@ -2,7 +2,7 @@ package tqtree
 
 // The frozen columnar TQ-tree: an immutable TQ-tree laid out in a handful
 // of contiguous slices, written straight from the build plan (BuildFrozen)
-// or copied from a pointer tree that took writes (Freeze). Its hot loops —
+// or copied from a pointer tree (Freeze). Its hot loops —
 // best-first node expansion and zReduce bucket scans — walk flat arrays
 // instead of chasing *Node / *Entry / *Trajectory pointers:
 //
@@ -32,10 +32,10 @@ import (
 	"github.com/trajcover/trajcover/internal/zorder"
 )
 
-// Frozen is the immutable flat representation of a TQ-tree. It answers
-// the same node/list questions as *Tree (upper bounds, zReduce candidate
-// scans) with int32 node handles; internal/query runs the shared search
-// implementation over either layout. A Frozen is safe for any number of
+// Frozen is the immutable flat representation of a TQ-tree, and the one
+// layout internal/query searches: node questions (upper bounds, children)
+// take int32 node handles, and a node's own list is scanned by ScoreNode
+// (kMaxRRST) or AppendCovered (coverage). A Frozen is safe for any number of
 // concurrent readers and cannot be mutated.
 type Frozen struct {
 	variant       Variant
@@ -157,8 +157,9 @@ func BuildFrozen(users []*trajectory.Trajectory, opts Options) (*Frozen, error) 
 	return w.finish()
 }
 
-// Freeze builds the flat representation of a built tree — one that took
-// Inserts or Deletes; BuildFrozen skips the tree. The tree is only read,
+// Freeze builds the flat representation of a built tree: the index
+// BuildFrozen writes over the same corpus without making the tree, column
+// for column. The tree is only read,
 // and the result shares nothing with it: points are copied into the
 // trajectory table in slab order, so dropping the tree — and the
 // trajectories it was built over — afterwards releases them entirely.
@@ -416,7 +417,10 @@ func (f *Frozen) FilterModeFor(sc service.Scenario) FilterMode {
 	return filterModeFor(f.variant, sc)
 }
 
-// AncestorsCanServe mirrors Tree.AncestorsCanServe.
+// AncestorsCanServe reports whether entries stored at proper ancestors of
+// the smallest node containing a facility's EMBR can still contribute
+// service under sc. When false, a search can start at the containing node
+// alone (the paper's containingQNode initialization).
 func (f *Frozen) AncestorsCanServe(sc service.Scenario) bool {
 	return ancestorsCanServe(f.variant, sc)
 }
@@ -428,8 +432,7 @@ func (f *Frozen) Rect(n int32) geo.Rect { return f.nodeRect[n] }
 func (f *Frozen) IsLeaf(n int32) bool { return f.childCount[n] == 0 }
 
 // Child returns the i-th child of node n, or -1 when i is past the node's
-// child count. Children are stored in quadrant order, so iterating i in
-// 0..3 visits them exactly as the pointer tree's quadrant loop does.
+// child count. Children are stored in quadrant order.
 func (f *Frozen) Child(n int32, i int) int32 {
 	if i >= int(f.childCount[n]) {
 		return -1
@@ -453,11 +456,10 @@ func (f *Frozen) TreeUB(n int32, sc service.Scenario) float64 {
 }
 
 // ScoreNode runs the zReduce pruning over node n's own list against the
-// EMBR and exactly scores every surviving entry with ss — the frozen
-// counterpart of Tree.NodeCandidatesV feeding an entryScorer, fused into
-// one pass over the SoA columns so the hot loop touches nothing but flat
-// arrays. It returns the summed service (in slab order, so float results
-// are bit-identical to the pointer path) and the number of entries scored.
+// EMBR and exactly scores every surviving entry with ss, fused into one
+// pass over the SoA columns so the hot loop touches nothing but flat
+// arrays. It returns the summed service, accumulated in slab order, and
+// the number of entries scored.
 //
 // dead, when non-nil, holds the table ordinals of deleted trajectories:
 // an entry of one that passes the EMBR filter is skipped, neither scored
@@ -522,25 +524,27 @@ func (f *Frozen) ScoreNode(n int32, embr geo.Rect, mode FilterMode, ss *service.
 // scoreBucket applies the bucket-granularity half of zReduce and scores
 // the bucket's surviving entries. so/scored are running accumulators:
 // threading one sum through every bucket keeps the float accumulation
-// flat left-to-right over all surviving entries, exactly as the pointer
-// path's entry visitor accumulates — per-bucket subtotals would group
-// the additions differently and drift in the last bits.
+// flat left-to-right over all surviving entries — per-bucket subtotals
+// would group the additions differently and drift in the last bits.
 func (f *Frozen) scoreBucket(b int32, embr geo.Rect, mode FilterMode, ss *service.StopSet, sc service.Scenario, dead trajectory.OrdinalSet, so float64, scored int) (float64, int) {
-	switch mode {
-	case NeedBoth:
-		if !embr.Intersects(f.bktStartMBR[b]) || !embr.Intersects(f.bktEndMBR[b]) {
-			return so, scored
-		}
-	case NeedAny:
-		if !embr.Intersects(f.bktStartMBR[b]) && !embr.Intersects(f.bktEndMBR[b]) {
-			return so, scored
-		}
-	case NeedOverlap:
-		if !embr.Intersects(f.bktFullMBR[b]) {
-			return so, scored
-		}
+	if !f.bucketSurvives(b, embr, mode) {
+		return so, scored
 	}
 	return f.scoreRange(f.bktEntryOff[b], f.bktEntryOff[b+1], embr, mode, ss, sc, dead, so, scored)
+}
+
+// bucketSurvives reports whether bucket b can hold a candidate for the
+// EMBR under mode — the bucket-granularity half of zReduce.
+func (f *Frozen) bucketSurvives(b int32, embr geo.Rect, mode FilterMode) bool {
+	switch mode {
+	case NeedBoth:
+		return embr.Intersects(f.bktStartMBR[b]) && embr.Intersects(f.bktEndMBR[b])
+	case NeedAny:
+		return embr.Intersects(f.bktStartMBR[b]) || embr.Intersects(f.bktEndMBR[b])
+	case NeedOverlap:
+		return embr.Intersects(f.bktFullMBR[b])
+	}
+	return true
 }
 
 // scoreRange filters and scores the entry slab range [lo, hi) into the
@@ -580,8 +584,47 @@ func (f *Frozen) live(e int32, dead trajectory.OrdinalSet) bool {
 	return dead == nil || !dead.Has(f.EntryOrdinal(e))
 }
 
-// serve computes entry e's exact service contribution — the columnar
-// counterpart of Entry.ServeSet, producing identical floats.
+// AppendCovered appends to dst every entry of node n's own list that a
+// coverage walk must read: those passing the bucket MBRs and the entry
+// filter of mode, whose trajectory is not in dead. Coverage keeps any
+// entry with a covered point, so mode is NeedAny or NeedOverlap, and no
+// Morton interval applies — intervals only pin a NeedBoth start point.
+func (f *Frozen) AppendCovered(dst []int32, n int32, embr geo.Rect, mode FilterMode, dead trajectory.OrdinalSet) []int32 {
+	if f.ordering != ZOrder {
+		return f.appendMatches(dst, f.entryOff[n], f.entryOff[n+1], embr, mode, dead)
+	}
+	for b := f.bucketOff[n]; b < f.bucketOff[n+1]; b++ {
+		if f.bucketSurvives(b, embr, mode) {
+			dst = f.appendMatches(dst, f.bktEntryOff[b], f.bktEntryOff[b+1], embr, mode, dead)
+		}
+	}
+	return dst
+}
+
+// appendMatches appends the entries of the slab range [lo, hi) that pass
+// mode's entry filter and belong to no trajectory in dead.
+func (f *Frozen) appendMatches(dst []int32, lo, hi int32, embr geo.Rect, mode FilterMode, dead trajectory.OrdinalSet) []int32 {
+	for e := lo; e < hi; e++ {
+		var ok bool
+		switch mode {
+		case NeedBoth:
+			ok = embr.Contains(f.entFirst[e]) && embr.Contains(f.entLast[e])
+		case NeedAny:
+			ok = embr.Contains(f.entFirst[e]) || embr.Contains(f.entLast[e])
+		case NeedOverlap:
+			ok = embr.Intersects(f.entMBR[e])
+		}
+		if ok && f.live(e, dead) {
+			dst = append(dst, e)
+		}
+	}
+	return dst
+}
+
+// serve computes entry e's exact service contribution. For a segment the
+// contributions are additive shares: summed over a trajectory's segments
+// they give its PointCount and Length values, and Binary counts served
+// segments.
 func (f *Frozen) serve(e int32, sc service.Scenario, ss *service.StopSet) float64 {
 	if sc == service.Binary {
 		if ss.Served(f.entFirst[e]) && ss.Served(f.entLast[e]) {

@@ -56,11 +56,11 @@ func TestFreezeStructure(t *testing.T) {
 			}
 			// Root shape must agree.
 			root := tree.Root()
-			if f.Rect(0) != root.Rect() || f.IsLeaf(0) != root.IsLeaf() || f.ListLen(0) != root.ListLen() {
+			if f.Rect(0) != root.rect || f.IsLeaf(0) != root.leaf || f.ListLen(0) != root.list.len() {
 				t.Fatalf("%v/%v: root shape mismatch", v, o)
 			}
 			for sc := service.Scenario(0); int(sc) < service.NumScenarios; sc++ {
-				if f.TreeUB(0, sc) != root.TreeUB(sc) || f.OwnUB(0, sc) != root.OwnUB(sc) {
+				if f.TreeUB(0, sc) != root.treeUB[sc] || f.OwnUB(0, sc) != root.ownUB[sc] {
 					t.Fatalf("%v/%v: root upper bounds mismatch", v, o)
 				}
 			}
@@ -143,13 +143,11 @@ func TestFrozenFromColumnsRejectsCorruption(t *testing.T) {
 		tab := f.Table()
 		tb := trajectory.NewTableBuilder(tab.Len()+1, tab.TotalPoints()+2)
 		for i := int32(0); int(i) < tab.Len(); i++ {
-			if _, err := tb.AppendPoints(tab.ID(i), tab.Points(i)); err != nil {
-				t.Fatal(err)
-			}
+			var u trajectory.Trajectory
+			tab.View(i, &u)
+			tb.Append(&u)
 		}
-		if _, err := tb.AppendPoints(1<<30, []geo.Point{{}, {X: 1}}); err != nil {
-			t.Fatal(err)
-		}
+		tb.Append(trajectory.MustNew(1<<30, []geo.Point{{}, {X: 1}}))
 		extra, err := tb.Build()
 		if err != nil {
 			t.Fatal(err)
@@ -161,7 +159,7 @@ func TestFrozenFromColumnsRejectsCorruption(t *testing.T) {
 }
 
 // TestFreezeDoesNotRetainTree proves Freeze copies rather than aliases
-// the mutable tree: after dropping the tree, its root node becomes
+// the pointer tree: after dropping the tree, its root node becomes
 // garbage even while the frozen index stays live. A finalizer on the
 // root observes the collection.
 func TestFreezeDoesNotRetainTree(t *testing.T) {
@@ -187,7 +185,7 @@ func TestFreezeDoesNotRetainTree(t *testing.T) {
 			runtime.KeepAlive(f)
 			return
 		case <-deadline:
-			t.Fatal("tree root not collected: Freeze retains the mutable tree")
+			t.Fatal("tree root not collected: Freeze retains the pointer tree")
 		case <-time.After(10 * time.Millisecond):
 		}
 	}

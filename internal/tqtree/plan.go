@@ -1,8 +1,8 @@
 package tqtree
 
 // The build plan: one pointer-free partition of a slab of entries into
-// q-nodes, which BuildFrozen writes as columns and Build and leaf splits
-// turn into *Nodes. Only an []int32 permutation of slab indices moves; in
+// q-nodes, which BuildFrozen writes as columns and Build turns into
+// *Nodes. Only an []int32 permutation of slab indices moves; in
 // it each node owns one range: its own list, then its children's.
 
 import (
@@ -87,14 +87,6 @@ func planCorpus(users []*trajectory.Trajectory, opts Options) (*plan, error) {
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	pl.run(slab, pl.bounds, 0, par)
-	return pl, nil
-}
-
-// run plans the subtree of the cell rect at depth over slab, with par-1
-// extra goroutines.
-func (pl *plan) run(slab []Entry, rect geo.Rect, depth, par int) {
-	n := len(slab)
 	pl.slab = slab
 	pl.perm = make([]int32, n)
 	for i := range pl.perm {
@@ -103,8 +95,9 @@ func (pl *plan) run(slab []Entry, rect geo.Rect, depth, par int) {
 	pl.scratch = make([]int32, n)
 	pl.class = make([]uint8, n)
 	pl.slots.Store(int64(par - 1))
-	pl.top = pl.split(rect, depth, 0, int32(n))
+	pl.top = pl.split(pl.bounds, 0, 0, int32(n))
 	pl.scratch, pl.class = nil, nil
+	return pl, nil
 }
 
 // parallelBuildCutoff is the subtree entry count below which fanning out

@@ -7,6 +7,12 @@
 // Every q-node carries `sub` upper bounds on the service value obtainable
 // from its subtree, which the best-first kMaxRRST search in
 // internal/query consumes.
+//
+// Every index is built as the frozen columnar layout (BuildFrozen, from
+// the pointer-free build plan in plan.go) and queried as one. The pointer
+// Tree, and Freeze from it, remain only as a second product of the same
+// plan, for the structural tests and the repository benchmark's build
+// timing.
 package tqtree
 
 import (
@@ -97,14 +103,15 @@ type Options struct {
 	Parallelism int
 }
 
-// Tree is a TQ-tree over a set of user trajectories.
+// Tree is a TQ-tree over a set of user trajectories as linked nodes; no
+// query runs on it (see the package doc).
 type Tree struct {
 	opts          Options
 	bounds        geo.Rect
 	root          *Node
 	numTrajs      int
 	numEntries    int
-	numPoints     int // sizes Freeze's arena; an overestimate after a partial Delete
+	numPoints     int // sizes Freeze's arena
 	hasMultipoint bool
 }
 
@@ -133,8 +140,7 @@ func Build(users []*trajectory.Trajectory, opts Options) (*Tree, error) {
 }
 
 // adopt makes n plan node id and grows its subtree; n's rect, depth and
-// treeUB are the caller's. Lists are cap-limited windows on sorted, so a
-// list an Insert grows is reallocated instead of overwriting a neighbour.
+// treeUB are the caller's. Lists are windows on sorted.
 func (t *Tree) adopt(pl *plan, sorted []Entry, id int32, n *Node) {
 	pn := &pl.nodes[id]
 	n.leaf, n.ownUB = pn.leaf, pn.ownUB
@@ -195,78 +201,8 @@ func (t *Tree) newList(entries []Entry) entryList {
 	return &basicList{entries: entries}
 }
 
-// Insert adds a user trajectory to the tree. The tree's root space is
-// fixed at Build time; trajectories extending outside it are stored at
-// the root (correct, but degrades pruning — choose Bounds generously for
-// dynamic workloads).
-func (t *Tree) Insert(u *trajectory.Trajectory) {
-	t.noteTrajectory(u)
-	entries := appendEntries(nil, t.opts.Variant, t.bounds, u)
-	t.numEntries += len(entries)
-	for i := range entries {
-		t.insertEntry(&entries[i])
-	}
-}
-
-func (t *Tree) insertEntry(e *Entry) {
-	n := t.root
-	for {
-		for sc := 0; sc < service.NumScenarios; sc++ {
-			n.treeUB[sc] += e.ub[sc]
-		}
-		if n.leaf {
-			n.list.add(e)
-			for sc := 0; sc < service.NumScenarios; sc++ {
-				n.ownUB[sc] += e.ub[sc]
-			}
-			if !t.opts.leafFits(n.list.len(), n.depth) {
-				t.splitLeaf(n)
-			}
-			return
-		}
-		q, ok := routeQuadrant(t.opts.Variant, n.rect, e)
-		if !ok {
-			n.list.add(e)
-			for sc := 0; sc < service.NumScenarios; sc++ {
-				n.ownUB[sc] += e.ub[sc]
-			}
-			return
-		}
-		if n.children[q] == nil {
-			child := &Node{rect: n.rect.Quadrant(q), depth: n.depth + 1, leaf: true}
-			child.list = t.newList(nil)
-			n.children[q] = child
-		}
-		n = n.children[q]
-	}
-}
-
-// splitLeaf converts an overflowing leaf into an internal node, pushing
-// routable entries into fresh children. If nothing routes down, the node
-// stays a (large) leaf. Its treeUB, kept by the Inserts, stands.
-func (t *Tree) splitLeaf(n *Node) {
-	pl := &plan{Tree: t}
-	pl.run(n.list.drain(), n.rect, n.depth, 1)
-	t.adopt(pl, pl.sorted(), pl.top, n)
-}
-
-// Bounds returns the tree's root space.
-func (t *Tree) Bounds() geo.Rect { return t.bounds }
-
 // Root returns the root q-node.
 func (t *Tree) Root() *Node { return t.root }
-
-// Variant returns the decomposition variant the tree was built with.
-func (t *Tree) Variant() Variant { return t.opts.Variant }
-
-// Ordering returns the list ordering the tree was built with.
-func (t *Tree) Ordering() Ordering { return t.opts.Ordering }
-
-// Beta returns the block size β the tree was built with.
-func (t *Tree) Beta() int { return t.opts.Beta }
-
-// MaxDepth returns the depth bound the tree was built with.
-func (t *Tree) MaxDepth() int { return t.opts.MaxDepth }
 
 // NumTrajectories returns the number of user trajectories indexed.
 func (t *Tree) NumTrajectories() int { return t.numTrajs }
@@ -275,18 +211,12 @@ func (t *Tree) NumTrajectories() int { return t.numTrajs }
 // for TwoPoint/FullTrajectory; total segments for Segmented).
 func (t *Tree) NumEntries() int { return t.numEntries }
 
-// HasMultipoint reports whether any indexed trajectory has more than two
-// points.
-func (t *Tree) HasMultipoint() bool { return t.hasMultipoint }
-
 // ErrUnsupported is returned when a scenario cannot be answered exactly
 // by a tree of this variant over the indexed data.
 var ErrUnsupported = errors.New("tqtree: scenario unsupported by index variant for multipoint data")
 
 // validateScenario checks that queries under sc are exact for a tree of
 // the given variant over data with (or without) multipoint trajectories.
-// Shared by the pointer Tree and the Frozen layout so both representations
-// answer the same scenario questions identically.
 func validateScenario(v Variant, hasMultipoint bool, sc service.Scenario) error {
 	if !sc.Valid() {
 		return fmt.Errorf("tqtree: invalid scenario %d", int(sc))
@@ -300,7 +230,7 @@ func validateScenario(v Variant, hasMultipoint bool, sc service.Scenario) error 
 // ValidateScenarioFor is validateScenario exported for layers that
 // assemble a logical corpus from several representations — the live
 // epoch in internal/query validates its delta overlay (which has no tree
-// of its own) with exactly the rule both tree layouts apply.
+// of its own) with exactly the rule the frozen layout applies.
 func ValidateScenarioFor(v Variant, hasMultipoint bool, sc service.Scenario) error {
 	return validateScenario(v, hasMultipoint, sc)
 }
@@ -341,84 +271,16 @@ func ancestorsCanServe(v Variant, sc service.Scenario) bool {
 	}
 }
 
-// ValidateScenario checks that queries under sc are exact on this tree.
-// A TwoPoint tree indexes only source/destination, so over multipoint
-// data it can answer Binary queries only.
-func (t *Tree) ValidateScenario(sc service.Scenario) error {
-	return validateScenario(t.opts.Variant, t.hasMultipoint, sc)
-}
-
-// FilterModeFor returns the zReduce candidate predicate that is sound for
-// this tree's variant under the given scenario.
-func (t *Tree) FilterModeFor(sc service.Scenario) FilterMode {
-	return filterModeFor(t.opts.Variant, sc)
-}
-
-// AncestorsCanServe reports whether entries stored at proper ancestors of
-// the smallest node containing a facility's EMBR can still contribute
-// service under sc. When false, the best-first search can start at the
-// containing node alone (the paper's containingQNode initialization).
-func (t *Tree) AncestorsCanServe(sc service.Scenario) bool {
-	return ancestorsCanServe(t.opts.Variant, sc)
-}
-
-// ivScratchPool recycles the Morton-interval scratch NodeCandidates
-// hands to the z-list pruning. A stack array would escape through the
-// zorder call, costing one heap allocation per visited node on the query
-// hot path; the pool makes the steady state allocation-free and keeps
-// NodeCandidates safe for concurrent readers.
+// ivScratchPool recycles the Morton-interval scratch ScoreNode hands to
+// the z-list pruning. A stack array would escape through the zorder call,
+// costing one heap allocation per visited node on the query hot path; the
+// pool makes the steady state allocation-free and keeps ScoreNode safe
+// for concurrent readers.
 var ivScratchPool = sync.Pool{
 	New: func() any {
 		s := make([]zorder.Interval, 0, coverBudget)
 		return &s
 	},
-}
-
-// EntryVisitor receives the entries surviving zReduce. Implementing it
-// on a reusable struct (instead of passing a closure) keeps the query
-// hot path free of per-node closure allocations.
-type EntryVisitor interface {
-	VisitEntry(*Entry)
-}
-
-// funcVisitor adapts a plain callback to EntryVisitor for callers that
-// are not allocation-sensitive.
-type funcVisitor struct{ fn func(*Entry) }
-
-func (v funcVisitor) VisitEntry(e *Entry) { v.fn(e) }
-
-// NodeCandidates runs the zReduce pruning over n's own list and calls fn
-// for every surviving entry. It only reads the tree and is safe to call
-// from concurrent goroutines. Hot paths should prefer NodeCandidatesV
-// with a reused visitor: the closure here costs an allocation per call.
-func (t *Tree) NodeCandidates(n *Node, embr geo.Rect, mode FilterMode, fn func(*Entry)) {
-	t.NodeCandidatesV(n, embr, mode, funcVisitor{fn})
-}
-
-// NodeCandidatesV is NodeCandidates with the surviving entries delivered
-// to v.VisitEntry.
-func (t *Tree) NodeCandidatesV(n *Node, embr geo.Rect, mode FilterMode, v EntryVisitor) {
-	var ivs []zorder.Interval
-	var scratch *[]zorder.Interval
-	if mode == NeedBoth && t.opts.Ordering == ZOrder {
-		scratch = ivScratchPool.Get().(*[]zorder.Interval)
-		buf := (*scratch)[:0]
-		if n.list.len() >= coverMinList {
-			// Decomposing the EMBR into Morton intervals only pays off
-			// when there are enough buckets to skip.
-			ivs = zorder.CoverIntervalsAuto(t.bounds, embr, coverBudget, buf)
-		} else {
-			ivs = append(buf, zorder.Interval{
-				Lo: pointCode(t.bounds, geo.Point{X: embr.MinX, Y: embr.MinY}),
-				Hi: pointCode(t.bounds, geo.Point{X: embr.MaxX, Y: embr.MaxY}),
-			})
-		}
-	}
-	n.list.candidates(embr, ivs, mode, v)
-	if scratch != nil {
-		*scratch = ivs[:0]
-		ivScratchPool.Put(scratch)
-	}
 }
 
 // coverBudget bounds the Morton interval decomposition of an EMBR;
@@ -433,32 +295,6 @@ const (
 func pointCode(bounds geo.Rect, p geo.Point) uint64 {
 	return zorder.PointCode(bounds, p)
 }
-
-// Rect returns the node's cell rectangle.
-func (n *Node) Rect() geo.Rect { return n.rect }
-
-// Depth returns the node's depth (root = 0).
-func (n *Node) Depth() int { return n.depth }
-
-// IsLeaf reports whether the node is a leaf.
-func (n *Node) IsLeaf() bool { return n.leaf }
-
-// Child returns the q-th child, which may be nil.
-func (n *Node) Child(q int) *Node { return n.children[q] }
-
-// ListLen returns the number of entries stored at this node itself.
-func (n *Node) ListLen() int { return n.list.len() }
-
-// OwnUB returns the node's own-list service upper bound for sc.
-func (n *Node) OwnUB(sc service.Scenario) float64 { return n.ownUB[sc] }
-
-// TreeUB returns the paper's `sub`: an upper bound on the service value
-// obtainable from the subtree rooted at n (own list included).
-func (n *Node) TreeUB(sc service.Scenario) float64 { return n.treeUB[sc] }
-
-// ForEachEntry visits the node's own entries; stops early when fn
-// returns false.
-func (n *Node) ForEachEntry(fn func(*Entry) bool) { n.list.forEach(fn) }
 
 // Walk visits n and every descendant in depth-first order.
 func (n *Node) Walk(fn func(*Node)) {

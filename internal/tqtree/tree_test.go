@@ -102,157 +102,95 @@ func TestBuildInvariantsAllConfigs(t *testing.T) {
 	}
 }
 
-func TestInsertMatchesBuild(t *testing.T) {
-	users := randTrajectories(300, 5, 43, testBounds)
-	for _, opts := range allConfigs() {
-		opts.Bounds = testBounds
-		t.Run(opts.Variant.String()+"/"+opts.Ordering.String(), func(t *testing.T) {
-			// Build with half, insert the rest.
-			tree, err := Build(users[:150], opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, u := range users[150:] {
-				tree.Insert(u)
-			}
-			if err := tree.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			if tree.NumTrajectories() != 300 {
-				t.Errorf("NumTrajectories = %d", tree.NumTrajectories())
-			}
-			// Entry totals must match a fresh build over everything.
-			full, err := Build(users, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tree.NumEntries() != full.NumEntries() {
-				t.Errorf("entries after insert = %d, fresh build = %d",
-					tree.NumEntries(), full.NumEntries())
-			}
-			// Root upper bounds must agree (same entry multiset).
-			for sc := 0; sc < service.NumScenarios; sc++ {
-				a := tree.Root().TreeUB(service.Scenario(sc))
-				b := full.Root().TreeUB(service.Scenario(sc))
-				if math.Abs(a-b) > 1e-6*(1+b) {
-					t.Errorf("treeUB[%d] after insert = %v, fresh = %v", sc, a, b)
-				}
-			}
-		})
-	}
-}
-
-func TestInsertOutsideBoundsStaysAtRoot(t *testing.T) {
-	opts := Options{Variant: TwoPoint, Ordering: ZOrder, Beta: 4, Bounds: testBounds}
-	tree, err := Build(randTrajectories(20, 2, 44, testBounds), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	far := trajectory.MustNew(9999, []geo.Point{geo.Pt(5000, 5000), geo.Pt(6000, 6000)})
-	tree.Insert(far)
-	if err := tree.CheckInvariants(); err == nil {
-		// Invariant 2 requires routing rect within node rect; the root
-		// rect does not contain the far trajectory, so we expect the
-		// check to flag it — document the degradation explicitly.
-		t.Log("out-of-bounds entry accepted at root (invariants tolerate it)")
-	}
-}
-
-// collectCandidates runs NodeCandidates over every node of the tree.
-func collectCandidates(tree *Tree, embr geo.Rect, mode FilterMode) map[trajectory.ID][]int {
-	got := map[trajectory.ID][]int{}
-	tree.Root().Walk(func(n *Node) {
-		tree.NodeCandidates(n, embr, mode, func(e *Entry) {
-			got[e.Traj.ID] = append(got[e.Traj.ID], e.SegIdx)
-		})
-	})
-	return got
-}
-
+// TestCandidatePruningIsSound: zReduce must never prune an entry that
+// has positive service. At every node, ScoreNode's sum over the
+// survivors equals the sum over the whole list, bit for bit (a pruned
+// entry adds exactly 0), and the coverage scan keeps every entry with a
+// served endpoint — or, under NeedOverlap, any served point.
 func TestCandidatePruningIsSound(t *testing.T) {
-	// zReduce must never prune an entry that has positive service.
 	users := randTrajectories(300, 6, 45, testBounds)
 	psi := 40.0
 	for _, opts := range allConfigs() {
-		tree, err := Build(users, opts)
+		f, err := BuildFrozen(users, opts)
 		if err != nil {
 			t.Fatal(err)
+		}
+		covMode := NeedAny
+		if opts.Variant == FullTrajectory {
+			covMode = NeedOverlap
 		}
 		rng := rand.New(rand.NewSource(46))
 		for trial := 0; trial < 30; trial++ {
 			stops := randStops(1+rng.Intn(10), int64(trial)*7+1, testBounds)
 			embr := geo.RectOf(stops).Expand(psi)
-			for sc := service.Binary; sc <= service.Length; sc++ {
-				if tree.ValidateScenario(sc) != nil {
-					continue
-				}
-				mode := tree.FilterModeFor(sc)
-				got := collectCandidates(tree, embr, mode)
-				// Every entry with positive service must be a candidate.
-				checkEntry := func(e *Entry) {
-					if e.Serve(sc, stops, psi) > 0 {
-						found := false
-						for _, si := range got[e.Traj.ID] {
-							if si == e.SegIdx {
-								found = true
-								break
-							}
-						}
-						if !found {
-							t.Fatalf("%v/%v sc=%v: served entry %d/%d pruned",
-								opts.Variant, opts.Ordering, sc, e.Traj.ID, e.SegIdx)
-						}
+			ss := service.NewStopSet(stops, psi)
+			for n := int32(0); int(n) < f.NumNodes(); n++ {
+				lo, hi := f.entryOff[n], f.entryOff[n+1]
+				for sc := service.Binary; sc <= service.Length; sc++ {
+					if f.ValidateScenario(sc) != nil {
+						continue
+					}
+					var all float64
+					for e := lo; e < hi; e++ {
+						all += f.serve(e, sc, ss)
+					}
+					if got, _ := f.ScoreNode(n, embr, f.FilterModeFor(sc), ss, sc, nil); got != all {
+						t.Fatalf("%v/%v sc=%v node %d: survivors serve %v, the whole list %v",
+							opts.Variant, opts.Ordering, sc, n, got, all)
 					}
 				}
-				tree.Root().Walk(func(n *Node) {
-					n.ForEachEntry(func(e *Entry) bool { checkEntry(e); return true })
-				})
+				kept := map[int32]bool{}
+				for _, e := range f.AppendCovered(nil, n, embr, covMode, nil) {
+					kept[e] = true
+				}
+				for e := lo; e < hi; e++ {
+					served := ss.Served(f.entFirst[e]) || ss.Served(f.entLast[e])
+					if covMode == NeedOverlap {
+						for _, p := range f.table.Points(f.EntryOrdinal(e)) {
+							served = served || ss.Served(p)
+						}
+					}
+					if served && !kept[e] {
+						t.Fatalf("%v/%v node %d: covered entry %d pruned", opts.Variant, opts.Ordering, n, e)
+					}
+				}
 			}
 		}
 	}
 }
 
+// subtreeService is the service of every entry in the subtree of node n.
+func subtreeService(f *Frozen, n int32, sc service.Scenario, ss *service.StopSet) float64 {
+	var total float64
+	for e := f.entryOff[n]; e < f.entryOff[n+1]; e++ {
+		total += f.serve(e, sc, ss)
+	}
+	for q := 0; q < 4; q++ {
+		if c := f.Child(n, q); c >= 0 {
+			total += subtreeService(f, c, sc, ss)
+		}
+	}
+	return total
+}
+
 func TestTreeUBDominatesAnyService(t *testing.T) {
-	// For any facility, the root treeUB must dominate the total service,
-	// and every node's treeUB must dominate the service obtainable from
-	// entries in its subtree.
+	// For any facility, every node's treeUB must dominate the service
+	// obtainable from entries in its subtree — the root's the total.
 	users := randTrajectories(200, 5, 47, testBounds)
 	psi := 60.0
 	for _, opts := range allConfigs() {
-		tree, err := Build(users, opts)
+		f, err := BuildFrozen(users, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stops := randStops(12, 48, testBounds)
+		ss := service.NewStopSet(randStops(12, 48, testBounds), psi)
 		for sc := service.Binary; sc <= service.Length; sc++ {
-			var subtreeService func(n *Node) float64
-			subtreeService = func(n *Node) float64 {
-				var total float64
-				n.ForEachEntry(func(e *Entry) bool {
-					total += e.Serve(sc, stops, psi)
-					return true
-				})
-				for q := 0; q < 4; q++ {
-					if c := n.Child(q); c != nil {
-						total += subtreeService(c)
-					}
-				}
-				return total
-			}
-			var verify func(n *Node)
-			verify = func(n *Node) {
-				got := subtreeService(n)
-				if got > n.TreeUB(sc)+1e-9 {
+			for n := int32(0); int(n) < f.NumNodes(); n++ {
+				if got := subtreeService(f, n, sc, ss); got > f.TreeUB(n, sc)+1e-9 {
 					t.Fatalf("%v/%v sc=%v: subtree service %v exceeds treeUB %v",
-						opts.Variant, opts.Ordering, sc, got, n.TreeUB(sc))
-				}
-				for q := 0; q < 4; q++ {
-					if c := n.Child(q); c != nil {
-						verify(c)
-					}
+						opts.Variant, opts.Ordering, sc, got, f.TreeUB(n, sc))
 				}
 			}
-			verify(tree.Root())
 		}
 	}
 }
@@ -268,13 +206,17 @@ func TestSegmentEntriesSumToTrajectoryService(t *testing.T) {
 			pts[i] = geo.Pt(rng.Float64()*100, rng.Float64()*100)
 		}
 		u := trajectory.MustNew(1, pts)
+		f, err := BuildFrozen([]*trajectory.Trajectory{u}, Options{Variant: Segmented, Ordering: ZOrder, Beta: 2, Bounds: testBounds})
+		if err != nil {
+			t.Fatal(err)
+		}
 		stops := randStops(1+rng.Intn(6), int64(trial)+500, geo.Rect{MaxX: 100, MaxY: 100})
 		psi := rng.Float64() * 40
+		ss := service.NewStopSet(stops, psi)
 		for _, sc := range []service.Scenario{service.PointCount, service.Length} {
 			var sum float64
-			for i := 0; i < u.NumSegments(); i++ {
-				e := newSegmentEntry(u, i, testBounds)
-				sum += e.Serve(sc, stops, psi)
+			for e := int32(0); int(e) < f.NumEntries(); e++ {
+				sum += f.serve(e, sc, ss)
 			}
 			want := service.Value(sc, u, stops, psi)
 			if math.Abs(sum-want) > 1e-9 {
@@ -288,7 +230,7 @@ func TestValidateScenario(t *testing.T) {
 	multi := randTrajectories(50, 5, 50, testBounds)
 	twoPt := randTrajectories(50, 2, 51, testBounds)
 
-	tree, _ := Build(multi, Options{Variant: TwoPoint})
+	tree, _ := BuildFrozen(multi, Options{Variant: TwoPoint})
 	if err := tree.ValidateScenario(service.PointCount); err == nil {
 		t.Error("TwoPoint over multipoint data accepted PointCount")
 	}
@@ -296,14 +238,14 @@ func TestValidateScenario(t *testing.T) {
 		t.Errorf("TwoPoint Binary rejected: %v", err)
 	}
 
-	tree2, _ := Build(twoPt, Options{Variant: TwoPoint})
+	tree2, _ := BuildFrozen(twoPt, Options{Variant: TwoPoint})
 	for sc := service.Binary; sc <= service.Length; sc++ {
 		if err := tree2.ValidateScenario(sc); err != nil {
 			t.Errorf("TwoPoint over 2-point data rejected %v: %v", sc, err)
 		}
 	}
 
-	tree3, _ := Build(multi, Options{Variant: FullTrajectory})
+	tree3, _ := BuildFrozen(multi, Options{Variant: FullTrajectory})
 	for sc := service.Binary; sc <= service.Length; sc++ {
 		if err := tree3.ValidateScenario(sc); err != nil {
 			t.Errorf("FullTrajectory rejected %v: %v", sc, err)
@@ -316,8 +258,8 @@ func TestValidateScenario(t *testing.T) {
 
 func TestFilterModeFor(t *testing.T) {
 	users := randTrajectories(10, 4, 53, testBounds)
-	mk := func(v Variant) *Tree {
-		tr, _ := Build(users, Options{Variant: v})
+	mk := func(v Variant) *Frozen {
+		tr, _ := BuildFrozen(users, Options{Variant: v})
 		return tr
 	}
 	cases := []struct {
@@ -344,8 +286,8 @@ func TestFilterModeFor(t *testing.T) {
 
 func TestAncestorsCanServe(t *testing.T) {
 	users := randTrajectories(10, 4, 54, testBounds)
-	mk := func(v Variant) *Tree {
-		tr, _ := Build(users, Options{Variant: v})
+	mk := func(v Variant) *Frozen {
+		tr, _ := BuildFrozen(users, Options{Variant: v})
 		return tr
 	}
 	if mk(TwoPoint).AncestorsCanServe(service.Binary) {
@@ -385,24 +327,6 @@ func TestDeepDuplicateTrajectoriesBounded(t *testing.T) {
 	}
 }
 
-func TestLeafSplitOnInsertOverflow(t *testing.T) {
-	opts := Options{Variant: TwoPoint, Ordering: ZOrder, Beta: 4, Bounds: testBounds}
-	tree, err := Build(nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	users := randTrajectories(100, 2, 55, geo.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100})
-	for _, u := range users {
-		tree.Insert(u)
-	}
-	if err := tree.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if st := tree.Stats(); st.Nodes <= 1 {
-		t.Error("tree never split despite overflow")
-	}
-}
-
 func TestEmptyTree(t *testing.T) {
 	tree, err := Build(nil, Options{Variant: FullTrajectory, Ordering: ZOrder, Bounds: testBounds})
 	if err != nil {
@@ -411,18 +335,26 @@ func TestEmptyTree(t *testing.T) {
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if tree.Root().TreeUB(service.Binary) != 0 {
+	if tree.Root().treeUB[service.Binary] != 0 {
 		t.Error("empty tree has nonzero UB")
 	}
-	tree.NodeCandidates(tree.Root(), testBounds, NeedBoth, func(*Entry) {
-		t.Error("candidate from empty tree")
-	})
+	f, err := Freeze(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := service.NewStopSet([]geo.Point{geo.Pt(500, 500)}, 1000)
+	if so, scored := f.ScoreNode(0, testBounds, NeedBoth, ss, service.Binary, nil); so != 0 || scored != 0 {
+		t.Errorf("empty tree scored %d entries, service %v", scored, so)
+	}
+	if hits := f.AppendCovered(nil, 0, testBounds, NeedOverlap, nil); len(hits) != 0 {
+		t.Errorf("empty tree covers entries %v", hits)
+	}
 }
 
 func TestQuickRandomTreesKeepInvariants(t *testing.T) {
 	// testing/quick drives random workload shapes (count, point counts,
-	// beta, variant, ordering) through Build+Insert and checks the
-	// structural invariants each time.
+	// beta, variant, ordering) through Build and checks the structural
+	// invariants each time.
 	f := func(seed int64, nRaw, maxPtsRaw, betaRaw uint8, variantRaw, orderingRaw uint8) bool {
 		n := 20 + int(nRaw)%200
 		maxPts := 2 + int(maxPtsRaw)%6
@@ -430,15 +362,12 @@ func TestQuickRandomTreesKeepInvariants(t *testing.T) {
 		variant := Variant(int(variantRaw) % 3)
 		ordering := Ordering(int(orderingRaw) % 2)
 		users := randTrajectories(n, maxPts, seed, testBounds)
-		tree, err := Build(users[:n/2], Options{
+		tree, err := Build(users, Options{
 			Variant: variant, Ordering: ordering, Beta: beta, Bounds: testBounds,
 		})
 		if err != nil {
 			t.Logf("build error: %v", err)
 			return false
-		}
-		for _, u := range users[n/2:] {
-			tree.Insert(u)
 		}
 		if err := tree.CheckInvariants(); err != nil {
 			t.Logf("invariant violation (seed=%d n=%d beta=%d %v/%v): %v",

@@ -74,19 +74,6 @@ func (b *TableBuilder) Append(u *Trajectory) int32 {
 	return b.close(u.ID, u.length)
 }
 
-// AppendPoints copies a trajectory given as its ID and points, with no
-// Trajectory object built for it, and returns the length computed from
-// the points.
-func (b *TableBuilder) AppendPoints(id ID, pts []geo.Point) (float64, error) {
-	if len(pts) < 2 {
-		return 0, fmt.Errorf("%w (id %d has %d)", ErrTooShort, id, len(pts))
-	}
-	b.points = append(b.points, pts...)
-	l := lengthOf(pts)
-	b.close(id, l)
-	return l, nil
-}
-
 func (b *TableBuilder) close(id ID, length float64) int32 {
 	ord := int32(len(b.ids))
 	b.ids = append(b.ids, id)

@@ -115,24 +115,6 @@ func TestTableRejectsDuplicateIDs(t *testing.T) {
 	}
 }
 
-// TestTableAppendPoints: an (id, points) pair is copied into the arena
-// with the length New would compute; a short trajectory is refused.
-func TestTableAppendPoints(t *testing.T) {
-	u := tableTestUsers(1, 3)[0]
-	tb := NewTableBuilder(0, 0)
-	length, err := tb.AppendPoints(u.ID, u.Points)
-	if err != nil || math.Float64bits(length) != math.Float64bits(u.Length()) {
-		t.Fatalf("AppendPoints = %v, %v", length, err)
-	}
-	if _, err := tb.AppendPoints(9, u.Points[:1]); err == nil {
-		t.Fatal("one-point trajectory accepted")
-	}
-	tab, err := tb.Build()
-	if err != nil || tab.Len() != 1 || !slices.Equal(tab.Points(0), u.Points) || &tab.Points(0)[0] == &u.Points[0] {
-		t.Fatalf("built table = %v, %v; want one private copy of the points", tab, err)
-	}
-}
-
 // TestRecordTable: a table assembled from recorded columns (NewTable)
 // adopts them in place and answers like the built table over the same
 // trajectories; columns that cannot describe a table — offsets that do

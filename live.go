@@ -5,17 +5,15 @@ package trajcover
 // columnar base index plus a small delta overlay and tombstone set —
 // while Insert/Delete land in the overlay and a background rebuild
 // periodically folds the overlay into a fresh frozen base and swaps it
-// in per shard. The result is the guarantee the mutable Index cannot
-// give: Insert and Delete are safe concurrently with every query
+// in per shard. Insert and Delete are safe concurrently with every query
 // method, queries synchronize with writers only for the epoch-set
 // capture (never during execution, never with a rebuild), and read
 // performance does not decay with churn (the overlay is bounded by the
-// compaction policy; the base never degrades the way repeated
-// Tree.Insert does).
+// compaction policy).
 //
-// Use the mutable Index for build-then-query workloads and coverage
-// solvers (MaxCoverage), the FrozenIndex for static read-only serving,
-// and the live types whenever writes and reads overlap.
+// Index and ShardedIndex are this path under the default policy. The
+// live types add the policy, Compact, Stats, snapshots and a WAL; the
+// FrozenIndex serves static read-only data.
 
 import (
 	"context"
@@ -103,9 +101,9 @@ func NewLiveIndex(users []*Trajectory, opts LiveIndexOptions) (*LiveIndex, error
 	return newLiveIndex(s), nil
 }
 
-// Live converts a built Index into its live serving form: the tree is
-// frozen into the first epoch's base and the index accepts concurrent
-// writes from then on. The source index is only read and remains usable.
+// Live converts an Index into its live serving form under pol: its
+// frozen form (Freeze) becomes the first epoch's base. The source index
+// is only read and remains usable.
 func (x *Index) Live(pol LivePolicy) (*LiveIndex, error) {
 	f, err := x.Freeze()
 	if err != nil {
@@ -199,14 +197,15 @@ func NewLiveShardedIndex(users []*Trajectory, opts LiveShardOptions) (*LiveShard
 	return newLiveShardedIndex(s), nil
 }
 
-// Live converts a ShardedIndex into its live serving form: every
-// shard's tree is frozen into its first epoch's base.
+// Live converts a ShardedIndex into its live serving form under pol: its
+// frozen form (Freeze) becomes the first epochs' bases. The source index
+// is only read and remains usable.
 func (x *ShardedIndex) Live(pol LivePolicy) (*LiveShardedIndex, error) {
-	s, err := x.s.Live(pol.policy())
+	f, err := x.Freeze()
 	if err != nil {
 		return nil, err
 	}
-	return newLiveShardedIndex(s), nil
+	return f.Live(pol)
 }
 
 // Live converts a frozen sharded index into its live serving form — the

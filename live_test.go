@@ -33,8 +33,8 @@ func liveWorkload(t *testing.T) (base, feed []*Trajectory, routes []*Facility) {
 }
 
 // TestLiveIndexMatchesIndex: a LiveIndex after churn answers exactly
-// like a mutable Index that applied the same operations (Binary, so
-// values are integral and comparisons exact).
+// like an Index that applied the same operations (Binary, so values are
+// integral and comparisons exact).
 func TestLiveIndexMatchesIndex(t *testing.T) {
 	base, feed, routes := liveWorkload(t)
 	q := Query{Scenario: Binary, Psi: DefaultPsi}

@@ -3,14 +3,16 @@ package trajcover
 import (
 	"context"
 
+	"github.com/trajcover/trajcover/internal/maxcov"
 	"github.com/trajcover/trajcover/internal/query"
+	"github.com/trajcover/trajcover/internal/shard"
 )
 
 // queryCore is the index behind a querier: the scatter-gather embedded
-// in *shard.Sharded, *shard.Frozen and *shard.Live — scatter[*query.Engine],
-// scatter[*query.FrozenEngine] and scatter[*query.Epoch] — over one shard
-// or several.
+// in *shard.Frozen and *shard.Live — scatter[*query.FrozenEngine] and
+// scatter[*query.Epoch] — over one shard or several.
 type queryCore interface {
+	Source() *shard.Source
 	ServiceValue(*Facility, query.Params) (float64, query.Metrics, error)
 	ServiceValuesCtx(ctx context.Context, facilities []*Facility, p query.Params, workers int) ([]float64, query.Metrics, error)
 	TopKCtx(ctx context.Context, facilities []*Facility, k int, p query.Params) ([]query.Result, query.Metrics, error)
@@ -18,20 +20,21 @@ type queryCore interface {
 	ServiceValuesStreamCtx(ctx context.Context, facilities []*Facility, p query.Params, workers, chunk int, yield func(start int, vals []float64) error) (query.Metrics, error)
 }
 
-// querier is the kMaxRRST query surface, embedded in every index type:
-// Index, FrozenIndex, ShardedIndex, FrozenShardedIndex, LiveIndex and
-// LiveShardedIndex answer the nine methods below through one path and
-// differ only in how they are constructed, how many shards they hold,
-// and whether (and how safely) they can be mutated.
+// querier is the query surface, embedded in every index type: Index,
+// FrozenIndex, ShardedIndex, FrozenShardedIndex, LiveIndex and
+// LiveShardedIndex answer the nine kMaxRRST methods and the two coverage
+// methods below through one path and differ only in how they are
+// constructed, how many shards they hold, and whether they can be
+// mutated.
 //
 // An index of several shards sums per-shard answers, so its values match
 // a one-shard index's exactly for integral scenarios (Binary; every
 // scenario over integral service values) and up to floating-point
 // summation order otherwise. A live index answers each call — a whole
 // batch, a whole stream — over one write-consistent epoch capture taken
-// when the call starts. Index and ShardedIndex must not be mutated
-// concurrently with queries; the frozen and live types are safe for any
-// number of concurrent readers.
+// when the call starts — MaxCoverage and ServedUsers too, over all the
+// calls they make. Every type is safe for any number of concurrent
+// readers, and the mutable ones for writers beside them.
 type querier struct {
 	core queryCore
 }
@@ -113,4 +116,27 @@ func (x *querier) TopKParallelCtx(ctx context.Context, facilities []*Facility, k
 func (x *querier) ServiceValuesStreamCtx(ctx context.Context, facilities []*Facility, q Query, workers, chunk int, yield StreamVisitor) error {
 	_, err := x.core.ServiceValuesStreamCtx(ctx, facilities, q.params(), workers, chunk, yield)
 	return err
+}
+
+// ServedUsers returns every user with positive service from the facility
+// — the reverse range search underlying kMaxRRST — ordered by service
+// value descending (ties by ID).
+func (x *querier) ServedUsers(f *Facility, q Query) ([]ServedUser, error) {
+	src := x.core.Source()
+	cov, err := src.Coverage(f, q.params())
+	if err != nil {
+		return nil, err
+	}
+	return query.ServedUsers(cov, src.User, src.Variant(), q.Scenario), nil
+}
+
+// MaxCoverage answers the MaxkCovRST query: the size-k facility subset
+// with the (approximately) maximum combined service, where users may be
+// served jointly by multiple facilities. Facility IDs must be distinct.
+func (x *querier) MaxCoverage(facilities []*Facility, k int, q Query, opts CoverageOptions) (CoverageResult, error) {
+	src := x.core.Source()
+	if opts.Algorithm == TwoStepGreedy {
+		return maxcov.TwoStep(src, facilities, k, opts.KPrime, q.params())
+	}
+	return solveCoverage(src, facilities, k, q, opts)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -18,7 +19,8 @@ import (
 // concurrent scatter-gather merge. Index and FrozenIndex are the one-shard
 // ShardedIndex and FrozenShardedIndex, so against those they agree on
 // every method, work metrics included, before and after Inserts and
-// Deletes.
+// Deletes. The coverage queries, ServedUsers and MaxCoverage, answer the
+// same on all six types, live ones with an overlay and tombstones.
 func TestShardedEquivalenceProperty(t *testing.T) {
 	city := NewYorkCity()
 	q := Query{Scenario: Binary, Psi: DefaultPsi}
@@ -30,6 +32,7 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkOneShard(t, fmt.Sprintf("seed %d", seed), users, routes, q)
+		sameCoverage(t, fmt.Sprintf("seed %d", seed), single, allFlavors(t, users), routes, q)
 		wantTop, err := single.TopK(routes, 10, q)
 		if err != nil {
 			t.Fatal(err)
@@ -92,7 +95,7 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 // checkOneShard builds Index and ShardedIndex{Shards: 1} over users and
 // requires them — and their frozen forms — to answer identically on every
 // flavor method, then repeats the check after the same Inserts and
-// Deletes land in both mutable indexes.
+// Deletes land in both indexes.
 func checkOneShard(t *testing.T, name string, users []*Trajectory, routes []*Facility, q Query) {
 	t.Helper()
 	cut := len(users) - 40
@@ -129,15 +132,14 @@ func checkOneShard(t *testing.T, name string, users []*Trajectory, routes []*Fac
 	if err := idx.Insert(users[0]); !errors.Is(err, ErrDuplicateID) {
 		t.Fatalf("%s: duplicate Insert err = %v, want ErrDuplicateID", name, err)
 	}
-	// A one-shard ShardedIndex has no Delete: its engine takes the one
+	// A ShardedIndex has no Delete: its live shards take the ones
 	// Index.Delete makes.
-	e := one.s.Engine(0)
 	for _, u := range users[:25] {
 		if !idx.Delete(u) {
 			t.Fatalf("%s: Delete(%d) found nothing", name, u.ID)
 		}
-		if !e.Tree().Delete(u) || !e.Users().Remove(u.ID) {
-			t.Fatalf("%s: one-shard delete of %d found nothing", name, u.ID)
+		if ok, err := one.s.Delete(u.ID); !ok || err != nil {
+			t.Fatalf("%s: one-shard delete of %d: %v, %v", name, u.ID, ok, err)
 		}
 	}
 	if idx.Delete(users[0]) {
@@ -214,6 +216,44 @@ func sameFlavor(t *testing.T, name string, a, b flavor, routes []*Facility, q Qu
 		}
 		if !slices.Equal(got, wantTop) {
 			t.Fatalf("%s %s: %v, one-shard %v", name, method, got, wantTop)
+		}
+	}
+}
+
+// sameCoverage requires every index of all to answer ServedUsers and
+// MaxCoverage — the two-step greedy and the full greedy — as want does:
+// the same users and values, the same picks, value and users served.
+func sameCoverage(t *testing.T, name string, want flavor, all []flavor, routes []*Facility, q Query) {
+	t.Helper()
+	type answer struct {
+		served [][]ServedUser
+		cov    []CoverageResult
+	}
+	get := func(x flavor) answer {
+		var a answer
+		for _, f := range routes[:8] {
+			us, err := x.ServedUsers(f, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.served = append(a.served, us)
+		}
+		for _, alg := range []CoverageAlgorithm{TwoStepGreedy, FullGreedy} {
+			res, err := x.MaxCoverage(routes, 4, q, CoverageOptions{Algorithm: alg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.cov = append(a.cov, res)
+		}
+		return a
+	}
+	w := get(want)
+	if len(w.cov[0].Facilities) != 4 || w.cov[0].UsersServed == 0 {
+		t.Fatalf("%s: MaxCoverage %+v serves no one", name, w.cov[0])
+	}
+	for _, x := range all {
+		if got := get(x); !reflect.DeepEqual(got, w) {
+			t.Fatalf("%s %s: coverage answers %+v, single tree %+v", name, flavorName(x), got, w)
 		}
 	}
 }

@@ -55,8 +55,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// freezeRoundTrip persists a mutable index the one way there is — freeze,
-// write, read — and returns the restored frozen index.
+// freezeRoundTrip persists an Index the one way there is — freeze, write,
+// read — and returns the restored frozen index.
 func freezeRoundTrip(t *testing.T, idx *Index) *FrozenIndex {
 	t.Helper()
 	fz, err := idx.Freeze()

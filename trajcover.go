@@ -4,10 +4,16 @@
 // (Ali et al., 2018, arXiv:1804.00599):
 //
 //   - kMaxRRST — the k facilities (e.g. bus routes) with the highest
-//     service value to a set of user trajectories (Index.TopK).
+//     service value to a set of user trajectories (TopK).
 //   - MaxkCovRST — the size-k facility subset with the highest combined
 //     service, a non-submodular NP-hard problem answered with a two-step
-//     greedy approximation (Index.MaxCoverage).
+//     greedy approximation (MaxCoverage).
+//
+// Six index types answer both through one query surface: Index and
+// ShardedIndex (built in memory, mutable), FrozenIndex and
+// FrozenShardedIndex (immutable, snapshot-restorable), and LiveIndex and
+// LiveShardedIndex (mutable under concurrent reads, durable with a WAL).
+// Every one is a set of frozen columnar TQ-trees, one per shard.
 //
 // Quick start:
 //
@@ -142,12 +148,13 @@ type IndexOptions struct {
 }
 
 // Index is a TQ-tree over a set of user trajectories, answering both
-// kMaxRRST and MaxkCovRST queries. It is a ShardedIndex of one shard: the
-// tree is the one the single-tree build makes, and every query runs the
-// same scatter path as the sharded and live types.
+// kMaxRRST and MaxkCovRST queries. It is a LiveIndex under the default
+// LivePolicy: a frozen base the single-tree build makes, Insert and Delete
+// through its delta overlay and background rebuild, and every query on
+// the same scatter path as the other five types.
 type Index struct {
 	querier
-	s *shard.Sharded
+	s *shard.Live
 }
 
 func (o IndexOptions) treeOptions() tqtree.Options {
@@ -162,10 +169,10 @@ func (o IndexOptions) treeOptions() tqtree.Options {
 }
 
 // NewIndex builds a TQ-tree index over the given user trajectories. The
-// index keeps its own list of them: later Inserts and Deletes leave the
-// users slice as the caller passed it.
+// index copies their points into its own table and keeps nothing of the
+// users slice.
 func NewIndex(users []*Trajectory, opts IndexOptions) (*Index, error) {
-	s, err := shard.Build(users, shard.Options{Shards: 1, Tree: opts.treeOptions()})
+	s, err := shard.BuildLive(users, shard.Options{Shards: 1, Tree: opts.treeOptions()}, LivePolicy{}.policy())
 	if err != nil {
 		return nil, err
 	}
@@ -173,30 +180,19 @@ func NewIndex(users []*Trajectory, opts IndexOptions) (*Index, error) {
 }
 
 // Insert adds a user trajectory to the index; a duplicate ID is rejected
-// with ErrDuplicateID. Not safe concurrently with queries.
+// with ErrDuplicateID. Safe concurrently with queries.
 func (x *Index) Insert(u *Trajectory) error { return x.s.Insert(u) }
 
-// Delete removes a user trajectory from the index, reporting whether it
-// was present.
+// Delete removes the trajectory with u's ID from the index, whatever
+// points u carries, reporting whether one was present. Safe concurrently
+// with queries.
 func (x *Index) Delete(u *Trajectory) bool {
-	e := x.s.Engine(0)
-	if e.Users().ByID(u.ID) == nil || !e.Tree().Delete(u) {
-		return false
-	}
-	e.Users().Remove(u.ID)
-	return true
+	ok, _ := x.s.Delete(u.ID) // the error is a WAL's, and an Index has none
+	return ok
 }
 
 // ServedUser is one user of a ServedUsers answer.
 type ServedUser = query.UserService
-
-// ServedUsers returns every user with positive service from the facility
-// — the reverse range search underlying kMaxRRST — ordered by service
-// value descending.
-func (x *Index) ServedUsers(f *Facility, q Query) ([]ServedUser, error) {
-	us, _, err := x.s.Engine(0).ServedUsers(f, q.params())
-	return us, err
-}
 
 // Len returns the number of indexed user trajectories.
 func (x *Index) Len() int { return x.s.Len() }
@@ -240,28 +236,25 @@ func (o ShardOptions) shardOptions() shard.Options {
 // shard, exact per-shard values are summed, and top-k is the
 // sort-and-cut of those sums. Use it when one tree is too large to
 // build, rebuild, or hold comfortably — shards build in parallel and
-// rebuild independently.
+// rebuild independently. It is a LiveShardedIndex under the default
+// LivePolicy.
 //
 // Answers match the single-tree Index exactly for integral scenarios
 // (Binary; every scenario over integral service values) and up to
 // floating-point summation order otherwise.
 type ShardedIndex struct {
 	querier
-	s *shard.Sharded
-}
-
-func newShardedIndex(s *shard.Sharded) *ShardedIndex {
-	return &ShardedIndex{querier: querier{s}, s: s}
+	s *shard.Live
 }
 
 // NewShardedIndex partitions users with opts.Partitioner and builds one
 // TQ-tree per shard, in parallel within opts.Index.Parallelism.
 func NewShardedIndex(users []*Trajectory, opts ShardOptions) (*ShardedIndex, error) {
-	s, err := shard.Build(users, opts.shardOptions())
+	s, err := shard.BuildLive(users, opts.shardOptions(), LivePolicy{}.policy())
 	if err != nil {
 		return nil, err
 	}
-	return newShardedIndex(s), nil
+	return &ShardedIndex{querier: querier{s}, s: s}, nil
 }
 
 // NumShards returns the number of shards.
@@ -273,10 +266,9 @@ func (x *ShardedIndex) ShardSizes() []int { return x.s.Sizes() }
 // Len returns the total number of indexed user trajectories.
 func (x *ShardedIndex) Len() int { return x.s.Len() }
 
-// Insert routes a user trajectory to its shard and inserts it there.
-// Like Index.Insert it is not safe concurrently with queries, but only
-// the target shard is affected. A duplicate ID is rejected with
-// ErrDuplicateID.
+// Insert routes a user trajectory to its shard's delta overlay. Like
+// Index.Insert it is safe concurrently with queries. A duplicate ID is
+// rejected with ErrDuplicateID.
 func (x *ShardedIndex) Insert(u *Trajectory) error { return x.s.Insert(u) }
 
 // CoverageAlgorithm selects the MaxkCovRST solver.
@@ -330,15 +322,10 @@ type CoverageOptions struct {
 // AnnealOptions tunes the simulated-annealing solver.
 type AnnealOptions = maxcov.AnnealOptions
 
-// MaxCoverage answers the MaxkCovRST query: the size-k facility subset
-// with the (approximately) maximum combined service, where users may be
-// served jointly by multiple facilities.
-func (x *Index) MaxCoverage(facilities []*Facility, k int, q Query, opts CoverageOptions) (CoverageResult, error) {
-	e := x.s.Engine(0)
-	src := maxcov.EngineSource{Engine: e}
+// solveCoverage runs opts.Algorithm over src; the two-step greedy, which
+// also needs an index's exact pass, is the caller's.
+func solveCoverage(src maxcov.CoverageSource, facilities []*Facility, k int, q Query, opts CoverageOptions) (CoverageResult, error) {
 	switch opts.Algorithm {
-	case TwoStepGreedy:
-		return maxcov.TwoStepGreedy(e, facilities, k, opts.KPrime, q.params())
 	case FullGreedy:
 		return maxcov.Greedy(src, facilities, k, q.params())
 	case Genetic:
@@ -382,20 +369,13 @@ func (b *Baseline) TopK(facilities []*Facility, k int, q Query) ([]Ranked, error
 }
 
 // MaxCoverage runs a MaxkCovRST solver over baseline coverage — the
-// paper's G-BL method when opts.Algorithm is FullGreedy.
+// paper's G-BL method when opts.Algorithm is FullGreedy. The baseline has
+// no kMaxRRST pass to prune with, so TwoStepGreedy runs FullGreedy.
 func (b *Baseline) MaxCoverage(facilities []*Facility, k int, q Query, opts CoverageOptions) (CoverageResult, error) {
-	src := maxcov.BaselineSource{Baseline: b.bl}
-	switch opts.Algorithm {
-	case TwoStepGreedy, FullGreedy:
-		return maxcov.Greedy(src, facilities, k, q.params())
-	case Genetic:
-		return maxcov.Genetic(src, facilities, k, q.params(), opts.Genetic)
-	case Exact:
-		return maxcov.Exact(src, facilities, k, q.params())
-	case Annealing:
-		return maxcov.Anneal(src, facilities, k, q.params(), opts.Anneal)
+	if opts.Algorithm == TwoStepGreedy {
+		opts.Algorithm = FullGreedy
 	}
-	return CoverageResult{}, fmt.Errorf("trajcover: unknown coverage algorithm %d", int(opts.Algorithm))
+	return solveCoverage(maxcov.BaselineSource{Baseline: b.bl}, facilities, k, q, opts)
 }
 
 // City is a synthetic city model for workload generation.

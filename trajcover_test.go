@@ -2,7 +2,9 @@ package trajcover
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -317,5 +319,88 @@ func TestPublicAPIGenerators(t *testing.T) {
 	}
 	if len(BusRoutes(ny, 10, 8, 1)) != 10 {
 		t.Error("BusRoutes count")
+	}
+}
+
+// TestIndexDeleteByID: Delete removes the indexed trajectory with u's ID
+// whatever points u carries — here its last point moved 9 km — so the
+// index answers as one built without it, and the original can no longer
+// be deleted.
+func TestIndexDeleteByID(t *testing.T) {
+	city := BeijingCity()
+	users := GPSTraces(city, 400, 10, 60, 1)
+	routes := BusRoutes(city, 20, 16, 2)
+	idx, err := NewIndex(users, IndexOptions{Variant: Segmented})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := users[17]
+	pts := append([]Point(nil), u.Points...)
+	pts[len(pts)-1].X += 9000
+	moved, err := NewTrajectory(u.ID, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !idx.Delete(moved) {
+		t.Fatalf("Delete(%d) with moved points found nothing", u.ID)
+	}
+	if idx.Len() != len(users)-1 {
+		t.Fatalf("Len %d after the delete, want %d", idx.Len(), len(users)-1)
+	}
+	if idx.Delete(u) {
+		t.Fatalf("Delete(%d) reported the trajectory present twice", u.ID)
+	}
+	fresh, err := NewIndex(append(append([]*Trajectory(nil), users[:17]...), users[18:]...), IndexOptions{Variant: Segmented})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Scenario: PointCount, Psi: DefaultPsi}
+	got, err := idx.ServiceValues(routes, q, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.ServiceValues(routes, q, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > 1e-9*(1+want[i]) {
+			t.Fatalf("route %d: PointCount %v after the delete, %v without the trajectory", routes[i].ID, got[i], want[i])
+		}
+	}
+}
+
+// TestMaxCoverageRejectsDuplicateFacilityIDs: coverage is keyed by
+// facility ID, so two routes sharing one would be scored as one — every
+// solver on every index type, and on the baseline, refuses them naming
+// the ID.
+func TestMaxCoverageRejectsDuplicateFacilityIDs(t *testing.T) {
+	city := NewYorkCity()
+	users := TaxiTrips(city, 3000, 1)
+	routes := BusRoutes(city, 12, 16, 2)
+	dup, err := NewFacility(routes[1].ID, routes[0].Stops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes[0] = dup
+	bl, err := NewBaseline(users, TwoPoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type coverer interface {
+		MaxCoverage([]*Facility, int, Query, CoverageOptions) (CoverageResult, error)
+	}
+	all := []coverer{bl}
+	for _, x := range allFlavors(t, users) {
+		all = append(all, x)
+	}
+	q := Query{Scenario: Binary, Psi: 600}
+	for _, x := range all {
+		for _, alg := range []CoverageAlgorithm{TwoStepGreedy, FullGreedy, Genetic, Exact, Annealing} {
+			res, err := x.MaxCoverage(routes, 3, q, CoverageOptions{Algorithm: alg})
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprint(dup.ID)) {
+				t.Fatalf("%T %v: %+v, %v; want an error naming facility %d", x, alg, res, err, dup.ID)
+			}
+		}
 	}
 }
