@@ -459,9 +459,9 @@ func BenchmarkInsert(b *testing.B) {
 	c := ctx()
 	users := c.Users("nyt", datagen.NYT1Day)
 	fresh := datagen.TaxiTrips(datagen.NewYork(), 1<<16, 99)
-	idx, err := NewLiveIndex(users.All, LiveIndexOptions{
-		Index:  IndexOptions{Ordering: ZOrdering},
-		Policy: LivePolicy{Manual: true},
+	idx, err := NewIndex(users.All, IndexOptions{
+		Ordering: ZOrdering,
+		Policy:   LivePolicy{Manual: true},
 	})
 	if err != nil {
 		b.Fatal(err)

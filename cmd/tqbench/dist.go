@@ -40,9 +40,9 @@ func expDist(ctx *bench.Context) (*bench.Table, error) {
 	topkBody := mustJSON(server.QueryRequest{Facilities: fjs, K: 8, Psi: ctx.Cfg.Psi, Workers: 1, TimeoutMS: 60_000})
 
 	newBackend := func(us []*trajcover.Trajectory) (*server.Server, *http.Server, string, error) {
-		idx, err := trajcover.NewLiveShardedIndex(us, trajcover.LiveShardOptions{
-			Index:  trajcover.IndexOptions{Ordering: trajcover.ZOrdering},
-			Policy: trajcover.LivePolicy{Manual: true},
+		idx, err := trajcover.NewIndex(us, trajcover.IndexOptions{
+			Ordering: trajcover.ZOrdering,
+			Policy:   trajcover.LivePolicy{Manual: true},
 		})
 		if err != nil {
 			return nil, nil, "", err

@@ -45,14 +45,14 @@ func expFaults(ctx *bench.Context) (*bench.Table, error) {
 	}
 	defer os.RemoveAll(dir)
 	inj := faultfs.NewInjector(nil, ctx.Cfg.Seed)
-	x, err := trajcover.OpenLiveShardedIndex(trajcover.WALOptions{
+	x, err := trajcover.OpenIndex(trajcover.WALOptions{
 		Dir: dir, Sync: trajcover.WALSyncAlways, SegmentBytes: 1 << 20,
 		FS: inj, ProbeMin: 5 * time.Millisecond, ProbeMax: 100 * time.Millisecond,
-	}, trajcover.LivePolicy{MaxDelta: 512}, func() (*trajcover.LiveShardedIndex, error) {
-		return trajcover.NewLiveShardedIndex(base, trajcover.LiveShardOptions{
-			Shards: 2,
-			Index:  trajcover.IndexOptions{Ordering: trajcover.ZOrdering},
-			Policy: trajcover.LivePolicy{MaxDelta: 512},
+	}, trajcover.LivePolicy{MaxDelta: 512}, func() (*trajcover.Index, error) {
+		return trajcover.NewIndex(base, trajcover.IndexOptions{
+			Ordering: trajcover.ZOrdering,
+			Shards:   2,
+			Policy:   trajcover.LivePolicy{MaxDelta: 512},
 		})
 	})
 	if err != nil {

@@ -90,7 +90,7 @@ func main() {
 
 	bench.RegisterExtra(bench.Experiment{
 		ID:    "mem",
-		Title: "extra — live heap bytes per indexed trajectory for the six index types (NYT/NYF/BJG, not in the paper)",
+		Title: "extra — live heap bytes per indexed trajectory for both index types at 1 and 2 shards (NYT/NYF/BJG, not in the paper)",
 		Run:   expMem,
 	})
 

@@ -1,9 +1,10 @@
 package main
 
-// The `mem` experiment: what each of the six index types holds on the
-// heap per indexed trajectory once the slice it was built from has been
-// dropped — the figure the README's sizing table quotes. Every type keeps
-// a columnar trajectory table and nothing of its input.
+// The `mem` experiment: what each of the two index types holds on the
+// heap per indexed trajectory, at one shard and at two, once the slice it
+// was built from has been dropped — the figure the README's sizing table
+// quotes. Both keep a columnar trajectory table and nothing of their
+// input.
 
 import (
 	"fmt"
@@ -25,12 +26,11 @@ func liveHeapBytes() float64 {
 
 func expMem(ctx *bench.Context) (*bench.Table, error) {
 	t := &bench.Table{
-		ID: "mem", Title: "live heap per indexed trajectory, input dropped (2 shards where sharded)",
+		ID: "mem", Title: "live heap per indexed trajectory, input dropped",
 		XLabel: "dataset", YLabel: "heap bytes/trajectory",
 		Series: []bench.Series{
 			{Method: "Index"}, {Method: "FrozenIndex"},
-			{Method: "ShardedIndex"}, {Method: "FrozenShardedIndex"},
-			{Method: "LiveIndex"}, {Method: "LiveShardedIndex"},
+			{Method: "Index, 2 shards"}, {Method: "FrozenIndex, 2 shards"},
 			{Method: "points/trajectory (n)"},
 		},
 	}
@@ -50,24 +50,13 @@ func expMem(ctx *bench.Context) (*bench.Table, error) {
 			func(n int) []*trajcover.Trajectory { return trajcover.GPSTraces(bj, n, 10, 60, seed+3) }},
 	} {
 		opts := trajcover.IndexOptions{Variant: ds.variant, Ordering: trajcover.ZOrdering}
-		sopts := trajcover.ShardOptions{Shards: 2, Index: opts}
+		sopts := opts
+		sopts.Shards = 2
 		builders := []func(users []*trajcover.Trajectory) (any, error){
 			func(u []*trajcover.Trajectory) (any, error) { return trajcover.NewIndex(u, opts) },
 			func(u []*trajcover.Trajectory) (any, error) { return trajcover.NewFrozenIndex(u, opts) },
-			func(u []*trajcover.Trajectory) (any, error) { return trajcover.NewShardedIndex(u, sopts) },
-			func(u []*trajcover.Trajectory) (any, error) {
-				sh, err := trajcover.NewShardedIndex(u, sopts)
-				if err != nil {
-					return nil, err
-				}
-				return sh.Freeze()
-			},
-			func(u []*trajcover.Trajectory) (any, error) {
-				return trajcover.NewLiveIndex(u, trajcover.LiveIndexOptions{Index: opts})
-			},
-			func(u []*trajcover.Trajectory) (any, error) {
-				return trajcover.NewLiveShardedIndex(u, trajcover.LiveShardOptions{Shards: 2, Index: opts})
-			},
+			func(u []*trajcover.Trajectory) (any, error) { return trajcover.NewIndex(u, sopts) },
+			func(u []*trajcover.Trajectory) (any, error) { return trajcover.NewFrozenIndex(u, sopts) },
 		}
 		points := 0
 		for i, build := range builders {
@@ -91,7 +80,7 @@ func expMem(ctx *bench.Context) (*bench.Table, error) {
 			t.Series[i].Y = append(t.Series[i].Y, per)
 		}
 		t.XTicks = append(t.XTicks, fmt.Sprintf("%s n=%d", ds.name, ds.n))
-		t.Series[6].Y = append(t.Series[6].Y, float64(points)/float64(ds.n))
+		t.Series[len(builders)].Y = append(t.Series[len(builders)].Y, float64(points)/float64(ds.n))
 	}
 	return t, nil
 }

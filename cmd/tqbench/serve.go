@@ -37,10 +37,10 @@ func expServe(ctx *bench.Context) (*bench.Table, error) {
 		Series: []bench.Series{{Method: "topk"}, {Method: "servicevalues"}},
 	}
 	users := ctx.Users("nyt", datagen.NYT1Day)
-	idx, err := trajcover.NewLiveShardedIndex(users.All, trajcover.LiveShardOptions{
-		Shards: 2,
-		Index:  trajcover.IndexOptions{Ordering: trajcover.ZOrdering},
-		Policy: trajcover.LivePolicy{Manual: true},
+	idx, err := trajcover.NewIndex(users.All, trajcover.IndexOptions{
+		Ordering: trajcover.ZOrdering,
+		Shards:   2,
+		Policy:   trajcover.LivePolicy{Manual: true},
 	})
 	if err != nil {
 		return nil, err

@@ -73,23 +73,19 @@ func expTenants(ctx *bench.Context) (*bench.Table, error) {
 // the noisy tenant's accepted and offered writes/sec over the same
 // window.
 func tenantRatesUnder(ctx *bench.Context, users []*trajcover.Trajectory, queryBody []byte, noisyClients int) (quiet, accepted, offered float64, err error) {
-	reg, err := trajcover.OpenTenantRegistry(trajcover.TenantRegistryOptions{
+	opts := trajcover.IndexOptions{
+		Ordering:    trajcover.ZOrdering,
 		Shards:      2,
 		Partitioner: trajcover.HashPartitioner(),
-		Index:       trajcover.IndexOptions{Ordering: trajcover.ZOrdering},
 		Policy:      trajcover.LivePolicy{Manual: true},
-	})
+	}
+	reg, err := trajcover.OpenTenantRegistry(trajcover.TenantRegistryOptions{Index: opts})
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	defer reg.Close()
 	for _, id := range []string{"quiet", "noisy"} {
-		idx, err := trajcover.NewLiveShardedIndex(users, trajcover.LiveShardOptions{
-			Shards:      2,
-			Partitioner: trajcover.HashPartitioner(),
-			Index:       trajcover.IndexOptions{Ordering: trajcover.ZOrdering},
-			Policy:      trajcover.LivePolicy{Manual: true},
-		})
+		idx, err := trajcover.NewIndex(users, opts)
 		if err != nil {
 			return 0, 0, 0, err
 		}

@@ -9,13 +9,13 @@
 //	tqquery -users checkins.csv -routes routes.csv -variant full -scenario pointcount -query topk
 //	tqquery -users trips.csv -routes routes.csv -query topk -shards 4 -partitioner grid
 //	tqquery -users trips.csv -routes routes.csv -query topk -frozen
-//	tqquery -users trips.csv -routes routes.csv -query topk -live -churn 500
+//	tqquery -users trips.csv -routes routes.csv -query topk -churn 500
 //
-// -live serves from the epoch-swapping live index (writes safe
-// concurrently with queries); -churn N additionally runs N insert/delete
-// operations concurrently with the query, which is repeated until the
-// writer finishes, and reports the query latency distribution plus the
-// background swaps that completed mid-run.
+// The query runs on an Index (writes safe concurrently with queries), or
+// on its frozen form under -frozen. -churn N runs N insert/delete
+// operations on the Index concurrently with the query, which is repeated
+// until the writer finishes, and reports the query latency distribution
+// plus the background swaps that completed mid-run.
 package main
 
 import (
@@ -49,15 +49,14 @@ func run(args []string, w io.Writer) error {
 		scenario   = fs.String("scenario", "binary", "service scenario: binary|pointcount|length")
 		variant    = fs.String("variant", "twopoint", "index variant: twopoint|segmented|full")
 		ordering   = fs.String("ordering", "zorder", "list ordering: basic|zorder")
-		alg        = fs.String("alg", "twostep", "maxcov algorithm: twostep|greedy|genetic|annealing|exact")
+		alg        = fs.String("alg", "twostep", "maxcov algorithm: twostep|greedy|genetic|exact")
 		k          = fs.Int("k", 8, "number of facilities to return/choose")
 		psi        = fs.Float64("psi", 300, "serving distance threshold ψ")
 		facility   = fs.Int("facility", -1, "facility id (query=service)")
 		shards     = fs.Int("shards", 1, "partition users across this many TQ-trees (scatter-gather serving)")
 		partition  = fs.String("partitioner", "hash", "shard partitioner: hash|grid")
 		frozen     = fs.Bool("frozen", false, "serve from the frozen columnar index (faster reads, immutable)")
-		live       = fs.Bool("live", false, "serve from the live epoch-swapping index (writes safe concurrently with queries)")
-		churn      = fs.Int("churn", 0, "with -live: run this many concurrent insert/delete ops while the query repeats, and report latency quantiles")
+		churn      = fs.Int("churn", 0, "run this many concurrent insert/delete ops while the query repeats, and report latency quantiles (not with -frozen)")
 		churnDelta = fs.Int("churn-maxdelta", 64, "with -churn: background rebuild threshold (pending writes per shard)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -96,6 +95,19 @@ func run(args []string, w io.Writer) error {
 	default:
 		return fmt.Errorf("unknown ordering %q", *ordering)
 	}
+	switch *partition {
+	case "hash":
+		opts.Partitioner = trajcover.HashPartitioner()
+	case "grid":
+		opts.Partitioner = trajcover.GridPartitioner()
+	default:
+		return fmt.Errorf("unknown partitioner %q", *partition)
+	}
+	opts.Shards = *shards
+	opts.Policy = trajcover.LivePolicy{MaxDelta: *churnDelta, MaxDeltaFraction: -1}
+	if *churn > 0 && *frozen {
+		return fmt.Errorf("-churn writes to the index; -frozen cannot take writes")
+	}
 
 	q := trajcover.Query{Psi: *psi}
 	switch *scenario {
@@ -109,80 +121,25 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("unknown scenario %q", *scenario)
 	}
 
-	// Every index type answers every query kind.
+	// Both index types answer every query kind.
 	var idx interface {
 		TopK([]*trajcover.Facility, int, trajcover.Query) ([]trajcover.Ranked, error)
 		ServiceValue(*trajcover.Facility, trajcover.Query) (float64, error)
 		MaxCoverage([]*trajcover.Facility, int, trajcover.Query, trajcover.CoverageOptions) (trajcover.CoverageResult, error)
 	}
-	var liveIdx *trajcover.LiveShardedIndex
-	if *churn > 0 && !*live {
-		return fmt.Errorf("-churn requires -live")
+	index, err := trajcover.NewIndex(users, opts)
+	if err != nil {
+		return err
 	}
-	if *live {
-		if *frozen {
-			return fmt.Errorf("-live and -frozen are mutually exclusive")
-		}
-		var part trajcover.Partitioner
-		switch *partition {
-		case "hash":
-			part = trajcover.HashPartitioner()
-		case "grid":
-			part = trajcover.GridPartitioner()
-		default:
-			return fmt.Errorf("unknown partitioner %q", *partition)
-		}
-		lidx, err := trajcover.NewLiveShardedIndex(users, trajcover.LiveShardOptions{
-			Shards: *shards, Partitioner: part, Index: opts,
-			Policy: trajcover.LivePolicy{MaxDelta: *churnDelta, MaxDeltaFraction: -1},
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "serving live from %d epoch shard(s) (%s): sizes %v\n",
-			lidx.NumShards(), *partition, lidx.ShardSizes())
-		liveIdx = lidx
-		idx = lidx
-	} else if *shards > 1 {
-		var part trajcover.Partitioner
-		switch *partition {
-		case "hash":
-			part = trajcover.HashPartitioner()
-		case "grid":
-			part = trajcover.GridPartitioner()
-		default:
-			return fmt.Errorf("unknown partitioner %q", *partition)
-		}
-		sidx, err := trajcover.NewShardedIndex(users, trajcover.ShardOptions{
-			Shards: *shards, Partitioner: part, Index: opts,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "sharded into %d TQ-trees (%s): sizes %v\n", sidx.NumShards(), *partition, sidx.ShardSizes())
-		if *frozen {
-			fidx, err := sidx.Freeze()
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, "serving from frozen columnar shards")
-			idx = fidx
-		} else {
-			idx = sidx
-		}
-	} else if *frozen {
-		fidx, err := trajcover.NewFrozenIndex(users, opts)
+	fmt.Fprintf(w, "indexed into %d shard(s) (%s): sizes %v\n", index.NumShards(), *partition, index.ShardSizes())
+	idx = index
+	if *frozen {
+		fidx, err := index.Freeze()
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(w, "serving from the frozen columnar index")
 		idx = fidx
-	} else {
-		s, err := trajcover.NewIndex(users, opts)
-		if err != nil {
-			return err
-		}
-		idx = s
 	}
 
 	switch *queryKind {
@@ -196,7 +153,7 @@ func run(args []string, w io.Writer) error {
 			fmt.Fprintf(w, "%3d. route %-6d service %.4f\n", i+1, r.Facility.ID, r.Service)
 		}
 		if *churn > 0 {
-			return runChurn(w, liveIdx, users, *churn, func() error {
+			return runChurn(w, index, users, *churn, func() error {
 				_, err := idx.TopK(routes, *k, q)
 				return err
 			})
@@ -210,8 +167,6 @@ func run(args []string, w io.Writer) error {
 			copts.Algorithm = trajcover.FullGreedy
 		case "genetic":
 			copts.Algorithm = trajcover.Genetic
-		case "annealing":
-			copts.Algorithm = trajcover.Annealing
 		case "exact":
 			copts.Algorithm = trajcover.Exact
 		default:
@@ -245,7 +200,7 @@ func run(args []string, w io.Writer) error {
 		}
 		fmt.Fprintf(w, "service value of route %d: %.4f\n", target.ID, v)
 		if *churn > 0 {
-			return runChurn(w, liveIdx, users, *churn, func() error {
+			return runChurn(w, index, users, *churn, func() error {
 				_, err := idx.ServiceValue(target, q)
 				return err
 			})
@@ -256,12 +211,12 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
-// runChurn exercises concurrent writes against the live index: a writer
+// runChurn exercises concurrent writes against the index: a writer
 // applies `ops` insert/delete operations (70% inserts of perturbed
 // copies of loaded trajectories under fresh IDs, 30% deletes of those
 // copies) while the query repeats, then reports the query latency
 // distribution and how many background epoch swaps completed mid-run.
-func runChurn(w io.Writer, lv *trajcover.LiveShardedIndex, users []*trajcover.Trajectory, ops int, query func() error) error {
+func runChurn(w io.Writer, lv *trajcover.Index, users []*trajcover.Trajectory, ops int, query func() error) error {
 	maxID := trajcover.ID(0)
 	for _, u := range users {
 		if u.ID > maxID {

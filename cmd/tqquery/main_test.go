@@ -60,7 +60,7 @@ func TestRunTopK(t *testing.T) {
 
 func TestRunMaxCovAllAlgorithms(t *testing.T) {
 	users, routes := writeWorkload(t)
-	for _, alg := range []string{"twostep", "greedy", "genetic", "annealing"} {
+	for _, alg := range []string{"twostep", "greedy", "genetic", "exact"} {
 		var out strings.Builder
 		err := run([]string{"-users", users, "-routes", routes,
 			"-query", "maxcov", "-k", "2", "-alg", alg}, &out)
@@ -159,7 +159,7 @@ func TestRunShardedTopKMatchesSingleTree(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := out.String()
-		if !strings.Contains(got, "sharded into 4 TQ-trees") {
+		if !strings.Contains(got, "indexed into 4 shard(s) ("+part+")") {
 			t.Errorf("%s: missing shard line:\n%s", part, got)
 		}
 		if gotRows := resultRows(got); gotRows != wantRows {
@@ -181,15 +181,15 @@ func resultRows(out string) string {
 }
 
 // TestRunShardedRejections covers the sharded-mode error paths; a
-// MaxkCovRST query is not one — it answers on sharded, frozen and live
-// indexes as on the single tree.
+// MaxkCovRST query is not one — it answers on sharded and frozen indexes
+// as on the single tree.
 func TestRunShardedRejections(t *testing.T) {
 	users, routes := writeWorkload(t)
 	var single strings.Builder
 	if err := run([]string{"-users", users, "-routes", routes, "-query", "maxcov", "-k", "3"}, &single); err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range [][]string{{"-shards", "2"}, {"-shards", "2", "-frozen"}, {"-frozen"}, {"-live", "-shards", "2"}} {
+	for _, mode := range [][]string{{"-shards", "2"}, {"-shards", "2", "-frozen"}, {"-frozen"}, {"-shards", "2", "-partitioner", "grid"}} {
 		var out strings.Builder
 		if err := run(append([]string{"-users", users, "-routes", routes, "-query", "maxcov", "-k", "3"}, mode...), &out); err != nil {
 			t.Fatalf("maxcov %v: %v", mode, err)
@@ -206,8 +206,8 @@ func TestRunShardedRejections(t *testing.T) {
 	}
 }
 
-// TestRunLiveTopKMatchesSingleTree: -live serving answers the same
-// top-k as the plain Index, for 1 and 2 shards.
+// TestRunLiveTopKMatchesSingleTree: the mutable index and its frozen
+// form answer the same top-k as the one-shard index, for 1 and 2 shards.
 func TestRunLiveTopKMatchesSingleTree(t *testing.T) {
 	users, routes := writeWorkload(t)
 	var single strings.Builder
@@ -216,20 +216,25 @@ func TestRunLiveTopKMatchesSingleTree(t *testing.T) {
 	}
 	wantRows := resultRows(single.String())
 	for _, shards := range []string{"1", "2"} {
-		var out strings.Builder
-		err := run([]string{
-			"-users", users, "-routes", routes, "-query", "topk", "-k", "5",
-			"-live", "-shards", shards,
-		}, &out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := out.String()
-		if !strings.Contains(got, "serving live from "+shards+" epoch shard(s)") {
-			t.Errorf("missing live line:\n%s", got)
-		}
-		if gotRows := resultRows(got); gotRows != wantRows {
-			t.Errorf("live (%s shards) results differ:\n%s\nwant:\n%s", shards, gotRows, wantRows)
+		for _, frozen := range []bool{false, true} {
+			args := []string{"-users", users, "-routes", routes, "-query", "topk", "-k", "5", "-shards", shards}
+			if frozen {
+				args = append(args, "-frozen")
+			}
+			var out strings.Builder
+			if err := run(args, &out); err != nil {
+				t.Fatal(err)
+			}
+			got := out.String()
+			if !strings.Contains(got, "indexed into "+shards+" shard(s)") {
+				t.Errorf("missing shard line:\n%s", got)
+			}
+			if strings.Contains(got, "serving from the frozen columnar index") != frozen {
+				t.Errorf("frozen %v: wrong serving line:\n%s", frozen, got)
+			}
+			if gotRows := resultRows(got); gotRows != wantRows {
+				t.Errorf("%s shards, frozen %v: results differ:\n%s\nwant:\n%s", shards, frozen, gotRows, wantRows)
+			}
 		}
 	}
 }
@@ -241,7 +246,7 @@ func TestRunLiveChurn(t *testing.T) {
 	var out strings.Builder
 	err := run([]string{
 		"-users", users, "-routes", routes, "-query", "topk", "-k", "3",
-		"-live", "-churn", "300", "-churn-maxdelta", "48",
+		"-churn", "300", "-churn-maxdelta", "48",
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
@@ -255,18 +260,19 @@ func TestRunLiveChurn(t *testing.T) {
 	}
 }
 
-// TestRunLiveRejections covers the live-mode error paths.
+// TestRunLiveRejections covers the write-mode error paths: -churn on a
+// frozen index, and the retired -live flag.
 func TestRunLiveRejections(t *testing.T) {
 	users, routes := writeWorkload(t)
 	var out strings.Builder
 	if err := run([]string{
-		"-users", users, "-routes", routes, "-query", "topk", "-live", "-frozen",
+		"-users", users, "-routes", routes, "-query", "topk", "-churn", "10", "-frozen",
 	}, &out); err == nil {
-		t.Error("-live -frozen accepted")
+		t.Error("-churn -frozen accepted")
 	}
 	if err := run([]string{
-		"-users", users, "-routes", routes, "-query", "topk", "-churn", "10",
+		"-users", users, "-routes", routes, "-query", "topk", "-live",
 	}, &out); err == nil {
-		t.Error("-churn without -live accepted")
+		t.Error("-live accepted")
 	}
 }

@@ -106,12 +106,13 @@ func distWorkload(seed int64, extra int) (base []*trajcover.Trajectory, ops []di
 	return base, ops, routes
 }
 
-func distIndexOpts() trajcover.LiveShardOptions {
-	return trajcover.LiveShardOptions{
+func distIndexOpts() trajcover.IndexOptions {
+	return trajcover.IndexOptions{
+		Ordering:    trajcover.ZOrdering,
 		Shards:      2,
 		Partitioner: trajcover.HashPartitioner(),
-		Index:       trajcover.IndexOptions{Ordering: trajcover.ZOrdering},
-		Policy:      trajcover.LivePolicy{MaxDelta: 64}, // frequent rebuilds under fire
+		Policy:      trajcover.LivePolicy{MaxDelta: 64},
+		// frequent rebuilds under fire: ,
 	}
 }
 
@@ -244,7 +245,7 @@ type distHarness struct {
 	feURL       string
 	writeClient *http.Client
 	readClient  *http.Client
-	oracle      [2]*trajcover.LiveShardedIndex
+	oracle      [2]*trajcover.Index
 	vecs        [2][][]float64 // vecs[g][n]: group g's values after n acked ops
 	routes      []*trajcover.Facility
 	svBody      []byte
@@ -438,7 +439,7 @@ func TestDistCrashPartition(t *testing.T) {
 	}
 	seedPath := [2]string{}
 	for g := 0; g < 2; g++ {
-		idx, err := trajcover.NewLiveShardedIndex(parts[g], distIndexOpts())
+		idx, err := trajcover.NewIndex(parts[g], distIndexOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -582,7 +583,7 @@ func TestDistCrashPartition(t *testing.T) {
 	for _, u := range h.live {
 		finalCorpus = append(finalCorpus, u)
 	}
-	refIdx, err := trajcover.NewLiveShardedIndex(finalCorpus, distIndexOpts())
+	refIdx, err := trajcover.NewIndex(finalCorpus, distIndexOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

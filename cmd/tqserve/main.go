@@ -15,7 +15,7 @@
 //	tqserve -addr :8090 -frontend -backends "http://a:8080|http://a:8081,http://b:8080"
 //
 // The index is either restored from a TQLIVE02 snapshot (-snapshot,
-// written by LiveIndex/LiveShardedIndex.WriteSnapshot or GET
+// written by Index.WriteSnapshot or GET
 // /v1/snapshot on a running tqserve) or generated (-synthetic N taxi
 // trips over the synthetic New York). With -wal-dir every acknowledged
 // Insert/Delete is also appended to a write-ahead log there (sync
@@ -185,7 +185,7 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal, ready func(addr 
 		// in. The result cache stays off — its keys carry the index's
 		// write version but not its identity, and SetIndex changes the
 		// identity.
-		empty, err := trajcover.NewLiveShardedIndex(nil, trajcover.LiveShardOptions{Policy: pol})
+		empty, err := trajcover.NewIndex(nil, trajcover.IndexOptions{Policy: pol})
 		if err != nil {
 			return err
 		}
@@ -238,11 +238,13 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal, ready func(addr 
 				ProbeMin:     *walProbeMin,
 				ProbeMax:     *walProbeMax,
 			},
-			Policy:      pol,
-			Shards:      *shards,
-			Partitioner: part,
-			Index:       trajcover.IndexOptions{Ordering: trajcover.ZOrdering},
-			MaxOpen:     *tenantMaxOpen,
+			Index: trajcover.IndexOptions{
+				Ordering:    trajcover.ZOrdering,
+				Shards:      *shards,
+				Partitioner: part,
+				Policy:      pol,
+			},
+			MaxOpen: *tenantMaxOpen,
 			NewTenant: func(id string) ([]*trajcover.Trajectory, error) {
 				// Only the default tenant gets the -synthetic seed; every
 				// other tenant starts empty on its first write.
@@ -274,21 +276,21 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal, ready func(addr 
 			ResultCacheBytes: *resultCache,
 		})
 	} else {
-		var idx *trajcover.LiveShardedIndex
+		var idx *trajcover.Index
 		var err error
 		if *walDir != "" {
 			syncPol, perr := trajcover.ParseWALSyncPolicy(*walSync)
 			if perr != nil {
 				return perr
 			}
-			idx, err = trajcover.OpenLiveShardedIndex(trajcover.WALOptions{
+			idx, err = trajcover.OpenIndex(trajcover.WALOptions{
 				Dir:          *walDir,
 				Sync:         syncPol,
 				SyncEvery:    *walSyncEvery,
 				SegmentBytes: *walSegBytes,
 				ProbeMin:     *walProbeMin,
 				ProbeMax:     *walProbeMax,
-			}, pol, func() (*trajcover.LiveShardedIndex, error) {
+			}, pol, func() (*trajcover.Index, error) {
 				return buildIndex(*snapshot, *mmapSnapshot, *synthetic, *seed, *shards, *partitioner, pol)
 			})
 		} else {
@@ -434,7 +436,7 @@ func parsePartitioner(name string) (trajcover.Partitioner, error) {
 }
 
 // buildIndex restores or generates the served index.
-func buildIndex(snapshot string, mmapSnapshot bool, synthetic int, seed int64, shards int, partitioner string, pol trajcover.LivePolicy) (*trajcover.LiveShardedIndex, error) {
+func buildIndex(snapshot string, mmapSnapshot bool, synthetic int, seed int64, shards int, partitioner string, pol trajcover.LivePolicy) (*trajcover.Index, error) {
 	if snapshot != "" {
 		if mmapSnapshot {
 			return trajcover.OpenMappedLiveSnapshot(snapshot, pol)
@@ -454,10 +456,10 @@ func buildIndex(snapshot string, mmapSnapshot bool, synthetic int, seed int64, s
 		return nil, err
 	}
 	users := trajcover.TaxiTrips(trajcover.NewYorkCity(), synthetic, seed)
-	return trajcover.NewLiveShardedIndex(users, trajcover.LiveShardOptions{
+	return trajcover.NewIndex(users, trajcover.IndexOptions{
+		Ordering:    trajcover.ZOrdering,
 		Shards:      shards,
 		Partitioner: part,
-		Index:       trajcover.IndexOptions{Ordering: trajcover.ZOrdering},
 		Policy:      pol,
 	})
 }

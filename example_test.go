@@ -101,7 +101,7 @@ func ExampleIndex_TopKParallel() {
 // datasets too large for one tree. Results match the single-tree index.
 func Example_shardedIndex() {
 	users, routes := exampleWorkload()
-	idx, err := trajcover.NewShardedIndex(users, trajcover.ShardOptions{
+	idx, err := trajcover.NewIndex(users, trajcover.IndexOptions{
 		Shards:      2,
 		Partitioner: trajcover.HashPartitioner(),
 	})

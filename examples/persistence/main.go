@@ -38,15 +38,13 @@ func main() {
 		Sync: trajcover.WALSyncAlways, // ack ⇒ fsynced
 	}
 	pol := trajcover.LivePolicy{}
-	bootstrap := func() (*trajcover.LiveShardedIndex, error) {
-		return trajcover.NewLiveShardedIndex(base, trajcover.LiveShardOptions{
+	bootstrap := func() (*trajcover.Index, error) {
+		return trajcover.NewIndex(base, trajcover.IndexOptions{
+			Variant:     trajcover.FullTrajectory,
+			Ordering:    trajcover.ZOrdering,
 			Shards:      2,
 			Partitioner: trajcover.HashPartitioner(),
-			Index: trajcover.IndexOptions{
-				Variant:  trajcover.FullTrajectory,
-				Ordering: trajcover.ZOrdering,
-			},
-			Policy: pol,
+			Policy:      pol,
 		})
 	}
 
@@ -54,7 +52,7 @@ func main() {
 	//
 	// The bootstrap closure runs on the first open only; afterwards the
 	// directory itself is the source of truth.
-	idx, err := trajcover.OpenLiveShardedIndex(walOpts, pol, bootstrap)
+	idx, err := trajcover.OpenIndex(walOpts, pol, bootstrap)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,7 +79,7 @@ func main() {
 	_ = idx
 
 	// --- process two: reopen the same directory ----------------------
-	recovered, err := trajcover.OpenLiveShardedIndex(walOpts, pol, bootstrap)
+	recovered, err := trajcover.OpenIndex(walOpts, pol, bootstrap)
 	if err != nil {
 		log.Fatal(err)
 	}

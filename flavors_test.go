@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// flavor is the public query surface every index type must expose: the
+// flavor is the public query surface both index types must expose: the
 // nine kMaxRRST entry points, the two coverage queries, and Len. The
 // assignments below pin the method set at compile time.
 type flavor interface {
@@ -27,29 +27,30 @@ type flavor interface {
 var (
 	_ flavor = (*Index)(nil)
 	_ flavor = (*FrozenIndex)(nil)
-	_ flavor = (*ShardedIndex)(nil)
-	_ flavor = (*FrozenShardedIndex)(nil)
-	_ flavor = (*LiveIndex)(nil)
-	_ flavor = (*LiveShardedIndex)(nil)
 )
 
-func flavorName(f flavor) string { return fmt.Sprintf("%T", f)[len("*trajcover."):] }
+// namedFlavor is one subject of allFlavors: an index and what it is.
+type namedFlavor struct {
+	flavor
+	name string
+}
 
-// allFlavors builds one index of every type over the same logical
-// corpus, in the order of the pins above, TQ(Z) with three shards where
-// there are shards; see allFlavorsWith.
-func allFlavors(t testing.TB, users []*Trajectory) []flavor {
+// allFlavors builds six indexes over the same logical corpus, TQ(Z): one
+// shard, then three, each as built, frozen and churned; see
+// allFlavorsWith.
+func allFlavors(t testing.TB, users []*Trajectory) []namedFlavor {
 	t.Helper()
 	return allFlavorsWith(t, users, IndexOptions{Ordering: ZOrdering}, 3)
 }
 
 // allFlavorsWith is allFlavors for a given tree configuration and shard
-// count. The live flavors reach the corpus through churn, so their
-// epochs carry a non-empty delta overlay (and, for the sharded one,
-// tombstones): LiveIndex is built over the first two thirds and inserts
-// the rest; LiveShardedIndex is built over the first half, inserts the
-// rest, then deletes and re-inserts the first six.
-func allFlavorsWith(t testing.TB, users []*Trajectory, opts IndexOptions, shards int) []flavor {
+// count. Per shard count: an Index as built, its Freeze, and an Index
+// that reaches the corpus through churn, so that its epochs carry a
+// non-empty delta overlay — at one shard, built over the first two thirds
+// with the rest inserted; at the given count, built over the first half
+// with the rest inserted, then the first six deleted and re-inserted, for
+// tombstones too. The one-shard subjects are named for their type alone.
+func allFlavorsWith(t testing.TB, users []*Trajectory, opts IndexOptions, shards int) []namedFlavor {
 	t.Helper()
 	must := func(err error) {
 		t.Helper()
@@ -57,35 +58,42 @@ func allFlavorsWith(t testing.TB, users []*Trajectory, opts IndexOptions, shards
 			t.Fatal(err)
 		}
 	}
-	manual := LivePolicy{Manual: true}
-
-	idx, err := NewIndex(users, opts)
-	must(err)
-	fz, err := idx.Freeze()
-	must(err)
-	sh, err := NewShardedIndex(users, ShardOptions{Shards: shards, Index: opts})
-	must(err)
-	fsh, err := sh.Freeze()
-	must(err)
-
-	cut := 2 * len(users) / 3
-	lv, err := NewLiveIndex(users[:cut], LiveIndexOptions{Index: opts, Policy: manual})
-	must(err)
-	for _, u := range users[cut:] {
-		must(lv.Insert(u))
-	}
-
-	cut = len(users) / 2
-	lsh, err := NewLiveShardedIndex(users[:cut], LiveShardOptions{Shards: shards, Index: opts, Policy: manual})
-	must(err)
-	for _, u := range users[cut:] {
-		must(lsh.Insert(u))
-	}
-	for _, u := range users[:6] {
-		if ok, err := lsh.Delete(u.ID); err != nil || !ok {
-			t.Fatalf("Delete(%d) = %v, %v", u.ID, ok, err)
+	var out []namedFlavor
+	for i, n := range []int{1, shards} {
+		opts := opts
+		opts.Shards = n
+		suffix := ""
+		if i > 0 {
+			suffix = fmt.Sprintf("/%d shards", n)
 		}
-		must(lsh.Insert(u))
+
+		idx, err := NewIndex(users, opts)
+		must(err)
+		fz, err := idx.Freeze()
+		must(err)
+
+		cut := 2 * len(users) / 3
+		if i > 0 {
+			cut = len(users) / 2
+		}
+		opts.Policy = LivePolicy{Manual: true}
+		churned, err := NewIndex(users[:cut], opts)
+		must(err)
+		for _, u := range users[cut:] {
+			must(churned.Insert(u))
+		}
+		if i > 0 {
+			for _, u := range users[:6] {
+				if ok, err := churned.Delete(u.ID); err != nil || !ok {
+					t.Fatalf("Delete(%d) = %v, %v", u.ID, ok, err)
+				}
+				must(churned.Insert(u))
+			}
+		}
+		out = append(out,
+			namedFlavor{idx, "Index" + suffix},
+			namedFlavor{fz, "FrozenIndex" + suffix},
+			namedFlavor{churned, "Index" + suffix + "/churned"})
 	}
-	return []flavor{idx, fz, sh, fsh, lv, lsh}
+	return out
 }

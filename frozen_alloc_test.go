@@ -54,15 +54,15 @@ func TestFrozenServiceValueAllocs(t *testing.T) {
 }
 
 // TestLiveTopKWithMetricsAllocs asserts the embedded query surface is
-// free on the serving path: the public LiveShardedIndex.TopKWithMetrics
-// allocates no more than the shard.Live.TopKCtx call it forwards to.
+// free on the serving path: the public Index.TopKWithMetrics allocates
+// no more than the shard.Live.TopKCtx call it forwards to.
 func TestLiveTopKWithMetricsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are not meaningful under -race: sync.Pool drops items deliberately")
 	}
 	ny := NewYorkCity()
 	routes := BusRoutes(ny, 8, 32, 3)
-	lsh, err := NewLiveShardedIndex(TaxiTrips(ny, 3000, 7), LiveShardOptions{Shards: 2, Index: IndexOptions{Ordering: ZOrdering}})
+	lsh, err := NewIndex(TaxiTrips(ny, 3000, 7), IndexOptions{Ordering: ZOrdering, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,9 +77,9 @@ func TestLiveTopKWithMetricsAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("TopK allocs/op: shard.Live.TopKCtx %.0f, LiveShardedIndex.TopKWithMetrics %.0f", direct, public)
+	t.Logf("TopK allocs/op: shard.Live.TopKCtx %.0f, Index.TopKWithMetrics %.0f", direct, public)
 	if public > direct {
-		t.Fatalf("LiveShardedIndex.TopKWithMetrics allocates %.0f/op, the direct shard call %.0f/op", public, direct)
+		t.Fatalf("Index.TopKWithMetrics allocates %.0f/op, the direct shard call %.0f/op", public, direct)
 	}
 }
 
@@ -94,7 +94,7 @@ func TestLiveShardedTopKAllocs(t *testing.T) {
 	}
 	ny := NewYorkCity()
 	routes := BusRoutes(ny, 128, 32, 3)
-	lsh, err := NewLiveShardedIndex(TaxiTrips(ny, 3000, 7), LiveShardOptions{Shards: 2, Index: IndexOptions{Ordering: ZOrdering}})
+	lsh, err := NewIndex(TaxiTrips(ny, 3000, 7), IndexOptions{Ordering: ZOrdering, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,10 +120,10 @@ func compareRanked(t *testing.T, sc Scenario, want, got []Ranked) {
 	}
 }
 
-// TestFrozenShardedEquivalence proves the frozen sharded scatter-gather
-// answers match the mutable sharded index (and through it, the single
-// tree) for TopK and ServiceValues under Binary — the integral scenario
-// where sharded answers are exact, across shard counts and partitioners.
+// TestFrozenShardedEquivalence proves a frozen index's scatter-gather
+// answers match the Index it was frozen from for TopK and ServiceValues
+// under Binary — the integral scenario where sharded answers are exact,
+// across shard counts and partitioners.
 func TestFrozenShardedEquivalence(t *testing.T) {
 	ny := NewYorkCity()
 	users := TaxiTrips(ny, 2000, 11)
@@ -136,9 +136,10 @@ func TestFrozenShardedEquivalence(t *testing.T) {
 			p    Partitioner
 		}{{"hash", HashPartitioner()}, {"grid", GridPartitioner()}} {
 			t.Run(part.name+"/"+string(rune('0'+shards)), func(t *testing.T) {
-				sidx, err := NewShardedIndex(users, ShardOptions{
-					Shards: shards, Partitioner: part.p,
-					Index: IndexOptions{Ordering: ZOrdering},
+				sidx, err := NewIndex(users, IndexOptions{
+					Ordering:    ZOrdering,
+					Shards:      shards,
+					Partitioner: part.p,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -186,31 +187,44 @@ func TestFrozenShardedEquivalence(t *testing.T) {
 	}
 }
 
-// TestNewFrozenIndex checks the direct build path agrees with
-// build-then-freeze.
+// TestNewFrozenIndex checks the direct build path is build-then-freeze:
+// at one shard and at three, under both partitioners, the same columns
+// and table rows (contentDigest) and the same answers.
 func TestNewFrozenIndex(t *testing.T) {
 	ny := NewYorkCity()
 	users := TaxiTrips(ny, 800, 13)
 	routes := BusRoutes(ny, 16, 8, 17)
 	q := Query{Scenario: Binary, Psi: DefaultPsi}
 
-	idx, err := NewIndex(users, IndexOptions{Ordering: ZOrdering})
-	if err != nil {
-		t.Fatal(err)
+	for _, shards := range []int{1, 3} {
+		for _, part := range []Partitioner{HashPartitioner(), GridPartitioner()} {
+			opts := IndexOptions{Ordering: ZOrdering, Shards: shards, Partitioner: part}
+			idx, err := NewIndex(users, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frozen, err := idx.Freeze()
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := NewFrozenIndex(users, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, b := contentDigest(t, direct), contentDigest(t, frozen); a != b {
+				t.Fatalf("%d %s shards: NewFrozenIndex digest %s, NewIndex+Freeze %s", shards, part.Kind(), a, b)
+			}
+			want, err := idx.TopK(routes, 4, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := direct.TopK(routes, 4, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareRanked(t, q.Scenario, want, got)
+		}
 	}
-	direct, err := NewFrozenIndex(users, IndexOptions{Ordering: ZOrdering})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := idx.TopK(routes, 4, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := direct.TopK(routes, 4, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareRanked(t, q.Scenario, want, got)
 }
 
 // TestFrozenRejectsUnsupportedScenario pins the frozen path's scenario
@@ -255,7 +269,7 @@ func TestPublicCtxVariantsAcrossIndexTypes(t *testing.T) {
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	for _, api := range apis {
-		t.Run(flavorName(api), func(t *testing.T) {
+		t.Run(api.name, func(t *testing.T) {
 			vs, err := api.ServiceValuesCtx(context.Background(), routes, q, 2)
 			if err != nil {
 				t.Fatal(err)

@@ -37,8 +37,8 @@ func TestDeleteReleasesTrajectories(t *testing.T) {
 			}
 			del := func(us []*Trajectory) {
 				for _, u := range us {
-					if !idx.Delete(u) {
-						t.Fatalf("Delete(%d) found nothing", u.ID)
+					if ok, err := idx.Delete(u.ID); err != nil || !ok {
+						t.Fatalf("Delete(%d) = %v, %v", u.ID, ok, err)
 					}
 				}
 			}

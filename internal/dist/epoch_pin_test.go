@@ -25,7 +25,7 @@ type churningBackend struct {
 	srv *server.Server
 
 	mu      sync.Mutex
-	script  []func(*trajcover.LiveShardedIndex) error
+	script  []func(*trajcover.Index) error
 	applied int
 	err     error
 }
@@ -114,7 +114,7 @@ func TestFrontendTopKOneEpochPerGroup(t *testing.T) {
 	histories := make([][]func(corpus map[trajcover.ID]*trajcover.Trajectory), nGroups)
 	var groups []Group
 	for g := 0; g < nGroups; g++ {
-		idx, err := trajcover.NewLiveShardedIndex(parts[g], liveOpts())
+		idx, err := trajcover.NewIndex(parts[g], liveOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestFrontendTopKOneEpochPerGroup(t *testing.T) {
 			if len(b.script)%4 == 3 { // every fourth write takes the oldest hub trip out again
 				u := inserted[0]
 				inserted = inserted[1:]
-				b.script = append(b.script, func(idx *trajcover.LiveShardedIndex) error {
+				b.script = append(b.script, func(idx *trajcover.Index) error {
 					if found, err := idx.Delete(u.ID); err != nil || !found {
 						return fmt.Errorf("delete %d: found %v, %v", u.ID, found, err)
 					}
@@ -138,7 +138,7 @@ func TestFrontendTopKOneEpochPerGroup(t *testing.T) {
 			}
 			u := hubTrip(t, id)
 			inserted = append(inserted, u)
-			b.script = append(b.script, func(idx *trajcover.LiveShardedIndex) error { return idx.Insert(u) })
+			b.script = append(b.script, func(idx *trajcover.Index) error { return idx.Insert(u) })
 			histories[g] = append(histories[g], func(c map[trajcover.ID]*trajcover.Trajectory) { c[u.ID] = u })
 		}
 		ts := httptest.NewServer(b)
@@ -177,7 +177,7 @@ func TestFrontendTopKOneEpochPerGroup(t *testing.T) {
 	vals := make([][][]float64, nGroups)
 	for g := range vals {
 		for p := 0; p <= scriptLen; p++ {
-			idx, err := trajcover.NewLiveShardedIndex(corpusAt(g, p), liveOpts())
+			idx, err := trajcover.NewIndex(corpusAt(g, p), liveOpts())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -247,7 +247,7 @@ func TestFrontendTopKOneEpochPerGroup(t *testing.T) {
 				read, got, before[0], after[0], before[1], after[1])
 		}
 		// And literally: a fresh single-process build of those two prefixes.
-		fresh, err := trajcover.NewLiveShardedIndex(append(corpusAt(0, p0), corpusAt(1, p1)...), liveOpts())
+		fresh, err := trajcover.NewIndex(append(corpusAt(0, p0), corpusAt(1, p1)...), liveOpts())
 		if err != nil {
 			t.Fatal(err)
 		}

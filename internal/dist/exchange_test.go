@@ -36,7 +36,7 @@ func (w *replyTap) Write(p []byte) (int, error) {
 
 func newBackend(t *testing.T, users []*trajcover.Trajectory) *server.Server {
 	t.Helper()
-	idx, err := trajcover.NewLiveShardedIndex(users, liveOpts())
+	idx, err := trajcover.NewIndex(users, liveOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestFrontendMidExchangeLoss(t *testing.T) {
 	defer other.Close()
 
 	// What the replica's epoch answers, in one process.
-	lagging, err := trajcover.NewLiveShardedIndex(users, liveOpts())
+	lagging, err := trajcover.NewIndex(users, liveOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestFrontendMidExchangeLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	current, err := trajcover.NewLiveShardedIndex(append(append([]*trajcover.Trajectory(nil), ahead...), parts[1]...), liveOpts())
+	current, err := trajcover.NewIndex(append(append([]*trajcover.Trajectory(nil), ahead...), parts[1]...), liveOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestFrontendMidExchangeLoss(t *testing.T) {
 		t.Fatalf("%d exchanges answered 200 and %d values frames came back for four reads on two groups and one death, want 9 and 8", stats.Exchanges, stats.ExactRPCs)
 	}
 
-	otherOnly, err := trajcover.NewLiveShardedIndex(parts[1], liveOpts())
+	otherOnly, err := trajcover.NewIndex(parts[1], liveOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestExchangeAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	facs := testFacilities(128, 32, 452)
-	idx, err := trajcover.NewLiveShardedIndex(testUsers(2000, 451), liveOpts())
+	idx, err := trajcover.NewIndex(testUsers(2000, 451), liveOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

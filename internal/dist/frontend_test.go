@@ -72,11 +72,13 @@ func testFacilities(n, stops int, seed int64) []*trajcover.Facility {
 	return out
 }
 
-func liveOpts() trajcover.LiveShardOptions {
-	return trajcover.LiveShardOptions{
+func liveOpts() trajcover.IndexOptions {
+	return trajcover.IndexOptions{
+		Ordering:    trajcover.ZOrdering,
+		Beta:        8,
+		Bounds:      testBounds,
 		Shards:      2,
 		Partitioner: trajcover.HashPartitioner(),
-		Index:       trajcover.IndexOptions{Ordering: trajcover.ZOrdering, Beta: 8, Bounds: testBounds},
 		Policy:      trajcover.LivePolicy{Manual: true},
 	}
 }
@@ -122,7 +124,7 @@ func newDistEnv(t *testing.T, users []*trajcover.Trajectory, nGroups int, feCfg 
 	parts := partitionUsers(users, nGroups)
 	var groups []Group
 	for g := 0; g < nGroups; g++ {
-		idx, err := trajcover.NewLiveShardedIndex(parts[g], liveOpts())
+		idx, err := trajcover.NewIndex(parts[g], liveOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +141,7 @@ func newDistEnv(t *testing.T, users []*trajcover.Trajectory, nGroups int, feCfg 
 		e.backends = append(e.backends, ts)
 		groups = append(groups, Group{Members: []string{ts.URL}})
 	}
-	refIdx, err := trajcover.NewLiveShardedIndex(users, liveOpts())
+	refIdx, err := trajcover.NewIndex(users, liveOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +362,7 @@ func TestFrontendPartialMatrix(t *testing.T) {
 
 	// Group 0 is a real backend; group 1's behavior is the table knob.
 	mkReal := func(t *testing.T, us []*trajcover.Trajectory) (*httptest.Server, *server.Server) {
-		idx, err := trajcover.NewLiveShardedIndex(us, liveOpts())
+		idx, err := trajcover.NewIndex(us, liveOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,7 +372,7 @@ func TestFrontendPartialMatrix(t *testing.T) {
 
 	// The surviving group's own exact answers — what partial mode must
 	// serve byte-for-byte (values) / result-for-result (topk).
-	survivorIdx, err := trajcover.NewLiveShardedIndex(parts[0], liveOpts())
+	survivorIdx, err := trajcover.NewIndex(parts[0], liveOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,20 +528,20 @@ func TestFrontendIntraGroupFailover(t *testing.T) {
 	facs := testFacilities(6, 5, 322)
 	parts := partitionUsers(users, 2)
 
-	idxA, err := trajcover.NewLiveShardedIndex(parts[0], liveOpts())
+	idxA, err := trajcover.NewIndex(parts[0], liveOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	srvA := server.New(idxA, server.Config{Workers: 2, QueueDepth: 16, DefaultTimeout: 30 * time.Second})
 	defer srvA.Close()
 	// "Replica": an identically stocked second member of group 0.
-	idxA2, err := trajcover.NewLiveShardedIndex(parts[0], liveOpts())
+	idxA2, err := trajcover.NewIndex(parts[0], liveOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	srvA2 := server.New(idxA2, server.Config{Workers: 2, QueueDepth: 16, DefaultTimeout: 30 * time.Second})
 	defer srvA2.Close()
-	idxB, err := trajcover.NewLiveShardedIndex(parts[1], liveOpts())
+	idxB, err := trajcover.NewIndex(parts[1], liveOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -654,7 +656,7 @@ func TestFrontendWriteDeadline(t *testing.T) {
 // surfacing both through /healthz ("degraded" vs "ok") and the log.
 func TestFrontendProbeRemovalReadmission(t *testing.T) {
 	users := testUsers(100, 331)
-	idx, err := trajcover.NewLiveShardedIndex(users, liveOpts())
+	idx, err := trajcover.NewIndex(users, liveOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ type ReplicaConfig struct {
 	// OnSwap, when non-nil, receives each (re)bootstrapped index after
 	// it has caught up to the primary's log head — the hook a serving
 	// wrapper uses to swap the new index in (server.Server.SetIndex).
-	OnSwap func(*trajcover.LiveShardedIndex)
+	OnSwap func(*trajcover.Index)
 	// Logf, when non-nil, receives operational events.
 	Logf func(format string, args ...any)
 }
@@ -52,7 +52,7 @@ type ReplicaStatus struct {
 	LastError  string `json:"last_error,omitempty"`
 }
 
-// Replica follows one primary: it bootstraps a LiveShardedIndex from
+// Replica follows one primary: it bootstraps an Index from
 // GET /v1/snapshot, replays the replication tail from GET /v1/changes
 // in order, and hands the caught-up index to OnSwap. It re-bootstraps
 // — loudly, from a fresh snapshot — whenever the primary's boot
@@ -71,7 +71,7 @@ type Replica struct {
 	primary string
 
 	mu         sync.Mutex
-	idx        *trajcover.LiveShardedIndex // serving index (after first swap)
+	idx        *trajcover.Index // serving index (after first swap)
 	boot       string
 	applied    uint64
 	ready      bool
@@ -106,7 +106,7 @@ func (rep *Replica) Ready() bool {
 
 // Index returns the currently served index (nil before the first
 // successful bootstrap).
-func (rep *Replica) Index() *trajcover.LiveShardedIndex {
+func (rep *Replica) Index() *trajcover.Index {
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
 	return rep.idx
@@ -222,7 +222,7 @@ func (rep *Replica) followOnce(ctx context.Context) error {
 // the primary's replication boot identity, and the sequence cursor the
 // tail replay starts after. Exported for the corruption sweep tests;
 // Run is the normal entry point.
-func (rep *Replica) Bootstrap(ctx context.Context) (*trajcover.LiveShardedIndex, string, uint64, error) {
+func (rep *Replica) Bootstrap(ctx context.Context) (*trajcover.Index, string, uint64, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.primary+server.PathSnapshot, nil)
 	if err != nil {
 		return nil, "", 0, err
@@ -286,7 +286,7 @@ func (rep *Replica) fetchChanges(ctx context.Context, boot string, after uint64)
 // is expected and harmless (duplicate insert, not-found delete);
 // anything else — a malformed trajectory, a degraded index — is a
 // real divergence and fails the session loudly.
-func applyEntry(idx *trajcover.LiveShardedIndex, e replog.Entry) error {
+func applyEntry(idx *trajcover.Index, e replog.Entry) error {
 	switch e.Op {
 	case replog.OpInsert:
 		pts := make([]trajcover.Point, len(e.Points))

@@ -21,7 +21,7 @@ import (
 // a live index with a replication log wired into the server.
 func newPrimary(t *testing.T, users []*trajcover.Trajectory, logCap int) (*server.Server, *httptest.Server) {
 	t.Helper()
-	idx, err := trajcover.NewLiveShardedIndex(users, liveOpts())
+	idx, err := trajcover.NewIndex(users, liveOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func newPrimary(t *testing.T, users []*trajcover.Trajectory, logCap int) (*serve
 // ReplicaHandler. Run is NOT started; the caller owns the follow loop.
 func newReplicaStack(t *testing.T, primary string) (*Replica, *httptest.Server) {
 	t.Helper()
-	empty, err := trajcover.NewLiveShardedIndex(nil, liveOpts())
+	empty, err := trajcover.NewIndex(nil, liveOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func stubPrimary(t *testing.T, snapshot []byte, boot, seq string, changes []byte
 func TestReplicaBootstrapCorruption(t *testing.T) {
 	users := testUsers(300, 421)
 	facs := testFacilities(5, 5, 422)
-	idx, err := trajcover.NewLiveShardedIndex(users, liveOpts())
+	idx, err := trajcover.NewIndex(users, liveOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestReplicaBootstrapCorruption(t *testing.T) {
 // state — the follow loop fails the session loudly and retries.
 func TestReplicaTailCorruption(t *testing.T) {
 	users := testUsers(80, 431)
-	idx, err := trajcover.NewLiveShardedIndex(users, liveOpts())
+	idx, err := trajcover.NewIndex(users, liveOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,8 @@ import (
 )
 
 // CtxErr is the one cancellation poll of this module: the batch loop
-// calls it through the canceller below, and LiveShardedIndex's bound
-// diagnostic between facilities. nil and never-cancellable contexts cost
+// calls it through the canceller below, and Index's bound diagnostic
+// between facilities. nil and never-cancellable contexts cost
 // a branch, anything else a non-blocking channel select. Done() is
 // re-queried per poll rather than cached so custom contexts (including
 // test clocks) see every check.

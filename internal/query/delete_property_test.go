@@ -64,8 +64,8 @@ func TestBuildInsertDeleteMatchesFreshBuild(t *testing.T) {
 		for _, u := range users {
 			if u.ID%3 != 0 {
 				survivors = append(survivors, u)
-			} else if !idx.Delete(u) {
-				t.Fatalf("%s: Delete(%d) found nothing", name, u.ID)
+			} else if ok, err := idx.Delete(u.ID); err != nil || !ok {
+				t.Fatalf("%s: Delete(%d) = %v, %v", name, u.ID, ok, err)
 			}
 		}
 		if idx.Len() != len(survivors) {
@@ -133,8 +133,8 @@ func TestDeleteAllThenReinsert(t *testing.T) {
 		idx := newIndex(t, users, v, o)
 		// Delete everything, in random order.
 		for _, i := range rng.Perm(len(users)) {
-			if !idx.Delete(users[i]) {
-				t.Fatalf("Delete(%d) failed", users[i].ID)
+			if ok, err := idx.Delete(users[i].ID); err != nil || !ok {
+				t.Fatalf("Delete(%d) = %v, %v", users[i].ID, ok, err)
 			}
 		}
 		if idx.Len() != 0 {

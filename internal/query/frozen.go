@@ -102,8 +102,8 @@ func (e *FrozenEngine) TopK(facilities []*trajectory.Facility, k int, p Params) 
 // descent without allocating. It does not validate p. No serving path
 // calls it: it is what tqbench -exp bound measures (a bound would have to
 // rank fewer than N − k facilities above the k-th value before it could
-// save a served top-k anything) and what LiveShardedIndex.UpperBoundsCtx
-// sums as a diagnostic.
+// save a served top-k anything) and what Index.UpperBoundsCtx sums as a
+// diagnostic.
 func (e *FrozenEngine) UpperBound(f *trajectory.Facility, p Params) float64 {
 	defer runtime.KeepAlive(e.f)
 	return upperBound(frozenLayout{f: e.f}, f, p)

@@ -15,16 +15,16 @@ import (
 // newFaultWALEnv is newWALEnv with an injectable filesystem under the
 // WAL and a probe fast enough for tests, returning the index so tests
 // can watch recovery directly.
-func newFaultWALEnv(t *testing.T, base []*trajcover.Trajectory, cfg Config, inj *faultfs.Injector) (*env, *trajcover.LiveShardedIndex) {
+func newFaultWALEnv(t *testing.T, base []*trajcover.Trajectory, cfg Config, inj *faultfs.Injector) (*env, *trajcover.Index) {
 	t.Helper()
-	idx, err := trajcover.OpenLiveShardedIndex(trajcover.WALOptions{
+	idx, err := trajcover.OpenIndex(trajcover.WALOptions{
 		Dir:      t.TempDir(),
 		Sync:     trajcover.WALSyncAlways,
 		FS:       inj,
 		ProbeMin: 2 * time.Millisecond,
 		ProbeMax: 50 * time.Millisecond,
-	}, trajcover.LivePolicy{Manual: true}, func() (*trajcover.LiveShardedIndex, error) {
-		return trajcover.NewLiveShardedIndex(base, liveOpts())
+	}, trajcover.LivePolicy{Manual: true}, func() (*trajcover.Index, error) {
+		return trajcover.NewIndex(base, liveOpts())
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +40,7 @@ func newFaultWALEnv(t *testing.T, base []*trajcover.Trajectory, cfg Config, inj 
 	return e, idx
 }
 
-func awaitRecovery(t *testing.T, idx *trajcover.LiveShardedIndex) {
+func awaitRecovery(t *testing.T, idx *trajcover.Index) {
 	t.Helper()
 	deadline := time.Now().Add(20 * time.Second)
 	for idx.Degraded() {
@@ -298,10 +298,14 @@ func TestServerMultiTenantDegradedIsolation(t *testing.T) {
 			Sync: trajcover.WALSyncAlways, SegmentBytes: 1 << 15,
 			FS: inj, ProbeMin: 2 * time.Millisecond, ProbeMax: 50 * time.Millisecond,
 		},
-		Policy:      trajcover.LivePolicy{Manual: true},
-		Shards:      2,
-		Partitioner: trajcover.HashPartitioner(),
-		Index:       trajcover.IndexOptions{Ordering: trajcover.ZOrdering, Beta: 8, Bounds: testBounds},
+		Index: trajcover.IndexOptions{
+			Ordering:    trajcover.ZOrdering,
+			Beta:        8,
+			Bounds:      testBounds,
+			Policy:      trajcover.LivePolicy{Manual: true},
+			Shards:      2,
+			Partitioner: trajcover.HashPartitioner(),
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

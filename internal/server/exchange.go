@@ -347,7 +347,7 @@ func (s *Server) handleExchange(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, bodyErrorStatus(err), ErrorResponse{Error: err.Error()})
 		return
 	}
-	s.executeTenant(w, r, ep, tid, false, x.qf.TimeoutMS, nil, func(ctx context.Context, idx *trajcover.LiveShardedIndex) response {
+	s.executeTenant(w, r, ep, tid, false, x.qf.TimeoutMS, nil, func(ctx context.Context, idx *trajcover.Index) response {
 		defer x.release()
 		vals, err := idx.ServiceValuesCtx(ctx, x.qf.Facilities, x.qf.Query, x.qf.Workers)
 		if err != nil {

@@ -270,7 +270,7 @@ func TestAliasNeverCrossesTenants(t *testing.T) {
 		for _, u := range users {
 			e.mustPost(PathInsert, tid, insertBody(t, u, ""), http.StatusOK)
 		}
-		mirror, err := trajcover.NewLiveShardedIndex(users, mirrorOpts())
+		mirror, err := trajcover.NewIndex(users, mirrorOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +322,7 @@ func TestAliasProbe(t *testing.T) {
 	e := newEnv(t, base, Config{Workers: 2, QueueDepth: 16, DefaultTimeout: 30 * time.Second, ResultCacheBytes: 1 << 20})
 	facs := testFacilities(8, 6, 32)
 	q := trajcover.Query{Scenario: trajcover.Binary, Psi: 40}
-	topkOf := func(idx *trajcover.LiveShardedIndex) []byte {
+	topkOf := func(idx *trajcover.Index) []byte {
 		t.Helper()
 		res, err := idx.TopK(facs, 4, q)
 		if err != nil {
@@ -379,7 +379,7 @@ func TestAliasProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := append(append([]*trajcover.Trajectory{}, base...), feed[0])
-	fresh, err := trajcover.NewLiveShardedIndex(all, liveOpts())
+	fresh, err := trajcover.NewIndex(all, liveOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +513,7 @@ func TestTopKHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	idx, err := trajcover.NewLiveShardedIndex(testUsers(200, 52), liveOpts())
+	idx, err := trajcover.NewIndex(testUsers(200, 52), liveOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -270,7 +270,7 @@ func TestServerReplicationOrderMatchesApply(t *testing.T) {
 	if err := json.Unmarshal(raw, &cr); err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := trajcover.NewLiveShardedIndex(users[:200], liveOpts())
+	replayed, err := trajcover.NewIndex(users[:200], liveOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

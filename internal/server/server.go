@@ -327,7 +327,7 @@ type Server struct {
 	// multi-tenant mode (NewMulti). idx is an atomic pointer so a
 	// replica can swap in a freshly bootstrapped index (SetIndex) when
 	// its primary restarts, without dropping the listener.
-	idx   atomic.Pointer[trajcover.LiveShardedIndex]
+	idx   atomic.Pointer[trajcover.Index]
 	reg   *trajcover.TenantRegistry
 	queue chan *task
 
@@ -389,7 +389,7 @@ const (
 // New builds a single-tenant Server over idx and starts its worker
 // pool: every request (whatever tenant it names, as long as it is the
 // default) is served from idx.
-func New(idx *trajcover.LiveShardedIndex, cfg Config) *Server {
+func New(idx *trajcover.Index, cfg Config) *Server {
 	return newServer(idx, nil, cfg)
 }
 
@@ -400,7 +400,7 @@ func NewMulti(reg *trajcover.TenantRegistry, cfg Config) *Server {
 	return newServer(nil, reg, cfg)
 }
 
-func newServer(idx *trajcover.LiveShardedIndex, reg *trajcover.TenantRegistry, cfg Config) *Server {
+func newServer(idx *trajcover.Index, reg *trajcover.TenantRegistry, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:        cfg,
@@ -445,7 +445,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Index returns the default tenant's index (nil when a multi-tenant
 // server has no default tenant yet).
-func (s *Server) Index() *trajcover.LiveShardedIndex {
+func (s *Server) Index() *trajcover.Index {
 	if s.reg == nil {
 		return s.idx.Load()
 	}
@@ -468,7 +468,7 @@ func (s *Server) Index() *trajcover.LiveShardedIndex {
 // version but not its identity, so entries from the old index could
 // answer for the new one. Panics on a multi-tenant server or a nil
 // index.
-func (s *Server) SetIndex(idx *trajcover.LiveShardedIndex) {
+func (s *Server) SetIndex(idx *trajcover.Index) {
 	if s.reg != nil {
 		panic("server: SetIndex on a multi-tenant server")
 	}
@@ -528,7 +528,7 @@ func resolveTenant(r *http.Request, bodyTenant string) (string, error) {
 
 // acquireTenant resolves a tenant ID to its index plus a release func.
 // In single-tenant mode only the default tenant exists.
-func (s *Server) acquireTenant(id string, create bool) (*trajcover.LiveShardedIndex, func(), error) {
+func (s *Server) acquireTenant(id string, create bool) (*trajcover.Index, func(), error) {
 	if s.reg != nil {
 		return s.reg.Acquire(id, create)
 	}
@@ -718,7 +718,7 @@ func (s *Server) executeTenant(w http.ResponseWriter, r *http.Request, ep *endpo
 			}
 		}
 		inner := run
-		run = func(ctx context.Context, idx *trajcover.LiveShardedIndex) response {
+		run = func(ctx context.Context, idx *trajcover.Index) response {
 			resp := inner(ctx, idx)
 			if resp.status == http.StatusOK && idx.Version() == ver {
 				s.cache.Put(key, resp.body)
@@ -861,7 +861,7 @@ func (s *Server) replLock() func() {
 
 // runFunc is the work of one admitted request, executed on a pool worker
 // against the tenant's index.
-type runFunc func(ctx context.Context, idx *trajcover.LiveShardedIndex) response
+type runFunc func(ctx context.Context, idx *trajcover.Index) response
 
 // cachedRead is what makes a read answerable from the result cache: its
 // canonical hash, and — when an alias supplied that hash and the body is
@@ -873,7 +873,7 @@ type cachedRead struct {
 
 // answerFunc computes one read endpoint's 200 body from a decoded
 // request.
-type answerFunc func(ctx context.Context, idx *trajcover.LiveShardedIndex, req *QueryRequest, facs []*trajcover.Facility, q trajcover.Query) ([]byte, error)
+type answerFunc func(ctx context.Context, idx *trajcover.Index, req *QueryRequest, facs []*trajcover.Facility, q trajcover.Query) ([]byte, error)
 
 // readRequest is one /v1/topk or /v1/servicevalues request between
 // admit and executeTenant: the raw body, then what decoding it yields.
@@ -904,7 +904,7 @@ func (rr *readRequest) decodeOnMiss() (int64, runFunc, error) {
 	return rr.req.TimeoutMS, rr.run, nil
 }
 
-func (rr *readRequest) run(ctx context.Context, idx *trajcover.LiveShardedIndex) response {
+func (rr *readRequest) run(ctx context.Context, idx *trajcover.Index) response {
 	body, err := rr.answer(ctx, idx, rr.req, rr.facs, rr.q)
 	if err != nil {
 		return errResponse(err)
@@ -995,7 +995,7 @@ func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, path string, 
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	s.serveRead(w, r, PathTopK, true, func(ctx context.Context, idx *trajcover.LiveShardedIndex, req *QueryRequest, facs []*trajcover.Facility, q trajcover.Query) ([]byte, error) {
+	s.serveRead(w, r, PathTopK, true, func(ctx context.Context, idx *trajcover.Index, req *QueryRequest, facs []*trajcover.Facility, q trajcover.Query) ([]byte, error) {
 		res, err := idx.TopKParallelCtx(ctx, facs, req.K, q, req.Workers)
 		if err != nil {
 			return nil, err
@@ -1005,7 +1005,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleServiceValues(w http.ResponseWriter, r *http.Request) {
-	s.serveRead(w, r, PathServiceValues, false, func(ctx context.Context, idx *trajcover.LiveShardedIndex, req *QueryRequest, facs []*trajcover.Facility, q trajcover.Query) ([]byte, error) {
+	s.serveRead(w, r, PathServiceValues, false, func(ctx context.Context, idx *trajcover.Index, req *QueryRequest, facs []*trajcover.Facility, q trajcover.Query) ([]byte, error) {
 		vs, err := idx.ServiceValuesCtx(ctx, facs, q, req.Workers)
 		if err != nil {
 			return nil, err
@@ -1121,7 +1121,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		s.rejectDecode(w, ep, err)
 		return
 	}
-	s.executeTenant(w, r, ep, tid, true, req.TimeoutMS, nil, func(_ context.Context, idx *trajcover.LiveShardedIndex) response {
+	s.executeTenant(w, r, ep, tid, true, req.TimeoutMS, nil, func(_ context.Context, idx *trajcover.Index) response {
 		unlock := s.replLock()
 		err := idx.Insert(u)
 		if err == nil && s.repl != nil {
@@ -1164,7 +1164,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		s.rejectDecode(w, ep, err)
 		return
 	}
-	s.executeTenant(w, r, ep, tid, true, req.TimeoutMS, nil, func(_ context.Context, idx *trajcover.LiveShardedIndex) response {
+	s.executeTenant(w, r, ep, tid, true, req.TimeoutMS, nil, func(_ context.Context, idx *trajcover.Index) response {
 		unlock := s.replLock()
 		found, err := idx.Delete(trajcover.ID(req.ID))
 		if err == nil && found && s.repl != nil {
@@ -1198,7 +1198,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	}
 	// Compact is not deadline-aware below the swap points; give it the
 	// full MaxTimeout rather than the query default.
-	s.executeTenant(w, r, ep, tid, false, s.cfg.MaxTimeout.Milliseconds(), nil, func(_ context.Context, idx *trajcover.LiveShardedIndex) response {
+	s.executeTenant(w, r, ep, tid, false, s.cfg.MaxTimeout.Milliseconds(), nil, func(_ context.Context, idx *trajcover.Index) response {
 		if err := idx.Compact(); err != nil {
 			return response{status: http.StatusInternalServerError, body: mustMarshal(ErrorResponse{Error: err.Error()})}
 		}
@@ -1261,7 +1261,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // (/v1/snapshot, /v1/checkpoint) from the X-Tenant header and acquires
 // its index (never creating one). A false return means the error was
 // already written (and counted).
-func (s *Server) opsTenant(w http.ResponseWriter, r *http.Request, ep *endpointStats) (*trajcover.LiveShardedIndex, func(), bool) {
+func (s *Server) opsTenant(w http.ResponseWriter, r *http.Request, ep *endpointStats) (*trajcover.Index, func(), bool) {
 	tid, err := resolveTenant(r, "")
 	if err != nil {
 		ep.errors.Add(1)

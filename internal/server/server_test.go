@@ -71,11 +71,13 @@ func testFacilities(n, stops int, seed int64) []*trajcover.Facility {
 	return out
 }
 
-func liveOpts() trajcover.LiveShardOptions {
-	return trajcover.LiveShardOptions{
+func liveOpts() trajcover.IndexOptions {
+	return trajcover.IndexOptions{
+		Ordering:    trajcover.ZOrdering,
+		Beta:        8,
+		Bounds:      testBounds,
 		Shards:      2,
 		Partitioner: trajcover.HashPartitioner(),
-		Index:       trajcover.IndexOptions{Ordering: trajcover.ZOrdering, Beta: 8, Bounds: testBounds},
 		Policy:      trajcover.LivePolicy{Manual: true},
 	}
 }
@@ -86,17 +88,17 @@ type env struct {
 	t      *testing.T
 	srv    *Server
 	ts     *httptest.Server
-	mirror *trajcover.LiveShardedIndex
+	mirror *trajcover.Index
 	client *http.Client
 }
 
 func newEnv(t *testing.T, base []*trajcover.Trajectory, cfg Config) *env {
 	t.Helper()
-	idx, err := trajcover.NewLiveShardedIndex(base, liveOpts())
+	idx, err := trajcover.NewIndex(base, liveOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mirror, err := trajcover.NewLiveShardedIndex(base, liveOpts())
+	mirror, err := trajcover.NewIndex(base, liveOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +151,7 @@ func mustBody(t *testing.T, v any) []byte {
 
 // TestServerEndToEndMatchesDirect drives mixed topk / servicevalues /
 // insert / delete / compact traffic through HTTP and asserts every
-// response byte-identical to direct LiveShardedIndex calls applying the
+// response byte-identical to direct Index calls applying the
 // same write history to an identically built mirror.
 func TestServerEndToEndMatchesDirect(t *testing.T) {
 	users := testUsers(600, 21)
@@ -303,9 +305,12 @@ func TestServerPrefixConsistencyUnderConcurrentWrites(t *testing.T) {
 	for _, u := range base {
 		corpus[u.ID] = u
 	}
-	shardOpts := trajcover.ShardOptions{
-		Shards: 2, Partitioner: trajcover.HashPartitioner(),
-		Index: trajcover.IndexOptions{Ordering: trajcover.ZOrdering, Beta: 8, Bounds: testBounds},
+	shardOpts := trajcover.IndexOptions{
+		Ordering:    trajcover.ZOrdering,
+		Beta:        8,
+		Bounds:      testBounds,
+		Shards:      2,
+		Partitioner: trajcover.HashPartitioner(),
 	}
 	allowedSV := map[string]int{}
 	allowedTopK := map[string]int{}
@@ -316,7 +321,7 @@ func TestServerPrefixConsistencyUnderConcurrentWrites(t *testing.T) {
 				all = append(all, u)
 			}
 		}
-		fresh, err := trajcover.NewShardedIndex(all, shardOpts)
+		fresh, err := trajcover.NewIndex(all, shardOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -743,7 +748,7 @@ func TestServerDrainLeavesNoGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	users := testUsers(200, 91)
-	idx, err := trajcover.NewLiveShardedIndex(users, liveOpts())
+	idx, err := trajcover.NewIndex(users, liveOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -792,16 +797,16 @@ func TestServerDrainLeavesNoGoroutines(t *testing.T) {
 // stays in-memory (the wire behavior must not depend on durability).
 func newWALEnv(t *testing.T, base []*trajcover.Trajectory, cfg Config) *env {
 	t.Helper()
-	idx, err := trajcover.OpenLiveShardedIndex(trajcover.WALOptions{
+	idx, err := trajcover.OpenIndex(trajcover.WALOptions{
 		Dir:  t.TempDir(),
 		Sync: trajcover.WALSyncAlways,
-	}, trajcover.LivePolicy{Manual: true}, func() (*trajcover.LiveShardedIndex, error) {
-		return trajcover.NewLiveShardedIndex(base, liveOpts())
+	}, trajcover.LivePolicy{Manual: true}, func() (*trajcover.Index, error) {
+		return trajcover.NewIndex(base, liveOpts())
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mirror, err := trajcover.NewLiveShardedIndex(base, liveOpts())
+	mirror, err := trajcover.NewIndex(base, liveOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -271,9 +271,12 @@ func TestServerCacheConsistencyUnderConcurrentWrites(t *testing.T) {
 	for _, u := range base {
 		corpus[u.ID] = u
 	}
-	shardOpts := trajcover.ShardOptions{
-		Shards: 2, Partitioner: trajcover.HashPartitioner(),
-		Index: trajcover.IndexOptions{Ordering: trajcover.ZOrdering, Beta: 8, Bounds: testBounds},
+	shardOpts := trajcover.IndexOptions{
+		Ordering:    trajcover.ZOrdering,
+		Beta:        8,
+		Bounds:      testBounds,
+		Shards:      2,
+		Partitioner: trajcover.HashPartitioner(),
 	}
 	allowedMax := map[string]int{}
 	snapshotPrefix := func(i int) {
@@ -283,7 +286,7 @@ func TestServerCacheConsistencyUnderConcurrentWrites(t *testing.T) {
 				all = append(all, u)
 			}
 		}
-		fresh, err := trajcover.NewShardedIndex(all, shardOpts)
+		fresh, err := trajcover.NewIndex(all, shardOpts)
 		if err != nil {
 			t.Fatal(err)
 		}

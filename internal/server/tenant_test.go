@@ -45,12 +45,16 @@ type menv struct {
 func newMultiEnv(t *testing.T, root string, cfg Config) *menv {
 	t.Helper()
 	opts := trajcover.TenantRegistryOptions{
-		Root:        root,
-		WAL:         trajcover.WALOptions{Sync: trajcover.WALSyncAlways, SegmentBytes: 1 << 15},
-		Policy:      trajcover.LivePolicy{Manual: true},
-		Shards:      2,
-		Partitioner: trajcover.HashPartitioner(),
-		Index:       trajcover.IndexOptions{Ordering: trajcover.ZOrdering, Beta: 8, Bounds: testBounds},
+		Root: root,
+		WAL:  trajcover.WALOptions{Sync: trajcover.WALSyncAlways, SegmentBytes: 1 << 15},
+		Index: trajcover.IndexOptions{
+			Ordering:    trajcover.ZOrdering,
+			Beta:        8,
+			Bounds:      testBounds,
+			Policy:      trajcover.LivePolicy{Manual: true},
+			Shards:      2,
+			Partitioner: trajcover.HashPartitioner(),
+		},
 	}
 	reg, err := trajcover.OpenTenantRegistry(opts)
 	if err != nil {
@@ -69,11 +73,13 @@ func newMultiEnv(t *testing.T, root string, cfg Config) *menv {
 
 // mirrorOpts must build mirrors exactly like newMultiEnv's registry
 // builds tenants, or byte-identity cannot hold.
-func mirrorOpts() trajcover.LiveShardOptions {
-	return trajcover.LiveShardOptions{
+func mirrorOpts() trajcover.IndexOptions {
+	return trajcover.IndexOptions{
+		Ordering:    trajcover.ZOrdering,
+		Beta:        8,
+		Bounds:      testBounds,
 		Shards:      2,
 		Partitioner: trajcover.HashPartitioner(),
-		Index:       trajcover.IndexOptions{Ordering: trajcover.ZOrdering, Beta: 8, Bounds: testBounds},
 		Policy:      trajcover.LivePolicy{Manual: true},
 	}
 }
@@ -149,7 +155,7 @@ func historyOf(id string, seed int64, n int) tenantHistory {
 // alone — while every other tenant writes concurrently. Returns an
 // error instead of calling t.Fatal so it can run on a goroutine.
 func (e *menv) runTenantHistory(h tenantHistory) error {
-	mirror, err := trajcover.NewLiveShardedIndex(nil, mirrorOpts())
+	mirror, err := trajcover.NewIndex(nil, mirrorOpts())
 	if err != nil {
 		return err
 	}
@@ -269,7 +275,7 @@ func TestTenantIsolationProperty(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		mirror, err := trajcover.NewLiveShardedIndex(nil, mirrorOpts())
+		mirror, err := trajcover.NewIndex(nil, mirrorOpts())
 		if err != nil {
 			errs <- err
 			return

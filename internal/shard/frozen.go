@@ -21,11 +21,11 @@ type Frozen struct {
 	engines []*query.FrozenEngine
 }
 
-// buildFrozen partitions users and writes each shard's columns straight
+// BuildFrozen partitions users and writes each shard's columns straight
 // from its build plan. A duplicate ID inside a shard fails that shard's
 // build; one shared by two shards fails the merge in FrozenFromEngines.
-// opts must carry its defaults.
-func buildFrozen(users []*trajectory.Trajectory, opts Options) (*Frozen, error) {
+func BuildFrozen(users []*trajectory.Trajectory, opts Options) (*Frozen, error) {
+	opts = opts.withDefaults()
 	parts, bounds := partition(users, opts)
 	engines := make([]*query.FrozenEngine, len(parts))
 	err := buildTrees(parts, bounds, opts, func(i int, treeOpts tqtree.Options) error {

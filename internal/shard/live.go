@@ -208,7 +208,7 @@ type Health struct {
 // partition, each base written straight from its build plan.
 func BuildLive(users []*trajectory.Trajectory, opts Options, pol Policy) (*Live, error) {
 	opts = opts.withDefaults()
-	f, err := buildFrozen(users, opts)
+	f, err := BuildFrozen(users, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -60,7 +60,7 @@ func TestLiveTombstoneWordBoundaries(t *testing.T) {
 				check := func(stage string) {
 					t.Helper()
 					corpus := oracle.corpus()
-					fresh, err := build(corpus, opts)
+					fresh, err := BuildFrozen(corpus, opts)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -52,7 +52,7 @@ func TestLiveEmptyDeltaMatchesFrozen(t *testing.T) {
 				opts := Options{Shards: n, Tree: tqtree.Options{
 					Variant: tqtree.FullTrajectory, Ordering: o, Beta: 8, Bounds: testBounds,
 				}}
-				fz, err := build(users, opts)
+				fz, err := BuildFrozen(users, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -181,7 +181,7 @@ func TestLiveChurnMatchesFreshBuild(t *testing.T) {
 
 		check := func(stage string) {
 			corpus := oracle.corpus()
-			fresh, err := build(corpus, opts)
+			fresh, err := BuildFrozen(corpus, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -279,7 +279,7 @@ func TestLiveAutoCompaction(t *testing.T) {
 // ErrImmutable for Insert.
 func TestLiveImmutableInsert(t *testing.T) {
 	users := makeUsers(300, 2, 77)
-	fz, err := build(users, Options{Shards: 2, Tree: tqtree.Options{
+	fz, err := BuildFrozen(users, Options{Shards: 2, Tree: tqtree.Options{
 		Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder, Beta: 8, Bounds: testBounds,
 	}})
 	if err != nil {
@@ -351,7 +351,7 @@ func TestLiveDeletesDuringCompact(t *testing.T) {
 		}
 		// A second compact folds any tombstones the deletes left behind;
 		// answers must match a fresh build both before and after.
-		fresh, err := build(survivors, opts)
+		fresh, err := BuildFrozen(survivors, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,10 +36,9 @@ type unit interface {
 }
 
 // scatter is the query surface of every index, written once over a slice
-// of units and embedded in Frozen and Live — with one unit, it is also the
-// single-tree index's (the root package builds its Index, FrozenIndex and
-// LiveIndex as one-shard Live, Frozen and Live). capture returns the units
-// one query runs over: the fixed shard slice for Frozen, one
+// of units and embedded in Frozen and Live, whatever their shard count
+// (the root package's Index is a Live, its FrozenIndex a Frozen). capture
+// returns the units one query runs over: the fixed shard slice for Frozen, one
 // write-consistent epoch cut (Live.Epochs) for Live — taken once per call,
 // so a query (or a whole stream, or a whole MaxkCovRST solve through
 // Source) is unaffected by writes and swaps that land while it runs.

@@ -3,10 +3,10 @@
 // values fan out to every shard as one batch and are summed, and top-k is
 // the sort-and-cut of those sums (query.Results) — what the distributed
 // frontend does over whole processes. Coverage (MaxkCovRST, served users)
-// is the union of every shard's masks, read through one Source. Every
-// public index type is one of the two forms here — Frozen, immutable, and
-// Live, epoch-serving and mutable — the single-tree ones with one shard,
-// so all answer through scatter. The paper's best-first search
+// is the union of every shard's masks, read through one Source. Each of
+// the two public index types is one of the two forms here — FrozenIndex a
+// Frozen, immutable, and Index a Live, epoch-serving and mutable — with
+// one shard or several, so both answer through scatter. The paper's best-first search
 // (Algorithms 3/4) stays on query.FrozenEngine for the figures
 // (scatter.topK).
 //
@@ -28,7 +28,7 @@ import (
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
-// Options configures BuildLive.
+// Options configures BuildFrozen and BuildLive.
 type Options struct {
 	// Shards is the number of TQ-trees to partition across. 0 means 1.
 	Shards int

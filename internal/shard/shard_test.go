@@ -78,12 +78,6 @@ func singleEngine(t *testing.T, users []*trajectory.Trajectory, opts tqtree.Opti
 	return query.NewFrozenEngine(fz, nil)
 }
 
-// build is the frozen index over users the tests compare with: the
-// bases BuildLive serves.
-func build(users []*trajectory.Trajectory, opts Options) (*Frozen, error) {
-	return buildFrozen(users, opts.withDefaults())
-}
-
 var shardCounts = []int{1, 2, 4, 8}
 
 // TestPartitionersCoverAndAreDeterministic checks both built-in
@@ -162,7 +156,7 @@ func TestShardedMatchesSingleTree(t *testing.T) {
 		}
 		for _, part := range []Partitioner{Hash{}, Grid{}} {
 			for _, n := range shardCounts {
-				s, err := build(users, Options{Shards: n, Partitioner: part, Tree: treeOpts})
+				s, err := BuildFrozen(users, Options{Shards: n, Partitioner: part, Tree: treeOpts})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -236,7 +230,7 @@ func TestShardedMatchesSingleTree(t *testing.T) {
 func TestShardedTopKParallelMatchesSerial(t *testing.T) {
 	users := makeUsers(2000, 2, 31)
 	facilities := makeFacilities(32, 8, 32)
-	s, err := build(users, Options{Shards: 4, Tree: tqtree.Options{
+	s, err := BuildFrozen(users, Options{Shards: 4, Tree: tqtree.Options{
 		Ordering: tqtree.ZOrder, Bounds: testBounds,
 	}})
 	if err != nil {
@@ -272,7 +266,7 @@ func TestBuildParallelismIsEquivalent(t *testing.T) {
 	p := query.Params{Scenario: service.Binary, Psi: 40}
 	var want []float64
 	for _, par := range []int{1, 2, 8} {
-		s, err := build(users, Options{Shards: 4, Tree: tqtree.Options{
+		s, err := BuildFrozen(users, Options{Shards: 4, Tree: tqtree.Options{
 			Bounds: testBounds, Parallelism: par,
 		}})
 		if err != nil {
@@ -342,7 +336,7 @@ func TestShardedInsertRoutesToOneShard(t *testing.T) {
 func TestBuildRejectsCrossShardDuplicates(t *testing.T) {
 	a := trajectory.MustNew(7, []geo.Point{geo.Pt(1, 1), geo.Pt(2, 2)})
 	b := trajectory.MustNew(7, []geo.Point{geo.Pt(900, 900), geo.Pt(950, 950)})
-	if _, err := build([]*trajectory.Trajectory{a, b}, Options{Shards: 4, Partitioner: Grid{}}); err == nil {
+	if _, err := BuildFrozen([]*trajectory.Trajectory{a, b}, Options{Shards: 4, Partitioner: Grid{}}); err == nil {
 		t.Fatal("duplicate IDs accepted")
 	}
 }
@@ -351,7 +345,7 @@ func TestBuildRejectsCrossShardDuplicates(t *testing.T) {
 // than shards (some shards empty), empty facility lists.
 func TestEmptyAndTinyCorpora(t *testing.T) {
 	p := query.Params{Scenario: service.Binary, Psi: 40}
-	s, err := build(nil, Options{Shards: 4, Tree: tqtree.Options{Bounds: testBounds}})
+	s, err := BuildFrozen(nil, Options{Shards: 4, Tree: tqtree.Options{Bounds: testBounds}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +363,7 @@ func TestEmptyAndTinyCorpora(t *testing.T) {
 		t.Fatal(err)
 	}
 	few := makeUsers(3, 2, 62)
-	s, err = build(few, Options{Shards: 8, Tree: tqtree.Options{Bounds: testBounds}})
+	s, err = BuildFrozen(few, Options{Shards: 8, Tree: tqtree.Options{Bounds: testBounds}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +386,7 @@ func TestEmptyAndTinyCorpora(t *testing.T) {
 // TestShardedValidates checks parameter and scenario validation fan out.
 func TestShardedValidates(t *testing.T) {
 	users := makeUsers(300, 4, 81) // multipoint
-	s, err := build(users, Options{Shards: 2, Tree: tqtree.Options{Bounds: testBounds}})
+	s, err := BuildFrozen(users, Options{Shards: 2, Tree: tqtree.Options{Bounds: testBounds}})
 	if err != nil {
 		t.Fatal(err)
 	}

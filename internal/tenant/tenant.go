@@ -3,9 +3,9 @@
 // overrides file, and the admission Gate the HTTP front end enforces
 // those limits through. The registry mapping tenant IDs to live index
 // instances lives in the public package (trajcover.OpenTenantRegistry)
-// because it hangs per-tenant WAL directories off LiveShardedIndex;
-// everything here is index-agnostic and imported by both the registry
-// and internal/server.
+// because it hangs per-tenant WAL directories off Index; everything here
+// is index-agnostic and imported by both the registry and
+// internal/server.
 //
 // The design follows tempo's modules/overrides decomposition: limits
 // are data (a tenant → limits map with defaults), loaded from a file

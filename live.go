@@ -1,19 +1,16 @@
 package trajcover
 
-// The live serving path. A LiveIndex (or LiveShardedIndex) serves every
-// query from an immutable, atomically-swappable epoch — a frozen
-// columnar base index plus a small delta overlay and tombstone set —
-// while Insert/Delete land in the overlay and a background rebuild
-// periodically folds the overlay into a fresh frozen base and swaps it
-// in per shard. Insert and Delete are safe concurrently with every query
-// method, queries synchronize with writers only for the epoch-set
-// capture (never during execution, never with a rebuild), and read
-// performance does not decay with churn (the overlay is bounded by the
-// compaction policy).
+// The mutable index. An Index serves every query from an immutable,
+// atomically-swappable epoch per shard — a frozen columnar base index plus
+// a small delta overlay and tombstone set — while Insert/Delete land in
+// the overlay and a background rebuild periodically folds the overlay
+// into a fresh frozen base and swaps it in, one shard at a time. Insert
+// and Delete are safe concurrently with every query method, queries
+// synchronize with writers only for the epoch-set capture (never during
+// execution, never with a rebuild), and read performance does not decay
+// with churn (the overlay is bounded by the compaction policy).
 //
-// Index and ShardedIndex are this path under the default policy. The
-// live types add the policy, Compact, Stats, snapshots and a WAL; the
-// FrozenIndex serves static read-only data.
+// A FrozenIndex (frozen.go) is the same shards with no write path.
 
 import (
 	"context"
@@ -38,8 +35,8 @@ func IsImmutable(err error) bool { return errors.Is(err, ErrImmutable) }
 // failure. Test with errors.Is.
 var ErrDuplicateID = shard.ErrDuplicateID
 
-// LivePolicy tunes when a live index folds a shard's pending churn
-// (delta overlay + tombstones) into a fresh frozen base. The zero value
+// LivePolicy tunes when an Index folds a shard's pending churn (delta
+// overlay + tombstones) into a fresh frozen base. The zero value
 // rebuilds a shard in the background once 4096 writes are pending or
 // the pending churn reaches 25% of the shard's base corpus.
 type LivePolicy struct {
@@ -69,171 +66,55 @@ func (p LivePolicy) policy() shard.Policy {
 // LiveShardStats is one shard's live-serving state.
 type LiveShardStats = shard.ShardStats
 
-// LiveIndex is a single-shard live index: queries always run against an
-// immutable epoch while Insert/Delete are accepted concurrently and a
-// background rebuild keeps the epoch compact. Answers equal a
-// from-scratch Index over the same logical corpus (exactly for integral
-// scenarios such as Binary; up to float summation order otherwise).
-type LiveIndex struct {
-	querier
-	s *shard.Live
-}
-
-func newLiveIndex(s *shard.Live) *LiveIndex {
-	return &LiveIndex{querier: querier{s}, s: s}
-}
-
-// LiveIndexOptions configures NewLiveIndex.
-type LiveIndexOptions struct {
-	// Index configures the base tree (and every rebuild).
-	Index IndexOptions
-	// Policy tunes background compaction.
-	Policy LivePolicy
-}
-
-// NewLiveIndex builds a live single-shard index over the given users.
-func NewLiveIndex(users []*Trajectory, opts LiveIndexOptions) (*LiveIndex, error) {
-	sopts := ShardOptions{Shards: 1, Partitioner: HashPartitioner(), Index: opts.Index}
-	s, err := shard.BuildLive(users, sopts.shardOptions(), opts.Policy.policy())
-	if err != nil {
-		return nil, err
-	}
-	return newLiveIndex(s), nil
-}
-
-// Live converts an Index into its live serving form under pol: its
-// frozen form (Freeze) becomes the first epoch's base. The source index
-// is only read and remains usable.
-func (x *Index) Live(pol LivePolicy) (*LiveIndex, error) {
-	f, err := x.Freeze()
-	if err != nil {
-		return nil, err
-	}
-	return f.Live(pol)
-}
-
-// Live converts a frozen index into its live serving form — the restore
-// path that makes a read-only snapshot mutable again: the frozen
-// columns become the first epoch's base with an empty overlay.
-func (x *FrozenIndex) Live(pol LivePolicy) (*LiveIndex, error) {
-	s, err := x.s.Live(pol.policy())
-	if err != nil {
-		return nil, err
-	}
-	return newLiveIndex(s), nil
-}
-
-// Len returns the logical corpus size (base minus deletes plus the
-// delta overlay).
-func (x *LiveIndex) Len() int { return x.s.Len() }
-
-// Insert adds a user trajectory. Safe concurrently with every query
-// method and with other writes; duplicate IDs are rejected.
-func (x *LiveIndex) Insert(u *Trajectory) error { return x.s.Insert(u) }
-
-// Delete removes the trajectory with the given id, reporting whether it
-// was present. Safe concurrently with every query method. The error is
-// always nil without a WAL; with one attached it reports a durability
-// failure (the delete was not acknowledged).
-func (x *LiveIndex) Delete(id ID) (bool, error) { return x.s.Delete(id) }
-
-// Compact synchronously folds all pending writes into a fresh frozen
-// base. Queries and writes proceed during the fold; only the final
-// pointer swap synchronizes with writers.
-func (x *LiveIndex) Compact() error { return x.s.Compact() }
-
-// Stats returns the serving state (pending churn, epoch generation,
-// completed compactions).
-func (x *LiveIndex) Stats() LiveShardStats { return x.s.Stats()[0] }
-
-// Err returns the most recent background-rebuild error, or nil.
-func (x *LiveIndex) Err() error { return x.s.Err() }
-
-// Version returns the monotone write-version counter; see
-// LiveShardedIndex.Version.
-func (x *LiveIndex) Version() uint64 { return x.s.Version() }
-
-// LiveShardedIndex is the live serving form of a ShardedIndex: every
-// shard serves from an atomically-swappable epoch, writes route to
-// their shard's delta overlay, and background rebuilds fold one shard
-// at a time while the others keep serving. Queries use the same
-// scatter-gather merge as ShardedIndex/FrozenShardedIndex over a
-// consistent per-shard epoch capture.
-type LiveShardedIndex struct {
+// Index is a TQ-tree index over a set of user trajectories, answering
+// both kMaxRRST and MaxkCovRST queries, that accepts writes while it
+// serves. It holds one shard or several: a query fans out to every
+// shard's epoch, exact per-shard values are summed, and top-k is the
+// sort-and-cut of those sums. Several shards build in parallel and
+// rebuild independently — use them when one tree is too large to build,
+// rebuild, or hold comfortably. Answers match a one-shard index exactly
+// for integral scenarios (Binary; every scenario over integral service
+// values) and up to floating-point summation order otherwise.
+type Index struct {
 	querier
 	s *shard.Live
 
 	// wal holds the durability state when the index was opened with
-	// OpenLiveShardedIndex; nil for purely in-memory indexes. See
-	// live_wal.go.
+	// OpenIndex; nil for purely in-memory indexes. See live_wal.go.
 	wal *liveWAL
 }
 
-// LiveShardOptions configures NewLiveShardedIndex.
-type LiveShardOptions struct {
-	// Shards is the number of epoch-serving shards (0 means 1).
-	Shards int
-	// Partitioner assigns trajectories to shards (nil means
-	// HashPartitioner()).
-	Partitioner Partitioner
-	// Index configures every shard's base tree (and every rebuild).
-	Index IndexOptions
-	// Policy tunes background compaction.
-	Policy LivePolicy
+func newIndex(s *shard.Live) *Index {
+	return &Index{querier: querier{s}, s: s}
 }
 
-func newLiveShardedIndex(s *shard.Live) *LiveShardedIndex {
-	return &LiveShardedIndex{querier: querier{s}, s: s}
-}
-
-// NewLiveShardedIndex partitions users and builds one frozen-epoch
-// shard per partition.
-func NewLiveShardedIndex(users []*Trajectory, opts LiveShardOptions) (*LiveShardedIndex, error) {
-	sopts := ShardOptions{Shards: opts.Shards, Partitioner: opts.Partitioner, Index: opts.Index}
-	s, err := shard.BuildLive(users, sopts.shardOptions(), opts.Policy.policy())
+// NewIndex partitions users with opts.Partitioner into opts.Shards
+// shards and builds one frozen-epoch TQ-tree per shard, in parallel
+// within opts.Parallelism. The index copies the users' points into its
+// own tables and keeps nothing of the users slice.
+func NewIndex(users []*Trajectory, opts IndexOptions) (*Index, error) {
+	s, err := shard.BuildLive(users, opts.shardOptions(), opts.Policy.policy())
 	if err != nil {
 		return nil, err
 	}
-	return newLiveShardedIndex(s), nil
-}
-
-// Live converts a ShardedIndex into its live serving form under pol: its
-// frozen form (Freeze) becomes the first epochs' bases. The source index
-// is only read and remains usable.
-func (x *ShardedIndex) Live(pol LivePolicy) (*LiveShardedIndex, error) {
-	f, err := x.Freeze()
-	if err != nil {
-		return nil, err
-	}
-	return f.Live(pol)
-}
-
-// Live converts a frozen sharded index into its live serving form — the
-// restore path that makes a read-only sharded snapshot mutable again. An
-// index restored with a partitioner kind this build does not know
-// converts too: it serves queries and Deletes, and Insert returns
-// ErrImmutable because new writes cannot be routed.
-func (x *FrozenShardedIndex) Live(pol LivePolicy) (*LiveShardedIndex, error) {
-	s, err := x.s.Live(pol.policy())
-	if err != nil {
-		return nil, err
-	}
-	return newLiveShardedIndex(s), nil
+	return newIndex(s), nil
 }
 
 // NumShards returns the number of shards.
-func (x *LiveShardedIndex) NumShards() int { return x.s.NumShards() }
+func (x *Index) NumShards() int { return x.s.NumShards() }
 
 // ShardSizes returns each shard's logical corpus size.
-func (x *LiveShardedIndex) ShardSizes() []int { return x.s.Sizes() }
+func (x *Index) ShardSizes() []int { return x.s.Sizes() }
 
-// Len returns the total logical corpus size.
-func (x *LiveShardedIndex) Len() int { return x.s.Len() }
+// Len returns the logical corpus size (base minus deletes plus the
+// delta overlay, over every shard).
+func (x *Index) Len() int { return x.s.Len() }
 
 // Insert routes a user trajectory to its shard's delta overlay. Safe
-// concurrently with every query method and with other writes. Indexes
-// restored with an unknown partitioner return ErrImmutable.
-func (x *LiveShardedIndex) Insert(u *Trajectory) error { return x.s.Insert(u) }
+// concurrently with every query method and with other writes. A
+// duplicate ID is rejected with ErrDuplicateID; an index restored with
+// an unknown partitioner returns ErrImmutable.
+func (x *Index) Insert(u *Trajectory) error { return x.s.Insert(u) }
 
 // Delete removes the trajectory with the given id from whichever shard
 // holds it, reporting whether it was present. Safe concurrently with
@@ -241,23 +122,25 @@ func (x *LiveShardedIndex) Insert(u *Trajectory) error { return x.s.Insert(u) }
 // because deletion routes by ID lookup, not by partitioner. The error
 // is always nil without a WAL; with one attached it reports a
 // durability failure (the delete was not acknowledged).
-func (x *LiveShardedIndex) Delete(id ID) (bool, error) { return x.s.Delete(id) }
+func (x *Index) Delete(id ID) (bool, error) { return x.s.Delete(id) }
 
 // Compact synchronously folds every shard's pending writes into fresh
-// frozen bases, one shard at a time.
-func (x *LiveShardedIndex) Compact() error { return x.s.Compact() }
+// frozen bases, one shard at a time. Queries and writes proceed during
+// the fold; only each final pointer swap synchronizes with writers.
+func (x *Index) Compact() error { return x.s.Compact() }
 
-// Stats returns per-shard serving state.
-func (x *LiveShardedIndex) Stats() []LiveShardStats { return x.s.Stats() }
+// Stats returns per-shard serving state (pending churn, epoch
+// generation, completed compactions).
+func (x *Index) Stats() []LiveShardStats { return x.s.Stats() }
 
 // Version returns a monotone counter that increases after every
 // acknowledged write and every background rebuild swap. Two equal
 // reads bracketing a query prove the answer reflects the current
 // corpus — the key for epoch-keyed result caching.
-func (x *LiveShardedIndex) Version() uint64 { return x.s.Version() }
+func (x *Index) Version() uint64 { return x.s.Version() }
 
 // Err returns the most recent background-rebuild error, or nil.
-func (x *LiveShardedIndex) Err() error { return x.s.Err() }
+func (x *Index) Err() error { return x.s.Err() }
 
 // UpperBoundsCtx returns every facility's seed upper bound summed over
 // one write-consistent epoch capture, indexed like facilities — each a
@@ -265,7 +148,7 @@ func (x *LiveShardedIndex) Err() error { return x.s.Err() }
 // tree descent per shard with nothing evaluated. It is a diagnostic: no
 // query consults it (kept because the repository benchmark times it as
 // query.upperbounds_ms; ROADMAP item 1b drops both).
-func (x *LiveShardedIndex) UpperBoundsCtx(ctx context.Context, facilities []*Facility, q Query) ([]float64, error) {
+func (x *Index) UpperBoundsCtx(ctx context.Context, facilities []*Facility, q Query) ([]float64, error) {
 	p := q.params()
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -287,9 +170,3 @@ func (x *LiveShardedIndex) UpperBoundsCtx(ctx context.Context, facilities []*Fac
 	}
 	return out, nil
 }
-
-// epochs exposes the current per-shard epoch capture to the snapshot
-// writer.
-func (x *LiveShardedIndex) epochs() []*query.Epoch { return x.s.Epochs() }
-
-func (x *LiveIndex) epochs() []*query.Epoch { return x.s.Epochs() }

@@ -32,21 +32,18 @@ func liveWorkload(t *testing.T) (base, feed []*Trajectory, routes []*Facility) {
 	return users[:2000], users[2000:], routes
 }
 
-// TestLiveIndexMatchesIndex: a LiveIndex after churn answers exactly
-// like an Index that applied the same operations (Binary, so values are
-// integral and comparisons exact).
+// TestLiveIndexMatchesIndex: a one-shard Index after churn answers
+// exactly like a three-shard FrozenIndex built over the corpus the churn
+// leaves (Binary, so values are integral and comparisons exact), with its
+// pending writes and once they are compacted.
 func TestLiveIndexMatchesIndex(t *testing.T) {
 	base, feed, routes := liveWorkload(t)
 	q := Query{Scenario: Binary, Psi: DefaultPsi}
 
-	lv, err := NewLiveIndex(base, LiveIndexOptions{
-		Index:  IndexOptions{Ordering: ZOrdering},
-		Policy: LivePolicy{Manual: true},
+	lv, err := NewIndex(base, IndexOptions{
+		Ordering: ZOrdering,
+		Policy:   LivePolicy{Manual: true},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewIndex(base, IndexOptions{Ordering: ZOrdering})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,17 +51,16 @@ func TestLiveIndexMatchesIndex(t *testing.T) {
 		if err := lv.Insert(u); err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.Insert(u); err != nil {
-			t.Fatal(err)
-		}
 	}
 	for _, u := range base[:300] {
 		if ok, err := lv.Delete(u.ID); err != nil || !ok {
 			t.Fatalf("live Delete(%d) = %v, %v", u.ID, ok, err)
 		}
-		if !ref.Delete(u) {
-			t.Fatalf("ref Delete(%d) failed", u.ID)
-		}
+	}
+	corpus := append(append([]*Trajectory{}, base[300:]...), feed[:500]...)
+	ref, err := NewFrozenIndex(corpus, IndexOptions{Ordering: ZOrdering, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if lv.Len() != ref.Len() {
 		t.Fatalf("Len = %d, ref = %d", lv.Len(), ref.Len())
@@ -109,22 +105,22 @@ func TestLiveIndexMatchesIndex(t *testing.T) {
 		}
 	}
 	compare("overlay")
-	st := lv.Stats()
+	st := lv.Stats()[0]
 	if st.DeltaLen != 500 || st.Tombstones != 300 {
 		t.Fatalf("Stats = %+v, want delta 500 tombstones 300", st)
 	}
 	if err := lv.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	st = lv.Stats()
+	st = lv.Stats()[0]
 	if st.DeltaLen != 0 || st.Tombstones != 0 || st.Compactions != 1 {
 		t.Fatalf("post-compact Stats = %+v", st)
 	}
 	compare("compacted")
 }
 
-// TestIndexLiveConversion: Index.Live and ShardedIndex.Live preserve
-// answers and make the result mutable.
+// TestIndexLiveConversion: an Index of one shard or three, frozen and
+// made live again, keeps its answers and takes writes.
 func TestIndexLiveConversion(t *testing.T) {
 	base, feed, routes := liveWorkload(t)
 	q := Query{Scenario: Binary, Psi: DefaultPsi}
@@ -133,7 +129,11 @@ func TestIndexLiveConversion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv, err := idx.Live(LivePolicy{Manual: true})
+	fz, err := idx.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv, err := fz.Live(LivePolicy{Manual: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,27 +157,22 @@ func TestIndexLiveConversion(t *testing.T) {
 		t.Fatalf("Len after insert = %d", lv.Len())
 	}
 
-	sidx, err := NewShardedIndex(base, ShardOptions{Shards: 3, Index: IndexOptions{Ordering: ZOrdering}})
+	sidx, err := NewIndex(base, IndexOptions{Ordering: ZOrdering, Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slv, err := sidx.Live(LivePolicy{Manual: true})
-	if err != nil {
+	if err := sidx.Insert(feed[1]); err != nil {
 		t.Fatal(err)
 	}
-	if slv.NumShards() != 3 {
-		t.Fatalf("NumShards = %d", slv.NumShards())
-	}
-	if err := slv.Insert(feed[1]); err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := slv.Delete(base[0].ID); err != nil || !ok {
+	if ok, err := sidx.Delete(base[0].ID); err != nil || !ok {
 		t.Fatalf("Delete = %v, %v", ok, err)
 	}
-
 	fidx, err := sidx.Freeze()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if fidx.NumShards() != 3 {
+		t.Fatalf("NumShards = %d", fidx.NumShards())
 	}
 	flv, err := fidx.Live(LivePolicy{Manual: true})
 	if err != nil {
@@ -186,14 +181,14 @@ func TestIndexLiveConversion(t *testing.T) {
 	if err := flv.Insert(feed[2]); err != nil {
 		t.Fatal(err)
 	}
-	if flv.Len() != len(base)+1 {
+	if flv.NumShards() != 3 || flv.Len() != len(base)+1 {
 		t.Fatalf("frozen-converted Len = %d", flv.Len())
 	}
 }
 
 // restoredFrozenSharded freezes sidx, writes it as a TQSHRD03 stream —
 // passed through forge, if any — and reads it back.
-func restoredFrozenSharded(t *testing.T, sidx *ShardedIndex, forge func(data []byte) []byte) *FrozenShardedIndex {
+func restoredFrozenSharded(t *testing.T, sidx *Index, forge func(data []byte) []byte) *FrozenIndex {
 	t.Helper()
 	fz, err := sidx.Freeze()
 	if err != nil {
@@ -207,7 +202,7 @@ func restoredFrozenSharded(t *testing.T, sidx *ShardedIndex, forge func(data []b
 	if forge != nil {
 		data = forge(data)
 	}
-	restored, err := ReadFrozenShardedSnapshot(bytes.NewReader(data))
+	restored, err := ReadFrozenSnapshot(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +216,7 @@ func restoredFrozenSharded(t *testing.T, sidx *ShardedIndex, forge func(data []b
 func TestRestoredSnapshotBecomesMutable(t *testing.T) {
 	base, feed, routes := liveWorkload(t)
 	q := Query{Scenario: Binary, Psi: DefaultPsi}
-	sidx, err := NewShardedIndex(base, ShardOptions{Shards: 2, Index: IndexOptions{Ordering: ZOrdering}})
+	sidx, err := NewIndex(base, IndexOptions{Ordering: ZOrdering, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +264,7 @@ func TestRestoredSnapshotBecomesMutable(t *testing.T) {
 // IsImmutable) from its live form's Insert, while Delete still works.
 func TestErrImmutableTyped(t *testing.T) {
 	base, feed, _ := liveWorkload(t)
-	sidx, err := NewShardedIndex(base[:500], ShardOptions{Shards: 2, Index: IndexOptions{Ordering: ZOrdering}})
+	sidx, err := NewIndex(base[:500], IndexOptions{Ordering: ZOrdering, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,10 +298,10 @@ func TestErrImmutableTyped(t *testing.T) {
 func TestLiveSnapshotUnderWrites(t *testing.T) {
 	base, feed, routes := liveWorkload(t)
 	q := Query{Scenario: Binary, Psi: DefaultPsi}
-	lv, err := NewLiveShardedIndex(base, LiveShardOptions{
-		Shards: 2,
-		Index:  IndexOptions{Ordering: ZOrdering},
-		Policy: LivePolicy{MaxDelta: 128, MaxDeltaFraction: -1},
+	lv, err := NewIndex(base, IndexOptions{
+		Ordering: ZOrdering,
+		Shards:   2,
+		Policy:   LivePolicy{MaxDelta: 128, MaxDeltaFraction: -1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -354,10 +349,10 @@ func TestLiveSnapshotUnderWrites(t *testing.T) {
 func TestLiveConcurrentPublicAPI(t *testing.T) {
 	base, feed, routes := liveWorkload(t)
 	q := Query{Scenario: Binary, Psi: DefaultPsi}
-	lv, err := NewLiveShardedIndex(base, LiveShardOptions{
-		Shards: 2,
-		Index:  IndexOptions{Ordering: ZOrdering},
-		Policy: LivePolicy{MaxDelta: 64, MaxDeltaFraction: -1},
+	lv, err := NewIndex(base, IndexOptions{
+		Ordering: ZOrdering,
+		Shards:   2,
+		Policy:   LivePolicy{MaxDelta: 64, MaxDeltaFraction: -1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,16 +1,16 @@
 package trajcover
 
-// Durability for the live serving path. OpenLiveShardedIndex pairs a
-// LiveShardedIndex with a write-ahead log (internal/wal): every
-// acknowledged Insert/Delete is appended to a rotating segment file
-// before its epoch is published, and a write returns to the caller only
-// once the record is durable per the configured sync policy. On boot,
-// Open restores the newest checkpoint (a TQLIVE02 snapshot named after
-// its WAL cut) and replays the post-checkpoint segments on top, so a
-// reopened index serves exactly the logical corpus the crashed process
-// had acknowledged — plus possibly a suffix of appended-but-unacked
-// writes, which is allowed: recovery yields a prefix of the write
-// history that contains every acknowledged write.
+// Durability for the live serving path. OpenIndex pairs an Index with a
+// write-ahead log (internal/wal): every acknowledged Insert/Delete is
+// appended to a rotating segment file before its epoch is published, and
+// a write returns to the caller only once the record is durable per the
+// configured sync policy. On boot, OpenIndex restores the newest
+// checkpoint (a TQLIVE02 snapshot named after its WAL cut) and replays
+// the post-checkpoint segments on top, so a reopened index serves
+// exactly the logical corpus the crashed process had acknowledged — plus
+// possibly a suffix of appended-but-unacked writes, which is allowed:
+// recovery yields a prefix of the write history that contains every
+// acknowledged write.
 //
 // Checkpoint protocol: capture the per-shard epoch cut and rotate the
 // WAL in one critical section (so the new segment index is an exact
@@ -123,7 +123,7 @@ func (p WALSyncPolicy) policy() wal.SyncPolicy {
 	return wal.SyncAlways
 }
 
-// WALOptions configures OpenLiveShardedIndex.
+// WALOptions configures OpenIndex.
 type WALOptions struct {
 	// Dir is the WAL directory: segment files plus the newest
 	// checkpoint live here. Created if missing.
@@ -182,8 +182,8 @@ type WALStats struct {
 	SinceCheckpoint time.Duration
 }
 
-// liveWAL is the durability state hung off a LiveShardedIndex opened
-// with OpenLiveShardedIndex.
+// liveWAL is the durability state hung off an Index opened with
+// OpenIndex.
 type liveWAL struct {
 	dir  string
 	opts WALOptions // normalized: probe defaults applied
@@ -240,15 +240,15 @@ func latestCheckpoint(fsys faultfs.FS, dir string) (cut uint64, path string, ok 
 	return cut, path, ok, nil
 }
 
-// OpenLiveShardedIndex opens (or creates) a durable live index rooted
-// at opts.Dir. On first open the index comes from bootstrap — a closure
-// building the initial corpus (from a dataset, a snapshot, or empty) —
-// and an initial checkpoint is written immediately, so recovery never
-// depends on reproducing the bootstrap. On later opens bootstrap is NOT
-// called: the newest checkpoint is restored and the post-checkpoint
-// segments are replayed on top. Either way the caller gets an index
+// OpenIndex opens (or creates) a durable index rooted at opts.Dir. On
+// first open the index comes from bootstrap — a closure building the
+// initial corpus (from a dataset, a snapshot, or empty) — and an initial
+// checkpoint is written immediately, so recovery never depends on
+// reproducing the bootstrap. On later opens bootstrap is NOT called:
+// the newest checkpoint is restored and the post-checkpoint segments are
+// replayed on top. Either way the caller gets an index
 // whose writes are durable per opts.Sync; Close it to release the log.
-func OpenLiveShardedIndex(opts WALOptions, pol LivePolicy, bootstrap func() (*LiveShardedIndex, error)) (*LiveShardedIndex, error) {
+func OpenIndex(opts WALOptions, pol LivePolicy, bootstrap func() (*Index, error)) (*Index, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("trajcover: WAL dir required")
 	}
@@ -261,7 +261,7 @@ func OpenLiveShardedIndex(opts WALOptions, pol LivePolicy, bootstrap func() (*Li
 	if err != nil {
 		return nil, err
 	}
-	var x *LiveShardedIndex
+	var x *Index
 	if haveCkpt {
 		f, err := faultfs.Open(fsys, ckptPath)
 		if err != nil {
@@ -330,10 +330,10 @@ func OpenLiveShardedIndex(opts WALOptions, pol LivePolicy, bootstrap func() (*Li
 // write-consistent epoch cut) into the WAL directory and truncates the
 // segments it covers. Writes and queries keep running; only the epoch
 // capture + WAL rotation (microseconds) excludes writers. Requires an
-// index opened with OpenLiveShardedIndex.
-func (x *LiveShardedIndex) Checkpoint() error {
+// index opened with OpenIndex.
+func (x *Index) Checkpoint() error {
 	if x.wal == nil {
-		return fmt.Errorf("trajcover: no WAL attached (open with OpenLiveShardedIndex)")
+		return fmt.Errorf("trajcover: no WAL attached (open with OpenIndex)")
 	}
 	x.wal.mu.Lock()
 	_, err := x.checkpointLocked()
@@ -348,7 +348,7 @@ func (x *LiveShardedIndex) Checkpoint() error {
 // a runtime checkpoint failure: segments cannot be truncated and the
 // recovery base cannot advance, so durability is no longer maintained.
 // The degrade hook spawns the probe, which retries the checkpoint.
-func (x *LiveShardedIndex) degradeOnCheckpoint(err error) {
+func (x *Index) degradeOnCheckpoint(err error) {
 	x.s.EnterDegraded(fmt.Errorf("checkpoint: %w", err))
 }
 
@@ -356,9 +356,9 @@ func (x *LiveShardedIndex) degradeOnCheckpoint(err error) {
 // bytes to w (e.g. an HTTP response): the local checkpoint is made
 // durable FIRST, then copied out, so a slow or failing client can never
 // leave segments truncated without a durable snapshot covering them.
-func (x *LiveShardedIndex) CheckpointTo(w io.Writer) error {
+func (x *Index) CheckpointTo(w io.Writer) error {
 	if x.wal == nil {
-		return fmt.Errorf("trajcover: no WAL attached (open with OpenLiveShardedIndex)")
+		return fmt.Errorf("trajcover: no WAL attached (open with OpenIndex)")
 	}
 	x.wal.mu.Lock()
 	path, err := x.checkpointLocked()
@@ -383,7 +383,7 @@ func (x *LiveShardedIndex) CheckpointTo(w io.Writer) error {
 
 // checkpointLocked runs one checkpoint and returns the durable
 // checkpoint file's path. Caller holds x.wal.mu.
-func (x *LiveShardedIndex) checkpointLocked() (string, error) {
+func (x *Index) checkpointLocked() (string, error) {
 	eps, cut, err := x.s.CheckpointCapture()
 	if err != nil {
 		return "", err
@@ -467,7 +467,7 @@ func removeOldCheckpoints(fsys faultfs.FS, dir string, keep uint64) error {
 // already running. Called from the degrade hook (on the failing
 // writer's goroutine) and from the probe's own tail when a fresh
 // degradation raced its exit.
-func (x *LiveShardedIndex) startProbe() {
+func (x *Index) startProbe() {
 	w := x.wal
 	if w == nil {
 		return
@@ -489,7 +489,7 @@ func (x *LiveShardedIndex) startProbe() {
 // until the index is healthy or the WAL is closed. Exactly one runs at
 // a time (w.probing); Close waits for it via w.wg, so wedge→recover
 // cycles never leak goroutines.
-func (x *LiveShardedIndex) probeLoop() {
+func (x *Index) probeLoop() {
 	w := x.wal
 	defer w.wg.Done()
 	backoff := w.opts.ProbeMin
@@ -540,7 +540,7 @@ func (x *LiveShardedIndex) probeLoop() {
 //     wedged segments) BEFORE any new write is accepted, so a later
 //     crash's replay can never see a delete of a record it skipped.
 //  4. Exit degraded mode: writes flow again.
-func (x *LiveShardedIndex) tryRecover() error {
+func (x *Index) tryRecover() error {
 	w := x.wal
 	if old := x.s.WAL(); old != nil {
 		old.Close()
@@ -564,7 +564,7 @@ func (x *LiveShardedIndex) tryRecover() error {
 // Health snapshots the degraded-mode state machine and the recovery
 // probe counters. Usable on any live index; the probe counters are
 // zero without a WAL.
-func (x *LiveShardedIndex) Health() Health {
+func (x *Index) Health() Health {
 	h := x.s.Health()
 	out := Health{
 		Degraded: h.Degraded,
@@ -582,11 +582,11 @@ func (x *LiveShardedIndex) Health() Health {
 
 // Degraded reports whether the index is currently rejecting writes in
 // degraded read-only mode.
-func (x *LiveShardedIndex) Degraded() bool { return x.s.Degraded() }
+func (x *Index) Degraded() bool { return x.s.Degraded() }
 
 // WALStats returns durability counters; ok is false for an index with
 // no WAL.
-func (x *LiveShardedIndex) WALStats() (WALStats, bool) {
+func (x *Index) WALStats() (WALStats, bool) {
 	if x.wal == nil {
 		return WALStats{}, false
 	}
@@ -610,7 +610,7 @@ func (x *LiveShardedIndex) WALStats() (WALStats, bool) {
 // Close makes the unacknowledged tail durable too. Queries remain
 // usable; further writes fail. No-op for an index without a WAL.
 // Idempotent.
-func (x *LiveShardedIndex) Close() error {
+func (x *Index) Close() error {
 	if x.wal == nil {
 		return nil
 	}

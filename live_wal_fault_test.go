@@ -36,7 +36,7 @@ func faultWALOptions(dir string, inj *faultfs.Injector) WALOptions {
 
 // waitHealthy polls until the index exits degraded mode — the probe's
 // job, never the test's.
-func waitHealthy(t *testing.T, x *LiveShardedIndex, timeout time.Duration) {
+func waitHealthy(t *testing.T, x *Index, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for x.Degraded() {
@@ -53,7 +53,7 @@ func waitHealthy(t *testing.T, x *LiveShardedIndex, timeout time.Duration) {
 // the disk died (the recovery checkpoint made it durable); a retried
 // delete of an already-applied target returns (false, nil). Both count
 // as done.
-func applyOp(t *testing.T, x *LiveShardedIndex, op crashOp) {
+func applyOp(t *testing.T, x *Index, op crashOp) {
 	t.Helper()
 	for {
 		var err error
@@ -96,7 +96,7 @@ func TestDegradedModeAndProbeRecovery(t *testing.T) {
 	base, ops, routes := crashWorkload(77)
 	dir := t.TempDir()
 	inj := faultfs.NewInjector(nil, 77)
-	x, err := OpenLiveShardedIndex(faultWALOptions(dir, inj), crashPolicy(), crashBootstrap(base))
+	x, err := OpenIndex(faultWALOptions(dir, inj), crashPolicy(), crashBootstrap(base))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestDegradedModeAndProbeRecovery(t *testing.T) {
 
 	// Reopen: everything acked survived the wedge→recover cycle.
 	inj.Heal()
-	x2, err := OpenLiveShardedIndex(faultWALOptions(dir, inj), crashPolicy(), func() (*LiveShardedIndex, error) {
+	x2, err := OpenIndex(faultWALOptions(dir, inj), crashPolicy(), func() (*Index, error) {
 		return nil, fmt.Errorf("bootstrap must not run on reopen")
 	})
 	if err != nil {
@@ -181,7 +181,7 @@ func TestDegradedCheckpointFailure(t *testing.T) {
 	base, ops, _ := crashWorkload(78)
 	dir := t.TempDir()
 	inj := faultfs.NewInjector(nil, 78)
-	x, err := OpenLiveShardedIndex(faultWALOptions(dir, inj), crashPolicy(), crashBootstrap(base))
+	x, err := OpenIndex(faultWALOptions(dir, inj), crashPolicy(), crashBootstrap(base))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestChaosFaultSchedules(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed + 5))
 			dir := t.TempDir()
 			inj := faultfs.NewInjector(nil, seed)
-			x, err := OpenLiveShardedIndex(faultWALOptions(dir, inj), crashPolicy(), crashBootstrap(base))
+			x, err := OpenIndex(faultWALOptions(dir, inj), crashPolicy(), crashBootstrap(base))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -316,7 +316,7 @@ func TestChaosFaultSchedules(t *testing.T) {
 			// Reopen with a clean disk: the acked history survived every
 			// injected fault (un-acked writes were checkpointed or never
 			// applied — either way the corpus is exactly the full history).
-			x2, err := OpenLiveShardedIndex(crashWALOptions(dir), crashPolicy(), func() (*LiveShardedIndex, error) {
+			x2, err := OpenIndex(crashWALOptions(dir), crashPolicy(), func() (*Index, error) {
 				return nil, fmt.Errorf("bootstrap must not run on reopen")
 			})
 			if err != nil {
@@ -355,12 +355,14 @@ func TestDegradedTenantIsolation(t *testing.T) {
 	inj := faultfs.NewInjector(nil, 55)
 	wopts := faultWALOptions("", inj) // Dir ignored by the registry
 	reg, err := OpenTenantRegistry(TenantRegistryOptions{
-		Root:        root,
-		WAL:         wopts,
-		Policy:      crashPolicy(),
-		Shards:      2,
-		Partitioner: HashPartitioner(),
-		Index:       IndexOptions{Ordering: ZOrdering},
+		Root: root,
+		WAL:  wopts,
+		Index: IndexOptions{
+			Ordering:    ZOrdering,
+			Policy:      crashPolicy(),
+			Shards:      2,
+			Partitioner: HashPartitioner(),
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,7 @@ package trajcover
 // Crash-recovery property tests for the WAL-backed live index — the
 // prefix-consistency idiom (TestLiveSnapshotUnderWrites) extended
 // across process death: a child process runs a scripted write history
-// against OpenLiveShardedIndex and is SIGKILLed at a random point; the
+// against OpenIndex and is SIGKILLed at a random point; the
 // parent reopens the WAL directory and asserts the recovered index is
 // byte-identical to a fresh build of a prefix of the history that
 // contains every write the child had acknowledged. A separate arm
@@ -73,12 +73,12 @@ func crashPolicy() LivePolicy { return LivePolicy{MaxDelta: 128} }
 
 // crashBootstrap is the first-boot index builder shared by the child
 // and the parent's recovery.
-func crashBootstrap(base []*Trajectory) func() (*LiveShardedIndex, error) {
-	return func() (*LiveShardedIndex, error) {
-		return NewLiveShardedIndex(base, LiveShardOptions{
+func crashBootstrap(base []*Trajectory) func() (*Index, error) {
+	return func() (*Index, error) {
+		return NewIndex(base, IndexOptions{
+			Ordering:    ZOrdering,
 			Shards:      2,
 			Partitioner: HashPartitioner(),
-			Index:       IndexOptions{Ordering: ZOrdering},
 			Policy:      crashPolicy(),
 		})
 	}
@@ -102,7 +102,7 @@ func TestWALCrashChild(t *testing.T) {
 		t.Fatal(err)
 	}
 	base, ops, _ := crashWorkload(seed)
-	idx, err := OpenLiveShardedIndex(crashWALOptions(os.Getenv(walDirEnv)), crashPolicy(), crashBootstrap(base))
+	idx, err := OpenIndex(crashWALOptions(os.Getenv(walDirEnv)), crashPolicy(), crashBootstrap(base))
 	if err != nil {
 		t.Fatalf("child open: %v", err)
 	}
@@ -159,10 +159,10 @@ func readAcked(t *testing.T, path string) int {
 
 // corpusOf collects the recovered logical corpus, failing on duplicate
 // IDs across shards.
-func corpusOf(t *testing.T, x *LiveShardedIndex) map[ID]*Trajectory {
+func corpusOf(t *testing.T, x *Index) map[ID]*Trajectory {
 	t.Helper()
 	got := map[ID]*Trajectory{}
-	for _, ep := range x.epochs() {
+	for _, ep := range x.s.Epochs() {
 		for _, u := range ep.LogicalCorpus() {
 			if _, dup := got[u.ID]; dup {
 				t.Fatalf("recovered corpus has duplicate id %d", u.ID)
@@ -218,7 +218,7 @@ func matchPrefix(base []*Trajectory, ops []crashOp, got map[ID]*Trajectory) int 
 
 // freshBuild replays ops[:n] onto a from-scratch index — the reference
 // the recovered index must answer identically to.
-func freshBuild(t *testing.T, base []*Trajectory, ops []crashOp, n int) *LiveShardedIndex {
+func freshBuild(t *testing.T, base []*Trajectory, ops []crashOp, n int) *Index {
 	t.Helper()
 	ref, err := crashBootstrap(base)()
 	if err != nil {
@@ -238,7 +238,7 @@ func freshBuild(t *testing.T, base []*Trajectory, ops []crashOp, n int) *LiveSha
 
 // assertSameAnswers compares ServiceValues and TopK over the Binary
 // scenario — integral, so equality is exact (byte-identical floats).
-func assertSameAnswers(t *testing.T, got, want *LiveShardedIndex, routes []*Facility) {
+func assertSameAnswers(t *testing.T, got, want *Index, routes []*Facility) {
 	t.Helper()
 	q := Query{Scenario: Binary, Psi: DefaultPsi}
 	gv, err := got.ServiceValues(routes, q, 2)
@@ -325,7 +325,7 @@ func TestWALCrashRecovery(t *testing.T) {
 			<-done
 
 			acked := readAcked(t, ackPath)
-			rec, err := OpenLiveShardedIndex(crashWALOptions(walDir), crashPolicy(), crashBootstrap(base))
+			rec, err := OpenIndex(crashWALOptions(walDir), crashPolicy(), crashBootstrap(base))
 			if err != nil {
 				t.Fatalf("recover after kill near op %d (acked %d): %v", target, acked, err)
 			}
@@ -348,7 +348,7 @@ func TestWALCrashRecovery(t *testing.T) {
 // of a crashed process — returning the applied op count.
 func buildCrashedWALDir(t *testing.T, dir string, base []*Trajectory, ops []crashOp) int {
 	t.Helper()
-	idx, err := OpenLiveShardedIndex(crashWALOptions(dir), crashPolicy(), crashBootstrap(base))
+	idx, err := OpenIndex(crashWALOptions(dir), crashPolicy(), crashBootstrap(base))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestWALCorruptionRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		rec, err := OpenLiveShardedIndex(crashWALOptions(dir), crashPolicy(), crashBootstrap(base))
+		rec, err := OpenIndex(crashWALOptions(dir), crashPolicy(), crashBootstrap(base))
 		if err != nil {
 			return // loud failure is a legal outcome for corrupted media
 		}

@@ -20,21 +20,19 @@ type queryCore interface {
 	ServiceValuesStreamCtx(ctx context.Context, facilities []*Facility, p query.Params, workers, chunk int, yield func(start int, vals []float64) error) (query.Metrics, error)
 }
 
-// querier is the query surface, embedded in every index type: Index,
-// FrozenIndex, ShardedIndex, FrozenShardedIndex, LiveIndex and
-// LiveShardedIndex answer the nine kMaxRRST methods and the two coverage
-// methods below through one path and differ only in how they are
-// constructed, how many shards they hold, and whether they can be
-// mutated.
+// querier is the query surface, embedded in both index types: Index and
+// FrozenIndex answer the nine kMaxRRST methods and the two coverage
+// methods below through one path, whatever their shard count, and differ
+// only in whether they can be mutated.
 //
 // An index of several shards sums per-shard answers, so its values match
 // a one-shard index's exactly for integral scenarios (Binary; every
 // scenario over integral service values) and up to floating-point
-// summation order otherwise. A live index answers each call — a whole
-// batch, a whole stream — over one write-consistent epoch capture taken
-// when the call starts — MaxCoverage and ServedUsers too, over all the
-// calls they make. Every type is safe for any number of concurrent
-// readers, and the mutable ones for writers beside them.
+// summation order otherwise. An Index answers each call — a whole batch,
+// a whole stream — over one write-consistent epoch capture taken when
+// the call starts — MaxCoverage and ServedUsers too, over all the
+// calls they make. Both types are safe for any number of concurrent
+// readers, and an Index for writers beside them.
 type querier struct {
 	core queryCore
 }

@@ -11,16 +11,15 @@ import (
 	"testing"
 )
 
-// TestShardedEquivalenceProperty is the PR's acceptance property: for
-// random datasets, the sharded index returns byte-identical answers to
-// the single-tree index across 1/2/4/8 shards and both partitioners.
-// Binary service values are integral, so float64 sums are exact and ==
-// is the right comparison; run under -race this also exercises the
-// concurrent scatter-gather merge. Index and FrozenIndex are the one-shard
-// ShardedIndex and FrozenShardedIndex, so against those they agree on
-// every method, work metrics included, before and after Inserts and
-// Deletes. The coverage queries, ServedUsers and MaxCoverage, answer the
-// same on all six types, live ones with an overlay and tombstones.
+// TestShardedEquivalenceProperty: for random datasets, an Index and a
+// FrozenIndex of 1/2/4/8 shards under both partitioners return
+// byte-identical answers to the one-shard Index. Binary service values
+// are integral, so float64 sums are exact and == is the right comparison;
+// run under -race this also exercises the concurrent scatter-gather
+// merge. At one shard, live and frozen agree on every method, work
+// metrics included, before and after Inserts and Deletes. The coverage
+// queries, ServedUsers and MaxCoverage, answer the same on all six
+// allFlavors subjects, churned ones with an overlay and tombstones.
 func TestShardedEquivalenceProperty(t *testing.T) {
 	city := NewYorkCity()
 	q := Query{Scenario: Binary, Psi: DefaultPsi}
@@ -43,47 +42,43 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 		}
 		for _, part := range []Partitioner{HashPartitioner(), GridPartitioner()} {
 			for _, shards := range []int{1, 2, 4, 8} {
-				idx, err := NewShardedIndex(users, ShardOptions{
-					Shards:      shards,
-					Partitioner: part,
-					Index:       IndexOptions{Ordering: ZOrdering},
-				})
+				opts := IndexOptions{Ordering: ZOrdering, Shards: shards, Partitioner: part}
+				live, err := NewIndex(users, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if idx.NumShards() != shards || idx.Len() != len(users) {
-					t.Fatalf("seed %d %s/%d: %d shards over %d trajectories, want %d over %d",
-						seed, part.Kind(), shards, idx.NumShards(), idx.Len(), shards, len(users))
-				}
-				gotSV, err := idx.ServiceValues(routes, q, 2)
+				frozen, err := NewFrozenIndex(users, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i := range wantSV {
-					if gotSV[i] != wantSV[i] {
-						t.Fatalf("seed %d %s/%d: facility %d service %v, single-tree %v",
-							seed, part.Kind(), shards, routes[i].ID, gotSV[i], wantSV[i])
+				for _, idx := range []interface {
+					flavor
+					NumShards() int
+				}{live, frozen} {
+					name := fmt.Sprintf("seed %d %s/%d %T", seed, part.Kind(), shards, idx)
+					if idx.NumShards() != shards || idx.Len() != len(users) {
+						t.Fatalf("%s: %d shards over %d trajectories, want %d over %d",
+							name, idx.NumShards(), idx.Len(), shards, len(users))
 					}
-				}
-				for name, topk := range map[string]func() ([]Ranked, error){
-					"TopK":         func() ([]Ranked, error) { return idx.TopK(routes, 10, q) },
-					"TopKParallel": func() ([]Ranked, error) { return idx.TopKParallel(routes, 10, q, 4) },
-				} {
-					got, err := topk()
+					gotSV, err := idx.ServiceValues(routes, q, 2)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if len(got) != len(wantTop) {
-						t.Fatalf("seed %d %s/%d %s: %d results, want %d",
-							seed, part.Kind(), shards, name, len(got), len(wantTop))
+					for i := range wantSV {
+						if gotSV[i] != wantSV[i] {
+							t.Fatalf("%s: facility %d service %v, one shard %v", name, routes[i].ID, gotSV[i], wantSV[i])
+						}
 					}
-					for i := range wantTop {
-						if got[i].Facility.ID != wantTop[i].Facility.ID ||
-							got[i].Service != wantTop[i].Service {
-							t.Fatalf("seed %d %s/%d %s: rank %d = (%d, %v), single-tree (%d, %v)",
-								seed, part.Kind(), shards, name, i,
-								got[i].Facility.ID, got[i].Service,
-								wantTop[i].Facility.ID, wantTop[i].Service)
+					for method, topk := range map[string]func() ([]Ranked, error){
+						"TopK":         func() ([]Ranked, error) { return idx.TopK(routes, 10, q) },
+						"TopKParallel": func() ([]Ranked, error) { return idx.TopKParallel(routes, 10, q, 4) },
+					} {
+						got, err := topk()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(got, wantTop) {
+							t.Fatalf("%s %s: %v, one shard %v", name, method, got, wantTop)
 						}
 					}
 				}
@@ -92,18 +87,24 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// checkOneShard builds Index and ShardedIndex{Shards: 1} over users and
-// requires them — and their frozen forms — to answer identically on every
-// flavor method, then repeats the check after the same Inserts and
-// Deletes land in both indexes.
+// checkOneShard requires a one-shard FrozenIndex to answer every flavor
+// method as the one-shard Index over the same users does, and that Index
+// to answer as the FrozenIndex made Live — their frozen forms too — both
+// as built and after the same Inserts and Deletes land in both.
 func checkOneShard(t *testing.T, name string, users []*Trajectory, routes []*Facility, q Query) {
 	t.Helper()
 	cut := len(users) - 40
-	idx, err := NewIndex(users[:cut], IndexOptions{Ordering: ZOrdering})
+	opts := IndexOptions{Ordering: ZOrdering}
+	idx, err := NewIndex(users[:cut], opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := NewShardedIndex(users[:cut], ShardOptions{Shards: 1, Index: IndexOptions{Ordering: ZOrdering}})
+	fz, err := NewFrozenIndex(users[:cut], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameFlavor(t, name+" built FrozenIndex", fz, idx, routes, q)
+	one, err := fz.Live(LivePolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,18 +133,15 @@ func checkOneShard(t *testing.T, name string, users []*Trajectory, routes []*Fac
 	if err := idx.Insert(users[0]); !errors.Is(err, ErrDuplicateID) {
 		t.Fatalf("%s: duplicate Insert err = %v, want ErrDuplicateID", name, err)
 	}
-	// A ShardedIndex has no Delete: its live shards take the ones
-	// Index.Delete makes.
 	for _, u := range users[:25] {
-		if !idx.Delete(u) {
-			t.Fatalf("%s: Delete(%d) found nothing", name, u.ID)
-		}
-		if ok, err := one.s.Delete(u.ID); !ok || err != nil {
-			t.Fatalf("%s: one-shard delete of %d: %v, %v", name, u.ID, ok, err)
+		for _, x := range []*Index{idx, one} {
+			if ok, err := x.Delete(u.ID); !ok || err != nil {
+				t.Fatalf("%s: Delete(%d) = %v, %v", name, u.ID, ok, err)
+			}
 		}
 	}
-	if idx.Delete(users[0]) {
-		t.Fatalf("%s: Delete(%d) twice reported present", name, users[0].ID)
+	if ok, err := idx.Delete(users[0].ID); ok || err != nil {
+		t.Fatalf("%s: Delete(%d) twice = %v, %v", name, users[0].ID, ok, err)
 	}
 	check("after writes")
 }
@@ -223,7 +221,7 @@ func sameFlavor(t *testing.T, name string, a, b flavor, routes []*Facility, q Qu
 // sameCoverage requires every index of all to answer ServedUsers and
 // MaxCoverage — the two-step greedy and the full greedy — as want does:
 // the same users and values, the same picks, value and users served.
-func sameCoverage(t *testing.T, name string, want flavor, all []flavor, routes []*Facility, q Query) {
+func sameCoverage(t *testing.T, name string, want flavor, all []namedFlavor, routes []*Facility, q Query) {
 	t.Helper()
 	type answer struct {
 		served [][]ServedUser
@@ -253,7 +251,7 @@ func sameCoverage(t *testing.T, name string, want flavor, all []flavor, routes [
 	}
 	for _, x := range all {
 		if got := get(x); !reflect.DeepEqual(got, w) {
-			t.Fatalf("%s %s: coverage answers %+v, single tree %+v", name, flavorName(x), got, w)
+			t.Fatalf("%s %s: coverage answers %+v, single tree %+v", name, x.name, got, w)
 		}
 	}
 }
@@ -270,7 +268,8 @@ func TestShardedFractionalScenariosStayClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := NewShardedIndex(users, ShardOptions{Shards: 4, Index: opts})
+	opts.Shards = 4
+	idx, err := NewIndex(users, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,13 +291,13 @@ func TestShardedFractionalScenariosStayClose(t *testing.T) {
 	}
 }
 
-// TestShardedIndexConcurrentReaders checks a built ShardedIndex is safe
-// for concurrent readers, like the single-tree Index (-race verifies).
+// TestShardedIndexConcurrentReaders checks a built four-shard Index is
+// safe for concurrent readers (-race verifies).
 func TestShardedIndexConcurrentReaders(t *testing.T) {
 	city := NewYorkCity()
 	users := TaxiTrips(city, 2000, 8)
 	routes := BusRoutes(city, 32, 10, 9)
-	idx, err := NewShardedIndex(users, ShardOptions{Shards: 4})
+	idx, err := NewIndex(users, IndexOptions{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

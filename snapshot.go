@@ -1,24 +1,27 @@
 package trajcover
 
-// Snapshot persistence. A frozen or live index is written as its columns
-// and read back without rebuilding a tree. One column encoding — the
-// frozen payload of snapshot_frozen.go — travels in three framings, told
-// apart by an 8-byte magic:
+// Snapshot persistence. An Index or a FrozenIndex is written as its
+// columns and read back without rebuilding a tree. One column encoding —
+// the frozen payload of snapshot_frozen.go — travels in three framings,
+// told apart by an 8-byte magic:
 //
-//	TQSNAP04 — one frozen index: magic, frozen payload, CRC32 trailer.
-//	TQSHRD03 — sharded frozen container: CRC'd header (shard count,
+//	TQSNAP04 — a one-shard FrozenIndex: magic, frozen payload, CRC32
+//	           trailer.
+//	TQSHRD03 — a sharded FrozenIndex: CRC'd header (shard count,
 //	           partitioner kind), then one length-prefixed, individually
 //	           CRC'd frozen payload per shard.
-//	TQLIVE02 — live container: the same header and framing; each frame
-//	           holds a shard's frozen base, its tombstones and its delta
+//	TQLIVE02 — an Index: the same header and framing; each frame holds a
+//	           shard's frozen base, its tombstones and its delta
 //	           (snapshot_live.go).
 //
-// A mutable Index or ShardedIndex persists as its Freeze() and comes
-// back mutable as the restored index's Live(). Retired formats — the
-// rebuild formats that stored raw trajectories (TQSNAP02, TQSHRD01) and
-// the record formats that stored one record per trajectory and every
-// entry column (TQSNAP03, TQSHRD02, TQLIVE01) — are still recognised by
-// their magics, to say so.
+// ReadFrozenSnapshot and OpenMappedFrozenSnapshot take either frozen
+// framing, ReadLiveSnapshot and OpenMappedLiveSnapshot the live one; an
+// Index also persists as its Freeze() and comes back mutable as the
+// restored index's Live(). Retired formats — the rebuild formats that
+// stored raw trajectories (TQSNAP02, TQSHRD01) and the record formats
+// that stored one record per trajectory and every entry column
+// (TQSNAP03, TQSHRD02, TQLIVE01) — are still recognised by their magics,
+// to say so.
 //
 // This file is the one reader of those framings. Everything is parsed
 // off a cursor over a []byte, and the cursor's only parameter is who
@@ -69,7 +72,7 @@ const (
 // own, what the stream is and which entry points take it.
 var otherFormats = map[string]string{
 	frozenMagic:        "single frozen snapshot (TQSNAP04); use ReadFrozenSnapshot or OpenMappedFrozenSnapshot",
-	shardedFrozenMagic: "sharded frozen snapshot (TQSHRD03); use ReadFrozenShardedSnapshot or OpenMappedFrozenShardedSnapshot",
+	shardedFrozenMagic: "sharded frozen snapshot (TQSHRD03); use ReadFrozenSnapshot or OpenMappedFrozenSnapshot",
 	liveMagic:          "live snapshot (TQLIVE02); use ReadLiveSnapshot or OpenMappedLiveSnapshot",
 	"TQSNAP02":         "rebuild-format snapshot (TQSNAP02) is no longer readable; rebuild the index and write a frozen snapshot",
 	"TQSHRD01":         "rebuild-format snapshot (TQSHRD01) is no longer readable; rebuild the index and write a frozen snapshot",

@@ -25,6 +25,7 @@ package trajcover
 // byte.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -301,9 +302,16 @@ func readFrozenPayload(cur *cursor) (*tqtree.Frozen, error) {
 	return f, nil
 }
 
-// WriteSnapshot serializes the frozen index as a TQSNAP04 stream: the
-// columnar payload framed by a magic header and a CRC32 trailer.
+// WriteSnapshot serializes the frozen index. One shard is a TQSNAP04
+// stream: the columnar payload framed by a magic header and a CRC32
+// trailer. Several are a TQSHRD03 container: a CRC'd shared header (shard
+// count, partitioner kind), then one length-prefixed, individually CRC'd
+// frozen payload per shard, so a checksum localizes corruption to one
+// shard and tooling can skip frames without decoding them.
 func (x *FrozenIndex) WriteSnapshot(w io.Writer) error {
+	if x.s.NumShards() > 1 {
+		return x.writeSharded(w)
+	}
 	crc := crc32.NewIEEE()
 	mw := io.MultiWriter(w, crc)
 	if _, err := io.WriteString(mw, frozenMagic); err != nil {
@@ -315,13 +323,31 @@ func (x *FrozenIndex) WriteSnapshot(w io.Writer) error {
 	return binary.Write(w, binary.LittleEndian, crc.Sum32())
 }
 
-// ReadFrozenSnapshot restores a FrozenIndex written by
-// (*FrozenIndex).WriteSnapshot. The stream is read to its end, its CRC
-// verified, and the columns copied out and bounds-checked — no tree
-// rebuild. A stream of another format is rejected with a pointer to the
-// right reader.
+// writeSharded writes the index as a TQSHRD03 container, one frame per
+// shard.
+func (x *FrozenIndex) writeSharded(w io.Writer) error {
+	return writeContainer(w, shardedFrozenMagic, x.s.PartitionerKind(), x.s.NumShards(),
+		func(i int) uint64 { return frozenPayloadSize(x.s.Engine(i).Frozen()) },
+		func(w io.Writer, i int) error { return writeFrozenPayload(w, x.s.Engine(i).Frozen()) })
+}
+
+// ReadFrozenSnapshot restores a FrozenIndex written by WriteSnapshot, in
+// either framing: the CRCs verified, the columns copied out and
+// bounds-checked — no tree rebuild. A TQSNAP04 stream is read to its end;
+// a TQSHRD03 container one frame's bytes at a time, stopping at its last
+// declared frame. A stream of another format is rejected with a pointer
+// to the right reader.
 func ReadFrozenSnapshot(r io.Reader) (*FrozenIndex, error) {
-	data, err := (&streamSource{r: r}).all()
+	var magic [8]byte
+	n, err := io.ReadFull(r, magic[:])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, badSnapshot(err)
+	}
+	src := &streamSource{r: io.MultiReader(bytes.NewReader(magic[:n]), r)}
+	if string(magic[:n]) == shardedFrozenMagic {
+		return readFrozenSharded(src.take, nil)
+	}
+	data, err := src.all()
 	if err != nil {
 		return nil, err
 	}
@@ -353,28 +379,12 @@ func parseFrozenSnapshot(data []byte, pin *mappedToken) (*FrozenIndex, error) {
 	if cur.remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, cur.remaining())
 	}
-	return frozenIndexOf(f, nil)
+	return frozenIndexOf([]*query.FrozenEngine{query.NewFrozenEngine(f, nil)}, shard.Hash{}.Kind())
 }
 
-// WriteSnapshot serializes the frozen sharded index as a TQSHRD03
-// container: a CRC'd shared header (shard count, partitioner kind), then
-// one length-prefixed, individually CRC'd frozen payload per shard.
-// Per-frame checksums localize corruption to one shard and the length
-// prefixes let tooling skip frames without decoding them.
-func (x *FrozenShardedIndex) WriteSnapshot(w io.Writer) error {
-	return writeContainer(w, shardedFrozenMagic, x.s.PartitionerKind(), x.s.NumShards(),
-		func(i int) uint64 { return frozenPayloadSize(x.s.Engine(i).Frozen()) },
-		func(w io.Writer, i int) error { return writeFrozenPayload(w, x.s.Engine(i).Frozen()) })
-}
-
-// ReadFrozenShardedSnapshot restores a FrozenShardedIndex written by
-// (*FrozenShardedIndex).WriteSnapshot, one frame's bytes in memory at a
-// time. It stops reading at the last declared frame.
-func ReadFrozenShardedSnapshot(r io.Reader) (*FrozenShardedIndex, error) {
-	return readFrozenSharded((&streamSource{r: r}).take, nil)
-}
-
-func readFrozenSharded(take func(n uint64) ([]byte, error), pin *mappedToken) (*FrozenShardedIndex, error) {
+// readFrozenSharded parses a TQSHRD03 container whose bytes take hands
+// out in order.
+func readFrozenSharded(take func(n uint64) ([]byte, error), pin *mappedToken) (*FrozenIndex, error) {
 	var engines []*query.FrozenEngine
 	kind, err := readContainer(take, shardedFrozenMagic, pin, func(c *cursor) error {
 		f, err := readFrozenPayload(c)
@@ -386,9 +396,15 @@ func readFrozenSharded(take func(n uint64) ([]byte, error), pin *mappedToken) (*
 	if err != nil {
 		return nil, err
 	}
+	return frozenIndexOf(engines, kind)
+}
+
+// frozenIndexOf serves restored shards over the first one's root space,
+// which every shard of one index shares.
+func frozenIndexOf(engines []*query.FrozenEngine, kind string) (*FrozenIndex, error) {
 	sf, err := shard.FrozenFromEngines(engines, engines[0].Frozen().Bounds(), kind)
 	if err != nil {
 		return nil, badSnapshot(err)
 	}
-	return newFrozenShardedIndex(sf), nil
+	return newFrozenIndex(sf), nil
 }

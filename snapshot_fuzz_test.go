@@ -77,11 +77,8 @@ func snapshotFormats(t testing.TB, n int) []snapshotFormat {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sidx, err := NewShardedIndex(users, ShardOptions{Shards: 2, Index: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sfz, err := sidx.Freeze()
+	opts.Shards = 2
+	sfz, err := NewFrozenIndex(users, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,10 +87,10 @@ func snapshotFormats(t testing.TB, n int) []snapshotFormat {
 	return []snapshotFormat{
 		{"TQSNAP04", fz.WriteSnapshot,
 			func(r io.Reader) (restored, error) { return ReadFrozenSnapshot(r) },
-			func(d []byte, tok *mappedToken) (restored, error) { return parseFrozenSnapshot(d, tok) }},
+			func(d []byte, tok *mappedToken) (restored, error) { return openMappedFrozen(d, tok) }},
 		{"TQSHRD03", sfz.WriteSnapshot,
-			func(r io.Reader) (restored, error) { return ReadFrozenShardedSnapshot(r) },
-			func(d []byte, tok *mappedToken) (restored, error) { return openMappedFrozenSharded(d, tok) }},
+			func(r io.Reader) (restored, error) { return ReadFrozenSnapshot(r) },
+			func(d []byte, tok *mappedToken) (restored, error) { return openMappedFrozen(d, tok) }},
 		{"TQLIVE02", lv.WriteSnapshot,
 			func(r io.Reader) (restored, error) { return ReadLiveSnapshot(r, pol) },
 			func(d []byte, tok *mappedToken) (restored, error) { return openMappedLive(d, tok, pol) }},
@@ -102,10 +99,12 @@ func snapshotFormats(t testing.TB, n int) []snapshotFormat {
 
 // churnedLiveIndex builds a small live index whose snapshot exercises
 // every TQLIVE02 section: a frozen base, pending delta, and tombstones.
-func churnedLiveIndex(t testing.TB, users []*Trajectory) *LiveShardedIndex {
+func churnedLiveIndex(t testing.TB, users []*Trajectory) *Index {
 	t.Helper()
-	lv, err := NewLiveShardedIndex(users[:20], LiveShardOptions{
-		Shards: 2, Index: IndexOptions{Ordering: ZOrdering}, Policy: LivePolicy{Manual: true},
+	lv, err := NewIndex(users[:20], IndexOptions{
+		Ordering: ZOrdering,
+		Shards:   2,
+		Policy:   LivePolicy{Manual: true},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 package trajcover
 
-// Live snapshot persistence (TQLIVE02; snapshot.go has the framing). A
-// live index checkpoints without stopping writes: the writer captures
+// Live snapshot persistence (TQLIVE02; snapshot.go has the framing). An
+// Index checkpoints without stopping writes: the writer captures
 // each shard's current epoch — one atomic pointer load per shard — and
 // serializes from those immutable values while inserts, deletes, and even
 // background rebuilds keep running. Each shard's frame records the full
@@ -106,33 +106,24 @@ func writeLiveSnapshot(w io.Writer, eps []*query.Epoch, kind string) error {
 		func(w io.Writer, i int) error { return writeLivePayload(w, eps[i]) })
 }
 
-// WriteSnapshot checkpoints the live index as a TQLIVE02 stream. The
-// epoch set is captured atomically per shard up front, so the snapshot
-// is a consistent cut of each shard while writes continue to land in
+// WriteSnapshot checkpoints the index as a TQLIVE02 stream. The epoch
+// set is captured atomically per shard up front, so the snapshot is a
+// consistent cut of each shard while writes continue to land in
 // successor epochs.
-func (x *LiveShardedIndex) WriteSnapshot(w io.Writer) error {
-	return writeLiveSnapshot(w, x.epochs(), x.s.PartitionerKind())
+func (x *Index) WriteSnapshot(w io.Writer) error {
+	return writeLiveSnapshot(w, x.s.Epochs(), x.s.PartitionerKind())
 }
 
-// WriteSnapshot checkpoints the live index as a single-shard TQLIVE02
-// stream; restore with ReadLiveSnapshot.
-func (x *LiveIndex) WriteSnapshot(w io.Writer) error {
-	return writeLiveSnapshot(w, x.epochs(), x.s.PartitionerKind())
-}
-
-// ReadLiveSnapshot restores a live index written by WriteSnapshot —
-// including any pending delta and tombstones, which the next rebuild
-// folds as usual. pol tunes the restored index's compaction policy
-// (policy is operational state, not data, so it is not recorded).
-// A single-shard stream (a LiveIndex checkpoint) restores as a
-// one-shard LiveShardedIndex, which serves identically. One frame's
-// bytes are in memory at a time, and reading stops at the last declared
-// frame.
-func ReadLiveSnapshot(r io.Reader, pol LivePolicy) (*LiveShardedIndex, error) {
+// ReadLiveSnapshot restores an Index written by WriteSnapshot — including
+// any pending delta and tombstones, which the next rebuild folds as
+// usual. pol tunes the restored index's compaction policy (policy is
+// operational state, not data, so it is not recorded). One frame's bytes
+// are in memory at a time, and reading stops at the last declared frame.
+func ReadLiveSnapshot(r io.Reader, pol LivePolicy) (*Index, error) {
 	return readLive((&streamSource{r: r}).take, nil, pol)
 }
 
-func readLive(take func(n uint64) ([]byte, error), pin *mappedToken, pol LivePolicy) (*LiveShardedIndex, error) {
+func readLive(take func(n uint64) ([]byte, error), pin *mappedToken, pol LivePolicy) (*Index, error) {
 	var eps []*query.Epoch
 	kind, err := readContainer(take, liveMagic, pin, func(c *cursor) error {
 		ep, err := readLivePayload(c)
@@ -149,5 +140,5 @@ func readLive(take func(n uint64) ([]byte, error), pin *mappedToken, pol LivePol
 	if err != nil {
 		return nil, badSnapshot(err)
 	}
-	return newLiveShardedIndex(l), nil
+	return newIndex(l), nil
 }

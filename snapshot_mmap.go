@@ -1,9 +1,10 @@
 package trajcover
 
-// Mapped snapshot restore. OpenMappedFrozenSnapshot and friends map a
-// TQSNAP04/TQSHRD03/TQLIVE02 file and alias the frozen column slices
-// (node rects, upper-bound columns, bucket and entry slabs, the
-// trajectory table's four columns) directly onto the mapping via
+// Mapped snapshot restore. OpenMappedFrozenSnapshot and
+// OpenMappedLiveSnapshot map a TQSNAP04/TQSHRD03/TQLIVE02 file and alias
+// the frozen column slices (node rects, upper-bound columns, bucket and
+// entry slabs, the trajectory table's four columns) directly onto the
+// mapping via
 // internal/mmap — a restore that costs one CRC pass plus the structural
 // validation, no per-point work and no column copies (on little-endian
 // hosts; elsewhere the views decode into heap and everything below still
@@ -80,43 +81,40 @@ func openContainer[T any](data []byte, read func(take func(n uint64) ([]byte, er
 	return x, err
 }
 
-// OpenMappedFrozenSnapshot restores a FrozenIndex from a TQSNAP04 file
-// by mapping it: the CRC is verified once, the columns alias the mapping
-// (zero-copy on little-endian hosts), and the mapping is released when
-// the last object restored from it is collected. Answers are
-// byte-identical to ReadFrozenSnapshot of the same file.
+// OpenMappedFrozenSnapshot restores a FrozenIndex from a TQSNAP04 or
+// TQSHRD03 file by mapping it: the CRCs are verified once, every shard's
+// columns alias the one mapping (zero-copy on little-endian hosts), and
+// the mapping is released when the last object restored from it is
+// collected. Answers are byte-identical to ReadFrozenSnapshot of the same
+// file.
 func OpenMappedFrozenSnapshot(path string) (*FrozenIndex, error) {
-	return openMapped(path, parseFrozenSnapshot)
+	return openMapped(path, openMappedFrozen)
 }
 
-// OpenMappedFrozenShardedSnapshot restores a FrozenShardedIndex from a
-// TQSHRD03 file by mapping it; every shard's columns alias one shared
-// mapping. Answers are byte-identical to ReadFrozenShardedSnapshot.
-func OpenMappedFrozenShardedSnapshot(path string) (*FrozenShardedIndex, error) {
-	return openMapped(path, openMappedFrozenSharded)
+func openMappedFrozen(data []byte, tok *mappedToken) (*FrozenIndex, error) {
+	if len(data) >= 8 && string(data[:8]) == shardedFrozenMagic {
+		return openContainer(data, func(take func(n uint64) ([]byte, error)) (*FrozenIndex, error) {
+			return readFrozenSharded(take, tok)
+		})
+	}
+	return parseFrozenSnapshot(data, tok)
 }
 
-func openMappedFrozenSharded(data []byte, tok *mappedToken) (*FrozenShardedIndex, error) {
-	return openContainer(data, func(take func(n uint64) ([]byte, error)) (*FrozenShardedIndex, error) {
-		return readFrozenSharded(take, tok)
-	})
-}
-
-// OpenMappedLiveSnapshot restores a live index from a TQLIVE02 file by
+// OpenMappedLiveSnapshot restores an Index from a TQLIVE02 file by
 // mapping it: every shard's frozen base columns alias the mapping (the
 // delta trajectories are copied to the heap), while the restored index
 // stays fully mutable — writes land in heap epochs, and background
 // rebuilds fold mapped trajectories into heap bases, retiring the
 // mapping once nothing references it. Answers are byte-identical to
 // ReadLiveSnapshot of the same file.
-func OpenMappedLiveSnapshot(path string, pol LivePolicy) (*LiveShardedIndex, error) {
-	return openMapped(path, func(data []byte, tok *mappedToken) (*LiveShardedIndex, error) {
+func OpenMappedLiveSnapshot(path string, pol LivePolicy) (*Index, error) {
+	return openMapped(path, func(data []byte, tok *mappedToken) (*Index, error) {
 		return openMappedLive(data, tok, pol)
 	})
 }
 
-func openMappedLive(data []byte, tok *mappedToken, pol LivePolicy) (*LiveShardedIndex, error) {
-	return openContainer(data, func(take func(n uint64) ([]byte, error)) (*LiveShardedIndex, error) {
+func openMappedLive(data []byte, tok *mappedToken, pol LivePolicy) (*Index, error) {
+	return openContainer(data, func(take func(n uint64) ([]byte, error)) (*Index, error) {
 		return readLive(take, tok, pol)
 	})
 }

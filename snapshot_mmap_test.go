@@ -119,7 +119,7 @@ func TestMappedFrozenMatchesHeap(t *testing.T) {
 func TestMappedFrozenShardedMatchesHeap(t *testing.T) {
 	ny := NewYorkCity()
 	users := TaxiTrips(ny, 60, 41)
-	sidx, err := NewShardedIndex(users, ShardOptions{Shards: 3, Index: IndexOptions{Ordering: ZOrdering}})
+	sidx, err := NewIndex(users, IndexOptions{Ordering: ZOrdering, Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestMappedFrozenShardedMatchesHeap(t *testing.T) {
 	}
 	path := writeTempSnapshot(t, "frozen.tqshrd", func(w *os.File) error { return sfz.WriteSnapshot(w) })
 
-	mapped, err := OpenMappedFrozenShardedSnapshot(path)
+	mapped, err := OpenMappedFrozenSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestMappedLiveMatchesHeapAndStaysMutable(t *testing.T) {
 	lv := churnedLiveIndex(t, users)
 	path := writeTempSnapshot(t, "live.tqlive", func(w *os.File) error { return lv.WriteSnapshot(w) })
 
-	heap, err := func() (*LiveShardedIndex, error) {
+	heap, err := func() (*Index, error) {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return nil, err

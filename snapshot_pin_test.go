@@ -104,8 +104,13 @@ func pinnedSnapshots(t *testing.T) []pinnedSnapshot {
 			func(path string) (restored, error) { return OpenMappedFrozenSnapshot(path) }})
 	}
 
-	sh, err := NewShardedIndex(corpora["traces"], ShardOptions{Shards: 2, Partitioner: GridPartitioner(),
-		Index: IndexOptions{Variant: Segmented, Ordering: ZOrdering, Beta: 8}})
+	sh, err := NewIndex(corpora["traces"], IndexOptions{
+		Variant:     Segmented,
+		Ordering:    ZOrdering,
+		Beta:        8,
+		Shards:      2,
+		Partitioner: GridPartitioner(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,15 +120,19 @@ func pinnedSnapshots(t *testing.T) []pinnedSnapshot {
 	}
 	out = append(out, pinnedSnapshot{"TQSHRD03 traces/segmented/zorder/b8/2 grid shards", sfz,
 		"aeabe7d5b8f93e41c583bc38b72754462872145edfcd0eb70627bf0a35117c27", "1689fe6c5f7b7b336ef74b781cd73f909fec292c9e92dd53515e1eff8093d0ca",
-		func(r io.Reader) (restored, error) { return ReadFrozenShardedSnapshot(r) },
-		func(path string) (restored, error) { return OpenMappedFrozenShardedSnapshot(path) }})
+		func(r io.Reader) (restored, error) { return ReadFrozenSnapshot(r) },
+		func(path string) (restored, error) { return OpenMappedFrozenSnapshot(path) }})
 
 	// A live index through two compactions, with a delta and tombstones
 	// pending at the checkpoint: the rebuild path writes the base too.
 	users := corpora["taxi"]
 	pol := LivePolicy{Manual: true}
-	lv, err := NewLiveShardedIndex(users[:2500], LiveShardOptions{
-		Shards: 2, Index: IndexOptions{Variant: TwoPoint, Ordering: ZOrdering, Beta: 16}, Policy: pol,
+	lv, err := NewIndex(users[:2500], IndexOptions{
+		Variant:  TwoPoint,
+		Ordering: ZOrdering,
+		Beta:     16,
+		Shards:   2,
+		Policy:   pol,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -210,13 +219,11 @@ func contentDigest(t testing.TB, x restored) string {
 	var eps []*query.Epoch
 	switch x := x.(type) {
 	case *FrozenIndex:
-		bases = append(bases, x.s.Engine(0).Frozen())
-	case *FrozenShardedIndex:
 		for i := 0; i < x.s.NumShards(); i++ {
 			bases = append(bases, x.s.Engine(i).Frozen())
 		}
-	case *LiveShardedIndex:
-		eps = x.epochs()
+	case *Index:
+		eps = x.s.Epochs()
 		for _, ep := range eps {
 			bases = append(bases, ep.Base().Frozen())
 		}

@@ -132,16 +132,19 @@ func TestSnapshotPreservesInsertedTrajectories(t *testing.T) {
 }
 
 // TestShardedSnapshotRoundTrip: the recorded partition — shard count,
-// shard sizes, partitioner kind — and the answers survive a frozen
-// sharded round trip, and the restored index goes live and takes writes.
+// shard sizes, partitioner kind — and the answers survive a frozen round
+// trip through both readers, and the restored index goes live and takes
+// writes. One shard is a TQSNAP04 stream, which records no partitioner:
+// a grid-built one restores as hash and still takes inserts.
 func TestShardedSnapshotRoundTrip(t *testing.T) {
 	users, routes := smallWorkload(t)
-	for _, opts := range []ShardOptions{
+	for _, opts := range []IndexOptions{
 		{Shards: 1},
+		{Shards: 1, Partitioner: GridPartitioner()},
 		{Shards: 4},
-		{Shards: 3, Partitioner: GridPartitioner(), Index: IndexOptions{Beta: 16, MaxDepth: 6}},
+		{Shards: 3, Partitioner: GridPartitioner(), Beta: 16, MaxDepth: 6},
 	} {
-		idx, err := NewShardedIndex(users, opts)
+		idx, err := NewIndex(users, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,54 +152,75 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := fz.WriteSnapshot(&buf); err != nil {
+		path := writeTempSnapshot(t, "frozen.snap", func(w *os.File) error { return fz.WriteSnapshot(w) })
+		data, err := os.ReadFile(path)
+		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := ReadFrozenShardedSnapshot(&buf)
+		want := "TQSHRD03"
+		if opts.Shards == 1 {
+			want = "TQSNAP04"
+		}
+		if string(data[:8]) != want {
+			t.Fatalf("%+v: wrote %q, want %s", opts, data[:8], want)
+		}
+		heap, err := ReadFrozenSnapshot(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
-		if back.Len() != idx.Len() || back.NumShards() != idx.NumShards() {
-			t.Fatalf("restored %d trajectories in %d shards, want %d in %d",
-				back.Len(), back.NumShards(), idx.Len(), idx.NumShards())
-		}
-		ws, rs := idx.ShardSizes(), back.ShardSizes()
-		for i := range ws {
-			if ws[i] != rs[i] {
-				t.Fatalf("shard %d restored with %d trajectories, want %d", i, rs[i], ws[i])
-			}
-		}
-		// Binary values are integral, so exact equality is required.
-		q := Query{Scenario: Binary, Psi: DefaultPsi}
-		wantTop, err := idx.TopK(routes, 8, q)
+		mapped, err := OpenMappedFrozenSnapshot(path)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%+v: mapped: %v", opts, err)
 		}
-		gotTop, err := back.TopK(routes, 8, q)
-		if err != nil {
-			t.Fatal(err)
+		for _, back := range []*FrozenIndex{heap, mapped} {
+			checkShardedRestore(t, idx, back, routes)
 		}
-		for i := range wantTop {
-			if gotTop[i].Facility.ID != wantTop[i].Facility.ID ||
-				gotTop[i].Service != wantTop[i].Service {
-				t.Fatalf("rank %d: restored (%d, %v), want (%d, %v)", i,
-					gotTop[i].Facility.ID, gotTop[i].Service,
-					wantTop[i].Facility.ID, wantTop[i].Service)
-			}
+	}
+}
+
+// checkShardedRestore requires back, restored from idx's frozen form, to
+// hold idx's partition and answers, and to go live and take an insert.
+func checkShardedRestore(t *testing.T, idx *Index, back *FrozenIndex, routes []*Facility) {
+	t.Helper()
+	if back.Len() != idx.Len() || back.NumShards() != idx.NumShards() {
+		t.Fatalf("restored %d trajectories in %d shards, want %d in %d",
+			back.Len(), back.NumShards(), idx.Len(), idx.NumShards())
+	}
+	ws, rs := idx.ShardSizes(), back.ShardSizes()
+	for i := range ws {
+		if ws[i] != rs[i] {
+			t.Fatalf("shard %d restored with %d trajectories, want %d", i, rs[i], ws[i])
 		}
-		// A restored built-in partitioner must keep routing Inserts.
-		lv, err := back.Live(LivePolicy{Manual: true})
-		if err != nil {
-			t.Fatal(err)
+	}
+	// Binary values are integral, so exact equality is required.
+	q := Query{Scenario: Binary, Psi: DefaultPsi}
+	wantTop, err := idx.TopK(routes, 8, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotTop, err := back.TopK(routes, 8, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range wantTop {
+		if gotTop[i].Facility.ID != wantTop[i].Facility.ID ||
+			gotTop[i].Service != wantTop[i].Service {
+			t.Fatalf("rank %d: restored (%d, %v), want (%d, %v)", i,
+				gotTop[i].Facility.ID, gotTop[i].Service,
+				wantTop[i].Facility.ID, wantTop[i].Service)
 		}
-		u, err := NewTrajectory(ID(900000), []Point{Pt(100, 100), Pt(200, 200)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := lv.Insert(u); err != nil {
-			t.Fatalf("insert into restored index: %v", err)
-		}
+	}
+	// A restored built-in partitioner must keep routing Inserts.
+	lv, err := back.Live(LivePolicy{Manual: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := NewTrajectory(ID(900000), []Point{Pt(100, 100), Pt(200, 200)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lv.Insert(u); err != nil {
+		t.Fatalf("insert into restored index: %v", err)
 	}
 }
 
@@ -249,10 +273,11 @@ func TestShardedSnapshotDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestSnapshotFormatsAreDistinguished: every reader, under both owners,
-// refuses every other format's stream with an error that names what the
-// stream is — the retired rebuild and record formats included, which say
-// they are no longer readable rather than "bad magic".
+// TestSnapshotFormatsAreDistinguished: the frozen readers take both
+// frozen framings, and every reader, under both owners, refuses every
+// other stream with an error that names what the stream is and which
+// reader takes it — the retired rebuild and record formats included,
+// which say they are no longer readable rather than "bad magic".
 func TestSnapshotFormatsAreDistinguished(t *testing.T) {
 	formats := snapshotFormats(t, 30)
 	body := snapshotBytes(t, formats[0])[8:]
@@ -276,17 +301,21 @@ func TestSnapshotFormatsAreDistinguished(t *testing.T) {
 			return "bad magic"
 		case "TQSNAP0":
 			return "truncated"
+		case "TQLIVE02":
+			return "(TQLIVE02); use ReadLiveSnapshot or OpenMappedLiveSnapshot"
 		}
-		return "(" + name + "); use "
+		return "(" + name + "); use ReadFrozenSnapshot or OpenMappedFrozenSnapshot"
 	}
+	frozen := func(name string) bool { return name == "TQSNAP04" || name == "TQSHRD03" }
 	for _, f := range formats {
 		for name, data := range streams {
-			if name == f.name {
-				continue
-			}
 			for _, owner := range snapshotOwners {
 				_, err := f.parse(data, owner)
-				if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), says(name)) {
+				if name == f.name || frozen(name) && frozen(f.name) {
+					if err != nil {
+						t.Errorf("%s reader, %s, on a %s stream: %v", f.name, owner, name, err)
+					}
+				} else if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), says(name)) {
 					t.Errorf("%s reader, %s, on a %s stream: err = %v, want ErrBadSnapshot saying %q", f.name, owner, name, err, says(name))
 				}
 			}
@@ -299,8 +328,8 @@ func TestSnapshotFormatsAreDistinguished(t *testing.T) {
 	dir := t.TempDir()
 	pol := LivePolicy{Manual: true}
 	users := TaxiTrips(NewYorkCity(), 40, 41)
-	lv, err := OpenLiveShardedIndex(WALOptions{Dir: dir}, pol, func() (*LiveShardedIndex, error) {
-		return NewLiveShardedIndex(users[:30], LiveShardOptions{Shards: 2, Policy: pol})
+	lv, err := OpenIndex(WALOptions{Dir: dir}, pol, func() (*Index, error) {
+		return NewIndex(users[:30], IndexOptions{Shards: 2, Policy: pol})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -345,12 +374,12 @@ func TestSnapshotFormatsAreDistinguished(t *testing.T) {
 	if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg")); len(segs) == 0 {
 		t.Fatalf("no WAL segment beside the checkpoint: %d files", len(before))
 	}
-	_, err = OpenLiveShardedIndex(WALOptions{Dir: dir}, pol, func() (*LiveShardedIndex, error) {
+	_, err = OpenIndex(WALOptions{Dir: dir}, pol, func() (*Index, error) {
 		t.Error("bootstrap called over a WAL directory with a checkpoint")
 		return nil, errors.New("bootstrap called")
 	})
 	if want := says("TQLIVE01"); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), want) {
-		t.Errorf("OpenLiveShardedIndex over a TQLIVE01 checkpoint: err = %v, want ErrBadSnapshot saying %q", err, want)
+		t.Errorf("OpenIndex over a TQLIVE01 checkpoint: err = %v, want ErrBadSnapshot saying %q", err, want)
 	}
 	if after := files(); !reflect.DeepEqual(before, after) {
 		t.Errorf("the failed open changed the WAL directory: %d files before, %d after", len(before), len(after))

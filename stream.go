@@ -1,9 +1,9 @@
 package trajcover
 
 // Streaming service values: ServiceValuesStreamCtx (querier.go, so on
-// every index type) yields per-facility results chunk by chunk instead
+// both index types) yields per-facility results chunk by chunk instead
 // of materializing the whole batch, bit-identical to the batch answer
-// over the same facility list. A live index captures its epoch set once
+// over the same facility list. An Index captures its epoch set once
 // before the first chunk: one stream answers from one write-consistent
 // cut even while writes land concurrently.
 

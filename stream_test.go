@@ -9,7 +9,7 @@ import (
 )
 
 // streamFixtures builds every index flavor over one small corpus.
-func streamFixtures(t *testing.T) ([]flavor, []*Facility) {
+func streamFixtures(t *testing.T) ([]namedFlavor, []*Facility) {
 	t.Helper()
 	ny := NewYorkCity()
 	return allFlavors(t, TaxiTrips(ny, 60, 43)), BusRoutes(ny, 33, 6, 44)
@@ -28,7 +28,7 @@ func TestServiceValuesStreamMatchesBatch(t *testing.T) {
 		for _, s := range ss {
 			want, err := s.ServiceValuesCtx(ctx, facs, q, 2)
 			if err != nil {
-				t.Fatalf("%s/%v: batch: %v", flavorName(s), sc, err)
+				t.Fatalf("%s/%v: batch: %v", s.name, sc, err)
 			}
 			for _, chunk := range []int{1, 7, 0, len(facs), len(facs) + 10} {
 				got := make([]float64, len(facs))
@@ -49,14 +49,14 @@ func TestServiceValuesStreamMatchesBatch(t *testing.T) {
 					return nil
 				})
 				if err != nil {
-					t.Fatalf("%s/%v chunk %d: %v", flavorName(s), sc, chunk, err)
+					t.Fatalf("%s/%v chunk %d: %v", s.name, sc, chunk, err)
 				}
 				if next != len(facs) {
-					t.Fatalf("%s/%v chunk %d: stream ended at %d of %d", flavorName(s), sc, chunk, next, len(facs))
+					t.Fatalf("%s/%v chunk %d: stream ended at %d of %d", s.name, sc, chunk, next, len(facs))
 				}
 				for i := range want {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%s/%v chunk %d: facility %d: streamed %v, batch %v", flavorName(s), sc, chunk, i, got[i], want[i])
+						t.Fatalf("%s/%v chunk %d: facility %d: streamed %v, batch %v", s.name, sc, chunk, i, got[i], want[i])
 					}
 				}
 			}
@@ -78,16 +78,16 @@ func TestServiceValuesStreamAborts(t *testing.T) {
 			return sentinel
 		})
 		if !errors.Is(err, sentinel) {
-			t.Fatalf("%s: yield error = %v, want sentinel", flavorName(s), err)
+			t.Fatalf("%s: yield error = %v, want sentinel", s.name, err)
 		}
 		if calls != 1 {
-			t.Fatalf("%s: %d chunks after aborting yield, want 1", flavorName(s), calls)
+			t.Fatalf("%s: %d chunks after aborting yield, want 1", s.name, calls)
 		}
 
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		if err := s.ServiceValuesStreamCtx(ctx, facs, q, 1, 8, func(int, []float64) error { return nil }); err == nil {
-			t.Fatalf("%s: cancelled stream returned nil error", flavorName(s))
+			t.Fatalf("%s: cancelled stream returned nil error", s.name)
 		}
 	}
 }
@@ -102,7 +102,7 @@ func TestServiceValuesStreamValidates(t *testing.T) {
 	multipoint := allFlavors(t, Checkins(NewYorkCity(), 60, 6, 45))
 	cases := []struct {
 		name string
-		ss   []flavor
+		ss   []namedFlavor
 		facs []*Facility
 		q    Query
 	}{
@@ -115,14 +115,14 @@ func TestServiceValuesStreamValidates(t *testing.T) {
 		for _, s := range c.ss {
 			_, berr := s.ServiceValuesCtx(context.Background(), c.facs, c.q, 1)
 			if berr == nil {
-				t.Fatalf("%s/%s: batch accepted the query", flavorName(s), c.name)
+				t.Fatalf("%s/%s: batch accepted the query", s.name, c.name)
 			}
 			serr := s.ServiceValuesStreamCtx(context.Background(), c.facs, c.q, 1, 8, func(int, []float64) error {
-				t.Fatalf("%s/%s: yield called for invalid query", flavorName(s), c.name)
+				t.Fatalf("%s/%s: yield called for invalid query", s.name, c.name)
 				return nil
 			})
 			if serr == nil {
-				t.Fatalf("%s/%s: stream accepted the query", flavorName(s), c.name)
+				t.Fatalf("%s/%s: stream accepted the query", s.name, c.name)
 			}
 		}
 	}

@@ -47,8 +47,8 @@ func TestConstructorsDoNotAliasInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, u := range orig[:150] {
-		if !idx.Delete(u) {
-			t.Fatalf("Delete(%d) failed", u.ID)
+		if ok, err := idx.Delete(u.ID); err != nil || !ok {
+			t.Fatalf("Delete(%d) = %v, %v", u.ID, ok, err)
 		}
 	}
 	for _, u := range extra {
@@ -61,7 +61,7 @@ func TestConstructorsDoNotAliasInput(t *testing.T) {
 		t.Fatalf("Index.Len = %d, want 250", idx.Len())
 	}
 
-	sh, err := NewShardedIndex(users, ShardOptions{Shards: 3, Index: IndexOptions{Ordering: ZOrdering}})
+	sh, err := NewIndex(users, IndexOptions{Ordering: ZOrdering, Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestConstructorsDoNotAliasInput(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	unchanged("ShardedIndex")
+	unchanged("Index, 3 shards")
 
 	bl, err := NewBaseline(users, TwoPoint)
 	if err != nil {
@@ -127,14 +127,15 @@ func TestIndexHeapPerTrajectory(t *testing.T) {
 	const n = 50000
 	ny := NewYorkCity()
 	opts := IndexOptions{Ordering: ZOrdering}
+	opts2 := IndexOptions{Ordering: ZOrdering, Shards: 2}
 	path := t.TempDir() + "/corpus.tqlive"
 	cases := []struct {
 		name  string
 		limit float64
 		build func() (any, error)
 	}{
-		{"NewLiveShardedIndex", 95, func() (any, error) {
-			return NewLiveShardedIndex(TaxiTrips(ny, n, 7), LiveShardOptions{Shards: 2, Index: opts})
+		{"NewIndex", 95, func() (any, error) {
+			return NewIndex(TaxiTrips(ny, n, 7), opts2)
 		}},
 		{"NewFrozenIndex", 95, func() (any, error) {
 			return NewFrozenIndex(TaxiTrips(ny, n, 7), opts)
@@ -147,7 +148,7 @@ func TestIndexHeapPerTrajectory(t *testing.T) {
 		if c.name == "OpenMappedLiveSnapshot" {
 			// The file is written here, not in build, so the index that
 			// wrote it is garbage before the baseline is read.
-			built, err := NewLiveShardedIndex(TaxiTrips(ny, n, 7), LiveShardOptions{Shards: 2, Index: opts})
+			built, err := NewIndex(TaxiTrips(ny, n, 7), opts2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -299,7 +300,9 @@ func TestSnapshotRoundTripEveryVariant(t *testing.T) {
 					t.Fatal(err)
 				}
 				assertMappedAnswers(t, name+" live of heap restore", fz, live)
-				lv, err := NewLiveShardedIndex(users[:300], LiveShardOptions{Shards: 2, Index: opts, Policy: pol})
+				lopts := opts
+				lopts.Shards, lopts.Policy = 2, pol
+				lv, err := NewIndex(users[:300], lopts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -348,7 +351,7 @@ func assertLiveRoundTrip(t *testing.T, name string, lv interface {
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	for what, x := range map[string]*LiveShardedIndex{"heap": lheap, "mapped": lmapped} {
+	for what, x := range map[string]*Index{"heap": lheap, "mapped": lmapped} {
 		assertMappedAnswers(t, name+" live "+what+" restore", lv, x)
 		var out bytes.Buffer
 		if err := x.WriteSnapshot(&out); err != nil {
@@ -511,15 +514,7 @@ func hostileBaseImages(t testing.TB, users []*Trajectory, opts IndexOptions) map
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := NewShardedIndex(base, ShardOptions{Shards: 1, Index: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sfz, err := sh.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lv, err := sfz.Live(LivePolicy{Manual: true})
+	lv, err := fz.Live(LivePolicy{Manual: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +525,7 @@ func hostileBaseImages(t testing.TB, users []*Trajectory, opts IndexOptions) map
 	}
 	images := map[string][]byte{}
 	for format, write := range map[string]func(io.Writer) error{
-		"TQSNAP04": fz.WriteSnapshot, "TQSHRD03": sfz.WriteSnapshot, "TQLIVE02": lv.WriteSnapshot,
+		"TQSNAP04": fz.WriteSnapshot, "TQSHRD03": fz.writeSharded, "TQLIVE02": lv.WriteSnapshot,
 	} {
 		var buf bytes.Buffer
 		if err := write(&buf); err != nil {

@@ -1,7 +1,7 @@
 package trajcover
 
 // Multi-tenant serving: a TenantRegistry maps tenant IDs to independent
-// LiveShardedIndex instances. Each durable tenant owns the subtree
+// Index instances. Each durable tenant owns the subtree
 // <Root>/<id>/ — its own WAL segments and checkpoint lineage — so
 // tenants recover independently: one tenant's torn tail cannot block
 // another's boot. Tenants spring into existence lazily on first write
@@ -11,7 +11,7 @@ package trajcover
 //
 // ID validation, per-tenant admission limits, and the overrides file
 // live in internal/tenant; this file owns only the id → index mapping,
-// because it is the piece that must see LiveShardedIndex.
+// because it is the piece that must see Index.
 
 import (
 	"fmt"
@@ -50,12 +50,9 @@ type TenantRegistryOptions struct {
 	// size). WAL.Dir is ignored — each tenant's directory is derived
 	// from Root.
 	WAL WALOptions
-	// Policy tunes each tenant index's background compaction.
-	Policy LivePolicy
-	// Shards, Partitioner, and Index shape newly created tenant indexes.
-	Shards      int
-	Partitioner Partitioner
-	Index       IndexOptions
+	// Index shapes newly created tenant indexes; its Policy tunes every
+	// tenant index's background compaction, reopened ones included.
+	Index IndexOptions
 	// NewTenant optionally seeds a first-seen tenant's corpus (nil:
 	// tenants start empty).
 	NewTenant func(id string) ([]*Trajectory, error)
@@ -71,7 +68,7 @@ type TenantRegistryOptions struct {
 // tenantEntry is one open tenant index.
 type tenantEntry struct {
 	id      string
-	idx     *LiveShardedIndex
+	idx     *Index
 	refs    int
 	lastUse uint64
 	// durable entries own <Root>/<id>/ and can be evicted + reopened;
@@ -119,7 +116,7 @@ func OpenTenantRegistry(opts TenantRegistryOptions) (*TenantRegistry, error) {
 // built from a snapshot or synthetic corpus, possibly already opened
 // with its own WAL). Bound tenants are pinned: never LRU-evicted, and
 // reads of them always succeed.
-func (r *TenantRegistry) Bind(id string, idx *LiveShardedIndex) error {
+func (r *TenantRegistry) Bind(id string, idx *Index) error {
 	if err := tenant.ValidateID(id); err != nil {
 		return err
 	}
@@ -146,7 +143,7 @@ func (r *TenantRegistry) Bind(id string, idx *LiveShardedIndex) error {
 // Unknown tenants on the read path return ErrUnknownTenant; invalid IDs
 // return a bad-ID error (IsBadTenantID) without touching the registry
 // state or the filesystem.
-func (r *TenantRegistry) Acquire(id string, create bool) (*LiveShardedIndex, func(), error) {
+func (r *TenantRegistry) Acquire(id string, create bool) (*Index, func(), error) {
 	if err := tenant.ValidateID(id); err != nil {
 		return nil, nil, err
 	}
@@ -194,8 +191,8 @@ func (r *TenantRegistry) Acquire(id string, create bool) (*LiveShardedIndex, fun
 // openTenantLocked opens (or creates) tenant id's index. Caller holds
 // r.mu — tenant opens are serialized, which also makes create-vs-create
 // races impossible.
-func (r *TenantRegistry) openTenantLocked(id string) (*LiveShardedIndex, error) {
-	build := func() (*LiveShardedIndex, error) {
+func (r *TenantRegistry) openTenantLocked(id string) (*Index, error) {
+	build := func() (*Index, error) {
 		var users []*Trajectory
 		if r.opts.NewTenant != nil {
 			var err error
@@ -203,19 +200,14 @@ func (r *TenantRegistry) openTenantLocked(id string) (*LiveShardedIndex, error) 
 				return nil, err
 			}
 		}
-		return NewLiveShardedIndex(users, LiveShardOptions{
-			Shards:      r.opts.Shards,
-			Partitioner: r.opts.Partitioner,
-			Index:       r.opts.Index,
-			Policy:      r.opts.Policy,
-		})
+		return NewIndex(users, r.opts.Index)
 	}
 	if r.opts.Root == "" {
 		return build()
 	}
 	w := r.opts.WAL
 	w.Dir = filepath.Join(r.opts.Root, id)
-	return OpenLiveShardedIndex(w, r.opts.Policy, build)
+	return OpenIndex(w, r.opts.Index.Policy, build)
 }
 
 // evictLocked enforces MaxOpen: while too many tenants are open, the
@@ -265,7 +257,7 @@ func (r *TenantRegistry) Checkpoint(id string) error {
 }
 
 // CheckpointTo checkpoints tenant id and streams the checkpoint bytes
-// to w (durable-first, like LiveShardedIndex.CheckpointTo).
+// to w (durable-first, like Index.CheckpointTo).
 func (r *TenantRegistry) CheckpointTo(id string, w io.Writer) error {
 	idx, release, err := r.Acquire(id, false)
 	if err != nil {
@@ -313,7 +305,7 @@ func (r *TenantRegistry) Degraded() map[string]string {
 	r.mu.Lock()
 	type openTenant struct {
 		id  string
-		idx *LiveShardedIndex
+		idx *Index
 	}
 	snap := make([]openTenant, 0, len(r.open))
 	for id, e := range r.open {

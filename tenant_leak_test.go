@@ -82,10 +82,10 @@ func TestTenantRegistryEvictionConcurrentBindNoLeak(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			idx, err := NewLiveShardedIndex(users[:20], LiveShardOptions{
+			idx, err := NewIndex(users[:20], IndexOptions{
+				Ordering:    ZOrdering,
 				Shards:      2,
 				Partitioner: HashPartitioner(),
-				Index:       IndexOptions{Ordering: ZOrdering},
 				Policy:      LivePolicy{Manual: true},
 			})
 			if err != nil {

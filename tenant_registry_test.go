@@ -10,12 +10,14 @@ import (
 
 func testRegistryOptions(root string) TenantRegistryOptions {
 	return TenantRegistryOptions{
-		Root:        root,
-		WAL:         WALOptions{Sync: WALSyncAlways, SegmentBytes: 1 << 15},
-		Policy:      LivePolicy{MaxDelta: 64},
-		Shards:      2,
-		Partitioner: HashPartitioner(),
-		Index:       IndexOptions{Ordering: ZOrdering},
+		Root: root,
+		WAL:  WALOptions{Sync: WALSyncAlways, SegmentBytes: 1 << 15},
+		Index: IndexOptions{
+			Ordering:    ZOrdering,
+			Policy:      LivePolicy{MaxDelta: 64},
+			Shards:      2,
+			Partitioner: HashPartitioner(),
+		},
 	}
 }
 
@@ -170,9 +172,11 @@ func TestTenantRegistryBindPinned(t *testing.T) {
 	defer reg.Close()
 
 	users, _ := registryWorkload(47)
-	def, err := NewLiveShardedIndex(users[:30], LiveShardOptions{
-		Shards: 2, Partitioner: HashPartitioner(),
-		Index: IndexOptions{Ordering: ZOrdering}, Policy: LivePolicy{MaxDelta: 64},
+	def, err := NewIndex(users[:30], IndexOptions{
+		Ordering:    ZOrdering,
+		Shards:      2,
+		Partitioner: HashPartitioner(),
+		Policy:      LivePolicy{MaxDelta: 64},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -237,8 +241,12 @@ func TestTenantRegistryDisableCreate(t *testing.T) {
 
 func TestTenantRegistryInMemory(t *testing.T) {
 	reg, err := OpenTenantRegistry(TenantRegistryOptions{
-		Shards: 1, Partitioner: HashPartitioner(),
-		Index: IndexOptions{Ordering: ZOrdering}, Policy: LivePolicy{MaxDelta: 64},
+		Index: IndexOptions{
+			Ordering:    ZOrdering,
+			Shards:      1,
+			Partitioner: HashPartitioner(),
+			Policy:      LivePolicy{MaxDelta: 64},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -63,12 +63,14 @@ func tenantCrashWorkload(seed int64, i int) (base []*Trajectory, ops []crashOp, 
 // each tenant's bootstrap corpus from the shared seed.
 func tenantCrashRegistryOptions(root string, seed int64) TenantRegistryOptions {
 	return TenantRegistryOptions{
-		Root:        root,
-		WAL:         WALOptions{Sync: WALSyncAlways, SegmentBytes: 1 << 15},
-		Policy:      crashPolicy(),
-		Shards:      2,
-		Partitioner: HashPartitioner(),
-		Index:       IndexOptions{Ordering: ZOrdering},
+		Root: root,
+		WAL:  WALOptions{Sync: WALSyncAlways, SegmentBytes: 1 << 15},
+		Index: IndexOptions{
+			Ordering:    ZOrdering,
+			Policy:      crashPolicy(),
+			Shards:      2,
+			Partitioner: HashPartitioner(),
+		},
 		NewTenant: func(id string) ([]*Trajectory, error) {
 			for i, tid := range tenantCrashIDs {
 				if id == tid {
@@ -100,7 +102,7 @@ func TestTenantWALCrashChild(t *testing.T) {
 	}
 	ackPrefix := os.Getenv(tenantCrashAckEnv)
 
-	var idx [2]*LiveShardedIndex
+	var idx [2]*Index
 	var ops [2][]crashOp
 	var ack [2]*os.File
 	maxOps := 0

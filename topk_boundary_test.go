@@ -107,7 +107,7 @@ func TestTopKThresholdBoundary(t *testing.T) {
 					}
 					q := Query{Scenario: sc, Psi: 30}
 					for _, fl := range allFlavorsWith(t, users, opts, shards) {
-						name := fmt.Sprintf("seed %d skewed %v shards %d %v %s", seed, skewed, shards, sc, flavorName(fl))
+						name := fmt.Sprintf("seed %d skewed %v shards %d %v %s", seed, skewed, shards, sc, fl.name)
 						vals, err := fl.ServiceValues(facs, q, 1)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
@@ -172,7 +172,7 @@ func TestTopKEdgeK(t *testing.T) {
 	q := Query{Scenario: Binary, Psi: 300}
 	n := len(routes)
 	for _, fl := range allFlavors(t, TaxiTrips(ny, 400, 51)) {
-		name := flavorName(fl)
+		name := fl.name
 		all, err := fl.TopK(routes, n, q)
 		if err != nil || len(all) != n {
 			t.Fatalf("%s: TopK(k = N) = %d results, %v", name, len(all), err)

@@ -9,11 +9,12 @@
 //     service, a non-submodular NP-hard problem answered with a two-step
 //     greedy approximation (MaxCoverage).
 //
-// Six index types answer both through one query surface: Index and
-// ShardedIndex (built in memory, mutable), FrozenIndex and
-// FrozenShardedIndex (immutable, snapshot-restorable), and LiveIndex and
-// LiveShardedIndex (mutable under concurrent reads, durable with a WAL).
-// Every one is a set of frozen columnar TQ-trees, one per shard.
+// Two index types answer both through one query surface: Index, which
+// takes Insert and Delete under concurrent reads and is made durable with
+// a write-ahead log by OpenIndex, and FrozenIndex, which is immutable.
+// Either holds one shard or several (IndexOptions.Shards), and either is
+// a set of frozen columnar TQ-trees, one per shard, written to and
+// restored from snapshots.
 //
 // Quick start:
 //
@@ -128,9 +129,9 @@ func (q Query) params() query.Params {
 	return query.Params{Scenario: q.Scenario, Psi: q.Psi}
 }
 
-// IndexOptions configures NewIndex. The zero value builds a TwoPoint,
-// Z-ordered index with β = 64 and data-derived bounds — the paper's
-// default TQ(Z) configuration.
+// IndexOptions configures NewIndex and NewFrozenIndex. The zero value
+// builds one shard: a TwoPoint, Z-ordered TQ-tree with β = 64 and
+// data-derived bounds — the paper's default TQ(Z) configuration.
 type IndexOptions struct {
 	Variant  Variant
 	Ordering Ordering
@@ -141,61 +142,37 @@ type IndexOptions struct {
 	// Bounds fixes the root space; the zero Rect derives it from the
 	// data. Fix it generously when inserting after construction.
 	Bounds Rect
-	// Parallelism bounds the goroutines index construction may use
-	// (0 means GOMAXPROCS, 1 forces serial). The built index is
-	// identical regardless of the setting.
+	// Parallelism bounds the goroutines construction may use, shared
+	// across the shard builds (0 means GOMAXPROCS, 1 forces serial). The
+	// built index is identical regardless of the setting.
 	Parallelism int
+	// Shards is the number of TQ-trees to partition across (0 means 1).
+	Shards int
+	// Partitioner assigns trajectories to shards (nil means
+	// HashPartitioner()).
+	Partitioner Partitioner
+	// Policy tunes an Index's background compaction. NewFrozenIndex does
+	// not read it.
+	Policy LivePolicy
 }
 
-// Index is a TQ-tree over a set of user trajectories, answering both
-// kMaxRRST and MaxkCovRST queries. It is a LiveIndex under the default
-// LivePolicy: a frozen base the single-tree build makes, Insert and Delete
-// through its delta overlay and background rebuild, and every query on
-// the same scatter path as the other five types.
-type Index struct {
-	querier
-	s *shard.Live
-}
-
-func (o IndexOptions) treeOptions() tqtree.Options {
-	return tqtree.Options{
-		Variant:     o.Variant,
-		Ordering:    o.Ordering,
-		Beta:        o.Beta,
-		MaxDepth:    o.MaxDepth,
-		Bounds:      o.Bounds,
-		Parallelism: o.Parallelism,
+func (o IndexOptions) shardOptions() shard.Options {
+	return shard.Options{
+		Shards:      o.Shards,
+		Partitioner: o.Partitioner,
+		Tree: tqtree.Options{
+			Variant:     o.Variant,
+			Ordering:    o.Ordering,
+			Beta:        o.Beta,
+			MaxDepth:    o.MaxDepth,
+			Bounds:      o.Bounds,
+			Parallelism: o.Parallelism,
+		},
 	}
-}
-
-// NewIndex builds a TQ-tree index over the given user trajectories. The
-// index copies their points into its own table and keeps nothing of the
-// users slice.
-func NewIndex(users []*Trajectory, opts IndexOptions) (*Index, error) {
-	s, err := shard.BuildLive(users, shard.Options{Shards: 1, Tree: opts.treeOptions()}, LivePolicy{}.policy())
-	if err != nil {
-		return nil, err
-	}
-	return &Index{querier: querier{s}, s: s}, nil
-}
-
-// Insert adds a user trajectory to the index; a duplicate ID is rejected
-// with ErrDuplicateID. Safe concurrently with queries.
-func (x *Index) Insert(u *Trajectory) error { return x.s.Insert(u) }
-
-// Delete removes the trajectory with u's ID from the index, whatever
-// points u carries, reporting whether one was present. Safe concurrently
-// with queries.
-func (x *Index) Delete(u *Trajectory) bool {
-	ok, _ := x.s.Delete(u.ID) // the error is a WAL's, and an Index has none
-	return ok
 }
 
 // ServedUser is one user of a ServedUsers answer.
 type ServedUser = query.UserService
-
-// Len returns the number of indexed user trajectories.
-func (x *Index) Len() int { return x.s.Len() }
 
 // Partitioner assigns trajectories to shards; see HashPartitioner and
 // GridPartitioner for the built-in strategies.
@@ -210,67 +187,6 @@ func HashPartitioner() Partitioner { return shard.Hash{} }
 // rest answer at once, at the cost of load skew on concentrated data.
 func GridPartitioner() Partitioner { return shard.Grid{} }
 
-// ShardOptions configures NewShardedIndex. The zero value builds a
-// single hash shard with default index options — equivalent to NewIndex.
-type ShardOptions struct {
-	// Shards is the number of TQ-trees to partition across (0 means 1).
-	Shards int
-	// Partitioner assigns trajectories to shards (nil means
-	// HashPartitioner()).
-	Partitioner Partitioner
-	// Index configures every shard's tree. Index.Parallelism is the
-	// total build budget shared across shard builds.
-	Index IndexOptions
-}
-
-func (o ShardOptions) shardOptions() shard.Options {
-	return shard.Options{
-		Shards:      o.Shards,
-		Partitioner: o.Partitioner,
-		Tree:        o.Index.treeOptions(),
-	}
-}
-
-// ShardedIndex partitions user trajectories across several TQ-trees and
-// answers kMaxRRST queries by scatter-gather: a query fans out to every
-// shard, exact per-shard values are summed, and top-k is the
-// sort-and-cut of those sums. Use it when one tree is too large to
-// build, rebuild, or hold comfortably — shards build in parallel and
-// rebuild independently. It is a LiveShardedIndex under the default
-// LivePolicy.
-//
-// Answers match the single-tree Index exactly for integral scenarios
-// (Binary; every scenario over integral service values) and up to
-// floating-point summation order otherwise.
-type ShardedIndex struct {
-	querier
-	s *shard.Live
-}
-
-// NewShardedIndex partitions users with opts.Partitioner and builds one
-// TQ-tree per shard, in parallel within opts.Index.Parallelism.
-func NewShardedIndex(users []*Trajectory, opts ShardOptions) (*ShardedIndex, error) {
-	s, err := shard.BuildLive(users, opts.shardOptions(), LivePolicy{}.policy())
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedIndex{querier: querier{s}, s: s}, nil
-}
-
-// NumShards returns the number of shards.
-func (x *ShardedIndex) NumShards() int { return x.s.NumShards() }
-
-// ShardSizes returns the number of trajectories in each shard.
-func (x *ShardedIndex) ShardSizes() []int { return x.s.Sizes() }
-
-// Len returns the total number of indexed user trajectories.
-func (x *ShardedIndex) Len() int { return x.s.Len() }
-
-// Insert routes a user trajectory to its shard's delta overlay. Like
-// Index.Insert it is safe concurrently with queries. A duplicate ID is
-// rejected with ErrDuplicateID.
-func (x *ShardedIndex) Insert(u *Trajectory) error { return x.s.Insert(u) }
-
 // CoverageAlgorithm selects the MaxkCovRST solver.
 type CoverageAlgorithm int
 
@@ -284,9 +200,6 @@ const (
 	Genetic
 	// Exact enumerates all size-k subsets (small inputs only).
 	Exact
-	// Annealing runs simulated annealing over k-subsets (the paper
-	// names it among the offline alternatives to its greedy solution).
-	Annealing
 )
 
 // String implements fmt.Stringer.
@@ -300,8 +213,6 @@ func (a CoverageAlgorithm) String() string {
 		return "genetic"
 	case Exact:
 		return "exact"
-	case Annealing:
-		return "annealing"
 	}
 	return fmt.Sprintf("CoverageAlgorithm(%d)", int(a))
 }
@@ -315,12 +226,7 @@ type CoverageOptions struct {
 	KPrime int
 	// GeneticOptions applies when Algorithm == Genetic.
 	Genetic GeneticOptions
-	// Anneal applies when Algorithm == Annealing.
-	Anneal AnnealOptions
 }
-
-// AnnealOptions tunes the simulated-annealing solver.
-type AnnealOptions = maxcov.AnnealOptions
 
 // solveCoverage runs opts.Algorithm over src; the two-step greedy, which
 // also needs an index's exact pass, is the caller's.
@@ -332,8 +238,6 @@ func solveCoverage(src maxcov.CoverageSource, facilities []*Facility, k int, q Q
 		return maxcov.Genetic(src, facilities, k, q.params(), opts.Genetic)
 	case Exact:
 		return maxcov.Exact(src, facilities, k, q.params())
-	case Annealing:
-		return maxcov.Anneal(src, facilities, k, q.params(), opts.Anneal)
 	}
 	return CoverageResult{}, fmt.Errorf("trajcover: unknown coverage algorithm %d", int(opts.Algorithm))
 }

@@ -166,23 +166,15 @@ func TestPublicAPIInsert(t *testing.T) {
 	if idx.Len() != 2000 {
 		t.Fatalf("Len after insert = %d", idx.Len())
 	}
-	// Duplicate insert must fail with the typed error, on every
-	// insertable type.
-	sh, err := NewShardedIndex(users[:1000], ShardOptions{Shards: 2})
+	// Duplicate insert must fail with the typed error, at one shard and
+	// at two.
+	sh, err := NewIndex(users[:1000], IndexOptions{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv, err := idx.Live(LivePolicy{Manual: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lsh, err := sh.Live(LivePolicy{Manual: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []interface{ Insert(*Trajectory) error }{idx, sh, lv, lsh} {
+	for _, x := range []*Index{idx, sh} {
 		if err := x.Insert(users[0]); !errors.Is(err, ErrDuplicateID) {
-			t.Errorf("%T: duplicate insert: err = %v, want ErrDuplicateID", x, err)
+			t.Errorf("%d shards: duplicate insert: err = %v, want ErrDuplicateID", x.NumShards(), err)
 		}
 	}
 	// Post-insert queries must agree with a fresh index.
@@ -260,15 +252,8 @@ func TestPublicAPIDeleteAndServedUsers(t *testing.T) {
 
 	// Deleting every served user drives the route's service to zero.
 	for _, s := range served {
-		u := users[0]
-		for _, cand := range users {
-			if cand.ID == s.User {
-				u = cand
-				break
-			}
-		}
-		if !idx.Delete(u) {
-			t.Fatalf("Delete(%d) failed", s.User)
+		if ok, err := idx.Delete(s.User); err != nil || !ok {
+			t.Fatalf("Delete(%d) = %v, %v", s.User, ok, err)
 		}
 	}
 	after, err := idx.ServiceValue(routes[0], q)
@@ -278,15 +263,9 @@ func TestPublicAPIDeleteAndServedUsers(t *testing.T) {
 	if after != 0 {
 		t.Fatalf("service after deleting all served users = %v, want 0", after)
 	}
-	if idx.Delete(ghostTrajectory()) {
-		t.Error("Delete of unknown trajectory succeeded")
+	if ok, err := idx.Delete(4_000_000); ok || err != nil {
+		t.Errorf("Delete of an unknown ID = %v, %v", ok, err)
 	}
-}
-
-// ghostTrajectory builds a throwaway trajectory with an unused ID.
-func ghostTrajectory() *Trajectory {
-	t, _ := NewTrajectory(4_000_000, []Point{Pt(1, 1), Pt(2, 2)})
-	return t
 }
 
 func TestPublicAPIConstructors(t *testing.T) {
@@ -322,50 +301,47 @@ func TestPublicAPIGenerators(t *testing.T) {
 	}
 }
 
-// TestIndexDeleteByID: Delete removes the indexed trajectory with u's ID
-// whatever points u carries — here its last point moved 9 km — so the
-// index answers as one built without it, and the original can no longer
-// be deleted.
+// TestIndexDeleteByID: Delete(id) removes the whole indexed trajectory
+// with that ID — every segment of a Segmented base, from whichever shard
+// holds it — so an Index of one shard or three answers as a FrozenIndex
+// built without it, and the ID can no longer be deleted.
 func TestIndexDeleteByID(t *testing.T) {
 	city := BeijingCity()
 	users := GPSTraces(city, 400, 10, 60, 1)
 	routes := BusRoutes(city, 20, 16, 2)
-	idx, err := NewIndex(users, IndexOptions{Variant: Segmented})
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := users[17]
-	pts := append([]Point(nil), u.Points...)
-	pts[len(pts)-1].X += 9000
-	moved, err := NewTrajectory(u.ID, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !idx.Delete(moved) {
-		t.Fatalf("Delete(%d) with moved points found nothing", u.ID)
-	}
-	if idx.Len() != len(users)-1 {
-		t.Fatalf("Len %d after the delete, want %d", idx.Len(), len(users)-1)
-	}
-	if idx.Delete(u) {
-		t.Fatalf("Delete(%d) reported the trajectory present twice", u.ID)
-	}
-	fresh, err := NewIndex(append(append([]*Trajectory(nil), users[:17]...), users[18:]...), IndexOptions{Variant: Segmented})
-	if err != nil {
-		t.Fatal(err)
-	}
 	q := Query{Scenario: PointCount, Psi: DefaultPsi}
-	got, err := idx.ServiceValues(routes, q, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := fresh.ServiceValues(routes, q, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9*(1+want[i]) {
-			t.Fatalf("route %d: PointCount %v after the delete, %v without the trajectory", routes[i].ID, got[i], want[i])
+	for _, shards := range []int{1, 3} {
+		opts := IndexOptions{Variant: Segmented, Shards: shards}
+		idx, err := NewIndex(users, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := users[17].ID
+		if ok, err := idx.Delete(id); err != nil || !ok {
+			t.Fatalf("%d shards: Delete(%d) = %v, %v", shards, id, ok, err)
+		}
+		if idx.Len() != len(users)-1 {
+			t.Fatalf("%d shards: Len %d after the delete, want %d", shards, idx.Len(), len(users)-1)
+		}
+		if ok, err := idx.Delete(id); ok || err != nil {
+			t.Fatalf("%d shards: second Delete(%d) = %v, %v", shards, id, ok, err)
+		}
+		fresh, err := NewFrozenIndex(append(append([]*Trajectory(nil), users[:17]...), users[18:]...), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := idx.ServiceValues(routes, q, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.ServiceValues(routes, q, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > 1e-9*(1+want[i]) {
+				t.Fatalf("%d shards, route %d: PointCount %v after the delete, %v without the trajectory", shards, routes[i].ID, got[i], want[i])
+			}
 		}
 	}
 }
@@ -396,7 +372,7 @@ func TestMaxCoverageRejectsDuplicateFacilityIDs(t *testing.T) {
 	}
 	q := Query{Scenario: Binary, Psi: 600}
 	for _, x := range all {
-		for _, alg := range []CoverageAlgorithm{TwoStepGreedy, FullGreedy, Genetic, Exact, Annealing} {
+		for _, alg := range []CoverageAlgorithm{TwoStepGreedy, FullGreedy, Genetic, Exact} {
 			res, err := x.MaxCoverage(routes, 3, q, CoverageOptions{Algorithm: alg})
 			if err == nil || !strings.Contains(err.Error(), fmt.Sprint(dup.ID)) {
 				t.Fatalf("%T %v: %+v, %v; want an error naming facility %d", x, alg, res, err, dup.ID)
