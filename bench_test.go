@@ -285,7 +285,7 @@ func maxCovMethodBenches(c *bench.Context, paperN int, fs []*trajectory.Facility
 		{"G(BL)", func(b *testing.B) {
 			var served int
 			for i := 0; i < b.N; i++ {
-				r, err := maxcov.Greedy(maxcov.BaselineSource{Baseline: bl}, fs, benchK, p)
+				r, err := maxcov.Greedy(bl, fs, benchK, p)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -605,7 +605,7 @@ func maxCovMethods(ctx *Context, paperN int, fs []*trajectory.Facility, k int) (
 	}
 	// G(BL): straightforward greedy over baseline coverage.
 	sec := run(func() (maxcov.Result, error) {
-		return maxcov.Greedy(maxcov.BaselineSource{Baseline: bl}, fs, k, p)
+		return maxcov.Greedy(bl, fs, k, p)
 	})
 	secs = append(secs, sec)
 	served = append(served, float64(res.UsersServed))

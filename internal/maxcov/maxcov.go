@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"github.com/trajcover/trajcover/internal/query"
@@ -27,35 +28,15 @@ import (
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
-// CoverageSource produces per-facility coverage masks: a TQ-tree index's
-// shards captured once (*shard.Source, the source every public index
-// type answers through) or the baseline (BaselineSource).
+// CoverageSource produces the coverage table of a facility batch: a
+// TQ-tree index's shards captured once (*shard.Source, the source every
+// public index type answers through) or the baseline (*query.Baseline).
 type CoverageSource interface {
-	// Coverage returns which points of which users the facility covers.
-	Coverage(f *trajectory.Facility, p query.Params) (service.Coverage, error)
-	// User resolves a covered user's ID to its trajectory.
-	User(id trajectory.ID) *trajectory.Trajectory
+	// Cover returns which points of which users each facility covers.
+	Cover(facilities []*trajectory.Facility, p query.Params) (*service.CoverTable, error)
 	// Variant selects the objective translation for mask values.
 	Variant() tqtree.Variant
 }
-
-// BaselineSource adapts the point-quadtree baseline into a CoverageSource.
-type BaselineSource struct {
-	Baseline *query.Baseline
-}
-
-// Coverage implements CoverageSource.
-func (s BaselineSource) Coverage(f *trajectory.Facility, p query.Params) (service.Coverage, error) {
-	return s.Baseline.Coverage(f, p)
-}
-
-// User implements CoverageSource.
-func (s BaselineSource) User(id trajectory.ID) *trajectory.Trajectory {
-	return s.Baseline.Users().ByID(id)
-}
-
-// Variant implements CoverageSource.
-func (s BaselineSource) Variant() tqtree.Variant { return s.Baseline.Variant() }
 
 // Result is a MaxkCovRST answer.
 type Result struct {
@@ -69,53 +50,56 @@ type Result struct {
 	UsersServed int
 }
 
-// covCache precomputes and stores per-facility coverages, with every
-// covered user resolved once.
+// covCache is a facility batch's coverage table and the state the solvers
+// read it through. A facility is named by its index in the batch.
 type covCache struct {
+	t       *service.CoverTable
 	variant tqtree.Variant
-	p       query.Params
-	covs    map[trajectory.ID]service.Coverage
-	users   map[trajectory.ID]*trajectory.Trajectory
+	sc      service.Scenario
+	st      *greedyState
 
-	// Binary fast path (non-Segmented variants): per-facility bitsets of
-	// users whose source / destination the facility covers, over a dense
-	// index of touched users. A subset's combined value is then
-	// popcount(OR(src) & OR(dst)) — no mask merging.
-	binIdx map[trajectory.ID]int // user id -> dense bit index
-	binSrc map[trajectory.ID][]uint64
-	binDst map[trajectory.ID][]uint64
+	// Binary fast path (non-Segmented variants): per facility, bitsets over
+	// user slots of the users whose source / destination it covers. A
+	// subset's combined value is then popcount(OR(src) & OR(dst)) — no
+	// mask merging. bin holds facility i's source bits at [2i·words,
+	// (2i+1)·words) and its destination bits after them.
+	words          int
+	bin            []uint64
+	srcBuf, dstBuf []uint64
 }
 
 func newCovCache(src CoverageSource, facilities []*trajectory.Facility, p query.Params) (*covCache, error) {
 	if err := distinctIDs(facilities); err != nil {
 		return nil, err
 	}
-	c := &covCache{
-		variant: src.Variant(),
-		p:       p,
-		covs:    make(map[trajectory.ID]service.Coverage, len(facilities)),
-		users:   map[trajectory.ID]*trajectory.Trajectory{},
+	t, err := src.Cover(facilities, p)
+	if err != nil {
+		return nil, fmt.Errorf("maxcov: coverage: %w", err)
 	}
-	for _, f := range facilities {
-		cov, err := src.Coverage(f, p)
-		if err != nil {
-			return nil, fmt.Errorf("maxcov: coverage of facility %d: %w", f.ID, err)
-		}
-		c.covs[f.ID] = cov
-		for id := range cov {
-			if _, ok := c.users[id]; !ok {
-				c.users[id] = src.User(id)
+	c := &covCache{t: t, variant: src.Variant(), sc: p.Scenario}
+	c.st = newGreedyState(c)
+	if p.Scenario == service.Binary && c.variant != tqtree.Segmented {
+		c.words = (len(t.Users) + 63) / 64
+		c.bin = make([]uint64, 2*len(facilities)*c.words)
+		for i := range facilities {
+			src, dst := c.bits(i)
+			for _, r := range t.Rows(i) {
+				w, bit := r.Slot/64, uint64(1)<<(r.Slot%64)
+				if r.Mask.Get(0) {
+					src[w] |= bit
+				}
+				if r.Mask.Get(t.Users[r.Slot].Len() - 1) {
+					dst[w] |= bit
+				}
 			}
 		}
-	}
-	if p.Scenario == service.Binary && c.variant != tqtree.Segmented {
-		c.buildBinaryPack(facilities)
+		c.srcBuf, c.dstBuf = make([]uint64, c.words), make([]uint64, c.words)
 	}
 	return c, nil
 }
 
-// distinctIDs rejects a facility list that names one ID twice: coverages
-// are keyed by facility ID, so the two would be scored as one.
+// distinctIDs rejects a facility list that names one ID twice: the two
+// would be scored as one facility picked twice.
 func distinctIDs(facilities []*trajectory.Facility) error {
 	seen := make(map[trajectory.ID]struct{}, len(facilities))
 	for _, f := range facilities {
@@ -127,134 +111,122 @@ func distinctIDs(facilities []*trajectory.Facility) error {
 	return nil
 }
 
-// buildBinaryPack assembles the Binary fast-path bitsets.
-func (c *covCache) buildBinaryPack(facilities []*trajectory.Facility) {
-	c.binIdx = map[trajectory.ID]int{}
-	for _, cov := range c.covs {
-		for id := range cov {
-			if _, ok := c.binIdx[id]; !ok {
-				c.binIdx[id] = len(c.binIdx)
-			}
-		}
-	}
-	words := (len(c.binIdx) + 63) / 64
-	c.binSrc = make(map[trajectory.ID][]uint64, len(facilities))
-	c.binDst = make(map[trajectory.ID][]uint64, len(facilities))
-	for _, f := range facilities {
-		srcBits := make([]uint64, words)
-		dstBits := make([]uint64, words)
-		for id, m := range c.covs[f.ID] {
-			bit := c.binIdx[id]
-			if m.Get(0) {
-				srcBits[bit/64] |= 1 << (uint(bit) % 64)
-			}
-			if m.Get(c.users[id].Len() - 1) {
-				dstBits[bit/64] |= 1 << (uint(bit) % 64)
-			}
-		}
-		c.binSrc[f.ID] = srcBits
-		c.binDst[f.ID] = dstBits
-	}
+// bits returns facility i's Binary fast-path bitsets.
+func (c *covCache) bits(i int) (src, dst []uint64) {
+	o := 2 * i * c.words
+	return c.bin[o : o+c.words], c.bin[o+c.words : o+2*c.words]
 }
 
-// binarySubsetValue computes the Binary combined value via bitsets.
+// value returns the combined value SO(U, F') of the facilities idx.
 // Buffers are reused across calls; not safe for concurrent use.
-func (c *covCache) binarySubsetValue(subset []*trajectory.Facility, srcBuf, dstBuf []uint64) float64 {
-	for i := range srcBuf {
-		srcBuf[i], dstBuf[i] = 0, 0
+func (c *covCache) value(idx []int) float64 {
+	if c.bin != nil {
+		return c.binaryValue(idx)
 	}
-	for _, f := range subset {
-		for i, w := range c.binSrc[f.ID] {
-			srcBuf[i] |= w
-		}
-		for i, w := range c.binDst[f.ID] {
-			dstBuf[i] |= w
+	c.st.pick(idx)
+	return c.st.total
+}
+
+// binaryValue is value on the Binary fast path.
+func (c *covCache) binaryValue(idx []int) float64 {
+	clear(c.srcBuf)
+	clear(c.dstBuf)
+	for _, i := range idx {
+		src, dst := c.bits(i)
+		for w := range src {
+			c.srcBuf[w] |= src[w]
+			c.dstBuf[w] |= dst[w]
 		}
 	}
 	n := 0
-	for i := range srcBuf {
-		n += bits.OnesCount64(srcBuf[i] & dstBuf[i])
+	for w := range c.srcBuf {
+		n += bits.OnesCount64(c.srcBuf[w] & c.dstBuf[w])
 	}
 	return float64(n)
 }
 
-// valueOf returns the objective value of a single user's mask.
-func (c *covCache) valueOf(u *trajectory.Trajectory, m service.Mask) float64 {
-	return query.ObjectiveFromMask(c.variant, c.p.Scenario, u, m)
+// greedyState is the combined coverage of a chosen set of facilities: per
+// user slot, its unioned mask and that mask's value. Gains and the total
+// sum in row order, so every run reports the same bits.
+type greedyState struct {
+	c      *covCache
+	cur    []service.Mask // per slot, carved from one arena
+	val    []float64
+	total  float64
+	chosen []int
+	tmp    service.Mask
 }
 
-// subsetValue computes SO(U, F') for a subset by mask union.
-func (c *covCache) subsetValue(subset []*trajectory.Facility) float64 {
-	merged := service.Coverage{}
-	for _, f := range subset {
-		merged.Merge(c.covs[f.ID])
+func newGreedyState(c *covCache) *greedyState {
+	users := c.t.Users
+	words, widest := 0, 0
+	for _, u := range users {
+		w := (u.Len() + 63) / 64
+		words, widest = words+w, max(widest, w)
 	}
-	var total float64
-	for id, m := range merged {
-		total += c.valueOf(c.users[id], m)
+	g := &greedyState{c: c, cur: make([]service.Mask, len(users)), val: make([]float64, len(users)), tmp: make(service.Mask, widest)}
+	arena := make([]uint64, words)
+	for s, u := range users {
+		w := (u.Len() + 63) / 64
+		g.cur[s], arena = arena[:w:w], arena[w:]
 	}
-	return total
+	return g
 }
 
-// usersServed counts users with positive combined value for a subset.
-func (c *covCache) usersServed(subset []*trajectory.Facility) int {
-	merged := service.Coverage{}
-	for _, f := range subset {
-		merged.Merge(c.covs[f.ID])
+// gain returns SO(U, chosen ∪ {i}) − SO(U, chosen) without changing the
+// state.
+func (g *greedyState) gain(i int) float64 {
+	var d float64
+	for _, r := range g.c.t.Rows(i) {
+		m := g.tmp[:len(r.Mask)]
+		for w, cur := range g.cur[r.Slot] {
+			m[w] = cur | r.Mask[w]
+		}
+		d += g.c.valueOf(r.Slot, m) - g.val[r.Slot]
 	}
+	return d
+}
+
+// add commits facility i to the chosen set.
+func (g *greedyState) add(i int) {
+	for _, r := range g.c.t.Rows(i) {
+		g.cur[r.Slot].Or(r.Mask)
+		v := g.c.valueOf(r.Slot, g.cur[r.Slot])
+		g.total += v - g.val[r.Slot]
+		g.val[r.Slot] = v
+	}
+	g.chosen = append(g.chosen, i)
+}
+
+// pick makes the facilities idx the chosen set, first clearing only the
+// slots the last one covered.
+func (g *greedyState) pick(idx []int) {
+	for _, i := range g.chosen {
+		for _, r := range g.c.t.Rows(i) {
+			clear(g.cur[r.Slot])
+			g.val[r.Slot] = 0
+		}
+	}
+	g.chosen, g.total = g.chosen[:0], 0
+	for _, i := range idx {
+		g.add(i)
+	}
+}
+
+// served counts the users the chosen set serves.
+func (g *greedyState) served() int {
 	n := 0
-	for id, m := range merged {
-		if c.valueOf(c.users[id], m) > 0 {
+	for _, v := range g.val {
+		if v > 0 {
 			n++
 		}
 	}
 	return n
 }
 
-// greedyState tracks the merged coverage and per-user current values so
-// marginal gains touch only the users a candidate facility covers.
-type greedyState struct {
-	cache  *covCache
-	merged service.Coverage
-	curVal map[trajectory.ID]float64
-	total  float64
-}
-
-func newGreedyState(cache *covCache) *greedyState {
-	return &greedyState{
-		cache:  cache,
-		merged: service.Coverage{},
-		curVal: map[trajectory.ID]float64{},
-	}
-}
-
-// marginal computes SO(U, chosen ∪ {f}) − SO(U, chosen) without mutating
-// the state.
-func (g *greedyState) marginal(f *trajectory.Facility) float64 {
-	cov := g.cache.covs[f.ID]
-	var delta float64
-	for id, m := range cov {
-		var unioned service.Mask
-		if cur, ok := g.merged[id]; ok {
-			unioned = cur.Clone()
-			unioned.Or(m)
-		} else {
-			unioned = m
-		}
-		delta += g.cache.valueOf(g.cache.users[id], unioned) - g.curVal[id]
-	}
-	return delta
-}
-
-// add commits f to the chosen set.
-func (g *greedyState) add(f *trajectory.Facility) {
-	cov := g.cache.covs[f.ID]
-	g.merged.Merge(cov)
-	for id := range cov {
-		v := g.cache.valueOf(g.cache.users[id], g.merged[id])
-		g.total += v - g.curVal[id]
-		g.curVal[id] = v
-	}
+// valueOf returns the objective value of the user in slot s under mask m.
+func (c *covCache) valueOf(s int32, m service.Mask) float64 {
+	return query.ObjectiveFromMask(c.variant, c.sc, c.t.Users[s], m)
 }
 
 // Greedy runs the straightforward greedy of Section V-A: iteratively add
@@ -274,30 +246,25 @@ func Greedy(src CoverageSource, facilities []*trajectory.Facility, k int, p quer
 	return greedyFromCache(cache, facilities, k), nil
 }
 
-func greedyFromCache(cache *covCache, facilities []*trajectory.Facility, k int) Result {
-	st := newGreedyState(cache)
-	remaining := append([]*trajectory.Facility(nil), facilities...)
-	sort.Slice(remaining, func(i, j int) bool { return remaining[i].ID < remaining[j].ID })
-	var chosen []*trajectory.Facility
+func greedyFromCache(c *covCache, facilities []*trajectory.Facility, k int) Result {
+	remaining := make([]int, len(facilities))
+	for i := range remaining {
+		remaining[i] = i
+	}
+	sort.Slice(remaining, func(a, b int) bool { return facilities[remaining[a]].ID < facilities[remaining[b]].ID })
+	chosen := make([]*trajectory.Facility, 0, k)
 	for len(chosen) < k && len(remaining) > 0 {
-		bestIdx := -1
-		bestGain := -1.0
-		for i, f := range remaining {
-			if gain := st.marginal(f); gain > bestGain {
-				bestGain = gain
-				bestIdx = i
+		best, bestGain := -1, -1.0
+		for j, i := range remaining {
+			if gain := c.st.gain(i); gain > bestGain {
+				best, bestGain = j, gain
 			}
 		}
-		f := remaining[bestIdx]
-		st.add(f)
-		chosen = append(chosen, f)
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
+		c.st.add(remaining[best])
+		chosen = append(chosen, facilities[remaining[best]])
+		remaining = slices.Delete(remaining, best, best+1)
 	}
-	return Result{
-		Facilities:  chosen,
-		Value:       st.total,
-		UsersServed: cache.usersServed(chosen),
-	}
+	return Result{Facilities: chosen, Value: c.st.total, UsersServed: c.st.served()}
 }
 
 // DefaultCandidateSize returns the paper's k' (the two-step pruning
@@ -383,27 +350,10 @@ func Exact(src CoverageSource, facilities []*trajectory.Facility, k int, p query
 	for i := range idx {
 		idx[i] = i
 	}
-	best := Result{Value: -1}
-	subset := make([]*trajectory.Facility, k)
-	var srcBuf, dstBuf []uint64
-	if cache.binIdx != nil {
-		words := (len(cache.binIdx) + 63) / 64
-		srcBuf = make([]uint64, words)
-		dstBuf = make([]uint64, words)
-	}
+	best, bestVal := []int(nil), -1.0
 	for {
-		for i, j := range idx {
-			subset[i] = facilities[j]
-		}
-		var v float64
-		if srcBuf != nil {
-			v = cache.binarySubsetValue(subset, srcBuf, dstBuf)
-		} else {
-			v = cache.subsetValue(subset)
-		}
-		if v > best.Value {
-			best.Value = v
-			best.Facilities = append(best.Facilities[:0:0], subset...)
+		if v := cache.value(idx); v > bestVal {
+			best, bestVal = append(best[:0], idx...), v
 		}
 		// Next combination in lexicographic order.
 		i := k - 1
@@ -418,8 +368,17 @@ func Exact(src CoverageSource, facilities []*trajectory.Facility, k int, p query
 			idx[j] = idx[j-1] + 1
 		}
 	}
-	best.UsersServed = cache.usersServed(best.Facilities)
-	return best, nil
+	return cache.result(facilities, best, bestVal), nil
+}
+
+// result is the Result of picking the facilities idx, valued v.
+func (c *covCache) result(facilities []*trajectory.Facility, idx []int, v float64) Result {
+	chosen := make([]*trajectory.Facility, len(idx))
+	for i, j := range idx {
+		chosen[i] = facilities[j]
+	}
+	c.st.pick(idx)
+	return Result{Facilities: chosen, Value: v, UsersServed: c.st.served()}
 }
 
 func binomial(n, k int) int {
@@ -466,7 +425,7 @@ func (o *GeneticOptions) defaults() {
 
 // Genetic is the Gn-TQ(Z) comparison: a genetic algorithm over k-subsets
 // with tournament selection, union crossover, and single-gene mutation.
-// Fitness evaluations reuse precomputed coverage masks.
+// Fitness evaluations read the batch's one coverage table.
 func Genetic(src CoverageSource, facilities []*trajectory.Facility, k int, p query.Params, opts GeneticOptions) (Result, error) {
 	if k <= 0 || len(facilities) == 0 {
 		return Result{}, nil
@@ -490,27 +449,10 @@ func Genetic(src CoverageSource, facilities []*trajectory.Facility, k int, p que
 		sort.Ints(perm)
 		return perm
 	}
-	var srcBuf, dstBuf []uint64
-	if cache.binIdx != nil {
-		words := (len(cache.binIdx) + 63) / 64
-		srcBuf = make([]uint64, words)
-		dstBuf = make([]uint64, words)
-	}
-	subsetBuf := make([]*trajectory.Facility, k)
-	evaluate := func(genes []int) float64 {
-		for i, g := range genes {
-			subsetBuf[i] = facilities[g]
-		}
-		if srcBuf != nil {
-			return cache.binarySubsetValue(subsetBuf, srcBuf, dstBuf)
-		}
-		return cache.subsetValue(subsetBuf)
-	}
-
 	pop := make([]individual, opts.Population)
 	for i := range pop {
 		g := randomSubset()
-		pop[i] = individual{genes: g, fitness: evaluate(g)}
+		pop[i] = individual{genes: g, fitness: cache.value(g)}
 	}
 	best := pop[0]
 	for _, ind := range pop[1:] {
@@ -572,7 +514,7 @@ func Genetic(src CoverageSource, facilities []*trajectory.Facility, k int, p que
 			a, b := tournament(), tournament()
 			child := crossover(a.genes, b.genes)
 			mutate(child)
-			ind := individual{genes: child, fitness: evaluate(child)}
+			ind := individual{genes: child, fitness: cache.value(child)}
 			if ind.fitness > best.fitness {
 				best = ind
 			}
@@ -581,13 +523,5 @@ func Genetic(src CoverageSource, facilities []*trajectory.Facility, k int, p que
 		pop = next
 	}
 
-	chosen := make([]*trajectory.Facility, k)
-	for i, g := range best.genes {
-		chosen[i] = facilities[g]
-	}
-	return Result{
-		Facilities:  chosen,
-		Value:       best.fitness,
-		UsersServed: cache.usersServed(chosen),
-	}, nil
+	return cache.result(facilities, best.genes, best.fitness), nil
 }

@@ -17,14 +17,20 @@ import (
 
 var testBounds = geo.Rect{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}
 
-func makeUsers(n int, seed int64) *trajectory.Set {
+func makeUsers(n int, seed int64) *trajectory.Set { return makeTrips(n, 2, seed) }
+
+// makeTrips generates n trips of 2..maxPts points, each point a step of
+// about 150 from the one before.
+func makeTrips(n, maxPts int, seed int64) *trajectory.Set {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]*trajectory.Trajectory, n)
 	for i := range out {
-		ax, ay := rng.Float64()*1000, rng.Float64()*1000
-		bx := clampF(ax+rng.NormFloat64()*150, 0, 1000)
-		by := clampF(ay+rng.NormFloat64()*150, 0, 1000)
-		out[i] = trajectory.MustNew(trajectory.ID(i), []geo.Point{geo.Pt(ax, ay), geo.Pt(bx, by)})
+		pts := []geo.Point{geo.Pt(rng.Float64()*1000, rng.Float64()*1000)}
+		for len(pts) < 2 || len(pts) < maxPts && rng.Intn(2) == 0 {
+			last := pts[len(pts)-1]
+			pts = append(pts, geo.Pt(clampF(last.X+rng.NormFloat64()*150, 0, 1000), clampF(last.Y+rng.NormFloat64()*150, 0, 1000)))
+		}
+		out[i] = trajectory.MustNew(trajectory.ID(i), pts)
 	}
 	return trajectory.MustNewSet(out)
 }
@@ -58,14 +64,15 @@ func makeFacilities(n, stops int, seed int64) []*trajectory.Facility {
 // engineFor indexes users in one TwoPoint frozen shard and returns it as
 // the source every public index type hands its solvers.
 func engineFor(t *testing.T, users *trajectory.Set, ordering tqtree.Ordering) *shard.Source {
+	return sourceFor(t, users, tqtree.TwoPoint, ordering, 1)
+}
+
+// sourceFor indexes users in the given number of frozen shards.
+func sourceFor(t *testing.T, users *trajectory.Set, v tqtree.Variant, ordering tqtree.Ordering, shards int) *shard.Source {
 	t.Helper()
-	fz, err := tqtree.BuildFrozen(users.All, tqtree.Options{
-		Variant: tqtree.TwoPoint, Ordering: ordering, Beta: 8, Bounds: testBounds,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := shard.FrozenFromEngines([]*query.FrozenEngine{query.NewFrozenEngine(fz, nil)}, fz.Bounds(), "")
+	f, err := shard.BuildFrozen(users.All, shard.Options{Shards: shards, Tree: tqtree.Options{
+		Variant: v, Ordering: ordering, Beta: 8, Bounds: testBounds,
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +100,11 @@ func TestNonSubmodularWitness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	val := func(fs ...*trajectory.Facility) float64 { return cache.subsetValue(fs) }
+	val := func(idx ...int) float64 { return cache.value(idx) }
+	const a, b, x = 0, 1, 2
 
-	gainA := val(fa, fx) - val(fa)         // A = {fa}
-	gainB := val(fa, fb, fx) - val(fa, fb) // B = {fa, fb} ⊇ A
+	gainA := val(a, x) - val(a)       // A = {fa}
+	gainB := val(a, b, x) - val(a, b) // B = {fa, fb} ⊇ A
 	if !(gainB > gainA) {
 		t.Fatalf("submodularity not violated: gainA=%v gainB=%v (need gainB > gainA)", gainA, gainB)
 	}
@@ -119,11 +127,11 @@ func TestGreedyMatchesHandRolledReference(t *testing.T) {
 	// Hand-rolled reference greedy over brute-force coverage masks.
 	type facCov struct {
 		f   *trajectory.Facility
-		cov service.Coverage
+		cov map[trajectory.ID]service.Mask
 	}
 	covs := make([]facCov, len(facilities))
 	for i, f := range facilities {
-		c := service.Coverage{}
+		c := map[trajectory.ID]service.Mask{}
 		for _, u := range users.All {
 			m := service.MaskOf(u, f.Stops, params.Psi)
 			if !m.Empty() {
@@ -133,9 +141,14 @@ func TestGreedyMatchesHandRolledReference(t *testing.T) {
 		covs[i] = facCov{f, c}
 	}
 	value := func(sel []facCov) float64 {
-		merged := service.Coverage{}
+		merged := map[trajectory.ID]service.Mask{}
 		for _, fc := range sel {
-			merged.Merge(fc.cov)
+			for id, m := range fc.cov {
+				if merged[id] == nil {
+					merged[id] = service.NewMask(len(m) * 64)
+				}
+				merged[id].Or(m)
+			}
 		}
 		var v float64
 		for id, m := range merged {
@@ -168,30 +181,108 @@ func TestGreedyMatchesHandRolledReference(t *testing.T) {
 	}
 }
 
+// TestGreedyBaselineAndTQAgree: the greedy, exact and two-step solvers
+// answer alike over TQ(B), TQ(Z) at one shard and three, and the baseline
+// (the two-step greedy over the indexes only: the baseline has no exact
+// pass to rank by), under every variant and scenario the paper pairs:
+// the same picks and users served, and values equal — bit for bit under
+// Binary, to 1e-9 relative otherwise.
 func TestGreedyBaselineAndTQAgree(t *testing.T) {
-	users := makeUsers(400, 3)
-	facilities := makeFacilities(25, 6, 4)
-	eng := engineFor(t, users, tqtree.ZOrder)
-	engB := engineFor(t, users, tqtree.Basic)
-	bl := query.NewBaseline(users, tqtree.TwoPoint)
+	cfgs := []struct {
+		v  tqtree.Variant
+		sc service.Scenario
+	}{
+		{tqtree.TwoPoint, service.Binary},
+		{tqtree.Segmented, service.Binary}, {tqtree.Segmented, service.PointCount}, {tqtree.Segmented, service.Length},
+		{tqtree.FullTrajectory, service.PointCount}, {tqtree.FullTrajectory, service.Length},
+	}
+	for _, c := range cfgs {
+		maxPts := 5
+		if c.v == tqtree.TwoPoint {
+			maxPts = 2
+		}
+		users := makeTrips(400, maxPts, 3)
+		facilities := makeFacilities(25, 6, 4)
+		p := query.Params{Scenario: c.sc, Psi: 50}
+		name := c.v.String() + "/" + c.sc.String()
+		srcs := map[string]CoverageSource{
+			"TQ(B)":    sourceFor(t, users, c.v, tqtree.Basic, 1),
+			"TQ(Z)":    sourceFor(t, users, c.v, tqtree.ZOrder, 1),
+			"TQ(Z)/3":  sourceFor(t, users, c.v, tqtree.ZOrder, 3),
+			"baseline": query.NewBaseline(users, c.v),
+		}
+		solvers := map[string]func(src CoverageSource) (Result, error){
+			"greedy":  func(src CoverageSource) (Result, error) { return Greedy(src, facilities, 5, p) },
+			"exact":   func(src CoverageSource) (Result, error) { return Exact(src, facilities[:10], 3, p) },
+			"twostep": func(src CoverageSource) (Result, error) { return TwoStep(src.(*shard.Source), facilities, 5, 0, p) },
+		}
+		for solver, solve := range solvers {
+			want, err := solve(srcs["TQ(Z)"])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.UsersServed == 0 {
+				t.Fatalf("%s %s serves no one", name, solver)
+			}
+			for sname, src := range srcs {
+				if _, index := src.(*shard.Source); solver == "twostep" && !index {
+					continue
+				}
+				got, err := solve(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				same := got.Value == want.Value || c.sc != service.Binary && math.Abs(got.Value-want.Value) <= 1e-9*want.Value
+				if !same || got.UsersServed != want.UsersServed || !slices.Equal(got.Facilities, want.Facilities) {
+					t.Fatalf("%s %s over %s: %v, %v users, value %v; TQ(Z) %v, %v users, value %v", name, solver, sname,
+						ids(got.Facilities), got.UsersServed, got.Value, ids(want.Facilities), want.UsersServed, want.Value)
+				}
+			}
+		}
+	}
+}
 
-	rz, err := Greedy(eng, facilities, 5, params)
-	if err != nil {
-		t.Fatal(err)
+func ids(fs []*trajectory.Facility) []trajectory.ID {
+	out := make([]trajectory.ID, len(fs))
+	for i, f := range fs {
+		out[i] = f.ID
 	}
-	rb, err := Greedy(engB, facilities, 5, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rbl, err := Greedy(BaselineSource{Baseline: bl}, facilities, 5, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(rz.Value-rb.Value) > 1e-9 || math.Abs(rz.Value-rbl.Value) > 1e-9 {
-		t.Fatalf("greedy values diverge: z=%v basic=%v baseline=%v", rz.Value, rb.Value, rbl.Value)
-	}
-	if rz.UsersServed != rbl.UsersServed {
-		t.Errorf("users served diverge: %d vs %d", rz.UsersServed, rbl.UsersServed)
+	return out
+}
+
+// TestSolversReproducible: every solver reports the same picks and the
+// same Value bits on every run — the fractional gains sum in the table's
+// row order, not in a map's.
+func TestSolversReproducible(t *testing.T) {
+	users := makeTrips(300, 6, 60)
+	facilities := makeFacilities(14, 6, 61)
+	for _, v := range []tqtree.Variant{tqtree.Segmented, tqtree.FullTrajectory} {
+		src := sourceFor(t, users, v, tqtree.ZOrder, 2)
+		for _, sc := range []service.Scenario{service.PointCount, service.Length} {
+			p := query.Params{Scenario: sc, Psi: 60}
+			solvers := map[string]func() (Result, error){
+				"greedy":  func() (Result, error) { return Greedy(src, facilities, 5, p) },
+				"exact":   func() (Result, error) { return Exact(src, facilities, 3, p) },
+				"genetic": func() (Result, error) { return Genetic(src, facilities, 4, p, GeneticOptions{Seed: 3}) },
+				"twostep": func() (Result, error) { return TwoStep(src, facilities, 5, 0, p) },
+			}
+			for name, solve := range solvers {
+				want, err := solve()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for run := 1; run < 20; run++ {
+					got, err := solve()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(got.Value) != math.Float64bits(want.Value) || !slices.Equal(got.Facilities, want.Facilities) {
+						t.Fatalf("%v/%v %s run %d: %v value %v; run 0: %v value %v", v, sc, name, run,
+							ids(got.Facilities), got.Value, ids(want.Facilities), want.Value)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -240,7 +331,7 @@ func TestExactMatchesBruteForceTinyInstance(t *testing.T) {
 	n := len(facilities)
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
-			v := cache.subsetValue([]*trajectory.Facility{facilities[a], facilities[b]})
+			v := cache.value([]int{a, b})
 			if v > bestVal {
 				bestVal = v
 			}
@@ -333,12 +424,7 @@ func TestGeneticBeatsRandomAndIsDeterministic(t *testing.T) {
 	var avg float64
 	const trials = 50
 	for i := 0; i < trials; i++ {
-		perm := rng.Perm(len(facilities))[:5]
-		subset := make([]*trajectory.Facility, 5)
-		for j, g := range perm {
-			subset[j] = facilities[g]
-		}
-		avg += cache.subsetValue(subset)
+		avg += cache.value(rng.Perm(len(facilities))[:5])
 	}
 	avg /= trials
 	if gen1.Value < avg {
@@ -359,7 +445,11 @@ func TestGreedyResultValueMatchesSubsetValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := cache.subsetValue(res.Facilities); math.Abs(v-res.Value) > 1e-9 {
+	idx := make([]int, len(res.Facilities))
+	for i, f := range res.Facilities {
+		idx[i] = slices.Index(facilities, f)
+	}
+	if v := cache.value(idx); math.Abs(v-res.Value) > 1e-9 {
 		t.Fatalf("incremental value %v != recomputed %v", res.Value, v)
 	}
 }
@@ -413,30 +503,25 @@ func TestEdgeCases(t *testing.T) {
 func TestBinaryFastPathMatchesGeneralPath(t *testing.T) {
 	users := makeUsers(300, 50)
 	facilities := makeFacilities(12, 5, 51)
-	eng := engineFor(t, users, tqtree.ZOrder)
-	src := eng
-	cache, err := newCovCache(src, facilities, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cache.binIdx == nil {
-		t.Fatal("binary fast path not built for Binary scenario")
-	}
-	words := (len(cache.binIdx) + 63) / 64
-	srcBuf := make([]uint64, words)
-	dstBuf := make([]uint64, words)
-	rng := rand.New(rand.NewSource(52))
-	for trial := 0; trial < 200; trial++ {
-		k := 1 + rng.Intn(4)
-		perm := rng.Perm(len(facilities))[:k]
-		subset := make([]*trajectory.Facility, k)
-		for i, g := range perm {
-			subset[i] = facilities[g]
+	for _, shards := range []int{1, 3} {
+		src := sourceFor(t, users, tqtree.TwoPoint, tqtree.ZOrder, shards)
+		cache, err := newCovCache(src, facilities, params)
+		if err != nil {
+			t.Fatal(err)
 		}
-		fast := cache.binarySubsetValue(subset, srcBuf, dstBuf)
-		slow := cache.subsetValue(subset)
-		if math.Abs(fast-slow) > 1e-9 {
-			t.Fatalf("fast path %v != general path %v for subset %v", fast, slow, perm)
+		if cache.bin == nil {
+			t.Fatal("binary fast path not built for Binary scenario")
+		}
+		general := *cache
+		general.bin = nil
+		rng := rand.New(rand.NewSource(52))
+		for trial := 0; trial < 200; trial++ {
+			idx := rng.Perm(len(facilities))[:1+rng.Intn(4)]
+			fast := cache.value(idx)
+			slow := general.value(idx)
+			if fast != slow {
+				t.Fatalf("%d shards: fast path %v != general path %v for subset %v", shards, fast, slow, idx)
+			}
 		}
 	}
 }

@@ -9,66 +9,32 @@ import (
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
-// BaselineMode selects how the baseline turns range-query results into
-// service values.
-type BaselineMode int
-
-const (
-	// Literal is the paper's BL as described in Section VI: circular
-	// range queries around every stop retrieve the candidate user
-	// trajectories, then each candidate's service value is recomputed
-	// from scratch (every point against every stop). The rescan is what
-	// makes BL two to three orders of magnitude slower than the TQ-tree
-	// on multipoint workloads.
-	Literal BaselineMode = iota
-	// Masked is an improved baseline this library adds: the range-query
-	// hits themselves populate per-user coverage masks, so no rescan is
-	// needed. It is a much stronger comparison point than the paper's
-	// BL (see EXPERIMENTS.md).
-	Masked
-)
-
-// String implements fmt.Stringer.
-func (m BaselineMode) String() string {
-	if m == Literal {
-		return "literal"
-	}
-	return "masked"
-}
-
 // Baseline is the paper's BL method: user-trajectory points indexed in a
 // traditional point quadtree; for each facility, a circular range query
-// around every stop retrieves the served points or candidate users.
+// around every stop retrieves the candidate users, whose service is then
+// recomputed from scratch (every point against every stop). The rescan is
+// what makes BL two to three orders of magnitude slower than the TQ-tree
+// on multipoint workloads.
 type Baseline struct {
 	users *trajectory.Set
 	tree  *quadtree.Tree
 	// variant selects the objective translation (ObjectiveFromMask), so
 	// BL answers are comparable with the matching TQ-tree variant.
 	variant tqtree.Variant
-	mode    BaselineMode
 }
-
-// Mode returns the baseline's evaluation mode.
-func (b *Baseline) Mode() BaselineMode { return b.mode }
-
-// SetMode switches between the paper-literal and the masked evaluation.
-func (b *Baseline) SetMode(m BaselineMode) { b.mode = m }
-
-// Users returns the indexed user set.
-func (b *Baseline) Users() *trajectory.Set { return b.users }
 
 // Variant returns the objective-translation variant the baseline answers
 // under.
 func (b *Baseline) Variant() tqtree.Variant { return b.variant }
 
 // NewBaseline indexes every point of every user trajectory in a point
-// quadtree. The returned baseline evaluates in Literal mode (the paper's
-// BL); call SetMode(Masked) for the strengthened variant.
+// quadtree, each tagged with its user's index in users.All, so users must
+// not change afterwards.
 func NewBaseline(users *trajectory.Set, variant tqtree.Variant) *Baseline {
 	items := make([]quadtree.Item, 0, users.TotalPoints())
-	for _, u := range users.All {
+	for ord, u := range users.All {
 		for i, p := range u.Points {
-			items = append(items, quadtree.Item{P: p, Data: packRef(u.ID, i)})
+			items = append(items, quadtree.Item{P: p, Data: packRef(ord, i)})
 		}
 	}
 	bounds, _ := users.Bounds()
@@ -79,87 +45,59 @@ func NewBaseline(users *trajectory.Set, variant tqtree.Variant) *Baseline {
 	}
 }
 
-func packRef(id trajectory.ID, pointIdx int) uint64 {
-	return uint64(id)<<32 | uint64(uint32(pointIdx))
+func packRef(ord, pointIdx int) uint64 {
+	return uint64(ord)<<32 | uint64(uint32(pointIdx))
 }
 
-func unpackRef(data uint64) (trajectory.ID, int) {
-	return trajectory.ID(data >> 32), int(uint32(data))
+func unpackRef(data uint64) (ord int32, pointIdx int) {
+	return int32(data >> 32), int(uint32(data))
 }
 
-// Coverage computes the facility's per-user coverage masks by range
-// querying every stop.
-func (b *Baseline) Coverage(f *trajectory.Facility, p Params) (service.Coverage, error) {
+// Cover computes the coverage table of a facility batch by range querying
+// every stop, each hit setting its point in its user's mask.
+func (b *Baseline) Cover(facilities []*trajectory.Facility, p Params) (*service.CoverTable, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	cov := service.Coverage{}
-	for _, stop := range f.Stops {
-		b.tree.SearchCircle(stop, p.Psi, func(it quadtree.Item) bool {
-			id, idx := unpackRef(it.Data)
-			m := cov[id]
-			if m == nil {
-				u := b.users.ByID(id)
-				if u == nil {
-					return true
-				}
-				m = service.NewMask(u.Len())
-				cov[id] = m
-			}
-			m.Set(idx)
-			return true
-		})
+	cb := service.NewCoverBuilder(b.users.Len())
+	for _, f := range facilities {
+		for _, stop := range f.Stops {
+			b.tree.SearchCircle(stop, p.Psi, func(it quadtree.Item) bool {
+				ord, i := unpackRef(it.Data)
+				cb.Mask(ord, b.users.All[ord].Len()).Set(i)
+				return true
+			})
+		}
+		cb.Next()
 	}
-	return cov, nil
+	users := make([]*trajectory.Trajectory, len(cb.Ordinals()))
+	for s, ord := range cb.Ordinals() {
+		users[s] = b.users.All[ord]
+	}
+	return cb.Build(users), nil
 }
 
-// ServiceValue computes SO(U, f). In Literal mode (the paper's BL) the
-// range queries only identify candidate users, whose service is then
-// recomputed point-by-point against every stop; in Masked mode the
-// range-query hits populate coverage masks directly.
+// ServiceValue computes SO(U, f) the paper's way: the range queries
+// collect the users with any point within ψ of any stop, and each
+// candidate is then rescanned in full.
 func (b *Baseline) ServiceValue(f *trajectory.Facility, p Params) (float64, error) {
 	if err := p.validate(); err != nil {
 		return 0, err
 	}
-	if b.mode == Literal {
-		return b.literalServiceValue(f, p), nil
-	}
-	cov, err := b.Coverage(f, p)
-	if err != nil {
-		return 0, err
-	}
-	var total float64
-	for id, m := range cov {
-		u := b.users.ByID(id)
-		if u == nil {
-			continue
-		}
-		total += ObjectiveFromMask(b.variant, p.Scenario, u, m)
-	}
-	return total, nil
-}
-
-// literalServiceValue is the paper's BL evaluation: collect the ids of
-// users with any point within ψ of any stop, then rescan each candidate
-// in full.
-func (b *Baseline) literalServiceValue(f *trajectory.Facility, p Params) float64 {
-	candidates := map[trajectory.ID]struct{}{}
+	candidates := map[int32]struct{}{}
 	for _, stop := range f.Stops {
 		b.tree.SearchCircle(stop, p.Psi, func(it quadtree.Item) bool {
-			id, _ := unpackRef(it.Data)
-			candidates[id] = struct{}{}
+			ord, _ := unpackRef(it.Data)
+			candidates[ord] = struct{}{}
 			return true
 		})
 	}
 	var total float64
-	for id := range candidates {
-		u := b.users.ByID(id)
-		if u == nil {
-			continue
-		}
+	for ord := range candidates {
+		u := b.users.All[ord]
 		total += ObjectiveFromMask(b.variant, p.Scenario, u, service.MaskOf(u, f.Stops, p.Psi))
 	}
-	return total
+	return total, nil
 }
 
 // TopK evaluates every facility and returns the k best — the baseline has

@@ -101,7 +101,8 @@ func BenchmarkCoverageZOrder(b *testing.B) {
 	env := getEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := env.engZ.Coverage(env.fs[i%len(env.fs)], benchParams); err != nil {
+		j := i % len(env.fs)
+		if _, _, err := env.engZ.Cover(env.fs[j:j+1], benchParams); err != nil {
 			b.Fatal(err)
 		}
 	}

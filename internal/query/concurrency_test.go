@@ -53,17 +53,17 @@ func TestConcurrentQueriesAreConsistent(t *testing.T) {
 						return
 					}
 				}
-				f := facilities[(w+rep)%len(facilities)]
-				sv, _, err := eng.ServiceValue(f, p)
+				j := (w + rep) % len(facilities)
+				sv, _, err := eng.ServiceValue(facilities[j], p)
 				if err != nil {
 					errs <- err
 					return
 				}
-				if math.Abs(sv-wantSV[(w+rep)%len(facilities)]) > 1e-9 {
+				if math.Abs(sv-wantSV[j]) > 1e-9 {
 					t.Errorf("worker %d: service value drift", w)
 					return
 				}
-				if _, _, err := eng.Coverage(f, p); err != nil {
+				if _, _, err := eng.Cover(facilities[j:j+1], p); err != nil {
 					errs <- err
 					return
 				}

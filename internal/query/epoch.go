@@ -272,24 +272,6 @@ func (ep *Epoch) ValidateScenario(sc service.Scenario) error {
 // overlay follows too.
 func (ep *Epoch) Variant() tqtree.Variant { return ep.base.Frozen().Variant() }
 
-// User returns the logical corpus's trajectory with the given id, or nil:
-// the overlay's own object for a delta trajectory, a view whose points
-// alias the base table for a surviving base one.
-func (ep *Epoch) User(id trajectory.ID) *trajectory.Trajectory {
-	for _, u := range ep.delta {
-		if u.ID == id {
-			return u
-		}
-	}
-	ord, ok := ep.BaseOrdinal(id)
-	if !ok {
-		return nil
-	}
-	u := new(trajectory.Trajectory)
-	ep.base.Table().View(ord, u)
-	return u
-}
-
 func (ep *Epoch) layout() frozenLayout {
 	return frozenLayout{f: ep.base.Frozen(), dead: ep.dead}
 }
@@ -392,31 +374,16 @@ func (ep *Epoch) UpperBound(f *trajectory.Facility, p Params) float64 {
 	return ub
 }
 
-// Coverage computes the per-user coverage masks of a facility over the
-// logical corpus: the base's coverage walk with tombstoned trajectories
-// skipped, then the delta overlay scanned with the masks a rebuild's
-// entries would give its trajectories. With an empty overlay and no
-// tombstones it equals FrozenEngine.Coverage, masks and Metrics.
-func (ep *Epoch) Coverage(f *trajectory.Facility, p Params) (service.Coverage, Metrics, error) {
+// Cover computes the coverage table of a facility batch over the logical
+// corpus: the base's coverage walk with tombstoned trajectories skipped,
+// then the delta overlay scanned with the masks a rebuild's entries would
+// give its trajectories. With an empty overlay and no tombstones it equals
+// FrozenEngine.Cover, table and Metrics.
+func (ep *Epoch) Cover(facilities []*trajectory.Facility, p Params) (*service.CoverTable, Metrics, error) {
 	defer runtime.KeepAlive(ep)
 	if err := ep.validate(p); err != nil {
 		return nil, Metrics{}, err
 	}
 	var m Metrics
-	cov := coverage(ep.layout(), f, p, &m)
-	if len(ep.delta) > 0 {
-		m.NodesVisited++
-		embr := f.EMBR(p.Psi)
-		v := ep.Variant()
-		ss := service.AcquireStopSet(f.Stops, p.Psi, len(ep.delta)/4)
-		for _, u := range ep.delta {
-			if embr.Intersects(u.MBR()) {
-				m.EntriesScored++
-				lo, hi, stride := coverSpan(v, -1, u.Len())
-				coverPoints(cov, u.ID, u.Points, lo, hi, stride, ss)
-			}
-		}
-		ss.Release()
-	}
-	return cov, m, nil
+	return cover(ep.layout(), facilities, p, ep.delta, &m), m, nil
 }

@@ -65,22 +65,22 @@ func TestEpochEmptyDeltaByteIdentical(t *testing.T) {
 		}
 
 		// The seed bound: an empty overlay adds nothing to the base's; and
-		// the coverage walk: the same masks, the same work.
+		// the coverage walk: the same table, the same work.
 		for _, f := range facilities {
 			if got, want := ep.UpperBound(f, p), feng.UpperBound(f, p); got != want {
 				t.Fatalf("%s: epoch UpperBound(%d) = %v, frozen = %v", name, f.ID, got, want)
 			}
-			gotC, gotM, err := ep.Coverage(f, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantC, wantM, err := feng.Coverage(f, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(gotC, wantC) || gotM != wantM {
-				t.Fatalf("%s: epoch Coverage(%d) = %d users %+v, frozen = %d users %+v", name, f.ID, len(gotC), gotM, len(wantC), wantM)
-			}
+		}
+		gotC, gotM, err := ep.Cover(facilities, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantC, wantM, err := feng.Cover(facilities, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotC, wantC) || gotM != wantM {
+			t.Fatalf("%s: epoch Cover = %d users %+v, frozen = %d users %+v", name, len(gotC.Users), gotM, len(wantC.Users), wantM)
 		}
 	}
 }

@@ -42,18 +42,6 @@ func (e *FrozenEngine) Variant() tqtree.Variant { return e.f.Variant() }
 // ValidateScenario checks that queries under sc are exact on the index.
 func (e *FrozenEngine) ValidateScenario(sc service.Scenario) error { return e.f.ValidateScenario(sc) }
 
-// User returns the indexed trajectory with the given id — a view whose
-// points alias the table — or nil.
-func (e *FrozenEngine) User(id trajectory.ID) *trajectory.Trajectory {
-	ord, ok := e.f.Table().Lookup(id)
-	if !ok {
-		return nil
-	}
-	u := new(trajectory.Trajectory)
-	e.f.Table().View(ord, u)
-	return u
-}
-
 // ServiceValue computes SO(U, f) exactly via the divide-and-conquer
 // traversal of Algorithm 1 over the flat layout.
 func (e *FrozenEngine) ServiceValue(f *trajectory.Facility, p Params) (float64, Metrics, error) {
@@ -109,18 +97,17 @@ func (e *FrozenEngine) UpperBound(f *trajectory.Facility, p Params) float64 {
 	return upperBound(frozenLayout{f: e.f}, f, p)
 }
 
-// Coverage computes the per-user coverage masks of a facility: which
-// points of which users its stops cover — every point of a
-// FullTrajectory user within ψ, the two endpoints of each Segmented
-// segment, and a TwoPoint user's source and destination only. This is
-// the building block of the MaxkCovRST solvers in internal/maxcov.
-func (e *FrozenEngine) Coverage(f *trajectory.Facility, p Params) (service.Coverage, Metrics, error) {
+// Cover computes the coverage table of a facility batch: which points of
+// which users each facility covers — every point of a FullTrajectory user
+// within ψ, the two endpoints of each Segmented segment, and a TwoPoint
+// user's source and destination only. This is what the MaxkCovRST solvers
+// in internal/maxcov read.
+func (e *FrozenEngine) Cover(facilities []*trajectory.Facility, p Params) (*service.CoverTable, Metrics, error) {
 	defer runtime.KeepAlive(e.f)
 	l := frozenLayout{f: e.f}
 	if err := validateQuery(l, p); err != nil {
 		return nil, Metrics{}, err
 	}
 	var m Metrics
-	cov := coverage(l, f, p, &m)
-	return cov, m, nil
+	return cover(l, facilities, p, nil, &m), m, nil
 }

@@ -6,8 +6,9 @@
 //   - Algorithm 3/4: best-first top-k facility search driven by the
 //     q-node `sub` upper bounds (topK + relaxState in layout.go), on
 //     FrozenEngine.TopK — what the paper's figures time.
-//   - Coverage: the per-user point masks of one facility (coverService),
-//     which MaxkCovRST (internal/maxcov) and ServedUsers read.
+//   - Coverage: a facility batch's user × facility table of point masks
+//     (cover, coverService), which MaxkCovRST (internal/maxcov) and
+//     ServedUsers read.
 //   - The paper's baseline (BL): per-facility circular range queries over
 //     a traditional point quadtree.
 //   - Results (executor.go): the sort-and-cut from a batch of exact
@@ -125,32 +126,62 @@ func (a *compArena) carve(stops []geo.Point, rect geo.Rect, psi float64) (comp [
 
 func (a *compArena) release(mark int) { a.buf = a.buf[:mark] }
 
-// coverageMode returns the zReduce filter that is sound for coverage
-// collection: any entry with any covered point must survive, because
-// combined (AGG) semantics can join partial coverage across facilities.
-func coverageMode(v tqtree.Variant) tqtree.FilterMode {
+// cover builds the coverage table of a facility batch over l plus an
+// overlay: per facility, the coverage walk from the root, then a scan of
+// delta with the masks a rebuild's entries would give its trajectories
+// (the whole overlay counted as one q-node list). Users are keyed by base
+// table ordinal, then n+i for delta[i], through one slot array, and
+// resolved once: a view of the base table, or the overlay's own
+// trajectory. p must be valid for l.
+func cover(l frozenLayout, facilities []*trajectory.Facility, p Params, delta []*trajectory.Trajectory, m *Metrics) *service.CoverTable {
+	tab, v := l.f.Table(), l.f.Variant()
+	n := tab.Len()
+	// Any entry with any covered point must survive zReduce: combined
+	// semantics join partial coverage across facilities.
+	mode := tqtree.NeedAny
 	if v == tqtree.FullTrajectory {
-		return tqtree.NeedOverlap
+		mode = tqtree.NeedOverlap
 	}
-	return tqtree.NeedAny
-}
-
-// coverage runs the coverage walk over l from the root; p must be valid
-// for l.
-func coverage(l frozenLayout, f *trajectory.Facility, p Params, m *Metrics) service.Coverage {
-	cov := service.Coverage{}
-	arena := acquireCompArena(len(f.Stops))
-	coverService(l, 0, f.Stops, p, coverageMode(l.f.Variant()), cov, m, arena)
+	b := service.NewCoverBuilder(n + len(delta))
+	arena := acquireCompArena(maxStops(facilities))
+	for _, f := range facilities {
+		coverService(l, 0, f.Stops, p, mode, b, m, arena)
+		if len(delta) > 0 {
+			m.NodesVisited++
+			embr := f.EMBR(p.Psi)
+			ss := service.AcquireStopSet(f.Stops, p.Psi, len(delta)/4)
+			for i, u := range delta {
+				if embr.Intersects(u.MBR()) {
+					m.EntriesScored++
+					lo, hi, stride := coverSpan(v, -1, u.Len())
+					coverPoints(b, int32(n+i), u.Points, lo, hi, stride, ss)
+				}
+			}
+			ss.Release()
+		}
+		b.Next()
+	}
 	putCompArena(arena)
-	return cov
+	ords := b.Ordinals()
+	users := make([]*trajectory.Trajectory, len(ords))
+	views := make([]trajectory.Trajectory, len(ords))
+	for s, o := range ords {
+		if int(o) < n {
+			tab.View(o, &views[s])
+			users[s] = &views[s]
+		} else {
+			users[s] = delta[int(o)-n]
+		}
+	}
+	return b.Build(users)
 }
 
 // coverService is the coverage walk: Algorithm 1's descent, recording in
-// cov which points of which users the local component's stops serve. It
-// scans every visited node's own list — partial coverage counts under
-// combined semantics, so no list is skipped — through the bucket-MBR and
-// entry filter alone (Frozen.AppendCovered).
-func coverService(l frozenLayout, n int32, stops []geo.Point, p Params, mode tqtree.FilterMode, cov service.Coverage, m *Metrics, arena *compArena) {
+// b which points of which users the local component's stops serve, keyed
+// by table ordinal. It scans every visited node's own list — partial
+// coverage counts under combined semantics, so no list is skipped —
+// through the bucket-MBR and entry filter alone (Frozen.AppendCovered).
+func coverService(l frozenLayout, n int32, stops []geo.Point, p Params, mode tqtree.FilterMode, b *service.CoverBuilder, m *Metrics, arena *compArena) {
 	if len(stops) == 0 {
 		return
 	}
@@ -164,7 +195,7 @@ func coverService(l frozenLayout, n int32, stops []geo.Point, p Params, mode tqt
 			ti := l.f.EntryOrdinal(e)
 			pts := tab.Points(ti)
 			lo, hi, stride := coverSpan(v, int(l.f.EntrySegment(e)), len(pts))
-			coverPoints(cov, tab.ID(ti), pts, lo, hi, stride, ss)
+			coverPoints(b, ti, pts, lo, hi, stride, ss)
 		}
 		ss.Release()
 	}
@@ -178,7 +209,7 @@ func coverService(l frozenLayout, n int32, stops []geo.Point, p Params, mode tqt
 		}
 		cstops, mark := arena.carve(stops, l.f.Rect(c), p.Psi)
 		if len(cstops) > 0 {
-			coverService(l, c, cstops, p, mode, cov, m, arena)
+			coverService(l, c, cstops, p, mode, b, m, arena)
 		}
 		arena.release(mark)
 	}
@@ -200,19 +231,16 @@ func coverSpan(v tqtree.Variant, seg, n int) (lo, hi, stride int) {
 	return 0, n, 1
 }
 
-// coverPoints sets in id's mask, allocated in cov on first touch, every
-// point of pts[lo:hi:stride] the stops serve.
-func coverPoints(cov service.Coverage, id trajectory.ID, pts []geo.Point, lo, hi, stride int, ss *service.StopSet) {
+// coverPoints sets in the mask of the user at ordinal ord, whose row b adds
+// on first touch, every point of pts[lo:hi:stride] the stops serve.
+func coverPoints(b *service.CoverBuilder, ord int32, pts []geo.Point, lo, hi, stride int, ss *service.StopSet) {
 	var m service.Mask
 	for i := lo; i < hi; i += stride {
 		if !ss.Served(pts[i]) {
 			continue
 		}
 		if m == nil {
-			if m = cov[id]; m == nil {
-				m = service.NewMask(len(pts))
-				cov[id] = m
-			}
+			m = b.Mask(ord, len(pts))
 		}
 		m.Set(i)
 	}
@@ -225,17 +253,18 @@ type UserService struct {
 	Value float64
 }
 
-// ServedUsers answers the reverse range search underlying kMaxRRST for a
-// single facility from its coverage: every user with positive service,
+// ServedUsers answers the reverse range search underlying kMaxRRST for the
+// first facility of a coverage table: every user with positive service,
 // with their service values, ordered by value descending (ties by ID).
-// user resolves a covered ID to its trajectory. This is the per-facility
-// view the paper's Scenario examples motivate ("which commuters would
-// this route convert?").
-func ServedUsers(cov service.Coverage, user func(trajectory.ID) *trajectory.Trajectory, v tqtree.Variant, sc service.Scenario) []UserService {
-	out := make([]UserService, 0, len(cov))
-	for id, mask := range cov {
-		if val := ObjectiveFromMask(v, sc, user(id), mask); val > 0 {
-			out = append(out, UserService{User: id, Value: val})
+// This is the per-facility view the paper's Scenario examples motivate
+// ("which commuters would this route convert?").
+func ServedUsers(t *service.CoverTable, v tqtree.Variant, sc service.Scenario) []UserService {
+	rows := t.Rows(0)
+	out := make([]UserService, 0, len(rows))
+	for _, r := range rows {
+		u := t.Users[r.Slot]
+		if val := ObjectiveFromMask(v, sc, u, r.Mask); val > 0 {
+			out = append(out, UserService{User: u.ID, Value: val})
 		}
 	}
 	sortUserServices(out)

@@ -253,37 +253,67 @@ func TestTopKMultipointAgainstBaseline(t *testing.T) {
 	}
 }
 
-// checkCoverage compares an epoch's coverage of f with the brute-force
-// mask of every user: a live user's covered bits must be exactly its
-// served points among points (nil: all of them), and a tombstoned user
-// must not appear.
-func checkCoverage(t *testing.T, name string, ep *Epoch, users, logical *trajectory.Set, f *trajectory.Facility, p Params, points func(u *trajectory.Trajectory) []int) {
+// masksByID reads facility i's rows of a coverage table as user ID →
+// mask, failing when a user appears in two rows.
+func masksByID(t *testing.T, cov *service.CoverTable, i int) map[trajectory.ID]service.Mask {
 	t.Helper()
-	cov, _, err := ep.Coverage(f, p)
+	out := map[trajectory.ID]service.Mask{}
+	for _, r := range cov.Rows(i) {
+		id := cov.Users[r.Slot].ID
+		if _, dup := out[id]; dup {
+			t.Fatalf("facility %d: user %d has two rows", i, id)
+		}
+		out[id] = r.Mask
+	}
+	return out
+}
+
+// checkCoverage compares an epoch's coverage table of a facility batch
+// with the brute-force mask of every user: a live user's covered bits must
+// be exactly its served points among points (nil: all of them), a
+// tombstoned user must not appear, and every user the table holds is
+// covered by some facility.
+func checkCoverage(t *testing.T, name string, ep *Epoch, users, logical *trajectory.Set, facilities []*trajectory.Facility, p Params, points func(u *trajectory.Trajectory) []int) {
+	t.Helper()
+	cov, _, err := ep.Cover(facilities, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id := range cov {
-		if logical.ByID(id) == nil {
-			t.Fatalf("%s facility %d: user %d is not in the logical corpus", name, f.ID, id)
+	if cov.Len() != len(facilities) {
+		t.Fatalf("%s: %d facilities' rows, want %d", name, cov.Len(), len(facilities))
+	}
+	used := make([]bool, len(cov.Users))
+	for i, f := range facilities {
+		for _, r := range cov.Rows(i) {
+			used[r.Slot] = true
+		}
+		got := masksByID(t, cov, i)
+		for id := range got {
+			if logical.ByID(id) == nil {
+				t.Fatalf("%s facility %d: user %d is not in the logical corpus", name, f.ID, id)
+			}
+		}
+		for _, u := range logical.All {
+			want := service.MaskOf(u, f.Stops, p.Psi)
+			m := got[u.ID]
+			if m == nil {
+				m = service.NewMask(u.Len())
+			}
+			for i := 0; i < u.Len(); i++ {
+				if m.Get(i) && !want.Get(i) {
+					t.Fatalf("%s facility %d user %d: point %d covered, not served", name, f.ID, u.ID, i)
+				}
+			}
+			for _, i := range points(u) {
+				if m.Get(i) != want.Get(i) {
+					t.Fatalf("%s facility %d user %d point %d: got %v want %v", name, f.ID, u.ID, i, m.Get(i), want.Get(i))
+				}
+			}
 		}
 	}
-	for _, u := range logical.All {
-		want := service.MaskOf(u, f.Stops, p.Psi)
-		got := cov[u.ID]
-		if got == nil {
-			got = service.NewMask(u.Len())
-		}
-		for i := 0; i < u.Len(); i++ {
-			if got.Get(i) && !want.Get(i) {
-				t.Fatalf("%s facility %d user %d: point %d covered, not served", name, f.ID, u.ID, i)
-			}
-		}
-		idx := points(u)
-		for _, i := range idx {
-			if got.Get(i) != want.Get(i) {
-				t.Fatalf("%s facility %d user %d point %d: got %v want %v", name, f.ID, u.ID, i, got.Get(i), want.Get(i))
-			}
+	for s, ok := range used {
+		if !ok {
+			t.Fatalf("%s: user %d holds a slot and no row", name, cov.Users[s].ID)
 		}
 	}
 	if len(logical.All) == users.Len() {
@@ -291,9 +321,10 @@ func checkCoverage(t *testing.T, name string, ep *Epoch, users, logical *traject
 	}
 }
 
-// TestCoverageMatchesDirectMask: the coverage walk of a Segmented or
+// TestCoverageMatchesDirectMask: the coverage table of a Segmented or
 // FullTrajectory epoch — tombstones skipped, delta scanned — marks every
-// served point of every logical user, and nothing else.
+// served point of every logical user, and nothing else, in one row per
+// user a facility covers.
 func TestCoverageMatchesDirectMask(t *testing.T) {
 	users := makeUsers(200, 5, 111)
 	facilities := makeFacilities(10, 10, 112)
@@ -308,9 +339,7 @@ func TestCoverageMatchesDirectMask(t *testing.T) {
 		for _, ordering := range []tqtree.Ordering{tqtree.Basic, tqtree.ZOrder} {
 			ep, logical := epochOver(t, users, variant, ordering, 150, 4)
 			p := Params{Scenario: service.PointCount, Psi: 50}
-			for _, f := range facilities {
-				checkCoverage(t, variant.String()+"/"+ordering.String(), ep, users, logical, f, p, every)
-			}
+			checkCoverage(t, variant.String()+"/"+ordering.String(), ep, users, logical, facilities, p, every)
 		}
 	}
 }
@@ -325,16 +354,16 @@ func TestCoverageTwoPointEndpointsExact(t *testing.T) {
 	for _, ordering := range []tqtree.Ordering{tqtree.Basic, tqtree.ZOrder} {
 		ep, logical := epochOver(t, users, tqtree.TwoPoint, ordering, 150, 4)
 		p := Params{Scenario: service.Binary, Psi: 50}
-		for _, f := range facilities {
-			checkCoverage(t, "twopoint/"+ordering.String(), ep, users, logical, f, p, endpoints)
-			cov, _, err := ep.Coverage(f, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for id, m := range cov {
-				for i := 1; i < logical.ByID(id).Len()-1; i++ {
-					if m.Get(i) {
-						t.Fatalf("facility %d user %d: interior point %d covered", f.ID, id, i)
+		checkCoverage(t, "twopoint/"+ordering.String(), ep, users, logical, facilities, p, endpoints)
+		cov, _, err := ep.Cover(facilities, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range facilities {
+			for _, r := range cov.Rows(i) {
+				for j := 1; j < cov.Users[r.Slot].Len()-1; j++ {
+					if r.Mask.Get(j) {
+						t.Fatalf("facility %d user %d: interior point %d covered", f.ID, cov.Users[r.Slot].ID, j)
 					}
 				}
 			}
@@ -347,18 +376,19 @@ func TestBaselineCoverageMatchesDirect(t *testing.T) {
 	f := makeFacilities(1, 15, 116)[0]
 	psi := 60.0
 	bl := NewBaseline(users, tqtree.FullTrajectory)
-	cov, err := bl.Coverage(f, Params{Scenario: service.PointCount, Psi: psi})
+	cov, err := bl.Cover([]*trajectory.Facility{f}, Params{Scenario: service.PointCount, Psi: psi})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := masksByID(t, cov, 0)
 	for _, u := range users.All {
 		want := service.MaskOf(u, f.Stops, psi)
-		got := cov[u.ID]
-		if got == nil {
-			got = service.NewMask(u.Len())
+		m := got[u.ID]
+		if m == nil {
+			m = service.NewMask(u.Len())
 		}
 		for i := 0; i < u.Len(); i++ {
-			if got.Get(i) != want.Get(i) {
+			if m.Get(i) != want.Get(i) {
 				t.Fatalf("user %d point %d coverage mismatch", u.ID, i)
 			}
 		}
@@ -428,26 +458,28 @@ func TestMetricsPopulated(t *testing.T) {
 	}
 }
 
+// TestBaselineModesAgree: the paper's BL, which rescans every candidate
+// user, values each facility as the sum over its Baseline.Cover rows of
+// the masks the range hits set.
 func TestBaselineModesAgree(t *testing.T) {
 	users := makeUsers(300, 5, 140)
 	facilities := makeFacilities(10, 8, 141)
 	for _, variant := range []tqtree.Variant{tqtree.TwoPoint, tqtree.Segmented, tqtree.FullTrajectory} {
 		bl := NewBaseline(users, variant)
-		if bl.Mode() != Literal {
-			t.Fatal("default baseline mode should be Literal (the paper's BL)")
-		}
 		for sc := service.Binary; sc <= service.Length; sc++ {
 			p := Params{Scenario: sc, Psi: 45}
-			for _, f := range facilities {
-				bl.SetMode(Literal)
+			cov, err := bl.Cover(facilities, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, f := range facilities {
 				lit, err := bl.ServiceValue(f, p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				bl.SetMode(Masked)
-				msk, err := bl.ServiceValue(f, p)
-				if err != nil {
-					t.Fatal(err)
+				var msk float64
+				for _, r := range cov.Rows(i) {
+					msk += ObjectiveFromMask(variant, sc, cov.Users[r.Slot], r.Mask)
 				}
 				if math.Abs(lit-msk) > 1e-9 {
 					t.Fatalf("%v/%v facility %d: literal %v != masked %v",
@@ -455,9 +487,6 @@ func TestBaselineModesAgree(t *testing.T) {
 				}
 			}
 		}
-	}
-	if Literal.String() != "literal" || Masked.String() != "masked" {
-		t.Error("BaselineMode.String broken")
 	}
 }
 
@@ -471,11 +500,11 @@ func TestServedUsersMatchesOracle(t *testing.T) {
 	for _, cfg := range validConfigs(true) {
 		name := cfg.variant.String() + "/" + cfg.ordering.String() + "/" + cfg.scenario.String()
 		ep, logical := epochOver(t, users, cfg.variant, cfg.ordering, 220, 5)
-		cov, _, err := ep.Coverage(f, Params{Scenario: cfg.scenario, Psi: psi})
+		cov, _, err := ep.Cover([]*trajectory.Facility{f}, Params{Scenario: cfg.scenario, Psi: psi})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := ServedUsers(cov, ep.User, cfg.variant, cfg.scenario)
+		got := ServedUsers(cov, cfg.variant, cfg.scenario)
 		// Oracle: every user with positive service, no others.
 		want := map[trajectory.ID]float64{}
 		for _, u := range logical.All {
@@ -502,14 +531,11 @@ func TestServedUsersMatchesOracle(t *testing.T) {
 }
 
 func TestPackUnpackRef(t *testing.T) {
-	cases := []struct {
-		id  trajectory.ID
-		idx int
-	}{{0, 0}, {1, 2}, {1 << 31, 77}, {4294967295, 65535}}
+	cases := []struct{ ord, idx int }{{0, 0}, {1, 2}, {357138, 77}, {1<<31 - 1, 65535}}
 	for _, c := range cases {
-		id, idx := unpackRef(packRef(c.id, c.idx))
-		if id != c.id || idx != c.idx {
-			t.Errorf("roundtrip (%d,%d) -> (%d,%d)", c.id, c.idx, id, idx)
+		ord, idx := unpackRef(packRef(c.ord, c.idx))
+		if int(ord) != c.ord || idx != c.idx {
+			t.Errorf("roundtrip (%d,%d) -> (%d,%d)", c.ord, c.idx, ord, idx)
 		}
 	}
 }

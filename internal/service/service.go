@@ -14,9 +14,12 @@
 //
 // For MaxkCovRST the package also implements the combined AGG semantics:
 // a user's points may be covered by different facilities of a set F', and
-// coverage is unioned per point before the scenario formula is applied —
-// exactly the semantics under which the paper proves non-submodularity
-// (a source served by f1 and a destination served by f2 counts).
+// coverage is unioned per point (Mask) before the scenario formula is
+// applied — exactly the semantics under which the paper proves
+// non-submodularity (a source served by f1 and a destination served by f2
+// counts). A facility batch's coverage is one CoverTable: each covered
+// user once, as a dense slot, and per facility the (slot, Mask) rows a
+// solver unions.
 package service
 
 import (
@@ -149,13 +152,6 @@ func (m Mask) Empty() bool {
 	return true
 }
 
-// Clone returns a copy of m.
-func (m Mask) Clone() Mask {
-	out := make(Mask, len(m))
-	copy(out, m)
-	return out
-}
-
 // MaskOf computes the coverage mask of u against the given stops.
 func MaskOf(u *trajectory.Trajectory, stops []geo.Point, psi float64) Mask {
 	m := NewMask(u.Len())
@@ -195,63 +191,118 @@ func ValueFromMask(sc Scenario, u *trajectory.Trajectory, m Mask) float64 {
 	panic(fmt.Sprintf("service: invalid scenario %d", sc))
 }
 
-// Coverage maps user trajectory IDs to their coverage masks for one
-// facility (or one facility set). Only users with at least one covered
-// point appear.
-type Coverage map[trajectory.ID]Mask
-
-// Merge unions other into c, cloning masks as needed so other remains
-// unmodified.
-func (c Coverage) Merge(other Coverage) {
-	for id, m := range other {
-		if mine, ok := c[id]; ok {
-			mine.Or(m)
-		} else {
-			c[id] = m.Clone()
-		}
-	}
+// CoverTable is the coverage of a facility batch: the user × facility
+// incidence that MaxkCovRST's solvers and ServedUsers read. Each covered
+// user holds one slot, its index in Users, and facility i's rows name each
+// slot it covers once, with the points of that user it covers.
+type CoverTable struct {
+	// Users holds every covered user once, in the order a walk first
+	// reached it.
+	Users []*trajectory.Trajectory
+	off   []int32 // facility i's rows are rows[off[i]:off[i+1]]
+	rows  []CoverRow
 }
 
-// TotalValue applies the scenario formula to every covered user and sums.
-// users must be the set the coverage was computed against.
-func (c Coverage) TotalValue(sc Scenario, users *trajectory.Set) float64 {
-	var total float64
-	for id, m := range c {
-		u := users.ByID(id)
-		if u == nil {
-			continue
-		}
-		total += ValueFromMask(sc, u, m)
-	}
-	return total
+// CoverRow is one (user, facility) pair of a CoverTable: the user's slot
+// and the points of it the facility covers.
+type CoverRow struct {
+	Slot int32
+	Mask Mask
 }
 
-// CombinedValue computes SO(U, F') for a set of per-facility coverages
-// under the AGG union semantics, without mutating the inputs.
-func CombinedValue(sc Scenario, users *trajectory.Set, covs []Coverage) float64 {
-	merged := Coverage{}
-	for _, c := range covs {
-		merged.Merge(c)
+// Len returns the number of facilities.
+func (t *CoverTable) Len() int { return len(t.off) - 1 }
+
+// Rows returns facility i's rows, in the order the walk reached them.
+func (t *CoverTable) Rows(i int) []CoverRow { return t.rows[t.off[i]:t.off[i+1]] }
+
+// ConcatCover joins tables of one facility batch over disjoint users, in
+// order: facility i's rows are every table's rows of i, their slots offset
+// past the users of the tables before it.
+func ConcatCover(ts []*CoverTable) *CoverTable {
+	if len(ts) == 1 {
+		return ts[0]
 	}
-	return merged.TotalValue(sc, users)
+	out := &CoverTable{off: []int32{0}}
+	for i := 0; i < ts[0].Len(); i++ {
+		var base int32
+		for _, t := range ts {
+			for _, r := range t.Rows(i) {
+				out.rows = append(out.rows, CoverRow{Slot: base + r.Slot, Mask: r.Mask})
+			}
+			base += int32(len(t.Users))
+		}
+		out.off = append(out.off, int32(len(out.rows)))
+	}
+	for _, t := range ts {
+		out.Users = append(out.Users, t.Users...)
+	}
+	return out
 }
 
-// UsersServed counts the users with a strictly positive service value in
-// the merged coverage — the "# users served" quality metric of Fig 10.
-func UsersServed(sc Scenario, users *trajectory.Set, covs []Coverage) int {
-	merged := Coverage{}
-	for _, c := range covs {
-		merged.Merge(c)
+// CoverBuilder assembles a CoverTable one facility at a time from a walk
+// that names users by a dense ordinal in [0, n). Its ordinal → slot array
+// is allocated once, so the walk needs no map, and a user that several
+// entries of one facility reach ORs into one row.
+type CoverBuilder struct {
+	slot  []int32 // ordinal → slot+1; 0 until the walk first reaches it
+	ords  []int32 // slot → ordinal
+	last  []int32 // slot → its latest row
+	start int32   // the current facility's first row
+	off   []int32
+	rows  []int32 // row → slot
+	word  []int32 // row → its mask's first word in words
+	words []uint64
+}
+
+// NewCoverBuilder returns a builder for users named by ordinals in [0, n).
+func NewCoverBuilder(n int) *CoverBuilder {
+	return &CoverBuilder{slot: make([]int32, n), off: []int32{0}}
+}
+
+// Mask returns the current facility's mask of the user at ordinal ord, a
+// user of n points, adding the row (and the user's slot) on first touch.
+// It is valid until the next call.
+func (b *CoverBuilder) Mask(ord int32, n int) Mask {
+	s := b.slot[ord] - 1
+	if s < 0 {
+		s = int32(len(b.ords))
+		b.slot[ord] = s + 1
+		b.ords = append(b.ords, ord)
+		b.last = append(b.last, -1)
 	}
-	n := 0
-	for id, m := range merged {
-		u := users.ByID(id)
-		if u == nil {
-			continue
-		}
-		if ValueFromMask(sc, u, m) > 0 {
-			n++
-		}
+	w := (n + 63) / 64
+	r := b.last[s]
+	if r < b.start {
+		r = int32(len(b.rows))
+		b.last[s] = r
+		b.rows = append(b.rows, s)
+		b.word = append(b.word, int32(len(b.words)))
+		b.words = append(b.words, make([]uint64, w)...)
 	}
-	return n
+	return b.words[b.word[r] : int(b.word[r])+w]
+}
+
+// Next closes the current facility's rows; the next Mask starts the next
+// facility's.
+func (b *CoverBuilder) Next() {
+	b.start = int32(len(b.rows))
+	b.off = append(b.off, b.start)
+}
+
+// Ordinals returns each slot's ordinal, in slot order.
+func (b *CoverBuilder) Ordinals() []int32 { return b.ords }
+
+// Build returns the table, given the user of each slot (see Ordinals). Its
+// masks are carved from one word arena.
+func (b *CoverBuilder) Build(users []*trajectory.Trajectory) *CoverTable {
+	t := &CoverTable{Users: users, off: b.off, rows: make([]CoverRow, len(b.rows))}
+	for r, s := range b.rows {
+		hi := len(b.words)
+		if r+1 < len(b.word) {
+			hi = int(b.word[r+1])
+		}
+		t.rows[r] = CoverRow{Slot: s, Mask: b.words[b.word[r]:hi:hi]}
+	}
+	return t
 }

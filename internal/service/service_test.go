@@ -122,11 +122,6 @@ func TestMaskBasics(t *testing.T) {
 	if m.Empty() {
 		t.Error("non-empty mask reports Empty")
 	}
-	c := m.Clone()
-	c.Set(5)
-	if m.Get(5) {
-		t.Error("Clone aliases the original")
-	}
 	other := NewMask(130)
 	other.Set(7)
 	m.Or(other)
@@ -160,60 +155,119 @@ func TestMaskOfAndValueFromMaskAgreeWithValue(t *testing.T) {
 	}
 }
 
+// coverTable builds a table of one facility per element of masks, each
+// setting the given points of the users at the given ordinals.
+func coverTable(users []*trajectory.Trajectory, masks ...map[int32][]int) *CoverTable {
+	b := NewCoverBuilder(len(users))
+	for _, fm := range masks {
+		for ord := int32(0); int(ord) < len(users); ord++ {
+			for _, i := range fm[ord] {
+				b.Mask(ord, users[ord].Len()).Set(i)
+			}
+		}
+		b.Next()
+	}
+	out := make([]*trajectory.Trajectory, len(b.Ordinals()))
+	for s, ord := range b.Ordinals() {
+		out[s] = users[ord]
+	}
+	return b.Build(out)
+}
+
+// union ORs the masks of a table's facilities per user slot.
+func union(t *CoverTable) []Mask {
+	out := make([]Mask, len(t.Users))
+	for s, u := range t.Users {
+		out[s] = NewMask(u.Len())
+	}
+	for i := 0; i < t.Len(); i++ {
+		for _, r := range t.Rows(i) {
+			out[r.Slot].Or(r.Mask)
+		}
+	}
+	return out
+}
+
 func TestCoverageMergeAndCombinedValue(t *testing.T) {
 	// A user whose source is covered by f1 and dest by f2: combined AGG
 	// semantics must count it as served in Binary — the paper's
-	// non-submodularity construction.
+	// non-submodularity construction. Both facilities name the user's one
+	// slot.
 	u := twoPoint(1, 0, 0, 100, 0)
-	users := trajectory.MustNewSet([]*trajectory.Trajectory{u})
-	f1stops := []geo.Point{geo.Pt(0, 1)}   // covers source only
-	f2stops := []geo.Point{geo.Pt(100, 1)} // covers dest only
-	psi := 2.0
-	cov1 := Coverage{1: MaskOf(u, f1stops, psi)}
-	cov2 := Coverage{1: MaskOf(u, f2stops, psi)}
-
-	if v := cov1.TotalValue(Binary, users); v != 0 {
-		t.Errorf("f1 alone = %v, want 0", v)
+	users := []*trajectory.Trajectory{u}
+	f1 := MaskOf(u, []geo.Point{geo.Pt(0, 1)}, 2)   // covers source only
+	f2 := MaskOf(u, []geo.Point{geo.Pt(100, 1)}, 2) // covers dest only
+	if !f1.Get(0) || f1.Get(1) || f2.Get(0) || !f2.Get(1) {
+		t.Fatalf("masks %v %v", f1, f2)
 	}
-	if v := cov2.TotalValue(Binary, users); v != 0 {
-		t.Errorf("f2 alone = %v, want 0", v)
+	cov := coverTable(users, map[int32][]int{0: {0}}, map[int32][]int{0: {1}})
+	if cov.Len() != 2 || len(cov.Users) != 1 {
+		t.Fatalf("%d facilities over %d users, want 2 over 1", cov.Len(), len(cov.Users))
 	}
-	if v := CombinedValue(Binary, users, []Coverage{cov1, cov2}); v != 1 {
+	for i := 0; i < 2; i++ {
+		r := cov.Rows(i)
+		if len(r) != 1 || r[0].Slot != 0 {
+			t.Fatalf("facility %d rows %+v, want one row of slot 0", i, r)
+		}
+		if v := ValueFromMask(Binary, u, r[0].Mask); v != 0 {
+			t.Errorf("facility %d alone = %v, want 0", i, v)
+		}
+	}
+	if v := ValueFromMask(Binary, u, union(cov)[0]); v != 1 {
 		t.Errorf("combined = %v, want 1 (joint service)", v)
 	}
-	if n := UsersServed(Binary, users, []Coverage{cov1, cov2}); n != 1 {
-		t.Errorf("UsersServed = %d, want 1", n)
-	}
-	if n := UsersServed(Binary, users, []Coverage{cov1}); n != 0 {
-		t.Errorf("UsersServed f1 alone = %d, want 0", n)
-	}
 }
 
+// TestCoverageMergeDoesNotMutateInputs: ConcatCover joins per-shard tables
+// facility by facility, offsetting the later tables' slots, and leaves its
+// inputs as they were.
 func TestCoverageMergeDoesNotMutateInputs(t *testing.T) {
-	u := twoPoint(1, 0, 0, 10, 0)
-	a := Coverage{1: MaskOf(u, []geo.Point{geo.Pt(0, 0)}, 1)}
-	b := Coverage{1: MaskOf(u, []geo.Point{geo.Pt(10, 0)}, 1)}
-	before := b[1].Count()
-	merged := Coverage{}
-	merged.Merge(a)
-	merged.Merge(b)
-	if b[1].Count() != before {
-		t.Error("Merge mutated its input")
+	a := []*trajectory.Trajectory{twoPoint(1, 0, 0, 10, 0), twoPoint(2, 5, 5, 6, 6)}
+	b := []*trajectory.Trajectory{twoPoint(3, 0, 0, 10, 0)}
+	ta := coverTable(a, map[int32][]int{1: {0}}, map[int32][]int{0: {0, 1}, 1: {1}})
+	tb := coverTable(b, map[int32][]int{0: {1}}, map[int32][]int{})
+	before := tb.Rows(0)[0]
+	got := ConcatCover([]*CoverTable{ta, tb})
+	if tb.Rows(0)[0].Slot != before.Slot || tb.Rows(0)[0].Mask.Count() != 1 || len(ta.Users) != 2 {
+		t.Error("ConcatCover mutated its input")
 	}
-	if merged[1].Count() != 2 {
-		t.Errorf("merged count = %d, want 2", merged[1].Count())
+	ids := func(i int) []trajectory.ID {
+		var out []trajectory.ID
+		for _, r := range got.Rows(i) {
+			out = append(out, got.Users[r.Slot].ID)
+		}
+		return out
+	}
+	if got.Len() != 2 || len(got.Users) != 3 {
+		t.Fatalf("%d facilities over %d users, want 2 over 3", got.Len(), len(got.Users))
+	}
+	if f0, f1 := ids(0), ids(1); len(f0) != 2 || f0[0] != 2 || f0[1] != 3 || len(f1) != 2 || f1[0] != 1 || f1[1] != 2 {
+		t.Fatalf("facility users %v and %v, want [2 3] and [1 2]", f0, f1)
+	}
+	if m := got.Rows(0)[1].Mask; !m.Get(1) || m.Get(0) {
+		t.Errorf("the second table's mask moved: %v", m)
 	}
 }
 
+// TestCombinedValueNoDoubleCounting: one facility reaching a user twice
+// (two segments) ORs into one row, and two facilities covering the same
+// points do not double the value.
 func TestCombinedValueNoDoubleCounting(t *testing.T) {
-	// Two facilities covering the same points must not double the value.
 	u := trajectory.MustNew(1, []geo.Point{geo.Pt(0, 0), geo.Pt(1, 0), geo.Pt(2, 0), geo.Pt(3, 0)})
-	users := trajectory.MustNewSet([]*trajectory.Trajectory{u})
-	stops := []geo.Point{geo.Pt(0, 0), geo.Pt(1, 0)}
-	cov := Coverage{1: MaskOf(u, stops, 0.1)}
-	covDup := Coverage{1: MaskOf(u, stops, 0.1)}
-	single := CombinedValue(PointCount, users, []Coverage{cov})
-	double := CombinedValue(PointCount, users, []Coverage{cov, covDup})
+	users := []*trajectory.Trajectory{u}
+	b := NewCoverBuilder(1)
+	b.Mask(0, u.Len()).Set(0)
+	b.Mask(0, u.Len()).Set(1)
+	b.Next()
+	b.Mask(0, u.Len()).Set(1)
+	b.Mask(0, u.Len()).Set(0)
+	b.Next()
+	cov := b.Build(users)
+	if len(cov.Rows(0)) != 1 || len(cov.Rows(1)) != 1 {
+		t.Fatalf("rows %d and %d, want one each", len(cov.Rows(0)), len(cov.Rows(1)))
+	}
+	single := ValueFromMask(PointCount, u, cov.Rows(0)[0].Mask)
+	double := ValueFromMask(PointCount, u, union(cov)[0])
 	if math.Abs(single-double) > 1e-12 {
 		t.Errorf("duplicate coverage changed value: %v vs %v", single, double)
 	}

@@ -20,18 +20,17 @@ const DefaultStreamChunk = 256
 
 // unit is one shard as the scatter-gather sees it: something that can
 // check a scenario against its data, answer exact service values, for one
-// facility or a batch, and cover a facility's users. *query.FrozenEngine
-// (frozen columns) and *query.Epoch (frozen base + delta overlay +
-// tombstones) both are one. Users are disjoint across units, so a
-// facility's service value is the sum of its per-unit values and its
-// coverage the union of their masks — which is all the code below relies
-// on.
+// facility or a batch, and cover a facility batch's users.
+// *query.FrozenEngine (frozen columns) and *query.Epoch (frozen base +
+// delta overlay + tombstones) both are one. Users are disjoint across
+// units, so a facility's service value is the sum of its per-unit values
+// and a batch's coverage table the concatenation of theirs — which is all
+// the code below relies on.
 type unit interface {
 	ValidateScenario(service.Scenario) error
 	ServiceValue(*trajectory.Facility, Params) (float64, query.Metrics, error)
 	ServiceValuesCtx(ctx context.Context, facilities []*trajectory.Facility, p Params, workers int) ([]float64, query.Metrics, error)
-	Coverage(*trajectory.Facility, Params) (service.Coverage, query.Metrics, error)
-	User(trajectory.ID) *trajectory.Trajectory
+	Cover([]*trajectory.Facility, Params) (*service.CoverTable, query.Metrics, error)
 	Variant() tqtree.Variant
 }
 
@@ -216,35 +215,22 @@ type Source struct {
 // Variant returns the shards' decomposition variant.
 func (s *Source) Variant() tqtree.Variant { return s.units[0].Variant() }
 
-// Coverage computes a facility's per-user coverage masks: the union of
-// every shard's, which never overlap because users are disjoint across
-// shards.
-func (s *Source) Coverage(f *trajectory.Facility, p Params) (service.Coverage, error) {
+// Cover computes a facility batch's coverage table: every shard's, joined
+// in shard order with each shard's user slots after the ones before it —
+// users are disjoint across shards, so no user holds two slots.
+func (s *Source) Cover(facilities []*trajectory.Facility, p Params) (*service.CoverTable, error) {
 	if err := validate(s.units, p); err != nil {
 		return nil, err
 	}
-	cov := service.Coverage{}
-	for _, u := range s.units {
-		c, _, err := u.Coverage(f, p)
+	parts := make([]*service.CoverTable, len(s.units))
+	for i, u := range s.units {
+		t, _, err := u.Cover(facilities, p)
 		if err != nil {
 			return nil, err
 		}
-		for id, mask := range c {
-			cov[id] = mask
-		}
+		parts[i] = t
 	}
-	return cov, nil
-}
-
-// User returns the trajectory with the given id from whichever shard
-// holds it, or nil.
-func (s *Source) User(id trajectory.ID) *trajectory.Trajectory {
-	for _, u := range s.units {
-		if t := u.User(id); t != nil {
-			return t
-		}
-	}
-	return nil
+	return service.ConcatCover(parts), nil
 }
 
 // ServiceValues is the served exact pass over the captured shards — the

@@ -3,7 +3,7 @@
 // values fan out to every shard as one batch and are summed, and top-k is
 // the sort-and-cut of those sums (query.Results) — what the distributed
 // frontend does over whole processes. Coverage (MaxkCovRST, served users)
-// is the union of every shard's masks, read through one Source. Each of
+// is every shard's coverage table joined, read through one Source. Each of
 // the two public index types is one of the two forms here — FrozenIndex a
 // Frozen, immutable, and Index a Live, epoch-serving and mutable — with
 // one shard or several, so both answer through scatter. The paper's best-first search

@@ -80,6 +80,15 @@ func singleEngine(t *testing.T, users []*trajectory.Trajectory, opts tqtree.Opti
 
 var shardCounts = []int{1, 2, 4, 8}
 
+// masksByID reads facility i's rows of a coverage table as user ID → mask.
+func masksByID(cov *service.CoverTable, i int) map[trajectory.ID]service.Mask {
+	out := map[trajectory.ID]service.Mask{}
+	for _, r := range cov.Rows(i) {
+		out[cov.Users[r.Slot].ID] = r.Mask
+	}
+	return out
+}
+
 // TestPartitionersCoverAndAreDeterministic checks both built-in
 // partitioners assign every trajectory to a valid shard, the same shard
 // every time.
@@ -206,18 +215,22 @@ func TestShardedMatchesSingleTree(t *testing.T) {
 				if m.EntriesScored == 0 && wantTop[0].Service > 0 {
 					t.Fatalf("%v %s/%d shards: no work recorded", c, part.Kind(), n)
 				}
-				for _, f := range facilities[:8] {
-					want, _, err := eng.Coverage(f, p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := s.Source().Coverage(f, p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
+				want, _, err := eng.Cover(facilities[:8], p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := s.Source().Cover(facilities[:8], p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got.Users) != len(want.Users) {
+					t.Fatalf("%v %s/%d shards: %d users covered, single tree %d",
+						c, part.Kind(), n, len(got.Users), len(want.Users))
+				}
+				for i, f := range facilities[:8] {
+					if g, w := masksByID(got, i), masksByID(want, i); !reflect.DeepEqual(g, w) {
 						t.Fatalf("%v %s/%d shards: facility %d covers %d users, single tree %d",
-							c, part.Kind(), n, f.ID, len(got), len(want))
+							c, part.Kind(), n, f.ID, len(g), len(w))
 					}
 				}
 			}
@@ -314,15 +327,21 @@ func TestShardedInsertRoutesToOneShard(t *testing.T) {
 			t.Fatalf("shard %d grew by %d, want 0", i, delta)
 		}
 	}
-	if got := s.Source().User(10000); got != u {
-		t.Fatal("inserted trajectory not findable by ID")
-	}
 	if err := s.Insert(u); err == nil {
 		t.Fatal("duplicate insert accepted")
 	}
-	// The inserted trajectory must be served like any other.
+	// The inserted trajectory must be served like any other, and covered
+	// as the object inserted.
 	f := trajectory.MustNewFacility(1, []geo.Point{geo.Pt(12, 12), geo.Pt(18, 18)})
-	v, _, err := s.ServiceValue(f, query.Params{Scenario: service.Binary, Psi: 20})
+	p := query.Params{Scenario: service.Binary, Psi: 20}
+	cov, err := s.Source().Cover([]*trajectory.Facility{f}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(cov.Users, u) {
+		t.Fatal("inserted trajectory not in the coverage table")
+	}
+	v, _, err := s.ServiceValue(f, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package trajcover
 
 import (
 	"context"
+	"runtime"
 
 	"github.com/trajcover/trajcover/internal/maxcov"
 	"github.com/trajcover/trajcover/internal/query"
@@ -121,11 +122,12 @@ func (x *querier) ServiceValuesStreamCtx(ctx context.Context, facilities []*Faci
 // value descending (ties by ID).
 func (x *querier) ServedUsers(f *Facility, q Query) ([]ServedUser, error) {
 	src := x.core.Source()
-	cov, err := src.Coverage(f, q.params())
+	defer runtime.KeepAlive(src) // the table's users may alias a mapped base
+	cov, err := src.Cover([]*Facility{f}, q.params())
 	if err != nil {
 		return nil, err
 	}
-	return query.ServedUsers(cov, src.User, src.Variant(), q.Scenario), nil
+	return query.ServedUsers(cov, src.Variant(), q.Scenario), nil
 }
 
 // MaxCoverage answers the MaxkCovRST query: the size-k facility subset
@@ -133,6 +135,7 @@ func (x *querier) ServedUsers(f *Facility, q Query) ([]ServedUser, error) {
 // served jointly by multiple facilities. Facility IDs must be distinct.
 func (x *querier) MaxCoverage(facilities []*Facility, k int, q Query, opts CoverageOptions) (CoverageResult, error) {
 	src := x.core.Source()
+	defer runtime.KeepAlive(src) // the table's users may alias a mapped base
 	if opts.Algorithm == TwoStepGreedy {
 		return maxcov.TwoStep(src, facilities, k, opts.KPrime, q.params())
 	}

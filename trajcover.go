@@ -279,7 +279,7 @@ func (b *Baseline) MaxCoverage(facilities []*Facility, k int, q Query, opts Cove
 	if opts.Algorithm == TwoStepGreedy {
 		opts.Algorithm = FullGreedy
 	}
-	return solveCoverage(maxcov.BaselineSource{Baseline: b.bl}, facilities, k, q, opts)
+	return solveCoverage(b.bl, facilities, k, q, opts)
 }
 
 // City is a synthetic city model for workload generation.
