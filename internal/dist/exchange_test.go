@@ -183,6 +183,10 @@ func TestFrontendMidExchangeLoss(t *testing.T) {
 func TestFrontendHostileReplies(t *testing.T) {
 	facs := testFacilities(3, 4, 461)
 	body := mustBody(t, server.QueryRequest{Facilities: server.FacilitiesJSON(facs), K: 2, Psi: 40})
+	_, table, _, _, err := server.DecodeQueryTable(body, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	good := server.AppendFloatsFrame(nil, []float64{3, 2, 1})
 	for name, reply := range map[string][]byte{
 		"nothing":          nil,
@@ -190,7 +194,7 @@ func TestFrontendHostileReplies(t *testing.T) {
 		"one value over":   server.AppendFloatsFrame(nil, []float64{3, 2, 1, 0}),
 		"a trailing byte":  append(append([]byte(nil), good...), 0),
 		"a second frame":   append(append([]byte(nil), good...), good...),
-		"a query frame":    server.AppendQueryFrame(nil, facs, server.QueryParams{}),
+		"a query frame":    server.AppendQueryFrame(nil, table, server.QueryParams{}),
 		"a retired kind":   {24, 0, 0, 0, 4, 0, 0, 0},
 		"half the payload": good[:len(good)-12],
 	} {
@@ -437,10 +441,11 @@ func (w *nullWriter) Write(p []byte) (int, error) { return len(p), nil }
 // TestExchangeAllocs pins the frontend half of one paper-default
 // /v1/topk — 128 facilities of 32 stops over two groups — with the
 // backends replaced by an in-process loopback: the count is the JSON
-// decode of the 160 KB body (about 140, pinned by internal/server's
-// TestDecodeQueryRequestAllocs), the query frame, two exchanges'
-// bookkeeping (a request, its context and timer, a reply), the merge and
-// the sort, and a few of the loopback's own. Nothing is per facility.
+// decode of the 130 KB body into one facility table (7, pinned by
+// internal/server's TestDecodeQueryRequestAllocs), the query frame
+// written from that table's columns, two exchanges' bookkeeping (a
+// request, its context and timer, a reply), the merge and the sort, and a
+// few of the loopback's own. Nothing is per facility.
 func TestExchangeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -481,7 +486,7 @@ func TestExchangeAllocs(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(20, run)
 	t.Logf("frontend half of a /v1/topk over two exchanges: %.0f allocs", allocs)
-	if allocs > 250 {
-		t.Fatalf("frontend /v1/topk allocates %.0f/op, want <= 250", allocs)
+	if allocs > 110 {
+		t.Fatalf("frontend /v1/topk allocates %.0f/op, want <= 110", allocs)
 	}
 }

@@ -360,7 +360,7 @@ func (fe *Frontend) beginRead(w http.ResponseWriter, r *http.Request, needK bool
 	if !ok {
 		return nil, nil, nil, nil, false
 	}
-	req, facs, q, err := server.DecodeQueryRequest(body, needK)
+	req, table, facs, q, err := server.DecodeQueryTable(body, needK)
 	if err == nil {
 		err = singleTenant(r, req.Tenant)
 	}
@@ -369,7 +369,7 @@ func (fe *Frontend) beginRead(w http.ResponseWriter, r *http.Request, needK bool
 		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
 		return nil, nil, nil, nil, false
 	}
-	size := server.QueryFrameLen(facs)
+	size := server.QueryFrameLen(table)
 	if int64(size) > fe.cfg.MaxBodyBytes {
 		fe.errs.Add(1)
 		writeJSON(w, http.StatusRequestEntityTooLarge, server.ErrorResponse{Error: fmt.Sprintf("request takes %d bytes between frontend and backend, over the %d-byte limit", size, fe.cfg.MaxBodyBytes)})
@@ -377,7 +377,7 @@ func (fe *Frontend) beginRead(w http.ResponseWriter, r *http.Request, needK bool
 	}
 	timeout := fe.requestTimeout(req.TimeoutMS)
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	frame := server.AppendQueryFrame(make([]byte, 0, size), facs, server.QueryParams{
+	frame := server.AppendQueryFrame(make([]byte, 0, size), table, server.QueryParams{
 		Query: q, Workers: req.Workers, TimeoutMS: max(timeout.Milliseconds(), 1),
 	})
 	return &read{fe: fe, ctx: ctx, frame: frame, n: len(facs)}, req, facs, cancel, true

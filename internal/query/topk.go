@@ -1,7 +1,8 @@
 package query
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
@@ -26,10 +27,10 @@ func maxStops(facilities []*trajectory.Facility) int {
 // sortResults orders by service descending, facility ID ascending for
 // determinism.
 func sortResults(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Service != rs[j].Service {
-			return rs[i].Service > rs[j].Service
+	slices.SortFunc(rs, func(a, b Result) int {
+		if c := cmp.Compare(b.Service, a.Service); c != 0 {
+			return c
 		}
-		return rs[i].Facility.ID < rs[j].Facility.ID
+		return cmp.Compare(a.Facility.ID, b.Facility.ID)
 	})
 }

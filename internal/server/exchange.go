@@ -49,6 +49,7 @@ import (
 
 	trajcover "github.com/trajcover/trajcover"
 	"github.com/trajcover/trajcover/internal/mmap"
+	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
 // FrameKind names what a frame carries.
@@ -118,44 +119,36 @@ type QueryParams struct {
 	TimeoutMS int64
 }
 
-func countStops(facs []*trajcover.Facility) int {
-	stops := 0
-	for _, f := range facs {
-		stops += len(f.Stops)
-	}
-	return stops
-}
-
 // QueryFrameLen is the length of the query frame AppendQueryFrame writes
-// for facs, header included.
-func QueryFrameLen(facs []*trajcover.Facility) int {
-	return FrameHeaderLen + queryHeadLen + 8*(len(facs)+1) + 16*countStops(facs)
+// for t, header included.
+func QueryFrameLen(t trajectory.FacilityTable) int {
+	return FrameHeaderLen + queryHeadLen + 8*(t.Len()+1) + 16*t.TotalStops()
 }
 
-// AppendQueryFrame appends the query frame for facs, which must be within
-// the decoder's limits (a decoded request's are).
-func AppendQueryFrame(dst []byte, facs []*trajcover.Facility, p QueryParams) []byte {
-	stops := countStops(facs)
-	dst = appendFrameHeader(dst, FrameQuery, queryHeadLen+8*(len(facs)+1)+16*stops)
+// AppendQueryFrame appends the query frame for t, which must be within
+// the decoder's limits (a decoded request's table is).
+func AppendQueryFrame(dst []byte, t trajectory.FacilityTable, p QueryParams) []byte {
+	n := t.Len()
+	dst = appendFrameHeader(dst, FrameQuery, QueryFrameLen(t)-FrameHeaderLen)
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Query.Psi))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(min(max(p.TimeoutMS, 0), math.MaxUint32)))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(max(p.Workers, 0)))
 	dst = append(dst, byte(p.Query.Scenario), 0, 0, 0)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(facs)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(stops))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(t.TotalStops()))
 	dst = binary.LittleEndian.AppendUint32(dst, 0)
-	for _, f := range facs {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(f.ID))
+	for i := range n {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(t.ID(i)))
 	}
 	off := uint32(0)
-	for _, f := range facs {
+	for i := range n {
 		dst = binary.LittleEndian.AppendUint32(dst, off)
-		off += uint32(len(f.Stops))
+		off += uint32(len(t.Stops(i)))
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, off)
 	dst = binary.LittleEndian.AppendUint32(dst, 0)
-	for _, f := range facs {
-		dst = mmap.AppendPoints(dst, f.Stops)
+	for i := range n {
+		dst = mmap.AppendPoints(dst, t.Stops(i))
 	}
 	return dst
 }
@@ -164,8 +157,11 @@ func AppendQueryFrame(dst []byte, facs []*trajcover.Facility, p QueryParams) []b
 // value serves exchange after exchange without allocating.
 type QueryFrame struct {
 	QueryParams
-	// Facilities are the frame's facilities, in order. Their stops alias
-	// the payload Decode was given: they are valid while it is.
+	// Table is the frame's facility batch, its columns laid over the
+	// payload Decode was given: it is valid while that is.
+	Table trajectory.FacilityTable
+	// Facilities are Table's facilities, in order, as the query API takes
+	// them; their stops alias the payload too.
 	Facilities []*trajcover.Facility
 
 	slab []trajcover.Facility
@@ -173,11 +169,12 @@ type QueryFrame struct {
 
 // Decode validates a query frame's payload and builds its facilities.
 // Everything is checked before anything is aliased or indexed — the
-// counts against the payload's length, the offsets against each other,
-// then what decodeFacilities checks, with its messages — so hostile bytes
-// are an error, never a panic and never an out-of-range slice.
+// counts against the payload's length, the offsets against each other
+// (trajectory.NewFacilityTable), then the JSON body's facility checks,
+// with its messages — so hostile bytes are an error, never a panic and
+// never an out-of-range slice.
 func (qf *QueryFrame) Decode(payload []byte) error {
-	qf.Facilities = qf.Facilities[:0]
+	qf.Table, qf.Facilities = trajectory.FacilityTable{}, qf.Facilities[:0]
 	if len(payload) < queryHeadLen {
 		return badRequestf("exchange: query frame of %d bytes is shorter than its %d-byte head", len(payload), queryHeadLen)
 	}
@@ -209,45 +206,24 @@ func (qf *QueryFrame) Decode(payload []byte) error {
 	if want := columns + 16*stops; uint64(len(payload)) != want {
 		return badRequestf("exchange: query frame is %d bytes, %d facilities with %d stops take %d", len(payload), n, stops, want)
 	}
-	ids := mmap.U32s[uint32](payload[queryHeadLen : queryHeadLen+4*n])
-	offs := mmap.U32s[uint32](payload[queryHeadLen+4*n : columns-4])
 	if le.Uint32(payload[columns-4:]) != 0 {
 		return badRequestf("exchange: query frame sets reserved bits")
 	}
-	if offs[0] != 0 || uint64(offs[n]) != stops {
-		return badRequestf("exchange: stop offsets run %d..%d, want 0..%d", offs[0], offs[n], stops)
+	t, err := trajectory.NewFacilityTable(
+		mmap.U32s[trajectory.ID](payload[queryHeadLen:queryHeadLen+4*n]),
+		mmap.U32s[uint32](payload[queryHeadLen+4*n:columns-4]),
+		mmap.Points(payload[columns:]))
+	if err != nil {
+		return badRequestf("exchange: %v", err)
 	}
-	for i, id := range ids {
-		if offs[i+1] < offs[i] {
-			return badRequestf("exchange: stop offsets decrease at facility %d", id)
-		}
-		if err := checkStopCount(id, uint64(offs[i+1]-offs[i])); err != nil {
-			return err
-		}
-	}
-
-	pts := mmap.Points(payload[columns:])
 	if uint64(cap(qf.slab)) < n {
-		qf.slab = make([]trajcover.Facility, n)
-		qf.Facilities = make([]*trajcover.Facility, 0, n)
+		qf.slab, qf.Facilities = make([]trajcover.Facility, n), make([]*trajcover.Facility, 0, n)
 	}
-	qf.slab = qf.slab[:n]
-	for i, id := range ids {
-		// Capacity stops at the facility's own last stop, as in
-		// decodeFacilities.
-		own := pts[offs[i]:offs[i+1]:offs[i+1]]
-		for j, st := range own {
-			if err := checkStop(id, j, st.X, st.Y); err != nil {
-				qf.Facilities = qf.Facilities[:0]
-				return err
-			}
-		}
-		if qf.slab[i], err = makeFacility(id, own); err != nil {
-			qf.Facilities = qf.Facilities[:0]
-			return err
-		}
-		qf.Facilities = append(qf.Facilities, &qf.slab[i])
+	facs, err := facilities(t, qf.slab, qf.Facilities)
+	if err != nil {
+		return err
 	}
+	qf.Table, qf.Facilities = t, facs
 	return nil
 }
 

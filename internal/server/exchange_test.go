@@ -16,7 +16,25 @@ import (
 	"time"
 
 	trajcover "github.com/trajcover/trajcover"
+	"github.com/trajcover/trajcover/internal/trajectory"
 )
+
+// tableOf lays facs out as the facility table a query frame carries.
+func tableOf(facs []*trajcover.Facility) trajectory.FacilityTable {
+	ids := make([]trajectory.ID, len(facs))
+	off := make([]uint32, 1, len(facs)+1)
+	var stops []trajcover.Point
+	for i, f := range facs {
+		ids[i] = f.ID
+		stops = append(stops, f.Stops...)
+		off = append(off, uint32(len(stops)))
+	}
+	t, err := trajectory.NewFacilityTable(ids, off, stops)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
 
 // valuesOf decodes an exchange's 200 body: one values frame of n numbers.
 func valuesOf(t *testing.T, raw []byte, n int) []float64 {
@@ -48,7 +66,7 @@ func TestExchangeValues(t *testing.T) {
 	e := newEnv(t, base, Config{Workers: 2, QueueDepth: 16, DefaultTimeout: 30 * time.Second})
 	facs := testFacilities(16, 6, 252)
 	q := trajcover.Query{Scenario: trajcover.PointCount, Psi: 60}
-	frame := AppendQueryFrame(nil, facs, QueryParams{Query: q, Workers: 2})
+	frame := AppendQueryFrame(nil, tableOf(facs), QueryParams{Query: q, Workers: 2})
 	ask := func() []float64 {
 		t.Helper()
 		status, raw, hdr := e.post(PathExchange, frame)
@@ -93,7 +111,7 @@ func TestExchangeValues(t *testing.T) {
 
 	// A stopless facility is the same 400, word for word, as on the JSON
 	// path.
-	status, raw, _ := e.post(PathExchange, AppendQueryFrame(nil, []*trajcover.Facility{{ID: 1}}, QueryParams{Query: q}))
+	status, raw, _ := e.post(PathExchange, AppendQueryFrame(nil, tableOf([]*trajcover.Facility{{ID: 1}}), QueryParams{Query: q}))
 	_, jsonRaw, _ := e.post(PathServiceValues, []byte(`{"facilities":[{"id":1,"stops":[]}],"psi":40}`))
 	if status != http.StatusBadRequest || !bytes.Equal(raw, jsonRaw) {
 		t.Fatalf("stopless facility: %d %s, want 400 %s", status, raw, jsonRaw)
@@ -119,7 +137,7 @@ func TestExchangeHostileFrames(t *testing.T) {
 	e := newEnv(t, testUsers(100, 271), Config{Workers: 1, QueueDepth: 4, MaxBodyBytes: 1 << 20})
 	q := trajcover.Query{Scenario: trajcover.Binary, Psi: 40}
 	facs := testFacilities(3, 4, 272)
-	good := AppendQueryFrame(nil, facs, QueryParams{Query: q})
+	good := AppendQueryFrame(nil, tableOf(facs), QueryParams{Query: q})
 	le := binary.LittleEndian
 	// edit returns a copy of the good query frame with its payload patched.
 	edit := func(patch func(payload []byte)) []byte {
@@ -149,7 +167,7 @@ func TestExchangeHostileFrames(t *testing.T) {
 		{"offsets start past 0", "stop offsets run", edit(func(p []byte) { le.PutUint32(p[32+4*3:], 1) }), 400},
 		{"offsets end short", "stop offsets run", edit(func(p []byte) { le.PutUint32(p[32+4*3+4*3:], 11) }), 400},
 		{"offsets decrease", "stop offsets decrease", edit(func(p []byte) { le.PutUint32(p[32+4*3+4:], 9); le.PutUint32(p[32+4*3+8:], 8) }), 400},
-		{"offset past the column", "has too many stops: 2147483648", edit(func(p []byte) { le.PutUint32(p[32+4*3+4:], 1<<31) }), 400},
+		{"offset past the column", fmt.Sprintf("stop offsets decrease at facility %d", facs[1].ID), edit(func(p []byte) { le.PutUint32(p[32+4*3+4:], 1<<31) }), 400},
 		{"empty facility", fmt.Sprintf("facility %d has no stops", facs[0].ID), edit(func(p []byte) { le.PutUint32(p[32+4*3+4:], 0) }), 400},
 		{"NaN coordinate", fmt.Sprintf("facility %d stop 1 is not finite", facs[1].ID), edit(func(p []byte) { le.PutUint64(p[32+8*4+16*5:], nan) }), 400},
 		{"padding set", "reserved bits", edit(func(p []byte) { le.PutUint32(p[32+8*4-4:], 1) }), 400},
@@ -160,7 +178,7 @@ func TestExchangeHostileFrames(t *testing.T) {
 		{"one stray byte", "bytes after the query frame", append(append([]byte(nil), good...), 0), 400},
 		{"unknown scenario", "unknown scenario code 3", edit(func(p []byte) { p[16] = 3 }), 400},
 		{"negative psi", "psi must be finite and >= 0, got -1", edit(func(p []byte) { le.PutUint64(p, math.Float64bits(-1)) }), 400},
-		{"too many stops", fmt.Sprintf("facility 7 has too many stops: %d > %d", MaxStops+1, MaxStops), AppendQueryFrame(nil, []*trajcover.Facility{longRoute}, QueryParams{Query: q}), 400},
+		{"too many stops", fmt.Sprintf("facility 7 has too many stops: %d > %d", MaxStops+1, MaxStops), AppendQueryFrame(nil, tableOf([]*trajcover.Facility{longRoute}), QueryParams{Query: q}), 400},
 	}
 	cases[3].body = append([]byte(nil), good...)
 	cases[3].body[6] = 1
@@ -176,7 +194,7 @@ func TestExchangeHostileFrames(t *testing.T) {
 	}
 	// Where the JSON path has the check, the words are its words.
 	for _, pair := range []struct{ frame, jsonBody []byte }{
-		{AppendQueryFrame(nil, []*trajcover.Facility{longRoute}, QueryParams{Query: q}),
+		{AppendQueryFrame(nil, tableOf([]*trajcover.Facility{longRoute}), QueryParams{Query: q}),
 			[]byte(`{"facilities":[{"id":7,"stops":[` + strings.TrimSuffix(strings.Repeat("[0,0],", MaxStops+1), ",") + `]}],"psi":40}`)},
 		{edit(func(p []byte) { le.PutUint64(p, math.Float64bits(-1)) }), mustBody(t, QueryRequest{Facilities: FacilitiesJSON(facs), Psi: -1})},
 	} {
@@ -197,7 +215,7 @@ func TestExchangeHostileFrames(t *testing.T) {
 // facilities as the aliased path.
 func TestQueryFrameMisaligned(t *testing.T) {
 	facs := testFacilities(9, 5, 281)
-	frame := AppendQueryFrame(nil, facs, QueryParams{Query: trajcover.Query{Scenario: trajcover.Length, Psi: 12.5}, Workers: 3, TimeoutMS: 1500})
+	frame := AppendQueryFrame(nil, tableOf(facs), QueryParams{Query: trajcover.Query{Scenario: trajcover.Length, Psi: 12.5}, Workers: 3, TimeoutMS: 1500})
 	for shift := 0; shift < 8; shift++ {
 		buf := make([]byte, shift+len(frame))
 		payload := buf[shift : shift+copy(buf[shift:], frame[FrameHeaderLen:])]
@@ -251,7 +269,7 @@ func TestExchangeRejections(t *testing.T) {
 
 	release := blockWorkers(t, e.srv, 1)
 	fillQueue(t, e.srv, 1)
-	status, raw, hdr := e.post(PathExchange, AppendQueryFrame(nil, facs, QueryParams{Query: q}))
+	status, raw, hdr := e.post(PathExchange, AppendQueryFrame(nil, tableOf(facs), QueryParams{Query: q}))
 	if status != http.StatusTooManyRequests || hdr.Get("Retry-After") == "" || !strings.Contains(errorOf(t, raw), "worker queue full") {
 		t.Fatalf("saturated pool: %d %s (Retry-After %q), want a plain 429", status, raw, hdr.Get("Retry-After"))
 	}
@@ -262,7 +280,7 @@ func TestExchangeRejections(t *testing.T) {
 	gateFree()
 
 	release = blockWorkers(t, e.srv, 1)
-	status, raw, _ = e.post(PathExchange, AppendQueryFrame(nil, facs, QueryParams{Query: q, TimeoutMS: 150}))
+	status, raw, _ = e.post(PathExchange, AppendQueryFrame(nil, tableOf(facs), QueryParams{Query: q, TimeoutMS: 150}))
 	if status != http.StatusGatewayTimeout || !strings.Contains(errorOf(t, raw), "deadline") {
 		t.Fatalf("queued behind a busy pool: %d %s, want 504", status, raw)
 	}
@@ -286,7 +304,7 @@ func TestExchangeAllocs(t *testing.T) {
 	}
 	e := newEnv(t, testUsers(2000, 301), Config{Workers: 1, QueueDepth: 4, DefaultTimeout: 30 * time.Second})
 	facs := testFacilities(128, 32, 302)
-	body := AppendQueryFrame(nil, facs, QueryParams{Query: trajcover.Query{Scenario: trajcover.Binary, Psi: 40}})
+	body := AppendQueryFrame(nil, tableOf(facs), QueryParams{Query: trajcover.Query{Scenario: trajcover.Binary, Psi: 40}})
 	rb := &replayBody{}
 	req, err := http.NewRequest(http.MethodPost, PathExchange, rb)
 	if err != nil {
@@ -321,10 +339,10 @@ func TestExchangeAllocs(t *testing.T) {
 func FuzzExchangeFrames(f *testing.F) {
 	q := trajcover.Query{Scenario: trajcover.PointCount, Psi: 300}
 	facs := testFacilities(3, 4, 311)
-	good := AppendQueryFrame(nil, facs, QueryParams{Query: q, Workers: 2, TimeoutMS: 250})
+	good := AppendQueryFrame(nil, tableOf(facs), QueryParams{Query: q, Workers: 2, TimeoutMS: 250})
 	f.Add(byte(0), good)
 	f.Add(byte(3), AppendFloatsFrame(append([]byte(nil), good...), []float64{2, 0}))
-	f.Add(byte(0), AppendQueryFrame(nil, nil, QueryParams{}))
+	f.Add(byte(0), AppendQueryFrame(nil, tableOf(nil), QueryParams{}))
 	f.Add(byte(2), AppendFloatsFrame(nil, []float64{1, 2.5}))
 	f.Add(byte(7), good[:len(good)-3])
 	f.Add(byte(2), append(AppendFloatsFrame(nil, []float64{1, 2.5}), 0))
@@ -388,7 +406,7 @@ func requireFrameMatchesJSON(t *testing.T, qf *QueryFrame) {
 	if err != nil {
 		t.Fatalf("accepted a frame JSON cannot say: %v", err)
 	}
-	jreq, jfacs, jq, err := DecodeQueryRequest(body, false)
+	jreq, jtable, jfacs, jq, err := DecodeQueryTable(body, false)
 	if err != nil {
 		t.Fatalf("the frame decoder accepted what the JSON decoder rejects: %v", err)
 	}
@@ -396,6 +414,10 @@ func requireFrameMatchesJSON(t *testing.T, qf *QueryFrame) {
 		t.Fatalf("query %+v, JSON path %+v workers %d timeout %d", qf.QueryParams, jq, jreq.Workers, jreq.TimeoutMS)
 	}
 	requireSameFacilities(t, qf.Facilities, jfacs)
+	// Both decoders build one table: each writes the same frame.
+	if got, want := AppendQueryFrame(nil, qf.Table, qf.QueryParams), AppendQueryFrame(nil, jtable, qf.QueryParams); !bytes.Equal(got, want) {
+		t.Fatalf("the frame's table writes %x, the JSON path's %x", got, want)
+	}
 	if got, want := CanonicalQueryHash(PathServiceValues, &req, 0, qf.Query), CanonicalQueryHash(PathServiceValues, jreq, 0, jq); got != want {
 		t.Fatalf("canonical hash %x, JSON path %x", got, want)
 	}

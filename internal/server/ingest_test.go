@@ -13,6 +13,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -26,7 +27,8 @@ import (
 // endpoints that take coordinates — the reflection decoder zero-filled
 // short pairs and truncated long ones), null and empty arrays still "no
 // stops", and every JSON number spelling decoded to the bits
-// strconv.ParseFloat gives.
+// strconv.ParseFloat gives. Then what a facility object may look like:
+// its two keys spelled exactly, each once.
 func TestCoordinatePairShapes(t *testing.T) {
 	query := func(stops string) string {
 		return `{"facilities":[{"id":1,"stops":` + stops + `}],"k":1,"psi":10}`
@@ -58,6 +60,45 @@ func TestCoordinatePairShapes(t *testing.T) {
 		_, _, _, err := DecodeQueryRequest([]byte(query(stops)), true)
 		if err == nil || !strings.Contains(err.Error(), "has no stops") {
 			t.Errorf("stops %s: err = %v, want \"has no stops\"", stops, err)
+		}
+	}
+
+	// What a facility object may spell. A facility that is {} or null
+	// is the zero facility, which has no stops; a list that is null is no
+	// facilities at all.
+	facilities := func(list string) string { return `{"facilities":` + list + `,"k":1,"psi":10}` }
+	for _, list := range []string{`[{}]`, `[ null ]`, `[{"id":null,"stops":null}]`, `[{"stops":[]}]`} {
+		_, _, _, err := DecodeQueryRequest([]byte(facilities(list)), true)
+		if err == nil || !strings.Contains(err.Error(), "facility 0 has no stops") {
+			t.Errorf("facilities %s: err = %v, want \"facility 0 has no stops\"", list, err)
+		}
+	}
+	if req, facs, _, err := DecodeQueryRequest([]byte(facilities(`null`)), true); err != nil || len(facs) != 0 || len(req.Facilities) != 0 {
+		t.Errorf("facilities null: %d facilities, err = %v; want none, no error", len(facs), err)
+	}
+	// encoding/json folds a key's case (and ſ to s), unescapes it, and lets
+	// the last of two equal keys win; the one-pass decoder takes "id" and
+	// "stops" spelled exactly, once each, and names any other key in its
+	// 400 — a tightening, so the reference still accepts every one.
+	keys := []struct{ facility, want string }{
+		{`{"ID":1,"stops":[[1,2]]}`, `unknown key "ID"`},
+		{`{"id":1,"Stops":[[1,2]]}`, `unknown key "Stops"`},
+		{`{"Id":1,"STOPS":[[1,2]]}`, `unknown key "Id"`},
+		{`{"\u0069d":1,"stops":[[1,2]]}`, `unknown key "\\u0069d"`},
+		{`{"id":1,"\u0073tops":[[1,2]]}`, `unknown key "\\u0073tops"`},
+		{`{"id":1,"ſtops":[[1,2]]}`, `unknown key "ſtops"`},
+		{`{"id":1,"id":2,"stops":[[1,2]]}`, `key "id" given twice`},
+		{`{"id":1,"stops":[[1,2]],"stops":[[3,4]]}`, `key "stops" given twice`},
+		{`{"stops":null,"id":1,"stops":[[3,4]]}`, `key "stops" given twice`},
+	}
+	for _, tc := range keys {
+		body := []byte(facilities(`[{"id":2,"stops":[[5,6]]},` + tc.facility + `]`))
+		if _, _, _, err := refDecodeQueryRequest(body, true); err != nil {
+			t.Errorf("facility %s: the reference rejects it too (%v): not a tightening", tc.facility, err)
+		}
+		_, _, _, err := DecodeQueryRequest(body, true)
+		if _, ok := err.(*badRequest); !ok || !strings.Contains(err.Error(), "facilities[1]: "+tc.want) {
+			t.Errorf("facility %s: err = %v, want a badRequest saying %s", tc.facility, err, tc.want)
 		}
 	}
 
@@ -109,6 +150,11 @@ func TestCoordinatePairShapes(t *testing.T) {
 			if status, body, _ := e.post(path, []byte(query(stops))); status != http.StatusBadRequest {
 				t.Errorf("%s stops %s: status %d (%s), want 400", path, stops, status, body)
 			}
+		}
+	}
+	for _, tc := range keys {
+		if status, body, _ := e.post(PathTopK, []byte(facilities(`[`+tc.facility+`]`))); status != http.StatusBadRequest || !strings.Contains(errorOf(t, body), tc.want) {
+			t.Errorf("facility %s: status %d (%s), want 400 saying %s", tc.facility, status, body, tc.want)
 		}
 	}
 	before := e.srv.Index().Len()
@@ -454,34 +500,45 @@ func TestAliasEviction(t *testing.T) {
 	}
 }
 
-// paperDefaultBody is the paper's default kMaxRRST request (§VII Table
-// III: 128 candidate routes × 32 stops, k = 8) — the ~160 KB body the
-// allocation pins are stated for.
-func paperDefaultBody(t testing.TB) []byte {
+// topKBody is a top-k body of n facilities of 32 stops, k = 8: at n = 128
+// the paper's default kMaxRRST request (§VII Table III), the ~130 KB body
+// the allocation pins are stated for.
+func topKBody(t testing.TB, n int) []byte {
 	t.Helper()
-	b, err := json.Marshal(QueryRequest{Facilities: FacilitiesJSON(testFacilities(128, 32, 51)), K: 8, Psi: 40, Workers: 1, TimeoutMS: 30_000})
+	b, err := json.Marshal(QueryRequest{Facilities: FacilitiesJSON(testFacilities(n, 32, 51)), K: 8, Psi: 40, Workers: 1, TimeoutMS: 30_000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
 }
 
-// TestDecodeQueryRequestAllocs pins the one-pass decode: one allocation
-// per coordinate array plus a constant, not the reflection path's eight
-// per facility and 1,056 in all.
+func paperDefaultBody(t testing.TB) []byte { return topKBody(t, 128) }
+
+// TestDecodeQueryRequestAllocs pins the one-pass decode: a constant
+// number of allocations — the request, the wire list, the table's three
+// columns and the query API's slab and pointers — the same at 16
+// facilities as at 128, not the one per facility a decoder per stop array
+// makes, or the reflection path's eight.
 func TestDecodeQueryRequestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	body := paperDefaultBody(t)
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, _, _, err := DecodeQueryRequest(body, true); err != nil {
-			t.Fatal(err)
+	var counts []float64
+	for _, n := range []int{16, 128} {
+		body := topKBody(t, n)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, _, _, err := DecodeQueryRequest(body, true); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("DecodeQueryRequest(%d bytes, %d x 32): %.0f allocs", len(body), n, allocs)
+		if allocs > 8 {
+			t.Fatalf("DecodeQueryRequest, %d facilities: %.0f allocs, want <= 8", n, allocs)
 		}
-	})
-	t.Logf("DecodeQueryRequest(%d bytes, 128 x 32): %.0f allocs", len(body), allocs)
-	if allocs > 200 {
-		t.Fatalf("DecodeQueryRequest: %.0f allocs, want <= 200", allocs)
+		counts = append(counts, allocs)
+	}
+	if counts[0] != counts[1] {
+		t.Fatalf("DecodeQueryRequest: %.0f allocs at 16 facilities, %.0f at 128: something is allocated per facility", counts[0], counts[1])
 	}
 }
 
@@ -505,21 +562,17 @@ func (w *discardWriter) Write(b []byte) (int, error) {
 	return len(b), nil
 }
 
-// TestTopKHitAllocs pins "hit before decode" at the handler: a repeat of
-// a cached paper-default body is answered by the alias and the answer
-// lookups alone. Decoding that body costs over a hundred allocations, so
-// the bound also proves no DecodeQueryRequest ran.
-func TestTopKHitAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
+// topKServer returns a server over a small index, result cache on or
+// off, and a function that drives one /v1/topk of body straight into its
+// handler — net/http's own cost is not in what it allocates.
+func topKServer(t *testing.T, cacheBytes int64, body []byte) (*Server, func()) {
+	t.Helper()
 	idx, err := trajcover.NewIndex(testUsers(200, 52), liveOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(idx, Config{Workers: 1, QueueDepth: 4, DefaultTimeout: 30 * time.Second, ResultCacheBytes: 1 << 20})
-	defer srv.Close()
-	body := paperDefaultBody(t)
+	srv := New(idx, Config{Workers: 1, QueueDepth: 4, DefaultTimeout: 30 * time.Second, ResultCacheBytes: cacheBytes})
+	t.Cleanup(srv.Close)
 	rb := &replayBody{}
 	req, err := http.NewRequest(http.MethodPost, PathTopK, nil)
 	if err != nil {
@@ -527,7 +580,7 @@ func TestTopKHitAllocs(t *testing.T) {
 	}
 	req.Body, req.ContentLength = rb, int64(len(body))
 	w := &discardWriter{header: http.Header{}}
-	serve := func() {
+	return srv, func() {
 		rb.Reset(body)
 		w.status, w.n = 0, 0
 		srv.Handler().ServeHTTP(w, req)
@@ -535,6 +588,44 @@ func TestTopKHitAllocs(t *testing.T) {
 			t.Fatalf("status %d, %d body bytes", w.status, w.n)
 		}
 	}
+}
+
+// TestTopKMissAllocs pins the miss path at the handler: a cache-off
+// /v1/topk — decode, admission, the exact pass over two shards, the sort,
+// the encode — allocates the same at 16 facilities as at 128, because
+// nothing on it is allocated per facility, and stays under a constant
+// bound. The collector is off while it counts: a collection empties the
+// sync.Pools the query path draws from, and the larger body's garbage
+// would otherwise buy it more refills.
+func TestTopKMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var counts []float64
+	for _, n := range []int{16, 128} {
+		_, serve := topKServer(t, 0, topKBody(t, n))
+		allocs := testing.AllocsPerRun(20, serve)
+		t.Logf("uncached /v1/topk, %d x 32: %.0f allocs", n, allocs)
+		if allocs > 40 {
+			t.Fatalf("uncached /v1/topk, %d facilities: %.0f allocs per request, want <= 40", n, allocs)
+		}
+		counts = append(counts, allocs)
+	}
+	if counts[0] != counts[1] {
+		t.Fatalf("uncached /v1/topk: %.0f allocs at 16 facilities, %.0f at 128: something is allocated per facility", counts[0], counts[1])
+	}
+}
+
+// TestTopKHitAllocs pins "hit before decode" at the handler: a repeat of
+// a cached paper-default body is answered by the alias and the answer
+// lookups alone, with none of the miss path's decode or query work.
+func TestTopKHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	body := paperDefaultBody(t)
+	srv, serve := topKServer(t, 1<<20, body)
 	serve() // computes, caches, aliases
 	before := cacheCounters(t, srv)
 	const runs = 50

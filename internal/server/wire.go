@@ -13,10 +13,12 @@ package server
 // answers stay byte-identical to direct library calls — the property the
 // end-to-end tests pin.
 //
-// Nearly every byte of a query body is coordinates, so those arrays
-// (Coords) decode themselves in one pass — count, allocate once,
-// strconv.ParseFloat each number — and encoding/json's reflection walks
-// only the small envelope around them.
+// Nearly every byte of a query body is facilities, so the facility list
+// (FacilityList) decodes itself in one pass — count, allocate the columns
+// once, strconv.ParseFloat each number into one stop arena — into a
+// trajectory.FacilityTable, the form the exchange's query frame has too,
+// and encoding/json's reflection walks only the small envelope around it.
+// An inserted trajectory's points (Coords) decode the same way.
 
 import (
 	"bytes"
@@ -30,6 +32,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"unsafe"
 
 	trajcover "github.com/trajcover/trajcover"
 	"github.com/trajcover/trajcover/internal/replog"
@@ -68,13 +71,7 @@ func badRequestf(format string, args ...any) error {
 type Coords [][2]float64
 
 // UnmarshalJSON decodes a JSON array of [x, y] pairs in one pass over
-// data with one allocation. Every pair must be an array of exactly two
-// numbers — a short, long, null or nested pair is an error, where
-// encoding/json's fixed-size-array rule would zero-fill or truncate it —
-// and each number goes through strconv.ParseFloat exactly as
-// encoding/json's own float64 path does, so accepted coordinates are
-// bit-identical to that path's and out-of-range literals (1e999) are
-// errors. null leaves c untouched, as encoding/json does for a slice.
+// data with one allocation (see appendPairs). null leaves c untouched.
 //
 // encoding/json hands this method syntax-checked bytes; other input is
 // an error, never a panic.
@@ -83,34 +80,56 @@ func (c *Coords) UnmarshalJSON(data []byte) error {
 	if string(data[i:]) == "null" {
 		return nil
 	}
-	if i == len(data) || data[i] != '[' {
-		return errors.New("want an array of [x, y] pairs")
+	// Every '[' but the array's own opens one pair in a well-formed array,
+	// so the count sizes the slice. It is capped at the longest array any
+	// request may carry: past that (or on a malformed array, where the
+	// count means nothing) the caller is about to reject the result.
+	pts, next, err := appendPairs(make([]trajcover.Point, 0, min(bytes.Count(data, []byte{'['}), MaxPoints)), data, i)
+	if err != nil {
+		return err
 	}
-	// Every '[' past the first opens one pair in a well-formed array, so
-	// the count sizes the slice exactly. It is capped at the longest array
-	// any request may carry: past that (or on a malformed array, where
-	// the count means nothing) the caller is about to reject the result.
-	out := make(Coords, 0, min(bytes.Count(data[i+1:], []byte{'['}), MaxPoints))
+	if skipSpace(data, next) != len(data) {
+		return errors.New("trailing data after the array")
+	}
+	*c = coordsOf(pts)
+	return nil
+}
+
+// coordsOf views points as wire coordinates, sharing their memory: a
+// Point is two float64s, X then Y, laid out exactly as a [2]float64 is.
+func coordsOf(pts []trajcover.Point) Coords {
+	return unsafe.Slice((*[2]float64)(unsafe.Pointer(unsafe.SliceData(pts))), len(pts))
+}
+
+// appendPairs parses the JSON array of [x, y] pairs at data[i], appends
+// each pair to dst, and returns dst and the index just past the array.
+// Every pair must be an array of exactly two numbers — a short, long, null
+// or nested pair is an error, where encoding/json's fixed-size-array rule
+// would zero-fill or truncate it — and each number goes through
+// strconv.ParseFloat exactly as encoding/json's own float64 path does, so
+// accepted coordinates are bit-identical to that path's and out-of-range
+// literals (1e999) are errors.
+func appendPairs(dst []trajcover.Point, data []byte, i int) ([]trajcover.Point, int, error) {
+	if i == len(data) || data[i] != '[' {
+		return dst, i, errors.New("want an array of [x, y] pairs")
+	}
+	first := len(dst)
 	i = skipSpace(data, i+1)
 	for more := i == len(data) || data[i] != ']'; more; {
 		xy, next, err := parsePair(data, i)
 		if err != nil {
-			return fmt.Errorf("pair %d: %w", len(out), err)
+			return dst, i, fmt.Errorf("pair %d: %w", len(dst)-first, err)
 		}
-		out = append(out, xy)
+		dst = append(dst, trajcover.Pt(xy[0], xy[1]))
 		i = skipSpace(data, next)
 		if i == len(data) || (data[i] != ',' && data[i] != ']') {
-			return fmt.Errorf("want ',' or ']' after pair %d", len(out)-1)
+			return dst, i, fmt.Errorf("want ',' or ']' after pair %d", len(dst)-first-1)
 		}
 		if more = data[i] == ','; more {
 			i = skipSpace(data, i+1)
 		}
 	}
-	if skipSpace(data, i+1) != len(data) {
-		return errors.New("trailing data after the array")
-	}
-	*c = out
-	return nil
+	return dst, i + 1, nil
 }
 
 // parsePair parses one "[x, y]" starting at data[i] and returns the
@@ -160,11 +179,188 @@ type FacilityJSON struct {
 	Stops Coords `json:"stops"`
 }
 
+// FacilityList is a query's facilities on the wire: a JSON array of
+// {"id": …, "stops": […]} objects. It encodes like the []FacilityJSON it
+// is and decodes itself (see UnmarshalJSON).
+type FacilityList []FacilityJSON
+
+// UnmarshalJSON decodes a JSON array of facilities in one pass over data,
+// in a constant number of allocations whatever its length (up to
+// MaxPoints stops in all): every stop goes through appendPairs into one
+// arena, which each facility's Stops aliases. A facility is an object whose keys are "id" (a uint32 or null)
+// and "stops" (as Coords, or null), each spelled exactly and given at most
+// once; a missing key, or a null facility, reads as the zero value.
+// encoding/json would also take a key in another case, escaped, or
+// repeated (the last one winning): each of those is an error here, naming
+// the key. null sets l to nil, as encoding/json does for a slice.
+//
+// encoding/json hands this method syntax-checked bytes; other input is
+// an error, never a panic.
+func (l *FacilityList) UnmarshalJSON(data []byte) error {
+	var b facilityBatch
+	if err := b.UnmarshalJSON(data); err != nil {
+		return err
+	}
+	*l = b.list
+	return nil
+}
+
+// facilityBatch is a decoded facility list with the table its stops
+// alias: what DecodeQueryTable decodes a body's "facilities" into.
+type facilityBatch struct {
+	list  FacilityList
+	table trajectory.FacilityTable
+}
+
+// UnmarshalJSON is FacilityList's, keeping the table.
+func (b *facilityBatch) UnmarshalJSON(data []byte) error {
+	i := skipSpace(data, 0)
+	if string(data[i:]) == "null" {
+		*b = facilityBatch{}
+		return nil
+	}
+	if i == len(data) || data[i] != '[' {
+		return errors.New("want an array of facilities")
+	}
+	// Every facility but a null one opens with a '{', and every stop with a
+	// '[', so the counts size the columns in one allocation each. A count
+	// is only a size: the columns grow past one that null facilities beat,
+	// and the Stops views are taken once the arena is whole. The caps keep
+	// a hostile body's brackets from buying more than the decoders of
+	// single arrays allow (Coords) before a parse error ends it.
+	objects := min(bytes.Count(data, []byte{'{'}), MaxFacilities)
+	list := make(FacilityList, 0, objects)
+	ids := make([]trajectory.ID, 0, objects)
+	off := make([]uint32, 1, objects+1)
+	stops := make([]trajcover.Point, 0, min(bytes.Count(data, []byte{'['}), MaxPoints))
+	i = skipSpace(data, i+1)
+	for more := i == len(data) || data[i] != ']'; more; {
+		var id uint32
+		var err error
+		if id, stops, i, err = parseFacility(data, i, stops); err != nil {
+			return fmt.Errorf("facilities[%d]: %w", len(list), err)
+		}
+		list = append(list, FacilityJSON{ID: id})
+		ids = append(ids, trajectory.ID(id))
+		off = append(off, uint32(len(stops)))
+		i = skipSpace(data, i)
+		if i == len(data) || (data[i] != ',' && data[i] != ']') {
+			return fmt.Errorf("want ',' or ']' after facilities[%d]", len(list)-1)
+		}
+		if more = data[i] == ','; more {
+			i = skipSpace(data, i+1)
+		}
+	}
+	if skipSpace(data, i+1) != len(data) {
+		return errors.New("trailing data after the array")
+	}
+	t, err := trajectory.NewFacilityTable(ids, off, stops)
+	if err != nil {
+		return err
+	}
+	for f := range list {
+		list[f].Stops = coordsOf(t.Stops(f))
+	}
+	*b = facilityBatch{list: list, table: t}
+	return nil
+}
+
+// parseFacility parses the facility object (or null) at data[i], appends
+// its stops to stops, and returns its ID, stops and the index just past
+// the object.
+func parseFacility(data []byte, i int, stops []trajcover.Point) (uint32, []trajcover.Point, int, error) {
+	if isNull(data, i) {
+		return 0, stops, i + 4, nil
+	}
+	if i == len(data) || data[i] != '{' {
+		return 0, stops, i, errors.New("want a facility object")
+	}
+	var id uint32
+	var haveID, haveStops bool
+	i = skipSpace(data, i+1)
+	for more := i == len(data) || data[i] != '}'; more; {
+		key, next, err := parseKey(data, i)
+		if err != nil {
+			return 0, stops, i, err
+		}
+		if i = skipSpace(data, next); i == len(data) || data[i] != ':' {
+			return 0, stops, i, fmt.Errorf("want ':' after key %q", key)
+		}
+		i = skipSpace(data, i+1)
+		switch k := string(key); {
+		case k == "id" && !haveID:
+			haveID = true
+			id, i, err = parseID(data, i)
+		case k == "stops" && !haveStops:
+			haveStops = true
+			if isNull(data, i) {
+				i += 4
+			} else {
+				stops, i, err = appendPairs(stops, data, i)
+			}
+		case k == "id" || k == "stops":
+			err = fmt.Errorf("key %q given twice", key)
+		default:
+			err = fmt.Errorf(`unknown key %q (a facility's keys are "id" and "stops", spelled exactly)`, key)
+		}
+		if err != nil {
+			return 0, stops, i, err
+		}
+		if i = skipSpace(data, i); i == len(data) || (data[i] != ',' && data[i] != '}') {
+			return 0, stops, i, fmt.Errorf("want ',' or '}' after key %q", key)
+		}
+		if more = data[i] == ','; more {
+			i = skipSpace(data, i+1)
+		}
+	}
+	return id, stops, i + 1, nil
+}
+
+// parseKey returns the bytes of the object key at data[i] as they are
+// spelled, escapes and all, and the index just past its closing quote.
+func parseKey(data []byte, i int) ([]byte, int, error) {
+	if i == len(data) || data[i] != '"' {
+		return nil, i, errors.New("want a key")
+	}
+	for j := i + 1; j < len(data); j++ {
+		switch data[j] {
+		case '\\':
+			j++
+		case '"':
+			return data[i+1 : j], j + 1, nil
+		}
+	}
+	return nil, i, errors.New("unterminated key")
+}
+
+// parseID parses the facility ID at data[i]: null (zero, as encoding/json
+// leaves it) or a number strconv.ParseUint takes in base 10 and 32 bits —
+// exactly the literals encoding/json accepts for a uint32.
+func parseID(data []byte, i int) (uint32, int, error) {
+	if isNull(data, i) {
+		return 0, i + 4, nil
+	}
+	start := i
+	for i < len(data) && isNumberByte(data[i]) {
+		i++
+	}
+	id, err := strconv.ParseUint(string(data[start:i]), 10, 32)
+	if err != nil {
+		return 0, i, fmt.Errorf("id %q is not a uint32", data[start:i])
+	}
+	return uint32(id), i, nil
+}
+
+// isNull reports whether the value at data[i] is the literal null.
+func isNull(data []byte, i int) bool {
+	return len(data)-i >= 4 && string(data[i:i+4]) == "null"
+}
+
 // FacilitiesJSON is the wire form of a facility list, coordinates
 // bit-exact — what a client (or a test, or the bench harness) puts in
 // QueryRequest.Facilities to ask about fs.
-func FacilitiesJSON(fs []*trajcover.Facility) []FacilityJSON {
-	out := make([]FacilityJSON, len(fs))
+func FacilitiesJSON(fs []*trajcover.Facility) FacilityList {
+	out := make(FacilityList, len(fs))
 	for i, f := range fs {
 		stops := make(Coords, len(f.Stops))
 		for j, st := range f.Stops {
@@ -177,7 +373,7 @@ func FacilitiesJSON(fs []*trajcover.Facility) []FacilityJSON {
 
 // QueryRequest is the body of /v1/topk and /v1/servicevalues.
 type QueryRequest struct {
-	Facilities []FacilityJSON `json:"facilities"`
+	Facilities FacilityList `json:"facilities"`
 	// K is the number of results (topk only; ignored by servicevalues).
 	K int `json:"k,omitempty"`
 	// Scenario selects the service semantics: "binary" (default),
@@ -352,11 +548,6 @@ func unmarshalStrict(data []byte, v any) error {
 	return nil
 }
 
-// The facility checks every decoder applies — the JSON body's and the
-// exchange's query frame's — in this order, with these messages: counts
-// first, so nothing is sized from an unchecked number, then each
-// coordinate.
-
 func checkFacilityCount(n uint64) error {
 	if n > MaxFacilities {
 		return badRequestf("too many facilities: %d > %d", n, MaxFacilities)
@@ -364,67 +555,36 @@ func checkFacilityCount(n uint64) error {
 	return nil
 }
 
-func checkStopCount(id uint32, n uint64) error {
-	if n == 0 {
-		return badRequestf("facility %d has no stops", id)
-	}
-	if n > MaxStops {
-		return badRequestf("facility %d has too many stops: %d > %d", id, n, MaxStops)
-	}
-	return nil
-}
-
-func checkStop(id uint32, j int, x, y float64) error {
-	if !finite(x) || !finite(y) {
-		return badRequestf("facility %d stop %d is not finite", id, j)
-	}
-	return nil
-}
-
-func makeFacility(id uint32, stops []trajcover.Point) (trajcover.Facility, error) {
-	f, err := trajectory.MakeFacility(trajcover.ID(id), stops)
-	if err != nil {
-		return f, badRequestf("facility %d: %v", id, err)
-	}
-	return f, nil
-}
-
-// decodeFacilities validates the wire facilities and builds the library's
-// form of them in three allocations whatever their number: one flat
-// arena holding every stop, one slab of Facility values, and the
-// pointers into it the query API takes.
-func decodeFacilities(fjs []FacilityJSON) ([]*trajcover.Facility, error) {
-	if err := checkFacilityCount(uint64(len(fjs))); err != nil {
+// facilities runs the facility checks every decoder applies — the JSON
+// body's and the exchange's query frame's — over a decoded batch, in this
+// order, with these messages: the count, then every facility's stop
+// count, then every stop. Then it builds the query API's form of the
+// batch, in slab and ptrs when they have room for it (FacilityTable's
+// Facilities).
+func facilities(t trajectory.FacilityTable, slab []trajcover.Facility, ptrs []*trajcover.Facility) ([]*trajcover.Facility, error) {
+	if err := checkFacilityCount(uint64(t.Len())); err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, fj := range fjs {
-		if err := checkStopCount(fj.ID, uint64(len(fj.Stops))); err != nil {
-			return nil, err
+	for i := range t.Len() {
+		switch n := len(t.Stops(i)); {
+		case n == 0:
+			return nil, badRequestf("facility %d has no stops", t.ID(i))
+		case n > MaxStops:
+			return nil, badRequestf("facility %d has too many stops: %d > %d", t.ID(i), n, MaxStops)
 		}
-		total += len(fj.Stops)
 	}
-	arena := make([]trajcover.Point, 0, total)
-	slab := make([]trajcover.Facility, len(fjs))
-	out := make([]*trajcover.Facility, len(fjs))
-	for i, fj := range fjs {
-		start := len(arena)
-		for j, st := range fj.Stops {
-			if err := checkStop(fj.ID, j, st[0], st[1]); err != nil {
-				return nil, err
+	for i := range t.Len() {
+		for j, st := range t.Stops(i) {
+			if !finite(st.X) || !finite(st.Y) {
+				return nil, badRequestf("facility %d stop %d is not finite", t.ID(i), j)
 			}
-			arena = append(arena, trajcover.Pt(st[0], st[1]))
 		}
-		// Capacity stops at the facility's own last stop: an append to
-		// Stops reallocates instead of overwriting its neighbour's.
-		f, err := makeFacility(fj.ID, arena[start:len(arena):len(arena)])
-		if err != nil {
-			return nil, err
-		}
-		slab[i] = f
-		out[i] = &slab[i]
 	}
-	return out, nil
+	facs, err := t.Facilities(slab, ptrs)
+	if err != nil { // a stopless facility, refused above
+		return nil, badRequestf("%v", err)
+	}
+	return facs, nil
 }
 
 // validate checks and normalizes everything in a query but its
@@ -464,19 +624,37 @@ func (req *QueryRequest) validate(needK bool) (trajcover.Query, error) {
 // and never lets a non-finite, oversized, or non-positive-k request
 // through to the index.
 func DecodeQueryRequest(data []byte, needK bool) (*QueryRequest, []*trajcover.Facility, trajcover.Query, error) {
-	var req QueryRequest
-	if err := unmarshalStrict(data, &req); err != nil {
-		return nil, nil, trajcover.Query{}, err
+	req, _, facs, q, err := DecodeQueryTable(data, needK)
+	return req, facs, q, err
+}
+
+// queryBody is what a query body decodes into: a QueryRequest whose
+// facilities land in a facilityBatch (the outer field hides the embedded
+// one from encoding/json), so the table the list aliases is kept.
+type queryBody struct {
+	QueryRequest
+	Facilities facilityBatch `json:"facilities"`
+}
+
+// DecodeQueryTable is DecodeQueryRequest that also returns the table the
+// facilities and the request's stops alias — the columns a scatter-gather
+// frontend writes its query frame from.
+func DecodeQueryTable(data []byte, needK bool) (*QueryRequest, trajectory.FacilityTable, []*trajcover.Facility, trajcover.Query, error) {
+	var body queryBody
+	if err := unmarshalStrict(data, &body); err != nil {
+		return nil, trajectory.FacilityTable{}, nil, trajcover.Query{}, err
 	}
+	req, t := &body.QueryRequest, body.Facilities.table
+	req.Facilities = body.Facilities.list
 	q, err := req.validate(needK)
 	if err != nil {
-		return nil, nil, trajcover.Query{}, err
+		return nil, trajectory.FacilityTable{}, nil, trajcover.Query{}, err
 	}
-	facs, err := decodeFacilities(req.Facilities)
+	facs, err := facilities(t, nil, nil)
 	if err != nil {
-		return nil, nil, trajcover.Query{}, err
+		return nil, trajectory.FacilityTable{}, nil, trajcover.Query{}, err
 	}
-	return &req, facs, q, nil
+	return req, t, facs, q, nil
 }
 
 // DecodeInsertRequest parses and validates a /v1/insert body.
