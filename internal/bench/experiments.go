@@ -56,7 +56,7 @@ func Registry() []Experiment {
 		{ID: "build", Title: "§VI.B.4 — index construction time vs #user trajectories (NYT)", Run: expBuild},
 		{ID: "scaling", Title: "extra — BL/TQ(Z) gap growth with dataset scale (not in the paper)", Run: expScaling},
 		{ID: "thrpt", Title: "extra — batch kMaxRRST throughput vs worker count (NYT, not in the paper)", Run: expThroughput},
-		{ID: "pbuild", Title: "extra — TQ(Z) construction (pointer tree and frozen columns) vs build parallelism (NYT, not in the paper)", Run: expParallelBuild},
+		{ID: "pbuild", Title: "extra — TQ(Z) construction vs build parallelism (NYT, not in the paper)", Run: expParallelBuild},
 		{ID: "shards", Title: "extra — sharded scatter-gather build time and throughput vs shard count (NYT, not in the paper)", Run: expShards},
 		{ID: "churn", Title: "extra — query latency under live insert/delete churn with background epoch swaps (NYT, not in the paper)", Run: expChurn},
 		{ID: "bound", Title: "extra — seed upper bound tightness (UB/exact, rank gap at k) and stop-rule cuts over the N, k, ψ sweeps (NYT, BJG; not in the paper)", Run: expBound},
@@ -163,45 +163,35 @@ func expThroughput(ctx *Context) (*Table, error) {
 // expParallelBuild measures TQ(Z) construction with Options.Parallelism
 // swept over the worker axis — the companion series to the paper's §VI.B.4
 // build-time experiment, demonstrating that index construction scales
-// with cores while producing an identical tree — for both products of the
-// one build plan: the pointer tree (Build) and the frozen columns every
-// served index is built as (BuildFrozen). Each gets seconds (min of the
-// repeats), then the heap allocations and MB allocated by one more build.
+// with cores while producing an identical index. There is one build,
+// BuildFrozen, which plans the corpus and writes the frozen columns every
+// served index is: seconds (min of the repeats), then the heap allocations
+// and MB allocated by one more build.
 func expParallelBuild(ctx *Context) (*Table, error) {
 	t := &Table{
-		ID: "pbuild", Title: "TQ(Z) build vs parallelism: pointer tree and frozen columns (NYT)",
+		ID: "pbuild", Title: "TQ(Z) build vs parallelism (NYT)",
 		XLabel: "parallelism", YLabel: "seconds to build (allocs, MB: per build)",
-		Series: []Series{
-			{Method: "Build"}, {Method: "Build allocs(n)"}, {Method: "Build MB(n)"},
-			{Method: "BuildFrozen"}, {Method: "BuildFrozen allocs(n)"}, {Method: "BuildFrozen MB(n)"},
-		},
+		Series: []Series{{Method: "BuildFrozen"}, {Method: "BuildFrozen allocs(n)"}, {Method: "BuildFrozen MB(n)"}},
 	}
 	users := ctx.Users(dsNYT, datagen.NYT1Day)
 	for _, w := range workerAxis {
 		opts := tqtree.Options{Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder, Parallelism: w}
-		var row []float64
-		for _, build := range []func() error{
-			func() error { _, err := tqtree.Build(users.All, opts); return err },
-			func() error { _, err := tqtree.BuildFrozen(users.All, opts); return err },
-		} {
-			var berr error
-			run := func() {
-				if err := build(); err != nil {
-					berr = err
-				}
+		var berr error
+		run := func() {
+			if _, err := tqtree.BuildFrozen(users.All, opts); err != nil {
+				berr = err
 			}
-			sec := ctx.Time(run)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			run()
-			runtime.ReadMemStats(&after)
-			if berr != nil {
-				return nil, berr
-			}
-			row = append(row, sec, float64(after.Mallocs-before.Mallocs), float64(after.TotalAlloc-before.TotalAlloc)/(1<<20))
+		}
+		sec := ctx.Time(run)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		if berr != nil {
+			return nil, berr
 		}
 		t.XTicks = append(t.XTicks, fmt.Sprint(w))
-		appendRow(t, row...)
+		appendRow(t, sec, float64(after.Mallocs-before.Mallocs), float64(after.TotalAlloc-before.TotalAlloc)/(1<<20))
 	}
 	return t, nil
 }

@@ -315,19 +315,6 @@ func TwoStep(src *shard.Source, facilities []*trajectory.Facility, k, kPrime int
 	return greedyFromCache(cache, candidates, k), nil
 }
 
-// TwoStepGreedy is TwoStep over the pointer tree eng holds, frozen first.
-func TwoStepGreedy(eng *query.Engine, facilities []*trajectory.Facility, k, kPrime int, p query.Params) (Result, error) {
-	fz, err := tqtree.Freeze(eng.Tree())
-	if err != nil {
-		return Result{}, err
-	}
-	f, err := shard.FrozenFromEngines([]*query.FrozenEngine{query.NewFrozenEngine(fz, nil)}, fz.Bounds(), "")
-	if err != nil {
-		return Result{}, err
-	}
-	return TwoStep(f.Source(), facilities, k, kPrime, p)
-}
-
 // Exact enumerates every size-k subset and returns the best — feasible
 // only for small instances; it guards against combinatorial blow-up.
 func Exact(src CoverageSource, facilities []*trajectory.Facility, k int, p query.Params) (Result, error) {

@@ -20,8 +20,9 @@ type FrozenEngine struct {
 // NewFrozenEngine wraps a frozen index. The index carries its own corpus
 // (Frozen.Table), so users is not retained: a non-nil set is only checked
 // to have the index's trajectory count — a mismatch is a caller bug and
-// panics — and callers inside this module pass nil. The parameter stays
-// for benchmark/layers.go, which a PR scoped to benchmark/ can update.
+// panics. Callers inside this module pass nil; benchmark/layers.go, the
+// one caller that passes a set, keeps the parameter until ROADMAP item 1
+// moves it off.
 func NewFrozenEngine(f *tqtree.Frozen, users *trajectory.Set) *FrozenEngine {
 	if users != nil && users.Len() != f.NumTrajectories() {
 		panic(fmt.Sprintf("query: NewFrozenEngine: set of %d trajectories for an index of %d", users.Len(), f.NumTrajectories()))

@@ -95,10 +95,11 @@ func evaluateService(l frozenLayout, n int32, stops []geo.Point, p Params, mode 
 // endpoints in e, which is what a list needs to serve when ancestors
 // cannot (mode NeedBoth): such an entry has both endpoints in one
 // quadrant, the first off the center lines, so the build routed it to
-// that quadrant's child. Only a leaf keeps routable entries, and only the
-// root entries outside its cell (a base frozen from a pointer tree that
-// took an insert off the map) — so e must lie inside the root's. The
-// comparisons are the build's own floats, so the test is exact.
+// that quadrant's child. Only a leaf keeps routable entries. A built root
+// holds no entry outside its cell, but FrozenFromColumns does not check
+// that entries lie inside the root's cell, so a restored snapshot's root
+// may — hence e must also lie inside the root's. The comparisons are the
+// build's own floats, so the test is exact.
 func inOneQuadrant(f *tqtree.Frozen, n int32, e geo.Rect) bool {
 	if f.IsLeaf(n) {
 		return false

@@ -70,20 +70,6 @@ type Metrics struct {
 	Relaxations int
 }
 
-// Engine holds a pointer TQ-tree, which nothing queries: the one caller
-// left (the repository benchmark) freezes it for maxcov.TwoStepGreedy.
-type Engine struct {
-	tree *tqtree.Tree
-}
-
-// NewEngine wraps a built TQ-tree; users is not read.
-func NewEngine(tree *tqtree.Tree, users *trajectory.Set) *Engine {
-	return &Engine{tree: tree}
-}
-
-// Tree returns the underlying TQ-tree.
-func (e *Engine) Tree() *tqtree.Tree { return e.tree }
-
 // compArena is a stack-discipline buffer for facility components during a
 // depth-first traversal: children components are carved from the buffer
 // and released (truncated) when their recursion returns, so a whole query

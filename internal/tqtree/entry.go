@@ -1,6 +1,8 @@
 package tqtree
 
 import (
+	"cmp"
+
 	"github.com/trajcover/trajcover/internal/geo"
 	"github.com/trajcover/trajcover/internal/service"
 	"github.com/trajcover/trajcover/internal/trajectory"
@@ -64,4 +66,58 @@ func newSegmentEntry(t *trajectory.Trajectory, i int, bounds geo.Rect) Entry {
 		e.ub[service.Length] = t.SegmentLength(i) / L
 	}
 	return e
+}
+
+// FilterMode selects the candidate predicate zReduce applies to entries
+// against a facility component's EMBR. Which mode is correct depends on
+// the index variant and query scenario; see Frozen.FilterModeFor.
+type FilterMode int
+
+const (
+	// NeedBoth: an entry can only be served if both its first and last
+	// point lie inside the EMBR (Binary service; Length over segments).
+	NeedBoth FilterMode = iota
+	// NeedAny: an entry can contribute if either endpoint lies inside
+	// the EMBR (PointCount over two-point or segment entries).
+	NeedAny
+	// NeedOverlap: an entry can contribute if its MBR intersects the
+	// EMBR (multipoint whole-trajectory entries, where interior points
+	// may be served).
+	NeedOverlap
+)
+
+// zAgg holds a z-node's pruning aggregates — up to β entries, consecutive
+// in (start, end) z-id order — which BuildFrozen writes as the frozen
+// bucket columns (TQ(Z)).
+type zAgg struct {
+	minStart uint64
+	maxStart uint64
+	startMBR geo.Rect // MBR of first points
+	endMBR   geo.Rect // MBR of last points
+	fullMBR  geo.Rect // union of entry MBRs
+}
+
+// reset makes a the aggregates of e alone.
+func (a *zAgg) reset(e *Entry) {
+	a.minStart, a.maxStart = e.startCode, e.startCode
+	a.startMBR = geo.NewRect(e.first, e.first)
+	a.endMBR = geo.NewRect(e.last, e.last)
+	a.fullMBR = e.mbr
+}
+
+func (a *zAgg) extend(e *Entry) {
+	if e.startCode < a.minStart {
+		a.minStart = e.startCode
+	}
+	if e.startCode > a.maxStart {
+		a.maxStart = e.startCode
+	}
+	a.startMBR = a.startMBR.ExtendPoint(e.first)
+	a.endMBR = a.endMBR.ExtendPoint(e.last)
+	a.fullMBR = a.fullMBR.ExtendRect(e.mbr)
+}
+
+// cmpEntry orders entries by (start, end) z-ids, the z-lists' order.
+func cmpEntry(a, b *Entry) int {
+	return cmp.Or(cmp.Compare(a.startCode, b.startCode), cmp.Compare(a.endCode, b.endCode))
 }

@@ -1,10 +1,9 @@
 package tqtree
 
 // The frozen columnar TQ-tree: an immutable TQ-tree laid out in a handful
-// of contiguous slices, written straight from the build plan (BuildFrozen)
-// or copied from a pointer tree (Freeze). Its hot loops —
-// best-first node expansion and zReduce bucket scans — walk flat arrays
-// instead of chasing *Node / *Entry / *Trajectory pointers:
+// of contiguous slices, written straight from the build plan
+// (BuildFrozen). Its hot loops — best-first node expansion and zReduce
+// bucket scans — walk flat arrays instead of chasing pointers:
 //
 //   - q-nodes become parallel columns indexed by int32 (BFS order, each
 //     node's children contiguous at childBase..childBase+childCount);
@@ -68,8 +67,8 @@ type Frozen struct {
 	bktEndMBR   []geo.Rect
 	bktFullMBR  []geo.Rect
 
-	// Entry slab, SoA. The per-entry Morton codes and upper bounds of the
-	// pointer tree are deliberately NOT carried over: zReduce prunes
+	// Entry slab, SoA. The plan's per-entry Morton codes and upper bounds
+	// are deliberately NOT carried over: zReduce prunes
 	// buckets with the aggregate columns and filters entries by geometry,
 	// and the immutable index never re-derives node bounds. Of the rest,
 	// every variant holds the endpoints zReduce filters by; a column only
@@ -106,11 +105,10 @@ type Frozen struct {
 // before the Frozen is shared.
 func (f *Frozen) SetPin(p any) { f.pin = p }
 
-// BuildFrozen builds the flat representation directly from user
-// trajectories: the same index Freeze(Build(users, opts)) yields, column
-// for column, written from the build plan without a pointer tree in
-// between. Points are copied into the trajectory table, so the result
-// keeps nothing of users. Two trajectories with one ID are rejected.
+// BuildFrozen builds the TQ-tree over user trajectories: it plans the
+// corpus and writes the plan as columns, in BFS node order. Points are
+// copied into the trajectory table, so the result keeps nothing of users.
+// Two trajectories with one ID are rejected.
 func BuildFrozen(users []*trajectory.Trajectory, opts Options) (*Frozen, error) {
 	pl, err := planCorpus(users, opts)
 	if err != nil {
@@ -122,7 +120,7 @@ func BuildFrozen(users []*trajectory.Trajectory, opts Options) (*Frozen, error) 
 	for _, n := range pl.nodes {
 		buckets += (int(n.own-n.lo) + beta - 1) / beta
 	}
-	w, err := newFrozenWriter(pl.Tree, len(order), buckets)
+	w, err := newFrozenWriter(pl, len(order), buckets)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +129,7 @@ func BuildFrozen(users []*trajectory.Trajectory, opts Options) (*Frozen, error) 
 	first := make([]int32, len(pl.slab))
 	for i, id := range order {
 		n := &pl.nodes[id]
-		w.node(i, n.rect, kids(n.child, -1), &n.ownUB, &n.treeUB)
+		w.node(i, n.rect, kids(n.child), &n.ownUB, &n.treeUB)
 		for own := pl.perm[n.lo:n.own]; len(own) > 0; {
 			k := len(own)
 			if pl.opts.Ordering == ZOrder {
@@ -157,75 +155,17 @@ func BuildFrozen(users []*trajectory.Trajectory, opts Options) (*Frozen, error) 
 	return w.finish()
 }
 
-// Freeze builds the flat representation of a built tree: the index
-// BuildFrozen writes over the same corpus without making the tree, column
-// for column. The tree is only read,
-// and the result shares nothing with it: points are copied into the
-// trajectory table in slab order, so dropping the tree — and the
-// trajectories it was built over — afterwards releases them entirely.
-// Two indexed trajectories with one ID are rejected.
-func Freeze(t *Tree) (*Frozen, error) {
-	// BFS so each node's children land contiguously in quadrant order.
-	nodes := append(make([]*Node, 0, 64), t.root)
-	for i := 0; i < len(nodes); i++ {
-		for _, c := range nodes[i].children {
-			if c != nil {
-				nodes = append(nodes, c)
-			}
-		}
-	}
-	w, err := newFrozenWriter(t, len(nodes), 0)
-	if err != nil {
-		return nil, err
-	}
-	var ordinal map[*trajectory.Trajectory]int32
-	if t.opts.Variant == Segmented {
-		// Only a segmented tree stores a trajectory under more than one
-		// entry; the others take a fresh ordinal per entry, no lookup.
-		ordinal = make(map[*trajectory.Trajectory]int32, t.numTrajs)
-	}
-	entry := func(e *Entry) {
-		ti, seen := ordinal[e.Traj]
-		if !seen {
-			ti = w.table.Append(e.Traj)
-			if ordinal != nil {
-				ordinal[e.Traj] = ti
-			}
-		}
-		w.entry(e, ti)
-	}
-	for i, n := range nodes {
-		w.node(i, n.rect, kids(n.children, nil), &n.ownUB, &n.treeUB)
-		switch l := n.list.(type) {
-		case *basicList:
-			for j := range l.entries {
-				entry(&l.entries[j])
-			}
-		case *zList:
-			for _, b := range l.buckets {
-				w.bucket(&b.zAgg)
-				for j := range b.entries {
-					entry(&b.entries[j])
-				}
-			}
-		default:
-			return nil, fmt.Errorf("tqtree: unknown list type %T", n.list)
-		}
-	}
-	return w.finish()
-}
-
-// frozenWriter lays a tree out as Frozen columns in BFS node order, from a
-// plan (BuildFrozen) or a pointer tree (Freeze), filling the table too.
+// frozenWriter lays a plan out as Frozen columns in BFS node order, one
+// node, bucket and entry at a time, filling the trajectory table too.
 type frozenWriter struct {
 	f     *Frozen
 	table *trajectory.TableBuilder
 	next  int32 // the next node's first child
 }
 
-// newFrozenWriter sizes the columns for t; buckets is a capacity hint.
-func newFrozenWriter(t *Tree, nodes, buckets int) (*frozenWriter, error) {
-	o, entries := t.opts, t.numEntries
+// newFrozenWriter sizes the columns for pl; buckets is a capacity hint.
+func newFrozenWriter(pl *plan, nodes, buckets int) (*frozenWriter, error) {
+	o, entries := pl.opts, pl.numEntries
 	if nodes > math.MaxInt32 || entries > math.MaxInt32 {
 		return nil, fmt.Errorf("tqtree: tree too large to freeze (%d nodes, %d entries)", nodes, entries)
 	}
@@ -234,8 +174,8 @@ func newFrozenWriter(t *Tree, nodes, buckets int) (*frozenWriter, error) {
 		ordering:      o.Ordering,
 		beta:          o.Beta,
 		maxDepth:      o.MaxDepth,
-		bounds:        t.bounds,
-		hasMultipoint: t.hasMultipoint,
+		bounds:        pl.bounds,
+		hasMultipoint: pl.hasMultipoint,
 		nodeRect:      make([]geo.Rect, nodes),
 		childBase:     make([]int32, nodes),
 		childCount:    make([]int32, nodes),
@@ -261,7 +201,7 @@ func newFrozenWriter(t *Tree, nodes, buckets int) (*frozenWriter, error) {
 		f.bktEndMBR = make([]geo.Rect, 0, buckets)
 		f.bktFullMBR = make([]geo.Rect, 0, buckets)
 	}
-	return &frozenWriter{f: f, table: trajectory.NewTableBuilder(t.numTrajs, t.numPoints), next: 1}, nil
+	return &frozenWriter{f: f, table: trajectory.NewTableBuilder(pl.numTrajs, pl.numPoints), next: 1}, nil
 }
 
 // node opens node i, which has cnt children, at the next entry and
@@ -322,9 +262,9 @@ func (w *frozenWriter) finish() (*Frozen, error) {
 }
 
 // kids counts the quadrants holding a child.
-func kids[T comparable](child [4]T, none T) (n int32) {
+func kids(child [4]int32) (n int32) {
 	for _, c := range child {
-		if c != none {
+		if c >= 0 {
 			n++
 		}
 	}
@@ -343,7 +283,7 @@ func (f *Frozen) Ordering() Ordering { return f.ordering }
 // Beta returns the block size β.
 func (f *Frozen) Beta() int { return f.beta }
 
-// MaxDepth returns the depth bound the source tree was built with.
+// MaxDepth returns the depth bound the index was built with.
 func (f *Frozen) MaxDepth() int { return f.maxDepth }
 
 // NumNodes returns the number of q-nodes.

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/trajcover/trajcover/internal/geo"
-	"github.com/trajcover/trajcover/internal/service"
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
@@ -28,41 +27,29 @@ func frozenTestUsers(n int, seed int64) []*trajectory.Trajectory {
 	return users
 }
 
-// TestFreezeStructure checks the frozen mirror agrees with the tree on
-// the aggregate counts and per-node shape, and that the column view
-// round-trips through FrozenFromColumns.
+// TestFreezeStructure checks the built index's counts against its corpus
+// and its invariants, and that the column view round-trips through
+// FrozenFromColumns.
 func TestFreezeStructure(t *testing.T) {
 	for _, v := range []Variant{TwoPoint, Segmented, FullTrajectory} {
 		for _, o := range []Ordering{Basic, ZOrder} {
 			users := frozenTestUsers(700, 3)
-			tree, err := Build(users, Options{Variant: v, Ordering: o, Beta: 16})
+			f, err := BuildFrozen(users, Options{Variant: v, Ordering: o, Beta: 16})
 			if err != nil {
 				t.Fatal(err)
 			}
-			f, err := Freeze(tree)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if f.NumEntries() != tree.NumEntries() {
-				t.Fatalf("%v/%v: frozen %d entries, tree %d", v, o, f.NumEntries(), tree.NumEntries())
-			}
-			if f.NumTrajectories() != tree.NumTrajectories() {
-				t.Fatalf("%v/%v: frozen %d trajectories, tree %d", v, o, f.NumTrajectories(), tree.NumTrajectories())
-			}
-			nodes := 0
-			tree.Root().Walk(func(n *Node) { nodes++ })
-			if f.NumNodes() != nodes {
-				t.Fatalf("%v/%v: frozen %d nodes, tree %d", v, o, f.NumNodes(), nodes)
-			}
-			// Root shape must agree.
-			root := tree.Root()
-			if f.Rect(0) != root.rect || f.IsLeaf(0) != root.leaf || f.ListLen(0) != root.list.len() {
-				t.Fatalf("%v/%v: root shape mismatch", v, o)
-			}
-			for sc := service.Scenario(0); int(sc) < service.NumScenarios; sc++ {
-				if f.TreeUB(0, sc) != root.treeUB[sc] || f.OwnUB(0, sc) != root.ownUB[sc] {
-					t.Fatalf("%v/%v: root upper bounds mismatch", v, o)
+			entries := len(users)
+			if v == Segmented {
+				entries = 0
+				for _, u := range users {
+					entries += u.NumSegments()
 				}
+			}
+			if f.NumEntries() != entries || f.NumTrajectories() != len(users) {
+				t.Fatalf("%v/%v: %d entries and %d trajectories, want %d and %d", v, o, f.NumEntries(), f.NumTrajectories(), entries, len(users))
+			}
+			if err := checkInvariants(f); err != nil {
+				t.Fatalf("%v/%v: %v", v, o, err)
 			}
 
 			// The columns must reassemble without loss.
@@ -158,23 +145,19 @@ func TestFrozenFromColumnsRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestFreezeDoesNotRetainTree proves Freeze copies rather than aliases
-// the pointer tree: after dropping the tree, its root node becomes
-// garbage even while the frozen index stays live. A finalizer on the
-// root observes the collection.
+// TestFreezeDoesNotRetainTree proves BuildFrozen copies rather than
+// aliases its input: once the caller drops the trajectories, they become
+// garbage even while the index stays live. A finalizer on one of them
+// observes the collection.
 func TestFreezeDoesNotRetainTree(t *testing.T) {
-	users := frozenTestUsers(2000, 9)
 	collected := make(chan struct{})
 	f := func() *Frozen {
-		tree, err := Build(users, Options{Ordering: ZOrder})
+		users := frozenTestUsers(2000, 9)
+		fz, err := BuildFrozen(users, Options{Ordering: ZOrder})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fz, err := Freeze(tree)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runtime.SetFinalizer(tree.Root(), func(*Node) { close(collected) })
+		runtime.SetFinalizer(users[0], func(*trajectory.Trajectory) { close(collected) })
 		return fz
 	}()
 	deadline := time.After(10 * time.Second)
@@ -185,7 +168,7 @@ func TestFreezeDoesNotRetainTree(t *testing.T) {
 			runtime.KeepAlive(f)
 			return
 		case <-deadline:
-			t.Fatal("tree root not collected: Freeze retains the pointer tree")
+			t.Fatal("input trajectory not collected: BuildFrozen retains its input")
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
@@ -212,11 +195,12 @@ func assertFrozenEqual(t *testing.T, name string, got, want *Frozen) {
 	}
 }
 
-// TestBuildFrozenMatchesFreeze: BuildFrozen writes exactly the index
-// Freeze makes of Build's tree, for every variant, ordering, β, depth
-// bound and parallelism, over a uniform corpus and the shapes the plan
-// must get right — every point in one cell (the depth-limit leaf), every
-// entry straddling the root centre (nothing routes), one user, none.
+// TestBuildFrozenMatchesFreeze: BuildFrozen holds every invariant
+// checkInvariants knows, and a parallel build writes the serial one's
+// columns, for every variant, ordering, β and depth bound, over a uniform
+// corpus and the shapes the plan must get right — every point in one cell
+// (the depth-limit leaf), every entry straddling the root centre (nothing
+// routes), one user, none.
 func TestBuildFrozenMatchesFreeze(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cell := make([]*trajectory.Trajectory, 300)
@@ -244,22 +228,22 @@ func TestBuildFrozenMatchesFreeze(t *testing.T) {
 			for _, o := range []Ordering{Basic, ZOrder} {
 				for _, beta := range []int{1, 8, 64} {
 					for _, depth := range []int{1, 3, 0} {
+						var serial *Frozen
 						for _, par := range []int{1, 4} {
 							opts := Options{Variant: v, Ordering: o, Beta: beta, MaxDepth: depth, Bounds: testBounds, Parallelism: par}
 							name := fmt.Sprintf("%s/%v/%v/b%d/d%d/p%d", cname, v, o, beta, depth, par)
-							direct, err := BuildFrozen(users, opts)
+							f, err := BuildFrozen(users, opts)
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
 							}
-							tree, err := Build(users, opts)
-							if err != nil {
+							if err := checkInvariants(f); err != nil {
 								t.Fatalf("%s: %v", name, err)
 							}
-							frozen, err := Freeze(tree)
-							if err != nil {
-								t.Fatalf("%s: %v", name, err)
+							if serial == nil {
+								serial = f
+							} else {
+								assertFrozenEqual(t, name, f, serial)
 							}
-							assertFrozenEqual(t, name, direct, frozen)
 						}
 					}
 				}
@@ -268,8 +252,8 @@ func TestBuildFrozenMatchesFreeze(t *testing.T) {
 	}
 }
 
-// TestBuildFrozenRejectsDuplicateIDs: as Freeze rejects a tree holding
-// two trajectories with one ID, BuildFrozen rejects such a corpus.
+// TestBuildFrozenRejectsDuplicateIDs: BuildFrozen rejects a corpus holding
+// two trajectories with one ID.
 func TestBuildFrozenRejectsDuplicateIDs(t *testing.T) {
 	users := randTrajectories(200, 4, 103, testBounds)
 	users[150] = trajectory.MustNew(users[17].ID, users[150].Points)
@@ -277,13 +261,6 @@ func TestBuildFrozenRejectsDuplicateIDs(t *testing.T) {
 		opts := Options{Variant: v, Ordering: ZOrder, Beta: 8}
 		if _, err := BuildFrozen(users, opts); err == nil || !strings.Contains(err.Error(), "duplicate id") {
 			t.Fatalf("%v: BuildFrozen over a duplicate id: %v", v, err)
-		}
-		tree, err := Build(users, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Freeze(tree); err == nil {
-			t.Fatalf("%v: Freeze over a duplicate id accepted it", v)
 		}
 	}
 }

@@ -1,9 +1,9 @@
 package tqtree
 
 // The build plan: one pointer-free partition of a slab of entries into
-// q-nodes, which BuildFrozen writes as columns and Build turns into
-// *Nodes. Only an []int32 permutation of slab indices moves; in
-// it each node owns one range: its own list, then its children's.
+// q-nodes, which BuildFrozen writes as columns. Only an []int32
+// permutation of slab indices moves; in it each node owns one range: its
+// own list, then its children's.
 
 import (
 	"fmt"
@@ -27,10 +27,16 @@ type planNode struct {
 	ownUB, treeUB [service.NumScenarios]float64
 }
 
-// plan is the partition of slab under its Tree's options; planCorpus's
-// Tree is a node-less header (root space, counts) the builds take over.
+// plan is the partition of slab under opts, with the header the frozen
+// layout takes over: the root space and the corpus counts.
 type plan struct {
-	*Tree
+	opts          Options
+	bounds        geo.Rect
+	numTrajs      int
+	numEntries    int
+	numPoints     int // sizes the trajectory table's arena
+	hasMultipoint bool
+
 	slab []Entry
 	perm []int32
 
@@ -66,7 +72,7 @@ func planCorpus(users []*trajectory.Trajectory, opts Options) (*plan, error) {
 	if opts.Ordering < Basic || opts.Ordering > ZOrder {
 		return nil, fmt.Errorf("tqtree: invalid ordering %d", int(opts.Ordering))
 	}
-	pl := &plan{Tree: &Tree{opts: opts, bounds: opts.Bounds}}
+	pl := &plan{opts: opts, bounds: opts.Bounds}
 	n := 0
 	for _, u := range users {
 		pl.bounds = pl.bounds.ExtendRect(u.MBR())
@@ -80,7 +86,9 @@ func planCorpus(users []*trajectory.Trajectory, opts Options) (*plan, error) {
 	pl.numEntries = n
 	slab := make([]Entry, 0, n)
 	for _, u := range users {
-		pl.noteTrajectory(u)
+		pl.numTrajs++
+		pl.numPoints += u.Len()
+		pl.hasMultipoint = pl.hasMultipoint || u.Len() > 2
 		slab = appendEntries(slab, opts.Variant, pl.bounds, u)
 	}
 	par := opts.Parallelism
@@ -198,16 +206,6 @@ func (pl *plan) partition(rect geo.Rect, lo, hi int32, cut *[6]int32) bool {
 	}
 	copy(pl.perm[lo:hi], pl.scratch[lo:hi])
 	return true
-}
-
-// sorted returns the slab in plan order: each node's own list becomes one
-// contiguous window, in list order.
-func (pl *plan) sorted() []Entry {
-	out := make([]Entry, len(pl.perm))
-	for i, p := range pl.perm {
-		out[i] = pl.slab[p]
-	}
-	return out
 }
 
 // bfs returns the plan's node indices breadth first, children in quadrant

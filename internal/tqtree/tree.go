@@ -8,11 +8,9 @@
 // from its subtree, which the best-first kMaxRRST search in
 // internal/query consumes.
 //
-// Every index is built as the frozen columnar layout (BuildFrozen, from
-// the pointer-free build plan in plan.go) and queried as one. The pointer
-// Tree, and Freeze from it, remain only as a second product of the same
-// plan, for the structural tests and the repository benchmark's build
-// timing.
+// There is one build and one layout: BuildFrozen plans the corpus
+// pointer-free (plan.go) and writes the plan as the frozen columns
+// (frozen.go), which every index, snapshot and query reads.
 package tqtree
 
 import (
@@ -95,71 +93,12 @@ type Options struct {
 	// Bounds is the root space. It is extended to cover the data; a
 	// zero Rect derives bounds entirely from the data.
 	Bounds geo.Rect
-	// Parallelism bounds the number of goroutines Build and BuildFrozen
-	// may run concurrently. 0 means runtime.GOMAXPROCS(0); 1 forces the
-	// serial build. A parallel build is identical to the serial one:
-	// subtrees are planned independently and their `sub` upper bounds
-	// are merged in quadrant order after the joins.
+	// Parallelism bounds the number of goroutines BuildFrozen may run
+	// concurrently. 0 means runtime.GOMAXPROCS(0); 1 forces the serial
+	// build. A parallel build is identical to the serial one: subtrees are
+	// planned independently and their `sub` upper bounds are merged in
+	// quadrant order after the joins.
 	Parallelism int
-}
-
-// Tree is a TQ-tree over a set of user trajectories as linked nodes; no
-// query runs on it (see the package doc).
-type Tree struct {
-	opts          Options
-	bounds        geo.Rect
-	root          *Node
-	numTrajs      int
-	numEntries    int
-	numPoints     int // sizes Freeze's arena
-	hasMultipoint bool
-}
-
-// Node is a q-node of the TQ-tree. Internal nodes hold the inter-node
-// entries (those split by their children); leaves hold intra-node entries.
-type Node struct {
-	rect     geo.Rect
-	depth    int
-	leaf     bool
-	children [4]*Node
-	list     entryList
-	ownUB    [service.NumScenarios]float64
-	treeUB   [service.NumScenarios]float64
-}
-
-// Build constructs a TQ-tree over the given trajectories.
-func Build(users []*trajectory.Trajectory, opts Options) (*Tree, error) {
-	pl, err := planCorpus(users, opts)
-	if err != nil {
-		return nil, err
-	}
-	t := pl.Tree
-	t.root = &Node{rect: t.bounds, treeUB: pl.nodes[pl.top].treeUB}
-	t.adopt(pl, pl.sorted(), pl.top, t.root)
-	return t, nil
-}
-
-// adopt makes n plan node id and grows its subtree; n's rect, depth and
-// treeUB are the caller's. Lists are windows on sorted.
-func (t *Tree) adopt(pl *plan, sorted []Entry, id int32, n *Node) {
-	pn := &pl.nodes[id]
-	n.leaf, n.ownUB = pn.leaf, pn.ownUB
-	n.list = t.newList(sorted[pn.lo:pn.own:pn.own])
-	for q, c := range pn.child {
-		if c >= 0 {
-			cn := &pl.nodes[c]
-			n.children[q] = &Node{rect: cn.rect, depth: n.depth + 1, treeUB: cn.treeUB}
-			t.adopt(pl, sorted, c, n.children[q])
-		}
-	}
-}
-
-func (t *Tree) noteTrajectory(u *trajectory.Trajectory) {
-	t.numTrajs++
-	t.numPoints += u.Len()
-	if u.Len() > 2 {
-		t.hasMultipoint = true
-	}
 }
 
 func appendEntries(dst []Entry, v Variant, bounds geo.Rect, u *trajectory.Trajectory) []Entry {
@@ -192,24 +131,6 @@ func routeQuadrant(v Variant, rect geo.Rect, e *Entry) (q int, ok bool) {
 	}
 	return 0, false
 }
-
-// newList wraps entries, z-sorted already under ZOrder, as a node list.
-func (t *Tree) newList(entries []Entry) entryList {
-	if t.opts.Ordering == ZOrder {
-		return newZList(entries, t.opts.Beta)
-	}
-	return &basicList{entries: entries}
-}
-
-// Root returns the root q-node.
-func (t *Tree) Root() *Node { return t.root }
-
-// NumTrajectories returns the number of user trajectories indexed.
-func (t *Tree) NumTrajectories() int { return t.numTrajs }
-
-// NumEntries returns the number of stored entries (equals trajectories
-// for TwoPoint/FullTrajectory; total segments for Segmented).
-func (t *Tree) NumEntries() int { return t.numEntries }
 
 // ErrUnsupported is returned when a scenario cannot be answered exactly
 // by a tree of this variant over the indexed data.
@@ -294,14 +215,4 @@ const (
 // pointCode returns the Morton code of p in the given root space.
 func pointCode(bounds geo.Rect, p geo.Point) uint64 {
 	return zorder.PointCode(bounds, p)
-}
-
-// Walk visits n and every descendant in depth-first order.
-func (n *Node) Walk(fn func(*Node)) {
-	fn(n)
-	for q := 0; q < 4; q++ {
-		if c := n.children[q]; c != nil {
-			c.Walk(fn)
-		}
-	}
 }

@@ -74,11 +74,11 @@ func TestBuildInvariantsAllConfigs(t *testing.T) {
 	users := randTrajectories(400, 6, 42, testBounds)
 	for _, opts := range allConfigs() {
 		t.Run(opts.Variant.String()+"/"+opts.Ordering.String(), func(t *testing.T) {
-			tree, err := Build(users, opts)
+			tree, err := BuildFrozen(users, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tree.CheckInvariants(); err != nil {
+			if err := checkInvariants(tree); err != nil {
 				t.Fatal(err)
 			}
 			wantEntries := len(users)
@@ -93,10 +93,6 @@ func TestBuildInvariantsAllConfigs(t *testing.T) {
 			}
 			if tree.NumTrajectories() != len(users) {
 				t.Errorf("NumTrajectories = %d, want %d", tree.NumTrajectories(), len(users))
-			}
-			st := tree.Stats()
-			if st.Entries != wantEntries {
-				t.Errorf("Stats.Entries = %d, want %d", st.Entries, wantEntries)
 			}
 		})
 	}
@@ -309,38 +305,35 @@ func TestAncestorsCanServe(t *testing.T) {
 
 func TestDeepDuplicateTrajectoriesBounded(t *testing.T) {
 	// Identical trajectories cannot be separated; depth must stay bounded
-	// and the structure valid.
+	// (checkInvariants holds every node to MaxDepth) and the structure
+	// valid.
 	pts := []geo.Point{geo.Pt(100.5, 100.5), geo.Pt(101, 101)}
 	users := make([]*trajectory.Trajectory, 500)
 	for i := range users {
 		users[i] = trajectory.MustNew(trajectory.ID(i), pts)
 	}
-	tree, err := Build(users, Options{Variant: TwoPoint, Ordering: ZOrder, Beta: 4, MaxDepth: 10, Bounds: testBounds})
+	tree, err := BuildFrozen(users, Options{Variant: TwoPoint, Ordering: ZOrder, Beta: 4, MaxDepth: 10, Bounds: testBounds})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tree.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	if tree.MaxDepth() != 10 {
+		t.Fatalf("MaxDepth = %d, want 10", tree.MaxDepth())
 	}
-	if st := tree.Stats(); st.MaxDepth > 10 {
-		t.Errorf("depth %d exceeds MaxDepth", st.MaxDepth)
+	if err := checkInvariants(tree); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestEmptyTree(t *testing.T) {
-	tree, err := Build(nil, Options{Variant: FullTrajectory, Ordering: ZOrder, Bounds: testBounds})
+	f, err := BuildFrozen(nil, Options{Variant: FullTrajectory, Ordering: ZOrder, Bounds: testBounds})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tree.CheckInvariants(); err != nil {
+	if err := checkInvariants(f); err != nil {
 		t.Fatal(err)
 	}
-	if tree.Root().treeUB[service.Binary] != 0 {
+	if f.TreeUB(0, service.Binary) != 0 {
 		t.Error("empty tree has nonzero UB")
-	}
-	f, err := Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
 	}
 	ss := service.NewStopSet([]geo.Point{geo.Pt(500, 500)}, 1000)
 	if so, scored := f.ScoreNode(0, testBounds, NeedBoth, ss, service.Binary, nil); so != 0 || scored != 0 {
@@ -353,8 +346,8 @@ func TestEmptyTree(t *testing.T) {
 
 func TestQuickRandomTreesKeepInvariants(t *testing.T) {
 	// testing/quick drives random workload shapes (count, point counts,
-	// beta, variant, ordering) through Build and checks the structural
-	// invariants each time.
+	// beta, variant, ordering) through BuildFrozen and checks the
+	// structural invariants each time.
 	f := func(seed int64, nRaw, maxPtsRaw, betaRaw uint8, variantRaw, orderingRaw uint8) bool {
 		n := 20 + int(nRaw)%200
 		maxPts := 2 + int(maxPtsRaw)%6
@@ -362,14 +355,14 @@ func TestQuickRandomTreesKeepInvariants(t *testing.T) {
 		variant := Variant(int(variantRaw) % 3)
 		ordering := Ordering(int(orderingRaw) % 2)
 		users := randTrajectories(n, maxPts, seed, testBounds)
-		tree, err := Build(users, Options{
+		tree, err := BuildFrozen(users, Options{
 			Variant: variant, Ordering: ordering, Beta: beta, Bounds: testBounds,
 		})
 		if err != nil {
 			t.Logf("build error: %v", err)
 			return false
 		}
-		if err := tree.CheckInvariants(); err != nil {
+		if err := checkInvariants(tree); err != nil {
 			t.Logf("invariant violation (seed=%d n=%d beta=%d %v/%v): %v",
 				seed, n, beta, variant, ordering, err)
 			return false

@@ -120,8 +120,8 @@ func (f *Facility) MBR() geo.Rect { return f.mbr }
 func (f *Facility) EMBR(psi float64) geo.Rect { return f.mbr.Expand(psi) }
 
 // Set is a mutable, ordered collection of user trajectories with ID
-// lookup — the corpus of the pointer-tree indexes. (A frozen index keeps
-// its corpus in a Table instead.)
+// lookup — the corpus the quadtree baseline and the brute-force oracle
+// read. (A TQ-tree index keeps its corpus in a Table instead.)
 type Set struct {
 	All  []*Trajectory
 	byID map[ID]setEntry

@@ -571,11 +571,7 @@ func TestLiveSnapshotRejectsCrossShardDeltaID(t *testing.T) {
 	users := TaxiTrips(NewYorkCity(), 40, 41)
 	epoch := func(base, delta []*Trajectory) *query.Epoch {
 		t.Helper()
-		tree, err := tqtree.Build(base, tqtree.Options{Ordering: tqtree.ZOrder})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fz, err := tqtree.Freeze(tree)
+		fz, err := tqtree.BuildFrozen(base, tqtree.Options{Ordering: tqtree.ZOrder})
 		if err != nil {
 			t.Fatal(err)
 		}
