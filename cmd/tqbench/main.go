@@ -53,11 +53,6 @@ func main() {
 	}
 
 	bench.RegisterExtra(bench.Experiment{
-		ID:    "serve",
-		Title: "extra — tqserve worker-pool HTTP front end requests/sec vs pool size (NYT, not in the paper)",
-		Run:   expServe,
-	})
-	bench.RegisterExtra(bench.Experiment{
 		ID:    "wal",
 		Title: "extra — WAL append throughput and replay speed vs sync policy (NYT, not in the paper)",
 		Run:   expWAL,
@@ -77,17 +72,6 @@ func main() {
 		Title: "extra — frozen snapshot open: heap restore vs mmap alias, with RSS deltas (NYT, not in the paper)",
 		Run:   expMmaptier,
 	})
-	bench.RegisterExtra(bench.Experiment{
-		ID:    "rescache",
-		Title: "extra — tqserve repeated-query throughput with the result cache off vs on (NYT, not in the paper)",
-		Run:   expRescache,
-	})
-	bench.RegisterExtra(bench.Experiment{
-		ID:    "dist",
-		Title: "extra — scatter-gather frontend over shard-group backends vs one process, with exchanges per query (NYT, not in the paper)",
-		Run:   expDist,
-	})
-
 	bench.RegisterExtra(bench.Experiment{
 		ID:    "mem",
 		Title: "extra — live heap bytes per indexed trajectory for both index types at 1 and 2 shards (NYT/NYF/BJG, not in the paper)",

@@ -1,32 +1,25 @@
 package main
 
-// The `mmaptier` and `rescache` experiments: the two memory tiers
-// added for cold-start and hot-query cost. mmaptier times opening the
-// SAME frozen snapshot file through the heap restore (parse + copy every
-// column) and the mapped open (CRC + bounds checks, columns aliased
-// onto the page cache) and reports the resident-memory cost of each
-// as informational series — the mapped open's RSS stays near zero
-// because untouched pages are never faulted in. rescache drives the
-// tqserve front end with a repeated identical query, cache off vs on,
-// and reports the hit rate alongside the throughput. Both live here
-// rather than in internal/bench because they front the public
-// package's snapshot and server layers.
+// The `mmaptier` experiment: what a cold start costs in each memory
+// tier. It times opening the SAME frozen snapshot file through the heap
+// restore (parse + copy every column) and the mapped open (CRC + bounds
+// checks, columns aliased onto the page cache) and reports the
+// resident-memory cost of each as informational series — the mapped
+// open's RSS stays near zero because untouched pages are never faulted
+// in. It lives here rather than in internal/bench because it fronts the
+// public package's snapshot layer.
 
 import (
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"strings"
-	"time"
 
 	trajcover "github.com/trajcover/trajcover"
 	"github.com/trajcover/trajcover/internal/bench"
 	"github.com/trajcover/trajcover/internal/datagen"
-	"github.com/trajcover/trajcover/internal/server"
 )
 
 // rssAnonBytes reads the process's anonymous resident set (RssAnon
@@ -173,87 +166,6 @@ func expMmaptier(ctx *bench.Context) (*bench.Table, error) {
 		t.Series[2].Y = append(t.Series[2].Y, speedup)
 		t.Series[3].Y = append(t.Series[3].Y, heapRSS)
 		t.Series[4].Y = append(t.Series[4].Y, mappedRSS)
-	}
-	return t, nil
-}
-
-// rescacheRequests is how many identical requests each measurement
-// fires; past the first miss they are all cache hits when the cache
-// is on.
-const rescacheRequests = 64
-
-func expRescache(ctx *bench.Context) (*bench.Table, error) {
-	t := &bench.Table{
-		ID: "rescache", Title: "tqserve repeated-query throughput: result cache off vs on (NYT)",
-		XLabel: "result cache", YLabel: "requests/sec",
-		Series: []bench.Series{
-			{Method: "servicevalues"},
-			{Method: "hit rate % (n)"},
-		},
-	}
-	users := ctx.Users("nyt", datagen.NYT1Day)
-	idx, err := trajcover.NewIndex(users.All, trajcover.IndexOptions{
-		Ordering: trajcover.ZOrdering,
-		Shards:   2,
-		Policy:   trajcover.LivePolicy{Manual: true},
-	})
-	if err != nil {
-		return nil, err
-	}
-	routes := ctx.Routes("ny", 128, 32)
-	fjs := server.FacilitiesJSON(routes)
-	body := mustJSON(server.QueryRequest{Facilities: fjs, Psi: ctx.Cfg.Psi, Workers: 1, TimeoutMS: 60_000})
-
-	for _, cacheBytes := range []int64{0, 64 << 20} {
-		srv := server.New(idx, server.Config{
-			Workers:          2,
-			QueueDepth:       2 * rescacheRequests,
-			DefaultTimeout:   time.Minute,
-			MaxTimeout:       time.Minute,
-			ResultCacheBytes: cacheBytes,
-		})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		hs := &http.Server{Handler: srv.Handler()}
-		go hs.Serve(ln)
-		url := "http://" + ln.Addr().String()
-		client := &http.Client{Timeout: 2 * time.Minute}
-
-		// Warm once so the cached measurement times steady-state hits,
-		// not the first miss.
-		if err := hammer(client, url+server.PathServiceValues, body, 1, 1); err != nil {
-			hs.Close()
-			srv.Close()
-			return nil, err
-		}
-		var qerr error
-		sec := ctx.Time(func() {
-			if err := hammer(client, url+server.PathServiceValues, body, rescacheRequests, 1); err != nil {
-				qerr = err
-			}
-		})
-		hitRate := 0.0
-		if rc := srv.Stats().ResultCache; rc != nil && rc.Hits+rc.Misses > 0 {
-			hitRate = 100 * float64(rc.Hits) / float64(rc.Hits+rc.Misses)
-		}
-		hs.Close()
-		srv.Close()
-		if qerr != nil {
-			return nil, qerr
-		}
-		rate := 0.0
-		if sec > 0 {
-			rate = float64(rescacheRequests) / sec
-		}
-		tick := "off"
-		if cacheBytes > 0 {
-			tick = "on"
-		}
-		t.XTicks = append(t.XTicks, tick)
-		t.Series[0].Y = append(t.Series[0].Y, rate)
-		t.Series[1].Y = append(t.Series[1].Y, hitRate)
 	}
 	return t, nil
 }

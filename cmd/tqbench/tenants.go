@@ -14,6 +14,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -208,4 +209,12 @@ func postTenant(client *http.Client, url, tid string, body []byte) (int, error) 
 		return 0, cerr
 	}
 	return resp.StatusCode, nil
+}
+
+func mustJSON(v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	return b
 }

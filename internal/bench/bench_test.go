@@ -27,7 +27,6 @@ func TestRegistryCoversEveryFigure(t *testing.T) {
 		"thrpt",
 		"pbuild",
 		"shards",
-		"churn",
 		"bound",
 	}
 	reg := Registry()
@@ -49,9 +48,12 @@ func TestRegistryCoversEveryFigure(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := Run([]string{"nope"}, tinyConfig(), &buf); err == nil {
-		t.Fatal("unknown experiment accepted")
+	for _, id := range []string{"nope", "churn"} {
+		var buf bytes.Buffer
+		_, err := Run([]string{id}, tinyConfig(), &buf)
+		if err == nil || !strings.Contains(err.Error(), "unknown experiment") || !strings.Contains(err.Error(), "(known: ") {
+			t.Fatalf("Run(%q) = %v, want the unknown-experiment error", id, err)
+		}
 	}
 }
 

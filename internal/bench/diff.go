@@ -106,7 +106,7 @@ func diffKey(r Row) string {
 // shards and frozen experiments) label their throughput axis "/sec" but
 // mark individual seconds series with an "(s)" suffix on the method or
 // x-tick; those rows gate as timings. An "(n)" suffix marks count
-// series inside a timing table (the churn experiment's swap counter):
+// series inside a timing table (pbuild's `BuildFrozen allocs(n)`):
 // informational, printed but never gated.
 func rowDirection(r Row) DiffDirection {
 	if strings.Contains(r.Method, "(n)") || strings.Contains(r.X, "(n)") {

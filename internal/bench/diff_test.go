@@ -76,9 +76,9 @@ func TestDiffDocsMixedUnitSeries(t *testing.T) {
 }
 
 func TestDiffDocsCountSeriesInformational(t *testing.T) {
-	// An "(n)" count series inside a seconds-labelled table (the churn
-	// experiment's swap counter) is printed but never gates, however
-	// much it moves.
+	// An "(n)" count series inside a seconds-labelled table (a synthetic
+	// swap counter; pbuild's BuildFrozen allocs(n) is a real one) is
+	// printed but never gates, however much it moves.
 	swaps := func(y float64) Row {
 		return Row{Experiment: "churn", X: "0.50", Method: "swaps(n)",
 			YLabel: "seconds per query (swaps(n): completed background swaps)", Y: y}

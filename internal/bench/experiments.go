@@ -58,7 +58,6 @@ func Registry() []Experiment {
 		{ID: "thrpt", Title: "extra — batch kMaxRRST throughput vs worker count (NYT, not in the paper)", Run: expThroughput},
 		{ID: "pbuild", Title: "extra — TQ(Z) construction vs build parallelism (NYT, not in the paper)", Run: expParallelBuild},
 		{ID: "shards", Title: "extra — sharded scatter-gather build time and throughput vs shard count (NYT, not in the paper)", Run: expShards},
-		{ID: "churn", Title: "extra — query latency under live insert/delete churn with background epoch swaps (NYT, not in the paper)", Run: expChurn},
 		{ID: "bound", Title: "extra — seed upper bound tightness (UB/exact, rank gap at k) and stop-rule cuts over the N, k, ψ sweeps (NYT, BJG; not in the paper)", Run: expBound},
 	}
 	return append(reg, extra...)

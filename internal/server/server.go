@@ -556,9 +556,6 @@ func acquireStatus(err error) int {
 // 503 while in-flight requests finish. Idempotent.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Close stops the worker pool after the remaining queue drains and
 // blocks until every worker has exited. Call it after the HTTP layer
 // has stopped delivering requests (http.Server.Shutdown or

@@ -32,11 +32,6 @@ const TenantDefault = tenant.DefaultID
 // never create tenants; only writes do).
 var ErrUnknownTenant = fmt.Errorf("trajcover: unknown tenant")
 
-// ValidateTenantID reports whether id is a legal tenant ID (a safe
-// single path component: 1–64 bytes of [a-zA-Z0-9._-], starting with a
-// letter or digit, no ".."). The error is a client error.
-func ValidateTenantID(id string) error { return tenant.ValidateID(id) }
-
 // IsBadTenantID reports whether err is a tenant-ID validation failure.
 func IsBadTenantID(err error) bool { return tenant.IsBadID(err) }
 
