@@ -3,8 +3,7 @@
 // quadrant arithmetic the quadtree-based indexes are built on.
 //
 // All coordinates are planar (e.g. meters after an equirectangular
-// projection); callers working with latitude/longitude should project first
-// (see ProjectLatLon).
+// projection).
 package geo
 
 import (
@@ -96,20 +95,6 @@ func (r Rect) Intersects(s Rect) bool {
 	return r.MinX <= s.MaxX && s.MinX <= r.MaxX && r.MinY <= s.MaxY && s.MinY <= r.MaxY
 }
 
-// Intersect returns the intersection of r and s and whether it is non-empty.
-func (r Rect) Intersect(s Rect) (Rect, bool) {
-	out := Rect{
-		MinX: math.Max(r.MinX, s.MinX),
-		MinY: math.Max(r.MinY, s.MinY),
-		MaxX: math.Min(r.MaxX, s.MaxX),
-		MaxY: math.Min(r.MaxY, s.MaxY),
-	}
-	if out.MinX > out.MaxX || out.MinY > out.MaxY {
-		return Rect{}, false
-	}
-	return out, true
-}
-
 // Expand returns r grown by d on every side. This is the EMBR ("extended
 // MBR") operation from the paper: the serving area of a facility is its
 // stop-point MBR expanded by the distance threshold ψ.
@@ -198,14 +183,6 @@ func (r Rect) QuadrantOf(p Point) int {
 	return q
 }
 
-// DistToPoint returns the minimum distance from p to the rectangle r
-// (zero when p is inside r).
-func (r Rect) DistToPoint(p Point) float64 {
-	dx := math.Max(0, math.Max(r.MinX-p.X, p.X-r.MaxX))
-	dy := math.Max(0, math.Max(r.MinY-p.Y, p.Y-r.MaxY))
-	return math.Sqrt(dx*dx + dy*dy)
-}
-
 // Dist2ToPoint returns the squared minimum distance from p to r.
 func (r Rect) Dist2ToPoint(p Point) float64 {
 	dx := math.Max(0, math.Max(r.MinX-p.X, p.X-r.MaxX))
@@ -236,18 +213,4 @@ func DistPointSegment(p, a, b Point) float64 {
 		t = 1
 	}
 	return p.Dist(Point{X: a.X + t*abx, Y: a.Y + t*aby})
-}
-
-// EarthRadiusMeters is the mean Earth radius used by ProjectLatLon.
-const EarthRadiusMeters = 6371000.0
-
-// ProjectLatLon converts a latitude/longitude pair (degrees) to planar
-// meters using an equirectangular projection centered at (lat0, lon0).
-// The approximation is accurate to well under 1% over city-scale extents,
-// which is all the trajectory workloads in this library require.
-func ProjectLatLon(lat, lon, lat0, lon0 float64) Point {
-	rad := math.Pi / 180
-	x := EarthRadiusMeters * (lon - lon0) * rad * math.Cos(lat0*rad)
-	y := EarthRadiusMeters * (lat - lat0) * rad
-	return Point{X: x, Y: y}
 }

@@ -136,17 +136,6 @@ func TestRectIntersects(t *testing.T) {
 	}
 }
 
-func TestRectIntersect(t *testing.T) {
-	r := Rect{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}
-	got, ok := r.Intersect(Rect{5, 5, 15, 15})
-	if !ok || got != (Rect{5, 5, 10, 10}) {
-		t.Errorf("Intersect = %v,%v want {5 5 10 10},true", got, ok)
-	}
-	if _, ok := r.Intersect(Rect{20, 20, 30, 30}); ok {
-		t.Error("Intersect of disjoint rects reported ok")
-	}
-}
-
 func TestRectExpand(t *testing.T) {
 	r := Rect{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}
 	got := r.Expand(2.5)
@@ -210,17 +199,25 @@ func TestDistToPoint(t *testing.T) {
 		{Pt(-3, -4), 5}, // diagonal other corner
 	}
 	for _, tt := range tests {
-		if got := r.DistToPoint(tt.p); math.Abs(got-tt.want) > 1e-12 {
-			t.Errorf("DistToPoint(%v) = %v, want %v", tt.p, got, tt.want)
+		if got := math.Sqrt(r.Dist2ToPoint(tt.p)); math.Abs(got-tt.want) > 1e-12 {
+			t.Errorf("sqrt(Dist2ToPoint(%v)) = %v, want %v", tt.p, got, tt.want)
 		}
 	}
+}
+
+// distToPoint is the minimum distance from p to r (zero inside r),
+// computed independently of Dist2ToPoint's squared form.
+func distToPoint(r Rect, p Point) float64 {
+	dx := math.Max(0, math.Max(r.MinX-p.X, p.X-r.MaxX))
+	dy := math.Max(0, math.Max(r.MinY-p.Y, p.Y-r.MaxY))
+	return math.Hypot(dx, dy)
 }
 
 func TestDist2ToPointMatchesDistToPoint(t *testing.T) {
 	r := Rect{MinX: -3, MinY: 2, MaxX: 9, MaxY: 17}
 	f := func(px, py float64) bool {
 		p := Pt(math.Mod(px, 100), math.Mod(py, 100))
-		d := r.DistToPoint(p)
+		d := distToPoint(r, p)
 		return math.Abs(r.Dist2ToPoint(p)-d*d) < 1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -260,23 +257,6 @@ func TestDistPointSegmentLowerBoundsEndpoints(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestProjectLatLon(t *testing.T) {
-	// One degree of latitude is ~111.19 km everywhere.
-	p := ProjectLatLon(41.0, -74.0, 40.0, -74.0)
-	if math.Abs(p.Y-111194.9) > 100 {
-		t.Errorf("1 degree latitude = %v m, want ~111195", p.Y)
-	}
-	if math.Abs(p.X) > 1e-9 {
-		t.Errorf("no longitude delta but X = %v", p.X)
-	}
-	// Longitude shrinks with cos(lat).
-	q := ProjectLatLon(40.0, -73.0, 40.0, -74.0)
-	want := 111194.9 * math.Cos(40*math.Pi/180)
-	if math.Abs(q.X-want) > 100 {
-		t.Errorf("1 degree longitude at 40N = %v m, want ~%v", q.X, want)
 	}
 }
 

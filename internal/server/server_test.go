@@ -721,10 +721,11 @@ func TestServerStatsAndHealth(t *testing.T) {
 	if st.Index.Len != e.srv.Index().Len() || st.Index.Shards != 2 {
 		t.Fatalf("statsz index: %+v", st.Index)
 	}
-	// Each shard reports its base's footprint: at least the 72-byte entry
-	// and the 52-byte table row of every two-point trajectory it holds.
+	// Each shard reports its base's footprint: at least the 52-byte table
+	// row of every two-point trajectory it holds, which is also where a
+	// TwoPoint base reads the entry's endpoints.
 	for i, sh := range st.Index.PerShard {
-		if sh.Mapped || sh.BaseBytes < int64(sh.Len)*(72+52) {
+		if sh.Mapped || sh.BaseBytes < int64(sh.Len)*52 {
 			t.Fatalf("statsz shard %d: %+v", i, sh)
 		}
 	}

@@ -71,26 +71,3 @@ func Set(ts []*trajectory.Trajectory, epsilon float64) ([]*trajectory.Trajectory
 	}
 	return out, nil
 }
-
-// MaxDeviation returns the largest distance from any point of the
-// original polyline to the simplified one — the quantity DouglasPeucker
-// bounds by epsilon. It is O(n·m) and intended for tests and validation.
-func MaxDeviation(original, simplified []geo.Point) float64 {
-	var worst float64
-	for _, p := range original {
-		best := -1.0
-		for i := 1; i < len(simplified); i++ {
-			d := geo.DistPointSegment(p, simplified[i-1], simplified[i])
-			if best < 0 || d < best {
-				best = d
-			}
-		}
-		if len(simplified) == 1 {
-			best = p.Dist(simplified[0])
-		}
-		if best > worst {
-			worst = best
-		}
-	}
-	return worst
-}

@@ -52,7 +52,7 @@ func TestDeviationBoundedByEpsilon(t *testing.T) {
 		}
 		eps := 0.5 + rng.Float64()*10
 		out := DouglasPeucker(pts, eps)
-		if dev := MaxDeviation(pts, out); dev > eps+1e-9 {
+		if dev := maxDeviation(pts, out); dev > eps+1e-9 {
 			t.Fatalf("trial %d: deviation %v exceeds epsilon %v (kept %d/%d)",
 				trial, dev, eps, len(out), n)
 		}
@@ -127,7 +127,30 @@ func TestTwoPointUnchanged(t *testing.T) {
 
 func TestMaxDeviationDegenerate(t *testing.T) {
 	pts := []geo.Point{geo.Pt(0, 0), geo.Pt(3, 4)}
-	if d := MaxDeviation(pts, []geo.Point{geo.Pt(0, 0)}); math.Abs(d-5) > 1e-12 {
+	if d := maxDeviation(pts, []geo.Point{geo.Pt(0, 0)}); math.Abs(d-5) > 1e-12 {
 		t.Errorf("single-point deviation = %v, want 5", d)
 	}
+}
+
+// maxDeviation returns the largest distance from any point of the
+// original polyline to the simplified one — the quantity DouglasPeucker
+// bounds by epsilon. It is O(n·m): a test oracle.
+func maxDeviation(original, simplified []geo.Point) float64 {
+	var worst float64
+	for _, p := range original {
+		best := -1.0
+		for i := 1; i < len(simplified); i++ {
+			d := geo.DistPointSegment(p, simplified[i-1], simplified[i])
+			if best < 0 || d < best {
+				best = d
+			}
+		}
+		if len(simplified) == 1 {
+			best = p.Dist(simplified[0])
+		}
+		if best > worst {
+			worst = best
+		}
+	}
+	return worst
 }

@@ -8,18 +8,20 @@ package tqtree
 //   - q-nodes become parallel columns indexed by int32 (BFS order, each
 //     node's children contiguous at childBase..childBase+childCount);
 //   - per-node entry lists become ranges into one SoA entry slab that
-//     holds only the columns its variant reads: the endpoints always,
-//     the MBR on a FullTrajectory base, the trajectory ordinal and
-//     segment index on a Segmented one;
+//     holds only the columns its variant reads: the MBR on a
+//     FullTrajectory base, the endpoints, trajectory ordinal and segment
+//     index on a Segmented one, and nothing on a TwoPoint one — a whole
+//     trajectory's endpoints are read from the table;
 //   - z-node buckets become ranges into bucket aggregate columns;
 //   - Entry.Traj shrinks to an int32 ordinal into one columnar
 //     trajectory.Table, touched only when a surviving candidate needs
 //     interior points.
 //
 // Beyond cache locality, the layout has no pointer words for the GC to
-// scan — the table included — and serializes verbatim (see the
-// TQSNAP04/TQSHRD03 snapshot formats), so restoring a frozen index is a
-// bulk read plus bounds checks instead of a rebuild.
+// scan — the table included — and serializes column by column (see the
+// TQSNAP04/TQSHRD03 snapshot formats, which also record the endpoints a
+// whole-trajectory base reads from its table), so restoring a frozen
+// index is a bulk read plus bounds checks instead of a rebuild.
 
 import (
 	"fmt"
@@ -37,12 +39,11 @@ import (
 // (kMaxRRST) or AppendCovered (coverage). A Frozen is safe for any number of
 // concurrent readers and cannot be mutated.
 type Frozen struct {
-	variant       Variant
-	ordering      Ordering
-	beta          int
-	maxDepth      int
-	bounds        geo.Rect
-	hasMultipoint bool
+	variant  Variant
+	ordering Ordering
+	beta     int
+	maxDepth int
+	bounds   geo.Rect
 
 	// Node columns, in BFS order; the children of node n occupy
 	// childBase[n] .. childBase[n]+childCount[n]-1 (quadrant order).
@@ -70,18 +71,20 @@ type Frozen struct {
 	// Entry slab, SoA. The plan's per-entry Morton codes and upper bounds
 	// are deliberately NOT carried over: zReduce prunes
 	// buckets with the aggregate columns and filters entries by geometry,
-	// and the immutable index never re-derives node bounds. Of the rest,
-	// every variant holds the endpoints zReduce filters by; a column only
-	// some variant reads is nil on the others, and EntryOrdinal /
-	// EntrySegment derive its values there:
+	// and the immutable index never re-derives node bounds. A column
+	// only some variant reads is nil on the others, and EntryEnds /
+	// EntryOrdinal / EntrySegment derive its values there:
 	//   - entMBR, read only by the NeedOverlap filter: FullTrajectory
 	//     (HoldsEntryMBRs).
-	//   - entTraj (table ordinal) and entSeg (segment index, -1 for a
-	//     whole trajectory): Segmented (HoldsEntryOrdinals). Elsewhere
-	//     each trajectory is one whole entry, numbered in slab order, so
-	//     entry e is ordinal e.
-	// A TwoPoint entry is 32 bytes, a Segmented one 40, a FullTrajectory
-	// one 64, in memory and in a snapshot alike.
+	//   - entFirst/entLast (the segment's endpoints), entTraj (table
+	//     ordinal) and entSeg (segment index, -1 for a whole trajectory):
+	//     Segmented (HoldsEntryOrdinals). Elsewhere each trajectory is
+	//     one whole entry, numbered in slab order, so entry e is ordinal
+	//     e and its endpoints are the first and last point of table row
+	//     e — the table holds them once, and zReduce reads them there.
+	// A TwoPoint entry costs no byte beyond its table row, a Segmented
+	// one 40, a FullTrajectory one 32 in memory; a snapshot records the
+	// endpoints of every variant besides (32 bytes an entry).
 	entFirst []geo.Point
 	entLast  []geo.Point
 	entMBR   []geo.Rect
@@ -158,9 +161,10 @@ func BuildFrozen(users []*trajectory.Trajectory, opts Options) (*Frozen, error) 
 // frozenWriter lays a plan out as Frozen columns in BFS node order, one
 // node, bucket and entry at a time, filling the trajectory table too.
 type frozenWriter struct {
-	f     *Frozen
-	table *trajectory.TableBuilder
-	next  int32 // the next node's first child
+	f       *Frozen
+	table   *trajectory.TableBuilder
+	next    int32 // the next node's first child
+	entries int32 // entries written so far
 }
 
 // newFrozenWriter sizes the columns for pl; buckets is a capacity hint.
@@ -170,25 +174,24 @@ func newFrozenWriter(pl *plan, nodes, buckets int) (*frozenWriter, error) {
 		return nil, fmt.Errorf("tqtree: tree too large to freeze (%d nodes, %d entries)", nodes, entries)
 	}
 	f := &Frozen{
-		variant:       o.Variant,
-		ordering:      o.Ordering,
-		beta:          o.Beta,
-		maxDepth:      o.MaxDepth,
-		bounds:        pl.bounds,
-		hasMultipoint: pl.hasMultipoint,
-		nodeRect:      make([]geo.Rect, nodes),
-		childBase:     make([]int32, nodes),
-		childCount:    make([]int32, nodes),
-		entryOff:      make([]int32, nodes+1),
-		ownUB:         make([]float64, nodes*service.NumScenarios),
-		treeUB:        make([]float64, nodes*service.NumScenarios),
-		entFirst:      make([]geo.Point, 0, entries),
-		entLast:       make([]geo.Point, 0, entries),
+		variant:    o.Variant,
+		ordering:   o.Ordering,
+		beta:       o.Beta,
+		maxDepth:   o.MaxDepth,
+		bounds:     pl.bounds,
+		nodeRect:   make([]geo.Rect, nodes),
+		childBase:  make([]int32, nodes),
+		childCount: make([]int32, nodes),
+		entryOff:   make([]int32, nodes+1),
+		ownUB:      make([]float64, nodes*service.NumScenarios),
+		treeUB:     make([]float64, nodes*service.NumScenarios),
 	}
 	if o.Variant.HoldsEntryMBRs() {
 		f.entMBR = make([]geo.Rect, 0, entries)
 	}
 	if o.Variant.HoldsEntryOrdinals() {
+		f.entFirst = make([]geo.Point, 0, entries)
+		f.entLast = make([]geo.Point, 0, entries)
 		f.entTraj = make([]int32, 0, entries)
 		f.entSeg = make([]int32, 0, entries)
 	}
@@ -208,7 +211,7 @@ func newFrozenWriter(pl *plan, nodes, buckets int) (*frozenWriter, error) {
 // bucket.
 func (w *frozenWriter) node(i int, rect geo.Rect, cnt int32, own, tree *[service.NumScenarios]float64) {
 	f := w.f
-	f.entryOff[i] = int32(len(f.entFirst))
+	f.entryOff[i] = w.entries
 	if f.bucketOff != nil {
 		f.bucketOff[i] = int32(len(f.bktMinStart))
 	}
@@ -223,7 +226,7 @@ func (w *frozenWriter) node(i int, rect geo.Rect, cnt int32, own, tree *[service
 // bucket opens a z-node at the next entry.
 func (w *frozenWriter) bucket(a *zAgg) {
 	f := w.f
-	f.bktEntryOff = append(f.bktEntryOff, int32(len(f.entFirst)))
+	f.bktEntryOff = append(f.bktEntryOff, w.entries)
 	f.bktMinStart = append(f.bktMinStart, a.minStart)
 	f.bktMaxStart = append(f.bktMaxStart, a.maxStart)
 	f.bktStartMBR = append(f.bktStartMBR, a.startMBR)
@@ -235,12 +238,13 @@ func (w *frozenWriter) bucket(a *zAgg) {
 // the variant holds.
 func (w *frozenWriter) entry(e *Entry, ti int32) {
 	f := w.f
-	f.entFirst = append(f.entFirst, e.first)
-	f.entLast = append(f.entLast, e.last)
+	w.entries++
 	if f.entMBR != nil {
 		f.entMBR = append(f.entMBR, e.mbr)
 	}
 	if f.entTraj != nil {
+		f.entFirst = append(f.entFirst, e.first)
+		f.entLast = append(f.entLast, e.last)
 		f.entTraj = append(f.entTraj, ti)
 		f.entSeg = append(f.entSeg, int32(e.SegIdx))
 	}
@@ -249,10 +253,10 @@ func (w *frozenWriter) entry(e *Entry, ti int32) {
 // finish closes the last node and the cumulative bucket → entry mapping.
 func (w *frozenWriter) finish() (*Frozen, error) {
 	f := w.f
-	f.entryOff[len(f.nodeRect)] = int32(len(f.entFirst))
+	f.entryOff[len(f.nodeRect)] = w.entries
 	if f.bucketOff != nil {
 		f.bucketOff[len(f.nodeRect)] = int32(len(f.bktMinStart))
-		f.bktEntryOff = append(f.bktEntryOff, int32(len(f.entFirst)))
+		f.bktEntryOff = append(f.bktEntryOff, w.entries)
 	}
 	var err error
 	if f.table, err = w.table.Build(); err != nil {
@@ -290,14 +294,14 @@ func (f *Frozen) MaxDepth() int { return f.maxDepth }
 func (f *Frozen) NumNodes() int { return len(f.nodeRect) }
 
 // NumEntries returns the number of stored entries.
-func (f *Frozen) NumEntries() int { return len(f.entFirst) }
+func (f *Frozen) NumEntries() int { return int(f.entryOff[len(f.nodeRect)]) }
 
 // NumTrajectories returns the number of indexed user trajectories.
 func (f *Frozen) NumTrajectories() int { return f.table.Len() }
 
 // HasMultipoint reports whether any indexed trajectory has more than two
 // points.
-func (f *Frozen) HasMultipoint() bool { return f.hasMultipoint }
+func (f *Frozen) HasMultipoint() bool { return f.table.HasMultipoint() }
 
 // Table returns the trajectory table; its ordinal order is the order the
 // snapshot formats record.
@@ -324,8 +328,9 @@ func (f *Frozen) Bytes() int64 {
 func (v Variant) HoldsEntryMBRs() bool { return v == FullTrajectory }
 
 // HoldsEntryOrdinals reports whether a frozen index of variant v keeps
-// per-entry trajectory ordinal and segment columns: only a segmented
-// index files a trajectory under more than one entry.
+// per-entry endpoint, trajectory ordinal and segment columns: only a
+// segmented index files a trajectory under more than one entry, and its
+// entries' endpoints are not a table row's first and last point.
 func (v Variant) HoldsEntryOrdinals() bool { return v == Segmented }
 
 // EntryOrdinal returns the table ordinal of entry e's trajectory: e itself
@@ -335,6 +340,35 @@ func (f *Frozen) EntryOrdinal(e int32) int32 {
 		return e
 	}
 	return f.entTraj[e]
+}
+
+// EntryEnds returns entry e's first and last point: the held columns'
+// on a Segmented base, table row e's elsewhere.
+func (f *Frozen) EntryEnds(e int32) (first, last geo.Point) {
+	if f.entFirst == nil {
+		return f.table.Ends(e)
+	}
+	return f.entFirst[e], f.entLast[e]
+}
+
+// endColumns returns the endpoints of the slab range [lo, hi) as two
+// strided views: the range's i-th entry has first[i*step] and
+// last[i*step]. On a whole-trajectory base whose table has no multipoint
+// row they are the table's arena, whose row e is points[2e:2e+2]. They
+// are nil for an empty range and on a base that has such a row: its
+// endpoints sit at the table's offsets, and only EntryEnds reads them.
+func (f *Frozen) endColumns(lo, hi int32) (first, last []geo.Point, step int) {
+	if lo == hi {
+		return nil, nil, 0
+	}
+	if f.entFirst != nil {
+		return f.entFirst[lo:hi], f.entLast[lo:hi], 1
+	}
+	if f.table.HasMultipoint() {
+		return nil, nil, 0
+	}
+	_, _, _, pts := f.table.Columns()
+	return pts[2*lo : 2*hi], pts[2*lo+1 : 2*hi], 2
 }
 
 // EntrySegment returns entry e's segment index, -1 for a whole
@@ -348,7 +382,7 @@ func (f *Frozen) EntrySegment(e int32) int32 {
 
 // ValidateScenario checks that queries under sc are exact on this index.
 func (f *Frozen) ValidateScenario(sc service.Scenario) error {
-	return validateScenario(f.variant, f.hasMultipoint, sc)
+	return validateScenario(f.variant, f.table.HasMultipoint(), sc)
 }
 
 // FilterModeFor returns the zReduce candidate predicate that is sound for
@@ -488,34 +522,59 @@ func (f *Frozen) bucketSurvives(b int32, embr geo.Rect, mode FilterMode) bool {
 }
 
 // scoreRange filters and scores the entry slab range [lo, hi) into the
-// running accumulators, skipping the entries of dead's trajectories.
+// running accumulators, skipping the entries of dead's trajectories. The
+// endpoint layout is decided once for the range (endColumns), so the
+// endpoint filters' loops read two strided views.
 func (f *Frozen) scoreRange(lo, hi int32, embr geo.Rect, mode FilterMode, ss *service.StopSet, sc service.Scenario, dead trajectory.OrdinalSet, so float64, scored int) (float64, int) {
-	switch mode {
-	case NeedBoth:
-		for e := lo; e < hi; e++ {
-			if embr.Contains(f.entFirst[e]) && embr.Contains(f.entLast[e]) && f.live(e, dead) {
-				scored++
-				so += f.serve(e, sc, ss)
-			}
-		}
-	case NeedAny:
-		for e := lo; e < hi; e++ {
-			if (embr.Contains(f.entFirst[e]) || embr.Contains(f.entLast[e])) && f.live(e, dead) {
-				scored++
-				so += f.serve(e, sc, ss)
-			}
-		}
-	case NeedOverlap:
+	if mode == NeedOverlap {
 		for e := lo; e < hi; e++ {
 			if embr.Intersects(f.entMBR[e]) && f.live(e, dead) {
+				a, b := f.EntryEnds(e)
 				scored++
-				so += f.serve(e, sc, ss)
+				so += f.serve(e, a, b, sc, ss)
+			}
+		}
+		return so, scored
+	}
+	first, last, step := f.endColumns(lo, hi)
+	switch {
+	case first == nil:
+		for e := lo; e < hi; e++ {
+			if a, b := f.EntryEnds(e); mode.admits(embr, a, b) && f.live(e, dead) {
+				scored++
+				so += f.serve(e, a, b, sc, ss)
+			}
+		}
+	case mode == NeedBoth:
+		for i, e := 0, lo; i < len(first); i, e = i+step, e+1 {
+			if a, b := first[i], last[i]; embr.Contains(a) && embr.Contains(b) && f.live(e, dead) {
+				scored++
+				so += f.serve(e, a, b, sc, ss)
+			}
+		}
+	case mode == NeedAny:
+		for i, e := 0, lo; i < len(first); i, e = i+step, e+1 {
+			if a, b := first[i], last[i]; (embr.Contains(a) || embr.Contains(b)) && f.live(e, dead) {
+				scored++
+				so += f.serve(e, a, b, sc, ss)
 			}
 		}
 	default:
 		panic("tqtree: invalid filter mode")
 	}
 	return so, scored
+}
+
+// admits reports whether an entry with endpoints a and b passes mode's
+// endpoint filter against embr; NeedOverlap reads the MBR instead.
+func (mode FilterMode) admits(embr geo.Rect, a, b geo.Point) bool {
+	switch mode {
+	case NeedBoth:
+		return embr.Contains(a) && embr.Contains(b)
+	case NeedAny:
+		return embr.Contains(a) || embr.Contains(b)
+	}
+	panic("tqtree: invalid filter mode")
 }
 
 // live reports whether entry e's trajectory is not in dead. A nil dead
@@ -546,13 +605,11 @@ func (f *Frozen) AppendCovered(dst []int32, n int32, embr geo.Rect, mode FilterM
 func (f *Frozen) appendMatches(dst []int32, lo, hi int32, embr geo.Rect, mode FilterMode, dead trajectory.OrdinalSet) []int32 {
 	for e := lo; e < hi; e++ {
 		var ok bool
-		switch mode {
-		case NeedBoth:
-			ok = embr.Contains(f.entFirst[e]) && embr.Contains(f.entLast[e])
-		case NeedAny:
-			ok = embr.Contains(f.entFirst[e]) || embr.Contains(f.entLast[e])
-		case NeedOverlap:
+		if mode == NeedOverlap {
 			ok = embr.Intersects(f.entMBR[e])
+		} else {
+			a, b := f.EntryEnds(e)
+			ok = mode.admits(embr, a, b)
 		}
 		if ok && f.live(e, dead) {
 			dst = append(dst, e)
@@ -561,13 +618,13 @@ func (f *Frozen) appendMatches(dst []int32, lo, hi int32, embr geo.Rect, mode Fi
 	return dst
 }
 
-// serve computes entry e's exact service contribution. For a segment the
-// contributions are additive shares: summed over a trajectory's segments
-// they give its PointCount and Length values, and Binary counts served
-// segments.
-func (f *Frozen) serve(e int32, sc service.Scenario, ss *service.StopSet) float64 {
+// serve computes the exact service contribution of entry e, whose
+// endpoints are a and b. For a segment the contributions are additive
+// shares: summed over a trajectory's segments they give its PointCount
+// and Length values, and Binary counts served segments.
+func (f *Frozen) serve(e int32, a, b geo.Point, sc service.Scenario, ss *service.StopSet) float64 {
 	if sc == service.Binary {
-		if ss.Served(f.entFirst[e]) && ss.Served(f.entLast[e]) {
+		if ss.Served(a) && ss.Served(b) {
 			return 1
 		}
 		return 0
@@ -595,9 +652,9 @@ func (f *Frozen) serve(e int32, sc service.Scenario, ss *service.StopSet) float6
 		if L == 0 {
 			return 0
 		}
-		if ss.Served(f.entFirst[e]) && ss.Served(f.entLast[e]) {
-			// entFirst/entLast are the segment's own endpoints.
-			return f.entFirst[e].Dist(f.entLast[e]) / L
+		if ss.Served(a) && ss.Served(b) {
+			// a and b are the segment's own endpoints.
+			return a.Dist(b) / L
 		}
 		return 0
 	}

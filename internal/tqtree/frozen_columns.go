@@ -2,22 +2,28 @@ package tqtree
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/trajcover/trajcover/internal/geo"
 	"github.com/trajcover/trajcover/internal/service"
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
-// FrozenColumns is the serializable flat view of a Frozen index: exactly
-// the column slices, with no behavior. The snapshot layer writes these
-// slices verbatim (TQSNAP04/TQSHRD03/TQLIVE02) and reconstructs a Frozen
-// with FrozenFromColumns, which re-checks every structural invariant so a
-// corrupt or hostile stream fails with an error instead of an
-// out-of-bounds panic or an unterminated traversal.
+// FrozenColumns is the serializable flat view of a Frozen index — the
+// column slices as the snapshot formats (TQSNAP04/TQSHRD03/TQLIVE02)
+// record them, with no behavior. The snapshot layer reconstructs a
+// Frozen with FrozenFromColumns, which re-checks every structural
+// invariant so a corrupt or hostile stream fails with an error instead
+// of an out-of-bounds panic or an unterminated traversal.
 //
 // EntMBR is present only where Variant.HoldsEntryMBRs, EntTraj and
 // EntSeg only where Variant.HoldsEntryOrdinals; elsewhere they are nil,
-// in the view and on disk alike.
+// in the view and on disk alike. EntFirst and EntLast are on disk for
+// every variant, but a whole-trajectory base (TwoPoint, FullTrajectory)
+// does not hold them: its entries' endpoints are its table rows' first
+// and last points. Columns leaves them nil there, the snapshot writer
+// derives them entry by entry (Frozen.EntryEnds), and FrozenFromColumns
+// checks the ones it is given against the table and keeps neither.
 type FrozenColumns struct {
 	Variant  Variant
 	Ordering Ordering
@@ -47,8 +53,9 @@ type FrozenColumns struct {
 	EntSeg   []int32
 }
 
-// Columns returns the index's column slices. The slices are shared, not
-// copied: callers must treat them as read-only.
+// Columns returns the index's column slices; EntFirst and EntLast are
+// nil on a whole-trajectory base, which does not hold them. The slices
+// are shared, not copied: callers must treat them as read-only.
 func (f *Frozen) Columns() FrozenColumns {
 	return FrozenColumns{
 		Variant:  f.variant,
@@ -82,8 +89,11 @@ func (f *Frozen) Columns() FrozenColumns {
 
 // FrozenFromColumns assembles a Frozen from deserialized columns and its
 // trajectory table, validating every structural invariant the query paths
-// rely on. An entry column the variant does not hold must be nil. The
-// slices and the table are adopted, not copied.
+// rely on. EntFirst and EntLast are required for every variant and must
+// equal, bit for bit, the endpoints the table gives each entry; on a
+// whole-trajectory base they are checked and dropped. Any other entry
+// column the variant does not hold must be nil. The slices the index
+// holds and the table are adopted, not copied.
 func FrozenFromColumns(c FrozenColumns, table *trajectory.Table) (*Frozen, error) {
 	if c.Variant < TwoPoint || c.Variant > FullTrajectory {
 		return nil, fmt.Errorf("tqtree: frozen columns: invalid variant %d", int(c.Variant))
@@ -179,12 +189,11 @@ func FrozenFromColumns(c FrozenColumns, table *trajectory.Table) (*Frozen, error
 	}
 
 	f := &Frozen{
-		variant:       c.Variant,
-		ordering:      c.Ordering,
-		beta:          c.Beta,
-		maxDepth:      c.MaxDepth,
-		bounds:        c.Bounds,
-		hasMultipoint: table.HasMultipoint(),
+		variant:  c.Variant,
+		ordering: c.Ordering,
+		beta:     c.Beta,
+		maxDepth: c.MaxDepth,
+		bounds:   c.Bounds,
 
 		nodeRect:   c.NodeRect,
 		childBase:  c.ChildBase,
@@ -209,16 +218,38 @@ func FrozenFromColumns(c FrozenColumns, table *trajectory.Table) (*Frozen, error
 
 		table: table,
 	}
-	if !ords && table.Len() != ne {
-		return nil, fmt.Errorf("tqtree: frozen columns: %v base of %d entries holds %d trajectories", c.Variant, ne, table.Len())
-	}
-	for e, ti := range c.EntTraj {
-		if ti < 0 || int(ti) >= table.Len() {
-			return nil, fmt.Errorf("tqtree: frozen columns: entry %d references trajectory %d of %d", e, ti, table.Len())
+	if !ords {
+		if table.Len() != ne {
+			return nil, fmt.Errorf("tqtree: frozen columns: %v base of %d entries holds %d trajectories", c.Variant, ne, table.Len())
 		}
-		if seg, segs := c.EntSeg[e], table.NumPoints(ti)-1; seg < -1 || int(seg) >= segs {
-			return nil, fmt.Errorf("tqtree: frozen columns: entry %d has segment %d of %d", e, seg, segs)
+		f.entFirst, f.entLast = nil, nil
+	}
+	for e := range ne {
+		ti, seg := int32(e), int32(-1)
+		if ords {
+			ti, seg = c.EntTraj[e], c.EntSeg[e]
+			if ti < 0 || int(ti) >= table.Len() {
+				return nil, fmt.Errorf("tqtree: frozen columns: entry %d references trajectory %d of %d", e, ti, table.Len())
+			}
+			if segs := table.NumPoints(ti) - 1; seg < -1 || int(seg) >= segs {
+				return nil, fmt.Errorf("tqtree: frozen columns: entry %d has segment %d of %d", e, seg, segs)
+			}
+		}
+		var a, b geo.Point
+		if seg < 0 {
+			a, b = table.Ends(ti)
+		} else {
+			pts := table.Points(ti)
+			a, b = pts[seg], pts[seg+1]
+		}
+		if !samePoint(a, c.EntFirst[e]) || !samePoint(b, c.EntLast[e]) {
+			return nil, fmt.Errorf("tqtree: frozen columns: entry %d endpoints are not trajectory %d segment %d's", e, ti, seg)
 		}
 	}
 	return f, nil
+}
+
+// samePoint reports whether a and b are the same bits.
+func samePoint(a, b geo.Point) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) && math.Float64bits(a.Y) == math.Float64bits(b.Y)
 }

@@ -2,6 +2,7 @@ package tqtree
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -53,24 +54,40 @@ func TestFreezeStructure(t *testing.T) {
 			}
 
 			// The columns must reassemble without loss.
-			f2, err := FrozenFromColumns(f.Columns(), f.Table())
+			f2, err := FrozenFromColumns(diskColumns(f), f.Table())
 			if err != nil {
 				t.Fatalf("%v/%v: FrozenFromColumns: %v", v, o, err)
 			}
 			assertFrozenEqual(t, fmt.Sprintf("%v/%v: columns round trip", v, o), f2, f)
 			c := f.Columns()
-			if (c.EntMBR != nil) != v.HoldsEntryMBRs() || (c.EntTraj != nil) != v.HoldsEntryOrdinals() || (c.EntSeg != nil) != v.HoldsEntryOrdinals() {
-				t.Fatalf("%v/%v: holds entry columns MBR %v, ordinals %v, segments %v", v, o, c.EntMBR != nil, c.EntTraj != nil, c.EntSeg != nil)
+			if (c.EntMBR != nil) != v.HoldsEntryMBRs() || (c.EntTraj != nil) != v.HoldsEntryOrdinals() || (c.EntSeg != nil) != v.HoldsEntryOrdinals() ||
+				(c.EntFirst != nil) != v.HoldsEntryOrdinals() || (c.EntLast != nil) != v.HoldsEntryOrdinals() {
+				t.Fatalf("%v/%v: holds entry columns MBR %v, ordinals %v, segments %v, endpoints %v/%v", v, o,
+					c.EntMBR != nil, c.EntTraj != nil, c.EntSeg != nil, c.EntFirst != nil, c.EntLast != nil)
 			}
 		}
 	}
 }
 
+// diskColumns is f's columns as a snapshot records them: EntFirst and
+// EntLast derived from the table where the base does not hold them.
+func diskColumns(f *Frozen) FrozenColumns {
+	c := f.Columns()
+	if c.EntFirst == nil {
+		n := f.NumEntries()
+		c.EntFirst, c.EntLast = make([]geo.Point, n), make([]geo.Point, n)
+		for e := range n {
+			c.EntFirst[e], c.EntLast[e] = f.EntryEnds(int32(e))
+		}
+	}
+	return c
+}
+
 // TestFrozenFromColumnsRejectsCorruption spot-checks the structural
 // validation: broken BFS layout, dangling offsets, a Segmented entry
-// naming a row or a segment that does not exist, an entry column the
-// variant holds missing or one it does not hold present, and a table row
-// no entry references must all error.
+// naming a row or a segment that does not exist, an endpoint that is not
+// the table's, an entry column the variant holds missing or one it does
+// not hold present, and a table row no entry references must all error.
 func TestFrozenFromColumnsRejectsCorruption(t *testing.T) {
 	users := frozenTestUsers(500, 5)
 	frozen := map[Variant]*Frozen{}
@@ -86,7 +103,8 @@ func TestFrozenFromColumnsRejectsCorruption(t *testing.T) {
 	mutate := func(v Variant, name string, fn func(c *FrozenColumns)) {
 		t.Helper()
 		f := frozen[v]
-		c := f.Columns()
+		c := diskColumns(f)
+		c.EntFirst, c.EntLast = slices.Clone(c.EntFirst), slices.Clone(c.EntLast)
 		c.ChildBase = slices.Clone(c.ChildBase)
 		c.ChildCount = slices.Clone(c.ChildCount)
 		c.EntryOff = slices.Clone(c.EntryOff)
@@ -108,6 +126,13 @@ func TestFrozenFromColumnsRejectsCorruption(t *testing.T) {
 			c.EntryOff[1] = c.EntryOff[2] + 1
 		})
 		mutate(v, "an endpoint column short", func(c *FrozenColumns) { c.EntLast = c.EntLast[1:] })
+		mutate(v, "an endpoint column missing", func(c *FrozenColumns) { c.EntFirst, c.EntLast = nil, nil })
+		mutate(v, "a first point forged", func(c *FrozenColumns) { c.EntFirst[len(c.EntFirst)/2].X += 1 })
+		mutate(v, "a last point forged", func(c *FrozenColumns) { c.EntLast[0].Y = math.Nextafter(c.EntLast[0].Y, math.Inf(1)) })
+		mutate(v, "two entries' endpoints swapped", func(c *FrozenColumns) {
+			c.EntFirst[0], c.EntFirst[1] = c.EntFirst[1], c.EntFirst[0]
+			c.EntLast[0], c.EntLast[1] = c.EntLast[1], c.EntLast[0]
+		})
 	}
 	tab := frozen[Segmented].Table()
 	mutate(Segmented, "trajectory out of range", func(c *FrozenColumns) { c.EntTraj[0] = int32(tab.Len()) })
@@ -139,7 +164,7 @@ func TestFrozenFromColumnsRejectsCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := FrozenFromColumns(f.Columns(), extra); err == nil {
+		if _, err := FrozenFromColumns(diskColumns(f), extra); err == nil {
 			t.Fatalf("%v: a table row no entry references accepted", v)
 		}
 	}

@@ -65,7 +65,7 @@ func rebuildEntries(f *Frozen) ([]Entry, error) {
 		} else {
 			ents[e] = newSegmentEntry(&views[ti], int(seg), f.bounds)
 		}
-		if ents[e].first != f.entFirst[e] || ents[e].last != f.entLast[e] || f.entMBR != nil && ents[e].mbr != f.entMBR[e] {
+		if a, b := f.EntryEnds(int32(e)); ents[e].first != a || ents[e].last != b || f.entMBR != nil && ents[e].mbr != f.entMBR[e] {
 			return nil, fmt.Errorf("entry %d: columns do not hold trajectory %d segment %d", e, ti, seg)
 		}
 	}

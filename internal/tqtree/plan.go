@@ -30,12 +30,11 @@ type planNode struct {
 // plan is the partition of slab under opts, with the header the frozen
 // layout takes over: the root space and the corpus counts.
 type plan struct {
-	opts          Options
-	bounds        geo.Rect
-	numTrajs      int
-	numEntries    int
-	numPoints     int // sizes the trajectory table's arena
-	hasMultipoint bool
+	opts       Options
+	bounds     geo.Rect
+	numTrajs   int
+	numEntries int
+	numPoints  int // sizes the trajectory table's arena
 
 	slab []Entry
 	perm []int32
@@ -88,7 +87,6 @@ func planCorpus(users []*trajectory.Trajectory, opts Options) (*plan, error) {
 	for _, u := range users {
 		pl.numTrajs++
 		pl.numPoints += u.Len()
-		pl.hasMultipoint = pl.hasMultipoint || u.Len() > 2
 		slab = appendEntries(slab, opts.Variant, pl.bounds, u)
 	}
 	par := opts.Parallelism

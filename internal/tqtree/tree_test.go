@@ -128,7 +128,7 @@ func TestCandidatePruningIsSound(t *testing.T) {
 					}
 					var all float64
 					for e := lo; e < hi; e++ {
-						all += f.serve(e, sc, ss)
+						all += serveEntry(f, e, sc, ss)
 					}
 					if got, _ := f.ScoreNode(n, embr, f.FilterModeFor(sc), ss, sc, nil); got != all {
 						t.Fatalf("%v/%v sc=%v node %d: survivors serve %v, the whole list %v",
@@ -140,7 +140,8 @@ func TestCandidatePruningIsSound(t *testing.T) {
 					kept[e] = true
 				}
 				for e := lo; e < hi; e++ {
-					served := ss.Served(f.entFirst[e]) || ss.Served(f.entLast[e])
+					a, b := f.EntryEnds(e)
+					served := ss.Served(a) || ss.Served(b)
 					if covMode == NeedOverlap {
 						for _, p := range f.table.Points(f.EntryOrdinal(e)) {
 							served = served || ss.Served(p)
@@ -155,11 +156,17 @@ func TestCandidatePruningIsSound(t *testing.T) {
 	}
 }
 
+// serveEntry is serve with entry e's endpoints looked up.
+func serveEntry(f *Frozen, e int32, sc service.Scenario, ss *service.StopSet) float64 {
+	a, b := f.EntryEnds(e)
+	return f.serve(e, a, b, sc, ss)
+}
+
 // subtreeService is the service of every entry in the subtree of node n.
 func subtreeService(f *Frozen, n int32, sc service.Scenario, ss *service.StopSet) float64 {
 	var total float64
 	for e := f.entryOff[n]; e < f.entryOff[n+1]; e++ {
-		total += f.serve(e, sc, ss)
+		total += serveEntry(f, e, sc, ss)
 	}
 	for q := 0; q < 4; q++ {
 		if c := f.Child(n, q); c >= 0 {
@@ -212,7 +219,7 @@ func TestSegmentEntriesSumToTrajectoryService(t *testing.T) {
 		for _, sc := range []service.Scenario{service.PointCount, service.Length} {
 			var sum float64
 			for e := int32(0); int(e) < f.NumEntries(); e++ {
-				sum += f.serve(e, sc, ss)
+				sum += serveEntry(f, e, sc, ss)
 			}
 			want := service.Value(sc, u, stops, psi)
 			if math.Abs(sum-want) > 1e-9 {

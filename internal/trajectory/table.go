@@ -171,6 +171,16 @@ func (t *Table) Points(i int32) []geo.Point {
 	return t.points[lo:hi:hi]
 }
 
+// Ends returns the first and last point of the trajectory at ordinal i.
+// Without a multipoint row NewTable has proved off[i] == 2i, so no offset
+// is read.
+func (t *Table) Ends(i int32) (first, last geo.Point) {
+	if !t.multipoint {
+		return t.points[2*i], t.points[2*i+1]
+	}
+	return t.points[t.off[i]], t.points[t.off[i+1]-1]
+}
+
 // NumPoints returns the number of points of the trajectory at ordinal i.
 func (t *Table) NumPoints(i int32) int { return int(t.off[i+1] - t.off[i]) }
 

@@ -142,6 +142,17 @@ func (c *cursor) u64() uint64 {
 // itself where the host cannot alias), a copy of exactly n values
 // otherwise.
 func column[T any](c *cursor, n, width uint64, as func([]byte) []T) []T {
+	v := view(c, n, width, as)
+	if c.err == nil && c.pin == nil {
+		v = append(make([]T, 0, len(v)), v...)
+	}
+	return v
+}
+
+// view is column viewed where the values sit under any owner, for a
+// column the parse checks and does not keep: the view is valid only
+// until the cursor's bytes are reused.
+func view[T any](c *cursor, n, width uint64, as func([]byte) []T) []T {
 	if c.err == nil && n > uint64(c.remaining())/width {
 		c.err = fmt.Errorf("%w: column of %d %d-byte values exceeds the %d bytes remaining", ErrBadSnapshot, n, width, c.remaining())
 	}
@@ -149,11 +160,7 @@ func column[T any](c *cursor, n, width uint64, as func([]byte) []T) []T {
 	if c.err != nil {
 		return nil
 	}
-	v := as(b)
-	if c.pin == nil {
-		v = append(make([]T, 0, len(v)), v...)
-	}
-	return v
+	return as(b)
 }
 
 func (c *cursor) rects(n uint64) []geo.Rect   { return column(c, n, 32, mmap.Rects) }
@@ -161,6 +168,9 @@ func (c *cursor) points(n uint64) []geo.Point { return column(c, n, 16, mmap.Poi
 func (c *cursor) i32s(n uint64) []int32       { return column(c, n, 4, mmap.I32s) }
 func (c *cursor) f64s(n uint64) []float64     { return column(c, n, 8, mmap.F64s) }
 func (c *cursor) u64s(n uint64) []uint64      { return column(c, n, 8, mmap.U64s) }
+
+// pointView is points viewed under any owner (view).
+func (c *cursor) pointView(n uint64) []geo.Point { return view(c, n, 16, mmap.Points) }
 
 // table takes a trajectory section of nt rows and np points off the
 // cursor — four columns: IDs, offsets (nt+1 of them, zero-padded to 8

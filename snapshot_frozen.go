@@ -5,8 +5,9 @@ package trajcover
 // reader.
 //
 // A frozen payload is a fixed header, the column slices of
-// tqtree.FrozenColumns in fixed order — the entry columns only where the
-// variant holds them — and the trajectory section: the four columns of
+// tqtree.FrozenColumns in fixed order — the endpoints for every variant,
+// the other entry columns only where the variant holds them — and the
+// trajectory section: the four columns of
 // the trajectory.Table (IDs, point offsets, lengths, points) in ordinal
 // order (entry-slab first appearance, so entTraj values resolve by
 // position). The bytes on disk are the columns in memory. Restoring is
@@ -104,10 +105,28 @@ func (cw *colWriter) rects(vs []geo.Rect) {
 	}
 }
 
+func (cw *colWriter) point(p geo.Point) {
+	cw.u64(math.Float64bits(p.X))
+	cw.u64(math.Float64bits(p.Y))
+}
+
 func (cw *colWriter) points(vs []geo.Point) {
 	for _, p := range vs {
-		cw.u64(math.Float64bits(p.X))
-		cw.u64(math.Float64bits(p.Y))
+		cw.point(p)
+	}
+}
+
+// ends writes the EntFirst and EntLast columns of f, which a
+// whole-trajectory base does not hold: entry by entry, from EntryEnds.
+func (cw *colWriter) ends(f *tqtree.Frozen) {
+	ne := int32(f.NumEntries())
+	for e := range ne {
+		a, _ := f.EntryEnds(e)
+		cw.point(a)
+	}
+	for e := range ne {
+		_, b := f.EntryEnds(e)
+		cw.point(b)
 	}
 }
 
@@ -151,7 +170,7 @@ func frozenPayloadSize(f *tqtree.Frozen) uint64 {
 	c := f.Columns()
 	nn := uint64(len(c.NodeRect))
 	nb := uint64(len(c.BktMinStart))
-	ne := uint64(len(c.EntFirst))
+	ne := uint64(f.NumEntries())
 	size := uint64(13 * 8)                            // header
 	size += nn * 32                                   // node rects
 	size += nn * 4 * 2                                // childBase, childCount
@@ -188,7 +207,7 @@ func writeFrozenPayload(w io.Writer, f *tqtree.Frozen) error {
 	cw.u64(math.Float64bits(c.Bounds.MaxY))
 	cw.u64(uint64(len(c.NodeRect)))
 	cw.u64(uint64(len(c.BktMinStart)))
-	cw.u64(uint64(len(c.EntFirst)))
+	cw.u64(uint64(f.NumEntries()))
 	cw.u64(uint64(tab.Len()))
 	cw.u64(uint64(tab.TotalPoints()))
 
@@ -211,8 +230,7 @@ func writeFrozenPayload(w io.Writer, f *tqtree.Frozen) error {
 		cw.rects(c.BktEndMBR)
 		cw.rects(c.BktFullMBR)
 	}
-	cw.points(c.EntFirst)
-	cw.points(c.EntLast)
+	cw.ends(f)
 	// Nil where the variant does not hold them: nothing is written.
 	cw.rects(c.EntMBR)
 	words(cw, c.EntTraj)
@@ -279,8 +297,12 @@ func readFrozenPayload(cur *cursor) (*tqtree.Frozen, error) {
 		c.BktEndMBR = cur.rects(nb)
 		c.BktFullMBR = cur.rects(nb)
 	}
-	c.EntFirst = cur.points(ne)
-	c.EntLast = cur.points(ne)
+	if c.Variant.HoldsEntryOrdinals() {
+		c.EntFirst, c.EntLast = cur.points(ne), cur.points(ne)
+	} else {
+		// Checked against the table and dropped: viewed under any owner.
+		c.EntFirst, c.EntLast = cur.pointView(ne), cur.pointView(ne)
+	}
 	if c.Variant.HoldsEntryMBRs() {
 		c.EntMBR = cur.rects(ne)
 	}

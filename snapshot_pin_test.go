@@ -244,12 +244,18 @@ func contentDigest(t testing.TB, x restored) string {
 	}
 	for i, f := range bases {
 		c := f.Columns()
+		// A whole-trajectory base does not hold its endpoints: digest
+		// them as the snapshot records them, from EntryEnds.
+		first, last := make([]Point, f.NumEntries()), make([]Point, f.NumEntries())
+		for e := range first {
+			first[e], last[e] = f.EntryEnds(int32(e))
+		}
 		put([]int64{int64(c.Variant), int64(c.Ordering), int64(c.Beta), int64(c.MaxDepth)})
 		put(c.Bounds)
 		for _, col := range []any{
 			c.NodeRect, c.ChildBase, c.ChildCount, c.EntryOff, c.BucketOff, c.OwnUB, c.TreeUB,
 			c.BktEntryOff, c.BktMinStart, c.BktMaxStart, c.BktStartMBR, c.BktEndMBR, c.BktFullMBR,
-			c.EntFirst, c.EntLast, c.EntMBR, c.EntTraj, c.EntSeg,
+			first, last, c.EntMBR, c.EntTraj, c.EntSeg,
 		} {
 			put(uint64(reflect.ValueOf(col).Len()))
 			put(col)

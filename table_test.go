@@ -113,13 +113,13 @@ func liveHeap() uint64 {
 }
 
 // TestIndexHeapPerTrajectory pins what a served index holds per
-// trajectory once its input is dropped: a 32-byte TwoPoint entry (its two
-// endpoints), a few bytes of node and bucket columns, and the trajectory
-// table's 52 (two points, ID, offset, length, lookup slot) — no
-// Trajectory object, point slice, map slot or pointer beside them, and no
-// entry column the variant does not read. A mapped index holds the
-// table's lookup column and nothing else. The snapshot file of a TwoPoint
-// base is those same columns, byte for byte.
+// trajectory once its input is dropped: the trajectory table's 52 bytes
+// (two points, ID, offset, length, lookup slot) and a few bytes of node
+// and bucket columns — no entry column (a TwoPoint entry's endpoints are
+// its table row's two points), no Trajectory object, point slice, map
+// slot or pointer beside them. A mapped index holds the table's lookup
+// column and nothing else. The snapshot file of a TwoPoint base is those
+// same columns, byte for byte, plus the endpoints it records.
 func TestIndexHeapPerTrajectory(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under the race detector")
@@ -134,10 +134,10 @@ func TestIndexHeapPerTrajectory(t *testing.T) {
 		limit float64
 		build func() (any, error)
 	}{
-		{"NewIndex", 95, func() (any, error) {
+		{"NewIndex", 65, func() (any, error) {
 			return NewIndex(TaxiTrips(ny, n, 7), opts2)
 		}},
-		{"NewFrozenIndex", 95, func() (any, error) {
+		{"NewFrozenIndex", 65, func() (any, error) {
 			return NewFrozenIndex(TaxiTrips(ny, n, 7), opts)
 		}},
 		{"OpenMappedLiveSnapshot", 8, func() (any, error) {
@@ -180,27 +180,27 @@ func TestIndexHeapPerTrajectory(t *testing.T) {
 	}
 }
 
-// assertTwoPointBytes: a TwoPoint base holds the entFirst and entLast
-// entry columns and no other, so its Bytes are 32 per entry, the node and
-// bucket columns, and the table; and its TQSNAP04 file is the magic, the
-// 13-word payload header, those columns without the table's lookup
-// permutation, the pads after the 4-byte column groups, and the CRC.
+// assertTwoPointBytes: a TwoPoint base holds no entry column, so its
+// Bytes are the node and bucket columns and the table; and its TQSNAP04
+// file is the magic, the 13-word payload header, those columns without
+// the table's lookup permutation, the endpoints (32 bytes an entry), the
+// pads after the 4-byte column groups, and the CRC.
 func assertTwoPointBytes(t *testing.T, fz *FrozenIndex) {
 	t.Helper()
 	f := fz.s.Engine(0).Frozen()
 	c := f.Columns()
-	if f.Variant() != tqtree.TwoPoint || c.EntMBR != nil || c.EntTraj != nil || c.EntSeg != nil {
-		t.Fatalf("%v base holds entry columns MBR %v, ordinals %v, segments %v; want only the endpoints",
-			f.Variant(), c.EntMBR != nil, c.EntTraj != nil, c.EntSeg != nil)
+	if f.Variant() != tqtree.TwoPoint || c.EntFirst != nil || c.EntLast != nil || c.EntMBR != nil || c.EntTraj != nil || c.EntSeg != nil {
+		t.Fatalf("%v base holds entry columns endpoints %v/%v, MBR %v, ordinals %v, segments %v; want none",
+			f.Variant(), c.EntFirst != nil, c.EntLast != nil, c.EntMBR != nil, c.EntTraj != nil, c.EntSeg != nil)
 	}
 	const rect, point = 32, 16
 	nodesAndBuckets := rect*(len(c.NodeRect)+len(c.BktStartMBR)+len(c.BktEndMBR)+len(c.BktFullMBR)) +
 		8*(len(c.OwnUB)+len(c.TreeUB)+len(c.BktMinStart)+len(c.BktMaxStart)) +
 		4*(len(c.ChildBase)+len(c.ChildCount)+len(c.EntryOff)+len(c.BucketOff)+len(c.BktEntryOff))
-	want := 2*point*int64(f.NumEntries()) + int64(nodesAndBuckets) + f.Table().Bytes()
+	want := int64(nodesAndBuckets) + f.Table().Bytes()
 	if got := f.Bytes(); got != want {
-		t.Fatalf("TwoPoint base Bytes() = %d, want %d: 32 × %d entries + %d of node and bucket columns + the table's %d",
-			got, want, f.NumEntries(), nodesAndBuckets, f.Table().Bytes())
+		t.Fatalf("TwoPoint base Bytes() = %d, want %d: %d of node and bucket columns + the table's %d",
+			got, want, nodesAndBuckets, f.Table().Bytes())
 	}
 	nn, nb, nt, np := uint64(len(c.NodeRect)), uint64(len(c.BktMinStart)), uint64(f.Table().Len()), uint64(f.Table().TotalPoints())
 	pads := pad8(4*(3*nn+1)) + pad8(4*(nn+nb+2)) + pad8(4*(2*nt+1))
@@ -381,11 +381,12 @@ func assertLiveRoundTrip(t *testing.T, name string, lv interface {
 // live frame, which follows one with its tombstones and delta — that a
 // hostile writer would aim at.
 type frozenPayloadLayout struct {
-	ne, nt, np      int
-	entTraj, entSeg int // byte offsets of a Segmented base's ordinal columns
-	ids, off, lens  int // byte offsets of the trajectory section's columns
-	deltaOff        int // byte offsets of a live frame's delta offsets
-	deltaLens       int // and lengths
+	ne, nt, np        int
+	entFirst, entLast int // byte offsets of the endpoint columns
+	entTraj, entSeg   int // byte offsets of a Segmented base's ordinal columns
+	ids, off, lens    int // byte offsets of the trajectory section's columns
+	deltaOff          int // byte offsets of a live frame's delta offsets
+	deltaLens         int // and lengths
 }
 
 func layoutOf(t testing.TB, payload []byte) frozenPayloadLayout {
@@ -396,6 +397,7 @@ func layoutOf(t testing.TB, payload []byte) frozenPayloadLayout {
 	if tqtree.Ordering(u(8)) == tqtree.ZOrder {
 		off += (nn+nb+2)*4 + pad8(4*(nn+nb+2)) + nb*16 + nb*96
 	}
+	ends := off
 	off += ne * 32
 	switch tqtree.Variant(u(0)) {
 	case tqtree.FullTrajectory:
@@ -403,7 +405,8 @@ func layoutOf(t testing.TB, payload []byte) frozenPayloadLayout {
 	case tqtree.Segmented:
 		off += ne * 8
 	}
-	l := frozenPayloadLayout{ne: int(ne), nt: int(nt), np: int(np), entTraj: int(off - 8*ne), entSeg: int(off - 4*ne),
+	l := frozenPayloadLayout{ne: int(ne), nt: int(nt), np: int(np),
+		entFirst: int(ends), entLast: int(ends + 16*ne), entTraj: int(off - 8*ne), entSeg: int(off - 4*ne),
 		ids: int(off), off: int(off + 4*nt), lens: int(off + 4*(2*nt+1) + pad8(4*(2*nt+1)))}
 	if end := uint64(l.lens) + 8*nt + 16*np; end < uint64(len(payload)) {
 		nd := u(end)
@@ -443,6 +446,20 @@ var hostileTrajectoryCases = []struct {
 	{Segmented, "entTraj negative", true, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.entTraj, math.MaxUint32) }},
 	{Segmented, "entSeg >= segments", true, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.entSeg, 1) }},
 	{Segmented, "entSeg < -1", true, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.entSeg, math.MaxUint32-1) }},
+	// The endpoint columns must be the table's points, bit for bit: the
+	// Binary filter and score read them where the table is not consulted.
+	{TwoPoint, "an entFirst one bit off its row's first point", true, false, func(p []byte, l frozenPayloadLayout) { p[l.entFirst] ^= 1 }},
+	{Segmented, "an entLast that is not its segment's end", true, false, func(p []byte, l frozenPayloadLayout) {
+		copy(p[l.entLast+16*(l.ne-1):l.entLast+16*l.ne], p[l.entFirst+16*(l.ne-1):])
+	}},
+	{FullTrajectory, "two entries' endpoints swapped", true, false, func(p []byte, l frozenPayloadLayout) {
+		for _, col := range []int{l.entFirst, l.entLast} {
+			var a [16]byte
+			copy(a[:], p[col:col+16])
+			copy(p[col:col+16], p[col+16:col+32])
+			copy(p[col+16:col+32], a[:])
+		}
+	}},
 	{FullTrajectory, "a step of 1 in the last row", true, false, func(p []byte, l frozenPayloadLayout) {
 		putU32(p, l.off+4*(l.nt-1), uint32(l.np-1))
 	}},
@@ -541,7 +558,8 @@ func hostileBaseImages(t testing.TB, users []*Trajectory, opts IndexOptions) map
 // by fewer than 2 or more than 2^24 points, or end short of the points; a
 // point count that runs off the file; one ID in two rows; a length that is
 // not its points'; Segmented entries naming a row or a segment that does
-// not exist; a delta section as bad as a base's — is an ErrBadSnapshot
+// not exist; entry endpoints that are not the table's; a delta section as
+// bad as a base's — is an ErrBadSnapshot
 // when the reader copies the bytes, and when it aliases them wherever it
 // looks (mappedRejects); neither panics or serves the forgery's index.
 func TestSnapshotHostileTrajectorySection(t *testing.T) {
