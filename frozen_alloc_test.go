@@ -68,7 +68,7 @@ func TestLiveTopKWithMetricsAllocs(t *testing.T) {
 	}
 	q := Query{Scenario: Binary, Psi: DefaultPsi}
 	direct := testing.AllocsPerRun(50, func() {
-		if _, _, err := lsh.s.TopKCtx(context.Background(), routes, 4, q.params()); err != nil {
+		if _, _, err := lsh.s.TopKCtx(context.Background(), routes, 4, q.params(), 1); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 
@@ -96,12 +97,12 @@ func expShards(ctx *Context) (*Table, error) {
 		}
 		var qerr error
 		svSec := ctx.Time(func() {
-			if _, _, e := s.ServiceValues(fs, p, 0); e != nil {
+			if _, _, e := s.ServiceValuesCtx(context.Background(), fs, p, 0); e != nil {
 				qerr = e
 			}
 		})
 		tkSec := ctx.Time(func() {
-			if _, _, e := s.TopKParallel(fs, defaultK, p, 0); e != nil {
+			if _, _, e := s.TopKCtx(context.Background(), fs, defaultK, p, 0); e != nil {
 				qerr = e
 			}
 		})

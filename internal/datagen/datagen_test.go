@@ -160,8 +160,8 @@ func TestBusRoutes(t *testing.T) {
 			t.Fatalf("got %d routes", len(routes))
 		}
 		for _, r := range routes {
-			if r.Len() != stops {
-				t.Fatalf("route has %d stops, want %d", r.Len(), stops)
+			if len(r.Stops) != stops {
+				t.Fatalf("route has %d stops, want %d", len(r.Stops), stops)
 			}
 			for _, s := range r.Stops {
 				if !c.Bounds.Contains(s) {
@@ -170,7 +170,7 @@ func TestBusRoutes(t *testing.T) {
 			}
 			// Consecutive stops should be spaced like a bus route, not
 			// teleporting across the city.
-			for i := 1; i < r.Len(); i++ {
+			for i := 1; i < len(r.Stops); i++ {
 				if d := r.Stops[i-1].Dist(r.Stops[i]); d > 1000 {
 					t.Fatalf("stop spacing %v m too large", d)
 				}
@@ -185,7 +185,7 @@ func TestBusRouteSpacingRealistic(t *testing.T) {
 	var sum float64
 	var count int
 	for _, r := range routes {
-		for i := 1; i < r.Len(); i++ {
+		for i := 1; i < len(r.Stops); i++ {
 			sum += r.Stops[i-1].Dist(r.Stops[i])
 			count++
 		}

@@ -75,11 +75,6 @@ func (r Rect) Width() float64 { return r.MaxX - r.MinX }
 // Height returns the vertical extent of r.
 func (r Rect) Height() float64 { return r.MaxY - r.MinY }
 
-// Center returns the center point of r.
-func (r Rect) Center() Point {
-	return Point{X: (r.MinX + r.MaxX) / 2, Y: (r.MinY + r.MaxY) / 2}
-}
-
 // Contains reports whether p lies inside r (boundary inclusive).
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
@@ -95,10 +90,20 @@ func (r Rect) Intersects(s Rect) bool {
 	return r.MinX <= s.MaxX && s.MinX <= r.MaxX && r.MinY <= s.MaxY && s.MinY <= r.MaxY
 }
 
-// Expand returns r grown by d on every side. This is the EMBR ("extended
-// MBR") operation from the paper: the serving area of a facility is its
-// stop-point MBR expanded by the distance threshold ψ.
+// Expand returns r grown by a little more than d on every side. This is
+// the EMBR ("extended MBR") operation from the paper: the serving area of
+// a facility is its stop-point MBR expanded by the distance threshold ψ.
+//
+// Every caller means ψ-reach, and Expand keeps that invariant: Expand(ψ)
+// contains every point p with p.Dist2(s) <= ψ*ψ for some s in r. Dist2
+// rounds, so it accepts points a few ulps beyond ψ, and the corners here
+// round too; the pad, 2^-40 of the larger of d and r's largest coordinate
+// magnitude, covers both, and its 2^-500 floor covers squares that
+// underflow. The rectangle is only ever a prefilter: what it passes is
+// scored exactly.
 func (r Rect) Expand(d float64) Rect {
+	m := max(d, math.Abs(r.MinX), math.Abs(r.MinY), math.Abs(r.MaxX), math.Abs(r.MaxY))
+	d += m*0x1p-40 + 0x1p-500
 	return Rect{MinX: r.MinX - d, MinY: r.MinY - d, MaxX: r.MaxX + d, MaxY: r.MaxY + d}
 }
 
@@ -194,9 +199,6 @@ func (r Rect) Dist2ToPoint(p Point) float64 {
 func (r Rect) String() string {
 	return fmt.Sprintf("[%.4f,%.4f]x[%.4f,%.4f]", r.MinX, r.MaxX, r.MinY, r.MaxY)
 }
-
-// SegmentLength returns the Euclidean length of the segment ab.
-func SegmentLength(a, b Point) float64 { return a.Dist(b) }
 
 // DistPointSegment returns the minimum distance from p to the segment ab.
 func DistPointSegment(p, a, b Point) float64 {

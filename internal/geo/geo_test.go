@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -140,9 +141,58 @@ func TestRectExpand(t *testing.T) {
 	r := Rect{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}
 	got := r.Expand(2.5)
 	want := Rect{MinX: -2.5, MinY: -2.5, MaxX: 12.5, MaxY: 12.5}
-	if got != want {
-		t.Errorf("Expand = %v, want %v", got, want)
+	// Containment, and a pad no wider than 2^-39 of the largest magnitude.
+	slack := 12.5 * 0x1p-39
+	if !got.ContainsRect(want) || !want.Expand(slack).ContainsRect(got) {
+		t.Errorf("Expand = %v, want %v padded by at most %g", got, want, slack)
 	}
+}
+
+// TestExpandHoldsEveryServedPoint: a point Dist2 accepts at exactly ψ —
+// walked outward ulp by ulp until one more step would leave ψ — lies in
+// the stop's ψ-expansion, at every magnitude.
+func TestExpandHoldsEveryServedPoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 2000; trial++ {
+		mag := math.Pow(10, float64(1+trial%7))
+		s := Pt((rng.Float64()-0.5)*mag, (rng.Float64()-0.5)*mag)
+		psi := rng.Float64() * mag
+		for _, dir := range []Point{{X: -1}, {X: 1}, {Y: -1}, {Y: 1}} {
+			p := farthestServed(s, psi, dir)
+			if p.Dist2(s) > psi*psi {
+				t.Fatalf("probe %v is not served by %v at ψ %v", p, s, psi)
+			}
+			if e := (Rect{MinX: s.X, MinY: s.Y, MaxX: s.X, MaxY: s.Y}).Expand(psi); !e.Contains(p) {
+				t.Fatalf("served point %v outside %v: stop %v, ψ %v", p, e, s, psi)
+			}
+		}
+	}
+}
+
+// farthestServed steps from s by ψ along dir, then ulp by ulp further out
+// while Dist2 still serves, and back in while it does not.
+func farthestServed(s Point, psi float64, dir Point) Point {
+	p := Pt(s.X+dir.X*psi, s.Y+dir.Y*psi)
+	step := func(p Point, out bool) Point {
+		sign := 1.0
+		if !out {
+			sign = -1
+		}
+		if dir.X != 0 {
+			p.X = math.Nextafter(p.X, math.Inf(int(sign*dir.X)))
+		} else {
+			p.Y = math.Nextafter(p.Y, math.Inf(int(sign*dir.Y)))
+		}
+		return p
+	}
+	psi2 := psi * psi
+	for p.Dist2(s) > psi2 {
+		p = step(p, false)
+	}
+	for q := step(p, true); q.Dist2(s) <= psi2; q = step(q, true) {
+		p = q
+	}
+	return p
 }
 
 func TestQuadrantsPartitionRect(t *testing.T) {
@@ -275,8 +325,8 @@ func TestExtendPoint(t *testing.T) {
 
 func TestCenterAndDims(t *testing.T) {
 	r := Rect{MinX: 2, MinY: 4, MaxX: 10, MaxY: 8}
-	if c := r.Center(); c != Pt(6, 6) {
-		t.Errorf("Center = %v, want (6,6)", c)
+	if c := r.Quadrant(QuadSW); c.MaxX != 6 || c.MaxY != 6 {
+		t.Errorf("quadrants meet at (%v,%v), want the center (6,6)", c.MaxX, c.MaxY)
 	}
 	if r.Width() != 8 || r.Height() != 4 {
 		t.Errorf("Width,Height = %v,%v want 8,4", r.Width(), r.Height())

@@ -134,7 +134,7 @@ func TestGreedyMatchesHandRolledReference(t *testing.T) {
 		c := map[trajectory.ID]service.Mask{}
 		for _, u := range users.All {
 			m := service.MaskOf(u, f.Stops, params.Psi)
-			if !m.Empty() {
+			if m.Count() > 0 {
 				c[u.ID] = m
 			}
 		}

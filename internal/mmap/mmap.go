@@ -67,9 +67,6 @@ func Open(path string) (*Mapping, error) {
 // mapping is retained.
 func (m *Mapping) Data() []byte { return m.data }
 
-// Retain adds a reference.
-func (m *Mapping) Retain() { m.refs.Add(1) }
-
 // Release drops a reference; the last release unmaps. Releasing an
 // already-dead mapping panics (a refcount bug, not a runtime condition).
 func (m *Mapping) Release() error {

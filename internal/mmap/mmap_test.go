@@ -27,7 +27,7 @@ func TestOpenAndRelease(t *testing.T) {
 	if m.Refs() != 1 {
 		t.Fatalf("Refs = %d, want 1", m.Refs())
 	}
-	m.Retain()
+	m.refs.Add(1)
 	if err := m.Release(); err != nil {
 		t.Fatal(err)
 	}

@@ -16,30 +16,20 @@ type Item struct {
 	Data uint64
 }
 
-// DefaultCapacity is the leaf bucket size used when Options.Capacity is 0.
-const DefaultCapacity = 32
+// leafCapacity is the number of items a leaf holds before it splits, and
+// maxTreeDepth bounds splitting so duplicate or near-duplicate points
+// cannot force it forever: leaves at maxTreeDepth grow instead.
+const (
+	leafCapacity = 32
+	maxTreeDepth = 24
+)
 
-// DefaultMaxDepth bounds tree depth so duplicate or near-duplicate points
-// cannot force unbounded splitting.
-const DefaultMaxDepth = 24
-
-// Options configures a Tree.
-type Options struct {
-	// Capacity is the maximum number of items a leaf holds before it
-	// splits (0 means DefaultCapacity).
-	Capacity int
-	// MaxDepth bounds splitting (0 means DefaultMaxDepth). Leaves at
-	// MaxDepth grow beyond Capacity instead of splitting.
-	MaxDepth int
-}
-
-// Tree is a PR quadtree. Construct with New; the zero value is not usable.
+// Tree is a PR quadtree, built by Build.
 type Tree struct {
 	root     *node
 	bounds   geo.Rect
 	capacity int
 	maxDepth int
-	size     int
 }
 
 type node struct {
@@ -49,49 +39,38 @@ type node struct {
 	depth    int
 }
 
-// New returns an empty tree covering bounds.
-func New(bounds geo.Rect, opts Options) *Tree {
-	if opts.Capacity <= 0 {
-		opts.Capacity = DefaultCapacity
-	}
-	if opts.MaxDepth <= 0 {
-		opts.MaxDepth = DefaultMaxDepth
-	}
-	return &Tree{
-		root:     &node{rect: bounds},
-		bounds:   bounds,
-		capacity: opts.Capacity,
-		maxDepth: opts.MaxDepth,
-	}
-}
-
 // Build constructs a tree containing all items, growing bounds to cover
 // them if necessary.
-func Build(bounds geo.Rect, items []Item, opts Options) *Tree {
+func Build(bounds geo.Rect, items []Item) *Tree {
+	return build(bounds, items, leafCapacity, maxTreeDepth)
+}
+
+// build is Build with a given leaf capacity and depth bound.
+func build(bounds geo.Rect, items []Item, capacity, maxDepth int) *Tree {
 	for _, it := range items {
 		bounds = bounds.ExtendPoint(it.P)
 	}
-	t := New(bounds, opts)
+	t := &Tree{root: &node{rect: bounds}, bounds: bounds, capacity: capacity, maxDepth: maxDepth}
 	for _, it := range items {
-		t.Insert(it)
+		t.insert(it)
 	}
 	return t
 }
 
-// Len returns the number of items stored.
-func (t *Tree) Len() int { return t.size }
-
-// Bounds returns the tree's root rectangle.
-func (t *Tree) Bounds() geo.Rect { return t.bounds }
-
-// Insert adds an item. Points outside the root bounds are clamped into
+// insert adds an item. Points outside the root bounds are clamped into
 // them (the tree never rebalances its root).
-func (t *Tree) Insert(it Item) {
+func (t *Tree) insert(it Item) {
 	if !t.bounds.Contains(it.P) {
 		it.P = clamp(it.P, t.bounds)
 	}
-	t.insert(t.root, it)
-	t.size++
+	n := t.root
+	for n.children != nil {
+		n = &n.children[n.rect.QuadrantOf(it.P)]
+	}
+	n.items = append(n.items, it)
+	if len(n.items) > t.capacity && n.depth < t.maxDepth {
+		t.split(n)
+	}
 }
 
 func clamp(p geo.Point, r geo.Rect) geo.Point {
@@ -108,19 +87,6 @@ func clamp(p geo.Point, r geo.Rect) geo.Point {
 		p.Y = r.MaxY
 	}
 	return p
-}
-
-func (t *Tree) insert(n *node, it Item) {
-	for {
-		if n.children == nil {
-			n.items = append(n.items, it)
-			if len(n.items) > t.capacity && n.depth < t.maxDepth {
-				t.split(n)
-			}
-			return
-		}
-		n = &n.children[n.rect.QuadrantOf(it.P)]
-	}
 }
 
 func (t *Tree) split(n *node) {
@@ -142,34 +108,6 @@ func (t *Tree) split(n *node) {
 			t.split(c)
 		}
 	}
-}
-
-// SearchRect calls fn for every item whose point lies inside r (boundary
-// inclusive). Iteration stops early if fn returns false.
-func (t *Tree) SearchRect(r geo.Rect, fn func(Item) bool) {
-	t.searchRect(t.root, r, fn)
-}
-
-func (t *Tree) searchRect(n *node, r geo.Rect, fn func(Item) bool) bool {
-	if !n.rect.Intersects(r) {
-		return true
-	}
-	if n.children == nil {
-		for _, it := range n.items {
-			if r.Contains(it.P) {
-				if !fn(it) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	for q := 0; q < 4; q++ {
-		if !t.searchRect(&n.children[q], r, fn) {
-			return false
-		}
-	}
-	return true
 }
 
 // SearchCircle calls fn for every item within radius of center (boundary
@@ -199,41 +137,4 @@ func (t *Tree) searchCircle(n *node, c geo.Point, r, r2 float64, fn func(Item) b
 		}
 	}
 	return true
-}
-
-// CountCircle returns the number of items within radius of center.
-func (t *Tree) CountCircle(center geo.Point, radius float64) int {
-	n := 0
-	t.SearchCircle(center, radius, func(Item) bool { n++; return true })
-	return n
-}
-
-// Stats describes the shape of the tree, for diagnostics and tests.
-type Stats struct {
-	Nodes    int
-	Leaves   int
-	MaxDepth int
-	Items    int
-}
-
-// Stats walks the tree and returns its shape.
-func (t *Tree) Stats() Stats {
-	var s Stats
-	var walk func(n *node)
-	walk = func(n *node) {
-		s.Nodes++
-		if n.depth > s.MaxDepth {
-			s.MaxDepth = n.depth
-		}
-		if n.children == nil {
-			s.Leaves++
-			s.Items += len(n.items)
-			return
-		}
-		for q := 0; q < 4; q++ {
-			walk(&n.children[q])
-		}
-	}
-	walk(t.root)
-	return s
 }

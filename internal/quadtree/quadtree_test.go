@@ -1,6 +1,7 @@
 package quadtree
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -23,27 +24,55 @@ func randomItems(n int, seed int64, bounds geo.Rect) []Item {
 	return items
 }
 
-func collectRect(t *Tree, r geo.Rect) []uint64 {
-	var out []uint64
-	t.SearchRect(r, func(it Item) bool { out = append(out, it.Data); return true })
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// newTree returns an empty tree over bounds with a small leaf capacity
+// and depth bound, for the splitting cases.
+func newTree(bounds geo.Rect, capacity, maxDepth int) *Tree {
+	return build(bounds, nil, capacity, maxDepth)
+}
+
+// all returns the payloads of every item, sorted, through a circle that
+// holds the whole root.
+func all(t *Tree) []uint64 {
+	b := t.bounds
+	return collectCircle(t, geo.Pt(b.MinX, b.MinY), math.Hypot(b.Width(), b.Height()))
+}
+
+// countCircle returns the number of items within radius of center.
+func countCircle(t *Tree, center geo.Point, radius float64) int {
+	n := 0
+	t.SearchCircle(center, radius, func(Item) bool { n++; return true })
+	return n
+}
+
+// shape describes the tree's nodes, leaves, depth and items.
+type shape struct {
+	Nodes, Leaves, MaxDepth, Items int
+}
+
+func shapeOf(t *Tree) shape {
+	var s shape
+	var walk func(n *node)
+	walk = func(n *node) {
+		s.Nodes++
+		if n.depth > s.MaxDepth {
+			s.MaxDepth = n.depth
+		}
+		if n.children == nil {
+			s.Leaves++
+			s.Items += len(n.items)
+			return
+		}
+		for q := 0; q < 4; q++ {
+			walk(&n.children[q])
+		}
+	}
+	walk(t.root)
+	return s
 }
 
 func collectCircle(t *Tree, c geo.Point, rad float64) []uint64 {
 	var out []uint64
 	t.SearchCircle(c, rad, func(it Item) bool { out = append(out, it.Data); return true })
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func bruteRect(items []Item, r geo.Rect) []uint64 {
-	var out []uint64
-	for _, it := range items {
-		if r.Contains(it.P) {
-			out = append(out, it.Data)
-		}
-	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
@@ -72,27 +101,10 @@ func equalU64(a, b []uint64) bool {
 	return true
 }
 
-func TestSearchRectMatchesBruteForce(t *testing.T) {
-	bounds := geo.Rect{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}
-	items := randomItems(5000, 1, bounds)
-	tree := Build(bounds, items, Options{Capacity: 16})
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 100; i++ {
-		a := geo.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		b := geo.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		r := geo.NewRect(a, b)
-		got := collectRect(tree, r)
-		want := bruteRect(items, r)
-		if !equalU64(got, want) {
-			t.Fatalf("rect %v: got %d items, want %d", r, len(got), len(want))
-		}
-	}
-}
-
 func TestSearchCircleMatchesBruteForce(t *testing.T) {
 	bounds := geo.Rect{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}
 	items := randomItems(5000, 3, bounds)
-	tree := Build(bounds, items, Options{Capacity: 16})
+	tree := build(bounds, items, 16, maxTreeDepth)
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 100; i++ {
 		c := geo.Pt(rng.Float64()*1000, rng.Float64()*1000)
@@ -107,15 +119,15 @@ func TestSearchCircleMatchesBruteForce(t *testing.T) {
 
 func TestInsertIncremental(t *testing.T) {
 	bounds := geo.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
-	tree := New(bounds, Options{Capacity: 4})
+	tree := newTree(bounds, 4, maxTreeDepth)
 	items := randomItems(500, 5, bounds)
 	for i, it := range items {
-		tree.Insert(it)
-		if tree.Len() != i+1 {
-			t.Fatalf("Len = %d after %d inserts", tree.Len(), i+1)
+		tree.insert(it)
+		if n := shapeOf(tree).Items; n != i+1 {
+			t.Fatalf("%d items after %d inserts", n, i+1)
 		}
 	}
-	got := collectRect(tree, bounds)
+	got := all(tree)
 	if len(got) != 500 {
 		t.Fatalf("full-rect search returned %d items, want 500", len(got))
 	}
@@ -123,32 +135,25 @@ func TestInsertIncremental(t *testing.T) {
 
 func TestDuplicatePointsDoNotBlowUp(t *testing.T) {
 	bounds := geo.Rect{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}
-	tree := New(bounds, Options{Capacity: 2, MaxDepth: 8})
+	tree := newTree(bounds, 2, 8)
 	p := geo.Pt(3.33, 7.77)
 	for i := 0; i < 1000; i++ {
-		tree.Insert(Item{P: p, Data: uint64(i)})
+		tree.insert(Item{P: p, Data: uint64(i)})
 	}
-	st := tree.Stats()
+	st := shapeOf(tree)
 	if st.MaxDepth > 8 {
 		t.Errorf("depth %d exceeded MaxDepth 8", st.MaxDepth)
 	}
-	if got := tree.CountCircle(p, 0.001); got != 1000 {
+	if got := countCircle(tree, p, 0.001); got != 1000 {
 		t.Errorf("CountCircle at duplicate point = %d, want 1000", got)
 	}
 }
 
 func TestOutOfBoundsPointsClamp(t *testing.T) {
 	bounds := geo.Rect{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}
-	tree := New(bounds, Options{})
-	tree.Insert(Item{P: geo.Pt(-5, 50), Data: 42})
-	found := false
-	tree.SearchRect(bounds, func(it Item) bool {
-		if it.Data == 42 {
-			found = true
-		}
-		return true
-	})
-	if !found {
+	tree := newTree(bounds, leafCapacity, maxTreeDepth)
+	tree.insert(Item{P: geo.Pt(-5, 50), Data: 42})
+	if got := all(tree); len(got) != 1 || got[0] != 42 {
 		t.Error("clamped out-of-bounds item not retrievable")
 	}
 }
@@ -156,16 +161,8 @@ func TestOutOfBoundsPointsClamp(t *testing.T) {
 func TestEarlyTermination(t *testing.T) {
 	bounds := geo.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
 	items := randomItems(1000, 6, bounds)
-	tree := Build(bounds, items, Options{})
+	tree := Build(bounds, items)
 	calls := 0
-	tree.SearchRect(bounds, func(Item) bool {
-		calls++
-		return calls < 10
-	})
-	if calls != 10 {
-		t.Errorf("visitor called %d times, want exactly 10", calls)
-	}
-	calls = 0
 	tree.SearchCircle(geo.Pt(50, 50), 1000, func(Item) bool {
 		calls++
 		return calls < 7
@@ -177,20 +174,20 @@ func TestEarlyTermination(t *testing.T) {
 
 func TestCountCircle(t *testing.T) {
 	bounds := geo.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
-	tree := New(bounds, Options{})
+	tree := newTree(bounds, leafCapacity, maxTreeDepth)
 	// Ring of 8 points at distance 5 from center plus one at distance 20.
 	c := geo.Pt(50, 50)
 	for i := 0; i < 8; i++ {
-		tree.Insert(Item{P: geo.Pt(50+5, 50), Data: uint64(i)})
+		tree.insert(Item{P: geo.Pt(50+5, 50), Data: uint64(i)})
 	}
-	tree.Insert(Item{P: geo.Pt(70, 50), Data: 99})
-	if got := tree.CountCircle(c, 5.0); got != 8 {
+	tree.insert(Item{P: geo.Pt(70, 50), Data: 99})
+	if got := countCircle(tree, c, 5.0); got != 8 {
 		t.Errorf("CountCircle(r=5) = %d, want 8 (boundary inclusive)", got)
 	}
-	if got := tree.CountCircle(c, 25); got != 9 {
+	if got := countCircle(tree, c, 25); got != 9 {
 		t.Errorf("CountCircle(r=25) = %d, want 9", got)
 	}
-	if got := tree.CountCircle(c, 1); got != 0 {
+	if got := countCircle(tree, c, 1); got != 0 {
 		t.Errorf("CountCircle(r=1) = %d, want 0", got)
 	}
 }
@@ -198,10 +195,10 @@ func TestCountCircle(t *testing.T) {
 func TestStats(t *testing.T) {
 	bounds := geo.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
 	items := randomItems(2000, 7, bounds)
-	tree := Build(bounds, items, Options{Capacity: 8})
-	st := tree.Stats()
+	tree := build(bounds, items, 8, maxTreeDepth)
+	st := shapeOf(tree)
 	if st.Items != 2000 {
-		t.Errorf("Stats.Items = %d, want 2000", st.Items)
+		t.Errorf("Items = %d, want 2000", st.Items)
 	}
 	if st.Leaves == 0 || st.Nodes < st.Leaves {
 		t.Errorf("implausible stats %+v", st)
@@ -215,19 +212,19 @@ func TestStats(t *testing.T) {
 func TestBuildGrowsBounds(t *testing.T) {
 	bounds := geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
 	items := []Item{{P: geo.Pt(500, 500), Data: 1}, {P: geo.Pt(-10, 3), Data: 2}}
-	tree := Build(bounds, items, Options{})
-	if got := collectRect(tree, tree.Bounds()); len(got) != 2 {
+	tree := Build(bounds, items)
+	if got := all(tree); len(got) != 2 {
 		t.Errorf("Build lost items outside initial bounds: found %d", len(got))
 	}
 }
 
 func TestEmptyTreeSearches(t *testing.T) {
-	tree := New(geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, Options{})
-	tree.SearchRect(geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, func(Item) bool {
+	tree := Build(geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, nil)
+	tree.SearchCircle(geo.Pt(0.5, 0.5), 10, func(Item) bool {
 		t.Error("visitor called on empty tree")
 		return true
 	})
-	if tree.Len() != 0 {
-		t.Error("empty tree Len != 0")
+	if n := shapeOf(tree).Items; n != 0 {
+		t.Errorf("empty tree holds %d items", n)
 	}
 }

@@ -40,7 +40,7 @@ func NewBaseline(users *trajectory.Set, variant tqtree.Variant) *Baseline {
 	bounds, _ := users.Bounds()
 	return &Baseline{
 		users:   users,
-		tree:    quadtree.Build(bounds, items, quadtree.Options{}),
+		tree:    quadtree.Build(bounds, items),
 		variant: variant,
 	}
 }

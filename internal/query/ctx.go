@@ -78,10 +78,3 @@ func (e *FrozenEngine) ServiceValuesCtx(ctx context.Context, facilities []*traje
 	defer runtime.KeepAlive(e.f)
 	return serviceValues(frozenLayout{f: e.f}, facilities, p, workers, newCanceller(ctx), nil)
 }
-
-// ServiceValuesCtx is Epoch.ServiceValues with cooperative cancellation,
-// checked between facilities.
-func (ep *Epoch) ServiceValuesCtx(ctx context.Context, facilities []*trajectory.Facility, p Params, workers int) ([]float64, Metrics, error) {
-	defer runtime.KeepAlive(ep)
-	return ep.serviceValues(facilities, p, workers, newCanceller(ctx))
-}

@@ -180,17 +180,17 @@ func TestEpochServiceValuesCtx(t *testing.T) {
 	fs := makeFacilities(24, 8, 305)
 	p := Params{Scenario: service.Binary, Psi: 45}
 
-	want, _, err := ep.ServiceValues(fs, p, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, _, err := ep.ServiceValuesCtx(context.Background(), fs, p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ServiceValuesCtx[%d] = %v, plain %v", i, got[i], want[i])
+	for i, f := range fs {
+		want, _, err := ep.ServiceValue(f, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != want {
+			t.Fatalf("ServiceValuesCtx[%d] = %v, ServiceValue %v", i, got[i], want)
 		}
 	}
 	for _, workers := range []int{1, 3} {

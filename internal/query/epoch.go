@@ -23,6 +23,7 @@ package query
 // Metrics.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"slices"
@@ -198,19 +199,6 @@ func (ep *Epoch) Len() int {
 	return ep.base.Table().Len() - ep.nDead + len(ep.delta)
 }
 
-// Has reports whether the logical corpus contains id. The delta check
-// is a linear scan — the overlay is bounded by the compaction policy,
-// and this path serves lookups, not queries.
-func (ep *Epoch) Has(id trajectory.ID) bool {
-	for _, u := range ep.delta {
-		if u.ID == id {
-			return true
-		}
-	}
-	_, ok := ep.BaseOrdinal(id)
-	return ok
-}
-
 // LogicalCorpus returns the epoch's logical corpus — surviving base
 // trajectories in table order followed by the delta — the input a
 // background rebuild hands to a from-scratch build. The base part is one
@@ -343,21 +331,19 @@ func (ep *Epoch) ServiceValue(f *trajectory.Facility, p Params) (float64, Metric
 	return so, m, nil
 }
 
-// ServiceValues computes SO(U, f) for every facility in one batch across
-// a pool of workers; see FrozenEngine.ServiceValues. Each facility's delta scan
-// runs in the same step as its base traversal and is added after it.
-func (ep *Epoch) ServiceValues(facilities []*trajectory.Facility, p Params, workers int) ([]float64, Metrics, error) {
-	return ep.serviceValues(facilities, p, workers, nil)
-}
-
-func (ep *Epoch) serviceValues(facilities []*trajectory.Facility, p Params, workers int, cc *canceller) ([]float64, Metrics, error) {
+// ServiceValuesCtx computes SO(U, f) for every facility in one batch
+// across a pool of workers; see FrozenEngine.ServiceValues. Each
+// facility's delta scan runs in the same step as its base traversal and
+// is added after it. The batch checks ctx between facilities (in every
+// worker) and returns ctx.Err() instead of an answer once it is done.
+func (ep *Epoch) ServiceValuesCtx(ctx context.Context, facilities []*trajectory.Facility, p Params, workers int) ([]float64, Metrics, error) {
 	// Pins a mapped base (and mapped delta points) for the whole batch;
 	// see FrozenEngine.ServiceValue.
 	defer runtime.KeepAlive(ep)
 	if err := ep.validate(p); err != nil {
 		return nil, Metrics{}, err
 	}
-	return serviceValues(ep.layout(), facilities, p, workers, cc, ep)
+	return serviceValues(ep.layout(), facilities, p, workers, newCanceller(ctx), ep)
 }
 
 // UpperBound is a sound overestimate of f's service value over the

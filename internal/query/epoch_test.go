@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -51,7 +52,7 @@ func TestEpochEmptyDeltaByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotVs, gotM, err := ep.ServiceValues(facilities, p, 3)
+		gotVs, gotM, err := ep.ServiceValuesCtx(context.Background(), facilities, p, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -282,13 +282,3 @@ func ObjectiveFromMask(variant tqtree.Variant, sc service.Scenario, u *trajector
 	}
 	return service.ValueFromMask(sc, u, mask)
 }
-
-// ExactServiceValue is the brute-force oracle: SO(U, f) by direct scan,
-// used to validate every accelerated path.
-func ExactServiceValue(variant tqtree.Variant, sc service.Scenario, users *trajectory.Set, stops []geo.Point, psi float64) float64 {
-	var total float64
-	for _, u := range users.All {
-		total += ObjectiveFromMask(variant, sc, u, service.MaskOf(u, stops, psi))
-	}
-	return total
-}

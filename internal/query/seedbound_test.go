@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -81,8 +82,8 @@ func walkEveryList(l frozenLayout, f *trajectory.Facility, p Params) (float64, M
 }
 
 // TestSeedBoundCellBorder pins the cell-border cases of the containing
-// q-node. A route whose EMBR ends exactly on the root's vertical center
-// line, so it lies in the closed south-west quadrant, serves two trips
+// q-node. A route whose stops lie ψ west of the root's vertical center
+// line, so that their exact ψ-reach ends on it, serves two trips
 // with an endpoint on that line ψ from a stop: one is stored at the root
 // (its first point routes east, its last lies west), the other routes
 // whole into the south-east quadrant. A route off the map's east edge
@@ -103,12 +104,16 @@ func TestSeedBoundCellBorder(t *testing.T) {
 	routes := []*trajectory.Facility{west, east}
 	facilities := append(makeFacilities(6, 4, 45), routes...)
 	const psi = 20
-	if !testBounds.Quadrant(geo.QuadSW).ContainsRect(west.EMBR(psi)) {
-		t.Fatalf("route EMBR %v is not in the closed south-west quadrant", west.EMBR(psi))
+	// The west route's stops reach exactly to the center line: their exact
+	// ψ-expansion ends on it, inside the closed south-west quadrant. (The
+	// EMBR itself is padded past ψ, so it crosses the line.)
+	m, sw := west.MBR(), testBounds.Quadrant(geo.QuadSW)
+	if exact := (geo.Rect{MinX: m.MinX - psi, MinY: m.MinY - psi, MaxX: m.MaxX + psi, MaxY: m.MaxY + psi}); !sw.ContainsRect(exact) || exact.MaxX != sw.MaxX {
+		t.Fatalf("route stops %v do not reach exactly to the center line of %v at ψ %v", m, sw, float64(psi))
 	}
 	type surface interface {
 		ServiceValue(*trajectory.Facility, Params) (float64, Metrics, error)
-		ServiceValues([]*trajectory.Facility, Params, int) ([]float64, Metrics, error)
+		ServiceValuesCtx(context.Context, []*trajectory.Facility, Params, int) ([]float64, Metrics, error)
 	}
 	without := trajectory.MustNewSet(users)
 	for _, cfg := range validConfigs(false) {
@@ -141,7 +146,7 @@ func TestSeedBoundCellBorder(t *testing.T) {
 					t.Fatalf("%+v %s route %d: the extra trips add nothing (%v vs %v)", cfg, c.name, f.ID, want, less)
 				}
 			}
-			vs, _, err := c.idx.ServiceValues(facilities, p, 1)
+			vs, _, err := c.idx.ServiceValuesCtx(context.Background(), facilities, p, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -142,16 +142,6 @@ func (m Mask) Count() int {
 	return n
 }
 
-// Empty reports whether no point is covered.
-func (m Mask) Empty() bool {
-	for _, w := range m {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // MaskOf computes the coverage mask of u against the given stops.
 func MaskOf(u *trajectory.Trajectory, stops []geo.Point, psi float64) Mask {
 	m := NewMask(u.Len())

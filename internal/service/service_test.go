@@ -102,7 +102,7 @@ func TestPointServedBoundaryInclusive(t *testing.T) {
 
 func TestMaskBasics(t *testing.T) {
 	m := NewMask(130)
-	if !m.Empty() || m.Count() != 0 {
+	if m.Count() != 0 {
 		t.Error("fresh mask not empty")
 	}
 	m.Set(0)
@@ -119,8 +119,8 @@ func TestMaskBasics(t *testing.T) {
 	if m.Get(1) || m.Get(128) {
 		t.Error("unset bit reads true")
 	}
-	if m.Empty() {
-		t.Error("non-empty mask reports Empty")
+	if m.Count() == 0 {
+		t.Error("non-empty mask counts no point")
 	}
 	other := NewMask(130)
 	other.Set(7)

@@ -138,12 +138,6 @@ func (s *StopSet) init(stops []geo.Point, psi float64, expectedQueries int) {
 // cell maps a coordinate to its (fractional) cell index along one axis.
 func (s *StopSet) cell(v, origin float64) float64 { return (v - origin) * s.invCell }
 
-// Psi returns the threshold the set was built for.
-func (s *StopSet) Psi() float64 { return s.psi }
-
-// Stops returns the underlying stop points (read-only).
-func (s *StopSet) Stops() []geo.Point { return s.stops }
-
 // Served reports whether p is within ψ of any stop.
 func (s *StopSet) Served(p geo.Point) bool {
 	if s.cols > 0 {

@@ -15,9 +15,9 @@ func rastered(ss *StopSet) bool { return ss.cols > 0 }
 // checkServed asserts the set answers exactly as the linear scan does.
 func checkServed(t *testing.T, ss *StopSet, p geo.Point) {
 	t.Helper()
-	if got, want := ss.Served(p), PointServed(p, ss.Stops(), ss.Psi()); got != want {
+	if got, want := ss.Served(p), PointServed(p, ss.stops, ss.psi); got != want {
 		t.Fatalf("Served(%v) = %v, linear scan = %v (stops=%d psi=%v raster=%dx%d)",
-			p, got, want, len(ss.Stops()), ss.Psi(), ss.cols, ss.rows)
+			p, got, want, len(ss.stops), ss.psi, ss.cols, ss.rows)
 	}
 }
 
@@ -213,14 +213,6 @@ func TestStopSetEmptyAndZeroPsi(t *testing.T) {
 	}
 }
 
-func TestStopSetAccessors(t *testing.T) {
-	stops := []geo.Point{geo.Pt(1, 2), geo.Pt(3, 4)}
-	ss := NewStopSet(stops, 42)
-	if ss.Psi() != 42 || len(ss.Stops()) != 2 {
-		t.Error("accessors broken")
-	}
-}
-
 func TestAcquireStopSetMatchesNew(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	// Cycle sets of varying sizes through the pool: a reused bitmap must
@@ -245,11 +237,21 @@ func TestAcquireStopSetMatchesNew(t *testing.T) {
 	}
 }
 
+// TestStopSetAccessors: a set keeps the stops and threshold it was built
+// for, which its linear scan reads.
+func TestStopSetAccessors(t *testing.T) {
+	stops := []geo.Point{geo.Pt(1, 2), geo.Pt(3, 4)}
+	ss := NewStopSet(stops, 42)
+	if ss.psi != 42 || len(ss.stops) != 2 {
+		t.Errorf("set holds ψ %v and %d stops, want 42 and 2", ss.psi, len(ss.stops))
+	}
+}
+
 func TestStopSetReleaseDropsStops(t *testing.T) {
 	stops := []geo.Point{geo.Pt(1, 1)}
 	ss := AcquireStopSet(stops, 10, 1<<30)
 	ss.Release()
-	if ss.Stops() != nil {
+	if ss.stops != nil {
 		t.Error("Release kept the stops reference")
 	}
 }

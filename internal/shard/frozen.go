@@ -16,7 +16,6 @@ import (
 // TQSHRD03 snapshot container.
 type Frozen struct {
 	scatter[*query.FrozenEngine]
-	bounds  geo.Rect
 	kind    string
 	engines []*query.FrozenEngine
 }
@@ -42,8 +41,8 @@ func BuildFrozen(users []*trajectory.Trajectory, opts Options) (*Frozen, error) 
 	return FrozenFromEngines(engines, bounds, opts.Partitioner.Kind())
 }
 
-func newFrozen(engines []*query.FrozenEngine, bounds geo.Rect, kind string) *Frozen {
-	return &Frozen{scatter: fixedUnits(engines), bounds: bounds, kind: kind, engines: engines}
+func newFrozen(engines []*query.FrozenEngine, kind string) *Frozen {
+	return &Frozen{scatter: fixedUnits(engines), kind: kind, engines: engines}
 }
 
 // uniqueAcross rejects an ID that two of the given sorted, duplicate-free
@@ -58,11 +57,12 @@ func uniqueAcross(cols [][]trajectory.ID, what string) error {
 
 // FrozenFromEngines assembles a Frozen from per-shard frozen engines —
 // the snapshot restore path. kind records the partitioner the partition
-// was produced with ("" when unknown); bounds is the shared root space.
-// IDs must be unique across the whole corpus, exactly as a build checks;
-// each table is unique in itself, so one merge of their sorted ID columns
-// decides it.
-func FrozenFromEngines(engines []*query.FrozenEngine, bounds geo.Rect, kind string) (*Frozen, error) {
+// was produced with ("" when unknown). The geo.Rect argument is unused,
+// since each engine carries the shared root space; it goes with the last
+// compat_benchmark.go caller. IDs must be unique across the whole corpus,
+// exactly as a build checks; each table is unique in itself, so one merge
+// of their sorted ID columns decides it.
+func FrozenFromEngines(engines []*query.FrozenEngine, _ geo.Rect, kind string) (*Frozen, error) {
 	if len(engines) == 0 {
 		return nil, fmt.Errorf("shard: no frozen shards")
 	}
@@ -75,7 +75,7 @@ func FrozenFromEngines(engines []*query.FrozenEngine, bounds geo.Rect, kind stri
 			return nil, err
 		}
 	}
-	return newFrozen(engines, bounds, kind), nil
+	return newFrozen(engines, kind), nil
 }
 
 // NumShards returns the shard count.
@@ -98,9 +98,6 @@ func (f *Frozen) Sizes() []int {
 	}
 	return out
 }
-
-// Bounds returns the shared root space of every shard's index.
-func (f *Frozen) Bounds() geo.Rect { return f.bounds }
 
 // PartitionerKind returns the kind of the partitioner the shards were
 // produced with, or "" when unknown.

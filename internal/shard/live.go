@@ -233,7 +233,7 @@ func (l *Live) Freeze() (*Frozen, error) {
 		}
 		engines[i] = query.NewFrozenEngine(fz, nil)
 	}
-	return newFrozen(engines, l.bounds, l.PartitionerKind()), nil
+	return newFrozen(engines, l.PartitionerKind()), nil
 }
 
 // fold builds a fresh frozen base over ep's logical corpus. The corpus is
@@ -336,9 +336,6 @@ func newLive(epochs []*query.Epoch, part Partitioner, pol Policy) *Live {
 
 // NumShards returns the shard count.
 func (l *Live) NumShards() int { return len(l.shards) }
-
-// Bounds returns the shared root space.
-func (l *Live) Bounds() geo.Rect { return l.bounds }
 
 // PartitionerKind returns the configured partitioner's kind, or "" when
 // none survives (restored from an unknown custom kind).

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -76,11 +77,11 @@ func TestLiveTombstoneWordBoundaries(t *testing.T) {
 					}
 					for _, sc := range scenarios {
 						p := Params{Scenario: sc, Psi: 40}
-						want, _, err := fresh.ServiceValues(facilities, p, 1)
+						want, _, err := fresh.ServiceValuesCtx(context.Background(), facilities, p, 1)
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, _, err := lv.ServiceValues(facilities, p, 2)
+						got, _, err := lv.ServiceValuesCtx(context.Background(), facilities, p, 2)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -92,11 +93,11 @@ func TestLiveTombstoneWordBoundaries(t *testing.T) {
 						if sc != service.Binary {
 							continue
 						}
-						wantTop, _, err := fresh.TopK(facilities, 4, p)
+						wantTop, _, err := fresh.TopKCtx(context.Background(), facilities, 4, p, 1)
 						if err != nil {
 							t.Fatal(err)
 						}
-						gotTop, _, err := lv.TopK(facilities, 4, p)
+						gotTop, _, err := lv.TopKCtx(context.Background(), facilities, 4, p, 1)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestLiveDegradedStateMachine(t *testing.T) {
 
 	// Answers before the wedge, to compare against during degradation.
 	p := Params{Scenario: service.Binary, Psi: 40}
-	wantV, _, err := lv.ServiceValues(facilities, p, 2)
+	wantV, _, err := lv.ServiceValuesCtx(context.Background(), facilities, p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestLiveDegradedStateMachine(t *testing.T) {
 		t.Fatalf("degraded delete: got %v", err)
 	}
 	// Queries keep serving the last published epochs.
-	gotV, _, err := lv.ServiceValues(facilities, p, 2)
+	gotV, _, err := lv.ServiceValuesCtx(context.Background(), facilities, p, 2)
 	if err != nil {
 		t.Fatalf("degraded query: %v", err)
 	}

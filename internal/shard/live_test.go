@@ -1,10 +1,12 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -63,11 +65,11 @@ func TestLiveEmptyDeltaMatchesFrozen(t *testing.T) {
 				p.Scenario = sc
 				name := fmt.Sprintf("%d/%v/%v", n, o, sc)
 
-				wantV, wantM, err := fz.ServiceValues(facilities, p, 2)
+				wantV, wantM, err := fz.ServiceValuesCtx(context.Background(), facilities, p, 2)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotV, gotM, err := lv.ServiceValues(facilities, p, 2)
+				gotV, gotM, err := lv.ServiceValuesCtx(context.Background(), facilities, p, 2)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -80,11 +82,11 @@ func TestLiveEmptyDeltaMatchesFrozen(t *testing.T) {
 					}
 				}
 
-				wantTop, wantTM, err := fz.TopK(facilities, 8, p)
+				wantTop, wantTM, err := fz.TopKCtx(context.Background(), facilities, 8, p, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotTop, gotTM, err := lv.TopK(facilities, 8, p)
+				gotTop, gotTM, err := lv.TopKCtx(context.Background(), facilities, 8, p, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -188,11 +190,11 @@ func TestLiveChurnMatchesFreshBuild(t *testing.T) {
 			if lv.Len() != len(corpus) {
 				t.Fatalf("%s: Len = %d, want %d", stage, lv.Len(), len(corpus))
 			}
-			wantV, _, err := fresh.ServiceValues(facilities, p, 1)
+			wantV, _, err := fresh.ServiceValuesCtx(context.Background(), facilities, p, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotV, _, err := lv.ServiceValues(facilities, p, 1)
+			gotV, _, err := lv.ServiceValuesCtx(context.Background(), facilities, p, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,11 +204,11 @@ func TestLiveChurnMatchesFreshBuild(t *testing.T) {
 						stage, shards, i, gotV[i], wantV[i])
 				}
 			}
-			wantTop, _, err := fresh.TopK(facilities, 8, p)
+			wantTop, _, err := fresh.TopKCtx(context.Background(), facilities, 8, p, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotTop, _, err := lv.TopK(facilities, 8, p)
+			gotTop, _, err := lv.TopKCtx(context.Background(), facilities, 8, p, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -216,7 +218,7 @@ func TestLiveChurnMatchesFreshBuild(t *testing.T) {
 						gotTop[i].Facility.ID, gotTop[i].Service, wantTop[i].Facility.ID, wantTop[i].Service)
 				}
 			}
-			gotPar, _, err := lv.TopKParallel(facilities, 8, p, 4)
+			gotPar, _, err := lv.TopKCtx(context.Background(), facilities, 8, p, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -399,7 +401,8 @@ func TestLiveCrossShardIDReuseConsistentCapture(t *testing.T) {
 		trajectory.MustNew(reused, []geo.Point{geo.Pt(10, 10), geo.Pt(20, 20)}),
 		trajectory.MustNew(reused, []geo.Point{geo.Pt(990, 990), geo.Pt(980, 980)}),
 	}
-	if s0, s1 := (Grid{}).Assign(corners[0], lv.Bounds(), 2), (Grid{}).Assign(corners[1], lv.Bounds(), 2); s0 == s1 {
+	bounds := lv.Epochs()[0].Base().Frozen().Bounds()
+	if s0, s1 := (Grid{}).Assign(corners[0], bounds, 2), (Grid{}).Assign(corners[1], bounds, 2); s0 == s1 {
 		t.Fatalf("test premise broken: both corners route to shard %d", s0)
 	}
 
@@ -425,7 +428,7 @@ func TestLiveCrossShardIDReuseConsistentCapture(t *testing.T) {
 				eps := lv.Epochs()
 				alive := 0
 				for _, ep := range eps {
-					if ep.Has(reused) {
+					if _, ok := slices.BinarySearch(ep.SortedIDs(), reused); ok {
 						alive++
 					}
 				}
@@ -587,7 +590,7 @@ func TestLiveConcurrentChurnPrefixConsistent(t *testing.T) {
 						return
 					}
 				case 1:
-					top, _, err := lv.TopK(facilities, 4, p)
+					top, _, err := lv.TopKCtx(context.Background(), facilities, 4, p, 1)
 					if err != nil {
 						t.Errorf("reader %d: %v", r, err)
 						return
@@ -597,7 +600,7 @@ func TestLiveConcurrentChurnPrefixConsistent(t *testing.T) {
 						return
 					}
 				default:
-					top, _, err := lv.TopKParallel(facilities, 4, p, 2)
+					top, _, err := lv.TopKCtx(context.Background(), facilities, 4, p, 2)
 					if err != nil {
 						t.Errorf("reader %d: %v", r, err)
 						return
@@ -714,7 +717,7 @@ func TestLiveConcurrentChurnMultiShard(t *testing.T) {
 	// Script inserts only (deletes route by lookup, which would need the
 	// target's shard too — inserts exercise the same swap machinery) and
 	// track per-shard prefix value sets.
-	bounds := lv.Bounds()
+	bounds := lv.Epochs()[0].Base().Frozen().Bounds()
 	shardOf := func(u *trajectory.Trajectory) int {
 		return clampShard(Hash{}.Assign(u, bounds, shards), shards)
 	}

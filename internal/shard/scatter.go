@@ -97,11 +97,6 @@ func (s scatter[U]) ServiceValue(f *trajectory.Facility, p Params) (float64, que
 	return so, m, nil
 }
 
-// ServiceValues is ServiceValuesCtx without a deadline.
-func (s scatter[U]) ServiceValues(facilities []*trajectory.Facility, p Params, workers int) ([]float64, query.Metrics, error) {
-	return s.ServiceValuesCtx(context.Background(), facilities, p, workers)
-}
-
 // ServiceValuesCtx computes the exact service value of every facility by
 // scattering the batch to every shard and summing per-shard answers in
 // shard order. Each shard's batch runs on the shared worker budget and
@@ -143,41 +138,22 @@ func (s scatter[U]) ServiceValuesStreamCtx(ctx context.Context, facilities []*tr
 	return m, nil
 }
 
-// TopK is TopKCtx without a deadline.
-func (s scatter[U]) TopK(facilities []*trajectory.Facility, k int, p Params) ([]query.Result, query.Metrics, error) {
-	return s.TopKCtx(context.Background(), facilities, k, p)
-}
-
 // TopKCtx answers kMaxRRST over all shards: the k facilities with the
 // highest total service value, best first (value descending, ID
-// ascending) — exactly sort-and-cut over ServiceValuesCtx, bit for bit.
-// Answers match a one-shard index's exactly for integral scenarios such
-// as Binary, up to floating-point summation order otherwise. ctx is
-// polled between facilities and a done context returns ctx.Err() instead
-// of an answer.
-func (s scatter[U]) TopKCtx(ctx context.Context, facilities []*trajectory.Facility, k int, p Params) ([]query.Result, query.Metrics, error) {
-	return s.topK(ctx, facilities, k, p, 1)
-}
-
-// TopKParallel is TopKParallelCtx without a deadline.
-func (s scatter[U]) TopKParallel(facilities []*trajectory.Facility, k int, p Params, workers int) ([]query.Result, query.Metrics, error) {
-	return s.TopKParallelCtx(context.Background(), facilities, k, p, workers)
-}
-
-// TopKParallelCtx is TopKCtx with the batch evaluated on a pool of
-// `workers` goroutines per shard (normalized by query.ResolveWorkers);
-// the answer is identical.
-func (s scatter[U]) TopKParallelCtx(ctx context.Context, facilities []*trajectory.Facility, k int, p Params, workers int) ([]query.Result, query.Metrics, error) {
-	return s.topK(ctx, facilities, k, p, workers)
-}
-
-// topK is the served kMaxRRST: every facility's exact value in one
+// ascending) — exactly sort-and-cut over ServiceValuesCtx, bit for bit,
+// whatever the worker count. Answers match a one-shard index's exactly
+// for integral scenarios such as Binary, up to floating-point summation
+// order otherwise. Each shard's batch runs on a pool of `workers`
+// goroutines (normalized by query.ResolveWorkers); ctx is polled between
+// facilities and a done context returns ctx.Err() instead of an answer.
+//
+// This is the served kMaxRRST: every facility's exact value in one
 // sumValues pass, then query.Results. The paper's best-first search
 // (Algorithms 3/4) stays on the engines, for the figures: on one tree it
 // scores nearly every entry an exact pass does, and across units only a
 // summed seed bound could prune, which measured (tqbench -exp bound)
 // never ranks a facility below the k-th value.
-func (s scatter[U]) topK(ctx context.Context, facilities []*trajectory.Facility, k int, p Params, workers int) ([]query.Result, query.Metrics, error) {
+func (s scatter[U]) TopKCtx(ctx context.Context, facilities []*trajectory.Facility, k int, p Params, workers int) ([]query.Result, query.Metrics, error) {
 	units := s.capture()
 	var m query.Metrics
 	if err := validate(units, p); err != nil {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -177,7 +178,7 @@ func TestShardedMatchesSingleTree(t *testing.T) {
 				if c.scenario != service.Binary {
 					tol = 1e-9
 				}
-				gotSV, _, err := s.ServiceValues(facilities, p, 2)
+				gotSV, _, err := s.ServiceValuesCtx(context.Background(), facilities, p, 2)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -187,7 +188,7 @@ func TestShardedMatchesSingleTree(t *testing.T) {
 							c, part.Kind(), n, facilities[i].ID, gotSV[i], wantSV[i])
 					}
 				}
-				gotTop, m, err := s.TopK(facilities, k, p)
+				gotTop, m, err := s.TopKCtx(context.Background(), facilities, k, p, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -250,12 +251,12 @@ func TestShardedTopKParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := query.Params{Scenario: service.Binary, Psi: 40}
-	want, _, err := s.TopK(facilities, 8, p)
+	want, _, err := s.TopKCtx(context.Background(), facilities, 8, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 4, 8} {
-		got, _, err := s.TopKParallel(facilities, 8, p, workers)
+		got, _, err := s.TopKCtx(context.Background(), facilities, 8, p, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +286,7 @@ func TestBuildParallelismIsEquivalent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := s.ServiceValues(facilities, p, 1)
+		got, _, err := s.ServiceValuesCtx(context.Background(), facilities, p, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +317,7 @@ func TestShardedInsertRoutesToOneShard(t *testing.T) {
 	if err := s.Insert(u); err != nil {
 		t.Fatal(err)
 	}
-	want := clampShard(Hash{}.Assign(u, s.Bounds(), 4), 4)
+	want := clampShard(Hash{}.Assign(u, s.Epochs()[0].Base().Frozen().Bounds(), 4), 4)
 	after := s.Sizes()
 	for i := range after {
 		delta := after[i] - before[i]
@@ -369,7 +370,7 @@ func TestEmptyAndTinyCorpora(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := makeFacilities(3, 4, 61)
-	top, _, err := s.TopK(fs, 2, p)
+	top, _, err := s.TopKCtx(context.Background(), fs, 2, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +379,7 @@ func TestEmptyAndTinyCorpora(t *testing.T) {
 			t.Fatalf("empty index served %v", r.Service)
 		}
 	}
-	if _, _, err := s.TopK(nil, 5, p); err != nil {
+	if _, _, err := s.TopKCtx(context.Background(), nil, 5, p, 1); err != nil {
 		t.Fatal(err)
 	}
 	few := makeUsers(3, 2, 62)
@@ -410,15 +411,15 @@ func TestShardedValidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := makeFacilities(4, 4, 82)
-	if _, _, err := s.TopK(fs, 2, query.Params{Scenario: service.Scenario(9), Psi: 1}); err == nil {
+	if _, _, err := s.TopKCtx(context.Background(), fs, 2, query.Params{Scenario: service.Scenario(9), Psi: 1}, 1); err == nil {
 		t.Fatal("invalid scenario accepted")
 	}
-	if _, _, err := s.ServiceValues(fs, query.Params{Scenario: service.Binary, Psi: -2}, 1); err == nil {
+	if _, _, err := s.ServiceValuesCtx(context.Background(), fs, query.Params{Scenario: service.Binary, Psi: -2}, 1); err == nil {
 		t.Fatal("negative psi accepted")
 	}
 	// TwoPoint over multipoint data: PointCount must be rejected, as on
 	// the single tree.
-	if _, _, err := s.TopK(fs, 2, query.Params{Scenario: service.PointCount, Psi: 1}); err == nil {
+	if _, _, err := s.TopKCtx(context.Background(), fs, 2, query.Params{Scenario: service.PointCount, Psi: 1}, 1); err == nil {
 		t.Fatal("unsupported scenario accepted")
 	}
 }

@@ -299,10 +299,6 @@ func (f *Frozen) NumEntries() int { return int(f.entryOff[len(f.nodeRect)]) }
 // NumTrajectories returns the number of indexed user trajectories.
 func (f *Frozen) NumTrajectories() int { return f.table.Len() }
 
-// HasMultipoint reports whether any indexed trajectory has more than two
-// points.
-func (f *Frozen) HasMultipoint() bool { return f.table.HasMultipoint() }
-
 // Table returns the trajectory table; its ordinal order is the order the
 // snapshot formats record.
 func (f *Frozen) Table() *trajectory.Table { return f.table }

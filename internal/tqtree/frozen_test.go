@@ -206,8 +206,8 @@ func assertFrozenEqual(t *testing.T, name string, got, want *Frozen) {
 	if !reflect.DeepEqual(got.Columns(), want.Columns()) {
 		t.Fatalf("%s: columns differ", name)
 	}
-	if got.HasMultipoint() != want.HasMultipoint() {
-		t.Fatalf("%s: multipoint %v, want %v", name, got.HasMultipoint(), want.HasMultipoint())
+	if got.Table().HasMultipoint() != want.Table().HasMultipoint() {
+		t.Fatalf("%s: multipoint %v, want %v", name, got.Table().HasMultipoint(), want.Table().HasMultipoint())
 	}
 	gt, wt := got.Table(), want.Table()
 	if gt.Len() != wt.Len() {

@@ -207,12 +207,6 @@ func (t *Table) Lookup(id ID) (int32, bool) {
 	return 0, false
 }
 
-// Has reports whether the table holds a trajectory with the given id.
-func (t *Table) Has(id ID) bool {
-	_, ok := t.Lookup(id)
-	return ok
-}
-
 // AppendSortedIDs appends the table's IDs to dst in ascending order,
 // leaving out the ordinals in skip.
 func (t *Table) AppendSortedIDs(dst []ID, skip OrdinalSet) []ID {

@@ -73,8 +73,8 @@ func TestTableMirrorsTrajectories(t *testing.T) {
 		present[u.ID] = true
 	}
 	for id := ID(0); id < ID(4*len(users)+2); id++ {
-		if tab.Has(id) != present[id] {
-			t.Fatalf("Has(%d) = %v", id, tab.Has(id))
+		if _, ok := tab.Lookup(id); ok != present[id] {
+			t.Fatalf("Lookup(%d) found = %v", id, ok)
 		}
 	}
 	// The footprint is the points plus 20 bytes of fixed columns each

@@ -109,9 +109,6 @@ func MustNewFacility(id ID, stops []geo.Point) *Facility {
 	return f
 }
 
-// Len returns the number of stops.
-func (f *Facility) Len() int { return len(f.Stops) }
-
 // MBR returns the minimum bounding rectangle of the stops.
 func (f *Facility) MBR() geo.Rect { return f.mbr }
 
@@ -119,31 +116,23 @@ func (f *Facility) MBR() geo.Rect { return f.mbr }
 // threshold psi. Any user point servable by f lies inside EMBR(psi).
 func (f *Facility) EMBR(psi float64) geo.Rect { return f.mbr.Expand(psi) }
 
-// Set is a mutable, ordered collection of user trajectories with ID
-// lookup — the corpus the quadtree baseline and the brute-force oracle
+// Set is an ordered collection of user trajectories with ID lookup — the corpus the quadtree baseline and the brute-force oracle
 // read. (A TQ-tree index keeps its corpus in a Table instead.)
 type Set struct {
 	All  []*Trajectory
-	byID map[ID]setEntry
-}
-
-// setEntry is what the ID index holds: the trajectory itself, so a
-// lookup is one probe, and its position in All, so Remove is too.
-type setEntry struct {
-	t   *Trajectory
-	pos int
+	byID map[ID]*Trajectory
 }
 
 // NewSet builds a Set from trajectories; duplicate IDs are rejected. The
-// set keeps its own copy of the slice, so Add and Remove never reorder or
-// grow the caller's.
+// set keeps its own copy of the slice, so later changes to the caller's
+// do not reach it.
 func NewSet(ts []*Trajectory) (*Set, error) {
-	s := &Set{All: slices.Clone(ts), byID: make(map[ID]setEntry, len(ts))}
-	for i, t := range s.All {
+	s := &Set{All: slices.Clone(ts), byID: make(map[ID]*Trajectory, len(ts))}
+	for _, t := range s.All {
 		if _, dup := s.byID[t.ID]; dup {
 			return nil, fmt.Errorf("trajectory: duplicate id %d", t.ID)
 		}
-		s.byID[t.ID] = setEntry{t, i}
+		s.byID[t.ID] = t
 	}
 	return s, nil
 }
@@ -160,37 +149,8 @@ func MustNewSet(ts []*Trajectory) *Set {
 // Len returns the number of trajectories in the set.
 func (s *Set) Len() int { return len(s.All) }
 
-// Add appends a trajectory to the set; duplicate IDs are rejected.
-func (s *Set) Add(t *Trajectory) error {
-	if _, dup := s.byID[t.ID]; dup {
-		return fmt.Errorf("trajectory: duplicate id %d", t.ID)
-	}
-	s.byID[t.ID] = setEntry{t, len(s.All)}
-	s.All = append(s.All, t)
-	return nil
-}
-
-// Remove deletes the trajectory with the given id, reporting whether it
-// was present. Order of All is not preserved (swap-delete).
-func (s *Set) Remove(id ID) bool {
-	e, ok := s.byID[id]
-	if !ok {
-		return false
-	}
-	delete(s.byID, id)
-	last := len(s.All) - 1
-	if e.pos != last {
-		moved := s.All[last]
-		s.All[e.pos] = moved
-		s.byID[moved.ID] = setEntry{moved, e.pos}
-	}
-	s.All[last] = nil
-	s.All = s.All[:last]
-	return true
-}
-
 // ByID returns the trajectory with the given id, or nil.
-func (s *Set) ByID(id ID) *Trajectory { return s.byID[id].t }
+func (s *Set) ByID(id ID) *Trajectory { return s.byID[id] }
 
 // Bounds returns the MBR of every trajectory in the set; ok is false for
 // an empty set.

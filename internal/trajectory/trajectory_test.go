@@ -58,15 +58,17 @@ func TestFacility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Len() != 2 {
-		t.Errorf("Len = %d, want 2", f.Len())
+	if len(f.Stops) != 2 {
+		t.Errorf("%d stops, want 2", len(f.Stops))
 	}
 	if f.MBR() != (geo.Rect{MinX: 1, MinY: 1, MaxX: 5, MaxY: 9}) {
 		t.Errorf("MBR = %v", f.MBR())
 	}
-	e := f.EMBR(2)
-	if e != (geo.Rect{MinX: -1, MinY: -1, MaxX: 7, MaxY: 11}) {
-		t.Errorf("EMBR = %v", e)
+	// The EMBR holds the exact expansion, padded by at most 2^-39 of its
+	// largest magnitude (geo.Rect.Expand's ψ-reach pad).
+	e, want := f.EMBR(2), geo.Rect{MinX: -1, MinY: -1, MaxX: 7, MaxY: 11}
+	if !e.ContainsRect(want) || !want.Expand(11*0x1p-39).ContainsRect(e) {
+		t.Errorf("EMBR = %v, want %v", e, want)
 	}
 	if _, err := NewFacility(4, nil); err == nil {
 		t.Error("NewFacility accepted empty stops")
@@ -106,39 +108,8 @@ func TestSetRejectsDuplicateIDs(t *testing.T) {
 	}
 }
 
-func TestSetAddRemove(t *testing.T) {
-	s := MustNewSet(nil)
-	a := MustNew(1, []geo.Point{geo.Pt(0, 0), geo.Pt(1, 1)})
-	b := MustNew(2, []geo.Point{geo.Pt(2, 2), geo.Pt(3, 3)})
-	if err := s.Add(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(a); err == nil {
-		t.Error("duplicate Add accepted")
-	}
-	if !s.Remove(1) {
-		t.Error("Remove(1) failed")
-	}
-	if s.Remove(1) {
-		t.Error("second Remove(1) succeeded")
-	}
-	if s.Len() != 1 || s.ByID(1) != nil || s.ByID(2) != b {
-		t.Errorf("set state wrong after remove: len=%d", s.Len())
-	}
-	if !s.Remove(2) || s.Len() != 0 {
-		t.Error("Remove(2) failed")
-	}
-	// Re-adding after removal must work.
-	if err := s.Add(a); err != nil {
-		t.Errorf("re-Add after Remove: %v", err)
-	}
-}
-
-// TestSetOwnsItsSlice: a set's swap-deletes and appends stay in its own
-// copy of the slice it was built from, and lookup survives every move.
+// TestSetOwnsItsSlice: a set keeps its own copy of the slice it was
+// built from, so changes to the caller's reach neither All nor lookup.
 func TestSetOwnsItsSlice(t *testing.T) {
 	var in []*Trajectory
 	for id := ID(0); id < 40; id++ {
@@ -146,31 +117,19 @@ func TestSetOwnsItsSlice(t *testing.T) {
 	}
 	orig := append([]*Trajectory(nil), in...)
 	s := MustNewSet(in)
-	for id := ID(0); id < 40; id += 2 {
-		if !s.Remove(id) {
-			t.Fatalf("Remove(%d) failed", id)
-		}
-	}
-	if err := s.Add(MustNew(99, []geo.Point{geo.Pt(0, 0), geo.Pt(1, 1)})); err != nil {
-		t.Fatal(err)
-	}
 	for i := range in {
-		if in[i] != orig[i] {
-			t.Fatalf("caller's slice changed at %d", i)
-		}
+		in[i] = MustNew(ID(100+i), []geo.Point{geo.Pt(0, 0), geo.Pt(1, 1)})
 	}
-	if s.Len() != 21 {
-		t.Fatalf("Len = %d, want 21", s.Len())
-	}
-	for id := ID(0); id < 40; id++ {
-		if got := s.ByID(id); (got != nil) != (id%2 == 1) || (got != nil && got != orig[id]) {
-			t.Fatalf("ByID(%d) = %v after removals", id, got)
-		}
+	if s.Len() != 40 {
+		t.Fatalf("Len = %d, want 40", s.Len())
 	}
 	for i, u := range s.All {
-		if s.ByID(u.ID) != s.All[i] {
-			t.Fatalf("position index stale for id %d", u.ID)
+		if u != orig[i] || s.ByID(u.ID) != u {
+			t.Fatalf("set changed with the caller's slice at %d", i)
 		}
+	}
+	if s.ByID(100) != nil {
+		t.Fatal("ByID found a trajectory only the caller's slice holds")
 	}
 }
 
@@ -221,7 +180,7 @@ func TestCSVRoundTripFacilities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 1 || back[0].ID != 7 || back[0].Len() != 3 {
+	if len(back) != 1 || back[0].ID != 7 || len(back[0].Stops) != 3 {
 		t.Fatalf("round trip mismatch: %+v", back)
 	}
 }

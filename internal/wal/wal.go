@@ -799,9 +799,6 @@ func (l *Log) Stats() Stats {
 	return st
 }
 
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Err returns the error that wedged the log, or nil while it is
 // healthy. A wedged log rejects every later append and ack; the owner
 // is expected to stop writing through it, open a successor with Open

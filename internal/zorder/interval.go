@@ -9,62 +9,22 @@ type Interval struct {
 	Lo, Hi uint64
 }
 
-// Contains reports whether code lies in the interval.
-func (iv Interval) Contains(code uint64) bool { return code >= iv.Lo && code <= iv.Hi }
-
-// maxCode is the largest code PointCode can produce (MaxDepth levels).
-const maxCode = 1<<(2*MaxDepth) - 1
-
-// CoverIntervals returns sorted, disjoint Morton-code intervals that
+// CoverIntervalsAuto returns sorted, disjoint Morton-code intervals that
 // together contain the code of every point of bounds∩rect. A rectangle
 // that straddles a major split line of the space has an enormous single
 // [min-corner, max-corner] code range (the Z-curve jumps); decomposing it
 // into per-quadrant intervals lets a z-ordered scan skip the gaps.
 //
-// The cover is computed by iterative deepening: subdivision stops at the
-// finest depth (≤ maxDepth) whose merged cover still fits in
-// maxIntervals intervals, so the result is always a superset of the
-// exact code set (sound for pruning) with balanced granularity. dst is
-// reused when its capacity allows.
-func CoverIntervals(bounds, rect geo.Rect, maxDepth, maxIntervals int, dst []Interval) []Interval {
-	dst = dst[:0]
-	if maxIntervals < 1 {
-		maxIntervals = 1
-	}
-	if maxDepth < 0 {
-		maxDepth = 0
-	}
-	if maxDepth > MaxDepth {
-		maxDepth = MaxDepth
-	}
-	if !bounds.Intersects(rect) {
-		return dst
-	}
-	best := append(dst, Interval{Lo: 0, Hi: maxCode})
-	var scratch []Interval
-	for d := 1; d <= maxDepth; d++ {
-		c := coverer{rect: rect, out: scratch[:0]}
-		c.cover(bounds, 0, uint64(1)<<(2*MaxDepth), d)
-		scratch = c.out
-		if len(scratch) > maxIntervals {
-			break
-		}
-		best = append(best[:0], scratch...)
-		if c.allInside {
-			// Every emitted cell lies inside rect: deeper subdivision
-			// cannot tighten the cover further.
-			break
-		}
-	}
-	return best
-}
-
-// CoverIntervalsAuto computes an interval cover with a single walk at a
-// depth chosen from the rect/bounds size ratio (cells about half the
-// rect's larger side), which keeps both the walk and the interval count
-// small. Budget overruns coarsen into the previous interval (still a
-// sound superset). This is the hot-path variant used by the TQ-tree's
-// zReduce; CoverIntervals is the precision-controlled form.
+// The walk descends to one depth chosen from the rect/bounds size ratio
+// (cells about half the rect's larger side), which keeps both the walk
+// and the interval count small. Budget overruns coarsen into the
+// previous interval (still a sound superset). dst is reused when its
+// capacity allows.
+//
+// The cells are PointCode's grid cells, not float quadrants: rect's
+// corners map onto the grid exactly as any point does, and since that map
+// is monotone the integer range they span holds the cell of every point
+// in rect, so the cover is sound on any bounds.
 func CoverIntervalsAuto(bounds, rect geo.Rect, maxIntervals int, dst []Interval) []Interval {
 	dst = dst[:0]
 	if !bounds.Intersects(rect) {
@@ -89,56 +49,47 @@ func CoverIntervalsAuto(bounds, rect geo.Rect, maxIntervals int, dst []Interval)
 		span /= 2
 		depth = d + 2 // cells ≈ half the rect's larger side
 	}
-	if depth > MaxDepth {
-		depth = MaxDepth
-	}
-	c := coverer{rect: rect, out: dst, maxIntervals: maxIntervals}
-	c.cover(bounds, 0, uint64(1)<<(2*MaxDepth), depth)
+	x0, y0 := gridCell(bounds, geo.Point{X: rect.MinX, Y: rect.MinY})
+	x1, y1 := gridCell(bounds, geo.Point{X: rect.MaxX, Y: rect.MaxY})
+	c := coverer{x0: x0, y0: y0, x1: x1, y1: y1, out: dst, maxIntervals: maxIntervals}
+	c.cover(0, 0, 1<<MaxDepth, depth)
 	return c.out
 }
 
+// coverer walks the implicit quadtree of PointCode's grid against the
+// grid rectangle [x0, x1] × [y0, y1].
 type coverer struct {
-	rect         geo.Rect
-	out          []Interval
-	maxIntervals int
-	allInside    bool
+	x0, y0, x1, y1 uint32
+	out            []Interval
+	maxIntervals   int
 }
 
-// cover walks the implicit quadtree of the space down to the given depth.
-// cell is the current cell, lo the smallest point code inside it, span
-// the count of codes it owns (a power of four).
-func (c *coverer) cover(cell geo.Rect, lo, span uint64, depth int) {
-	if !cell.Intersects(c.rect) {
+// cover visits the size × size cell whose lowest column and row are x, y,
+// down to the given depth.
+func (c *coverer) cover(x, y, size uint32, depth int) {
+	xe, ye := x+size-1, y+size-1
+	if xe < c.x0 || x > c.x1 || ye < c.y0 || y > c.y1 {
 		return
 	}
-	inside := c.rect.ContainsRect(cell)
-	if depth == 0 || span == 1 || inside {
-		if !inside && len(c.out) == 0 {
-			c.allInside = false
-		}
-		if len(c.out) == 0 {
-			c.allInside = inside
-		} else {
-			c.allInside = c.allInside && inside
-		}
-		c.emit(lo, lo+span-1)
+	inside := c.x0 <= x && xe <= c.x1 && c.y0 <= y && ye <= c.y1
+	if depth == 0 || size == 1 || inside {
+		lo := Encode(x, y)
+		c.emit(lo, lo+uint64(size)*uint64(size)-1)
 		return
 	}
-	childSpan := span / 4
-	for q := 0; q < 4; q++ {
-		c.cover(cell.Quadrant(q), lo+uint64(q)*childSpan, childSpan, depth-1)
-	}
+	h := size / 2
+	c.cover(x, y, h, depth-1)
+	c.cover(x+h, y, h, depth-1)
+	c.cover(x, y+h, h, depth-1)
+	c.cover(x+h, y+h, h, depth-1)
 }
 
 // emit appends [lo, hi], merging with the previous interval when they
 // touch.
 func (c *coverer) emit(lo, hi uint64) {
-	if hi > maxCode {
-		hi = maxCode
-	}
 	n := len(c.out)
 	merge := n > 0 && (lo == 0 || c.out[n-1].Hi >= lo-1)
-	if !merge && c.maxIntervals > 0 && n >= c.maxIntervals {
+	if !merge && n >= c.maxIntervals {
 		// Budget spent: coarsen into the previous interval (covers the
 		// gap too — still a superset, so still sound).
 		merge = n > 0

@@ -1,199 +1,35 @@
-// Package zorder implements the Z-order (Morton) space-filling curve in the
-// two flavors the TQ-tree needs:
+// Package zorder implements the Z-order (Morton) curve the TQ-tree sorts
+// its lists by: 62-bit codes over a fixed 2^31 × 2^31 grid (PointCode),
+// and the interval cover zReduce prunes a code-sorted list with
+// (CoverIntervalsAuto).
 //
-//   - Classic 64-bit Morton codes over a fixed 2^31 × 2^31 grid, used to
-//     sort points by spatial locality (Encode/Decode/PointCode).
-//   - Hierarchical, variable-depth z-ids (ZID) — the "0.3.2"-style quadrant
-//     paths from the paper. A ZID names a quadtree cell of any depth; the
-//     z-ordering of the paper's z-nodes is exactly the lexicographic order
-//     of these digit paths, and cell containment is digit-prefix testing.
-//
-// Quadrant digits follow the geo package convention (SW=0, SE=1, NW=2,
-// NE=3), i.e. digit = (yBit << 1) | xBit, so the curve traces the familiar
-// "Z" shape and ZID order agrees with Morton order of the cell corners.
+// The paper's "0.3.2"-style z-ids are the digit pairs of these codes:
+// reading a code two bits at a time from the top gives the quadrant digit
+// at each level, in the geo package convention (SW=0, SE=1, NW=2, NE=3),
+// i.e. digit = (yBit << 1) | xBit. Sorting by code is sorting the z-ids
+// lexicographically, and a cell's points own one contiguous code range.
 package zorder
 
 import (
-	"strconv"
-	"strings"
-
 	"github.com/trajcover/trajcover/internal/geo"
 )
 
-// MaxDepth is the deepest quadtree level a ZID can address. 31 levels at
-// 2 bits per level fill 62 bits, leaving the bottom 2 bits of the packed
-// representation unused.
+// MaxDepth is the number of quadtree levels a code resolves: 31 levels at
+// 2 bits per level fill 62 bits.
 const MaxDepth = 31
-
-// ZID is a hierarchical z-id: a path of quadrant digits from the root of a
-// space partition. The zero value is the root cell (the whole space).
-//
-// Internally the digits are packed left-aligned into bits 63..2 of a
-// uint64: digit i (0-based from the root) occupies bits 63-2i .. 62-2i.
-// Left-alignment makes lexicographic digit order equal numeric order of
-// the packed bits, with ties broken by depth (a prefix sorts first).
-type ZID struct {
-	bits  uint64
-	depth uint8
-}
-
-// Root returns the root z-id (the whole space, depth 0).
-func Root() ZID { return ZID{} }
-
-// Depth returns the number of digits in z.
-func (z ZID) Depth() int { return int(z.depth) }
-
-// IsRoot reports whether z is the root cell.
-func (z ZID) IsRoot() bool { return z.depth == 0 }
-
-// Digit returns the i-th quadrant digit (0-based from the root).
-// It panics if i is out of range.
-func (z ZID) Digit(i int) int {
-	if i < 0 || i >= int(z.depth) {
-		panic("zorder: digit index out of range")
-	}
-	return int(z.bits >> (62 - 2*uint(i)) & 3)
-}
-
-// Child returns the z-id of the q-th quadrant of z (q in 0..3).
-// It panics if z is already at MaxDepth or q is out of range.
-func (z ZID) Child(q int) ZID {
-	if q < 0 || q > 3 {
-		panic("zorder: quadrant out of range")
-	}
-	if z.depth >= MaxDepth {
-		panic("zorder: Child beyond MaxDepth")
-	}
-	return ZID{
-		bits:  z.bits | uint64(q)<<(62-2*uint(z.depth)),
-		depth: z.depth + 1,
-	}
-}
-
-// Parent returns the z-id with the last digit removed.
-// It panics on the root.
-func (z ZID) Parent() ZID {
-	if z.depth == 0 {
-		panic("zorder: Parent of root")
-	}
-	d := z.depth - 1
-	mask := ^uint64(0) << (64 - 2*uint(d))
-	if d == 0 {
-		mask = 0
-	}
-	return ZID{bits: z.bits & mask, depth: d}
-}
-
-// Ancestor returns the prefix of z at the given depth (<= z.Depth()).
-func (z ZID) Ancestor(depth int) ZID {
-	if depth < 0 || depth > int(z.depth) {
-		panic("zorder: Ancestor depth out of range")
-	}
-	if depth == 0 {
-		return ZID{}
-	}
-	mask := ^uint64(0) << (64 - 2*uint(depth))
-	return ZID{bits: z.bits & mask, depth: uint8(depth)}
-}
-
-// Contains reports whether the cell named by z contains the cell named by
-// o, i.e. whether z's digit path is a prefix of o's.
-func (z ZID) Contains(o ZID) bool {
-	if z.depth > o.depth {
-		return false
-	}
-	if z.depth == 0 {
-		return true
-	}
-	mask := ^uint64(0) << (64 - 2*uint(z.depth))
-	return (o.bits & mask) == z.bits
-}
-
-// Compare returns -1, 0, or +1 ordering z-ids lexicographically by digit
-// path (a prefix sorts before its extensions). This is the order the
-// TQ-tree's z-node bucket lists are kept in.
-func (z ZID) Compare(o ZID) int {
-	switch {
-	case z.bits < o.bits:
-		return -1
-	case z.bits > o.bits:
-		return 1
-	case z.depth < o.depth:
-		return -1
-	case z.depth > o.depth:
-		return 1
-	}
-	return 0
-}
-
-// Less reports whether z sorts before o.
-func (z ZID) Less(o ZID) bool { return z.Compare(o) < 0 }
-
-// Cell returns the rectangle named by z inside the given root space.
-func (z ZID) Cell(root geo.Rect) geo.Rect {
-	r := root
-	for i := 0; i < int(z.depth); i++ {
-		r = r.Quadrant(z.Digit(i))
-	}
-	return r
-}
-
-// String renders z as dot-separated quadrant digits, e.g. "0.3.2".
-// The root renders as "*".
-func (z ZID) String() string {
-	if z.depth == 0 {
-		return "*"
-	}
-	var b strings.Builder
-	for i := 0; i < int(z.depth); i++ {
-		if i > 0 {
-			b.WriteByte('.')
-		}
-		b.WriteString(strconv.Itoa(z.Digit(i)))
-	}
-	return b.String()
-}
-
-// Parse converts a String() rendering back to a ZID.
-func Parse(s string) (ZID, error) {
-	if s == "*" || s == "" {
-		return ZID{}, nil
-	}
-	z := ZID{}
-	for _, part := range strings.Split(s, ".") {
-		d, err := strconv.Atoi(part)
-		if err != nil {
-			return ZID{}, err
-		}
-		z = z.Child(d)
-	}
-	return z, nil
-}
-
-// PointZID returns the depth-d z-id of the cell containing p within root.
-// Points outside root are clamped to its boundary. The digits produced
-// agree with geo.Rect.QuadrantOf at every level.
-func PointZID(root geo.Rect, p geo.Point, depth int) ZID {
-	if depth < 0 || depth > MaxDepth {
-		panic("zorder: PointZID depth out of range")
-	}
-	code := PointCode(root, p)
-	// PointCode packs MaxDepth digit pairs into bits 61..0; align them to
-	// the ZID layout (bits 63..2) and truncate to the requested depth.
-	z := ZID{bits: code << 2, depth: MaxDepth}
-	return z.Ancestor(depth)
-}
-
-// FullZID returns the MaxDepth z-id of p within root; its prefixes are the
-// z-ids of p at every coarser level.
-func FullZID(root geo.Rect, p geo.Point) ZID {
-	return PointZID(root, p, MaxDepth)
-}
 
 // PointCode returns the 62-bit Morton code of p on a 2^31 × 2^31 grid over
 // root. Sorting points by PointCode is sorting them in Z-order. Points
 // outside root clamp to the boundary cells.
 func PointCode(root geo.Rect, p geo.Point) uint64 {
+	xi, yi := gridCell(root, p)
+	return Encode(xi, yi)
+}
+
+// gridCell maps p to its column and row on PointCode's grid. Each
+// coordinate's map is monotone, so a rectangle's corners bound the cells
+// of every point inside it.
+func gridCell(root geo.Rect, p geo.Point) (x, y uint32) {
 	const scale = 1 << MaxDepth
 	fx := 0.0
 	if w := root.Width(); w > 0 {
@@ -203,9 +39,7 @@ func PointCode(root geo.Rect, p geo.Point) uint64 {
 	if h := root.Height(); h > 0 {
 		fy = (p.Y - root.MinY) / h
 	}
-	xi := clampGrid(fx * scale)
-	yi := clampGrid(fy * scale)
-	return Encode(xi, yi)
+	return clampGrid(fx * scale), clampGrid(fy * scale)
 }
 
 func clampGrid(v float64) uint32 {
@@ -226,11 +60,6 @@ func Encode(x, y uint32) uint64 {
 	return spreadBits(x) | spreadBits(y)<<1
 }
 
-// Decode splits a Morton code back into its x and y components.
-func Decode(code uint64) (x, y uint32) {
-	return compactBits(code), compactBits(code >> 1)
-}
-
 // spreadBits inserts a zero bit above each of the low 31 bits of v.
 func spreadBits(v uint32) uint64 {
 	x := uint64(v) & 0x7fffffff
@@ -240,15 +69,4 @@ func spreadBits(v uint32) uint64 {
 	x = (x | x<<2) & 0x3333333333333333
 	x = (x | x<<1) & 0x5555555555555555
 	return x
-}
-
-// compactBits inverts spreadBits.
-func compactBits(code uint64) uint32 {
-	x := code & 0x5555555555555555
-	x = (x | x>>1) & 0x3333333333333333
-	x = (x | x>>2) & 0x0f0f0f0f0f0f0f0f
-	x = (x | x>>4) & 0x00ff00ff00ff00ff
-	x = (x | x>>8) & 0x0000ffff0000ffff
-	x = (x | x>>16) & 0x00000000ffffffff
-	return uint32(x)
 }

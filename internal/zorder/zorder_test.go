@@ -1,6 +1,7 @@
 package zorder
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -9,11 +10,34 @@ import (
 	"github.com/trajcover/trajcover/internal/geo"
 )
 
+// decode splits a Morton code back into its x and y components: the
+// oracle for Encode.
+func decode(code uint64) (x, y uint32) {
+	return compactBits(code), compactBits(code >> 1)
+}
+
+// compactBits inverts spreadBits.
+func compactBits(code uint64) uint32 {
+	x := code & 0x5555555555555555
+	x = (x | x>>1) & 0x3333333333333333
+	x = (x | x>>2) & 0x0f0f0f0f0f0f0f0f
+	x = (x | x>>4) & 0x00ff00ff00ff00ff
+	x = (x | x>>8) & 0x0000ffff0000ffff
+	x = (x | x>>16) & 0x00000000ffffffff
+	return uint32(x)
+}
+
+// digit returns the quadrant digit of code at level lvl (0 is the root's
+// children): the lvl-th digit of the paper's z-id.
+func digit(code uint64, lvl int) int {
+	return int(code >> (2 * (MaxDepth - 1 - lvl)) & 3)
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(x, y uint32) bool {
 		x &= 1<<MaxDepth - 1
 		y &= 1<<MaxDepth - 1
-		gx, gy := Decode(Encode(x, y))
+		gx, gy := decode(Encode(x, y))
 		return gx == x && gy == y
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -40,134 +64,8 @@ func TestEncodeKnownValues(t *testing.T) {
 	}
 }
 
-func TestZIDChildParent(t *testing.T) {
-	z := Root().Child(2).Child(0).Child(3)
-	if z.Depth() != 3 {
-		t.Fatalf("depth = %d, want 3", z.Depth())
-	}
-	if z.Digit(0) != 2 || z.Digit(1) != 0 || z.Digit(2) != 3 {
-		t.Errorf("digits = %d,%d,%d want 2,0,3", z.Digit(0), z.Digit(1), z.Digit(2))
-	}
-	p := z.Parent()
-	if p.Depth() != 2 || p.Digit(0) != 2 || p.Digit(1) != 0 {
-		t.Errorf("Parent = %v", p)
-	}
-	if !p.Contains(z) {
-		t.Error("parent does not Contain child")
-	}
-	if z.Contains(p) {
-		t.Error("child Contains parent")
-	}
-}
-
-func TestZIDString(t *testing.T) {
-	tests := []struct {
-		z    ZID
-		want string
-	}{
-		{Root(), "*"},
-		{Root().Child(0), "0"},
-		{Root().Child(0).Child(3), "0.3"},
-		{Root().Child(2).Child(1).Child(0), "2.1.0"},
-	}
-	for _, tt := range tests {
-		if got := tt.z.String(); got != tt.want {
-			t.Errorf("String = %q, want %q", got, tt.want)
-		}
-		back, err := Parse(tt.want)
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", tt.want, err)
-		}
-		if back.Compare(tt.z) != 0 {
-			t.Errorf("Parse(String) = %v, want %v", back, tt.z)
-		}
-	}
-}
-
-func TestParseRejectsGarbage(t *testing.T) {
-	if _, err := Parse("0.x.1"); err == nil {
-		t.Error("Parse accepted non-numeric digit")
-	}
-}
-
-func TestZIDOrderingIsLexicographic(t *testing.T) {
-	// Build a set of z-ids and verify Compare agrees with digit-path
-	// lexicographic comparison.
-	rng := rand.New(rand.NewSource(7))
-	randZID := func() (ZID, []int) {
-		depth := rng.Intn(8)
-		z := Root()
-		digits := make([]int, 0, depth)
-		for i := 0; i < depth; i++ {
-			d := rng.Intn(4)
-			z = z.Child(d)
-			digits = append(digits, d)
-		}
-		return z, digits
-	}
-	lexLess := func(a, b []int) int {
-		for i := 0; i < len(a) && i < len(b); i++ {
-			if a[i] != b[i] {
-				if a[i] < b[i] {
-					return -1
-				}
-				return 1
-			}
-		}
-		switch {
-		case len(a) < len(b):
-			return -1
-		case len(a) > len(b):
-			return 1
-		}
-		return 0
-	}
-	for i := 0; i < 5000; i++ {
-		za, da := randZID()
-		zb, db := randZID()
-		if za.Compare(zb) != lexLess(da, db) {
-			t.Fatalf("Compare(%v,%v) = %d, lex = %d", za, zb, za.Compare(zb), lexLess(da, db))
-		}
-	}
-}
-
-func TestContainsIffPrefix(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 2000; i++ {
-		depth := rng.Intn(10)
-		z := Root()
-		for j := 0; j < depth; j++ {
-			z = z.Child(rng.Intn(4))
-		}
-		ext := z
-		extra := rng.Intn(5)
-		for j := 0; j < extra; j++ {
-			ext = ext.Child(rng.Intn(4))
-		}
-		if !z.Contains(ext) {
-			t.Fatalf("%v does not Contain its extension %v", z, ext)
-		}
-		// A sibling-diverted path must not be contained.
-		if depth > 0 {
-			d0 := z.Digit(depth - 1)
-			other := z.Parent().Child((d0 + 1) % 4)
-			if z.Contains(other) {
-				t.Fatalf("%v Contains sibling %v", z, other)
-			}
-		}
-	}
-}
-
-func TestCellMatchesQuadrantWalk(t *testing.T) {
-	root := geo.Rect{MinX: 0, MinY: 0, MaxX: 16, MaxY: 16}
-	z := Root().Child(geo.QuadNW).Child(geo.QuadSE)
-	got := z.Cell(root)
-	want := root.Quadrant(geo.QuadNW).Quadrant(geo.QuadSE)
-	if got != want {
-		t.Errorf("Cell = %v, want %v", got, want)
-	}
-}
-
+// TestPointZIDCellContainsPoint: the cell a point's z-id (its code's
+// digit pairs) names contains the point, at every depth.
 func TestPointZIDCellContainsPoint(t *testing.T) {
 	root := geo.Rect{MinX: -100, MinY: -50, MaxX: 300, MaxY: 350}
 	rng := rand.New(rand.NewSource(3))
@@ -176,88 +74,85 @@ func TestPointZIDCellContainsPoint(t *testing.T) {
 			root.MinX+rng.Float64()*root.Width(),
 			root.MinY+rng.Float64()*root.Height(),
 		)
-		for depth := 0; depth <= 12; depth++ {
-			z := PointZID(root, p, depth)
-			if z.Depth() != depth {
-				t.Fatalf("PointZID depth = %d, want %d", z.Depth(), depth)
-			}
-			cell := z.Cell(root)
+		code := PointCode(root, p)
+		cell := root
+		for lvl := 0; lvl <= 12; lvl++ {
 			// Allow boundary slop: the grid assigns boundary points to the
 			// higher cell, matching geo.Rect.QuadrantOf.
 			grow := cell.Expand(1e-9 * root.Width())
 			if !grow.Contains(p) {
-				t.Fatalf("depth %d cell %v does not contain %v", depth, cell, p)
+				t.Fatalf("depth %d cell %v does not contain %v", lvl, cell, p)
 			}
+			cell = cell.Quadrant(digit(code, lvl))
 		}
 	}
 }
 
-func TestPointZIDPrefixConsistency(t *testing.T) {
-	// The depth-d z-id of a point must be the Ancestor(d) of its full z-id.
-	root := geo.Rect{MinX: 0, MinY: 0, MaxX: 1024, MaxY: 1024}
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 2000; i++ {
-		p := geo.Pt(rng.Float64()*1024, rng.Float64()*1024)
-		full := FullZID(root, p)
-		for d := 0; d <= 16; d++ {
-			if PointZID(root, p, d).Compare(full.Ancestor(d)) != 0 {
-				t.Fatalf("PointZID(%d) != FullZID.Ancestor(%d) for %v", d, d, p)
-			}
-		}
-	}
-}
-
+// TestPointZIDAgreesWithQuadrantOf: a point's z-id digits are the
+// quadrants a QuadrantOf descent picks.
 func TestPointZIDAgreesWithQuadrantOf(t *testing.T) {
 	root := geo.Rect{MinX: 0, MinY: 0, MaxX: 64, MaxY: 64}
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 2000; i++ {
 		p := geo.Pt(rng.Float64()*64, rng.Float64()*64)
-		z := PointZID(root, p, 3)
+		code := PointCode(root, p)
 		r := root
 		for lvl := 0; lvl < 3; lvl++ {
 			q := r.QuadrantOf(p)
-			if z.Digit(lvl) != q {
+			if d := digit(code, lvl); d != q {
 				// Boundary points can legitimately differ by a grid ulp;
 				// accept only if p is within an ulp of the split line.
 				cx := (r.MinX + r.MaxX) / 2
 				cy := (r.MinY + r.MaxY) / 2
 				eps := root.Width() / (1 << MaxDepth)
-				nearSplit := absf(p.X-cx) < eps || absf(p.Y-cy) < eps
+				nearSplit := math.Abs(p.X-cx) < eps || math.Abs(p.Y-cy) < eps
 				if !nearSplit {
-					t.Fatalf("digit %d = %d, QuadrantOf = %d at %v", lvl, z.Digit(lvl), q, p)
+					t.Fatalf("digit %d = %d, QuadrantOf = %d at %v", lvl, d, q, p)
 				}
 			}
-			r = r.Quadrant(z.Digit(lvl))
+			r = r.Quadrant(digit(code, lvl))
 		}
 	}
 }
 
-func absf(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
 func TestMortonOrderMatchesZIDOrder(t *testing.T) {
-	// Sorting points by PointCode must equal sorting by full-depth ZID.
-	root := geo.Rect{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}
+	// Sorting points by PointCode must equal sorting them by their z-ids,
+	// the quadrant-digit paths of a QuadrantOf descent (exact on a dyadic
+	// root), compared lexicographically.
+	root := geo.Rect{MinX: 0, MinY: 0, MaxX: 1024, MaxY: 1024}
 	rng := rand.New(rand.NewSource(13))
-	pts := make([]geo.Point, 300)
-	for i := range pts {
-		pts[i] = geo.Pt(rng.Float64()*1000, rng.Float64()*1000)
+	type pz struct {
+		p   geo.Point
+		zid []int
 	}
-	byCode := append([]geo.Point(nil), pts...)
+	pts := make([]pz, 300)
+	for i := range pts {
+		p := geo.Pt(rng.Float64()*1024, rng.Float64()*1024)
+		zid := make([]int, MaxDepth)
+		r := root
+		for lvl := range zid {
+			zid[lvl] = r.QuadrantOf(p)
+			r = r.Quadrant(zid[lvl])
+		}
+		pts[i] = pz{p, zid}
+	}
+	byCode := append([]pz(nil), pts...)
 	sort.Slice(byCode, func(i, j int) bool {
-		return PointCode(root, byCode[i]) < PointCode(root, byCode[j])
+		return PointCode(root, byCode[i].p) < PointCode(root, byCode[j].p)
 	})
-	byZID := append([]geo.Point(nil), pts...)
+	byZID := append([]pz(nil), pts...)
 	sort.Slice(byZID, func(i, j int) bool {
-		return FullZID(root, byZID[i]).Less(FullZID(root, byZID[j]))
+		a, b := byZID[i].zid, byZID[j].zid
+		for lvl := range a {
+			if a[lvl] != b[lvl] {
+				return a[lvl] < b[lvl]
+			}
+		}
+		return false
 	})
 	for i := range byCode {
-		if byCode[i] != byZID[i] {
-			t.Fatalf("order diverges at %d: %v vs %v", i, byCode[i], byZID[i])
+		if byCode[i].p != byZID[i].p {
+			t.Fatalf("order diverges at %d: %v vs %v", i, byCode[i].p, byZID[i].p)
 		}
 	}
 }
@@ -267,25 +162,8 @@ func TestPointCodeClampsOutside(t *testing.T) {
 	if PointCode(root, geo.Pt(-5, -5)) != 0 {
 		t.Error("point below min did not clamp to code 0")
 	}
-	maxCode := Encode(1<<MaxDepth-1, 1<<MaxDepth-1)
 	if PointCode(root, geo.Pt(100, 100)) != maxCode {
 		t.Error("point above max did not clamp to max code")
-	}
-}
-
-func TestAncestorAndRootEdgeCases(t *testing.T) {
-	z := Root().Child(3).Child(1)
-	if z.Ancestor(0).Compare(Root()) != 0 {
-		t.Error("Ancestor(0) != Root")
-	}
-	if z.Ancestor(2).Compare(z) != 0 {
-		t.Error("Ancestor(full depth) != self")
-	}
-	if !Root().Contains(z) {
-		t.Error("Root does not Contain descendant")
-	}
-	if Root().IsRoot() != true || z.IsRoot() {
-		t.Error("IsRoot misreports")
 	}
 }
 

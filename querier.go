@@ -16,8 +16,7 @@ type queryCore interface {
 	Source() *shard.Source
 	ServiceValue(*Facility, query.Params) (float64, query.Metrics, error)
 	ServiceValuesCtx(ctx context.Context, facilities []*Facility, p query.Params, workers int) ([]float64, query.Metrics, error)
-	TopKCtx(ctx context.Context, facilities []*Facility, k int, p query.Params) ([]query.Result, query.Metrics, error)
-	TopKParallelCtx(ctx context.Context, facilities []*Facility, k int, p query.Params, workers int) ([]query.Result, query.Metrics, error)
+	TopKCtx(ctx context.Context, facilities []*Facility, k int, p query.Params, workers int) ([]query.Result, query.Metrics, error)
 	ServiceValuesStreamCtx(ctx context.Context, facilities []*Facility, p query.Params, workers, chunk int, yield func(start int, vals []float64) error) (query.Metrics, error)
 }
 
@@ -65,7 +64,7 @@ func (x *querier) TopK(facilities []*Facility, k int, q Query) ([]Ranked, error)
 // over the shards, where there are several). They are an exact pass's:
 // the same whatever k is, with no best-first relaxations.
 func (x *querier) TopKWithMetrics(facilities []*Facility, k int, q Query) ([]Ranked, QueryMetrics, error) {
-	return x.core.TopKCtx(context.Background(), facilities, k, q.params())
+	return x.core.TopKCtx(context.Background(), facilities, k, q.params(), 1)
 }
 
 // TopKParallel is TopK with the batch's exact evaluations on a pool of
@@ -94,14 +93,13 @@ func (x *querier) ServiceValuesCtx(ctx context.Context, facilities []*Facility, 
 // per-facility evaluations, and a done context aborts the query with
 // ctx.Err() and no partial answer.
 func (x *querier) TopKCtx(ctx context.Context, facilities []*Facility, k int, q Query) ([]Ranked, error) {
-	res, _, err := x.core.TopKCtx(ctx, facilities, k, q.params())
-	return res, err
+	return x.TopKParallelCtx(ctx, facilities, k, q, 1)
 }
 
 // TopKParallelCtx is TopKParallel with cooperative cancellation, polled
 // between per-facility evaluations in every worker; see TopKCtx.
 func (x *querier) TopKParallelCtx(ctx context.Context, facilities []*Facility, k int, q Query, workers int) ([]Ranked, error) {
-	res, _, err := x.core.TopKParallelCtx(ctx, facilities, k, q.params(), workers)
+	res, _, err := x.core.TopKCtx(ctx, facilities, k, q.params(), workers)
 	return res, err
 }
 

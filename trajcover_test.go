@@ -277,7 +277,7 @@ func TestPublicAPIConstructors(t *testing.T) {
 		t.Error("single-point trajectory accepted")
 	}
 	f, err := NewFacility(2, []Point{Pt(3, 4)})
-	if err != nil || f.Len() != 1 {
+	if err != nil || len(f.Stops) != 1 {
 		t.Fatalf("NewFacility: %v %v", f, err)
 	}
 	if CoverageAlgorithm(99).String() == "" || TwoStepGreedy.String() != "two-step-greedy" {
