@@ -97,6 +97,25 @@ func BenchmarkServiceValueZOrder(b *testing.B) {
 	}
 }
 
+// BenchmarkServiceValueScenarios is BenchmarkServiceValueZOrder under
+// the fractional scenarios, whose scoring reads the trajectory table:
+// PointCount its points, Length a served trajectory's length too.
+func BenchmarkServiceValueScenarios(b *testing.B) {
+	env := getEnv(b)
+	for _, sc := range []service.Scenario{service.PointCount, service.Length} {
+		p := benchParams
+		p.Scenario = sc
+		b.Run(sc.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := env.engZ.ServiceValue(env.fs[i%len(env.fs)], p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkCoverageZOrder(b *testing.B) {
 	env := getEnv(b)
 	b.ResetTimer()

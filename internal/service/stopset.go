@@ -155,41 +155,48 @@ func (s *StopSet) Served(p geo.Point) bool {
 
 // ValueSet is Value with the stop-membership test delegated to a StopSet.
 func ValueSet(sc Scenario, u *trajectory.Trajectory, ss *StopSet) float64 {
-	return ValueSetPoints(sc, u.Points, u.Length(), ss)
-}
-
-// ValueSetPoints is ValueSet over a trajectory given as its points and
-// cached polyline length — the form a columnar trajectory table serves
-// without materialising a Trajectory.
-func ValueSetPoints(sc Scenario, points []geo.Point, length float64, ss *StopSet) float64 {
 	switch sc {
 	case Binary:
-		if ss.Served(points[0]) && ss.Served(points[len(points)-1]) {
+		if ss.Served(u.Source()) && ss.Served(u.Dest()) {
 			return 1
 		}
 		return 0
 	case PointCount:
-		served := 0
-		for _, p := range points {
-			if ss.Served(p) {
-				served++
-			}
-		}
-		return float64(served) / float64(len(points))
+		return ServedShare(u.Points, ss)
 	case Length:
-		if length == 0 {
+		if u.Length() == 0 {
 			return 0
 		}
-		var sl float64
-		prev := ss.Served(points[0])
-		for i := 1; i < len(points); i++ {
-			cur := ss.Served(points[i])
-			if prev && cur {
-				sl += points[i-1].Dist(points[i])
-			}
-			prev = cur
-		}
-		return sl / length
+		return ServedLength(u.Points, ss) / u.Length()
 	}
 	panic("service: invalid scenario")
+}
+
+// ServedShare is the PointCount value of a trajectory given as its
+// points: the fraction of them ss serves.
+func ServedShare(points []geo.Point, ss *StopSet) float64 {
+	served := 0
+	for _, p := range points {
+		if ss.Served(p) {
+			served++
+		}
+	}
+	return float64(served) / float64(len(points))
+}
+
+// ServedLength is the Length numerator of a trajectory given as its
+// points: the length of the segments whose two ends ss serves, summed
+// left to right. A sum of some of the polyline length's terms in the same
+// order, it never exceeds that length, so it is 0 wherever the length is.
+func ServedLength(points []geo.Point, ss *StopSet) float64 {
+	var sl float64
+	prev := ss.Served(points[0])
+	for i := 1; i < len(points); i++ {
+		cur := ss.Served(points[i])
+		if prev && cur {
+			sl += points[i-1].Dist(points[i])
+		}
+		prev = cur
+	}
+	return sl
 }

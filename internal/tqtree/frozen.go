@@ -363,7 +363,7 @@ func (f *Frozen) endColumns(lo, hi int32) (first, last []geo.Point, step int) {
 	if f.table.HasMultipoint() {
 		return nil, nil, 0
 	}
-	_, _, _, pts := f.table.Columns()
+	_, pts := f.table.Columns()
 	return pts[2*lo : 2*hi], pts[2*lo+1 : 2*hi], 2
 }
 
@@ -627,7 +627,17 @@ func (f *Frozen) serve(e int32, a, b geo.Point, sc service.Scenario, ss *service
 	}
 	ti, seg := f.EntryOrdinal(e), int(f.EntrySegment(e))
 	if seg < 0 {
-		return service.ValueSetPoints(sc, f.table.Points(ti), f.table.Length(ti), ss)
+		pts := f.table.Points(ti)
+		if sc == service.PointCount {
+			return service.ServedShare(pts, ss)
+		}
+		// A two-point table derives the length, a sqrt: it is read only
+		// for a served trajectory. sl <= L, so sl != 0 means L > 0, and
+		// sl == 0 is the 0 that sl / L and a zero-length row both give.
+		if sl := service.ServedLength(pts, ss); sl != 0 {
+			return sl / f.table.Length(ti)
+		}
+		return 0
 	}
 	switch sc {
 	case service.PointCount:
@@ -644,12 +654,12 @@ func (f *Frozen) serve(e int32, a, b geo.Point, sc service.Scenario, ss *service
 		}
 		return float64(served) / float64(len(pts))
 	case service.Length:
-		L := f.table.Length(ti)
-		if L == 0 {
+		// a and b are the segment's own endpoints; the length is read
+		// only for a served one.
+		if !ss.Served(a) || !ss.Served(b) {
 			return 0
 		}
-		if ss.Served(a) && ss.Served(b) {
-			// a and b are the segment's own endpoints.
+		if L := f.table.Length(ti); L != 0 {
 			return a.Dist(b) / L
 		}
 		return 0

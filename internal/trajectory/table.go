@@ -10,13 +10,18 @@ import (
 )
 
 // Table is an immutable, pointer-free collection of user trajectories laid
-// out in columns: one ID per trajectory, one contiguous point arena, an
-// offset column into it, the cached polyline lengths, and a permutation of
-// the ordinals sorted by ID for lookup. A trajectory is addressed by its
-// ordinal — its dense position 0..Len()-1 in the table — and IDs are
-// unique within a table. It is what a frozen index keeps of its corpus:
-// about 20 bytes of fixed columns per trajectory beside its points, and
-// not one pointer for the garbage collector to follow.
+// out in columns: one ID per trajectory, one contiguous point arena, and a
+// permutation of the ordinals sorted by ID for lookup. A trajectory is
+// addressed by its ordinal — its dense position 0..Len()-1 in the table —
+// and IDs are unique within a table. It is what a frozen index keeps of
+// its corpus, and not one pointer for the garbage collector to follow.
+//
+// A table in which no trajectory has more than two points — the paper's
+// source–destination users — holds nothing else: row i is points[2i:2i+2]
+// and its length is the distance between them, so it costs 40 bytes a
+// trajectory (ID, two points, lookup slot). A multipoint table adds an
+// offset column into the arena and the cached polyline lengths, 12 bytes
+// more a trajectory, so that a length is not re-summed per segment.
 //
 // A Table is never mutated after construction and is safe for any number
 // of concurrent readers. The slices Points returns alias the arena: treat
@@ -24,8 +29,10 @@ import (
 // the columns alias a file mapping (NewTable).
 type Table struct {
 	ids []ID
-	// off has Len()+1 entries; ordinal i's points are
-	// points[off[i]:off[i+1]].
+	// off and length are held on a multipoint table only: off has Len()+1
+	// entries and ordinal i's points are points[off[i]:off[i+1]]. Without
+	// a multipoint row NewTable has proved off[i] == 2i, and a length is
+	// derived from the row's two points.
 	off    []uint32
 	length []float64
 	points []geo.Point
@@ -98,11 +105,13 @@ func trim[T any](s []T) []T {
 	return slices.Clone(s)
 }
 
-// NewTable assembles a table from its four columns, which it adopts, not
-// copies: ids[i], length[i] and points[off[i]:off[i+1]] are row i. The
-// offsets must start at 0, rise by 2 to maxPoints points a row and end
-// at len(points); the IDs must be unique. Lengths are taken as given —
-// CheckLengths compares them with the points.
+// NewTable assembles a table from its four columns: ids[i], length[i] and
+// points[off[i]:off[i+1]] are row i. The offsets must start at 0, rise by
+// 2 to maxPoints points a row and end at len(points); the IDs must be
+// unique; and every length must be its points' (lengthOf), bit for bit.
+// It adopts ids and points, not copies. It adopts off and length only if
+// some row has more than two points: otherwise both are derived from the
+// points and neither is kept, so a caller may pass views it reuses.
 func NewTable(ids []ID, off []uint32, length []float64, points []geo.Point) (*Table, error) {
 	if len(off) != len(ids)+1 || len(length) != len(ids) || len(ids) > math.MaxInt32 {
 		return nil, fmt.Errorf("trajectory: table of %d ids, %d offsets, %d lengths", len(ids), len(off), len(length))
@@ -110,7 +119,7 @@ func NewTable(ids []ID, off []uint32, length []float64, points []geo.Point) (*Ta
 	if off[0] != 0 {
 		return nil, fmt.Errorf("trajectory: table offsets start at %d", off[0])
 	}
-	t := &Table{ids: ids, off: off, length: length, points: points}
+	multipoint := false
 	for i := range ids {
 		if off[i+1] < off[i] {
 			return nil, fmt.Errorf("trajectory: table offsets decrease at row %d", i)
@@ -119,26 +128,24 @@ func NewTable(ids []ID, off []uint32, length []float64, points []geo.Point) (*Ta
 		if n < 2 || n > maxPoints {
 			return nil, fmt.Errorf("trajectory: row %d (id %d) has %d points", i, ids[i], n)
 		}
-		t.multipoint = t.multipoint || n > 2
+		multipoint = multipoint || n > 2
 	}
 	if uint64(off[len(ids)]) != uint64(len(points)) {
 		return nil, fmt.Errorf("trajectory: table offsets end at %d, the arena holds %d points", off[len(ids)], len(points))
+	}
+	for i := range ids {
+		if l := lengthOf(points[off[i]:off[i+1]]); math.Float64bits(l) != math.Float64bits(length[i]) {
+			return nil, fmt.Errorf("trajectory: row %d (id %d) has recorded length %v, its points give %v", i, ids[i], length[i], l)
+		}
+	}
+	t := &Table{ids: ids, points: points, multipoint: multipoint}
+	if multipoint {
+		t.off, t.length = off, length
 	}
 	if err := t.index(); err != nil {
 		return nil, err
 	}
 	return t, nil
-}
-
-// CheckLengths compares every row's length with the length of its points,
-// bit for bit.
-func (t *Table) CheckLengths() error {
-	for i := range t.ids {
-		if l := lengthOf(t.Points(int32(i))); math.Float64bits(l) != math.Float64bits(t.length[i]) {
-			return fmt.Errorf("trajectory: row %d (id %d) has cached length %v, its points give %v", i, t.ids[i], t.length[i], l)
-		}
-	}
-	return nil
 }
 
 // index builds the sorted-by-ID permutation, rejecting duplicate IDs with
@@ -165,35 +172,49 @@ func (t *Table) Len() int { return len(t.ids) }
 // ID returns the ID of the trajectory at ordinal i.
 func (t *Table) ID(i int32) ID { return t.ids[i] }
 
+// span returns the arena bounds of the trajectory at ordinal i: 2i and
+// 2i+2 without a multipoint row, the offsets otherwise.
+func (t *Table) span(i int32) (lo, hi int) {
+	if !t.multipoint {
+		return 2 * int(i), 2*int(i) + 2
+	}
+	return int(t.off[i]), int(t.off[i+1])
+}
+
 // Points returns the points of the trajectory at ordinal i (read-only).
 func (t *Table) Points(i int32) []geo.Point {
-	lo, hi := t.off[i], t.off[i+1]
+	lo, hi := t.span(i)
 	return t.points[lo:hi:hi]
 }
 
 // Ends returns the first and last point of the trajectory at ordinal i.
-// Without a multipoint row NewTable has proved off[i] == 2i, so no offset
-// is read.
 func (t *Table) Ends(i int32) (first, last geo.Point) {
-	if !t.multipoint {
-		return t.points[2*i], t.points[2*i+1]
-	}
-	return t.points[t.off[i]], t.points[t.off[i+1]-1]
+	lo, hi := t.span(i)
+	return t.points[lo], t.points[hi-1]
 }
 
 // NumPoints returns the number of points of the trajectory at ordinal i.
-func (t *Table) NumPoints(i int32) int { return int(t.off[i+1] - t.off[i]) }
+func (t *Table) NumPoints(i int32) int {
+	lo, hi := t.span(i)
+	return hi - lo
+}
 
-// Length returns the polyline length of the trajectory at ordinal i.
-func (t *Table) Length(i int32) float64 { return t.length[i] }
+// Length returns the polyline length of the trajectory at ordinal i. A
+// two-point row's is the distance between its points, computed here:
+// lengthOf gives the same bits, 0 + d being d.
+func (t *Table) Length(i int32) float64 {
+	if !t.multipoint {
+		return t.points[2*int(i)].Dist(t.points[2*int(i)+1])
+	}
+	return t.length[i]
+}
 
 // TotalPoints returns the number of points across the table.
 func (t *Table) TotalPoints() int { return len(t.points) }
 
-// Columns returns the four columns NewTable takes (read-only).
-func (t *Table) Columns() (ids []ID, off []uint32, length []float64, points []geo.Point) {
-	return t.ids, t.off, t.length, t.points
-}
+// Columns returns the two columns every table holds, the IDs and the
+// point arena (read-only).
+func (t *Table) Columns() (ids []ID, points []geo.Point) { return t.ids, t.points }
 
 // HasMultipoint reports whether any trajectory has more than two points.
 func (t *Table) HasMultipoint() bool { return t.multipoint }
@@ -242,8 +263,10 @@ func (t *Table) View(i int32, dst *Trajectory) {
 	*dst = Trajectory{ID: t.ids[i], Points: pts, length: t.Length(i), mbr: geo.RectOf(pts)}
 }
 
-// Bytes returns the size of the table's columns and arena, from their
-// lengths, wherever they live.
+// Bytes returns the size of the columns and arena the table holds, from
+// their lengths, wherever they live: 40 bytes a trajectory without a
+// multipoint row; with one, 20 bytes a trajectory beside 16 a point, and
+// the closing offset.
 func (t *Table) Bytes() int64 {
 	return 4*int64(len(t.ids)) + 4*int64(len(t.off)) + 16*int64(len(t.points)) +
 		8*int64(len(t.length)) + 4*int64(len(t.byID))

@@ -10,12 +10,18 @@ import (
 	"github.com/trajcover/trajcover/internal/geo"
 )
 
-func tableTestUsers(n int, seed int64) []*Trajectory {
+// tableTestUsers returns n trajectories with sparse, unordered IDs: of 2
+// to 6 points each when multipoint, of two otherwise.
+func tableTestUsers(n int, seed int64, multipoint bool) []*Trajectory {
 	rng := rand.New(rand.NewSource(seed))
-	ids := rng.Perm(4 * n) // sparse, unordered IDs
+	ids := rng.Perm(4 * n)
 	users := make([]*Trajectory, n)
 	for i := range users {
-		pts := make([]geo.Point, 2+rng.Intn(5))
+		np := 2
+		if multipoint {
+			np += rng.Intn(5)
+		}
+		pts := make([]geo.Point, np)
 		for j := range pts {
 			pts[j] = geo.Pt(rng.Float64()*1000, rng.Float64()*1000)
 		}
@@ -24,12 +30,24 @@ func tableTestUsers(n int, seed int64) []*Trajectory {
 	return users
 }
 
-// TestTableMirrorsTrajectories: every column of a built table reads back
-// what was appended — IDs, points, lengths bit for bit — ordinals are
-// dense in append order, lookup finds exactly the IDs present, and a view
-// is indistinguishable from the trajectory it was copied from.
+// TestTableMirrorsTrajectories: on both layouts — a two-point corpus,
+// whose table holds no offset or length column, and a multipoint one —
+// every accessor of a built table reads back what was appended: IDs,
+// points, ends, point counts and lengths bit for bit. Ordinals are dense
+// in append order, lookup finds exactly the IDs present, a view is
+// indistinguishable from the trajectory it was copied from, and the
+// footprint is what the layout holds: 40 bytes a two-point trajectory,
+// 20 beside the points on a multipoint table.
 func TestTableMirrorsTrajectories(t *testing.T) {
-	users := tableTestUsers(300, 1)
+	for _, c := range []struct {
+		name       string
+		multipoint bool
+	}{{"two-point", false}, {"multipoint", true}} {
+		t.Run(c.name, func(t *testing.T) { testTableMirrors(t, tableTestUsers(300, 1, c.multipoint), c.multipoint) })
+	}
+}
+
+func testTableMirrors(t *testing.T, users []*Trajectory, multipoint bool) {
 	tb := NewTableBuilder(0, 0) // no hints: columns grow, Build trims
 	for i, u := range users {
 		if ord := tb.Append(u); int(ord) != i {
@@ -40,14 +58,19 @@ func TestTableMirrorsTrajectories(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Len() != len(users) || !tab.HasMultipoint() {
+	if tab.Len() != len(users) || tab.HasMultipoint() != multipoint {
 		t.Fatalf("Len %d multipoint %v", tab.Len(), tab.HasMultipoint())
+	}
+	if held := tab.off != nil || tab.length != nil; held != multipoint {
+		t.Fatalf("multipoint %v: offset and length columns held %v", multipoint, held)
 	}
 	total := 0
 	for i, u := range users {
 		ord := int32(i)
 		total += u.Len()
+		first, last := tab.Ends(ord)
 		if tab.ID(ord) != u.ID || tab.NumPoints(ord) != u.Len() || !slices.Equal(tab.Points(ord), u.Points) ||
+			first != u.Source() || last != u.Dest() ||
 			math.Float64bits(tab.Length(ord)) != math.Float64bits(u.Length()) {
 			t.Fatalf("ordinal %d does not mirror trajectory %d", i, u.ID)
 		}
@@ -77,13 +100,23 @@ func TestTableMirrorsTrajectories(t *testing.T) {
 			t.Fatalf("Lookup(%d) found = %v", id, ok)
 		}
 	}
-	// The footprint is the points plus 20 bytes of fixed columns each
-	// (and one closing offset): no per-trajectory object, no slack.
-	if want := int64(16*total + 20*len(users) + 4); tab.Bytes() != want {
+	// No per-trajectory object, no slack. A two-point trajectory is its
+	// ID, two points and a lookup slot; a multipoint table adds an offset
+	// and a length a row, and one closing offset.
+	want := int64(40 * len(users))
+	if multipoint {
+		want = int64(16*total + 20*len(users) + 4)
+	}
+	if tab.Bytes() != want {
 		t.Fatalf("Bytes %d, want %d", tab.Bytes(), want)
 	}
 
-	if ids := tab.AppendSortedIDs(nil, nil); len(ids) != len(users) || !slices.IsSorted(ids) {
+	sorted := make([]ID, len(users))
+	for i, u := range users {
+		sorted[i] = u.ID
+	}
+	slices.Sort(sorted)
+	if ids := tab.AppendSortedIDs(nil, nil); !slices.Equal(ids, sorted) {
 		t.Fatalf("AppendSortedIDs(nil): %d ids, sorted %v", len(ids), slices.IsSorted(ids))
 	}
 	// Skip ordinals 0, 7, 63 and 64: the two ends of the first word and
@@ -96,7 +129,10 @@ func TestTableMirrorsTrajectories(t *testing.T) {
 		t.Fatalf("OrdinalSet %x", skip)
 	}
 	ids := tab.AppendSortedIDs(nil, skip)
-	if len(ids) != len(users)-4 || !slices.IsSorted(ids) || slices.Contains(ids, users[63].ID) || slices.Contains(ids, users[64].ID) {
+	wantSkipped := slices.DeleteFunc(slices.Clone(sorted), func(id ID) bool {
+		return id == users[0].ID || id == users[7].ID || id == users[63].ID || id == users[64].ID
+	})
+	if !slices.Equal(ids, wantSkipped) {
 		t.Fatalf("AppendSortedIDs: %d ids, sorted %v", len(ids), slices.IsSorted(ids))
 	}
 }
@@ -104,7 +140,7 @@ func TestTableMirrorsTrajectories(t *testing.T) {
 // TestTableRejectsDuplicateIDs: the sort that builds the lookup
 // permutation is also the uniqueness check.
 func TestTableRejectsDuplicateIDs(t *testing.T) {
-	users := tableTestUsers(50, 2)
+	users := tableTestUsers(50, 2, true)
 	tb := NewTableBuilder(len(users)+1, 0)
 	for _, u := range users {
 		tb.Append(u)
@@ -116,61 +152,83 @@ func TestTableRejectsDuplicateIDs(t *testing.T) {
 }
 
 // TestRecordTable: a table assembled from recorded columns (NewTable)
-// adopts them in place and answers like the built table over the same
-// trajectories; columns that cannot describe a table — offsets that do
-// not start at 0, decrease, step by fewer than 2 or more than maxPoints
-// points, or end short of the arena, mismatched column lengths, a
-// repeated ID — are refused, and CheckLengths finds a length that is not
-// its points'.
+// adopts the IDs and points in place, and the offsets and lengths too on
+// a multipoint table, and answers like the built table over the same
+// trajectories; a two-point table keeps neither of those two columns, so
+// a caller may reuse them. Columns that cannot describe a table — offsets
+// that do not start at 0, decrease, step by fewer than 2 or more than
+// maxPoints points, or end short of the arena, mismatched column lengths,
+// a repeated ID, a length one ulp off its points' on either layout — are
+// refused.
 func TestRecordTable(t *testing.T) {
-	users := tableTestUsers(120, 4)
 	type columns struct {
 		ids    []ID
 		off    []uint32
 		length []float64
 		points []geo.Point
 	}
-	recorded := func() *columns {
-		c := &columns{make([]ID, len(users)), make([]uint32, 1, len(users)+1), make([]float64, len(users)), nil}
-		for i, u := range users {
-			c.points = append(c.points, u.Points...)
-			c.ids[i], c.length[i] = u.ID, u.Length()
-			c.off = append(c.off, uint32(len(c.points)))
+	recordedOf := func(users []*Trajectory) func() *columns {
+		return func() *columns {
+			c := &columns{make([]ID, len(users)), make([]uint32, 1, len(users)+1), make([]float64, len(users)), nil}
+			for i, u := range users {
+				c.points = append(c.points, u.Points...)
+				c.ids[i], c.length[i] = u.ID, u.Length()
+				c.off = append(c.off, uint32(len(c.points)))
+			}
+			return c
 		}
-		return c
 	}
 	newTable := func(c *columns) (*Table, error) { return NewTable(c.ids, c.off, c.length, c.points) }
-	c := recorded()
-	ids, off, length, points := c.ids, c.off, c.length, c.points
-	tab, err := newTable(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for i, u := range users {
-		ord := int32(i)
-		total += u.Len()
-		if tab.ID(ord) != u.ID || !slices.Equal(tab.Points(ord), u.Points) ||
-			math.Float64bits(tab.Length(ord)) != math.Float64bits(u.Length()) {
-			t.Fatalf("row %d does not mirror trajectory %d", i, u.ID)
+	for _, multipoint := range []bool{true, false} {
+		users := tableTestUsers(120, 4, multipoint)
+		recorded := recordedOf(users)
+		c := recorded()
+		ids, off, length, points := c.ids, c.off, c.length, c.points
+		tab, err := newTable(c)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if &tab.Points(ord)[0] != &points[off[i]] {
-			t.Fatalf("row %d was copied", i)
+		if !multipoint {
+			// Held by nobody: scribbling on them changes nothing.
+			clear(off)
+			clear(length)
 		}
-		if got, ok := tab.Lookup(u.ID); !ok || got != ord {
-			t.Fatalf("Lookup(%d) = %d, %v", u.ID, got, ok)
+		total := 0
+		for i, u := range users {
+			ord := int32(i)
+			total += u.Len()
+			if tab.ID(ord) != u.ID || !slices.Equal(tab.Points(ord), u.Points) ||
+				math.Float64bits(tab.Length(ord)) != math.Float64bits(u.Length()) {
+				t.Fatalf("multipoint %v: row %d does not mirror trajectory %d", multipoint, i, u.ID)
+			}
+			if &tab.Points(ord)[0] != &points[total-u.Len()] {
+				t.Fatalf("multipoint %v: row %d was copied", multipoint, i)
+			}
+			if got, ok := tab.Lookup(u.ID); !ok || got != ord {
+				t.Fatalf("Lookup(%d) = %d, %v", u.ID, got, ok)
+			}
 		}
-	}
-	if tab.TotalPoints() != total || !tab.HasMultipoint() {
-		t.Fatalf("TotalPoints %d (want %d), multipoint %v", tab.TotalPoints(), total, tab.HasMultipoint())
-	}
-	if err := tab.CheckLengths(); err != nil {
-		t.Fatal(err)
-	}
-	if i, o, l, p := tab.Columns(); &i[0] != &ids[0] || &o[0] != &off[0] || &l[0] != &length[0] || &p[0] != &points[0] {
-		t.Fatal("Columns are not the columns NewTable adopted")
+		if tab.TotalPoints() != total || tab.HasMultipoint() != multipoint {
+			t.Fatalf("TotalPoints %d (want %d), multipoint %v", tab.TotalPoints(), total, tab.HasMultipoint())
+		}
+		if i, p := tab.Columns(); &i[0] != &ids[0] || &p[0] != &points[0] {
+			t.Fatal("Columns are not the columns NewTable adopted")
+		}
+		if multipoint && (&tab.off[0] != &off[0] || &tab.length[0] != &length[0]) {
+			t.Fatal("a multipoint table does not hold the offsets and lengths NewTable adopted")
+		}
+		if !multipoint && (tab.off != nil || tab.length != nil) {
+			t.Fatal("a two-point table holds an offset or length column")
+		}
+
+		c = recorded()
+		c.length[7] = math.Nextafter(c.length[7], math.Inf(1))
+		if _, err := newTable(c); err == nil || !strings.Contains(err.Error(), "row 7") {
+			t.Fatalf("multipoint %v: a length one ulp off: NewTable = %v, want an error naming row 7", multipoint, err)
+		}
 	}
 
+	recorded := recordedOf(tableTestUsers(120, 4, true))
 	for _, f := range []struct {
 		name, want string
 		forge      func(c *columns)
@@ -201,15 +259,6 @@ func TestRecordTable(t *testing.T) {
 		if _, err := newTable(c); err == nil || !strings.Contains(err.Error(), f.want) {
 			t.Errorf("%s: NewTable = %v, want an error saying %q", f.name, err, f.want)
 		}
-	}
-	c = recorded()
-	c.length[7] = math.Nextafter(c.length[7], math.Inf(1))
-	tab, err = newTable(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.CheckLengths(); err == nil || !strings.Contains(err.Error(), "row 7") {
-		t.Fatalf("CheckLengths = %v, want an error naming row 7", err)
 	}
 }
 

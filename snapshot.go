@@ -30,10 +30,9 @@ package trajcover
 // the restored tqtree.Frozen pins the mapping. Nobody (the io.Reader
 // entry points): the bytes are one frame — the whole stream for TQSNAP04
 // — read into a buffer that is dropped after the parse, so every column
-// is copied out at its exact size. The two owners differ in one check,
-// by design: the copy recomputes each trajectory's length from its points
-// and compares it with the recorded one, while an aliasing open must stay
-// O(columns), not O(points), and serves the recorded length.
+// is copied out at its exact size — but for a two-point table's offsets
+// and lengths, which the table derives and does not keep. Both owners
+// run the same checks, recorded lengths against their points included.
 
 import (
 	"encoding/binary"
@@ -175,21 +174,24 @@ func (c *cursor) pointView(n uint64) []geo.Point { return view(c, n, 16, mmap.Po
 // table takes a trajectory section of nt rows and np points off the
 // cursor — four columns: IDs, offsets (nt+1 of them, zero-padded to 8
 // bytes), lengths and points — and assembles them into a table, which
-// checks the offsets and the IDs. Where the columns were copied, each
-// recorded length is checked against its points too.
+// checks the offsets, the IDs and every recorded length. The offsets and
+// lengths are copied only where the table keeps them: a valid section of
+// 2·nt points has no multipoint row, and NewTable derives both from the
+// points, so there they are only viewed.
 func (c *cursor) table(nt, np uint64) (*trajectory.Table, error) {
 	ids := column(c, nt, 4, mmap.U32s[trajectory.ID])
-	off := column(c, nt+1, 4, mmap.U32s[uint32])
+	off := view(c, nt+1, 4, mmap.U32s[uint32])
 	c.take(pad8(4 * (2*nt + 1)))
-	length := c.f64s(nt)
+	length := view(c, nt, 8, mmap.F64s)
 	points := c.points(np)
 	if c.err != nil {
 		return nil, c.err
 	}
-	tab, err := trajectory.NewTable(ids, off, length, points)
-	if err == nil && c.pin == nil {
-		err = tab.CheckLengths()
+	if c.pin == nil && np != 2*nt {
+		off = append(make([]uint32, 0, len(off)), off...)
+		length = append(make([]float64, 0, len(length)), length...)
 	}
+	tab, err := trajectory.NewTable(ids, off, length, points)
 	return tab, badSnapshot(err)
 }
 

@@ -17,13 +17,13 @@ package trajcover
 //
 // Every multi-byte column starts at an offset that is a multiple of 8
 // from the payload start (zero pad bytes follow the 4-byte column groups
-// and the container headers/frames where needed), and the trajectory
-// section records each trajectory's length. Both exist for the mapped
-// open (snapshot_mmap.go): 8-alignment lets the reader alias
+// and the container headers/frames where needed), for the mapped open
+// (snapshot_mmap.go): 8-alignment lets the reader alias
 // float64/uint64/Rect/Point columns directly onto a page-aligned file
-// mapping, and the recorded lengths make a mapped open O(columns) instead
-// of O(points). Pad bytes are covered by the CRCs like any other payload
-// byte.
+// mapping. Pad bytes are covered by the CRCs like any other payload byte.
+// The trajectory section records each trajectory's offset and length;
+// both owners check every recorded length against its points, and a table
+// with no multipoint row keeps neither column (trajectory.NewTable).
 
 import (
 	"bytes"
@@ -140,13 +140,22 @@ func (cw *colWriter) pad(n int) {
 }
 
 // table writes t as a trajectory section, the four columns cursor.table
-// reads; the row and point counts go in the header before it.
+// reads; the row and point counts go in the header before it. The offsets
+// and lengths are written row by row from the table's accessors, which
+// derive them where the table holds neither.
 func (cw *colWriter) table(t *trajectory.Table) {
-	ids, off, length, points := t.Columns()
+	ids, points := t.Columns()
 	words(cw, ids)
-	words(cw, off)
+	var off uint32
+	cw.u32(off)
+	for i := range int32(len(ids)) {
+		off += uint32(t.NumPoints(i))
+		cw.u32(off)
+	}
 	cw.pad(i32Pad(2*uint64(len(ids)) + 1))
-	cw.f64s(length)
+	for i := range int32(len(ids)) {
+		cw.u64(math.Float64bits(t.Length(i)))
+	}
 	cw.points(points)
 }
 

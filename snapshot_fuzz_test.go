@@ -235,10 +235,8 @@ func TestSnapshotForgedLengthBuysNoMemory(t *testing.T) {
 // fuzzSnapshot is the one differential fuzz body: the same bytes go to
 // every format's reader under both owners. None may panic or fail with
 // anything but an ErrBadSnapshot, and the two owners must agree on
-// accept/reject, but for the two differences they have by design — only
-// the copy recomputes a base trajectory's length from its points, and
-// only a mapped open sees (and rejects) bytes after a container's last
-// frame.
+// accept/reject, but for the one difference they have by design: only a
+// mapped open sees (and rejects) bytes after a container's last frame.
 func fuzzSnapshot(f *testing.F) {
 	formats := snapshotFormats(f, 30)
 	for _, sf := range formats {
@@ -263,7 +261,6 @@ func fuzzSnapshot(f *testing.F) {
 			}
 			switch {
 			case (cerr == nil) == (aerr == nil):
-			case cerr != nil && strings.Contains(cerr.Error(), "cached length"):
 			case aerr != nil && strings.Contains(aerr.Error(), "trailing bytes after last frame"):
 			default:
 				t.Fatalf("%s: the owners disagree: copy %v, alias %v", sf.name, cerr, aerr)

@@ -70,8 +70,8 @@ func writeLivePayload(w io.Writer, ep *query.Epoch) error {
 // readLivePayload decodes one epoch frame and reassembles the epoch;
 // NewEpoch revalidates tombstones and delta against the restored base,
 // refusing unknown and repeated tombstone IDs. The delta section is
-// copied to the heap under either owner (the overlay is small and
-// outlives any base), so its recorded lengths are checked.
+// copied to the heap under either owner: the overlay is small and
+// outlives any base.
 func readLivePayload(c *cursor) (*query.Epoch, error) {
 	f, err := readFrozenPayload(c)
 	if err != nil {

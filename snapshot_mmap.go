@@ -32,10 +32,10 @@ package trajcover
 // against the file length, and the counts go through the same
 // plausibility and structural validation — a truncated or bit-flipped
 // file is a loud ErrBadSnapshot at open, never a fault inside a query.
-// One difference, deliberate: an aliased base table serves each recorded
-// length without recomputing it from the points (an open stays
-// O(columns)). A container file with bytes after its last frame is
-// rejected too, where a stream reader stops reading and never sees them.
+// Every recorded length is compared with its points, as the copy does,
+// so an open reads each point once. One difference, deliberate: a
+// container file with bytes after its last frame is rejected, where a
+// stream reader stops reading and never sees them.
 
 import (
 	"fmt"

@@ -218,13 +218,17 @@ func TestMappedZeroCopyMode(t *testing.T) {
 	t.Logf("mmap zero-copy aliasing: %v", mmap.ZeroCopy())
 }
 
-// benchSnapshotPath builds a moderately sized frozen snapshot once per
-// benchmark run.
+// benchSnapshotPath builds a moderately sized frozen snapshot of taxi
+// trips once per benchmark run.
 func benchSnapshotPath(b *testing.B) string {
 	b.Helper()
-	ny := NewYorkCity()
-	users := TaxiTrips(ny, 20000, 47)
-	idx, err := NewIndex(users, IndexOptions{Ordering: ZOrdering})
+	return benchSnapshotOf(b, TaxiTrips(NewYorkCity(), 20000, 47), IndexOptions{Ordering: ZOrdering})
+}
+
+// benchSnapshotOf writes a frozen snapshot of users under opts.
+func benchSnapshotOf(b *testing.B, users []*Trajectory, opts IndexOptions) string {
+	b.Helper()
+	idx, err := NewIndex(users, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -257,5 +261,28 @@ func BenchmarkMappedOpen(b *testing.B) {
 		if _, err := OpenMappedFrozenSnapshot(path); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkMappedOpenMultipoint is BenchmarkMappedOpen over multipoint
+// tables, whose recorded lengths the open compares with their points.
+func BenchmarkMappedOpenMultipoint(b *testing.B) {
+	ny := NewYorkCity()
+	for _, c := range []struct {
+		name  string
+		users []*Trajectory
+		opts  IndexOptions
+	}{
+		{"checkins-segmented", Checkins(ny, 20000, 7, 47), IndexOptions{Variant: Segmented, Ordering: ZOrdering}},
+		{"gps-fulltrajectory", GPSTraces(ny, 2000, 20, 50, 47), IndexOptions{Variant: FullTrajectory, Ordering: ZOrdering}},
+	} {
+		path := benchSnapshotOf(b, c.users, c.opts)
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := OpenMappedFrozenSnapshot(path); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -15,9 +15,11 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/trajcover/trajcover/internal/query"
+	"github.com/trajcover/trajcover/internal/service"
 	"github.com/trajcover/trajcover/internal/shard"
 	"github.com/trajcover/trajcover/internal/tqtree"
 	"github.com/trajcover/trajcover/internal/trajectory"
@@ -111,11 +113,12 @@ func liveHeap() uint64 {
 }
 
 // TestIndexHeapPerTrajectory pins what a served index holds per
-// trajectory once its input is dropped: the trajectory table's 52 bytes
-// (two points, ID, offset, length, lookup slot) and a few bytes of node
-// and bucket columns — no entry column (a TwoPoint entry's endpoints are
-// its table row's two points), no Trajectory object, point slice, map
-// slot or pointer beside them. A mapped index holds the table's lookup
+// trajectory once its input is dropped: the trajectory table's 40 bytes
+// (two points, ID, lookup slot) and a few bytes of node and bucket
+// columns — no offset or length column (a two-point row's are derived
+// from its points), no entry column (a TwoPoint entry's endpoints are its
+// table row's two points), no Trajectory object, point slice, map slot or
+// pointer beside them. A mapped index holds the table's lookup
 // column and nothing else. The snapshot file of a TwoPoint base is those
 // same columns, byte for byte, plus the endpoints it records.
 func TestIndexHeapPerTrajectory(t *testing.T) {
@@ -132,10 +135,10 @@ func TestIndexHeapPerTrajectory(t *testing.T) {
 		limit float64
 		build func() (any, error)
 	}{
-		{"NewIndex", 65, func() (any, error) {
+		{"NewIndex", 50, func() (any, error) {
 			return NewIndex(TaxiTrips(ny, n, 7), opts2)
 		}},
-		{"NewFrozenIndex", 65, func() (any, error) {
+		{"NewFrozenIndex", 50, func() (any, error) {
 			return NewFrozenIndex(TaxiTrips(ny, n, 7), opts)
 		}},
 		{"OpenMappedLiveSnapshot", 8, func() (any, error) {
@@ -178,10 +181,12 @@ func TestIndexHeapPerTrajectory(t *testing.T) {
 	}
 }
 
-// assertTwoPointBytes: a TwoPoint base holds no entry column, so its
-// Bytes are the node and bucket columns and the table; and its TQSNAP04
-// file is the magic, the 13-word payload header, those columns without
-// the table's lookup permutation, the endpoints (32 bytes an entry), the
+// assertTwoPointBytes: a TwoPoint base holds no entry column and its
+// table no offset or length column, so its Bytes are the node and bucket
+// columns and 40 bytes a trajectory (ID, two points, lookup slot); and
+// its TQSNAP04 file is the magic, the 13-word payload header, those
+// columns without the table's lookup permutation, the offsets and
+// lengths the file still records, the endpoints (32 bytes an entry), the
 // pads after the 4-byte column groups, and the CRC.
 func assertTwoPointBytes(t *testing.T, fz *FrozenIndex) {
 	t.Helper()
@@ -195,10 +200,11 @@ func assertTwoPointBytes(t *testing.T, fz *FrozenIndex) {
 	nodesAndBuckets := rect*(len(c.NodeRect)+len(c.BktStartMBR)+len(c.BktEndMBR)+len(c.BktFullMBR)) +
 		8*(len(c.OwnUB)+len(c.TreeUB)+len(c.BktMinStart)+len(c.BktMaxStart)) +
 		4*(len(c.ChildBase)+len(c.ChildCount)+len(c.EntryOff)+len(c.BucketOff)+len(c.BktEntryOff))
-	want := int64(nodesAndBuckets) + f.Table().Bytes()
-	if got := f.Bytes(); got != want {
-		t.Fatalf("TwoPoint base Bytes() = %d, want %d: %d of node and bucket columns + the table's %d",
-			got, want, nodesAndBuckets, f.Table().Bytes())
+	tableBytes := 40 * int64(f.Table().Len())
+	want := int64(nodesAndBuckets) + tableBytes
+	if got := f.Bytes(); got != want || f.Table().Bytes() != tableBytes {
+		t.Fatalf("TwoPoint base Bytes() = %d, want %d: %d of node and bucket columns + the table's %d (it says %d)",
+			got, want, nodesAndBuckets, tableBytes, f.Table().Bytes())
 	}
 	nn, nb, nt, np := uint64(len(c.NodeRect)), uint64(len(c.BktMinStart)), uint64(f.Table().Len()), uint64(f.Table().TotalPoints())
 	pads := pad8(4*(3*nn+1)) + pad8(4*(nn+nb+2)) + pad8(4*(2*nt+1))
@@ -417,40 +423,42 @@ func layoutOf(t testing.TB, payload []byte) frozenPayloadLayout {
 }
 
 // hostileTrajectoryCases are single-field forgeries of a frozen payload
-// of the given variant over two-point trajectories, each leaving every
-// checksum to be recomputed — what a CRC cannot catch. mappedRejects is
-// false where the mapped reader, which serves recorded lengths, has
-// nothing to compare; delta cases forge a live frame's delta section and
-// exist in TQLIVE02 images only.
+// of the given variant over two-point trajectories, or over multipoint
+// check-ins where multipoint is set, each leaving every checksum to be
+// recomputed — what a CRC cannot catch. Delta cases forge a live frame's
+// delta section and exist in TQLIVE02 images only.
 var hostileTrajectoryCases = []struct {
-	variant              Variant
-	name                 string
-	mappedRejects, delta bool
-	forge                func(p []byte, l frozenPayloadLayout)
+	variant           Variant
+	name              string
+	multipoint, delta bool
+	forge             func(p []byte, l frozenPayloadLayout)
 }{
-	{TwoPoint, "off[0] != 0", true, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.off, 2) }},
-	{TwoPoint, "a decreasing offset", true, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.off+8, 1) }},
-	{TwoPoint, "a step of 0", true, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.off+4, 0) }},
-	{TwoPoint, "a step of 1", true, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.off+4, 1) }},
-	{TwoPoint, "a step of 2^24+1", true, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.off+4, 1<<24+1) }},
-	{TwoPoint, "a step of 2^24 in the first row", true, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.off+4, 1<<24) }},
-	{TwoPoint, "off[nt] != np", true, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.off+4*l.nt, uint32(l.np+2)) }},
-	{TwoPoint, "np past the remaining bytes", true, false, func(p []byte, l frozenPayloadLayout) {
+	{TwoPoint, "off[0] != 0", false, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.off, 2) }},
+	{TwoPoint, "a decreasing offset", false, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.off+8, 1) }},
+	{TwoPoint, "a step of 0", false, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.off+4, 0) }},
+	{TwoPoint, "a step of 1", false, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.off+4, 1) }},
+	{TwoPoint, "a step of 2^24+1", false, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.off+4, 1<<24+1) }},
+	{TwoPoint, "a step of 2^24 in the first row", false, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.off+4, 1<<24) }},
+	{TwoPoint, "off[nt] != np", false, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.off+4*l.nt, uint32(l.np+2)) }},
+	{TwoPoint, "np past the remaining bytes", false, false, func(p []byte, l frozenPayloadLayout) {
 		binary.LittleEndian.PutUint64(p[12*8:], uint64(l.np)+1<<40)
 	}},
-	{TwoPoint, "a duplicate id", true, false, func(p []byte, l frozenPayloadLayout) { copy(p[l.ids+4*3:l.ids+4*4], p[l.ids:l.ids+4]) }},
+	{TwoPoint, "a duplicate id", false, false, func(p []byte, l frozenPayloadLayout) { copy(p[l.ids+4*3:l.ids+4*4], p[l.ids:l.ids+4]) }},
 	{TwoPoint, "a length that disagrees with its points", false, false, func(p []byte, l frozenPayloadLayout) { p[l.lens+3] ^= 0x10 }},
-	{Segmented, "entTraj >= table length", true, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.entTraj+4*(l.ne-1), uint32(l.nt)) }},
-	{Segmented, "entTraj negative", true, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.entTraj, math.MaxUint32) }},
-	{Segmented, "entSeg >= segments", true, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.entSeg, 1) }},
-	{Segmented, "entSeg < -1", true, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.entSeg, math.MaxUint32-1) }},
+	// A multipoint table keeps its recorded lengths, and the Length branch
+	// serves them: both owners must compare them with the points.
+	{Segmented, "a multipoint length that disagrees with its points", true, false, func(p []byte, l frozenPayloadLayout) { p[l.lens+3] ^= 0x10 }},
+	{Segmented, "entTraj >= table length", false, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.entTraj+4*(l.ne-1), uint32(l.nt)) }},
+	{Segmented, "entTraj negative", false, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.entTraj, math.MaxUint32) }},
+	{Segmented, "entSeg >= segments", false, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.entSeg, 1) }},
+	{Segmented, "entSeg < -1", false, false, func(p []byte, l frozenPayloadLayout) { putU32(p, l.entSeg, math.MaxUint32-1) }},
 	// The endpoint columns must be the table's points, bit for bit: the
 	// Binary filter and score read them where the table is not consulted.
-	{TwoPoint, "an entFirst one bit off its row's first point", true, false, func(p []byte, l frozenPayloadLayout) { p[l.entFirst] ^= 1 }},
-	{Segmented, "an entLast that is not its segment's end", true, false, func(p []byte, l frozenPayloadLayout) {
+	{TwoPoint, "an entFirst one bit off its row's first point", false, false, func(p []byte, l frozenPayloadLayout) { p[l.entFirst] ^= 1 }},
+	{Segmented, "an entLast that is not its segment's end", false, false, func(p []byte, l frozenPayloadLayout) {
 		copy(p[l.entLast+16*(l.ne-1):l.entLast+16*l.ne], p[l.entFirst+16*(l.ne-1):])
 	}},
-	{FullTrajectory, "two entries' endpoints swapped", true, false, func(p []byte, l frozenPayloadLayout) {
+	{FullTrajectory, "two entries' endpoints swapped", false, false, func(p []byte, l frozenPayloadLayout) {
 		for _, col := range []int{l.entFirst, l.entLast} {
 			var a [16]byte
 			copy(a[:], p[col:col+16])
@@ -458,15 +466,14 @@ var hostileTrajectoryCases = []struct {
 			copy(p[col+16:col+32], a[:])
 		}
 	}},
-	{FullTrajectory, "a step of 1 in the last row", true, false, func(p []byte, l frozenPayloadLayout) {
+	{FullTrajectory, "a step of 1 in the last row", false, false, func(p []byte, l frozenPayloadLayout) {
 		putU32(p, l.off+4*(l.nt-1), uint32(l.np-1))
 	}},
-	{FullTrajectory, "a duplicate id in the last two rows", true, false, func(p []byte, l frozenPayloadLayout) {
+	{FullTrajectory, "a duplicate id in the last two rows", false, false, func(p []byte, l frozenPayloadLayout) {
 		copy(p[l.ids+4*(l.nt-1):l.ids+4*l.nt], p[l.ids+4*(l.nt-2):])
 	}},
-	{TwoPoint, "a delta step of 1", true, true, func(p []byte, l frozenPayloadLayout) { putU32(p, l.deltaOff+4, 1) }},
-	// The delta is copied under either owner, so both check its lengths.
-	{TwoPoint, "a delta length that disagrees with its points", true, true, func(p []byte, l frozenPayloadLayout) {
+	{TwoPoint, "a delta step of 1", false, true, func(p []byte, l frozenPayloadLayout) { putU32(p, l.deltaOff+4, 1) }},
+	{TwoPoint, "a delta length that disagrees with its points", false, true, func(p []byte, l frozenPayloadLayout) {
 		p[l.deltaLens+3] ^= 0x10
 	}},
 }
@@ -484,9 +491,8 @@ func framePayload(data []byte) (lo, hi int) {
 
 // hostileSnapshot is one forged image.
 type hostileSnapshot struct {
-	format, name  string
-	mappedRejects bool
-	data          []byte
+	format, name string
+	data         []byte
 }
 
 // hostileSnapshots forges every case into a valid TQSNAP04, one-shard
@@ -494,26 +500,38 @@ type hostileSnapshot struct {
 // into the TQLIVE02 image only — checksums recomputed.
 func hostileSnapshots(t testing.TB) (out []hostileSnapshot) {
 	t.Helper()
-	users := TaxiTrips(NewYorkCity(), 34, 41)
-	images := map[Variant]map[string][]byte{}
+	ny := NewYorkCity()
+	corpus := map[bool][]*Trajectory{false: TaxiTrips(ny, 34, 41), true: Checkins(ny, 34, 7, 41)}
+	type image struct {
+		variant    Variant
+		multipoint bool
+	}
+	images := map[image]map[string][]byte{}
 	for _, c := range hostileTrajectoryCases {
-		if images[c.variant] == nil {
-			images[c.variant] = hostileBaseImages(t, users, IndexOptions{Variant: c.variant, Ordering: ZOrdering})
+		key := image{c.variant, c.multipoint}
+		if images[key] == nil {
+			images[key] = hostileBaseImages(t, corpus[c.multipoint], IndexOptions{Variant: c.variant, Ordering: ZOrdering})
 		}
 		for _, format := range []string{"TQSNAP04", "TQSHRD03", "TQLIVE02"} {
 			if c.delta && format != "TQLIVE02" {
 				continue
 			}
-			d := bytes.Clone(images[c.variant][format])
+			d := bytes.Clone(images[key][format])
+			lo, hi := 8, len(d)-4
+			if format != "TQSNAP04" {
+				lo, hi = framePayload(d)
+			}
+			l := layoutOf(t, d[lo:hi])
+			if c.multipoint && l.np == 2*l.nt {
+				t.Fatalf("%s: the check-in base has no multipoint row", c.name)
+			}
+			c.forge(d[lo:hi], l)
 			if format == "TQSNAP04" {
-				c.forge(d[8:len(d)-4], layoutOf(t, d[8:len(d)-4]))
-				binary.LittleEndian.PutUint32(d[len(d)-4:], crc32.ChecksumIEEE(d[:len(d)-4]))
+				binary.LittleEndian.PutUint32(d[hi:], crc32.ChecksumIEEE(d[:hi]))
 			} else {
-				lo, hi := framePayload(d)
-				c.forge(d[lo:hi], layoutOf(t, d[lo:hi]))
 				binary.LittleEndian.PutUint32(d[hi:], crc32.ChecksumIEEE(d[lo:hi]))
 			}
-			out = append(out, hostileSnapshot{format, c.variant.String() + ": " + c.name, c.mappedRejects, d})
+			out = append(out, hostileSnapshot{format, c.variant.String() + ": " + c.name, d})
 		}
 	}
 	return out
@@ -555,26 +573,22 @@ func hostileBaseImages(t testing.TB, users []*Trajectory, opts IndexOptions) map
 // under valid checksums — offsets that do not start at 0, decrease, step
 // by fewer than 2 or more than 2^24 points, or end short of the points; a
 // point count that runs off the file; one ID in two rows; a length that is
-// not its points'; Segmented entries naming a row or a segment that does
-// not exist; entry endpoints that are not the table's; a delta section as
-// bad as a base's — is an ErrBadSnapshot
-// when the reader copies the bytes, and when it aliases them wherever it
-// looks (mappedRejects); neither panics or serves the forgery's index.
+// not its points', on a two-point table that derives its lengths and on a
+// multipoint one that keeps them; Segmented entries naming a row or a
+// segment that does not exist; entry endpoints that are not the table's;
+// a delta section as bad as a base's — is an ErrBadSnapshot whether the
+// reader copies the bytes or aliases them; neither panics or serves the
+// forgery's index.
 func TestSnapshotHostileTrajectorySection(t *testing.T) {
 	readers := map[string]snapshotFormat{}
 	for _, f := range snapshotFormats(t, 30) {
 		readers[f.name] = f
 	}
 	for _, h := range hostileSnapshots(t) {
-		if _, err := readers[h.format].parse(h.data, "copy"); !errors.Is(err, ErrBadSnapshot) {
-			t.Errorf("%s, %s: copying reader returned %v, want ErrBadSnapshot", h.format, h.name, err)
-		}
-		_, err := readers[h.format].parse(h.data, "alias")
-		if h.mappedRejects && !errors.Is(err, ErrBadSnapshot) {
-			t.Errorf("%s, %s: aliasing reader returned %v, want ErrBadSnapshot", h.format, h.name, err)
-		}
-		if err != nil && !errors.Is(err, ErrBadSnapshot) {
-			t.Errorf("%s, %s: aliasing reader failed with %v", h.format, h.name, err)
+		for _, owner := range []string{"copy", "alias"} {
+			if _, err := readers[h.format].parse(h.data, owner); !errors.Is(err, ErrBadSnapshot) {
+				t.Errorf("%s, %s: %s reader returned %v, want ErrBadSnapshot", h.format, h.name, owner, err)
+			}
 		}
 	}
 }
@@ -664,4 +678,65 @@ func TestLiveSnapshotRejectsBadTombstones(t *testing.T) {
 			t.Fatalf("%s: heap %v, mapped %v; want ErrBadSnapshot from both", c.name, herr, merr)
 		}
 	}
+}
+
+// TestTwoPointAnswersMatchBruteForce: a two-point table derives every
+// length from its points, and the PointCount and Length values served
+// over it — by a built, frozen, churned, heap-restored and mapped index,
+// and a churned one after a compaction — are bit-identical to a
+// brute-force scan of the corpus. A two-point value is 0, 1/2 or 1, so
+// every sum is exact in any order.
+func TestTwoPointAnswersMatchBruteForce(t *testing.T) {
+	ny := NewYorkCity()
+	users := TaxiTrips(ny, 3000, 17)
+	routes := BusRoutes(ny, 24, 8, 17)
+	subjects := allFlavorsWith(t, users, IndexOptions{Ordering: ZOrdering}, 3)
+	fz := subjects[1].flavor.(*FrozenIndex)
+	path := writeTempSnapshot(t, "twopoint.tqsnap", func(w *os.File) error { return fz.WriteSnapshot(w) })
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap, err := ReadFrozenSnapshot(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenMappedFrozenSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subjects = append(subjects, namedFlavor{heap, "heap restore"}, namedFlavor{mapped, "mapped"})
+	check := func(s namedFlavor) {
+		t.Helper()
+		for _, sc := range []Scenario{PointCount, Length} {
+			for _, psi := range []float64{DefaultPsi, 4 * DefaultPsi} {
+				want := make([]float64, len(routes))
+				for i, f := range routes {
+					for _, u := range users {
+						want[i] += service.Value(sc, u, f.Stops, psi)
+					}
+				}
+				if slices.Max(want) == 0 {
+					t.Fatalf("%v, psi %v: no facility serves anyone", sc, psi)
+				}
+				got, err := s.ServiceValues(routes, Query{Scenario: sc, Psi: psi}, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s, %v, psi %v: facility %d serves %v, the scan %v", s.name, sc, psi, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+	for _, s := range subjects {
+		check(s)
+	}
+	churned := subjects[5] // "Index/3 shards/churned": a delta and tombstones to fold
+	if err := churned.flavor.(*Index).Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check(namedFlavor{churned.flavor, churned.name + ", compacted"})
 }
