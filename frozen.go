@@ -25,7 +25,7 @@ type FrozenIndex struct {
 }
 
 func newFrozenIndex(s *shard.Frozen) *FrozenIndex {
-	return &FrozenIndex{querier: querier{s}, s: s}
+	return &FrozenIndex{querier: querier{s.Scatter}, s: s}
 }
 
 // NewFrozenIndex builds a frozen index directly from user trajectories:
@@ -54,17 +54,13 @@ func (x *Index) Freeze() (*FrozenIndex, error) {
 }
 
 // Live converts a frozen index into an Index under pol — the restore path
-// that makes a read-only snapshot mutable again: the frozen columns
-// become the first epochs' bases with empty overlays. An index restored
-// with a partitioner kind this build does not know converts too: it
-// serves queries and Deletes, and Insert returns ErrImmutable because new
-// writes cannot be routed.
+// that makes a read-only snapshot mutable again. The Index starts from
+// x's own shards, which are immutable, so no write to it shows in x. An
+// index restored with a partitioner kind this build does not know
+// converts too: it serves queries and Deletes, and Insert returns
+// ErrImmutable because new writes cannot be routed.
 func (x *FrozenIndex) Live(pol LivePolicy) (*Index, error) {
-	s, err := x.s.Live(pol.policy())
-	if err != nil {
-		return nil, err
-	}
-	return newIndex(s), nil
+	return newIndex(x.s.Live(pol.policy())), nil
 }
 
 // NumShards returns the number of shards.

@@ -9,12 +9,13 @@ package maxcov
 import (
 	"github.com/trajcover/trajcover/internal/query"
 	"github.com/trajcover/trajcover/internal/shard"
+	"github.com/trajcover/trajcover/internal/tqtree"
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
 // TwoStepGreedy is TwoStep over a one-shard index of eng.
 func TwoStepGreedy(eng *query.Engine, facilities []*trajectory.Facility, k, kPrime int, p query.Params) (Result, error) {
-	f, err := shard.FrozenFromEngines([]*query.FrozenEngine{eng}, eng.Frozen().Bounds(), "")
+	f, err := shard.FrozenOf([]*tqtree.Frozen{eng.Frozen()}, "")
 	if err != nil {
 		return Result{}, err
 	}

@@ -555,7 +555,7 @@ func TestTwoStepCandidatesMatchBestFirst(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := query.NewFrozenEngine(fz, nil)
-		f, err := shard.FrozenFromEngines([]*query.FrozenEngine{eng}, fz.Bounds(), "")
+		f, err := shard.FrozenOf([]*tqtree.Frozen{fz}, "")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -118,10 +118,14 @@ func BenchmarkServiceValueScenarios(b *testing.B) {
 
 func BenchmarkCoverageZOrder(b *testing.B) {
 	env := getEnv(b)
+	ep, err := NewEpoch(env.engZ.Frozen(), nil, nil, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := i % len(env.fs)
-		if _, _, err := env.engZ.Cover(env.fs[j:j+1], benchParams); err != nil {
+		if _, _, err := ep.Cover(env.fs[j:j+1], benchParams); err != nil {
 			b.Fatal(err)
 		}
 	}

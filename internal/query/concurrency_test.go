@@ -10,15 +10,20 @@ import (
 )
 
 // TestConcurrentQueriesAreConsistent exercises the documented guarantee
-// that an Engine is safe for concurrent readers: queries never mutate the
-// tree, so parallel TopK/ServiceValue/Coverage calls must all succeed and
-// agree with the serial answers. Run with -race to verify.
+// that a frozen base is safe for concurrent readers: queries never mutate
+// the tree, so parallel TopK/ServiceValue calls on the engine and Cover
+// calls on an epoch over the same base must all succeed and agree with
+// the serial answers. Run with -race to verify.
 func TestConcurrentQueriesAreConsistent(t *testing.T) {
 	users := makeUsers(2000, 2, 150)
 	facilities := makeFacilities(30, 12, 151)
 	eng := engineOver(t, users.All, tqtree.Options{
 		Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder, Bounds: testBounds,
 	})
+	ep, err := NewEpoch(eng.Frozen(), nil, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := Params{Scenario: service.Binary, Psi: 40}
 
 	wantTop, _, err := eng.TopK(facilities, 5, p)
@@ -63,7 +68,7 @@ func TestConcurrentQueriesAreConsistent(t *testing.T) {
 					t.Errorf("worker %d: service value drift", w)
 					return
 				}
-				if _, _, err := eng.Cover(facilities[j:j+1], p); err != nil {
+				if _, _, err := ep.Cover(facilities[j:j+1], p); err != nil {
 					errs <- err
 					return
 				}

@@ -77,19 +77,18 @@ func (c *countdownCtx) Err() error {
 func (c *countdownCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
 func (c *countdownCtx) Value(any) any               { return nil }
 
-// ctxEngines is ServiceValuesCtx over one base — the frozen engine and an
-// epoch with an empty overlay over it — the batch every served top-k
-// runs, and so the one place a query polls its context.
+// ctxEngines is ServiceValuesCtx over one base — an epoch with an empty
+// overlay over it — the batch every served top-k runs, and so the one
+// place a query polls its context.
 func ctxEngines(t *testing.T) map[string]func(context.Context, []*trajectory.Facility, Params, int) ([]float64, Metrics, error) {
 	t.Helper()
 	eng := executorEnv(t, tqtree.TwoPoint, tqtree.ZOrder)
-	ep, err := NewEpoch(eng, nil, nil, 0)
+	ep, err := NewEpoch(eng.Frozen(), nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return map[string]func(context.Context, []*trajectory.Facility, Params, int) ([]float64, Metrics, error){
-		"FrozenEngine": eng.ServiceValuesCtx,
-		"Epoch":        ep.ServiceValuesCtx,
+		"Epoch": ep.ServiceValuesCtx,
 	}
 }
 
@@ -173,7 +172,7 @@ func TestEpochServiceValuesCtx(t *testing.T) {
 	base := engineOver(t, users.All[:600], tqtree.Options{
 		Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder, Bounds: testBounds,
 	})
-	ep, err := NewEpoch(base, users.All[600:], nil, 1)
+	ep, err := NewEpoch(base.Frozen(), users.All[600:], nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,9 +18,11 @@ package query
 // semantics the tree entries encode — so Binary answers (and every
 // integral scenario) are identical to a from-scratch build of the
 // logical corpus, and fractional scenarios agree up to float summation
-// order. With an empty delta and no tombstones, every path below
-// runs the plain frozen engine's, byte-identical in both answers and
-// Metrics.
+// order. With an empty delta and no tombstones an epoch is the paper's
+// index: every path below runs FrozenEngine's, byte-identical in both
+// answers and Metrics — which is why every shard of both public index
+// types serves as an Epoch, a frozen one as a gen-0 epoch with nothing
+// pending.
 
 import (
 	"context"
@@ -37,7 +39,7 @@ import (
 // delta overlay, and a tombstone set. Construct with NewEpoch; all
 // methods are safe for any number of concurrent readers.
 type Epoch struct {
-	base  *FrozenEngine
+	base  *tqtree.Frozen
 	delta []*trajectory.Trajectory
 	// dead holds the base table ordinals of deleted trajectories, one
 	// bit each, and nDead counts them. It is nil while nothing is
@@ -58,7 +60,7 @@ type Epoch struct {
 // distinct from every surviving base ID (a tombstoned base ID may be
 // re-used by a delta re-insert). gen is an opaque generation counter for
 // diagnostics.
-func NewEpoch(base *FrozenEngine, delta []*trajectory.Trajectory, dead []trajectory.ID, gen uint64) (*Epoch, error) {
+func NewEpoch(base *tqtree.Frozen, delta []*trajectory.Trajectory, dead []trajectory.ID, gen uint64) (*Epoch, error) {
 	ep := &Epoch{base: base, delta: delta, gen: gen}
 	for _, id := range dead {
 		ord, ok := base.Table().Lookup(id)
@@ -71,7 +73,6 @@ func NewEpoch(base *FrozenEngine, delta []*trajectory.Trajectory, dead []traject
 		ep.tombstone(ord)
 	}
 	seen := make(map[trajectory.ID]struct{}, len(delta))
-	variant := base.Frozen().Variant()
 	for _, u := range delta {
 		if _, dup := seen[u.ID]; dup {
 			return nil, fmt.Errorf("query: duplicate id %d in delta", u.ID)
@@ -80,14 +81,29 @@ func NewEpoch(base *FrozenEngine, delta []*trajectory.Trajectory, dead []traject
 			return nil, fmt.Errorf("query: delta id %d collides with a live base trajectory", u.ID)
 		}
 		seen[u.ID] = struct{}{}
-		if u.Len() > 2 {
-			ep.deltaMultipoint = true
+	}
+	ep.account(delta...)
+	return ep, nil
+}
+
+// account adds delta trajectories, in overlay order, to the epoch's
+// per-scenario bound and multipoint flag — the one accumulation
+// NewEpoch, WithInsert and WithDelta share, so a successor epoch is
+// bit-identical to a fresh one over the same overlay. A trajectory's
+// Binary bound is its segment count under the Segmented variant (served
+// segments), one served user otherwise.
+func (ep *Epoch) account(delta ...*trajectory.Trajectory) {
+	segmented := ep.base.Variant() == tqtree.Segmented
+	for _, u := range delta {
+		ep.deltaMultipoint = ep.deltaMultipoint || u.Len() > 2
+		if segmented {
+			ep.deltaUB[service.Binary] += float64(u.NumSegments())
+		} else {
+			ep.deltaUB[service.Binary]++
 		}
-		ep.deltaUB[service.Binary] += deltaBinaryUB(variant, u)
 		ep.deltaUB[service.PointCount]++
 		ep.deltaUB[service.Length]++
 	}
-	return ep, nil
 }
 
 // tombstone adds ord to the set in place, allocating it — one bit per
@@ -101,48 +117,25 @@ func (ep *Epoch) tombstone(ord int32) {
 	ep.nDead++
 }
 
-// deltaBinaryUB is a delta trajectory's maximum Binary objective: served
-// segments for the Segmented variant, one served user otherwise.
-func deltaBinaryUB(v tqtree.Variant, u *trajectory.Trajectory) float64 {
-	if v == tqtree.Segmented {
-		return float64(u.NumSegments())
-	}
-	return 1
-}
-
 // WithInsert returns the successor epoch with u appended to the delta
 // overlay — the O(1) write path. It skips NewEpoch's revalidation: the
 // caller (the single writer in internal/shard) has already checked
-// that u's ID is absent from the logical corpus. The incremental
-// deltaUB accumulates in overlay order, exactly as a fresh NewEpoch
-// over the same slice would, so successor and from-scratch epochs are
-// bit-identical.
+// that u's ID is absent from the logical corpus.
 func (ep *Epoch) WithInsert(u *trajectory.Trajectory, gen uint64) *Epoch {
 	next := *ep
 	next.delta = append(ep.delta, u)
-	next.deltaMultipoint = ep.deltaMultipoint || u.Len() > 2
 	next.gen = gen
-	next.deltaUB[service.Binary] += deltaBinaryUB(ep.base.Frozen().Variant(), u)
-	next.deltaUB[service.PointCount]++
-	next.deltaUB[service.Length]++
+	next.account(u)
 	return &next
 }
 
 // WithDelta returns the successor epoch with the delta overlay replaced
-// (a delta-item removal) — deltaUB and the multipoint flag are
+// (a delta-item removal) — the overlay's bound and multipoint flag are
 // recomputed over the new overlay, O(len(delta)), matching the slice
 // rewrite the removal already paid for.
 func (ep *Epoch) WithDelta(delta []*trajectory.Trajectory, gen uint64) *Epoch {
 	next := &Epoch{base: ep.base, delta: delta, dead: ep.dead, nDead: ep.nDead, gen: gen}
-	variant := ep.base.Frozen().Variant()
-	for _, u := range delta {
-		if u.Len() > 2 {
-			next.deltaMultipoint = true
-		}
-		next.deltaUB[service.Binary] += deltaBinaryUB(variant, u)
-		next.deltaUB[service.PointCount]++
-		next.deltaUB[service.Length]++
-	}
+	next.account(delta...)
 	return next
 }
 
@@ -158,8 +151,8 @@ func (ep *Epoch) WithTombstone(ord int32, gen uint64) *Epoch {
 	return &next
 }
 
-// Base returns the frozen base engine.
-func (ep *Epoch) Base() *FrozenEngine { return ep.base }
+// Base returns the frozen base index.
+func (ep *Epoch) Base() *tqtree.Frozen { return ep.base }
 
 // Delta returns the delta overlay (read-only).
 func (ep *Epoch) Delta() []*trajectory.Trajectory { return ep.delta }
@@ -250,18 +243,18 @@ func (ep *Epoch) SortedIDs() []trajectory.ID {
 // delta overlay. The base check is conservative — it considers every
 // built trajectory, tombstoned or not.
 func (ep *Epoch) ValidateScenario(sc service.Scenario) error {
-	if err := ep.base.Frozen().ValidateScenario(sc); err != nil {
+	if err := ep.base.ValidateScenario(sc); err != nil {
 		return err
 	}
-	return tqtree.ValidateScenarioFor(ep.base.Frozen().Variant(), ep.deltaMultipoint, sc)
+	return tqtree.ValidateScenarioFor(ep.base.Variant(), ep.deltaMultipoint, sc)
 }
 
 // Variant returns the base's decomposition variant, which the delta
 // overlay follows too.
-func (ep *Epoch) Variant() tqtree.Variant { return ep.base.Frozen().Variant() }
+func (ep *Epoch) Variant() tqtree.Variant { return ep.base.Variant() }
 
 func (ep *Epoch) layout() frozenLayout {
-	return frozenLayout{f: ep.base.Frozen(), dead: ep.dead}
+	return frozenLayout{f: ep.base, dead: ep.dead}
 }
 
 func (ep *Epoch) validate(p Params) error {
@@ -281,7 +274,7 @@ func (ep *Epoch) deltaService(f *trajectory.Facility, p Params, m *Metrics) floa
 	}
 	m.NodesVisited++
 	embr := f.EMBR(p.Psi)
-	variant := ep.base.Frozen().Variant()
+	variant := ep.base.Variant()
 	ss := service.AcquireStopSet(f.Stops, p.Psi, len(ep.delta)/4)
 	var so float64
 	for _, u := range ep.delta {
@@ -321,18 +314,13 @@ func (ep *Epoch) ServiceValue(f *trajectory.Facility, p Params) (float64, Metric
 	if err := ep.validate(p); err != nil {
 		return 0, Metrics{}, err
 	}
-	l := ep.layout()
-	var m Metrics
-	mode := l.f.FilterModeFor(p.Scenario)
-	arena := acquireCompArena(len(f.Stops))
-	so := evaluateService(l, 0, f.Stops, p, mode, l.f.AncestorsCanServe(p.Scenario), &m, arena)
-	putCompArena(arena)
-	so += ep.deltaService(f, p, &m)
+	so, m := serviceValue(ep.layout(), f, p, ep)
 	return so, m, nil
 }
 
 // ServiceValuesCtx computes SO(U, f) for every facility in one batch
-// across a pool of workers; see FrozenEngine.ServiceValues. Each
+// across a pool of workers (normalized by ResolveWorkers), indexed like
+// facilities and identical to calling ServiceValue in a loop. Each
 // facility's delta scan runs in the same step as its base traversal and
 // is added after it. The batch checks ctx between facilities (in every
 // worker) and returns ctx.Err() instead of an answer once it is done.
@@ -343,17 +331,18 @@ func (ep *Epoch) ServiceValuesCtx(ctx context.Context, facilities []*trajectory.
 	if err := ep.validate(p); err != nil {
 		return nil, Metrics{}, err
 	}
-	return serviceValues(ep.layout(), facilities, p, workers, newCanceller(ctx), ep)
+	return serviceValues(ctx, ep.layout(), facilities, p, workers, ep)
 }
 
 // UpperBound is a sound overestimate of f's service value over the
 // epoch's logical corpus, read without evaluating anything: the frozen
 // base's seed bound (FrozenEngine.UpperBound — tombstones only lower the
 // true value) plus, when the overlay is non-empty, its precomputed
-// per-scenario bound. Like the engines' it does not validate p, and like
-// theirs it is a diagnostic: no top-k consults it.
+// per-scenario bound. Like FrozenEngine.UpperBound it does not validate
+// p, and it is a diagnostic: no top-k consults it.
 func (ep *Epoch) UpperBound(f *trajectory.Facility, p Params) float64 {
-	ub := ep.base.UpperBound(f, p)
+	defer runtime.KeepAlive(ep)
+	ub := upperBound(frozenLayout{f: ep.base}, f, p)
 	if len(ep.delta) > 0 {
 		ub += ep.deltaUB[p.Scenario]
 	}
@@ -363,8 +352,8 @@ func (ep *Epoch) UpperBound(f *trajectory.Facility, p Params) float64 {
 // Cover computes the coverage table of a facility batch over the logical
 // corpus: the base's coverage walk with tombstoned trajectories skipped,
 // then the delta overlay scanned with the masks a rebuild's entries would
-// give its trajectories. With an empty overlay and no tombstones it equals
-// FrozenEngine.Cover, table and Metrics.
+// give its trajectories. This is what the MaxkCovRST solvers in
+// internal/maxcov read, through internal/shard's Source.
 func (ep *Epoch) Cover(facilities []*trajectory.Facility, p Params) (*service.CoverTable, Metrics, error) {
 	defer runtime.KeepAlive(ep)
 	if err := ep.validate(p); err != nil {

@@ -3,7 +3,6 @@ package query
 import (
 	"context"
 	"math"
-	"reflect"
 	"testing"
 
 	"github.com/trajcover/trajcover/internal/service"
@@ -26,7 +25,7 @@ func TestEpochEmptyDeltaByteIdentical(t *testing.T) {
 	facilities := makeFacilities(24, 8, 502)
 	for _, cfg := range validConfigs(true) {
 		feng := frozenEngineOver(t, users, cfg.variant, cfg.ordering)
-		ep, err := NewEpoch(feng, nil, nil, 0)
+		ep, err := NewEpoch(feng.Frozen(), nil, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,23 +64,11 @@ func TestEpochEmptyDeltaByteIdentical(t *testing.T) {
 			}
 		}
 
-		// The seed bound: an empty overlay adds nothing to the base's; and
-		// the coverage walk: the same table, the same work.
+		// The seed bound: an empty overlay adds nothing to the base's.
 		for _, f := range facilities {
 			if got, want := ep.UpperBound(f, p), feng.UpperBound(f, p); got != want {
 				t.Fatalf("%s: epoch UpperBound(%d) = %v, frozen = %v", name, f.ID, got, want)
 			}
-		}
-		gotC, gotM, err := ep.Cover(facilities, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantC, wantM, err := feng.Cover(facilities, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotC, wantC) || gotM != wantM {
-			t.Fatalf("%s: epoch Cover = %d users %+v, frozen = %d users %+v", name, len(gotC.Users), gotM, len(wantC.Users), wantM)
 		}
 	}
 }
@@ -103,7 +90,7 @@ func epochOver(t *testing.T, users *trajectory.Set, v tqtree.Variant, o tqtree.O
 		logical = append(logical, u)
 	}
 	logical = append(logical, delta...)
-	ep, err := NewEpoch(feng, delta, dead, 1)
+	ep, err := NewEpoch(feng.Frozen(), delta, dead, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,25 +144,25 @@ func TestNewEpochValidation(t *testing.T) {
 	feng := frozenEngineOver(t, base, tqtree.TwoPoint, tqtree.ZOrder)
 
 	// Tombstone naming no base trajectory.
-	if _, err := NewEpoch(feng, nil, []trajectory.ID{999}, 0); err == nil {
+	if _, err := NewEpoch(feng.Frozen(), nil, []trajectory.ID{999}, 0); err == nil {
 		t.Error("tombstone for unknown id accepted")
 	}
 	// One base trajectory tombstoned twice.
-	if _, err := NewEpoch(feng, nil, []trajectory.ID{users.All[3].ID, users.All[5].ID, users.All[3].ID}, 0); err == nil {
+	if _, err := NewEpoch(feng.Frozen(), nil, []trajectory.ID{users.All[3].ID, users.All[5].ID, users.All[3].ID}, 0); err == nil {
 		t.Error("duplicate tombstone accepted")
 	}
 	// Duplicate id inside the delta.
 	dup := []*trajectory.Trajectory{users.All[80], users.All[80]}
-	if _, err := NewEpoch(feng, dup, nil, 0); err == nil {
+	if _, err := NewEpoch(feng.Frozen(), dup, nil, 0); err == nil {
 		t.Error("duplicate delta id accepted")
 	}
 	// Delta id colliding with a live base trajectory.
-	if _, err := NewEpoch(feng, users.All[:1], nil, 0); err == nil {
+	if _, err := NewEpoch(feng.Frozen(), users.All[:1], nil, 0); err == nil {
 		t.Error("delta collision with live base id accepted")
 	}
 	// ... but re-using a tombstoned base id is the re-insert path.
 	dead := []trajectory.ID{users.All[0].ID}
-	if _, err := NewEpoch(feng, users.All[:1], dead, 0); err != nil {
+	if _, err := NewEpoch(feng.Frozen(), users.All[:1], dead, 0); err != nil {
 		t.Errorf("re-insert over tombstone rejected: %v", err)
 	}
 }
@@ -198,7 +185,7 @@ func TestEpochScenarioValidation(t *testing.T) {
 	if mp == nil {
 		t.Fatal("no multipoint trajectory generated")
 	}
-	ep, err := NewEpoch(feng, []*trajectory.Trajectory{mp}, nil, 0)
+	ep, err := NewEpoch(feng.Frozen(), []*trajectory.Trajectory{mp}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

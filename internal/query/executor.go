@@ -13,11 +13,11 @@ import (
 // (compArena, pooled StopSets) and a private Metrics that is summed into
 // the caller's after the join, so the hot loops share no mutable state and
 // the merged totals match the serial run. The batch loop itself is
-// serviceValues in layout.go, shared by FrozenEngine and Epoch.
+// serviceValues in layout.go, shared by Epoch and FrozenEngine.
 
 // ResolveWorkers maps a caller's `workers` argument to an effective pool
 // size. It is THE normalization for every batch entry point in this
-// module — FrozenEngine, Epoch, and through them the
+// module — Epoch, FrozenEngine, and through the epochs the
 // scatter-gather in internal/shard — and applies one rule:
 //
 //   - workers <= 0 means runtime.GOMAXPROCS(0);

@@ -4,15 +4,17 @@ import (
 	"fmt"
 	"runtime"
 
-	"github.com/trajcover/trajcover/internal/service"
 	"github.com/trajcover/trajcover/internal/tqtree"
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
-// FrozenEngine answers kMaxRRST queries over a frozen columnar TQ-tree,
-// walking int32 node handles into the flat index (layout.go). A
-// FrozenEngine is immutable and safe for any number of concurrent
-// readers.
+// FrozenEngine answers kMaxRRST queries over one frozen columnar
+// TQ-tree, walking int32 node handles into the flat index (layout.go).
+// It is the paper's single-tree instrument — best-first TopK, its seed
+// UpperBound and the exact values they are measured against — which the
+// figures (internal/bench) and the repository benchmark time; no served
+// path uses it, since every shard serves as an Epoch. A FrozenEngine is
+// immutable and safe for any number of concurrent readers.
 type FrozenEngine struct {
 	f *tqtree.Frozen
 }
@@ -33,16 +35,6 @@ func NewFrozenEngine(f *tqtree.Frozen, users *trajectory.Set) *FrozenEngine {
 // Frozen returns the underlying flat index.
 func (e *FrozenEngine) Frozen() *tqtree.Frozen { return e.f }
 
-// Table returns the indexed trajectories.
-func (e *FrozenEngine) Table() *trajectory.Table { return e.f.Table() }
-
-// Variant returns the index's decomposition variant, which selects how
-// coverage masks translate into objective values (ObjectiveFromMask).
-func (e *FrozenEngine) Variant() tqtree.Variant { return e.f.Variant() }
-
-// ValidateScenario checks that queries under sc are exact on the index.
-func (e *FrozenEngine) ValidateScenario(sc service.Scenario) error { return e.f.ValidateScenario(sc) }
-
 // ServiceValue computes SO(U, f) exactly via the divide-and-conquer
 // traversal of Algorithm 1 over the flat layout.
 func (e *FrozenEngine) ServiceValue(f *trajectory.Facility, p Params) (float64, Metrics, error) {
@@ -56,11 +48,7 @@ func (e *FrozenEngine) ServiceValue(f *trajectory.Facility, p Params) (float64, 
 	if err := validateQuery(l, p); err != nil {
 		return 0, Metrics{}, err
 	}
-	var m Metrics
-	mode := e.f.FilterModeFor(p.Scenario)
-	arena := acquireCompArena(len(f.Stops))
-	so := evaluateService(l, 0, f.Stops, p, mode, e.f.AncestorsCanServe(p.Scenario), &m, arena)
-	putCompArena(arena)
+	so, m := serviceValue(l, f, p, nil)
 	return so, m, nil
 }
 
@@ -72,7 +60,11 @@ func (e *FrozenEngine) ServiceValue(f *trajectory.Facility, p Params) (float64, 
 // traversal is independent.
 func (e *FrozenEngine) ServiceValues(facilities []*trajectory.Facility, p Params, workers int) ([]float64, Metrics, error) {
 	defer runtime.KeepAlive(e.f)
-	return serviceValues(frozenLayout{f: e.f}, facilities, p, workers, nil, nil)
+	l := frozenLayout{f: e.f}
+	if err := validateQuery(l, p); err != nil {
+		return nil, Metrics{}, err
+	}
+	return serviceValues(nil, l, facilities, p, workers, nil)
 }
 
 // TopK answers the kMaxRRST query: the k facilities with the highest
@@ -96,19 +88,4 @@ func (e *FrozenEngine) TopK(facilities []*trajectory.Facility, k int, p Params) 
 func (e *FrozenEngine) UpperBound(f *trajectory.Facility, p Params) float64 {
 	defer runtime.KeepAlive(e.f)
 	return upperBound(frozenLayout{f: e.f}, f, p)
-}
-
-// Cover computes the coverage table of a facility batch: which points of
-// which users each facility covers — every point of a FullTrajectory user
-// within ψ, the two endpoints of each Segmented segment, and a TwoPoint
-// user's source and destination only. This is what the MaxkCovRST solvers
-// in internal/maxcov read.
-func (e *FrozenEngine) Cover(facilities []*trajectory.Facility, p Params) (*service.CoverTable, Metrics, error) {
-	defer runtime.KeepAlive(e.f)
-	l := frozenLayout{f: e.f}
-	if err := validateQuery(l, p); err != nil {
-		return nil, Metrics{}, err
-	}
-	var m Metrics
-	return cover(l, facilities, p, nil, &m), m, nil
 }

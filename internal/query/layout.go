@@ -3,12 +3,13 @@ package query
 // The search core over the frozen columnar layout (tqtree.Frozen, node
 // handle int32): Algorithm 1's divide-and-conquer service evaluation,
 // Algorithm 3/4's best-first top-k search and its seed upper bound, and
-// the coverage walk MaxkCovRST reads. FrozenEngine runs it over a base
-// as it is; an Epoch runs it with its tombstones masked out and adds its
-// delta overlay's scan.
+// the coverage walk MaxkCovRST reads. An Epoch runs it with its
+// tombstones masked out and adds its delta overlay's scan; FrozenEngine,
+// the figures' instrument, runs it over a base as it is.
 
 import (
 	"container/heap"
+	"context"
 	"sync"
 	"sync/atomic"
 
@@ -333,18 +334,27 @@ func topK(l frozenLayout, facilities []*trajectory.Facility, k int, p Params) ([
 	return results, m, nil
 }
 
+// serviceValue is Algorithm 1 for one facility over l, plus overlay's
+// delta scan when overlay is non-nil. p must be valid for the caller's
+// index: every entry point validates once, before calling it.
+func serviceValue(l frozenLayout, f *trajectory.Facility, p Params, overlay *Epoch) (float64, Metrics) {
+	var m Metrics
+	arena := acquireCompArena(len(f.Stops))
+	so := evaluateService(l, 0, f.Stops, p, l.f.FilterModeFor(p.Scenario), l.f.AncestorsCanServe(p.Scenario), &m, arena)
+	putCompArena(arena)
+	return so + overlay.deltaService(f, p, &m), m
+}
+
 // serviceValues computes SO(U, f) for every facility in one batch,
 // sharding the facilities across a pool of workers. The returned slice is
 // indexed like facilities; ordering and merged Metrics are deterministic
 // because each facility's traversal is independent. overlay, when
 // non-nil, is the epoch whose delta scan each facility runs in the same
-// step as its traversal, added after it. cc (nil means "never") is polled
-// between facilities in every worker; a done context aborts the batch
-// with its error and no partial answer.
-func serviceValues(l frozenLayout, facilities []*trajectory.Facility, p Params, workers int, cc *canceller, overlay *Epoch) ([]float64, Metrics, error) {
-	if err := validateQuery(l, p); err != nil {
-		return nil, Metrics{}, err
-	}
+// step as its traversal, added after it. ctx (nil means "never") is
+// polled between facilities in every worker; a done context aborts the
+// batch with its error and no partial answer. Like serviceValue it does
+// not validate p.
+func serviceValues(ctx context.Context, l frozenLayout, facilities []*trajectory.Facility, p Params, workers int, overlay *Epoch) ([]float64, Metrics, error) {
 	var m Metrics
 	if len(facilities) == 0 {
 		return nil, m, nil
@@ -356,7 +366,7 @@ func serviceValues(l frozenLayout, facilities []*trajectory.Facility, p Params, 
 	if workers == 1 {
 		arena := acquireCompArena(stops)
 		for i, f := range facilities {
-			if err := cc.stopped(); err != nil {
+			if err := CtxErr(ctx); err != nil {
 				putCompArena(arena)
 				return nil, m, err
 			}
@@ -374,7 +384,7 @@ func serviceValues(l frozenLayout, facilities []*trajectory.Facility, p Params, 
 			defer wg.Done()
 			arena := acquireCompArena(stops)
 			wm := &perWorker[w]
-			for cc.stopped() == nil {
+			for CtxErr(ctx) == nil {
 				i := int(next.Add(1)) - 1
 				if i >= len(facilities) {
 					break
@@ -388,7 +398,7 @@ func serviceValues(l frozenLayout, facilities []*trajectory.Facility, p Params, 
 	for _, wm := range perWorker {
 		m.Add(wm)
 	}
-	if err := cc.stopped(); err != nil {
+	if err := CtxErr(ctx); err != nil {
 		return nil, m, err
 	}
 	return out, m, nil

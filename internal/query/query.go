@@ -13,14 +13,16 @@
 //     a traditional point quadtree.
 //   - Results (executor.go): the sort-and-cut from a batch of exact
 //     values to a top-k answer, which is the whole served top-k of every
-//     public index type (internal/shard's scatter, one shard or several)
+//     public index type (internal/shard's Scatter, one shard or several)
 //     and of the distributed frontend (internal/dist) — across disjoint
 //     parts of a corpus no bound this cheap has ever cut a facility
 //     (EXPERIMENTS.md, tqbench -exp bound).
 //
-// FrozenEngine searches one frozen base; an Epoch (epoch.go) searches a
-// base with tombstones masked out plus its delta overlay, through the
-// same code in layout.go.
+// An Epoch (epoch.go) is the one serving unit: a frozen base with
+// tombstones masked out plus a delta overlay, and every shard of every
+// index serves as one — a frozen shard as an epoch with nothing pending.
+// FrozenEngine (frozen.go) searches one frozen base through the same code
+// in layout.go, for the figures.
 package query
 
 import (

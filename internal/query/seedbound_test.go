@@ -111,16 +111,16 @@ func TestSeedBoundCellBorder(t *testing.T) {
 	if exact := (geo.Rect{MinX: m.MinX - psi, MinY: m.MinY - psi, MaxX: m.MaxX + psi, MaxY: m.MaxY + psi}); !sw.ContainsRect(exact) || exact.MaxX != sw.MaxX {
 		t.Fatalf("route stops %v do not reach exactly to the center line of %v at ψ %v", m, sw, float64(psi))
 	}
-	type surface interface {
-		ServiceValue(*trajectory.Facility, Params) (float64, Metrics, error)
-		ServiceValuesCtx(context.Context, []*trajectory.Facility, Params, int) ([]float64, Metrics, error)
-	}
 	without := trajectory.MustNewSet(users)
 	for _, cfg := range validConfigs(false) {
 		eng := engineOver(t, built, tqtree.Options{
 			Variant: cfg.variant, Ordering: cfg.ordering, Beta: 8, Bounds: testBounds,
 		})
-		ep, err := NewEpoch(eng, []*trajectory.Trajectory{outside}, nil, 1)
+		frozen, err := NewEpoch(eng.Frozen(), nil, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep, err := NewEpoch(eng.Frozen(), []*trajectory.Trajectory{outside}, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,12 +133,12 @@ func TestSeedBoundCellBorder(t *testing.T) {
 		// the epoch adds the trip inserted off the map.
 		for _, c := range []struct {
 			name   string
-			idx    surface
+			idx    *Epoch
 			corpus *trajectory.Set
 			gains  []*trajectory.Facility // routes the extra trips serve
 			top    []Result
 		}{
-			{"frozen", eng, trajectory.MustNewSet(built), routes[:1], top},
+			{"frozen", frozen, trajectory.MustNewSet(built), routes[:1], top},
 			{"epoch", ep, set, routes, nil},
 		} {
 			for _, f := range c.gains {

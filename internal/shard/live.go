@@ -134,9 +134,9 @@ type liveShard struct {
 // Insert/Delete/Compact and with each other; Insert/Delete serialize on
 // an internal writer lock.
 type Live struct {
-	// scatter is the query surface: every query captures l.Epochs() once
+	// Scatter is the query surface: every query captures l.Epochs() once
 	// and runs over that cut.
-	scatter[*query.Epoch]
+	Scatter
 
 	bounds   geo.Rect
 	part     Partitioner
@@ -212,7 +212,7 @@ func BuildLive(users []*trajectory.Trajectory, opts Options, pol Policy) (*Live,
 	if err != nil {
 		return nil, err
 	}
-	return liveFromEngines(f.engines, opts.Partitioner, pol)
+	return newLive(f.epochs, opts.Partitioner, pol), nil
 }
 
 // Freeze returns the immutable form of the logical corpus over one epoch
@@ -221,19 +221,19 @@ func BuildLive(users []*trajectory.Trajectory, opts Options, pol Policy) (*Live,
 // read and remains usable.
 func (l *Live) Freeze() (*Frozen, error) {
 	eps := l.Epochs()
-	engines := make([]*query.FrozenEngine, len(eps))
+	bases := make([]*tqtree.Frozen, len(eps))
 	for i, ep := range eps {
 		if ep.DeltaLen() == 0 && ep.TombstoneCount() == 0 {
-			engines[i] = ep.Base()
+			bases[i] = ep.Base()
 			continue
 		}
 		fz, err := l.fold(ep)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		engines[i] = query.NewFrozenEngine(fz, nil)
+		bases[i] = fz
 	}
-	return newFrozen(engines, l.PartitionerKind()), nil
+	return newFrozen(bases, l.PartitionerKind())
 }
 
 // fold builds a fresh frozen base over ep's logical corpus. The corpus is
@@ -248,13 +248,14 @@ func (l *Live) fold(ep *query.Epoch) (*tqtree.Frozen, error) {
 	return fz, err
 }
 
-// Live wraps the frozen shards in the epoch-serving form with empty
-// deltas — the restore path for frozen snapshots. A Frozen restored from
-// an unknown partitioner kind yields a Live that serves queries and
+// Live serves the frozen shards' epochs in the mutable form — the restore
+// path for frozen snapshots. The epochs are shared, not copied: they are
+// immutable, and every write publishes a successor. A Frozen restored
+// from an unknown partitioner kind yields a Live that serves queries and
 // accepts Deletes but returns ErrImmutable from Insert.
-func (f *Frozen) Live(pol Policy) (*Live, error) {
+func (f *Frozen) Live(pol Policy) *Live {
 	part, _ := PartitionerOf(f.kind)
-	return liveFromEngines(f.engines, part, pol)
+	return newLive(f.epochs, part, pol)
 }
 
 // treeOptsOf reconstructs the build options a rebuild must reuse from a
@@ -268,20 +269,6 @@ func treeOptsOf(fz *tqtree.Frozen) tqtree.Options {
 		MaxDepth: fz.MaxDepth(),
 		Bounds:   fz.Bounds(),
 	}
-}
-
-// liveFromEngines wraps the engines of a Frozen — whose IDs are already
-// unique across shards — in epochs with empty overlays.
-func liveFromEngines(engines []*query.FrozenEngine, part Partitioner, pol Policy) (*Live, error) {
-	epochs := make([]*query.Epoch, len(engines))
-	for i, e := range engines {
-		ep, err := query.NewEpoch(e, nil, nil, 0)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		epochs[i] = ep
-	}
-	return newLive(epochs, part, pol), nil
 }
 
 // LiveFromEpochs assembles a Live from per-shard epochs — the snapshot
@@ -308,8 +295,8 @@ func LiveFromEpochs(epochs []*query.Epoch, part Partitioner, pol Policy) (*Live,
 }
 
 func newLive(epochs []*query.Epoch, part Partitioner, pol Policy) *Live {
-	bounds := epochs[0].Base().Frozen().Bounds()
-	treeOpts := treeOptsOf(epochs[0].Base().Frozen())
+	bounds := epochs[0].Base().Bounds()
+	treeOpts := treeOptsOf(epochs[0].Base())
 	treeOpts.Parallelism = 0 // rebuild parallelism comes from the policy
 	l := &Live{
 		bounds:   bounds,
@@ -318,7 +305,7 @@ func newLive(epochs []*query.Epoch, part Partitioner, pol Policy) *Live {
 		policy:   pol.withDefaults(),
 		shards:   make([]*liveShard, len(epochs)),
 	}
-	l.scatter.capture = l.Epochs
+	l.capture = l.Epochs
 	for i, ep := range epochs {
 		sh := &liveShard{
 			delta:     ep.Delta(),
@@ -429,8 +416,8 @@ func (l *Live) Stats() []ShardStats {
 			Tombstones:  ep.TombstoneCount(),
 			Generation:  ep.Generation(),
 			Compactions: sh.compactions.Load(),
-			BaseBytes:   ep.Base().Frozen().Bytes(),
-			Mapped:      ep.Base().Frozen().Mapped(),
+			BaseBytes:   ep.Base().Bytes(),
+			Mapped:      ep.Base().Mapped(),
 		}
 	}
 	return out
@@ -801,7 +788,7 @@ func (l *Live) rebuildShard(sh *liveShard) error {
 		// become its tombstones.
 		newDelta := slices.Clone(sh.delta[sh.baked:])
 		var ep *query.Epoch
-		if ep, err = query.NewEpoch(query.NewFrozenEngine(fz, nil), newDelta, sh.landed, sh.gen+1); err == nil {
+		if ep, err = query.NewEpoch(fz, newDelta, sh.landed, sh.gen+1); err == nil {
 			sh.gen++
 			sh.delta = newDelta
 			sh.deltaByID = make(map[trajectory.ID]*trajectory.Trajectory, len(newDelta))

@@ -58,10 +58,7 @@ func TestLiveEmptyDeltaMatchesFrozen(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				lv, err := fz.Live(manualPolicy())
-				if err != nil {
-					t.Fatal(err)
-				}
+				lv := fz.Live(manualPolicy())
 				p.Scenario = sc
 				name := fmt.Sprintf("%d/%v/%v", n, o, sc)
 
@@ -288,10 +285,7 @@ func TestLiveImmutableInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	fz.kind = "custom-partitioner-this-build-does-not-know"
-	lv, err := fz.Live(manualPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
+	lv := fz.Live(manualPolicy())
 	extra := makeUsers(301, 2, 78)[300]
 	if err := lv.Insert(extra); !errors.Is(err, ErrImmutable) {
 		t.Fatalf("Insert = %v, want ErrImmutable", err)
@@ -401,7 +395,7 @@ func TestLiveCrossShardIDReuseConsistentCapture(t *testing.T) {
 		trajectory.MustNew(reused, []geo.Point{geo.Pt(10, 10), geo.Pt(20, 20)}),
 		trajectory.MustNew(reused, []geo.Point{geo.Pt(990, 990), geo.Pt(980, 980)}),
 	}
-	bounds := lv.Epochs()[0].Base().Frozen().Bounds()
+	bounds := lv.Epochs()[0].Base().Bounds()
 	if s0, s1 := (Grid{}).Assign(corners[0], bounds, 2), (Grid{}).Assign(corners[1], bounds, 2); s0 == s1 {
 		t.Fatalf("test premise broken: both corners route to shard %d", s0)
 	}
@@ -717,7 +711,7 @@ func TestLiveConcurrentChurnMultiShard(t *testing.T) {
 	// Script inserts only (deletes route by lookup, which would need the
 	// target's shard too — inserts exercise the same swap machinery) and
 	// track per-shard prefix value sets.
-	bounds := lv.Epochs()[0].Base().Frozen().Bounds()
+	bounds := lv.Epochs()[0].Base().Bounds()
 	shardOf := func(u *trajectory.Trajectory) int {
 		return clampShard(Hash{}.Assign(u, bounds, shards), shards)
 	}

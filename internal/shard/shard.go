@@ -6,9 +6,10 @@
 // is every shard's coverage table joined, read through one Source. Each of
 // the two public index types is one of the two forms here — FrozenIndex a
 // Frozen, immutable, and Index a Live, epoch-serving and mutable — with
-// one shard or several, so both answer through scatter. The paper's best-first search
-// (Algorithms 3/4) stays on query.FrozenEngine for the figures
-// (scatter.topK).
+// one shard or several. Either way every shard is one query.Epoch (a
+// frozen shard's has nothing pending), so both answer through one
+// Scatter. The paper's best-first search (Algorithms 3/4) stays in
+// internal/query, for the figures.
 //
 // Sharding is what keeps datasets larger than one tree's comfortable
 // in-memory size — and rebuilds — from being monolithic: shards build in

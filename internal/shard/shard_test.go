@@ -216,7 +216,11 @@ func TestShardedMatchesSingleTree(t *testing.T) {
 				if m.EntriesScored == 0 && wantTop[0].Service > 0 {
 					t.Fatalf("%v %s/%d shards: no work recorded", c, part.Kind(), n)
 				}
-				want, _, err := eng.Cover(facilities[:8], p)
+				single, err := query.NewEpoch(eng.Frozen(), nil, nil, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _, err := single.Cover(facilities[:8], p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -317,7 +321,7 @@ func TestShardedInsertRoutesToOneShard(t *testing.T) {
 	if err := s.Insert(u); err != nil {
 		t.Fatal(err)
 	}
-	want := clampShard(Hash{}.Assign(u, s.Epochs()[0].Base().Frozen().Bounds(), 4), 4)
+	want := clampShard(Hash{}.Assign(u, s.Epochs()[0].Base().Bounds(), 4), 4)
 	after := s.Sizes()
 	for i := range after {
 		delta := after[i] - before[i]
@@ -439,9 +443,9 @@ func TestPartitionerOfRoundTrip(t *testing.T) {
 
 // frozenShardOf builds one frozen shard over users in the shared test
 // space.
-func frozenShardOf(t *testing.T, users []*trajectory.Trajectory) *query.FrozenEngine {
+func frozenShardOf(t *testing.T, users []*trajectory.Trajectory) *tqtree.Frozen {
 	t.Helper()
-	return singleEngine(t, users, tqtree.Options{Ordering: tqtree.ZOrder, Bounds: testBounds})
+	return singleEngine(t, users, tqtree.Options{Ordering: tqtree.ZOrder, Bounds: testBounds}).Frozen()
 }
 
 // TestFrozenAndLiveRejectDuplicateIDs: every way of assembling frozen or
@@ -467,15 +471,15 @@ func TestFrozenAndLiveRejectDuplicateIDs(t *testing.T) {
 	}
 
 	a, b := frozenShardOf(t, users[:20]), frozenShardOf(t, users[20:])
-	if _, err := FrozenFromEngines([]*query.FrozenEngine{a, b}, testBounds, "hash"); err != nil {
+	if _, err := FrozenOf([]*tqtree.Frozen{a, b}, "hash"); err != nil {
 		t.Fatalf("disjoint frozen shards: %v", err)
 	}
 	clash := frozenShardOf(t, append([]*trajectory.Trajectory{dupOf(users[5])}, users[20:]...))
-	if _, err := FrozenFromEngines([]*query.FrozenEngine{a, clash}, testBounds, "hash"); err == nil {
-		t.Fatal("FrozenFromEngines accepted a base id in two shards")
+	if _, err := FrozenOf([]*tqtree.Frozen{a, clash}, "hash"); err == nil {
+		t.Fatal("FrozenOf accepted a base id in two shards")
 	}
 
-	epochOf := func(e *query.FrozenEngine, delta []*trajectory.Trajectory, dead ...trajectory.ID) *query.Epoch {
+	epochOf := func(e *tqtree.Frozen, delta []*trajectory.Trajectory, dead ...trajectory.ID) *query.Epoch {
 		t.Helper()
 		ep, err := query.NewEpoch(e, delta, dead, 0)
 		if err != nil {

@@ -85,7 +85,7 @@ type Index struct {
 }
 
 func newIndex(s *shard.Live) *Index {
-	return &Index{querier: querier{s}, s: s}
+	return &Index{querier: querier{s.Scatter}, s: s}
 }
 
 // NewIndex partitions users with opts.Partitioner into opts.Shards

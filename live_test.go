@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"os"
+	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -183,6 +187,154 @@ func TestIndexLiveConversion(t *testing.T) {
 	}
 	if flv.NumShards() != 3 || flv.Len() != len(base)+1 {
 		t.Fatalf("frozen-converted Len = %d", flv.Len())
+	}
+}
+
+// frozenReading is everything a FrozenIndex answers that a write through
+// its Live() could disturb if the two shared anything mutable.
+type frozenReading struct {
+	top   []Ranked
+	vals  []float64
+	cov   CoverageResult
+	n     int
+	sizes []int
+	snap  []byte
+}
+
+func readFrozen(fz *FrozenIndex, routes []*Facility, q Query) (frozenReading, error) {
+	var r frozenReading
+	var err error
+	if r.top, err = fz.TopK(routes, 6, q); err != nil {
+		return r, err
+	}
+	if r.vals, err = fz.ServiceValues(routes, q, 2); err != nil {
+		return r, err
+	}
+	if r.cov, err = fz.MaxCoverage(routes, 4, q, CoverageOptions{}); err != nil {
+		return r, err
+	}
+	r.n, r.sizes = fz.Len(), fz.ShardSizes()
+	var buf bytes.Buffer
+	err = fz.WriteSnapshot(&buf)
+	r.snap = buf.Bytes()
+	return r, err
+}
+
+// diff names the first reading of got that differs from want; values and
+// coverage compare bit for bit.
+func (want frozenReading) diff(got frozenReading) error {
+	switch {
+	case len(got.top) != len(want.top):
+		return fmt.Errorf("TopK has %d results, want %d", len(got.top), len(want.top))
+	case !slices.Equal(got.vals, want.vals):
+		return fmt.Errorf("ServiceValues %v, want %v", got.vals, want.vals)
+	case !reflect.DeepEqual(got.cov, want.cov):
+		return fmt.Errorf("MaxCoverage value %v serving %d, want %v serving %d", got.cov.Value, got.cov.UsersServed, want.cov.Value, want.cov.UsersServed)
+	case got.n != want.n || !slices.Equal(got.sizes, want.sizes):
+		return fmt.Errorf("Len %d, ShardSizes %v; want %d, %v", got.n, got.sizes, want.n, want.sizes)
+	case !bytes.Equal(got.snap, want.snap):
+		return fmt.Errorf("snapshot of %d bytes differs from the %d written before", len(got.snap), len(want.snap))
+	}
+	for i, r := range want.top {
+		if got.top[i].Facility.ID != r.Facility.ID || got.top[i].Service != r.Service {
+			return fmt.Errorf("TopK[%d] = (%d, %v), want (%d, %v)", i, got.top[i].Facility.ID, got.top[i].Service, r.Facility.ID, r.Service)
+		}
+	}
+	return nil
+}
+
+// TestFrozenStaysFrozenAfterLive: Live hands the Index it returns the
+// FrozenIndex's own shards, so nothing written to that Index may show in
+// the FrozenIndex. At 1 and 3 shards, readers query the FrozenIndex while
+// the converted Index inserts, tombstones base trajectories, drops delta
+// ones and compacts; every reading — TopK bit for bit, ServiceValues,
+// MaxCoverage, Len, ShardSizes and the snapshot bytes — stays what it was
+// before the conversion. Run it under -race.
+func TestFrozenStaysFrozenAfterLive(t *testing.T) {
+	base, feed, routes := liveWorkload(t)
+	q := Query{Scenario: Binary, Psi: DefaultPsi}
+	rounds := 40
+	if os.Getenv("TRAJCOVER_STRESS") != "" {
+		rounds *= 4
+	}
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("%d shards", shards), func(t *testing.T) {
+			fz, err := NewFrozenIndex(base, IndexOptions{Ordering: ZOrdering, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := readFrozen(fz, routes, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lv, err := fz.Live(LivePolicy{Manual: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// The writer starts once both readers are under way.
+			stop := make(chan struct{})
+			errs := make(chan error, 2)
+			var wg, started sync.WaitGroup
+			for r := 0; r < 2; r++ {
+				wg.Add(1)
+				started.Add(1)
+				go func() {
+					defer wg.Done()
+					for first := true; ; first = false {
+						got, err := readFrozen(fz, routes, q)
+						if err == nil {
+							err = want.diff(got)
+						}
+						if first {
+							started.Done()
+						}
+						if err != nil {
+							errs <- err
+							return
+						}
+						select {
+						case <-stop:
+							return
+						default:
+						}
+					}
+				}()
+			}
+			started.Wait()
+			for i, u := range feed[:rounds] {
+				if err := lv.Insert(u); err != nil {
+					t.Fatal(err)
+				}
+				if ok, err := lv.Delete(base[i].ID); err != nil || !ok {
+					t.Fatalf("Delete(base %d) = %v, %v", base[i].ID, ok, err)
+				}
+				if i%2 == 0 {
+					if ok, err := lv.Delete(u.ID); err != nil || !ok {
+						t.Fatalf("Delete(delta %d) = %v, %v", u.ID, ok, err)
+					}
+				}
+				if i%10 == 9 {
+					if err := lv.Compact(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			close(stop)
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatalf("during writes to its Live(): %v", err)
+			}
+			if got, err := readFrozen(fz, routes, q); err != nil {
+				t.Fatal(err)
+			} else if err := want.diff(got); err != nil {
+				t.Fatalf("after writes to its Live(): %v", err)
+			}
+			if n := len(base) - rounds/2; lv.Len() != n {
+				t.Fatalf("converted index Len = %d, want %d", lv.Len(), n)
+			}
+		})
 	}
 }
 

@@ -9,21 +9,11 @@ import (
 	"github.com/trajcover/trajcover/internal/shard"
 )
 
-// queryCore is the index behind a querier: the scatter-gather embedded
-// in *shard.Frozen and *shard.Live — scatter[*query.FrozenEngine] and
-// scatter[*query.Epoch] — over one shard or several.
-type queryCore interface {
-	Source() *shard.Source
-	ServiceValue(*Facility, query.Params) (float64, query.Metrics, error)
-	ServiceValuesCtx(ctx context.Context, facilities []*Facility, p query.Params, workers int) ([]float64, query.Metrics, error)
-	TopKCtx(ctx context.Context, facilities []*Facility, k int, p query.Params, workers int) ([]query.Result, query.Metrics, error)
-	ServiceValuesStreamCtx(ctx context.Context, facilities []*Facility, p query.Params, workers, chunk int, yield func(start int, vals []float64) error) (query.Metrics, error)
-}
-
 // querier is the query surface, embedded in both index types: Index and
 // FrozenIndex answer the nine kMaxRRST methods and the two coverage
-// methods below through one path, whatever their shard count, and differ
-// only in whether they can be mutated.
+// methods below through one path — the shard.Scatter embedded in
+// shard.Live and shard.Frozen, over one query.Epoch per shard — whatever
+// their shard count, and differ only in whether they can be mutated.
 //
 // An index of several shards sums per-shard answers, so its values match
 // a one-shard index's exactly for integral scenarios (Binary; every
@@ -34,7 +24,7 @@ type queryCore interface {
 // calls they make. Both types are safe for any number of concurrent
 // readers, and an Index for writers beside them.
 type querier struct {
-	core queryCore
+	core shard.Scatter
 }
 
 // ServiceValue computes SO(U, f): the exact service value of one facility

@@ -34,7 +34,6 @@ import (
 	"math"
 
 	"github.com/trajcover/trajcover/internal/geo"
-	"github.com/trajcover/trajcover/internal/query"
 	"github.com/trajcover/trajcover/internal/service"
 	"github.com/trajcover/trajcover/internal/shard"
 	"github.com/trajcover/trajcover/internal/tqtree"
@@ -348,7 +347,7 @@ func (x *FrozenIndex) WriteSnapshot(w io.Writer) error {
 	if _, err := io.WriteString(mw, frozenMagic); err != nil {
 		return err
 	}
-	if err := writeFrozenPayload(mw, x.s.Engine(0).Frozen()); err != nil {
+	if err := writeFrozenPayload(mw, x.s.Base(0)); err != nil {
 		return err
 	}
 	return binary.Write(w, binary.LittleEndian, crc.Sum32())
@@ -358,8 +357,8 @@ func (x *FrozenIndex) WriteSnapshot(w io.Writer) error {
 // shard.
 func (x *FrozenIndex) writeSharded(w io.Writer) error {
 	return writeContainer(w, shardedFrozenMagic, x.s.PartitionerKind(), x.s.NumShards(),
-		func(i int) uint64 { return frozenPayloadSize(x.s.Engine(i).Frozen()) },
-		func(w io.Writer, i int) error { return writeFrozenPayload(w, x.s.Engine(i).Frozen()) })
+		func(i int) uint64 { return frozenPayloadSize(x.s.Base(i)) },
+		func(w io.Writer, i int) error { return writeFrozenPayload(w, x.s.Base(i)) })
 }
 
 // ReadFrozenSnapshot restores a FrozenIndex written by WriteSnapshot, in
@@ -410,30 +409,29 @@ func parseFrozenSnapshot(data []byte, pin *mappedToken) (*FrozenIndex, error) {
 	if cur.remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, cur.remaining())
 	}
-	return frozenIndexOf([]*query.FrozenEngine{query.NewFrozenEngine(f, nil)}, shard.Hash{}.Kind())
+	return frozenIndexOf([]*tqtree.Frozen{f}, shard.Hash{}.Kind())
 }
 
 // readFrozenSharded parses a TQSHRD03 container whose bytes take hands
 // out in order.
 func readFrozenSharded(take func(n uint64) ([]byte, error), pin *mappedToken) (*FrozenIndex, error) {
-	var engines []*query.FrozenEngine
+	var bases []*tqtree.Frozen
 	kind, err := readContainer(take, shardedFrozenMagic, pin, func(c *cursor) error {
 		f, err := readFrozenPayload(c)
 		if err == nil {
-			engines = append(engines, query.NewFrozenEngine(f, nil))
+			bases = append(bases, f)
 		}
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return frozenIndexOf(engines, kind)
+	return frozenIndexOf(bases, kind)
 }
 
-// frozenIndexOf serves restored shards over the first one's root space,
-// which every shard of one index shares.
-func frozenIndexOf(engines []*query.FrozenEngine, kind string) (*FrozenIndex, error) {
-	sf, err := shard.FrozenFromEngines(engines, engines[0].Frozen().Bounds(), kind)
+// frozenIndexOf serves restored shards, refusing an ID two of them share.
+func frozenIndexOf(bases []*tqtree.Frozen, kind string) (*FrozenIndex, error) {
+	sf, err := shard.FrozenOf(bases, kind)
 	if err != nil {
 		return nil, badSnapshot(err)
 	}

@@ -28,7 +28,7 @@ import (
 // livePayloadSize returns the exact encoded size of one epoch's frame
 // payload — used to length-prefix frames without buffering them.
 func livePayloadSize(ep *query.Epoch) uint64 {
-	size := frozenPayloadSize(ep.Base().Frozen())
+	size := frozenPayloadSize(ep.Base())
 	size += 8 + 4*uint64(ep.TombstoneCount())
 	size += pad8(4 * uint64(ep.TombstoneCount())) // realign after the u32 tombstones
 	np := 0
@@ -43,7 +43,7 @@ func livePayloadSize(ep *query.Epoch) uint64 {
 // point counts and its trajectories in overlay order, as a trajectory
 // section.
 func writeLivePayload(w io.Writer, ep *query.Epoch) error {
-	if err := writeFrozenPayload(w, ep.Base().Frozen()); err != nil {
+	if err := writeFrozenPayload(w, ep.Base()); err != nil {
 		return err
 	}
 	delta := ep.Delta()
@@ -94,7 +94,7 @@ func readLivePayload(c *cursor) (*query.Epoch, error) {
 		delta[i] = new(trajectory.Trajectory)
 		tab.View(int32(i), delta[i])
 	}
-	ep, err := query.NewEpoch(query.NewFrozenEngine(f, nil), delta, dead, 0)
+	ep, err := query.NewEpoch(f, delta, dead, 0)
 	return ep, badSnapshot(err)
 }
 

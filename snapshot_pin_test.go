@@ -220,12 +220,12 @@ func contentDigest(t testing.TB, x restored) string {
 	switch x := x.(type) {
 	case *FrozenIndex:
 		for i := 0; i < x.s.NumShards(); i++ {
-			bases = append(bases, x.s.Engine(i).Frozen())
+			bases = append(bases, x.s.Base(i))
 		}
 	case *Index:
 		eps = x.s.Epochs()
 		for _, ep := range eps {
-			bases = append(bases, ep.Base().Frozen())
+			bases = append(bases, ep.Base())
 		}
 	default:
 		t.Fatalf("contentDigest: %T", x)

@@ -190,7 +190,7 @@ func TestIndexHeapPerTrajectory(t *testing.T) {
 // pads after the 4-byte column groups, and the CRC.
 func assertTwoPointBytes(t *testing.T, fz *FrozenIndex) {
 	t.Helper()
-	f := fz.s.Engine(0).Frozen()
+	f := fz.s.Base(0)
 	c := f.Columns()
 	if f.Variant() != tqtree.TwoPoint || c.EntFirst != nil || c.EntLast != nil || c.EntMBR != nil || c.EntTraj != nil || c.EntSeg != nil {
 		t.Fatalf("%v base holds entry columns endpoints %v/%v, MBR %v, ordinals %v, segments %v; want none",
@@ -234,7 +234,7 @@ func TestTableBytesMultipoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := fz.s.Engine(0).Table()
+	tab := fz.s.Base(0).Table()
 	if tab.Len() != len(users) || tab.TotalPoints() != points {
 		t.Fatalf("table of %d trajectories, %d points; want %d, %d", tab.Len(), tab.TotalPoints(), len(users), points)
 	}
@@ -243,7 +243,7 @@ func TestTableBytesMultipoint(t *testing.T) {
 		t.Fatalf("table is %d bytes over %d points: %d fixed bytes for %d trajectories, want at most 24 each",
 			tab.Bytes(), points, fixed, len(users))
 	}
-	if st := fz.s.Engine(0).Frozen().Bytes(); st <= tab.Bytes() {
+	if st := fz.s.Base(0).Bytes(); st <= tab.Bytes() {
 		t.Fatalf("index bytes %d do not include the columns beside the table's %d", st, tab.Bytes())
 	}
 }
@@ -605,7 +605,7 @@ func TestLiveSnapshotRejectsCrossShardDeltaID(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ep, err := query.NewEpoch(query.NewFrozenEngine(fz, nil), delta, nil, 0)
+		ep, err := query.NewEpoch(fz, delta, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -647,7 +647,7 @@ func TestLiveSnapshotRejectsBadTombstones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep, err := query.NewEpoch(query.NewFrozenEngine(fz, nil), users[20:], []trajectory.ID{users[3].ID, users[7].ID}, 0)
+	ep, err := query.NewEpoch(fz, users[20:], []trajectory.ID{users[3].ID, users[7].ID}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
