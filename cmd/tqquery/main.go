@@ -9,24 +9,15 @@
 //	tqquery -users checkins.csv -routes routes.csv -variant full -scenario pointcount -query topk
 //	tqquery -users trips.csv -routes routes.csv -query topk -shards 4 -partitioner grid
 //	tqquery -users trips.csv -routes routes.csv -query topk -frozen
-//	tqquery -users trips.csv -routes routes.csv -query topk -churn 500
 //
-// The query runs on an Index (writes safe concurrently with queries), or
-// on its frozen form under -frozen. -churn N runs N insert/delete
-// operations on the Index concurrently with the query, which is repeated
-// until the writer finishes, and reports the query latency distribution
-// plus the background swaps that completed mid-run.
+// The query runs on an Index, or on its frozen form under -frozen.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
-	"sort"
-	"sync/atomic"
-	"time"
 
 	trajcover "github.com/trajcover/trajcover"
 	"github.com/trajcover/trajcover/internal/trajectory"
@@ -56,8 +47,6 @@ func run(args []string, w io.Writer) error {
 		shards     = fs.Int("shards", 1, "partition users across this many TQ-trees (scatter-gather serving)")
 		partition  = fs.String("partitioner", "hash", "shard partitioner: hash|grid")
 		frozen     = fs.Bool("frozen", false, "serve from the frozen columnar index (faster reads, immutable)")
-		churn      = fs.Int("churn", 0, "run this many concurrent insert/delete ops while the query repeats, and report latency quantiles (not with -frozen)")
-		churnDelta = fs.Int("churn-maxdelta", 64, "with -churn: background rebuild threshold (pending writes per shard)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -104,10 +93,6 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("unknown partitioner %q", *partition)
 	}
 	opts.Shards = *shards
-	opts.Policy = trajcover.LivePolicy{MaxDelta: *churnDelta, MaxDeltaFraction: -1}
-	if *churn > 0 && *frozen {
-		return fmt.Errorf("-churn writes to the index; -frozen cannot take writes")
-	}
 
 	q := trajcover.Query{Psi: *psi}
 	switch *scenario {
@@ -152,12 +137,6 @@ func run(args []string, w io.Writer) error {
 		for i, r := range res {
 			fmt.Fprintf(w, "%3d. route %-6d service %.4f\n", i+1, r.Facility.ID, r.Service)
 		}
-		if *churn > 0 {
-			return runChurn(w, index, users, *churn, func() error {
-				_, err := idx.TopK(routes, *k, q)
-				return err
-			})
-		}
 	case "maxcov":
 		copts := trajcover.CoverageOptions{}
 		switch *alg {
@@ -199,116 +178,9 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(w, "service value of route %d: %.4f\n", target.ID, v)
-		if *churn > 0 {
-			return runChurn(w, index, users, *churn, func() error {
-				_, err := idx.ServiceValue(target, q)
-				return err
-			})
-		}
 	default:
 		return fmt.Errorf("unknown query %q", *queryKind)
 	}
-	return nil
-}
-
-// runChurn exercises concurrent writes against the index: a writer
-// applies `ops` insert/delete operations (70% inserts of perturbed
-// copies of loaded trajectories under fresh IDs, 30% deletes of those
-// copies) while the query repeats, then reports the query latency
-// distribution and how many background epoch swaps completed mid-run.
-func runChurn(w io.Writer, lv *trajcover.Index, users []*trajcover.Trajectory, ops int, query func() error) error {
-	maxID := trajcover.ID(0)
-	for _, u := range users {
-		if u.ID > maxID {
-			maxID = u.ID
-		}
-	}
-	startSwaps := uint64(0)
-	for _, st := range lv.Stats() {
-		startSwaps += st.Compactions
-	}
-
-	writeErr := make(chan error, 1)
-	var done atomic.Bool
-	go func() {
-		defer done.Store(true)
-		rng := rand.New(rand.NewSource(1))
-		var inserted []trajcover.ID
-		nextID := maxID
-		for i := 0; i < ops; i++ {
-			if rng.Float64() < 0.7 || len(inserted) == 0 {
-				src := users[rng.Intn(len(users))]
-				pts := make([]trajcover.Point, len(src.Points))
-				for j, p := range src.Points {
-					pts[j] = trajcover.Pt(p.X+rng.NormFloat64()*10, p.Y+rng.NormFloat64()*10)
-				}
-				nextID++
-				u, err := trajcover.NewTrajectory(nextID, pts)
-				if err != nil {
-					writeErr <- err
-					return
-				}
-				if err := lv.Insert(u); err != nil {
-					writeErr <- err
-					return
-				}
-				inserted = append(inserted, u.ID)
-			} else {
-				j := rng.Intn(len(inserted))
-				lv.Delete(inserted[j])
-				inserted[j] = inserted[len(inserted)-1]
-				inserted = inserted[:len(inserted)-1]
-			}
-		}
-		writeErr <- nil
-	}()
-
-	var latencies []float64
-	for first := true; first || !done.Load(); first = false {
-		start := time.Now()
-		if err := query(); err != nil {
-			return err
-		}
-		latencies = append(latencies, time.Since(start).Seconds())
-	}
-	if err := <-writeErr; err != nil {
-		return err
-	}
-	// Drain in-flight background rebuilds before reading the error and
-	// the swap count: the last trigger may still be folding when the
-	// writer exits, and its failure (or its swap) must not be missed. A
-	// rebuild at CLI scale completes well within the settle window; the
-	// stability loop then catches a follow-up trigger chain.
-	swapsOf := func() uint64 {
-		n := uint64(0)
-		for _, st := range lv.Stats() {
-			n += st.Compactions
-		}
-		return n
-	}
-	time.Sleep(500 * time.Millisecond)
-	settled := swapsOf()
-	for deadline := time.Now().Add(3 * time.Second); time.Now().Before(deadline); {
-		time.Sleep(100 * time.Millisecond)
-		next := swapsOf()
-		if next == settled {
-			break
-		}
-		settled = next
-	}
-	if err := lv.Err(); err != nil {
-		return fmt.Errorf("background rebuild: %w", err)
-	}
-	sort.Float64s(latencies)
-	endSwaps := swapsOf()
-	pct := func(q float64) float64 {
-		if len(latencies) == 0 {
-			return 0
-		}
-		return latencies[int(q*float64(len(latencies)-1))]
-	}
-	fmt.Fprintf(w, "churn: %d writes concurrent with %d queries; query p50 %.6fs p99 %.6fs; background swaps %d; final corpus %d\n",
-		ops, len(latencies), pct(0.50), pct(0.99), endSwaps-startSwaps, lv.Len())
 	return nil
 }
 

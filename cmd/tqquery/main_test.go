@@ -239,40 +239,15 @@ func TestRunLiveTopKMatchesSingleTree(t *testing.T) {
 	}
 }
 
-// TestRunLiveChurn exercises the -churn harness: concurrent writes
-// against a repeating query, with the latency summary line emitted.
-func TestRunLiveChurn(t *testing.T) {
-	users, routes := writeWorkload(t)
-	var out strings.Builder
-	err := run([]string{
-		"-users", users, "-routes", routes, "-query", "topk", "-k", "3",
-		"-churn", "300", "-churn-maxdelta", "48",
-	}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	if !strings.Contains(got, "churn: 300 writes concurrent with ") {
-		t.Errorf("missing churn summary:\n%s", got)
-	}
-	if !strings.Contains(got, "background swaps ") {
-		t.Errorf("missing swap count:\n%s", got)
-	}
-}
-
-// TestRunLiveRejections covers the write-mode error paths: -churn on a
-// frozen index, and the retired -live flag.
+// TestRunLiveRejections: the retired write-mode flags -live, -churn and
+// -churn-maxdelta are unknown flags.
 func TestRunLiveRejections(t *testing.T) {
 	users, routes := writeWorkload(t)
-	var out strings.Builder
-	if err := run([]string{
-		"-users", users, "-routes", routes, "-query", "topk", "-churn", "10", "-frozen",
-	}, &out); err == nil {
-		t.Error("-churn -frozen accepted")
-	}
-	if err := run([]string{
-		"-users", users, "-routes", routes, "-query", "topk", "-live",
-	}, &out); err == nil {
-		t.Error("-live accepted")
+	for _, retired := range [][]string{{"-live"}, {"-churn", "10"}, {"-churn-maxdelta", "48"}} {
+		var out strings.Builder
+		args := append([]string{"-users", users, "-routes", routes, "-query", "topk"}, retired...)
+		if err := run(args, &out); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+retired[0]) {
+			t.Errorf("%s: err = %v, want an unknown flag", retired[0], err)
+		}
 	}
 }

@@ -50,9 +50,9 @@
 // when the primary restarts. -frontend (with -backends, a
 // comma-separated list of shard groups, each "primary|replica|...")
 // serves the same wire API by scatter-gathering over the groups:
-// writes forward to their owner group's primary, top-k runs the
-// distributed bound-merge, and ?partial=1 opts reads into partial
-// answers when groups are down.
+// writes forward to their owner group's primary, a top-k read is one
+// exchange per group whose summed values are ranked by query.Results,
+// and ?partial=1 opts reads into partial answers when groups are down.
 //
 // On SIGTERM the server stops admitting work (healthz flips to 503 so
 // load balancers drain), finishes in-flight requests up to
@@ -214,7 +214,7 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal, ready func(addr 
 		if ready != nil {
 			ready(ln.Addr().String())
 		}
-		err = serveLoop(newHTTPServer(dist.ReplicaHandler(srv.Handler(), rep, time.Second)), ln, stdout, sig, nil, *drainTimeout, srv.BeginDrain)
+		err = serveLoop(newHTTPServer(dist.ReplicaHandler(srv.Handler(), rep)), ln, stdout, sig, nil, *drainTimeout, srv.BeginDrain)
 		srv.Close()
 		fmt.Fprintln(stdout, "tqserve: drained, bye")
 		return err

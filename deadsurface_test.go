@@ -20,7 +20,6 @@ var deadSurfaceAllowed = map[string]string{
 	"datagen.NYStops":           "Table I size, documents the paper's dataset",
 	"datagen.BJRoutes":          "Table I size, documents the paper's dataset",
 	"datagen.BJStops":           "Table I size, documents the paper's dataset",
-	"faultfs.Injector.Ops":      "test instrumentation: counts operations an injector saw",
 	"faultfs.Injector.Injected": "test instrumentation: counts faults an injector fired",
 	"faultfs.ErrNoSpace":        "test instrumentation: the injected ENOSPC error",
 	"mmap.ZeroCopy":             "test instrumentation: whether mapping aliases the file",

@@ -55,10 +55,7 @@ func (x *Index) Freeze() (*FrozenIndex, error) {
 
 // Live converts a frozen index into an Index under pol — the restore path
 // that makes a read-only snapshot mutable again. The Index starts from
-// x's own shards, which are immutable, so no write to it shows in x. An
-// index restored with a partitioner kind this build does not know
-// converts too: it serves queries and Deletes, and Insert returns
-// ErrImmutable because new writes cannot be routed.
+// x's own shards, which are immutable, so no write to it shows in x.
 func (x *FrozenIndex) Live(pol LivePolicy) (*Index, error) {
 	return newIndex(x.s.Live(pol.policy())), nil
 }

@@ -252,7 +252,7 @@ func buildEngine(users []*trajectory.Trajectory, opts tqtree.Options) (*query.Fr
 // MaxkCovRST coverage source.
 func (c *Context) Source(kind string, paperN int, v tqtree.Variant, o tqtree.Ordering) *shard.Source {
 	e := c.Engine(kind, paperN, v, o)
-	f, err := shard.FrozenOf([]*tqtree.Frozen{e.Frozen()}, "")
+	f, err := shard.FrozenOf([]*tqtree.Frozen{e.Frozen()}, shard.Hash{})
 	if err != nil {
 		panic(fmt.Sprintf("bench: source: %v", err))
 	}

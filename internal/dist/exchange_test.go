@@ -162,7 +162,7 @@ func TestFrontendMidExchangeLoss(t *testing.T) {
 			t.Fatalf("%s: answered %d before the member died", path, st)
 		}
 		if path == server.PathTopK {
-			if st != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
+			if st != http.StatusServiceUnavailable || hdr.Get("Retry-After") != server.RetryAfter {
 				t.Fatalf("%s with no member left: %d %s (Retry-After %q), want 503 + Retry-After", path, st, got, hdr.Get("Retry-After"))
 			}
 			return
@@ -209,7 +209,7 @@ func TestFrontendHostileReplies(t *testing.T) {
 		fets := httptest.NewServer(fe.Handler())
 		for _, path := range []string{server.PathTopK, server.PathServiceValues} {
 			st, got, hdr := postTo(t, fets.Client(), fets.URL+path, body)
-			if st != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
+			if st != http.StatusServiceUnavailable || hdr.Get("Retry-After") != server.RetryAfter {
 				t.Errorf("%s, %s: %d %s (Retry-After %q), want 503 + Retry-After", name, path, st, got, hdr.Get("Retry-After"))
 			}
 		}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,9 +35,6 @@ type FrontendConfig struct {
 	ProbeInterval time.Duration
 	// MaxBodyBytes caps request bodies (<= 0: 8 MiB).
 	MaxBodyBytes int64
-	// RetryAfter is the Retry-After hint on transient rejections
-	// (<= 0: 1s).
-	RetryAfter time.Duration
 	// Client is the backend HTTP client (nil: a client on a transport of
 	// the frontend's own, closed by Close).
 	Client *http.Client
@@ -62,9 +58,6 @@ func (c FrontendConfig) withDefaults() FrontendConfig {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	return c
 }
@@ -94,16 +87,15 @@ type feGroup struct {
 // scattering over the groups. Construct with NewFrontend, serve
 // Handler, stop with Close.
 type Frontend struct {
-	cfg        FrontendConfig
-	transport  *http.Transport // non-nil when the frontend made its own client
-	groups     []*feGroup
-	mux        *http.ServeMux
-	retryAfter string
-	draining   atomic.Bool
-	start      time.Time
-	probeStop  chan struct{}
-	probeDone  chan struct{}
-	closeOnce  sync.Once
+	cfg       FrontendConfig
+	transport *http.Transport // non-nil when the frontend made its own client
+	groups    []*feGroup
+	mux       *http.ServeMux
+	draining  atomic.Bool
+	start     time.Time
+	probeStop chan struct{}
+	probeDone chan struct{}
+	closeOnce sync.Once
 
 	requests  atomic.Uint64
 	errs      atomic.Uint64
@@ -122,12 +114,11 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	}
 	cfg = cfg.withDefaults()
 	fe := &Frontend{
-		cfg:        cfg,
-		mux:        http.NewServeMux(),
-		retryAfter: strconv.Itoa(int((cfg.RetryAfter + time.Second - 1) / time.Second)),
-		start:      time.Now(),
-		probeStop:  make(chan struct{}),
-		probeDone:  make(chan struct{}),
+		cfg:       cfg,
+		mux:       http.NewServeMux(),
+		start:     time.Now(),
+		probeStop: make(chan struct{}),
+		probeDone: make(chan struct{}),
 	}
 	if cfg.Client == nil {
 		fe.transport = http.DefaultTransport.(*http.Transport).Clone()
@@ -283,7 +274,7 @@ func (fe *Frontend) admit(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 }
 
 func (fe *Frontend) rejectRetryable(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Retry-After", fe.retryAfter)
+	w.Header().Set("Retry-After", server.RetryAfter)
 	writeJSON(w, status, server.ErrorResponse{Error: msg})
 }
 
@@ -537,7 +528,7 @@ func (fe *Frontend) groupHealth() ([]GroupHealth, bool) {
 
 func (fe *Frontend) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if fe.draining.Load() {
-		w.Header().Set("Retry-After", fe.retryAfter)
+		w.Header().Set("Retry-After", server.RetryAfter)
 		writeJSON(w, http.StatusServiceUnavailable, FrontendHealth{Status: "draining"})
 		return
 	}

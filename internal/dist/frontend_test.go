@@ -470,7 +470,7 @@ func TestFrontendPartialMatrix(t *testing.T) {
 			if st != tc.wantStatus {
 				t.Fatalf("default topk: %d %s, want %d", st, body, tc.wantStatus)
 			}
-			if tc.wantRetry && hdr.Get("Retry-After") == "" {
+			if tc.wantRetry && hdr.Get("Retry-After") != server.RetryAfter {
 				t.Fatalf("default topk %d without Retry-After", st)
 			}
 			st, body, _ = postTo(t, fets.Client(), fets.URL+server.PathServiceValues, svBody)
@@ -597,7 +597,7 @@ func TestFrontendIntraGroupFailover(t *testing.T) {
 	}
 	st, got, hdr := postTo(t, fets.Client(), fets.URL+server.PathInsert,
 		mustBody(t, server.InsertRequest{ID: ownedBy0, Points: [][2]float64{{1, 1}, {2, 2}}}))
-	if st != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
+	if st != http.StatusServiceUnavailable || hdr.Get("Retry-After") != server.RetryAfter {
 		t.Fatalf("write to dead primary: %d %s (Retry-After %q), want 503+hint", st, got, hdr.Get("Retry-After"))
 	}
 	// Group 1 writes still land.
@@ -763,7 +763,7 @@ func TestFrontendDrainAndLimits(t *testing.T) {
 	st, _, hdr := e.post(server.PathTopK, mustBody(t, server.QueryRequest{
 		Facilities: server.FacilitiesJSON(testFacilities(2, 3, 342)), K: 1, Psi: 40,
 	}))
-	if st != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
+	if st != http.StatusServiceUnavailable || hdr.Get("Retry-After") != server.RetryAfter {
 		t.Fatalf("draining topk: %d, want 503+Retry-After", st)
 	}
 }

@@ -71,7 +71,6 @@ type Replica struct {
 	primary string
 
 	mu         sync.Mutex
-	idx        *trajcover.Index // serving index (after first swap)
 	boot       string
 	applied    uint64
 	ready      bool
@@ -102,14 +101,6 @@ func (rep *Replica) Ready() bool {
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
 	return rep.ready
-}
-
-// Index returns the currently served index (nil before the first
-// successful bootstrap).
-func (rep *Replica) Index() *trajcover.Index {
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	return rep.idx
 }
 
 // Status snapshots the replica's replication state.
@@ -206,7 +197,6 @@ func (rep *Replica) followOnce(ctx context.Context) error {
 		if !swapped && applied >= cr.Seq {
 			swapped = true
 			rep.mu.Lock()
-			rep.idx = idx
 			rep.boot = boot
 			rep.ready = true
 			rep.mu.Unlock()
@@ -316,11 +306,7 @@ func applyEntry(idx *trajcover.Index, e replog.Entry) error {
 // serves the replication cursor. After the first catch-up everything
 // passes through — including during primary outages and
 // re-bootstraps, when the last applied state keeps serving.
-func ReplicaHandler(inner http.Handler, rep *Replica, retryAfter time.Duration) http.Handler {
-	ra := strconv.Itoa(int((retryAfter + time.Second - 1) / time.Second))
-	if retryAfter <= 0 {
-		ra = "1"
-	}
+func ReplicaHandler(inner http.Handler, rep *Replica) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case server.PathInsert, server.PathDelete, server.PathCompact, server.PathCheckpoint:
@@ -332,11 +318,11 @@ func ReplicaHandler(inner http.Handler, rep *Replica, retryAfter time.Duration) 
 		}
 		if !rep.Ready() {
 			if r.URL.Path == server.PathHealth {
-				w.Header().Set("Retry-After", ra)
+				w.Header().Set("Retry-After", server.RetryAfter)
 				writeJSON(w, http.StatusServiceUnavailable, server.HealthResponse{Status: "syncing"})
 				return
 			}
-			w.Header().Set("Retry-After", ra)
+			w.Header().Set("Retry-After", server.RetryAfter)
 			writeJSON(w, http.StatusServiceUnavailable, server.ErrorResponse{Error: "replica syncing: not caught up to the primary yet"})
 			return
 		}

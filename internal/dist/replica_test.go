@@ -52,7 +52,7 @@ func newReplicaStack(t *testing.T, primary string) (*Replica, *httptest.Server) 
 		RetryBackoff: 20 * time.Millisecond,
 		OnSwap:       srv.SetIndex,
 	})
-	ts := httptest.NewServer(ReplicaHandler(srv.Handler(), rep, time.Second))
+	ts := httptest.NewServer(ReplicaHandler(srv.Handler(), rep))
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	return rep, ts
 }
@@ -97,7 +97,7 @@ func TestReplicaFollowAndServe(t *testing.T) {
 
 	// Before the follow loop starts: syncing, loudly.
 	st, body, hdr := postTo(t, repTS.Client(), repTS.URL+server.PathTopK, topkBody)
-	if st != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
+	if st != http.StatusServiceUnavailable || hdr.Get("Retry-After") != server.RetryAfter {
 		t.Fatalf("pre-sync topk: %d %s, want 503+Retry-After", st, body)
 	}
 	if !strings.Contains(string(body), "syncing") {

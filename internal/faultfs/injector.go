@@ -97,7 +97,6 @@ type Injector struct {
 	mu       sync.Mutex
 	rng      *rand.Rand
 	rules    []*activeRule
-	ops      uint64
 	injected uint64
 }
 
@@ -117,19 +116,12 @@ func (in *Injector) Add(r Rule) {
 	in.mu.Unlock()
 }
 
-// Heal drops every rule: the disk behaves normally again. Counters are
-// preserved.
+// Heal drops every rule: the disk behaves normally again. The injected
+// count is preserved.
 func (in *Injector) Heal() {
 	in.mu.Lock()
 	in.rules = nil
 	in.mu.Unlock()
-}
-
-// Ops returns the total operations observed (faulted or not).
-func (in *Injector) Ops() uint64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.ops
 }
 
 // Injected returns how many faults have fired.
@@ -139,11 +131,11 @@ func (in *Injector) Injected() uint64 {
 	return in.injected
 }
 
-// check records one operation and returns the fault to apply, if any.
+// check matches one operation against the rules and returns the fault
+// to apply, if any.
 func (in *Injector) check(op Op, path string) (Fault, bool) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.ops++
 	for _, r := range in.rules {
 		if r.Op != "" && r.Op != op {
 			continue

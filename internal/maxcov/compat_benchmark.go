@@ -15,7 +15,7 @@ import (
 
 // TwoStepGreedy is TwoStep over a one-shard index of eng.
 func TwoStepGreedy(eng *query.Engine, facilities []*trajectory.Facility, k, kPrime int, p query.Params) (Result, error) {
-	f, err := shard.FrozenOf([]*tqtree.Frozen{eng.Frozen()}, "")
+	f, err := shard.FrozenOf([]*tqtree.Frozen{eng.Frozen()}, shard.Hash{})
 	if err != nil {
 		return Result{}, err
 	}

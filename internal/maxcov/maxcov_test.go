@@ -555,7 +555,7 @@ func TestTwoStepCandidatesMatchBestFirst(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := query.NewFrozenEngine(fz, nil)
-		f, err := shard.FrozenOf([]*tqtree.Frozen{fz}, "")
+		f, err := shard.FrozenOf([]*tqtree.Frozen{fz}, shard.Hash{})
 		if err != nil {
 			t.Fatal(err)
 		}

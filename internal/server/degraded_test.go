@@ -169,7 +169,7 @@ func TestServerCheckpointDegraded503(t *testing.T) {
 
 // TestRetryAfterMatrix audits every transient rejection the server can
 // produce — pool overflow, tenant quota, drain, closed pool, degraded
-// writes — and asserts each one carries a Retry-After hint, while
+// writes — and asserts each one carries the one Retry-After hint, while
 // permanent rejections (malformed input, conflicts) never do.
 func TestRetryAfterMatrix(t *testing.T) {
 	users := testUsers(120, 75)
@@ -277,8 +277,12 @@ func TestRetryAfterMatrix(t *testing.T) {
 			if status != tc.wantStatus {
 				t.Fatalf("status %d, want %d", status, tc.wantStatus)
 			}
-			if got := hdr.Get("Retry-After") != ""; got != tc.wantRetry {
-				t.Fatalf("Retry-After present=%v, want %v (header %q)", got, tc.wantRetry, hdr.Get("Retry-After"))
+			want := ""
+			if tc.wantRetry {
+				want = RetryAfter
+			}
+			if got := hdr.Get("Retry-After"); got != want {
+				t.Fatalf("Retry-After %q, want %q", got, want)
 			}
 		})
 	}

@@ -100,8 +100,6 @@ type Config struct {
 	MaxTimeout time.Duration
 	// MaxBodyBytes caps request bodies (<= 0: 8 MiB).
 	MaxBodyBytes int64
-	// RetryAfter is the Retry-After hint on 429 responses (<= 0: 1s).
-	RetryAfter time.Duration
 	// ResultCacheBytes bounds the epoch-keyed result cache for /v1/topk
 	// and /v1/servicevalues answers (<= 0: disabled).
 	// Entries key on the request's canonical hash, the tenant, and the
@@ -135,9 +133,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	return c
 }
@@ -356,9 +351,8 @@ type Server struct {
 	draining  atomic.Bool
 	start     time.Time
 
-	mux        *http.ServeMux
-	stats      map[string]*endpointStats // fixed key set; read-only after New
-	retryAfter string
+	mux   *http.ServeMux
+	stats map[string]*endpointStats // fixed key set; read-only after New
 
 	// Per-tenant admission state. ovr is the current overrides document
 	// (swapped whole on reload — never partially applied); gates holds
@@ -403,15 +397,14 @@ func NewMulti(reg *trajcover.TenantRegistry, cfg Config) *Server {
 func newServer(idx *trajcover.Index, reg *trajcover.TenantRegistry, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:        cfg,
-		reg:        reg,
-		queue:      make(chan *task, cfg.QueueDepth),
-		cache:      rescache.New(cfg.ResultCacheBytes),
-		start:      time.Now(),
-		mux:        http.NewServeMux(),
-		stats:      map[string]*endpointStats{},
-		gates:      map[string]*tenant.Gate{},
-		retryAfter: strconv.Itoa(int((cfg.RetryAfter + time.Second - 1) / time.Second)),
+		cfg:   cfg,
+		reg:   reg,
+		queue: make(chan *task, cfg.QueueDepth),
+		cache: rescache.New(cfg.ResultCacheBytes),
+		start: time.Now(),
+		mux:   http.NewServeMux(),
+		stats: map[string]*endpointStats{},
+		gates: map[string]*tenant.Gate{},
 	}
 	if idx != nil {
 		s.idx.Store(idx)
@@ -628,13 +621,17 @@ func (s *Server) requestTimeout(timeoutMS int64, lim tenant.Limits) time.Duratio
 	return d
 }
 
+// RetryAfter is the Retry-After header, in seconds, on every transient
+// rejection the server, the distributed frontend and a replica send.
+const RetryAfter = "1"
+
 // rejectRetryable answers any transient rejection — 429 on queue or
 // quota pressure, 503 on drain or degraded mode — with a Retry-After
 // hint. Every rejection that a well-behaved client should back off and
 // retry goes through here; permanent errors (400/404/409/500) never
 // carry the header.
 func (s *Server) rejectRetryable(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Retry-After", s.retryAfter)
+	w.Header().Set("Retry-After", RetryAfter)
 	writeJSON(w, status, ErrorResponse{Error: msg})
 }
 
@@ -786,7 +783,7 @@ func (s *Server) runOnPool(ep *endpointStats, t *task) (resp response, admitted 
 // writeResponse sends a response as an ordinary HTTP answer.
 func (s *Server) writeResponse(w http.ResponseWriter, resp response) {
 	if resp.retryAfter {
-		w.Header().Set("Retry-After", s.retryAfter)
+		w.Header().Set("Retry-After", RetryAfter)
 	}
 	if resp.ctype != "" {
 		w.Header().Set("Content-Type", resp.ctype)
@@ -1126,17 +1123,17 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		}
 		unlock()
 		if err != nil {
-			// Duplicate IDs and unroutable (immutable-restore) inserts
-			// are conflicts with the served corpus, not malformed input.
-			// A degraded index is a transient 503: the write was NOT
-			// acknowledged, queries still serve, and the recovery probe
-			// is working the disk — retry after the hint. Anything else
-			// is a durability failure the client cannot retry through.
+			// A duplicate ID is a conflict with the served corpus, not
+			// malformed input. A degraded index is a transient 503: the
+			// write was NOT acknowledged, queries still serve, and the
+			// recovery probe is working the disk — retry after the hint.
+			// Anything else is a durability failure the client cannot
+			// retry through.
 			if trajcover.IsDegraded(err) {
 				return response{status: http.StatusServiceUnavailable, body: mustMarshal(ErrorResponse{Error: err.Error()}), retryAfter: true}
 			}
 			status := http.StatusInternalServerError
-			if errors.Is(err, trajcover.ErrDuplicateID) || trajcover.IsImmutable(err) {
+			if errors.Is(err, trajcover.ErrDuplicateID) {
 				status = http.StatusConflict
 			}
 			return response{status: status, body: mustMarshal(ErrorResponse{Error: err.Error()})}
@@ -1442,7 +1439,7 @@ func (s *Server) degradedCauses() map[string]string {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", s.retryAfter)
+		w.Header().Set("Retry-After", RetryAfter)
 		writeJSON(w, http.StatusServiceUnavailable, HealthResponse{Status: "draining"})
 		return
 	}

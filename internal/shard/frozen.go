@@ -15,7 +15,7 @@ import (
 // verbatim into the TQSHRD03 snapshot container.
 type Frozen struct {
 	Scatter
-	kind   string
+	part   Partitioner
 	epochs []*query.Epoch
 }
 
@@ -34,12 +34,12 @@ func BuildFrozen(users []*trajectory.Trajectory, opts Options) (*Frozen, error) 
 	if err != nil {
 		return nil, err
 	}
-	return FrozenOf(bases, opts.Partitioner.Kind())
+	return FrozenOf(bases, opts.Partitioner)
 }
 
 // newFrozen serves bases, whose IDs are unique across them, as gen-0
 // epochs. Live shares the same epochs: they are immutable.
-func newFrozen(bases []*tqtree.Frozen, kind string) (*Frozen, error) {
+func newFrozen(bases []*tqtree.Frozen, part Partitioner) (*Frozen, error) {
 	epochs := make([]*query.Epoch, len(bases))
 	for i, b := range bases {
 		ep, err := query.NewEpoch(b, nil, nil, 0)
@@ -48,7 +48,7 @@ func newFrozen(bases []*tqtree.Frozen, kind string) (*Frozen, error) {
 		}
 		epochs[i] = ep
 	}
-	f := &Frozen{kind: kind, epochs: epochs}
+	f := &Frozen{part: part, epochs: epochs}
 	f.capture = func() []*query.Epoch { return epochs }
 	return f, nil
 }
@@ -64,11 +64,11 @@ func uniqueAcross(cols [][]trajectory.ID, what string) error {
 }
 
 // FrozenOf assembles a Frozen from per-shard frozen bases — the build and
-// snapshot restore paths. kind records the partitioner the partition was
-// produced with ("" when unknown). IDs must be unique across the whole
-// corpus, exactly as a build checks; each table is unique in itself, so
-// one merge of their sorted ID columns decides it.
-func FrozenOf(bases []*tqtree.Frozen, kind string) (*Frozen, error) {
+// snapshot restore paths. part is the partitioner the partition was
+// produced with; Live routes inserts by it. IDs must be unique across the
+// whole corpus, exactly as a build checks; each table is unique in
+// itself, so one merge of their sorted ID columns decides it.
+func FrozenOf(bases []*tqtree.Frozen, part Partitioner) (*Frozen, error) {
 	if len(bases) == 0 {
 		return nil, fmt.Errorf("shard: no frozen shards")
 	}
@@ -81,7 +81,7 @@ func FrozenOf(bases []*tqtree.Frozen, kind string) (*Frozen, error) {
 			return nil, err
 		}
 	}
-	return newFrozen(bases, kind)
+	return newFrozen(bases, part)
 }
 
 // NumShards returns the shard count.
@@ -106,8 +106,8 @@ func (f *Frozen) Sizes() []int {
 }
 
 // PartitionerKind returns the kind of the partitioner the shards were
-// produced with, or "" when unknown.
-func (f *Frozen) PartitionerKind() string { return f.kind }
+// produced with.
+func (f *Frozen) PartitionerKind() string { return f.part.Kind() }
 
 // Base returns the frozen index of shard i.
 func (f *Frozen) Base(i int) *tqtree.Frozen { return f.epochs[i].Base() }

@@ -47,12 +47,6 @@ import (
 	"github.com/trajcover/trajcover/internal/wal"
 )
 
-// ErrImmutable marks an index that cannot accept writes: it was restored
-// from a snapshot recorded with a partitioner this build does not know,
-// so new trajectories cannot be routed consistently with the recorded
-// partition. Queries (and Delete, which routes by ID lookup) still work.
-var ErrImmutable = errors.New("shard: immutable index (unknown partitioner)")
-
 // ErrDuplicateID rejects an Insert whose ID is already in the logical
 // corpus. Typed so callers (the HTTP server) can tell a client mistake
 // (409) from a durability failure (500).
@@ -67,36 +61,27 @@ var ErrDuplicateID = errors.New("shard: duplicate id")
 var ErrDegraded = errors.New("shard: degraded (writes temporarily disabled)")
 
 // Policy tunes when a live shard folds its delta into a fresh base.
+// Besides MaxDelta, a shard folds once its pending churn reaches
+// maxDeltaFraction of its base corpus, and at least fractionFloor writes
+// — so a new tenant's empty base folds after 64 writes, not 4096.
 type Policy struct {
 	// MaxDelta triggers a background rebuild when a shard's pending
 	// churn (delta + tombstones) reaches this count. 0 means 4096.
 	MaxDelta int
-	// MaxDeltaFraction triggers when pending churn reaches this fraction
-	// of the shard's base corpus (subject to a small floor so tiny bases
-	// don't thrash). 0 means 0.25; negative disables the fraction
-	// trigger.
-	MaxDeltaFraction float64
-	// RebuildParallelism bounds the goroutines a background rebuild's
-	// tree build may use. 0 means 1 — serial, leaving the cores to the
-	// serving path.
-	RebuildParallelism int
 	// Manual disables automatic rebuilds; only Compact folds the delta.
 	Manual bool
 }
 
-// fractionFloor keeps the fraction trigger from firing on every write
-// over a small base.
-const fractionFloor = 64
+const (
+	maxDeltaFraction = 0.25
+	// fractionFloor keeps the fraction trigger from firing on every
+	// write over a small base.
+	fractionFloor = 64
+)
 
 func (p Policy) withDefaults() Policy {
 	if p.MaxDelta <= 0 {
 		p.MaxDelta = 4096
-	}
-	if p.MaxDeltaFraction == 0 {
-		p.MaxDeltaFraction = 0.25
-	}
-	if p.RebuildParallelism <= 0 {
-		p.RebuildParallelism = 1
 	}
 	return p
 }
@@ -233,29 +218,24 @@ func (l *Live) Freeze() (*Frozen, error) {
 		}
 		bases[i] = fz
 	}
-	return newFrozen(bases, l.PartitionerKind())
+	return newFrozen(bases, l.part)
 }
 
 // fold builds a fresh frozen base over ep's logical corpus. The corpus is
 // views over ep's table — BuildFrozen copies what the new base keeps, so
 // nothing of ep (or of a file mapping under it) is referenced once ep is
-// dropped.
+// dropped. The build is serial, leaving the cores to the serving path.
 func (l *Live) fold(ep *query.Epoch) (*tqtree.Frozen, error) {
-	opts := l.treeOpts
-	opts.Parallelism = l.policy.RebuildParallelism
-	fz, err := tqtree.BuildFrozen(ep.LogicalCorpus(), opts)
+	fz, err := tqtree.BuildFrozen(ep.LogicalCorpus(), l.treeOpts)
 	runtime.KeepAlive(ep) // the views alias ep's table until BuildFrozen has copied them
 	return fz, err
 }
 
 // Live serves the frozen shards' epochs in the mutable form — the restore
 // path for frozen snapshots. The epochs are shared, not copied: they are
-// immutable, and every write publishes a successor. A Frozen restored
-// from an unknown partitioner kind yields a Live that serves queries and
-// accepts Deletes but returns ErrImmutable from Insert.
+// immutable, and every write publishes a successor.
 func (f *Frozen) Live(pol Policy) *Live {
-	part, _ := PartitionerOf(f.kind)
-	return newLive(f.epochs, part, pol)
+	return newLive(f.epochs, f.part, pol)
 }
 
 // treeOptsOf reconstructs the build options a rebuild must reuse from a
@@ -297,7 +277,7 @@ func LiveFromEpochs(epochs []*query.Epoch, part Partitioner, pol Policy) (*Live,
 func newLive(epochs []*query.Epoch, part Partitioner, pol Policy) *Live {
 	bounds := epochs[0].Base().Bounds()
 	treeOpts := treeOptsOf(epochs[0].Base())
-	treeOpts.Parallelism = 0 // rebuild parallelism comes from the policy
+	treeOpts.Parallelism = 1 // fold builds serially
 	l := &Live{
 		bounds:   bounds,
 		part:     part,
@@ -324,14 +304,8 @@ func newLive(epochs []*query.Epoch, part Partitioner, pol Policy) *Live {
 // NumShards returns the shard count.
 func (l *Live) NumShards() int { return len(l.shards) }
 
-// PartitionerKind returns the configured partitioner's kind, or "" when
-// none survives (restored from an unknown custom kind).
-func (l *Live) PartitionerKind() string {
-	if l.part == nil {
-		return ""
-	}
-	return l.part.Kind()
-}
+// PartitionerKind returns the configured partitioner's kind.
+func (l *Live) PartitionerKind() string { return l.part.Kind() }
 
 // Epochs returns each shard's current epoch as one write-consistent
 // cut: the read lock excludes writers for the duration of the pointer
@@ -586,9 +560,6 @@ func (l *Live) CheckpointCapture() (eps []*query.Epoch, cut uint64, err error) {
 // unacked — recovery checkpoints the in-memory state before accepting
 // new writes, so replay never sees an inconsistent history).
 func (l *Live) Insert(u *trajectory.Trajectory) error {
-	if l.part == nil {
-		return fmt.Errorf("%w: cannot route insert", ErrImmutable)
-	}
 	if l.degraded.Load() {
 		return l.degradedErr()
 	}
@@ -609,7 +580,7 @@ func (l *Live) Insert(u *trajectory.Trajectory) error {
 			return l.walFailure("wal append", log, err)
 		}
 	}
-	i := clampShard(l.part.Assign(u, l.bounds, len(l.shards)), len(l.shards))
+	i := l.part.Assign(u, l.bounds, len(l.shards))
 	sh := l.shards[i]
 	sh.gen++
 	ep := sh.epoch.Load().WithInsert(u, sh.gen)
@@ -719,10 +690,8 @@ func (l *Live) maybeCompact(sh *liveShard) {
 		return
 	}
 	trigger := pending >= l.policy.MaxDelta
-	if !trigger && l.policy.MaxDeltaFraction > 0 && pending >= fractionFloor {
-		if base := ep.Base().Table().Len(); float64(pending) >= l.policy.MaxDeltaFraction*float64(base) {
-			trigger = true
-		}
+	if !trigger && pending >= fractionFloor {
+		trigger = float64(pending) >= maxDeltaFraction*float64(ep.Base().Table().Len())
 	}
 	if !trigger {
 		return

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -245,7 +244,7 @@ func TestLiveAutoCompaction(t *testing.T) {
 	opts := Options{Shards: 1, Partitioner: Hash{}, Tree: tqtree.Options{
 		Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder, Beta: 8, Bounds: testBounds,
 	}}
-	lv, err := BuildLive(users[:200], opts, Policy{MaxDelta: 32, MaxDeltaFraction: -1})
+	lv, err := BuildLive(users[:200], opts, Policy{MaxDelta: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,31 +269,6 @@ func TestLiveAutoCompaction(t *testing.T) {
 	}
 	if lv.Len() != 600 {
 		t.Fatalf("Len = %d, want 600", lv.Len())
-	}
-}
-
-// TestLiveImmutableInsert: a Live converted from a frozen index of
-// unknown partitioner kind serves queries and Deletes but reports
-// ErrImmutable for Insert.
-func TestLiveImmutableInsert(t *testing.T) {
-	users := makeUsers(300, 2, 77)
-	fz, err := BuildFrozen(users, Options{Shards: 2, Tree: tqtree.Options{
-		Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder, Beta: 8, Bounds: testBounds,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fz.kind = "custom-partitioner-this-build-does-not-know"
-	lv := fz.Live(manualPolicy())
-	extra := makeUsers(301, 2, 78)[300]
-	if err := lv.Insert(extra); !errors.Is(err, ErrImmutable) {
-		t.Fatalf("Insert = %v, want ErrImmutable", err)
-	}
-	if ok, err := lv.Delete(users[0].ID); err != nil || !ok {
-		t.Fatalf("Delete on immutable-insert index = %v, %v", ok, err)
-	}
-	if lv.Len() != 299 {
-		t.Fatalf("Len = %d, want 299", lv.Len())
 	}
 }
 
@@ -473,7 +447,7 @@ func TestLiveConcurrentChurnPrefixConsistent(t *testing.T) {
 		Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder, Beta: 8, Bounds: testBounds,
 	}}
 	// Aggressive thresholds so several background swaps land mid-run.
-	lv, err := BuildLive(base, opts, Policy{MaxDelta: 48, MaxDeltaFraction: -1})
+	lv, err := BuildLive(base, opts, Policy{MaxDelta: 48})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -703,7 +677,7 @@ func TestLiveConcurrentChurnMultiShard(t *testing.T) {
 	}}
 	base := users[:400]
 	feed := users[400:]
-	lv, err := BuildLive(base, opts, Policy{MaxDelta: 32, MaxDeltaFraction: -1})
+	lv, err := BuildLive(base, opts, Policy{MaxDelta: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -713,7 +687,7 @@ func TestLiveConcurrentChurnMultiShard(t *testing.T) {
 	// track per-shard prefix value sets.
 	bounds := lv.Epochs()[0].Base().Bounds()
 	shardOf := func(u *trajectory.Trajectory) int {
-		return clampShard(Hash{}.Assign(u, bounds, shards), shards)
+		return Hash{}.Assign(u, bounds, shards)
 	}
 	perShard := make([][]map[float64]struct{}, len(facilities))
 	cur := make([][]float64, len(facilities))

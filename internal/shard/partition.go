@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"math"
 
 	"github.com/trajcover/trajcover/internal/geo"
@@ -8,17 +9,20 @@ import (
 )
 
 // Partitioner assigns each user trajectory to one of n shards. An
-// assignment must be deterministic — Build and Insert both consult it,
-// and snapshots record only which shard each trajectory landed in, so a
-// partitioner never needs to be re-run to restore an index.
+// assignment is deterministic — Build and Insert both consult it, and
+// snapshots record only which shard each trajectory landed in, so a
+// partitioner never needs to be re-run to restore an index. The set is
+// closed: Hash and Grid are the only implementations, so every kind a
+// snapshot records maps back through PartitionerOf.
 type Partitioner interface {
 	// Assign returns the shard in [0, n) for t. bounds is the union of
 	// every indexed trajectory's MBR (plus any configured root space),
 	// for partitioners that cut geographically.
 	Assign(t *trajectory.Trajectory, bounds geo.Rect, n int) int
-	// Kind is a short stable identifier recorded in snapshot headers
-	// ("hash", "grid", ...).
+	// Kind is the stable identifier recorded in snapshot headers
+	// ("hash" or "grid").
 	Kind() string
+	sealed()
 }
 
 // Hash partitions by a hash of the trajectory ID — the user-hash
@@ -44,6 +48,8 @@ func (Hash) Assign(t *trajectory.Trajectory, _ geo.Rect, n int) int {
 // Kind implements Partitioner.
 func (Hash) Kind() string { return "hash" }
 
+func (Hash) sealed() {}
+
 // Grid partitions by geographic cell: the data bounds are cut into a
 // ceil(sqrt(n)) × ceil(sqrt(n)) grid and a trajectory goes to the shard
 // of its source point's cell (row-major, modulo n). Queries with small
@@ -66,6 +72,8 @@ func (Grid) Assign(t *trajectory.Trajectory, bounds geo.Rect, n int) int {
 // Kind implements Partitioner.
 func (Grid) Kind() string { return "grid" }
 
+func (Grid) sealed() {}
+
 // cellOf maps v in [lo, hi] to a cell in [0, g): degenerate or inverted
 // ranges collapse to cell 0, and out-of-range points clamp to the edge
 // cells so late Inserts outside the original bounds still land somewhere.
@@ -83,16 +91,14 @@ func cellOf(v, lo, hi float64, g int) int {
 	return c
 }
 
-// PartitionerOf maps a snapshot-recorded kind back to a built-in
-// partitioner; ok is false for kinds this build does not know (custom
-// partitioners), in which case the restored index serves queries but
-// rejects Inserts.
-func PartitionerOf(kind string) (Partitioner, bool) {
+// PartitionerOf maps a snapshot-recorded kind back to its partitioner.
+// Any other kind is an error: no partitioner writes it.
+func PartitionerOf(kind string) (Partitioner, error) {
 	switch kind {
 	case "hash":
-		return Hash{}, true
+		return Hash{}, nil
 	case "grid":
-		return Grid{}, true
+		return Grid{}, nil
 	}
-	return nil, false
+	return nil, fmt.Errorf("shard: unknown partitioner kind %q", kind)
 }

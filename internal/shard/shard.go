@@ -61,7 +61,7 @@ func partition(users []*trajectory.Trajectory, opts Options) ([][]*trajectory.Tr
 	}
 	parts := make([][]*trajectory.Trajectory, opts.Shards)
 	for _, u := range users {
-		i := clampShard(opts.Partitioner.Assign(u, bounds, opts.Shards), opts.Shards)
+		i := opts.Partitioner.Assign(u, bounds, opts.Shards)
 		parts[i] = append(parts[i], u)
 	}
 	return parts, bounds
@@ -108,14 +108,4 @@ func buildTrees(parts [][]*trajectory.Trajectory, bounds geo.Rect, opts Options,
 		}
 	}
 	return nil
-}
-
-func clampShard(i, n int) int {
-	if i < 0 {
-		return 0
-	}
-	if i >= n {
-		return n - 1
-	}
-	return i
 }

@@ -321,7 +321,7 @@ func TestShardedInsertRoutesToOneShard(t *testing.T) {
 	if err := s.Insert(u); err != nil {
 		t.Fatal(err)
 	}
-	want := clampShard(Hash{}.Assign(u, s.Epochs()[0].Base().Bounds(), 4), 4)
+	want := Hash{}.Assign(u, s.Epochs()[0].Base().Bounds(), 4)
 	after := s.Sizes()
 	for i := range after {
 		delta := after[i] - before[i]
@@ -431,12 +431,12 @@ func TestShardedValidates(t *testing.T) {
 // TestPartitionerOfRoundTrip checks kind-string resolution.
 func TestPartitionerOfRoundTrip(t *testing.T) {
 	for _, part := range []Partitioner{Hash{}, Grid{}} {
-		got, ok := PartitionerOf(part.Kind())
-		if !ok || got.Kind() != part.Kind() {
+		got, err := PartitionerOf(part.Kind())
+		if err != nil || got.Kind() != part.Kind() {
 			t.Fatalf("kind %q did not round-trip", part.Kind())
 		}
 	}
-	if _, ok := PartitionerOf("bogus"); ok {
+	if _, err := PartitionerOf("bogus"); err == nil {
 		t.Fatal("unknown kind resolved")
 	}
 }
@@ -471,11 +471,11 @@ func TestFrozenAndLiveRejectDuplicateIDs(t *testing.T) {
 	}
 
 	a, b := frozenShardOf(t, users[:20]), frozenShardOf(t, users[20:])
-	if _, err := FrozenOf([]*tqtree.Frozen{a, b}, "hash"); err != nil {
+	if _, err := FrozenOf([]*tqtree.Frozen{a, b}, Hash{}); err != nil {
 		t.Fatalf("disjoint frozen shards: %v", err)
 	}
 	clash := frozenShardOf(t, append([]*trajectory.Trajectory{dupOf(users[5])}, users[20:]...))
-	if _, err := FrozenOf([]*tqtree.Frozen{a, clash}, "hash"); err == nil {
+	if _, err := FrozenOf([]*tqtree.Frozen{a, clash}, Hash{}); err == nil {
 		t.Fatal("FrozenOf accepted a base id in two shards")
 	}
 

@@ -14,21 +14,10 @@ package trajcover
 
 import (
 	"context"
-	"errors"
 
 	"github.com/trajcover/trajcover/internal/query"
 	"github.com/trajcover/trajcover/internal/shard"
 )
-
-// ErrImmutable marks an index that cannot accept the attempted write:
-// it was restored from a snapshot recorded with a partitioner this
-// build does not know, so inserts cannot be routed consistently with
-// the recorded partition. Test with errors.Is.
-var ErrImmutable = shard.ErrImmutable
-
-// IsImmutable reports whether err means the index rejects writes
-// because no usable partitioner survived restore.
-func IsImmutable(err error) bool { return errors.Is(err, ErrImmutable) }
 
 // ErrDuplicateID rejects an Insert whose ID is already in the logical
 // corpus. Typed so callers can tell a client mistake from a durability
@@ -36,31 +25,20 @@ func IsImmutable(err error) bool { return errors.Is(err, ErrImmutable) }
 var ErrDuplicateID = shard.ErrDuplicateID
 
 // LivePolicy tunes when an Index folds a shard's pending churn (delta
-// overlay + tombstones) into a fresh frozen base. The zero value
-// rebuilds a shard in the background once 4096 writes are pending or
-// the pending churn reaches 25% of the shard's base corpus.
+// overlay + tombstones) into a fresh frozen base. Unless Manual, a
+// shard rebuilds serially in the background once MaxDelta writes are
+// pending or, past 64 pending writes, once the churn reaches 25% of the
+// shard's base corpus.
 type LivePolicy struct {
 	// MaxDelta triggers a background rebuild at this many pending
 	// writes per shard (0 means 4096).
 	MaxDelta int
-	// MaxDeltaFraction triggers when pending churn reaches this
-	// fraction of the shard's base corpus (0 means 0.25; negative
-	// disables the fraction trigger).
-	MaxDeltaFraction float64
-	// RebuildParallelism bounds the goroutines a background rebuild may
-	// use (0 means 1, leaving the cores to the serving path).
-	RebuildParallelism int
 	// Manual disables automatic rebuilds; only Compact folds churn.
 	Manual bool
 }
 
 func (p LivePolicy) policy() shard.Policy {
-	return shard.Policy{
-		MaxDelta:           p.MaxDelta,
-		MaxDeltaFraction:   p.MaxDeltaFraction,
-		RebuildParallelism: p.RebuildParallelism,
-		Manual:             p.Manual,
-	}
+	return shard.Policy{MaxDelta: p.MaxDelta, Manual: p.Manual}
 }
 
 // LiveShardStats is one shard's live-serving state.
@@ -112,16 +90,14 @@ func (x *Index) Len() int { return x.s.Len() }
 
 // Insert routes a user trajectory to its shard's delta overlay. Safe
 // concurrently with every query method and with other writes. A
-// duplicate ID is rejected with ErrDuplicateID; an index restored with
-// an unknown partitioner returns ErrImmutable.
+// duplicate ID is rejected with ErrDuplicateID.
 func (x *Index) Insert(u *Trajectory) error { return x.s.Insert(u) }
 
 // Delete removes the trajectory with the given id from whichever shard
 // holds it, reporting whether it was present. Safe concurrently with
-// every query method — and works even when Insert is ErrImmutable,
-// because deletion routes by ID lookup, not by partitioner. The error
-// is always nil without a WAL; with one attached it reports a
-// durability failure (the delete was not acknowledged).
+// every query method. The error is always nil without a WAL; with one
+// attached it reports a durability failure (the delete was not
+// acknowledged).
 func (x *Index) Delete(id ID) (bool, error) { return x.s.Delete(id) }
 
 // Compact synchronously folds every shard's pending writes into fresh

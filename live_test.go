@@ -2,10 +2,7 @@ package trajcover
 
 import (
 	"bytes"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"reflect"
 	"slices"
@@ -14,18 +11,6 @@ import (
 	"testing"
 	"time"
 )
-
-// rewriteShardedHeaderCRC recomputes the TQSHRD03 header checksum over
-// data[:headerEnd] in place — used to forge a snapshot whose partitioner
-// kind this build does not know without tripping the CRC.
-func rewriteShardedHeaderCRC(t *testing.T, data []byte, headerEnd int) []byte {
-	t.Helper()
-	if headerEnd+4 > len(data) {
-		t.Fatal("stream too short for header CRC")
-	}
-	binary.LittleEndian.PutUint32(data[headerEnd:], crc32.ChecksumIEEE(data[:headerEnd]))
-	return data
-}
 
 // liveWorkload returns a serving corpus, an insert feed, and routes.
 func liveWorkload(t *testing.T) (base, feed []*Trajectory, routes []*Facility) {
@@ -338,9 +323,9 @@ func TestFrozenStaysFrozenAfterLive(t *testing.T) {
 	}
 }
 
-// restoredFrozenSharded freezes sidx, writes it as a TQSHRD03 stream —
-// passed through forge, if any — and reads it back.
-func restoredFrozenSharded(t *testing.T, sidx *Index, forge func(data []byte) []byte) *FrozenIndex {
+// restoredFrozenSharded freezes sidx, writes it as a TQSHRD03 stream and
+// reads it back.
+func restoredFrozenSharded(t *testing.T, sidx *Index) *FrozenIndex {
 	t.Helper()
 	fz, err := sidx.Freeze()
 	if err != nil {
@@ -350,11 +335,7 @@ func restoredFrozenSharded(t *testing.T, sidx *Index, forge func(data []byte) []
 	if err := fz.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	if forge != nil {
-		data = forge(data)
-	}
-	restored, err := ReadFrozenSnapshot(bytes.NewReader(data))
+	restored, err := ReadFrozenSnapshot(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +353,7 @@ func TestRestoredSnapshotBecomesMutable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv, err := restoredFrozenSharded(t, sidx, nil).Live(LivePolicy{Manual: true})
+	lv, err := restoredFrozenSharded(t, sidx).Live(LivePolicy{Manual: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,38 +392,6 @@ func TestRestoredSnapshotBecomesMutable(t *testing.T) {
 	}
 }
 
-// TestErrImmutableTyped: a restored index whose partitioner kind this
-// build does not know reports ErrImmutable (testable with errors.Is and
-// IsImmutable) from its live form's Insert, while Delete still works.
-func TestErrImmutableTyped(t *testing.T) {
-	base, feed, _ := liveWorkload(t)
-	sidx, err := NewIndex(base[:500], IndexOptions{Ordering: ZOrdering, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Forge an unknown partitioner kind in the header ("hash" -> "hasq")
-	// and fix up the header CRC so only the kind differs.
-	restored := restoredFrozenSharded(t, sidx, func(data []byte) []byte {
-		i := bytes.Index(data, []byte("hash"))
-		if i < 0 {
-			t.Fatal("kind not found in stream")
-		}
-		data[i+3] = 'q'
-		// Header CRC covers magic..kind; recompute it in place.
-		return rewriteShardedHeaderCRC(t, data, i+4)
-	})
-	lv, err := restored.Live(LivePolicy{Manual: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lv.Insert(feed[0]); !errors.Is(err, ErrImmutable) || !IsImmutable(err) {
-		t.Fatalf("live Insert = %v, want ErrImmutable", err)
-	}
-	if ok, err := lv.Delete(base[0].ID); err != nil || !ok {
-		t.Fatalf("live Delete on unknown-partitioner index = %v, %v", ok, err)
-	}
-}
-
 // TestLiveSnapshotUnderWrites checkpoints a live index while a writer
 // keeps churning: the stream must restore to a consistent index whose
 // corpus is some prefix of the write history, and the writer is never
@@ -453,7 +402,7 @@ func TestLiveSnapshotUnderWrites(t *testing.T) {
 	lv, err := NewIndex(base, IndexOptions{
 		Ordering: ZOrdering,
 		Shards:   2,
-		Policy:   LivePolicy{MaxDelta: 128, MaxDeltaFraction: -1},
+		Policy:   LivePolicy{MaxDelta: 128},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -504,7 +453,7 @@ func TestLiveConcurrentPublicAPI(t *testing.T) {
 	lv, err := NewIndex(base, IndexOptions{
 		Ordering: ZOrdering,
 		Shards:   2,
-		Policy:   LivePolicy{MaxDelta: 64, MaxDeltaFraction: -1},
+		Policy:   LivePolicy{MaxDelta: 64},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -569,5 +518,48 @@ func TestLiveConcurrentPublicAPI(t *testing.T) {
 	wantLen := len(base) + len(feed) - (len(feed)+2)/3
 	if lv.Len() != wantLen {
 		t.Fatalf("Len = %d, want %d", lv.Len(), wantLen)
+	}
+}
+
+// TestLivePolicyFractionTrigger pins the compaction trigger a zero
+// LivePolicy gets besides MaxDelta: a shard folds once its pending writes
+// reach 25% of its base, and at least 64 of them. A new tenant's empty
+// base folds after 64 writes rather than 4096, and a 1,000-trajectory
+// base after 250.
+func TestLivePolicyFractionTrigger(t *testing.T) {
+	users := TaxiTrips(NewYorkCity(), 1250, 17)
+	for _, tc := range []struct {
+		base, foldAt int
+	}{{0, 64}, {1000, 250}} {
+		idx, err := NewIndex(users[:tc.base], IndexOptions{Ordering: ZOrdering})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, u := range users[tc.base : tc.base+tc.foldAt] {
+			if i == tc.foldAt-1 {
+				// A rebuild triggered one write early lands within
+				// milliseconds at this size.
+				time.Sleep(100 * time.Millisecond)
+			}
+			if st := idx.Stats()[0]; st.Compactions != 0 {
+				t.Fatalf("base %d: a fold landed after %d writes, want it after %d", tc.base, i, tc.foldAt)
+			}
+			if err := idx.Insert(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for idx.Stats()[0].Compactions == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("base %d: no fold after %d writes", tc.base, tc.foldAt)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if st := idx.Stats()[0]; st.DeltaLen != 0 || st.Len != tc.base+tc.foldAt {
+			t.Fatalf("base %d: after the fold DeltaLen %d, Len %d; want 0, %d", tc.base, st.DeltaLen, st.Len, tc.base+tc.foldAt)
+		}
+		if err := idx.Err(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

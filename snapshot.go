@@ -45,6 +45,7 @@ import (
 
 	"github.com/trajcover/trajcover/internal/geo"
 	"github.com/trajcover/trajcover/internal/mmap"
+	"github.com/trajcover/trajcover/internal/shard"
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
@@ -287,8 +288,10 @@ func writeContainer(w io.Writer, magic, kind string, n int, size func(i int) uin
 // CRC and a zero pad. Each payload is CRC-checked before frame sees a
 // byte of it, and must be consumed exactly; frame parses it with a cursor
 // owned by pin. Bytes after the last declared frame are not read here: a
-// stream reader never sees them, a mapped open rejects them itself.
-func readContainer(take func(n uint64) ([]byte, error), want string, pin *mappedToken, frame func(c *cursor) error) (kind string, err error) {
+// stream reader never sees them, a mapped open rejects them itself. It
+// returns the partitioner the header records; any kind but "hash" and
+// "grid" is an ErrBadSnapshot.
+func readContainer(take func(n uint64) ([]byte, error), want string, pin *mappedToken, frame func(c *cursor) error) (shard.Partitioner, error) {
 	var crc uint32
 	hashed := func(n uint64) ([]byte, error) {
 		b, err := take(n)
@@ -297,70 +300,74 @@ func readContainer(take func(n uint64) ([]byte, error), want string, pin *mapped
 	}
 	magic, err := hashed(8)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if err := checkMagic(magic, want); err != nil {
-		return "", err
+		return nil, err
 	}
 	fixed, err := hashed(12)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	nShards, kindLen := binary.LittleEndian.Uint64(fixed), uint64(binary.LittleEndian.Uint32(fixed[8:]))
 	if kindLen > maxKindLen {
-		return "", fmt.Errorf("%w: implausible partitioner kind length %d", ErrBadSnapshot, kindLen)
+		return nil, fmt.Errorf("%w: implausible partitioner kind length %d", ErrBadSnapshot, kindLen)
 	}
 	kindBytes, err := hashed(kindLen)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	kind = string(kindBytes)
+	kind := string(kindBytes) // a stream's next take reuses the buffer
 	// The pads realign the stream after a CRC and sit outside every CRC,
 	// so they are checked to be zero: a flipped pad bit stays a loud error.
 	tail, err := take(4 + pad8(kindLen))
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if binary.LittleEndian.Uint32(tail) != crc {
-		return "", fmt.Errorf("%w: header checksum mismatch", ErrBadSnapshot)
+		return nil, fmt.Errorf("%w: header checksum mismatch", ErrBadSnapshot)
 	}
 	if !allZero(tail[4:]) {
-		return "", fmt.Errorf("%w: nonzero padding", ErrBadSnapshot)
+		return nil, fmt.Errorf("%w: nonzero padding", ErrBadSnapshot)
+	}
+	part, err := shard.PartitionerOf(kind)
+	if err != nil {
+		return nil, badSnapshot(err)
 	}
 	if nShards == 0 || nShards > maxShards {
-		return "", fmt.Errorf("%w: implausible shard count %d", ErrBadSnapshot, nShards)
+		return nil, fmt.Errorf("%w: implausible shard count %d", ErrBadSnapshot, nShards)
 	}
 
 	for s := uint64(0); s < nShards; s++ {
 		prefix, err := take(8)
 		if err != nil {
-			return "", fmt.Errorf("frame %d: %w", s, err)
+			return nil, fmt.Errorf("frame %d: %w", s, err)
 		}
 		payloadLen := binary.LittleEndian.Uint64(prefix)
 		if payloadLen > math.MaxUint64-8 {
-			return "", fmt.Errorf("%w: frame %d: implausible length %d", ErrBadSnapshot, s, payloadLen)
+			return nil, fmt.Errorf("%w: frame %d: implausible length %d", ErrBadSnapshot, s, payloadLen)
 		}
 		// Payload, CRC and pad in one take: a stream's buffer holds one.
 		b, err := take(payloadLen + 8)
 		if err != nil {
-			return "", fmt.Errorf("frame %d: %w", s, err)
+			return nil, fmt.Errorf("frame %d: %w", s, err)
 		}
 		payload, trailer := b[:payloadLen:payloadLen], b[payloadLen:]
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(trailer) {
-			return "", fmt.Errorf("%w: frame %d checksum mismatch", ErrBadSnapshot, s)
+			return nil, fmt.Errorf("%w: frame %d checksum mismatch", ErrBadSnapshot, s)
 		}
 		if !allZero(trailer[4:]) {
-			return "", fmt.Errorf("%w: frame %d nonzero padding", ErrBadSnapshot, s)
+			return nil, fmt.Errorf("%w: frame %d nonzero padding", ErrBadSnapshot, s)
 		}
 		c := &cursor{b: payload, pin: pin}
 		if err := frame(c); err != nil {
-			return "", fmt.Errorf("frame %d: %w", s, err)
+			return nil, fmt.Errorf("frame %d: %w", s, err)
 		}
 		if c.remaining() != 0 {
-			return "", fmt.Errorf("%w: frame %d has %d trailing bytes", ErrBadSnapshot, s, c.remaining())
+			return nil, fmt.Errorf("%w: frame %d has %d trailing bytes", ErrBadSnapshot, s, c.remaining())
 		}
 	}
-	return kind, nil
+	return part, nil
 }
 
 func allZero(b []byte) bool {

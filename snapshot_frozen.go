@@ -409,14 +409,14 @@ func parseFrozenSnapshot(data []byte, pin *mappedToken) (*FrozenIndex, error) {
 	if cur.remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, cur.remaining())
 	}
-	return frozenIndexOf([]*tqtree.Frozen{f}, shard.Hash{}.Kind())
+	return frozenIndexOf([]*tqtree.Frozen{f}, shard.Hash{})
 }
 
 // readFrozenSharded parses a TQSHRD03 container whose bytes take hands
 // out in order.
 func readFrozenSharded(take func(n uint64) ([]byte, error), pin *mappedToken) (*FrozenIndex, error) {
 	var bases []*tqtree.Frozen
-	kind, err := readContainer(take, shardedFrozenMagic, pin, func(c *cursor) error {
+	part, err := readContainer(take, shardedFrozenMagic, pin, func(c *cursor) error {
 		f, err := readFrozenPayload(c)
 		if err == nil {
 			bases = append(bases, f)
@@ -426,12 +426,12 @@ func readFrozenSharded(take func(n uint64) ([]byte, error), pin *mappedToken) (*
 	if err != nil {
 		return nil, err
 	}
-	return frozenIndexOf(bases, kind)
+	return frozenIndexOf(bases, part)
 }
 
 // frozenIndexOf serves restored shards, refusing an ID two of them share.
-func frozenIndexOf(bases []*tqtree.Frozen, kind string) (*FrozenIndex, error) {
-	sf, err := shard.FrozenOf(bases, kind)
+func frozenIndexOf(bases []*tqtree.Frozen, part shard.Partitioner) (*FrozenIndex, error) {
+	sf, err := shard.FrozenOf(bases, part)
 	if err != nil {
 		return nil, badSnapshot(err)
 	}

@@ -239,10 +239,13 @@ func TestSnapshotForgedLengthBuysNoMemory(t *testing.T) {
 // mapped open sees (and rejects) bytes after a container's last frame.
 func fuzzSnapshot(f *testing.F) {
 	formats := snapshotFormats(f, 30)
-	for _, sf := range formats {
+	for i, sf := range formats {
 		data := snapshotBytes(f, sf)
 		f.Add(data)
 		f.Add(data[:64])
+		if i > 0 {
+			f.Add(forgeUnknownKind(f, data))
+		}
 	}
 	for _, magic := range []string{"TQSNAP04", "TQSHRD03", "TQLIVE02", "TQSNAP03", "TQSHRD02", "TQLIVE01", "TQSNAP02", "TQSHRD01", ""} {
 		f.Add([]byte(magic))

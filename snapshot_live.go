@@ -125,7 +125,7 @@ func ReadLiveSnapshot(r io.Reader, pol LivePolicy) (*Index, error) {
 
 func readLive(take func(n uint64) ([]byte, error), pin *mappedToken, pol LivePolicy) (*Index, error) {
 	var eps []*query.Epoch
-	kind, err := readContainer(take, liveMagic, pin, func(c *cursor) error {
+	part, err := readContainer(take, liveMagic, pin, func(c *cursor) error {
 		ep, err := readLivePayload(c)
 		if err == nil {
 			eps = append(eps, ep)
@@ -135,7 +135,6 @@ func readLive(take func(n uint64) ([]byte, error), pin *mappedToken, pol LivePol
 	if err != nil {
 		return nil, err
 	}
-	part, _ := shard.PartitionerOf(kind)
 	l, err := shard.LiveFromEpochs(eps, part, pol.policy())
 	if err != nil {
 		return nil, badSnapshot(err)

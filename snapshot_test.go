@@ -2,7 +2,9 @@ package trajcover
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -270,6 +272,101 @@ func TestShardedSnapshotDetectsCorruption(t *testing.T) {
 			"corrupted header": header,
 			"truncated stream": good[:len(good)-9],
 		})
+	}
+}
+
+// forgeUnknownKind returns a copy of a TQSHRD03 or TQLIVE02 stream whose
+// header records the partitioner kind "hasq", which no partitioner
+// writes, with the header CRC fixed so that only the kind is wrong.
+func forgeUnknownKind(t testing.TB, data []byte) []byte {
+	t.Helper()
+	const kindAt = 20 // after the magic, the shard count and the kind length
+	if string(data[kindAt:kindAt+4]) != "hash" {
+		t.Fatalf("stream records kind %q, want hash", data[kindAt:kindAt+4])
+	}
+	d := bytes.Clone(data)
+	d[kindAt+3] = 'q'
+	binary.LittleEndian.PutUint32(d[kindAt+4:], crc32.ChecksumIEEE(d[:kindAt+4]))
+	return d
+}
+
+// TestSnapshotUnknownPartitionerKind: a container recording a partitioner
+// kind other than hash or grid is a malformed snapshot under every
+// reader, streamed and mapped, and under OpenIndex's checkpoint restore.
+func TestSnapshotUnknownPartitionerKind(t *testing.T) {
+	pol := LivePolicy{Manual: true}
+	readers := map[string]func(path string) error{
+		"ReadFrozenSnapshot": func(path string) error {
+			f, err := os.Open(path)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			_, err = ReadFrozenSnapshot(f)
+			return err
+		},
+		"OpenMappedFrozenSnapshot": func(path string) error {
+			_, err := OpenMappedFrozenSnapshot(path)
+			return err
+		},
+		"ReadLiveSnapshot": func(path string) error {
+			f, err := os.Open(path)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			_, err = ReadLiveSnapshot(f, pol)
+			return err
+		},
+		"OpenMappedLiveSnapshot": func(path string) error {
+			_, err := OpenMappedLiveSnapshot(path, pol)
+			return err
+		},
+	}
+	for _, sf := range snapshotFormats(t, 30)[1:] {
+		data := forgeUnknownKind(t, snapshotBytes(t, sf))
+		path := filepath.Join(t.TempDir(), sf.name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for name, read := range readers {
+			if strings.Contains(name, "Live") != (sf.name == "TQLIVE02") {
+				continue
+			}
+			if err := read(path); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), `"hasq"`) {
+				t.Errorf("%s of a %s stream recording kind hasq: err = %v, want ErrBadSnapshot naming the kind", name, sf.name, err)
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	users := TaxiTrips(NewYorkCity(), 40, 41)
+	lv, err := OpenIndex(WALOptions{Dir: dir}, pol, func() (*Index, error) {
+		return NewIndex(users, IndexOptions{Shards: 2, Policy: pol})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ckpts, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.tqlive"))
+	if err != nil || len(ckpts) != 1 {
+		t.Fatalf("checkpoints %v, %v; want one", ckpts, err)
+	}
+	data, err := os.ReadFile(ckpts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckpts[0], forgeUnknownKind(t, data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenIndex(WALOptions{Dir: dir}, pol, func() (*Index, error) {
+		t.Error("bootstrap called over a WAL directory with a checkpoint")
+		return nil, errors.New("bootstrap called")
+	})
+	if !errors.Is(err, ErrBadSnapshot) {
+		t.Errorf("OpenIndex over a checkpoint recording kind hasq: err = %v, want ErrBadSnapshot", err)
 	}
 }
 

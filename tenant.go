@@ -15,7 +15,6 @@ package trajcover
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -55,9 +54,6 @@ type TenantRegistryOptions struct {
 	// Past the cap, idle durable tenants — refcount zero, not bound via
 	// Bind — are checkpointed, closed, and dropped LRU.
 	MaxOpen int
-	// DisableCreate rejects writes to tenants that do not already exist
-	// (on disk or bound); reads always reject unknown tenants.
-	DisableCreate bool
 }
 
 // tenantEntry is one open tenant index.
@@ -150,7 +146,7 @@ func (r *TenantRegistry) Acquire(id string, create bool) (*Index, func(), error)
 	e := r.open[id]
 	if e == nil {
 		onDisk := r.opts.Root != "" && dirExists(filepath.Join(r.opts.Root, id))
-		if !onDisk && (!create || r.opts.DisableCreate) {
+		if !onDisk && !create {
 			return nil, nil, fmt.Errorf("%w: %q", ErrUnknownTenant, id)
 		}
 		idx, err := r.openTenantLocked(id)
@@ -249,17 +245,6 @@ func (r *TenantRegistry) Checkpoint(id string) error {
 	}
 	defer release()
 	return idx.Checkpoint()
-}
-
-// CheckpointTo checkpoints tenant id and streams the checkpoint bytes
-// to w (durable-first, like Index.CheckpointTo).
-func (r *TenantRegistry) CheckpointTo(id string, w io.Writer) error {
-	idx, release, err := r.Acquire(id, false)
-	if err != nil {
-		return err
-	}
-	defer release()
-	return idx.CheckpointTo(w)
 }
 
 // Tenants lists every known tenant — open ones plus (for a durable

@@ -226,19 +226,6 @@ func TestTenantRegistryBindPinned(t *testing.T) {
 	}
 }
 
-func TestTenantRegistryDisableCreate(t *testing.T) {
-	opts := testRegistryOptions(t.TempDir())
-	opts.DisableCreate = true
-	reg, err := OpenTenantRegistry(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
-	if _, _, err := reg.Acquire("newbie", true); !errors.Is(err, ErrUnknownTenant) {
-		t.Fatalf("DisableCreate write: %v", err)
-	}
-}
-
 func TestTenantRegistryInMemory(t *testing.T) {
 	reg, err := OpenTenantRegistry(TenantRegistryOptions{
 		Index: IndexOptions{
