@@ -71,8 +71,8 @@ func serviceValueMethods(c *bench.Context, paperN int, fs []*trajectory.Facility
 } {
 	p := benchParams(service.Binary)
 	bl := c.Baseline("nyt", paperN, tqtree.TwoPoint)
-	engB := c.Engine("nyt", paperN, tqtree.TwoPoint, tqtree.Basic)
-	engZ := c.Engine("nyt", paperN, tqtree.TwoPoint, tqtree.ZOrder)
+	idxB := c.Index("nyt", paperN, tqtree.TwoPoint, tqtree.Basic)
+	idxZ := c.Index("nyt", paperN, tqtree.TwoPoint, tqtree.ZOrder)
 	return []struct {
 		name string
 		fn   func(b *testing.B)
@@ -86,14 +86,14 @@ func serviceValueMethods(c *bench.Context, paperN int, fs []*trajectory.Facility
 		}},
 		{"TQ(B)", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := engB.ServiceValue(fs[i%len(fs)], p); err != nil {
+				if _, _, err := idxB.ServiceValue(fs[i%len(fs)], p); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}},
 		{"TQ(Z)", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := engZ.ServiceValue(fs[i%len(fs)], p); err != nil {
+				if _, _, err := idxZ.ServiceValue(fs[i%len(fs)], p); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -132,8 +132,8 @@ func topKMethods(c *bench.Context, kind string, paperN int, v tqtree.Variant, sc
 } {
 	p := benchParams(sc)
 	bl := c.Baseline(kind, paperN, v)
-	engB := c.Engine(kind, paperN, v, tqtree.Basic)
-	engZ := c.Engine(kind, paperN, v, tqtree.ZOrder)
+	baseB := c.Index(kind, paperN, v, tqtree.Basic).Base(0)
+	baseZ := c.Index(kind, paperN, v, tqtree.ZOrder).Base(0)
 	return []struct {
 		name string
 		fn   func(b *testing.B)
@@ -147,14 +147,14 @@ func topKMethods(c *bench.Context, kind string, paperN int, v tqtree.Variant, sc
 		}},
 		{"TQ(B)", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := engB.TopK(fs, k, p); err != nil {
+				if _, _, err := query.BestFirstTopK(baseB, fs, k, p); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}},
 		{"TQ(Z)", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := engZ.TopK(fs, k, p); err != nil {
+				if _, _, err := query.BestFirstTopK(baseZ, fs, k, p); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -273,8 +273,8 @@ func maxCovMethodBenches(c *bench.Context, paperN int, fs []*trajectory.Facility
 } {
 	p := benchParams(service.Binary)
 	bl := c.Baseline("nyt", paperN, tqtree.TwoPoint)
-	srcB := c.Source("nyt", paperN, tqtree.TwoPoint, tqtree.Basic)
-	srcZ := c.Source("nyt", paperN, tqtree.TwoPoint, tqtree.ZOrder)
+	srcB := c.Index("nyt", paperN, tqtree.TwoPoint, tqtree.Basic).Source()
+	srcZ := c.Index("nyt", paperN, tqtree.TwoPoint, tqtree.ZOrder).Source()
 	report := func(b *testing.B, served int) {
 		b.ReportMetric(float64(served), "users-served")
 	}
@@ -365,7 +365,7 @@ func BenchmarkFig11ApproxRatio(b *testing.B) {
 	p := benchParams(service.Binary)
 	for _, n := range []int{16, 32} {
 		fs := c.Routes("ny", n, benchStops)
-		src := c.Source("nyt", datagen.NYT1Day, tqtree.TwoPoint, tqtree.ZOrder)
+		src := c.Index("nyt", datagen.NYT1Day, tqtree.TwoPoint, tqtree.ZOrder).Source()
 		exact, err := maxcov.Exact(src, fs, 4, p)
 		if err != nil {
 			b.Fatal(err)
@@ -441,10 +441,9 @@ func BenchmarkAblationBeta(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng := query.NewFrozenEngine(fz, nil)
 		b.Run(fmt.Sprintf("beta=%d", beta), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := eng.TopK(fs, benchK, p); err != nil {
+				if _, _, err := query.BestFirstTopK(fz, fs, benchK, p); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -20,6 +20,7 @@ import (
 	"os"
 
 	trajcover "github.com/trajcover/trajcover"
+	"github.com/trajcover/trajcover/internal/shard"
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
@@ -84,13 +85,8 @@ func run(args []string, w io.Writer) error {
 	default:
 		return fmt.Errorf("unknown ordering %q", *ordering)
 	}
-	switch *partition {
-	case "hash":
-		opts.Partitioner = trajcover.HashPartitioner()
-	case "grid":
-		opts.Partitioner = trajcover.GridPartitioner()
-	default:
-		return fmt.Errorf("unknown partitioner %q", *partition)
+	if opts.Partitioner, err = shard.PartitionerOf(*partition); err != nil {
+		return fmt.Errorf("-partitioner: %w", err)
 	}
 	opts.Shards = *shards
 

@@ -201,8 +201,10 @@ func TestRunShardedRejections(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{
 		"-users", users, "-routes", routes, "-query", "topk", "-shards", "2", "-partitioner", "nope",
-	}, &out); err == nil {
-		t.Error("unknown partitioner accepted")
+	}, &out); err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Errorf("unknown partitioner: error %v, want one naming it", err)
+	} else if strings.Contains(out.String(), "indexed into") {
+		t.Errorf("unknown partitioner built an index:\n%s", out.String())
 	}
 }
 

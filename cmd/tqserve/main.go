@@ -77,6 +77,7 @@ import (
 	"github.com/trajcover/trajcover/internal/dist"
 	"github.com/trajcover/trajcover/internal/replog"
 	"github.com/trajcover/trajcover/internal/server"
+	"github.com/trajcover/trajcover/internal/shard"
 	"github.com/trajcover/trajcover/internal/tenant"
 )
 
@@ -144,6 +145,10 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal, ready func(addr 
 		return fmt.Errorf("-replica-of bootstraps from the primary: drop -tenant-root/-wal-dir/-snapshot/-synthetic")
 	}
 
+	part, err := shard.PartitionerOf(*partitioner)
+	if err != nil {
+		return fmt.Errorf("-partitioner: %w", err)
+	}
 	pol := trajcover.LivePolicy{MaxDelta: *maxDelta}
 
 	if *frontendOn {
@@ -225,10 +230,6 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal, ready func(addr 
 		if perr != nil {
 			return perr
 		}
-		part, perr := parsePartitioner(*partitioner)
-		if perr != nil {
-			return perr
-		}
 		reg, err := trajcover.OpenTenantRegistry(trajcover.TenantRegistryOptions{
 			Root: *tenantRoot,
 			WAL: trajcover.WALOptions{
@@ -291,10 +292,10 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal, ready func(addr 
 				ProbeMin:     *walProbeMin,
 				ProbeMax:     *walProbeMax,
 			}, pol, func() (*trajcover.Index, error) {
-				return buildIndex(*snapshot, *mmapSnapshot, *synthetic, *seed, *shards, *partitioner, pol)
+				return buildIndex(*snapshot, *mmapSnapshot, *synthetic, *seed, *shards, part, pol)
 			})
 		} else {
-			idx, err = buildIndex(*snapshot, *mmapSnapshot, *synthetic, *seed, *shards, *partitioner, pol)
+			idx, err = buildIndex(*snapshot, *mmapSnapshot, *synthetic, *seed, *shards, part, pol)
 		}
 		if err != nil {
 			return err
@@ -425,18 +426,8 @@ func serveLoop(hs *http.Server, ln net.Listener, stdout io.Writer, sig <-chan os
 	return <-drained
 }
 
-func parsePartitioner(name string) (trajcover.Partitioner, error) {
-	switch name {
-	case "hash":
-		return trajcover.HashPartitioner(), nil
-	case "grid":
-		return trajcover.GridPartitioner(), nil
-	}
-	return nil, fmt.Errorf("unknown partitioner %q (want hash or grid)", name)
-}
-
 // buildIndex restores or generates the served index.
-func buildIndex(snapshot string, mmapSnapshot bool, synthetic int, seed int64, shards int, partitioner string, pol trajcover.LivePolicy) (*trajcover.Index, error) {
+func buildIndex(snapshot string, mmapSnapshot bool, synthetic int, seed int64, shards int, part trajcover.Partitioner, pol trajcover.LivePolicy) (*trajcover.Index, error) {
 	if snapshot != "" {
 		if mmapSnapshot {
 			return trajcover.OpenMappedLiveSnapshot(snapshot, pol)
@@ -450,10 +441,6 @@ func buildIndex(snapshot string, mmapSnapshot bool, synthetic int, seed int64, s
 	}
 	if synthetic <= 0 {
 		return nil, fmt.Errorf("need -snapshot or -synthetic N")
-	}
-	part, err := parsePartitioner(partitioner)
-	if err != nil {
-		return nil, err
 	}
 	users := trajcover.TaxiTrips(trajcover.NewYorkCity(), synthetic, seed)
 	return trajcover.NewIndex(users, trajcover.IndexOptions{

@@ -80,13 +80,11 @@ func TestRunServesAndDrains(t *testing.T) {
 // TestBuildIndexErrors pins the CLI's configuration failure modes.
 func TestBuildIndexErrors(t *testing.T) {
 	var pol trajcover.LivePolicy
-	if _, err := buildIndex("", false, 0, 1, 1, "hash", pol); err == nil {
+	hash := trajcover.HashPartitioner()
+	if _, err := buildIndex("", false, 0, 1, 1, hash, pol); err == nil {
 		t.Fatal("no data source accepted")
 	}
-	if _, err := buildIndex("", false, 10, 1, 1, "bogus", pol); err == nil {
-		t.Fatal("bogus partitioner accepted")
-	}
-	if _, err := buildIndex("/does/not/exist.tqlive", false, 0, 1, 1, "hash", pol); err == nil {
+	if _, err := buildIndex("/does/not/exist.tqlive", false, 0, 1, 1, hash, pol); err == nil {
 		t.Fatal("missing snapshot accepted")
 	}
 }
@@ -349,9 +347,11 @@ func TestRunMultiTenantOverridesReload(t *testing.T) {
 }
 
 // TestRunFlagConflictsAndBadOverrides pins the CLI's refusal modes: a
-// bad overrides file at boot, -tenant-root combined with -wal-dir, and
-// -tenant-root with -snapshot are all startup errors, not silent
-// serving with wrong config.
+// bad overrides file at boot, -tenant-root combined with -wal-dir,
+// -tenant-root with -snapshot, and an unknown -partitioner under every
+// way of building an index are all startup errors, not silent serving
+// with wrong config. An unknown partitioner fails before anything is
+// built — no WAL, no tenant directory — naming the value.
 func TestRunFlagConflictsAndBadOverrides(t *testing.T) {
 	badOvr := filepath.Join(t.TempDir(), "bad.yaml")
 	if err := os.WriteFile(badOvr, []byte("tenants:\n  t1:\n    bogus_key: 1\n"), 0o644); err != nil {
@@ -366,6 +366,26 @@ func TestRunFlagConflictsAndBadOverrides(t *testing.T) {
 		sig := make(chan os.Signal)
 		if err := run(args, &out, sig, func(string) {}); err == nil {
 			t.Fatalf("args %v accepted", args)
+		}
+	}
+	walDir, tenantRoot := t.TempDir(), t.TempDir()
+	for _, args := range [][]string{
+		{"-synthetic", "10"},
+		{"-synthetic", "10", "-wal-dir", walDir},
+		{"-synthetic", "10", "-tenant-root", tenantRoot},
+		{"-frontend", "-backends", "http://127.0.0.1:1"},
+	} {
+		args = append(args, "-addr", "127.0.0.1:0", "-partitioner", "bogus")
+		var out bytes.Buffer
+		sig := make(chan os.Signal)
+		err := run(args, &out, sig, func(string) { t.Errorf("args %v: listening", args) })
+		if err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+			t.Fatalf("args %v: error %v, want one naming the partitioner", args, err)
+		}
+	}
+	for _, dir := range []string{walDir, tenantRoot} {
+		if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+			t.Fatalf("%s after an unknown partitioner: %d entries (%v), want none", dir, len(ents), err)
 		}
 	}
 }

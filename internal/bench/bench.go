@@ -142,7 +142,7 @@ type Context struct {
 	bj *datagen.City
 
 	users   map[string]*trajectory.Set
-	engines map[string]*query.FrozenEngine
+	indexes map[string]*shard.Frozen
 	bases   map[string]*query.Baseline
 	routes  map[string][]*trajectory.Facility
 }
@@ -154,7 +154,7 @@ func NewContext(cfg Config) *Context {
 		ny:      datagen.NewYork(),
 		bj:      datagen.Beijing(),
 		users:   map[string]*trajectory.Set{},
-		engines: map[string]*query.FrozenEngine{},
+		indexes: map[string]*shard.Frozen{},
 		bases:   map[string]*query.Baseline{},
 		routes:  map[string][]*trajectory.Facility{},
 	}
@@ -224,39 +224,28 @@ func (c *Context) Routes(city string, n, stops int) []*trajectory.Facility {
 	return fs
 }
 
-// Engine returns a memoized query engine over the given dataset/variant/
-// ordering.
-func (c *Context) Engine(kind string, paperN int, v tqtree.Variant, o tqtree.Ordering) *query.FrozenEngine {
+// Index returns a memoized one-shard index over the given dataset,
+// variant and ordering — one base served as an epoch with nothing
+// pending, the unit every shard of a served index is. The figures read
+// it four ways: exact values through its Scatter (the served pass),
+// best-first top-k and its seed bound through query.BestFirstTopK and
+// query.SeedBound over Base(0), and coverage through Source.
+func (c *Context) Index(kind string, paperN int, v tqtree.Variant, o tqtree.Ordering) *shard.Frozen {
 	users := c.Users(kind, paperN)
 	key := fmt.Sprintf("%s/%d/%v/%v", kind, users.Len(), v, o)
-	if e, ok := c.engines[key]; ok {
-		return e
+	if f, ok := c.indexes[key]; ok {
+		return f
 	}
-	e, err := buildEngine(users.All, tqtree.Options{Variant: v, Ordering: o})
+	fz, err := tqtree.BuildFrozen(users.All, tqtree.Options{Variant: v, Ordering: o})
 	if err != nil {
 		panic(fmt.Sprintf("bench: build tree: %v", err))
 	}
-	c.engines[key] = e
-	return e
-}
-
-func buildEngine(users []*trajectory.Trajectory, opts tqtree.Options) (*query.FrozenEngine, error) {
-	fz, err := tqtree.BuildFrozen(users, opts)
+	f, err := shard.FrozenOf([]*tqtree.Frozen{fz}, shard.Hash{})
 	if err != nil {
-		return nil, err
+		panic(fmt.Sprintf("bench: index: %v", err))
 	}
-	return query.NewFrozenEngine(fz, nil), nil
-}
-
-// Source serves the memoized Engine of the same arguments as a
-// MaxkCovRST coverage source.
-func (c *Context) Source(kind string, paperN int, v tqtree.Variant, o tqtree.Ordering) *shard.Source {
-	e := c.Engine(kind, paperN, v, o)
-	f, err := shard.FrozenOf([]*tqtree.Frozen{e.Frozen()}, shard.Hash{})
-	if err != nil {
-		panic(fmt.Sprintf("bench: source: %v", err))
-	}
-	return f.Source()
+	c.indexes[key] = f
+	return f
 }
 
 // Baseline returns a memoized baseline index over the dataset.

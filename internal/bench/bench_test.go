@@ -229,10 +229,10 @@ func TestContextMemoization(t *testing.T) {
 	if a != b {
 		t.Error("Users not memoized")
 	}
-	e1 := ctx.Engine(dsNYT, 100000, 0, 1)
-	e2 := ctx.Engine(dsNYT, 100000, 0, 1)
-	if e1 != e2 {
-		t.Error("Engine not memoized")
+	i1 := ctx.Index(dsNYT, 100000, 0, 1)
+	i2 := ctx.Index(dsNYT, 100000, 0, 1)
+	if i1 != i2 {
+		t.Error("Index not memoized")
 	}
 	r1 := ctx.Routes("ny", 8, 8)
 	r2 := ctx.Routes("ny", 8, 8)

@@ -1,12 +1,14 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"github.com/trajcover/trajcover/internal/datagen"
 	"github.com/trajcover/trajcover/internal/query"
 	"github.com/trajcover/trajcover/internal/service"
+	"github.com/trajcover/trajcover/internal/shard"
 	"github.com/trajcover/trajcover/internal/tqtree"
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
@@ -42,9 +44,9 @@ func expBound(ctx *Context) (*Table, error) {
 		{"NYT", dsNYT, "ny", datagen.NYT1Day, tqtree.TwoPoint, service.Binary},
 		{"BJG", dsBJG, "bj", datagen.BJGTrajectories, tqtree.Segmented, service.PointCount},
 	} {
-		eng := ctx.Engine(ds.kind, ds.paperN, ds.variant, tqtree.ZOrder)
+		idx := ctx.Index(ds.kind, ds.paperN, ds.variant, tqtree.ZOrder)
 		row := func(tick string, fs []*trajectory.Facility, k int, p query.Params) error {
-			ys, err := boundRow(eng, fs, k, p)
+			ys, err := boundRow(idx, fs, k, p)
 			if err != nil {
 				return err
 			}
@@ -74,16 +76,17 @@ func expBound(ctx *Context) (*Table, error) {
 }
 
 // boundRow is one row of expBound: {median UB/exact, min UB/exact, rank
-// gap at k, facilities the bound ranks below the k-th value}.
-func boundRow(eng *query.FrozenEngine, fs []*trajectory.Facility, k int, p query.Params) ([]float64, error) {
-	exact, _, err := eng.ServiceValues(fs, p, 0)
+// gap at k, facilities the bound ranks below the k-th value}. The exact
+// values are the served pass over idx, the bounds its base's SeedBound.
+func boundRow(idx *shard.Frozen, fs []*trajectory.Facility, k int, p query.Params) ([]float64, error) {
+	exact, _, err := idx.ServiceValuesCtx(context.Background(), fs, p, 0)
 	if err != nil {
 		return nil, err
 	}
 	bounds := make([]float64, len(fs))
 	var ratios []float64
 	for i, f := range fs {
-		bounds[i] = eng.UpperBound(f, p)
+		bounds[i] = query.SeedBound(idx.Base(0), f, p)
 		if exact[i] > 0 {
 			ratios = append(ratios, bounds[i]/exact[i])
 		}

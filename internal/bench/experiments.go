@@ -129,21 +129,22 @@ var workerAxis = []int{1, 2, 4, 8}
 // per-facility service values (ServiceValues) as the worker count grows.
 // On a single-core host the series should stay flat; on n cores it should
 // approach n× the single-worker rate because facilities shard
-// independently over a read-only tree. A served top-k is this batch plus
-// a sort (expShards times it through the scatter).
+// independently over a read-only tree. The batch is the served pass, a
+// one-shard index's Scatter; a served top-k is this batch plus a sort
+// (expShards times it at more shards).
 func expThroughput(ctx *Context) (*Table, error) {
 	t := &Table{
 		ID: "thrpt", Title: "batch throughput vs workers (NYT)",
 		XLabel: "workers", YLabel: "queries/sec",
 		Series: []Series{{Method: "ServiceValues"}},
 	}
-	eng := ctx.Engine(dsNYT, datagen.NYT1Day, tqtree.TwoPoint, tqtree.ZOrder)
+	idx := ctx.Index(dsNYT, datagen.NYT1Day, tqtree.TwoPoint, tqtree.ZOrder)
 	fs := ctx.Routes("ny", defaultFacilities, defaultStops)
 	p := ctx.Params(service.Binary)
 	for _, w := range workerAxis {
 		var qerr error
 		svSec := ctx.Time(func() {
-			if _, _, e := eng.ServiceValues(fs, p, w); e != nil {
+			if _, _, e := idx.ServiceValuesCtx(context.Background(), fs, p, w); e != nil {
 				qerr = e
 			}
 		})
@@ -212,7 +213,7 @@ func expScaling(ctx *Context) (*Table, error) {
 		n := int(frac * float64(datagen.NYT3Days))
 		users := trajectory.MustNewSet(datagen.TaxiTrips(datagen.NewYork(), n, ctx.Cfg.Seed+77))
 		bl := query.NewBaseline(users, tqtree.TwoPoint)
-		eng, err := buildEngine(users.All, tqtree.Options{Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder})
+		fz, err := tqtree.BuildFrozen(users.All, tqtree.Options{Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder})
 		if err != nil {
 			return nil, err
 		}
@@ -223,7 +224,7 @@ func expScaling(ctx *Context) (*Table, error) {
 			}
 		})
 		tqSec := ctx.Time(func() {
-			if _, _, e := eng.TopK(fs, defaultK, p); e != nil {
+			if _, _, e := query.BestFirstTopK(fz, fs, defaultK, p); e != nil {
 				qerr = e
 			}
 		})
@@ -251,8 +252,8 @@ func expPsi(ctx *Context) (*Table, error) {
 	t := topKTable("psi", "kMaxRRST time vs psi (NYT)", "psi(m)")
 	fs := ctx.Routes("ny", defaultFacilities, defaultStops)
 	bl := ctx.Baseline(dsNYT, datagen.NYT1Day, tqtree.TwoPoint)
-	engB := ctx.Engine(dsNYT, datagen.NYT1Day, tqtree.TwoPoint, tqtree.Basic)
-	engZ := ctx.Engine(dsNYT, datagen.NYT1Day, tqtree.TwoPoint, tqtree.ZOrder)
+	baseB := ctx.Index(dsNYT, datagen.NYT1Day, tqtree.TwoPoint, tqtree.Basic).Base(0)
+	baseZ := ctx.Index(dsNYT, datagen.NYT1Day, tqtree.TwoPoint, tqtree.ZOrder).Base(0)
 	for _, psi := range psiAxis {
 		p := query.Params{Scenario: service.Binary, Psi: psi}
 		var err error
@@ -262,12 +263,12 @@ func expPsi(ctx *Context) (*Table, error) {
 			}
 		})
 		tqbSec := ctx.Time(func() {
-			if _, _, e := engB.TopK(fs, defaultK, p); e != nil {
+			if _, _, e := query.BestFirstTopK(baseB, fs, defaultK, p); e != nil {
 				err = e
 			}
 		})
 		tqzSec := ctx.Time(func() {
-			if _, _, e := engZ.TopK(fs, defaultK, p); e != nil {
+			if _, _, e := query.BestFirstTopK(baseZ, fs, defaultK, p); e != nil {
 				err = e
 			}
 		})
@@ -304,8 +305,9 @@ func expDatasets(ctx *Context) (*Table, error) {
 	return t, nil
 }
 
-// timeServiceValue measures the average per-facility service-value time.
-func timeServiceValue(ctx *Context, eng *query.FrozenEngine, bl *query.Baseline, fs []*trajectory.Facility, p query.Params) (blSec, tqSec float64, err error) {
+// timeServiceValue measures the average per-facility service-value time:
+// the baseline's, and the served pass's over a one-shard index.
+func timeServiceValue(ctx *Context, idx *shard.Frozen, bl *query.Baseline, fs []*trajectory.Facility, p query.Params) (blSec, tqSec float64, err error) {
 	probe := fs
 	if len(probe) > 16 {
 		probe = probe[:16]
@@ -320,10 +322,10 @@ func timeServiceValue(ctx *Context, eng *query.FrozenEngine, bl *query.Baseline,
 			}
 		}) / float64(len(probe))
 	}
-	if eng != nil {
+	if idx != nil {
 		tqSec = ctx.Time(func() {
 			for _, f := range probe {
-				if _, _, e := eng.ServiceValue(f, p); e != nil {
+				if _, _, e := idx.ServiceValue(f, p); e != nil {
 					err = e
 					return
 				}
@@ -343,13 +345,13 @@ func expFig6a(ctx *Context) (*Table, error) {
 	for i, days := range userDayAxis {
 		fs := ctx.Routes("ny", defaultFacilities, defaultStops)
 		bl := ctx.Baseline(dsNYT, userDaySizes[i], tqtree.TwoPoint)
-		engB := ctx.Engine(dsNYT, userDaySizes[i], tqtree.TwoPoint, tqtree.Basic)
-		engZ := ctx.Engine(dsNYT, userDaySizes[i], tqtree.TwoPoint, tqtree.ZOrder)
-		blSec, tqbSec, err := timeServiceValue(ctx, engB, bl, fs, p)
+		idxB := ctx.Index(dsNYT, userDaySizes[i], tqtree.TwoPoint, tqtree.Basic)
+		idxZ := ctx.Index(dsNYT, userDaySizes[i], tqtree.TwoPoint, tqtree.ZOrder)
+		blSec, tqbSec, err := timeServiceValue(ctx, idxB, bl, fs, p)
 		if err != nil {
 			return nil, err
 		}
-		_, tqzSec, err := timeServiceValue(ctx, engZ, nil, fs, p)
+		_, tqzSec, err := timeServiceValue(ctx, idxZ, nil, fs, p)
 		if err != nil {
 			return nil, err
 		}
@@ -369,15 +371,15 @@ func expFig6b(ctx *Context) (*Table, error) {
 	}
 	p := ctx.Params(service.Binary)
 	bl := ctx.Baseline(dsNYT, datagen.NYT1Day, tqtree.TwoPoint)
-	engB := ctx.Engine(dsNYT, datagen.NYT1Day, tqtree.TwoPoint, tqtree.Basic)
-	engZ := ctx.Engine(dsNYT, datagen.NYT1Day, tqtree.TwoPoint, tqtree.ZOrder)
+	idxB := ctx.Index(dsNYT, datagen.NYT1Day, tqtree.TwoPoint, tqtree.Basic)
+	idxZ := ctx.Index(dsNYT, datagen.NYT1Day, tqtree.TwoPoint, tqtree.ZOrder)
 	for _, stops := range stopsAxis {
 		fs := ctx.Routes("ny", defaultFacilities, stops)
-		blSec, tqbSec, err := timeServiceValue(ctx, engB, bl, fs, p)
+		blSec, tqbSec, err := timeServiceValue(ctx, idxB, bl, fs, p)
 		if err != nil {
 			return nil, err
 		}
-		_, tqzSec, err := timeServiceValue(ctx, engZ, nil, fs, p)
+		_, tqzSec, err := timeServiceValue(ctx, idxZ, nil, fs, p)
 		if err != nil {
 			return nil, err
 		}
@@ -392,8 +394,8 @@ func expFig6b(ctx *Context) (*Table, error) {
 // timeTopK measures one kMaxRRST query for the three standard methods.
 func timeTopK(ctx *Context, kind string, paperN int, variant tqtree.Variant, fs []*trajectory.Facility, k int, p query.Params) (blSec, tqbSec, tqzSec float64, err error) {
 	bl := ctx.Baseline(kind, paperN, variant)
-	engB := ctx.Engine(kind, paperN, variant, tqtree.Basic)
-	engZ := ctx.Engine(kind, paperN, variant, tqtree.ZOrder)
+	baseB := ctx.Index(kind, paperN, variant, tqtree.Basic).Base(0)
+	baseZ := ctx.Index(kind, paperN, variant, tqtree.ZOrder).Base(0)
 	blSec = ctx.Time(func() {
 		if _, e := bl.TopK(fs, k, p); e != nil {
 			err = e
@@ -403,7 +405,7 @@ func timeTopK(ctx *Context, kind string, paperN int, variant tqtree.Variant, fs 
 		return
 	}
 	tqbSec = ctx.Time(func() {
-		if _, _, e := engB.TopK(fs, k, p); e != nil {
+		if _, _, e := query.BestFirstTopK(baseB, fs, k, p); e != nil {
 			err = e
 		}
 	})
@@ -411,7 +413,7 @@ func timeTopK(ctx *Context, kind string, paperN int, variant tqtree.Variant, fs 
 		return
 	}
 	tqzSec = ctx.Time(func() {
-		if _, _, e := engZ.TopK(fs, k, p); e != nil {
+		if _, _, e := query.BestFirstTopK(baseZ, fs, k, p); e != nil {
 			err = e
 		}
 	})
@@ -580,8 +582,8 @@ func expFig9b(ctx *Context) (*Table, error) {
 func maxCovMethods(ctx *Context, paperN int, fs []*trajectory.Facility, k int) (secs, served []float64, err error) {
 	p := ctx.Params(service.Binary)
 	bl := ctx.Baseline(dsNYT, paperN, tqtree.TwoPoint)
-	srcB := ctx.Source(dsNYT, paperN, tqtree.TwoPoint, tqtree.Basic)
-	srcZ := ctx.Source(dsNYT, paperN, tqtree.TwoPoint, tqtree.ZOrder)
+	srcB := ctx.Index(dsNYT, paperN, tqtree.TwoPoint, tqtree.Basic).Source()
+	srcZ := ctx.Index(dsNYT, paperN, tqtree.TwoPoint, tqtree.ZOrder).Source()
 
 	var res maxcov.Result
 	run := func(fn func() (maxcov.Result, error)) float64 {
@@ -693,7 +695,7 @@ const fig11K = 4
 
 func approxRatios(ctx *Context, paperN int, fs []*trajectory.Facility) (greedy, genetic float64, err error) {
 	p := ctx.Params(service.Binary)
-	src := ctx.Source(dsNYT, paperN, tqtree.TwoPoint, tqtree.ZOrder)
+	src := ctx.Index(dsNYT, paperN, tqtree.TwoPoint, tqtree.ZOrder).Source()
 	exact, err := maxcov.Exact(src, fs, fig11K, p)
 	if err != nil {
 		return 0, 0, err

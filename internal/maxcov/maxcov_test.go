@@ -554,7 +554,6 @@ func TestTwoStepCandidatesMatchBestFirst(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := query.NewFrozenEngine(fz, nil)
 		f, err := shard.FrozenOf([]*tqtree.Frozen{fz}, shard.Hash{})
 		if err != nil {
 			t.Fatal(err)
@@ -565,7 +564,7 @@ func TestTwoStepCandidatesMatchBestFirst(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			best, _, err := eng.TopK(facilities, kPrime, p)
+			best, _, err := query.BestFirstTopK(fz, facilities, kPrime, p)
 			if err != nil {
 				t.Fatal(err)
 			}

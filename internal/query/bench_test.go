@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -14,8 +15,8 @@ import (
 type benchEnv struct {
 	users *trajectory.Set
 	fs    []*trajectory.Facility
-	engZ  *FrozenEngine
-	engB  *FrozenEngine
+	epZ   *Epoch
+	epB   *Epoch
 	bl    *Baseline
 }
 
@@ -32,8 +33,8 @@ func getEnv(b *testing.B) *benchEnv {
 	sharedEnv = &benchEnv{
 		users: users,
 		fs:    fs,
-		engZ:  engineOver(b, users.All, tqtree.Options{Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder}),
-		engB:  engineOver(b, users.All, tqtree.Options{Variant: tqtree.TwoPoint, Ordering: tqtree.Basic}),
+		epZ:   baseEpoch(b, users.All, tqtree.Options{Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder}),
+		epB:   baseEpoch(b, users.All, tqtree.Options{Variant: tqtree.TwoPoint, Ordering: tqtree.Basic}),
 		bl:    NewBaseline(users, tqtree.TwoPoint),
 	}
 	return sharedEnv
@@ -46,7 +47,7 @@ func BenchmarkTopKZOrder(b *testing.B) {
 	b.ReportAllocs() // guards the relaxState span/buf scratch reuse
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := env.engZ.TopK(env.fs, 8, benchParams); err != nil {
+		if _, _, err := BestFirstTopK(env.epZ.Base(), env.fs, 8, benchParams); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,7 +59,7 @@ func BenchmarkServiceValuesWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := env.engZ.ServiceValues(env.fs, benchParams, workers); err != nil {
+				if _, _, err := env.epZ.ServiceValuesCtx(context.Background(), env.fs, benchParams, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -70,7 +71,7 @@ func BenchmarkTopKBasic(b *testing.B) {
 	env := getEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := env.engB.TopK(env.fs, 8, benchParams); err != nil {
+		if _, _, err := BestFirstTopK(env.epB.Base(), env.fs, 8, benchParams); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -91,7 +92,7 @@ func BenchmarkServiceValueZOrder(b *testing.B) {
 	b.ReportAllocs() // guards the pooled compArena + StopSet hot path
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := env.engZ.ServiceValue(env.fs[i%len(env.fs)], benchParams); err != nil {
+		if _, _, err := env.epZ.ServiceValue(env.fs[i%len(env.fs)], benchParams); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -108,7 +109,7 @@ func BenchmarkServiceValueScenarios(b *testing.B) {
 		b.Run(sc.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := env.engZ.ServiceValue(env.fs[i%len(env.fs)], p); err != nil {
+				if _, _, err := env.epZ.ServiceValue(env.fs[i%len(env.fs)], p); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -118,14 +119,10 @@ func BenchmarkServiceValueScenarios(b *testing.B) {
 
 func BenchmarkCoverageZOrder(b *testing.B) {
 	env := getEnv(b)
-	ep, err := NewEpoch(env.engZ.Frozen(), nil, nil, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := i % len(env.fs)
-		if _, _, err := ep.Cover(env.fs[j:j+1], benchParams); err != nil {
+		if _, _, err := env.epZ.Cover(env.fs[j:j+1], benchParams); err != nil {
 			b.Fatal(err)
 		}
 	}

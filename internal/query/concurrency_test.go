@@ -11,28 +11,24 @@ import (
 
 // TestConcurrentQueriesAreConsistent exercises the documented guarantee
 // that a frozen base is safe for concurrent readers: queries never mutate
-// the tree, so parallel TopK/ServiceValue calls on the engine and Cover
-// calls on an epoch over the same base must all succeed and agree with
-// the serial answers. Run with -race to verify.
+// the tree, so parallel best-first top-k calls on the base and
+// ServiceValue and Cover calls on an epoch over it must all succeed and
+// agree with the serial answers. Run with -race to verify.
 func TestConcurrentQueriesAreConsistent(t *testing.T) {
 	users := makeUsers(2000, 2, 150)
 	facilities := makeFacilities(30, 12, 151)
-	eng := engineOver(t, users.All, tqtree.Options{
+	ep := baseEpoch(t, users.All, tqtree.Options{
 		Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder, Bounds: testBounds,
 	})
-	ep, err := NewEpoch(eng.Frozen(), nil, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := Params{Scenario: service.Binary, Psi: 40}
 
-	wantTop, _, err := eng.TopK(facilities, 5, p)
+	wantTop, _, err := BestFirstTopK(ep.Base(), facilities, 5, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantSV := make([]float64, len(facilities))
 	for i, f := range facilities {
-		wantSV[i], _, err = eng.ServiceValue(f, p)
+		wantSV[i], _, err = ep.ServiceValue(f, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +42,7 @@ func TestConcurrentQueriesAreConsistent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for rep := 0; rep < 5; rep++ {
-				top, _, err := eng.TopK(facilities, 5, p)
+				top, _, err := BestFirstTopK(ep.Base(), facilities, 5, p)
 				if err != nil {
 					errs <- err
 					return
@@ -59,7 +55,7 @@ func TestConcurrentQueriesAreConsistent(t *testing.T) {
 					}
 				}
 				j := (w + rep) % len(facilities)
-				sv, _, err := eng.ServiceValue(facilities[j], p)
+				sv, _, err := ep.ServiceValue(facilities[j], p)
 				if err != nil {
 					errs <- err
 					return

@@ -11,9 +11,8 @@ package query
 // is the one place a query polls its deadline.
 //
 // The batch loop (serviceValues in layout.go) polls CtxErr once per
-// facility. A nil context (FrozenEngine.ServiceValues) or one that can
-// never be cancelled costs a branch, far below the node-list evaluations
-// a facility performs.
+// facility. A nil context or one that can never be cancelled costs a
+// branch, far below the node-list evaluations a facility performs.
 
 import "context"
 

@@ -82,11 +82,7 @@ func (c *countdownCtx) Value(any) any               { return nil }
 // place a query polls its context.
 func ctxEngines(t *testing.T) map[string]func(context.Context, []*trajectory.Facility, Params, int) ([]float64, Metrics, error) {
 	t.Helper()
-	eng := executorEnv(t, tqtree.TwoPoint, tqtree.ZOrder)
-	ep, err := NewEpoch(eng.Frozen(), nil, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ep := executorEnv(t, tqtree.TwoPoint, tqtree.ZOrder)
 	return map[string]func(context.Context, []*trajectory.Facility, Params, int) ([]float64, Metrics, error){
 		"Epoch": ep.ServiceValuesCtx,
 	}
@@ -94,15 +90,22 @@ func ctxEngines(t *testing.T) map[string]func(context.Context, []*trajectory.Fac
 
 // TestCtxVariantsMatchPlain: with a context that never cancels,
 // ServiceValuesCtx answers byte-identically — values and metrics — to
-// ServiceValues, serially and on a pool.
+// per-facility ServiceValue, which polls no context, serially and on a
+// pool.
 func TestCtxVariantsMatchPlain(t *testing.T) {
-	eng := executorEnv(t, tqtree.TwoPoint, tqtree.ZOrder)
+	ep := executorEnv(t, tqtree.TwoPoint, tqtree.ZOrder)
 	fs := makeFacilities(32, 12, 301)
 	p := Params{Scenario: service.Binary, Psi: 45}
 
-	want, wantM, err := eng.ServiceValues(fs, p, 1)
-	if err != nil {
-		t.Fatal(err)
+	want := make([]float64, len(fs))
+	var wantM Metrics
+	for i, f := range fs {
+		v, m, err := ep.ServiceValue(f, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = v
+		wantM.Add(m)
 	}
 	for name, values := range ctxEngines(t) {
 		for _, workers := range []int{1, 3} {
@@ -169,10 +172,10 @@ func TestCtxAbortsMidQuery(t *testing.T) {
 // honors cancellation in both its serial and worker paths.
 func TestEpochServiceValuesCtx(t *testing.T) {
 	users := makeUsers(800, 2, 304)
-	base := engineOver(t, users.All[:600], tqtree.Options{
+	base := baseEpoch(t, users.All[:600], tqtree.Options{
 		Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder, Bounds: testBounds,
 	})
-	ep, err := NewEpoch(base.Frozen(), users.All[600:], nil, 1)
+	ep, err := NewEpoch(base.Base(), users.All[600:], nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,10 +19,10 @@ package query
 // integral scenario) are identical to a from-scratch build of the
 // logical corpus, and fractional scenarios agree up to float summation
 // order. With an empty delta and no tombstones an epoch is the paper's
-// index: every path below runs FrozenEngine's, byte-identical in both
-// answers and Metrics — which is why every shard of both public index
-// types serves as an Epoch, a frozen one as a gen-0 epoch with nothing
-// pending.
+// index: every path below is Algorithm 1 or the coverage walk over the
+// base as built, answers and Metrics — which is why every shard of both
+// public index types serves as an Epoch, a frozen one as a gen-0 epoch
+// with nothing pending.
 
 import (
 	"context"
@@ -266,10 +266,10 @@ func (ep *Epoch) validate(p Params) error {
 
 // deltaService scans the delta overlay for one facility, accumulating
 // each intersecting trajectory's exact objective. The whole overlay is
-// accounted as one q-node list in the metrics. A nil epoch, or an empty
-// overlay, adds 0 and counts nothing.
+// accounted as one q-node list in the metrics. An empty overlay adds 0
+// and counts nothing.
 func (ep *Epoch) deltaService(f *trajectory.Facility, p Params, m *Metrics) float64 {
-	if ep == nil || len(ep.delta) == 0 {
+	if len(ep.delta) == 0 {
 		return 0
 	}
 	m.NodesVisited++
@@ -307,15 +307,24 @@ func deltaObjective(v tqtree.Variant, sc service.Scenario, u *trajectory.Traject
 
 // ServiceValue computes SO(U, f) over the logical corpus: the masked
 // base traversal (Algorithm 1 over the frozen layout) plus the delta
-// scan. With an empty delta and no tombstones it is byte-identical —
-// answer and Metrics — to FrozenEngine.ServiceValue.
+// scan. With an empty delta and no tombstones it is Algorithm 1 over
+// the base as built, answer and Metrics.
 func (ep *Epoch) ServiceValue(f *trajectory.Facility, p Params) (float64, Metrics, error) {
+	// A mapped base's columns (and mapped delta points) alias a file
+	// mapping whose lifetime is a finalizer on the base's pin; the
+	// KeepAlive pins ep, and so the mapping, across the whole evaluation
+	// even if the compiler proves ep dead mid-call. Same pattern on every
+	// query entry point of this package.
 	defer runtime.KeepAlive(ep)
 	if err := ep.validate(p); err != nil {
 		return 0, Metrics{}, err
 	}
-	so, m := serviceValue(ep.layout(), f, p, ep)
-	return so, m, nil
+	l := ep.layout()
+	var m Metrics
+	arena := acquireCompArena(len(f.Stops))
+	so := evaluateService(l, 0, f.Stops, p, l.f.FilterModeFor(p.Scenario), l.f.AncestorsCanServe(p.Scenario), &m, arena)
+	putCompArena(arena)
+	return so + ep.deltaService(f, p, &m), m, nil
 }
 
 // ServiceValuesCtx computes SO(U, f) for every facility in one batch
@@ -325,24 +334,20 @@ func (ep *Epoch) ServiceValue(f *trajectory.Facility, p Params) (float64, Metric
 // is added after it. The batch checks ctx between facilities (in every
 // worker) and returns ctx.Err() instead of an answer once it is done.
 func (ep *Epoch) ServiceValuesCtx(ctx context.Context, facilities []*trajectory.Facility, p Params, workers int) ([]float64, Metrics, error) {
-	// Pins a mapped base (and mapped delta points) for the whole batch;
-	// see FrozenEngine.ServiceValue.
-	defer runtime.KeepAlive(ep)
+	defer runtime.KeepAlive(ep) // see ServiceValue
 	if err := ep.validate(p); err != nil {
 		return nil, Metrics{}, err
 	}
-	return serviceValues(ctx, ep.layout(), facilities, p, workers, ep)
+	return serviceValues(ctx, ep, facilities, p, workers)
 }
 
 // UpperBound is a sound overestimate of f's service value over the
-// epoch's logical corpus, read without evaluating anything: the frozen
-// base's seed bound (FrozenEngine.UpperBound — tombstones only lower the
-// true value) plus, when the overlay is non-empty, its precomputed
-// per-scenario bound. Like FrozenEngine.UpperBound it does not validate
-// p, and it is a diagnostic: no top-k consults it.
+// epoch's logical corpus, read without evaluating anything: the base's
+// SeedBound (tombstones only lower the true value) plus, when the overlay
+// is non-empty, its precomputed per-scenario bound. Like SeedBound it
+// does not validate p, and it is a diagnostic: no top-k consults it.
 func (ep *Epoch) UpperBound(f *trajectory.Facility, p Params) float64 {
-	defer runtime.KeepAlive(ep)
-	ub := upperBound(frozenLayout{f: ep.base}, f, p)
+	ub := SeedBound(ep.base, f, p)
 	if len(ep.delta) > 0 {
 		ub += ep.deltaUB[p.Scenario]
 	}

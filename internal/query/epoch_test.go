@@ -10,64 +10,68 @@ import (
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
-// frozenEngineOver builds a frozen engine over a corpus.
-func frozenEngineOver(t *testing.T, users *trajectory.Set, v tqtree.Variant, o tqtree.Ordering) *FrozenEngine {
+// emptyEpochOver builds a base over a corpus and serves it as an epoch
+// with nothing pending.
+func emptyEpochOver(t *testing.T, users *trajectory.Set, v tqtree.Variant, o tqtree.Ordering) *Epoch {
 	t.Helper()
-	return engineOver(t, users.All, tqtree.Options{Variant: v, Ordering: o, Beta: 8, Bounds: testBounds})
+	return baseEpoch(t, users.All, tqtree.Options{Variant: v, Ordering: o, Beta: 8, Bounds: testBounds})
 }
 
 // TestEpochEmptyDeltaByteIdentical is the delta-overlay regression
-// anchor: an epoch with an empty delta and no tombstones must be
-// byte-identical — answers AND metrics — to the plain frozen engine,
-// across every variant × ordering.
+// anchor: an epoch with an empty delta and no tombstones — what every
+// frozen shard serves — answers the brute-force oracle across every
+// variant × ordering × scenario, per facility and in a batch at every
+// worker count bit for bit, with Metrics that repeat exactly from run to
+// run and from pool to pool, and its bound is the base's alone.
 func TestEpochEmptyDeltaByteIdentical(t *testing.T) {
 	users := makeUsers(500, 4, 501)
 	facilities := makeFacilities(24, 8, 502)
 	for _, cfg := range validConfigs(true) {
-		feng := frozenEngineOver(t, users, cfg.variant, cfg.ordering)
-		ep, err := NewEpoch(feng.Frozen(), nil, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ep := emptyEpochOver(t, users, cfg.variant, cfg.ordering)
 		p := Params{Scenario: cfg.scenario, Psi: 40}
 		name := cfg.variant.String() + "/" + cfg.ordering.String() + "/" + cfg.scenario.String()
 
-		for _, f := range facilities {
-			wantV, wantM, err := feng.ServiceValue(f, p)
+		want := make([]float64, len(facilities))
+		var wantM Metrics
+		for i, f := range facilities {
+			v, m, err := ep.ServiceValue(f, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotV, gotM, err := ep.ServiceValue(f, p)
+			again, againM, err := ep.ServiceValue(f, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if gotV != wantV || gotM != wantM {
-				t.Fatalf("%s: epoch ServiceValue(%d) = (%v, %+v), frozen = (%v, %+v)",
-					name, f.ID, gotV, gotM, wantV, wantM)
+			if math.Float64bits(again) != math.Float64bits(v) || againM != m {
+				t.Fatalf("%s: ServiceValue(%d) = (%v, %+v), then (%v, %+v)", name, f.ID, v, m, again, againM)
 			}
+			exact := ExactServiceValue(cfg.variant, cfg.scenario, users, f.Stops, p.Psi)
+			if cfg.scenario == service.Binary && v != exact || math.Abs(v-exact) > 1e-6*(1+exact) {
+				t.Fatalf("%s: ServiceValue(%d) = %v, brute force %v", name, f.ID, v, exact)
+			}
+			want[i] = v
+			wantM.Add(m)
 		}
 
-		wantVs, wantM, err := feng.ServiceValues(facilities, p, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotVs, gotM, err := ep.ServiceValuesCtx(context.Background(), facilities, p, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotM != wantM {
-			t.Fatalf("%s: batch metrics = %+v, frozen = %+v", name, gotM, wantM)
-		}
-		for i := range wantVs {
-			if gotVs[i] != wantVs[i] {
-				t.Fatalf("%s: batch value[%d] = %v, frozen = %v", name, i, gotVs[i], wantVs[i])
+		for _, workers := range []int{1, 3, 1, 3} {
+			got, gotM, err := ep.ServiceValuesCtx(context.Background(), facilities, p, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotM != wantM {
+				t.Fatalf("%s workers=%d: batch metrics = %+v, per facility %+v", name, workers, gotM, wantM)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s workers=%d: batch value[%d] = %v, per facility %v", name, workers, i, got[i], want[i])
+				}
 			}
 		}
 
 		// The seed bound: an empty overlay adds nothing to the base's.
 		for _, f := range facilities {
-			if got, want := ep.UpperBound(f, p), feng.UpperBound(f, p); got != want {
-				t.Fatalf("%s: epoch UpperBound(%d) = %v, frozen = %v", name, f.ID, got, want)
+			if got, want := ep.UpperBound(f, p), SeedBound(ep.Base(), f, p); got != want {
+				t.Fatalf("%s: epoch UpperBound(%d) = %v, base %v", name, f.ID, got, want)
 			}
 		}
 	}
@@ -78,7 +82,7 @@ func TestEpochEmptyDeltaByteIdentical(t *testing.T) {
 func epochOver(t *testing.T, users *trajectory.Set, v tqtree.Variant, o tqtree.Ordering, baseN, deadEvery int) (*Epoch, *trajectory.Set) {
 	t.Helper()
 	base := trajectory.MustNewSet(users.All[:baseN])
-	feng := frozenEngineOver(t, base, v, o)
+	built := emptyEpochOver(t, base, v, o)
 	delta := users.All[baseN:]
 	var dead []trajectory.ID
 	logical := make([]*trajectory.Trajectory, 0, users.Len())
@@ -90,7 +94,7 @@ func epochOver(t *testing.T, users *trajectory.Set, v tqtree.Variant, o tqtree.O
 		logical = append(logical, u)
 	}
 	logical = append(logical, delta...)
-	ep, err := NewEpoch(feng.Frozen(), delta, dead, 1)
+	ep, err := NewEpoch(built.Base(), delta, dead, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +109,7 @@ func TestEpochMatchesFreshBuild(t *testing.T) {
 	facilities := makeFacilities(24, 8, 504)
 	for _, cfg := range validConfigs(true) {
 		ep, logical := epochOver(t, users, cfg.variant, cfg.ordering, 450, 5)
-		fresh := frozenEngineOver(t, logical, cfg.variant, cfg.ordering)
+		fresh := emptyEpochOver(t, logical, cfg.variant, cfg.ordering)
 		p := Params{Scenario: cfg.scenario, Psi: 40}
 		name := cfg.variant.String() + "/" + cfg.ordering.String() + "/" + cfg.scenario.String()
 
@@ -141,28 +145,28 @@ func TestEpochMatchesFreshBuild(t *testing.T) {
 func TestNewEpochValidation(t *testing.T) {
 	users := makeUsers(100, 2, 507)
 	base := trajectory.MustNewSet(users.All[:80])
-	feng := frozenEngineOver(t, base, tqtree.TwoPoint, tqtree.ZOrder)
+	built := emptyEpochOver(t, base, tqtree.TwoPoint, tqtree.ZOrder)
 
 	// Tombstone naming no base trajectory.
-	if _, err := NewEpoch(feng.Frozen(), nil, []trajectory.ID{999}, 0); err == nil {
+	if _, err := NewEpoch(built.Base(), nil, []trajectory.ID{999}, 0); err == nil {
 		t.Error("tombstone for unknown id accepted")
 	}
 	// One base trajectory tombstoned twice.
-	if _, err := NewEpoch(feng.Frozen(), nil, []trajectory.ID{users.All[3].ID, users.All[5].ID, users.All[3].ID}, 0); err == nil {
+	if _, err := NewEpoch(built.Base(), nil, []trajectory.ID{users.All[3].ID, users.All[5].ID, users.All[3].ID}, 0); err == nil {
 		t.Error("duplicate tombstone accepted")
 	}
 	// Duplicate id inside the delta.
 	dup := []*trajectory.Trajectory{users.All[80], users.All[80]}
-	if _, err := NewEpoch(feng.Frozen(), dup, nil, 0); err == nil {
+	if _, err := NewEpoch(built.Base(), dup, nil, 0); err == nil {
 		t.Error("duplicate delta id accepted")
 	}
 	// Delta id colliding with a live base trajectory.
-	if _, err := NewEpoch(feng.Frozen(), users.All[:1], nil, 0); err == nil {
+	if _, err := NewEpoch(built.Base(), users.All[:1], nil, 0); err == nil {
 		t.Error("delta collision with live base id accepted")
 	}
 	// ... but re-using a tombstoned base id is the re-insert path.
 	dead := []trajectory.ID{users.All[0].ID}
-	if _, err := NewEpoch(feng.Frozen(), users.All[:1], dead, 0); err != nil {
+	if _, err := NewEpoch(built.Base(), users.All[:1], dead, 0); err != nil {
 		t.Errorf("re-insert over tombstone rejected: %v", err)
 	}
 }
@@ -173,7 +177,7 @@ func TestNewEpochValidation(t *testing.T) {
 func TestEpochScenarioValidation(t *testing.T) {
 	users := makeUsers(100, 2, 508) // two-point only
 	base := trajectory.MustNewSet(users.All[:90])
-	feng := frozenEngineOver(t, base, tqtree.TwoPoint, tqtree.ZOrder)
+	built := emptyEpochOver(t, base, tqtree.TwoPoint, tqtree.ZOrder)
 	multi := makeUsers(120, 5, 509).All[100:] // ids 100.. with up to 5 points
 	var mp *trajectory.Trajectory
 	for _, u := range multi {
@@ -185,7 +189,7 @@ func TestEpochScenarioValidation(t *testing.T) {
 	if mp == nil {
 		t.Fatal("no multipoint trajectory generated")
 	}
-	ep, err := NewEpoch(feng.Frozen(), []*trajectory.Trajectory{mp}, nil, 0)
+	ep, err := NewEpoch(built.Base(), []*trajectory.Trajectory{mp}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

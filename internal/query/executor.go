@@ -13,12 +13,12 @@ import (
 // (compArena, pooled StopSets) and a private Metrics that is summed into
 // the caller's after the join, so the hot loops share no mutable state and
 // the merged totals match the serial run. The batch loop itself is
-// serviceValues in layout.go, shared by Epoch and FrozenEngine.
+// serviceValues in layout.go, Epoch.ServiceValuesCtx's body.
 
 // ResolveWorkers maps a caller's `workers` argument to an effective pool
 // size. It is THE normalization for every batch entry point in this
-// module — Epoch, FrozenEngine, and through the epochs the
-// scatter-gather in internal/shard — and applies one rule:
+// module — Epoch, and through the epochs the scatter-gather in
+// internal/shard — and applies one rule:
 //
 //   - workers <= 0 means runtime.GOMAXPROCS(0);
 //   - the pool never exceeds `items` (a batch can't use more workers

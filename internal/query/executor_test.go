@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -8,17 +9,18 @@ import (
 	"github.com/trajcover/trajcover/internal/tqtree"
 )
 
-// executorEnv builds a moderately sized engine shared by the batch
-// executor tests: multipoint users so every scenario is exercised on the
-// FullTrajectory variant, plus a TwoPoint/ZOrder engine for Binary.
-func executorEnv(t *testing.T, variant tqtree.Variant, ordering tqtree.Ordering) *FrozenEngine {
+// executorEnv builds a moderately sized epoch with nothing pending shared
+// by the batch executor tests: multipoint users so every scenario is
+// exercised on the FullTrajectory variant, plus a TwoPoint/ZOrder base for
+// Binary.
+func executorEnv(t *testing.T, variant tqtree.Variant, ordering tqtree.Ordering) *Epoch {
 	t.Helper()
 	maxPts := 6
 	if variant == tqtree.TwoPoint {
 		maxPts = 2
 	}
 	users := makeUsers(3000, maxPts, 201)
-	return engineOver(t, users.All, tqtree.Options{
+	return baseEpoch(t, users.All, tqtree.Options{
 		Variant: variant, Ordering: ordering, Bounds: testBounds,
 	})
 }
@@ -36,14 +38,14 @@ func TestServiceValuesMatchesSerial(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.variant.String()+"/"+tc.sc.String(), func(t *testing.T) {
-			eng := executorEnv(t, tc.variant, tc.ordering)
+			ep := executorEnv(t, tc.variant, tc.ordering)
 			fs := makeFacilities(40, 16, 202)
 			p := Params{Scenario: tc.sc, Psi: 45}
 
 			var wantM Metrics
 			want := make([]float64, len(fs))
 			for i, f := range fs {
-				v, m, err := eng.ServiceValue(f, p)
+				v, m, err := ep.ServiceValue(f, p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -51,7 +53,7 @@ func TestServiceValuesMatchesSerial(t *testing.T) {
 				wantM.Add(m)
 			}
 			for _, workers := range []int{0, 1, 3, 8} {
-				got, gotM, err := eng.ServiceValues(fs, p, workers)
+				got, gotM, err := ep.ServiceValuesCtx(context.Background(), fs, p, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -75,10 +77,10 @@ func TestServiceValuesConcurrentBatches(t *testing.T) {
 	// Several goroutines each running a worker-pooled batch over the same
 	// shared tree: guards the read-only-tree claim and the scratch pools
 	// under -race.
-	eng := executorEnv(t, tqtree.TwoPoint, tqtree.ZOrder)
+	ep := executorEnv(t, tqtree.TwoPoint, tqtree.ZOrder)
 	fs := makeFacilities(30, 10, 205)
 	p := Params{Scenario: service.Binary, Psi: 40}
-	want, _, err := eng.ServiceValues(fs, p, 1)
+	want, _, err := ep.ServiceValuesCtx(context.Background(), fs, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestServiceValuesConcurrentBatches(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, _, err := eng.ServiceValues(fs, p, 3)
+			got, _, err := ep.ServiceValuesCtx(context.Background(), fs, p, 3)
 			if err != nil {
 				t.Error(err)
 				return
@@ -104,15 +106,15 @@ func TestServiceValuesConcurrentBatches(t *testing.T) {
 }
 
 func TestServiceValuesValidation(t *testing.T) {
-	eng := executorEnv(t, tqtree.TwoPoint, tqtree.ZOrder)
+	ep := executorEnv(t, tqtree.TwoPoint, tqtree.ZOrder)
 	fs := makeFacilities(4, 4, 206)
-	if _, _, err := eng.ServiceValues(fs, Params{Scenario: service.Scenario(9), Psi: 10}, 2); err == nil {
+	if _, _, err := ep.ServiceValuesCtx(context.Background(), fs, Params{Scenario: service.Scenario(9), Psi: 10}, 2); err == nil {
 		t.Error("invalid scenario accepted")
 	}
-	if _, _, err := eng.ServiceValues(fs, Params{Scenario: service.Binary, Psi: -1}, 2); err == nil {
+	if _, _, err := ep.ServiceValuesCtx(context.Background(), fs, Params{Scenario: service.Binary, Psi: -1}, 2); err == nil {
 		t.Error("negative psi accepted")
 	}
-	out, m, err := eng.ServiceValues(nil, Params{Scenario: service.Binary, Psi: 10}, 2)
+	out, m, err := ep.ServiceValuesCtx(context.Background(), nil, Params{Scenario: service.Binary, Psi: 10}, 2)
 	if err != nil || out != nil || m != (Metrics{}) {
 		t.Errorf("empty batch: out=%v m=%+v err=%v", out, m, err)
 	}

@@ -4,12 +4,13 @@ package query
 // handle int32): Algorithm 1's divide-and-conquer service evaluation,
 // Algorithm 3/4's best-first top-k search and its seed upper bound, and
 // the coverage walk MaxkCovRST reads. An Epoch runs it with its
-// tombstones masked out and adds its delta overlay's scan; FrozenEngine,
-// the figures' instrument, runs it over a base as it is.
+// tombstones masked out and adds its delta overlay's scan; BestFirstTopK
+// and SeedBound, the figures' instruments, run it over a base as built.
 
 import (
 	"container/heap"
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -20,7 +21,8 @@ import (
 )
 
 // frozenLayout is a frozen base as the search sees it. dead is the
-// tombstone set an Epoch masks its base with; FrozenEngine leaves it nil.
+// tombstone set an Epoch masks its base with; the best-first search
+// leaves it nil.
 type frozenLayout struct {
 	f    *tqtree.Frozen
 	dead trajectory.OrdinalSet
@@ -28,15 +30,6 @@ type frozenLayout struct {
 
 // nilNode is the "no node" handle.
 const nilNode int32 = -1
-
-// validateQuery checks the parameters and their compatibility with the
-// layout's index.
-func validateQuery(l frozenLayout, p Params) error {
-	if err := p.validate(); err != nil {
-		return err
-	}
-	return l.f.ValidateScenario(p.Scenario)
-}
 
 // evalNodeList is Algorithm 2: run zReduce over the node's own list
 // against the component's EMBR and score the survivors exactly.
@@ -216,9 +209,17 @@ func seedBound(l frozenLayout, f *trajectory.Facility, p Params, ancestors bool,
 	return ub + l.f.TreeUB(n, p.Scenario)
 }
 
-// upperBound is seedBound as a query of its own: the bound alone.
-func upperBound(l frozenLayout, f *trajectory.Facility, p Params) float64 {
-	return seedBound(l, f, p, l.f.AncestorsCanServe(p.Scenario), nil)
+// SeedBound returns the bound BestFirstTopK seeds f's search with over
+// base — the `sub` of the smallest q-node containing f's EMBR, plus
+// ancestor own-list bounds where those can serve: a sound overestimate
+// of SO(U, f), read in one descent without allocating. It does not
+// validate p. No serving path consults it: it is what tqbench -exp bound
+// measures (a bound would have to rank fewer than N − k facilities above
+// the k-th value before it could save a served top-k anything) and what
+// Epoch.UpperBound adds its overlay's bound to.
+func SeedBound(base *tqtree.Frozen, f *trajectory.Facility, p Params) float64 {
+	defer runtime.KeepAlive(base) // see Epoch.ServiceValue
+	return seedBound(frozenLayout{f: base}, f, p, base.AncestorsCanServe(p.Scenario), nil)
 }
 
 // childContaining returns n's child whose open cell contains r, nilNode when
@@ -296,12 +297,20 @@ func relaxState(l frozenLayout, s *state, p Params, mode tqtree.FilterMode, m *M
 	s.hserve = hserve
 }
 
-// topK answers the kMaxRRST query with the best-first strategy of
-// Algorithm 3 driven by the q-node `sub` upper bounds.
-func topK(l frozenLayout, facilities []*trajectory.Facility, k int, p Params) ([]Result, Metrics, error) {
-	if err := validateQuery(l, p); err != nil {
+// BestFirstTopK answers the kMaxRRST query over base — the k facilities
+// with the highest service value, in non-increasing order — with the
+// best-first strategy of Algorithm 3 driven by the q-node `sub` upper
+// bounds. It is what the paper's figures time; every served top-k is one
+// exact Epoch pass plus Results instead.
+func BestFirstTopK(base *tqtree.Frozen, facilities []*trajectory.Facility, k int, p Params) ([]Result, Metrics, error) {
+	defer runtime.KeepAlive(base) // see Epoch.ServiceValue
+	if err := p.validate(); err != nil {
 		return nil, Metrics{}, err
 	}
+	if err := base.ValidateScenario(p.Scenario); err != nil {
+		return nil, Metrics{}, err
+	}
+	l := frozenLayout{f: base}
 	var m Metrics
 	if k <= 0 || len(facilities) == 0 {
 		return nil, m, nil
@@ -334,31 +343,20 @@ func topK(l frozenLayout, facilities []*trajectory.Facility, k int, p Params) ([
 	return results, m, nil
 }
 
-// serviceValue is Algorithm 1 for one facility over l, plus overlay's
-// delta scan when overlay is non-nil. p must be valid for the caller's
-// index: every entry point validates once, before calling it.
-func serviceValue(l frozenLayout, f *trajectory.Facility, p Params, overlay *Epoch) (float64, Metrics) {
-	var m Metrics
-	arena := acquireCompArena(len(f.Stops))
-	so := evaluateService(l, 0, f.Stops, p, l.f.FilterModeFor(p.Scenario), l.f.AncestorsCanServe(p.Scenario), &m, arena)
-	putCompArena(arena)
-	return so + overlay.deltaService(f, p, &m), m
-}
-
-// serviceValues computes SO(U, f) for every facility in one batch,
-// sharding the facilities across a pool of workers. The returned slice is
-// indexed like facilities; ordering and merged Metrics are deterministic
-// because each facility's traversal is independent. overlay, when
-// non-nil, is the epoch whose delta scan each facility runs in the same
-// step as its traversal, added after it. ctx (nil means "never") is
-// polled between facilities in every worker; a done context aborts the
-// batch with its error and no partial answer. Like serviceValue it does
-// not validate p.
-func serviceValues(ctx context.Context, l frozenLayout, facilities []*trajectory.Facility, p Params, workers int, overlay *Epoch) ([]float64, Metrics, error) {
+// serviceValues computes SO(U, f) over ep for every facility in one
+// batch, sharding the facilities across a pool of workers: Algorithm 1
+// over the masked base, then the delta scan in the same step, added
+// after it. The returned slice is indexed like facilities; ordering and
+// merged Metrics are deterministic because each facility's traversal is
+// independent. ctx (nil means "never") is polled between facilities in
+// every worker; a done context aborts the batch with its error and no
+// partial answer. p must be valid for ep: the caller validates once.
+func serviceValues(ctx context.Context, ep *Epoch, facilities []*trajectory.Facility, p Params, workers int) ([]float64, Metrics, error) {
 	var m Metrics
 	if len(facilities) == 0 {
 		return nil, m, nil
 	}
+	l := ep.layout()
 	mode, ancestors := l.f.FilterModeFor(p.Scenario), l.f.AncestorsCanServe(p.Scenario)
 	out := make([]float64, len(facilities))
 	workers = ResolveWorkers(workers, len(facilities))
@@ -370,7 +368,7 @@ func serviceValues(ctx context.Context, l frozenLayout, facilities []*trajectory
 				putCompArena(arena)
 				return nil, m, err
 			}
-			out[i] = evaluateService(l, 0, f.Stops, p, mode, ancestors, &m, arena) + overlay.deltaService(f, p, &m)
+			out[i] = evaluateService(l, 0, f.Stops, p, mode, ancestors, &m, arena) + ep.deltaService(f, p, &m)
 		}
 		putCompArena(arena)
 		return out, m, nil
@@ -389,7 +387,7 @@ func serviceValues(ctx context.Context, l frozenLayout, facilities []*trajectory
 				if i >= len(facilities) {
 					break
 				}
-				out[i] = evaluateService(l, 0, facilities[i].Stops, p, mode, ancestors, wm, arena) + overlay.deltaService(facilities[i], p, wm)
+				out[i] = evaluateService(l, 0, facilities[i].Stops, p, mode, ancestors, wm, arena) + ep.deltaService(facilities[i], p, wm)
 			}
 			putCompArena(arena)
 		}(w)

@@ -4,8 +4,9 @@
 //     computation (evaluateService + evalNodeList in layout.go, with
 //     the zReduce pruning supplied by the tqtree package).
 //   - Algorithm 3/4: best-first top-k facility search driven by the
-//     q-node `sub` upper bounds (topK + relaxState in layout.go), on
-//     FrozenEngine.TopK — what the paper's figures time.
+//     q-node `sub` upper bounds (BestFirstTopK + relaxState in
+//     layout.go) and the bound it seeds each facility with (SeedBound):
+//     two functions over one base, which the paper's figures time.
 //   - Coverage: a facility batch's user × facility table of point masks
 //     (cover, coverService), which MaxkCovRST (internal/maxcov) and
 //     ServedUsers read.
@@ -21,8 +22,8 @@
 // An Epoch (epoch.go) is the one serving unit: a frozen base with
 // tombstones masked out plus a delta overlay, and every shard of every
 // index serves as one — a frozen shard as an epoch with nothing pending.
-// FrozenEngine (frozen.go) searches one frozen base through the same code
-// in layout.go, for the figures.
+// Epoch and Baseline are the package's query types; the best-first
+// search runs over an epoch's base through the same code in layout.go.
 package query
 
 import (
@@ -47,7 +48,7 @@ type Params struct {
 
 // Validate checks the parameters independently of any tree — exposed for
 // layers (e.g. internal/shard) that validate once before fanning a query
-// out to several engines.
+// out to several epochs.
 func (p Params) Validate() error { return p.validate() }
 
 func (p Params) validate() error {
@@ -67,7 +68,7 @@ type Metrics struct {
 	// EntriesScored counts exact per-entry service computations (entries
 	// surviving zReduce).
 	EntriesScored int
-	// Relaxations counts best-first state relaxations (FrozenEngine.TopK
+	// Relaxations counts best-first state relaxations (BestFirstTopK
 	// only; an exact batch reports 0).
 	Relaxations int
 }

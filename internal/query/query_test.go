@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,14 +14,19 @@ import (
 
 var testBounds = geo.Rect{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}
 
-// engineOver builds a frozen engine over users.
-func engineOver(t testing.TB, users []*trajectory.Trajectory, opts tqtree.Options) *FrozenEngine {
+// baseEpoch builds a base over users and serves it as an epoch with
+// nothing pending, as every shard of a frozen index does.
+func baseEpoch(t testing.TB, users []*trajectory.Trajectory, opts tqtree.Options) *Epoch {
 	t.Helper()
 	f, err := tqtree.BuildFrozen(users, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewFrozenEngine(f, nil)
+	ep, err := NewEpoch(f, nil, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ep
 }
 
 // makeUsers generates locality-clustered user trajectories.
@@ -106,12 +112,12 @@ func TestServiceValueMatchesOracleTwoPointData(t *testing.T) {
 	facilities := makeFacilities(20, 8, 102)
 	psi := 35.0
 	for _, cfg := range validConfigs(false) {
-		eng := engineOver(t, users.All, tqtree.Options{
+		ep := baseEpoch(t, users.All, tqtree.Options{
 			Variant: cfg.variant, Ordering: cfg.ordering, Beta: 8, Bounds: testBounds,
 		})
 		p := Params{Scenario: cfg.scenario, Psi: psi}
 		for _, f := range facilities {
-			got, _, err := eng.ServiceValue(f, p)
+			got, _, err := ep.ServiceValue(f, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,12 +135,12 @@ func TestServiceValueMatchesOracleMultipointData(t *testing.T) {
 	facilities := makeFacilities(15, 10, 104)
 	psi := 40.0
 	for _, cfg := range validConfigs(true) {
-		eng := engineOver(t, users.All, tqtree.Options{
+		ep := baseEpoch(t, users.All, tqtree.Options{
 			Variant: cfg.variant, Ordering: cfg.ordering, Beta: 8, Bounds: testBounds,
 		})
 		p := Params{Scenario: cfg.scenario, Psi: psi}
 		for _, f := range facilities {
-			got, _, err := eng.ServiceValue(f, p)
+			got, _, err := ep.ServiceValue(f, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,10 +160,10 @@ func TestServiceValueRandomizedPsiSweep(t *testing.T) {
 		psi := 1 + rng.Float64()*150
 		f := makeFacilities(1, 1+rng.Intn(30), int64(trial)+200)[0]
 		for _, cfg := range validConfigs(true) {
-			eng := engineOver(t, users.All, tqtree.Options{
+			ep := baseEpoch(t, users.All, tqtree.Options{
 				Variant: cfg.variant, Ordering: cfg.ordering, Beta: 4, Bounds: testBounds,
 			})
-			got, _, err := eng.ServiceValue(f, Params{Scenario: cfg.scenario, Psi: psi})
+			got, _, err := ep.ServiceValue(f, Params{Scenario: cfg.scenario, Psi: psi})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,17 +185,17 @@ func TestTopKMatchesExhaustiveAndBaseline(t *testing.T) {
 	facilities := makeFacilities(40, 8, 108)
 	psi := 30.0
 	for _, cfg := range validConfigs(false) {
-		eng := engineOver(t, users.All, tqtree.Options{
+		ep := baseEpoch(t, users.All, tqtree.Options{
 			Variant: cfg.variant, Ordering: cfg.ordering, Beta: 8, Bounds: testBounds,
 		})
 		bl := NewBaseline(users, cfg.variant)
 		p := Params{Scenario: cfg.scenario, Psi: psi}
 		for _, k := range []int{1, 4, 10, 40, 100} {
-			best, _, err := eng.TopK(facilities, k, p)
+			best, _, err := BestFirstTopK(ep.Base(), facilities, k, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			vals, _, err := eng.ServiceValues(facilities, p, 1)
+			vals, _, err := ep.ServiceValuesCtx(context.Background(), facilities, p, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,12 +237,12 @@ func TestTopKMultipointAgainstBaseline(t *testing.T) {
 	facilities := makeFacilities(25, 12, 110)
 	psi := 45.0
 	for _, cfg := range validConfigs(true) {
-		eng := engineOver(t, users.All, tqtree.Options{
+		ep := baseEpoch(t, users.All, tqtree.Options{
 			Variant: cfg.variant, Ordering: cfg.ordering, Beta: 8, Bounds: testBounds,
 		})
 		bl := NewBaseline(users, cfg.variant)
 		p := Params{Scenario: cfg.scenario, Psi: psi}
-		best, _, err := eng.TopK(facilities, 5, p)
+		best, _, err := BestFirstTopK(ep.Base(), facilities, 5, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -398,31 +404,31 @@ func TestBaselineCoverageMatchesDirect(t *testing.T) {
 func TestTopKEdgeCases(t *testing.T) {
 	users := makeUsers(50, 2, 117)
 	facilities := makeFacilities(5, 4, 118)
-	eng := engineOver(t, users.All, tqtree.Options{Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder, Bounds: testBounds})
+	ep := baseEpoch(t, users.All, tqtree.Options{Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder, Bounds: testBounds})
 	p := Params{Scenario: service.Binary, Psi: 20}
 
-	if res, _, err := eng.TopK(facilities, 0, p); err != nil || len(res) != 0 {
+	if res, _, err := BestFirstTopK(ep.Base(), facilities, 0, p); err != nil || len(res) != 0 {
 		t.Errorf("k=0: %v, %v", res, err)
 	}
-	if res, _, err := eng.TopK(nil, 3, p); err != nil || len(res) != 0 {
+	if res, _, err := BestFirstTopK(ep.Base(), nil, 3, p); err != nil || len(res) != 0 {
 		t.Errorf("no facilities: %v, %v", res, err)
 	}
-	if res, _, err := eng.TopK(facilities, 100, p); err != nil || len(res) != 5 {
+	if res, _, err := BestFirstTopK(ep.Base(), facilities, 100, p); err != nil || len(res) != 5 {
 		t.Errorf("k>n returned %d results (err %v), want 5", len(res), err)
 	}
-	if _, _, err := eng.TopK(facilities, 3, Params{Scenario: service.Scenario(9), Psi: 1}); err == nil {
+	if _, _, err := BestFirstTopK(ep.Base(), facilities, 3, Params{Scenario: service.Scenario(9), Psi: 1}); err == nil {
 		t.Error("invalid scenario accepted")
 	}
-	if _, _, err := eng.TopK(facilities, 3, Params{Scenario: service.Binary, Psi: -1}); err == nil {
+	if _, _, err := BestFirstTopK(ep.Base(), facilities, 3, Params{Scenario: service.Binary, Psi: -1}); err == nil {
 		t.Error("negative psi accepted")
 	}
 }
 
 func TestScenarioValidationOnMultipointTwoPoint(t *testing.T) {
 	users := makeUsers(50, 5, 119)
-	eng := engineOver(t, users.All, tqtree.Options{Variant: tqtree.TwoPoint, Bounds: testBounds})
+	ep := baseEpoch(t, users.All, tqtree.Options{Variant: tqtree.TwoPoint, Bounds: testBounds})
 	f := makeFacilities(1, 4, 120)[0]
-	if _, _, err := eng.ServiceValue(f, Params{Scenario: service.PointCount, Psi: 10}); err == nil {
+	if _, _, err := ep.ServiceValue(f, Params{Scenario: service.PointCount, Psi: 10}); err == nil {
 		t.Error("TwoPoint tree over multipoint data accepted PointCount query")
 	}
 }
@@ -430,9 +436,9 @@ func TestScenarioValidationOnMultipointTwoPoint(t *testing.T) {
 func TestFarAwayFacilityZeroService(t *testing.T) {
 	users := makeUsers(100, 3, 121)
 	far := trajectory.MustNewFacility(1, []geo.Point{geo.Pt(1e6, 1e6), geo.Pt(1e6+10, 1e6)})
-	eng := engineOver(t, users.All, tqtree.Options{Variant: tqtree.FullTrajectory, Ordering: tqtree.ZOrder, Bounds: testBounds})
+	ep := baseEpoch(t, users.All, tqtree.Options{Variant: tqtree.FullTrajectory, Ordering: tqtree.ZOrder, Bounds: testBounds})
 	for sc := service.Binary; sc <= service.Length; sc++ {
-		got, _, err := eng.ServiceValue(far, Params{Scenario: sc, Psi: 50})
+		got, _, err := ep.ServiceValue(far, Params{Scenario: sc, Psi: 50})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -445,8 +451,8 @@ func TestFarAwayFacilityZeroService(t *testing.T) {
 func TestMetricsPopulated(t *testing.T) {
 	users := makeUsers(500, 2, 122)
 	facilities := makeFacilities(20, 8, 123)
-	eng := engineOver(t, users.All, tqtree.Options{Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder, Beta: 8, Bounds: testBounds})
-	_, m, err := eng.TopK(facilities, 5, Params{Scenario: service.Binary, Psi: 30})
+	ep := baseEpoch(t, users.All, tqtree.Options{Variant: tqtree.TwoPoint, Ordering: tqtree.ZOrder, Beta: 8, Bounds: testBounds})
+	_, m, err := BestFirstTopK(ep.Base(), facilities, 5, Params{Scenario: service.Binary, Psi: 30})
 	if err != nil {
 		t.Fatal(err)
 	}

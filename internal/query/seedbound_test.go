@@ -25,14 +25,14 @@ func TestSeedBound(t *testing.T) {
 	// children, so the descent must stay at the root.
 	facilities = append(facilities, trajectory.MustNewFacility(999, []geo.Point{geo.Pt(499, 499), geo.Pt(501, 501)}))
 	for _, cfg := range validConfigs(true) {
-		eng := engineOver(t, users.All, tqtree.Options{
+		ep := baseEpoch(t, users.All, tqtree.Options{
 			Variant: cfg.variant, Ordering: cfg.ordering, Beta: 8, Bounds: testBounds,
 		})
 		p := Params{Scenario: cfg.scenario, Psi: 35}
-		l := frozenLayout{f: eng.Frozen()}
+		l := frozenLayout{f: ep.Base()}
 		skipped := 0
 		for _, f := range facilities {
-			exact, em, err := eng.ServiceValue(f, p)
+			exact, em, err := ep.ServiceValue(f, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,7 +41,7 @@ func TestSeedBound(t *testing.T) {
 				t.Fatalf("%v facility %d: %v over %d lists, %v over every list (%d)", cfg, f.ID, exact, em.NodesVisited, all, am.NodesVisited)
 			}
 			skipped += am.NodesVisited - em.NodesVisited
-			ub := eng.UpperBound(f, p)
+			ub := SeedBound(ep.Base(), f, p)
 			if ub < exact {
 				t.Fatalf("%v facility %d: bound %v below exact value %v", cfg, f.ID, ub, exact)
 			}
@@ -113,19 +113,15 @@ func TestSeedBoundCellBorder(t *testing.T) {
 	}
 	without := trajectory.MustNewSet(users)
 	for _, cfg := range validConfigs(false) {
-		eng := engineOver(t, built, tqtree.Options{
+		frozen := baseEpoch(t, built, tqtree.Options{
 			Variant: cfg.variant, Ordering: cfg.ordering, Beta: 8, Bounds: testBounds,
 		})
-		frozen, err := NewEpoch(eng.Frozen(), nil, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ep, err := NewEpoch(eng.Frozen(), []*trajectory.Trajectory{outside}, nil, 1)
+		ep, err := NewEpoch(frozen.Base(), []*trajectory.Trajectory{outside}, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := Params{Scenario: cfg.scenario, Psi: psi}
-		top, _, err := eng.TopK(facilities, len(facilities), p)
+		top, _, err := BestFirstTopK(frozen.Base(), facilities, len(facilities), p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -70,13 +70,19 @@ func makeFacilities(n, stops int, seed int64) []*trajectory.Facility {
 	return out
 }
 
-func singleEngine(t *testing.T, users []*trajectory.Trajectory, opts tqtree.Options) *query.FrozenEngine {
+// singleTree builds one base over users and serves it as an epoch with
+// nothing pending.
+func singleTree(t *testing.T, users []*trajectory.Trajectory, opts tqtree.Options) *query.Epoch {
 	t.Helper()
 	fz, err := tqtree.BuildFrozen(users, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return query.NewFrozenEngine(fz, nil)
+	ep, err := query.NewEpoch(fz, nil, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ep
 }
 
 var shardCounts = []int{1, 2, 4, 8}
@@ -154,13 +160,13 @@ func TestShardedMatchesSingleTree(t *testing.T) {
 	const k = 10
 	for _, c := range cfgs {
 		treeOpts := tqtree.Options{Variant: c.variant, Ordering: tqtree.ZOrder, Bounds: testBounds}
-		eng := singleEngine(t, users, treeOpts)
+		single := singleTree(t, users, treeOpts)
 		p := query.Params{Scenario: c.scenario, Psi: 40}
-		wantSV, _, err := eng.ServiceValues(facilities, p, 1)
+		wantSV, _, err := single.ServiceValuesCtx(context.Background(), facilities, p, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantTop, _, err := eng.TopK(facilities, k, p)
+		wantTop, _, err := query.BestFirstTopK(single.Base(), facilities, k, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,10 +221,6 @@ func TestShardedMatchesSingleTree(t *testing.T) {
 				}
 				if m.EntriesScored == 0 && wantTop[0].Service > 0 {
 					t.Fatalf("%v %s/%d shards: no work recorded", c, part.Kind(), n)
-				}
-				single, err := query.NewEpoch(eng.Frozen(), nil, nil, 0)
-				if err != nil {
-					t.Fatal(err)
 				}
 				want, _, err := single.Cover(facilities[:8], p)
 				if err != nil {
@@ -391,13 +393,13 @@ func TestEmptyAndTinyCorpora(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := singleEngine(t, few, tqtree.Options{Bounds: testBounds})
+	single := singleTree(t, few, tqtree.Options{Bounds: testBounds})
 	for _, f := range fs {
 		got, _, err := s.ServiceValue(f, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := eng.ServiceValue(f, p)
+		want, _, err := single.ServiceValue(f, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -445,7 +447,7 @@ func TestPartitionerOfRoundTrip(t *testing.T) {
 // space.
 func frozenShardOf(t *testing.T, users []*trajectory.Trajectory) *tqtree.Frozen {
 	t.Helper()
-	return singleEngine(t, users, tqtree.Options{Ordering: tqtree.ZOrder, Bounds: testBounds}).Frozen()
+	return singleTree(t, users, tqtree.Options{Ordering: tqtree.ZOrder, Bounds: testBounds}).Base()
 }
 
 // TestFrozenAndLiveRejectDuplicateIDs: every way of assembling frozen or
