@@ -1,9 +1,10 @@
 // Command tqserve is the long-running HTTP front end over a live
-// trajectory-coverage index: a bounded worker pool with admission
-// control (429 + Retry-After on queue overflow), per-request deadlines
-// propagated into the cancellation-aware query executor, and graceful
-// drain on SIGTERM/SIGINT. See internal/server for the endpoints and
-// ARCHITECTURE.md "Serving front end" for the design.
+// trajectory-coverage index: slot admission (each request runs on its
+// own handler, -workers at once; 429 + Retry-After past -queue waiting),
+// per-request deadlines propagated into the cancellation-aware query
+// executor, and graceful drain on SIGTERM/SIGINT. See internal/server
+// for the endpoints and ARCHITECTURE.md "Serving front end" for the
+// design.
 //
 // Usage:
 //
@@ -101,8 +102,8 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal, ready func(addr 
 		seed          = fs.Int64("seed", 1, "synthetic data seed")
 		shards        = fs.Int("shards", 1, "shard count for -synthetic")
 		partitioner   = fs.String("partitioner", "hash", "partitioner for -synthetic: hash or grid")
-		workers       = fs.Int("workers", 0, "query worker pool size (0 = GOMAXPROCS)")
-		queue         = fs.Int("queue", 64, "admission queue depth (full queue => 429)")
+		workers       = fs.Int("workers", 0, "requests that run at once (0 = GOMAXPROCS)")
+		queue         = fs.Int("queue", 64, "requests that may wait to run (one more => 429)")
 		timeout       = fs.Duration("timeout", 2*time.Second, "default per-request deadline")
 		maxTimeout    = fs.Duration("max-timeout", 30*time.Second, "cap on client-requested deadlines")
 		maxBody       = fs.Int64("max-body", 8<<20, "request body cap in bytes")

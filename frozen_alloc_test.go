@@ -84,10 +84,12 @@ func TestLiveTopKWithMetricsAllocs(t *testing.T) {
 }
 
 // TestLiveShardedTopKAllocs pins the serving path's allocations at the
-// paper's query shape (N=128 × S=32, k=8, 2 shards): the sharded top-k
-// is ServiceValues' one batch plus the sort-and-cut's four allocations
-// (the results and sort.Slice's own) — nothing per facility or per shard —
-// and reading the bounds alone allocates the answer and nothing else.
+// paper's query shape (N=128 × S=32, k=8, 2 shards): ServiceValues is
+// one allocation, the slice every shard adds its values into (the shard
+// capture is on the caller's stack), the sharded top-k is that batch
+// plus the sort-and-cut's few allocations — nothing per facility or per
+// shard — and reading the bounds alone allocates the answer and nothing
+// else.
 func TestLiveShardedTopKAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are not meaningful under -race: sync.Pool drops items deliberately")
@@ -116,6 +118,9 @@ func TestLiveShardedTopKAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("allocs/op at N=128 S=32 k=8, 2 shards: ServiceValues %.0f, TopK %.0f, UpperBounds %.0f", values, topk, bounds)
+	if values > 1 {
+		t.Fatalf("ServiceValues allocates %.0f/op over 2 shards, want 1: the shards add into one slice", values)
+	}
 	if topk > values+4 {
 		t.Fatalf("TopK allocates %.0f/op, ServiceValues %.0f/op: more than 4 on top", topk, values)
 	}

@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"github.com/trajcover/trajcover/internal/server"
+	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
 // backendError classifies a backend's verdict: a 4xx other than 429 is
@@ -22,30 +23,42 @@ func backendError(m *feMember, status int, body []byte) error {
 	return fmt.Errorf("%s %d %s: %s", m.url, status, http.StatusText(status), body)
 }
 
-// read is one frontend read: the query frame every group is sent (the
-// protocol is internal/server/exchange.go's) and how many values each
-// must answer with.
+// read is one frontend read: the client's request — its body, decoded
+// request and facility table, and answer bytes, in pooled storage — and
+// the query frame every group is sent (the protocol is
+// internal/server/exchange.go's), which each must answer with one value
+// per facility of the table.
 type read struct {
-	fe    *Frontend
-	ctx   context.Context
-	frame []byte
-	n     int // facilities
+	fe     *Frontend
+	ctx    context.Context
+	cancel context.CancelFunc
+	buf    *server.QueryBuffer
+	req    *server.QueryRequest
+	table  trajectory.FacilityTable
+	frame  []byte
 }
+
+// end releases what the read holds, once its answer is written.
+func (rd *read) end() {
+	rd.cancel()
+	rd.buf.Release()
+}
+
+// octetStream is the exchange request's Content-Type header value.
+var octetStream = []string{"application/octet-stream"}
 
 // exchange asks one member for every facility's value over its corpus:
 // one POST of the query frame, answered within RPCTimeout by exactly one
 // values frame of n numbers (server.DecodeFloatsFrame; a reply of any
 // other shape is the member's failure, not an answer).
 func (rd *read) exchange(m *feMember) ([]float64, error) {
-	rpc := rd.fe.cfg.RPCTimeout
-	ctx, cancel := context.WithTimeoutCause(rd.ctx, rpc,
-		fmt.Errorf("%s: no reply within %v: %w", m.url, rpc, context.DeadlineExceeded))
+	ctx, cancel := context.WithTimeoutCause(rd.ctx, rd.fe.cfg.RPCTimeout, m.noReply)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, m.url+server.PathExchange, bytes.NewReader(rd.frame))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, m.exchangeURL, bytes.NewReader(rd.frame))
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
+	req.Header["Content-Type"] = octetStream
 	resp, err := rd.fe.cfg.Client.Do(req)
 	if err != nil {
 		return nil, cause(ctx, err)
@@ -56,7 +69,7 @@ func (rd *read) exchange(m *feMember) ([]float64, error) {
 		return nil, backendError(m, resp.StatusCode, data)
 	}
 	rd.fe.exchanges.Add(1)
-	vals, err := server.DecodeFloatsFrame(resp.Body, rd.n)
+	vals, err := server.DecodeFloatsFrame(resp.Body, rd.table.Len())
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", m.url, cause(ctx, err))
 	}
@@ -158,7 +171,7 @@ func (rd *read) serviceValues(partial bool) (sums []float64, missing []int, err 
 	if err != nil && (!partial || len(missing) == len(groups)) {
 		return nil, missing, err
 	}
-	sums = make([]float64, rd.n)
+	sums = make([]float64, rd.table.Len())
 	for _, vs := range vals {
 		for i, v := range vs {
 			sums[i] += v

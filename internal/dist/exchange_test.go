@@ -167,7 +167,7 @@ func TestFrontendMidExchangeLoss(t *testing.T) {
 			}
 			return
 		}
-		wantPartial := mustBody(t, PartialTopKResponse{Results: toRankedJSON(survivor), Partial: true, MissingGroups: []int{0}})
+		wantPartial := mustBody(t, PartialTopKResponse{TopKResponse: server.TopKResponse{Results: toRankedJSON(survivor)}, Partial: true, MissingGroups: []int{0}})
 		if st != http.StatusOK || !bytes.Equal(got, wantPartial) {
 			t.Fatalf("%s with no member left: %d %s, want the other group's answer %s", path, st, got, wantPartial)
 		}
@@ -183,7 +183,7 @@ func TestFrontendMidExchangeLoss(t *testing.T) {
 func TestFrontendHostileReplies(t *testing.T) {
 	facs := testFacilities(3, 4, 461)
 	body := mustBody(t, server.QueryRequest{Facilities: server.FacilitiesJSON(facs), K: 2, Psi: 40})
-	_, table, _, _, err := server.DecodeQueryTable(body, true)
+	_, table, _, err := new(server.QueryBuffer).Decode(body, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,12 +440,12 @@ func (w *nullWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestExchangeAllocs pins the frontend half of one paper-default
 // /v1/topk — 128 facilities of 32 stops over two groups — with the
-// backends replaced by an in-process loopback: the count is the JSON
-// decode of the 130 KB body into one facility table (7, pinned by
-// internal/server's TestDecodeQueryRequestAllocs), the query frame
-// written from that table's columns, two exchanges' bookkeeping (a
-// request, its context and timer, a reply), the merge and the sort, and a
-// few of the loopback's own. Nothing is per facility.
+// backends replaced by an in-process loopback: the body, its decode into
+// one facility table and the answer's bytes live in a pooled
+// server.QueryBuffer, so the count is the query frame written from that
+// table's columns, two exchanges' bookkeeping (a request, its context and
+// timer, a reply), the merge and the ranking, and a few of the loopback's
+// own. Nothing is per facility.
 func TestExchangeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -486,7 +486,16 @@ func TestExchangeAllocs(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(20, run)
 	t.Logf("frontend half of a /v1/topk over two exchanges: %.0f allocs", allocs)
-	if allocs > 110 {
-		t.Fatalf("frontend /v1/topk allocates %.0f/op, want <= 110", allocs)
+	if allocs > 80 {
+		t.Fatalf("frontend /v1/topk allocates %.0f/op, want <= 80", allocs)
 	}
+}
+
+// toRankedJSON is a library top-k answer in its wire form.
+func toRankedJSON(res []trajcover.Ranked) []server.RankedJSON {
+	out := make([]server.RankedJSON, len(res))
+	for i, r := range res {
+		out[i] = server.RankedJSON{ID: uint32(r.Facility.ID), Service: r.Service}
+	}
+	return out
 }

@@ -8,14 +8,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	trajcover "github.com/trajcover/trajcover"
 	"github.com/trajcover/trajcover/internal/query"
 	"github.com/trajcover/trajcover/internal/server"
 	"github.com/trajcover/trajcover/internal/tenant"
+	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
 // FrontendConfig tunes the scatter-gather frontend. The zero value
@@ -70,10 +71,14 @@ const idleConnsPerBackend = 64
 
 // feMember is one backend process. healthy is the probe's verdict,
 // flipped false eagerly by any failed exchange or write (removal) and true again
-// only by a successful probe (readmission).
+// only by a successful probe (readmission). exchangeURL and noReply are
+// what every exchange with it needs, built once: its /v1/exchange URL and
+// the cause an exchange that outlives RPCTimeout ends with.
 type feMember struct {
-	url     string
-	healthy atomic.Bool
+	url         string
+	exchangeURL string
+	noReply     error
+	healthy     atomic.Bool
 }
 
 // feGroup is one shard group's members; members[0] is the primary.
@@ -132,7 +137,11 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 		}
 		fg := &feGroup{id: gi}
 		for _, m := range g.Members {
-			fm := &feMember{url: m}
+			fm := &feMember{
+				url:         m,
+				exchangeURL: m + server.PathExchange,
+				noReply:     fmt.Errorf("%s: no reply within %v: %w", m, cfg.RPCTimeout, context.DeadlineExceeded),
+			}
 			fm.healthy.Store(true)
 			fg.members = append(fg.members, fm)
 		}
@@ -261,20 +270,28 @@ func (fe *Frontend) admit(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 	}
 	body, err := server.ReadBody(w, r, fe.cfg.MaxBodyBytes)
 	if err != nil {
-		fe.errs.Add(1)
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, status, server.ErrorResponse{Error: err.Error()})
+		fe.rejectBody(w, err)
 		return nil, false
 	}
 	return body, true
 }
 
+// rejectBody answers a request body that could not be taken: 413 past
+// MaxBodyBytes, closing the connection on the unread rest, 400 for
+// anything else.
+func (fe *Frontend) rejectBody(w http.ResponseWriter, err error) {
+	fe.errs.Add(1)
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+		server.CloseAfterAnswer(w)
+	}
+	writeJSON(w, status, server.ErrorResponse{Error: err.Error()})
+}
+
 func (fe *Frontend) rejectRetryable(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Retry-After", server.RetryAfter)
+	w.Header()["Retry-After"] = retryAfterSeconds
 	writeJSON(w, status, server.ErrorResponse{Error: msg})
 }
 
@@ -312,20 +329,21 @@ func (fe *Frontend) failRead(w http.ResponseWriter, ctx context.Context, err err
 }
 
 // PartialTopKResponse is the /v1/topk?partial=1 body when shard groups
-// were missing: the exact top k over the surviving groups' corpus,
-// plus the flag and the missing group indexes. With no groups missing
-// the plain TopKResponse is served byte-identically to a backend's.
+// were missing: the exact top k over the surviving groups' corpus — a
+// TopKResponse, its fields first — plus the flag and the missing group
+// indexes. With no groups missing the plain TopKResponse is served
+// byte-identically to a backend's.
 type PartialTopKResponse struct {
-	Results       []server.RankedJSON `json:"results"`
-	Partial       bool                `json:"partial"`
-	MissingGroups []int               `json:"missing_groups"`
+	server.TopKResponse
+	Partial       bool  `json:"partial"`
+	MissingGroups []int `json:"missing_groups"`
 }
 
 // PartialValuesResponse is the /v1/servicevalues?partial=1 counterpart.
 type PartialValuesResponse struct {
-	Values        []float64 `json:"values"`
-	Partial       bool      `json:"partial"`
-	MissingGroups []int     `json:"missing_groups"`
+	server.ValuesResponse
+	Partial       bool  `json:"partial"`
+	MissingGroups []int `json:"missing_groups"`
 }
 
 // singleTenant rejects a request that names a tenant other than the
@@ -342,77 +360,109 @@ func singleTenant(r *http.Request, bodyTenant string) error {
 }
 
 // beginRead is what /v1/topk and /v1/servicevalues share up to the
-// merge: admission, decode, the tenant check, the request deadline, and
-// the query frame every group is sent — built once, carrying the
-// deadline's budget so a backend gives the exchange what the client gave
-// the request. A false return means the request was already answered.
-func (fe *Frontend) beginRead(w http.ResponseWriter, r *http.Request, needK bool) (rd *read, req *server.QueryRequest, facs []*trajcover.Facility, cancel context.CancelFunc, ok bool) {
-	body, ok := fe.admit(w, r)
-	if !ok {
-		return nil, nil, nil, nil, false
+// merge: admission, decode into pooled storage, the tenant check, the
+// request deadline, and the query frame every group is sent — built once
+// from the decoded table, carrying the deadline's budget so a backend
+// gives the exchange what the client gave the request. A false return
+// means the request was already answered; otherwise the caller ends the
+// read once its answer is written.
+func (fe *Frontend) beginRead(w http.ResponseWriter, r *http.Request, needK bool) (*read, bool) {
+	fe.requests.Add(1)
+	if fe.draining.Load() {
+		fe.errs.Add(1)
+		fe.rejectRetryable(w, http.StatusServiceUnavailable, "frontend draining")
+		return nil, false
 	}
-	req, table, facs, q, err := server.DecodeQueryTable(body, needK)
+	buf := server.AcquireQueryBuffer()
+	if err := buf.ReadBody(w, r, fe.cfg.MaxBodyBytes); err != nil {
+		buf.Release()
+		fe.rejectBody(w, err)
+		return nil, false
+	}
+	req, table, q, err := buf.Decode(buf.Body(), needK)
 	if err == nil {
 		err = singleTenant(r, req.Tenant)
 	}
 	if err != nil {
+		buf.Release()
 		fe.errs.Add(1)
 		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
-		return nil, nil, nil, nil, false
+		return nil, false
 	}
 	size := server.QueryFrameLen(table)
 	if int64(size) > fe.cfg.MaxBodyBytes {
+		buf.Release()
 		fe.errs.Add(1)
 		writeJSON(w, http.StatusRequestEntityTooLarge, server.ErrorResponse{Error: fmt.Sprintf("request takes %d bytes between frontend and backend, over the %d-byte limit", size, fe.cfg.MaxBodyBytes)})
-		return nil, nil, nil, nil, false
+		return nil, false
 	}
 	timeout := fe.requestTimeout(req.TimeoutMS)
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	frame := server.AppendQueryFrame(make([]byte, 0, size), table, server.QueryParams{
 		Query: q, Workers: req.Workers, TimeoutMS: max(timeout.Milliseconds(), 1),
 	})
-	return &read{fe: fe, ctx: ctx, frame: frame, n: len(facs)}, req, facs, cancel, true
+	return &read{fe: fe, ctx: ctx, cancel: cancel, buf: buf, req: req, table: table, frame: frame}, true
+}
+
+// partial reports whether a read asked for ?partial=1.
+func partial(r *http.Request) bool {
+	return r.URL.RawQuery != "" && r.URL.Query().Get("partial") == "1"
 }
 
 func (fe *Frontend) handleTopK(w http.ResponseWriter, r *http.Request) {
-	rd, req, facs, cancel, ok := fe.beginRead(w, r, true)
+	rd, ok := fe.beginRead(w, r, true)
 	if !ok {
 		return
 	}
-	defer cancel()
-	sums, missing, err := rd.serviceValues(r.URL.Query().Get("partial") == "1")
+	defer rd.end()
+	sums, missing, err := rd.serviceValues(partial(r))
 	if err != nil {
 		fe.failRead(w, rd.ctx, err)
 		return
 	}
-	// The in-process sharded top-k, with groups for shards: sort-and-cut
-	// over the summed exact values (the decoder has refused k < 1).
-	res := query.Results(facs, sums, req.K)
+	res := rank(rd.table, sums, rd.req.K)
 	if len(missing) > 0 {
 		fe.partials.Add(1)
-		writeJSON(w, http.StatusOK, PartialTopKResponse{Results: toRankedJSON(res), Partial: true, MissingGroups: missing})
+		writeJSON(w, http.StatusOK, PartialTopKResponse{TopKResponse: server.TopKResponse{Results: res}, Partial: true, MissingGroups: missing})
 		return
 	}
-	writeRaw(w, http.StatusOK, server.MarshalTopKResponse(res))
+	rd.buf.Answer = server.AppendRankedResponse(rd.buf.Answer[:0], res)
+	writeRaw(w, http.StatusOK, rd.buf.Answer)
+}
+
+// rank is the in-process sharded top-k's sort-and-cut (query.Results),
+// with groups for shards, over the facilities' IDs: the summed exact
+// values in query.CompareRanked's order, cut at k (the decoder has
+// refused k < 1).
+func rank(t trajectory.FacilityTable, sums []float64, k int) []server.RankedJSON {
+	res := make([]server.RankedJSON, t.Len())
+	for i := range res {
+		res[i] = server.RankedJSON{ID: uint32(t.ID(i)), Service: sums[i]}
+	}
+	slices.SortFunc(res, func(a, b server.RankedJSON) int {
+		return query.CompareRanked(a.Service, trajectory.ID(a.ID), b.Service, trajectory.ID(b.ID))
+	})
+	return res[:min(k, len(res))]
 }
 
 func (fe *Frontend) handleServiceValues(w http.ResponseWriter, r *http.Request) {
-	rd, _, _, cancel, ok := fe.beginRead(w, r, false)
+	rd, ok := fe.beginRead(w, r, false)
 	if !ok {
 		return
 	}
-	defer cancel()
-	sums, missing, err := rd.serviceValues(r.URL.Query().Get("partial") == "1")
+	defer rd.end()
+	sums, missing, err := rd.serviceValues(partial(r))
 	if err != nil {
 		fe.failRead(w, rd.ctx, err)
 		return
 	}
 	if len(missing) > 0 {
 		fe.partials.Add(1)
-		writeJSON(w, http.StatusOK, PartialValuesResponse{Values: sums, Partial: true, MissingGroups: missing})
+		writeJSON(w, http.StatusOK, PartialValuesResponse{ValuesResponse: server.ValuesResponse{Values: sums}, Partial: true, MissingGroups: missing})
 		return
 	}
-	writeRaw(w, http.StatusOK, server.MarshalValuesResponse(sums))
+	rd.buf.Answer = server.AppendValuesResponse(rd.buf.Answer[:0], sums)
+	writeRaw(w, http.StatusOK, rd.buf.Answer)
 }
 
 // handleWrite forwards an insert/delete to its owner group's primary —
@@ -580,16 +630,15 @@ func (fe *Frontend) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, fe.Stats())
 }
 
-func toRankedJSON(res []trajcover.Ranked) []server.RankedJSON {
-	out := make([]server.RankedJSON, len(res))
-	for i, r := range res {
-		out[i] = server.RankedJSON{ID: uint32(r.Facility.ID), Service: r.Service}
-	}
-	return out
-}
+// Header values assigned whole, without Header.Set's allocation; see
+// internal/server's.
+var (
+	jsonContentType   = []string{"application/json"}
+	retryAfterSeconds = []string{server.RetryAfter}
+)
 
 func writeRaw(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	w.Write(body)
 }

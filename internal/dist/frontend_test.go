@@ -396,10 +396,7 @@ func TestFrontendPartialMatrix(t *testing.T) {
 		{
 			name: "group down",
 			group1: func(t *testing.T) (string, func()) {
-				ts := httptest.NewServer(http.NotFoundHandler())
-				url := ts.URL
-				ts.Close() // connection refused from the first RPC
-				return url, func() {}
+				return downMember(t), func() {} // reset from the first RPC
 			},
 			wantStatus: http.StatusServiceUnavailable,
 			wantRetry:  true,
@@ -548,7 +545,8 @@ func TestFrontendIntraGroupFailover(t *testing.T) {
 	srvB := server.New(idxB, server.Config{Workers: 2, QueueDepth: 16, DefaultTimeout: 30 * time.Second})
 	defer srvB.Close()
 
-	tsA := httptest.NewServer(srvA.Handler())
+	tsA, killA := killable(srvA.Handler())
+	defer tsA.Close()
 	tsA2 := httptest.NewServer(srvA2.Handler())
 	defer tsA2.Close()
 	tsB := httptest.NewServer(srvB.Handler())
@@ -569,7 +567,7 @@ func TestFrontendIntraGroupFailover(t *testing.T) {
 
 	// Kill group 0's primary. Reads must fail over to the replica and
 	// stay complete (not partial).
-	tsA.Close()
+	killA()
 	body := mustBody(t, server.QueryRequest{Facilities: server.FacilitiesJSON(facs), K: 3, Psi: 40})
 	// Two reads: the round-robin cursor starts one of them on the dead
 	// primary.
@@ -801,5 +799,106 @@ func TestParseMap(t *testing.T) {
 		if _, err := ParseMap(bad); err == nil {
 			t.Fatalf("ParseMap(%q) accepted", bad)
 		}
+	}
+}
+
+// downMember is the base URL of a member that is down for the whole
+// test: a listener that stays bound — so no other process can take its
+// port and answer in its place, as one can once a closed test server has
+// given the port up — and resets every connection it accepts.
+func downMember(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			resetConn(c)
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+	})
+	return "http://" + ln.Addr().String()
+}
+
+// resetConn closes c with a reset, as the kernel closes a killed
+// process's sockets.
+func resetConn(c net.Conn) {
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetLinger(0)
+	}
+	c.Close()
+}
+
+// killable serves h until kill is called, and from then on resets every
+// connection a request arrives on, kept alive or new, while its listener
+// stays bound (see downMember).
+func killable(h http.Handler) (ts *httptest.Server, kill func()) {
+	var dead atomic.Bool
+	ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !dead.Load() {
+			h.ServeHTTP(w, r)
+			return
+		}
+		c, _, err := http.NewResponseController(w).Hijack()
+		if err != nil {
+			panic(http.ErrAbortHandler)
+		}
+		resetConn(c)
+	}))
+	return ts, func() { dead.Store(true) }
+}
+
+// countingBody is a request body that counts the reads made of it.
+type countingBody struct{ reads int }
+
+func (b *countingBody) Read([]byte) (int, error) { b.reads++; return 0, io.EOF }
+func (b *countingBody) Close() error             { return nil }
+
+// TestFrontendRefusesDeclaredOversizedBody: a body that declares more
+// than MaxBodyBytes is a 413 before a byte of it is read, on the reads
+// and the writes — the error names the limit, the connection closes, and
+// nothing is decoded or sent to a backend.
+func TestFrontendRefusesDeclaredOversizedBody(t *testing.T) {
+	fe, err := NewFrontend(FrontendConfig{
+		Groups:        []Group{{Members: []string{downMember(t)}}},
+		MaxBodyBytes:  512,
+		ProbeInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fe.Close()
+	for _, path := range []string{server.PathTopK, server.PathServiceValues, server.PathInsert, server.PathDelete} {
+		body := &countingBody{}
+		req := httptest.NewRequest(http.MethodPost, path, body)
+		req.ContentLength = 513
+		w := httptest.NewRecorder()
+		fe.Handler().ServeHTTP(w, req)
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d (%s), want 413", path, w.Code, w.Body)
+		}
+		if body.reads != 0 {
+			t.Fatalf("%s: the body was read %d times before the 413", path, body.reads)
+		}
+		var er server.ErrorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || !strings.Contains(er.Error, "512-byte limit") || !strings.Contains(er.Error, "513 bytes") {
+			t.Fatalf("%s: 413 body %s (%v), want the declared length and the limit", path, w.Body, err)
+		}
+		if w.Header().Get("Connection") != "close" {
+			t.Fatalf("%s: 413 leaves the connection open over an unread body", path)
+		}
+	}
+	if st := fe.Stats(); st.Requests != 4 || st.Errors != 4 || st.Exchanges != 0 || st.Failovers != 0 {
+		t.Fatalf("stats %+v: want four refused requests and nothing sent", st)
 	}
 }

@@ -10,7 +10,7 @@ package query
 // such batch per shard plus Results (internal/shard's Scatter), so this
 // is the one place a query polls its deadline.
 //
-// The batch loop (serviceValues in layout.go) polls CtxErr once per
+// The batch loop (addServiceValues in layout.go) polls CtxErr once per
 // facility. A nil context or one that can never be cancelled costs a
 // branch, far below the node-list evaluations a facility performs.
 

@@ -334,11 +334,28 @@ func (ep *Epoch) ServiceValue(f *trajectory.Facility, p Params) (float64, Metric
 // is added after it. The batch checks ctx between facilities (in every
 // worker) and returns ctx.Err() instead of an answer once it is done.
 func (ep *Epoch) ServiceValuesCtx(ctx context.Context, facilities []*trajectory.Facility, p Params, workers int) ([]float64, Metrics, error) {
+	if len(facilities) == 0 {
+		return nil, Metrics{}, ep.validate(p)
+	}
+	out := make([]float64, len(facilities))
+	m, err := ep.AddServiceValuesCtx(ctx, facilities, p, workers, out)
+	if err != nil {
+		return nil, m, err
+	}
+	return out, m, nil
+}
+
+// AddServiceValuesCtx is ServiceValuesCtx adding each facility's value
+// to sums[i] instead of returning a new slice: a scatter over several
+// epochs folds every shard into one slice, in shard order, with the bits
+// a sum of per-shard slices has. sums must be as long as facilities; on
+// an error it is left partly summed.
+func (ep *Epoch) AddServiceValuesCtx(ctx context.Context, facilities []*trajectory.Facility, p Params, workers int, sums []float64) (Metrics, error) {
 	defer runtime.KeepAlive(ep) // see ServiceValue
 	if err := ep.validate(p); err != nil {
-		return nil, Metrics{}, err
+		return Metrics{}, err
 	}
-	return serviceValues(ctx, ep, facilities, p, workers)
+	return addServiceValues(ctx, ep, facilities, p, workers, sums[:len(facilities)])
 }
 
 // UpperBound is a sound overestimate of f's service value over the

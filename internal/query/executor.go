@@ -13,7 +13,7 @@ import (
 // (compArena, pooled StopSets) and a private Metrics that is summed into
 // the caller's after the join, so the hot loops share no mutable state and
 // the merged totals match the serial run. The batch loop itself is
-// serviceValues in layout.go, Epoch.ServiceValuesCtx's body.
+// addServiceValues in layout.go, Epoch.AddServiceValuesCtx's body.
 
 // ResolveWorkers maps a caller's `workers` argument to an effective pool
 // size. It is THE normalization for every batch entry point in this

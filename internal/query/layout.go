@@ -343,22 +343,23 @@ func BestFirstTopK(base *tqtree.Frozen, facilities []*trajectory.Facility, k int
 	return results, m, nil
 }
 
-// serviceValues computes SO(U, f) over ep for every facility in one
+// addServiceValues computes SO(U, f) over ep for every facility in one
 // batch, sharding the facilities across a pool of workers: Algorithm 1
 // over the masked base, then the delta scan in the same step, added
-// after it. The returned slice is indexed like facilities; ordering and
-// merged Metrics are deterministic because each facility's traversal is
-// independent. ctx (nil means "never") is polled between facilities in
-// every worker; a done context aborts the batch with its error and no
-// partial answer. p must be valid for ep: the caller validates once.
-func serviceValues(ctx context.Context, ep *Epoch, facilities []*trajectory.Facility, p Params, workers int) ([]float64, Metrics, error) {
+// after it. Each facility's value is added to out[i] as one term, so
+// folding shard after shard into one slice gives the same bits as
+// summing per-shard slices in shard order. Ordering and merged Metrics
+// are deterministic because each facility's traversal is independent.
+// ctx (nil means "never") is polled between facilities in every worker;
+// a done context aborts the batch with its error, leaving out partly
+// summed. p must be valid for ep: the caller validates once.
+func addServiceValues(ctx context.Context, ep *Epoch, facilities []*trajectory.Facility, p Params, workers int, out []float64) (Metrics, error) {
 	var m Metrics
 	if len(facilities) == 0 {
-		return nil, m, nil
+		return m, nil
 	}
 	l := ep.layout()
 	mode, ancestors := l.f.FilterModeFor(p.Scenario), l.f.AncestorsCanServe(p.Scenario)
-	out := make([]float64, len(facilities))
 	workers = ResolveWorkers(workers, len(facilities))
 	stops := maxStops(facilities)
 	if workers == 1 {
@@ -366,12 +367,12 @@ func serviceValues(ctx context.Context, ep *Epoch, facilities []*trajectory.Faci
 		for i, f := range facilities {
 			if err := CtxErr(ctx); err != nil {
 				putCompArena(arena)
-				return nil, m, err
+				return m, err
 			}
-			out[i] = evaluateService(l, 0, f.Stops, p, mode, ancestors, &m, arena) + ep.deltaService(f, p, &m)
+			out[i] += evaluateService(l, 0, f.Stops, p, mode, ancestors, &m, arena) + ep.deltaService(f, p, &m)
 		}
 		putCompArena(arena)
-		return out, m, nil
+		return m, nil
 	}
 	var next atomic.Int64
 	perWorker := make([]Metrics, workers)
@@ -387,7 +388,7 @@ func serviceValues(ctx context.Context, ep *Epoch, facilities []*trajectory.Faci
 				if i >= len(facilities) {
 					break
 				}
-				out[i] = evaluateService(l, 0, facilities[i].Stops, p, mode, ancestors, wm, arena) + ep.deltaService(facilities[i], p, wm)
+				out[i] += evaluateService(l, 0, facilities[i].Stops, p, mode, ancestors, wm, arena) + ep.deltaService(facilities[i], p, wm)
 			}
 			putCompArena(arena)
 		}(w)
@@ -396,8 +397,5 @@ func serviceValues(ctx context.Context, ep *Epoch, facilities []*trajectory.Faci
 	for _, wm := range perWorker {
 		m.Add(wm)
 	}
-	if err := CtxErr(ctx); err != nil {
-		return nil, m, err
-	}
-	return out, m, nil
+	return m, CtxErr(ctx)
 }

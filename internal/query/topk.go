@@ -24,13 +24,18 @@ func maxStops(facilities []*trajectory.Facility) int {
 	return most
 }
 
-// sortResults orders by service descending, facility ID ascending for
-// determinism.
+// CompareRanked is the order of every top-k answer: service descending,
+// then facility ID ascending for determinism.
+func CompareRanked(aService float64, aID trajectory.ID, bService float64, bID trajectory.ID) int {
+	if c := cmp.Compare(bService, aService); c != 0 {
+		return c
+	}
+	return cmp.Compare(aID, bID)
+}
+
+// sortResults orders rs by CompareRanked.
 func sortResults(rs []Result) {
 	slices.SortFunc(rs, func(a, b Result) int {
-		if c := cmp.Compare(b.Service, a.Service); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Facility.ID, b.Facility.ID)
+		return CompareRanked(a.Service, a.Facility.ID, b.Service, b.Facility.ID)
 	})
 }

@@ -256,21 +256,20 @@ func DecodeFloatsFrame(r io.Reader, n int) ([]float64, error) {
 
 // exchangeState is the storage one exchange works in, pooled so that a
 // steady stream of exchanges allocates none of it: the query frame's
-// payload, which the decoded facilities alias, and the decoded form. The
-// pool task that answers the exchange puts it back when it is done; an
-// exchange refused before a worker took it leaves its state to the
-// collector, because only the worker knows nothing will touch it again.
+// payload, which the decoded facilities alias, the decoded form, and the
+// reply frame. The handler gives it back once the reply is written.
 type exchangeState struct {
 	query []byte
 	qf    QueryFrame
 	tail  [1]byte
+	reply []byte
 }
 
 var exchangeStates = sync.Pool{New: func() any { return new(exchangeState) }}
 
 func (x *exchangeState) release() {
 	// Like strictDecoder: storage grown past maxPooledBody is not kept.
-	if cap(x.query) <= maxPooledBody {
+	if cap(x.query)+cap(x.reply) <= maxPooledBody {
 		exchangeStates.Put(x)
 	}
 }
@@ -299,39 +298,38 @@ func (x *exchangeState) read(body io.Reader, max int64) error {
 	return nil
 }
 
+// run answers the decoded exchange: every facility's value over the
+// tenant's index, as one values frame built in x.
+func (x *exchangeState) run(ctx context.Context, idx *trajcover.Index) response {
+	vals, err := idx.ServiceValuesCtx(ctx, x.qf.Facilities, x.qf.Query, x.qf.Workers)
+	if err != nil {
+		return errResponse(err)
+	}
+	x.reply = AppendFloatsFrame(x.reply[:0], vals)
+	return response{status: http.StatusOK, ctype: octetContentType, body: x.reply}
+}
+
 // handleExchange serves POST /v1/exchange (layout above): a read like
-// /v1/servicevalues — the tenant's gate, the worker pool's admission, the
-// query frame's timeout_ms as the deadline, capped like any request's —
-// with its body read into pooled storage and no result cache in front.
+// /v1/servicevalues — the tenant's gate, slot admission, the query
+// frame's timeout_ms as the deadline, capped like any request's — with
+// its body read into pooled storage and no result cache in front.
 func (s *Server) handleExchange(w http.ResponseWriter, r *http.Request) {
 	ep := s.stats[PathExchange]
-	if s.draining.Load() {
-		ep.requests.Add(1)
-		ep.errors.Add(1)
-		s.rejectRetryable(w, http.StatusServiceUnavailable, "server draining")
+	if s.rejectDraining(w, ep) {
 		return
 	}
 	x := exchangeStates.Get().(*exchangeState)
+	defer x.release()
 	tid, err := resolveTenant(r, "")
+	if err == nil {
+		err = checkDeclaredLength(r, s.cfg.MaxBodyBytes)
+	}
 	if err == nil {
 		err = x.read(r.Body, s.cfg.MaxBodyBytes)
 	}
 	if err != nil {
-		x.release()
-		ep.requests.Add(1)
-		ep.errors.Add(1)
-		writeJSON(w, bodyErrorStatus(err), ErrorResponse{Error: err.Error()})
+		s.rejectBody(w, ep, err)
 		return
 	}
-	s.executeTenant(w, r, ep, tid, false, x.qf.TimeoutMS, nil, func(ctx context.Context, idx *trajcover.Index) response {
-		defer x.release()
-		vals, err := idx.ServiceValuesCtx(ctx, x.qf.Facilities, x.qf.Query, x.qf.Workers)
-		if err != nil {
-			return errResponse(err)
-		}
-		// The reply is not built in x: the handler writes it after x has
-		// gone back to the pool.
-		frame := make([]byte, 0, FrameHeaderLen+8*len(vals))
-		return response{status: http.StatusOK, ctype: "application/octet-stream", body: AppendFloatsFrame(frame, vals)}
-	})
+	s.executeTenant(w, r, ep, tid, false, x.qf.TimeoutMS, nil, x.run)
 }

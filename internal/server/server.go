@@ -2,18 +2,20 @@
 // trajectory-coverage index — the layer that turns the batch executor
 // into a system with an SLO. cmd/tqserve is its CLI wrapper.
 //
-// The serving core is a bounded worker pool with admission control:
-// every /v1/* request is decoded and validated in the HTTP handler, then
-// submitted to a queue of configurable depth ahead of a fixed pool of
-// workers. A full queue fails fast — 429 with a Retry-After hint —
-// instead of letting latency collapse under overload. Each admitted
-// request carries a deadline (the server default, or the request's
-// timeout_ms capped at Config.MaxTimeout) propagated as a
-// context.Context into the cancellation-aware query executor, so an
-// expired request aborts between facility evaluations rather than
-// holding a worker. /healthz and /statsz serve readiness and the
-// per-endpoint latency/queue counters; /v1/snapshot streams a TQLIVE02
-// checkpoint without stopping writes.
+// The serving core is slot admission: every /v1/* request is decoded and
+// validated in its HTTP handler, which then runs the request's work
+// itself once it holds one of Config.Workers slots. A handler that finds
+// every slot taken waits for one, at most Config.QueueDepth of them at a
+// time; past that it fails fast — 429 with a Retry-After hint — instead
+// of letting latency collapse under overload. Each request carries a
+// deadline (the server default, or the request's timeout_ms capped at
+// Config.MaxTimeout): a waiter whose deadline passes answers 504 without
+// running, and a running read gets it as a context.Context, so the
+// cancellation-aware query executor stops at its next facility and
+// answers 504. A running write is not abandoned: it answers with what it
+// did. /healthz and /statsz serve readiness and the per-endpoint
+// latency/queue counters; /v1/snapshot streams a TQLIVE02 checkpoint
+// without stopping writes.
 //
 // Endpoints:
 //
@@ -47,8 +49,8 @@
 // to the "default" tenant, so single-tenant clients keep working
 // unchanged. Reads of unknown tenants are 404; writes create the tenant
 // lazily (its own WAL directory under the registry root); invalid
-// tenant IDs are 400 before any state can exist. On top of the global
-// worker pool, each tenant passes a per-tenant admission gate —
+// tenant IDs are 400 before any state can exist. Ahead of the global
+// slots, each tenant passes a per-tenant admission gate —
 // max_inflight, max_queue, and a writes_per_sec token bucket, from a
 // hot-reloadable overrides document (SetOverrides) — and over-quota
 // requests get 429 with Retry-After and a per-tenant reject counter in
@@ -57,12 +59,14 @@
 //
 // Shutdown protocol: BeginDrain (new work → 503, health → draining),
 // then stop the HTTP listener (http.Server.Shutdown waits for in-flight
-// handlers, whose queued tasks the pool finishes or abandons at their
-// deadlines), then Close to stop the workers. Close must come after the
-// HTTP layer has stopped delivering requests.
+// handlers, each of which runs its own work to the end or answers 504 at
+// its deadline), then Close, which turns any straggler away with 503 and
+// returns once no admitted work is still running. The server starts no
+// goroutine of its own, so nothing of it outlives the drain.
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -85,13 +89,15 @@ import (
 )
 
 // Config tunes the serving core. The zero value serves with GOMAXPROCS
-// workers, a 64-deep queue, a 2s default deadline capped at 30s, 8 MiB
-// request bodies, and a 1s Retry-After hint.
+// slots, at most 64 handlers waiting for one, a 2s default deadline
+// capped at 30s, 8 MiB request bodies, and a 1s Retry-After hint.
 type Config struct {
-	// Workers is the size of the query worker pool (<= 0: GOMAXPROCS).
+	// Workers is how many requests run at once: the number of slots a
+	// handler must hold to run its work (<= 0: GOMAXPROCS). Snapshot
+	// streams, NDJSON streams and the replication tail run without one.
 	Workers int
-	// QueueDepth is how many admitted requests may wait for a worker
-	// before new ones are rejected with 429 (<= 0: 64).
+	// QueueDepth is how many handlers may wait for a slot before new ones
+	// are rejected with 429 (<= 0: 64).
 	QueueDepth int
 	// DefaultTimeout is the per-request deadline when the request names
 	// none (<= 0: 2s).
@@ -137,33 +143,25 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// response is a computed answer a worker hands back to the waiting
-// handler; the handler alone touches the ResponseWriter. retryAfter
-// marks a transient rejection (degraded writes) the handler must stamp
-// with a Retry-After header — the worker never touches w. ctype is the
-// body's Content-Type when it is not JSON.
+// response is a computed answer, written once the work has given back
+// its slot. retryAfter marks a transient rejection (degraded writes) that
+// must carry a Retry-After header. ctype is the body's Content-Type
+// header value when it is not JSON.
 type response struct {
 	status     int
 	body       []byte
 	retryAfter bool
-	ctype      string
+	ctype      []string
 }
 
-// task is one admitted request: the deadline context, the work closure,
-// and the channel the handler waits on. If the handler gives up at its
-// deadline first, the finished (or skipped) response is simply dropped.
-// started/finished (optional) are the tenant gate's bookkeeping: they
-// run on the worker when the task leaves the queue and when it is done
-// (even for skipped tasks), so a tenant's quota slots are held exactly
-// as long as the tenant genuinely occupies queue + worker capacity.
-type task struct {
-	ctx      context.Context
-	run      func(ctx context.Context) response
-	resp     response
-	done     chan struct{}
-	started  func()
-	finished func()
-}
+// Header values the answers assign whole: w.Header()[key] = value costs
+// no allocation, where Header.Set makes a new one-string slice. net/http
+// copies them when it writes the header and never writes into them.
+var (
+	jsonContentType   = []string{"application/json"}
+	octetContentType  = []string{"application/octet-stream"}
+	retryAfterSeconds = []string{RetryAfter}
+)
 
 // endpointStats is one endpoint's counters, updated with atomics on the
 // serving path and snapshotted by /statsz. `observed` counts only the
@@ -193,8 +191,8 @@ func (e *endpointStats) observe(d time.Duration) {
 }
 
 // EndpointSnapshot is one endpoint's counters as served by /statsz.
-// MeanMillis/MaxMillis are over Observed (requests that reached the
-// pool or the snapshot stream), not Requests, so decode rejections
+// MeanMillis/MaxMillis are over Observed (requests that waited for or
+// held a slot, and snapshot streams), not Requests, so decode rejections
 // cannot dilute the served-latency figures.
 type EndpointSnapshot struct {
 	Requests         uint64  `json:"requests"`
@@ -312,9 +310,11 @@ type OverridesSnapshot struct {
 	Fails   uint64 `json:"fails"`
 }
 
-// Server is the worker-pool front end over a live sharded index.
-// Construct with New, expose Handler over any http.Server, and shut
-// down with BeginDrain → HTTP shutdown → Close.
+// Server is the HTTP front end over a live sharded index. Each request
+// runs on its own handler goroutine, at most Config.Workers of them at
+// once, under slot admission (acquireSlot). Construct with New, expose
+// Handler over any http.Server, and shut down with BeginDrain → HTTP
+// shutdown → Close.
 type Server struct {
 	cfg Config
 	// Exactly one of idx/reg is live: idx is the single-tenant mode
@@ -322,9 +322,8 @@ type Server struct {
 	// multi-tenant mode (NewMulti). idx is an atomic pointer so a
 	// replica can swap in a freshly bootstrapped index (SetIndex) when
 	// its primary restarts, without dropping the listener.
-	idx   atomic.Pointer[trajcover.Index]
-	reg   *trajcover.TenantRegistry
-	queue chan *task
+	idx atomic.Pointer[trajcover.Index]
+	reg *trajcover.TenantRegistry
 
 	// repl is the primary-side replication log (Config.ReplLog;
 	// single-tenant only). replmu serializes each (index write, log
@@ -338,15 +337,18 @@ type Server struct {
 	// *rescache.Cache is a valid always-miss cache).
 	cache *rescache.Cache
 
-	// qmu makes Close safe against stragglers: enqueues hold the read
-	// side, Close closes the queue under the write side. The intended
-	// shutdown order (HTTP first, then Close) makes contention zero;
-	// the lock is what turns a violated order — e.g. a slow-body
-	// handler outliving a timed-out http.Server.Shutdown — into a 503
-	// instead of a send-on-closed-channel panic.
-	qmu       sync.RWMutex
+	// Slot admission. A request runs while it holds one of the slots'
+	// Workers tokens; waiting counts the handlers blocked for one. running
+	// counts admitted requests — waiting or running — so that Close can
+	// wait them out: amu makes "not closed yet, so count me" atomic with
+	// Close's "closed, so wait for everyone counted", and closing wakes
+	// the waiters to answer 503.
+	slots     chan struct{}
+	waiting   atomic.Int64
+	amu       sync.RWMutex
 	closed    bool
-	wg        sync.WaitGroup
+	closing   chan struct{}
+	running   sync.WaitGroup
 	closeOnce sync.Once
 	draining  atomic.Bool
 	start     time.Time
@@ -380,9 +382,8 @@ const (
 	PathStats         = "/statsz"
 )
 
-// New builds a single-tenant Server over idx and starts its worker
-// pool: every request (whatever tenant it names, as long as it is the
-// default) is served from idx.
+// New builds a single-tenant Server over idx: every request (whatever
+// tenant it names, as long as it is the default) is served from idx.
 func New(idx *trajcover.Index, cfg Config) *Server {
 	return newServer(idx, nil, cfg)
 }
@@ -397,14 +398,15 @@ func NewMulti(reg *trajcover.TenantRegistry, cfg Config) *Server {
 func newServer(idx *trajcover.Index, reg *trajcover.TenantRegistry, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:   cfg,
-		reg:   reg,
-		queue: make(chan *task, cfg.QueueDepth),
-		cache: rescache.New(cfg.ResultCacheBytes),
-		start: time.Now(),
-		mux:   http.NewServeMux(),
-		stats: map[string]*endpointStats{},
-		gates: map[string]*tenant.Gate{},
+		cfg:     cfg,
+		reg:     reg,
+		slots:   make(chan struct{}, cfg.Workers),
+		closing: make(chan struct{}),
+		cache:   rescache.New(cfg.ResultCacheBytes),
+		start:   time.Now(),
+		mux:     http.NewServeMux(),
+		stats:   map[string]*endpointStats{},
+		gates:   map[string]*tenant.Gate{},
 	}
 	if idx != nil {
 		s.idx.Store(idx)
@@ -426,10 +428,6 @@ func newServer(idx *trajcover.Index, reg *trajcover.TenantRegistry, cfg Config) 
 	s.mux.HandleFunc(PathChanges, s.handleChanges)
 	s.mux.HandleFunc(PathHealth, s.handleHealth)
 	s.mux.HandleFunc(PathStats, s.handleStats)
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
 	return s
 }
 
@@ -549,58 +547,72 @@ func acquireStatus(err error) int {
 // 503 while in-flight requests finish. Idempotent.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Close stops the worker pool after the remaining queue drains and
-// blocks until every worker has exited. Call it after the HTTP layer
-// has stopped delivering requests (http.Server.Shutdown or
-// httptest.Server.Close has returned); a handler that nevertheless
-// outlived a timed-out Shutdown gets 503 from then on rather than
-// racing the queue close. Idempotent.
+// Close stops admission and blocks until no admitted work is still
+// running. Call it after the HTTP layer has stopped delivering requests
+// (http.Server.Shutdown or httptest.Server.Close has returned); a
+// handler that nevertheless outlived a timed-out Shutdown gets 503, and
+// one still waiting for a slot is woken to answer 503. Idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
-		s.qmu.Lock()
+		s.amu.Lock()
 		s.closed = true
-		close(s.queue)
-		s.qmu.Unlock()
+		close(s.closing)
+		s.amu.Unlock()
 	})
-	s.wg.Wait()
+	s.running.Wait()
 }
 
-// enqueue admits a task unless the queue is full (false, nil) or the
-// pool is closed (false, error).
-func (s *Server) enqueue(t *task) (bool, error) {
-	s.qmu.RLock()
-	defer s.qmu.RUnlock()
+// acquireSlot admits one request's work: it returns 0 once the caller
+// holds a slot, and must then call releaseSlot, or the status of the
+// rejection that stands in for the work — 503 once Close has begun,
+// 429 when QueueDepth handlers already wait for a slot, 504 when ctx
+// ends before one comes free. A rejected request's work never runs.
+func (s *Server) acquireSlot(ctx context.Context) int {
+	s.amu.RLock()
 	if s.closed {
-		return false, errors.New("server closed")
+		s.amu.RUnlock()
+		return http.StatusServiceUnavailable
 	}
+	s.running.Add(1)
+	s.amu.RUnlock()
 	select {
-	case s.queue <- t:
-		return true, nil
+	case s.slots <- struct{}{}:
 	default:
-		return false, nil
+		if status := s.waitSlot(ctx); status != 0 {
+			s.running.Done()
+			return status
+		}
+	}
+	if ctx.Err() != nil {
+		// The deadline passed (or the client left) before the work could
+		// start: it is skipped, as a waiter's is.
+		s.releaseSlot()
+		return http.StatusGatewayTimeout
+	}
+	return 0
+}
+
+// waitSlot blocks for a free slot as one of at most QueueDepth waiters.
+func (s *Server) waitSlot(ctx context.Context) int {
+	if s.waiting.Add(1) > int64(s.cfg.QueueDepth) {
+		s.waiting.Add(-1)
+		return http.StatusTooManyRequests
+	}
+	defer s.waiting.Add(-1)
+	select {
+	case s.slots <- struct{}{}:
+		return 0
+	case <-ctx.Done():
+		return http.StatusGatewayTimeout
+	case <-s.closing:
+		return http.StatusServiceUnavailable
 	}
 }
 
-// worker executes admitted tasks in arrival order. A task whose
-// deadline already passed while queued is skipped — its handler has
-// answered 504 — so a saturated queue sheds abandoned work at a glance
-// instead of running queries nobody is waiting for.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for t := range s.queue {
-		if t.started != nil {
-			t.started()
-		}
-		if err := t.ctx.Err(); err != nil {
-			t.resp = errResponse(err)
-		} else {
-			t.resp = t.run(t.ctx)
-		}
-		if t.finished != nil {
-			t.finished()
-		}
-		close(t.done)
-	}
+// releaseSlot gives back the slot acquireSlot took.
+func (s *Server) releaseSlot() {
+	<-s.slots
+	s.running.Done()
 }
 
 // requestTimeout resolves a request's deadline from its timeout_ms,
@@ -631,7 +643,7 @@ const RetryAfter = "1"
 // retry goes through here; permanent errors (400/404/409/500) never
 // carry the header.
 func (s *Server) rejectRetryable(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Retry-After", RetryAfter)
+	w.Header()["Retry-After"] = retryAfterSeconds
 	writeJSON(w, status, ErrorResponse{Error: msg})
 }
 
@@ -644,28 +656,27 @@ func (s *Server) rejectQuota(w http.ResponseWriter, ep *endpointStats, tid strin
 	s.rejectRetryable(w, http.StatusTooManyRequests, fmt.Sprintf("tenant %q over %s", tid, reason))
 }
 
-// executeTenant runs one unit of work through the pool on behalf of a
-// tenant: per-tenant admission (429 over quota), index resolution (404
-// unknown on reads, lazy create on writes), global admission (429 on a
-// full queue), deadline propagation, and the wait for the worker's
-// response or the deadline (504). Gate slots are held until the worker
-// is genuinely done with the task — not until the handler gives up — so
-// quotas bound real queue + worker occupancy. All terminal paths update
-// the endpoint's counters; only this handler goroutine writes w.
+// executeTenant runs one unit of work on the handler's own goroutine on
+// behalf of a tenant: per-tenant admission (429 over quota), index
+// resolution (404 unknown on reads, lazy create on writes), the request
+// deadline, slot admission (acquireSlot: 429, 503 or 504 in place of the
+// work), the work, and the answer. Gate slots are held until the work is
+// done, so quotas bound real waiting + running occupancy; a request that
+// never gets a slot gives its gate slots back at once. All terminal paths
+// update the endpoint's counters.
 //
 // cached, when non-nil, makes the work cacheable (reads on a server that
 // has a cache): the handler captures the index version v, probes the
-// cache at (cached.hash, tenant, v) — a hit answers from the handler
-// goroutine, bypassing the queue entirely — and on a miss the worker
-// stores its 200 answer only if the version still reads v afterwards.
-// That capture/compute/recheck protocol is what keeps the cache
-// linearizable: an equal recheck proves no epoch was published while
-// the query ran, and a version observed at request time always names
-// an answer the client could have gotten from an uncached server at
-// that moment. Per-tenant quota admission still applies to hits. A
-// request whose hash came from an alias arrives undecoded
-// (cached.decode): only the miss pays for the decode, here on the
-// handler goroutine, and supplies timeoutMS and run.
+// cache at (cached.hash, tenant, v) — a hit answers at once, taking no
+// slot — and on a miss stores the work's 200 answer only if the version
+// still reads v afterwards. That capture/compute/recheck protocol is
+// what keeps the cache linearizable: an equal recheck proves no epoch
+// was published while the query ran, and a version observed at request
+// time always names an answer the client could have gotten from an
+// uncached server at that moment. Per-tenant quota admission still
+// applies to hits. A request whose hash came from an alias arrives
+// undecoded (cached.decode): only the miss pays for the decode, which
+// supplies timeoutMS.
 func (s *Server) executeTenant(w http.ResponseWriter, r *http.Request, ep *endpointStats, tid string, isWrite bool, timeoutMS int64, cached *cachedRead, run runFunc) {
 	start := time.Now()
 	ep.requests.Add(1)
@@ -690,9 +701,9 @@ func (s *Server) executeTenant(w http.ResponseWriter, r *http.Request, ep *endpo
 		return
 	}
 
+	var key rescache.Key
 	if cached != nil {
-		ver := idx.Version()
-		key := rescache.Key{Hash: cached.hash, Tenant: tid, Version: ver}
+		key = rescache.Key{Hash: cached.hash, Tenant: tid, Version: idx.Version()}
 		if body, ok := s.cache.Get(key); ok {
 			gate.Cancel()
 			release()
@@ -703,7 +714,7 @@ func (s *Server) executeTenant(w http.ResponseWriter, r *http.Request, ep *endpo
 		if cached.decode != nil {
 			// An alias is written only after these bytes decoded on this
 			// endpoint under this header, so they decode again.
-			if timeoutMS, run, err = cached.decode(); err != nil {
+			if timeoutMS, err = cached.decode(); err != nil {
 				gate.Cancel()
 				release()
 				ep.errors.Add(1)
@@ -711,103 +722,104 @@ func (s *Server) executeTenant(w http.ResponseWriter, r *http.Request, ep *endpo
 				return
 			}
 		}
-		inner := run
-		run = func(ctx context.Context, idx *trajcover.Index) response {
-			resp := inner(ctx, idx)
-			if resp.status == http.StatusOK && idx.Version() == ver {
-				s.cache.Put(key, resp.body)
-			}
-			return resp
-		}
 	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(timeoutMS, lim))
 	defer cancel()
-	t := &task{
-		ctx:     ctx,
-		run:     func(ctx context.Context) response { return run(ctx, idx) },
-		done:    make(chan struct{}),
-		started: gate.Started,
-		finished: func() {
-			gate.Finished()
-			release()
-		},
-	}
-	resp, admitted := s.runOnPool(ep, t)
-	if !admitted {
+	var resp response
+	status := s.acquireSlot(ctx)
+	if status == 0 {
+		gate.Started()
+		resp = run(ctx, idx)
+		gate.Finished()
+		if cached != nil && resp.status == http.StatusOK && idx.Version() == key.Version {
+			// The answer's bytes are the request's own storage: the cache
+			// keeps a copy.
+			s.cache.Put(key, bytes.Clone(resp.body))
+		}
+		s.releaseSlot()
+	} else {
 		gate.Cancel()
-		release()
+		resp = rejection(ctx, status)
+	}
+	release()
+	switch {
+	case resp.status == http.StatusTooManyRequests: // only slot admission answers 429 here
+		ep.rejected.Add(1)
+	case resp.status >= 400:
+		ep.errors.Add(1)
+		if resp.status == http.StatusGatewayTimeout {
+			ep.deadline.Add(1)
+		}
 	}
 	s.writeResponse(w, resp)
-	if admitted {
-		// Only admitted requests are timed: rejections return in
-		// microseconds and would otherwise dilute the served-latency mean.
+	if status == 0 || status == http.StatusGatewayTimeout {
+		// Only requests that waited or ran are timed: rejections return
+		// in microseconds and would dilute the served mean.
 		ep.observe(time.Since(start))
 	}
 }
 
-// runOnPool is global admission and the wait: it submits t to the worker
-// pool and returns the worker's response, or the rejection that stands in
-// for one — 429 on a full queue, 503 once the pool is closed (neither
-// admitted: t's hooks will never run), 504 when t's deadline or the
-// client's disconnect comes first (the query layer unwinds on its own and
-// the worker drops the task, running its finished hook then). Every
-// outcome is counted on ep; nothing here touches a ResponseWriter, so
-// the caller decides how the response travels.
-func (s *Server) runOnPool(ep *endpointStats, t *task) (resp response, admitted bool) {
-	ok, err := s.enqueue(t)
-	if err != nil {
-		ep.errors.Add(1)
-		return response{status: http.StatusServiceUnavailable, body: mustMarshal(ErrorResponse{Error: err.Error()}), retryAfter: true}, false
+// rejection is the answer that stands in for work acquireSlot refused
+// with status.
+func rejection(ctx context.Context, status int) response {
+	switch status {
+	case http.StatusTooManyRequests:
+		return response{status: status, body: mustMarshal(ErrorResponse{Error: "worker queue full"}), retryAfter: true}
+	case http.StatusServiceUnavailable:
+		return response{status: status, body: mustMarshal(ErrorResponse{Error: "server closed"}), retryAfter: true}
 	}
-	if !ok {
-		ep.rejected.Add(1)
-		return response{status: http.StatusTooManyRequests, body: mustMarshal(ErrorResponse{Error: "worker queue full"}), retryAfter: true}, false
-	}
-	select {
-	case <-t.done:
-		if t.resp.status >= 400 {
-			ep.errors.Add(1)
-			if t.resp.status == http.StatusGatewayTimeout {
-				ep.deadline.Add(1)
-			}
-		}
-		return t.resp, true
-	case <-t.ctx.Done():
-		ep.errors.Add(1)
-		ep.deadline.Add(1)
-		return response{status: http.StatusGatewayTimeout, body: mustMarshal(ErrorResponse{Error: t.ctx.Err().Error()})}, true
-	}
+	return response{status: status, body: mustMarshal(ErrorResponse{Error: ctx.Err().Error()})}
 }
 
 // writeResponse sends a response as an ordinary HTTP answer.
 func (s *Server) writeResponse(w http.ResponseWriter, resp response) {
+	h := w.Header()
 	if resp.retryAfter {
-		w.Header().Set("Retry-After", RetryAfter)
+		h["Retry-After"] = retryAfterSeconds
 	}
-	if resp.ctype != "" {
-		w.Header().Set("Content-Type", resp.ctype)
-		w.WriteHeader(resp.status)
-		w.Write(resp.body)
-		return
+	ctype := jsonContentType
+	if resp.ctype != nil {
+		ctype = resp.ctype
 	}
-	writeRaw(w, resp.status, resp.body)
+	h["Content-Type"] = ctype
+	w.WriteHeader(resp.status)
+	w.Write(resp.body)
 }
 
-// admit gates an endpoint handler on drain state and reads the capped
-// body; a nil return means admit already answered.
+// rejectDraining answers 503 while the server drains; a true return means
+// the request was answered.
+func (s *Server) rejectDraining(w http.ResponseWriter, ep *endpointStats) bool {
+	if !s.draining.Load() {
+		return false
+	}
+	ep.requests.Add(1)
+	ep.errors.Add(1)
+	s.rejectRetryable(w, http.StatusServiceUnavailable, "server draining")
+	return true
+}
+
+// rejectBody answers a request body that could not be taken: a 413
+// leaves the rest of the body unread, so it closes the connection.
+func (s *Server) rejectBody(w http.ResponseWriter, ep *endpointStats, err error) {
+	ep.requests.Add(1)
+	ep.errors.Add(1)
+	status := bodyErrorStatus(err)
+	if status == http.StatusRequestEntityTooLarge {
+		CloseAfterAnswer(w)
+	}
+	writeJSON(w, status, ErrorResponse{Error: err.Error()})
+}
+
+// admit gates a write or ops endpoint handler on drain state and reads
+// the capped body; a false return means admit already answered.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, ep *endpointStats) ([]byte, bool) {
-	if s.draining.Load() {
-		ep.requests.Add(1)
-		ep.errors.Add(1)
-		s.rejectRetryable(w, http.StatusServiceUnavailable, "server draining")
+	if s.rejectDraining(w, ep) {
 		return nil, false
 	}
 	body, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
 	if err != nil {
-		ep.requests.Add(1)
-		ep.errors.Add(1)
-		writeJSON(w, bodyErrorStatus(err), ErrorResponse{Error: err.Error()})
+		s.rejectBody(w, ep, err)
 		return nil, false
 	}
 	return body, true
@@ -853,8 +865,8 @@ func (s *Server) replLock() func() {
 	return s.replmu.Unlock
 }
 
-// runFunc is the work of one admitted request, executed on a pool worker
-// against the tenant's index.
+// runFunc is the work of one admitted request, run on its handler's
+// goroutine against the tenant's index while it holds a slot.
 type runFunc func(ctx context.Context, idx *trajcover.Index) response
 
 // cachedRead is what makes a read answerable from the result cache: its
@@ -862,20 +874,20 @@ type runFunc func(ctx context.Context, idx *trajcover.Index) response
 // still undecoded — the decode a result miss must run before any work.
 type cachedRead struct {
 	hash   [32]byte
-	decode func() (timeoutMS int64, run runFunc, err error)
+	decode func() (timeoutMS int64, err error)
 }
 
-// answerFunc computes one read endpoint's 200 body from a decoded
-// request.
-type answerFunc func(ctx context.Context, idx *trajcover.Index, req *QueryRequest, facs []*trajcover.Facility, q trajcover.Query) ([]byte, error)
+// answerFunc appends one read endpoint's 200 body for a decoded request
+// to dst.
+type answerFunc func(ctx context.Context, idx *trajcover.Index, req *QueryRequest, facs []*trajcover.Facility, q trajcover.Query, dst []byte) ([]byte, error)
 
-// readRequest is one /v1/topk or /v1/servicevalues request between
-// admit and executeTenant: the raw body, then what decoding it yields.
-// Body bytes stop here — a worker sees only run's decoded fields.
+// readRequest is one /v1/topk or /v1/servicevalues request between its
+// body and its answer, all of it in pooled storage (buf) that the
+// handler gives back once the answer is written.
 type readRequest struct {
 	needK  bool
 	answer answerFunc
-	body   []byte
+	buf    *QueryBuffer
 
 	req  *QueryRequest
 	facs []*trajcover.Facility
@@ -884,25 +896,27 @@ type readRequest struct {
 
 // decode parses and validates the body; any error is a 400.
 func (rr *readRequest) decode() (err error) {
-	rr.req, rr.facs, rr.q, err = DecodeQueryRequest(rr.body, rr.needK)
-	rr.body = nil
+	if rr.req, _, rr.q, err = rr.buf.Decode(rr.buf.body, rr.needK); err == nil {
+		rr.facs, err = rr.buf.facilities()
+	}
 	return err
 }
 
 // decodeOnMiss is cachedRead.decode for a request an alias hit sent to
 // the result lookup undecoded (its tenant came with the alias).
-func (rr *readRequest) decodeOnMiss() (int64, runFunc, error) {
+func (rr *readRequest) decodeOnMiss() (int64, error) {
 	if err := rr.decode(); err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	return rr.req.TimeoutMS, rr.run, nil
+	return rr.req.TimeoutMS, nil
 }
 
 func (rr *readRequest) run(ctx context.Context, idx *trajcover.Index) response {
-	body, err := rr.answer(ctx, idx, rr.req, rr.facs, rr.q)
+	body, err := rr.answer(ctx, idx, rr.req, rr.facs, rr.q, rr.buf.Answer[:0])
 	if err != nil {
 		return errResponse(err)
 	}
+	rr.buf.Answer = body
 	return response{status: http.StatusOK, body: body}
 }
 
@@ -928,11 +942,15 @@ func aliasKey(endpoint, xTenant string, body []byte) rescache.Key {
 }
 
 func aliasValue(hash [32]byte, tid string) []byte {
-	return append(hash[:], tid...)
+	return append(append(make([]byte, 0, len(hash)+len(tid)), hash[:]...), tid...)
 }
 
 func parseAlias(v []byte) (hash [32]byte, tid string) {
-	return [32]byte(v), string(v[len(hash):])
+	tid = tenant.DefaultID // the common case, without a new string
+	if t := v[len(hash):]; string(t) != tid {
+		tid = string(t)
+	}
+	return [32]byte(v), tid
 }
 
 // serveRead is the two cacheable read endpoints' one handler. With a
@@ -945,21 +963,27 @@ func parseAlias(v []byte) (hash [32]byte, tid string) {
 // tenant-resolved request ever has one, and an invalid body is a 400
 // every time. Bodies that differ in workers, timeout_ms or whitespace
 // each get their own alias and share one answer through the canonical
-// hash.
+// hash. The body, its decoded form and the answer's bytes live in one
+// pooled QueryBuffer from the body's read to the answer's write.
 func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, path string, needK bool, answer answerFunc) {
 	ep := s.stats[path]
-	body, ok := s.admit(w, r, ep)
-	if !ok {
+	if s.rejectDraining(w, ep) {
 		return
 	}
-	rr := &readRequest{needK: needK, answer: answer, body: body}
-	stream := path == PathServiceValues && r.URL.Query().Get("stream") == "1"
+	buf := AcquireQueryBuffer()
+	defer buf.Release()
+	if err := buf.ReadBody(w, r, s.cfg.MaxBodyBytes); err != nil {
+		s.rejectBody(w, ep, err)
+		return
+	}
+	rr := readRequest{needK: needK, answer: answer, buf: buf}
+	stream := path == PathServiceValues && r.URL.RawQuery != "" && r.URL.Query().Get("stream") == "1"
 	var alias rescache.Key
 	if s.cache != nil && !stream {
-		alias = aliasKey(path, r.Header.Get("X-Tenant"), body)
+		alias = aliasKey(path, r.Header.Get("X-Tenant"), buf.body)
 		if v, ok := s.cache.GetAlias(alias); ok {
 			hash, tid := parseAlias(v)
-			s.executeTenant(w, r, ep, tid, false, 0, &cachedRead{hash: hash, decode: rr.decodeOnMiss}, nil)
+			s.executeTenant(w, r, ep, tid, false, 0, &cachedRead{hash: hash, decode: rr.decodeOnMiss}, rr.run)
 			return
 		}
 	}
@@ -989,22 +1013,22 @@ func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, path string, 
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	s.serveRead(w, r, PathTopK, true, func(ctx context.Context, idx *trajcover.Index, req *QueryRequest, facs []*trajcover.Facility, q trajcover.Query) ([]byte, error) {
+	s.serveRead(w, r, PathTopK, true, func(ctx context.Context, idx *trajcover.Index, req *QueryRequest, facs []*trajcover.Facility, q trajcover.Query, dst []byte) ([]byte, error) {
 		res, err := idx.TopKParallelCtx(ctx, facs, req.K, q, req.Workers)
 		if err != nil {
 			return nil, err
 		}
-		return MarshalTopKResponse(res), nil
+		return AppendTopKResponse(dst, res), nil
 	})
 }
 
 func (s *Server) handleServiceValues(w http.ResponseWriter, r *http.Request) {
-	s.serveRead(w, r, PathServiceValues, false, func(ctx context.Context, idx *trajcover.Index, req *QueryRequest, facs []*trajcover.Facility, q trajcover.Query) ([]byte, error) {
+	s.serveRead(w, r, PathServiceValues, false, func(ctx context.Context, idx *trajcover.Index, req *QueryRequest, facs []*trajcover.Facility, q trajcover.Query, dst []byte) ([]byte, error) {
 		vs, err := idx.ServiceValuesCtx(ctx, facs, q, req.Workers)
 		if err != nil {
 			return nil, err
 		}
-		return MarshalValuesResponse(vs), nil
+		return AppendValuesResponse(dst, vs), nil
 	})
 }
 
@@ -1017,10 +1041,10 @@ func (s *Server) handleServiceValues(w http.ResponseWriter, r *http.Request) {
 // trailer is truncated). Values are bit-identical to the batch
 // response over the same facilities: chunks run the same batch core,
 // and the stream answers from one epoch capture taken before the
-// first chunk. Streams run inline on the handler goroutine — they
-// hold a response open for their whole life, which the worker pool's
-// occupancy model is not built for — but still pass per-tenant
-// admission and count against inflight quota until done. Streamed
+// first chunk. Streams take no slot — they hold a response open for
+// their whole life, which slot occupancy is not built for — but still
+// pass per-tenant admission and count against inflight quota until
+// done. Streamed
 // responses bypass the result cache (the cache stores whole bodies,
 // and a client asking to stream is asking not to wait for one).
 // Chunk size comes from ?chunk=N (default shard.DefaultStreamChunk).
@@ -1202,8 +1226,8 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 
 // handleSnapshot streams a TQLIVE02 checkpoint of the live index. The
 // capture is one atomic epoch-set read, so writes keep flowing while
-// the stream runs; it bypasses the query pool (it is IO-bound ops
-// traffic, not index work) but still counts on /statsz. On a WAL-backed
+// the stream runs; it takes no slot (it is IO-bound ops traffic, not
+// index work) but still counts on /statsz. On a WAL-backed
 // index the stream comes from CheckpointTo — the checkpoint is made
 // durable on disk and the WAL truncated before a byte reaches the
 // client, so downloading a snapshot doubles as a checkpoint.
@@ -1251,7 +1275,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// opsTenant resolves the tenant of an out-of-pool ops endpoint
+// opsTenant resolves the tenant of a slotless ops endpoint
 // (/v1/snapshot, /v1/checkpoint) from the X-Tenant header and acquires
 // its index (never creating one). A false return means the error was
 // already written (and counted).
@@ -1273,7 +1297,7 @@ func (s *Server) opsTenant(w http.ResponseWriter, r *http.Request, ep *endpointS
 
 // handleCheckpoint runs a WAL checkpoint (durable TQLIVE02 snapshot in
 // the WAL directory + segment truncation) without streaming the bytes.
-// Writes keep flowing; like /v1/snapshot it bypasses the query pool.
+// Writes keep flowing; like /v1/snapshot it takes no slot.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	ep := s.stats[PathCheckpoint]
 	ep.requests.Add(1)
@@ -1328,7 +1352,7 @@ const maxChangesWait = 30 * time.Second
 // the boot identity changed or `after` precedes the retained window —
 // both mean the replica's history diverged from what the log can
 // replay, and it must re-bootstrap from /v1/snapshot. Like
-// /v1/snapshot it bypasses the query pool, and it keeps serving while
+// /v1/snapshot it takes no slot, and it keeps serving while
 // draining so replicas can catch up right until the primary exits.
 func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) {
 	ep := s.stats[PathChanges]
@@ -1468,7 +1492,7 @@ func (s *Server) Stats() Stats {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Workers:       s.cfg.Workers,
 		QueueCap:      s.cfg.QueueDepth,
-		QueueDepth:    len(s.queue),
+		QueueDepth:    int(s.waiting.Load()),
 		Draining:      s.draining.Load(),
 		Process: ProcessSnapshot{
 			Goroutines:     runtime.NumGoroutine(),
@@ -1544,7 +1568,7 @@ func errResponse(err error) response {
 }
 
 func writeRaw(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	w.Write(body)
 }

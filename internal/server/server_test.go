@@ -443,60 +443,50 @@ func TestServerPrefixConsistencyUnderConcurrentWrites(t *testing.T) {
 	}
 }
 
-// blockWorkers parks n pool workers on a channel and returns once they
-// are all mid-task, plus the release function.
+// blockWorkers takes n of the server's slots, as n running requests
+// would, and returns the function that gives them back.
 func blockWorkers(t *testing.T, s *Server, n int) func() {
 	t.Helper()
-	release := make(chan struct{})
-	started := make(chan struct{}, n)
-	for i := 0; i < n; i++ {
-		bt := &task{
-			ctx: context.Background(),
-			run: func(context.Context) response {
-				started <- struct{}{}
-				<-release
-				return response{status: http.StatusOK, body: []byte("{}")}
-			},
-			done: make(chan struct{}),
-		}
-		select {
-		case s.queue <- bt:
-		case <-time.After(5 * time.Second):
-			t.Fatal("could not enqueue blocker")
-		}
-	}
 	for i := 0; i < n; i++ {
 		select {
-		case <-started:
+		case s.slots <- struct{}{}:
 		case <-time.After(5 * time.Second):
-			t.Fatal("worker did not pick up blocker")
+			t.Fatal("could not take a slot")
 		}
 	}
-	return func() { close(release) }
+	return func() {
+		for i := 0; i < n; i++ {
+			<-s.slots
+		}
+	}
 }
 
-// fillQueue stuffs the admission queue with parked tasks (they never
-// run while the workers are blocked).
+// fillQueue parks n waiters for a slot, as n handlers blocked behind
+// taken slots would be, and returns once they all wait. Each takes a
+// slot and gives it straight back once one comes free.
 func fillQueue(t *testing.T, s *Server, n int) {
 	t.Helper()
+	want := s.waiting.Load() + int64(n)
 	for i := 0; i < n; i++ {
-		ft := &task{
-			ctx:  context.Background(),
-			run:  func(context.Context) response { return response{status: http.StatusOK, body: []byte("{}")} },
-			done: make(chan struct{}),
+		go func() {
+			if s.waitSlot(context.Background()) == 0 {
+				<-s.slots
+			}
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.waiting.Load() < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d waiters parked", s.waiting.Load(), want)
 		}
-		select {
-		case s.queue <- ft:
-		case <-time.After(5 * time.Second):
-			t.Fatal("could not fill queue")
-		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestServerAdmissionControl saturates the pool and queue and asserts
-// overflow requests are rejected immediately with 429 + Retry-After —
-// well inside their deadline — and that service resumes once the pool
-// frees up.
+// TestServerAdmissionControl takes every slot and waiting place and
+// asserts overflow requests are rejected immediately with 429 +
+// Retry-After — well inside their deadline — and that service resumes
+// once the slots free up.
 func TestServerAdmissionControl(t *testing.T) {
 	users := testUsers(200, 41)
 	e := newEnv(t, users, Config{Workers: 1, QueueDepth: 1, DefaultTimeout: 10 * time.Second})
@@ -537,9 +527,9 @@ func TestServerAdmissionControl(t *testing.T) {
 }
 
 // TestServerDeadline: a request whose deadline expires while it waits
-// behind a blocked pool is answered 504 at the deadline, the abandoned
-// task is skipped (never runs), and the cancellation-aware executor
-// surfaces context.DeadlineExceeded at the library level too.
+// for a slot is answered 504 at the deadline without running, and the
+// cancellation-aware executor surfaces context.DeadlineExceeded at the
+// library level too.
 func TestServerDeadline(t *testing.T) {
 	users := testUsers(200, 51)
 	e := newEnv(t, users, Config{Workers: 1, QueueDepth: 8, DefaultTimeout: 10 * time.Second})
@@ -591,6 +581,45 @@ func TestServerDeadline(t *testing.T) {
 			t.Fatalf("service did not resume: status %d", status)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// countingBody is a request body that counts the reads made of it.
+type countingBody struct{ reads int }
+
+func (b *countingBody) Read([]byte) (int, error) { b.reads++; return 0, io.EOF }
+func (b *countingBody) Close() error             { return nil }
+
+// TestServerRefusesDeclaredOversizedBody: a body that declares more than
+// MaxBodyBytes is a 413 before a byte of it is read, on every endpoint
+// that takes a body — the error names the limit, the connection closes,
+// and nothing is hashed or decoded.
+func TestServerRefusesDeclaredOversizedBody(t *testing.T) {
+	e := newEnv(t, testUsers(100, 97), Config{Workers: 1, QueueDepth: 4, MaxBodyBytes: 512, ResultCacheBytes: 1 << 20})
+	for _, path := range []string{PathTopK, PathServiceValues, PathExchange, PathInsert, PathDelete, PathCompact} {
+		body := &countingBody{}
+		req := httptest.NewRequest(http.MethodPost, path, body)
+		req.ContentLength = 513
+		w := httptest.NewRecorder()
+		e.srv.Handler().ServeHTTP(w, req)
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d (%s), want 413", path, w.Code, w.Body)
+		}
+		if body.reads != 0 {
+			t.Fatalf("%s: the body was read %d times before the 413", path, body.reads)
+		}
+		if msg := errorOf(t, w.Body.Bytes()); !strings.Contains(msg, "512-byte limit") || !strings.Contains(msg, "513 bytes") {
+			t.Fatalf("%s: 413 says %q, want the declared length and the limit", path, msg)
+		}
+		if w.Header().Get("Connection") != "close" {
+			t.Fatalf("%s: 413 leaves the connection open over an unread body", path)
+		}
+		if got := e.srv.Stats().Endpoints[path]; got.Requests != 1 || got.Errors != 1 {
+			t.Fatalf("%s: counters %+v, want one request, one error", path, got)
+		}
+	}
+	if rc := e.srv.Stats().ResultCache; rc.AliasMisses != 0 || rc.Misses != 0 || rc.Entries != 0 {
+		t.Fatalf("result cache %+v: a refused body reached the cache", rc)
 	}
 }
 
@@ -744,7 +773,7 @@ func TestServerStatsAndHealth(t *testing.T) {
 
 // TestServerDrainLeavesNoGoroutines proves the shutdown protocol sheds
 // every goroutine the serving stack started: after drain + HTTP close +
-// pool Close, the process goroutine count returns to its baseline.
+// Close, the process goroutine count returns to its baseline.
 func TestServerDrainLeavesNoGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
@@ -786,10 +815,100 @@ func TestServerDrainLeavesNoGoroutines(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	// A straggler handler that somehow outlives the HTTP shutdown gets
-	// 503 from the closed pool, never a send-on-closed-channel panic.
-	if ok, err := srv.enqueue(&task{ctx: context.Background(), done: make(chan struct{})}); ok || err == nil {
-		t.Fatalf("enqueue after Close = (%v, %v), want (false, error)", ok, err)
+	// A straggler handler that somehow outlives the HTTP shutdown is
+	// refused a slot with 503.
+	if status := srv.acquireSlot(context.Background()); status != http.StatusServiceUnavailable {
+		t.Fatalf("acquireSlot after Close = %d, want 503", status)
+	}
+}
+
+// TestServerCloseWaitsForAdmittedWork pins the drain order of slot
+// admission: Close turns a handler still waiting for a slot away with
+// 503 + Retry-After at once, returns only when the work that holds a
+// slot has finished, and every request after it is a 503.
+func TestServerCloseWaitsForAdmittedWork(t *testing.T) {
+	e := newEnv(t, testUsers(200, 93), Config{Workers: 1, QueueDepth: 4, DefaultTimeout: 10 * time.Second})
+	body := mustBody(t, QueryRequest{Facilities: FacilitiesJSON(testFacilities(4, 4, 94)), K: 2, Psi: 40})
+
+	// Admitted work holds the only slot; a request waits behind it.
+	if status := e.srv.acquireSlot(context.Background()); status != 0 {
+		t.Fatalf("acquireSlot = %d", status)
+	}
+	type answer struct {
+		status int
+		hdr    http.Header
+	}
+	waiter := make(chan answer, 1)
+	go func() {
+		status, _, hdr := e.post(PathTopK, body)
+		waiter <- answer{status, hdr}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for e.srv.Stats().QueueDepth != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the request never waited for a slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		e.srv.Close()
+		close(closed)
+	}()
+	select {
+	case a := <-waiter:
+		if a.status != http.StatusServiceUnavailable || a.hdr.Get("Retry-After") == "" {
+			t.Fatalf("waiter at Close: %d (Retry-After %q), want 503 with Retry-After", a.status, a.hdr.Get("Retry-After"))
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close left the waiter waiting")
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while admitted work held a slot")
+	case <-time.After(50 * time.Millisecond):
+	}
+	e.srv.releaseSlot()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return once the work finished")
+	}
+	if status, _, _ := e.post(PathTopK, body); status != http.StatusServiceUnavailable {
+		t.Fatalf("topk after Close: %d, want 503", status)
+	}
+	if got := e.srv.Stats().QueueDepth; got != 0 {
+		t.Fatalf("queue_depth after Close = %d, want 0", got)
+	}
+}
+
+// TestServerWaiterNeverRuns pins the deadline rule for writes: an insert
+// whose deadline passes while it waits for a slot answers 504 and never
+// happens, so its ID is free afterwards; its tenant gate slots are back
+// the moment it answers.
+func TestServerWaiterNeverRuns(t *testing.T) {
+	users := testUsers(201, 95)
+	e := newEnv(t, users[:200], Config{Workers: 1, QueueDepth: 4, DefaultTimeout: 10 * time.Second})
+	release := blockWorkers(t, e.srv, 1)
+	ins := users[200]
+	pts := make([][2]float64, len(ins.Points))
+	for i, p := range ins.Points {
+		pts[i] = [2]float64{p.X, p.Y}
+	}
+	body := mustBody(t, InsertRequest{ID: uint32(ins.ID), Points: pts, TimeoutMS: 100})
+	if status, raw, _ := e.post(PathInsert, body); status != http.StatusGatewayTimeout {
+		t.Fatalf("insert behind a taken slot: %d %s, want 504", status, raw)
+	}
+	if g := e.srv.Stats().Tenants["default"].Gate; g.Inflight != 0 || g.Queued != 0 {
+		t.Fatalf("gate after the 504: %+v, want no slot held", g)
+	}
+	release()
+	if n := e.srv.Index().Len(); n != 200 {
+		t.Fatalf("Len = %d after a 504 insert, want 200: the waiter ran", n)
+	}
+	if status, raw, _ := e.post(PathInsert, body); status != http.StatusOK {
+		t.Fatalf("the same insert once a slot is free: %d %s, want 200", status, raw)
 	}
 }
 

@@ -368,17 +368,17 @@ func TestTenantIsolationProperty(t *testing.T) {
 }
 
 // TestTenantQuotaDeterministic pins one tenant at max_inflight with the
-// blocker-task technique: with the only worker parked, two admitted
-// requests hold the noisy tenant's two inflight slots, its third
+// blocker technique: with the only slot taken, two admitted requests
+// waiting for it hold the noisy tenant's two inflight slots, its third
 // request gets an immediate 429 + Retry-After naming the limit, and a
-// second tenant's request still succeeds once the worker frees up.
+// second tenant's request still succeeds once the slot frees up.
 func TestTenantQuotaDeterministic(t *testing.T) {
 	e := newMultiEnv(t, "", Config{Workers: 1, QueueDepth: 16, DefaultTimeout: 30 * time.Second})
 	e.srv.SetOverrides(&tenant.Overrides{
 		Tenants: map[string]tenant.Limits{"noisy": {MaxInflight: 2}},
 	})
 
-	// Materialize both tenants before the worker is parked.
+	// Materialize both tenants before the slot is taken.
 	users := testUsers(4, 71)
 	e.mustPost(PathInsert, "noisy", insertBody(t, users[0], ""), http.StatusOK)
 	e.mustPost(PathInsert, "quiet", insertBody(t, users[1], ""), http.StatusOK)
@@ -393,7 +393,7 @@ func TestTenantQuotaDeterministic(t *testing.T) {
 	facs := testFacilities(2, 4, 72)
 	query := mustBody(t, QueryRequest{Facilities: FacilitiesJSON(facs), K: 1, Psi: 40})
 
-	// Two noisy queries sit in the global queue holding both of the
+	// Two noisy queries wait for the slot holding both of the
 	// tenant's inflight slots.
 	type result struct {
 		status int
@@ -420,8 +420,8 @@ func TestTenantQuotaDeterministic(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// The third noisy request must bounce instantly — worker still
-	// parked, so this is the per-tenant gate, not the global queue.
+	// The third noisy request must bounce instantly — the slot is still
+	// taken, so this is the per-tenant gate, not the global waiting cap.
 	start := time.Now()
 	status, body, hdr, err := e.post(PathTopK, "noisy", query)
 	if err != nil {
@@ -448,7 +448,7 @@ func TestTenantQuotaDeterministic(t *testing.T) {
 		}
 		async <- result{status, body}
 	}()
-	// Give the quiet request time to be admitted, then free the worker:
+	// Give the quiet request time to be admitted, then free the slot:
 	// all three admitted requests must complete 200.
 	deadline = time.Now().Add(5 * time.Second)
 	for {
@@ -655,7 +655,7 @@ func TestTenantCheckpointAndSnapshot(t *testing.T) {
 
 // TestTenantMaxTimeoutCap pins the per-tenant deadline cap: a tenant
 // with max_timeout_ms below the requested timeout gets the tight
-// deadline (504 under a parked pool), while an uncapped tenant's
+// deadline (504 behind a taken slot), while an uncapped tenant's
 // request with the same timeout survives to completion.
 func TestTenantMaxTimeoutCap(t *testing.T) {
 	e := newMultiEnv(t, "", Config{Workers: 1, QueueDepth: 16, DefaultTimeout: 10 * time.Second, MaxTimeout: 10 * time.Second})
@@ -670,7 +670,7 @@ func TestTenantMaxTimeoutCap(t *testing.T) {
 
 	facs := testFacilities(2, 4, 52)
 	// The request asks for 5s; the tenant cap shrinks it to 50ms, so it
-	// times out 504 while the worker is parked — fast.
+	// times out 504 while the slot is taken — fast.
 	start := time.Now()
 	body, _ := e.mustPost(PathTopK, "tight", mustBody(t, QueryRequest{
 		Facilities: FacilitiesJSON(facs), K: 1, Psi: 40, TimeoutMS: 5000,

@@ -206,17 +206,36 @@ func (l *FacilityList) UnmarshalJSON(data []byte) error {
 }
 
 // facilityBatch is a decoded facility list with the table its stops
-// alias: what DecodeQueryTable decodes a body's "facilities" into.
+// alias: what a query body's "facilities" decode into. spare is the
+// storage of the last decode's columns, which the next decode into the
+// same batch reuses when it is large enough (QueryBuffer).
 type facilityBatch struct {
 	list  FacilityList
 	table trajectory.FacilityTable
+	spare batchColumns
+}
+
+type batchColumns struct {
+	list  FacilityList
+	ids   []trajectory.ID
+	off   []uint32
+	stops []trajcover.Point
+}
+
+// reuse returns s emptied when it has room for n, else a new slice that
+// has.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
 }
 
 // UnmarshalJSON is FacilityList's, keeping the table.
 func (b *facilityBatch) UnmarshalJSON(data []byte) error {
 	i := skipSpace(data, 0)
 	if string(data[i:]) == "null" {
-		*b = facilityBatch{}
+		b.list, b.table = nil, trajectory.FacilityTable{}
 		return nil
 	}
 	if i == len(data) || data[i] != '[' {
@@ -229,10 +248,10 @@ func (b *facilityBatch) UnmarshalJSON(data []byte) error {
 	// a hostile body's brackets from buying more than the decoders of
 	// single arrays allow (Coords) before a parse error ends it.
 	objects := min(bytes.Count(data, []byte{'{'}), MaxFacilities)
-	list := make(FacilityList, 0, objects)
-	ids := make([]trajectory.ID, 0, objects)
-	off := make([]uint32, 1, objects+1)
-	stops := make([]trajcover.Point, 0, min(bytes.Count(data, []byte{'['}), MaxPoints))
+	list := reuse(b.spare.list, objects)
+	ids := reuse(b.spare.ids, objects)
+	off := append(reuse(b.spare.off, objects+1), 0)
+	stops := reuse(b.spare.stops, min(bytes.Count(data, []byte{'['}), MaxPoints))
 	i = skipSpace(data, i+1)
 	for more := i == len(data) || data[i] != ']'; more; {
 		var id uint32
@@ -261,7 +280,7 @@ func (b *facilityBatch) UnmarshalJSON(data []byte) error {
 	for f := range list {
 		list[f].Stops = coordsOf(t.Stops(f))
 	}
-	*b = facilityBatch{list: list, table: t}
+	b.list, b.table, b.spare = list, t, batchColumns{list, ids, off, stops}
 	return nil
 }
 
@@ -490,21 +509,116 @@ func finite(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0)
 }
 
-// ReadBody reads a request body capped at max bytes (past it the error
-// is an *http.MaxBytesError and the connection closes, as
-// http.MaxBytesReader arranges). A body that declares its length is read
-// into one allocation of exactly that size; only a chunked body pays
-// io.ReadAll's growth loop.
+// ReadBody reads a request body capped at max bytes. A body that
+// declares a longer length is refused before a byte of it is read, with
+// an error that names both lengths and unwraps to an
+// *http.MaxBytesError; the caller's 413 should close the connection
+// (CloseAfterAnswer), since the body is left unread. A body that declares
+// its length is read into one allocation of exactly that size; only a
+// chunked body pays http.MaxBytesReader and a growth loop (past max the
+// error is an *http.MaxBytesError and the connection closes, as
+// MaxBytesReader arranges).
 func ReadBody(w http.ResponseWriter, r *http.Request, max int64) ([]byte, error) {
-	rd := http.MaxBytesReader(w, r.Body, max)
-	if n := r.ContentLength; n >= 0 && n <= max {
-		body := make([]byte, n)
-		if _, err := io.ReadFull(rd, body); err != nil {
-			return nil, err
-		}
-		return body, nil
+	return readBody(w, r, max, nil)
+}
+
+// readBody is ReadBody reading into buf's storage when it has room.
+func readBody(w http.ResponseWriter, r *http.Request, max int64, buf []byte) ([]byte, error) {
+	if err := checkDeclaredLength(r, max); err != nil {
+		return buf[:0], err
 	}
-	return io.ReadAll(rd)
+	if n := r.ContentLength; n >= 0 {
+		// net/http's body reader ends at the declared length.
+		if int64(cap(buf)) < n {
+			buf = make([]byte, n)
+		}
+		buf = buf[:n]
+		_, err := io.ReadFull(r.Body, buf)
+		return buf, err
+	}
+	b := bytes.NewBuffer(buf[:0])
+	_, err := b.ReadFrom(http.MaxBytesReader(w, r.Body, max))
+	return b.Bytes(), err
+}
+
+// checkDeclaredLength refuses a request whose declared body length is
+// over max, without reading any of it.
+func checkDeclaredLength(r *http.Request, max int64) error {
+	if r.ContentLength > max {
+		return fmt.Errorf("request body of %d bytes is over the %d-byte limit: %w", r.ContentLength, max, &http.MaxBytesError{Limit: max})
+	}
+	return nil
+}
+
+// CloseAfterAnswer asks net/http to close the connection once the answer
+// is written — what a 413 needs when the refused body was left unread.
+func CloseAfterAnswer(w http.ResponseWriter) { w.Header()["Connection"] = connectionClose }
+
+// connectionClose is the Connection header value CloseAfterAnswer assigns.
+var connectionClose = []string{"close"}
+
+// QueryBuffer is the storage one /v1/topk or /v1/servicevalues request is
+// read, decoded and answered in — its body, the decoded request and
+// facility columns, the query API's facilities, and the answer's bytes —
+// pooled, so that a steady stream of reads allocates none of it once the
+// pool is warm. What it hands out is valid until Release.
+type QueryBuffer struct {
+	// Answer is storage for the answer's bytes: append to Answer[:0] and
+	// keep the result here, so the next request reuses it.
+	Answer []byte
+
+	body []byte
+	qb   queryBody
+	slab []trajcover.Facility
+	ptrs []*trajcover.Facility
+}
+
+var queryBuffers = sync.Pool{New: func() any { return new(QueryBuffer) }}
+
+// AcquireQueryBuffer takes a QueryBuffer from the pool.
+func AcquireQueryBuffer() *QueryBuffer { return queryBuffers.Get().(*QueryBuffer) }
+
+// Release gives b back to the pool; nothing it handed out may be used
+// afterwards. Like strictDecoder, a buffer grown past maxPooledBody is
+// left to the collector instead.
+func (b *QueryBuffer) Release() {
+	c := &b.qb.Facilities.spare
+	size := cap(b.body) + cap(b.Answer) +
+		cap(c.list)*int(unsafe.Sizeof(FacilityJSON{})) + 4*cap(c.ids) + 4*cap(c.off) + 16*cap(c.stops) +
+		cap(b.slab)*int(unsafe.Sizeof(trajcover.Facility{})) + 8*cap(b.ptrs)
+	if size <= maxPooledBody {
+		queryBuffers.Put(b)
+	}
+}
+
+// ReadBody is the package's ReadBody into b's storage.
+func (b *QueryBuffer) ReadBody(w http.ResponseWriter, r *http.Request, max int64) (err error) {
+	b.body, err = readBody(w, r, max, b.body)
+	return err
+}
+
+// Body returns the body ReadBody read.
+func (b *QueryBuffer) Body() []byte { return b.body }
+
+// Decode parses and validates a query body, usually Body — the checks
+// and messages of DecodeQueryRequest — into b's storage: the request,
+// and the table its facilities and stops alias.
+func (b *QueryBuffer) Decode(data []byte, needK bool) (*QueryRequest, trajectory.FacilityTable, trajcover.Query, error) {
+	return b.qb.decode(data, needK)
+}
+
+// facilities builds the query API's form of the decoded table in b's
+// storage.
+func (b *QueryBuffer) facilities() ([]*trajcover.Facility, error) {
+	t := b.qb.Facilities.table
+	if cap(b.slab) < t.Len() {
+		b.slab, b.ptrs = make([]trajcover.Facility, t.Len()), make([]*trajcover.Facility, t.Len())
+	}
+	facs, err := t.Facilities(b.slab, b.ptrs)
+	if err != nil { // a stopless facility, refused by Decode
+		return nil, badRequestf("%v", err)
+	}
+	return facs, nil
 }
 
 // strictDecoder is a json.Decoder over a reader that can be pointed at
@@ -555,30 +669,38 @@ func checkFacilityCount(n uint64) error {
 	return nil
 }
 
-// facilities runs the facility checks every decoder applies — the JSON
-// body's and the exchange's query frame's — over a decoded batch, in this
-// order, with these messages: the count, then every facility's stop
-// count, then every stop. Then it builds the query API's form of the
-// batch, in slab and ptrs when they have room for it (FacilityTable's
-// Facilities).
-func facilities(t trajectory.FacilityTable, slab []trajcover.Facility, ptrs []*trajcover.Facility) ([]*trajcover.Facility, error) {
+// checkFacilities runs the facility checks every decoder applies — the
+// JSON body's and the exchange's query frame's — over a decoded batch, in
+// this order, with these messages: the count, then every facility's stop
+// count, then every stop.
+func checkFacilities(t trajectory.FacilityTable) error {
 	if err := checkFacilityCount(uint64(t.Len())); err != nil {
-		return nil, err
+		return err
 	}
 	for i := range t.Len() {
 		switch n := len(t.Stops(i)); {
 		case n == 0:
-			return nil, badRequestf("facility %d has no stops", t.ID(i))
+			return badRequestf("facility %d has no stops", t.ID(i))
 		case n > MaxStops:
-			return nil, badRequestf("facility %d has too many stops: %d > %d", t.ID(i), n, MaxStops)
+			return badRequestf("facility %d has too many stops: %d > %d", t.ID(i), n, MaxStops)
 		}
 	}
 	for i := range t.Len() {
 		for j, st := range t.Stops(i) {
 			if !finite(st.X) || !finite(st.Y) {
-				return nil, badRequestf("facility %d stop %d is not finite", t.ID(i), j)
+				return badRequestf("facility %d stop %d is not finite", t.ID(i), j)
 			}
 		}
+	}
+	return nil
+}
+
+// facilities runs checkFacilities, then builds the query API's form of
+// the batch, in slab and ptrs when they have room for it (FacilityTable's
+// Facilities).
+func facilities(t trajectory.FacilityTable, slab []trajcover.Facility, ptrs []*trajcover.Facility) ([]*trajcover.Facility, error) {
+	if err := checkFacilities(t); err != nil {
+		return nil, err
 	}
 	facs, err := t.Facilities(slab, ptrs)
 	if err != nil { // a stopless facility, refused above
@@ -624,8 +746,16 @@ func (req *QueryRequest) validate(needK bool) (trajcover.Query, error) {
 // and never lets a non-finite, oversized, or non-positive-k request
 // through to the index.
 func DecodeQueryRequest(data []byte, needK bool) (*QueryRequest, []*trajcover.Facility, trajcover.Query, error) {
-	req, _, facs, q, err := DecodeQueryTable(data, needK)
-	return req, facs, q, err
+	var b QueryBuffer
+	req, _, q, err := b.Decode(data, needK)
+	if err != nil {
+		return nil, nil, trajcover.Query{}, err
+	}
+	facs, err := b.facilities()
+	if err != nil {
+		return nil, nil, trajcover.Query{}, err
+	}
+	return req, facs, q, nil
 }
 
 // queryBody is what a query body decodes into: a QueryRequest whose
@@ -636,25 +766,27 @@ type queryBody struct {
 	Facilities facilityBatch `json:"facilities"`
 }
 
-// DecodeQueryTable is DecodeQueryRequest that also returns the table the
-// facilities and the request's stops alias — the columns a scatter-gather
-// frontend writes its query frame from.
-func DecodeQueryTable(data []byte, needK bool) (*QueryRequest, trajectory.FacilityTable, []*trajcover.Facility, trajcover.Query, error) {
-	var body queryBody
-	if err := unmarshalStrict(data, &body); err != nil {
-		return nil, trajectory.FacilityTable{}, nil, trajcover.Query{}, err
+// decode parses and validates data into qb, reusing the storage of its
+// last decode, and returns the request and the table its facilities and
+// stops alias.
+func (qb *queryBody) decode(data []byte, needK bool) (*QueryRequest, trajectory.FacilityTable, trajcover.Query, error) {
+	// Fields the body leaves out must read as zero, not as the last
+	// decode's values.
+	qb.QueryRequest = QueryRequest{}
+	qb.Facilities.list, qb.Facilities.table = nil, trajectory.FacilityTable{}
+	if err := unmarshalStrict(data, qb); err != nil {
+		return nil, trajectory.FacilityTable{}, trajcover.Query{}, err
 	}
-	req, t := &body.QueryRequest, body.Facilities.table
-	req.Facilities = body.Facilities.list
+	req, t := &qb.QueryRequest, qb.Facilities.table
+	req.Facilities = qb.Facilities.list
 	q, err := req.validate(needK)
-	if err != nil {
-		return nil, trajectory.FacilityTable{}, nil, trajcover.Query{}, err
+	if err == nil {
+		err = checkFacilities(t)
 	}
-	facs, err := facilities(t, nil, nil)
 	if err != nil {
-		return nil, trajectory.FacilityTable{}, nil, trajcover.Query{}, err
+		return nil, trajectory.FacilityTable{}, trajcover.Query{}, err
 	}
-	return req, t, facs, q, nil
+	return req, t, q, nil
 }
 
 // DecodeInsertRequest parses and validates a /v1/insert body.
@@ -728,17 +860,82 @@ func CanonicalQueryHash(endpoint string, req *QueryRequest, k int, q trajcover.Q
 // does — exported so tests (and clients embedded in the bench harness)
 // can assert byte identity against direct library calls.
 func MarshalTopKResponse(results []trajcover.Ranked) []byte {
-	out := TopKResponse{Results: make([]RankedJSON, len(results))}
-	for i, r := range results {
-		out.Results[i] = RankedJSON{ID: uint32(r.Facility.ID), Service: r.Service}
-	}
-	return mustMarshal(out)
+	return AppendTopKResponse(make([]byte, 0, 16+48*len(results)), results)
 }
 
-// MarshalValuesResponse encodes a servicevalues answer exactly as the
-// handler does.
-func MarshalValuesResponse(values []float64) []byte {
-	return mustMarshal(ValuesResponse{Values: values})
+// The answers of the two read endpoints are encoded by hand, appended to
+// the caller's storage: byte for byte what encoding/json makes of a
+// TopKResponse or a ValuesResponse (FuzzResponseEncoding holds them to
+// it), without its reflection and its buffer copy.
+
+// AppendTopKResponse appends the TopKResponse for results to dst. Its
+// results are an array even when there are none, never null.
+func AppendTopKResponse(dst []byte, results []trajcover.Ranked) []byte {
+	dst = append(dst, `{"results":[`...)
+	for i, r := range results {
+		dst = appendRanked(dst, i, uint32(r.Facility.ID), r.Service)
+	}
+	return append(dst, "]}"...)
+}
+
+// AppendRankedResponse appends the TopKResponse whose results are
+// ranked to dst, an array even when empty.
+func AppendRankedResponse(dst []byte, ranked []RankedJSON) []byte {
+	dst = append(dst, `{"results":[`...)
+	for i, r := range ranked {
+		dst = appendRanked(dst, i, r.ID, r.Service)
+	}
+	return append(dst, "]}"...)
+}
+
+// AppendValuesResponse appends the ValuesResponse for values to dst; a
+// nil slice is null, as encoding/json writes it.
+func AppendValuesResponse(dst []byte, values []float64) []byte {
+	if values == nil {
+		return append(dst, `{"values":null}`...)
+	}
+	dst = append(dst, `{"values":[`...)
+	for i, v := range values {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendFloat(dst, v)
+	}
+	return append(dst, "]}"...)
+}
+
+// appendRanked appends results[i] of a TopKResponse.
+func appendRanked(dst []byte, i int, id uint32, service float64) []byte {
+	if i > 0 {
+		dst = append(dst, ',')
+	}
+	dst = append(dst, `{"id":`...)
+	dst = strconv.AppendUint(dst, uint64(id), 10)
+	dst = append(dst, `,"service":`...)
+	dst = appendFloat(dst, service)
+	return append(dst, '}')
+}
+
+// appendFloat appends v as encoding/json writes a float64: the shortest
+// representation that round-trips, in 'f' notation unless v is below
+// 1e-6 or from 1e21 in magnitude, where it is 'e' notation with a
+// negative exponent's leading zero dropped. A non-finite v panics, as
+// mustMarshal does: no answer holds one.
+func appendFloat(dst []byte, v float64) []byte {
+	if !finite(v) {
+		panic(fmt.Sprintf("server: marshal response: unsupported value %v", v))
+	}
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, v, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		// e-07 is e-7.
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
 }
 
 // StreamChunk is one NDJSON line of a streamed servicevalues

@@ -17,6 +17,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -201,6 +202,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		switch kind % 3 {
 		case 0:
 			req, facs, q, err := DecodeQueryRequest(data, true)
+			requireReuseMatches(t, data, req, facs, q, err)
 			if err != nil {
 				requireBadRequest(t, err)
 				return
@@ -278,6 +280,45 @@ func FuzzDecodeRequest(f *testing.F) {
 	})
 }
 
+// dirtyBody is a query body that sets every field and holds more
+// facilities and stops than most fuzzed bodies: what a pooled
+// QueryBuffer has decoded before it meets the next body.
+var dirtyBody = []byte(`{"facilities":[{"id":7,"stops":[[1,2],[3,4],[5,6]]},{"id":8,"stops":[[7,8]]},{"id":9,"stops":[[9,10],[11,12]]}],` +
+	`"k":5,"scenario":"length","psi":12.5,"workers":3,"timeout_ms":99,"tenant":"acme"}`)
+
+// requireReuseMatches decodes data into a QueryBuffer that has decoded
+// dirtyBody before and holds the result to a fresh decode's (req, facs,
+// q, err): the same error, or the same request — no field, facility or
+// stop left over from the earlier body — and the same canonical hash.
+func requireReuseMatches(t *testing.T, data []byte, req *QueryRequest, facs []*trajcover.Facility, q trajcover.Query, err error) {
+	t.Helper()
+	var buf QueryBuffer
+	if _, _, _, err := buf.Decode(dirtyBody, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := buf.facilities(); err != nil {
+		t.Fatal(err)
+	}
+	rreq, _, rq, rerr := buf.Decode(data, true)
+	var rfacs []*trajcover.Facility
+	if rerr == nil {
+		rfacs, rerr = buf.facilities()
+	}
+	if (err == nil) != (rerr == nil) || (err != nil && err.Error() != rerr.Error()) {
+		t.Fatalf("reused buffer: error %v, fresh decode %v", rerr, err)
+	}
+	if err != nil {
+		return
+	}
+	if rq != q || rreq.K != req.K || rreq.Scenario != req.Scenario || rreq.Workers != req.Workers || rreq.TimeoutMS != req.TimeoutMS || rreq.Tenant != req.Tenant {
+		t.Fatalf("reused buffer decoded %+v %+v, fresh decode %+v %+v", rreq, rq, req, q)
+	}
+	requireSameFacilities(t, rfacs, facs)
+	if CanonicalQueryHash(PathTopK, rreq, rreq.K, rq) != CanonicalQueryHash(PathTopK, req, req.K, q) {
+		t.Fatal("reused buffer: canonical hash differs from a fresh decode's")
+	}
+}
+
 // requireSafeTenant pins the decode → resolve pipeline for a decoded
 // body tenant: resolveTenant must either reject it as a 4xx or hand
 // back a validated safe ID — the only two outcomes that can't create
@@ -339,4 +380,65 @@ func requireBadRequest(t *testing.T, err error) {
 	if _, ok := err.(*badRequest); !ok {
 		t.Fatalf("decoder error %v (%T) is not a badRequest", err, err)
 	}
+}
+
+// MarshalValuesResponse encodes a servicevalues answer exactly as the
+// handler does.
+func MarshalValuesResponse(values []float64) []byte {
+	return AppendValuesResponse(nil, values)
+}
+
+// FuzzResponseEncoding holds the hand-written answer encoders to
+// encoding/json, byte for byte: every 12 bytes of data are one facility
+// ID and one float64's bits (non-finite ones skipped: no answer holds
+// one), encoded as a TopKResponse through AppendTopKResponse and
+// AppendRankedResponse and as a ValuesResponse through
+// AppendValuesResponse — each appended after a prefix, which must stay
+// as it was — and, with no records, as the nil and the empty answer.
+func FuzzResponseEncoding(f *testing.F) {
+	record := func(id uint32, v float64) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, id)
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	var all []byte
+	for i, v := range []float64{0, math.Copysign(0, -1), 1, -1, 0.1, 123.456, 1e-6, 9.99999e-7, 1e-7, -1e-7, 1e20, 1e21, -1e21, 1.5e300, 5e-324, math.MaxFloat64, 1e-10, 33, 2.5e-5} {
+		f.Add(record(uint32(i), v))
+		all = append(all, record(uint32(i)*977, v)...)
+	}
+	f.Add(all)
+	f.Add([]byte(nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ranked []trajcover.Ranked
+		var wire []RankedJSON
+		var values []float64
+		for ; len(data) >= 12; data = data[12:] {
+			id, v := binary.LittleEndian.Uint32(data), math.Float64frombits(binary.LittleEndian.Uint64(data[4:]))
+			if !finite(v) {
+				continue
+			}
+			ranked = append(ranked, trajcover.Ranked{Facility: &trajcover.Facility{ID: trajcover.ID(id)}, Service: v})
+			wire = append(wire, RankedJSON{ID: id, Service: v})
+			values = append(values, v)
+		}
+		prefix := []byte("prefix:")
+		check := func(what string, got []byte, v any) {
+			t.Helper()
+			want, err := json.Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
+				t.Fatalf("%s: %s, encoding/json %s", what, got, want)
+			}
+		}
+		// A top-k answer's results are an array even when empty, as the
+		// handler has always built them; a nil values slice is null.
+		results := TopKResponse{Results: append([]RankedJSON{}, wire...)}
+		check("AppendTopKResponse", AppendTopKResponse(bytes.Clone(prefix), ranked), results)
+		check("AppendRankedResponse", AppendRankedResponse(bytes.Clone(prefix), wire), results)
+		check("AppendValuesResponse", AppendValuesResponse(bytes.Clone(prefix), values), ValuesResponse{Values: values})
+		if len(values) == 0 {
+			check("AppendValuesResponse(empty)", AppendValuesResponse(bytes.Clone(prefix), []float64{}), ValuesResponse{Values: []float64{}})
+		}
+	})
 }

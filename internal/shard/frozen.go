@@ -14,9 +14,8 @@ import (
 // unit Live serves, through the embedded Scatter; each base serializes
 // verbatim into the TQSHRD03 snapshot container.
 type Frozen struct {
-	Scatter
-	part   Partitioner
-	epochs []*query.Epoch
+	Scatter // its epochs are the shards
+	part    Partitioner
 }
 
 // BuildFrozen partitions users and writes each shard's columns straight
@@ -48,9 +47,7 @@ func newFrozen(bases []*tqtree.Frozen, part Partitioner) (*Frozen, error) {
 		}
 		epochs[i] = ep
 	}
-	f := &Frozen{part: part, epochs: epochs}
-	f.capture = func() []*query.Epoch { return epochs }
-	return f, nil
+	return &Frozen{Scatter: Scatter{epochs: epochs}, part: part}, nil
 }
 
 // uniqueAcross rejects an ID that two of the given sorted, duplicate-free

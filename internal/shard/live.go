@@ -285,7 +285,7 @@ func newLive(epochs []*query.Epoch, part Partitioner, pol Policy) *Live {
 		policy:   pol.withDefaults(),
 		shards:   make([]*liveShard, len(epochs)),
 	}
-	l.capture = l.Epochs
+	l.Scatter = Scatter{live: l}
 	for i, ep := range epochs {
 		sh := &liveShard{
 			delta:     ep.Delta(),
@@ -314,13 +314,18 @@ func (l *Live) PartitionerKind() string { return l.part.Kind() }
 // callers (queries, snapshot writers) work from them without further
 // coordination — no lock is held while they execute.
 func (l *Live) Epochs() []*query.Epoch {
+	return l.appendEpochs(make([]*query.Epoch, 0, len(l.shards)))
+}
+
+// appendEpochs is Epochs appending the cut to dst, so a query can capture
+// into a buffer of its own.
+func (l *Live) appendEpochs(dst []*query.Epoch) []*query.Epoch {
 	l.wmu.RLock()
-	out := make([]*query.Epoch, len(l.shards))
-	for i, sh := range l.shards {
-		out[i] = sh.epoch.Load()
+	for _, sh := range l.shards {
+		dst = append(dst, sh.epoch.Load())
 	}
 	l.wmu.RUnlock()
-	return out
+	return dst
 }
 
 // Version returns the epoch-publish counter: it increases after every

@@ -26,12 +26,26 @@ const DefaultStreamChunk = 256
 // sum of its per-shard values and a batch's coverage table the
 // concatenation of theirs — which is all the code below relies on.
 //
-// capture returns the epochs one query runs over: Frozen's fixed slice,
-// or one write-consistent cut (Live.Epochs) — taken once per call, so a
-// query (or a whole stream, or a whole MaxkCovRST solve through Source)
+// The epochs one query runs over are Frozen's fixed slice, or one
+// write-consistent cut of a Live (Live.Epochs) — taken once per call, so
+// a query (or a whole stream, or a whole MaxkCovRST solve through Source)
 // is unaffected by writes and swaps that land while it runs.
 type Scatter struct {
-	capture func() []*query.Epoch
+	epochs []*query.Epoch // a Frozen's shards
+	live   *Live          // or the Live whose current cut each call captures
+}
+
+// stackShards is how many shards a batch captures into a buffer on its
+// own stack; an index of more shards captures onto the heap.
+const stackShards = 8
+
+// capture returns the epochs one call runs over, a Live's cut appended to
+// dst.
+func (s Scatter) capture(dst []*query.Epoch) []*query.Epoch {
+	if s.live != nil {
+		return s.live.appendEpochs(dst)
+	}
+	return s.epochs
 }
 
 // validate checks the query parameters and their compatibility with
@@ -50,16 +64,13 @@ func validate(eps []*query.Epoch, p Params) error {
 }
 
 // sumValues scatters one batch to every shard and folds the per-shard
-// answers in shard order, so the sums are deterministic.
+// answers into one slice in shard order, so the sums are deterministic.
 func sumValues(ctx context.Context, eps []*query.Epoch, facilities []*trajectory.Facility, p Params, workers int, m *query.Metrics) ([]float64, error) {
 	out := make([]float64, len(facilities))
 	for _, ep := range eps {
-		vs, um, err := ep.ServiceValuesCtx(ctx, facilities, p, workers)
+		um, err := ep.AddServiceValuesCtx(ctx, facilities, p, workers, out)
 		if err != nil {
 			return nil, err
-		}
-		for i, v := range vs {
-			out[i] += v
 		}
 		m.Add(um)
 	}
@@ -71,7 +82,8 @@ func sumValues(ctx context.Context, eps []*query.Epoch, facilities []*trajectory
 func (s Scatter) ServiceValue(f *trajectory.Facility, p Params) (float64, query.Metrics, error) {
 	var m query.Metrics
 	var so float64
-	for _, ep := range s.capture() {
+	var buf [stackShards]*query.Epoch
+	for _, ep := range s.capture(buf[:0]) {
 		v, um, err := ep.ServiceValue(f, p)
 		if err != nil {
 			return 0, m, err
@@ -89,7 +101,8 @@ func (s Scatter) ServiceValue(f *trajectory.Facility, p Params) (float64, query.
 // once the context is done. The output is indexed like facilities.
 func (s Scatter) ServiceValuesCtx(ctx context.Context, facilities []*trajectory.Facility, p Params, workers int) ([]float64, query.Metrics, error) {
 	var m query.Metrics
-	out, err := sumValues(ctx, s.capture(), facilities, p, workers, &m)
+	var buf [stackShards]*query.Epoch
+	out, err := sumValues(ctx, s.capture(buf[:0]), facilities, p, workers, &m)
 	return out, m, err
 }
 
@@ -100,7 +113,8 @@ func (s Scatter) ServiceValuesCtx(ctx context.Context, facilities []*trajectory.
 // bit-identical to the batch answer. A yield error or a done context
 // aborts the stream; Metrics accumulate across yielded chunks.
 func (s Scatter) ServiceValuesStreamCtx(ctx context.Context, facilities []*trajectory.Facility, p Params, workers, chunk int, yield func(start int, vals []float64) error) (query.Metrics, error) {
-	eps := s.capture()
+	var buf [stackShards]*query.Epoch
+	eps := s.capture(buf[:0])
 	var m query.Metrics
 	// Validate before the loop so an empty facility list still surfaces
 	// bad parameters, like the batch path.
@@ -139,7 +153,8 @@ func (s Scatter) ServiceValuesStreamCtx(ctx context.Context, facilities []*traje
 // a summed seed bound could prune, which measured (tqbench -exp bound)
 // never ranks a facility below the k-th value.
 func (s Scatter) TopKCtx(ctx context.Context, facilities []*trajectory.Facility, k int, p Params, workers int) ([]query.Result, query.Metrics, error) {
-	eps := s.capture()
+	var buf [stackShards]*query.Epoch
+	eps := s.capture(buf[:0])
 	var m query.Metrics
 	if err := validate(eps, p); err != nil {
 		return nil, m, err
@@ -158,7 +173,7 @@ func (s Scatter) TopKCtx(ctx context.Context, facilities []*trajectory.Facility,
 // query that makes many calls — a MaxkCovRST solve, a served-users answer
 // — so every call sees one epoch cut.
 func (s Scatter) Source() *Source {
-	return &Source{eps: s.capture()}
+	return &Source{eps: s.capture(nil)}
 }
 
 // Source is one capture of an index's shards as the coverage queries read

@@ -1,9 +1,9 @@
 package tenant
 
 // Gate is one tenant's admission state, enforced by the serving front
-// end on top of (not instead of) the global worker pool: the pool
-// bounds total CPU and queue depth, the Gate bounds one tenant's share
-// of them, so a noisy tenant exhausts its own quota and gets 429 while
+// end on top of (not instead of) its global slots: the slots bound
+// total CPU and how many requests wait, the Gate bounds one tenant's
+// share of them, so a noisy tenant exhausts its own quota and gets 429 while
 // its neighbours keep being served. Slots are reserved with CAS loops —
 // never optimistic increments — so a limit of N admits exactly N
 // concurrent requests, which is what lets the quota tests be
@@ -30,8 +30,8 @@ type Gate struct {
 	// write-rate bucket deterministic.
 	Now func() time.Time
 
-	// inflight counts admitted-and-unfinished pooled requests; queued
-	// counts the subset still waiting for a worker.
+	// inflight counts admitted-and-unfinished requests; queued counts
+	// the subset still waiting to run.
 	inflight atomic.Int64
 	queued   atomic.Int64
 
@@ -78,10 +78,9 @@ func reserve(ctr *atomic.Int64, max int) bool {
 
 // Admit reserves an inflight slot and a queue slot under lim, or
 // reports which limit rejected (and counts the rejection). A true
-// return obligates the caller to eventually call Started (when a worker
-// picks the request up, or it is abandoned at the queue) and Finished
-// (when the request completes) — or Cancel if it never reached the
-// queue at all.
+// return obligates the caller to eventually call Started (when the
+// request starts to run) and Finished (when it completes) — or Cancel
+// if it never runs.
 func (g *Gate) Admit(lim Limits) (ok bool, reason RejectReason) {
 	if !reserve(&g.inflight, lim.MaxInflight) {
 		g.rejInflight.Add(1)
@@ -133,15 +132,15 @@ func (g *Gate) AdmitWrite(lim Limits) bool {
 	return true
 }
 
-// Started releases the queue slot an Admit reserved — the request is on
-// a worker now (or was skipped at its deadline, which also dequeues it).
+// Started releases the queue slot an Admit reserved — the request is
+// running now.
 func (g *Gate) Started() { g.queued.Add(-1) }
 
 // Finished releases the inflight slot.
 func (g *Gate) Finished() { g.inflight.Add(-1) }
 
-// Cancel releases both slots — the admitted request never made it into
-// the pool (global queue full or server closing).
+// Cancel releases both slots — the admitted request never runs (served
+// from the cache, refused by the server, or out of time while waiting).
 func (g *Gate) Cancel() {
 	g.queued.Add(-1)
 	g.inflight.Add(-1)
