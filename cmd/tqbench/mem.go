@@ -4,7 +4,8 @@ package main
 // heap per indexed trajectory, at one shard and at two, once the slice it
 // was built from has been dropped — the figure the README's sizing table
 // quotes. Both keep a columnar trajectory table and nothing of their
-// input.
+// input. Beside them, what that input costs while a caller holds it: a
+// 32-byte Trajectory, its points and the slice's pointer.
 
 import (
 	"fmt"
@@ -26,11 +27,12 @@ func liveHeapBytes() float64 {
 
 func expMem(ctx *bench.Context) (*bench.Table, error) {
 	t := &bench.Table{
-		ID: "mem", Title: "live heap per indexed trajectory, input dropped",
+		ID: "mem", Title: "live heap per trajectory: each index with its input dropped, and the input held",
 		XLabel: "dataset", YLabel: "heap bytes/trajectory",
 		Series: []bench.Series{
 			{Method: "Index"}, {Method: "FrozenIndex"},
 			{Method: "Index, 2 shards"}, {Method: "FrozenIndex, 2 shards"},
+			{Method: "corpus held"},
 			{Method: "points/trajectory (n)"},
 		},
 	}
@@ -57,12 +59,14 @@ func expMem(ctx *bench.Context) (*bench.Table, error) {
 			func(u []*trajcover.Trajectory) (any, error) { return trajcover.NewFrozenIndex(u, opts) },
 			func(u []*trajcover.Trajectory) (any, error) { return trajcover.NewIndex(u, sopts) },
 			func(u []*trajcover.Trajectory) (any, error) { return trajcover.NewFrozenIndex(u, sopts) },
+			func(u []*trajcover.Trajectory) (any, error) { return u, nil },
 		}
 		points := 0
 		for i, build := range builders {
 			before := liveHeapBytes()
 			// The corpus is generated inside the call, so nothing but the
-			// index can keep it (or any part of it) alive afterwards.
+			// index (or, for "corpus held", the returned slice) can keep it
+			// alive afterwards.
 			idx, err := func() (any, error) {
 				users := ds.gen(ds.n)
 				if i == 0 {

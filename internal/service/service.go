@@ -95,19 +95,23 @@ func Value(sc Scenario, u *trajectory.Trajectory, stops []geo.Point, psi float64
 		}
 		return float64(served) / float64(u.Len())
 	case Length:
-		if u.Length() == 0 {
-			return 0
-		}
-		var sl float64
+		// total is summed left to right in the loop, so it has the bits
+		// of u.Length() without a second pass over the points.
+		var sl, total float64
 		prev := PointServed(u.Points[0], stops, psi)
 		for i := 1; i < u.Len(); i++ {
+			d := u.SegmentLength(i - 1)
+			total += d
 			cur := PointServed(u.Points[i], stops, psi)
 			if prev && cur {
-				sl += u.SegmentLength(i - 1)
+				sl += d
 			}
 			prev = cur
 		}
-		return sl / u.Length()
+		if total == 0 {
+			return 0
+		}
+		return sl / total
 	}
 	panic(fmt.Sprintf("service: invalid scenario %d", sc))
 }
@@ -167,16 +171,19 @@ func ValueFromMask(sc Scenario, u *trajectory.Trajectory, m Mask) float64 {
 	case PointCount:
 		return float64(m.Count()) / float64(u.Len())
 	case Length:
-		if u.Length() == 0 {
-			return 0
-		}
-		var sl float64
+		// total has the bits of u.Length(), summed in the same order.
+		var sl, total float64
 		for i := 0; i < u.NumSegments(); i++ {
+			d := u.SegmentLength(i)
+			total += d
 			if m.Get(i) && m.Get(i+1) {
-				sl += u.SegmentLength(i)
+				sl += d
 			}
 		}
-		return sl / u.Length()
+		if total == 0 {
+			return 0
+		}
+		return sl / total
 	}
 	panic(fmt.Sprintf("service: invalid scenario %d", sc))
 }

@@ -164,10 +164,13 @@ func ValueSet(sc Scenario, u *trajectory.Trajectory, ss *StopSet) float64 {
 	case PointCount:
 		return ServedShare(u.Points, ss)
 	case Length:
-		if u.Length() == 0 {
-			return 0
+		// sl <= L, so sl != 0 means L > 0, and sl == 0 is the 0 that
+		// sl / L and a zero-length trajectory both give: the length is
+		// summed only for a served trajectory.
+		if sl := ServedLength(u.Points, ss); sl != 0 {
+			return sl / u.Length()
 		}
-		return ServedLength(u.Points, ss) / u.Length()
+		return 0
 	}
 	panic("service: invalid scenario")
 }

@@ -556,7 +556,8 @@ func (l *Live) CheckpointCapture() (eps []*query.Epoch, cut uint64, err error) {
 // Insert adds a trajectory to its shard's delta overlay and publishes
 // the successor epoch (O(1) — see Epoch.WithInsert). Safe concurrently
 // with queries and other writes; duplicate IDs (anywhere in the logical
-// corpus) are rejected with ErrDuplicateID. With a WAL attached, Insert
+// corpus) are rejected with ErrDuplicateID, and a trajectory that fails
+// Trajectory.Validate with its error. With a WAL attached, Insert
 // returns only after the record is durable per the sync policy; a
 // durability error means the write was NOT acknowledged, and the index
 // enters degraded read-only mode (later writes fail fast with
@@ -567,6 +568,9 @@ func (l *Live) CheckpointCapture() (eps []*query.Epoch, cut uint64, err error) {
 func (l *Live) Insert(u *trajectory.Trajectory) error {
 	if l.degraded.Load() {
 		return l.degradedErr()
+	}
+	if err := u.Validate(); err != nil {
+		return err
 	}
 	l.wmu.Lock()
 	for _, sh := range l.shards {

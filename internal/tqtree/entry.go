@@ -45,8 +45,9 @@ func newEntry(t *trajectory.Trajectory, bounds geo.Rect) Entry {
 	return e
 }
 
-// newSegmentEntry builds the i-th segment entry of t.
-func newSegmentEntry(t *trajectory.Trajectory, i int, bounds geo.Rect) Entry {
+// newSegmentEntry builds the i-th segment entry of t, whose length is
+// length (t.Length(), computed once by the caller for all its segments).
+func newSegmentEntry(t *trajectory.Trajectory, i int, length float64, bounds geo.Rect) Entry {
 	e := Entry{Traj: t, SegIdx: i, first: t.Points[i], last: t.Points[i+1]}
 	e.mbr = geo.NewRect(e.first, e.last)
 	e.startCode = pointCode(bounds, e.first)
@@ -62,8 +63,8 @@ func newSegmentEntry(t *trajectory.Trajectory, i int, bounds geo.Rect) Entry {
 	}
 	e.ub[service.PointCount] = float64(owned) / float64(t.Len())
 	// Length: the segment's share of the total length.
-	if L := t.Length(); L > 0 {
-		e.ub[service.Length] = t.SegmentLength(i) / L
+	if length > 0 {
+		e.ub[service.Length] = t.SegmentLength(i) / length
 	}
 	return e
 }

@@ -63,7 +63,7 @@ func rebuildEntries(f *Frozen) ([]Entry, error) {
 		if seg < 0 {
 			ents[e] = newEntry(&views[ti], f.bounds)
 		} else {
-			ents[e] = newSegmentEntry(&views[ti], int(seg), f.bounds)
+			ents[e] = newSegmentEntry(&views[ti], int(seg), tab.Length(ti), f.bounds)
 		}
 		if a, b := f.EntryEnds(int32(e)); ents[e].first != a || ents[e].last != b || f.entMBR != nil && ents[e].mbr != f.entMBR[e] {
 			return nil, fmt.Errorf("entry %d: columns do not hold trajectory %d segment %d", e, ti, seg)

@@ -74,6 +74,11 @@ func planCorpus(users []*trajectory.Trajectory, opts Options) (*plan, error) {
 	pl := &plan{opts: opts, bounds: opts.Bounds}
 	n := 0
 	for _, u := range users {
+		// Non-finite geometry would make the root space infinite (or
+		// drop a NaN from it): refuse it before planning over it.
+		if err := u.Validate(); err != nil {
+			return nil, fmt.Errorf("tqtree: %w", err)
+		}
 		pl.bounds = pl.bounds.ExtendRect(u.MBR())
 		if n++; opts.Variant == Segmented {
 			n += u.NumSegments() - 1

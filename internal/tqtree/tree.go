@@ -105,8 +105,11 @@ func appendEntries(dst []Entry, v Variant, bounds geo.Rect, u *trajectory.Trajec
 	if v != Segmented {
 		return append(dst, newEntry(u, bounds))
 	}
+	// One polyline sum per trajectory: Length computes from the points,
+	// so asking it per segment would make a build quadratic in M.
+	length := u.Length()
 	for i := 0; i < u.NumSegments(); i++ {
-		dst = append(dst, newSegmentEntry(u, i, bounds))
+		dst = append(dst, newSegmentEntry(u, i, length, bounds))
 	}
 	return dst
 }

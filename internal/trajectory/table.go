@@ -42,8 +42,9 @@ type Table struct {
 }
 
 // lengthOf is the polyline length of points, summed left to right — the
-// one arithmetic every cached length in the library comes from, so
-// lengths computed at different times compare bit-equal.
+// one arithmetic every length in the library comes from (Trajectory.Length,
+// a table's length column, the two-point Table.Length), so lengths
+// computed at different times compare bit-equal.
 func lengthOf(points []geo.Point) float64 {
 	var l float64
 	for i := 1; i < len(points); i++ {
@@ -75,16 +76,13 @@ func NewTableBuilder(trajectories, points int) *TableBuilder {
 	}
 }
 
-// Append copies u into the table and returns its ordinal.
+// Append copies u into the table, with its length, and returns its
+// ordinal.
 func (b *TableBuilder) Append(u *Trajectory) int32 {
-	b.points = append(b.points, u.Points...)
-	return b.close(u.ID, u.length)
-}
-
-func (b *TableBuilder) close(id ID, length float64) int32 {
 	ord := int32(len(b.ids))
-	b.ids = append(b.ids, id)
-	b.length = append(b.length, length)
+	b.points = append(b.points, u.Points...)
+	b.ids = append(b.ids, u.ID)
+	b.length = append(b.length, lengthOf(u.Points))
 	// Truncation of an over-long arena is caught in NewTable, once.
 	b.off = append(b.off, uint32(len(b.points)))
 	return ord
@@ -108,7 +106,9 @@ func trim[T any](s []T) []T {
 // NewTable assembles a table from its four columns: ids[i], length[i] and
 // points[off[i]:off[i+1]] are row i. The offsets must start at 0, rise by
 // 2 to maxPoints points a row and end at len(points); the IDs must be
-// unique; and every length must be its points' (lengthOf), bit for bit.
+// unique; and every length must be its points' (lengthOf), bit for bit,
+// and finite (ErrNotFinite): a NaN or infinite coordinate makes the sum
+// NaN or infinite, so no row holds one.
 // It adopts ids and points, not copies. It adopts off and length only if
 // some row has more than two points: otherwise both are derived from the
 // points and neither is kept, so a caller may pass views it reuses.
@@ -134,8 +134,13 @@ func NewTable(ids []ID, off []uint32, length []float64, points []geo.Point) (*Ta
 		return nil, fmt.Errorf("trajectory: table offsets end at %d, the arena holds %d points", off[len(ids)], len(points))
 	}
 	for i := range ids {
-		if l := lengthOf(points[off[i]:off[i+1]]); math.Float64bits(l) != math.Float64bits(length[i]) {
+		pts := points[off[i]:off[i+1]]
+		l := lengthOf(pts)
+		if math.Float64bits(l) != math.Float64bits(length[i]) {
 			return nil, fmt.Errorf("trajectory: row %d (id %d) has recorded length %v, its points give %v", i, ids[i], length[i], l)
+		}
+		if !finite(l) {
+			return nil, fmt.Errorf("trajectory: row %d: %w", i, notFinite(ids[i], pts))
 		}
 	}
 	t := &Table{ids: ids, points: points, multipoint: multipoint}
@@ -253,14 +258,13 @@ func (s OrdinalSet) Has(i int32) bool { return s != nil && s[i>>6]&(1<<(i&63)) !
 // Add puts ordinal i in the set.
 func (s OrdinalSet) Add(i int32) { s[i>>6] |= 1 << (i & 63) }
 
-// View fills dst with the trajectory at ordinal i: its points alias the
-// arena and its bounding box is recomputed from them (the same arithmetic
-// New uses). A rebuild materialises its whole input this way, in one
-// slice of views that is garbage once the new table has copied what it
-// needs.
+// View fills dst with the trajectory at ordinal i, its ID and its points,
+// which alias the arena; its Length and MBR compute from them as any
+// trajectory's do. A rebuild materialises its whole input this way, in
+// one slice of 32-byte views that is garbage once the new table has
+// copied what it needs.
 func (t *Table) View(i int32, dst *Trajectory) {
-	pts := t.Points(i)
-	*dst = Trajectory{ID: t.ids[i], Points: pts, length: t.Length(i), mbr: geo.RectOf(pts)}
+	*dst = Trajectory{ID: t.ids[i], Points: t.Points(i)}
 }
 
 // Bytes returns the size of the columns and arena the table holds, from

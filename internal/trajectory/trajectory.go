@@ -6,6 +6,7 @@ package trajectory
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/trajcover/trajcover/internal/geo"
@@ -19,23 +20,66 @@ type ID uint32
 // destination movements, so single-point "trajectories" are rejected.
 var ErrTooShort = errors.New("trajectory: need at least 2 points")
 
+// ErrNotFinite is returned for geometry that is not finite: a NaN or ±Inf
+// coordinate, or a trajectory whose length overflows a float64. Bounds,
+// lengths and service values computed over such geometry are NaN or
+// infinite, so no index or query accepts it.
+var ErrNotFinite = errors.New("trajectory: geometry is not finite")
+
 // Trajectory is a user trajectory: an ordered sequence of at least two
-// point locations. Construct with New so the cached geometry (length, MBR)
-// is consistent with Points; treat Points as read-only afterwards.
+// point locations. It holds its ID and its points and nothing else, 32
+// bytes: Length and MBR compute from the points on each call. New
+// validates at least two points and a finite length (so finite
+// coordinates); treat Points as read-only afterwards.
 type Trajectory struct {
 	ID     ID
 	Points []geo.Point
-
-	length float64
-	mbr    geo.Rect
 }
 
-// New builds a Trajectory and precomputes its length and bounding box.
+// New builds a Trajectory over points after Validate's checks.
 func New(id ID, points []geo.Point) (*Trajectory, error) {
-	if len(points) < 2 {
-		return nil, fmt.Errorf("%w (id %d has %d)", ErrTooShort, id, len(points))
+	t := &Trajectory{ID: id, Points: points}
+	if err := t.Validate(); err != nil {
+		return nil, err
 	}
-	return &Trajectory{ID: id, Points: points, length: lengthOf(points), mbr: geo.RectOf(points)}, nil
+	return t, nil
+}
+
+// Validate reports whether t is a trajectory every index accepts: at
+// least two points (ErrTooShort) and a finite length (ErrNotFinite) —
+// the rule NewTable applies to each row, so a trajectory that passes is
+// never refused by a later rebuild.
+func (t *Trajectory) Validate() error {
+	if len(t.Points) < 2 {
+		return fmt.Errorf("%w (id %d has %d)", ErrTooShort, t.ID, len(t.Points))
+	}
+	if !finite(lengthOf(t.Points)) {
+		return notFinite(t.ID, t.Points)
+	}
+	return nil
+}
+
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// firstNonFinite returns the index of the first point with a NaN or ±Inf
+// coordinate, or -1.
+func firstNonFinite(points []geo.Point) int {
+	for i, p := range points {
+		if !finite(p.X) || !finite(p.Y) {
+			return i
+		}
+	}
+	return -1
+}
+
+// notFinite names the first non-finite point of points, or, when every
+// coordinate is finite, the length that overflows.
+func notFinite(id ID, points []geo.Point) error {
+	if i := firstNonFinite(points); i >= 0 {
+		return fmt.Errorf("%w (id %d point %d is %v)", ErrNotFinite, id, i, points[i])
+	}
+	return fmt.Errorf("%w (id %d has length %v)", ErrNotFinite, id, lengthOf(points))
 }
 
 // MustNew is New but panics on error; intended for tests and generators
@@ -60,11 +104,12 @@ func (t *Trajectory) Source() geo.Point { return t.Points[0] }
 // Dest returns the last point.
 func (t *Trajectory) Dest() geo.Point { return t.Points[len(t.Points)-1] }
 
-// Length returns the total polyline length.
-func (t *Trajectory) Length() float64 { return t.length }
+// Length returns the total polyline length, summed left to right
+// (lengthOf): the bits Table.Length gives for the same points.
+func (t *Trajectory) Length() float64 { return lengthOf(t.Points) }
 
 // MBR returns the minimum bounding rectangle of the points.
-func (t *Trajectory) MBR() geo.Rect { return t.mbr }
+func (t *Trajectory) MBR() geo.Rect { return geo.RectOf(t.Points) }
 
 // SegmentLength returns the length of segment i (between points i and i+1).
 func (t *Trajectory) SegmentLength(i int) float64 {
@@ -82,7 +127,8 @@ type Facility struct {
 }
 
 // NewFacility builds a Facility and precomputes its bounding box. A
-// facility needs at least one stop.
+// facility needs at least one stop, every coordinate finite
+// (ErrNotFinite).
 func NewFacility(id ID, stops []geo.Point) (*Facility, error) {
 	f, err := MakeFacility(id, stops)
 	if err != nil {
@@ -96,6 +142,9 @@ func NewFacility(id ID, stops []geo.Point) (*Facility, error) {
 func MakeFacility(id ID, stops []geo.Point) (Facility, error) {
 	if len(stops) == 0 {
 		return Facility{}, fmt.Errorf("trajectory: facility %d has no stops", id)
+	}
+	if i := firstNonFinite(stops); i >= 0 {
+		return Facility{}, fmt.Errorf("%w (facility %d stop %d is %v)", ErrNotFinite, id, i, stops[i])
 	}
 	return Facility{ID: id, Stops: stops, mbr: geo.RectOf(stops)}, nil
 }
@@ -123,12 +172,15 @@ type Set struct {
 	byID map[ID]*Trajectory
 }
 
-// NewSet builds a Set from trajectories; duplicate IDs are rejected. The
-// set keeps its own copy of the slice, so later changes to the caller's
-// do not reach it.
+// NewSet builds a Set from trajectories; duplicate IDs and trajectories
+// that fail Validate are rejected. The set keeps its own copy of the
+// slice, so later changes to the caller's do not reach it.
 func NewSet(ts []*Trajectory) (*Set, error) {
 	s := &Set{All: slices.Clone(ts), byID: make(map[ID]*Trajectory, len(ts))}
 	for _, t := range s.All {
+		if err := t.Validate(); err != nil {
+			return nil, err
+		}
 		if _, dup := s.byID[t.ID]; dup {
 			return nil, fmt.Errorf("trajectory: duplicate id %d", t.ID)
 		}

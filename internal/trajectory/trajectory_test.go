@@ -44,6 +44,65 @@ func TestNewRejectsShort(t *testing.T) {
 	}
 }
 
+// TestNonFiniteRejected: a NaN or ±Inf coordinate, or finite coordinates
+// whose polyline length overflows, is ErrNotFinite from New, Validate,
+// NewSet, MakeFacility and NewTable (whichever row layout), never a trajectory,
+// facility, set or table whose bounds and lengths are not finite.
+func TestNonFiniteRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := map[string][]geo.Point{
+		"NaN x":           {geo.Pt(nan, 0), geo.Pt(1, 1)},
+		"+Inf y":          {geo.Pt(0, 0), geo.Pt(1, inf)},
+		"-Inf last":       {geo.Pt(0, 0), geo.Pt(1, 1), geo.Pt(-inf, 2)},
+		"two +Inf":        {geo.Pt(inf, 0), geo.Pt(inf, 0)},
+		"NaN middle":      {geo.Pt(0, 0), geo.Pt(nan, nan), geo.Pt(2, 2)},
+		"length overflow": {geo.Pt(-1e300, 0), geo.Pt(1e300, 0)},
+	}
+	for name, pts := range bad {
+		if _, err := New(9, pts); !errors.Is(err, ErrNotFinite) {
+			t.Errorf("%s: New error = %v, want ErrNotFinite", name, err)
+		}
+		if err := (&Trajectory{ID: 9, Points: pts}).Validate(); !errors.Is(err, ErrNotFinite) {
+			t.Errorf("%s: Validate error = %v, want ErrNotFinite", name, err)
+		}
+		if _, err := NewSet([]*Trajectory{{ID: 9, Points: pts}}); !errors.Is(err, ErrNotFinite) {
+			t.Errorf("%s: NewSet error = %v, want ErrNotFinite", name, err)
+		}
+		// The recorded length is the one its points give, so only the
+		// finiteness test can refuse the row; a finite row beside it
+		// keeps the table two-point or multipoint as the bad row is.
+		rows := [][]geo.Point{{geo.Pt(0, 0), geo.Pt(3, 4)}, pts}
+		var ids []ID
+		off := []uint32{0}
+		var length []float64
+		var arena []geo.Point
+		for i, r := range rows {
+			ids = append(ids, ID(i))
+			arena = append(arena, r...)
+			off = append(off, uint32(len(arena)))
+			length = append(length, lengthOf(r))
+		}
+		if _, err := NewTable(ids, off, length, arena); !errors.Is(err, ErrNotFinite) {
+			t.Errorf("%s: NewTable error = %v, want ErrNotFinite", name, err)
+		}
+		if name == "length overflow" {
+			continue // finite stops: a facility has no length
+		}
+		if _, err := MakeFacility(9, pts); !errors.Is(err, ErrNotFinite) {
+			t.Errorf("%s: MakeFacility error = %v, want ErrNotFinite", name, err)
+		}
+		if _, err := NewFacility(9, pts); !errors.Is(err, ErrNotFinite) {
+			t.Errorf("%s: NewFacility error = %v, want ErrNotFinite", name, err)
+		}
+	}
+	if err := (&Trajectory{ID: 9, Points: []geo.Point{geo.Pt(1, 1)}}).Validate(); !errors.Is(err, ErrTooShort) {
+		t.Errorf("1-point literal: Validate error = %v, want ErrTooShort", err)
+	}
+	if _, err := New(9, []geo.Point{geo.Pt(-1e150, 0), geo.Pt(1e150, 0)}); err != nil {
+		t.Errorf("large finite trajectory: %v", err)
+	}
+}
+
 func TestMustNewPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -506,6 +508,27 @@ func TestRecordCodecRejectsGarbage(t *testing.T) {
 	}
 	if _, err := decodeRecord(good[:len(good)-8]); err == nil {
 		t.Fatal("short insert payload decoded")
+	}
+}
+
+// TestNonFiniteRecordFailsReplay: an insert record holding a non-finite
+// point — a log written before the library refused such geometry — fails
+// replay with ErrCorrupt naming ErrNotFinite's cause, not a trajectory
+// that would corrupt the index it is replayed into.
+func TestNonFiniteRecordFailsReplay(t *testing.T) {
+	bad := &trajectory.Trajectory{ID: 3, Points: []geo.Point{{X: 1, Y: 1}, {X: math.Inf(1), Y: 2}}}
+	dir := t.TempDir()
+	appendAll(t, dir, Options{}, []Record{
+		{Op: OpInsert, Trajectory: testTraj(1, 2)},
+		{Op: OpInsert, Trajectory: bad},
+		{Op: OpInsert, Trajectory: testTraj(2, 3)},
+	})
+	n, _, err := Replay(dir, func(Record) error { return nil })
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), trajectory.ErrNotFinite.Error()) {
+		t.Fatalf("replay error = %v, want ErrCorrupt naming %q", err, trajectory.ErrNotFinite)
+	}
+	if n != 1 {
+		t.Fatalf("replay applied %d records before the bad one, want 1", n)
 	}
 }
 

@@ -90,7 +90,9 @@ func (x *Index) Len() int { return x.s.Len() }
 
 // Insert routes a user trajectory to its shard's delta overlay. Safe
 // concurrently with every query method and with other writes. A
-// duplicate ID is rejected with ErrDuplicateID.
+// duplicate ID is rejected with ErrDuplicateID, a trajectory of fewer
+// than two points or with non-finite geometry (ErrNotFinite) as
+// NewTrajectory rejects it.
 func (x *Index) Insert(u *Trajectory) error { return x.s.Insert(u) }
 
 // Delete removes the trajectory with the given id from whichever shard

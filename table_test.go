@@ -120,7 +120,8 @@ func liveHeap() uint64 {
 // table row's two points), no Trajectory object, point slice, map slot or
 // pointer beside them. A mapped index holds the table's lookup
 // column and nothing else. The snapshot file of a TwoPoint base is those
-// same columns, byte for byte, plus the endpoints it records.
+// same columns, byte for byte, plus the endpoints it records. The input
+// itself is pinned too, as a caller holds it: 72 bytes a two-point trip.
 func TestIndexHeapPerTrajectory(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under the race detector")
@@ -143,6 +144,12 @@ func TestIndexHeapPerTrajectory(t *testing.T) {
 		}},
 		{"OpenMappedLiveSnapshot", 8, func() (any, error) {
 			return OpenMappedLiveSnapshot(path, LivePolicy{})
+		}},
+		// The input itself, as a caller holds it: a 32-byte Trajectory
+		// (ID and points, no cached geometry), its two points and the
+		// slice's pointer, 72 bytes.
+		{"TaxiTrips (corpus held)", 80, func() (any, error) {
+			return TaxiTrips(ny, n, 7), nil
 		}},
 	}
 	for _, c := range cases {
@@ -472,6 +479,15 @@ var hostileTrajectoryCases = []struct {
 	{FullTrajectory, "a duplicate id in the last two rows", false, false, func(p []byte, l frozenPayloadLayout) {
 		copy(p[l.ids+4*(l.nt-1):l.ids+4*l.nt], p[l.ids+4*(l.nt-2):])
 	}},
+	// A non-finite point recorded with the length its points give and as
+	// its entry's endpoint passes every other check: only NewTable's
+	// finiteness test refuses it.
+	{TwoPoint, "a +Inf point with its length and endpoint", false, false, func(p []byte, l frozenPayloadLayout) {
+		r := l.nt - 1
+		binary.LittleEndian.PutUint64(p[l.lens+8*l.nt+16*(2*r+1):], math.Float64bits(math.Inf(1)))
+		binary.LittleEndian.PutUint64(p[l.lens+8*r:], math.Float64bits(math.Inf(1)))
+		binary.LittleEndian.PutUint64(p[l.entLast+16*r:], math.Float64bits(math.Inf(1)))
+	}},
 	{TwoPoint, "a delta step of 1", false, true, func(p []byte, l frozenPayloadLayout) { putU32(p, l.deltaOff+4, 1) }},
 	{TwoPoint, "a delta length that disagrees with its points", false, true, func(p []byte, l frozenPayloadLayout) {
 		p[l.deltaLens+3] ^= 0x10
@@ -576,7 +592,8 @@ func hostileBaseImages(t testing.TB, users []*Trajectory, opts IndexOptions) map
 // not its points', on a two-point table that derives its lengths and on a
 // multipoint one that keeps them; Segmented entries naming a row or a
 // segment that does not exist; entry endpoints that are not the table's;
-// a delta section as bad as a base's — is an ErrBadSnapshot whether the
+// a point that is not finite, recorded with the length and endpoint it
+// gives; a delta section as bad as a base's — is an ErrBadSnapshot whether the
 // reader copies the bytes or aliases them; neither panics or serves the
 // forgery's index.
 func TestSnapshotHostileTrajectorySection(t *testing.T) {

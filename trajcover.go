@@ -107,12 +107,20 @@ const (
 // Pt constructs a Point.
 func Pt(x, y float64) Point { return geo.Pt(x, y) }
 
-// NewTrajectory builds a user trajectory from at least two points.
+// ErrNotFinite is the error NewTrajectory, NewFacility, NewIndex,
+// NewFrozenIndex, NewBaseline and Index.Insert return for geometry that
+// is not finite: a NaN or ±Inf coordinate, or a trajectory whose length
+// overflows a float64. A snapshot holding such geometry is ErrBadSnapshot.
+var ErrNotFinite = trajectory.ErrNotFinite
+
+// NewTrajectory builds a user trajectory from at least two points with a
+// finite length (ErrNotFinite).
 func NewTrajectory(id ID, points []Point) (*Trajectory, error) {
 	return trajectory.New(id, points)
 }
 
-// NewFacility builds a facility route from its stop points.
+// NewFacility builds a facility route from its stop points, each finite
+// (ErrNotFinite).
 func NewFacility(id ID, stops []Point) (*Facility, error) {
 	return trajectory.NewFacility(id, stops)
 }
