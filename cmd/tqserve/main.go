@@ -54,6 +54,11 @@
 // writes forward to their owner group's primary, a top-k read is one
 // exchange per group whose summed values are ranked by query.Results,
 // and ?partial=1 opts reads into partial answers when groups are down.
+// An exchange is one binary frame each way on a persistent connection
+// the frontend opened once with POST /v1/exchange and upgraded to
+// tqexchange/1, so a /v1/topk through the frontend costs one net/http
+// request/response cycle, the client's, plus one frame round trip per
+// group.
 //
 // On SIGTERM the server stops admitting work (healthz flips to 503 so
 // load balancers drain), finishes in-flight requests up to

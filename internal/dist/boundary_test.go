@@ -179,15 +179,13 @@ func TestFrontendThresholdBoundary(t *testing.T) {
 // tableGroup is a fake backend answering exchanges from a table of values
 // per facility ID.
 func tableGroup(values map[uint32]float64) *httptest.Server {
-	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fakeExchange(w, r, func(ids []uint32) []float64 {
-			nums := make([]float64, len(ids))
-			for i, id := range ids {
-				nums[i] = values[id]
-			}
-			return nums
-		})
-	}))
+	return valuesBackend(func(ids []uint32) []float64 {
+		nums := make([]float64, len(ids))
+		for i, id := range ids {
+			nums[i] = values[id]
+		}
+		return nums
+	})
 }
 
 // TestFrontendTies drives the merge with scripted groups, because real
@@ -267,9 +265,10 @@ func TestFrontendTies(t *testing.T) {
 
 // TestFrontendReusesBackendConnections: under 8 concurrent /v1/topk
 // requests a backend has 8 exchanges in flight at a time, wave after
-// wave. An exchange that ends cleanly — the reply read to its end — must
-// leave its connection in the frontend's pool for the next wave, not cost
-// a dial per read.
+// wave. An exchange that ends cleanly — its reply read whole — must leave
+// its exchange connection in the frontend's pool for the next wave, not
+// cost a dial and a handshake per read: a backend accepts at most one
+// connection per exchange in flight at once.
 func TestFrontendReusesBackendConnections(t *testing.T) {
 	e := newDistEnv(t, testUsers(200, 361), 2, FrontendConfig{DefaultTimeout: 30 * time.Second, ProbeInterval: time.Hour})
 	body := mustBody(t, server.QueryRequest{Facilities: server.FacilitiesJSON(testFacilities(16, 5, 362)), K: 2, Psi: 40})
@@ -303,9 +302,9 @@ func TestFrontendReusesBackendConnections(t *testing.T) {
 		t.Fatalf("%d exchanges per backend for %d reads", perBackend, clients*waves)
 	}
 	for g := range e.newConns {
-		// A dial can race a connection going idle, so allow twice the
-		// concurrency; without reuse it is one per exchange.
-		if got := e.newConns[g].Load(); got > 2*clients {
+		// Every connection is back in the pool before the next wave
+		// starts; without reuse it is one per exchange.
+		if got := e.newConns[g].Load(); got > clients {
 			t.Fatalf("backend %d accepted %d connections for %d exchanges from %d concurrent requests", g, got, clients*waves, clients)
 		}
 	}

@@ -24,14 +24,19 @@
 // bound never cut a facility (EXPERIMENTS.md), so every group evaluates
 // every facility, once.
 //
-// The wire. Everything one read asks of one group is ONE ordinary HTTP
-// request, POST /v1/exchange (exchange.go here; the frame layout and the
-// backend half are internal/server/exchange.go): the body is a binary
-// query frame carrying the query and all facilities as columns the
-// backend aliases without parsing, the answer one frame of float64
-// values. /v1/servicevalues and /v1/topk send the same request; the only
-// JSON a read touches is the client's own request and answer. Writes and
-// health probes stay JSON, passed through.
+// The wire. Everything one read asks of one group is ONE frame each way
+// on a persistent exchange connection (exchange.go here; the handshake,
+// the frame layout and the backend half are internal/server/exchange.go):
+// the frontend upgrades a connection to a member once, with POST
+// /v1/exchange and Upgrade: tqexchange/1, keeps it in the member's pool,
+// and sends each read a binary query frame carrying the query and all
+// facilities as columns the backend aliases without parsing; the answer
+// is one frame of float64 values, or an error frame carrying the HTTP
+// answer the backend would have given. A connection carries one exchange
+// at a time and is closed on any failure, so a late reply is never read
+// as another exchange's. /v1/servicevalues and /v1/topk send the same
+// frame; the only JSON a read touches is the client's own request and
+// answer. Writes and health probes stay HTTP and JSON, passed through.
 //
 // One epoch per group. A group's whole contribution to an answer is one
 // ServiceValuesCtx call on one member, hence one epoch capture: one

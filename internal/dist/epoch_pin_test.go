@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -17,10 +17,11 @@ import (
 )
 
 // churningBackend is a backend test double for the epoch pin: a real
-// server whose index takes the next write of a script before every
-// /v1/* request it serves and before every read of such a request's
-// body — so a write lands between every pair of frames of an exchange
-// (and, where a read is several requests, between every pair of those).
+// server whose index takes the next write of a script before every read
+// the server makes of a connection, each read at most churnReadLen bytes
+// — so writes land between the pieces of every query frame as it
+// arrives, and while each frame runs, as the backend reads on for the
+// next one.
 type churningBackend struct {
 	srv *server.Server
 
@@ -29,6 +30,9 @@ type churningBackend struct {
 	applied int
 	err     error
 }
+
+// churnReadLen cuts every query frame into several reads.
+const churnReadLen = 512
 
 func (b *churningBackend) churn() {
 	b.mu.Lock()
@@ -46,22 +50,35 @@ func (b *churningBackend) progress() (int, error) {
 	return b.applied, b.err
 }
 
-type churningBody struct {
-	io.ReadCloser
+// serve starts the backend on a listener whose connections churn.
+func (b *churningBackend) serve() *httptest.Server {
+	ts := httptest.NewUnstartedServer(b.srv.Handler())
+	ts.Listener = churningListener{ts.Listener, b}
+	ts.Start()
+	return ts
+}
+
+type churningListener struct {
+	net.Listener
 	b *churningBackend
 }
 
-func (cb churningBody) Read(p []byte) (int, error) {
-	cb.b.churn()
-	return cb.ReadCloser.Read(p)
+func (l churningListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return churningConn{c, l.b}, nil
 }
 
-func (b *churningBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodPost {
-		b.churn()
-		r.Body = churningBody{r.Body, b}
-	}
-	b.srv.Handler().ServeHTTP(w, r)
+type churningConn struct {
+	net.Conn
+	b *churningBackend
+}
+
+func (c churningConn) Read(p []byte) (int, error) {
+	c.b.churn()
+	return c.Conn.Read(p[:min(len(p), churnReadLen)])
 }
 
 // The hub: one stop every test facility passes through and every
@@ -94,7 +111,9 @@ func hubFacilities(t *testing.T, n int, seed int64) []*trajcover.Facility {
 }
 
 // TestFrontendTopKOneEpochPerGroup is the exchange's epoch pin, end to
-// end: while each backend's corpus changes between every pair of frames,
+// end: while each backend's corpus changes between every pair of reads it
+// makes of an exchange connection — inside a query frame, and while the
+// frame runs —
 // every /v1/topk answer through the frontend must be the answer over ONE
 // acknowledged prefix of each group's write history — byte-identical to
 // a fresh single-process build of those prefixes — never bounds from one
@@ -141,7 +160,7 @@ func TestFrontendTopKOneEpochPerGroup(t *testing.T) {
 			b.script = append(b.script, func(idx *trajcover.Index) error { return idx.Insert(u) })
 			histories[g] = append(histories[g], func(c map[trajcover.ID]*trajcover.Trajectory) { c[u.ID] = u })
 		}
-		ts := httptest.NewServer(b)
+		ts := b.serve()
 		defer func() { ts.Close(); b.srv.Close() }()
 		backends[g] = b
 		groups = append(groups, Group{Members: []string{ts.URL}})

@@ -1,8 +1,11 @@
 package dist
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -11,6 +14,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,21 +22,6 @@ import (
 	trajcover "github.com/trajcover/trajcover"
 	"github.com/trajcover/trajcover/internal/server"
 )
-
-// replyTap wraps a backend's ResponseWriter to interfere just before an
-// exchange's reply — which the handler writes in one Write — goes out.
-// Unwrap keeps http.ResponseController working.
-type replyTap struct {
-	http.ResponseWriter
-	before func()
-}
-
-func (w *replyTap) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-func (w *replyTap) Write(p []byte) (int, error) {
-	w.before()
-	return w.ResponseWriter.Write(p)
-}
 
 func newBackend(t *testing.T, users []*trajcover.Trajectory) *server.Server {
 	t.Helper()
@@ -45,12 +34,12 @@ func newBackend(t *testing.T, users []*trajcover.Trajectory) *server.Server {
 	return srv
 }
 
-// TestFrontendMidExchangeLoss: the member serving a group dies after
-// accepting the request — its 200 is out, its values frame never arrives
-// — with a replica behind it that lags: it lacks writes the dead member
-// had. The member is failed over within the group, once, and since an
-// exchange is one request and one reply nothing of the dead member's is
-// left to splice: the answer is byte-identical to the replica's own
+// TestFrontendMidExchangeLoss: the member serving a group dies in the
+// middle of its reply — half its values frame is out, the rest never
+// comes — with a replica behind it that lags: it lacks writes the dead
+// member had. The member is failed over within the group, once, and
+// since an exchange is one frame each way nothing of the dead member's
+// is left to splice: the answer is byte-identical to the replica's own
 // (summed with the other group's). With no replica to fail over to the
 // group is missing: 503 + Retry-After, or under ?partial=1 the other
 // group's answer, flagged.
@@ -70,24 +59,13 @@ func TestFrontendMidExchangeLoss(t *testing.T) {
 	const k = 2
 
 	var killed atomic.Int64
-	type connKey struct{}
-	primary := httptest.NewUnstartedServer(nil)
-	primary.Config.ConnContext = func(ctx context.Context, c net.Conn) context.Context {
-		return context.WithValue(ctx, connKey{}, c)
-	}
-	{
-		h := newBackend(t, ahead).Handler()
-		primary.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			h.ServeHTTP(&replyTap{ResponseWriter: w, before: func() {
-				killed.Add(1)
-				http.NewResponseController(w).Flush() // the 200 went out; the values frame never does
-				// As a killed process goes: the socket closes under everyone.
-				r.Context().Value(connKey{}).(net.Conn).Close()
-				panic(http.ErrAbortHandler)
-			}}, r)
-		})
-	}
-	primary.Start()
+	primary := tapped(newBackend(t, ahead).Handler(), func(c net.Conn, reply []byte) bool {
+		killed.Add(1)
+		c.Write(reply[:len(reply)/2]) // half the values frame goes out; the rest never does
+		// As a killed process goes: the socket resets under everyone.
+		resetConn(c)
+		return false
+	}, nil)
 	defer primary.Close()
 	replica := httptest.NewServer(newBackend(t, parts[0]).Handler())
 	defer replica.Close()
@@ -145,7 +123,7 @@ func TestFrontendMidExchangeLoss(t *testing.T) {
 		t.Fatalf("the primary died holding a request %d times and the frontend failed over %d times, want 1 and 1", killed.Load(), stats.Failovers)
 	}
 	if stats.Exchanges != 4*2+1 || stats.ExactRPCs != 4*2 {
-		t.Fatalf("%d exchanges answered 200 and %d values frames came back for four reads on two groups and one death, want 9 and 8", stats.Exchanges, stats.ExactRPCs)
+		t.Fatalf("%d exchanges began a reply and %d values frames came back for four reads on two groups and one death, want 9 and 8", stats.Exchanges, stats.ExactRPCs)
 	}
 
 	otherOnly, err := trajcover.NewIndex(parts[1], liveOpts())
@@ -177,9 +155,10 @@ func TestFrontendMidExchangeLoss(t *testing.T) {
 	}
 }
 
-// TestFrontendHostileReplies: a 200 that is not exactly one values frame
-// of the count asked for is the member's failure — a retryable 503, the
-// member removed — never an answer built from what did parse.
+// TestFrontendHostileReplies: a reply that is not one values frame of
+// the count asked for — nor a well-formed error frame — is the member's
+// failure: a retryable 503, the member removed, its connection closed —
+// never an answer built from what did parse.
 func TestFrontendHostileReplies(t *testing.T) {
 	facs := testFacilities(3, 4, 461)
 	body := mustBody(t, server.QueryRequest{Facilities: server.FacilitiesJSON(facs), K: 2, Psi: 40})
@@ -187,21 +166,26 @@ func TestFrontendHostileReplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := server.AppendFloatsFrame(nil, []float64{3, 2, 1})
+	good := server.AppendFloatsFrame(nil, 1, []float64{3, 2, 1})
 	for name, reply := range map[string][]byte{
-		"nothing":          nil,
-		"one value short":  server.AppendFloatsFrame(nil, []float64{3, 2}),
-		"one value over":   server.AppendFloatsFrame(nil, []float64{3, 2, 1, 0}),
-		"a trailing byte":  append(append([]byte(nil), good...), 0),
-		"a second frame":   append(append([]byte(nil), good...), good...),
-		"a query frame":    server.AppendQueryFrame(nil, table, server.QueryParams{}),
-		"a retired kind":   {24, 0, 0, 0, 4, 0, 0, 0},
-		"half the payload": good[:len(good)-12],
+		"nothing":             nil,
+		"one value short":     server.AppendFloatsFrame(nil, 1, []float64{3, 2}),
+		"one value over":      server.AppendFloatsFrame(nil, 1, []float64{3, 2, 1, 0}),
+		"another ordinal":     server.AppendFloatsFrame(nil, 2, []float64{3, 2, 1}),
+		"a query frame":       server.AppendQueryFrame(nil, table, server.QueryParams{}),
+		"a retired kind":      {24, 0, 0, 0, 4, 0, 0, 0},
+		"half the payload":    good[:len(good)-12],
+		"half a header":       good[:5],
+		"an error of 200":     server.AppendErrorFrame(nil, 1, http.StatusOK, false, []byte(`{}`)),
+		"an unknown flag":     append(server.AppendErrorFrame(nil, 1, http.StatusServiceUnavailable, true, nil)[:10], 3, 0),
+		"an error frame, cut": server.AppendErrorFrame(nil, 1, http.StatusServiceUnavailable, true, []byte(`{"error":"x"}`))[:14],
 	} {
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			io.Copy(io.Discard, r.Body)
-			w.Write(reply)
-		}))
+		var conns atomic.Int64
+		ts := streamBackend(func(c net.Conn, _ *server.QueryFrame, _ uint16) bool {
+			conns.Add(1)
+			c.Write(reply)
+			return false
+		})
 		fe, err := NewFrontend(FrontendConfig{Groups: []Group{{Members: []string{ts.URL}}}, ProbeInterval: time.Hour})
 		if err != nil {
 			t.Fatal(err)
@@ -213,8 +197,15 @@ func TestFrontendHostileReplies(t *testing.T) {
 				t.Errorf("%s, %s: %d %s (Retry-After %q), want 503 + Retry-After", name, path, st, got, hdr.Get("Retry-After"))
 			}
 		}
-		if stats := fe.Stats(); stats.Exchanges != 2 || stats.ExactRPCs != 0 || stats.Groups[0].Healthy != 0 {
-			t.Errorf("%s: %+v, want 2 exchanges answered 200, no values frame accepted, the member removed", name, stats)
+		wantExchanges := uint64(2)
+		if len(reply) == 0 {
+			wantExchanges = 0
+		}
+		if stats := fe.Stats(); stats.Exchanges != wantExchanges || stats.ExactRPCs != 0 || stats.Failovers != 2 || stats.Groups[0].Healthy != 0 {
+			t.Errorf("%s: %+v, want %d exchanges begun, no values frame accepted, the member removed", name, stats, wantExchanges)
+		}
+		if got := conns.Load(); got != 2 {
+			t.Errorf("%s: two reads asked on %d connections, want a fresh one each", name, got)
 		}
 		fets.Close()
 		fe.Close()
@@ -223,9 +214,12 @@ func TestFrontendHostileReplies(t *testing.T) {
 }
 
 // TestFrontendClientGone: a client that abandons its /v1/topk while the
-// exchanges are in flight takes them down with it — each backend's
-// handler returns, its tenant gate slot with it, and no goroutine on
-// either side outlives the request.
+// exchanges are in flight. The frontend does not watch the client in the
+// middle of an exchange — each connection's deadline bounds it — so each
+// exchange ends at its reply, asks no member further, and leaves its
+// connection in step for the next read: every backend's frame ends, its
+// tenant gate slot with it, no goroutine on either side outlives the
+// request, and the tier answers the next read on the same connections.
 func TestFrontendClientGone(t *testing.T) {
 	users := testUsers(300, 421)
 	parts := partitionUsers(users, 2)
@@ -234,20 +228,16 @@ func TestFrontendClientGone(t *testing.T) {
 	release := make(chan struct{})
 	var srvs []*server.Server
 	var groups []Group
+	var accepted atomic.Int64
 	for g := range parts {
 		srv := newBackend(t, parts[g])
-		h := srv.Handler()
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == server.PathExchange {
-				w = &replyTap{ResponseWriter: w, before: func() {
-					if holding.Load() { // the work is done, the reply not yet out
-						held <- struct{}{}
-						<-release
-					}
-				}}
+		ts := tapped(srv.Handler(), func(net.Conn, []byte) bool {
+			if holding.Load() { // the work is done, the reply not yet out
+				held <- struct{}{}
+				<-release
 			}
-			h.ServeHTTP(w, r)
-		}))
+			return true
+		}, func(net.Conn) { accepted.Add(1) })
 		defer ts.Close()
 		srvs = append(srvs, srv)
 		groups = append(groups, Group{Members: []string{ts.URL}})
@@ -311,9 +301,12 @@ func TestFrontendClientGone(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	// And the tier still answers.
+	// And the tier still answers, on the connections it had.
 	if st, got, _ := postTo(t, fets.Client(), fets.URL+server.PathTopK, body); st != http.StatusOK {
 		t.Fatalf("topk after the abandoned one: %d %s", st, got)
+	}
+	if got := accepted.Load(); got != int64(len(groups)) {
+		t.Fatalf("backends accepted %d connections, want one exchange connection per group", got)
 	}
 }
 
@@ -380,13 +373,11 @@ func TestFrontendCursorWrap(t *testing.T) {
 	var served [3]atomic.Int64
 	var members []string
 	for i := range served {
-		h, n := newBackend(t, users).Handler(), &served[i]
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == server.PathExchange {
-				n.Add(1)
-			}
-			h.ServeHTTP(w, r)
-		}))
+		n := &served[i]
+		ts := tapped(newBackend(t, users).Handler(), func(net.Conn, []byte) bool {
+			n.Add(1)
+			return true
+		}, nil)
 		defer ts.Close()
 		members = append(members, ts.URL)
 	}
@@ -414,19 +405,250 @@ func TestFrontendCursorWrap(t *testing.T) {
 	}
 }
 
-// loopback is an http.RoundTripper that answers /v1/exchange in process
-// with a real backend's numbers computed once: the frontend half of an
-// exchange without net/http's client or a backend's work in the count.
-type loopback struct {
-	reply []byte // the values frame
+// TestFrontendRetriesStaleConnection: a member that drops its idle
+// exchange connections between two reads — as a restarted backend has —
+// leaves the frontend holding dead ones. An exchange on such a
+// connection fails before any reply byte comes, and is retried once on a
+// fresh connection: the read is served, the member stays healthy, and
+// nothing fails over. Both ways a connection can be dropped: closed, and
+// reset.
+func TestFrontendRetriesStaleConnection(t *testing.T) {
+	users := testUsers(200, 471)
+	var mu sync.Mutex
+	var conns []net.Conn
+	ts := tapped(newBackend(t, users).Handler(), nil, func(c net.Conn) {
+		mu.Lock()
+		conns = append(conns, c)
+		mu.Unlock()
+	})
+	defer ts.Close()
+	drop := func(how func(net.Conn)) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			how(c)
+		}
+	}
+	fe, err := NewFrontend(FrontendConfig{Groups: []Group{{Members: []string{ts.URL}}}, DefaultTimeout: 30 * time.Second, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fe.Close()
+	fets := httptest.NewServer(fe.Handler())
+	defer fets.Close()
+	body := mustBody(t, server.QueryRequest{Facilities: server.FacilitiesJSON(testFacilities(8, 4, 472)), K: 3, Psi: 40})
+	st, want, _ := postTo(t, fets.Client(), fets.URL+server.PathTopK, body)
+	if st != http.StatusOK {
+		t.Fatalf("first read: %d %s", st, want)
+	}
+	for i, how := range []func(net.Conn){func(c net.Conn) { c.Close() }, resetConn} {
+		drop(how)
+		time.Sleep(20 * time.Millisecond) // the drop reaches the frontend's end
+		if st, got, _ := postTo(t, fets.Client(), fets.URL+server.PathTopK, body); st != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("read %d after the member dropped its connections: %d %s, want %s", i+2, st, got, want)
+		}
+		mu.Lock()
+		dialled := len(conns)
+		mu.Unlock()
+		if dialled != i+2 {
+			t.Fatalf("read %d after the drop: %d connections dialled in all, want %d", i+2, dialled, i+2)
+		}
+	}
+	if stats := fe.Stats(); stats.Failovers != 0 || stats.Errors != 0 || stats.Groups[0].Healthy != 1 {
+		t.Fatalf("stats %+v: want no failover, no error, the member healthy", stats)
+	}
 }
 
-func (lb *loopback) RoundTrip(req *http.Request) (*http.Response, error) {
-	defer req.Body.Close()
-	if kind, _, err := server.ReadFrame(req.Body, nil, 8<<20); err != nil || kind != server.FrameQuery {
-		return nil, fmt.Errorf("loopback: request frame: kind %d, %v", kind, err)
+// TestFrontendLateReplyNeverRead: a member that answers after RPCTimeout
+// has lost that exchange, and its connection with it: the late reply is
+// never read as the next exchange's answer, which goes out on a fresh
+// connection.
+func TestFrontendLateReplyNeverRead(t *testing.T) {
+	var frames atomic.Int64
+	ts := streamBackend(func(c net.Conn, qf *server.QueryFrame, ordinal uint16) bool {
+		ids := frameIDs(qf)
+		vals := make([]float64, len(ids))
+		for i, id := range ids {
+			vals[i] = fakeValue(id)
+		}
+		if frames.Add(1) == 1 {
+			time.Sleep(400 * time.Millisecond) // past RPCTimeout
+			for i := range vals {
+				vals[i] = -1 // an answer no read may take
+			}
+		}
+		c.Write(server.AppendFloatsFrame(nil, ordinal, vals))
+		return true
+	})
+	defer ts.Close()
+	fe, err := NewFrontend(FrontendConfig{
+		Groups:         []Group{{Members: []string{ts.URL}}},
+		RPCTimeout:     100 * time.Millisecond,
+		DefaultTimeout: 10 * time.Second,
+		ProbeInterval:  time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(bytes.NewReader(lb.reply)), Request: req}, nil
+	defer fe.Close()
+	fets := httptest.NewServer(fe.Handler())
+	defer fets.Close()
+	facs := testFacilities(5, 3, 481)
+	body := mustBody(t, server.QueryRequest{Facilities: server.FacilitiesJSON(facs), Psi: 40})
+	if st, got, _ := postTo(t, fets.Client(), fets.URL+server.PathServiceValues, body); st != http.StatusGatewayTimeout {
+		t.Fatalf("a member answering past RPCTimeout: %d %s, want 504", st, got)
+	}
+	time.Sleep(500 * time.Millisecond) // the late reply has gone out
+	st, got, _ := postTo(t, fets.Client(), fets.URL+server.PathServiceValues, body)
+	var vals server.ValuesResponse
+	if st != http.StatusOK || json.Unmarshal(got, &vals) != nil {
+		t.Fatalf("the read after the late reply: %d %s", st, got)
+	}
+	for i, f := range facs {
+		if vals.Values[i] != fakeValue(uint32(f.ID)) {
+			t.Fatalf("the read after the late reply answered %v: the late reply was read", vals.Values)
+		}
+	}
+	if got := frames.Load(); got != 2 {
+		t.Fatalf("the member saw %d query frames, want 2", got)
+	}
+}
+
+// TestFrontendStrayReplyNeverRead: a member that writes more than its
+// reply — its values frame again, with other numbers, or a stray byte —
+// leaves bytes on the connection that the next exchange on it reads
+// first. They are refused as that exchange's reply (a reply carries the
+// ordinal of the query it answers), so the read fails over, and is never
+// answered with them; the read after it goes out on a fresh connection.
+func TestFrontendStrayReplyNeverRead(t *testing.T) {
+	facs := testFacilities(5, 3, 491)
+	body := mustBody(t, server.QueryRequest{Facilities: server.FacilitiesJSON(facs), Psi: 40})
+	for name, stray := range map[string]func(ordinal uint16, n int) []byte{
+		"the reply again": func(ordinal uint16, n int) []byte {
+			wrong := make([]float64, n)
+			for i := range wrong {
+				wrong[i] = -1
+			}
+			return server.AppendFloatsFrame(nil, ordinal, wrong)
+		},
+		"an error frame": func(ordinal uint16, _ int) []byte {
+			return server.AppendErrorFrame(nil, ordinal, http.StatusNotFound, false, []byte(`{"error":"stray"}`))
+		},
+		"a stray byte": func(uint16, int) []byte { return []byte{0} },
+	} {
+		var frames atomic.Int64
+		ts := streamBackend(func(c net.Conn, qf *server.QueryFrame, ordinal uint16) bool {
+			ids := frameIDs(qf)
+			vals := make([]float64, len(ids))
+			for i, id := range ids {
+				vals[i] = fakeValue(id)
+			}
+			reply := server.AppendFloatsFrame(nil, ordinal, vals)
+			if frames.Add(1) == 1 {
+				reply = append(reply, stray(ordinal, len(ids))...)
+			}
+			_, err := c.Write(reply)
+			return err == nil
+		})
+		fe, err := NewFrontend(FrontendConfig{Groups: []Group{{Members: []string{ts.URL}}}, ProbeInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fets := httptest.NewServer(fe.Handler())
+		for read, want := range []int{http.StatusOK, http.StatusServiceUnavailable, http.StatusOK} {
+			st, got, _ := postTo(t, fets.Client(), fets.URL+server.PathServiceValues, body)
+			if st != want {
+				t.Fatalf("%s: read %d answered %d %s, want %d", name, read, st, got, want)
+			}
+			if st != http.StatusOK {
+				continue
+			}
+			var vals server.ValuesResponse
+			if err := json.Unmarshal(got, &vals); err != nil {
+				t.Fatal(err)
+			}
+			for i, f := range facs {
+				if vals.Values[i] != fakeValue(uint32(f.ID)) {
+					t.Fatalf("%s: read %d answered %v", name, read, vals.Values)
+				}
+			}
+		}
+		if got := frames.Load(); got != 3 {
+			t.Fatalf("%s: the member saw %d query frames, want 3", name, got)
+		}
+		fets.Close()
+		fe.Close()
+		ts.Close()
+	}
+}
+
+// frameEcho is a member that allocates nothing per exchange: a raw
+// listener that answers the exchange handshake, then every query frame
+// with the same values frame, numbered as the query's reply. It returns
+// the member's base URL.
+func frameEcho(t *testing.T, reply []byte) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var conns []net.Conn
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, c)
+			mu.Unlock()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer c.Close()
+				br := bufio.NewReader(c)
+				if _, err := http.ReadRequest(br); err != nil {
+					return
+				}
+				if _, err := io.WriteString(c, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+server.ExchangeProtocol+"\r\n\r\n"); err != nil {
+					return
+				}
+				var hdr [server.FrameHeaderLen]byte
+				payload := make([]byte, 1<<17)
+				out := append([]byte(nil), reply...)
+				for ordinal := uint16(1); ; ordinal++ {
+					if _, err := io.ReadFull(br, hdr[:]); err != nil {
+						return
+					}
+					n := int(binary.LittleEndian.Uint32(hdr[:]))
+					if n > len(payload) {
+						payload = make([]byte, n)
+					}
+					if _, err := io.ReadFull(br, payload[:n]); err != nil {
+						return
+					}
+					binary.LittleEndian.PutUint16(out[5:], ordinal)
+					if _, err := c.Write(out); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		for _, c := range conns {
+			c.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
+	return "http://" + ln.Addr().String()
 }
 
 type nullWriter struct {
@@ -438,57 +660,124 @@ func (w *nullWriter) Header() http.Header         { return w.h }
 func (w *nullWriter) WriteHeader(status int)      { w.status = status }
 func (w *nullWriter) Write(p []byte) (int, error) { return len(p), nil }
 
-// TestExchangeAllocs pins the frontend half of one paper-default
-// /v1/topk — 128 facilities of 32 stops over two groups — with the
-// backends replaced by an in-process loopback: the body, its decode into
-// one facility table and the answer's bytes live in a pooled
-// server.QueryBuffer, so the count is the query frame written from that
-// table's columns, two exchanges' bookkeeping (a request, its context and
-// timer, a reply), the merge and the ranking, and a few of the loopback's
-// own. Nothing is per facility.
+// TestExchangeAllocs pins one paper-default distributed read — 128
+// facilities of 32 stops over two groups — over real loopback
+// connections, counted process-wide, three ways:
+//
+//   - the backend per exchange frame: a real backend asked over an
+//     exchange connection the frontend dialled, by a caller that
+//     allocates nothing — the frame's deadline context and the summed
+//     values;
+//   - the frontend per read: its handler driven straight, over members
+//     that allocate nothing (frameEcho) — the body, its decode into one
+//     facility table, the query frame and the answer's bytes live in a
+//     pooled server.QueryBuffer, so the count is the request deadline,
+//     two exchanges' bookkeeping, the merge and the ranking; nothing is
+//     per facility;
+//   - one whole /v1/topk, from a net/http client through the frontend to
+//     two real backends: one HTTP request and response, and two frames
+//     each way.
 func TestExchangeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
+	users := testUsers(4000, 451)
 	facs := testFacilities(128, 32, 452)
-	idx, err := trajcover.NewIndex(testUsers(2000, 451), liveOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
 	q := trajcover.Query{Scenario: trajcover.Binary, Psi: 40}
-	values, err := idx.ServiceValues(facs, q, 1)
+	body := mustBody(t, server.QueryRequest{Facilities: server.FacilitiesJSON(facs), K: 8, Psi: q.Psi})
+	pin := func(what string, limit float64, run func()) {
+		t.Helper()
+		run()
+		allocs := testing.AllocsPerRun(50, run)
+		t.Logf("%s: %.0f allocs", what, allocs)
+		if allocs > limit {
+			t.Errorf("%s allocates %.0f/op, want <= %.0f", what, allocs, limit)
+		}
+	}
+
+	parts := partitionUsers(users, 2)
+	var groups []Group
+	for g := range parts {
+		ts := httptest.NewServer(newBackend(t, parts[g]).Handler())
+		defer ts.Close()
+		groups = append(groups, Group{Members: []string{ts.URL}})
+	}
+
+	// The backend per frame.
+	m, err := newMember(groups[0].Members[0], time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c, err := m.dial(context.Background(), time.Now().Add(time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, table, _, err := new(server.QueryBuffer).Decode(body, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := server.AppendQueryFrame(nil, table, server.QueryParams{Query: q, TimeoutMS: 60_000})
+	reply := make([]byte, 8*len(facs))
+	pin("backend per 128-facility exchange frame", 8, func() {
+		c.asked++
+		if _, err := c.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := server.ReadReply(c, reply, len(facs), c.asked); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	// The frontend per read.
+	values := server.AppendFloatsFrame(nil, 0, make([]float64, len(facs)))
 	fe, err := NewFrontend(FrontendConfig{
-		Groups:        []Group{{Members: []string{"http://group0"}}, {Members: []string{"http://group1"}}},
-		Client:        &http.Client{Transport: &loopback{reply: server.AppendFloatsFrame(nil, values)}},
-		ProbeInterval: time.Hour,
+		Groups:         []Group{{Members: []string{frameEcho(t, values)}}, {Members: []string{frameEcho(t, values)}}},
+		DefaultTimeout: time.Minute,
+		ProbeInterval:  time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fe.Close()
-	body := mustBody(t, server.QueryRequest{Facilities: server.FacilitiesJSON(facs), K: 4, Psi: q.Psi})
 	rd := bytes.NewReader(body)
 	req := httptest.NewRequest(http.MethodPost, server.PathTopK, rd)
 	w := &nullWriter{h: http.Header{}}
-	run := func() {
+	before := fe.Stats()
+	pin("frontend per /v1/topk over two exchanges", 18, func() {
 		rd.Reset(body)
 		w.status = 0
 		fe.Handler().ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			t.Fatalf("frontend answered %d", w.status)
+		}
+	})
+	if after := fe.Stats(); after.ExactRPCs-before.ExactRPCs != 2*(after.Requests-before.Requests) || after.Exchanges != after.ExactRPCs {
+		t.Fatalf("counters %+v -> %+v, want 2 exchanges bringing 2 values frames a read", before, after)
 	}
-	before := fe.Stats()
-	run()
-	after := fe.Stats()
-	if w.status != http.StatusOK || after.Exchanges-before.Exchanges != 2 || after.ExactRPCs-before.ExactRPCs != 2 {
-		t.Fatalf("status %d, counters %+v -> %+v, want 2 exchanges bringing 2 values frames", w.status, before, after)
+
+	// One whole /v1/topk.
+	whole, err := NewFrontend(FrontendConfig{Groups: groups, DefaultTimeout: time.Minute, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(20, run)
-	t.Logf("frontend half of a /v1/topk over two exchanges: %.0f allocs", allocs)
-	if allocs > 80 {
-		t.Fatalf("frontend /v1/topk allocates %.0f/op, want <= 80", allocs)
-	}
+	defer whole.Close()
+	fets := httptest.NewServer(whole.Handler())
+	defer fets.Close()
+	client := fets.Client()
+	answer := make([]byte, 0, 1<<12)
+	pin("one two-group /v1/topk, process-wide", 150, func() {
+		resp, err := client.Post(fets.URL+server.PathTopK, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := bytes.NewBuffer(answer[:0])
+		buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/v1/topk: %d %s", resp.StatusCode, buf.Bytes())
+		}
+	})
 }
 
 // toRankedJSON is a library top-k answer in its wire form.

@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"crypto/tls"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -26,7 +27,8 @@ type FrontendConfig struct {
 	// Groups is the shard-group map (ParseMap); at least one group.
 	Groups []Group
 	// RPCTimeout bounds one attempt at a read's exchange with one backend
-	// — request sent, whole reply read — and one health probe (<= 0: 2s).
+	// — a connection dialled and upgraded if none is idle, the query frame
+	// sent, the whole reply read — and one health probe (<= 0: 2s).
 	RPCTimeout time.Duration
 	// DefaultTimeout is the per-request deadline when the request names
 	// none (<= 0: 2s); MaxTimeout caps timeout_ms (<= 0: 30s).
@@ -36,8 +38,10 @@ type FrontendConfig struct {
 	ProbeInterval time.Duration
 	// MaxBodyBytes caps request bodies (<= 0: 8 MiB).
 	MaxBodyBytes int64
-	// Client is the backend HTTP client (nil: a client on a transport of
-	// the frontend's own, closed by Close).
+	// Client is the backend HTTP client for writes and health probes (nil:
+	// a client on a transport of the frontend's own, closed by Close).
+	// Reads do not use it: they go over exchange connections the frontend
+	// dials and pools itself.
 	Client *http.Client
 	// Logf, when non-nil, receives operational events (member removal
 	// and readmission).
@@ -63,22 +67,30 @@ func (c FrontendConfig) withDefaults() FrontendConfig {
 	return c
 }
 
-// idleConnsPerBackend is how many keep-alive connections the frontend's
-// own transport holds per backend. Every concurrent read has one exchange
-// in flight per group, and http.DefaultTransport keeps only two idle per
-// host, closing and redialling the rest after every read.
+// idleConnsPerBackend is how many idle exchange connections the frontend
+// keeps per backend, and how many keep-alive connections its own
+// transport keeps for writes and probes. Every concurrent read has one
+// exchange in flight per group; a connection handed back to a full pool
+// is closed.
 const idleConnsPerBackend = 64
 
 // feMember is one backend process. healthy is the probe's verdict,
-// flipped false eagerly by any failed exchange or write (removal) and true again
-// only by a successful probe (readmission). exchangeURL and noReply are
-// what every exchange with it needs, built once: its /v1/exchange URL and
-// the cause an exchange that outlives RPCTimeout ends with.
+// flipped false eagerly by any failed exchange or write (removal) and
+// true again only by a successful probe (readmission). addr, tls,
+// handshake and noReply are what every exchange with it needs, built
+// once (newMember); idle are its exchange connections with no exchange
+// on them, each of which carries one exchange at a time.
 type feMember struct {
-	url         string
-	exchangeURL string
-	noReply     error
-	healthy     atomic.Bool
+	url       string
+	addr      string
+	tls       *tls.Config // nil for an http:// member
+	handshake []byte
+	noReply   error
+	healthy   atomic.Bool
+
+	mu     sync.Mutex
+	idle   []*exchangeConn
+	closed bool // Close has run: a connection handed back is closed
 }
 
 // feGroup is one shard group's members; members[0] is the primary.
@@ -106,7 +118,7 @@ type Frontend struct {
 	errs      atomic.Uint64
 	partials  atomic.Uint64
 	failovers atomic.Uint64
-	exchanges atomic.Uint64 // exchanges a backend answered 200
+	exchanges atomic.Uint64 // exchanges a backend began to answer with anything but an error frame
 	exactRPCs atomic.Uint64 // values frames received whole
 }
 
@@ -137,12 +149,10 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 		}
 		fg := &feGroup{id: gi}
 		for _, m := range g.Members {
-			fm := &feMember{
-				url:         m,
-				exchangeURL: m + server.PathExchange,
-				noReply:     fmt.Errorf("%s: no reply within %v: %w", m, cfg.RPCTimeout, context.DeadlineExceeded),
+			fm, err := newMember(m, cfg.RPCTimeout)
+			if err != nil {
+				return nil, err
 			}
-			fm.healthy.Store(true)
 			fg.members = append(fg.members, fm)
 		}
 		fe.groups = append(fe.groups, fg)
@@ -168,11 +178,18 @@ func (fe *Frontend) Handler() http.Handler { return fe.mux }
 // new work is rejected with 503 + Retry-After. Idempotent.
 func (fe *Frontend) BeginDrain() { fe.draining.Store(true) }
 
-// Close stops the health-probe loop and drops the frontend's own idle
-// backend connections. Idempotent.
+// Close stops the health-probe loop and closes the frontend's own idle
+// backend connections: its exchange connections, and its transport's.
+// An exchange still running closes its connection when it ends.
+// Idempotent.
 func (fe *Frontend) Close() {
 	fe.closeOnce.Do(func() { close(fe.probeStop) })
 	<-fe.probeDone
+	for _, g := range fe.groups {
+		for _, m := range g.members {
+			m.closeIdle()
+		}
+	}
 	if fe.transport != nil {
 		fe.transport.CloseIdleConnections()
 	}
@@ -362,10 +379,10 @@ func singleTenant(r *http.Request, bodyTenant string) error {
 // beginRead is what /v1/topk and /v1/servicevalues share up to the
 // merge: admission, decode into pooled storage, the tenant check, the
 // request deadline, and the query frame every group is sent — built once
-// from the decoded table, carrying the deadline's budget so a backend
-// gives the exchange what the client gave the request. A false return
-// means the request was already answered; otherwise the caller ends the
-// read once its answer is written.
+// from the decoded table into the same pooled storage, carrying the
+// deadline's budget so a backend gives the exchange what the client gave
+// the request. A false return means the request was already answered;
+// otherwise the caller ends the read once its answer is written.
 func (fe *Frontend) beginRead(w http.ResponseWriter, r *http.Request, needK bool) (*read, bool) {
 	fe.requests.Add(1)
 	if fe.draining.Load() {
@@ -398,10 +415,10 @@ func (fe *Frontend) beginRead(w http.ResponseWriter, r *http.Request, needK bool
 	}
 	timeout := fe.requestTimeout(req.TimeoutMS)
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	frame := server.AppendQueryFrame(make([]byte, 0, size), table, server.QueryParams{
+	buf.Frame = server.AppendQueryFrame(buf.Frame[:0], table, server.QueryParams{
 		Query: q, Workers: req.Workers, TimeoutMS: max(timeout.Milliseconds(), 1),
 	})
-	return &read{fe: fe, ctx: ctx, cancel: cancel, buf: buf, req: req, table: table, frame: frame}, true
+	return &read{fe: fe, ctx: ctx, cancel: cancel, buf: buf, req: req, table: table}, true
 }
 
 // partial reports whether a read asked for ?partial=1.
@@ -593,11 +610,12 @@ func (fe *Frontend) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // FrontendStats is the frontend's /statsz document. A read costs one
-// exchange per group: Exchanges counts those a backend answered 200 (more
-// than one per group only after a failover), ExactRPCs the values frames
-// that came back whole. BoundRPCs and PrunedFacilities always read 0 — no
-// read asks for a bound, so none prunes; the fields remain because the
-// repository benchmark reads them (ROADMAP item 1b drops both).
+// exchange per group: Exchanges counts those a backend began to answer
+// with anything but an error frame (more than one per group only after a
+// failover), ExactRPCs the values frames that came back whole. BoundRPCs
+// and PrunedFacilities always read 0 — no read asks for a bound, so none
+// prunes; the fields remain because the repository benchmark reads them
+// (ROADMAP item 1b drops both).
 type FrontendStats struct {
 	UptimeSeconds    float64       `json:"uptime_seconds"`
 	Groups           []GroupHealth `json:"groups"`

@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -315,37 +317,137 @@ func TestFrontendByteIdentity(t *testing.T) {
 	}
 }
 
-// fakeExchange serves the backend side of one /v1/exchange from a
-// callback keyed by facility ID.
-func fakeExchange(w http.ResponseWriter, r *http.Request, values func(ids []uint32) []float64) {
-	kind, payload, err := server.ReadFrame(r.Body, nil, 8<<20)
-	var qf server.QueryFrame
-	if err == nil && kind == server.FrameQuery {
-		err = qf.Decode(payload)
-	}
+// streamBackend is a fake backend speaking the exchange protocol:
+// /healthz answers ok, POST /v1/exchange upgrades the connection, and
+// every query frame on it is handed to answer with its ordinal, which
+// writes the member's reply to c — or does anything else to c. The
+// connection closes when the frontend's does, or when answer returns
+// false.
+func streamBackend(answer func(c net.Conn, qf *server.QueryFrame, ordinal uint16) bool) *httptest.Server {
+	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == server.PathHealth {
+			w.Write([]byte(`{"status":"ok"}`))
+			return
+		}
+		c, br, ok := acceptExchange(w)
+		if !ok {
+			return
+		}
+		defer c.Close()
+		for ordinal := uint16(1); ; ordinal++ {
+			qf, err := readQueryFrame(br)
+			if err != nil || !answer(c, qf, ordinal) {
+				return
+			}
+		}
+	}))
+}
+
+// acceptExchange is the backend half of the exchange handshake.
+func acceptExchange(w http.ResponseWriter) (net.Conn, *bufio.Reader, bool) {
+	c, brw, err := http.NewResponseController(w).Hijack()
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return nil, nil, false
 	}
+	if _, err := io.WriteString(c, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+server.ExchangeProtocol+"\r\n\r\n"); err != nil {
+		c.Close()
+		return nil, nil, false
+	}
+	return c, brw.Reader, true
+}
+
+// readQueryFrame reads and decodes one query frame.
+func readQueryFrame(r io.Reader) (*server.QueryFrame, error) {
+	var hdr [server.FrameHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	if server.FrameKind(hdr[4]) != server.FrameQuery {
+		return nil, fmt.Errorf("frame of kind %d", hdr[4])
+	}
+	payload := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return nil, err
+	}
+	qf := new(server.QueryFrame)
+	return qf, qf.Decode(payload)
+}
+
+// frameIDs lists a query frame's facility IDs.
+func frameIDs(qf *server.QueryFrame) []uint32 {
 	ids := make([]uint32, len(qf.Facilities))
 	for i, f := range qf.Facilities {
 		ids[i] = uint32(f.ID)
 	}
-	w.Write(server.AppendFloatsFrame(nil, values(ids)))
+	return ids
+}
+
+// valuesBackend is a stream backend answering every frame with the
+// values a callback keyed by facility ID gives.
+func valuesBackend(values func(ids []uint32) []float64) *httptest.Server {
+	return streamBackend(func(c net.Conn, qf *server.QueryFrame, ordinal uint16) bool {
+		_, err := c.Write(server.AppendFloatsFrame(nil, ordinal, values(frameIDs(qf))))
+		return err == nil
+	})
 }
 
 // dyingGroup is a fake backend that accepts an exchange and dies on it:
-// the connection drops with nothing said (reply == nil), or after the 200
-// and those bytes of a reply.
+// the connection resets with nothing said (reply == nil), or after those
+// bytes of a reply.
 func dyingGroup(reply []byte) *httptest.Server {
-	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body)
+	return streamBackend(func(c net.Conn, _ *server.QueryFrame, _ uint16) bool {
 		if reply != nil {
-			w.Write(reply)
-			http.NewResponseController(w).Flush()
+			c.Write(reply)
 		}
-		panic(http.ErrAbortHandler)
-	}))
+		resetConn(c)
+		return false
+	})
+}
+
+// tapped serves h on a listener that hands every connection it accepts
+// to accepted (when not nil), and whose connections pass every exchange
+// reply the server writes — a values or error frame, which the backend
+// writes in one call — to tap first. The reply goes out when tap returns
+// true; otherwise the write fails, tap having done what it wanted with
+// the connection.
+func tapped(h http.Handler, tap func(c net.Conn, reply []byte) bool, accepted func(net.Conn)) *httptest.Server {
+	ts := httptest.NewUnstartedServer(h)
+	ts.Listener = &tapListener{Listener: ts.Listener, tap: tap, accepted: accepted}
+	ts.Start()
+	return ts
+}
+
+type tapListener struct {
+	net.Listener
+	tap      func(c net.Conn, reply []byte) bool
+	accepted func(net.Conn)
+}
+
+func (l *tapListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	if l.accepted != nil {
+		l.accepted(c)
+	}
+	return &tapConn{Conn: c, tap: l.tap}, nil
+}
+
+type tapConn struct {
+	net.Conn
+	tap func(c net.Conn, reply []byte) bool
+}
+
+func (c *tapConn) Write(p []byte) (int, error) {
+	kind := server.FrameKind(0)
+	if len(p) >= server.FrameHeaderLen && int(binary.LittleEndian.Uint32(p))+server.FrameHeaderLen == len(p) {
+		kind = server.FrameKind(p[4])
+	}
+	if (kind == server.FrameValues || kind == server.FrameError) && c.tap != nil && !c.tap(c.Conn, p) {
+		return 0, net.ErrClosed
+	}
+	return c.Conn.Write(p)
 }
 
 // TestFrontendPartialMatrix is the degradation contract, table-driven:
@@ -404,21 +506,17 @@ func TestFrontendPartialMatrix(t *testing.T) {
 		{
 			name: "group deadline-starved",
 			group1: func(t *testing.T) (string, func()) {
-				ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-					if r.URL.Path == server.PathHealth {
-						w.Write([]byte(`{"status":"ok"}`))
-						return
-					}
+				ts := streamBackend(func(c net.Conn, _ *server.QueryFrame, _ uint16) bool {
 					// Hang until the caller gives up.
-					io.Copy(io.Discard, r.Body)
-					<-r.Context().Done()
-				}))
+					io.Copy(io.Discard, c)
+					return false
+				})
 				return ts.URL, ts.Close
 			},
 			wantStatus: http.StatusGatewayTimeout,
 		},
 		{
-			// Group 1 takes the request and the connection drops: a
+			// Group 1 takes the query frame and the connection drops: a
 			// retryable 503, never a 504.
 			name:       "mid-merge death",
 			group1:     func(t *testing.T) (string, func()) { ts := dyingGroup(nil); return ts.URL, ts.Close },
@@ -426,12 +524,12 @@ func TestFrontendPartialMatrix(t *testing.T) {
 			wantRetry:  true,
 		},
 		{
-			// ... or it drops in the middle of the reply's round trip, the
-			// 200 and half a values frame already out: still a group that
-			// is missing, never a top k over half a sum.
+			// ... or it drops in the middle of the reply, half a values
+			// frame already out: still a group that is missing, never a
+			// top k over half a sum.
 			name: "mid-round death",
 			group1: func(t *testing.T) (string, func()) {
-				ts := dyingGroup(server.AppendFloatsFrame(nil, make([]float64, len(facs)))[:8+8*len(facs)/2])
+				ts := dyingGroup(server.AppendFloatsFrame(nil, 1, make([]float64, len(facs)))[:8+8*len(facs)/2])
 				return ts.URL, ts.Close
 			},
 			wantStatus: http.StatusServiceUnavailable,

@@ -305,7 +305,10 @@ func applyEntry(idx *trajcover.Index, e replog.Entry) error {
 // /healthz reports "syncing" (503) until then, and /v1/replstatus
 // serves the replication cursor. After the first catch-up everything
 // passes through — including during primary outages and
-// re-bootstraps, when the last applied state keeps serving.
+// re-bootstraps, when the last applied state keeps serving. An exchange
+// connection (POST /v1/exchange) is checked once, at its upgrade:
+// readiness never reverts, so every frame it carries afterwards comes
+// after the first catch-up too.
 func ReplicaHandler(inner http.Handler, rep *Replica) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -16,28 +17,24 @@ import (
 	"github.com/trajcover/trajcover/internal/server"
 )
 
-// countingBackend is a fake backend: /healthz answers ok, and every
-// /v1/exchange is counted and handed to answer.
-func countingBackend(hits *atomic.Int64, answer http.HandlerFunc) *httptest.Server {
-	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == server.PathHealth {
-			w.Write([]byte(`{"status":"ok"}`))
-			return
-		}
+// countingBackend is a fake stream backend (streamBackend) whose query
+// frames are counted and handed to answer.
+func countingBackend(hits *atomic.Int64, answer func(c net.Conn, qf *server.QueryFrame, ordinal uint16) bool) *httptest.Server {
+	return streamBackend(func(c net.Conn, qf *server.QueryFrame, ordinal uint16) bool {
 		hits.Add(1)
-		answer(w, r)
-	}))
+		return answer(c, qf, ordinal)
+	})
 }
 
 // fakeValue is what the fake backends answer for a facility.
 func fakeValue(id uint32) float64 { return 1.5 * float64(id) }
 
 // TestFrontendBackendErrorVerdicts pins backendError's verdict on a
-// backend's non-200 exchange answer, with one group of two members: a
-// member answering 400 or 404 has judged the request, so its answer is
-// relayed verbatim and no other member is asked; a member answering 429
-// or 503 has failed, so it is marked unhealthy and the read fails over
-// to the next member, which answers it.
+// backend's error frame, with one group of two members: a member
+// answering 400 or 404 has judged the request, so its answer is relayed
+// verbatim and no other member is asked; a member answering 429 or 503
+// has failed, so it is marked unhealthy and the read fails over to the
+// next member, which answers it.
 func TestFrontendBackendErrorVerdicts(t *testing.T) {
 	facs := testFacilities(5, 4, 401)
 	body := mustBody(t, server.QueryRequest{Facilities: server.FacilitiesJSON(facs), Psi: 40})
@@ -57,24 +54,19 @@ func TestFrontendBackendErrorVerdicts(t *testing.T) {
 		t.Run(fmt.Sprint(tc.status), func(t *testing.T) {
 			reply := []byte(fmt.Sprintf(`{"error":"backend says %d"}`, tc.status))
 			var badHits, goodHits atomic.Int64
-			bad := countingBackend(&badHits, func(w http.ResponseWriter, r *http.Request) {
-				io.Copy(io.Discard, r.Body)
-				w.Header().Set("Content-Type", "application/json")
-				if tc.status == http.StatusTooManyRequests || tc.status == http.StatusServiceUnavailable {
-					w.Header().Set("Retry-After", server.RetryAfter)
-				}
-				w.WriteHeader(tc.status)
-				w.Write(reply)
+			bad := countingBackend(&badHits, func(c net.Conn, _ *server.QueryFrame, ordinal uint16) bool {
+				retry := tc.status == http.StatusTooManyRequests || tc.status == http.StatusServiceUnavailable
+				_, err := c.Write(server.AppendErrorFrame(nil, ordinal, tc.status, retry, reply))
+				return err == nil
 			})
 			defer bad.Close()
-			good := countingBackend(&goodHits, func(w http.ResponseWriter, r *http.Request) {
-				fakeExchange(w, r, func(ids []uint32) []float64 {
-					out := make([]float64, len(ids))
-					for i, id := range ids {
-						out[i] = fakeValue(id)
-					}
-					return out
-				})
+			good := countingBackend(&goodHits, func(c net.Conn, qf *server.QueryFrame, ordinal uint16) bool {
+				out := make([]float64, len(qf.Facilities))
+				for i, id := range frameIDs(qf) {
+					out[i] = fakeValue(id)
+				}
+				_, err := c.Write(server.AppendFloatsFrame(nil, ordinal, out))
+				return err == nil
 			})
 			defer good.Close()
 			fe, err := NewFrontend(FrontendConfig{
@@ -144,8 +136,9 @@ func TestFrontendStatsDocument(t *testing.T) {
 	var hits [2]atomic.Int64
 	var backends [2]*httptest.Server
 	for i := range backends {
-		backends[i] = countingBackend(&hits[i], func(w http.ResponseWriter, r *http.Request) {
-			fakeExchange(w, r, func(ids []uint32) []float64 { return make([]float64, len(ids)) })
+		backends[i] = countingBackend(&hits[i], func(c net.Conn, qf *server.QueryFrame, ordinal uint16) bool {
+			_, err := c.Write(server.AppendFloatsFrame(nil, ordinal, make([]float64, len(qf.Facilities))))
+			return err == nil
 		})
 		defer backends[i].Close()
 	}

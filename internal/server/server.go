@@ -21,7 +21,7 @@
 //
 //	POST /v1/topk           {"facilities":[{"id":1,"stops":[[x,y],...]}],"k":8,"scenario":"binary","psi":300}
 //	POST /v1/servicevalues  {"facilities":[...],"scenario":"binary","psi":300}
-//	POST /v1/exchange       one binary query frame -> one values frame (internal: one per (frontend read, shard group); exchange.go)
+//	POST /v1/exchange       upgrade to tqexchange/1, then query frame -> values frame, one per (frontend read, shard group) (internal; exchange.go)
 //	POST /v1/insert         {"id":9001,"points":[[x,y],[x,y]]}
 //	POST /v1/delete         {"id":9001}
 //	POST /v1/compact        {}
@@ -60,9 +60,12 @@
 // Shutdown protocol: BeginDrain (new work → 503, health → draining),
 // then stop the HTTP listener (http.Server.Shutdown waits for in-flight
 // handlers, each of which runs its own work to the end or answers 504 at
-// its deadline), then Close, which turns any straggler away with 503 and
-// returns once no admitted work is still running. The server starts no
-// goroutine of its own, so nothing of it outlives the drain.
+// its deadline), then Close, which turns any straggler away with 503,
+// closes the upgraded exchange connections the HTTP layer no longer
+// tracks, and returns once no admitted work and no exchange connection's
+// loop is still running. The only goroutine the server starts is each
+// exchange connection's frame reader, which ends with its connection, so
+// nothing of it outlives the drain.
 package server
 
 import (
@@ -73,6 +76,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"runtime"
@@ -144,14 +148,12 @@ func (c Config) withDefaults() Config {
 }
 
 // response is a computed answer, written once the work has given back
-// its slot. retryAfter marks a transient rejection (degraded writes) that
-// must carry a Retry-After header. ctype is the body's Content-Type
-// header value when it is not JSON.
+// its slot: a JSON body, or an exchange's values frame. retryAfter marks
+// a transient rejection that must carry a Retry-After header.
 type response struct {
 	status     int
 	body       []byte
 	retryAfter bool
-	ctype      []string
 }
 
 // Header values the answers assign whole: w.Header()[key] = value costs
@@ -159,7 +161,6 @@ type response struct {
 // copies them when it writes the header and never writes into them.
 var (
 	jsonContentType   = []string{"application/json"}
-	octetContentType  = []string{"application/octet-stream"}
 	retryAfterSeconds = []string{RetryAfter}
 )
 
@@ -348,6 +349,7 @@ type Server struct {
 	amu       sync.RWMutex
 	closed    bool
 	closing   chan struct{}
+	conns     map[net.Conn]struct{} // upgraded exchange connections; under amu
 	running   sync.WaitGroup
 	closeOnce sync.Once
 	draining  atomic.Bool
@@ -407,6 +409,7 @@ func newServer(idx *trajcover.Index, reg *trajcover.TenantRegistry, cfg Config) 
 		mux:     http.NewServeMux(),
 		stats:   map[string]*endpointStats{},
 		gates:   map[string]*tenant.Gate{},
+		conns:   map[net.Conn]struct{}{},
 	}
 	if idx != nil {
 		s.idx.Store(idx)
@@ -551,15 +554,41 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 // running. Call it after the HTTP layer has stopped delivering requests
 // (http.Server.Shutdown or httptest.Server.Close has returned); a
 // handler that nevertheless outlived a timed-out Shutdown gets 503, and
-// one still waiting for a slot is woken to answer 503. Idempotent.
+// one still waiting for a slot is woken to answer 503. The HTTP layer
+// neither closes nor waits for upgraded exchange connections: Close
+// closes them and waits for their loops to end. Idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.amu.Lock()
 		s.closed = true
+		for c := range s.conns {
+			c.Close()
+		}
 		close(s.closing)
 		s.amu.Unlock()
 	})
 	s.running.Wait()
+}
+
+// holdConn registers an upgraded exchange connection, counted in running
+// until dropConn, so that Close closes it and waits for its loop; false
+// means Close has begun.
+func (s *Server) holdConn(c net.Conn) bool {
+	s.amu.Lock()
+	defer s.amu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.running.Add(1)
+	s.conns[c] = struct{}{}
+	return true
+}
+
+func (s *Server) dropConn(c net.Conn) {
+	s.amu.Lock()
+	delete(s.conns, c)
+	s.amu.Unlock()
+	s.running.Done()
 }
 
 // acquireSlot admits one request's work: it returns 0 once the caller
@@ -647,23 +676,38 @@ func (s *Server) rejectRetryable(w http.ResponseWriter, status int, msg string) 
 	writeJSON(w, status, ErrorResponse{Error: msg})
 }
 
-// rejectQuota answers a 429 for a tenant over one of its limits. The
+// quotaRejection is the 429 for a tenant over one of its limits. The
 // gate already counted the per-reason rejection; here it reaches the
 // endpoint counters and the client, with Retry-After like global queue
 // pressure — the client backoff story is the same.
-func (s *Server) rejectQuota(w http.ResponseWriter, ep *endpointStats, tid string, reason tenant.RejectReason) {
+func quotaRejection(ep *endpointStats, tid string, reason tenant.RejectReason) response {
 	ep.rejected.Add(1)
-	s.rejectRetryable(w, http.StatusTooManyRequests, fmt.Sprintf("tenant %q over %s", tid, reason))
+	return response{status: http.StatusTooManyRequests, body: mustMarshal(ErrorResponse{Error: fmt.Sprintf("tenant %q over %s", tid, reason)}), retryAfter: true}
 }
 
 // executeTenant runs one unit of work on the handler's own goroutine on
-// behalf of a tenant: per-tenant admission (429 over quota), index
-// resolution (404 unknown on reads, lazy create on writes), the request
-// deadline, slot admission (acquireSlot: 429, 503 or 504 in place of the
-// work), the work, and the answer. Gate slots are held until the work is
-// done, so quotas bound real waiting + running occupancy; a request that
-// never gets a slot gives its gate slots back at once. All terminal paths
-// update the endpoint's counters.
+// behalf of a tenant (execute) and writes its answer; the exchange writes
+// execute's answer as a frame instead.
+func (s *Server) executeTenant(w http.ResponseWriter, r *http.Request, ep *endpointStats, tid string, isWrite bool, timeoutMS int64, cached *cachedRead, run runFunc) {
+	start := time.Now()
+	resp, timed := s.execute(r.Context(), ep, tid, isWrite, timeoutMS, cached, run)
+	s.writeResponse(w, resp)
+	if timed {
+		ep.observe(time.Since(start))
+	}
+}
+
+// execute runs one unit of work on behalf of a tenant: per-tenant
+// admission (429 over quota), index resolution (404 unknown on reads,
+// lazy create on writes), the request deadline under ctx, slot admission
+// (acquireSlot: 429, 503 or 504 in place of the work), and the work. It
+// returns the answer, and whether the caller should time it once written
+// — only requests that waited or ran, or were answered from the cache,
+// are timed: rejections return in microseconds and would dilute the
+// served mean. Gate slots are held until the work is done, so quotas
+// bound real waiting + running occupancy; a request that never gets a
+// slot gives its gate slots back at once. All terminal paths update the
+// endpoint's counters.
 //
 // cached, when non-nil, makes the work cacheable (reads on a server that
 // has a cache): the handler captures the index version v, probes the
@@ -677,28 +721,24 @@ func (s *Server) rejectQuota(w http.ResponseWriter, ep *endpointStats, tid strin
 // applies to hits. A request whose hash came from an alias arrives
 // undecoded (cached.decode): only the miss pays for the decode, which
 // supplies timeoutMS.
-func (s *Server) executeTenant(w http.ResponseWriter, r *http.Request, ep *endpointStats, tid string, isWrite bool, timeoutMS int64, cached *cachedRead, run runFunc) {
-	start := time.Now()
+func (s *Server) execute(ctx context.Context, ep *endpointStats, tid string, isWrite bool, timeoutMS int64, cached *cachedRead, run runFunc) (response, bool) {
 	ep.requests.Add(1)
 
 	lim := s.limitsFor(tid)
 	gate := s.gateOf(tid)
 	ok, reason := gate.Admit(lim)
 	if !ok {
-		s.rejectQuota(w, ep, tid, reason)
-		return
+		return quotaRejection(ep, tid, reason), false
 	}
 	if isWrite && !gate.AdmitWrite(lim) {
 		gate.Cancel()
-		s.rejectQuota(w, ep, tid, tenant.RejectRate)
-		return
+		return quotaRejection(ep, tid, tenant.RejectRate), false
 	}
 	idx, release, err := s.acquireTenant(tid, isWrite)
 	if err != nil {
 		gate.Cancel()
 		ep.errors.Add(1)
-		writeJSON(w, acquireStatus(err), ErrorResponse{Error: err.Error()})
-		return
+		return response{status: acquireStatus(err), body: mustMarshal(ErrorResponse{Error: err.Error()})}, false
 	}
 
 	var key rescache.Key
@@ -707,9 +747,7 @@ func (s *Server) executeTenant(w http.ResponseWriter, r *http.Request, ep *endpo
 		if body, ok := s.cache.Get(key); ok {
 			gate.Cancel()
 			release()
-			ep.observe(time.Since(start))
-			writeRaw(w, http.StatusOK, body)
-			return
+			return response{status: http.StatusOK, body: body}, true
 		}
 		if cached.decode != nil {
 			// An alias is written only after these bytes decoded on this
@@ -718,13 +756,12 @@ func (s *Server) executeTenant(w http.ResponseWriter, r *http.Request, ep *endpo
 				gate.Cancel()
 				release()
 				ep.errors.Add(1)
-				writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-				return
+				return response{status: http.StatusBadRequest, body: mustMarshal(ErrorResponse{Error: err.Error()})}, false
 			}
 		}
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(timeoutMS, lim))
+	ctx, cancel := context.WithTimeout(ctx, s.requestTimeout(timeoutMS, lim))
 	defer cancel()
 	var resp response
 	status := s.acquireSlot(ctx)
@@ -752,12 +789,7 @@ func (s *Server) executeTenant(w http.ResponseWriter, r *http.Request, ep *endpo
 			ep.deadline.Add(1)
 		}
 	}
-	s.writeResponse(w, resp)
-	if status == 0 || status == http.StatusGatewayTimeout {
-		// Only requests that waited or ran are timed: rejections return
-		// in microseconds and would dilute the served mean.
-		ep.observe(time.Since(start))
-	}
+	return resp, status == 0 || status == http.StatusGatewayTimeout
 }
 
 // rejection is the answer that stands in for work acquireSlot refused
@@ -774,17 +806,10 @@ func rejection(ctx context.Context, status int) response {
 
 // writeResponse sends a response as an ordinary HTTP answer.
 func (s *Server) writeResponse(w http.ResponseWriter, resp response) {
-	h := w.Header()
 	if resp.retryAfter {
-		h["Retry-After"] = retryAfterSeconds
+		w.Header()["Retry-After"] = retryAfterSeconds
 	}
-	ctype := jsonContentType
-	if resp.ctype != nil {
-		ctype = resp.ctype
-	}
-	h["Content-Type"] = ctype
-	w.WriteHeader(resp.status)
-	w.Write(resp.body)
+	writeRaw(w, resp.status, resp.body)
 }
 
 // rejectDraining answers 503 while the server drains; a true return means
@@ -1067,7 +1092,7 @@ func (s *Server) streamServiceValues(w http.ResponseWriter, r *http.Request, ep 
 	gate := s.gateOf(tid)
 	ok, reason := gate.Admit(lim)
 	if !ok {
-		s.rejectQuota(w, ep, tid, reason)
+		s.writeResponse(w, quotaRejection(ep, tid, reason))
 		return
 	}
 	gate.Started()

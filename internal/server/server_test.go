@@ -596,7 +596,7 @@ func (b *countingBody) Close() error             { return nil }
 // and nothing is hashed or decoded.
 func TestServerRefusesDeclaredOversizedBody(t *testing.T) {
 	e := newEnv(t, testUsers(100, 97), Config{Workers: 1, QueueDepth: 4, MaxBodyBytes: 512, ResultCacheBytes: 1 << 20})
-	for _, path := range []string{PathTopK, PathServiceValues, PathExchange, PathInsert, PathDelete, PathCompact} {
+	for _, path := range []string{PathTopK, PathServiceValues, PathInsert, PathDelete, PathCompact} {
 		body := &countingBody{}
 		req := httptest.NewRequest(http.MethodPost, path, body)
 		req.ContentLength = 513
@@ -773,7 +773,10 @@ func TestServerStatsAndHealth(t *testing.T) {
 
 // TestServerDrainLeavesNoGoroutines proves the shutdown protocol sheds
 // every goroutine the serving stack started: after drain + HTTP close +
-// Close, the process goroutine count returns to its baseline.
+// Close, the process goroutine count returns to its baseline — upgraded
+// exchange connections too, which the HTTP layer neither closes nor
+// waits for: one idle, which answers a frame sent while draining with a
+// 503 error frame, and one busy, its frame waiting for a slot.
 func TestServerDrainLeavesNoGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
@@ -795,11 +798,27 @@ func TestServerDrainLeavesNoGoroutines(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
+	idle, busy := dialExchange(t, ts.URL), dialExchange(t, ts.URL)
+	frame := AppendQueryFrame(nil, tableOf(facs), QueryParams{Query: trajcover.Query{Psi: 40}})
+	idle.values(frame, len(facs))
+	release := blockWorkers(t, srv, 4)
+	if _, err := busy.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	for srv.waiting.Load() != 1 {
+		time.Sleep(time.Millisecond)
+	}
 
 	srv.BeginDrain()
+	if _, er := idle.ask(frame, len(facs)); er == nil || er.Status != http.StatusServiceUnavailable || !er.RetryAfter {
+		t.Fatalf("a frame while draining: %+v, want a 503 error frame with the retry flag", er)
+	}
 	ts.Close()
 	srv.Close()
+	release()
 	client.CloseIdleConnections()
+	idle.requireClosed()
+	busy.requireClosed()
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {

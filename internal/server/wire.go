@@ -566,6 +566,9 @@ type QueryBuffer struct {
 	// Answer is storage for the answer's bytes: append to Answer[:0] and
 	// keep the result here, so the next request reuses it.
 	Answer []byte
+	// Frame is the same for the query frame a distributed read sends
+	// every shard group.
+	Frame []byte
 
 	body []byte
 	qb   queryBody
@@ -583,7 +586,7 @@ func AcquireQueryBuffer() *QueryBuffer { return queryBuffers.Get().(*QueryBuffer
 // left to the collector instead.
 func (b *QueryBuffer) Release() {
 	c := &b.qb.Facilities.spare
-	size := cap(b.body) + cap(b.Answer) +
+	size := cap(b.body) + cap(b.Answer) + cap(b.Frame) +
 		cap(c.list)*int(unsafe.Sizeof(FacilityJSON{})) + 4*cap(c.ids) + 4*cap(c.off) + 16*cap(c.stops) +
 		cap(b.slab)*int(unsafe.Sizeof(trajcover.Facility{})) + 8*cap(b.ptrs)
 	if size <= maxPooledBody {
