@@ -7,7 +7,7 @@ import (
 )
 
 // flavor is the public query surface both index types must expose: the
-// nine kMaxRRST entry points, the two coverage queries, and Len. The
+// eight kMaxRRST entry points, the two coverage queries, and Len. The
 // assignments below pin the method set at compile time.
 type flavor interface {
 	Len() int
@@ -19,7 +19,6 @@ type flavor interface {
 	ServiceValuesCtx(ctx context.Context, facilities []*Facility, q Query, workers int) ([]float64, error)
 	TopKCtx(ctx context.Context, facilities []*Facility, k int, q Query) ([]Ranked, error)
 	TopKParallelCtx(ctx context.Context, facilities []*Facility, k int, q Query, workers int) ([]Ranked, error)
-	ServiceValuesStreamCtx(ctx context.Context, facilities []*Facility, q Query, workers, chunk int, yield StreamVisitor) error
 	ServedUsers(f *Facility, q Query) ([]ServedUser, error)
 	MaxCoverage(facilities []*Facility, k int, q Query, opts CoverageOptions) (CoverageResult, error)
 }

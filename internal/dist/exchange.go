@@ -63,10 +63,11 @@ type exchangeConn struct {
 // judged by backendError.
 // The connection's deadline is RPCTimeout or the request's, whichever
 // comes first. A connection that fails in any way is closed, never
-// pooled, so a late reply is never read as another exchange's; one taken
-// from the pool that ended before any reply byte came — a member that
-// dropped its idle connections, say by restarting — is retried once on
-// a fresh one.
+// pooled, so a late reply is never read as another exchange's; so is one
+// answered 400 or 413, after which the backend closes it. One taken from
+// the pool that ended before any reply byte came — a member that dropped
+// its idle connections, say by restarting — is retried once on a fresh
+// one.
 func (rd *read) exchange(m *feMember, reply []byte) ([]float64, error) {
 	deadline, expired := time.Now().Add(rd.fe.cfg.RPCTimeout), m.noReply
 	if d, ok := rd.ctx.Deadline(); ok && d.Before(deadline) {
@@ -90,7 +91,13 @@ func (rd *read) exchange(m *feMember, reply []byte) ([]float64, error) {
 			return vals, nil
 		}
 		if rejected, ok := err.(*server.ErrorReply); ok {
-			m.putConn(c) // a whole reply: the stream is in step
+			// A whole reply leaves the stream in step, but the backend
+			// closes the connection after a frame it refuses (400, 413).
+			if rejected.Status == http.StatusBadRequest || rejected.Status == http.StatusRequestEntityTooLarge {
+				c.Close()
+			} else {
+				m.putConn(c)
+			}
 			return nil, backendError(m, rejected.Status, rejected.Body)
 		}
 		if started {

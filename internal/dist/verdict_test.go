@@ -128,6 +128,78 @@ func TestFrontendBackendErrorVerdicts(t *testing.T) {
 	}
 }
 
+// TestFrontendDropsRefusedConnection: a backend closes its exchange
+// connection after a frame it refuses with 400 or 413, so the frontend
+// pools no connection answered so — the member's next exchange would meet
+// a dead connection and pay the stale-connection redial — and pools one
+// answered with any other error frame, after which the backend reads on.
+// The fake member refuses its first frame, closing the connection as
+// serveExchange does only after a 400 or 413, and answers every later
+// one.
+func TestFrontendDropsRefusedConnection(t *testing.T) {
+	facs := testFacilities(5, 4, 403)
+	body := mustBody(t, server.QueryRequest{Facilities: server.FacilitiesJSON(facs), Psi: 40})
+	want := make([]float64, len(facs))
+	for i, f := range facs {
+		want[i] = fakeValue(uint32(f.ID))
+	}
+	for _, status := range []int{http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusNotFound} {
+		t.Run(fmt.Sprint(status), func(t *testing.T) {
+			closes := status != http.StatusNotFound
+			reply := []byte(fmt.Sprintf(`{"error":"backend says %d"}`, status))
+			var hits atomic.Int64
+			be := countingBackend(&hits, func(c net.Conn, qf *server.QueryFrame, ordinal uint16) bool {
+				if hits.Load() == 1 {
+					_, err := c.Write(server.AppendErrorFrame(nil, ordinal, status, false, reply))
+					return err == nil && !closes
+				}
+				out := make([]float64, len(qf.Facilities))
+				for i, id := range frameIDs(qf) {
+					out[i] = fakeValue(id)
+				}
+				_, err := c.Write(server.AppendFloatsFrame(nil, ordinal, out))
+				return err == nil
+			})
+			defer be.Close()
+			fe, err := NewFrontend(FrontendConfig{
+				Groups:         []Group{{Members: []string{be.URL}}},
+				RPCTimeout:     5 * time.Second,
+				DefaultTimeout: 10 * time.Second,
+				ProbeInterval:  time.Hour,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fe.Close()
+			fets := httptest.NewServer(fe.Handler())
+			defer fets.Close()
+
+			if st, got, _ := postTo(t, fets.Client(), fets.URL+server.PathServiceValues, body); st != status || !bytes.Equal(got, reply) {
+				t.Fatalf("refused read: %d %s, want the backend's %d %s relayed", st, got, status, reply)
+			}
+			m := fe.groups[0].members[0]
+			m.mu.Lock()
+			pooled := len(m.idle)
+			m.mu.Unlock()
+			wantPooled := 1
+			if closes {
+				wantPooled = 0
+			}
+			if pooled != wantPooled {
+				t.Fatalf("after a %d the member's pool holds %d connections, want %d", status, pooled, wantPooled)
+			}
+			st, got, _ := postTo(t, fets.Client(), fets.URL+server.PathServiceValues, body)
+			var vals server.ValuesResponse
+			if st != http.StatusOK || json.Unmarshal(got, &vals) != nil || !slices.Equal(vals.Values, want) {
+				t.Fatalf("next read: %d %s, want values %v", st, got, want)
+			}
+			if f := fe.Stats().Failovers; f != 0 {
+				t.Fatalf("next read failed over %d times", f)
+			}
+		})
+	}
+}
+
 // TestFrontendStatsDocument pins the frontend's /statsz document: a GET
 // answers 200 with the Stats counters as JSON under their wire names —
 // one request, exchange and values frame per group per read, the

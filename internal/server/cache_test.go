@@ -1,21 +1,15 @@
 package server
 
-// Tests for the two serving-path additions of the memory-tier work:
-// the NDJSON streaming variant of /v1/servicevalues and the
-// epoch-keyed result cache. Both are pinned against the batch path as
-// oracle — streamed values must reassemble bit-identical to the batch
-// body, and cached answers must never be distinguishable from
+// Tests for the epoch-keyed result cache, pinned against the uncached
+// path as oracle: cached answers must never be distinguishable from
 // uncached ones, even under concurrent writes.
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -23,126 +17,11 @@ import (
 	"github.com/trajcover/trajcover"
 )
 
-// streamLine is the union of the three NDJSON line shapes.
-type streamLine struct {
-	Start  *int      `json:"start"`
-	Values []float64 `json:"values"`
-	Done   *bool     `json:"done"`
-	Count  int       `json:"count"`
-	Error  *string   `json:"error"`
-}
-
-// readStream POSTs a streaming servicevalues request and parses the
-// NDJSON body into lines.
-func (e *env) readStream(query string, body []byte) (int, string, []streamLine) {
-	e.t.Helper()
-	resp, err := e.client.Post(e.ts.URL+PathServiceValues+query, "application/json", bytes.NewReader(body))
-	if err != nil {
-		e.t.Fatalf("POST stream: %v", err)
-	}
-	defer resp.Body.Close()
-	var lines []streamLine
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		if strings.TrimSpace(sc.Text()) == "" {
-			continue
-		}
-		var ln streamLine
-		if err := json.Unmarshal(sc.Bytes(), &ln); err != nil {
-			e.t.Fatalf("stream line %q: %v", sc.Text(), err)
-		}
-		lines = append(lines, ln)
-	}
-	if err := sc.Err(); err != nil {
-		e.t.Fatalf("stream read: %v", err)
-	}
-	return resp.StatusCode, resp.Header.Get("Content-Type"), lines
-}
-
-// TestServerStreamServiceValues drives /v1/servicevalues?stream=1 end
-// to end: the reassembled NDJSON chunks must be bit-identical to the
-// batch endpoint's values (compared through the same JSON encoding),
-// chunks must arrive in facility order with the requested size, and
-// the stream must end with a done trailer.
-func TestServerStreamServiceValues(t *testing.T) {
-	users := testUsers(200, 61)
-	e := newEnv(t, users, Config{Workers: 2, QueueDepth: 16, DefaultTimeout: 30 * time.Second})
-	facs := testFacilities(17, 6, 62)
-	body := mustBody(t, QueryRequest{Facilities: FacilitiesJSON(facs), Psi: 40, Workers: 1})
-
-	status, batch, _ := e.post(PathServiceValues, body)
-	if status != http.StatusOK {
-		t.Fatalf("batch status %d: %s", status, batch)
-	}
-	var batchResp ValuesResponse
-	if err := json.Unmarshal(batch, &batchResp); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, chunk := range []int{1, 5, 17, 100} {
-		status, ct, lines := e.readStream(fmt.Sprintf("?stream=1&chunk=%d", chunk), body)
-		if status != http.StatusOK {
-			t.Fatalf("chunk %d: status %d", chunk, status)
-		}
-		if ct != "application/x-ndjson" {
-			t.Fatalf("chunk %d: content-type %q", chunk, ct)
-		}
-		if len(lines) == 0 {
-			t.Fatalf("chunk %d: empty stream", chunk)
-		}
-		last := lines[len(lines)-1]
-		if last.Done == nil || !*last.Done || last.Count != len(facs) {
-			t.Fatalf("chunk %d: missing/short trailer: %+v", chunk, last)
-		}
-		var got []float64
-		for i, ln := range lines[:len(lines)-1] {
-			if ln.Error != nil {
-				t.Fatalf("chunk %d: in-band error: %s", chunk, *ln.Error)
-			}
-			if ln.Start == nil || *ln.Start != len(got) {
-				t.Fatalf("chunk %d: line %d start %v, want %d", chunk, i, ln.Start, len(got))
-			}
-			want := chunk
-			if rem := len(facs) - len(got); want > rem {
-				want = rem
-			}
-			if len(ln.Values) != want {
-				t.Fatalf("chunk %d: line %d has %d values, want %d", chunk, i, len(ln.Values), want)
-			}
-			got = append(got, ln.Values...)
-		}
-		// Compare through the canonical JSON encoding: equal bytes mean
-		// equal float bit patterns.
-		if !bytes.Equal(MarshalValuesResponse(got), MarshalValuesResponse(batchResp.Values)) {
-			t.Fatalf("chunk %d: streamed values differ from batch", chunk)
-		}
-	}
-
-	// Default chunk (no chunk param) must also work.
-	if status, _, lines := e.readStream("?stream=1", body); status != http.StatusOK || len(lines) < 2 {
-		t.Fatalf("default chunk: status %d, %d lines", status, len(lines))
-	}
-
-	// Malformed chunk values are rejected before any work.
-	for _, bad := range []string{"abc", "0", "-3"} {
-		if status, _, _ := e.readStream("?stream=1&chunk="+bad, body); status != http.StatusBadRequest {
-			t.Fatalf("chunk %q: status %d, want 400", bad, status)
-		}
-	}
-
-	// Streams resolve tenants like the batch path: unknown tenant 404.
-	unknown := mustBody(t, QueryRequest{Facilities: FacilitiesJSON(facs), Psi: 40, Tenant: "ghost"})
-	if status, _, _ := e.readStream("?stream=1", unknown); status != http.StatusNotFound {
-		t.Fatalf("unknown tenant stream: status %d, want 404", status)
-	}
-}
-
 // TestServerResultCache pins the cache protocol at the HTTP boundary:
 // a repeated identical request is served from cache byte-identically
 // (hit counter moves, body unchanged), a write invalidates by
 // construction (the version key rotates, so the next read recomputes
-// and reflects the write), and streamed requests bypass the cache.
+// and reflects the write).
 func TestServerResultCache(t *testing.T) {
 	users := testUsers(200, 71)
 	base, feed := users[:150], users[150:]
@@ -224,13 +103,54 @@ func TestServerResultCache(t *testing.T) {
 		t.Fatalf("post-insert read hit a stale entry: hits %d -> %d", hits2, hits3)
 	}
 
-	// Streamed requests bypass the cache entirely.
-	_, _, before := cacheStats()
-	if status, _, _ := e.readStream("?stream=1&chunk=4", svBody); status != http.StatusOK {
-		t.Fatalf("stream: status %d", status)
+}
+
+// TestServerSetIndexRefusesResultCache: cache keys carry an index's
+// write version but not its identity, so after a swap the old index's
+// cached answer would answer for the new one — two fresh indexes are both
+// at version 0. SetIndex on a server with a result cache panics; without
+// one, the read after the swap is the new index's answer.
+func TestServerSetIndexRefusesResultCache(t *testing.T) {
+	users := testUsers(200, 75)
+	facs := testFacilities(8, 6, 76)
+	body := mustBody(t, QueryRequest{Facilities: FacilitiesJSON(facs), Psi: 40, Workers: 1})
+	next, err := trajcover.NewIndex(users[100:], liveOpts())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, after := cacheStats(); after != before {
-		t.Fatalf("stream changed cache entries %d -> %d", before, after)
+	vs, err := next.ServiceValues(facs, trajcover.Query{Scenario: trajcover.Binary, Psi: 40}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := MarshalValuesResponse(vs)
+
+	for _, cacheBytes := range []int64{1 << 20, 0} {
+		e := newEnv(t, users[:100], Config{Workers: 1, DefaultTimeout: 30 * time.Second, ResultCacheBytes: cacheBytes})
+		status, old, _ := e.post(PathServiceValues, body)
+		if status != http.StatusOK {
+			t.Fatalf("cache %d: status %d: %s", cacheBytes, status, old)
+		}
+		if bytes.Equal(old, want) {
+			t.Fatal("the two indexes answer alike: the fixture cannot tell them apart")
+		}
+		panicked := func() (p any) {
+			defer func() { p = recover() }()
+			e.srv.SetIndex(next)
+			return nil
+		}()
+		if cacheBytes > 0 {
+			if panicked == nil {
+				_, got, _ := e.post(PathServiceValues, body)
+				t.Fatalf("SetIndex on a cached server did not panic; the next read answered %s, the new index %s", got, want)
+			}
+			continue
+		}
+		if panicked != nil {
+			t.Fatalf("SetIndex without a cache panicked: %v", panicked)
+		}
+		if status, got, _ := e.post(PathServiceValues, body); status != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("after the swap: status %d, %s; the new index answers %s", status, got, want)
+		}
 	}
 }
 

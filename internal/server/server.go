@@ -13,9 +13,10 @@
 // running, and a running read gets it as a context.Context, so the
 // cancellation-aware query executor stops at its next facility and
 // answers 504. A running write is not abandoned: it answers with what it
-// did. /healthz and /statsz serve readiness and the per-endpoint
-// latency/queue counters; /v1/snapshot streams a TQLIVE02 checkpoint
-// without stopping writes.
+// did. Every /v1 read holds a slot; only snapshot streams, /v1/checkpoint
+// and the replication tail run without one. /healthz and /statsz serve
+// readiness and the per-endpoint latency/queue counters; /v1/snapshot
+// streams a TQLIVE02 checkpoint without stopping writes.
 //
 // Endpoints:
 //
@@ -97,8 +98,8 @@ import (
 // capped at 30s, 8 MiB request bodies, and a 1s Retry-After hint.
 type Config struct {
 	// Workers is how many requests run at once: the number of slots a
-	// handler must hold to run its work (<= 0: GOMAXPROCS). Snapshot
-	// streams, NDJSON streams and the replication tail run without one.
+	// handler must hold to run its work (<= 0: GOMAXPROCS). Only snapshot
+	// streams, /v1/checkpoint and the replication tail run without one.
 	Workers int
 	// QueueDepth is how many handlers may wait for a slot before new ones
 	// are rejected with 429 (<= 0: 64).
@@ -457,17 +458,19 @@ func (s *Server) Index() *trajcover.Index {
 // fresh index from the new snapshot and swaps it in here without
 // dropping its listener. Requests already admitted finish against the
 // index they were admitted on — still a valid acknowledged prefix.
-// Servers that swap indexes must run with the result cache disabled
-// (Config.ResultCacheBytes <= 0): cache keys include the index's write
-// version but not its identity, so entries from the old index could
-// answer for the new one. Panics on a multi-tenant server or a nil
-// index.
+// Cache keys include the index's write version but not its identity, so
+// entries from the old index could answer for the new one: SetIndex
+// panics on a server with a result cache (Config.ResultCacheBytes > 0),
+// as it does on a multi-tenant server or a nil index.
 func (s *Server) SetIndex(idx *trajcover.Index) {
 	if s.reg != nil {
 		panic("server: SetIndex on a multi-tenant server")
 	}
 	if idx == nil {
 		panic("server: SetIndex(nil)")
+	}
+	if s.cache != nil {
+		panic("server: SetIndex on a server with a result cache")
 	}
 	s.idx.Store(idx)
 }
@@ -979,17 +982,16 @@ func parseAlias(v []byte) (hash [32]byte, tid string) {
 }
 
 // serveRead is the two cacheable read endpoints' one handler. With a
-// result cache (and no ?stream=1, which bypasses it) the raw bytes are
-// looked up first: an alias hit names the tenant and canonical hash the
-// same bytes decoded to before, so the request goes to its tenant's gate
-// and the result lookup undecoded, and decodes only if that lookup
-// misses (the index moved, or the answer was evicted). An alias miss
-// decodes as always and then writes the alias — so only a valid,
-// tenant-resolved request ever has one, and an invalid body is a 400
-// every time. Bodies that differ in workers, timeout_ms or whitespace
-// each get their own alias and share one answer through the canonical
-// hash. The body, its decoded form and the answer's bytes live in one
-// pooled QueryBuffer from the body's read to the answer's write.
+// result cache the raw bytes are looked up first: an alias hit names the
+// tenant and canonical hash the same bytes decoded to before, so the
+// request goes to its tenant's gate and the result lookup undecoded, and
+// decodes only if that lookup misses (the index moved, or the answer was
+// evicted). An alias miss decodes as always and then writes the alias —
+// so only a valid, tenant-resolved request ever has one, and an invalid
+// body is a 400 every time. Bodies that differ in workers, timeout_ms or
+// whitespace each get their own alias and share one answer through the
+// canonical hash. The body, its decoded form and the answer's bytes live
+// in one pooled QueryBuffer from the body's read to the answer's write.
 func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, path string, needK bool, answer answerFunc) {
 	ep := s.stats[path]
 	if s.rejectDraining(w, ep) {
@@ -1002,9 +1004,8 @@ func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, path string, 
 		return
 	}
 	rr := readRequest{needK: needK, answer: answer, buf: buf}
-	stream := path == PathServiceValues && r.URL.RawQuery != "" && r.URL.Query().Get("stream") == "1"
 	var alias rescache.Key
-	if s.cache != nil && !stream {
+	if s.cache != nil {
 		alias = aliasKey(path, r.Header.Get("X-Tenant"), buf.body)
 		if v, ok := s.cache.GetAlias(alias); ok {
 			hash, tid := parseAlias(v)
@@ -1019,10 +1020,6 @@ func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, path string, 
 	}
 	if err != nil {
 		s.rejectDecode(w, ep, err)
-		return
-	}
-	if stream {
-		s.streamServiceValues(w, r, ep, tid, rr.req, rr.facs, rr.q)
 		return
 	}
 	var cached *cachedRead
@@ -1047,7 +1044,16 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// errStreamGone is the 400 for a /v1/servicevalues request whose query
+// string names stream: the NDJSON stream it asks for is not served, and
+// its client would read a JSON body as NDJSON.
+var errStreamGone = errors.New("stream is not served: POST /v1/servicevalues without a query string answers the same values, bit for bit, in one JSON body")
+
 func (s *Server) handleServiceValues(w http.ResponseWriter, r *http.Request) {
+	if r.URL.RawQuery != "" && r.URL.Query().Has("stream") {
+		s.rejectDecode(w, s.stats[PathServiceValues], errStreamGone)
+		return
+	}
 	s.serveRead(w, r, PathServiceValues, false, func(ctx context.Context, idx *trajcover.Index, req *QueryRequest, facs []*trajcover.Facility, q trajcover.Query, dst []byte) ([]byte, error) {
 		vs, err := idx.ServiceValuesCtx(ctx, facs, q, req.Workers)
 		if err != nil {
@@ -1055,97 +1061,6 @@ func (s *Server) handleServiceValues(w http.ResponseWriter, r *http.Request) {
 		}
 		return AppendValuesResponse(dst, vs), nil
 	})
-}
-
-// streamServiceValues answers /v1/servicevalues?stream=1: the same
-// query as the batch path, delivered as NDJSON — one StreamChunk line
-// per facility chunk, in facility order, ending with a StreamTrailer
-// line on success or an ErrorResponse line if the query fails after
-// the first chunk was sent (headers are committed by then, so the
-// status stays 200 and the error travels in-band; a stream without a
-// trailer is truncated). Values are bit-identical to the batch
-// response over the same facilities: chunks run the same batch core,
-// and the stream answers from one epoch capture taken before the
-// first chunk. Streams take no slot — they hold a response open for
-// their whole life, which slot occupancy is not built for — but still
-// pass per-tenant admission and count against inflight quota until
-// done. Streamed
-// responses bypass the result cache (the cache stores whole bodies,
-// and a client asking to stream is asking not to wait for one).
-// Chunk size comes from ?chunk=N (default shard.DefaultStreamChunk).
-func (s *Server) streamServiceValues(w http.ResponseWriter, r *http.Request, ep *endpointStats, tid string, req *QueryRequest, facs []*trajcover.Facility, q trajcover.Query) {
-	start := time.Now()
-	ep.requests.Add(1)
-
-	chunk := 0
-	if c := r.URL.Query().Get("chunk"); c != "" {
-		n, err := strconv.Atoi(c)
-		if err != nil || n <= 0 {
-			ep.errors.Add(1)
-			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "chunk must be a positive integer"})
-			return
-		}
-		chunk = n
-	}
-
-	lim := s.limitsFor(tid)
-	gate := s.gateOf(tid)
-	ok, reason := gate.Admit(lim)
-	if !ok {
-		s.writeResponse(w, quotaRejection(ep, tid, reason))
-		return
-	}
-	gate.Started()
-	defer gate.Finished()
-	idx, release, err := s.acquireTenant(tid, false)
-	if err != nil {
-		ep.errors.Add(1)
-		writeJSON(w, acquireStatus(err), ErrorResponse{Error: err.Error()})
-		return
-	}
-	defer release()
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(req.TimeoutMS, lim))
-	defer cancel()
-
-	flusher, _ := w.(http.Flusher)
-	wrote := false
-	err = idx.ServiceValuesStreamCtx(ctx, facs, q, req.Workers, chunk, func(at int, vals []float64) error {
-		if !wrote {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-			wrote = true
-		}
-		if _, err := w.Write(MarshalStreamChunk(at, vals)); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	})
-	if err != nil {
-		ep.errors.Add(1)
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			ep.deadline.Add(1)
-		}
-		if !wrote {
-			resp := errResponse(err)
-			writeRaw(w, resp.status, resp.body)
-		} else {
-			w.Write(append(mustMarshal(ErrorResponse{Error: err.Error()}), '\n'))
-		}
-		return
-	}
-	if !wrote {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-	}
-	w.Write(append(mustMarshal(StreamTrailer{Done: true, Count: len(facs)}), '\n'))
-	if flusher != nil {
-		flusher.Flush()
-	}
-	ep.observe(time.Since(start))
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {

@@ -526,6 +526,39 @@ func TestServerAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestServerStreamQueryRunsNoWork: /v1/servicevalues serves no NDJSON
+// stream, and a request whose query string names stream is a 400 at once,
+// pointing at the batch body — also on a server whose every slot and
+// waiting place is taken, where the plain read is a 429, and after Close,
+// where it is a 503. It never reaches a slot or the index, so it is never
+// a 200.
+func TestServerStreamQueryRunsNoWork(t *testing.T) {
+	e := newEnv(t, testUsers(200, 43), Config{Workers: 1, QueueDepth: 1, DefaultTimeout: 10 * time.Second})
+	body := mustBody(t, QueryRequest{Facilities: FacilitiesJSON(testFacilities(4, 4, 44)), Psi: 40})
+	defer blockWorkers(t, e.srv, 1)()
+	fillQueue(t, e.srv, 1)
+
+	check := func(when string, plain int) {
+		t.Helper()
+		if status, got, _ := e.post(PathServiceValues, body); status != plain {
+			t.Fatalf("%s: plain servicevalues status %d (%s), want %d", when, status, got, plain)
+		}
+		for _, query := range []string{"?stream=1", "?stream=1&chunk=4", "?chunk=4&stream=0", "?stream"} {
+			start := time.Now()
+			status, got, _ := e.post(PathServiceValues+query, body)
+			if status != http.StatusBadRequest || !strings.Contains(string(got), "without a query string") {
+				t.Fatalf("%s: servicevalues%s status %d (%s), want 400 naming the batch body", when, query, status, got)
+			}
+			if elapsed := time.Since(start); elapsed > 2*time.Second {
+				t.Fatalf("%s: servicevalues%s answered after %v, want at once", when, query, elapsed)
+			}
+		}
+	}
+	check("saturated", http.StatusTooManyRequests)
+	e.srv.Close()
+	check("closed", http.StatusServiceUnavailable)
+}
+
 // TestServerDeadline: a request whose deadline expires while it waits
 // for a slot is answered 504 at the deadline without running, and the
 // cancellation-aware executor surfaces context.DeadlineExceeded at the

@@ -941,29 +941,6 @@ func appendFloat(dst []byte, v float64) []byte {
 	return dst
 }
 
-// StreamChunk is one NDJSON line of a streamed servicevalues
-// response: Values[i] is the service value of facility Start+i.
-// Chunks arrive in facility order.
-type StreamChunk struct {
-	Start  int       `json:"start"`
-	Values []float64 `json:"values"`
-}
-
-// StreamTrailer is the final NDJSON line of a complete stream: Count
-// is the total number of facilities answered. Clients must treat a
-// stream that ends without a trailer (or with an {"error": ...} line)
-// as truncated.
-type StreamTrailer struct {
-	Done  bool `json:"done"`
-	Count int  `json:"count"`
-}
-
-// MarshalStreamChunk encodes one stream line, newline-terminated,
-// exactly as the streaming handler does.
-func MarshalStreamChunk(start int, values []float64) []byte {
-	return append(mustMarshal(StreamChunk{Start: start, Values: values}), '\n')
-}
-
 // mustMarshal encodes values whose shapes cannot fail (no NaN floats
 // reach a response: inputs were validated finite and service sums of
 // finite inputs stay finite).

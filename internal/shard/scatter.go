@@ -12,12 +12,6 @@ import (
 // Params re-exports the query parameter bundle for shard callers.
 type Params = query.Params
 
-// DefaultStreamChunk is the facility-batch granularity of
-// ServiceValuesStreamCtx when the caller passes chunk <= 0: large enough
-// to amortize per-chunk setup and keep a worker pool busy, small enough
-// that first results arrive quickly.
-const DefaultStreamChunk = 256
-
 // Scatter is the query surface of every index, written once over the
 // shards' epochs and embedded in Frozen and Live, whatever their shard
 // count (the root package's Index is a Live, its FrozenIndex a Frozen).
@@ -104,37 +98,6 @@ func (s Scatter) ServiceValuesCtx(ctx context.Context, facilities []*trajectory.
 	var buf [stackShards]*query.Epoch
 	out, err := sumValues(ctx, s.capture(buf[:0]), facilities, p, workers, &m)
 	return out, m, err
-}
-
-// ServiceValuesStreamCtx streams SO(U, f) in chunks of the given size
-// (<= 0: DefaultStreamChunk), calling yield(start, vals) once per
-// chunk in facility order. Each chunk runs the ordinary per-shard batch
-// and the same fold as ServiceValuesCtx, so streamed values are
-// bit-identical to the batch answer. A yield error or a done context
-// aborts the stream; Metrics accumulate across yielded chunks.
-func (s Scatter) ServiceValuesStreamCtx(ctx context.Context, facilities []*trajectory.Facility, p Params, workers, chunk int, yield func(start int, vals []float64) error) (query.Metrics, error) {
-	var buf [stackShards]*query.Epoch
-	eps := s.capture(buf[:0])
-	var m query.Metrics
-	// Validate before the loop so an empty facility list still surfaces
-	// bad parameters, like the batch path.
-	if err := validate(eps, p); err != nil {
-		return m, err
-	}
-	if chunk <= 0 {
-		chunk = DefaultStreamChunk
-	}
-	for start := 0; start < len(facilities); start += chunk {
-		end := min(start+chunk, len(facilities))
-		vals, err := sumValues(ctx, eps, facilities[start:end], p, workers, &m)
-		if err != nil {
-			return m, err
-		}
-		if err := yield(start, vals); err != nil {
-			return m, err
-		}
-	}
-	return m, nil
 }
 
 // TopKCtx answers kMaxRRST over all shards: the k facilities with the

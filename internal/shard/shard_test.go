@@ -409,24 +409,31 @@ func TestEmptyAndTinyCorpora(t *testing.T) {
 	}
 }
 
-// TestShardedValidates checks parameter and scenario validation fan out.
+// TestShardedValidates checks parameter and scenario validation fan out,
+// also over an empty facility list, which has no facility to evaluate.
 func TestShardedValidates(t *testing.T) {
 	users := makeUsers(300, 4, 81) // multipoint
 	s, err := BuildFrozen(users, Options{Shards: 2, Tree: tqtree.Options{Bounds: testBounds}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := makeFacilities(4, 4, 82)
-	if _, _, err := s.TopKCtx(context.Background(), fs, 2, query.Params{Scenario: service.Scenario(9), Psi: 1}, 1); err == nil {
-		t.Fatal("invalid scenario accepted")
-	}
-	if _, _, err := s.ServiceValuesCtx(context.Background(), fs, query.Params{Scenario: service.Binary, Psi: -2}, 1); err == nil {
-		t.Fatal("negative psi accepted")
-	}
-	// TwoPoint over multipoint data: PointCount must be rejected, as on
-	// the single tree.
-	if _, _, err := s.TopKCtx(context.Background(), fs, 2, query.Params{Scenario: service.PointCount, Psi: 1}, 1); err == nil {
-		t.Fatal("unsupported scenario accepted")
+	for _, fs := range [][]*trajectory.Facility{makeFacilities(4, 4, 82), nil} {
+		if _, _, err := s.TopKCtx(context.Background(), fs, 2, query.Params{Scenario: service.Scenario(9), Psi: 1}, 1); err == nil {
+			t.Fatalf("%d facilities: invalid scenario accepted", len(fs))
+		}
+		for _, p := range []query.Params{
+			{Scenario: service.Binary, Psi: -2},
+			// TwoPoint over multipoint data: PointCount must be rejected,
+			// as on the single tree.
+			{Scenario: service.PointCount, Psi: 1},
+		} {
+			if _, _, err := s.ServiceValuesCtx(context.Background(), fs, p, 1); err == nil {
+				t.Fatalf("%d facilities: ServiceValuesCtx accepted %+v", len(fs), p)
+			}
+			if _, _, err := s.TopKCtx(context.Background(), fs, 2, p, 1); err == nil {
+				t.Fatalf("%d facilities: TopKCtx accepted %+v", len(fs), p)
+			}
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // querier is the query surface, embedded in both index types: Index and
-// FrozenIndex answer the nine kMaxRRST methods and the two coverage
+// FrozenIndex answer the eight kMaxRRST methods and the two coverage
 // methods below through one path — the shard.Scatter embedded in
 // shard.Live and shard.Frozen, over one query.Epoch per shard — whatever
 // their shard count, and differ only in whether they can be mutated.
@@ -18,9 +18,9 @@ import (
 // An index of several shards sums per-shard answers, so its values match
 // a one-shard index's exactly for integral scenarios (Binary; every
 // scenario over integral service values) and up to floating-point
-// summation order otherwise. An Index answers each call — a whole batch,
-// a whole stream — over one write-consistent epoch capture taken when
-// the call starts — MaxCoverage and ServedUsers too, over all the
+// summation order otherwise. An Index answers each call — a whole
+// batch — over one write-consistent epoch capture taken when the call
+// starts — MaxCoverage and ServedUsers too, over all the
 // calls they make. Both types are safe for any number of concurrent
 // readers, and an Index for writers beside them.
 type querier struct {
@@ -91,18 +91,6 @@ func (x *querier) TopKCtx(ctx context.Context, facilities []*Facility, k int, q 
 func (x *querier) TopKParallelCtx(ctx context.Context, facilities []*Facility, k int, q Query, workers int) ([]Ranked, error) {
 	res, _, err := x.core.TopKCtx(ctx, facilities, k, q.params(), workers)
 	return res, err
-}
-
-// ServiceValuesStreamCtx streams SO(U, f) for every facility in chunks
-// of the given size (<= 0 uses a default of a few hundred), calling
-// yield once per chunk in facility order. Each chunk's values are
-// computed by the same batch core as ServiceValuesCtx, and a facility's
-// value does not depend on which other facilities share its batch — so
-// streamed values are bit-identical to the batch answer over the same
-// facilities. A yield error or a done context aborts the stream early.
-func (x *querier) ServiceValuesStreamCtx(ctx context.Context, facilities []*Facility, q Query, workers, chunk int, yield StreamVisitor) error {
-	_, err := x.core.ServiceValuesStreamCtx(ctx, facilities, q.params(), workers, chunk, yield)
-	return err
 }
 
 // ServedUsers returns every user with positive service from the facility

@@ -147,7 +147,7 @@ func checkOneShard(t *testing.T, name string, users []*Trajectory, routes []*Fac
 }
 
 // sameFlavor requires a and b to answer every flavor method identically:
-// values bit for bit, rankings, TopKWithMetrics' metrics, streamed chunks.
+// values bit for bit, rankings and TopKWithMetrics' metrics.
 func sameFlavor(t *testing.T, name string, a, b flavor, routes []*Facility, q Query) {
 	t.Helper()
 	if a.Len() != b.Len() {
@@ -168,14 +168,6 @@ func sameFlavor(t *testing.T, name string, a, b flavor, routes []*Facility, q Qu
 		},
 		"ServiceValues":    func(x flavor) ([]float64, error) { return x.ServiceValues(routes, q, 2) },
 		"ServiceValuesCtx": func(x flavor) ([]float64, error) { return x.ServiceValuesCtx(ctx, routes, q, 1) },
-		"ServiceValuesStreamCtx": func(x flavor) ([]float64, error) {
-			var out []float64
-			err := x.ServiceValuesStreamCtx(ctx, routes, q, 2, 7, func(_ int, vals []float64) error {
-				out = append(out, vals...)
-				return nil
-			})
-			return out, err
-		},
 	}
 	for method, get := range values {
 		want, err := get(b)
