@@ -520,6 +520,10 @@ func TestFrontendLateReplyNeverRead(t *testing.T) {
 // first. They are refused as that exchange's reply (a reply carries the
 // ordinal of the query it answers), so the read fails over, and is never
 // answered with them; the read after it goes out on a fresh connection.
+// Whether the refused read's query frame reaches the member before the
+// frontend drops that connection is timing, so the member's connections
+// are counted, not its frames: exactly two, the third read answered on
+// the second and nothing else on it.
 func TestFrontendStrayReplyNeverRead(t *testing.T) {
 	facs := testFacilities(5, 3, 491)
 	body := mustBody(t, server.QueryRequest{Facilities: server.FacilitiesJSON(facs), Psi: 40})
@@ -536,27 +540,57 @@ func TestFrontendStrayReplyNeverRead(t *testing.T) {
 		},
 		"a stray byte": func(uint16, int) []byte { return []byte{0} },
 	} {
-		var frames atomic.Int64
-		ts := streamBackend(func(c net.Conn, qf *server.QueryFrame, ordinal uint16) bool {
+		var mu sync.Mutex
+		var conns []string  // the member's exchange connections, as accepted
+		var frames []string // the connection each query frame came on
+		exchange := streamHandler(func(c net.Conn, qf *server.QueryFrame, ordinal uint16) bool {
 			ids := frameIDs(qf)
 			vals := make([]float64, len(ids))
 			for i, id := range ids {
 				vals[i] = fakeValue(id)
 			}
 			reply := server.AppendFloatsFrame(nil, ordinal, vals)
-			if frames.Add(1) == 1 {
+			mu.Lock()
+			frames = append(frames, c.RemoteAddr().String())
+			if len(frames) == 1 {
 				reply = append(reply, stray(ordinal, len(ids))...)
 			}
+			mu.Unlock()
 			_, err := c.Write(reply)
 			return err == nil
 		})
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == server.PathExchange {
+				mu.Lock()
+				conns = append(conns, r.RemoteAddr)
+				mu.Unlock()
+			}
+			exchange(w, r)
+		}))
 		fe, err := NewFrontend(FrontendConfig{Groups: []Group{{Members: []string{ts.URL}}}, ProbeInterval: time.Hour})
 		if err != nil {
 			t.Fatal(err)
 		}
 		fets := httptest.NewServer(fe.Handler())
+		var statuses [3]int
+		var answers [3][]byte
+		for read := range statuses {
+			statuses[read], answers[read], _ = postTo(t, fets.Client(), fets.URL+server.PathServiceValues, body)
+		}
+		mu.Lock()
+		onSecond := 0
+		for _, c := range frames {
+			if len(conns) > 1 && c == conns[1] {
+				onSecond++
+			}
+		}
+		if len(conns) != 2 || len(frames) == 0 || frames[0] != conns[0] || onSecond != 1 {
+			t.Fatalf("%s: the member accepted %d exchange connections and saw %d query frames, %d on the second; want 2 connections, the third read alone on the second",
+				name, len(conns), len(frames), onSecond)
+		}
+		mu.Unlock()
 		for read, want := range []int{http.StatusOK, http.StatusServiceUnavailable, http.StatusOK} {
-			st, got, _ := postTo(t, fets.Client(), fets.URL+server.PathServiceValues, body)
+			st, got := statuses[read], answers[read]
 			if st != want {
 				t.Fatalf("%s: read %d answered %d %s, want %d", name, read, st, got, want)
 			}
@@ -573,13 +607,76 @@ func TestFrontendStrayReplyNeverRead(t *testing.T) {
 				}
 			}
 		}
-		if got := frames.Load(); got != 3 {
-			t.Fatalf("%s: the member saw %d query frames, want 3", name, got)
-		}
 		fets.Close()
 		fe.Close()
 		ts.Close()
 	}
+}
+
+// TestFrontendStreamQueryRunsNoWork: the frontend refuses a
+// /v1/servicevalues request whose query string names stream with the
+// backends' own 400, at once and before any exchange — never a 200 of
+// batch values a stream client would misread. So it does on a serving
+// frontend (a plain read: 200), on one whose only member holds every
+// exchange it gets (a plain read waits out its deadline: 504), and on a
+// draining, closed one (a plain read: 503).
+func TestFrontendStreamQueryRunsNoWork(t *testing.T) {
+	facs := testFacilities(4, 4, 44)
+	body := mustBody(t, server.QueryRequest{Facilities: server.FacilitiesJSON(facs), Psi: 40, TimeoutMS: 300})
+	var frames atomic.Int64
+	var hold atomic.Bool
+	release := make(chan struct{})
+	ts := streamBackend(func(c net.Conn, qf *server.QueryFrame, ordinal uint16) bool {
+		frames.Add(1)
+		if hold.Load() {
+			<-release
+			return false
+		}
+		ids := frameIDs(qf)
+		vals := make([]float64, len(ids))
+		for i, id := range ids {
+			vals[i] = fakeValue(id)
+		}
+		_, err := c.Write(server.AppendFloatsFrame(nil, ordinal, vals))
+		return err == nil
+	})
+	defer ts.Close()
+	defer close(release)
+	fe, err := NewFrontend(FrontendConfig{Groups: []Group{{Members: []string{ts.URL}}}, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fe.Close()
+	fets := httptest.NewServer(fe.Handler())
+	defer fets.Close()
+
+	check := func(when string, plain int) {
+		t.Helper()
+		if status, got, _ := postTo(t, fets.Client(), fets.URL+server.PathServiceValues, body); status != plain {
+			t.Fatalf("%s: plain servicevalues status %d (%s), want %d", when, status, got, plain)
+		}
+		seen, exchanges := frames.Load(), fe.Stats().Exchanges
+		for _, query := range []string{"?stream=1", "?stream=1&chunk=4", "?chunk=4&stream=0", "?stream", "?partial=1&stream=1"} {
+			start := time.Now()
+			status, got, _ := postTo(t, fets.Client(), fets.URL+server.PathServiceValues+query, body)
+			if status != http.StatusBadRequest || !strings.Contains(string(got), "without a query string") {
+				t.Fatalf("%s: servicevalues%s status %d (%s), want 400 naming the batch body", when, query, status, got)
+			}
+			if elapsed := time.Since(start); elapsed > 2*time.Second {
+				t.Fatalf("%s: servicevalues%s answered after %v, want at once", when, query, elapsed)
+			}
+		}
+		if frames.Load() != seen || fe.Stats().Exchanges != exchanges {
+			t.Fatalf("%s: the stream queries reached the member: %d query frames, %d exchanges; %d and %d before them",
+				when, frames.Load(), fe.Stats().Exchanges, seen, exchanges)
+		}
+	}
+	check("serving", http.StatusOK)
+	hold.Store(true)
+	check("saturated", http.StatusGatewayTimeout)
+	fe.BeginDrain()
+	fe.Close()
+	check("closed", http.StatusServiceUnavailable)
 }
 
 // frameEcho is a member that allocates nothing per exchange: a raw

@@ -463,6 +463,12 @@ func rank(t trajectory.FacilityTable, sums []float64, k int) []server.RankedJSON
 }
 
 func (fe *Frontend) handleServiceValues(w http.ResponseWriter, r *http.Request) {
+	if err := server.StreamQuery(r); err != nil {
+		fe.requests.Add(1)
+		fe.errs.Add(1)
+		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
+		return
+	}
 	rd, ok := fe.beginRead(w, r, false)
 	if !ok {
 		return

@@ -324,7 +324,12 @@ func TestFrontendByteIdentity(t *testing.T) {
 // connection closes when the frontend's does, or when answer returns
 // false.
 func streamBackend(answer func(c net.Conn, qf *server.QueryFrame, ordinal uint16) bool) *httptest.Server {
-	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return httptest.NewServer(streamHandler(answer))
+}
+
+// streamHandler is streamBackend's handler.
+func streamHandler(answer func(c net.Conn, qf *server.QueryFrame, ordinal uint16) bool) http.HandlerFunc {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == server.PathHealth {
 			w.Write([]byte(`{"status":"ok"}`))
 			return
@@ -340,7 +345,7 @@ func streamBackend(answer func(c net.Conn, qf *server.QueryFrame, ordinal uint16
 				return
 			}
 		}
-	}))
+	})
 }
 
 // acceptExchange is the backend half of the exchange handshake.

@@ -1049,9 +1049,19 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 // its client would read a JSON body as NDJSON.
 var errStreamGone = errors.New("stream is not served: POST /v1/servicevalues without a query string answers the same values, bit for bit, in one JSON body")
 
-func (s *Server) handleServiceValues(w http.ResponseWriter, r *http.Request) {
+// StreamQuery returns the 400 a /v1/servicevalues request whose query
+// string names stream is refused with, before any work, and nil for any
+// other request. A backend and the distributed frontend both answer it.
+func StreamQuery(r *http.Request) error {
 	if r.URL.RawQuery != "" && r.URL.Query().Has("stream") {
-		s.rejectDecode(w, s.stats[PathServiceValues], errStreamGone)
+		return errStreamGone
+	}
+	return nil
+}
+
+func (s *Server) handleServiceValues(w http.ResponseWriter, r *http.Request) {
+	if err := StreamQuery(r); err != nil {
+		s.rejectDecode(w, s.stats[PathServiceValues], err)
 		return
 	}
 	s.serveRead(w, r, PathServiceValues, false, func(ctx context.Context, idx *trajcover.Index, req *QueryRequest, facs []*trajcover.Facility, q trajcover.Query, dst []byte) ([]byte, error) {

@@ -375,9 +375,10 @@ type ShardStats struct {
 	// plus trajectory table — summed from slice lengths. With Mapped
 	// false it is heap the process holds for as long as the base serves;
 	// with Mapped true the bytes alias a snapshot file mapping, resident
-	// only as far as the OS keeps their pages (the table's ID, offset
-	// and lookup columns, about 12 bytes per trajectory, are heap either
-	// way). The delta overlay is not counted: Policy bounds it.
+	// only as far as the OS keeps their pages (the table's lookup
+	// permutation, 4 bytes a trajectory once the shard's first write has
+	// built it, is heap either way). The delta overlay is not counted:
+	// Policy bounds it.
 	BaseBytes int64
 	Mapped    bool
 }

@@ -5,28 +5,32 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"github.com/trajcover/trajcover/internal/geo"
 )
 
 // Table is an immutable, pointer-free collection of user trajectories laid
-// out in columns: one ID per trajectory, one contiguous point arena, and a
-// permutation of the ordinals sorted by ID for lookup. A trajectory is
-// addressed by its ordinal — its dense position 0..Len()-1 in the table —
-// and IDs are unique within a table. It is what a frozen index keeps of
-// its corpus, and not one pointer for the garbage collector to follow.
+// out in columns: one ID per trajectory and one contiguous point arena. A
+// trajectory is addressed by its ordinal — its dense position
+// 0..Len()-1 in the table — and IDs are unique within a table. It is what
+// a frozen index keeps of its corpus, and not one pointer for the garbage
+// collector to follow.
 //
 // A table in which no trajectory has more than two points — the paper's
 // source–destination users — holds nothing else: row i is points[2i:2i+2]
-// and its length is the distance between them, so it costs 40 bytes a
-// trajectory (ID, two points, lookup slot). A multipoint table adds an
-// offset column into the arena and the cached polyline lengths, 12 bytes
-// more a trajectory, so that a length is not re-summed per segment.
+// and its length is the distance between them, so it costs 36 bytes a
+// trajectory (ID, two points). A multipoint table adds an offset column
+// into the arena and the cached polyline lengths, 12 bytes more a
+// trajectory, so that a length is not re-summed per segment. Only a write
+// looks a trajectory up by ID: the first Lookup builds a permutation of
+// the ordinals sorted by ID, 4 bytes more a trajectory from then on, and
+// a table that is only read never holds one.
 //
-// A Table is never mutated after construction and is safe for any number
-// of concurrent readers. The slices Points returns alias the arena: treat
-// them as read-only, and do not retain them past the table's owner when
-// the columns alias a file mapping (NewTable).
+// A Table's rows are never mutated after construction and it is safe for
+// any number of concurrent readers. The slices Points returns alias the
+// arena: treat them as read-only, and do not retain them past the table's
+// owner when the columns alias a file mapping (NewTable).
 type Table struct {
 	ids []ID
 	// off and length are held on a multipoint table only: off has Len()+1
@@ -36,8 +40,9 @@ type Table struct {
 	off    []uint32
 	length []float64
 	points []geo.Point
-	// byID lists the ordinals in ascending ID order.
-	byID       []int32
+	// byID lists the ordinals in ascending ID order once the first Lookup
+	// has built it, and is nil until then.
+	byID       atomic.Pointer[[]int32]
 	multipoint bool
 }
 
@@ -143,32 +148,56 @@ func NewTable(ids []ID, off []uint32, length []float64, points []geo.Point) (*Ta
 			return nil, fmt.Errorf("trajectory: row %d: %w", i, notFinite(ids[i], pts))
 		}
 	}
+	keys := sortedKeys(ids)
+	for i := 1; i < len(keys); i++ {
+		if keys[i]>>32 == keys[i-1]>>32 {
+			return nil, fmt.Errorf("trajectory: duplicate id %d", keys[i]>>32)
+		}
+	}
 	t := &Table{ids: ids, points: points, multipoint: multipoint}
 	if multipoint {
 		t.off, t.length = off, length
 	}
-	if err := t.index(); err != nil {
-		return nil, err
-	}
 	return t, nil
 }
 
-// index builds the sorted-by-ID permutation, rejecting duplicate IDs with
-// an adjacent-equal test on the sorted keys.
-func (t *Table) index() error {
-	keys := make([]uint64, len(t.ids))
-	for i, id := range t.ids {
+// sortedKeys returns id<<32 | ordinal for every row of ids, in ascending
+// order: a stable LSD radix sort on the ID's four bytes over keys in
+// ordinal order, so rows sharing an ID stay in ordinal order — what
+// slices.Sort of the keys gives — in four linear passes, fewer when every
+// ID shares a byte. The three orders by ID (the uniqueness check, the
+// lookup permutation, AppendSortedIDs) all come from here.
+func sortedKeys(ids []ID) []uint64 {
+	keys := make([]uint64, len(ids))
+	var count [4][256]int
+	for i, id := range ids {
 		keys[i] = uint64(id)<<32 | uint64(i)
+		count[0][uint8(id)]++
+		count[1][uint8(id>>8)]++
+		count[2][uint8(id>>16)]++
+		count[3][uint8(id>>24)]++
 	}
-	slices.Sort(keys)
-	t.byID = make([]int32, len(keys))
-	for i, k := range keys {
-		if i > 0 && k>>32 == keys[i-1]>>32 {
-			return fmt.Errorf("trajectory: duplicate id %d", k>>32)
+	var tmp []uint64
+	for b := range count {
+		c, shift := &count[b], 32+8*b
+		if len(keys) == 0 || c[uint8(keys[0]>>shift)] == len(keys) {
+			continue
 		}
-		t.byID[i] = int32(uint32(k))
+		if tmp == nil {
+			tmp = make([]uint64, len(keys))
+		}
+		sum := 0
+		for d, n := range c {
+			c[d], sum = sum, sum+n
+		}
+		for _, k := range keys {
+			d := uint8(k >> shift)
+			tmp[c[d]] = k
+			c[d]++
+		}
+		keys, tmp = tmp, keys
 	}
-	return nil
+	return keys
 }
 
 // Len returns the number of trajectories.
@@ -224,21 +253,39 @@ func (t *Table) Columns() (ids []ID, points []geo.Point) { return t.ids, t.point
 // HasMultipoint reports whether any trajectory has more than two points.
 func (t *Table) HasMultipoint() bool { return t.multipoint }
 
-// Lookup returns the ordinal of the trajectory with the given id.
+// Lookup returns the ordinal of the trajectory with the given id. The
+// first call builds the table's by-ID permutation, in one sort; a call
+// racing it may build one too, and the first to finish is kept.
 func (t *Table) Lookup(id ID) (int32, bool) {
-	j := sort.Search(len(t.byID), func(j int) bool { return t.ids[t.byID[j]] >= id })
-	if j < len(t.byID) && t.ids[t.byID[j]] == id {
-		return t.byID[j], true
+	byID := t.lookupIndex()
+	j := sort.Search(len(byID), func(j int) bool { return t.ids[byID[j]] >= id })
+	if j < len(byID) && t.ids[byID[j]] == id {
+		return byID[j], true
 	}
 	return 0, false
 }
 
+// lookupIndex returns the by-ID permutation, building it on first use.
+func (t *Table) lookupIndex() []int32 {
+	if p := t.byID.Load(); p != nil {
+		return *p
+	}
+	keys := sortedKeys(t.ids)
+	byID := make([]int32, len(keys))
+	for i, k := range keys {
+		byID[i] = int32(uint32(k))
+	}
+	t.byID.CompareAndSwap(nil, &byID)
+	return *t.byID.Load()
+}
+
 // AppendSortedIDs appends the table's IDs to dst in ascending order,
-// leaving out the ordinals in skip.
+// leaving out the ordinals in skip. It sorts a transient copy and leaves
+// the lookup permutation unbuilt.
 func (t *Table) AppendSortedIDs(dst []ID, skip OrdinalSet) []ID {
-	for _, ord := range t.byID {
-		if !skip.Has(ord) {
-			dst = append(dst, t.ids[ord])
+	for _, k := range sortedKeys(t.ids) {
+		if !skip.Has(int32(uint32(k))) {
+			dst = append(dst, ID(k>>32))
 		}
 	}
 	return dst
@@ -268,12 +315,16 @@ func (t *Table) View(i int32, dst *Trajectory) {
 }
 
 // Bytes returns the size of the columns and arena the table holds, from
-// their lengths, wherever they live: 40 bytes a trajectory without a
-// multipoint row; with one, 20 bytes a trajectory beside 16 a point, and
-// the closing offset.
+// their lengths, wherever they live: 36 bytes a trajectory without a
+// multipoint row; with one, 16 bytes a trajectory beside 16 a point, and
+// the closing offset; and 4 bytes a trajectory more once a Lookup has
+// built the by-ID permutation. It is safe concurrently with Lookup.
 func (t *Table) Bytes() int64 {
-	return 4*int64(len(t.ids)) + 4*int64(len(t.off)) + 16*int64(len(t.points)) +
-		8*int64(len(t.length)) + 4*int64(len(t.byID))
+	n := 4*int64(len(t.ids)) + 4*int64(len(t.off)) + 16*int64(len(t.points)) + 8*int64(len(t.length))
+	if p := t.byID.Load(); p != nil {
+		n += 4 * int64(len(*p))
+	}
+	return n
 }
 
 // FirstDuplicateAcross reports an ID present in more than one of the

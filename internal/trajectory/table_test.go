@@ -1,10 +1,12 @@
 package trajectory
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/trajcover/trajcover/internal/geo"
@@ -36,8 +38,9 @@ func tableTestUsers(n int, seed int64, multipoint bool) []*Trajectory {
 // points, ends, point counts and lengths bit for bit. Ordinals are dense
 // in append order, lookup finds exactly the IDs present, a view is
 // indistinguishable from the trajectory it was copied from, and the
-// footprint is what the layout holds: 40 bytes a two-point trajectory,
-// 20 beside the points on a multipoint table.
+// footprint is what the layout holds: 36 bytes a two-point trajectory,
+// 16 beside the points on a multipoint table, and 4 more a trajectory
+// once a lookup has built the by-ID permutation.
 func TestTableMirrorsTrajectories(t *testing.T) {
 	for _, c := range []struct {
 		name       string
@@ -64,10 +67,22 @@ func testTableMirrors(t *testing.T, users []*Trajectory, multipoint bool) {
 	if held := tab.off != nil || tab.length != nil; held != multipoint {
 		t.Fatalf("multipoint %v: offset and length columns held %v", multipoint, held)
 	}
+	// No per-trajectory object, no slack. A two-point trajectory is its
+	// ID and two points; a multipoint table adds an offset and a length
+	// a row, and one closing offset. Nothing has looked an ID up yet.
 	total := 0
+	for _, u := range users {
+		total += u.Len()
+	}
+	want := int64(36 * len(users))
+	if multipoint {
+		want = int64(16*total + 16*len(users) + 4)
+	}
+	if tab.Bytes() != want {
+		t.Fatalf("Bytes %d before a lookup, want %d", tab.Bytes(), want)
+	}
 	for i, u := range users {
 		ord := int32(i)
-		total += u.Len()
 		first, last := tab.Ends(ord)
 		if tab.ID(ord) != u.ID || tab.NumPoints(ord) != u.Len() || !slices.Equal(tab.Points(ord), u.Points) ||
 			first != u.Source() || last != u.Dest() ||
@@ -100,15 +115,9 @@ func testTableMirrors(t *testing.T, users []*Trajectory, multipoint bool) {
 			t.Fatalf("Lookup(%d) found = %v", id, ok)
 		}
 	}
-	// No per-trajectory object, no slack. A two-point trajectory is its
-	// ID, two points and a lookup slot; a multipoint table adds an offset
-	// and a length a row, and one closing offset.
-	want := int64(40 * len(users))
-	if multipoint {
-		want = int64(16*total + 20*len(users) + 4)
-	}
-	if tab.Bytes() != want {
-		t.Fatalf("Bytes %d, want %d", tab.Bytes(), want)
+	// The lookups built the permutation: a slot a trajectory.
+	if want += int64(4 * len(users)); tab.Bytes() != want {
+		t.Fatalf("Bytes %d after a lookup, want %d", tab.Bytes(), want)
 	}
 
 	sorted := make([]ID, len(users))
@@ -137,8 +146,8 @@ func testTableMirrors(t *testing.T, users []*Trajectory, multipoint bool) {
 	}
 }
 
-// TestTableRejectsDuplicateIDs: the sort that builds the lookup
-// permutation is also the uniqueness check.
+// TestTableRejectsDuplicateIDs: a built table with a repeated ID is
+// refused.
 func TestTableRejectsDuplicateIDs(t *testing.T) {
 	users := tableTestUsers(50, 2, true)
 	tb := NewTableBuilder(len(users)+1, 0)
@@ -260,6 +269,178 @@ func TestRecordTable(t *testing.T) {
 			t.Errorf("%s: NewTable = %v, want an error saying %q", f.name, err, f.want)
 		}
 	}
+}
+
+// TestTableLookupProperty: over random two-point tables whose IDs are
+// drawn from ranges of 2^8 to 2^32 at a random offset — so every byte of
+// an ID is shared by all rows in some tables and by none in others —
+// with a repeated ID injected into a third of them, against a map:
+// NewTable refuses exactly the tables with a repeated ID, naming the
+// smallest; on the rest AppendSortedIDs lists the IDs ascending with and
+// without a skip set, building nothing, and Lookup then finds every
+// present ID at its ordinal, misses its absent neighbours and some random
+// IDs, and builds the permutation, one slot a row.
+func TestTableLookupProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	for trial := 0; trial < 400; trial++ {
+		span := []uint64{1 << 8, 1 << 16, 1 << 24, 1 << 32}[rng.Intn(4)]
+		n := rng.Intn(min(600, int(span)))
+		offset := rng.Uint32()
+		ids := make([]ID, n)
+		ord := map[ID]int32{}
+		for i := range ids {
+			for {
+				id := ID(offset + uint32(rng.Int63n(int64(span))))
+				if _, seen := ord[id]; !seen {
+					ids[i], ord[id] = id, int32(i)
+					break
+				}
+			}
+		}
+		var wantDup *ID
+		if n > 1 && rng.Intn(3) == 0 {
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				i, j := rng.Intn(n), rng.Intn(n)
+				if i != j {
+					ids[i] = ids[j]
+				}
+			}
+			count := map[ID]int{}
+			for _, id := range ids {
+				if count[id]++; count[id] == 2 && (wantDup == nil || id < *wantDup) {
+					wantDup = &id
+				}
+			}
+		}
+		off := make([]uint32, n+1)
+		for i := range off {
+			off[i] = uint32(2 * i)
+		}
+		tab, err := NewTable(ids, off, make([]float64, n), make([]geo.Point, 2*n))
+		if wantDup != nil {
+			if want := fmt.Sprintf("trajectory: duplicate id %d", *wantDup); err == nil || err.Error() != want {
+				t.Fatalf("trial %d: NewTable = %v, want %q", trial, err, want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		sorted := make([]ID, 0, n)
+		for id := range ord {
+			sorted = append(sorted, id)
+		}
+		slices.Sort(sorted)
+		if got := tab.AppendSortedIDs(nil, nil); !slices.Equal(got, sorted) {
+			t.Fatalf("trial %d: AppendSortedIDs(nil) = %v, want %v", trial, got, sorted)
+		}
+		skip := NewOrdinalSet(n)
+		for i := range ids {
+			if rng.Intn(4) == 0 {
+				skip.Add(int32(i))
+			}
+		}
+		kept := slices.DeleteFunc(slices.Clone(sorted), func(id ID) bool { return skip.Has(ord[id]) })
+		if got := tab.AppendSortedIDs([]ID{7}, skip); !slices.Equal(got, append([]ID{7}, kept...)) {
+			t.Fatalf("trial %d: AppendSortedIDs(skip) = %v, want 7 then %v", trial, got, kept)
+		}
+		if tab.Bytes() != int64(36*n) {
+			t.Fatalf("trial %d: Bytes %d before a lookup, want %d", trial, tab.Bytes(), 36*n)
+		}
+		if id := ID(rng.Uint32()); n == 0 {
+			if got, ok := tab.Lookup(id); ok {
+				t.Fatalf("trial %d: an empty table found %d at %d", trial, id, got)
+			}
+		}
+		for id, want := range ord {
+			if got, ok := tab.Lookup(id); !ok || got != want {
+				t.Fatalf("trial %d: Lookup(%d) = %d, %v; want %d", trial, id, got, ok, want)
+			}
+			for _, near := range []ID{id - 1, id + 1, ID(rng.Uint32())} {
+				if _, present := ord[near]; !present {
+					if got, ok := tab.Lookup(near); ok {
+						t.Fatalf("trial %d: Lookup(%d) = %d for an absent ID", trial, near, got)
+					}
+				}
+			}
+		}
+		if tab.Bytes() != int64(40*n) {
+			t.Fatalf("trial %d: Bytes %d after a lookup, want %d", trial, tab.Bytes(), 40*n)
+		}
+	}
+}
+
+// TestTableConcurrentFirstLookup: readers racing the first lookups of a
+// table, and Bytes beside them, all see one permutation: every lookup
+// answers right, and Bytes reads 36 or 40 bytes a row, never anything
+// else (run under -race).
+func TestTableConcurrentFirstLookup(t *testing.T) {
+	users := tableTestUsers(2000, 6, false)
+	tb := NewTableBuilder(len(users), 2*len(users))
+	for _, u := range users {
+		tb.Append(u)
+	}
+	tab, err := tb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(users); i += 8 {
+				if b := tab.Bytes(); b != int64(36*len(users)) && b != int64(40*len(users)) {
+					errs <- fmt.Errorf("Bytes %d", b)
+					return
+				}
+				if got, ok := tab.Lookup(users[i].ID); !ok || got != int32(i) {
+					errs <- fmt.Errorf("Lookup(%d) = %d, %v; want %d", users[i].ID, got, ok, i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if tab.Bytes() != int64(40*len(users)) {
+		t.Fatalf("Bytes %d after the lookups, want %d", tab.Bytes(), 40*len(users))
+	}
+}
+
+// BenchmarkTableFirstLookup is what the first write after a build, an
+// open or a fold pays per shard: the lookup permutation of a 178,570-row
+// table (a shard of the paper's 357,139 users split in two) built from
+// shuffled IDs. SortReference sorts the same keys with slices.Sort, for
+// scale.
+func BenchmarkTableFirstLookup(b *testing.B) {
+	const n = 178570
+	ids := make([]ID, n)
+	for i, p := range rand.New(rand.NewSource(1)).Perm(2 * n)[:n] {
+		ids[i] = ID(p)
+	}
+	points := make([]geo.Point, 2*n)
+	b.Run("FirstLookup", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			tab := &Table{ids: ids, points: points}
+			if _, ok := tab.Lookup(ids[i%n]); !ok {
+				b.Fatal("miss")
+			}
+		}
+	})
+	b.Run("SortReference", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			keys := make([]uint64, n)
+			for j, id := range ids {
+				keys[j] = uint64(id)<<32 | uint64(j)
+			}
+			slices.Sort(keys)
+		}
+	})
 }
 
 // TestFirstDuplicateAcross: the k-way merge finds an ID two columns

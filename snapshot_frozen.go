@@ -13,7 +13,7 @@ package trajcover
 // position). The bytes on disk are the columns in memory. Restoring is
 // the CRC check, a copy or an aliasing of each column, and the structural
 // validation of trajectory.NewTable and tqtree.FrozenFromColumns — no
-// tree rebuild, no sorting but the table's ID lookup.
+// tree rebuild, no sorting but the check that the table's IDs are unique.
 //
 // Every multi-byte column starts at an offset that is a multiple of 8
 // from the payload start (zero pad bytes follow the 4-byte column groups

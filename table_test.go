@@ -10,12 +10,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"github.com/trajcover/trajcover/internal/query"
@@ -113,15 +115,16 @@ func liveHeap() uint64 {
 }
 
 // TestIndexHeapPerTrajectory pins what a served index holds per
-// trajectory once its input is dropped: the trajectory table's 40 bytes
-// (two points, ID, lookup slot) and a few bytes of node and bucket
-// columns — no offset or length column (a two-point row's are derived
-// from its points), no entry column (a TwoPoint entry's endpoints are its
-// table row's two points), no Trajectory object, point slice, map slot or
-// pointer beside them. A mapped index holds the table's lookup
-// column and nothing else. The snapshot file of a TwoPoint base is those
-// same columns, byte for byte, plus the endpoints it records. The input
-// itself is pinned too, as a caller holds it: 72 bytes a two-point trip.
+// trajectory once its input is dropped: the trajectory table's 36 bytes
+// (two points and an ID) and a few bytes of node and bucket columns — no
+// offset or length column (a two-point row's are derived from its
+// points), no entry column (a TwoPoint entry's endpoints are its table
+// row's two points), no lookup permutation (only a write builds one), no
+// Trajectory object, point slice, map slot or pointer beside them. A
+// mapped index holds next to nothing on the heap. The snapshot file of a
+// TwoPoint base is those same columns, byte for byte, plus the endpoints
+// it records. The input itself is pinned too, as a caller holds it: 72
+// bytes a two-point trip.
 func TestIndexHeapPerTrajectory(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under the race detector")
@@ -136,13 +139,13 @@ func TestIndexHeapPerTrajectory(t *testing.T) {
 		limit float64
 		build func() (any, error)
 	}{
-		{"NewIndex", 50, func() (any, error) {
+		{"NewIndex", 43, func() (any, error) {
 			return NewIndex(TaxiTrips(ny, n, 7), opts2)
 		}},
-		{"NewFrozenIndex", 50, func() (any, error) {
+		{"NewFrozenIndex", 43, func() (any, error) {
 			return NewFrozenIndex(TaxiTrips(ny, n, 7), opts)
 		}},
-		{"OpenMappedLiveSnapshot", 8, func() (any, error) {
+		{"OpenMappedLiveSnapshot", 1, func() (any, error) {
 			return OpenMappedLiveSnapshot(path, LivePolicy{})
 		}},
 		// The input itself, as a caller holds it: a 32-byte Trajectory
@@ -190,11 +193,12 @@ func TestIndexHeapPerTrajectory(t *testing.T) {
 
 // assertTwoPointBytes: a TwoPoint base holds no entry column and its
 // table no offset or length column, so its Bytes are the node and bucket
-// columns and 40 bytes a trajectory (ID, two points, lookup slot); and
-// its TQSNAP04 file is the magic, the 13-word payload header, those
-// columns without the table's lookup permutation, the offsets and
-// lengths the file still records, the endpoints (32 bytes an entry), the
-// pads after the 4-byte column groups, and the CRC.
+// columns and 36 bytes a trajectory (ID, two points) while it is only
+// read, 40 once a Lookup has built the by-ID permutation; and its
+// TQSNAP04 file is the magic, the 13-word payload header, those columns
+// without the lookup permutation, the offsets and lengths the file still
+// records, the endpoints (32 bytes an entry), the pads after the 4-byte
+// column groups, and the CRC.
 func assertTwoPointBytes(t *testing.T, fz *FrozenIndex) {
 	t.Helper()
 	f := fz.s.Base(0)
@@ -207,11 +211,17 @@ func assertTwoPointBytes(t *testing.T, fz *FrozenIndex) {
 	nodesAndBuckets := rect*(len(c.NodeRect)+len(c.BktStartMBR)+len(c.BktEndMBR)+len(c.BktFullMBR)) +
 		8*(len(c.OwnUB)+len(c.TreeUB)+len(c.BktMinStart)+len(c.BktMaxStart)) +
 		4*(len(c.ChildBase)+len(c.ChildCount)+len(c.EntryOff)+len(c.BucketOff)+len(c.BktEntryOff))
-	tableBytes := 40 * int64(f.Table().Len())
+	tableBytes := 36 * int64(f.Table().Len())
 	want := int64(nodesAndBuckets) + tableBytes
 	if got := f.Bytes(); got != want || f.Table().Bytes() != tableBytes {
 		t.Fatalf("TwoPoint base Bytes() = %d, want %d: %d of node and bucket columns + the table's %d (it says %d)",
 			got, want, nodesAndBuckets, tableBytes, f.Table().Bytes())
+	}
+	if _, ok := f.Table().Lookup(f.Table().ID(0)); !ok {
+		t.Fatal("Lookup misses the ID of row 0")
+	}
+	if got := f.Table().Bytes(); got != 40*int64(f.Table().Len()) {
+		t.Fatalf("after a Lookup the TwoPoint table says %d bytes, want 40 a trajectory (%d)", got, 40*int64(f.Table().Len()))
 	}
 	nn, nb, nt, np := uint64(len(c.NodeRect)), uint64(len(c.BktMinStart)), uint64(f.Table().Len()), uint64(f.Table().TotalPoints())
 	pads := pad8(4*(3*nn+1)) + pad8(4*(nn+nb+2)) + pad8(4*(2*nt+1))
@@ -226,6 +236,177 @@ func assertTwoPointBytes(t *testing.T, fz *FrozenIndex) {
 			buf.Len(), file, f.NumEntries(), nodesAndBuckets, table, pads)
 	}
 	t.Logf("TwoPoint snapshot: %.1f bytes per trajectory", float64(buf.Len())/float64(nt))
+}
+
+// lookupBuilt reports whether a table over two-point trips holds its
+// by-ID permutation: its Bytes are 36 a row without it, 40 with it.
+func lookupBuilt(t *testing.T, what string, tab *trajectory.Table) bool {
+	t.Helper()
+	switch n := int64(tab.Len()); tab.Bytes() {
+	case 36 * n:
+		return false
+	case 40 * n:
+		return true
+	}
+	t.Fatalf("%s: a two-point table of %d rows says %d bytes, neither 36 nor 40 a row", what, tab.Len(), tab.Bytes())
+	return false
+}
+
+// TestReadsBuildNoLookup: only a write looks a trajectory up by ID, so
+// only a write builds a table's by-ID permutation. TopK, ServiceValues,
+// MaxCoverage and WriteSnapshot on a two-shard Index and FrozenIndex,
+// and the heap and mapped restores of their snapshots with the same
+// reads, leave every base table at 36 bytes a two-point trip; the first
+// Delete of an ID builds the permutation of the shard holding it.
+func TestReadsBuildNoLookup(t *testing.T) {
+	ny := NewYorkCity()
+	users := TaxiTrips(ny, 2000, 46)
+	routes := BusRoutes(ny, 10, 6, 47)
+	q := Query{Scenario: Binary, Psi: 600}
+	opts := IndexOptions{Ordering: ZOrdering, Shards: 2, Policy: LivePolicy{Manual: true}}
+	idx, err := NewIndex(users, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fz, err := NewFrozenIndex(users, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type served interface {
+		TopK([]*Facility, int, Query) ([]Ranked, error)
+		ServiceValues([]*Facility, Query, int) ([]float64, error)
+		MaxCoverage([]*Facility, int, Query, CoverageOptions) (CoverageResult, error)
+		WriteSnapshot(io.Writer) error
+	}
+	tables := func(x served) []*trajectory.Table {
+		var out []*trajectory.Table
+		switch x := x.(type) {
+		case *Index:
+			for _, ep := range x.s.Epochs() {
+				out = append(out, ep.Base().Table())
+			}
+		case *FrozenIndex:
+			for i := 0; i < x.s.NumShards(); i++ {
+				out = append(out, x.s.Base(i).Table())
+			}
+		}
+		return out
+	}
+	// read runs every read on x, checks that none built a permutation,
+	// and returns x's snapshot.
+	read := func(name string, x served) []byte {
+		t.Helper()
+		if _, err := x.TopK(routes, 3, q); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := x.ServiceValues(routes, q, 2); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := x.MaxCoverage(routes, 3, q, CoverageOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := x.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for i, tab := range tables(x) {
+			if lookupBuilt(t, name, tab) {
+				t.Fatalf("%s: reads built shard %d's lookup permutation", name, i)
+			}
+		}
+		return buf.Bytes()
+	}
+	live, frozen := read("Index", idx), read("FrozenIndex", fz)
+	restored := func(x served, err error) served {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x
+	}
+	livePath := writeTempSnapshot(t, "idx.tqlive", func(w *os.File) error { _, err := w.Write(live); return err })
+	frozenPath := writeTempSnapshot(t, "fz.tqshrd", func(w *os.File) error { _, err := w.Write(frozen); return err })
+	read("ReadLiveSnapshot", restored(ReadLiveSnapshot(bytes.NewReader(live), LivePolicy{Manual: true})))
+	read("OpenMappedLiveSnapshot", restored(OpenMappedLiveSnapshot(livePath, LivePolicy{Manual: true})))
+	read("ReadFrozenSnapshot", restored(ReadFrozenSnapshot(bytes.NewReader(frozen))))
+	read("OpenMappedFrozenSnapshot", restored(OpenMappedFrozenSnapshot(frozenPath)))
+
+	tabs := tables(idx)
+	if ok, err := idx.Delete(tabs[1].ID(0)); !ok || err != nil {
+		t.Fatalf("Delete = %v, %v", ok, err)
+	}
+	if !lookupBuilt(t, "Index", tabs[1]) {
+		t.Fatal("a delete did not build its shard's lookup permutation")
+	}
+}
+
+// TestConcurrentFirstDeletes: the first deletes on a two-shard Index,
+// from many goroutines while another reads Stats, build each shard's
+// lookup permutation once: every delete lands, and BaseBytes only ever
+// reads a shard's size without the permutation or with it (run under
+// -race: Bytes reads the permutation a delete is publishing).
+func TestConcurrentFirstDeletes(t *testing.T) {
+	users := TaxiTrips(NewYorkCity(), 4000, 48)
+	idx, err := NewIndex(users, IndexOptions{Ordering: ZOrdering, Shards: 2, Policy: LivePolicy{Manual: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := make([][2]int64, 2) // per shard: BaseBytes without, with the permutation
+	for i, ep := range idx.s.Epochs() {
+		if lookupBuilt(t, "built", ep.Base().Table()) {
+			t.Fatalf("shard %d holds a lookup permutation before any write", i)
+		}
+		b := ep.Base().Bytes()
+		sizes[i] = [2]int64{b, b + 4*int64(ep.Base().Table().Len())}
+	}
+	stop := make(chan struct{})
+	statsErr := make(chan error, 1)
+	go func() {
+		defer close(statsErr)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for i, st := range idx.Stats() {
+				if st.BaseBytes != sizes[i][0] && st.BaseBytes != sizes[i][1] {
+					statsErr <- fmt.Errorf("shard %d BaseBytes %d, want %d or %d", i, st.BaseBytes, sizes[i][0], sizes[i][1])
+					return
+				}
+			}
+		}
+	}()
+	const writers = 8
+	var wg sync.WaitGroup
+	deleted := make([]bool, len(users))
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < 200; i += writers {
+				deleted[i], _ = idx.Delete(users[i].ID)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-statsErr; err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if !deleted[i] {
+			t.Fatalf("delete of %d did not land", users[i].ID)
+		}
+	}
+	for i, st := range idx.Stats() {
+		if st.Tombstones == 0 || st.BaseBytes != sizes[i][1] {
+			t.Fatalf("shard %d: %d tombstones, BaseBytes %d; want some, and %d", i, st.Tombstones, st.BaseBytes, sizes[i][1])
+		}
+	}
+	if idx.Len() != len(users)-200 {
+		t.Fatalf("Len %d after 200 deletes of %d", idx.Len(), len(users))
+	}
 }
 
 // TestTableBytesMultipoint: over multipoint check-ins on a segmented
