@@ -149,6 +149,10 @@ type Live struct {
 	// capture/compute/recheck caching protocol sound.
 	version atomic.Uint64
 
+	// afterFold, when set, runs after each fold, before the swap takes
+	// wmu: a test's way to land writes during a fold.
+	afterFold func()
+
 	// lastErr records the most recent background-rebuild failure (wmu);
 	// surfaced via Err. Rebuild inputs are validated epochs, so this
 	// stays nil outside of resource exhaustion.
@@ -759,7 +763,19 @@ func (l *Live) rebuildShard(sh *liveShard) error {
 	// Build off-lock: readers and writers proceed against the current
 	// epochs while the fold runs.
 	fz, err := l.fold(e0)
+	if l.afterFold != nil {
+		l.afterFold()
+	}
 	l.wmu.Lock()
+	if err == nil && (len(sh.landed) > 0 || len(sh.delta) > sh.baked) {
+		// Writes landed during the fold, so the swap's NewEpoch looks
+		// their IDs up in the new base: build its lookup off the lock,
+		// where no writer waits on the sort. Writes landing meanwhile
+		// need nothing more; a quiet fold builds none.
+		l.wmu.Unlock()
+		fz.Table().BuildLookup()
+		l.wmu.Lock()
+	}
 	defer l.wmu.Unlock()
 	if err == nil {
 		// Swap: the new base holds e0's logical corpus; the overlay keeps

@@ -59,7 +59,18 @@ func partition(users []*trajectory.Trajectory, opts Options) ([][]*trajectory.Tr
 	for _, u := range users {
 		bounds = bounds.ExtendRect(u.MBR())
 	}
+	// Count each part, then fill it: one exact allocation a part, where
+	// growing it by append copies it and leaves its slack behind.
+	count := make([]int, opts.Shards)
+	for _, u := range users {
+		count[opts.Partitioner.Assign(u, bounds, opts.Shards)]++
+	}
 	parts := make([][]*trajectory.Trajectory, opts.Shards)
+	for i, n := range count {
+		if n > 0 {
+			parts[i] = make([]*trajectory.Trajectory, 0, n)
+		}
+	}
 	for _, u := range users {
 		i := opts.Partitioner.Assign(u, bounds, opts.Shards)
 		parts[i] = append(parts[i], u)

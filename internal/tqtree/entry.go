@@ -1,8 +1,6 @@
 package tqtree
 
 import (
-	"cmp"
-
 	"github.com/trajcover/trajcover/internal/geo"
 	"github.com/trajcover/trajcover/internal/service"
 	"github.com/trajcover/trajcover/internal/trajectory"
@@ -10,50 +8,56 @@ import (
 
 // Entry is the unit stored in a q-node's trajectory list: either a whole
 // user trajectory (TwoPoint and FullTrajectory variants) or a single
-// segment of one (Segmented variant).
+// segment of one (Segmented variant). It is one record of the build's
+// slab, which the plan routes and sorts and BuildFrozen writes as
+// columns.
 //
-// Each entry caches the Morton codes of its first and last point (in the
-// tree's root space) — these are the paper's start/end z-ids — and its
-// maximum possible service contribution per scenario, which the q-node
-// `sub` upper bounds aggregate.
+// An entry caches its endpoints and their Morton codes in the tree's root
+// space — the paper's start/end z-ids — and names its trajectory by ID and
+// by index into the build's input. It holds no pointer, so the slab costs
+// the collector nothing to scan, and nothing its variant can derive: a
+// whole trajectory's per-scenario bound is 1, and a two-point
+// trajectory's table row and MBR are its endpoints. The plan holds what
+// only one variant needs beside the slab: a FullTrajectory entry's MBR
+// and a segment's bounds. 64 bytes an entry.
 type Entry struct {
-	// Traj is the parent user trajectory.
-	Traj *trajectory.Trajectory
-	// SegIdx is the segment index for Segmented entries, or -1 when the
-	// entry is the whole trajectory.
-	SegIdx int
+	first, last        geo.Point
+	startCode, endCode uint64
 
-	// first/last/mbr are cached copies of the entry's geometry: routing,
-	// the z-node aggregates and the frozen entry columns read them
-	// without chasing the trajectory pointer per entry.
-	first, last geo.Point
-	mbr         geo.Rect
-
-	startCode uint64
-	endCode   uint64
-	ub        [service.NumScenarios]float64
+	id   trajectory.ID
+	user int32 // the trajectory's index in the build's input
+	seg  int32 // the segment index of a Segmented entry, -1 for a whole trajectory
+	// multipoint is set when the trajectory has more than two points:
+	// only then does the build read the input for its table row or MBR.
+	multipoint bool
 }
 
-// newEntry builds a whole-trajectory entry.
-func newEntry(t *trajectory.Trajectory, bounds geo.Rect) Entry {
-	e := Entry{Traj: t, SegIdx: -1, first: t.Source(), last: t.Dest(), mbr: t.MBR()}
-	e.startCode = pointCode(bounds, e.first)
-	e.endCode = pointCode(bounds, e.last)
-	// A whole trajectory's normalized service is at most 1 in every
-	// scenario.
-	e.ub = [service.NumScenarios]float64{1, 1, 1}
-	return e
+// newEntry builds a whole-trajectory entry of t, input user.
+func newEntry(t *trajectory.Trajectory, user int32, bounds geo.Rect) Entry {
+	return Entry{
+		first: t.Source(), last: t.Dest(),
+		startCode: pointCode(bounds, t.Source()), endCode: pointCode(bounds, t.Dest()),
+		id: t.ID, user: user, seg: -1, multipoint: t.Len() > 2,
+	}
 }
 
-// newSegmentEntry builds the i-th segment entry of t, whose length is
-// length (t.Length(), computed once by the caller for all its segments).
-func newSegmentEntry(t *trajectory.Trajectory, i int, length float64, bounds geo.Rect) Entry {
-	e := Entry{Traj: t, SegIdx: i, first: t.Points[i], last: t.Points[i+1]}
-	e.mbr = geo.NewRect(e.first, e.last)
-	e.startCode = pointCode(bounds, e.first)
-	e.endCode = pointCode(bounds, e.last)
+// newSegmentEntry builds the i-th segment entry of t, input user.
+func newSegmentEntry(t *trajectory.Trajectory, user int32, i int, bounds geo.Rect) Entry {
+	a, b := t.Points[i], t.Points[i+1]
+	return Entry{
+		first: a, last: b,
+		startCode: pointCode(bounds, a), endCode: pointCode(bounds, b),
+		id: t.ID, user: user, seg: int32(i), multipoint: t.Len() > 2,
+	}
+}
+
+// segmentUB is the i-th segment of t's maximum service contribution per
+// scenario; length is t.Length(), summed once by the caller for all its
+// segments. A whole trajectory's normalized service is at most 1 in
+// every scenario.
+func segmentUB(t *trajectory.Trajectory, i int, length float64) (ub [service.NumScenarios]float64) {
 	// Binary-over-segments counts each served segment as 1.
-	e.ub[service.Binary] = 1
+	ub[service.Binary] = 1
 	// PointCount: the segment owns its start point; the final segment
 	// also owns the trajectory's last point. Owned shares sum to 1 over
 	// the whole trajectory.
@@ -61,12 +65,18 @@ func newSegmentEntry(t *trajectory.Trajectory, i int, length float64, bounds geo
 	if i == t.NumSegments()-1 {
 		owned = 2
 	}
-	e.ub[service.PointCount] = float64(owned) / float64(t.Len())
+	ub[service.PointCount] = float64(owned) / float64(t.Len())
 	// Length: the segment's share of the total length.
 	if length > 0 {
-		e.ub[service.Length] = t.SegmentLength(i) / length
+		ub[service.Length] = t.SegmentLength(i) / length
 	}
-	return e
+	return ub
+}
+
+// pairMBR is the MBR of the two points a and b as Trajectory.MBR computes
+// it, which a two-point trajectory's MBR must equal bit for bit.
+func pairMBR(a, b geo.Point) geo.Rect {
+	return geo.Rect{MinX: a.X, MinY: a.Y, MaxX: a.X, MaxY: a.Y}.ExtendPoint(b)
 }
 
 // FilterMode selects the candidate predicate zReduce applies to entries
@@ -98,27 +108,24 @@ type zAgg struct {
 	fullMBR  geo.Rect // union of entry MBRs
 }
 
-// reset makes a the aggregates of e alone.
-func (a *zAgg) reset(e *Entry) {
-	a.minStart, a.maxStart = e.startCode, e.startCode
-	a.startMBR = geo.NewRect(e.first, e.first)
-	a.endMBR = geo.NewRect(e.last, e.last)
-	a.fullMBR = e.mbr
+// reset makes a the aggregates of one entry: its start code, endpoints
+// and MBR.
+func (a *zAgg) reset(start uint64, first, last geo.Point, mbr geo.Rect) {
+	a.minStart, a.maxStart = start, start
+	a.startMBR = geo.NewRect(first, first)
+	a.endMBR = geo.NewRect(last, last)
+	a.fullMBR = mbr
 }
 
-func (a *zAgg) extend(e *Entry) {
-	if e.startCode < a.minStart {
-		a.minStart = e.startCode
+// extend adds one entry to a.
+func (a *zAgg) extend(start uint64, first, last geo.Point, mbr geo.Rect) {
+	if start < a.minStart {
+		a.minStart = start
 	}
-	if e.startCode > a.maxStart {
-		a.maxStart = e.startCode
+	if start > a.maxStart {
+		a.maxStart = start
 	}
-	a.startMBR = a.startMBR.ExtendPoint(e.first)
-	a.endMBR = a.endMBR.ExtendPoint(e.last)
-	a.fullMBR = a.fullMBR.ExtendRect(e.mbr)
-}
-
-// cmpEntry orders entries by (start, end) z-ids, the z-lists' order.
-func cmpEntry(a, b *Entry) int {
-	return cmp.Or(cmp.Compare(a.startCode, b.startCode), cmp.Compare(a.endCode, b.endCode))
+	a.startMBR = a.startMBR.ExtendPoint(first)
+	a.endMBR = a.endMBR.ExtendPoint(last)
+	a.fullMBR = a.fullMBR.ExtendRect(mbr)
 }

@@ -127,9 +127,11 @@ func BuildFrozen(users []*trajectory.Trajectory, opts Options) (*Frozen, error) 
 	if err != nil {
 		return nil, err
 	}
-	// first holds each trajectory's ordinal, plus one, at the slab index
-	// of its first entry.
-	first := make([]int32, len(pl.slab))
+	// A whole entry is its trajectory's only one, so its row is appended
+	// as the entry is written. A segmented trajectory's row is appended
+	// with the first of its segments written, and first holds that
+	// ordinal, plus one, at the slab index of its segment 0.
+	first := pl.first
 	for i, id := range order {
 		n := &pl.nodes[id]
 		w.node(i, n.rect, kids(n.child), &n.ownUB, &n.treeUB)
@@ -138,19 +140,25 @@ func BuildFrozen(users []*trajectory.Trajectory, opts Options) (*Frozen, error) 
 			if pl.opts.Ordering == ZOrder {
 				k = min(k, beta)
 				var a zAgg
-				a.reset(&pl.slab[own[0]])
+				e := &pl.slab[own[0]]
+				a.reset(e.startCode, e.first, e.last, pl.mbrOf(own[0]))
 				for _, p := range own[1:k] {
-					a.extend(&pl.slab[p])
+					e := &pl.slab[p]
+					a.extend(e.startCode, e.first, e.last, pl.mbrOf(p))
 				}
 				w.bucket(&a)
 			}
 			for _, p := range own[:k] {
 				e := &pl.slab[p]
-				head := p - int32(max(e.SegIdx, 0))
-				if first[head] == 0 {
-					first[head] = w.table.Append(e.Traj) + 1
+				if e.seg < 0 {
+					w.entry(p, w.row(e))
+					continue
 				}
-				w.entry(e, first[head]-1)
+				head := p - e.seg
+				if first[head] == 0 {
+					first[head] = w.row(e) + 1
+				}
+				w.entry(p, first[head]-1)
 			}
 			own = own[k:]
 		}
@@ -161,6 +169,7 @@ func BuildFrozen(users []*trajectory.Trajectory, opts Options) (*Frozen, error) 
 // frozenWriter lays a plan out as Frozen columns in BFS node order, one
 // node, bucket and entry at a time, filling the trajectory table too.
 type frozenWriter struct {
+	pl      *plan
 	f       *Frozen
 	table   *trajectory.TableBuilder
 	next    int32 // the next node's first child
@@ -204,7 +213,7 @@ func newFrozenWriter(pl *plan, nodes, buckets int) (*frozenWriter, error) {
 		f.bktEndMBR = make([]geo.Rect, 0, buckets)
 		f.bktFullMBR = make([]geo.Rect, 0, buckets)
 	}
-	return &frozenWriter{f: f, table: trajectory.NewTableBuilder(pl.numTrajs, pl.numPoints), next: 1}, nil
+	return &frozenWriter{pl: pl, f: f, table: trajectory.NewTableBuilder(pl.numTrajs, pl.numPoints), next: 1}, nil
 }
 
 // node opens node i, which has cnt children, at the next entry and
@@ -234,19 +243,28 @@ func (w *frozenWriter) bucket(a *zAgg) {
 	f.bktFullMBR = append(f.bktFullMBR, a.fullMBR)
 }
 
-// entry appends e, whose trajectory has table ordinal ti, to the columns
-// the variant holds.
-func (w *frozenWriter) entry(e *Entry, ti int32) {
-	f := w.f
+// row appends e's trajectory to the table and returns its ordinal: a
+// two-point row from e's endpoints, a multipoint one from the input.
+func (w *frozenWriter) row(e *Entry) int32 {
+	if e.multipoint {
+		return w.table.Append(w.pl.users[e.user])
+	}
+	return w.table.AppendPair(e.id, e.first, e.last)
+}
+
+// entry appends slab entry p, whose trajectory has table ordinal ti, to
+// the columns the variant holds.
+func (w *frozenWriter) entry(p, ti int32) {
+	f, e := w.f, &w.pl.slab[p]
 	w.entries++
 	if f.entMBR != nil {
-		f.entMBR = append(f.entMBR, e.mbr)
+		f.entMBR = append(f.entMBR, w.pl.mbr[p])
 	}
 	if f.entTraj != nil {
 		f.entFirst = append(f.entFirst, e.first)
 		f.entLast = append(f.entLast, e.last)
 		f.entTraj = append(f.entTraj, ti)
-		f.entSeg = append(f.entSeg, int32(e.SegIdx))
+		f.entSeg = append(f.entSeg, e.seg)
 	}
 }
 

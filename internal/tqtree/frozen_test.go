@@ -291,27 +291,68 @@ func TestBuildFrozenRejectsDuplicateIDs(t *testing.T) {
 }
 
 // TestBuildFrozenAllocs pins BuildFrozen's allocation count: a fixed
-// number of columns and buffers, not a count that grows with the corpus.
+// number of columns and buffers, not a count that grows with the corpus —
+// serially and at Parallelism 2, over two-point trips and segmented
+// multipoint trajectories.
 func TestBuildFrozenAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pins skip under -race")
 	}
+	for _, tc := range []struct {
+		name   string
+		maxPts int
+		opts   Options
+	}{
+		{"twopoint", 2, Options{Ordering: ZOrder, Bounds: testBounds, Parallelism: 1}},
+		{"twopoint/parallelism-2", 2, Options{Ordering: ZOrder, Bounds: testBounds, Parallelism: 2}},
+		{"segmented", 4, Options{Variant: Segmented, Ordering: ZOrder, Bounds: testBounds, Parallelism: 1}},
+	} {
+		allocs := func(n int) float64 {
+			users := randTrajectories(n, tc.maxPts, 104, testBounds)
+			return testing.AllocsPerRun(1, func() {
+				if _, err := BuildFrozen(users, tc.opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		small, large := allocs(20000), allocs(200000)
+		t.Logf("%s: BuildFrozen allocations: %.0f at 20k users, %.0f at 200k", tc.name, small, large)
+		const bound = 60
+		if small > bound || large > bound {
+			t.Errorf("%s: BuildFrozen allocations %.0f / %.0f, pinned at <= %d", tc.name, small, large, bound)
+		}
+		if large-small >= 50 {
+			t.Errorf("%s: BuildFrozen allocations grow with the corpus: %.0f at 20k, %.0f at 200k", tc.name, small, large)
+		}
+	}
+}
+
+// TestBuildFrozenBytes pins the bytes one serial Z-ordered build of
+// two-point trips allocates an entry, the index it returns included: the
+// slab, the route, the permutation and its scratch, the sort keys, the
+// columns and the table. 175 bytes an entry at 200k users (200 when the
+// slab held 120-byte entries and every level re-routed them); the limit
+// leaves 10 for the columns' append growth to vary with the tree.
+func TestBuildFrozenBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins skip under -race")
+	}
+	const n = 200000
+	users := randTrajectories(n, 2, 104, testBounds)
 	opts := Options{Ordering: ZOrder, Bounds: testBounds, Parallelism: 1}
-	allocs := func(n int) float64 {
-		users := randTrajectories(n, 2, 104, testBounds)
-		return testing.AllocsPerRun(1, func() {
-			if _, err := BuildFrozen(users, opts); err != nil {
-				t.Fatal(err)
-			}
-		})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f, err := BuildFrozen(users, opts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
 	}
-	small, large := allocs(20000), allocs(200000)
-	t.Logf("BuildFrozen allocations: %.0f at 20k users, %.0f at 200k", small, large)
-	const bound = 60
-	if small > bound || large > bound {
-		t.Errorf("BuildFrozen allocations %.0f / %.0f, pinned at <= %d", small, large, bound)
-	}
-	if large-small >= 50 {
-		t.Errorf("BuildFrozen allocations grow with the corpus: %.0f at 20k, %.0f at 200k", small, large)
+	runtime.KeepAlive(f)
+	perEntry := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("BuildFrozen allocates %.1f bytes an entry at %d two-point users", perEntry, n)
+	const bound = 185
+	if perEntry > bound {
+		t.Errorf("BuildFrozen allocates %.1f bytes an entry, pinned at <= %d", perEntry, bound)
 	}
 }

@@ -38,7 +38,7 @@ func checkInvariants(f *Frozen) error {
 
 // rebuildEntries checks invariant 1 and returns the slab as the plan held
 // it, re-derived from the table: geometry, z-ids and per-scenario bounds.
-func rebuildEntries(f *Frozen) ([]Entry, error) {
+func rebuildEntries(f *Frozen) ([]refEntry, error) {
 	tab := f.Table()
 	want := tab.Len()
 	if f.variant == Segmented {
@@ -48,7 +48,7 @@ func rebuildEntries(f *Frozen) ([]Entry, error) {
 		return nil, fmt.Errorf("%d entries stored, the table's %d trajectories make %d", f.NumEntries(), tab.Len(), want)
 	}
 	seen := make(map[[2]int32]bool, want)
-	ents := make([]Entry, want)
+	ents := make([]refEntry, want)
 	views := make([]trajectory.Trajectory, tab.Len())
 	for i := range views {
 		tab.View(int32(i), &views[i])
@@ -61,9 +61,9 @@ func rebuildEntries(f *Frozen) ([]Entry, error) {
 		}
 		seen[key] = true
 		if seg < 0 {
-			ents[e] = newEntry(&views[ti], f.bounds)
+			ents[e] = newRefEntry(&views[ti], f.bounds)
 		} else {
-			ents[e] = newSegmentEntry(&views[ti], int(seg), tab.Length(ti), f.bounds)
+			ents[e] = newRefSegmentEntry(&views[ti], int(seg), tab.Length(ti), f.bounds)
 		}
 		if a, b := f.EntryEnds(int32(e)); ents[e].first != a || ents[e].last != b || f.entMBR != nil && ents[e].mbr != f.entMBR[e] {
 			return nil, fmt.Errorf("entry %d: columns do not hold trajectory %d segment %d", e, ti, seg)
@@ -74,7 +74,7 @@ func rebuildEntries(f *Frozen) ([]Entry, error) {
 
 // checkNode checks invariants 2–4 on the subtree of node n at depth and
 // returns its recomputed treeUB.
-func checkNode(f *Frozen, ents []Entry, n int32, depth int) (tree [service.NumScenarios]float64, err error) {
+func checkNode(f *Frozen, ents []refEntry, n int32, depth int) (tree [service.NumScenarios]float64, err error) {
 	if depth > f.maxDepth {
 		return tree, fmt.Errorf("node %d at depth %d exceeds MaxDepth %d", n, depth, f.maxDepth)
 	}
@@ -82,10 +82,10 @@ func checkNode(f *Frozen, ents []Entry, n int32, depth int) (tree [service.NumSc
 	lo, hi := f.entryOff[n], f.entryOff[n+1]
 	var own [service.NumScenarios]float64
 	for e := lo; e < hi; e++ {
-		if rr := routingRect(f.variant, &ents[e]); !rect.ContainsRect(rr) {
+		if rr := refRoutingRect(f.variant, &ents[e]); !rect.ContainsRect(rr) {
 			return tree, fmt.Errorf("node %d: entry %d routing rect %v outside the cell %v", n, e, rr, rect)
 		}
-		if q, ok := routeQuadrant(f.variant, rect, &ents[e]); ok && !f.IsLeaf(n) {
+		if q, ok := refRoute(f.variant, rect, &ents[e]); ok && !f.IsLeaf(n) {
 			return tree, fmt.Errorf("node %d: entry %d kept at an internal node but routable to quadrant %d", n, e, q)
 		}
 		for sc := range own {
@@ -131,10 +131,10 @@ func checkNode(f *Frozen, ents []Entry, n int32, depth int) (tree [service.NumSc
 }
 
 // checkBuckets checks invariant 4 on node n's own list.
-func checkBuckets(f *Frozen, ents []Entry, n int32) error {
+func checkBuckets(f *Frozen, ents []refEntry, n int32) error {
 	lo, hi := f.entryOff[n], f.entryOff[n+1]
 	for e := lo + 1; e < hi; e++ {
-		if cmpEntry(&ents[e], &ents[e-1]) < 0 {
+		if cmpRefEntry(&ents[e], &ents[e-1]) < 0 {
 			return fmt.Errorf("node %d: list not sorted at entry %d", n, e)
 		}
 	}
@@ -147,9 +147,9 @@ func checkBuckets(f *Frozen, ents []Entry, n int32) error {
 			return fmt.Errorf("node %d: bucket %d start range overlaps the previous one", n, b)
 		}
 		var a zAgg
-		a.reset(&ents[blo])
+		a.reset(ents[blo].startCode, ents[blo].first, ents[blo].last, ents[blo].mbr)
 		for e := blo + 1; e < bhi; e++ {
-			a.extend(&ents[e])
+			a.extend(ents[e].startCode, ents[e].first, ents[e].last, ents[e].mbr)
 		}
 		got := zAgg{f.bktMinStart[b], f.bktMaxStart[b], f.bktStartMBR[b], f.bktEndMBR[b], f.bktFullMBR[b]}
 		if got != a {
@@ -189,7 +189,7 @@ func TestCheckInvariantsRejectsCorruption(t *testing.T) {
 		ents, _ := rebuildEntries(f)
 		for b := 0; b+1 < len(c.BktEntryOff); b++ {
 			for e := c.BktEntryOff[b]; e+1 < c.BktEntryOff[b+1]; e++ {
-				if cmpEntry(&ents[e], &ents[e+1]) < 0 {
+				if cmpRefEntry(&ents[e], &ents[e+1]) < 0 {
 					// Swap the two whole entries: each stays in its node,
 					// filed once, with its own geometry — only the order breaks.
 					for _, col := range [][]int32{c.EntTraj, c.EntSeg} {

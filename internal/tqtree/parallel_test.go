@@ -3,6 +3,10 @@ package tqtree
 import (
 	"fmt"
 	"testing"
+
+	"github.com/trajcover/trajcover/internal/datagen"
+	"github.com/trajcover/trajcover/internal/geo"
+	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
 // TestParallelBuildMatchesSerial verifies the headline guarantee of the
@@ -76,20 +80,32 @@ func TestParallelBuildConcurrentBuilds(t *testing.T) {
 // BenchmarkBuild compares serial and parallel construction at a
 // fig7-scale entry count. On a multi-core host the parallel build should
 // be >= 2x faster; on a single core it must not be slower than serial
-// beyond noise (the fan-out is gated on available slots).
+// beyond noise (the fan-out is gated on available slots). The uniform
+// corpus makes a shallow, even tree; the taxi one — a 178,570-trip
+// shard of the paper's 357,139 NYC trips — the clustered, deep tree the
+// served indexes are.
 func BenchmarkBuild(b *testing.B) {
-	users := randTrajectories(200000, 2, 99, testBounds)
-	for _, par := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("parallelism-%d", par), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := BuildFrozen(users, Options{
-					Variant: TwoPoint, Ordering: ZOrder,
-					Bounds: testBounds, Parallelism: par,
-				}); err != nil {
-					b.Fatal(err)
+	corpora := []struct {
+		name   string
+		users  []*trajectory.Trajectory
+		bounds geo.Rect
+	}{
+		{"uniform", randTrajectories(200000, 2, 99, testBounds), testBounds},
+		{"taxi", datagen.TaxiTrips(datagen.NewYork(), 178570, 1), datagen.NewYork().Bounds},
+	}
+	for _, c := range corpora {
+		for _, par := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%s/parallelism-%d", c.name, par), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := BuildFrozen(c.users, Options{
+						Variant: TwoPoint, Ordering: ZOrder,
+						Bounds: c.bounds, Parallelism: par,
+					}); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

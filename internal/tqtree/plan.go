@@ -1,11 +1,17 @@
 package tqtree
 
 // The build plan: one pointer-free partition of a slab of entries into
-// q-nodes, which BuildFrozen writes as columns. Only an []int32
-// permutation of slab indices moves; in it each node owns one range: its
-// own list, then its children's.
+// q-nodes, which BuildFrozen writes as columns. Each entry descends from
+// the root once, as the slab is built, and keeps its route as a packed
+// path: a quadrant per level, 2 bits each, and the depth it stops at.
+// Planning then moves only an []int32 permutation of slab indices, in
+// which each node owns one range — its own list, then its children's —
+// and classifies an entry at a node by one digit of its path. A Z-ordered
+// node's own list is sorted as (start code, end code, slab index)
+// records, so the sort reads no slab entry.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
@@ -27,6 +33,20 @@ type planNode struct {
 	ownUB, treeUB [service.NumScenarios]float64
 }
 
+// zKey is a slab entry's sort key in a Z-ordered list.
+type zKey struct {
+	start, end uint64
+	at         int32 // slab index
+}
+
+// cmpZKey orders keys by (start, end) z-ids, the z-lists' order.
+func cmpZKey(a, b zKey) int {
+	if a.start != b.start {
+		return cmp.Compare(a.start, b.start)
+	}
+	return cmp.Compare(a.end, b.end)
+}
+
 // plan is the partition of slab under opts, with the header the frozen
 // layout takes over: the root space and the corpus counts.
 type plan struct {
@@ -36,7 +56,23 @@ type plan struct {
 	numEntries int
 	numPoints  int // sizes the trajectory table's arena
 
-	slab []Entry
+	users []*trajectory.Trajectory // read only for a multipoint entry
+	slab  []Entry
+	// mbr holds each entry's MBR, its routing rectangle, on a
+	// FullTrajectory plan; ub each segment's per-scenario bound on a
+	// Segmented one. Both are nil elsewhere.
+	mbr []geo.Rect
+	ub  [][service.NumScenarios]float64
+
+	// Entry p's route: its quadrant at depth d is bits 2(d%32)..2(d%32)+1
+	// of path[p*words+d/32]. stop[p] >= 0 is the depth at which it stays;
+	// stop[p] = ^f < 0 says the entry reached a fixed point at depth f —
+	// a cell whose quadrant is the cell itself, which it routes into at
+	// every deeper level — so it stays only where MaxDepth stops it.
+	path  []uint64
+	stop  []int32
+	words int
+
 	perm []int32
 
 	mu    sync.Mutex // guards nodes: subtrees are planned concurrently
@@ -45,7 +81,11 @@ type plan struct {
 
 	// Scratch indexed like perm: concurrent subtrees use disjoint ranges.
 	scratch []int32
-	class   []uint8
+	keys    []zKey // ZOrder only
+
+	// first is the writer's: each segmented trajectory's table ordinal,
+	// plus one, at the slab index of its segment 0 (Segmented only).
+	first []int32
 
 	slots atomic.Int64 // extra goroutines still allowed
 }
@@ -57,7 +97,8 @@ func (o *Options) leafFits(n, depth int) bool {
 }
 
 // planCorpus lays the users' entries out in one slab over the root space
-// (opts.Bounds extended to the data) and plans the tree over it.
+// (opts.Bounds extended to the data), routes each from the root, and
+// plans the tree over them.
 func planCorpus(users []*trajectory.Trajectory, opts Options) (*plan, error) {
 	if opts.Beta <= 0 {
 		opts.Beta = DefaultBeta
@@ -71,7 +112,7 @@ func planCorpus(users []*trajectory.Trajectory, opts Options) (*plan, error) {
 	if opts.Ordering < Basic || opts.Ordering > ZOrder {
 		return nil, fmt.Errorf("tqtree: invalid ordering %d", int(opts.Ordering))
 	}
-	pl := &plan{opts: opts, bounds: opts.Bounds}
+	pl := &plan{opts: opts, bounds: opts.Bounds, users: users}
 	n := 0
 	for _, u := range users {
 		// Non-finite geometry would make the root space infinite (or
@@ -87,28 +128,104 @@ func planCorpus(users []*trajectory.Trajectory, opts Options) (*plan, error) {
 	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("tqtree: %d entries exceed int32 addressing", n)
 	}
-	pl.numEntries = n
-	slab := make([]Entry, 0, n)
-	for _, u := range users {
-		pl.numTrajs++
+	pl.numEntries, pl.numTrajs = n, len(users)
+	pl.slab = make([]Entry, 0, n)
+	pl.path, pl.words = make([]uint64, n), 1
+	cols := 3
+	switch opts.Variant {
+	case FullTrajectory:
+		pl.mbr = make([]geo.Rect, n)
+	case Segmented:
+		pl.ub = make([][service.NumScenarios]float64, n)
+		cols = 4
+	}
+	// One allocation for the int32 columns: perm, its scratch, the stops
+	// and, on a Segmented plan, the writer's first ordinals.
+	ints := make([]int32, cols*n)
+	pl.perm, pl.scratch, pl.stop, pl.first = ints[:n:n], ints[n:2*n:2*n], ints[2*n:3*n:3*n], ints[3*n:]
+	for i, u := range users {
 		pl.numPoints += u.Len()
-		slab = appendEntries(slab, opts.Variant, pl.bounds, u)
+		if opts.Variant != Segmented {
+			e := newEntry(u, int32(i), pl.bounds)
+			rr := geo.NewRect(e.first, e.last)
+			if pl.mbr != nil {
+				rr = u.MBR()
+				pl.mbr[len(pl.slab)] = rr
+			}
+			pl.descend(len(pl.slab), e.first, rr)
+			pl.slab = append(pl.slab, e)
+			continue
+		}
+		// One polyline sum per trajectory: Length computes from the
+		// points, so asking it per segment would make a build quadratic
+		// in M.
+		length := u.Length()
+		for j := 0; j < u.NumSegments(); j++ {
+			e := newSegmentEntry(u, int32(i), j, pl.bounds)
+			pl.ub[len(pl.slab)] = segmentUB(u, j, length)
+			pl.descend(len(pl.slab), e.first, geo.NewRect(e.first, e.last))
+			pl.slab = append(pl.slab, e)
+		}
 	}
 	par := opts.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	pl.slab = slab
-	pl.perm = make([]int32, n)
 	for i := range pl.perm {
 		pl.perm[i] = int32(i)
 	}
-	pl.scratch = make([]int32, n)
-	pl.class = make([]uint8, n)
+	if opts.Ordering == ZOrder {
+		pl.keys = make([]zKey, n)
+	}
 	pl.slots.Store(int64(par - 1))
 	pl.top = pl.split(pl.bounds, 0, 0, int32(n))
-	pl.scratch, pl.class = nil, nil
+	pl.path, pl.stop, pl.scratch, pl.keys = nil, nil, nil, nil
 	return pl, nil
+}
+
+// descend routes slab entry p, whose first point is first and routing
+// rectangle rr, from the root down the chain of quadrant cells split
+// plans, to the depth at which it stays, and records the route.
+func (pl *plan) descend(p int, first geo.Point, rr geo.Rect) {
+	rect := pl.bounds
+	d := 0
+	for ; d < pl.opts.MaxDepth; d++ {
+		q, child, ok := routeQuadrant(rect, first, rr)
+		if !ok {
+			break
+		}
+		if d == 32*pl.words {
+			pl.widen()
+		}
+		pl.path[p*pl.words+d/32] |= uint64(q) << (2 * (d % 32))
+		if child == rect {
+			pl.stop[p] = ^int32(d)
+			return
+		}
+		rect = child
+	}
+	pl.stop[p] = int32(d)
+}
+
+// widen makes room for 32 more levels in every entry's path.
+func (pl *plan) widen() {
+	w := pl.words + 1
+	path := make([]uint64, len(pl.stop)*w)
+	for p := range pl.stop {
+		copy(path[p*w:], pl.path[p*pl.words:(p+1)*pl.words])
+	}
+	pl.path, pl.words = path, w
+}
+
+// quadrant returns the quadrant slab entry p routes to from a node at
+// depth, or -1 when it stays there.
+func (pl *plan) quadrant(p int32, depth int) int {
+	if s := pl.stop[p]; s < 0 {
+		depth = min(depth, int(^s))
+	} else if depth >= int(s) {
+		return -1
+	}
+	return int(pl.path[int(p)*pl.words+depth/32] >> (2 * (depth % 32)) & 3)
 }
 
 // parallelBuildCutoff is the subtree entry count below which fanning out
@@ -122,16 +239,32 @@ const parallelBuildCutoff = 2048
 func (pl *plan) split(rect geo.Rect, depth int, lo, hi int32) int32 {
 	n := planNode{rect: rect, lo: lo, own: hi, child: [4]int32{-1, -1, -1, -1}, leaf: true}
 	var cut [6]int32
-	if !pl.opts.leafFits(int(hi-lo), depth) && pl.partition(rect, lo, hi, &cut) {
+	if !pl.opts.leafFits(int(hi-lo), depth) && pl.partition(depth, lo, hi, &cut) {
 		n.leaf, n.own = false, cut[1]
 	}
 	own := pl.perm[lo:n.own]
 	if pl.opts.Ordering == ZOrder {
-		slices.SortFunc(own, func(a, b int32) int { return cmpEntry(&pl.slab[a], &pl.slab[b]) })
+		keys := pl.keys[lo:n.own]
+		for i, p := range own {
+			e := &pl.slab[p]
+			keys[i] = zKey{e.startCode, e.endCode, p}
+		}
+		// The permutation pdqsort makes depends only on the comparisons'
+		// outcomes, so ties keep the order sorting the indices by their
+		// entries' codes would give.
+		slices.SortFunc(keys, cmpZKey)
+		for i := range keys {
+			own[i] = keys[i].at
+		}
 	}
-	for _, p := range own {
-		for sc := range n.ownUB {
-			n.ownUB[sc] += pl.slab[p].ub[sc]
+	if pl.ub == nil {
+		c := float64(len(own))
+		n.ownUB = [service.NumScenarios]float64{c, c, c}
+	} else {
+		for _, p := range own {
+			for sc := range n.ownUB {
+				n.ownUB[sc] += pl.ub[p][sc]
+			}
 		}
 	}
 	n.treeUB = n.ownUB
@@ -181,18 +314,14 @@ func (pl *plan) acquire() bool {
 	return false
 }
 
-// partition reorders perm[lo:hi] stably into the entries that stay at the
-// cell, then those routed to quadrants 0..3, with the ranges' bounds in
-// cut. It reports false, leaving perm as it was, when nothing routes.
-func (pl *plan) partition(rect geo.Rect, lo, hi int32, cut *[6]int32) bool {
+// partition reorders perm[lo:hi] of a node at depth stably into the
+// entries that stay at the node, then those routed to quadrants 0..3,
+// with the ranges' bounds in cut. It reports false, leaving perm as it
+// was, when nothing routes.
+func (pl *plan) partition(depth int, lo, hi int32, cut *[6]int32) bool {
 	var count [5]int32
-	for i := lo; i < hi; i++ {
-		c := uint8(0)
-		if q, ok := routeQuadrant(pl.opts.Variant, rect, &pl.slab[pl.perm[i]]); ok {
-			c = uint8(q + 1)
-		}
-		pl.class[i] = c
-		count[c]++
+	for _, p := range pl.perm[lo:hi] {
+		count[pl.quadrant(p, depth)+1]++
 	}
 	if count[0] == hi-lo {
 		return false
@@ -203,12 +332,29 @@ func (pl *plan) partition(rect geo.Rect, lo, hi int32, cut *[6]int32) bool {
 		next[c] = cut[c]
 		cut[c+1] = cut[c] + count[c]
 	}
-	for i := lo; i < hi; i++ {
-		pl.scratch[next[pl.class[i]]] = pl.perm[i]
-		next[pl.class[i]]++
+	for _, p := range pl.perm[lo:hi] {
+		c := pl.quadrant(p, depth) + 1
+		pl.scratch[next[c]] = p
+		next[c]++
 	}
 	copy(pl.perm[lo:hi], pl.scratch[lo:hi])
 	return true
+}
+
+// mbrOf returns slab entry p's MBR: the held column on a FullTrajectory
+// plan, the segment's span on a Segmented one, the trajectory's MBR on a
+// TwoPoint one — its endpoints' unless it is multipoint.
+func (pl *plan) mbrOf(p int32) geo.Rect {
+	e := &pl.slab[p]
+	switch {
+	case pl.mbr != nil:
+		return pl.mbr[p]
+	case e.seg >= 0:
+		return geo.NewRect(e.first, e.last)
+	case e.multipoint:
+		return pl.users[e.user].MBR()
+	}
+	return pairMBR(e.first, e.last)
 }
 
 // bfs returns the plan's node indices breadth first, children in quadrant

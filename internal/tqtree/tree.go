@@ -20,7 +20,6 @@ import (
 
 	"github.com/trajcover/trajcover/internal/geo"
 	"github.com/trajcover/trajcover/internal/service"
-	"github.com/trajcover/trajcover/internal/trajectory"
 	"github.com/trajcover/trajcover/internal/zorder"
 )
 
@@ -101,38 +100,19 @@ type Options struct {
 	Parallelism int
 }
 
-func appendEntries(dst []Entry, v Variant, bounds geo.Rect, u *trajectory.Trajectory) []Entry {
-	if v != Segmented {
-		return append(dst, newEntry(u, bounds))
+// routeQuadrant returns the child quadrant of the cell rect that wholly
+// contains an entry's routing rectangle rr, whose first point is first,
+// and that quadrant's cell; ok is false when the entry must stay at a node
+// with this rect (it is "inter-node" there). The routing rectangle is
+// what determines where an entry is stored: the source–destination span
+// for TwoPoint, the segment for Segmented, the full MBR for
+// FullTrajectory.
+func routeQuadrant(rect geo.Rect, first geo.Point, rr geo.Rect) (q int, child geo.Rect, ok bool) {
+	q = rect.QuadrantOf(first)
+	if child = rect.Quadrant(q); child.ContainsRect(rr) {
+		return q, child, true
 	}
-	// One polyline sum per trajectory: Length computes from the points,
-	// so asking it per segment would make a build quadratic in M.
-	length := u.Length()
-	for i := 0; i < u.NumSegments(); i++ {
-		dst = append(dst, newSegmentEntry(u, i, length, bounds))
-	}
-	return dst
-}
-
-// routingRect returns the rectangle that determines where an entry is
-// stored: source/destination span for TwoPoint, the segment for
-// Segmented, and the full MBR for FullTrajectory.
-func routingRect(v Variant, e *Entry) geo.Rect {
-	if v == FullTrajectory {
-		return e.mbr
-	}
-	return geo.NewRect(e.first, e.last)
-}
-
-// routeQuadrant returns the child quadrant that wholly contains the
-// entry's routing rectangle, or ok=false when the entry must stay at a
-// node with this rect (it is "inter-node" there).
-func routeQuadrant(v Variant, rect geo.Rect, e *Entry) (q int, ok bool) {
-	q = rect.QuadrantOf(e.first)
-	if rect.Quadrant(q).ContainsRect(routingRect(v, e)) {
-		return q, true
-	}
-	return 0, false
+	return 0, child, false
 }
 
 // ErrUnsupported is returned when a scenario cannot be answered exactly

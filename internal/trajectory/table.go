@@ -93,6 +93,19 @@ func (b *TableBuilder) Append(u *Trajectory) int32 {
 	return ord
 }
 
+// AppendPair copies the two-point trajectory id, p → q, into the table,
+// with its length, and returns its ordinal: Append without a Trajectory
+// to read.
+func (b *TableBuilder) AppendPair(id ID, p, q geo.Point) int32 {
+	ord := int32(len(b.ids))
+	pair := [2]geo.Point{p, q}
+	b.points = append(b.points, pair[:]...)
+	b.ids = append(b.ids, id)
+	b.length = append(b.length, lengthOf(pair[:]))
+	b.off = append(b.off, uint32(len(b.points)))
+	return ord
+}
+
 // Build finishes the table with NewTable over the builder's columns,
 // trimmed to size: a column grown by append carries up to a quarter of
 // slack the table would hold for life. The builder must not be used
@@ -264,6 +277,10 @@ func (t *Table) Lookup(id ID) (int32, bool) {
 	}
 	return 0, false
 }
+
+// BuildLookup builds the by-ID permutation Lookup reads, if no call has:
+// a caller about to look IDs up under a lock builds it first, outside.
+func (t *Table) BuildLookup() { t.lookupIndex() }
 
 // lookupIndex returns the by-ID permutation, building it on first use.
 func (t *Table) lookupIndex() []int32 {
