@@ -8,9 +8,8 @@
 //	tqquery -users trips.csv -routes routes.csv -query maxcov -k 4 -alg genetic
 //	tqquery -users checkins.csv -routes routes.csv -variant full -scenario pointcount -query topk
 //	tqquery -users trips.csv -routes routes.csv -query topk -shards 4 -partitioner grid
-//	tqquery -users trips.csv -routes routes.csv -query topk -frozen
 //
-// The query runs on an Index, or on its frozen form under -frozen.
+// The query runs on an Index.
 package main
 
 import (
@@ -47,7 +46,6 @@ func run(args []string, w io.Writer) error {
 		facility   = fs.Int("facility", -1, "facility id (query=service)")
 		shards     = fs.Int("shards", 1, "partition users across this many TQ-trees (scatter-gather serving)")
 		partition  = fs.String("partitioner", "hash", "shard partitioner: hash|grid")
-		frozen     = fs.Bool("frozen", false, "serve from the frozen columnar index (faster reads, immutable)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -102,26 +100,11 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("unknown scenario %q", *scenario)
 	}
 
-	// Both index types answer every query kind.
-	var idx interface {
-		TopK([]*trajcover.Facility, int, trajcover.Query) ([]trajcover.Ranked, error)
-		ServiceValue(*trajcover.Facility, trajcover.Query) (float64, error)
-		MaxCoverage([]*trajcover.Facility, int, trajcover.Query, trajcover.CoverageOptions) (trajcover.CoverageResult, error)
-	}
-	index, err := trajcover.NewIndex(users, opts)
+	idx, err := trajcover.NewIndex(users, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "indexed into %d shard(s) (%s): sizes %v\n", index.NumShards(), *partition, index.ShardSizes())
-	idx = index
-	if *frozen {
-		fidx, err := index.Freeze()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "serving from the frozen columnar index")
-		idx = fidx
-	}
+	fmt.Fprintf(w, "indexed into %d shard(s) (%s): sizes %v\n", idx.NumShards(), *partition, idx.ShardSizes())
 
 	switch *queryKind {
 	case "topk":

@@ -181,15 +181,15 @@ func resultRows(out string) string {
 }
 
 // TestRunShardedRejections covers the sharded-mode error paths; a
-// MaxkCovRST query is not one — it answers on sharded and frozen indexes
-// as on the single tree.
+// MaxkCovRST query is not one — it answers on sharded indexes as on the
+// single tree.
 func TestRunShardedRejections(t *testing.T) {
 	users, routes := writeWorkload(t)
 	var single strings.Builder
 	if err := run([]string{"-users", users, "-routes", routes, "-query", "maxcov", "-k", "3"}, &single); err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range [][]string{{"-shards", "2"}, {"-shards", "2", "-frozen"}, {"-frozen"}, {"-shards", "2", "-partitioner", "grid"}} {
+	for _, mode := range [][]string{{"-shards", "2"}, {"-shards", "2", "-partitioner", "grid"}} {
 		var out strings.Builder
 		if err := run(append([]string{"-users", users, "-routes", routes, "-query", "maxcov", "-k", "3"}, mode...), &out); err != nil {
 			t.Fatalf("maxcov %v: %v", mode, err)
@@ -208,8 +208,8 @@ func TestRunShardedRejections(t *testing.T) {
 	}
 }
 
-// TestRunLiveTopKMatchesSingleTree: the mutable index and its frozen
-// form answer the same top-k as the one-shard index, for 1 and 2 shards.
+// TestRunLiveTopKMatchesSingleTree: the index answers the same top-k at
+// 1 and 2 shards.
 func TestRunLiveTopKMatchesSingleTree(t *testing.T) {
 	users, routes := writeWorkload(t)
 	var single strings.Builder
@@ -218,34 +218,25 @@ func TestRunLiveTopKMatchesSingleTree(t *testing.T) {
 	}
 	wantRows := resultRows(single.String())
 	for _, shards := range []string{"1", "2"} {
-		for _, frozen := range []bool{false, true} {
-			args := []string{"-users", users, "-routes", routes, "-query", "topk", "-k", "5", "-shards", shards}
-			if frozen {
-				args = append(args, "-frozen")
-			}
-			var out strings.Builder
-			if err := run(args, &out); err != nil {
-				t.Fatal(err)
-			}
-			got := out.String()
-			if !strings.Contains(got, "indexed into "+shards+" shard(s)") {
-				t.Errorf("missing shard line:\n%s", got)
-			}
-			if strings.Contains(got, "serving from the frozen columnar index") != frozen {
-				t.Errorf("frozen %v: wrong serving line:\n%s", frozen, got)
-			}
-			if gotRows := resultRows(got); gotRows != wantRows {
-				t.Errorf("%s shards, frozen %v: results differ:\n%s\nwant:\n%s", shards, frozen, gotRows, wantRows)
-			}
+		var out strings.Builder
+		if err := run([]string{"-users", users, "-routes", routes, "-query", "topk", "-k", "5", "-shards", shards}, &out); err != nil {
+			t.Fatal(err)
+		}
+		got := out.String()
+		if !strings.Contains(got, "indexed into "+shards+" shard(s)") {
+			t.Errorf("missing shard line:\n%s", got)
+		}
+		if gotRows := resultRows(got); gotRows != wantRows {
+			t.Errorf("%s shards: results differ:\n%s\nwant:\n%s", shards, gotRows, wantRows)
 		}
 	}
 }
 
-// TestRunLiveRejections: the retired write-mode flags -live, -churn and
-// -churn-maxdelta are unknown flags.
+// TestRunLiveRejections: the retired flags -live, -churn, -churn-maxdelta
+// and -frozen are unknown flags.
 func TestRunLiveRejections(t *testing.T) {
 	users, routes := writeWorkload(t)
-	for _, retired := range [][]string{{"-live"}, {"-churn", "10"}, {"-churn-maxdelta", "48"}} {
+	for _, retired := range [][]string{{"-live"}, {"-churn", "10"}, {"-churn-maxdelta", "48"}, {"-frozen"}} {
 		var out strings.Builder
 		args := append([]string{"-users", users, "-routes", routes, "-query", "topk"}, retired...)
 		if err := run(args, &out); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+retired[0]) {

@@ -308,8 +308,11 @@ func TestRunMultiTenantOverridesReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if st.Overrides == nil || st.Overrides.Reloads != 2 || st.Overrides.Fails == 0 {
-		t.Fatalf("statsz overrides section %+v, want 2 reloads and >=1 fail", st.Overrides)
+	// At least the boot load and the SIGHUP's: the 25ms poll loop may also
+	// have seen the loosened file before the SIGHUP reload recorded its
+	// mtime, and reloaded it too.
+	if st.Overrides == nil || st.Overrides.Reloads < 2 || st.Overrides.Fails == 0 {
+		t.Fatalf("statsz overrides section %+v, want >=2 reloads and >=1 fail", st.Overrides)
 	}
 
 	// Tighten again with NO signal: the 25ms poll loop must notice the

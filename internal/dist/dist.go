@@ -36,7 +36,16 @@
 // at a time and is closed on any failure, so a late reply is never read
 // as another exchange's. /v1/servicevalues and /v1/topk send the same
 // frame; the only JSON a read touches is the client's own request and
-// answer. Writes and health probes stay HTTP and JSON, passed through.
+// answer. A client that leaves ends its read's exchanges at once: the read
+// expires their connections, which cancels each backend's frame. Writes
+// and health probes stay HTTP and JSON, passed through on the frontend's
+// own transport.
+//
+// The edge. The frontend and ReplicaHandler answer through
+// internal/server's request edge (RequirePost, WriteJSON, RejectRetryable,
+// RejectBody, RequestTimeout), so a bad request gets the same status,
+// headers and bytes from every role; only the drain message's word
+// ("frontend") is the frontend's own.
 //
 // One epoch per group. A group's whole contribution to an answer is one
 // ServiceValuesCtx call on one member, hence one epoch capture: one

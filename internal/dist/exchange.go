@@ -32,20 +32,68 @@ func backendError(m *feMember, status int, body []byte) error {
 // request and facility table, the query frame every group is sent (the
 // protocol is internal/server/exchange.go's), and the answer's bytes, all
 // in pooled storage — which each group must answer with one value per
-// facility of the table.
+// facility of the table. ctx is the client's request, done when the
+// client leaves; the read's deadline bounds each exchange's connection
+// instead of a context of its own.
 type read struct {
-	fe     *Frontend
-	ctx    context.Context
-	cancel context.CancelFunc
-	buf    *server.QueryBuffer
-	req    *server.QueryRequest
-	table  trajectory.FacilityTable
+	fe       *Frontend
+	ctx      context.Context
+	deadline time.Time
+	stop     func() bool // unhooks expireConns from ctx
+	buf      *server.QueryBuffer
+	req      *server.QueryRequest
+	table    trajectory.FacilityTable
+
+	mu    sync.Mutex
+	conns []*exchangeConn // by group: the connection its exchange is on, or nil
 }
 
 // end releases what the read holds, once its answer is written.
 func (rd *read) end() {
-	rd.cancel()
+	rd.stop()
 	rd.buf.Release()
+}
+
+// err is why the read must ask no member further: its client left, or
+// its deadline passed.
+func (rd *read) err() error {
+	if err := rd.ctx.Err(); err != nil {
+		return err
+	}
+	if !time.Now().Before(rd.deadline) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// aLongTimeAgo is the deadline that expires a connection at once.
+var aLongTimeAgo = time.Unix(1, 0)
+
+// expireConns runs once the client has left: it expires the connection
+// each of the read's exchanges is on, so the exchange ends at once and
+// closes it, and the backend, seeing its connection close, cancels the
+// frame.
+func (rd *read) expireConns() {
+	rd.mu.Lock()
+	defer rd.mu.Unlock()
+	for _, c := range rd.conns {
+		if c != nil {
+			c.SetDeadline(aLongTimeAgo)
+		}
+	}
+}
+
+// watch records c (nil: none) as the connection group g's exchange is on,
+// which expireConns expires; if the client has already left, watch
+// expires c itself. A connection is handed back to its pool only once
+// nothing records it, so expireConns never touches another read's.
+func (rd *read) watch(g int, c *exchangeConn) {
+	rd.mu.Lock()
+	defer rd.mu.Unlock()
+	rd.conns[g] = c
+	if c != nil && rd.ctx.Err() != nil {
+		c.SetDeadline(aLongTimeAgo)
+	}
 }
 
 // exchangeConn is an upgraded exchange connection and the number of
@@ -55,23 +103,23 @@ type exchangeConn struct {
 	asked uint16
 }
 
-// exchange asks one member for every facility's value over its corpus:
-// the query frame sent on one of the member's exchange connections,
-// answered by exactly one values frame of n numbers read into reply's
-// storage (server.ReadReply; a reply of any other shape, or to another
-// query, is the member's failure, not an answer), or by an error frame,
-// judged by backendError.
+// exchange asks member m of group g for every facility's value over its
+// corpus: the query frame sent on one of the member's exchange
+// connections, answered by exactly one values frame of n numbers read
+// into reply's storage (server.ReadReply; a reply of any other shape, or
+// to another query, is the member's failure, not an answer), or by an
+// error frame, judged by backendError.
 // The connection's deadline is RPCTimeout or the request's, whichever
-// comes first. A connection that fails in any way is closed, never
-// pooled, so a late reply is never read as another exchange's; so is one
-// answered 400 or 413, after which the backend closes it. One taken from
-// the pool that ended before any reply byte came — a member that dropped
-// its idle connections, say by restarting — is retried once on a fresh
-// one.
-func (rd *read) exchange(m *feMember, reply []byte) ([]float64, error) {
+// comes first, and a client that leaves expires it at once (watch). A
+// connection that fails in any way is closed, never pooled, so a late
+// reply is never read as another exchange's; so is one answered 400 or
+// 413, after which the backend closes it. One taken from the pool that
+// ended before any reply byte came — a member that dropped its idle
+// connections, say by restarting — is retried once on a fresh one.
+func (rd *read) exchange(g int, m *feMember, reply []byte) ([]float64, error) {
 	deadline, expired := time.Now().Add(rd.fe.cfg.RPCTimeout), m.noReply
-	if d, ok := rd.ctx.Deadline(); ok && d.Before(deadline) {
-		deadline, expired = d, context.DeadlineExceeded
+	if rd.deadline.Before(deadline) {
+		deadline, expired = rd.deadline, context.DeadlineExceeded
 	}
 	c := m.idleConn()
 	reused := c != nil
@@ -83,7 +131,9 @@ func (rd *read) exchange(m *feMember, reply []byte) ([]float64, error) {
 			}
 		}
 		c.SetDeadline(deadline)
+		rd.watch(g, c)
 		vals, started, err := rd.roundTrip(c, reply)
+		rd.watch(g, nil)
 		if err == nil {
 			m.putConn(c)
 			rd.fe.exchanges.Add(1)
@@ -122,7 +172,8 @@ func (rd *read) roundTrip(c *exchangeConn, reply []byte) ([]float64, bool, error
 }
 
 // failure is the error an exchange that got no answer ends with: the
-// reason the request ended, if it has; the exchange's own expiry —
+// reason the client's request ended, if it has (the client left, and
+// expireConns ended the exchange); the exchange's own expiry —
 // RPCTimeout's noReply, or the request deadline's DeadlineExceeded — if
 // the connection's deadline passed; else err, the member's failure.
 func (rd *read) failure(err, expired error) error {
@@ -270,14 +321,14 @@ func (rd *read) askGroup(g *feGroup, reply []byte) ([]float64, error) {
 			if tried[mi/64]&(1<<(mi%64)) != 0 || (pass == 0 && !m.healthy.Load()) {
 				continue
 			}
-			if err := rd.ctx.Err(); err != nil {
+			if err := rd.err(); err != nil {
 				if firstErr == nil {
 					firstErr = err
 				}
 				return nil, &groupError{group: g.id, err: firstErr}
 			}
 			tried[mi/64] |= 1 << (mi % 64)
-			vals, err := rd.exchange(m, reply)
+			vals, err := rd.exchange(g.id, m, reply)
 			if err == nil {
 				return vals, nil
 			}
@@ -288,7 +339,7 @@ func (rd *read) askGroup(g *feGroup, reply []byte) ([]float64, error) {
 			if firstErr == nil {
 				firstErr = err
 			}
-			if rd.ctx.Err() != nil {
+			if rd.err() != nil {
 				continue // our own deadline, not the member's failure
 			}
 			m.healthy.Store(false)

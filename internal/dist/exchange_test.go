@@ -6,13 +6,11 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -210,103 +208,6 @@ func TestFrontendHostileReplies(t *testing.T) {
 		fets.Close()
 		fe.Close()
 		ts.Close()
-	}
-}
-
-// TestFrontendClientGone: a client that abandons its /v1/topk while the
-// exchanges are in flight. The frontend does not watch the client in the
-// middle of an exchange — each connection's deadline bounds it — so each
-// exchange ends at its reply, asks no member further, and leaves its
-// connection in step for the next read: every backend's frame ends, its
-// tenant gate slot with it, no goroutine on either side outlives the
-// request, and the tier answers the next read on the same connections.
-func TestFrontendClientGone(t *testing.T) {
-	users := testUsers(300, 421)
-	parts := partitionUsers(users, 2)
-	var holding atomic.Bool
-	held := make(chan struct{}, 2)
-	release := make(chan struct{})
-	var srvs []*server.Server
-	var groups []Group
-	var accepted atomic.Int64
-	for g := range parts {
-		srv := newBackend(t, parts[g])
-		ts := tapped(srv.Handler(), func(net.Conn, []byte) bool {
-			if holding.Load() { // the work is done, the reply not yet out
-				held <- struct{}{}
-				<-release
-			}
-			return true
-		}, func(net.Conn) { accepted.Add(1) })
-		defer ts.Close()
-		srvs = append(srvs, srv)
-		groups = append(groups, Group{Members: []string{ts.URL}})
-	}
-	fe, err := NewFrontend(FrontendConfig{Groups: groups, DefaultTimeout: 30 * time.Second, ProbeInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fe.Close()
-	fets := httptest.NewServer(fe.Handler())
-	defer fets.Close()
-	body := mustBody(t, server.QueryRequest{Facilities: server.FacilitiesJSON(testFacilities(32, 5, 422)), K: 2, Psi: 40})
-
-	// Warm: every connection the tier keeps idle exists before the count.
-	if st, got, _ := postTo(t, fets.Client(), fets.URL+server.PathTopK, body); st != http.StatusOK {
-		t.Fatalf("warm-up topk: %d %s", st, got)
-	}
-	baseline := runtime.NumGoroutine()
-
-	holding.Store(true)
-	ctx, abandon := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, fets.URL+server.PathTopK, bytes.NewReader(body))
-		if err == nil {
-			var resp *http.Response
-			if resp, err = fets.Client().Do(req); err == nil {
-				resp.Body.Close()
-				err = fmt.Errorf("answered %s", resp.Status)
-			}
-		}
-		done <- err
-	}()
-	for range groups {
-		select {
-		case <-held:
-		case <-time.After(10 * time.Second):
-			t.Fatal("the exchanges never reached their replies")
-		}
-	}
-	abandon()
-	if err := <-done; !strings.Contains(err.Error(), "context canceled") {
-		t.Fatalf("abandoned request: %v", err)
-	}
-	holding.Store(false)
-	close(release)
-
-	deadline := time.Now().Add(10 * time.Second)
-	for g, srv := range srvs {
-		for srv.Stats().Tenants["default"].Gate.Inflight != 0 {
-			if time.Now().After(deadline) {
-				t.Fatalf("backend %d still holds its gate slot after the client left", g)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutine leak: %d before the abandoned request, %d after\n%s", baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	// And the tier still answers, on the connections it had.
-	if st, got, _ := postTo(t, fets.Client(), fets.URL+server.PathTopK, body); st != http.StatusOK {
-		t.Fatalf("topk after the abandoned one: %d %s", st, got)
-	}
-	if got := accepted.Load(); got != int64(len(groups)) {
-		t.Fatalf("backends accepted %d connections, want one exchange connection per group", got)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/tls"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -22,7 +21,9 @@ import (
 
 // FrontendConfig tunes the scatter-gather frontend. The zero value
 // probes every 250ms, gives each backend 2s to answer, serves requests
-// under a 2s default deadline capped at 30s, and hints 1s retries.
+// under a 2s default deadline capped at 30s, and hints 1s retries. Writes
+// and probes go through an HTTP transport of the frontend's own, which
+// Close closes; reads go over exchange connections it dials and pools.
 type FrontendConfig struct {
 	// Groups is the shard-group map (ParseMap); at least one group.
 	Groups []Group
@@ -38,11 +39,6 @@ type FrontendConfig struct {
 	ProbeInterval time.Duration
 	// MaxBodyBytes caps request bodies (<= 0: 8 MiB).
 	MaxBodyBytes int64
-	// Client is the backend HTTP client for writes and health probes (nil:
-	// a client on a transport of the frontend's own, closed by Close).
-	// Reads do not use it: they go over exchange connections the frontend
-	// dials and pools itself.
-	Client *http.Client
 	// Logf, when non-nil, receives operational events (member removal
 	// and readmission).
 	Logf func(format string, args ...any)
@@ -105,7 +101,7 @@ type feGroup struct {
 // Handler, stop with Close.
 type Frontend struct {
 	cfg       FrontendConfig
-	transport *http.Transport // non-nil when the frontend made its own client
+	client    *http.Client // writes' and probes', on a transport of its own
 	groups    []*feGroup
 	mux       *http.ServeMux
 	draining  atomic.Bool
@@ -130,18 +126,16 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 		return nil, fmt.Errorf("dist: frontend needs at least one shard group")
 	}
 	cfg = cfg.withDefaults()
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.MaxIdleConns = 0 // bounded per host instead
+	transport.MaxIdleConnsPerHost = idleConnsPerBackend
 	fe := &Frontend{
 		cfg:       cfg,
+		client:    &http.Client{Transport: transport},
 		mux:       http.NewServeMux(),
 		start:     time.Now(),
 		probeStop: make(chan struct{}),
 		probeDone: make(chan struct{}),
-	}
-	if cfg.Client == nil {
-		fe.transport = http.DefaultTransport.(*http.Transport).Clone()
-		fe.transport.MaxIdleConns = 0 // bounded per host instead
-		fe.transport.MaxIdleConnsPerHost = idleConnsPerBackend
-		fe.cfg.Client = &http.Client{Transport: fe.transport}
 	}
 	for gi, g := range cfg.Groups {
 		if len(g.Members) == 0 {
@@ -157,12 +151,12 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 		}
 		fe.groups = append(fe.groups, fg)
 	}
-	fe.mux.HandleFunc(server.PathTopK, fe.requirePost(fe.handleTopK))
-	fe.mux.HandleFunc(server.PathServiceValues, fe.requirePost(fe.handleServiceValues))
-	fe.mux.HandleFunc(server.PathInsert, fe.requirePost(func(w http.ResponseWriter, r *http.Request) {
+	fe.mux.HandleFunc(server.PathTopK, server.RequirePost(fe.handleTopK))
+	fe.mux.HandleFunc(server.PathServiceValues, server.RequirePost(fe.handleServiceValues))
+	fe.mux.HandleFunc(server.PathInsert, server.RequirePost(func(w http.ResponseWriter, r *http.Request) {
 		fe.handleWrite(w, r, server.PathInsert)
 	}))
-	fe.mux.HandleFunc(server.PathDelete, fe.requirePost(func(w http.ResponseWriter, r *http.Request) {
+	fe.mux.HandleFunc(server.PathDelete, server.RequirePost(func(w http.ResponseWriter, r *http.Request) {
 		fe.handleWrite(w, r, server.PathDelete)
 	}))
 	fe.mux.HandleFunc(server.PathHealth, fe.handleHealth)
@@ -190,9 +184,7 @@ func (fe *Frontend) Close() {
 			m.closeIdle()
 		}
 	}
-	if fe.transport != nil {
-		fe.transport.CloseIdleConnections()
-	}
+	fe.client.CloseIdleConnections()
 }
 
 func (fe *Frontend) logf(format string, args ...any) {
@@ -236,7 +228,7 @@ func (fe *Frontend) probe(m *feMember) bool {
 	if err != nil {
 		return false
 	}
-	resp, err := fe.cfg.Client.Do(req)
+	resp, err := fe.client.Do(req)
 	if err != nil {
 		return false
 	}
@@ -265,84 +257,38 @@ func (e *groupError) Error() string {
 }
 func (e *groupError) Unwrap() error { return e.err }
 
-func (fe *Frontend) requirePost(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			writeJSON(w, http.StatusMethodNotAllowed, server.ErrorResponse{Error: "use POST"})
-			return
-		}
-		h(w, r)
-	}
-}
-
-// admit gates a handler on drain state and reads the capped body; a
+// admit counts a request and refuses it while the frontend drains; a
 // false return means admit already answered.
-func (fe *Frontend) admit(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+func (fe *Frontend) admit(w http.ResponseWriter) bool {
 	fe.requests.Add(1)
 	if fe.draining.Load() {
 		fe.errs.Add(1)
-		fe.rejectRetryable(w, http.StatusServiceUnavailable, "frontend draining")
-		return nil, false
+		server.RejectRetryable(w, http.StatusServiceUnavailable, "frontend draining")
+		return false
 	}
-	body, err := server.ReadBody(w, r, fe.cfg.MaxBodyBytes)
-	if err != nil {
-		fe.rejectBody(w, err)
-		return nil, false
-	}
-	return body, true
-}
-
-// rejectBody answers a request body that could not be taken: 413 past
-// MaxBodyBytes, closing the connection on the unread rest, 400 for
-// anything else.
-func (fe *Frontend) rejectBody(w http.ResponseWriter, err error) {
-	fe.errs.Add(1)
-	status := http.StatusBadRequest
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		status = http.StatusRequestEntityTooLarge
-		server.CloseAfterAnswer(w)
-	}
-	writeJSON(w, status, server.ErrorResponse{Error: err.Error()})
-}
-
-func (fe *Frontend) rejectRetryable(w http.ResponseWriter, status int, msg string) {
-	w.Header()["Retry-After"] = retryAfterSeconds
-	writeJSON(w, status, server.ErrorResponse{Error: msg})
-}
-
-func (fe *Frontend) requestTimeout(timeoutMS int64) time.Duration {
-	d := fe.cfg.DefaultTimeout
-	if timeoutMS > 0 {
-		d = time.Duration(timeoutMS) * time.Millisecond
-		if d > fe.cfg.MaxTimeout {
-			d = fe.cfg.MaxTimeout
-		}
-	}
-	return d
+	return true
 }
 
 // failRead answers a failed scatter/merge: an expired request deadline
 // is 504 (mirroring the backends' errResponse contract), anything else
 // is a transient 503 with Retry-After — the group map has no healthy
 // owner for part of the corpus right now.
-func (fe *Frontend) failRead(w http.ResponseWriter, ctx context.Context, err error) {
+func (fe *Frontend) failRead(w http.ResponseWriter, rd *read, err error) {
 	fe.errs.Add(1)
 	var perm *permanentError
 	if errors.As(err, &perm) {
 		// Relay the backend's own verdict on the request.
-		writeRaw(w, perm.status, perm.body)
+		server.WriteRaw(w, perm.status, perm.body)
 		return
 	}
 	// 504 only on genuine deadline expiry. A lost group is a transient
 	// backend failure, not a timeout — it must fall through to 503 +
 	// Retry-After so clients retry.
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) || errors.Is(err, context.DeadlineExceeded) {
-		writeJSON(w, http.StatusGatewayTimeout, server.ErrorResponse{Error: err.Error()})
+	if errors.Is(rd.err(), context.DeadlineExceeded) || errors.Is(err, context.DeadlineExceeded) {
+		server.WriteJSON(w, http.StatusGatewayTimeout, server.ErrorResponse{Error: err.Error()})
 		return
 	}
-	fe.rejectRetryable(w, http.StatusServiceUnavailable, err.Error())
+	server.RejectRetryable(w, http.StatusServiceUnavailable, err.Error())
 }
 
 // PartialTopKResponse is the /v1/topk?partial=1 body when shard groups
@@ -378,22 +324,21 @@ func singleTenant(r *http.Request, bodyTenant string) error {
 
 // beginRead is what /v1/topk and /v1/servicevalues share up to the
 // merge: admission, decode into pooled storage, the tenant check, the
-// request deadline, and the query frame every group is sent — built once
-// from the decoded table into the same pooled storage, carrying the
-// deadline's budget so a backend gives the exchange what the client gave
-// the request. A false return means the request was already answered;
+// request deadline, the hook that ends the read's exchanges if the client
+// leaves, and the query frame every group is sent — built once from the
+// decoded table into the same pooled storage, carrying the deadline's
+// budget so a backend gives the exchange what the client gave the
+// request. A false return means the request was already answered;
 // otherwise the caller ends the read once its answer is written.
 func (fe *Frontend) beginRead(w http.ResponseWriter, r *http.Request, needK bool) (*read, bool) {
-	fe.requests.Add(1)
-	if fe.draining.Load() {
-		fe.errs.Add(1)
-		fe.rejectRetryable(w, http.StatusServiceUnavailable, "frontend draining")
+	if !fe.admit(w) {
 		return nil, false
 	}
 	buf := server.AcquireQueryBuffer()
 	if err := buf.ReadBody(w, r, fe.cfg.MaxBodyBytes); err != nil {
 		buf.Release()
-		fe.rejectBody(w, err)
+		fe.errs.Add(1)
+		server.RejectBody(w, err)
 		return nil, false
 	}
 	req, table, q, err := buf.Decode(buf.Body(), needK)
@@ -403,22 +348,26 @@ func (fe *Frontend) beginRead(w http.ResponseWriter, r *http.Request, needK bool
 	if err != nil {
 		buf.Release()
 		fe.errs.Add(1)
-		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
+		server.WriteJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
 		return nil, false
 	}
 	size := server.QueryFrameLen(table)
 	if int64(size) > fe.cfg.MaxBodyBytes {
 		buf.Release()
 		fe.errs.Add(1)
-		writeJSON(w, http.StatusRequestEntityTooLarge, server.ErrorResponse{Error: fmt.Sprintf("request takes %d bytes between frontend and backend, over the %d-byte limit", size, fe.cfg.MaxBodyBytes)})
+		server.WriteJSON(w, http.StatusRequestEntityTooLarge, server.ErrorResponse{Error: fmt.Sprintf("request takes %d bytes between frontend and backend, over the %d-byte limit", size, fe.cfg.MaxBodyBytes)})
 		return nil, false
 	}
-	timeout := fe.requestTimeout(req.TimeoutMS)
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	timeout := server.RequestTimeout(req.TimeoutMS, fe.cfg.DefaultTimeout, fe.cfg.MaxTimeout)
 	buf.Frame = server.AppendQueryFrame(buf.Frame[:0], table, server.QueryParams{
 		Query: q, Workers: req.Workers, TimeoutMS: max(timeout.Milliseconds(), 1),
 	})
-	return &read{fe: fe, ctx: ctx, cancel: cancel, buf: buf, req: req, table: table}, true
+	rd := &read{
+		fe: fe, ctx: r.Context(), deadline: time.Now().Add(timeout),
+		buf: buf, req: req, table: table, conns: make([]*exchangeConn, len(fe.groups)),
+	}
+	rd.stop = context.AfterFunc(rd.ctx, rd.expireConns)
+	return rd, true
 }
 
 // partial reports whether a read asked for ?partial=1.
@@ -434,17 +383,17 @@ func (fe *Frontend) handleTopK(w http.ResponseWriter, r *http.Request) {
 	defer rd.end()
 	sums, missing, err := rd.serviceValues(partial(r))
 	if err != nil {
-		fe.failRead(w, rd.ctx, err)
+		fe.failRead(w, rd, err)
 		return
 	}
 	res := rank(rd.table, sums, rd.req.K)
 	if len(missing) > 0 {
 		fe.partials.Add(1)
-		writeJSON(w, http.StatusOK, PartialTopKResponse{TopKResponse: server.TopKResponse{Results: res}, Partial: true, MissingGroups: missing})
+		server.WriteJSON(w, http.StatusOK, PartialTopKResponse{TopKResponse: server.TopKResponse{Results: res}, Partial: true, MissingGroups: missing})
 		return
 	}
 	rd.buf.Answer = server.AppendRankedResponse(rd.buf.Answer[:0], res)
-	writeRaw(w, http.StatusOK, rd.buf.Answer)
+	server.WriteRaw(w, http.StatusOK, rd.buf.Answer)
 }
 
 // rank is the in-process sharded top-k's sort-and-cut (query.Results),
@@ -466,7 +415,7 @@ func (fe *Frontend) handleServiceValues(w http.ResponseWriter, r *http.Request) 
 	if err := server.StreamQuery(r); err != nil {
 		fe.requests.Add(1)
 		fe.errs.Add(1)
-		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
+		server.WriteJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
 		return
 	}
 	rd, ok := fe.beginRead(w, r, false)
@@ -476,16 +425,16 @@ func (fe *Frontend) handleServiceValues(w http.ResponseWriter, r *http.Request) 
 	defer rd.end()
 	sums, missing, err := rd.serviceValues(partial(r))
 	if err != nil {
-		fe.failRead(w, rd.ctx, err)
+		fe.failRead(w, rd, err)
 		return
 	}
 	if len(missing) > 0 {
 		fe.partials.Add(1)
-		writeJSON(w, http.StatusOK, PartialValuesResponse{ValuesResponse: server.ValuesResponse{Values: sums}, Partial: true, MissingGroups: missing})
+		server.WriteJSON(w, http.StatusOK, PartialValuesResponse{ValuesResponse: server.ValuesResponse{Values: sums}, Partial: true, MissingGroups: missing})
 		return
 	}
 	rd.buf.Answer = server.AppendValuesResponse(rd.buf.Answer[:0], sums)
-	writeRaw(w, http.StatusOK, rd.buf.Answer)
+	server.WriteRaw(w, http.StatusOK, rd.buf.Answer)
 }
 
 // handleWrite forwards an insert/delete to its owner group's primary —
@@ -494,14 +443,18 @@ func (fe *Frontend) handleServiceValues(w http.ResponseWriter, r *http.Request) 
 // passes through). An unreachable primary is a transient 503: replicas
 // cannot accept the write, and the client retries after the hint.
 func (fe *Frontend) handleWrite(w http.ResponseWriter, r *http.Request, path string) {
-	body, ok := fe.admit(w, r)
-	if !ok {
+	if !fe.admit(w) {
+		return
+	}
+	body, err := server.ReadBody(w, r, fe.cfg.MaxBodyBytes)
+	if err != nil {
+		fe.errs.Add(1)
+		server.RejectBody(w, err)
 		return
 	}
 	var id uint32
 	var timeoutMS int64
 	var bodyTenant string
-	var err error
 	if path == server.PathInsert {
 		var req *server.InsertRequest
 		if req, _, err = server.DecodeInsertRequest(body); err == nil {
@@ -518,37 +471,37 @@ func (fe *Frontend) handleWrite(w http.ResponseWriter, r *http.Request, path str
 	}
 	if err != nil {
 		fe.errs.Add(1)
-		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
+		server.WriteJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
 		return
 	}
 	g := fe.groups[RouteID(id, len(fe.groups))]
 	primary := g.members[0]
 
-	ctx, cancel := context.WithTimeout(r.Context(), fe.requestTimeout(timeoutMS))
+	ctx, cancel := context.WithTimeout(r.Context(), server.RequestTimeout(timeoutMS, fe.cfg.DefaultTimeout, fe.cfg.MaxTimeout))
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, primary.url+path, bytes.NewReader(body))
 	if err != nil {
 		fe.errs.Add(1)
-		writeJSON(w, http.StatusInternalServerError, server.ErrorResponse{Error: err.Error()})
+		server.WriteJSON(w, http.StatusInternalServerError, server.ErrorResponse{Error: err.Error()})
 		return
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := fe.cfg.Client.Do(req)
+	resp, err := fe.client.Do(req)
 	if err != nil {
 		fe.errs.Add(1)
 		if ctx.Err() != nil { // our own deadline (or the client left), not the primary's failure
-			writeJSON(w, http.StatusGatewayTimeout, server.ErrorResponse{Error: ctx.Err().Error()})
+			server.WriteJSON(w, http.StatusGatewayTimeout, server.ErrorResponse{Error: ctx.Err().Error()})
 			return
 		}
 		primary.healthy.Store(false)
-		fe.rejectRetryable(w, http.StatusServiceUnavailable, fmt.Sprintf("shard group %d primary unavailable: %v", g.id, err))
+		server.RejectRetryable(w, http.StatusServiceUnavailable, fmt.Sprintf("shard group %d primary unavailable: %v", g.id, err))
 		return
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err != nil {
 		fe.errs.Add(1)
-		fe.rejectRetryable(w, http.StatusServiceUnavailable, fmt.Sprintf("shard group %d primary: %v", g.id, err))
+		server.RejectRetryable(w, http.StatusServiceUnavailable, fmt.Sprintf("shard group %d primary: %v", g.id, err))
 		return
 	}
 	if resp.StatusCode >= 400 {
@@ -557,7 +510,7 @@ func (fe *Frontend) handleWrite(w http.ResponseWriter, r *http.Request, path str
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		w.Header().Set("Retry-After", ra)
 	}
-	writeRaw(w, resp.StatusCode, data)
+	server.WriteRaw(w, resp.StatusCode, data)
 }
 
 // GroupHealth is one shard group's view in /healthz and /statsz.
@@ -602,7 +555,7 @@ func (fe *Frontend) groupHealth() ([]GroupHealth, bool) {
 func (fe *Frontend) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if fe.draining.Load() {
 		w.Header().Set("Retry-After", server.RetryAfter)
-		writeJSON(w, http.StatusServiceUnavailable, FrontendHealth{Status: "draining"})
+		server.WriteJSON(w, http.StatusServiceUnavailable, FrontendHealth{Status: "draining"})
 		return
 	}
 	groups, all := fe.groupHealth()
@@ -612,7 +565,7 @@ func (fe *Frontend) handleHealth(w http.ResponseWriter, r *http.Request) {
 		// answer their own errors, so the frontend keeps serving.
 		status = "degraded"
 	}
-	writeJSON(w, http.StatusOK, FrontendHealth{Status: status, Groups: groups})
+	server.WriteJSON(w, http.StatusOK, FrontendHealth{Status: status, Groups: groups})
 }
 
 // FrontendStats is the frontend's /statsz document. A read costs one
@@ -651,30 +604,5 @@ func (fe *Frontend) Stats() FrontendStats {
 }
 
 func (fe *Frontend) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, fe.Stats())
-}
-
-// Header values assigned whole, without Header.Set's allocation; see
-// internal/server's.
-var (
-	jsonContentType   = []string{"application/json"}
-	retryAfterSeconds = []string{server.RetryAfter}
-)
-
-func writeRaw(w http.ResponseWriter, status int, body []byte) {
-	w.Header()["Content-Type"] = jsonContentType
-	w.WriteHeader(status)
-	w.Write(body)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	writeRaw(w, status, mustMarshal(v))
-}
-
-func mustMarshal(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(fmt.Sprintf("dist: marshal: %v", err))
-	}
-	return b
+	server.WriteJSON(w, http.StatusOK, fe.Stats())
 }

@@ -30,10 +30,6 @@ type ReplicaConfig struct {
 	// RetryBackoff is the pause after a failed primary round trip
 	// (<= 0: 200ms). Bootstraps and polls both back off by it.
 	RetryBackoff time.Duration
-	// Client is the primary-facing HTTP client (nil: default). It must
-	// not carry a Timeout — snapshot streams and long-polls are meant
-	// to outlive ordinary request budgets.
-	Client *http.Client
 	// OnSwap, when non-nil, receives each (re)bootstrapped index after
 	// it has caught up to the primary's log head — the hook a serving
 	// wrapper uses to swap the new index in (server.Server.SetIndex).
@@ -67,7 +63,7 @@ type ReplicaStatus struct {
 // capture, so the tail may begin slightly before the snapshot's edge).
 type Replica struct {
 	cfg     ReplicaConfig
-	client  *http.Client
+	client  *http.Client // no Timeout: snapshot streams and long-polls outlive request budgets
 	primary string
 
 	mu         sync.Mutex
@@ -87,11 +83,7 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 200 * time.Millisecond
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{}
-	}
-	return &Replica{cfg: cfg, client: client, primary: cfg.Primary}
+	return &Replica{cfg: cfg, client: &http.Client{}, primary: cfg.Primary}
 }
 
 // Ready reports whether the replica has bootstrapped and caught up to
@@ -313,20 +305,19 @@ func ReplicaHandler(inner http.Handler, rep *Replica) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case server.PathInsert, server.PathDelete, server.PathCompact, server.PathCheckpoint:
-			writeJSON(w, http.StatusForbidden, server.ErrorResponse{Error: fmt.Sprintf("replica is read-only: send writes to the primary (%s) or the frontend", rep.primary)})
+			server.WriteJSON(w, http.StatusForbidden, server.ErrorResponse{Error: fmt.Sprintf("replica is read-only: send writes to the primary (%s) or the frontend", rep.primary)})
 			return
 		case PathReplStatus:
-			writeJSON(w, http.StatusOK, rep.Status())
+			server.WriteJSON(w, http.StatusOK, rep.Status())
 			return
 		}
 		if !rep.Ready() {
 			if r.URL.Path == server.PathHealth {
 				w.Header().Set("Retry-After", server.RetryAfter)
-				writeJSON(w, http.StatusServiceUnavailable, server.HealthResponse{Status: "syncing"})
+				server.WriteJSON(w, http.StatusServiceUnavailable, server.HealthResponse{Status: "syncing"})
 				return
 			}
-			w.Header().Set("Retry-After", server.RetryAfter)
-			writeJSON(w, http.StatusServiceUnavailable, server.ErrorResponse{Error: "replica syncing: not caught up to the primary yet"})
+			server.RejectRetryable(w, http.StatusServiceUnavailable, "replica syncing: not caught up to the primary yet")
 			return
 		}
 		inner.ServeHTTP(w, r)

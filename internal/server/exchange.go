@@ -410,7 +410,7 @@ func (s *Server) handleExchange(w http.ResponseWriter, r *http.Request) {
 		ep.errors.Add(1)
 		w.Header()["Connection"] = upgradeToken
 		w.Header()["Upgrade"] = exchangeToken
-		writeJSON(w, http.StatusUpgradeRequired, ErrorResponse{Error: "exchange: upgrade the connection to " + ExchangeProtocol})
+		WriteJSON(w, http.StatusUpgradeRequired, ErrorResponse{Error: "exchange: upgrade the connection to " + ExchangeProtocol})
 		return
 	}
 	tid, err := resolveTenant(r, "")
@@ -422,7 +422,7 @@ func (s *Server) handleExchange(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		ep.requests.Add(1)
 		ep.errors.Add(1)
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: fmt.Sprintf("exchange: %v", err)})
+		WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: fmt.Sprintf("exchange: %v", err)})
 		return
 	}
 	if !s.holdConn(conn) {

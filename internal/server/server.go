@@ -157,14 +157,6 @@ type response struct {
 	retryAfter bool
 }
 
-// Header values the answers assign whole: w.Header()[key] = value costs
-// no allocation, where Header.Set makes a new one-string slice. net/http
-// copies them when it writes the header and never writes into them.
-var (
-	jsonContentType   = []string{"application/json"}
-	retryAfterSeconds = []string{RetryAfter}
-)
-
 // endpointStats is one endpoint's counters, updated with atomics on the
 // serving path and snapshotted by /statsz. `observed` counts only the
 // requests that reached a timed terminal path (admitted work and
@@ -421,12 +413,12 @@ func newServer(idx *trajcover.Index, reg *trajcover.TenantRegistry, cfg Config) 
 	for _, p := range []string{PathTopK, PathServiceValues, PathExchange, PathInsert, PathDelete, PathCompact, PathSnapshot, PathCheckpoint, PathChanges} {
 		s.stats[p] = &endpointStats{}
 	}
-	s.mux.HandleFunc(PathTopK, s.requirePost(s.handleTopK))
-	s.mux.HandleFunc(PathServiceValues, s.requirePost(s.handleServiceValues))
-	s.mux.HandleFunc(PathExchange, s.requirePost(s.handleExchange))
-	s.mux.HandleFunc(PathInsert, s.requirePost(s.handleInsert))
-	s.mux.HandleFunc(PathDelete, s.requirePost(s.handleDelete))
-	s.mux.HandleFunc(PathCompact, s.requirePost(s.handleCompact))
+	s.mux.HandleFunc(PathTopK, RequirePost(s.handleTopK))
+	s.mux.HandleFunc(PathServiceValues, RequirePost(s.handleServiceValues))
+	s.mux.HandleFunc(PathExchange, RequirePost(s.handleExchange))
+	s.mux.HandleFunc(PathInsert, RequirePost(s.handleInsert))
+	s.mux.HandleFunc(PathDelete, RequirePost(s.handleDelete))
+	s.mux.HandleFunc(PathCompact, RequirePost(s.handleCompact))
 	s.mux.HandleFunc(PathSnapshot, s.handleSnapshot)
 	s.mux.HandleFunc(PathCheckpoint, s.handleCheckpoint)
 	s.mux.HandleFunc(PathChanges, s.handleChanges)
@@ -647,36 +639,15 @@ func (s *Server) releaseSlot() {
 	s.running.Done()
 }
 
-// requestTimeout resolves a request's deadline from its timeout_ms,
-// capped by Config.MaxTimeout and the tenant's max_timeout_ms.
+// requestTimeout resolves a request's deadline from its timeout_ms
+// (RequestTimeout under Config's DefaultTimeout and MaxTimeout), capped
+// by the tenant's max_timeout_ms.
 func (s *Server) requestTimeout(timeoutMS int64, lim tenant.Limits) time.Duration {
-	d := s.cfg.DefaultTimeout
-	if timeoutMS > 0 {
-		d = time.Duration(timeoutMS) * time.Millisecond
-		if d > s.cfg.MaxTimeout {
-			d = s.cfg.MaxTimeout
-		}
-	}
+	d := RequestTimeout(timeoutMS, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 	if lim.MaxTimeoutMS > 0 {
-		if tmax := time.Duration(lim.MaxTimeoutMS) * time.Millisecond; d > tmax {
-			d = tmax
-		}
+		d = min(d, time.Duration(lim.MaxTimeoutMS)*time.Millisecond)
 	}
 	return d
-}
-
-// RetryAfter is the Retry-After header, in seconds, on every transient
-// rejection the server, the distributed frontend and a replica send.
-const RetryAfter = "1"
-
-// rejectRetryable answers any transient rejection — 429 on queue or
-// quota pressure, 503 on drain or degraded mode — with a Retry-After
-// hint. Every rejection that a well-behaved client should back off and
-// retry goes through here; permanent errors (400/404/409/500) never
-// carry the header.
-func (s *Server) rejectRetryable(w http.ResponseWriter, status int, msg string) {
-	w.Header()["Retry-After"] = retryAfterSeconds
-	writeJSON(w, status, ErrorResponse{Error: msg})
 }
 
 // quotaRejection is the 429 for a tenant over one of its limits. The
@@ -812,7 +783,7 @@ func (s *Server) writeResponse(w http.ResponseWriter, resp response) {
 	if resp.retryAfter {
 		w.Header()["Retry-After"] = retryAfterSeconds
 	}
-	writeRaw(w, resp.status, resp.body)
+	WriteRaw(w, resp.status, resp.body)
 }
 
 // rejectDraining answers 503 while the server drains; a true return means
@@ -823,20 +794,15 @@ func (s *Server) rejectDraining(w http.ResponseWriter, ep *endpointStats) bool {
 	}
 	ep.requests.Add(1)
 	ep.errors.Add(1)
-	s.rejectRetryable(w, http.StatusServiceUnavailable, "server draining")
+	RejectRetryable(w, http.StatusServiceUnavailable, "server draining")
 	return true
 }
 
-// rejectBody answers a request body that could not be taken: a 413
-// leaves the rest of the body unread, so it closes the connection.
+// rejectBody counts and answers a request body that could not be taken.
 func (s *Server) rejectBody(w http.ResponseWriter, ep *endpointStats, err error) {
 	ep.requests.Add(1)
 	ep.errors.Add(1)
-	status := bodyErrorStatus(err)
-	if status == http.StatusRequestEntityTooLarge {
-		CloseAfterAnswer(w)
-	}
-	writeJSON(w, status, ErrorResponse{Error: err.Error()})
+	RejectBody(w, err)
 }
 
 // admit gates a write or ops endpoint handler on drain state and reads
@@ -853,31 +819,10 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, ep *endpointStats
 	return body, true
 }
 
-// bodyErrorStatus is the status of a request body that could not be
-// taken: 413 past MaxBodyBytes, 400 for anything else.
-func bodyErrorStatus(err error) int {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
-func (s *Server) requirePost(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "use POST"})
-			return
-		}
-		h(w, r)
-	}
-}
-
 func (s *Server) rejectDecode(w http.ResponseWriter, ep *endpointStats, err error) {
 	ep.requests.Add(1)
 	ep.errors.Add(1)
-	writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+	WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 }
 
 // replLock serializes one (index write, replication append) pair. When
@@ -1189,12 +1134,12 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
 		ep.errors.Add(1)
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "use GET"})
+		WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "use GET"})
 		return
 	}
 	if s.draining.Load() {
 		ep.errors.Add(1)
-		s.rejectRetryable(w, http.StatusServiceUnavailable, "server draining")
+		RejectRetryable(w, http.StatusServiceUnavailable, "server draining")
 		return
 	}
 	idx, release, ok := s.opsTenant(w, r, ep)
@@ -1233,13 +1178,13 @@ func (s *Server) opsTenant(w http.ResponseWriter, r *http.Request, ep *endpointS
 	tid, err := resolveTenant(r, "")
 	if err != nil {
 		ep.errors.Add(1)
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return nil, nil, false
 	}
 	idx, release, err := s.acquireTenant(tid, false)
 	if err != nil {
 		ep.errors.Add(1)
-		writeJSON(w, acquireStatus(err), ErrorResponse{Error: err.Error()})
+		WriteJSON(w, acquireStatus(err), ErrorResponse{Error: err.Error()})
 		return nil, nil, false
 	}
 	return idx, release, true
@@ -1255,12 +1200,12 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		ep.errors.Add(1)
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "use POST"})
+		WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "use POST"})
 		return
 	}
 	if s.draining.Load() {
 		ep.errors.Add(1)
-		s.rejectRetryable(w, http.StatusServiceUnavailable, "server draining")
+		RejectRetryable(w, http.StatusServiceUnavailable, "server draining")
 		return
 	}
 	idx, release, ok := s.opsTenant(w, r, ep)
@@ -1271,7 +1216,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	wst, hasWAL := idx.WALStats()
 	if !hasWAL {
 		ep.errors.Add(1)
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "index has no WAL (start tqserve with -wal-dir or -tenant-root)"})
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "index has no WAL (start tqserve with -wal-dir or -tenant-root)"})
 		return
 	}
 	defer func() { ep.observe(time.Since(start)) }()
@@ -1280,14 +1225,14 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		// A failed checkpoint degrades the index (durability stalled);
 		// tell the client it is transient — the probe owns the retry.
 		if idx.Degraded() {
-			s.rejectRetryable(w, http.StatusServiceUnavailable, err.Error())
+			RejectRetryable(w, http.StatusServiceUnavailable, err.Error())
 			return
 		}
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
+		WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 		return
 	}
 	wst, _ = idx.WALStats()
-	writeJSON(w, http.StatusOK, CheckpointResponse{OK: true, WALSegments: wst.Segments, WALBytes: wst.Bytes})
+	WriteJSON(w, http.StatusOK, CheckpointResponse{OK: true, WALSegments: wst.Segments, WALBytes: wst.Bytes})
 }
 
 // maxChangesWait caps /v1/changes long-polls so a silent replica can
@@ -1311,12 +1256,12 @@ func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
 		ep.errors.Add(1)
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "use GET"})
+		WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "use GET"})
 		return
 	}
 	if s.repl == nil {
 		ep.errors.Add(1)
-		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "replication log not enabled (single-tenant tqserve only)"})
+		WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "replication log not enabled (single-tenant tqserve only)"})
 		return
 	}
 	q := r.URL.Query()
@@ -1328,7 +1273,7 @@ func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) {
 		v, err := strconv.ParseUint(raw, 10, 64)
 		if err != nil {
 			ep.errors.Add(1)
-			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: name + " must be a non-negative integer"})
+			WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: name + " must be a non-negative integer"})
 			return 0, false
 		}
 		return v, true
@@ -1347,7 +1292,7 @@ func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) {
 	}
 	if boot := q.Get("boot"); boot != "" && boot != s.repl.BootID() {
 		ep.errors.Add(1)
-		writeJSON(w, http.StatusGone, ErrorResponse{Error: fmt.Sprintf("replication boot changed (now %s): re-bootstrap from %s", s.repl.BootID(), PathSnapshot)})
+		WriteJSON(w, http.StatusGone, ErrorResponse{Error: fmt.Sprintf("replication boot changed (now %s): re-bootstrap from %s", s.repl.BootID(), PathSnapshot)})
 		return
 	}
 	wait := time.Duration(waitMS) * time.Millisecond
@@ -1364,11 +1309,11 @@ func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) {
 		entries, ok := s.repl.After(after, int(limit64))
 		if !ok {
 			ep.errors.Add(1)
-			writeJSON(w, http.StatusGone, ErrorResponse{Error: fmt.Sprintf("replication window trimmed past seq %d: re-bootstrap from %s", after, PathSnapshot)})
+			WriteJSON(w, http.StatusGone, ErrorResponse{Error: fmt.Sprintf("replication window trimmed past seq %d: re-bootstrap from %s", after, PathSnapshot)})
 			return
 		}
 		if len(entries) > 0 || wait == 0 {
-			writeJSON(w, http.StatusOK, ChangesResponse{BootID: s.repl.BootID(), Seq: s.repl.Seq(), Entries: entries})
+			WriteJSON(w, http.StatusOK, ChangesResponse{BootID: s.repl.BootID(), Seq: s.repl.Seq(), Entries: entries})
 			ep.observe(time.Since(start))
 			return
 		}
@@ -1382,7 +1327,7 @@ func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) {
 			wait = 0 // answer whatever is there now (possibly empty)
 		case <-r.Context().Done():
 			ep.errors.Add(1)
-			writeJSON(w, http.StatusGatewayTimeout, ErrorResponse{Error: r.Context().Err().Error()})
+			WriteJSON(w, http.StatusGatewayTimeout, ErrorResponse{Error: r.Context().Err().Error()})
 			return
 		}
 	}
@@ -1414,21 +1359,21 @@ func (s *Server) degradedCauses() map[string]string {
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", RetryAfter)
-		writeJSON(w, http.StatusServiceUnavailable, HealthResponse{Status: "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, HealthResponse{Status: "draining"})
 		return
 	}
 	// Degraded is NOT down: queries still serve from the last published
 	// epochs, so load balancers must keep routing reads here — 200 with
 	// the causes spelled out, writes answering 503 individually.
 	if deg := s.degradedCauses(); deg != nil {
-		writeJSON(w, http.StatusOK, HealthResponse{Status: "degraded", Degraded: deg})
+		WriteJSON(w, http.StatusOK, HealthResponse{Status: "degraded", Degraded: deg})
 		return
 	}
-	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok"})
+	WriteJSON(w, http.StatusOK, HealthResponse{Status: "ok"})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
 }
 
 // Stats snapshots the serving counters — the same document /statsz
@@ -1515,14 +1460,4 @@ func errResponse(err error) response {
 		status = http.StatusGatewayTimeout
 	}
 	return response{status: status, body: mustMarshal(ErrorResponse{Error: err.Error()})}
-}
-
-func writeRaw(w http.ResponseWriter, status int, body []byte) {
-	w.Header()["Content-Type"] = jsonContentType
-	w.WriteHeader(status)
-	w.Write(body)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	writeRaw(w, status, mustMarshal(v))
 }

@@ -513,7 +513,7 @@ func finite(v float64) bool {
 // declares a longer length is refused before a byte of it is read, with
 // an error that names both lengths and unwraps to an
 // *http.MaxBytesError; the caller's 413 should close the connection
-// (CloseAfterAnswer), since the body is left unread. A body that declares
+// (RejectBody), since the body is left unread. A body that declares
 // its length is read into one allocation of exactly that size; only a
 // chunked body pays http.MaxBytesReader and a growth loop (past max the
 // error is an *http.MaxBytesError and the connection closes, as
@@ -549,13 +549,6 @@ func checkDeclaredLength(r *http.Request, max int64) error {
 	}
 	return nil
 }
-
-// CloseAfterAnswer asks net/http to close the connection once the answer
-// is written — what a 413 needs when the refused body was left unread.
-func CloseAfterAnswer(w http.ResponseWriter) { w.Header()["Connection"] = connectionClose }
-
-// connectionClose is the Connection header value CloseAfterAnswer assigns.
-var connectionClose = []string{"close"}
 
 // QueryBuffer is the storage one /v1/topk or /v1/servicevalues request is
 // read, decoded and answered in — its body, the decoded request and
