@@ -11,7 +11,7 @@
 //	tqserve -addr :8080 -snapshot live.tqlive
 //	tqserve -addr :8080 -synthetic 50000 -shards 4
 //	tqserve -addr :8080 -synthetic 50000 -wal-dir /var/lib/tqserve/wal
-//	tqserve -addr :8080 -tenant-root /var/lib/tqserve/tenants -overrides-file limits.yaml
+//	tqserve -addr :8080 -tenant-root /var/lib/tqserve/tenants -overrides-file limits.json
 //	tqserve -addr :8081 -replica-of http://127.0.0.1:8080
 //	tqserve -addr :8090 -frontend -backends "http://a:8080|http://a:8081,http://b:8080"
 //
@@ -33,12 +33,12 @@
 // lineage. Requests pick their tenant with the X-Tenant header or the
 // "tenant" JSON field; writes create tenants lazily, reads of unknown
 // tenants are 404. -synthetic seeds the "default" tenant's first boot
-// (-snapshot is single-tenant only). -overrides-file names a YAML or
-// JSON document of per-tenant admission limits (max_inflight,
-// max_queue, writes_per_sec, max_timeout_ms), re-read on SIGHUP and
-// every -overrides-poll; an invalid rewrite keeps the previous limits
-// and logs the parse error. -tenant-max-open caps concurrently open
-// tenant indexes (idle ones are checkpointed and evicted LRU).
+// (-snapshot is single-tenant only). -overrides-file names a JSON
+// document of per-tenant admission limits (max_inflight, max_queue,
+// writes_per_sec, max_timeout_ms), re-read on SIGHUP; an invalid
+// rewrite keeps the previous limits and logs the parse error.
+// -tenant-max-open caps concurrently open tenant indexes (idle ones are
+// checkpointed and evicted LRU).
 //
 // Distributed serving (see internal/dist and ARCHITECTURE.md
 // "Distributed serving"): a single-tenant tqserve is a replication
@@ -122,8 +122,7 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal, ready func(addr 
 		walProbeMax   = fs.Duration("wal-probe-max", 5*time.Second, "backoff cap of the degraded-mode recovery probe")
 		tenantRoot    = fs.String("tenant-root", "", "multi-tenant WAL root: one index + WAL dir per tenant under it")
 		tenantMaxOpen = fs.Int("tenant-max-open", 0, "max concurrently open tenant indexes (0 = unlimited)")
-		overridesFile = fs.String("overrides-file", "", "per-tenant limits file (YAML or JSON), reloaded on SIGHUP and -overrides-poll")
-		overridesPoll = fs.Duration("overrides-poll", 10*time.Second, "poll period for -overrides-file changes (0 = SIGHUP only)")
+		overridesFile = fs.String("overrides-file", "", "per-tenant limits file (JSON), reloaded on SIGHUP")
 		mmapSnapshot  = fs.Bool("mmap", false, "restore -snapshot by memory-mapping it (columns served from the page cache)")
 		resultCache   = fs.Int64("result-cache-bytes", 64<<20, "epoch-keyed result cache budget for topk/servicevalues (0 = disabled)")
 		replicaOf     = fs.String("replica-of", "", "run as a read-only replica of the primary tqserve at this base URL")
@@ -340,10 +339,6 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal, ready func(addr 
 			reloads, fails := watcher.Stats()
 			return server.OverridesSnapshot{Reloads: reloads, Fails: fails}
 		})
-		if *overridesPoll > 0 {
-			watcher.Start(*overridesPoll)
-			defer watcher.Stop()
-		}
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -364,7 +359,7 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal, ready func(addr 
 		}
 	}
 	if *overridesFile != "" {
-		fmt.Fprintf(stdout, "tqserve: overrides %s (poll=%s, SIGHUP reloads)\n", *overridesFile, *overridesPoll)
+		fmt.Fprintf(stdout, "tqserve: overrides %s (SIGHUP reloads)\n", *overridesFile)
 	}
 	if ready != nil {
 		ready(ln.Addr().String())

@@ -202,13 +202,14 @@ func TestRunWALRecovery(t *testing.T) {
 // the boot limits throttle a tenant's writes, a loosened rewrite +
 // SIGHUP lifts the limit without a restart, an INVALID rewrite keeps
 // the loosened limits in force (and counts a failure on /statsz), and
-// the poll loop picks up a tightening rewrite with no signal at all.
+// a tightening rewrite + SIGHUP throttles the tenant again. SIGHUP is
+// the only reload trigger, so the reload and fail counts are exact.
 func TestRunMultiTenantOverridesReload(t *testing.T) {
 	root := t.TempDir()
-	ovrPath := filepath.Join(t.TempDir(), "limits.yaml")
+	ovrPath := filepath.Join(t.TempDir(), "limits.json")
 	// writes_per_sec 0.001 => burst 1: the first write lands, the second
 	// is a deterministic 429 (the next token is ~17 minutes away).
-	tight := "tenants:\n  t1:\n    writes_per_sec: 0.001\n"
+	tight := `{"tenants": {"t1": {"writes_per_sec": 0.001}}}`
 	if err := os.WriteFile(ovrPath, []byte(tight), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestRunMultiTenantOverridesReload(t *testing.T) {
 		done <- run(
 			[]string{"-addr", "127.0.0.1:0", "-tenant-root", root, "-synthetic", "100",
 				"-shards", "2", "-workers", "2", "-queue", "8",
-				"-overrides-file", ovrPath, "-overrides-poll", "25ms"},
+				"-overrides-file", ovrPath},
 			&out, sig, func(addr string) { ready <- addr },
 		)
 	}()
@@ -263,7 +264,7 @@ func TestRunMultiTenantOverridesReload(t *testing.T) {
 
 	// Loosen + SIGHUP: the same write that just bounced must now land —
 	// no restart.
-	if err := os.WriteFile(ovrPath, []byte("tenants:\n  t1:\n    writes_per_sec: -1\n"), 0o644); err != nil {
+	if err := os.WriteFile(ovrPath, []byte(`{"tenants": {"t1": {"writes_per_sec": -1}}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	sig <- syscall.SIGHUP
@@ -280,7 +281,7 @@ func TestRunMultiTenantOverridesReload(t *testing.T) {
 
 	// Invalid rewrite + SIGHUP: the old (loosened) limits stay in force
 	// and the failure is logged and counted.
-	if err := os.WriteFile(ovrPath, []byte("tenants:\n  t1:\n    writes_per_secc: 1\n"), 0o644); err != nil {
+	if err := os.WriteFile(ovrPath, []byte(`{"tenants": {"t1": {"writes_per_secc": 1}}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	sig <- syscall.SIGHUP
@@ -308,33 +309,30 @@ func TestRunMultiTenantOverridesReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	// At least the boot load and the SIGHUP's: the 25ms poll loop may also
-	// have seen the loosened file before the SIGHUP reload recorded its
-	// mtime, and reloaded it too.
-	if st.Overrides == nil || st.Overrides.Reloads < 2 || st.Overrides.Fails == 0 {
-		t.Fatalf("statsz overrides section %+v, want >=2 reloads and >=1 fail", st.Overrides)
+	// The boot load and the first SIGHUP's; the second SIGHUP's failed.
+	if st.Overrides == nil || st.Overrides.Reloads != 2 || st.Overrides.Fails != 1 {
+		t.Fatalf("statsz overrides section %+v, want 2 reloads and 1 fail", st.Overrides)
 	}
 
-	// Tighten again with NO signal: the 25ms poll loop must notice the
-	// rewrite. The re-clamped bucket admits one write, then throttles.
+	// Tighten again + SIGHUP: t1 is throttled again, at the latest on its
+	// second write (a bucket the new limit refills holds one token).
 	if err := os.WriteFile(ovrPath, []byte(tight), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	deadline = time.Now().Add(20 * time.Second)
-	throttled := false
-	for id := 10; time.Now().Before(deadline); id++ {
-		status, body := insert(id)
-		if status == http.StatusTooManyRequests && strings.Contains(body, "writes_per_sec") {
-			throttled = true
-			break
+	sig <- syscall.SIGHUP
+	deadline = time.Now().Add(10 * time.Second)
+	for strings.Count(out.String(), "overrides reloaded") < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("second SIGHUP reload never logged: %s", out.String())
 		}
-		if status != http.StatusOK {
-			t.Fatalf("insert %d while waiting for poll reload: %d %s", id, status, body)
-		}
-		time.Sleep(25 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond)
 	}
-	if !throttled {
-		t.Fatalf("poll loop never applied the tightened overrides: %s", out.String())
+	status, body := insert(10)
+	if status == http.StatusOK {
+		status, body = insert(11)
+	}
+	if status != http.StatusTooManyRequests || !strings.Contains(body, "writes_per_sec") {
+		t.Fatalf("t1 insert after tightening: %d %s (want 429 over writes_per_sec)", status, body)
 	}
 
 	sig <- syscall.SIGTERM
@@ -356,8 +354,8 @@ func TestRunMultiTenantOverridesReload(t *testing.T) {
 // with wrong config. An unknown partitioner fails before anything is
 // built — no WAL, no tenant directory — naming the value.
 func TestRunFlagConflictsAndBadOverrides(t *testing.T) {
-	badOvr := filepath.Join(t.TempDir(), "bad.yaml")
-	if err := os.WriteFile(badOvr, []byte("tenants:\n  t1:\n    bogus_key: 1\n"), 0o644); err != nil {
+	badOvr := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(badOvr, []byte(`{"tenants": {"t1": {"bogus_key": 1}}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, args := range [][]string{

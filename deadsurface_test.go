@@ -28,7 +28,6 @@ var deadSurfaceAllowed = map[string]string{
 	"faultfs.ErrNoSpace":           "test instrumentation: the injected ENOSPC error",
 	"mmap.ZeroCopy":                "test instrumentation: whether mapping aliases the file",
 	"mmap.Mapping.Refs":            "test instrumentation: a mapping's reference count",
-	"tenant.Watcher.Current":       "test instrumentation: the overrides a watcher last loaded",
 	"trajectory.Set.ByID":          "oracle for other packages' tests",
 	"trajectory.Facility.MBR":      "oracle for other packages' tests: a decoded facility's bounds",
 	"service.Value":                "oracle for other packages' tests: one user's service by direct scan",

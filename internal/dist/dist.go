@@ -66,6 +66,9 @@ package dist
 import (
 	"fmt"
 	"strings"
+
+	"github.com/trajcover/trajcover/internal/shard"
+	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
 // Group is one shard group: member base URLs, Members[0] the primary
@@ -105,19 +108,8 @@ func ParseMap(s string) ([]Group, error) {
 	return groups, nil
 }
 
-// RouteID maps a trajectory ID to its owning shard group — the same
-// FNV-1a over the ID's four little-endian bytes as the in-process hash
-// partitioner (shard.Hash), so a corpus split across groups by RouteID
-// partitions exactly like one process's hash-sharded index.
-func RouteID(id uint32, n int) int {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < 4; i++ {
-		h ^= id >> (8 * i) & 0xff
-		h *= prime32
-	}
-	return int(h % uint32(n))
-}
+// RouteID maps a trajectory ID to its owning shard group: the in-process
+// hash partitioner's shard (shard.HashID), so a corpus split across
+// groups by RouteID partitions exactly like one process's hash-sharded
+// index.
+func RouteID(id uint32, n int) int { return shard.HashID(trajectory.ID(id), n) }

@@ -481,8 +481,8 @@ func (s *Server) SetOverridesStatus(fn func() OverridesSnapshot) { s.ovrStatus =
 // overrides document.
 func (s *Server) limitsFor(id string) tenant.Limits { return s.ovr.Load().For(id) }
 
-// gateOf returns tenant id's admission gate, creating it on first
-// traffic.
+// gateOf returns tenant id's admission gate, creating it on the first
+// request that resolved the tenant.
 func (s *Server) gateOf(id string) *tenant.Gate {
 	s.gmu.Lock()
 	defer s.gmu.Unlock()
@@ -671,9 +671,9 @@ func (s *Server) executeTenant(w http.ResponseWriter, r *http.Request, ep *endpo
 	}
 }
 
-// execute runs one unit of work on behalf of a tenant: per-tenant
-// admission (429 over quota), index resolution (404 unknown on reads,
-// lazy create on writes), the request deadline under ctx, slot admission
+// execute runs one unit of work on behalf of a tenant: index resolution
+// (404 unknown on reads, lazy create on writes), per-tenant admission
+// (429 over quota), the request deadline under ctx, slot admission
 // (acquireSlot: 429, 503 or 504 in place of the work), and the work. It
 // returns the answer, and whether the caller should time it once written
 // — only requests that waited or ran, or were answered from the cache,
@@ -698,21 +698,24 @@ func (s *Server) executeTenant(w http.ResponseWriter, r *http.Request, ep *endpo
 func (s *Server) execute(ctx context.Context, ep *endpointStats, tid string, isWrite bool, timeoutMS int64, cached *cachedRead, run runFunc) (response, bool) {
 	ep.requests.Add(1)
 
+	// The tenant resolves before its gate is looked up, so only a tenant
+	// that exists holds a gate (and a /statsz row).
+	idx, release, err := s.acquireTenant(tid, isWrite)
+	if err != nil {
+		ep.errors.Add(1)
+		return response{status: acquireStatus(err), body: mustMarshal(ErrorResponse{Error: err.Error()})}, false
+	}
 	lim := s.limitsFor(tid)
 	gate := s.gateOf(tid)
 	ok, reason := gate.Admit(lim)
 	if !ok {
+		release()
 		return quotaRejection(ep, tid, reason), false
 	}
 	if isWrite && !gate.AdmitWrite(lim) {
 		gate.Cancel()
+		release()
 		return quotaRejection(ep, tid, tenant.RejectRate), false
-	}
-	idx, release, err := s.acquireTenant(tid, isWrite)
-	if err != nil {
-		gate.Cancel()
-		ep.errors.Add(1)
-		return response{status: acquireStatus(err), body: mustMarshal(ErrorResponse{Error: err.Error()})}, false
 	}
 
 	var key rescache.Key

@@ -10,6 +10,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -585,6 +586,72 @@ func TestTenantInvalidAndUnknown(t *testing.T) {
 			t.Fatal("path-traversal tenant escaped the registry root")
 		}
 	}
+}
+
+// TestTenantUnknownReadsHoldNoGate sends reads naming many distinct
+// valid but unknown tenants, to a single-tenant server (where every
+// tenant but the default is unknown) and to a multi-tenant one: each is a
+// 404, and none of them leaves a gate behind — /statsz lists no row for
+// any of them, so a client cannot grow the server's state by naming
+// tenants.
+func TestTenantUnknownReadsHoldNoGate(t *testing.T) {
+	const n = 50
+	facs := FacilitiesJSON(testFacilities(2, 4, 93))
+	ghost := func(i int) string { return fmt.Sprintf("ghost-%d", i) }
+	tenantRows := func(t *testing.T, body []byte) map[string]json.RawMessage {
+		t.Helper()
+		var st struct {
+			Tenants map[string]json.RawMessage `json:"tenants"`
+		}
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Tenants
+	}
+
+	t.Run("single", func(t *testing.T) {
+		e := newEnv(t, testUsers(50, 94), Config{Workers: 2, QueueDepth: 8})
+		for i := 0; i < n; i++ {
+			for _, c := range []struct {
+				path string
+				req  QueryRequest
+			}{
+				{PathTopK, QueryRequest{Facilities: facs, K: 1, Psi: 40, Tenant: ghost(i)}},
+				{PathServiceValues, QueryRequest{Facilities: facs, Psi: 40, Tenant: ghost(i)}},
+			} {
+				if status, out, _ := e.post(c.path, mustBody(t, c.req)); status != http.StatusNotFound {
+					t.Fatalf("%s for tenant %s: %d %s, want 404", c.path, ghost(i), status, out)
+				}
+			}
+		}
+		status, body := e.get(PathStats)
+		if status != http.StatusOK {
+			t.Fatalf("statsz: %d %s", status, body)
+		}
+		for id := range tenantRows(t, body) {
+			if id != tenant.DefaultID {
+				t.Fatalf("statsz holds a row for unknown tenant %q", id)
+			}
+		}
+	})
+
+	t.Run("multi", func(t *testing.T) {
+		e := newMultiEnv(t, t.TempDir(), Config{Workers: 2, QueueDepth: 8})
+		e.mustPost(PathInsert, "alpha", insertBody(t, testUsers(1, 95)[0], ""), http.StatusOK)
+		for i := 0; i < n; i++ {
+			e.mustPost(PathTopK, ghost(i), mustBody(t, QueryRequest{Facilities: facs, K: 1, Psi: 40}), http.StatusNotFound)
+			e.mustPost(PathServiceValues, ghost(i), mustBody(t, QueryRequest{Facilities: facs, Psi: 40}), http.StatusNotFound)
+		}
+		status, body := e.getTenant(PathStats, "")
+		if status != http.StatusOK {
+			t.Fatalf("statsz: %d %s", status, body)
+		}
+		for id := range tenantRows(t, body) {
+			if id != "alpha" {
+				t.Fatalf("statsz holds a row for unknown tenant %q", id)
+			}
+		}
+	})
 }
 
 func (e *menv) getTenant(path, xTenant string) (int, []byte) {

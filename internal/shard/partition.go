@@ -30,16 +30,23 @@ type Partitioner interface {
 // sees the whole city, so per-shard query fan-out is uniform.
 type Hash struct{}
 
-// Assign implements Partitioner with FNV-1a over the ID's bytes.
+// Assign implements Partitioner with HashID.
 func (Hash) Assign(t *trajectory.Trajectory, _ geo.Rect, n int) int {
+	return HashID(t.ID, n)
+}
+
+// HashID is the shard in [0, n) that Hash assigns to trajectory id:
+// FNV-1a over the ID's four little-endian bytes. The distributed tier
+// routes IDs to shard groups with it too, so a corpus split across
+// groups partitions exactly like one process's hash-sharded index.
+func HashID(id trajectory.ID, n int) int {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
 	)
 	h := uint32(offset32)
-	id := uint32(t.ID)
 	for i := 0; i < 4; i++ {
-		h ^= id >> (8 * i) & 0xff
+		h ^= uint32(id) >> (8 * i) & 0xff
 		h *= prime32
 	}
 	return int(h % uint32(n))

@@ -1,39 +1,33 @@
 package tenant
 
 // Per-tenant admission limits and the overrides document that carries
-// them. The file format is a two-level map — defaults plus per-tenant
-// entries — accepted as JSON or as a small YAML subset (flat nested
-// maps of scalar values, comments, blank lines; no anchors, flow
-// collections, or multi-line scalars), so an operator can keep the
-// overrides file in either idiom without pulling a YAML dependency into
-// the serving binary:
+// them. The file is one JSON object, a two-level map — defaults plus
+// per-tenant entries:
 //
-//	defaults:
-//	  max_inflight: 64
-//	  max_queue: 32
-//	tenants:
-//	  noisy:
-//	    max_inflight: 2
-//	    writes_per_sec: 10
-//	  batch:
-//	    max_timeout_ms: 120000
+//	{
+//	  "defaults": {"max_inflight": 64, "max_queue": 32},
+//	  "tenants": {
+//	    "noisy": {"max_inflight": 2, "writes_per_sec": 10},
+//	    "batch": {"max_timeout_ms": 120000}
+//	  }
+//	}
 //
 // Field semantics (each independently): 0 means "inherit the default"
 // in a tenant entry and "unlimited" in defaults; -1 means "explicitly
 // unlimited" (a tenant entry can widen past a restrictive default);
 // positive values limit. ParseOverrides validates everything — tenant
-// IDs, field ranges, unknown keys — and returns an error rather than a
-// partially applied document, which is what lets the reload path keep
-// the old configuration when a new file is bad.
+// IDs, field ranges, unknown and repeated keys — and returns an error
+// rather than a partially applied document, which is what lets the
+// reload path keep the old configuration when a new file is bad.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -150,37 +144,78 @@ func (o *Overrides) validate() error {
 	return nil
 }
 
-// ParseOverrides parses and validates an overrides document. The first
-// non-space byte selects the syntax: '{' is strict JSON, anything else
-// the YAML subset. An empty (or comment-only) document is valid and
-// fully unlimited. Any syntax error, unknown key, bad tenant ID, or
-// out-of-range value fails the whole document — the caller keeps
-// whatever configuration it already had.
+// ParseOverrides parses and validates an overrides document: one strict
+// JSON object, in which an unknown field, a key given twice in one object,
+// and anything after the object are errors. An empty (or whitespace-only)
+// document is valid and fully unlimited. Any syntax error, unknown or
+// repeated key, bad tenant ID, or out-of-range value fails the whole
+// document — the caller keeps whatever configuration it already had.
 func ParseOverrides(data []byte) (*Overrides, error) {
-	trimmed := bytes.TrimSpace(data)
-	if len(trimmed) > 0 && trimmed[0] == '{' {
-		var o Overrides
-		dec := json.NewDecoder(bytes.NewReader(trimmed))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&o); err != nil {
-			return nil, fmt.Errorf("tenant: overrides json: %w", err)
-		}
-		if dec.More() {
-			return nil, fmt.Errorf("tenant: overrides json: trailing data after document")
-		}
-		if err := o.validate(); err != nil {
-			return nil, err
-		}
-		return &o, nil
+	o := &Overrides{}
+	trimmed := bytes.Trim(data, jsonSpace)
+	if len(trimmed) == 0 {
+		return o, nil
 	}
-	o, err := parseOverridesYAML(data)
-	if err != nil {
-		return nil, err
+	if trimmed[0] != '{' {
+		// Decode would take a bare null as an empty object.
+		return nil, fmt.Errorf("tenant: overrides json: the document must be one JSON object")
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(o); err != nil {
+		return nil, fmt.Errorf("tenant: overrides json: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("tenant: overrides json: trailing data after document")
+	}
+	// Decode keeps the last value of a repeated key; the walk refuses it.
+	if err := uniqueKeys(json.NewDecoder(bytes.NewReader(data)), false); err != nil {
+		return nil, fmt.Errorf("tenant: overrides json: %w", err)
 	}
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
 	return o, nil
+}
+
+// jsonSpace is the whitespace JSON allows between tokens.
+const jsonSpace = " \t\r\n"
+
+// uniqueKeys reads one JSON value from dec and refuses an object in it
+// that holds a key twice, naming the key. In the tenants object (tenants
+// set) keys are tenant IDs and compare exactly; every other key is a field
+// name, which encoding/json matches without regard to case, so "MAX_QUEUE"
+// repeats "max_queue". ParseOverrides walks only a document that decoded
+// into Overrides, so the walk meets no array and nests three objects deep
+// at most.
+func uniqueKeys(dec *json.Decoder, tenants bool) error {
+	tok, err := dec.Token()
+	if err != nil || tok != json.Delim('{') {
+		return err
+	}
+	seen := map[string]bool{}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		key, _ := tok.(string)
+		dup := seen[key]
+		if !tenants {
+			for k := range seen {
+				dup = dup || strings.EqualFold(k, key)
+			}
+		}
+		if dup {
+			return fmt.Errorf("duplicate key %q", key)
+		}
+		seen[key] = true
+		if err := uniqueKeys(dec, !tenants && strings.EqualFold(key, "tenants")); err != nil {
+			return err
+		}
+	}
+	_, err = dec.Token() // the object's '}'
+	return err
 }
 
 // LoadOverridesFile reads and parses path.
@@ -190,175 +225,4 @@ func LoadOverridesFile(path string) (*Overrides, error) {
 		return nil, err
 	}
 	return ParseOverrides(data)
-}
-
-// yamlLine is one significant line of the subset: its indent depth, key,
-// and value ("" for a map-opening "key:" line).
-type yamlLine struct {
-	n      int // 1-based source line, for errors
-	indent int
-	key    string
-	value  string
-	hasVal bool
-}
-
-// parseOverridesYAML parses the indentation subset. It is deliberately
-// small and total: every input either parses or returns an error —
-// FuzzLoadOverrides holds it to "never panic".
-func parseOverridesYAML(data []byte) (*Overrides, error) {
-	lines, err := yamlLines(data)
-	if err != nil {
-		return nil, err
-	}
-	o := &Overrides{}
-	i := 0
-	for i < len(lines) {
-		ln := lines[i]
-		if ln.indent != 0 {
-			return nil, fmt.Errorf("tenant: overrides yaml line %d: unexpected indentation", ln.n)
-		}
-		if ln.hasVal {
-			return nil, fmt.Errorf("tenant: overrides yaml line %d: top-level %q must open a map, not hold a value", ln.n, ln.key)
-		}
-		switch ln.key {
-		case "defaults":
-			lim, next, err := parseLimitsBlock(lines, i+1, ln.indent)
-			if err != nil {
-				return nil, err
-			}
-			o.Defaults = lim
-			i = next
-		case "tenants":
-			next, err := parseTenantsBlock(lines, i+1, ln.indent, o)
-			if err != nil {
-				return nil, err
-			}
-			i = next
-		default:
-			return nil, fmt.Errorf("tenant: overrides yaml line %d: unknown top-level key %q (want defaults or tenants)", ln.n, ln.key)
-		}
-	}
-	return o, nil
-}
-
-// parseTenantsBlock consumes the tenant entries nested under "tenants:".
-func parseTenantsBlock(lines []yamlLine, i, parentIndent int, o *Overrides) (int, error) {
-	if o.Tenants == nil {
-		o.Tenants = map[string]Limits{}
-	}
-	var blockIndent = -1
-	for i < len(lines) {
-		ln := lines[i]
-		if ln.indent <= parentIndent {
-			return i, nil
-		}
-		if blockIndent == -1 {
-			blockIndent = ln.indent
-		}
-		if ln.indent != blockIndent {
-			return 0, fmt.Errorf("tenant: overrides yaml line %d: inconsistent indentation", ln.n)
-		}
-		if ln.hasVal {
-			return 0, fmt.Errorf("tenant: overrides yaml line %d: tenant %q must open a map of limits", ln.n, ln.key)
-		}
-		if _, dup := o.Tenants[ln.key]; dup {
-			return 0, fmt.Errorf("tenant: overrides yaml line %d: duplicate tenant %q", ln.n, ln.key)
-		}
-		lim, next, err := parseLimitsBlock(lines, i+1, ln.indent)
-		if err != nil {
-			return 0, err
-		}
-		o.Tenants[ln.key] = lim
-		i = next
-	}
-	return i, nil
-}
-
-// parseLimitsBlock consumes "key: value" lines nested deeper than
-// parentIndent into one Limits.
-func parseLimitsBlock(lines []yamlLine, i, parentIndent int) (Limits, int, error) {
-	var lim Limits
-	blockIndent := -1
-	seen := map[string]bool{}
-	for i < len(lines) {
-		ln := lines[i]
-		if ln.indent <= parentIndent {
-			return lim, i, nil
-		}
-		if blockIndent == -1 {
-			blockIndent = ln.indent
-		}
-		if ln.indent != blockIndent {
-			return lim, 0, fmt.Errorf("tenant: overrides yaml line %d: inconsistent indentation", ln.n)
-		}
-		if !ln.hasVal {
-			return lim, 0, fmt.Errorf("tenant: overrides yaml line %d: %q needs a scalar value", ln.n, ln.key)
-		}
-		if seen[ln.key] {
-			return lim, 0, fmt.Errorf("tenant: overrides yaml line %d: duplicate key %q", ln.n, ln.key)
-		}
-		seen[ln.key] = true
-		switch ln.key {
-		case "max_inflight", "max_queue", "max_timeout_ms":
-			v, err := strconv.ParseInt(ln.value, 10, 64)
-			if err != nil {
-				return lim, 0, fmt.Errorf("tenant: overrides yaml line %d: %s: %v", ln.n, ln.key, err)
-			}
-			switch ln.key {
-			case "max_inflight":
-				lim.MaxInflight = int(v)
-			case "max_queue":
-				lim.MaxQueue = int(v)
-			case "max_timeout_ms":
-				lim.MaxTimeoutMS = v
-			}
-		case "writes_per_sec":
-			v, err := strconv.ParseFloat(ln.value, 64)
-			if err != nil {
-				return lim, 0, fmt.Errorf("tenant: overrides yaml line %d: writes_per_sec: %v", ln.n, err)
-			}
-			lim.WritesPerSec = v
-		default:
-			return lim, 0, fmt.Errorf("tenant: overrides yaml line %d: unknown limit %q", ln.n, ln.key)
-		}
-		i++
-	}
-	return lim, i, nil
-}
-
-// yamlLines splits the document into significant lines: comments and
-// blanks dropped, indentation counted in leading spaces (tabs are an
-// error: silently treating a tab as N spaces is how YAML files lie).
-func yamlLines(data []byte) ([]yamlLine, error) {
-	var out []yamlLine
-	for n, raw := range strings.Split(string(data), "\n") {
-		line := strings.TrimRight(raw, " \r")
-		indent := 0
-		for indent < len(line) && line[indent] == ' ' {
-			indent++
-		}
-		rest := line[indent:]
-		if rest == "" || rest[0] == '#' {
-			continue
-		}
-		if strings.ContainsRune(rest, '\t') || (indent < len(line) && line[indent] == '\t') {
-			return nil, fmt.Errorf("tenant: overrides yaml line %d: tabs are not allowed", n+1)
-		}
-		key, value, found := strings.Cut(rest, ":")
-		if !found {
-			return nil, fmt.Errorf("tenant: overrides yaml line %d: expected \"key: value\" or \"key:\"", n+1)
-		}
-		key = strings.TrimSpace(key)
-		if key == "" {
-			return nil, fmt.Errorf("tenant: overrides yaml line %d: empty key", n+1)
-		}
-		// Strip a trailing comment from the scalar; values here are
-		// numbers, so a '#' can only start a comment.
-		if j := strings.IndexByte(value, '#'); j >= 0 {
-			value = value[:j]
-		}
-		value = strings.TrimSpace(value)
-		out = append(out, yamlLine{n: n + 1, indent: indent, key: key, value: value, hasVal: value != ""})
-	}
-	return out, nil
 }

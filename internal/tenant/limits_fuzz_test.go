@@ -1,13 +1,16 @@
 package tenant
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
 
 // FuzzLoadOverrides holds ParseOverrides to its contract under arbitrary
-// bytes: it never panics, and any accepted document re-validates and
-// resolves cleanly — so a watcher swap can never install limits a direct
+// bytes: it never panics, it accepts nothing but a blank document or a
+// JSON object (the YAML-shaped seeds and corpus entries, from when the
+// document could also be YAML, are refused), and any accepted document
+// re-validates and resolves cleanly — so a watcher swap can never install limits a direct
 // parse would have rejected (the "invalid file keeps the old config"
 // invariant depends on accept/reject being total and consistent).
 func FuzzLoadOverrides(f *testing.F) {
@@ -26,6 +29,8 @@ func FuzzLoadOverrides(f *testing.F) {
 	f.Add([]byte("{ not json"))
 	f.Add([]byte(strings.Repeat(" ", 100) + "x: 1"))
 	f.Add([]byte("tenants:\n  a:\n    max_queue: 1\n  a:\n    max_queue: 2\n"))
+	f.Add([]byte(`{"tenants":{"a":{"max_queue":1},"a":{"max_queue":2}}}`))
+	f.Add([]byte(`{"defaults":{"max_queue":1,"max_queue":2}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		o, err := ParseOverrides(data)
@@ -34,6 +39,9 @@ func FuzzLoadOverrides(f *testing.F) {
 				t.Fatalf("error %v returned a non-nil document", err)
 			}
 			return
+		}
+		if trimmed := bytes.Trim(data, jsonSpace); len(trimmed) > 0 && trimmed[0] != '{' {
+			t.Fatalf("accepted %q, which is not a JSON object", data)
 		}
 		// Accepted documents are internally valid: every tenant key passes
 		// ValidateID and resolution yields non-negative effective limits.

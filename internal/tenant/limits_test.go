@@ -4,24 +4,19 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
-	"time"
 )
 
-const sampleYAML = `# fleet-wide floor
-defaults:
-  max_inflight: 64
-  max_queue: 32
-
-tenants:
-  noisy:
-    max_inflight: 2
-    writes_per_sec: 10
-  batch:
-    max_timeout_ms: 120000  # long scans
-  vip:
-    max_inflight: -1
-`
+// sample has defaults, tenants that set some fields, and an explicit -1.
+const sample = `{
+  "defaults": {"max_inflight": 64, "max_queue": 32},
+  "tenants": {
+    "noisy": {"max_inflight": 2, "writes_per_sec": 10},
+    "batch": {"max_timeout_ms": 120000},
+    "vip": {"max_inflight": -1}
+  }
+}`
 
 func sampleWant() *Overrides {
 	return &Overrides{
@@ -34,26 +29,8 @@ func sampleWant() *Overrides {
 	}
 }
 
-func TestParseOverridesYAML(t *testing.T) {
-	o, err := ParseOverrides([]byte(sampleYAML))
-	if err != nil {
-		t.Fatalf("ParseOverrides: %v", err)
-	}
-	if !reflect.DeepEqual(o, sampleWant()) {
-		t.Fatalf("parsed %+v, want %+v", o, sampleWant())
-	}
-}
-
 func TestParseOverridesJSON(t *testing.T) {
-	src := `{
-  "defaults": {"max_inflight": 64, "max_queue": 32},
-  "tenants": {
-    "noisy": {"max_inflight": 2, "writes_per_sec": 10},
-    "batch": {"max_timeout_ms": 120000},
-    "vip": {"max_inflight": -1}
-  }
-}`
-	o, err := ParseOverrides([]byte(src))
+	o, err := ParseOverrides([]byte(sample))
 	if err != nil {
 		t.Fatalf("ParseOverrides: %v", err)
 	}
@@ -63,7 +40,7 @@ func TestParseOverridesJSON(t *testing.T) {
 }
 
 func TestParseOverridesEmpty(t *testing.T) {
-	for _, src := range []string{"", "\n\n", "# only comments\n  # indented comment\n"} {
+	for _, src := range []string{"", "\n\n", " \t\r\n"} {
 		o, err := ParseOverrides([]byte(src))
 		if err != nil {
 			t.Fatalf("ParseOverrides(%q): %v", src, err)
@@ -79,33 +56,56 @@ func TestParseOverridesErrors(t *testing.T) {
 		name string
 		src  string
 	}{
-		{"unknown top-level", "pools:\n  a: 1\n"},
-		{"top-level scalar", "defaults: 3\n"},
-		{"unknown limit", "defaults:\n  max_foo: 1\n"},
-		{"bad int", "defaults:\n  max_inflight: many\n"},
-		{"below -1", "defaults:\n  max_inflight: -2\n"},
+		{"unknown top-level", `{"pools": {"a": 1}}`},
+		{"top-level scalar", `{"defaults": 3}`},
+		{"unknown limit", `{"defaults": {"max_foo": 1}}`},
+		{"bad int", `{"defaults": {"max_inflight": "many"}}`},
+		{"fractional int", `{"defaults": {"max_inflight": 1.5}}`},
+		{"below -1", `{"defaults": {"max_inflight": -2}}`},
 		{"nan rate", `{"defaults": {"writes_per_sec": -3}}`},
-		{"bad tenant id", "tenants:\n  ../evil:\n    max_inflight: 1\n"},
-		{"tenant scalar", "tenants:\n  a: 1\n"},
-		{"duplicate tenant", "tenants:\n  a:\n    max_queue: 1\n  a:\n    max_queue: 2\n"},
-		{"duplicate key", "defaults:\n  max_queue: 1\n  max_queue: 2\n"},
-		{"tab indent", "defaults:\n\tmax_queue: 1\n"},
-		{"inconsistent indent", "tenants:\n  a:\n    max_queue: 1\n   b:\n    max_queue: 2\n"},
-		{"no colon", "defaults\n"},
-		{"empty key", ": 3\n"},
+		{"bad tenant id", `{"tenants": {"../evil": {"max_inflight": 1}}}`},
+		{"tenant scalar", `{"tenants": {"a": 1}}`},
+		{"duplicate tenant", `{"tenants": {"a": {"max_queue": 1}, "a": {"max_queue": 2}}}`},
+		{"duplicate key", `{"defaults": {"max_queue": 1, "max_queue": 2}}`},
+		{"duplicate key in tenant", `{"tenants": {"a": {"max_queue": 1, "max_queue": 2}}}`},
+		{"duplicate top-level", `{"defaults": {}, "defaults": {"max_queue": 2}}`},
+		{"duplicate key folded", `{"defaults": {"max_queue": 1, "MAX_QUEUE": 2}}`},
 		{"json unknown field", `{"defaults": {"max_requests": 1}}`},
 		{"json trailing", `{"defaults": {}} {"tenants": {}}`},
+		{"json trailing brace", `{"defaults": {}}}`},
 		{"json bad tenant", `{"tenants": {"a/b": {"max_queue": 1}}}`},
+		{"yaml", "defaults:\n  max_queue: 1\n"},
+		{"comment only", "# only comments\n"},
+		{"null", "null"},
+		{"array", `[{"defaults": {}}]`},
+		{"non-JSON space only", "\u00a0"},
 	}
 	for _, c := range cases {
-		if _, err := ParseOverrides([]byte(c.src)); err == nil {
+		o, err := ParseOverrides([]byte(c.src))
+		if err == nil {
 			t.Errorf("%s: ParseOverrides accepted %q", c.name, c.src)
+		} else if o != nil {
+			t.Errorf("%s: error %v returned a document", c.name, err)
 		}
+	}
+	// A repeated key is named.
+	for src, key := range map[string]string{
+		`{"tenants": {"a": {"max_queue": 1}, "a": {"max_queue": 2}}}`: `"a"`,
+		`{"defaults": {"max_queue": 1, "max_queue": 2}}`:              `"max_queue"`,
+	} {
+		if _, err := ParseOverrides([]byte(src)); err == nil || !strings.Contains(err.Error(), "duplicate key "+key) {
+			t.Errorf("ParseOverrides(%s): error %v, want one naming %s", src, err, key)
+		}
+	}
+	// Tenant IDs are case-sensitive: "a" and "A" are two tenants.
+	o, err := ParseOverrides([]byte(`{"tenants": {"a": {"max_queue": 1}, "A": {"max_queue": 2}}}`))
+	if err != nil || o.For("a").MaxQueue != 1 || o.For("A").MaxQueue != 2 {
+		t.Fatalf("tenants a and A: %+v, %v", o, err)
 	}
 }
 
 func TestOverridesFor(t *testing.T) {
-	o, err := ParseOverrides([]byte(sampleYAML))
+	o, err := ParseOverrides([]byte(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +130,8 @@ func TestOverridesFor(t *testing.T) {
 
 func TestLoadOverridesFile(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "overrides.yaml")
-	if err := os.WriteFile(path, []byte(sampleYAML), 0o644); err != nil {
+	path := filepath.Join(dir, "overrides.json")
+	if err := os.WriteFile(path, []byte(sample), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	o, err := LoadOverridesFile(path)
@@ -141,38 +141,39 @@ func TestLoadOverridesFile(t *testing.T) {
 	if !reflect.DeepEqual(o, sampleWant()) {
 		t.Fatalf("loaded %+v", o)
 	}
-	if _, err := LoadOverridesFile(filepath.Join(dir, "missing.yaml")); err == nil {
+	if _, err := LoadOverridesFile(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
 
 func TestWatcherKeepsOldOnInvalid(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "overrides.yaml")
-	if err := os.WriteFile(path, []byte("defaults:\n  max_inflight: 4\n"), 0o644); err != nil {
+	path := filepath.Join(dir, "overrides.json")
+	if err := os.WriteFile(path, []byte(`{"defaults": {"max_inflight": 4}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var swaps int
+	var cur *Overrides
 	var lastErr error
 	w := NewWatcher(path,
-		func(*Overrides) { swaps++ },
+		func(o *Overrides) { swaps++; cur = o },
 		func(err error) { lastErr = err })
 	if err := w.Load(); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if got := w.Current().For("x").MaxInflight; got != 4 {
+	if got := cur.For("x").MaxInflight; got != 4 {
 		t.Fatalf("initial max_inflight = %d", got)
 	}
 
 	// Invalid rewrite: old document must stay in force, error surfaced.
-	if err := os.WriteFile(path, []byte("defaults:\n  max_inflight: banana\n"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(`{"defaults": {"max_inflight": "banana"}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	w.Reload()
 	if lastErr == nil {
 		t.Fatal("invalid reload produced no error")
 	}
-	if got := w.Current().For("x").MaxInflight; got != 4 {
+	if got := cur.For("x").MaxInflight; got != 4 {
 		t.Fatalf("invalid reload changed limits: max_inflight = %d", got)
 	}
 	if reloads, fails := w.Stats(); reloads != 1 || fails != 1 {
@@ -180,49 +181,14 @@ func TestWatcherKeepsOldOnInvalid(t *testing.T) {
 	}
 
 	// Valid rewrite swaps in.
-	if err := os.WriteFile(path, []byte("defaults:\n  max_inflight: 9\n"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(`{"defaults": {"max_inflight": 9}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	w.Reload()
-	if got := w.Current().For("x").MaxInflight; got != 9 {
+	if got := cur.For("x").MaxInflight; got != 9 {
 		t.Fatalf("valid reload ignored: max_inflight = %d", got)
 	}
 	if swaps != 2 {
 		t.Fatalf("swaps = %d, want 2", swaps)
 	}
-}
-
-func TestWatcherPolling(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "overrides.yaml")
-	if err := os.WriteFile(path, []byte("defaults:\n  max_queue: 1\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	swapped := make(chan *Overrides, 8)
-	w := NewWatcher(path, func(o *Overrides) { swapped <- o }, nil)
-	if err := w.Load(); err != nil {
-		t.Fatal(err)
-	}
-	<-swapped // initial Load
-	w.Start(5 * time.Millisecond)
-	defer w.Stop()
-
-	// Size change guarantees the poll loop notices even on coarse mtimes.
-	if err := os.WriteFile(path, []byte("defaults:\n  max_queue: 123\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case o := <-swapped:
-		if got := o.For("x").MaxQueue; got != 123 {
-			t.Fatalf("polled reload max_queue = %d", got)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("poll loop never picked up the rewrite")
-	}
-}
-
-func TestWatcherStopWithoutStart(t *testing.T) {
-	w := NewWatcher("nowhere", nil, nil)
-	w.Stop() // must not deadlock
-	w.Stop() // and must be idempotent
 }

@@ -1,171 +1,66 @@
 package tenant
 
-// Watcher hot-reloads an overrides file: a poll loop (and SIGHUP, wired
-// by the caller to Reload) re-reads the file when its mtime or size
-// changes, validates the whole document, and only then swaps it in. An
-// invalid new file is the load-bearing case: the previous configuration
-// stays in force and the failure is reported loudly via OnError —
-// limits must never silently drop to unlimited because an operator
-// fat-fingered an edit.
+// Watcher reloads an overrides file when told to — at boot (Load) and on
+// SIGHUP (Reload, wired by the caller) — validates the whole document,
+// and only then swaps it in. An invalid new file is the load-bearing
+// case: the previous configuration stays in force and the failure is
+// reported loudly via the error hook — limits must never silently drop
+// to unlimited because an operator fat-fingered an edit.
 
 import (
 	"fmt"
-	"os"
-	"sync"
-	"time"
+	"sync/atomic"
 )
 
-// Watcher reloads one overrides file. Construct with NewWatcher.
+// Watcher reloads one overrides file. Construct with NewWatcher. Load
+// and Reload run one at a time — the boot path, then the one SIGHUP
+// loop — so the last file read is the one in force; Stats is safe from
+// any goroutine.
 type Watcher struct {
-	path string
+	path    string
+	onSwap  func(*Overrides) // every loaded document, the boot Load's too
+	onError func(error)      // every failed Reload; the old document stays
 
-	// OnSwap receives every successfully loaded document (including the
-	// initial Load) — the registry hook. OnError receives reload
-	// failures; the old document stays in force.
-	OnSwap  func(*Overrides)
-	OnError func(error)
-
-	mu      sync.Mutex
-	cur     *Overrides
-	modTime time.Time
-	size    int64
-	reloads uint64
-	fails   uint64
-
-	started  bool
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
+	reloads atomic.Uint64
+	fails   atomic.Uint64
 }
 
-// NewWatcher builds a watcher over path. Call Load before serving —
-// a bad file at boot is a startup error, not a silent unlimited config.
+// NewWatcher builds a watcher over path: onSwap receives every
+// successfully loaded document (the registry hook), onError every reload
+// failure. Call Load before serving — a bad file at
+// boot is a startup error, not a silent unlimited config.
 func NewWatcher(path string, onSwap func(*Overrides), onError func(error)) *Watcher {
-	return &Watcher{
-		path:    path,
-		OnSwap:  onSwap,
-		OnError: onError,
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-}
-
-// Current returns the last successfully loaded document (nil before
-// Load).
-func (w *Watcher) Current() *Overrides {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.cur
+	return &Watcher{path: path, onSwap: onSwap, onError: onError}
 }
 
 // Stats reports successful reloads and rejected ones.
 func (w *Watcher) Stats() (reloads, fails uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.reloads, w.fails
+	return w.reloads.Load(), w.fails.Load()
 }
 
-// Load reads, validates, and swaps in the file. Unlike Reload it
-// returns the error: boot fails loudly on a bad initial file.
+// Load reads, validates, and swaps in the file. A failure is only
+// returned — boot refuses to start on a bad initial file — where Reload
+// also counts and reports it.
 func (w *Watcher) Load() error {
-	st, err := os.Stat(w.path)
-	if err != nil {
-		return err
-	}
 	o, err := LoadOverridesFile(w.path)
 	if err != nil {
 		return err
 	}
-	w.swap(o, st.ModTime(), st.Size())
+	w.reloads.Add(1)
+	w.onSwap(o)
 	return nil
 }
 
-func (w *Watcher) swap(o *Overrides, mod time.Time, size int64) {
-	w.mu.Lock()
-	w.cur = o
-	w.modTime = mod
-	w.size = size
-	w.reloads++
-	onSwap := w.OnSwap
-	w.mu.Unlock()
-	if onSwap != nil {
-		onSwap(o)
-	}
-}
-
-// Reload force-re-reads the file (the SIGHUP path): a valid document is
-// swapped in, an invalid one is reported via OnError — and returned, for
-// callers that log inline — while the previous configuration stays in
-// force.
+// Reload re-reads the file (the SIGHUP path): a valid document is
+// swapped in, an invalid one is reported via the error hook — and
+// returned, for callers that log inline — while the previous
+// configuration stays in force.
 func (w *Watcher) Reload() error {
-	st, err := os.Stat(w.path)
-	if err != nil {
+	if err := w.Load(); err != nil {
 		err = fmt.Errorf("tenant: overrides reload: %w (keeping previous limits)", err)
-		w.fail(err)
+		w.fails.Add(1)
+		w.onError(err)
 		return err
 	}
-	o, err := LoadOverridesFile(w.path)
-	if err != nil {
-		err = fmt.Errorf("tenant: overrides reload: %w (keeping previous limits)", err)
-		w.fail(err)
-		return err
-	}
-	w.swap(o, st.ModTime(), st.Size())
 	return nil
-}
-
-func (w *Watcher) fail(err error) {
-	w.mu.Lock()
-	w.fails++
-	onError := w.OnError
-	w.mu.Unlock()
-	if onError != nil {
-		onError(err)
-	}
-}
-
-// Start polls the file every interval (<= 0: 10s) and Reloads when its
-// mtime or size changes. Stop ends the loop.
-func (w *Watcher) Start(interval time.Duration) {
-	if interval <= 0 {
-		interval = 10 * time.Second
-	}
-	w.mu.Lock()
-	w.started = true
-	w.mu.Unlock()
-	go func() {
-		defer close(w.done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-w.stop:
-				return
-			case <-t.C:
-				st, err := os.Stat(w.path)
-				if err != nil {
-					w.fail(fmt.Errorf("tenant: overrides poll: %w (keeping previous limits)", err))
-					continue
-				}
-				w.mu.Lock()
-				changed := !st.ModTime().Equal(w.modTime) || st.Size() != w.size
-				w.mu.Unlock()
-				if changed {
-					w.Reload()
-				}
-			}
-		}
-	}()
-}
-
-// Stop ends the poll loop started by Start and waits for it to exit.
-// Safe to call without Start (and more than once).
-func (w *Watcher) Stop() {
-	w.stopOnce.Do(func() { close(w.stop) })
-	w.mu.Lock()
-	started := w.started
-	w.mu.Unlock()
-	if started {
-		<-w.done
-	}
 }
