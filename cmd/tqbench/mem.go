@@ -1,11 +1,11 @@
 package main
 
-// The `mem` experiment: what each of the two index types holds on the
-// heap per indexed trajectory, at one shard and at two, once the slice it
-// was built from has been dropped — the figure the README's sizing table
-// quotes. Both keep a columnar trajectory table and nothing of their
-// input. Beside them, what that input costs while a caller holds it: a
-// 32-byte Trajectory, its points and the slice's pointer.
+// The `mem` experiment: what an Index holds on the heap per indexed
+// trajectory, at one shard and at two, once the slice it was built from
+// has been dropped — the figure the README's sizing table quotes. It
+// keeps a columnar trajectory table and nothing of its input. Beside it,
+// what that input costs while a caller holds it: a 32-byte Trajectory,
+// its points and the slice's pointer.
 
 import (
 	"fmt"
@@ -30,8 +30,7 @@ func expMem(ctx *bench.Context) (*bench.Table, error) {
 		ID: "mem", Title: "live heap per trajectory: each index with its input dropped, and the input held",
 		XLabel: "dataset", YLabel: "heap bytes/trajectory",
 		Series: []bench.Series{
-			{Method: "Index"}, {Method: "FrozenIndex"},
-			{Method: "Index, 2 shards"}, {Method: "FrozenIndex, 2 shards"},
+			{Method: "Index"}, {Method: "Index, 2 shards"},
 			{Method: "corpus held"},
 			{Method: "points/trajectory (n)"},
 		},
@@ -56,9 +55,7 @@ func expMem(ctx *bench.Context) (*bench.Table, error) {
 		sopts.Shards = 2
 		builders := []func(users []*trajcover.Trajectory) (any, error){
 			func(u []*trajcover.Trajectory) (any, error) { return trajcover.NewIndex(u, opts) },
-			func(u []*trajcover.Trajectory) (any, error) { return trajcover.NewFrozenIndex(u, opts) },
 			func(u []*trajcover.Trajectory) (any, error) { return trajcover.NewIndex(u, sopts) },
-			func(u []*trajcover.Trajectory) (any, error) { return trajcover.NewFrozenIndex(u, sopts) },
 			func(u []*trajcover.Trajectory) (any, error) { return u, nil },
 		}
 		points := 0

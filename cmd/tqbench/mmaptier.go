@@ -70,16 +70,12 @@ func expMmaptier(ctx *bench.Context) (*bench.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		fz, err := idx.Freeze()
-		if err != nil {
-			return nil, err
-		}
 		path := filepath.Join(dir, fmt.Sprintf("frozen-%d.tqsnap", users.Len()))
 		f, err := os.Create(path)
 		if err != nil {
 			return nil, err
 		}
-		if err := fz.WriteSnapshot(f); err != nil {
+		if err := idx.WriteFrozenSnapshot(f); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -112,14 +108,14 @@ func expMmaptier(ctx *bench.Context) (*bench.Table, error) {
 				return err
 			}
 			defer r.Close()
-			_, err = trajcover.ReadFrozenSnapshot(r)
+			_, err = trajcover.ReadLiveSnapshot(r, trajcover.LivePolicy{})
 			return err
 		})
 		if err != nil {
 			return nil, err
 		}
 		mappedRSS, err := measureRSS(func() error {
-			_, err := trajcover.OpenMappedFrozenSnapshot(path)
+			_, err := trajcover.OpenMappedLiveSnapshot(path, trajcover.LivePolicy{})
 			return err
 		})
 		if err != nil {
@@ -137,13 +133,13 @@ func expMmaptier(ctx *bench.Context) (*bench.Table, error) {
 				return
 			}
 			defer r.Close()
-			if _, err := trajcover.ReadFrozenSnapshot(r); err != nil {
+			if _, err := trajcover.ReadLiveSnapshot(r, trajcover.LivePolicy{}); err != nil {
 				oerr = err
 			}
 		})
 		runtime.GC()
 		mappedSec := ctx.Time(func() {
-			if _, err := trajcover.OpenMappedFrozenSnapshot(path); err != nil {
+			if _, err := trajcover.OpenMappedLiveSnapshot(path, trajcover.LivePolicy{}); err != nil {
 				oerr = err
 			}
 		})

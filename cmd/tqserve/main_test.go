@@ -314,8 +314,9 @@ func TestRunMultiTenantOverridesReload(t *testing.T) {
 		t.Fatalf("statsz overrides section %+v, want 2 reloads and 1 fail", st.Overrides)
 	}
 
-	// Tighten again + SIGHUP: t1 is throttled again, at the latest on its
-	// second write (a bucket the new limit refills holds one token).
+	// Tighten again + SIGHUP: the changed limit starts t1 from a full
+	// burst of one token, so its first write lands and its second is a
+	// 429 again.
 	if err := os.WriteFile(ovrPath, []byte(tight), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -327,11 +328,10 @@ func TestRunMultiTenantOverridesReload(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	status, body := insert(10)
-	if status == http.StatusOK {
-		status, body = insert(11)
+	if status, body := insert(10); status != http.StatusOK {
+		t.Fatalf("first t1 insert after tightening: %d %s (want 200 from a full burst)", status, body)
 	}
-	if status != http.StatusTooManyRequests || !strings.Contains(body, "writes_per_sec") {
+	if status, body := insert(11); status != http.StatusTooManyRequests || !strings.Contains(body, "writes_per_sec") {
 		t.Fatalf("t1 insert after tightening: %d %s (want 429 over writes_per_sec)", status, body)
 	}
 

@@ -1,41 +1,20 @@
 package trajcover
 
 import (
-	"context"
+	"bytes"
 	"fmt"
 	"testing"
 )
 
-// flavor is the public query surface both index types must expose: the
-// eight kMaxRRST entry points, the two coverage queries, and Len. The
-// assignments below pin the method set at compile time.
-type flavor interface {
-	Len() int
-	ServiceValue(f *Facility, q Query) (float64, error)
-	ServiceValues(facilities []*Facility, q Query, workers int) ([]float64, error)
-	TopK(facilities []*Facility, k int, q Query) ([]Ranked, error)
-	TopKWithMetrics(facilities []*Facility, k int, q Query) ([]Ranked, QueryMetrics, error)
-	TopKParallel(facilities []*Facility, k int, q Query, workers int) ([]Ranked, error)
-	ServiceValuesCtx(ctx context.Context, facilities []*Facility, q Query, workers int) ([]float64, error)
-	TopKCtx(ctx context.Context, facilities []*Facility, k int, q Query) ([]Ranked, error)
-	TopKParallelCtx(ctx context.Context, facilities []*Facility, k int, q Query, workers int) ([]Ranked, error)
-	ServedUsers(f *Facility, q Query) ([]ServedUser, error)
-	MaxCoverage(facilities []*Facility, k int, q Query, opts CoverageOptions) (CoverageResult, error)
-}
-
-var (
-	_ flavor = (*Index)(nil)
-	_ flavor = (*FrozenIndex)(nil)
-)
-
 // namedFlavor is one subject of allFlavors: an index and what it is.
 type namedFlavor struct {
-	flavor
+	*Index
 	name string
 }
 
 // allFlavors builds six indexes over the same logical corpus, TQ(Z): one
-// shard, then three, each as built, frozen and churned; see
+// shard, then three, each as built, restored from a frozen snapshot and
+// churned; see
 // allFlavorsWith.
 func allFlavors(t testing.TB, users []*Trajectory) []namedFlavor {
 	t.Helper()
@@ -43,12 +22,14 @@ func allFlavors(t testing.TB, users []*Trajectory) []namedFlavor {
 }
 
 // allFlavorsWith is allFlavors for a given tree configuration and shard
-// count. Per shard count: an Index as built, its Freeze, and an Index
+// count. Per shard count: an Index as built, an Index restored from the
+// built one's WriteFrozenSnapshot stream (TQSNAP04 at one shard, TQSHRD03
+// at several; named FrozenIndex for the frozen form it is), and an Index
 // that reaches the corpus through churn, so that its epochs carry a
 // non-empty delta overlay — at one shard, built over the first two thirds
 // with the rest inserted; at the given count, built over the first half
 // with the rest inserted, then the first six deleted and re-inserted, for
-// tombstones too. The one-shard subjects are named for their type alone.
+// tombstones too. The one-shard subjects carry no shard suffix.
 func allFlavorsWith(t testing.TB, users []*Trajectory, opts IndexOptions, shards int) []namedFlavor {
 	t.Helper()
 	must := func(err error) {
@@ -68,8 +49,7 @@ func allFlavorsWith(t testing.TB, users []*Trajectory, opts IndexOptions, shards
 
 		idx, err := NewIndex(users, opts)
 		must(err)
-		fz, err := idx.Freeze()
-		must(err)
+		fz := frozenRestore(t, idx)
 
 		cut := 2 * len(users) / 3
 		if i > 0 {
@@ -95,4 +75,20 @@ func allFlavorsWith(t testing.TB, users []*Trajectory, opts IndexOptions, shards
 			namedFlavor{churned, "Index" + suffix + "/churned"})
 	}
 	return out
+}
+
+// frozenRestore writes idx as a frozen snapshot and restores it with
+// ReadLiveSnapshot: an Index whose shards have nothing pending, sharing
+// nothing with idx.
+func frozenRestore(t testing.TB, idx *Index) *Index {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := idx.WriteFrozenSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadLiveSnapshot(&buf, LivePolicy{Manual: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return back
 }

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// TestFrozenServiceValueAllocs asserts the frozen hot path stays within
-// its allocation budget: at most 1 alloc/op (the pooling target) and
-// never more than the Index it was frozen from, which also captures its
-// epoch. Both draw scratch from sync.Pools, so a couple of warm-up
-// queries populate them before measuring.
+// TestFrozenServiceValueAllocs asserts the hot path of an Index restored
+// from a frozen snapshot stays within its allocation budget: at most 1
+// alloc/op (the pooling target) and never more than the Index that wrote
+// it. Both draw scratch from sync.Pools, so a couple of warm-up queries
+// populate them before measuring.
 func TestFrozenServiceValueAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are not meaningful under -race: sync.Pool drops items deliberately")
@@ -21,10 +21,7 @@ func TestFrozenServiceValueAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fz, err := idx.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fz := frozenRestore(t, idx)
 	q := Query{Scenario: Binary, Psi: DefaultPsi}
 	for _, r := range routes {
 		if _, err := idx.ServiceValue(r, q); err != nil {
@@ -53,9 +50,9 @@ func TestFrozenServiceValueAllocs(t *testing.T) {
 	}
 }
 
-// TestLiveTopKWithMetricsAllocs asserts the embedded query surface is
-// free on the serving path: the public Index.TopKWithMetrics allocates
-// no more than the shard.Live.TopKCtx call it forwards to.
+// TestLiveTopKWithMetricsAllocs asserts the public query methods are free
+// on the serving path: Index.TopKWithMetrics allocates no more than the
+// shard.Live.TopKCtx call it forwards to.
 func TestLiveTopKWithMetricsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are not meaningful under -race: sync.Pool drops items deliberately")

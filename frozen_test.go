@@ -31,11 +31,11 @@ func frozenCases(t testing.TB) []frozenCase {
 	}
 }
 
-// TestFrozenEquivalence proves the frozen index answers ServiceValues and
-// TopK bit-identically to the Index it was frozen from, across all
-// variants, both orderings, and every scenario the variant supports —
-// including identical work metrics, because both run the same search over
-// the same base.
+// TestFrozenEquivalence proves an Index restored from a frozen snapshot
+// answers ServiceValues and TopK bit-identically to the Index that wrote
+// it, across all variants, both orderings, and every scenario the variant
+// supports — including identical work metrics, because both run the same
+// search over the same base columns.
 func TestFrozenEquivalence(t *testing.T) {
 	routes := BusRoutes(NewYorkCity(), 48, 12, 3)
 	const k = 6
@@ -47,10 +47,7 @@ func TestFrozenEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fz, err := idx.Freeze()
-				if err != nil {
-					t.Fatal(err)
-				}
+				fz := frozenRestore(t, idx)
 				if fz.Len() != idx.Len() {
 					t.Fatalf("frozen Len %d, index Len %d", fz.Len(), idx.Len())
 				}
@@ -120,8 +117,9 @@ func compareRanked(t *testing.T, sc Scenario, want, got []Ranked) {
 	}
 }
 
-// TestFrozenShardedEquivalence proves a frozen index's scatter-gather
-// answers match the Index it was frozen from for TopK and ServiceValues
+// TestFrozenShardedEquivalence proves the scatter-gather answers of an
+// Index restored from a frozen snapshot (TQSNAP04 at one shard, TQSHRD03
+// at several) match the Index that wrote it for TopK and ServiceValues
 // under Binary — the integral scenario where sharded answers are exact,
 // across shard counts and partitioners.
 func TestFrozenShardedEquivalence(t *testing.T) {
@@ -144,10 +142,7 @@ func TestFrozenShardedEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fz, err := sidx.Freeze()
-				if err != nil {
-					t.Fatal(err)
-				}
+				fz := frozenRestore(t, sidx)
 				if fz.NumShards() != sidx.NumShards() || fz.Len() != sidx.Len() {
 					t.Fatalf("frozen shards/len %d/%d, source %d/%d",
 						fz.NumShards(), fz.Len(), sidx.NumShards(), sidx.Len())
@@ -187,56 +182,17 @@ func TestFrozenShardedEquivalence(t *testing.T) {
 	}
 }
 
-// TestNewFrozenIndex checks the direct build path is build-then-freeze:
-// at one shard and at three, under both partitioners, the same columns
-// and table rows (contentDigest) and the same answers.
-func TestNewFrozenIndex(t *testing.T) {
-	ny := NewYorkCity()
-	users := TaxiTrips(ny, 800, 13)
-	routes := BusRoutes(ny, 16, 8, 17)
-	q := Query{Scenario: Binary, Psi: DefaultPsi}
-
-	for _, shards := range []int{1, 3} {
-		for _, part := range []Partitioner{HashPartitioner(), GridPartitioner()} {
-			opts := IndexOptions{Ordering: ZOrdering, Shards: shards, Partitioner: part}
-			idx, err := NewIndex(users, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			frozen, err := idx.Freeze()
-			if err != nil {
-				t.Fatal(err)
-			}
-			direct, err := NewFrozenIndex(users, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a, b := contentDigest(t, direct), contentDigest(t, frozen); a != b {
-				t.Fatalf("%d %s shards: NewFrozenIndex digest %s, NewIndex+Freeze %s", shards, part.Kind(), a, b)
-			}
-			want, err := idx.TopK(routes, 4, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := direct.TopK(routes, 4, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareRanked(t, q.Scenario, want, got)
-		}
-	}
-}
-
-// TestFrozenRejectsUnsupportedScenario pins the frozen path's scenario
-// validation.
+// TestFrozenRejectsUnsupportedScenario pins the scenario validation of
+// an Index restored from a frozen snapshot.
 func TestFrozenRejectsUnsupportedScenario(t *testing.T) {
 	ny := NewYorkCity()
 	users := Checkins(ny, 200, 5, 19)
 	routes := BusRoutes(ny, 4, 6, 23)
-	fz, err := NewFrozenIndex(users, IndexOptions{Variant: TwoPoint, Ordering: ZOrdering})
+	idx, err := NewIndex(users, IndexOptions{Variant: TwoPoint, Ordering: ZOrdering})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fz := frozenRestore(t, idx)
 	if _, err := fz.TopK(routes, 2, Query{Scenario: PointCount, Psi: DefaultPsi}); err == nil {
 		t.Fatal("expected scenario error for TwoPoint over multipoint data")
 	}
@@ -245,9 +201,9 @@ func TestFrozenRejectsUnsupportedScenario(t *testing.T) {
 	}
 }
 
-// TestPublicCtxVariantsAcrossIndexTypes pins the promise of the one
-// embedded query surface (querier.go): EVERY index type exposes
-// ServiceValuesCtx/TopKCtx/TopKParallelCtx, a background context
+// TestPublicCtxVariantsAcrossIndexTypes pins the promise of the Ctx
+// query methods on every form an Index takes (built, restored from a
+// frozen snapshot, churned; one shard or three): a background context
 // changes nothing, and an expired deadline aborts with
 // context.DeadlineExceeded.
 func TestPublicCtxVariantsAcrossIndexTypes(t *testing.T) {

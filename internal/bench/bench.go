@@ -142,7 +142,7 @@ type Context struct {
 	bj *datagen.City
 
 	users   map[string]*trajectory.Set
-	indexes map[string]*shard.Frozen
+	indexes map[string]*shard.Live
 	bases   map[string]*query.Baseline
 	routes  map[string][]*trajectory.Facility
 }
@@ -154,7 +154,7 @@ func NewContext(cfg Config) *Context {
 		ny:      datagen.NewYork(),
 		bj:      datagen.Beijing(),
 		users:   map[string]*trajectory.Set{},
-		indexes: map[string]*shard.Frozen{},
+		indexes: map[string]*shard.Live{},
 		bases:   map[string]*query.Baseline{},
 		routes:  map[string][]*trajectory.Facility{},
 	}
@@ -227,10 +227,10 @@ func (c *Context) Routes(city string, n, stops int) []*trajectory.Facility {
 // Index returns a memoized one-shard index over the given dataset,
 // variant and ordering — one base served as an epoch with nothing
 // pending, the unit every shard of a served index is. The figures read
-// it four ways: exact values through its Scatter (the served pass),
+// it four ways: exact values through its scatter (the served pass),
 // best-first top-k and its seed bound through query.BestFirstTopK and
 // query.SeedBound over Base(0), and coverage through Source.
-func (c *Context) Index(kind string, paperN int, v tqtree.Variant, o tqtree.Ordering) *shard.Frozen {
+func (c *Context) Index(kind string, paperN int, v tqtree.Variant, o tqtree.Ordering) *shard.Live {
 	users := c.Users(kind, paperN)
 	key := fmt.Sprintf("%s/%d/%v/%v", kind, users.Len(), v, o)
 	if f, ok := c.indexes[key]; ok {
@@ -240,7 +240,7 @@ func (c *Context) Index(kind string, paperN int, v tqtree.Variant, o tqtree.Orde
 	if err != nil {
 		panic(fmt.Sprintf("bench: build tree: %v", err))
 	}
-	f, err := shard.FrozenOf([]*tqtree.Frozen{fz}, shard.Hash{})
+	f, err := shard.LiveOf([]*tqtree.Frozen{fz}, shard.Hash{}, shard.Policy{})
 	if err != nil {
 		panic(fmt.Sprintf("bench: index: %v", err))
 	}

@@ -78,7 +78,7 @@ func expBound(ctx *Context) (*Table, error) {
 // boundRow is one row of expBound: {median UB/exact, min UB/exact, rank
 // gap at k, facilities the bound ranks below the k-th value}. The exact
 // values are the served pass over idx, the bounds its base's SeedBound.
-func boundRow(idx *shard.Frozen, fs []*trajectory.Facility, k int, p query.Params) ([]float64, error) {
+func boundRow(idx *shard.Live, fs []*trajectory.Facility, k int, p query.Params) ([]float64, error) {
 	exact, _, err := idx.ServiceValuesCtx(context.Background(), fs, p, 0)
 	if err != nil {
 		return nil, err

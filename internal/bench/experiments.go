@@ -130,7 +130,7 @@ var workerAxis = []int{1, 2, 4, 8}
 // On a single-core host the series should stay flat; on n cores it should
 // approach n× the single-worker rate because facilities shard
 // independently over a read-only tree. The batch is the served pass, a
-// one-shard index's Scatter; a served top-k is this batch plus a sort
+// one-shard index's scatter; a served top-k is this batch plus a sort
 // (expShards times it at more shards).
 func expThroughput(ctx *Context) (*Table, error) {
 	t := &Table{
@@ -307,7 +307,7 @@ func expDatasets(ctx *Context) (*Table, error) {
 
 // timeServiceValue measures the average per-facility service-value time:
 // the baseline's, and the served pass's over a one-shard index.
-func timeServiceValue(ctx *Context, idx *shard.Frozen, bl *query.Baseline, fs []*trajectory.Facility, p query.Params) (blSec, tqSec float64, err error) {
+func timeServiceValue(ctx *Context, idx *shard.Live, bl *query.Baseline, fs []*trajectory.Facility, p query.Params) (blSec, tqSec float64, err error) {
 	probe := fs
 	if len(probe) > 16 {
 		probe = probe[:16]

@@ -15,9 +15,9 @@ import (
 
 // TwoStepGreedy is TwoStep over a one-shard index of eng.
 func TwoStepGreedy(eng *query.Engine, facilities []*trajectory.Facility, k, kPrime int, p query.Params) (Result, error) {
-	f, err := shard.FrozenOf([]*tqtree.Frozen{eng.Frozen()}, shard.Hash{})
+	l, err := shard.LiveOf([]*tqtree.Frozen{eng.Frozen()}, shard.Hash{}, shard.Policy{})
 	if err != nil {
 		return Result{}, err
 	}
-	return TwoStep(f.Source(), facilities, k, kPrime, p)
+	return TwoStep(l.Source(), facilities, k, kPrime, p)
 }

@@ -67,12 +67,12 @@ func engineFor(t *testing.T, users *trajectory.Set, ordering tqtree.Ordering) *s
 	return sourceFor(t, users, tqtree.TwoPoint, ordering, 1)
 }
 
-// sourceFor indexes users in the given number of frozen shards.
+// sourceFor indexes users in the given number of shards.
 func sourceFor(t *testing.T, users *trajectory.Set, v tqtree.Variant, ordering tqtree.Ordering, shards int) *shard.Source {
 	t.Helper()
-	f, err := shard.BuildFrozen(users.All, shard.Options{Shards: shards, Tree: tqtree.Options{
+	f, err := shard.BuildLive(users.All, shard.Options{Shards: shards, Tree: tqtree.Options{
 		Variant: v, Ordering: ordering, Beta: 8, Bounds: testBounds,
-	}})
+	}}, shard.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +554,7 @@ func TestTwoStepCandidatesMatchBestFirst(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := shard.FrozenOf([]*tqtree.Frozen{fz}, shard.Hash{})
+		f, err := shard.LiveOf([]*tqtree.Frozen{fz}, shard.Hash{}, shard.Policy{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,7 @@ package query
 // per-facility evaluations — the unit of work the batch already
 // schedules — returning ctx.Err() (context.DeadlineExceeded or
 // context.Canceled) with no partial answer. Every served top-k is one
-// such batch per shard plus Results (internal/shard's Scatter), so this
+// such batch per shard plus Results (internal/shard's scatter), so this
 // is the one place a query polls its deadline.
 //
 // The batch loop (addServiceValues in layout.go) polls CtxErr once per

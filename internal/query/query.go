@@ -13,8 +13,8 @@
 //   - The paper's baseline (BL): per-facility circular range queries over
 //     a traditional point quadtree.
 //   - Results (executor.go): the sort-and-cut from a batch of exact
-//     values to a top-k answer, which is the whole served top-k of every
-//     public index type (internal/shard's Scatter, one shard or several)
+//     values to a top-k answer, which is the whole served top-k of the
+//     public index type (internal/shard's scatter, one shard or several)
 //     and of the distributed frontend (internal/dist) — across disjoint
 //     parts of a corpus no bound this cheap has ever cut a facility
 //     (EXPERIMENTS.md, tqbench -exp bound).

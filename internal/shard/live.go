@@ -119,10 +119,6 @@ type liveShard struct {
 // Insert/Delete/Compact and with each other; Insert/Delete serialize on
 // an internal writer lock.
 type Live struct {
-	// Scatter is the query surface: every query captures l.Epochs() once
-	// and runs over that cut.
-	Scatter
-
 	bounds   geo.Rect
 	part     Partitioner
 	treeOpts tqtree.Options
@@ -194,21 +190,29 @@ type Health struct {
 }
 
 // BuildLive partitions users and builds one frozen-epoch shard per
-// partition, each base written straight from its build plan.
+// partition, each base written straight from its build plan. A duplicate
+// ID inside a shard fails that shard's build; one shared by two shards
+// fails the merge in LiveOf.
 func BuildLive(users []*trajectory.Trajectory, opts Options, pol Policy) (*Live, error) {
 	opts = opts.withDefaults()
-	f, err := BuildFrozen(users, opts)
+	parts, bounds := partition(users, opts)
+	bases := make([]*tqtree.Frozen, len(parts))
+	err := buildTrees(parts, bounds, opts, func(i int, treeOpts tqtree.Options) error {
+		fz, err := tqtree.BuildFrozen(parts[i], treeOpts)
+		bases[i] = fz
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	return newLive(f.epochs, opts.Partitioner, pol), nil
+	return LiveOf(bases, opts.Partitioner, pol)
 }
 
-// Freeze returns the immutable form of the logical corpus over one epoch
-// capture: a shard with no pending churn contributes its base as it is,
-// and any other is folded as a rebuild would fold it. The index is only
-// read and remains usable.
-func (l *Live) Freeze() (*Frozen, error) {
+// Bases returns the base of every shard over one epoch capture, with the
+// logical corpus folded in: a shard with no pending churn contributes its
+// base as it is, and any other a fresh base folded as a rebuild would
+// fold it, which is not swapped in. The index is only read.
+func (l *Live) Bases() ([]*tqtree.Frozen, error) {
 	eps := l.Epochs()
 	bases := make([]*tqtree.Frozen, len(eps))
 	for i, ep := range eps {
@@ -222,7 +226,7 @@ func (l *Live) Freeze() (*Frozen, error) {
 		}
 		bases[i] = fz
 	}
-	return newFrozen(bases, l.part)
+	return bases, nil
 }
 
 // fold builds a fresh frozen base over ep's logical corpus. The corpus is
@@ -233,13 +237,6 @@ func (l *Live) fold(ep *query.Epoch) (*tqtree.Frozen, error) {
 	fz, err := tqtree.BuildFrozen(ep.LogicalCorpus(), l.treeOpts)
 	runtime.KeepAlive(ep) // the views alias ep's table until BuildFrozen has copied them
 	return fz, err
-}
-
-// Live serves the frozen shards' epochs in the mutable form — the restore
-// path for frozen snapshots. The epochs are shared, not copied: they are
-// immutable, and every write publishes a successor.
-func (f *Frozen) Live(pol Policy) *Live {
-	return newLive(f.epochs, f.part, pol)
 }
 
 // treeOptsOf reconstructs the build options a rebuild must reuse from a
@@ -255,24 +252,40 @@ func treeOptsOf(fz *tqtree.Frozen) tqtree.Options {
 	}
 }
 
+// LiveOf serves per-shard frozen bases as generation-0 epochs with
+// nothing pending — the build path, and the figures' one-shard index.
+// part is the partitioner the partition was produced with; inserts are
+// routed by it.
+func LiveOf(bases []*tqtree.Frozen, part Partitioner, pol Policy) (*Live, error) {
+	epochs := make([]*query.Epoch, len(bases))
+	for i, b := range bases {
+		ep, err := query.NewEpoch(b, nil, nil, 0)
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
+		}
+		epochs[i] = ep
+	}
+	return LiveFromEpochs(epochs, part, pol)
+}
+
 // LiveFromEpochs assembles a Live from per-shard epochs — the snapshot
-// restore path (the epochs may carry non-empty deltas and tombstones).
-// IDs must be unique across every shard's logical corpus: NewEpoch made
-// each unique in itself, and one merge of their sorted ID columns checks
-// the rest. The shared root space and rebuild options come from the
-// first shard's base (every shard is built with one configuration over
-// one root space).
+// restore path (a live snapshot's epochs may carry non-empty deltas and
+// tombstones). IDs must be unique across every shard's logical corpus,
+// exactly as a build checks: NewEpoch made each unique in itself, and one
+// merge of their sorted ID columns checks the rest. The shared root space
+// and rebuild options come from the first shard's base (every shard is
+// built with one configuration over one root space).
 func LiveFromEpochs(epochs []*query.Epoch, part Partitioner, pol Policy) (*Live, error) {
 	if len(epochs) == 0 {
-		return nil, fmt.Errorf("shard: no live shards")
+		return nil, fmt.Errorf("shard: no shards")
 	}
 	if len(epochs) > 1 {
 		cols := make([][]trajectory.ID, len(epochs))
 		for i, ep := range epochs {
 			cols[i] = ep.SortedIDs()
 		}
-		if err := uniqueAcross(cols, "live"); err != nil {
-			return nil, err
+		if id, i, dup := trajectory.FirstDuplicateAcross(cols); dup {
+			return nil, fmt.Errorf("shard: duplicate id %d across shards (shard %d)", id, i)
 		}
 	}
 	return newLive(epochs, part, pol), nil
@@ -289,7 +302,6 @@ func newLive(epochs []*query.Epoch, part Partitioner, pol Policy) *Live {
 		policy:   pol.withDefaults(),
 		shards:   make([]*liveShard, len(epochs)),
 	}
-	l.Scatter = Scatter{live: l}
 	for i, ep := range epochs {
 		sh := &liveShard{
 			delta:     ep.Delta(),
@@ -310,6 +322,9 @@ func (l *Live) NumShards() int { return len(l.shards) }
 
 // PartitionerKind returns the configured partitioner's kind.
 func (l *Live) PartitionerKind() string { return l.part.Kind() }
+
+// Base returns the frozen base shard i serves now.
+func (l *Live) Base(i int) *tqtree.Frozen { return l.shards[i].epoch.Load().Base() }
 
 // Epochs returns each shard's current epoch as one write-consistent
 // cut: the read lock excludes writers for the duration of the pointer

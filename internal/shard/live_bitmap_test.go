@@ -61,7 +61,7 @@ func TestLiveTombstoneWordBoundaries(t *testing.T) {
 				check := func(stage string) {
 					t.Helper()
 					corpus := oracle.corpus()
-					fresh, err := BuildFrozen(corpus, opts)
+					fresh, err := BuildLive(corpus, opts, manualPolicy())
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -38,11 +38,11 @@ func readerPause() { time.Sleep(50 * time.Microsecond) }
 
 func manualPolicy() Policy { return Policy{Manual: true} }
 
-// TestLiveEmptyDeltaMatchesFrozen: a freshly built Live index (all
-// epochs frozen, empty overlays) must answer byte-identically — values
-// and metrics — to the PR 3 frozen sharded path, across shard counts,
-// orderings, and scenarios. This is the empty-delta anchor at the
-// scatter-gather level.
+// TestLiveEmptyDeltaMatchesFrozen: a Live served from bare frozen bases
+// (LiveOf, the frozen-snapshot restore's gen-0 epochs) must answer
+// byte-identically — values and metrics — to the built Live whose bases
+// they are, across shard counts, orderings, and scenarios. This is the
+// empty-delta anchor at the scatter-gather level.
 func TestLiveEmptyDeltaMatchesFrozen(t *testing.T) {
 	users := makeUsers(600, 4, 71)
 	facilities := makeFacilities(24, 8, 72)
@@ -53,11 +53,18 @@ func TestLiveEmptyDeltaMatchesFrozen(t *testing.T) {
 				opts := Options{Shards: n, Tree: tqtree.Options{
 					Variant: tqtree.FullTrajectory, Ordering: o, Beta: 8, Bounds: testBounds,
 				}}
-				fz, err := BuildFrozen(users, opts)
+				lv, err := BuildLive(users, opts, manualPolicy())
 				if err != nil {
 					t.Fatal(err)
 				}
-				lv := fz.Live(manualPolicy())
+				bases, err := lv.Bases()
+				if err != nil {
+					t.Fatal(err)
+				}
+				fz, err := LiveOf(bases, Hash{}, manualPolicy())
+				if err != nil {
+					t.Fatal(err)
+				}
 				p.Scenario = sc
 				name := fmt.Sprintf("%d/%v/%v", n, o, sc)
 
@@ -179,7 +186,7 @@ func TestLiveChurnMatchesFreshBuild(t *testing.T) {
 
 		check := func(stage string) {
 			corpus := oracle.corpus()
-			fresh, err := BuildFrozen(corpus, opts)
+			fresh, err := BuildLive(corpus, opts, manualPolicy())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -321,7 +328,7 @@ func TestLiveDeletesDuringCompact(t *testing.T) {
 		}
 		// A second compact folds any tombstones the deletes left behind;
 		// answers must match a fresh build both before and after.
-		fresh, err := BuildFrozen(survivors, opts)
+		fresh, err := BuildLive(survivors, opts, manualPolicy())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,35 +12,22 @@ import (
 // Params re-exports the query parameter bundle for shard callers.
 type Params = query.Params
 
-// Scatter is the query surface of every index, written once over the
-// shards' epochs and embedded in Frozen and Live, whatever their shard
-// count (the root package's Index is a Live, its FrozenIndex a Frozen).
-// Each shard is one query.Epoch: a frozen shard's has nothing pending.
-// Users are disjoint across shards, so a facility's service value is the
-// sum of its per-shard values and a batch's coverage table the
-// concatenation of theirs — which is all the code below relies on.
+// The query surface of every index, written once over a Live's shards,
+// whatever their count (the root package's Index is a Live). Each shard
+// is one query.Epoch; one that has taken no write since its base was
+// built or restored has nothing pending. Users are disjoint across
+// shards, so a facility's service value is the sum of its per-shard
+// values and a batch's coverage table the concatenation of theirs —
+// which is all the code below relies on.
 //
-// The epochs one query runs over are Frozen's fixed slice, or one
-// write-consistent cut of a Live (Live.Epochs) — taken once per call, so
-// a query (or a whole stream, or a whole MaxkCovRST solve through Source)
-// is unaffected by writes and swaps that land while it runs.
-type Scatter struct {
-	epochs []*query.Epoch // a Frozen's shards
-	live   *Live          // or the Live whose current cut each call captures
-}
+// Every call runs over one write-consistent cut of the shards' epochs
+// (Live.Epochs), taken once when it starts, so a query (or a whole
+// MaxkCovRST solve through Source) is unaffected by writes and swaps
+// that land while it runs.
 
 // stackShards is how many shards a batch captures into a buffer on its
 // own stack; an index of more shards captures onto the heap.
 const stackShards = 8
-
-// capture returns the epochs one call runs over, a Live's cut appended to
-// dst.
-func (s Scatter) capture(dst []*query.Epoch) []*query.Epoch {
-	if s.live != nil {
-		return s.live.appendEpochs(dst)
-	}
-	return s.epochs
-}
 
 // validate checks the query parameters and their compatibility with
 // every shard — scenario validity depends on per-shard data (a TwoPoint
@@ -73,11 +60,11 @@ func sumValues(ctx context.Context, eps []*query.Epoch, facilities []*trajectory
 
 // ServiceValue computes SO(U, f) as the sum of per-shard service values,
 // accumulated in shard order so the answer is deterministic.
-func (s Scatter) ServiceValue(f *trajectory.Facility, p Params) (float64, query.Metrics, error) {
+func (l *Live) ServiceValue(f *trajectory.Facility, p Params) (float64, query.Metrics, error) {
 	var m query.Metrics
 	var so float64
 	var buf [stackShards]*query.Epoch
-	for _, ep := range s.capture(buf[:0]) {
+	for _, ep := range l.appendEpochs(buf[:0]) {
 		v, um, err := ep.ServiceValue(f, p)
 		if err != nil {
 			return 0, m, err
@@ -93,10 +80,10 @@ func (s Scatter) ServiceValue(f *trajectory.Facility, p Params) (float64, query.
 // shard order. Each shard's batch runs on the shared worker budget and
 // polls ctx between facilities, returning ctx.Err() instead of an answer
 // once the context is done. The output is indexed like facilities.
-func (s Scatter) ServiceValuesCtx(ctx context.Context, facilities []*trajectory.Facility, p Params, workers int) ([]float64, query.Metrics, error) {
+func (l *Live) ServiceValuesCtx(ctx context.Context, facilities []*trajectory.Facility, p Params, workers int) ([]float64, query.Metrics, error) {
 	var m query.Metrics
 	var buf [stackShards]*query.Epoch
-	out, err := sumValues(ctx, s.capture(buf[:0]), facilities, p, workers, &m)
+	out, err := sumValues(ctx, l.appendEpochs(buf[:0]), facilities, p, workers, &m)
 	return out, m, err
 }
 
@@ -115,9 +102,9 @@ func (s Scatter) ServiceValuesCtx(ctx context.Context, facilities []*trajectory.
 // it scores nearly every entry an exact pass does, and across shards only
 // a summed seed bound could prune, which measured (tqbench -exp bound)
 // never ranks a facility below the k-th value.
-func (s Scatter) TopKCtx(ctx context.Context, facilities []*trajectory.Facility, k int, p Params, workers int) ([]query.Result, query.Metrics, error) {
+func (l *Live) TopKCtx(ctx context.Context, facilities []*trajectory.Facility, k int, p Params, workers int) ([]query.Result, query.Metrics, error) {
 	var buf [stackShards]*query.Epoch
-	eps := s.capture(buf[:0])
+	eps := l.appendEpochs(buf[:0])
 	var m query.Metrics
 	if err := validate(eps, p); err != nil {
 		return nil, m, err
@@ -135,8 +122,8 @@ func (s Scatter) TopKCtx(ctx context.Context, facilities []*trajectory.Facility,
 // Source captures the epochs once and returns them as the input of a
 // query that makes many calls — a MaxkCovRST solve, a served-users answer
 // — so every call sees one epoch cut.
-func (s Scatter) Source() *Source {
-	return &Source{eps: s.capture(nil)}
+func (l *Live) Source() *Source {
+	return &Source{eps: l.appendEpochs(nil)}
 }
 
 // Source is one capture of an index's shards as the coverage queries read

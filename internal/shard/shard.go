@@ -3,13 +3,14 @@
 // values fan out to every shard as one batch and are summed, and top-k is
 // the sort-and-cut of those sums (query.Results) — what the distributed
 // frontend does over whole processes. Coverage (MaxkCovRST, served users)
-// is every shard's coverage table joined, read through one Source. Each of
-// the two public index types is one of the two forms here — FrozenIndex a
-// Frozen, immutable, and Index a Live, epoch-serving and mutable — with
-// one shard or several. Either way every shard is one query.Epoch (a
-// frozen shard's has nothing pending), so both answer through one
-// Scatter. The paper's best-first search (Algorithms 3/4) stays in
-// internal/query, for the figures.
+// is every shard's coverage table joined, read through one Source. The
+// public index type, Index, is one Live, with one shard or several: every
+// shard is one query.Epoch over a frozen base, and a shard that has taken
+// no write since its base was built or restored has nothing pending. Live
+// is mutable; immutability is not a property of the type, so a caller
+// that wants an index to stay as it is does not write to it. The paper's
+// best-first search (Algorithms 3/4) stays in internal/query, for the
+// figures.
 //
 // Sharding is what keeps datasets larger than one tree's comfortable
 // in-memory size — and rebuilds — from being monolithic: shards build in
@@ -29,7 +30,7 @@ import (
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
-// Options configures BuildFrozen and BuildLive.
+// Options configures BuildLive.
 type Options struct {
 	// Shards is the number of TQ-trees to partition across. 0 means 1.
 	Shards int

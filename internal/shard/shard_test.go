@@ -172,7 +172,7 @@ func TestShardedMatchesSingleTree(t *testing.T) {
 		}
 		for _, part := range []Partitioner{Hash{}, Grid{}} {
 			for _, n := range shardCounts {
-				s, err := BuildFrozen(users, Options{Shards: n, Partitioner: part, Tree: treeOpts})
+				s, err := BuildLive(users, Options{Shards: n, Partitioner: part, Tree: treeOpts}, manualPolicy())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -250,9 +250,9 @@ func TestShardedMatchesSingleTree(t *testing.T) {
 func TestShardedTopKParallelMatchesSerial(t *testing.T) {
 	users := makeUsers(2000, 2, 31)
 	facilities := makeFacilities(32, 8, 32)
-	s, err := BuildFrozen(users, Options{Shards: 4, Tree: tqtree.Options{
+	s, err := BuildLive(users, Options{Shards: 4, Tree: tqtree.Options{
 		Ordering: tqtree.ZOrder, Bounds: testBounds,
-	}})
+	}}, manualPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,9 +286,9 @@ func TestBuildParallelismIsEquivalent(t *testing.T) {
 	p := query.Params{Scenario: service.Binary, Psi: 40}
 	var want []float64
 	for _, par := range []int{1, 2, 8} {
-		s, err := BuildFrozen(users, Options{Shards: 4, Tree: tqtree.Options{
+		s, err := BuildLive(users, Options{Shards: 4, Tree: tqtree.Options{
 			Bounds: testBounds, Parallelism: par,
-		}})
+		}}, manualPolicy())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,7 +362,7 @@ func TestShardedInsertRoutesToOneShard(t *testing.T) {
 func TestBuildRejectsCrossShardDuplicates(t *testing.T) {
 	a := trajectory.MustNew(7, []geo.Point{geo.Pt(1, 1), geo.Pt(2, 2)})
 	b := trajectory.MustNew(7, []geo.Point{geo.Pt(900, 900), geo.Pt(950, 950)})
-	if _, err := BuildFrozen([]*trajectory.Trajectory{a, b}, Options{Shards: 4, Partitioner: Grid{}}); err == nil {
+	if _, err := BuildLive([]*trajectory.Trajectory{a, b}, Options{Shards: 4, Partitioner: Grid{}}, manualPolicy()); err == nil {
 		t.Fatal("duplicate IDs accepted")
 	}
 }
@@ -371,7 +371,7 @@ func TestBuildRejectsCrossShardDuplicates(t *testing.T) {
 // than shards (some shards empty), empty facility lists.
 func TestEmptyAndTinyCorpora(t *testing.T) {
 	p := query.Params{Scenario: service.Binary, Psi: 40}
-	s, err := BuildFrozen(nil, Options{Shards: 4, Tree: tqtree.Options{Bounds: testBounds}})
+	s, err := BuildLive(nil, Options{Shards: 4, Tree: tqtree.Options{Bounds: testBounds}}, manualPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestEmptyAndTinyCorpora(t *testing.T) {
 		t.Fatal(err)
 	}
 	few := makeUsers(3, 2, 62)
-	s, err = BuildFrozen(few, Options{Shards: 8, Tree: tqtree.Options{Bounds: testBounds}})
+	s, err = BuildLive(few, Options{Shards: 8, Tree: tqtree.Options{Bounds: testBounds}}, manualPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func TestEmptyAndTinyCorpora(t *testing.T) {
 // also over an empty facility list, which has no facility to evaluate.
 func TestShardedValidates(t *testing.T) {
 	users := makeUsers(300, 4, 81) // multipoint
-	s, err := BuildFrozen(users, Options{Shards: 2, Tree: tqtree.Options{Bounds: testBounds}})
+	s, err := BuildLive(users, Options{Shards: 2, Tree: tqtree.Options{Bounds: testBounds}}, manualPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,12 +480,12 @@ func TestFrozenAndLiveRejectDuplicateIDs(t *testing.T) {
 	}
 
 	a, b := frozenShardOf(t, users[:20]), frozenShardOf(t, users[20:])
-	if _, err := FrozenOf([]*tqtree.Frozen{a, b}, Hash{}); err != nil {
+	if _, err := LiveOf([]*tqtree.Frozen{a, b}, Hash{}, manualPolicy()); err != nil {
 		t.Fatalf("disjoint frozen shards: %v", err)
 	}
 	clash := frozenShardOf(t, append([]*trajectory.Trajectory{dupOf(users[5])}, users[20:]...))
-	if _, err := FrozenOf([]*tqtree.Frozen{a, clash}, Hash{}); err == nil {
-		t.Fatal("FrozenOf accepted a base id in two shards")
+	if _, err := LiveOf([]*tqtree.Frozen{a, clash}, Hash{}, manualPolicy()); err == nil {
+		t.Fatal("LiveOf accepted a base id in two shards")
 	}
 
 	epochOf := func(e *tqtree.Frozen, delta []*trajectory.Trajectory, dead ...trajectory.ID) *query.Epoch {

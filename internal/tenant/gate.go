@@ -10,6 +10,7 @@ package tenant
 // deterministic instead of statistical.
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,13 +44,15 @@ type Gate struct {
 	rejQueue    atomic.Uint64
 	rejRate     atomic.Uint64
 
-	// Token bucket for the write rate. last is the previous refill
-	// instant; rate remembers the limit the bucket was filled under so a
-	// reloaded limit re-clamps the burst.
+	// Token bucket for the write rate (mu). last is the previous refill
+	// instant. rate holds the bits of the limit the last write ran under,
+	// 0 for unlimited, so that any change of limit — to or from unlimited
+	// too — starts the bucket from a full burst. The unlimited path reads
+	// and clears it without mu.
 	mu     sync.Mutex
 	tokens float64
 	last   time.Time
-	rate   float64
+	rate   atomic.Uint64
 }
 
 func (g *Gate) now() time.Time {
@@ -97,10 +100,14 @@ func (g *Gate) Admit(lim Limits) (ok bool, reason RejectReason) {
 
 // AdmitWrite is the write-rate token bucket: under lim.WritesPerSec
 // (<= 0: unlimited) it admits up to burst = max(1, rate) immediately
-// and refills continuously. Rejections are counted.
+// and refills continuously. A write under a limit other than the last
+// write's starts from a full burst. Rejections are counted.
 func (g *Gate) AdmitWrite(lim Limits) bool {
 	rate := lim.WritesPerSec
 	if rate <= 0 {
+		if g.rate.Load() != 0 {
+			g.rate.Store(0)
+		}
 		g.writes.Add(1)
 		return true
 	}
@@ -111,11 +118,11 @@ func (g *Gate) AdmitWrite(lim Limits) bool {
 	now := g.now()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.last.IsZero() || g.rate != rate {
+	if bits := math.Float64bits(rate); g.rate.Load() != bits {
 		// First use, or the limit changed under reload: start from a
 		// full burst. A shrinking limit must clamp immediately.
 		g.tokens = burst
-		g.rate = rate
+		g.rate.Store(bits)
 	} else {
 		g.tokens += now.Sub(g.last).Seconds() * rate
 		if g.tokens > burst {

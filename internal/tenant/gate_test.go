@@ -160,6 +160,34 @@ func TestGateWriteRateReloadReclamps(t *testing.T) {
 	}
 }
 
+// TestGateWriteRateThroughUnlimited: a limit that goes through unlimited
+// and back starts from a full burst, as any other change of limit does —
+// X → unlimited → X as much as X → unlimited → Y.
+func TestGateWriteRateThroughUnlimited(t *testing.T) {
+	for _, back := range []float64{0.001, 2} {
+		now := time.Unix(4000, 0)
+		g := Gate{Now: func() time.Time { return now }}
+		x := Limits{WritesPerSec: 0.001} // burst 1, a token every 1000 s
+		if !g.AdmitWrite(x) || g.AdmitWrite(x) {
+			t.Fatalf("back to %v: the first limited write must land and empty the bucket", back)
+		}
+		if !g.AdmitWrite(Limits{}) {
+			t.Fatalf("back to %v: unlimited write rejected", back)
+		}
+		now = now.Add(time.Second)
+		lim := Limits{WritesPerSec: back}
+		burst := int(max(1, back))
+		for i := range burst {
+			if !g.AdmitWrite(lim) {
+				t.Fatalf("X → unlimited → %v: write %d of a full burst of %d rejected", back, i+1, burst)
+			}
+		}
+		if g.AdmitWrite(lim) {
+			t.Fatalf("X → unlimited → %v: a write past the burst of %d admitted", back, burst)
+		}
+	}
+}
+
 func TestGateWriteRateFractional(t *testing.T) {
 	now := time.Unix(3000, 0)
 	g := Gate{Now: func() time.Time { return now }}

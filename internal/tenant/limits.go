@@ -28,7 +28,6 @@ import (
 	"math"
 	"os"
 	"sort"
-	"strings"
 )
 
 // Unlimited is the explicit "no limit" value a tenant entry uses to
@@ -145,8 +144,9 @@ func (o *Overrides) validate() error {
 }
 
 // ParseOverrides parses and validates an overrides document: one strict
-// JSON object, in which an unknown field, a key given twice in one object,
-// and anything after the object are errors. An empty (or whitespace-only)
+// JSON object, in which an unknown field, a field name not spelled
+// exactly, a key given twice in one object, and anything after the object
+// are errors. An empty (or whitespace-only)
 // document is valid and fully unlimited. Any syntax error, unknown or
 // repeated key, bad tenant ID, or out-of-range value fails the whole
 // document — the caller keeps whatever configuration it already had.
@@ -168,7 +168,8 @@ func ParseOverrides(data []byte) (*Overrides, error) {
 	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("tenant: overrides json: trailing data after document")
 	}
-	// Decode keeps the last value of a repeated key; the walk refuses it.
+	// Decode keeps the last value of a repeated key and matches field
+	// names without regard to case; the walk refuses both.
 	if err := uniqueKeys(json.NewDecoder(bytes.NewReader(data)), false); err != nil {
 		return nil, fmt.Errorf("tenant: overrides json: %w", err)
 	}
@@ -181,13 +182,20 @@ func ParseOverrides(data []byte) (*Overrides, error) {
 // jsonSpace is the whitespace JSON allows between tokens.
 const jsonSpace = " \t\r\n"
 
+// fieldNames are the document's field names, spelled as they must be.
+var fieldNames = map[string]bool{
+	"defaults": true, "tenants": true,
+	"max_inflight": true, "max_queue": true, "writes_per_sec": true, "max_timeout_ms": true,
+}
+
 // uniqueKeys reads one JSON value from dec and refuses an object in it
 // that holds a key twice, naming the key. In the tenants object (tenants
-// set) keys are tenant IDs and compare exactly; every other key is a field
-// name, which encoding/json matches without regard to case, so "MAX_QUEUE"
-// repeats "max_queue". ParseOverrides walks only a document that decoded
-// into Overrides, so the walk meets no array and nests three objects deep
-// at most.
+// set) keys are tenant IDs; every other key is a field name, which must be
+// spelled exactly as fieldNames spells it — encoding/json matches names
+// without regard to case, and the request decoders take a key only as
+// spelled. ParseOverrides walks only a document that decoded into
+// Overrides, so the walk meets no array and nests three objects deep at
+// most.
 func uniqueKeys(dec *json.Decoder, tenants bool) error {
 	tok, err := dec.Token()
 	if err != nil || tok != json.Delim('{') {
@@ -200,17 +208,14 @@ func uniqueKeys(dec *json.Decoder, tenants bool) error {
 			return err
 		}
 		key, _ := tok.(string)
-		dup := seen[key]
-		if !tenants {
-			for k := range seen {
-				dup = dup || strings.EqualFold(k, key)
-			}
+		if !tenants && !fieldNames[key] {
+			return fmt.Errorf("unknown field %q (field names are lower case, spelled exactly)", key)
 		}
-		if dup {
+		if seen[key] {
 			return fmt.Errorf("duplicate key %q", key)
 		}
 		seen[key] = true
-		if err := uniqueKeys(dec, !tenants && strings.EqualFold(key, "tenants")); err != nil {
+		if err := uniqueKeys(dec, !tenants && key == "tenants"); err != nil {
 			return err
 		}
 	}

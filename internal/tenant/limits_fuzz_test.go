@@ -31,6 +31,9 @@ func FuzzLoadOverrides(f *testing.F) {
 	f.Add([]byte("tenants:\n  a:\n    max_queue: 1\n  a:\n    max_queue: 2\n"))
 	f.Add([]byte(`{"tenants":{"a":{"max_queue":1},"a":{"max_queue":2}}}`))
 	f.Add([]byte(`{"defaults":{"max_queue":1,"max_queue":2}}`))
+	f.Add([]byte(`{"defaults":{"MAX_QUEUE":2}}`))
+	f.Add([]byte(`{"TENANTS":{"a":{"max_queue":1}}}`))
+	f.Add([]byte(`{"tenants":{"a":{"Writes_Per_Sec":1}}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		o, err := ParseOverrides(data)

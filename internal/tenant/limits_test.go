@@ -70,6 +70,11 @@ func TestParseOverridesErrors(t *testing.T) {
 		{"duplicate key in tenant", `{"tenants": {"a": {"max_queue": 1, "max_queue": 2}}}`},
 		{"duplicate top-level", `{"defaults": {}, "defaults": {"max_queue": 2}}`},
 		{"duplicate key folded", `{"defaults": {"max_queue": 1, "MAX_QUEUE": 2}}`},
+		{"field in upper case", `{"defaults": {"MAX_QUEUE": 2}}`},
+		{"top-level field in upper case", `{"TENANTS": {"a": {"max_queue": 1}}}`},
+		{"tenant field in mixed case", `{"tenants": {"a": {"Writes_Per_Sec": 1}}}`},
+		{"defaults capitalised", `{"Defaults": {"max_inflight": 4}}`},
+		{"field with a long s", `{"tenantſ": {"a": {"max_queue": 1}}}`},
 		{"json unknown field", `{"defaults": {"max_requests": 1}}`},
 		{"json trailing", `{"defaults": {}} {"tenants": {}}`},
 		{"json trailing brace", `{"defaults": {}}}`},

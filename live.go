@@ -10,11 +10,15 @@ package trajcover
 // execution, never with a rebuild), and read performance does not decay
 // with churn (the overlay is bounded by the compaction policy).
 //
-// A FrozenIndex (frozen.go) is the same shards with no write path.
+// Index is the one index type. An index that takes no write answers from
+// the epochs it was built or restored with; nothing in the type keeps it
+// from being written, so a caller that wants it unchanged does not write.
 
 import (
 	"context"
+	"runtime"
 
+	"github.com/trajcover/trajcover/internal/maxcov"
 	"github.com/trajcover/trajcover/internal/query"
 	"github.com/trajcover/trajcover/internal/shard"
 )
@@ -52,9 +56,12 @@ type LiveShardStats = shard.ShardStats
 // rebuild independently — use them when one tree is too large to build,
 // rebuild, or hold comfortably. Answers match a one-shard index exactly
 // for integral scenarios (Binary; every scenario over integral service
-// values) and up to floating-point summation order otherwise.
+// values) and up to floating-point summation order otherwise. Each call
+// — a whole batch, and MaxCoverage and ServedUsers over all the calls
+// they make — runs over one write-consistent epoch capture taken when it
+// starts. An Index is safe for any number of concurrent readers and
+// writers.
 type Index struct {
-	querier
 	s *shard.Live
 
 	// wal holds the durability state when the index was opened with
@@ -63,7 +70,7 @@ type Index struct {
 }
 
 func newIndex(s *shard.Live) *Index {
-	return &Index{querier: querier{s.Scatter}, s: s}
+	return &Index{s: s}
 }
 
 // NewIndex partitions users with opts.Partitioner into opts.Shards
@@ -119,6 +126,97 @@ func (x *Index) Version() uint64 { return x.s.Version() }
 
 // Err returns the most recent background-rebuild error, or nil.
 func (x *Index) Err() error { return x.s.Err() }
+
+// ServiceValue computes SO(U, f): the exact service value of one facility
+// (Algorithm 1 of the paper).
+func (x *Index) ServiceValue(f *Facility, q Query) (float64, error) {
+	v, _, err := x.s.ServiceValue(f, q.params())
+	return v, err
+}
+
+// ServiceValues computes the exact service value of every facility in
+// one batch, sharding the work across a pool of `workers` goroutines
+// (workers <= 0 uses GOMAXPROCS). The result is indexed like facilities
+// and identical to calling ServiceValue in a loop.
+func (x *Index) ServiceValues(facilities []*Facility, q Query, workers int) ([]float64, error) {
+	return x.ServiceValuesCtx(context.Background(), facilities, q, workers)
+}
+
+// TopK answers the kMaxRRST query: the k facilities with the highest
+// service value, best first (value descending, ID ascending). Every
+// facility is evaluated in one batch, so the answer is exactly
+// sort-and-cut over ServiceValues — the same values, bit for bit.
+func (x *Index) TopK(facilities []*Facility, k int, q Query) ([]Ranked, error) {
+	return x.TopKCtx(context.Background(), facilities, k, q)
+}
+
+// TopKWithMetrics is TopK returning work metrics for diagnostics (merged
+// over the shards, where there are several). They are an exact pass's:
+// the same whatever k is, with no best-first relaxations.
+func (x *Index) TopKWithMetrics(facilities []*Facility, k int, q Query) ([]Ranked, QueryMetrics, error) {
+	return x.s.TopKCtx(context.Background(), facilities, k, q.params(), 1)
+}
+
+// TopKParallel is TopK with the batch's exact evaluations on a pool of
+// `workers` goroutines per shard (workers <= 0 uses GOMAXPROCS). The
+// answer is identical to TopK; spare cores buy wall-clock speed.
+func (x *Index) TopKParallel(facilities []*Facility, k int, q Query, workers int) ([]Ranked, error) {
+	return x.TopKParallelCtx(context.Background(), facilities, k, q, workers)
+}
+
+// Deadline-aware variants. A context that cannot be cancelled
+// (context.Background) adds no measurable overhead, which is why the
+// plain forms above are the *Ctx forms with one. Cancellation is what
+// lets a serving front end (cmd/tqserve) bound every request: an expired
+// deadline stops the query instead of letting it run on and steal
+// workers from queued requests.
+
+// ServiceValuesCtx is ServiceValues with cooperative cancellation: ctx
+// is polled between per-facility evaluations, and a done context aborts
+// the batch with ctx.Err() and no partial answer.
+func (x *Index) ServiceValuesCtx(ctx context.Context, facilities []*Facility, q Query, workers int) ([]float64, error) {
+	vs, _, err := x.s.ServiceValuesCtx(ctx, facilities, q.params(), workers)
+	return vs, err
+}
+
+// TopKCtx is TopK with cooperative cancellation: ctx is polled between
+// per-facility evaluations, and a done context aborts the query with
+// ctx.Err() and no partial answer.
+func (x *Index) TopKCtx(ctx context.Context, facilities []*Facility, k int, q Query) ([]Ranked, error) {
+	return x.TopKParallelCtx(ctx, facilities, k, q, 1)
+}
+
+// TopKParallelCtx is TopKParallel with cooperative cancellation, polled
+// between per-facility evaluations in every worker; see TopKCtx.
+func (x *Index) TopKParallelCtx(ctx context.Context, facilities []*Facility, k int, q Query, workers int) ([]Ranked, error) {
+	res, _, err := x.s.TopKCtx(ctx, facilities, k, q.params(), workers)
+	return res, err
+}
+
+// ServedUsers returns every user with positive service from the facility
+// — the reverse range search underlying kMaxRRST — ordered by service
+// value descending (ties by ID).
+func (x *Index) ServedUsers(f *Facility, q Query) ([]ServedUser, error) {
+	src := x.s.Source()
+	defer runtime.KeepAlive(src) // the table's users may alias a mapped base
+	cov, err := src.Cover([]*Facility{f}, q.params())
+	if err != nil {
+		return nil, err
+	}
+	return query.ServedUsers(cov, src.Variant(), q.Scenario), nil
+}
+
+// MaxCoverage answers the MaxkCovRST query: the size-k facility subset
+// with the (approximately) maximum combined service, where users may be
+// served jointly by multiple facilities. Facility IDs must be distinct.
+func (x *Index) MaxCoverage(facilities []*Facility, k int, q Query, opts CoverageOptions) (CoverageResult, error) {
+	src := x.s.Source()
+	defer runtime.KeepAlive(src) // the table's users may alias a mapped base
+	if opts.Algorithm == TwoStepGreedy {
+		return maxcov.TwoStep(src, facilities, k, opts.KPrime, q.params())
+	}
+	return solveCoverage(src, facilities, k, q, opts)
+}
 
 // UpperBoundsCtx returns every facility's seed upper bound summed over
 // one write-consistent epoch capture, indexed like facilities — each a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"sync"
@@ -22,7 +23,7 @@ func liveWorkload(t *testing.T) (base, feed []*Trajectory, routes []*Facility) {
 }
 
 // TestLiveIndexMatchesIndex: a one-shard Index after churn answers
-// exactly like a three-shard FrozenIndex built over the corpus the churn
+// exactly like a three-shard Index built over the corpus the churn
 // leaves (Binary, so values are integral and comparisons exact), with its
 // pending writes and once they are compacted.
 func TestLiveIndexMatchesIndex(t *testing.T) {
@@ -47,7 +48,7 @@ func TestLiveIndexMatchesIndex(t *testing.T) {
 		}
 	}
 	corpus := append(append([]*Trajectory{}, base[300:]...), feed[:500]...)
-	ref, err := NewFrozenIndex(corpus, IndexOptions{Ordering: ZOrdering, Shards: 3})
+	ref, err := NewIndex(corpus, IndexOptions{Ordering: ZOrdering, Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +109,9 @@ func TestLiveIndexMatchesIndex(t *testing.T) {
 	compare("compacted")
 }
 
-// TestIndexLiveConversion: an Index of one shard or three, frozen and
-// made live again, keeps its answers and takes writes.
+// TestIndexLiveConversion: an Index of one shard or three, written as a
+// frozen snapshot and restored, keeps its answers and takes writes, and
+// a write to the restored index leaves the index that wrote it as it was.
 func TestIndexLiveConversion(t *testing.T) {
 	base, feed, routes := liveWorkload(t)
 	q := Query{Scenario: Binary, Psi: DefaultPsi}
@@ -118,14 +120,7 @@ func TestIndexLiveConversion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fz, err := idx.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lv, err := fz.Live(LivePolicy{Manual: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lv := frozenRestore(t, idx)
 	want, err := idx.TopK(routes, 6, q)
 	if err != nil {
 		t.Fatal(err)
@@ -142,8 +137,8 @@ func TestIndexLiveConversion(t *testing.T) {
 	if err := lv.Insert(feed[0]); err != nil {
 		t.Fatal(err)
 	}
-	if lv.Len() != idx.Len()+1 {
-		t.Fatalf("Len after insert = %d", lv.Len())
+	if lv.Len() != len(base)+1 || idx.Len() != len(base) {
+		t.Fatalf("Len after insert = %d, the writer's %d", lv.Len(), idx.Len())
 	}
 
 	sidx, err := NewIndex(base, IndexOptions{Ordering: ZOrdering, Shards: 3})
@@ -156,27 +151,21 @@ func TestIndexLiveConversion(t *testing.T) {
 	if ok, err := sidx.Delete(base[0].ID); err != nil || !ok {
 		t.Fatalf("Delete = %v, %v", ok, err)
 	}
-	fidx, err := sidx.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fidx.NumShards() != 3 {
-		t.Fatalf("NumShards = %d", fidx.NumShards())
-	}
-	flv, err := fidx.Live(LivePolicy{Manual: true})
-	if err != nil {
-		t.Fatal(err)
+	flv := frozenRestore(t, sidx)
+	if flv.NumShards() != 3 {
+		t.Fatalf("NumShards = %d", flv.NumShards())
 	}
 	if err := flv.Insert(feed[2]); err != nil {
 		t.Fatal(err)
 	}
-	if flv.NumShards() != 3 || flv.Len() != len(base)+1 {
-		t.Fatalf("frozen-converted Len = %d", flv.Len())
+	if flv.Len() != len(base)+1 || sidx.Len() != len(base) {
+		t.Fatalf("restored Len = %d, the writer's %d", flv.Len(), sidx.Len())
 	}
 }
 
-// frozenReading is everything a FrozenIndex answers that a write through
-// its Live() could disturb if the two shared anything mutable.
+// frozenReading is everything an index answers that a write to an index
+// restored from its frozen snapshot could disturb if the two shared
+// anything mutable.
 type frozenReading struct {
 	top   []Ranked
 	vals  []float64
@@ -186,7 +175,7 @@ type frozenReading struct {
 	snap  []byte
 }
 
-func readFrozen(fz *FrozenIndex, routes []*Facility, q Query) (frozenReading, error) {
+func readFrozen(fz *Index, routes []*Facility, q Query) (frozenReading, error) {
 	var r frozenReading
 	var err error
 	if r.top, err = fz.TopK(routes, 6, q); err != nil {
@@ -200,7 +189,7 @@ func readFrozen(fz *FrozenIndex, routes []*Facility, q Query) (frozenReading, er
 	}
 	r.n, r.sizes = fz.Len(), fz.ShardSizes()
 	var buf bytes.Buffer
-	err = fz.WriteSnapshot(&buf)
+	err = fz.WriteFrozenSnapshot(&buf)
 	r.snap = buf.Bytes()
 	return r, err
 }
@@ -228,13 +217,15 @@ func (want frozenReading) diff(got frozenReading) error {
 	return nil
 }
 
-// TestFrozenStaysFrozenAfterLive: Live hands the Index it returns the
-// FrozenIndex's own shards, so nothing written to that Index may show in
-// the FrozenIndex. At 1 and 3 shards, readers query the FrozenIndex while
-// the converted Index inserts, tombstones base trajectories, drops delta
-// ones and compacts; every reading — TopK bit for bit, ServiceValues,
-// MaxCoverage, Len, ShardSizes and the snapshot bytes — stays what it was
-// before the conversion. Run it under -race.
+// TestFrozenStaysFrozenAfterLive: an Index restored from a frozen
+// snapshot shares nothing mutable with the stream it came from or the
+// index that wrote it. At 1 and 3 shards the stream is written to a file
+// and opened mapped, so the restored shards alias it; readers query the
+// writing index while the restored one inserts, tombstones base
+// trajectories, drops delta ones and compacts. Every reading of the
+// writer — TopK bit for bit, ServiceValues, MaxCoverage, Len, ShardSizes
+// and its frozen snapshot, byte for byte the file — stays what it was
+// before the restore, and so does the file. Run it under -race.
 func TestFrozenStaysFrozenAfterLive(t *testing.T) {
 	base, feed, routes := liveWorkload(t)
 	q := Query{Scenario: Binary, Psi: DefaultPsi}
@@ -244,7 +235,7 @@ func TestFrozenStaysFrozenAfterLive(t *testing.T) {
 	}
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("%d shards", shards), func(t *testing.T) {
-			fz, err := NewFrozenIndex(base, IndexOptions{Ordering: ZOrdering, Shards: shards})
+			fz, err := NewIndex(base, IndexOptions{Ordering: ZOrdering, Shards: shards})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -252,7 +243,11 @@ func TestFrozenStaysFrozenAfterLive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lv, err := fz.Live(LivePolicy{Manual: true})
+			path := filepath.Join(t.TempDir(), "frozen.tqsnap")
+			if err := os.WriteFile(path, want.snap, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			lv, err := OpenMappedLiveSnapshot(path, LivePolicy{Manual: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -309,43 +304,29 @@ func TestFrozenStaysFrozenAfterLive(t *testing.T) {
 			wg.Wait()
 			close(errs)
 			for err := range errs {
-				t.Fatalf("during writes to its Live(): %v", err)
+				t.Fatalf("during writes to the restored index: %v", err)
 			}
 			if got, err := readFrozen(fz, routes, q); err != nil {
 				t.Fatal(err)
 			} else if err := want.diff(got); err != nil {
-				t.Fatalf("after writes to its Live(): %v", err)
+				t.Fatalf("after writes to the restored index: %v", err)
+			}
+			if file, err := os.ReadFile(path); err != nil {
+				t.Fatal(err)
+			} else if !bytes.Equal(file, want.snap) {
+				t.Fatal("writes to the restored index changed the file it was opened from")
 			}
 			if n := len(base) - rounds/2; lv.Len() != n {
-				t.Fatalf("converted index Len = %d, want %d", lv.Len(), n)
+				t.Fatalf("restored index Len = %d, want %d", lv.Len(), n)
 			}
 		})
 	}
 }
 
-// restoredFrozenSharded freezes sidx, writes it as a TQSHRD03 stream and
-// reads it back.
-func restoredFrozenSharded(t *testing.T, sidx *Index) *FrozenIndex {
-	t.Helper()
-	fz, err := sidx.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := fz.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := ReadFrozenSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return restored
-}
-
-// TestRestoredSnapshotBecomesMutable: a mutable sharded index persists as
-// its frozen form and comes back mutable as the restored index's Live —
-// inserts route by the recorded partitioner kind, deletes by ID, and the
-// answers move by exactly the trajectories written.
+// TestRestoredSnapshotBecomesMutable: a sharded index persists as a
+// TQSHRD03 stream and comes back mutable — inserts route by the recorded
+// partitioner kind, deletes by ID, and the answers move by exactly the
+// trajectories written.
 func TestRestoredSnapshotBecomesMutable(t *testing.T) {
 	base, feed, routes := liveWorkload(t)
 	q := Query{Scenario: Binary, Psi: DefaultPsi}
@@ -353,10 +334,7 @@ func TestRestoredSnapshotBecomesMutable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv, err := restoredFrozenSharded(t, sidx).Live(LivePolicy{Manual: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lv := frozenRestore(t, sidx)
 	if err := lv.Insert(feed[0]); err != nil {
 		t.Fatal(err)
 	}

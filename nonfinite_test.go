@@ -10,7 +10,7 @@ import (
 // TestNonFiniteGeometryRejected: every library entry point that takes
 // geometry refuses a NaN or ±Inf coordinate with ErrNotFinite —
 // NewTrajectory, NewFacility, and, for a trajectory built as a bare
-// literal that bypassed NewTrajectory, NewIndex, NewFrozenIndex,
+// literal that bypassed NewTrajectory, NewIndex (one shard or two),
 // NewBaseline and Index.Insert — and an index that refused an insert
 // answers as before.
 func TestNonFiniteGeometryRejected(t *testing.T) {
@@ -29,8 +29,8 @@ func TestNonFiniteGeometryRejected(t *testing.T) {
 		if _, err := NewIndex(withBad, IndexOptions{Shards: 2}); !errors.Is(err, ErrNotFinite) {
 			t.Errorf("%v: NewIndex error = %v, want ErrNotFinite", v, err)
 		}
-		if _, err := NewFrozenIndex(withBad, IndexOptions{}); !errors.Is(err, ErrNotFinite) {
-			t.Errorf("%v: NewFrozenIndex error = %v, want ErrNotFinite", v, err)
+		if _, err := NewIndex(withBad, IndexOptions{}); !errors.Is(err, ErrNotFinite) {
+			t.Errorf("%v: one-shard NewIndex error = %v, want ErrNotFinite", v, err)
 		}
 		if _, err := NewBaseline(withBad, TwoPoint); !errors.Is(err, ErrNotFinite) {
 			t.Errorf("%v: NewBaseline error = %v, want ErrNotFinite", v, err)

@@ -11,13 +11,14 @@ import (
 	"testing"
 )
 
-// TestShardedEquivalenceProperty: for random datasets, an Index and a
-// FrozenIndex of 1/2/4/8 shards under both partitioners return
-// byte-identical answers to the one-shard Index. Binary service values
-// are integral, so float64 sums are exact and == is the right comparison;
-// run under -race this also exercises the concurrent scatter-gather
-// merge. At one shard, live and frozen agree on every method, work
-// metrics included, before and after Inserts and Deletes. The coverage
+// TestShardedEquivalenceProperty: for random datasets, an Index of
+// 1/2/4/8 shards under both partitioners, and the Index restored from its
+// frozen snapshot, return byte-identical answers to the one-shard Index.
+// Binary service values are integral, so float64 sums are exact and == is
+// the right comparison; run under -race this also exercises the
+// concurrent scatter-gather merge. At one shard, built and restored agree
+// on every method, work metrics included, before and after Inserts and
+// Deletes. The coverage
 // queries, ServedUsers and MaxCoverage, answer the same on all six
 // allFlavors subjects, churned ones with an overlay and tombstones.
 func TestShardedEquivalenceProperty(t *testing.T) {
@@ -47,15 +48,8 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				frozen, err := NewFrozenIndex(users, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, idx := range []interface {
-					flavor
-					NumShards() int
-				}{live, frozen} {
-					name := fmt.Sprintf("seed %d %s/%d %T", seed, part.Kind(), shards, idx)
+				for _, idx := range []namedFlavor{{live, "built"}, {frozenRestore(t, live), "frozen"}} {
+					name := fmt.Sprintf("seed %d %s/%d %s", seed, part.Kind(), shards, idx.name)
 					if idx.NumShards() != shards || idx.Len() != len(users) {
 						t.Fatalf("%s: %d shards over %d trajectories, want %d over %d",
 							name, idx.NumShards(), idx.Len(), shards, len(users))
@@ -87,39 +81,22 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// checkOneShard requires a one-shard FrozenIndex to answer every flavor
-// method as the one-shard Index over the same users does, and that Index
-// to answer as the FrozenIndex made Live — their frozen forms too — both
-// as built and after the same Inserts and Deletes land in both.
+// checkOneShard requires a one-shard Index restored from a frozen
+// snapshot to answer every query method as the Index that wrote it does,
+// both as built and after the same Inserts and Deletes land in both — and
+// the two's own frozen restores to agree too.
 func checkOneShard(t *testing.T, name string, users []*Trajectory, routes []*Facility, q Query) {
 	t.Helper()
 	cut := len(users) - 40
-	opts := IndexOptions{Ordering: ZOrdering}
-	idx, err := NewIndex(users[:cut], opts)
+	idx, err := NewIndex(users[:cut], IndexOptions{Ordering: ZOrdering})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fz, err := NewFrozenIndex(users[:cut], opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameFlavor(t, name+" built FrozenIndex", fz, idx, routes, q)
-	one, err := fz.Live(LivePolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := frozenRestore(t, idx)
 	check := func(stage string) {
 		t.Helper()
 		sameFlavor(t, name+" "+stage+" Index", idx, one, routes, q)
-		fz, err := idx.Freeze()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fone, err := one.Freeze()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameFlavor(t, name+" "+stage+" FrozenIndex", fz, fone, routes, q)
+		sameFlavor(t, name+" "+stage+" frozen", frozenRestore(t, idx), frozenRestore(t, one), routes, q)
 	}
 	check("built")
 	for _, u := range users[cut:] {
@@ -146,16 +123,16 @@ func checkOneShard(t *testing.T, name string, users []*Trajectory, routes []*Fac
 	check("after writes")
 }
 
-// sameFlavor requires a and b to answer every flavor method identically:
+// sameFlavor requires a and b to answer every query method identically:
 // values bit for bit, rankings and TopKWithMetrics' metrics.
-func sameFlavor(t *testing.T, name string, a, b flavor, routes []*Facility, q Query) {
+func sameFlavor(t *testing.T, name string, a, b *Index, routes []*Facility, q Query) {
 	t.Helper()
 	if a.Len() != b.Len() {
 		t.Fatalf("%s: Len %d, one-shard %d", name, a.Len(), b.Len())
 	}
 	ctx := context.Background()
-	values := map[string]func(x flavor) ([]float64, error){
-		"ServiceValue": func(x flavor) ([]float64, error) {
+	values := map[string]func(x *Index) ([]float64, error){
+		"ServiceValue": func(x *Index) ([]float64, error) {
 			out := make([]float64, len(routes))
 			for i, f := range routes {
 				v, err := x.ServiceValue(f, q)
@@ -166,8 +143,8 @@ func sameFlavor(t *testing.T, name string, a, b flavor, routes []*Facility, q Qu
 			}
 			return out, nil
 		},
-		"ServiceValues":    func(x flavor) ([]float64, error) { return x.ServiceValues(routes, q, 2) },
-		"ServiceValuesCtx": func(x flavor) ([]float64, error) { return x.ServiceValuesCtx(ctx, routes, q, 1) },
+		"ServiceValues":    func(x *Index) ([]float64, error) { return x.ServiceValues(routes, q, 2) },
+		"ServiceValuesCtx": func(x *Index) ([]float64, error) { return x.ServiceValuesCtx(ctx, routes, q, 1) },
 	}
 	for method, get := range values {
 		want, err := get(b)
@@ -193,11 +170,11 @@ func sameFlavor(t *testing.T, name string, a, b flavor, routes []*Facility, q Qu
 	if gotM != wantM || !slices.Equal(gotTop, wantTop) {
 		t.Fatalf("%s TopKWithMetrics: %v %+v, one-shard %v %+v", name, gotTop, gotM, wantTop, wantM)
 	}
-	rankings := map[string]func(x flavor) ([]Ranked, error){
-		"TopK":            func(x flavor) ([]Ranked, error) { return x.TopK(routes, 10, q) },
-		"TopKParallel":    func(x flavor) ([]Ranked, error) { return x.TopKParallel(routes, 10, q, 3) },
-		"TopKCtx":         func(x flavor) ([]Ranked, error) { return x.TopKCtx(ctx, routes, 10, q) },
-		"TopKParallelCtx": func(x flavor) ([]Ranked, error) { return x.TopKParallelCtx(ctx, routes, 10, q, 3) },
+	rankings := map[string]func(x *Index) ([]Ranked, error){
+		"TopK":            func(x *Index) ([]Ranked, error) { return x.TopK(routes, 10, q) },
+		"TopKParallel":    func(x *Index) ([]Ranked, error) { return x.TopKParallel(routes, 10, q, 3) },
+		"TopKCtx":         func(x *Index) ([]Ranked, error) { return x.TopKCtx(ctx, routes, 10, q) },
+		"TopKParallelCtx": func(x *Index) ([]Ranked, error) { return x.TopKParallelCtx(ctx, routes, 10, q, 3) },
 	}
 	for method, get := range rankings {
 		got, err := get(a)
@@ -213,13 +190,13 @@ func sameFlavor(t *testing.T, name string, a, b flavor, routes []*Facility, q Qu
 // sameCoverage requires every index of all to answer ServedUsers and
 // MaxCoverage — the two-step greedy and the full greedy — as want does:
 // the same users and values, the same picks, value and users served.
-func sameCoverage(t *testing.T, name string, want flavor, all []namedFlavor, routes []*Facility, q Query) {
+func sameCoverage(t *testing.T, name string, want *Index, all []namedFlavor, routes []*Facility, q Query) {
 	t.Helper()
 	type answer struct {
 		served [][]ServedUser
 		cov    []CoverageResult
 	}
-	get := func(x flavor) answer {
+	get := func(x *Index) answer {
 		var a answer
 		for _, f := range routes[:8] {
 			us, err := x.ServedUsers(f, q)
@@ -242,7 +219,7 @@ func sameCoverage(t *testing.T, name string, want flavor, all []namedFlavor, rou
 		t.Fatalf("%s: MaxCoverage %+v serves no one", name, w.cov[0])
 	}
 	for _, x := range all {
-		if got := get(x); !reflect.DeepEqual(got, w) {
+		if got := get(x.Index); !reflect.DeepEqual(got, w) {
 			t.Fatalf("%s %s: coverage answers %+v, single tree %+v", name, x.name, got, w)
 		}
 	}

@@ -1,27 +1,27 @@
 package trajcover
 
-// Snapshot persistence. An Index or a FrozenIndex is written as its
-// columns and read back without rebuilding a tree. One column encoding —
-// the frozen payload of snapshot_frozen.go — travels in three framings,
-// told apart by an 8-byte magic:
+// Snapshot persistence. An Index is written as its columns and read back
+// without rebuilding a tree. One column encoding — the frozen payload of
+// snapshot_frozen.go — travels in three framings, told apart by an
+// 8-byte magic:
 //
-//	TQSNAP04 — a one-shard FrozenIndex: magic, frozen payload, CRC32
-//	           trailer.
-//	TQSHRD03 — a sharded FrozenIndex: CRC'd header (shard count,
+//	TQSNAP04 — one shard's base: magic, frozen payload, CRC32 trailer.
+//	TQSHRD03 — several shards' bases: CRC'd header (shard count,
 //	           partitioner kind), then one length-prefixed, individually
 //	           CRC'd frozen payload per shard.
-//	TQLIVE02 — an Index: the same header and framing; each frame holds a
-//	           shard's frozen base, its tombstones and its delta
+//	TQLIVE02 — the same header and framing; each frame holds a shard's
+//	           frozen base, its tombstones and its delta
 //	           (snapshot_live.go).
 //
-// ReadFrozenSnapshot and OpenMappedFrozenSnapshot take either frozen
-// framing, ReadLiveSnapshot and OpenMappedLiveSnapshot the live one; an
-// Index also persists as its Freeze() and comes back mutable as the
-// restored index's Live(). Retired formats — the rebuild formats that
-// stored raw trajectories (TQSNAP02, TQSHRD01) and the record formats
-// that stored one record per trajectory and every entry column
-// (TQSNAP03, TQSHRD02, TQLIVE01) — are still recognised by their magics,
-// to say so.
+// Index.WriteSnapshot writes TQLIVE02, the epochs as they are;
+// Index.WriteFrozenSnapshot writes TQSNAP04 or TQSHRD03, every shard's
+// pending writes folded into its base. ReadLiveSnapshot and
+// OpenMappedLiveSnapshot take all three and restore an Index; a frozen
+// framing restores as one whose shards have nothing pending, which is as
+// mutable as any other. Retired formats — the rebuild formats that stored
+// raw trajectories (TQSNAP02, TQSHRD01) and the record formats that
+// stored one record per trajectory and every entry column (TQSNAP03,
+// TQSHRD02, TQLIVE01) — are still recognised by their magics, to say so.
 //
 // This file is the one reader of those framings. Everything is parsed
 // off a cursor over a []byte, and the cursor's only parameter is who
@@ -35,6 +35,7 @@ package trajcover
 // run the same checks, recorded lengths against their points included.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -45,6 +46,7 @@ import (
 
 	"github.com/trajcover/trajcover/internal/geo"
 	"github.com/trajcover/trajcover/internal/mmap"
+	"github.com/trajcover/trajcover/internal/query"
 	"github.com/trajcover/trajcover/internal/shard"
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
@@ -68,29 +70,64 @@ const (
 	liveMagic          = "TQLIVE02"
 )
 
-// otherFormats says, for each magic a reader can meet in place of its
-// own, what the stream is and which entry points take it.
-var otherFormats = map[string]string{
-	frozenMagic:        "single frozen snapshot (TQSNAP04); use ReadFrozenSnapshot or OpenMappedFrozenSnapshot",
-	shardedFrozenMagic: "sharded frozen snapshot (TQSHRD03); use ReadFrozenSnapshot or OpenMappedFrozenSnapshot",
-	liveMagic:          "live snapshot (TQLIVE02); use ReadLiveSnapshot or OpenMappedLiveSnapshot",
-	"TQSNAP02":         "rebuild-format snapshot (TQSNAP02) is no longer readable; rebuild the index and write a frozen snapshot",
-	"TQSHRD01":         "rebuild-format snapshot (TQSHRD01) is no longer readable; rebuild the index and write a frozen snapshot",
-	"TQSNAP03":         "record-format snapshot (TQSNAP03) is no longer readable; rebuild the index and write a new snapshot",
-	"TQSHRD02":         "record-format snapshot (TQSHRD02) is no longer readable; rebuild the index and write a new snapshot",
-	"TQLIVE01":         "record-format snapshot (TQLIVE01) is no longer readable; rebuild the index and write a new snapshot",
+// retiredFormats says, for each magic the readers recognise and no
+// longer read, what the stream is.
+var retiredFormats = map[string]string{
+	"TQSNAP02": "rebuild-format snapshot (TQSNAP02) is no longer readable; rebuild the index and write a frozen snapshot",
+	"TQSHRD01": "rebuild-format snapshot (TQSHRD01) is no longer readable; rebuild the index and write a frozen snapshot",
+	"TQSNAP03": "record-format snapshot (TQSNAP03) is no longer readable; rebuild the index and write a new snapshot",
+	"TQSHRD02": "record-format snapshot (TQSHRD02) is no longer readable; rebuild the index and write a new snapshot",
+	"TQLIVE01": "record-format snapshot (TQLIVE01) is no longer readable; rebuild the index and write a new snapshot",
 }
 
 // checkMagic is the one magic dispatch: nil when the stream opens with
-// want, otherwise an error naming the format it does open with.
-func checkMagic(got []byte, want string) error {
-	if string(got) == want {
+// one of the three readable magics, otherwise an error naming the format
+// it does open with.
+func checkMagic(got []byte) error {
+	switch string(got) {
+	case frozenMagic, shardedFrozenMagic, liveMagic:
 		return nil
 	}
-	if what, known := otherFormats[string(got)]; known {
+	if what, known := retiredFormats[string(got)]; known {
 		return fmt.Errorf("%w: %s", ErrBadSnapshot, what)
 	}
 	return fmt.Errorf("%w: bad magic", ErrBadSnapshot)
+}
+
+// ReadLiveSnapshot restores an Index from a stream in any of the three
+// framings: the CRCs verified, the columns copied out and bounds-checked
+// — no tree rebuild. A TQLIVE02 stream (WriteSnapshot) restores with any
+// pending delta and tombstones, which the next rebuild folds as usual; a
+// TQSNAP04 or TQSHRD03 stream (WriteFrozenSnapshot) with nothing pending.
+// pol tunes the restored index's compaction policy (policy is
+// operational state, not data, so it is not recorded). A TQSNAP04 stream
+// is read to its end; a container one frame's bytes at a time, stopping
+// at its last declared frame.
+func ReadLiveSnapshot(r io.Reader, pol LivePolicy) (*Index, error) {
+	var magic [8]byte
+	n, err := io.ReadFull(r, magic[:])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, badSnapshot(err)
+	}
+	src := &streamSource{r: io.MultiReader(bytes.NewReader(magic[:n]), r)}
+	if string(magic[:n]) == frozenMagic {
+		data, err := src.all()
+		if err != nil {
+			return nil, err
+		}
+		return parseFrozenSnapshot(data, nil, pol)
+	}
+	return readContainer(src.take, nil, pol)
+}
+
+// restore serves restored shards as an Index, refusing an ID two of them
+// share.
+func restore(eps []*query.Epoch, part shard.Partitioner, pol LivePolicy) (*Index, error) {
+	l, err := shard.LiveFromEpochs(eps, part, pol.policy())
+	if err != nil {
+		return nil, badSnapshot(err)
+	}
+	return newIndex(l), nil
 }
 
 // cursor is the bounds-checked reader over a snapshot's bytes. Every read
@@ -285,13 +322,14 @@ func writeContainer(w io.Writer, magic, kind string, n int, size func(i int) uin
 // readContainer parses a TQSHRD03 or TQLIVE02 container whose bytes take
 // hands out in order: the CRC'd header (magic, shard count, partitioner
 // kind, zero pad to 8), then per shard a length prefix, the payload, its
-// CRC and a zero pad. Each payload is CRC-checked before frame sees a
-// byte of it, and must be consumed exactly; frame parses it with a cursor
-// owned by pin. Bytes after the last declared frame are not read here: a
-// stream reader never sees them, a mapped open rejects them itself. It
-// returns the partitioner the header records; any kind but "hash" and
-// "grid" is an ErrBadSnapshot.
-func readContainer(take func(n uint64) ([]byte, error), want string, pin *mappedToken, frame func(c *cursor) error) (shard.Partitioner, error) {
+// CRC and a zero pad. Each payload is CRC-checked before a byte of it is
+// parsed, and must be consumed exactly; it is parsed by readShardPayload
+// with a cursor owned by pin, as a live frame under TQLIVE02. Bytes after
+// the last declared frame are not read here: a stream reader never sees
+// them, a mapped open rejects them itself. The shards are restored under
+// the partitioner the header records; any kind but "hash" and "grid" is
+// an ErrBadSnapshot.
+func readContainer(take func(n uint64) ([]byte, error), pin *mappedToken, pol LivePolicy) (*Index, error) {
 	var crc uint32
 	hashed := func(n uint64) ([]byte, error) {
 		b, err := take(n)
@@ -302,9 +340,10 @@ func readContainer(take func(n uint64) ([]byte, error), want string, pin *mapped
 	if err != nil {
 		return nil, err
 	}
-	if err := checkMagic(magic, want); err != nil {
+	if err := checkMagic(magic); err != nil {
 		return nil, err
 	}
+	live := string(magic) == liveMagic // else TQSHRD03: the entry points parse a TQSNAP04 image whole
 	fixed, err := hashed(12)
 	if err != nil {
 		return nil, err
@@ -338,6 +377,7 @@ func readContainer(take func(n uint64) ([]byte, error), want string, pin *mapped
 		return nil, fmt.Errorf("%w: implausible shard count %d", ErrBadSnapshot, nShards)
 	}
 
+	var eps []*query.Epoch
 	for s := uint64(0); s < nShards; s++ {
 		prefix, err := take(8)
 		if err != nil {
@@ -360,14 +400,16 @@ func readContainer(take func(n uint64) ([]byte, error), want string, pin *mapped
 			return nil, fmt.Errorf("%w: frame %d nonzero padding", ErrBadSnapshot, s)
 		}
 		c := &cursor{b: payload, pin: pin}
-		if err := frame(c); err != nil {
+		ep, err := readShardPayload(c, live)
+		if err != nil {
 			return nil, fmt.Errorf("frame %d: %w", s, err)
 		}
 		if c.remaining() != 0 {
 			return nil, fmt.Errorf("%w: frame %d has %d trailing bytes", ErrBadSnapshot, s, c.remaining())
 		}
+		eps = append(eps, ep)
 	}
-	return part, nil
+	return restore(eps, part, pol)
 }
 
 func allZero(b []byte) bool {

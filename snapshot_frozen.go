@@ -26,7 +26,6 @@ package trajcover
 // with no multipoint row keeps neither column (trajectory.NewTable).
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -34,6 +33,7 @@ import (
 	"math"
 
 	"github.com/trajcover/trajcover/internal/geo"
+	"github.com/trajcover/trajcover/internal/query"
 	"github.com/trajcover/trajcover/internal/service"
 	"github.com/trajcover/trajcover/internal/shard"
 	"github.com/trajcover/trajcover/internal/tqtree"
@@ -332,68 +332,42 @@ func readFrozenPayload(cur *cursor) (*tqtree.Frozen, error) {
 	return f, nil
 }
 
-// WriteSnapshot serializes the frozen index. One shard is a TQSNAP04
-// stream: the columnar payload framed by a magic header and a CRC32
-// trailer. Several are a TQSHRD03 container: a CRC'd shared header (shard
-// count, partitioner kind), then one length-prefixed, individually CRC'd
-// frozen payload per shard, so a checksum localizes corruption to one
-// shard and tooling can skip frames without decoding them.
-func (x *FrozenIndex) WriteSnapshot(w io.Writer) error {
-	if x.s.NumShards() > 1 {
-		return x.writeSharded(w)
+// WriteFrozenSnapshot writes the index's current corpus with every
+// shard's pending writes folded into its base, over one epoch capture: a
+// shard with nothing pending writes its base as it is, any other a fresh
+// base built as a rebuild would build it, which is not swapped in — the
+// index is only read. One shard is a TQSNAP04 stream: the columnar
+// payload framed by a magic header and a CRC32 trailer. Several are a
+// TQSHRD03 container: a CRC'd shared header (shard count, partitioner
+// kind), then one length-prefixed, individually CRC'd frozen payload per
+// shard, so a checksum localizes corruption to one shard and tooling can
+// skip frames without decoding them.
+func (x *Index) WriteFrozenSnapshot(w io.Writer) error {
+	bases, err := x.s.Bases()
+	if err != nil {
+		return err
+	}
+	if len(bases) > 1 {
+		return writeContainer(w, shardedFrozenMagic, x.s.PartitionerKind(), len(bases),
+			func(i int) uint64 { return frozenPayloadSize(bases[i]) },
+			func(w io.Writer, i int) error { return writeFrozenPayload(w, bases[i]) })
 	}
 	crc := crc32.NewIEEE()
 	mw := io.MultiWriter(w, crc)
 	if _, err := io.WriteString(mw, frozenMagic); err != nil {
 		return err
 	}
-	if err := writeFrozenPayload(mw, x.s.Base(0)); err != nil {
+	if err := writeFrozenPayload(mw, bases[0]); err != nil {
 		return err
 	}
 	return binary.Write(w, binary.LittleEndian, crc.Sum32())
 }
 
-// writeSharded writes the index as a TQSHRD03 container, one frame per
-// shard.
-func (x *FrozenIndex) writeSharded(w io.Writer) error {
-	return writeContainer(w, shardedFrozenMagic, x.s.PartitionerKind(), x.s.NumShards(),
-		func(i int) uint64 { return frozenPayloadSize(x.s.Base(i)) },
-		func(w io.Writer, i int) error { return writeFrozenPayload(w, x.s.Base(i)) })
-}
-
-// ReadFrozenSnapshot restores a FrozenIndex written by WriteSnapshot, in
-// either framing: the CRCs verified, the columns copied out and
-// bounds-checked — no tree rebuild. A TQSNAP04 stream is read to its end;
-// a TQSHRD03 container one frame's bytes at a time, stopping at its last
-// declared frame. A stream of another format is rejected with a pointer
-// to the right reader.
-func ReadFrozenSnapshot(r io.Reader) (*FrozenIndex, error) {
-	var magic [8]byte
-	n, err := io.ReadFull(r, magic[:])
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return nil, badSnapshot(err)
-	}
-	src := &streamSource{r: io.MultiReader(bytes.NewReader(magic[:n]), r)}
-	if string(magic[:n]) == shardedFrozenMagic {
-		return readFrozenSharded(src.take, nil)
-	}
-	data, err := src.all()
-	if err != nil {
-		return nil, err
-	}
-	return parseFrozenSnapshot(data, nil)
-}
-
-// parseFrozenSnapshot parses a whole TQSNAP04 image. Bytes after the
-// payload are rejected under either owner: the trailer is the image's
-// last four bytes, so anything extra sits inside the checksummed region.
-func parseFrozenSnapshot(data []byte, pin *mappedToken) (*FrozenIndex, error) {
-	if len(data) < 8 {
-		return nil, fmt.Errorf("%w: truncated (%d bytes)", ErrBadSnapshot, len(data))
-	}
-	if err := checkMagic(data[:8], frozenMagic); err != nil {
-		return nil, err
-	}
+// parseFrozenSnapshot restores a whole TQSNAP04 image as a one-shard
+// Index. Bytes after the payload are rejected under either owner: the
+// trailer is the image's last four bytes, so anything extra sits inside
+// the checksummed region.
+func parseFrozenSnapshot(data []byte, pin *mappedToken, pol LivePolicy) (*Index, error) {
 	if len(data) < 12 {
 		return nil, fmt.Errorf("%w: truncated (%d bytes)", ErrBadSnapshot, len(data))
 	}
@@ -402,38 +376,12 @@ func parseFrozenSnapshot(data []byte, pin *mappedToken) (*FrozenIndex, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSnapshot)
 	}
 	cur := &cursor{b: body[8:], pin: pin}
-	f, err := readFrozenPayload(cur)
+	ep, err := readShardPayload(cur, false)
 	if err != nil {
 		return nil, err
 	}
 	if cur.remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, cur.remaining())
 	}
-	return frozenIndexOf([]*tqtree.Frozen{f}, shard.Hash{})
-}
-
-// readFrozenSharded parses a TQSHRD03 container whose bytes take hands
-// out in order.
-func readFrozenSharded(take func(n uint64) ([]byte, error), pin *mappedToken) (*FrozenIndex, error) {
-	var bases []*tqtree.Frozen
-	part, err := readContainer(take, shardedFrozenMagic, pin, func(c *cursor) error {
-		f, err := readFrozenPayload(c)
-		if err == nil {
-			bases = append(bases, f)
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return frozenIndexOf(bases, part)
-}
-
-// frozenIndexOf serves restored shards, refusing an ID two of them share.
-func frozenIndexOf(bases []*tqtree.Frozen, part shard.Partitioner) (*FrozenIndex, error) {
-	sf, err := shard.FrozenOf(bases, part)
-	if err != nil {
-		return nil, badSnapshot(err)
-	}
-	return newFrozenIndex(sf), nil
+	return restore([]*query.Epoch{ep}, shard.Hash{}, pol)
 }

@@ -32,38 +32,39 @@ import (
 	"github.com/trajcover/trajcover/internal/wal"
 )
 
-// restored is what every snapshot reader returns.
-type restored interface {
-	WriteSnapshot(w io.Writer) error
-}
-
-// snapshotFormat is one format under test: its writer over a small index,
-// and its parse under each owner — read copies out of a stream, alias is
-// the mapped open's parse over an in-memory image and a token that owns
-// no mapping.
+// snapshotFormat is one format under test: a small index and the writer
+// that writes it in that format. Every format has the one reader, whose
+// parse under each owner is parseSnapshot.
 type snapshotFormat struct {
 	name  string
-	write func(w io.Writer) error
-	read  func(r io.Reader) (restored, error)
-	alias func(data []byte, tok *mappedToken) (restored, error)
+	x     *Index
+	write func(x *Index, w io.Writer) error
 }
 
 // snapshotOwners are the two ways a parse gets its bytes.
 var snapshotOwners = []string{"copy", "alias"}
 
-// parse runs the format's reader over data under the given owner,
-// converting a panic into an error the caller will not mistake for an
-// ErrBadSnapshot.
-func (f snapshotFormat) parse(data []byte, owner string) (x restored, err error) {
+// parse runs the reader over data under the given owner, naming the
+// format in a panic's error.
+func (f snapshotFormat) parse(data []byte, owner string) (*Index, error) {
+	return parseSnapshot(f.name, data, owner)
+}
+
+// parseSnapshot runs the snapshot reader over data under the given owner
+// — copy reads it as a stream, alias is the mapped open's parse over an
+// in-memory image and a token that owns no mapping — converting a panic
+// into an error the caller will not mistake for an ErrBadSnapshot.
+func parseSnapshot(name string, data []byte, owner string) (x *Index, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			x, err = nil, fmt.Errorf("PANIC (%s, %s): %v", f.name, owner, r)
+			x, err = nil, fmt.Errorf("PANIC (%s, %s): %v", name, owner, r)
 		}
 	}()
+	pol := LivePolicy{Manual: true}
 	if owner == "alias" {
-		return f.alias(data, &mappedToken{})
+		return openMappedIndex(data, &mappedToken{}, pol)
 	}
-	return f.read(bytes.NewReader(data))
+	return ReadLiveSnapshot(bytes.NewReader(data), pol)
 }
 
 // snapshotFormats builds one small index per format over n taxi trips:
@@ -73,27 +74,19 @@ func snapshotFormats(t testing.TB, n int) []snapshotFormat {
 	t.Helper()
 	users := TaxiTrips(NewYorkCity(), n, 41)
 	opts := IndexOptions{Ordering: ZOrdering}
-	fz, err := NewFrozenIndex(users, opts)
+	fz, err := NewIndex(users, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Shards = 2
-	sfz, err := NewFrozenIndex(users, opts)
+	sfz, err := NewIndex(users, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv := churnedLiveIndex(t, users)
-	pol := LivePolicy{Manual: true}
 	return []snapshotFormat{
-		{"TQSNAP04", fz.WriteSnapshot,
-			func(r io.Reader) (restored, error) { return ReadFrozenSnapshot(r) },
-			func(d []byte, tok *mappedToken) (restored, error) { return openMappedFrozen(d, tok) }},
-		{"TQSHRD03", sfz.WriteSnapshot,
-			func(r io.Reader) (restored, error) { return ReadFrozenSnapshot(r) },
-			func(d []byte, tok *mappedToken) (restored, error) { return openMappedFrozen(d, tok) }},
-		{"TQLIVE02", lv.WriteSnapshot,
-			func(r io.Reader) (restored, error) { return ReadLiveSnapshot(r, pol) },
-			func(d []byte, tok *mappedToken) (restored, error) { return openMappedLive(d, tok, pol) }},
+		{"TQSNAP04", fz, (*Index).WriteFrozenSnapshot},
+		{"TQSHRD03", sfz, (*Index).WriteFrozenSnapshot},
+		{"TQLIVE02", churnedLiveIndex(t, users), (*Index).WriteSnapshot},
 	}
 }
 
@@ -125,7 +118,7 @@ func churnedLiveIndex(t testing.TB, users []*Trajectory) *Index {
 func snapshotBytes(t testing.TB, f snapshotFormat) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := f.write(&buf); err != nil {
+	if err := f.write(f.x, &buf); err != nil {
 		t.Fatalf("%s: write: %v", f.name, err)
 	}
 	return buf.Bytes()
@@ -150,7 +143,7 @@ func TestSnapshotRoundTripByteIdentical(t *testing.T) {
 				t.Fatalf("%s, %s: %v", f.name, owner, err)
 			}
 			var second bytes.Buffer
-			if err := x.WriteSnapshot(&second); err != nil {
+			if err := f.write(x, &second); err != nil {
 				t.Fatalf("%s, %s: rewrite: %v", f.name, owner, err)
 			}
 			if !bytes.Equal(first, second.Bytes()) {
@@ -232,14 +225,13 @@ func TestSnapshotForgedLengthBuysNoMemory(t *testing.T) {
 	}
 }
 
-// fuzzSnapshot is the one differential fuzz body: the same bytes go to
-// every format's reader under both owners. None may panic or fail with
-// anything but an ErrBadSnapshot, and the two owners must agree on
-// accept/reject, but for the one difference they have by design: only a
-// mapped open sees (and rejects) bytes after a container's last frame.
+// fuzzSnapshot is the one differential fuzz body: the bytes go to the
+// reader under both owners. Neither may panic or fail with anything but
+// an ErrBadSnapshot, and the two must agree on accept/reject, but for the
+// one difference they have by design: only a mapped open sees (and
+// rejects) bytes after a container's last frame.
 func fuzzSnapshot(f *testing.F) {
-	formats := snapshotFormats(f, 30)
-	for i, sf := range formats {
+	for i, sf := range snapshotFormats(f, 30) {
 		data := snapshotBytes(f, sf)
 		f.Add(data)
 		f.Add(data[:64])
@@ -254,20 +246,18 @@ func fuzzSnapshot(f *testing.F) {
 		f.Add(h.data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, sf := range formats {
-			_, cerr := sf.parse(data, "copy")
-			_, aerr := sf.parse(data, "alias")
-			for _, err := range []error{cerr, aerr} {
-				if err != nil && !errors.Is(err, ErrBadSnapshot) {
-					t.Fatal(err)
-				}
+		_, cerr := parseSnapshot("fuzz", data, "copy")
+		_, aerr := parseSnapshot("fuzz", data, "alias")
+		for _, err := range []error{cerr, aerr} {
+			if err != nil && !errors.Is(err, ErrBadSnapshot) {
+				t.Fatal(err)
 			}
-			switch {
-			case (cerr == nil) == (aerr == nil):
-			case aerr != nil && strings.Contains(aerr.Error(), "trailing bytes after last frame"):
-			default:
-				t.Fatalf("%s: the owners disagree: copy %v, alias %v", sf.name, cerr, aerr)
-			}
+		}
+		switch {
+		case (cerr == nil) == (aerr == nil):
+		case aerr != nil && strings.Contains(aerr.Error(), "trailing bytes after last frame"):
+		default:
+			t.Fatalf("the owners disagree: copy %v, alias %v", cerr, aerr)
 		}
 	})
 }
@@ -277,7 +267,8 @@ func FuzzReadSnapshot(f *testing.F) { fuzzSnapshot(f) }
 
 // FuzzReadShardedSnapshot and FuzzReadLiveSnapshot are FuzzReadSnapshot
 // under the names the two containers' targets had; they keep those
-// targets' seed subtests running under plain go test. Fuzz the one above.
+// targets' seed subtests running under plain go test. There is one reader
+// for the three formats: fuzz the one above.
 func FuzzReadShardedSnapshot(f *testing.F) { fuzzSnapshot(f) }
 func FuzzReadLiveSnapshot(f *testing.F)    { fuzzSnapshot(f) }
 

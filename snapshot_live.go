@@ -21,7 +21,6 @@ import (
 
 	"github.com/trajcover/trajcover/internal/mmap"
 	"github.com/trajcover/trajcover/internal/query"
-	"github.com/trajcover/trajcover/internal/shard"
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
@@ -67,15 +66,19 @@ func writeLivePayload(w io.Writer, ep *query.Epoch) error {
 	return cw.err
 }
 
-// readLivePayload decodes one epoch frame and reassembles the epoch;
-// NewEpoch revalidates tombstones and delta against the restored base,
-// refusing unknown and repeated tombstone IDs. The delta section is
-// copied to the heap under either owner: the overlay is small and
-// outlives any base.
-func readLivePayload(c *cursor) (*query.Epoch, error) {
+// readShardPayload decodes one shard's frame and reassembles its epoch:
+// a frozen base, and in a live frame the tombstones and delta after it,
+// which NewEpoch revalidates against the restored base, refusing unknown
+// and repeated tombstone IDs. A frozen frame's epoch has nothing pending.
+// The delta section is copied to the heap under either owner: the
+// overlay is small and outlives any base.
+func readShardPayload(c *cursor, live bool) (*query.Epoch, error) {
 	f, err := readFrozenPayload(c)
 	if err != nil {
 		return nil, err
+	}
+	if !live {
+		return query.NewEpoch(f, nil, nil, 0)
 	}
 	c.pin = nil // the base holds the pin; the rest of the frame is copied
 	nDead := c.u64()
@@ -112,32 +115,4 @@ func writeLiveSnapshot(w io.Writer, eps []*query.Epoch, kind string) error {
 // successor epochs.
 func (x *Index) WriteSnapshot(w io.Writer) error {
 	return writeLiveSnapshot(w, x.s.Epochs(), x.s.PartitionerKind())
-}
-
-// ReadLiveSnapshot restores an Index written by WriteSnapshot — including
-// any pending delta and tombstones, which the next rebuild folds as
-// usual. pol tunes the restored index's compaction policy (policy is
-// operational state, not data, so it is not recorded). One frame's bytes
-// are in memory at a time, and reading stops at the last declared frame.
-func ReadLiveSnapshot(r io.Reader, pol LivePolicy) (*Index, error) {
-	return readLive((&streamSource{r: r}).take, nil, pol)
-}
-
-func readLive(take func(n uint64) ([]byte, error), pin *mappedToken, pol LivePolicy) (*Index, error) {
-	var eps []*query.Epoch
-	part, err := readContainer(take, liveMagic, pin, func(c *cursor) error {
-		ep, err := readLivePayload(c)
-		if err == nil {
-			eps = append(eps, ep)
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	l, err := shard.LiveFromEpochs(eps, part, pol.policy())
-	if err != nil {
-		return nil, badSnapshot(err)
-	}
-	return newIndex(l), nil
 }

@@ -1,7 +1,7 @@
 package trajcover
 
-// Mapped snapshot restore. OpenMappedFrozenSnapshot and
-// OpenMappedLiveSnapshot map a TQSNAP04/TQSHRD03/TQLIVE02 file and alias
+// Mapped snapshot restore. OpenMappedLiveSnapshot maps a
+// TQSNAP04/TQSHRD03/TQLIVE02 file and aliases
 // the frozen column slices (node rects, upper-bound columns, bucket and
 // entry slabs, the trajectory table's four columns) directly onto the
 // mapping via
@@ -51,70 +51,41 @@ type mappedToken struct {
 	m *mmap.Mapping
 }
 
-// openMapped maps the file at path and parses it with open, which gets
-// the mapped bytes and the token that owns them. On an error the mapping
-// is released at once; otherwise the token's finalizer releases it.
-func openMapped[T any](path string, open func(data []byte, tok *mappedToken) (T, error)) (T, error) {
+// OpenMappedLiveSnapshot restores an Index from a file in any of the
+// three framings by mapping it: the CRCs are verified once, every shard's
+// frozen base columns alias the one mapping (zero-copy on little-endian
+// hosts; a TQLIVE02 file's delta trajectories are copied to the heap),
+// while the restored index stays fully mutable — writes land in heap
+// epochs, and background rebuilds fold mapped trajectories into heap
+// bases, retiring the mapping once nothing references it. Answers are
+// byte-identical to ReadLiveSnapshot of the same file. On an error the
+// mapping is released at once; otherwise the token's finalizer releases
+// it.
+func OpenMappedLiveSnapshot(path string, pol LivePolicy) (*Index, error) {
 	m, err := mmap.Open(path)
 	if err != nil {
-		var zero T
-		return zero, err
+		return nil, err
 	}
 	tok := &mappedToken{m: m}
-	x, err := open(m.Data(), tok)
+	x, err := openMappedIndex(m.Data(), tok, pol)
 	if err != nil {
 		m.Release()
-		return x, err
+		return nil, err
 	}
 	runtime.SetFinalizer(tok, func(t *mappedToken) { t.m.Release() })
 	return x, nil
 }
 
-// openContainer runs a container parse over a whole file image and
-// rejects bytes after the last frame.
-func openContainer[T any](data []byte, read func(take func(n uint64) ([]byte, error)) (T, error)) (T, error) {
+// openMappedIndex parses a whole file image: a TQSNAP04 image as one
+// payload, a container frame by frame, rejecting bytes after the last.
+func openMappedIndex(data []byte, tok *mappedToken, pol LivePolicy) (*Index, error) {
+	if len(data) >= 8 && string(data[:8]) == frozenMagic {
+		return parseFrozenSnapshot(data, tok, pol)
+	}
 	c := &cursor{b: data}
-	x, err := read(c.next)
+	x, err := readContainer(c.next, tok, pol)
 	if err == nil && c.remaining() != 0 {
 		err = fmt.Errorf("%w: %d trailing bytes after last frame", ErrBadSnapshot, c.remaining())
 	}
 	return x, err
-}
-
-// OpenMappedFrozenSnapshot restores a FrozenIndex from a TQSNAP04 or
-// TQSHRD03 file by mapping it: the CRCs are verified once, every shard's
-// columns alias the one mapping (zero-copy on little-endian hosts), and
-// the mapping is released when the last object restored from it is
-// collected. Answers are byte-identical to ReadFrozenSnapshot of the same
-// file.
-func OpenMappedFrozenSnapshot(path string) (*FrozenIndex, error) {
-	return openMapped(path, openMappedFrozen)
-}
-
-func openMappedFrozen(data []byte, tok *mappedToken) (*FrozenIndex, error) {
-	if len(data) >= 8 && string(data[:8]) == shardedFrozenMagic {
-		return openContainer(data, func(take func(n uint64) ([]byte, error)) (*FrozenIndex, error) {
-			return readFrozenSharded(take, tok)
-		})
-	}
-	return parseFrozenSnapshot(data, tok)
-}
-
-// OpenMappedLiveSnapshot restores an Index from a TQLIVE02 file by
-// mapping it: every shard's frozen base columns alias the mapping (the
-// delta trajectories are copied to the heap), while the restored index
-// stays fully mutable — writes land in heap epochs, and background
-// rebuilds fold mapped trajectories into heap bases, retiring the
-// mapping once nothing references it. Answers are byte-identical to
-// ReadLiveSnapshot of the same file.
-func OpenMappedLiveSnapshot(path string, pol LivePolicy) (*Index, error) {
-	return openMapped(path, func(data []byte, tok *mappedToken) (*Index, error) {
-		return openMappedLive(data, tok, pol)
-	})
-}
-
-func openMappedLive(data []byte, tok *mappedToken, pol LivePolicy) (*Index, error) {
-	return openContainer(data, func(take func(n uint64) ([]byte, error)) (*Index, error) {
-		return readLive(take, tok, pol)
-	})
 }

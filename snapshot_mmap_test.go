@@ -38,7 +38,7 @@ func writeTempSnapshot(t testing.TB, name string, write func(w *os.File) error) 
 
 // assertMappedAnswers requires got to answer bit-identically to want
 // across scenarios, for both batch service values and top-k.
-func assertMappedAnswers(t *testing.T, name string, want, got flavor) {
+func assertMappedAnswers(t *testing.T, name string, want, got *Index) {
 	t.Helper()
 	if want.Len() != got.Len() {
 		t.Fatalf("%s: Len %d, want %d", name, got.Len(), want.Len())
@@ -79,71 +79,49 @@ func assertMappedAnswers(t *testing.T, name string, want, got flavor) {
 	}
 }
 
-// TestMappedFrozenMatchesHeap: OpenMappedFrozenSnapshot answers
-// bit-identically to ReadFrozenSnapshot of the same TQSNAP04 file, and
-// re-snapshotting the mapped restore reproduces the file byte for byte.
+// TestMappedFrozenMatchesHeap: OpenMappedLiveSnapshot of a TQSNAP04 file
+// answers bit-identically to ReadLiveSnapshot of the same file, and the
+// mapped restore's WriteFrozenSnapshot reproduces the file byte for byte.
 func TestMappedFrozenMatchesHeap(t *testing.T) {
-	ny := NewYorkCity()
-	users := TaxiTrips(ny, 60, 41)
-	idx, err := NewIndex(users, IndexOptions{Ordering: ZOrdering})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fz, err := idx.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := writeTempSnapshot(t, "frozen.tqsnap", func(w *os.File) error { return fz.WriteSnapshot(w) })
-
-	mapped, err := OpenMappedFrozenSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertMappedAnswers(t, "TQSNAP04 mapped", fz, mapped)
-
-	orig, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := mapped.WriteSnapshot(&out); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(orig, out.Bytes()) {
-		t.Fatalf("mapped re-snapshot differs (%d vs %d bytes)", len(out.Bytes()), len(orig))
-	}
+	checkMappedFrozen(t, "TQSNAP04", 1)
 }
 
-// TestMappedFrozenShardedMatchesHeap: the sharded container, same
-// contract.
+// TestMappedFrozenShardedMatchesHeap: the sharded container, TQSHRD03,
+// same contract.
 func TestMappedFrozenShardedMatchesHeap(t *testing.T) {
+	checkMappedFrozen(t, "TQSHRD03", 3)
+}
+
+func checkMappedFrozen(t *testing.T, name string, shards int) {
 	ny := NewYorkCity()
 	users := TaxiTrips(ny, 60, 41)
-	sidx, err := NewIndex(users, IndexOptions{Ordering: ZOrdering, Shards: 3})
+	idx, err := NewIndex(users, IndexOptions{Ordering: ZOrdering, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sfz, err := sidx.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := writeTempSnapshot(t, "frozen.tqshrd", func(w *os.File) error { return sfz.WriteSnapshot(w) })
-
-	mapped, err := OpenMappedFrozenSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mapped.NumShards() != sfz.NumShards() {
-		t.Fatalf("NumShards = %d, want %d", mapped.NumShards(), sfz.NumShards())
-	}
-	assertMappedAnswers(t, "TQSHRD03 mapped", sfz, mapped)
-
+	path := writeTempSnapshot(t, "frozen.tqsnap", func(w *os.File) error { return idx.WriteFrozenSnapshot(w) })
 	orig, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if string(orig[:8]) != name {
+		t.Fatalf("%d shards wrote %q, want %s", shards, orig[:8], name)
+	}
+	heap, err := ReadLiveSnapshot(bytes.NewReader(orig), LivePolicy{Manual: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenMappedLiveSnapshot(path, LivePolicy{Manual: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mapped.NumShards() != shards {
+		t.Fatalf("NumShards = %d, want %d", mapped.NumShards(), shards)
+	}
+	assertMappedAnswers(t, name+" mapped", heap, mapped)
+
 	var out bytes.Buffer
-	if err := mapped.WriteSnapshot(&out); err != nil {
+	if err := mapped.WriteFrozenSnapshot(&out); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(orig, out.Bytes()) {
@@ -207,7 +185,7 @@ func TestMappedLiveMatchesHeapAndStaysMutable(t *testing.T) {
 
 // TestMappedOpenMissingFile: opening a nonexistent path errors cleanly.
 func TestMappedOpenMissingFile(t *testing.T) {
-	if _, err := OpenMappedFrozenSnapshot(filepath.Join(t.TempDir(), "absent")); err == nil {
+	if _, err := OpenMappedLiveSnapshot(filepath.Join(t.TempDir(), "absent"), LivePolicy{}); err == nil {
 		t.Fatal("open of missing file succeeded")
 	}
 }
@@ -232,11 +210,7 @@ func benchSnapshotOf(b *testing.B, users []*Trajectory, opts IndexOptions) strin
 	if err != nil {
 		b.Fatal(err)
 	}
-	fz, err := idx.Freeze()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return writeTempSnapshot(b, "bench.tqsnap", func(w *os.File) error { return fz.WriteSnapshot(w) })
+	return writeTempSnapshot(b, "bench.tqsnap", func(w *os.File) error { return idx.WriteFrozenSnapshot(w) })
 }
 
 func BenchmarkHeapRestore(b *testing.B) {
@@ -247,7 +221,7 @@ func BenchmarkHeapRestore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ReadFrozenSnapshot(f); err != nil {
+		if _, err := ReadLiveSnapshot(f, LivePolicy{}); err != nil {
 			b.Fatal(err)
 		}
 		f.Close()
@@ -258,7 +232,7 @@ func BenchmarkMappedOpen(b *testing.B) {
 	path := benchSnapshotPath(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := OpenMappedFrozenSnapshot(path); err != nil {
+		if _, err := OpenMappedLiveSnapshot(path, LivePolicy{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -279,7 +253,7 @@ func BenchmarkMappedOpenMultipoint(b *testing.B) {
 		path := benchSnapshotOf(b, c.users, c.opts)
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := OpenMappedFrozenSnapshot(path); err != nil {
+				if _, err := OpenMappedLiveSnapshot(path, LivePolicy{}); err != nil {
 					b.Fatal(err)
 				}
 			}

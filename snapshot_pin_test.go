@@ -10,9 +10,6 @@ import (
 	"os"
 	"reflect"
 	"testing"
-
-	"github.com/trajcover/trajcover/internal/query"
-	"github.com/trajcover/trajcover/internal/tqtree"
 )
 
 // pinCorpora are fixed-seed corpora whose snapshot bytes are pinned below:
@@ -57,16 +54,18 @@ func mustTraj(id ID, pts ...Point) *Trajectory {
 }
 
 // pinnedSnapshot is one fixed-seed index whose snapshot is pinned twice:
-// sha is the SHA-256 of its stream, digest the contentDigest of the index
-// the stream restores to. The digests were taken from the record formats
-// (TQSNAP03/TQSHRD02/TQLIVE01) that the columnar trajectory section
-// replaced, so they hold the new formats to the same index.
+// sha is the SHA-256 of the stream write writes, digest the contentDigest
+// of the index the stream restores to (live: with its shards' tombstones
+// and delta, which a frozen stream does not record). The digests were
+// taken from the record formats (TQSNAP03/TQSHRD02/TQLIVE01) that the
+// columnar trajectory section replaced, so they hold the new formats to
+// the same index.
 type pinnedSnapshot struct {
 	name        string
-	x           restored
+	x           *Index
+	write       func(x *Index, w io.Writer) error
+	live        bool
 	sha, digest string
-	read        func(r io.Reader) (restored, error)
-	open        func(path string) (restored, error)
 }
 
 func pinnedSnapshots(t *testing.T) []pinnedSnapshot {
@@ -95,13 +94,11 @@ func pinnedSnapshots(t *testing.T) []pinnedSnapshot {
 		{"cell/full/zorder/b4/d6", "cell", IndexOptions{Variant: FullTrajectory, Ordering: ZOrdering, Beta: 4, MaxDepth: 6, Bounds: Rect{MaxX: 1000, MaxY: 1000}},
 			"07657e9c41718727166274d1f85bc88fa73ba0183f875a359638d0d7b94d3bf5", "bef9c13d1d7b20a60c9829d25f34488fcdd3e6e3664398d843b4821422e278aa"},
 	} {
-		idx, err := NewFrozenIndex(corpora[tc.corpus], tc.opts)
+		idx, err := NewIndex(corpora[tc.corpus], tc.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		out = append(out, pinnedSnapshot{"TQSNAP04 " + tc.name, idx, tc.sha, tc.digest,
-			func(r io.Reader) (restored, error) { return ReadFrozenSnapshot(r) },
-			func(path string) (restored, error) { return OpenMappedFrozenSnapshot(path) }})
+		out = append(out, pinnedSnapshot{"TQSNAP04 " + tc.name, idx, (*Index).WriteFrozenSnapshot, false, tc.sha, tc.digest})
 	}
 
 	sh, err := NewIndex(corpora["traces"], IndexOptions{
@@ -114,14 +111,8 @@ func pinnedSnapshots(t *testing.T) []pinnedSnapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sfz, err := sh.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out = append(out, pinnedSnapshot{"TQSHRD03 traces/segmented/zorder/b8/2 grid shards", sfz,
-		"aeabe7d5b8f93e41c583bc38b72754462872145edfcd0eb70627bf0a35117c27", "1689fe6c5f7b7b336ef74b781cd73f909fec292c9e92dd53515e1eff8093d0ca",
-		func(r io.Reader) (restored, error) { return ReadFrozenSnapshot(r) },
-		func(path string) (restored, error) { return OpenMappedFrozenSnapshot(path) }})
+	out = append(out, pinnedSnapshot{"TQSHRD03 traces/segmented/zorder/b8/2 grid shards", sh, (*Index).WriteFrozenSnapshot, false,
+		"aeabe7d5b8f93e41c583bc38b72754462872145edfcd0eb70627bf0a35117c27", "1689fe6c5f7b7b336ef74b781cd73f909fec292c9e92dd53515e1eff8093d0ca"})
 
 	// A live index through two compactions, with a delta and tombstones
 	// pending at the checkpoint: the rebuild path writes the base too.
@@ -158,10 +149,8 @@ func pinnedSnapshots(t *testing.T) []pinnedSnapshot {
 		t.Fatal(err)
 	}
 	step(users[2900:], users[450:470])
-	return append(out, pinnedSnapshot{"TQLIVE02 taxi/2 shards/compacted", lv,
-		"bc120b72a0ce3e5676807fab97caee38947a9702b0488b3105160b01ccc106f6", "fd49f8a8adb04ad85ef4c94cc76cf4d4e9e0bea2c328b9c5f28dac3fcf5a3726",
-		func(r io.Reader) (restored, error) { return ReadLiveSnapshot(r, pol) },
-		func(path string) (restored, error) { return OpenMappedLiveSnapshot(path, pol) }})
+	return append(out, pinnedSnapshot{"TQLIVE02 taxi/2 shards/compacted", lv, (*Index).WriteSnapshot, true,
+		"bc120b72a0ce3e5676807fab97caee38947a9702b0488b3105160b01ccc106f6", "fd49f8a8adb04ad85ef4c94cc76cf4d4e9e0bea2c328b9c5f28dac3fcf5a3726"})
 }
 
 // TestSnapshotBytesPinned pins the SHA-256 of a stream of every format
@@ -170,38 +159,39 @@ func pinnedSnapshots(t *testing.T) []pinnedSnapshot {
 func TestSnapshotBytesPinned(t *testing.T) {
 	for _, p := range pinnedSnapshots(t) {
 		var buf bytes.Buffer
-		if err := p.x.WriteSnapshot(&buf); err != nil {
+		if err := p.write(p.x, &buf); err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
 		checkPin(t, p.name, buf.Bytes(), p.sha)
 	}
 }
 
-// TestSnapshotContentPinned: every pinned stream restores, through its
-// io.Reader entry point and its mapped open alike, to the index the
+// TestSnapshotContentPinned: every pinned stream restores, through the
+// io.Reader entry point and the mapped open alike, to the index the
 // retired record formats restored to — the same columns the base holds,
 // the same table rows, the same tombstones and delta — and the index
 // written is that index too.
 func TestSnapshotContentPinned(t *testing.T) {
 	for _, p := range pinnedSnapshots(t) {
-		if got := contentDigest(t, p.x); got != p.digest {
+		if got := contentDigest(t, p.x, p.live); got != p.digest {
 			t.Errorf("%s: the index written has digest %s, pinned %s", p.name, got, p.digest)
 		}
-		path := writeTempSnapshot(t, "pinned.snap", func(w *os.File) error { return p.x.WriteSnapshot(w) })
+		path := writeTempSnapshot(t, "pinned.snap", func(w *os.File) error { return p.write(p.x, w) })
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		heap, err := p.read(bytes.NewReader(data))
+		pol := LivePolicy{Manual: true}
+		heap, err := ReadLiveSnapshot(bytes.NewReader(data), pol)
 		if err != nil {
 			t.Fatalf("%s: read: %v", p.name, err)
 		}
-		mapped, err := p.open(path)
+		mapped, err := OpenMappedLiveSnapshot(path, pol)
 		if err != nil {
 			t.Fatalf("%s: open: %v", p.name, err)
 		}
-		for what, x := range map[string]restored{"read": heap, "mapped": mapped} {
-			if got := contentDigest(t, x); got != p.digest {
+		for what, x := range map[string]*Index{"read": heap, "mapped": mapped} {
+			if got := contentDigest(t, x, p.live); got != p.digest {
 				t.Errorf("%s: %s restore has digest %s, pinned %s", p.name, what, got, p.digest)
 			}
 		}
@@ -210,26 +200,12 @@ func TestSnapshotContentPinned(t *testing.T) {
 
 // contentDigest hashes the index a snapshot restores to, not its bytes:
 // per base (one per shard, in order) its header fields, every column it
-// holds and every table row — ID, points, length bits — and per live
+// holds and every table row — ID, points, length bits — and, if live, per
 // shard also its tombstone IDs and delta rows. Two formats that encode
 // one index give it one digest.
-func contentDigest(t testing.TB, x restored) string {
+func contentDigest(t testing.TB, x *Index, live bool) string {
 	t.Helper()
-	var bases []*tqtree.Frozen
-	var eps []*query.Epoch
-	switch x := x.(type) {
-	case *FrozenIndex:
-		for i := 0; i < x.s.NumShards(); i++ {
-			bases = append(bases, x.s.Base(i))
-		}
-	case *Index:
-		eps = x.s.Epochs()
-		for _, ep := range eps {
-			bases = append(bases, ep.Base())
-		}
-	default:
-		t.Fatalf("contentDigest: %T", x)
-	}
+	eps := x.s.Epochs()
 	h := sha256.New()
 	put := func(v any) {
 		if err := binary.Write(h, binary.LittleEndian, v); err != nil {
@@ -242,7 +218,8 @@ func contentDigest(t testing.TB, x restored) string {
 		put(pts)
 		put(length)
 	}
-	for i, f := range bases {
+	for _, ep := range eps {
+		f := ep.Base()
 		c := f.Columns()
 		// A whole-trajectory base does not hold its endpoints: digest
 		// them as the snapshot records them, from EntryEnds.
@@ -265,8 +242,8 @@ func contentDigest(t testing.TB, x restored) string {
 		for r := int32(0); int(r) < tab.Len(); r++ {
 			row(tab.ID(r), tab.Points(r), tab.Length(r))
 		}
-		if eps != nil {
-			dead, delta := eps[i].TombstoneIDs(), eps[i].Delta()
+		if live {
+			dead, delta := ep.TombstoneIDs(), ep.Delta()
 			put(uint64(len(dead)))
 			put(dead)
 			put(uint64(len(delta)))

@@ -12,7 +12,7 @@ import (
 	"testing"
 )
 
-// TestSnapshotRoundTrip: a frozen index of every variant and ordering
+// TestSnapshotRoundTrip: a frozen snapshot of every variant and ordering
 // restores to the same corpus and the same answers.
 func TestSnapshotRoundTrip(t *testing.T) {
 	users, routes := smallWorkload(t)
@@ -21,15 +21,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		{Variant: FullTrajectory, Ordering: ZOrdering, Beta: 16},
 		{Variant: Segmented, Ordering: BasicOrdering, Beta: 32},
 	} {
-		fz, err := NewFrozenIndex(users, opts)
+		fz, err := NewIndex(users, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := fz.WriteSnapshot(&buf); err != nil {
+		if err := fz.WriteFrozenSnapshot(&buf); err != nil {
 			t.Fatal(err)
 		}
-		back, err := ReadFrozenSnapshot(&buf)
+		back, err := ReadLiveSnapshot(&buf, LivePolicy{})
 		if err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
@@ -57,34 +57,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// freezeRoundTrip persists an Index the one way there is — freeze, write,
-// read — and returns the restored frozen index.
-func freezeRoundTrip(t *testing.T, idx *Index) *FrozenIndex {
-	t.Helper()
-	fz, err := idx.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := fz.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadFrozenSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return back
-}
-
 // TestSnapshotPersistsMaxDepth checks the payload header carries the
-// depth bound — what a rebuild of the restored index's live form reuses.
+// depth bound — what a rebuild of the restored index reuses.
 func TestSnapshotPersistsMaxDepth(t *testing.T) {
 	users, routes := smallWorkload(t)
 	idx, err := NewIndex(users[:500], IndexOptions{MaxDepth: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := freezeRoundTrip(t, idx)
+	back := frozenRestore(t, idx)
 	if got := back.s.Base(0).MaxDepth(); got != 5 {
 		t.Fatalf("restored MaxDepth = %d, want 5", got)
 	}
@@ -115,7 +96,7 @@ func TestSnapshotPreservesInsertedTrajectories(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	back := freezeRoundTrip(t, idx)
+	back := frozenRestore(t, idx)
 	if back.Len() != len(users) {
 		t.Fatalf("restored %d trajectories, want %d", back.Len(), len(users))
 	}
@@ -135,8 +116,7 @@ func TestSnapshotPreservesInsertedTrajectories(t *testing.T) {
 
 // TestShardedSnapshotRoundTrip: the recorded partition — shard count,
 // shard sizes, partitioner kind — and the answers survive a frozen round
-// trip through both readers, and the restored index goes live and takes
-// writes. One shard is a TQSNAP04 stream, which records no partitioner:
+// trip through both readers, and the restored index takes writes. One shard is a TQSNAP04 stream, which records no partitioner:
 // a grid-built one restores as hash and still takes inserts.
 func TestShardedSnapshotRoundTrip(t *testing.T) {
 	users, routes := smallWorkload(t)
@@ -150,11 +130,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fz, err := idx.Freeze()
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := writeTempSnapshot(t, "frozen.snap", func(w *os.File) error { return fz.WriteSnapshot(w) })
+		path := writeTempSnapshot(t, "frozen.snap", func(w *os.File) error { return idx.WriteFrozenSnapshot(w) })
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -166,23 +142,23 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		if string(data[:8]) != want {
 			t.Fatalf("%+v: wrote %q, want %s", opts, data[:8], want)
 		}
-		heap, err := ReadFrozenSnapshot(bytes.NewReader(data))
+		heap, err := ReadLiveSnapshot(bytes.NewReader(data), LivePolicy{Manual: true})
 		if err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
-		mapped, err := OpenMappedFrozenSnapshot(path)
+		mapped, err := OpenMappedLiveSnapshot(path, LivePolicy{Manual: true})
 		if err != nil {
 			t.Fatalf("%+v: mapped: %v", opts, err)
 		}
-		for _, back := range []*FrozenIndex{heap, mapped} {
+		for _, back := range []*Index{heap, mapped} {
 			checkShardedRestore(t, idx, back, routes)
 		}
 	}
 }
 
-// checkShardedRestore requires back, restored from idx's frozen form, to
-// hold idx's partition and answers, and to go live and take an insert.
-func checkShardedRestore(t *testing.T, idx *Index, back *FrozenIndex, routes []*Facility) {
+// checkShardedRestore requires back, restored from idx's frozen snapshot,
+// to hold idx's partition and answers, and to take an insert.
+func checkShardedRestore(t *testing.T, idx *Index, back *Index, routes []*Facility) {
 	t.Helper()
 	if back.Len() != idx.Len() || back.NumShards() != idx.NumShards() {
 		t.Fatalf("restored %d trajectories in %d shards, want %d in %d",
@@ -213,15 +189,11 @@ func checkShardedRestore(t *testing.T, idx *Index, back *FrozenIndex, routes []*
 		}
 	}
 	// A restored built-in partitioner must keep routing Inserts.
-	lv, err := back.Live(LivePolicy{Manual: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	u, err := NewTrajectory(ID(900000), []Point{Pt(100, 100), Pt(200, 200)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lv.Insert(u); err != nil {
+	if err := back.Insert(u); err != nil {
 		t.Fatalf("insert into restored index: %v", err)
 	}
 }
@@ -296,19 +268,6 @@ func forgeUnknownKind(t testing.TB, data []byte) []byte {
 func TestSnapshotUnknownPartitionerKind(t *testing.T) {
 	pol := LivePolicy{Manual: true}
 	readers := map[string]func(path string) error{
-		"ReadFrozenSnapshot": func(path string) error {
-			f, err := os.Open(path)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			_, err = ReadFrozenSnapshot(f)
-			return err
-		},
-		"OpenMappedFrozenSnapshot": func(path string) error {
-			_, err := OpenMappedFrozenSnapshot(path)
-			return err
-		},
 		"ReadLiveSnapshot": func(path string) error {
 			f, err := os.Open(path)
 			if err != nil {
@@ -330,9 +289,6 @@ func TestSnapshotUnknownPartitionerKind(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, read := range readers {
-			if strings.Contains(name, "Live") != (sf.name == "TQLIVE02") {
-				continue
-			}
 			if err := read(path); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), `"hasq"`) {
 				t.Errorf("%s of a %s stream recording kind hasq: err = %v, want ErrBadSnapshot naming the kind", name, sf.name, err)
 			}
@@ -370,11 +326,11 @@ func TestSnapshotUnknownPartitionerKind(t *testing.T) {
 	}
 }
 
-// TestSnapshotFormatsAreDistinguished: the frozen readers take both
-// frozen framings, and every reader, under both owners, refuses every
-// other stream with an error that names what the stream is and which
-// reader takes it — the retired rebuild and record formats included,
-// which say they are no longer readable rather than "bad magic".
+// TestSnapshotFormatsAreDistinguished: the reader, under both owners,
+// takes all three readable framings, and refuses every other stream with
+// an error that names what the stream is — the retired rebuild and record
+// formats included, which say they are no longer readable rather than
+// "bad magic".
 func TestSnapshotFormatsAreDistinguished(t *testing.T) {
 	formats := snapshotFormats(t, 30)
 	body := snapshotBytes(t, formats[0])[8:]
@@ -385,8 +341,10 @@ func TestSnapshotFormatsAreDistinguished(t *testing.T) {
 	for _, retired := range []string{"TQSNAP02", "TQSHRD01", "TQSNAP03", "TQSHRD02", "TQLIVE01"} {
 		streams[retired] = append([]byte(retired), body...)
 	}
+	lens := map[string]int{}
 	for _, g := range formats {
 		streams[g.name] = snapshotBytes(t, g)
+		lens[g.name] = g.x.Len()
 	}
 	says := func(name string) string {
 		switch name {
@@ -396,24 +354,21 @@ func TestSnapshotFormatsAreDistinguished(t *testing.T) {
 			return "record-format snapshot (" + name + ") is no longer readable; rebuild the index and write a new snapshot"
 		case "TQSNAP01":
 			return "bad magic"
-		case "TQSNAP0":
-			return "truncated"
-		case "TQLIVE02":
-			return "(TQLIVE02); use ReadLiveSnapshot or OpenMappedLiveSnapshot"
 		}
-		return "(" + name + "); use ReadFrozenSnapshot or OpenMappedFrozenSnapshot"
+		return "truncated"
 	}
-	frozen := func(name string) bool { return name == "TQSNAP04" || name == "TQSHRD03" }
-	for _, f := range formats {
-		for name, data := range streams {
-			for _, owner := range snapshotOwners {
-				_, err := f.parse(data, owner)
-				if name == f.name || frozen(name) && frozen(f.name) {
-					if err != nil {
-						t.Errorf("%s reader, %s, on a %s stream: %v", f.name, owner, name, err)
-					}
-				} else if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), says(name)) {
-					t.Errorf("%s reader, %s, on a %s stream: err = %v, want ErrBadSnapshot saying %q", f.name, owner, name, err, says(name))
+	for name, data := range streams {
+		for _, owner := range snapshotOwners {
+			x, err := parseSnapshot(name, data, owner)
+			if n, readable := lens[name]; readable {
+				if err != nil {
+					t.Errorf("%s, %s: %v", name, owner, err)
+				} else if x.Len() != n {
+					t.Errorf("%s, %s: restored %d trajectories, want %d", name, owner, x.Len(), n)
+				}
+			} else {
+				if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), says(name)) {
+					t.Errorf("%s, %s: err = %v, want ErrBadSnapshot saying %q", name, owner, err, says(name))
 				}
 			}
 		}

@@ -142,8 +142,8 @@ func TestIndexHeapPerTrajectory(t *testing.T) {
 		{"NewIndex", 43, func() (any, error) {
 			return NewIndex(TaxiTrips(ny, n, 7), opts2)
 		}},
-		{"NewFrozenIndex", 43, func() (any, error) {
-			return NewFrozenIndex(TaxiTrips(ny, n, 7), opts)
+		{"NewIndex, 1 shard", 43, func() (any, error) {
+			return NewIndex(TaxiTrips(ny, n, 7), opts)
 		}},
 		{"OpenMappedLiveSnapshot", 1, func() (any, error) {
 			return OpenMappedLiveSnapshot(path, LivePolicy{})
@@ -185,8 +185,8 @@ func TestIndexHeapPerTrajectory(t *testing.T) {
 		if per > c.limit {
 			t.Errorf("%s holds %.1f heap bytes per trajectory, want <= %.0f", c.name, per, c.limit)
 		}
-		if fz, ok := idx.(*FrozenIndex); ok {
-			assertTwoPointBytes(t, fz)
+		if one, ok := idx.(*Index); ok && one.NumShards() == 1 {
+			assertTwoPointBytes(t, one)
 		}
 	}
 }
@@ -199,7 +199,7 @@ func TestIndexHeapPerTrajectory(t *testing.T) {
 // without the lookup permutation, the offsets and lengths the file still
 // records, the endpoints (32 bytes an entry), the pads after the 4-byte
 // column groups, and the CRC.
-func assertTwoPointBytes(t *testing.T, fz *FrozenIndex) {
+func assertTwoPointBytes(t *testing.T, fz *Index) {
 	t.Helper()
 	f := fz.s.Base(0)
 	c := f.Columns()
@@ -228,7 +228,7 @@ func assertTwoPointBytes(t *testing.T, fz *FrozenIndex) {
 	table := 4*nt + 4*(nt+1) + 8*nt + 16*np
 	file := 8 + 13*8 + 2*point*uint64(f.NumEntries()) + uint64(nodesAndBuckets) + table + pads + 4
 	var buf bytes.Buffer
-	if err := fz.WriteSnapshot(&buf); err != nil {
+	if err := fz.WriteFrozenSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if uint64(buf.Len()) != file {
@@ -254,47 +254,30 @@ func lookupBuilt(t *testing.T, what string, tab *trajectory.Table) bool {
 
 // TestReadsBuildNoLookup: only a write looks a trajectory up by ID, so
 // only a write builds a table's by-ID permutation. TopK, ServiceValues,
-// MaxCoverage and WriteSnapshot on a two-shard Index and FrozenIndex,
-// and the heap and mapped restores of their snapshots with the same
-// reads, leave every base table at 36 bytes a two-point trip; the first
-// Delete of an ID builds the permutation of the shard holding it.
+// MaxCoverage, WriteSnapshot and WriteFrozenSnapshot on a two-shard
+// Index, and the heap and mapped restores of both its snapshots with the
+// same reads, leave every base table at 36 bytes a two-point trip; the
+// first Delete of an ID builds the permutation of the shard holding it.
 func TestReadsBuildNoLookup(t *testing.T) {
 	ny := NewYorkCity()
 	users := TaxiTrips(ny, 2000, 46)
 	routes := BusRoutes(ny, 10, 6, 47)
 	q := Query{Scenario: Binary, Psi: 600}
-	opts := IndexOptions{Ordering: ZOrdering, Shards: 2, Policy: LivePolicy{Manual: true}}
-	idx, err := NewIndex(users, opts)
+	pol := LivePolicy{Manual: true}
+	idx, err := NewIndex(users, IndexOptions{Ordering: ZOrdering, Shards: 2, Policy: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fz, err := NewFrozenIndex(users, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type served interface {
-		TopK([]*Facility, int, Query) ([]Ranked, error)
-		ServiceValues([]*Facility, Query, int) ([]float64, error)
-		MaxCoverage([]*Facility, int, Query, CoverageOptions) (CoverageResult, error)
-		WriteSnapshot(io.Writer) error
-	}
-	tables := func(x served) []*trajectory.Table {
+	tables := func(x *Index) []*trajectory.Table {
 		var out []*trajectory.Table
-		switch x := x.(type) {
-		case *Index:
-			for _, ep := range x.s.Epochs() {
-				out = append(out, ep.Base().Table())
-			}
-		case *FrozenIndex:
-			for i := 0; i < x.s.NumShards(); i++ {
-				out = append(out, x.s.Base(i).Table())
-			}
+		for _, ep := range x.s.Epochs() {
+			out = append(out, ep.Base().Table())
 		}
 		return out
 	}
 	// read runs every read on x, checks that none built a permutation,
-	// and returns x's snapshot.
-	read := func(name string, x served) []byte {
+	// and returns x's live and frozen snapshots.
+	read := func(name string, x *Index) (live, frozen []byte) {
 		t.Helper()
 		if _, err := x.TopK(routes, 3, q); err != nil {
 			t.Fatal(err)
@@ -305,8 +288,11 @@ func TestReadsBuildNoLookup(t *testing.T) {
 		if _, err := x.MaxCoverage(routes, 3, q, CoverageOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := x.WriteSnapshot(&buf); err != nil {
+		var lb, fb bytes.Buffer
+		if err := x.WriteSnapshot(&lb); err != nil {
+			t.Fatal(err)
+		}
+		if err := x.WriteFrozenSnapshot(&fb); err != nil {
 			t.Fatal(err)
 		}
 		for i, tab := range tables(x) {
@@ -314,22 +300,22 @@ func TestReadsBuildNoLookup(t *testing.T) {
 				t.Fatalf("%s: reads built shard %d's lookup permutation", name, i)
 			}
 		}
-		return buf.Bytes()
+		return lb.Bytes(), fb.Bytes()
 	}
-	live, frozen := read("Index", idx), read("FrozenIndex", fz)
-	restored := func(x served, err error) served {
-		t.Helper()
+	live, frozen := read("Index", idx)
+	for format, data := range map[string][]byte{"TQLIVE02": live, "TQSHRD03": frozen} {
+		heap, err := ReadLiveSnapshot(bytes.NewReader(data), pol)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return x
+		read("ReadLiveSnapshot of "+format, heap)
+		path := writeTempSnapshot(t, "idx.snap", func(w *os.File) error { _, err := w.Write(data); return err })
+		mapped, err := OpenMappedLiveSnapshot(path, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read("OpenMappedLiveSnapshot of "+format, mapped)
 	}
-	livePath := writeTempSnapshot(t, "idx.tqlive", func(w *os.File) error { _, err := w.Write(live); return err })
-	frozenPath := writeTempSnapshot(t, "fz.tqshrd", func(w *os.File) error { _, err := w.Write(frozen); return err })
-	read("ReadLiveSnapshot", restored(ReadLiveSnapshot(bytes.NewReader(live), LivePolicy{Manual: true})))
-	read("OpenMappedLiveSnapshot", restored(OpenMappedLiveSnapshot(livePath, LivePolicy{Manual: true})))
-	read("ReadFrozenSnapshot", restored(ReadFrozenSnapshot(bytes.NewReader(frozen))))
-	read("OpenMappedFrozenSnapshot", restored(OpenMappedFrozenSnapshot(frozenPath)))
 
 	tabs := tables(idx)
 	if ok, err := idx.Delete(tabs[1].ID(0)); !ok || err != nil {
@@ -418,7 +404,7 @@ func TestTableBytesMultipoint(t *testing.T) {
 	for _, u := range users {
 		points += u.Len()
 	}
-	fz, err := NewFrozenIndex(users, IndexOptions{Variant: Segmented, Ordering: ZOrdering})
+	fz, err := NewIndex(users, IndexOptions{Variant: Segmented, Ordering: ZOrdering})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,9 +424,9 @@ func TestTableBytesMultipoint(t *testing.T) {
 
 // TestSnapshotRoundTripEveryVariant: for every variant and ordering, over
 // two-point and multipoint trajectories, write → read → write is
-// byte-identical through the heap, mapped and live readers, and every
-// restore answers bit-identically to the index BuildFrozen made — a
-// snapshot records the entry columns the variant holds, and the mapped
+// byte-identical through the heap and mapped readers, frozen and live,
+// and every restore answers bit-identically to the index NewIndex built —
+// a snapshot records the entry columns the variant holds, and the mapped
 // table aliases the columns the heap table holds copies of.
 func TestSnapshotRoundTripEveryVariant(t *testing.T) {
 	ny := NewYorkCity()
@@ -458,40 +444,33 @@ func TestSnapshotRoundTripEveryVariant(t *testing.T) {
 			for _, o := range []Ordering{BasicOrdering, ZOrdering} {
 				name := corpus.name + "/" + v.String() + "/" + o.String()
 				opts := IndexOptions{Variant: v, Ordering: o}
-				fz, err := NewFrozenIndex(users, opts)
+				fz, err := NewIndex(users, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				path := writeTempSnapshot(t, "frozen.tqsnap", func(w *os.File) error { return fz.WriteSnapshot(w) })
+				path := writeTempSnapshot(t, "frozen.tqsnap", func(w *os.File) error { return fz.WriteFrozenSnapshot(w) })
 				orig, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatal(err)
 				}
-				heap, err := ReadFrozenSnapshot(bytes.NewReader(orig))
+				heap, err := ReadLiveSnapshot(bytes.NewReader(orig), pol)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				mapped, err := OpenMappedFrozenSnapshot(path)
+				mapped, err := OpenMappedLiveSnapshot(path, pol)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				for what, x := range map[string]*FrozenIndex{"heap": heap, "mapped": mapped} {
+				for what, x := range map[string]*Index{"heap": heap, "mapped": mapped} {
 					assertMappedAnswers(t, name+" "+what+" restore", fz, x)
 					var out bytes.Buffer
-					if err := x.WriteSnapshot(&out); err != nil {
+					if err := x.WriteFrozenSnapshot(&out); err != nil {
 						t.Fatal(err)
 					}
 					if !bytes.Equal(orig, out.Bytes()) {
 						t.Fatalf("%s: %s re-snapshot differs (%d vs %d bytes)", name, what, out.Len(), len(orig))
 					}
 				}
-				// Frozen and live forms run one exact pass each, so the
-				// live form of the restore answers as BuildFrozen's index.
-				live, err := heap.Live(pol)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertMappedAnswers(t, name+" live of heap restore", fz, live)
 				lopts := opts
 				lopts.Shards, lopts.Policy = 2, pol
 				lv, err := NewIndex(users[:300], lopts)
@@ -509,12 +488,12 @@ func TestSnapshotRoundTripEveryVariant(t *testing.T) {
 					}
 				}
 				assertLiveRoundTrip(t, name, lv, pol)
-				// The live form of a restored frozen base, too, once it
-				// holds a tombstone for the compaction to fold.
-				if ok, err := live.Delete(users[5].ID); err != nil || !ok {
+				// A restored frozen base too, once it holds a tombstone for
+				// the compaction to fold.
+				if ok, err := heap.Delete(users[5].ID); err != nil || !ok {
 					t.Fatalf("Delete(%d) = %v, %v", users[5].ID, ok, err)
 				}
-				assertLiveRoundTrip(t, name+" live of heap restore", live, pol)
+				assertLiveRoundTrip(t, name+" heap restore", heap, pol)
 			}
 		}
 	}
@@ -525,10 +504,7 @@ func TestSnapshotRoundTripEveryVariant(t *testing.T) {
 // byte-identical re-snapshot from both; then a compaction of the mapped
 // restore, which folds the mapped base into heap columns, must answer as
 // the compacted heap restore does.
-func assertLiveRoundTrip(t *testing.T, name string, lv interface {
-	flavor
-	restored
-}, pol LivePolicy) {
+func assertLiveRoundTrip(t *testing.T, name string, lv *Index, pol LivePolicy) {
 	t.Helper()
 	lpath := writeTempSnapshot(t, "live.tqlive", func(w *os.File) error { return lv.WriteSnapshot(w) })
 	lorig, err := os.ReadFile(lpath)
@@ -735,34 +711,37 @@ func hostileSnapshots(t testing.TB) (out []hostileSnapshot) {
 }
 
 // hostileBaseImages writes one index over all but the last four users in
-// each format: a frozen index, and a one-shard frozen and live index; the
-// live one holds the last four as its delta.
+// each format: a one-shard index as TQSNAP04 and as a one-frame TQSHRD03
+// container, then with the last four inserted as its delta as TQLIVE02.
 func hostileBaseImages(t testing.TB, users []*Trajectory, opts IndexOptions) map[string][]byte {
 	t.Helper()
 	base, delta := users[:len(users)-4], users[len(users)-4:]
-	fz, err := NewFrozenIndex(base, opts)
+	opts.Policy = LivePolicy{Manual: true}
+	idx, err := NewIndex(base, opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	lv, err := fz.Live(LivePolicy{Manual: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range delta {
-		if err := lv.Insert(u); err != nil {
-			t.Fatal(err)
-		}
 	}
 	images := map[string][]byte{}
-	for format, write := range map[string]func(io.Writer) error{
-		"TQSNAP04": fz.WriteSnapshot, "TQSHRD03": fz.writeSharded, "TQLIVE02": lv.WriteSnapshot,
-	} {
+	write := func(format string, write func(io.Writer) error) {
 		var buf bytes.Buffer
 		if err := write(&buf); err != nil {
 			t.Fatal(err)
 		}
 		images[format] = buf.Bytes()
 	}
+	f := idx.s.Base(0)
+	write("TQSNAP04", idx.WriteFrozenSnapshot)
+	write("TQSHRD03", func(w io.Writer) error {
+		return writeContainer(w, shardedFrozenMagic, "hash", 1,
+			func(int) uint64 { return frozenPayloadSize(f) },
+			func(w io.Writer, _ int) error { return writeFrozenPayload(w, f) })
+	})
+	for _, u := range delta {
+		if err := idx.Insert(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("TQLIVE02", idx.WriteSnapshot)
 	return images
 }
 
@@ -880,8 +859,8 @@ func TestLiveSnapshotRejectsBadTombstones(t *testing.T) {
 
 // TestTwoPointAnswersMatchBruteForce: a two-point table derives every
 // length from its points, and the PointCount and Length values served
-// over it — by a built, frozen, churned, heap-restored and mapped index,
-// and a churned one after a compaction — are bit-identical to a
+// over it — by a built, frozen-restored, churned, heap-restored and
+// mapped index, and a churned one after a compaction — are bit-identical to a
 // brute-force scan of the corpus. A two-point value is 0, 1/2 or 1, so
 // every sum is exact in any order.
 func TestTwoPointAnswersMatchBruteForce(t *testing.T) {
@@ -889,17 +868,17 @@ func TestTwoPointAnswersMatchBruteForce(t *testing.T) {
 	users := TaxiTrips(ny, 3000, 17)
 	routes := BusRoutes(ny, 24, 8, 17)
 	subjects := allFlavorsWith(t, users, IndexOptions{Ordering: ZOrdering}, 3)
-	fz := subjects[1].flavor.(*FrozenIndex)
-	path := writeTempSnapshot(t, "twopoint.tqsnap", func(w *os.File) error { return fz.WriteSnapshot(w) })
+	fz := subjects[1]
+	path := writeTempSnapshot(t, "twopoint.tqsnap", func(w *os.File) error { return fz.WriteFrozenSnapshot(w) })
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap, err := ReadFrozenSnapshot(bytes.NewReader(data))
+	heap, err := ReadLiveSnapshot(bytes.NewReader(data), LivePolicy{Manual: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapped, err := OpenMappedFrozenSnapshot(path)
+	mapped, err := OpenMappedLiveSnapshot(path, LivePolicy{Manual: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -933,8 +912,8 @@ func TestTwoPointAnswersMatchBruteForce(t *testing.T) {
 		check(s)
 	}
 	churned := subjects[5] // "Index/3 shards/churned": a delta and tombstones to fold
-	if err := churned.flavor.(*Index).Compact(); err != nil {
+	if err := churned.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	check(namedFlavor{churned.flavor, churned.name + ", compacted"})
+	check(namedFlavor{churned.Index, churned.name + ", compacted"})
 }

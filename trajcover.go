@@ -9,12 +9,12 @@
 //     service, a non-submodular NP-hard problem answered with a two-step
 //     greedy approximation (MaxCoverage).
 //
-// Two index types answer both through one query surface: Index, which
-// takes Insert and Delete under concurrent reads and is made durable with
-// a write-ahead log by OpenIndex, and FrozenIndex, which is immutable.
-// Either holds one shard or several (IndexOptions.Shards), and either is
-// a set of frozen columnar TQ-trees, one per shard, written to and
-// restored from snapshots.
+// One index type answers both: Index, a set of frozen columnar TQ-trees,
+// one per shard (IndexOptions.Shards), that takes Insert and Delete under
+// concurrent reads, is made durable with a write-ahead log by OpenIndex,
+// and is written to and restored from snapshots. An index that is only
+// read stays as it was built or restored: immutability is the caller's
+// choice not to write, not a property of the type.
 //
 // Quick start:
 //
@@ -108,7 +108,7 @@ const (
 func Pt(x, y float64) Point { return geo.Pt(x, y) }
 
 // ErrNotFinite is the error NewTrajectory, NewFacility, NewIndex,
-// NewFrozenIndex, NewBaseline and Index.Insert return for geometry that
+// NewBaseline and Index.Insert return for geometry that
 // is not finite: a NaN or ±Inf coordinate, or a trajectory whose length
 // overflows a float64. A snapshot holding such geometry is ErrBadSnapshot.
 var ErrNotFinite = trajectory.ErrNotFinite
@@ -137,7 +137,7 @@ func (q Query) params() query.Params {
 	return query.Params{Scenario: q.Scenario, Psi: q.Psi}
 }
 
-// IndexOptions configures NewIndex and NewFrozenIndex. The zero value
+// IndexOptions configures NewIndex. The zero value
 // builds one shard: a TwoPoint, Z-ordered TQ-tree with β = 64 and
 // data-derived bounds — the paper's default TQ(Z) configuration.
 type IndexOptions struct {
@@ -159,8 +159,7 @@ type IndexOptions struct {
 	// Partitioner assigns trajectories to shards (nil means
 	// HashPartitioner()).
 	Partitioner Partitioner
-	// Policy tunes an Index's background compaction. NewFrozenIndex does
-	// not read it.
+	// Policy tunes the index's background compaction.
 	Policy LivePolicy
 }
 

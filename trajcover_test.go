@@ -303,8 +303,8 @@ func TestPublicAPIGenerators(t *testing.T) {
 
 // TestIndexDeleteByID: Delete(id) removes the whole indexed trajectory
 // with that ID — every segment of a Segmented base, from whichever shard
-// holds it — so an Index of one shard or three answers as a FrozenIndex
-// built without it, and the ID can no longer be deleted.
+// holds it — so an Index of one shard or three answers as an Index built
+// without it, and the ID can no longer be deleted.
 func TestIndexDeleteByID(t *testing.T) {
 	city := BeijingCity()
 	users := GPSTraces(city, 400, 10, 60, 1)
@@ -326,7 +326,7 @@ func TestIndexDeleteByID(t *testing.T) {
 		if ok, err := idx.Delete(id); ok || err != nil {
 			t.Fatalf("%d shards: second Delete(%d) = %v, %v", shards, id, ok, err)
 		}
-		fresh, err := NewFrozenIndex(append(append([]*Trajectory(nil), users[:17]...), users[18:]...), opts)
+		fresh, err := NewIndex(append(append([]*Trajectory(nil), users[:17]...), users[18:]...), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
