@@ -29,6 +29,7 @@ var deadSurfaceAllowed = map[string]string{
 	"mmap.ZeroCopy":                "test instrumentation: whether mapping aliases the file",
 	"mmap.Mapping.Refs":            "test instrumentation: a mapping's reference count",
 	"trajectory.Set.ByID":          "oracle for other packages' tests",
+	"trajectory.MustNew":           "other packages' tests build trajectories from known-valid points with it",
 	"trajectory.Facility.MBR":      "oracle for other packages' tests: a decoded facility's bounds",
 	"service.Value":                "oracle for other packages' tests: one user's service by direct scan",
 	"tenant.GateSnapshot.Rejected": "test instrumentation: the gate's rejections summed over reasons",

@@ -2,6 +2,7 @@ package trajcover
 
 import (
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,8 +21,11 @@ func TestDeleteReleasesTrajectories(t *testing.T) {
 			const n, built = 2000, 1500
 			var freed atomic.Int64
 			users := TaxiTrips(NewYorkCity(), n, 77)
-			for _, u := range users {
-				runtime.SetFinalizer(u, func(*Trajectory) { freed.Add(1) })
+			for i, u := range users {
+				// A finalizer needs an object of its own: a generated
+				// corpus shares one header slab and one arena.
+				users[i] = &Trajectory{ID: u.ID, Points: slices.Clone(u.Points)}
+				runtime.SetFinalizer(users[i], func(*Trajectory) { freed.Add(1) })
 			}
 			idx, err := NewIndex(users[:built], IndexOptions{Ordering: o, Beta: 8})
 			if err != nil {

@@ -127,9 +127,14 @@ func (c *City) clamp(p geo.Point) geo.Point {
 // distance distribution) in a uniform direction, with a small fraction of
 // long hotspot-to-hotspot trips. Short trips are what lets the TQ-tree
 // store most entries deep in the hierarchy, as with the real data.
+//
+// The trips are one trajectory.Corpus, the same few allocations whatever
+// n: the points in one arena of exactly 2n. Every trip shares the header
+// slab and the arena, so holding any one keeps the whole corpus
+// reachable.
 func TaxiTrips(c *City, n int, seed int64) []*trajectory.Trajectory {
 	rng := rand.New(rand.NewSource(seed))
-	out := make([]*trajectory.Trajectory, n)
+	corpus := trajectory.NewCorpus(n, 2*n)
 	const (
 		medianTrip = 2200.0 // meters
 		sigmaTrip  = 0.7    // log-space spread
@@ -151,22 +156,34 @@ func TaxiTrips(c *City, n int, seed int64) []*trajectory.Trajectory {
 		if src == dst {
 			dst = c.clamp(dst.Add(50+rng.Float64()*100, 50+rng.Float64()*100))
 		}
-		out[i] = trajectory.MustNew(trajectory.ID(i), []geo.Point{src, dst})
+		pts := corpus.Points(2)
+		pts[0], pts[1] = src, dst
+		mustAdd(corpus, i, pts)
 	}
-	return out
+	return corpus.Trajectories()
+}
+
+// mustAdd adds trajectory i over pts to corpus; generated geometry is
+// always valid.
+func mustAdd(corpus *trajectory.Corpus, i int, pts []geo.Point) {
+	if err := corpus.Add(trajectory.ID(i), pts); err != nil {
+		panic(err)
+	}
 }
 
 // Checkins generates n multipoint daily check-in sequences (the NYF
-// stand-in): 2..maxPts stops hopping between nearby POIs.
+// stand-in): 2..maxPts stops hopping between nearby POIs. The sequences
+// are one trajectory.Corpus, their points in 2^16-point arena chunks; as
+// with TaxiTrips, holding any one keeps the whole corpus reachable.
 func Checkins(c *City, n, maxPts int, seed int64) []*trajectory.Trajectory {
 	if maxPts < 2 {
 		maxPts = 2
 	}
 	rng := rand.New(rand.NewSource(seed))
-	out := make([]*trajectory.Trajectory, n)
+	corpus := trajectory.NewCorpus(n, 0)
 	for i := 0; i < n; i++ {
 		k := 2 + rng.Intn(maxPts-1)
-		pts := make([]geo.Point, k)
+		pts := corpus.Points(k)
 		pts[0] = c.Sample(rng)
 		for j := 1; j < k; j++ {
 			// Next check-in: usually near the previous one (daily
@@ -181,13 +198,15 @@ func Checkins(c *City, n, maxPts int, seed int64) []*trajectory.Trajectory {
 				))
 			}
 		}
-		out[i] = trajectory.MustNew(trajectory.ID(i), pts)
+		mustAdd(corpus, i, pts)
 	}
-	return out
+	return corpus.Trajectories()
 }
 
 // GPSTraces generates n long correlated-random-walk traces (the BJG
-// stand-in): minPts..maxPts points with persistent heading.
+// stand-in): minPts..maxPts points with persistent heading. The traces
+// are one trajectory.Corpus, their points in 2^16-point arena chunks; as
+// with TaxiTrips, holding any one keeps the whole corpus reachable.
 func GPSTraces(c *City, n, minPts, maxPts int, seed int64) []*trajectory.Trajectory {
 	if minPts < 2 {
 		minPts = 2
@@ -196,10 +215,10 @@ func GPSTraces(c *City, n, minPts, maxPts int, seed int64) []*trajectory.Traject
 		maxPts = minPts
 	}
 	rng := rand.New(rand.NewSource(seed))
-	out := make([]*trajectory.Trajectory, n)
+	corpus := trajectory.NewCorpus(n, 0)
 	for i := 0; i < n; i++ {
 		k := minPts + rng.Intn(maxPts-minPts+1)
-		pts := make([]geo.Point, k)
+		pts := corpus.Points(k)
 		pts[0] = c.Sample(rng)
 		heading := rng.Float64() * 2 * math.Pi
 		for j := 1; j < k; j++ {
@@ -210,9 +229,9 @@ func GPSTraces(c *City, n, minPts, maxPts int, seed int64) []*trajectory.Traject
 				pts[j-1].Y+math.Sin(heading)*step,
 			))
 		}
-		out[i] = trajectory.MustNew(trajectory.ID(i), pts)
+		mustAdd(corpus, i, pts)
 	}
-	return out
+	return corpus.Trajectories()
 }
 
 // BusRoutes generates nRoutes facility trajectories with stopsPerRoute

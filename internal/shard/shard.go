@@ -55,16 +55,24 @@ func (o Options) withDefaults() Options {
 
 // partition assigns users to opts.Shards parts over the shared root space
 // (opts.Tree.Bounds extended to the data). opts must carry its defaults.
+// One part is users itself; several are counted, then filled, each user
+// assigned once.
 func partition(users []*trajectory.Trajectory, opts Options) ([][]*trajectory.Trajectory, geo.Rect) {
 	bounds := opts.Tree.Bounds
 	for _, u := range users {
 		bounds = bounds.ExtendRect(u.MBR())
 	}
-	// Count each part, then fill it: one exact allocation a part, where
-	// growing it by append copies it and leaves its slack behind.
+	if opts.Shards == 1 {
+		return [][]*trajectory.Trajectory{users}, bounds
+	}
+	// One exact allocation a part, where growing it by append copies it
+	// and leaves its slack behind.
 	count := make([]int, opts.Shards)
-	for _, u := range users {
-		count[opts.Partitioner.Assign(u, bounds, opts.Shards)]++
+	part := make([]int32, len(users))
+	for j, u := range users {
+		i := opts.Partitioner.Assign(u, bounds, opts.Shards)
+		part[j] = int32(i)
+		count[i]++
 	}
 	parts := make([][]*trajectory.Trajectory, opts.Shards)
 	for i, n := range count {
@@ -72,9 +80,8 @@ func partition(users []*trajectory.Trajectory, opts Options) ([][]*trajectory.Tr
 			parts[i] = make([]*trajectory.Trajectory, 0, n)
 		}
 	}
-	for _, u := range users {
-		i := opts.Partitioner.Assign(u, bounds, opts.Shards)
-		parts[i] = append(parts[i], u)
+	for j, u := range users {
+		parts[part[j]] = append(parts[part[j]], u)
 	}
 	return parts, bounds
 }

@@ -46,8 +46,8 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 }
 
 // TestParallelBuildConcurrentBuilds runs four parallel builds at once,
-// each over a corpus large enough to fan out; it guards the slot
-// accounting under -race, and every build must equal the first.
+// each over a corpus large enough to fan out; it guards the shared node
+// list under -race, and every build must equal the first.
 func TestParallelBuildConcurrentBuilds(t *testing.T) {
 	users := randTrajectories(4000, 2, 98, testBounds)
 	done := make(chan *Frozen, 4)
@@ -80,7 +80,8 @@ func TestParallelBuildConcurrentBuilds(t *testing.T) {
 // BenchmarkBuild compares serial and parallel construction at a
 // fig7-scale entry count. On a multi-core host the parallel build should
 // be >= 2x faster; on a single core it must not be slower than serial
-// beyond noise (the fan-out is gated on available slots). The uniform
+// beyond noise (the frontier is dealt to at most Parallelism goroutines
+// by subtree size). The uniform
 // corpus makes a shallow, even tree; the taxi one — a 178,570-trip
 // shard of the paper's 357,139 NYC trips — the clustered, deep tree the
 // served indexes are.

@@ -17,7 +17,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/trajcover/trajcover/internal/geo"
 	"github.com/trajcover/trajcover/internal/service"
@@ -86,8 +85,6 @@ type plan struct {
 	// first is the writer's: each segmented trajectory's table ordinal,
 	// plus one, at the slab index of its segment 0 (Segmented only).
 	first []int32
-
-	slots atomic.Int64 // extra goroutines still allowed
 }
 
 // leafFits is the leaf rule: a node of n entries at depth stays a leaf —
@@ -177,8 +174,11 @@ func planCorpus(users []*trajectory.Trajectory, opts Options) (*plan, error) {
 	if opts.Ordering == ZOrder {
 		pl.keys = make([]zKey, n)
 	}
-	pl.slots.Store(int64(par - 1))
-	pl.top = pl.split(pl.bounds, 0, 0, int32(n))
+	if par > 1 && n >= parallelBuildCutoff {
+		pl.splitParallel(par)
+	} else {
+		pl.top = pl.split(pl.bounds, 0, 0, int32(n))
+	}
 	pl.path, pl.stop, pl.scratch, pl.keys = nil, nil, nil, nil
 	return pl, nil
 }
@@ -228,18 +228,17 @@ func (pl *plan) quadrant(p int32, depth int) int {
 	return int(pl.path[int(p)*pl.words+depth/32] >> (2 * (depth % 32)) & 3)
 }
 
-// parallelBuildCutoff is the subtree entry count below which fanning out
-// a goroutine costs more than planning inline.
+// parallelBuildCutoff is the subtree entry count below which handing a
+// subtree to another goroutine costs more than planning it inline.
 const parallelBuildCutoff = 2048
 
-// split plans the subtree of the cell rect at depth over perm[lo:hi] and
-// returns its root node. Large subtrees run on goroutines within the slot
-// budget; bounds merge after the joins in quadrant order, so every float
-// matches the serial plan's.
-func (pl *plan) split(rect geo.Rect, depth int, lo, hi int32) int32 {
+// open plans the node of the cell rect at depth over perm[lo:hi] short of
+// its children: it partitions the range, sorts the node's own list (a
+// Z-ordered one) and sums its own bounds; cut holds the children's ranges
+// unless the node is a leaf.
+func (pl *plan) open(rect geo.Rect, depth int, lo, hi int32, cut *[6]int32) planNode {
 	n := planNode{rect: rect, lo: lo, own: hi, child: [4]int32{-1, -1, -1, -1}, leaf: true}
-	var cut [6]int32
-	if !pl.opts.leafFits(int(hi-lo), depth) && pl.partition(depth, lo, hi, &cut) {
+	if !pl.opts.leafFits(int(hi-lo), depth) && pl.partition(depth, lo, hi, cut) {
 		n.leaf, n.own = false, cut[1]
 	}
 	own := pl.perm[lo:n.own]
@@ -267,31 +266,16 @@ func (pl *plan) split(rect geo.Rect, depth int, lo, hi int32) int32 {
 			}
 		}
 	}
-	n.treeUB = n.ownUB
-	if !n.leaf {
-		var sub [4]chan int32
-		for q := range sub {
-			clo, chi := cut[q+1], cut[q+2]
-			switch {
-			case clo == chi:
-			case chi-clo >= parallelBuildCutoff && pl.acquire():
-				c := make(chan int32, 1)
-				go func() {
-					c <- pl.split(rect.Quadrant(q), depth+1, clo, chi)
-					pl.slots.Add(1)
-				}()
-				sub[q] = c
-			default:
-				n.child[q] = pl.split(rect.Quadrant(q), depth+1, clo, chi)
-			}
-		}
-		for q, c := range sub {
-			if c != nil {
-				n.child[q] = <-c
-			}
-		}
-	}
+	return n
+}
+
+// closeNode merges the children's bounds into n's, in quadrant order so
+// every float matches whichever goroutine planned them, and appends n
+// after them.
+func (pl *plan) closeNode(n *planNode) int32 {
 	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	n.treeUB = n.ownUB
 	for _, c := range n.child {
 		if c >= 0 {
 			for sc := range n.treeUB {
@@ -299,19 +283,132 @@ func (pl *plan) split(rect geo.Rect, depth int, lo, hi int32) int32 {
 			}
 		}
 	}
-	pl.nodes = append(pl.nodes, n)
-	id := int32(len(pl.nodes) - 1)
-	pl.mu.Unlock()
-	return id
+	pl.nodes = append(pl.nodes, *n)
+	return int32(len(pl.nodes) - 1)
 }
 
-// acquire takes a goroutine slot if one is free.
-func (pl *plan) acquire() bool {
-	if pl.slots.Add(-1) >= 0 {
-		return true
+// split plans the subtree of the cell rect at depth over perm[lo:hi] on
+// the calling goroutine and returns its root node.
+func (pl *plan) split(rect geo.Rect, depth int, lo, hi int32) int32 {
+	var cut [6]int32
+	n := pl.open(rect, depth, lo, hi, &cut)
+	if !n.leaf {
+		for q := range n.child {
+			if clo, chi := cut[q+1], cut[q+2]; clo < chi {
+				n.child[q] = pl.split(rect.Quadrant(q), depth+1, clo, chi)
+			}
+		}
 	}
-	pl.slots.Add(1)
-	return false
+	return pl.closeNode(&n)
+}
+
+// subtree is a range of perm to plan as the cell rect at depth: the
+// child in quadrant q of opened node parent (-1 for the root). A subtree
+// of the frontier records the goroutine that plans it and its root node.
+type subtree struct {
+	rect      geo.Rect
+	depth     int
+	lo, hi    int32
+	parent, q int
+	owner     int
+	root      int32
+}
+
+func (s *subtree) size() int32 { return s.hi - s.lo }
+
+// openNode is a node splitParallel opened itself: child q of opened node
+// parent, or the root.
+type openNode struct {
+	node      planNode
+	parent, q int
+}
+
+// splitParallel plans the tree on par goroutines, the caller's among
+// them. The caller deals the frontier of unplanned subtrees — at first
+// the root — to the goroutines, largest first, each to the one with the
+// fewest entries so far; while the most loaded goroutine would get more
+// than 9/8 of an even share, it opens the largest subtree (of at least
+// twice parallelBuildCutoff entries) and deals again. Then each goroutine
+// plans its share serially. So which goroutine plans what — and what the
+// build allocates — depends only on subtree sizes, never on the
+// schedule; a parallel plan is the serial one, node for node.
+func (pl *plan) splitParallel(par int) {
+	front := make([]subtree, 1, 64)
+	front[0] = subtree{rect: pl.bounds, hi: int32(len(pl.perm)), parent: -1}
+	opened := make([]openNode, 0, 16)
+	load := make([]int64, par)
+	for !pl.deal(front, load) && front[0].size() >= 2*parallelBuildCutoff {
+		s := front[0]
+		front = front[1:]
+		var cut [6]int32
+		n := pl.open(s.rect, s.depth, s.lo, s.hi, &cut)
+		if !n.leaf {
+			for q := range n.child {
+				if clo, chi := cut[q+1], cut[q+2]; clo < chi {
+					front = append(front, subtree{rect: s.rect.Quadrant(q), depth: s.depth + 1, lo: clo, hi: chi, parent: len(opened), q: q})
+				}
+			}
+		}
+		opened = append(opened, openNode{n, s.parent, s.q})
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < par && load[w] > 0; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pl.splitShare(front, w)
+		}()
+	}
+	pl.splitShare(front, 0)
+	wg.Wait()
+	// Close the opened nodes, children first.
+	for _, s := range front {
+		pl.place(opened, s.parent, s.q, s.root)
+	}
+	for k := len(opened) - 1; k >= 0; k-- {
+		o := &opened[k]
+		pl.place(opened, o.parent, o.q, pl.closeNode(&o.node))
+	}
+}
+
+// deal sorts front largest first (ties in the order found) and gives
+// each subtree to the goroutine with the fewest entries so far, loads in
+// load. It reports whether the largest load is within 9/8 of an even
+// share.
+func (pl *plan) deal(front []subtree, load []int64) bool {
+	slices.SortStableFunc(front, func(a, b subtree) int { return cmp.Compare(b.size(), a.size()) })
+	clear(load)
+	var total int64
+	for i := range front {
+		w := 0
+		for v := range load {
+			if load[v] < load[w] {
+				w = v
+			}
+		}
+		front[i].owner = w
+		load[w] += int64(front[i].size())
+		total += int64(front[i].size())
+	}
+	return 8*int64(len(load))*slices.Max(load) <= 9*total
+}
+
+// splitShare plans the frontier subtrees goroutine w owns.
+func (pl *plan) splitShare(front []subtree, w int) {
+	for i := range front {
+		if s := &front[i]; s.owner == w {
+			s.root = pl.split(s.rect, s.depth, s.lo, s.hi)
+		}
+	}
+}
+
+// place makes node id child q of opened node parent, or the root.
+func (pl *plan) place(opened []openNode, parent, q int, id int32) {
+	if parent < 0 {
+		pl.top = id
+	} else {
+		opened[parent].node.child[q] = id
+	}
 }
 
 // partition reorders perm[lo:hi] of a node at depth stably into the

@@ -82,8 +82,8 @@ func notFinite(id ID, points []geo.Point) error {
 	return fmt.Errorf("%w (id %d has length %v)", ErrNotFinite, id, lengthOf(points))
 }
 
-// MustNew is New but panics on error; intended for tests and generators
-// that construct trajectories from known-valid data.
+// MustNew is New but panics on error; intended for tests that construct
+// trajectories from known-valid data.
 func MustNew(id ID, points []geo.Point) *Trajectory {
 	t, err := New(id, points)
 	if err != nil {

@@ -287,16 +287,18 @@ func TestCSVRoundTripProperty(t *testing.T) {
 }
 
 func TestReadCSVRejectsMalformed(t *testing.T) {
-	cases := []string{
-		"1,2\n",       // even field count
-		"1\n",         // too few fields
-		"x,1,2,3,4\n", // bad id
-		"1,a,2,3,4\n", // bad coordinate
-		"1,1,2\n",     // single point: New rejects
+	cases := []struct{ in, err string }{
+		{"1,2\n", "trajectory: row 1 has 2 fields, want odd count >= 3"},                              // even field count
+		{"1\n", "trajectory: row 1 has 1 fields, want odd count >= 3"},                                // too few fields
+		{"x,1,2,3,4\n", `trajectory: row 1 id: strconv.ParseUint: parsing "x": invalid syntax`},       // bad id
+		{"1,a,2,3,4\n", `trajectory: row 1 field 1: strconv.ParseFloat: parsing "a": invalid syntax`}, // bad coordinate
+		{"1,1,2\n", "row 1: trajectory: need at least 2 points (id 1 has 1)"},                         // single point: New rejects
 	}
-	for _, in := range cases {
-		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("ReadCSV accepted %q", in)
+	for _, c := range cases {
+		if _, err := ReadCSV(strings.NewReader(c.in)); err == nil {
+			t.Errorf("ReadCSV accepted %q", c.in)
+		} else if err.Error() != c.err {
+			t.Errorf("ReadCSV(%q): %v, want %s", c.in, err, c.err)
 		}
 	}
 }

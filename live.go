@@ -99,7 +99,10 @@ func (x *Index) Len() int { return x.s.Len() }
 // concurrently with every query method and with other writes. A
 // duplicate ID is rejected with ErrDuplicateID, a trajectory of fewer
 // than two points or with non-finite geometry (ErrNotFinite) as
-// NewTrajectory rejects it.
+// NewTrajectory rejects it. The index holds u itself in the overlay
+// until the next fold copies it into a base, so a u from a generated or
+// CSV-read corpus — whose trajectories share one header slab and arena —
+// keeps that whole corpus reachable until then.
 func (x *Index) Insert(u *Trajectory) error { return x.s.Insert(u) }
 
 // Delete removes the trajectory with the given id from whichever shard

@@ -92,11 +92,14 @@ func readShardPayload(c *cursor, live bool) (*query.Epoch, error) {
 	if err != nil {
 		return nil, err
 	}
-	delta := make([]*trajectory.Trajectory, tab.Len())
-	for i := range delta {
-		delta[i] = new(trajectory.Trajectory)
-		tab.View(int32(i), delta[i])
+	// One slab of headers over the table's rows.
+	corpus := trajectory.NewCorpus(tab.Len(), 0)
+	for i := int32(0); int(i) < tab.Len(); i++ {
+		if err := corpus.Add(tab.ID(i), tab.Points(i)); err != nil {
+			return nil, badSnapshot(err)
+		}
 	}
+	delta := corpus.Trajectories()
 	ep, err := query.NewEpoch(f, delta, dead, 0)
 	return ep, badSnapshot(err)
 }

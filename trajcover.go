@@ -302,19 +302,24 @@ func NewYorkCity() *City { return datagen.NewYork() }
 // BeijingCity returns the synthetic Beijing stand-in (~40 × 40 km).
 func BeijingCity() *City { return datagen.Beijing() }
 
-// TaxiTrips generates n point-to-point trips (NYT-like workload).
+// TaxiTrips generates n point-to-point trips (NYT-like workload). Like
+// every generator's, the corpus is laid out in a constant number of
+// allocations: its trajectories share one header slab and one points
+// arena, so holding any one of them keeps the whole corpus reachable.
 func TaxiTrips(c *City, n int, seed int64) []*Trajectory {
 	return datagen.TaxiTrips(c, n, seed)
 }
 
 // Checkins generates n multipoint check-in sequences (NYF-like workload)
-// with 2..maxPts points each.
+// with 2..maxPts points each. The trajectories share one header slab and
+// a points arena of 1 MiB chunks, as TaxiTrips's do.
 func Checkins(c *City, n, maxPts int, seed int64) []*Trajectory {
 	return datagen.Checkins(c, n, maxPts, seed)
 }
 
 // GPSTraces generates n long GPS traces (BJG-like workload) with
-// minPts..maxPts points each.
+// minPts..maxPts points each. The trajectories share one header slab and
+// a points arena of 1 MiB chunks, as TaxiTrips's do.
 func GPSTraces(c *City, n, minPts, maxPts int, seed int64) []*Trajectory {
 	return datagen.GPSTraces(c, n, minPts, maxPts, seed)
 }
