@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 
 	"github.com/trajcover/trajcover/internal/datagen"
@@ -185,27 +184,15 @@ func expParallelBuild(ctx *Context) (*Table, error) {
 			}
 		}
 		sec := ctx.Time(run)
-		// The fewest allocations of five builds, each from a collected
-		// heap. What a build allocates is fixed, but the runtime adds a
-		// wait-queue entry when a collection runs during it, and a
-		// parallel build's goroutines a goroutine record when the free
-		// ones sit on another P.
-		allocs, mb := math.Inf(1), 0.0
-		for range 5 {
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			run()
-			runtime.ReadMemStats(&after)
-			if a := float64(after.Mallocs - before.Mallocs); a < allocs {
-				allocs, mb = a, float64(after.TotalAlloc-before.TotalAlloc)/(1<<20)
-			}
-		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
 		if berr != nil {
 			return nil, berr
 		}
 		t.XTicks = append(t.XTicks, fmt.Sprint(w))
-		appendRow(t, sec, allocs, mb)
+		appendRow(t, sec, float64(after.Mallocs-before.Mallocs), float64(after.TotalAlloc-before.TotalAlloc)/(1<<20))
 	}
 	return t, nil
 }

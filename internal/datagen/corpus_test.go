@@ -80,21 +80,22 @@ func TestGeneratorsPinned(t *testing.T) {
 // TaxiTrips corpus knows them (two a trip), so 1,000 and 100,000 trips
 // cost the same; the others may cost at most one allocation more per
 // 2^16 points than a corpus of one chunk does, and ReadCSV two — a
-// chunk and a grown header slab.
+// chunk and a grown header slab — plus the one string a row that
+// encoding/csv makes of each record.
 func TestCorpusAllocs(t *testing.T) {
 	ny, bj := NewYork(), Beijing()
-	allocs := func(f func() []*trajectory.Trajectory) (int, int) {
-		var points int
-		a := testing.AllocsPerRun(2, func() {
-			points = 0
-			for _, u := range f() {
+	allocs := func(f func() []*trajectory.Trajectory) (a, rows, points int) {
+		a = int(testing.AllocsPerRun(2, func() {
+			ts := f()
+			rows, points = len(ts), 0
+			for _, u := range ts {
 				points += u.Len()
 			}
-		})
-		return int(a), points
+		}))
+		return a, rows, points
 	}
-	small, _ := allocs(func() []*trajectory.Trajectory { return TaxiTrips(ny, 1_000, 1) })
-	large, _ := allocs(func() []*trajectory.Trajectory { return TaxiTrips(ny, 100_000, 1) })
+	small, _, _ := allocs(func() []*trajectory.Trajectory { return TaxiTrips(ny, 1_000, 1) })
+	large, _, _ := allocs(func() []*trajectory.Trajectory { return TaxiTrips(ny, 100_000, 1) })
 	t.Logf("TaxiTrips allocations: %d at 1,000 trips, %d at 100,000", small, large)
 	if small != large {
 		t.Errorf("TaxiTrips allocations: %d at 1,000 trips, %d at 100,000", small, large)
@@ -113,29 +114,30 @@ func TestCorpusAllocs(t *testing.T) {
 		}
 	}
 	for _, c := range []struct {
-		name         string
-		perChunk     int
-		small, large func() []*trajectory.Trajectory
+		name             string
+		perRow, perChunk int
+		small, large     func() []*trajectory.Trajectory
 	}{
-		{"Checkins", 1,
+		{"Checkins", 0, 1,
 			func() []*trajectory.Trajectory { return Checkins(ny, 1_000, 8, 1) },
 			func() []*trajectory.Trajectory { return Checkins(ny, 100_000, 8, 1) }},
-		{"GPSTraces", 1,
+		{"GPSTraces", 0, 1,
 			func() []*trajectory.Trajectory { return GPSTraces(bj, 100, 10, 60, 1) },
 			func() []*trajectory.Trajectory { return GPSTraces(bj, 10_000, 10, 60, 1) }},
-		{"ReadCSV", 2,
+		{"ReadCSV", 1, 2,
 			csvOf(TaxiTrips(ny, 1_000, 1)),
 			csvOf(TaxiTrips(ny, 100_000, 1))},
-		{"ReadCSV/multipoint", 2,
+		{"ReadCSV/multipoint", 1, 2,
 			csvOf(Checkins(ny, 1_000, 8, 1)),
 			csvOf(Checkins(ny, 100_000, 8, 1))},
 	} {
-		small, _ := allocs(c.small)
-		large, points := allocs(c.large)
+		small, smallRows, _ := allocs(c.small)
+		large, rows, points := allocs(c.large)
 		chunks := (points + 1<<16 - 1) >> 16
-		t.Logf("%s allocations: %d small, %d at %d points (%d arena chunks)", c.name, small, large, points, chunks)
-		if limit := small + c.perChunk*chunks; large > limit {
-			t.Errorf("%s allocations: %d at %d points, limit %d (%d small, %d a chunk of 2^16 points)", c.name, large, points, limit, small, c.perChunk)
+		t.Logf("%s allocations: %d at %d rows, %d at %d rows and %d points (%d arena chunks)", c.name, small, smallRows, large, rows, points, chunks)
+		if limit := small + c.perRow*(rows-smallRows) + c.perChunk*chunks; large > limit {
+			t.Errorf("%s allocations: %d at %d rows and %d points, limit %d (%d at %d rows, %d a row, %d a chunk of 2^16 points)",
+				c.name, large, rows, points, limit, small, smallRows, c.perRow, c.perChunk)
 		}
 	}
 }

@@ -30,7 +30,6 @@ import (
 	"runtime"
 	"slices"
 
-	"github.com/trajcover/trajcover/internal/geo"
 	"github.com/trajcover/trajcover/internal/service"
 	"github.com/trajcover/trajcover/internal/tqtree"
 	"github.com/trajcover/trajcover/internal/trajectory"
@@ -195,32 +194,22 @@ func (ep *Epoch) Len() int {
 
 // LogicalCorpus returns the epoch's logical corpus — surviving base
 // trajectories in table order followed by the delta — the input a
-// background rebuild hands to a from-scratch build. It is one
-// trajectory.Corpus whose headers alias their points — a base row's in
-// the table, a delta trajectory's where it lives: two allocations
-// however large the corpus, valid while the epoch is reachable, and
-// garbage once the rebuild has frozen its tree.
+// background rebuild hands to a from-scratch build. The base part is one
+// slice of views whose points alias the base's table (Table.View): two
+// allocations however large the corpus, valid while the epoch is
+// reachable, and garbage once the rebuild has frozen its tree.
 func (ep *Epoch) LogicalCorpus() []*trajectory.Trajectory {
 	tab := ep.base.Table()
-	corpus := trajectory.NewCorpus(ep.Len(), 0)
+	views := make([]trajectory.Trajectory, tab.Len()-ep.nDead)
+	out := make([]*trajectory.Trajectory, 0, len(views)+len(ep.delta))
 	for i := int32(0); int(i) < tab.Len(); i++ {
 		if !ep.dead.Has(i) {
-			mustAdd(corpus, tab.ID(i), tab.Points(i))
+			v := &views[len(out)]
+			tab.View(i, v)
+			out = append(out, v)
 		}
 	}
-	for _, u := range ep.delta {
-		mustAdd(corpus, u.ID, u.Points)
-	}
-	return corpus.Trajectories()
-}
-
-// mustAdd lays the header of a trajectory the epoch already holds over
-// its points; a table row and a delta trajectory were both validated
-// when they entered the epoch.
-func mustAdd(corpus *trajectory.Corpus, id trajectory.ID, pts []geo.Point) {
-	if err := corpus.Add(id, pts); err != nil {
-		panic(err)
-	}
+	return append(out, ep.delta...)
 }
 
 // SortedIDs returns the logical corpus's IDs in ascending order — one

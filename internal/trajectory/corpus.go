@@ -16,8 +16,10 @@ const arenaChunk = 1 << 16
 // at least 2^16 points when the total is not known in advance — and each
 // Points slice is capped at its own length, so an append to one
 // trajectory's points never writes into the next one's. It is the one
-// layout of every corpus the library produces: the generators, ReadCSV,
-// a rebuild's logical corpus and a restored write overlay.
+// layout of every corpus the library generates or reads: the generators
+// and ReadCSV. (A rebuild's logical corpus and a restored write overlay
+// hold no points of their own: they are one slab of Table.View headers
+// over rows a table has already checked.)
 //
 // The trajectories of one corpus share its arrays: holding any one of
 // them keeps the whole header slab and its arena chunk reachable.
@@ -61,22 +63,17 @@ func (c *Corpus) Points(k int) []geo.Point {
 	return p
 }
 
-// Add appends the trajectory id after New's checks, its points capped at
-// their length. Once Points has been called, points must be the slice it
-// last returned; a corpus that never calls Points lays its headers over
-// points it is handed (a table's rows, say), which it aliases. A
-// trajectory that fails the checks is not added, and the arena takes its
-// points back.
+// Add appends the trajectory id after New's checks; points must be the
+// slice Points last returned. A trajectory that fails the checks is not
+// added, and the arena takes its points back.
 func (c *Corpus) Add(id ID, points []geo.Point) error {
 	k := len(points)
-	if c.chunk != nil && (c.used < k || k > 0 && &points[0] != &c.chunk[c.used-k]) {
+	if c.used < k || k > 0 && &points[0] != &c.chunk[c.used-k] {
 		panic("trajectory: Corpus.Add given points Points did not just return")
 	}
-	t := Trajectory{ID: id, Points: points[:k:k]}
+	t := Trajectory{ID: id, Points: points}
 	if err := t.Validate(); err != nil {
-		if c.chunk != nil {
-			c.used -= k
-		}
+		c.used -= k
 		return err
 	}
 	c.heads = append(c.heads, t)

@@ -1,8 +1,6 @@
 package trajectory
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -32,11 +30,9 @@ func WriteCSV(w io.Writer, ts []*Trajectory) error {
 // ReadCSV reads trajectories written by WriteCSV, as one Corpus: the
 // trajectories share a header slab and an arena of points, so holding any
 // one of them keeps them all reachable. Each row is validated as New
-// validates it. A line with no quote is split in place, so a read costs
-// a constant number of allocations plus at most two per 2^16 points (an
-// arena chunk and the header slab's growth); encoding/csv reads the rest
-// of an input from its first quoted line on, with the same records and
-// errors.
+// validates it. A read costs one allocation a row (encoding/csv's string
+// of the record's fields) plus a constant and at most two per 2^16
+// points (an arena chunk and the header slab's growth).
 func ReadCSV(r io.Reader) ([]*Trajectory, error) {
 	corpus := NewCorpus(0, 0)
 	if err := readRows(r, corpus.Points, corpus.Add); err != nil {
@@ -89,10 +85,12 @@ func pointRow(id uint32, pts []geo.Point) []string {
 // points. A row that does not parse fails the read at once; an add
 // error is reported, as "row n: err", only once every row has parsed.
 func readRows(r io.Reader, points func(k int) []geo.Point, add func(id ID, pts []geo.Point) error) error {
-	rr := rowReader{br: bufio.NewReaderSize(r, 64<<10)}
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = -1 // variable-length rows
+	cr.ReuseRecord = true
 	var addErr error
 	for row := 1; ; row++ {
-		rec, err := rr.next()
+		rec, err := cr.Read()
 		if err == io.EOF {
 			return addErr
 		}
@@ -102,17 +100,17 @@ func readRows(r io.Reader, points func(k int) []geo.Point, add func(id ID, pts [
 		if len(rec) < 3 || len(rec)%2 == 0 {
 			return fmt.Errorf("trajectory: row %d has %d fields, want odd count >= 3", row, len(rec))
 		}
-		id64, err := strconv.ParseUint(string(rec[0]), 10, 32)
+		id64, err := strconv.ParseUint(rec[0], 10, 32)
 		if err != nil {
 			return fmt.Errorf("trajectory: row %d id: %w", row, err)
 		}
 		pts := points((len(rec) - 1) / 2)
 		for i := 1; i < len(rec); i += 2 {
-			x, err := strconv.ParseFloat(string(rec[i]), 64)
+			x, err := strconv.ParseFloat(rec[i], 64)
 			if err != nil {
 				return fmt.Errorf("trajectory: row %d field %d: %w", row, i, err)
 			}
-			y, err := strconv.ParseFloat(string(rec[i+1]), 64)
+			y, err := strconv.ParseFloat(rec[i+1], 64)
 			if err != nil {
 				return fmt.Errorf("trajectory: row %d field %d: %w", row, i+1, err)
 			}
@@ -122,79 +120,4 @@ func readRows(r io.Reader, points func(k int) []geo.Point, add func(id ID, pts [
 			addErr = fmt.Errorf("row %d: %w", row, err)
 		}
 	}
-}
-
-// rowReader yields the records of a CSV input as encoding/csv (with
-// variable-length rows) would. A line holding no quote is split on its
-// commas in place — its fields alias the read buffer until the next call
-// — and blank lines are skipped; from the first line with a quote on, a
-// csv.Reader reads the rest, its error lines counted from the input's
-// start.
-type rowReader struct {
-	br     *bufio.Reader
-	long   []byte   // a line longer than br's buffer
-	fields [][]byte // reused for every record
-	lines  int      // physical lines split in place
-	csv    *csv.Reader
-}
-
-func (r *rowReader) next() ([][]byte, error) {
-	if r.csv != nil {
-		return r.fromCSV()
-	}
-	for {
-		line, err := r.br.ReadSlice('\n')
-		if err == bufio.ErrBufferFull {
-			r.long = append(r.long[:0], line...)
-			for err == bufio.ErrBufferFull {
-				line, err = r.br.ReadSlice('\n')
-				r.long = append(r.long, line...)
-			}
-			line = r.long
-		}
-		if len(line) == 0 && err != nil {
-			return nil, err
-		}
-		if err != nil && err != io.EOF {
-			return nil, err
-		}
-		if bytes.IndexByte(line, '"') >= 0 {
-			r.csv = csv.NewReader(io.MultiReader(bytes.NewReader(bytes.Clone(line)), r.br))
-			r.csv.FieldsPerRecord = -1
-			return r.fromCSV()
-		}
-		r.lines++
-		// encoding/csv's line ends: \n, \r\n, and a \r before EOF.
-		line = bytes.TrimSuffix(bytes.TrimSuffix(line, []byte("\n")), []byte("\r"))
-		if len(line) == 0 {
-			continue
-		}
-		r.fields = r.fields[:0]
-		for {
-			i := bytes.IndexByte(line, ',')
-			if i < 0 {
-				r.fields = append(r.fields, line)
-				return r.fields, nil
-			}
-			r.fields = append(r.fields, line[:i])
-			line = line[i+1:]
-		}
-	}
-}
-
-// fromCSV reads the next record with the fallback csv.Reader.
-func (r *rowReader) fromCSV() ([][]byte, error) {
-	rec, err := r.csv.Read()
-	if err != nil {
-		if pe, ok := err.(*csv.ParseError); ok {
-			pe.StartLine += r.lines
-			pe.Line += r.lines
-		}
-		return nil, err
-	}
-	r.fields = r.fields[:0]
-	for _, f := range rec {
-		r.fields = append(r.fields, []byte(f))
-	}
-	return r.fields, nil
 }

@@ -92,14 +92,13 @@ func readShardPayload(c *cursor, live bool) (*query.Epoch, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One slab of headers over the table's rows.
-	corpus := trajectory.NewCorpus(tab.Len(), 0)
-	for i := int32(0); int(i) < tab.Len(); i++ {
-		if err := corpus.Add(tab.ID(i), tab.Points(i)); err != nil {
-			return nil, badSnapshot(err)
-		}
+	// One slab of views over the table's rows, which NewTable checked.
+	views := make([]trajectory.Trajectory, tab.Len())
+	delta := make([]*trajectory.Trajectory, tab.Len())
+	for i := range delta {
+		delta[i] = &views[i]
+		tab.View(int32(i), delta[i])
 	}
-	delta := corpus.Trajectories()
 	ep, err := query.NewEpoch(f, delta, dead, 0)
 	return ep, badSnapshot(err)
 }
