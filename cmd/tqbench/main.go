@@ -69,7 +69,7 @@ func main() {
 	})
 	bench.RegisterExtra(bench.Experiment{
 		ID:    "mmaptier",
-		Title: "extra — frozen snapshot open: heap restore vs mmap alias, with RSS deltas (NYT, not in the paper)",
+		Title: "extra — snapshot open: heap restore vs mmap alias, with RSS deltas (NYT, not in the paper)",
 		Run:   expMmaptier,
 	})
 	bench.RegisterExtra(bench.Experiment{

@@ -1,9 +1,10 @@
 package main
 
 // The `mmaptier` experiment: what a cold start costs in each memory
-// tier. It times opening the SAME frozen snapshot file through the heap
-// restore (parse + copy every column) and the mapped open (CRC + bounds
-// checks, columns aliased onto the page cache) and reports the
+// tier. It times opening the SAME snapshot file — a built index's
+// TQLIVE02 stream, nothing pending — through the heap restore (parse +
+// copy every column) and the mapped open (CRC + bounds checks, columns
+// aliased onto the page cache) and reports the
 // resident-memory cost of each as informational series — the mapped
 // open's RSS stays near zero because untouched pages are never faulted
 // in. It lives here rather than in internal/bench because it fronts the
@@ -48,7 +49,7 @@ func rssAnonBytes() float64 {
 
 func expMmaptier(ctx *bench.Context) (*bench.Table, error) {
 	t := &bench.Table{
-		ID: "mmaptier", Title: "frozen snapshot open: heap restore vs mmap alias (NYT)",
+		ID: "mmaptier", Title: "snapshot open: heap restore vs mmap alias (NYT)",
 		XLabel: "users", YLabel: "restores/sec",
 		Series: []bench.Series{
 			{Method: "heap"},
@@ -70,12 +71,12 @@ func expMmaptier(ctx *bench.Context) (*bench.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		path := filepath.Join(dir, fmt.Sprintf("frozen-%d.tqsnap", users.Len()))
+		path := filepath.Join(dir, fmt.Sprintf("index-%d.tqlive", users.Len()))
 		f, err := os.Create(path)
 		if err != nil {
 			return nil, err
 		}
-		if err := idx.WriteFrozenSnapshot(f); err != nil {
+		if err := idx.WriteSnapshot(f); err != nil {
 			f.Close()
 			return nil, err
 		}

@@ -17,8 +17,8 @@
 //
 // The index is either restored from a snapshot file (-snapshot: TQLIVE02,
 // written by Index.WriteSnapshot or GET /v1/snapshot on a running
-// tqserve, or TQSNAP04/TQSHRD03, written by Index.WriteFrozenSnapshot,
-// which restores with nothing pending) or generated (-synthetic N taxi
+// tqserve, with any pending writes as they were; the retired TQSNAP04 and
+// TQSHRD03 files are refused by name) or generated (-synthetic N taxi
 // trips over the synthetic New York). Either way the served index takes
 // writes; a deployment that wants one to stay as restored sends none. With -wal-dir every acknowledged
 // Insert/Delete is also appended to a write-ahead log there (sync
@@ -104,7 +104,7 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal, ready func(addr 
 	fs := flag.NewFlagSet("tqserve", flag.ContinueOnError)
 	var (
 		addr          = fs.String("addr", ":8080", "listen address")
-		snapshot      = fs.String("snapshot", "", "serve a snapshot file (TQLIVE02, TQSNAP04 or TQSHRD03)")
+		snapshot      = fs.String("snapshot", "", "serve a snapshot file (TQLIVE02, written by WriteSnapshot)")
 		synthetic     = fs.Int("synthetic", 0, "serve N synthetic NYC taxi trips (when no -snapshot)")
 		seed          = fs.Int64("seed", 1, "synthetic data seed")
 		shards        = fs.Int("shards", 1, "shard count for -synthetic")

@@ -13,9 +13,8 @@ type namedFlavor struct {
 }
 
 // allFlavors builds six indexes over the same logical corpus, TQ(Z): one
-// shard, then three, each as built, restored from a frozen snapshot and
-// churned; see
-// allFlavorsWith.
+// shard, then three, each as built, restored from a snapshot and
+// churned; see allFlavorsWith.
 func allFlavors(t testing.TB, users []*Trajectory) []namedFlavor {
 	t.Helper()
 	return allFlavorsWith(t, users, IndexOptions{Ordering: ZOrdering}, 3)
@@ -23,8 +22,9 @@ func allFlavors(t testing.TB, users []*Trajectory) []namedFlavor {
 
 // allFlavorsWith is allFlavors for a given tree configuration and shard
 // count. Per shard count: an Index as built, an Index restored from the
-// built one's WriteFrozenSnapshot stream (TQSNAP04 at one shard, TQSHRD03
-// at several; named FrozenIndex for the frozen form it is), and an Index
+// built one's WriteSnapshot stream (named FrozenIndex: its shards are
+// frozen bases with nothing pending, sharing nothing with the built
+// one), and an Index
 // that reaches the corpus through churn, so that its epochs carry a
 // non-empty delta overlay — at one shard, built over the first two thirds
 // with the rest inserted; at the given count, built over the first half
@@ -49,7 +49,7 @@ func allFlavorsWith(t testing.TB, users []*Trajectory, opts IndexOptions, shards
 
 		idx, err := NewIndex(users, opts)
 		must(err)
-		fz := frozenRestore(t, idx)
+		fz := snapshotRestore(t, idx)
 
 		cut := 2 * len(users) / 3
 		if i > 0 {
@@ -77,13 +77,13 @@ func allFlavorsWith(t testing.TB, users []*Trajectory, opts IndexOptions, shards
 	return out
 }
 
-// frozenRestore writes idx as a frozen snapshot and restores it with
-// ReadLiveSnapshot: an Index whose shards have nothing pending, sharing
-// nothing with idx.
-func frozenRestore(t testing.TB, idx *Index) *Index {
+// snapshotRestore writes idx's snapshot and restores it with
+// ReadLiveSnapshot: an Index in the state idx is in — nothing pending if
+// idx has nothing pending — sharing nothing with idx.
+func snapshotRestore(t testing.TB, idx *Index) *Index {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := idx.WriteFrozenSnapshot(&buf); err != nil {
+	if err := idx.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadLiveSnapshot(&buf, LivePolicy{Manual: true})

@@ -6,7 +6,7 @@ import (
 )
 
 // TestFrozenServiceValueAllocs asserts the hot path of an Index restored
-// from a frozen snapshot stays within its allocation budget: at most 1
+// from its snapshot stays within its allocation budget: at most 1
 // alloc/op (the pooling target) and never more than the Index that wrote
 // it. Both draw scratch from sync.Pools, so a couple of warm-up queries
 // populate them before measuring.
@@ -21,7 +21,7 @@ func TestFrozenServiceValueAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fz := frozenRestore(t, idx)
+	fz := snapshotRestore(t, idx)
 	q := Query{Scenario: Binary, Psi: DefaultPsi}
 	for _, r := range routes {
 		if _, err := idx.ServiceValue(r, q); err != nil {

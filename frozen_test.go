@@ -31,7 +31,7 @@ func frozenCases(t testing.TB) []frozenCase {
 	}
 }
 
-// TestFrozenEquivalence proves an Index restored from a frozen snapshot
+// TestFrozenEquivalence proves an Index restored from its snapshot
 // answers ServiceValues and TopK bit-identically to the Index that wrote
 // it, across all variants, both orderings, and every scenario the variant
 // supports — including identical work metrics, because both run the same
@@ -47,7 +47,7 @@ func TestFrozenEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fz := frozenRestore(t, idx)
+				fz := snapshotRestore(t, idx)
 				if fz.Len() != idx.Len() {
 					t.Fatalf("frozen Len %d, index Len %d", fz.Len(), idx.Len())
 				}
@@ -118,8 +118,8 @@ func compareRanked(t *testing.T, sc Scenario, want, got []Ranked) {
 }
 
 // TestFrozenShardedEquivalence proves the scatter-gather answers of an
-// Index restored from a frozen snapshot (TQSNAP04 at one shard, TQSHRD03
-// at several) match the Index that wrote it for TopK and ServiceValues
+// Index restored from its snapshot (TQLIVE02 at any shard count, nothing
+// pending) match the Index that wrote it for TopK and ServiceValues
 // under Binary — the integral scenario where sharded answers are exact,
 // across shard counts and partitioners.
 func TestFrozenShardedEquivalence(t *testing.T) {
@@ -142,7 +142,7 @@ func TestFrozenShardedEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fz := frozenRestore(t, sidx)
+				fz := snapshotRestore(t, sidx)
 				if fz.NumShards() != sidx.NumShards() || fz.Len() != sidx.Len() {
 					t.Fatalf("frozen shards/len %d/%d, source %d/%d",
 						fz.NumShards(), fz.Len(), sidx.NumShards(), sidx.Len())
@@ -183,7 +183,7 @@ func TestFrozenShardedEquivalence(t *testing.T) {
 }
 
 // TestFrozenRejectsUnsupportedScenario pins the scenario validation of
-// an Index restored from a frozen snapshot.
+// an Index restored from its snapshot.
 func TestFrozenRejectsUnsupportedScenario(t *testing.T) {
 	ny := NewYorkCity()
 	users := Checkins(ny, 200, 5, 19)
@@ -192,7 +192,7 @@ func TestFrozenRejectsUnsupportedScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fz := frozenRestore(t, idx)
+	fz := snapshotRestore(t, idx)
 	if _, err := fz.TopK(routes, 2, Query{Scenario: PointCount, Psi: DefaultPsi}); err == nil {
 		t.Fatal("expected scenario error for TwoPoint over multipoint data")
 	}
@@ -203,7 +203,7 @@ func TestFrozenRejectsUnsupportedScenario(t *testing.T) {
 
 // TestPublicCtxVariantsAcrossIndexTypes pins the promise of the Ctx
 // query methods on every form an Index takes (built, restored from a
-// frozen snapshot, churned; one shard or three): a background context
+// snapshot, churned; one shard or three): a background context
 // changes nothing, and an expired deadline aborts with
 // context.DeadlineExceeded.
 func TestPublicCtxVariantsAcrossIndexTypes(t *testing.T) {

@@ -208,27 +208,6 @@ func BuildLive(users []*trajectory.Trajectory, opts Options, pol Policy) (*Live,
 	return LiveOf(bases, opts.Partitioner, pol)
 }
 
-// Bases returns the base of every shard over one epoch capture, with the
-// logical corpus folded in: a shard with no pending churn contributes its
-// base as it is, and any other a fresh base folded as a rebuild would
-// fold it, which is not swapped in. The index is only read.
-func (l *Live) Bases() ([]*tqtree.Frozen, error) {
-	eps := l.Epochs()
-	bases := make([]*tqtree.Frozen, len(eps))
-	for i, ep := range eps {
-		if ep.DeltaLen() == 0 && ep.TombstoneCount() == 0 {
-			bases[i] = ep.Base()
-			continue
-		}
-		fz, err := l.fold(ep)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		bases[i] = fz
-	}
-	return bases, nil
-}
-
 // fold builds a fresh frozen base over ep's logical corpus. The corpus is
 // views over ep's table — BuildFrozen copies what the new base keeps, so
 // nothing of ep (or of a file mapping under it) is referenced once ep is

@@ -55,15 +55,17 @@ func (o Options) withDefaults() Options {
 
 // partition assigns users to opts.Shards parts over the shared root space
 // (opts.Tree.Bounds extended to the data). opts must carry its defaults.
-// One part is users itself; several are counted, then filled, each user
+// One part is users itself, with opts.Tree.Bounds as it is: the build
+// extends it by the same MBRs, so the root space is the same union
+// without a second pass. Several are counted, then filled, each user
 // assigned once.
 func partition(users []*trajectory.Trajectory, opts Options) ([][]*trajectory.Trajectory, geo.Rect) {
+	if opts.Shards == 1 {
+		return [][]*trajectory.Trajectory{users}, opts.Tree.Bounds
+	}
 	bounds := opts.Tree.Bounds
 	for _, u := range users {
 		bounds = bounds.ExtendRect(u.MBR())
-	}
-	if opts.Shards == 1 {
-		return [][]*trajectory.Trajectory{users}, bounds
 	}
 	// One exact allocation a part, where growing it by append copies it
 	// and leaves its slack behind.

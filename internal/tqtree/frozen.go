@@ -19,7 +19,7 @@ package tqtree
 //
 // Beyond cache locality, the layout has no pointer words for the GC to
 // scan — the table included — and serializes column by column (see the
-// TQSNAP04/TQSHRD03 snapshot formats, which also record the endpoints a
+// TQLIVE02 snapshot format, which also records the endpoints a
 // whole-trajectory base reads from its table), so restoring a frozen
 // index is a bulk read plus bounds checks instead of a rebuild.
 

@@ -10,8 +10,8 @@ import (
 )
 
 // FrozenColumns is the serializable flat view of a Frozen index — the
-// column slices as the snapshot formats (TQSNAP04/TQSHRD03/TQLIVE02)
-// record them, with no behavior. The snapshot layer reconstructs a
+// column slices as the snapshot format (TQLIVE02) records them, with no
+// behavior. The snapshot layer reconstructs a
 // Frozen with FrozenFromColumns, which re-checks every structural
 // invariant so a corrupt or hostile stream fails with an error instead
 // of an out-of-bounds panic or an unterminated traversal.

@@ -110,7 +110,7 @@ func TestLiveIndexMatchesIndex(t *testing.T) {
 }
 
 // TestIndexLiveConversion: an Index of one shard or three, written as a
-// frozen snapshot and restored, keeps its answers and takes writes, and
+// snapshot and restored, keeps its answers and takes writes, and
 // a write to the restored index leaves the index that wrote it as it was.
 func TestIndexLiveConversion(t *testing.T) {
 	base, feed, routes := liveWorkload(t)
@@ -120,7 +120,7 @@ func TestIndexLiveConversion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv := frozenRestore(t, idx)
+	lv := snapshotRestore(t, idx)
 	want, err := idx.TopK(routes, 6, q)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestIndexLiveConversion(t *testing.T) {
 	if ok, err := sidx.Delete(base[0].ID); err != nil || !ok {
 		t.Fatalf("Delete = %v, %v", ok, err)
 	}
-	flv := frozenRestore(t, sidx)
+	flv := snapshotRestore(t, sidx)
 	if flv.NumShards() != 3 {
 		t.Fatalf("NumShards = %d", flv.NumShards())
 	}
@@ -164,7 +164,7 @@ func TestIndexLiveConversion(t *testing.T) {
 }
 
 // frozenReading is everything an index answers that a write to an index
-// restored from its frozen snapshot could disturb if the two shared
+// restored from its snapshot could disturb if the two shared
 // anything mutable.
 type frozenReading struct {
 	top   []Ranked
@@ -189,7 +189,7 @@ func readFrozen(fz *Index, routes []*Facility, q Query) (frozenReading, error) {
 	}
 	r.n, r.sizes = fz.Len(), fz.ShardSizes()
 	var buf bytes.Buffer
-	err = fz.WriteFrozenSnapshot(&buf)
+	err = fz.WriteSnapshot(&buf)
 	r.snap = buf.Bytes()
 	return r, err
 }
@@ -217,14 +217,15 @@ func (want frozenReading) diff(got frozenReading) error {
 	return nil
 }
 
-// TestFrozenStaysFrozenAfterLive: an Index restored from a frozen
-// snapshot shares nothing mutable with the stream it came from or the
+// TestFrozenStaysFrozenAfterLive: an Index restored from the snapshot of
+// a built index, whose shards are frozen bases with nothing pending,
+// shares nothing mutable with the stream it came from or the
 // index that wrote it. At 1 and 3 shards the stream is written to a file
 // and opened mapped, so the restored shards alias it; readers query the
 // writing index while the restored one inserts, tombstones base
 // trajectories, drops delta ones and compacts. Every reading of the
 // writer — TopK bit for bit, ServiceValues, MaxCoverage, Len, ShardSizes
-// and its frozen snapshot, byte for byte the file — stays what it was
+// and its snapshot, byte for byte the file — stays what it was
 // before the restore, and so does the file. Run it under -race.
 func TestFrozenStaysFrozenAfterLive(t *testing.T) {
 	base, feed, routes := liveWorkload(t)
@@ -243,7 +244,7 @@ func TestFrozenStaysFrozenAfterLive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join(t.TempDir(), "frozen.tqsnap")
+			path := filepath.Join(t.TempDir(), "index.tqlive")
 			if err := os.WriteFile(path, want.snap, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -324,7 +325,7 @@ func TestFrozenStaysFrozenAfterLive(t *testing.T) {
 }
 
 // TestRestoredSnapshotBecomesMutable: a sharded index persists as a
-// TQSHRD03 stream and comes back mutable — inserts route by the recorded
+// TQLIVE02 stream and comes back mutable — inserts route by the recorded
 // partitioner kind, deletes by ID, and the answers move by exactly the
 // trajectories written.
 func TestRestoredSnapshotBecomesMutable(t *testing.T) {
@@ -334,7 +335,7 @@ func TestRestoredSnapshotBecomesMutable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv := frozenRestore(t, sidx)
+	lv := snapshotRestore(t, sidx)
 	if err := lv.Insert(feed[0]); err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 
 // TestShardedEquivalenceProperty: for random datasets, an Index of
 // 1/2/4/8 shards under both partitioners, and the Index restored from its
-// frozen snapshot, return byte-identical answers to the one-shard Index.
+// snapshot, return byte-identical answers to the one-shard Index.
 // Binary service values are integral, so float64 sums are exact and == is
 // the right comparison; run under -race this also exercises the
 // concurrent scatter-gather merge. At one shard, built and restored agree
@@ -48,7 +48,7 @@ func TestShardedEquivalenceProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, idx := range []namedFlavor{{live, "built"}, {frozenRestore(t, live), "frozen"}} {
+				for _, idx := range []namedFlavor{{live, "built"}, {snapshotRestore(t, live), "frozen"}} {
 					name := fmt.Sprintf("seed %d %s/%d %s", seed, part.Kind(), shards, idx.name)
 					if idx.NumShards() != shards || idx.Len() != len(users) {
 						t.Fatalf("%s: %d shards over %d trajectories, want %d over %d",
@@ -92,11 +92,11 @@ func checkOneShard(t *testing.T, name string, users []*Trajectory, routes []*Fac
 	if err != nil {
 		t.Fatal(err)
 	}
-	one := frozenRestore(t, idx)
+	one := snapshotRestore(t, idx)
 	check := func(stage string) {
 		t.Helper()
 		sameFlavor(t, name+" "+stage+" Index", idx, one, routes, q)
-		sameFlavor(t, name+" "+stage+" frozen", frozenRestore(t, idx), frozenRestore(t, one), routes, q)
+		sameFlavor(t, name+" "+stage+" frozen", snapshotRestore(t, idx), snapshotRestore(t, one), routes, q)
 	}
 	check("built")
 	for _, u := range users[cut:] {

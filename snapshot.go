@@ -1,41 +1,32 @@
 package trajcover
 
 // Snapshot persistence. An Index is written as its columns and read back
-// without rebuilding a tree. One column encoding — the frozen payload of
-// snapshot_frozen.go — travels in three framings, told apart by an
-// 8-byte magic:
+// without rebuilding a tree, in one format, TQLIVE02, opened by its
+// 8-byte magic: a CRC'd header (shard count, partitioner kind), then one
+// length-prefixed, individually CRC'd frame per shard, each holding the
+// shard's frozen base (the frozen payload of snapshot_frozen.go), its
+// tombstones and its delta (snapshot_live.go). Index.WriteSnapshot writes
+// it, the epochs as they are; a caller that wants every shard's pending
+// writes folded into its base calls Compact first. ReadLiveSnapshot and
+// OpenMappedLiveSnapshot restore an Index from it. Retired formats — the
+// rebuild formats that stored raw trajectories (TQSNAP02, TQSHRD01), the
+// record formats that stored one record per trajectory and every entry
+// column (TQSNAP03, TQSHRD02, TQLIVE01) and the frozen formats that held
+// bases alone (TQSNAP04, TQSHRD03) — are still recognised by their
+// magics, to say so.
 //
-//	TQSNAP04 — one shard's base: magic, frozen payload, CRC32 trailer.
-//	TQSHRD03 — several shards' bases: CRC'd header (shard count,
-//	           partitioner kind), then one length-prefixed, individually
-//	           CRC'd frozen payload per shard.
-//	TQLIVE02 — the same header and framing; each frame holds a shard's
-//	           frozen base, its tombstones and its delta
-//	           (snapshot_live.go).
-//
-// Index.WriteSnapshot writes TQLIVE02, the epochs as they are;
-// Index.WriteFrozenSnapshot writes TQSNAP04 or TQSHRD03, every shard's
-// pending writes folded into its base. ReadLiveSnapshot and
-// OpenMappedLiveSnapshot take all three and restore an Index; a frozen
-// framing restores as one whose shards have nothing pending, which is as
-// mutable as any other. Retired formats — the rebuild formats that stored
-// raw trajectories (TQSNAP02, TQSHRD01) and the record formats that
-// stored one record per trajectory and every entry column (TQSNAP03,
-// TQSHRD02, TQLIVE01) — are still recognised by their magics, to say so.
-//
-// This file is the one reader of those framings. Everything is parsed
-// off a cursor over a []byte, and the cursor's only parameter is who
-// owns the bytes. A mapping pin (snapshot_mmap.go): every column, the
-// trajectory table's included, aliases the file where it is mapped, and
-// the restored tqtree.Frozen pins the mapping. Nobody (the io.Reader
-// entry points): the bytes are one frame — the whole stream for TQSNAP04
-// — read into a buffer that is dropped after the parse, so every column
-// is copied out at its exact size — but for a two-point table's offsets
-// and lengths, which the table derives and does not keep. Both owners
-// run the same checks, recorded lengths against their points included.
+// This file is the one writer and the one reader of the container.
+// Everything is parsed off a cursor over a []byte, and the cursor's only
+// parameter is who owns the bytes. A mapping pin (snapshot_mmap.go):
+// every base column, the trajectory table's included, aliases the file
+// where it is mapped, and the restored tqtree.Frozen pins the mapping.
+// Nobody (the io.Reader entry point): the bytes are one frame, read into
+// a buffer that is dropped after the parse, so every column is copied out
+// at its exact size — but for a two-point table's offsets and lengths,
+// which the table derives and does not keep. Both owners run the same
+// checks, recorded lengths against their points included.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -63,29 +54,26 @@ func badSnapshot(err error) error {
 	return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 }
 
-// The magics: eight bytes that open every snapshot stream.
-const (
-	frozenMagic        = "TQSNAP04"
-	shardedFrozenMagic = "TQSHRD03"
-	liveMagic          = "TQLIVE02"
-)
+// liveMagic is the eight bytes that open every snapshot stream.
+const liveMagic = "TQLIVE02"
 
-// retiredFormats says, for each magic the readers recognise and no
-// longer read, what the stream is.
+// retiredFormats says, for each magic the reader recognises and no
+// longer reads, what the stream is.
 var retiredFormats = map[string]string{
-	"TQSNAP02": "rebuild-format snapshot (TQSNAP02) is no longer readable; rebuild the index and write a frozen snapshot",
-	"TQSHRD01": "rebuild-format snapshot (TQSHRD01) is no longer readable; rebuild the index and write a frozen snapshot",
+	"TQSNAP02": "rebuild-format snapshot (TQSNAP02) is no longer readable; rebuild the index and write a new snapshot",
+	"TQSHRD01": "rebuild-format snapshot (TQSHRD01) is no longer readable; rebuild the index and write a new snapshot",
 	"TQSNAP03": "record-format snapshot (TQSNAP03) is no longer readable; rebuild the index and write a new snapshot",
 	"TQSHRD02": "record-format snapshot (TQSHRD02) is no longer readable; rebuild the index and write a new snapshot",
 	"TQLIVE01": "record-format snapshot (TQLIVE01) is no longer readable; rebuild the index and write a new snapshot",
+	"TQSNAP04": "frozen-format snapshot (TQSNAP04) is no longer readable; restore it with an earlier build and write it again with WriteSnapshot",
+	"TQSHRD03": "frozen-format snapshot (TQSHRD03) is no longer readable; restore it with an earlier build and write it again with WriteSnapshot",
 }
 
-// checkMagic is the one magic dispatch: nil when the stream opens with
-// one of the three readable magics, otherwise an error naming the format
-// it does open with.
+// checkMagic is the one magic check: nil when the stream opens with the
+// readable magic, otherwise an error naming the format it does open
+// with.
 func checkMagic(got []byte) error {
-	switch string(got) {
-	case frozenMagic, shardedFrozenMagic, liveMagic:
+	if string(got) == liveMagic {
 		return nil
 	}
 	if what, known := retiredFormats[string(got)]; known {
@@ -94,40 +82,15 @@ func checkMagic(got []byte) error {
 	return fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 }
 
-// ReadLiveSnapshot restores an Index from a stream in any of the three
-// framings: the CRCs verified, the columns copied out and bounds-checked
-// — no tree rebuild. A TQLIVE02 stream (WriteSnapshot) restores with any
-// pending delta and tombstones, which the next rebuild folds as usual; a
-// TQSNAP04 or TQSHRD03 stream (WriteFrozenSnapshot) with nothing pending.
-// pol tunes the restored index's compaction policy (policy is
-// operational state, not data, so it is not recorded). A TQSNAP04 stream
-// is read to its end; a container one frame's bytes at a time, stopping
-// at its last declared frame.
+// ReadLiveSnapshot restores an Index from a TQLIVE02 stream
+// (WriteSnapshot): the CRCs verified, the columns copied out and
+// bounds-checked — no tree rebuild — with any pending delta and
+// tombstones, which the next rebuild folds as usual. pol tunes the
+// restored index's compaction policy (policy is operational state, not
+// data, so it is not recorded). The stream is read one frame's bytes at a
+// time, stopping at its last declared frame.
 func ReadLiveSnapshot(r io.Reader, pol LivePolicy) (*Index, error) {
-	var magic [8]byte
-	n, err := io.ReadFull(r, magic[:])
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return nil, badSnapshot(err)
-	}
-	src := &streamSource{r: io.MultiReader(bytes.NewReader(magic[:n]), r)}
-	if string(magic[:n]) == frozenMagic {
-		data, err := src.all()
-		if err != nil {
-			return nil, err
-		}
-		return parseFrozenSnapshot(data, nil, pol)
-	}
-	return readContainer(src.take, nil, pol)
-}
-
-// restore serves restored shards as an Index, refusing an ID two of them
-// share.
-func restore(eps []*query.Epoch, part shard.Partitioner, pol LivePolicy) (*Index, error) {
-	l, err := shard.LiveFromEpochs(eps, part, pol.policy())
-	if err != nil {
-		return nil, badSnapshot(err)
-	}
-	return newIndex(l), nil
+	return readContainer((&streamSource{r: r}).take, nil, pol)
 }
 
 // cursor is the bounds-checked reader over a snapshot's bytes. Every read
@@ -271,14 +234,6 @@ func (s *streamSource) take(n uint64) ([]byte, error) {
 	return s.buf, nil
 }
 
-// all returns the rest of the stream.
-func (s *streamSource) all() ([]byte, error) {
-	if err := s.fill(math.MaxUint64); err != io.EOF && err != io.ErrUnexpectedEOF {
-		return nil, badSnapshot(err)
-	}
-	return s.buf, nil
-}
-
 // Limits on what a reader believes of a container before the bytes have
 // borne it out.
 const (
@@ -286,15 +241,15 @@ const (
 	maxKindLen = 256
 )
 
-// writeContainer writes a TQSHRD03 or TQLIVE02 container of n frames:
-// the CRC'd header, then per frame its length (size must return exactly
-// what payload writes, so no frame is buffered), the payload, its CRC and
-// a pad. The pads keep every payload 8-aligned in the file — the header
-// is 24+len(kind) bytes, a frame 8+payload+4+4 — because a mapped open
-// aliases columns at file offsets.
-func writeContainer(w io.Writer, magic, kind string, n int, size func(i int) uint64, payload func(w io.Writer, i int) error) error {
-	head := []byte(magic)
-	head = binary.LittleEndian.AppendUint64(head, uint64(n))
+// writeLiveSnapshot writes a captured epoch set as a TQLIVE02 container:
+// the CRC'd header, then per shard its frame's length (livePayloadSize
+// returns exactly what writeLivePayload writes, so no frame is
+// buffered), the payload, its CRC and a pad. The pads keep every payload
+// 8-aligned in the file — the header is 24+len(kind) bytes, a frame
+// 8+payload+4+4 — because a mapped open aliases columns at file offsets.
+func writeLiveSnapshot(w io.Writer, eps []*query.Epoch, kind string) error {
+	head := []byte(liveMagic)
+	head = binary.LittleEndian.AppendUint64(head, uint64(len(eps)))
 	head = binary.LittleEndian.AppendUint32(head, uint32(len(kind)))
 	head = append(head, kind...)
 	head = binary.LittleEndian.AppendUint32(head, crc32.ChecksumIEEE(head))
@@ -302,12 +257,12 @@ func writeContainer(w io.Writer, magic, kind string, n int, size func(i int) uin
 	if _, err := w.Write(head); err != nil {
 		return err
 	}
-	for i := 0; i < n; i++ {
-		if err := binary.Write(w, binary.LittleEndian, size(i)); err != nil {
+	for _, ep := range eps {
+		if err := binary.Write(w, binary.LittleEndian, livePayloadSize(ep)); err != nil {
 			return err
 		}
 		crc := crc32.NewIEEE()
-		if err := payload(io.MultiWriter(w, crc), i); err != nil {
+		if err := writeLivePayload(io.MultiWriter(w, crc), ep); err != nil {
 			return err
 		}
 		var trailer [8]byte // the CRC, then four zero pad bytes
@@ -319,16 +274,16 @@ func writeContainer(w io.Writer, magic, kind string, n int, size func(i int) uin
 	return nil
 }
 
-// readContainer parses a TQSHRD03 or TQLIVE02 container whose bytes take
-// hands out in order: the CRC'd header (magic, shard count, partitioner
-// kind, zero pad to 8), then per shard a length prefix, the payload, its
-// CRC and a zero pad. Each payload is CRC-checked before a byte of it is
-// parsed, and must be consumed exactly; it is parsed by readShardPayload
-// with a cursor owned by pin, as a live frame under TQLIVE02. Bytes after
-// the last declared frame are not read here: a stream reader never sees
-// them, a mapped open rejects them itself. The shards are restored under
-// the partitioner the header records; any kind but "hash" and "grid" is
-// an ErrBadSnapshot.
+// readContainer parses a TQLIVE02 container whose bytes take hands out
+// in order: the CRC'd header (magic, shard count, partitioner kind, zero
+// pad to 8), then per shard a length prefix, the payload, its CRC and a
+// zero pad. Each payload is CRC-checked before a byte of it is parsed,
+// and must be consumed exactly; it is parsed by readShardPayload with a
+// cursor owned by pin. Bytes after the last declared frame are not read
+// here: a stream reader never sees them, a mapped open rejects them
+// itself. The shards are restored as one Index under the partitioner the
+// header records; any kind but "hash" and "grid" is an ErrBadSnapshot,
+// and so is an ID two shards share.
 func readContainer(take func(n uint64) ([]byte, error), pin *mappedToken, pol LivePolicy) (*Index, error) {
 	var crc uint32
 	hashed := func(n uint64) ([]byte, error) {
@@ -343,7 +298,6 @@ func readContainer(take func(n uint64) ([]byte, error), pin *mappedToken, pol Li
 	if err := checkMagic(magic); err != nil {
 		return nil, err
 	}
-	live := string(magic) == liveMagic // else TQSHRD03: the entry points parse a TQSNAP04 image whole
 	fixed, err := hashed(12)
 	if err != nil {
 		return nil, err
@@ -400,7 +354,7 @@ func readContainer(take func(n uint64) ([]byte, error), pin *mappedToken, pol Li
 			return nil, fmt.Errorf("%w: frame %d nonzero padding", ErrBadSnapshot, s)
 		}
 		c := &cursor{b: payload, pin: pin}
-		ep, err := readShardPayload(c, live)
+		ep, err := readShardPayload(c)
 		if err != nil {
 			return nil, fmt.Errorf("frame %d: %w", s, err)
 		}
@@ -409,7 +363,11 @@ func readContainer(take func(n uint64) ([]byte, error), pin *mappedToken, pol Li
 		}
 		eps = append(eps, ep)
 	}
-	return restore(eps, part, pol)
+	l, err := shard.LiveFromEpochs(eps, part, pol.policy())
+	if err != nil {
+		return nil, badSnapshot(err)
+	}
+	return newIndex(l), nil
 }
 
 func allZero(b []byte) bool {

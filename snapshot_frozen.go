@@ -1,8 +1,8 @@
 package trajcover
 
-// The frozen payload: the one column encoding every snapshot format
-// carries (snapshot.go lists the framings), its writer, and its one
-// reader.
+// The frozen payload: the column encoding of a shard's base, which opens
+// every frame of a snapshot (snapshot.go has the container), its writer,
+// and its one reader.
 //
 // A frozen payload is a fixed header, the column slices of
 // tqtree.FrozenColumns in fixed order — the endpoints for every variant,
@@ -28,14 +28,11 @@ package trajcover
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 
 	"github.com/trajcover/trajcover/internal/geo"
-	"github.com/trajcover/trajcover/internal/query"
 	"github.com/trajcover/trajcover/internal/service"
-	"github.com/trajcover/trajcover/internal/shard"
 	"github.com/trajcover/trajcover/internal/tqtree"
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
@@ -172,8 +169,8 @@ func tableSize(nt, np uint64) uint64 {
 }
 
 // frozenPayloadSize returns the exact encoded byte size of
-// writeFrozenPayload's output — used to length-prefix TQSHRD03 frames
-// without buffering them.
+// writeFrozenPayload's output — the base's share of a frame's length
+// prefix (livePayloadSize), written without buffering the frame.
 func frozenPayloadSize(f *tqtree.Frozen) uint64 {
 	c := f.Columns()
 	nn := uint64(len(c.NodeRect))
@@ -330,58 +327,4 @@ func readFrozenPayload(cur *cursor) (*tqtree.Frozen, error) {
 		f.SetPin(cur.pin)
 	}
 	return f, nil
-}
-
-// WriteFrozenSnapshot writes the index's current corpus with every
-// shard's pending writes folded into its base, over one epoch capture: a
-// shard with nothing pending writes its base as it is, any other a fresh
-// base built as a rebuild would build it, which is not swapped in — the
-// index is only read. One shard is a TQSNAP04 stream: the columnar
-// payload framed by a magic header and a CRC32 trailer. Several are a
-// TQSHRD03 container: a CRC'd shared header (shard count, partitioner
-// kind), then one length-prefixed, individually CRC'd frozen payload per
-// shard, so a checksum localizes corruption to one shard and tooling can
-// skip frames without decoding them.
-func (x *Index) WriteFrozenSnapshot(w io.Writer) error {
-	bases, err := x.s.Bases()
-	if err != nil {
-		return err
-	}
-	if len(bases) > 1 {
-		return writeContainer(w, shardedFrozenMagic, x.s.PartitionerKind(), len(bases),
-			func(i int) uint64 { return frozenPayloadSize(bases[i]) },
-			func(w io.Writer, i int) error { return writeFrozenPayload(w, bases[i]) })
-	}
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(w, crc)
-	if _, err := io.WriteString(mw, frozenMagic); err != nil {
-		return err
-	}
-	if err := writeFrozenPayload(mw, bases[0]); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, crc.Sum32())
-}
-
-// parseFrozenSnapshot restores a whole TQSNAP04 image as a one-shard
-// Index. Bytes after the payload are rejected under either owner: the
-// trailer is the image's last four bytes, so anything extra sits inside
-// the checksummed region.
-func parseFrozenSnapshot(data []byte, pin *mappedToken, pol LivePolicy) (*Index, error) {
-	if len(data) < 12 {
-		return nil, fmt.Errorf("%w: truncated (%d bytes)", ErrBadSnapshot, len(data))
-	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadSnapshot)
-	}
-	cur := &cursor{b: body[8:], pin: pin}
-	ep, err := readShardPayload(cur, false)
-	if err != nil {
-		return nil, err
-	}
-	if cur.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, cur.remaining())
-	}
-	return restore([]*query.Epoch{ep}, shard.Hash{}, pol)
 }

@@ -1,6 +1,6 @@
 package trajcover
 
-// Robustness properties of every snapshot format under both owners of the
+// Robustness properties of the snapshot format under both owners of the
 // bytes — the io.Reader entry points, which copy what they keep out of a
 // buffer nobody owns, and the mapped opens, which alias the bytes they
 // are handed:
@@ -9,7 +9,7 @@ package trajcover
 //     function of the index state, so re-snapshotting a restored index
 //     reproduces the original bytes);
 //   - every truncation and every single-bit flip of a valid stream is an
-//     ErrBadSnapshot — never a panic, never a silently wrong index (every
+//     ErrBadSnapshot — never a panic, never a silently wrong index (the
 //     format checksums every byte it reads).
 //
 // The corruption sweeps run the full decode for every mutation, so they
@@ -22,7 +22,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -32,22 +31,21 @@ import (
 	"github.com/trajcover/trajcover/internal/wal"
 )
 
-// snapshotFormat is one format under test: a small index and the writer
-// that writes it in that format. Every format has the one reader, whose
-// parse under each owner is parseSnapshot.
-type snapshotFormat struct {
-	name  string
-	x     *Index
-	write func(x *Index, w io.Writer) error
+// snapshotCase is one small index under test, named for the stream its
+// WriteSnapshot writes. Every stream has the one reader, whose parse
+// under each owner is parseSnapshot.
+type snapshotCase struct {
+	name string
+	x    *Index
 }
 
 // snapshotOwners are the two ways a parse gets its bytes.
 var snapshotOwners = []string{"copy", "alias"}
 
 // parse runs the reader over data under the given owner, naming the
-// format in a panic's error.
-func (f snapshotFormat) parse(data []byte, owner string) (*Index, error) {
-	return parseSnapshot(f.name, data, owner)
+// case in a panic's error.
+func (c snapshotCase) parse(data []byte, owner string) (*Index, error) {
+	return parseSnapshot(c.name, data, owner)
 }
 
 // parseSnapshot runs the snapshot reader over data under the given owner
@@ -67,26 +65,26 @@ func parseSnapshot(name string, data []byte, owner string) (x *Index, err error)
 	return ReadLiveSnapshot(bytes.NewReader(data), pol)
 }
 
-// snapshotFormats builds one small index per format over n taxi trips:
-// TQSNAP04, TQSHRD03 (two shards) and TQLIVE02 (two shards, pending delta
-// and tombstones).
-func snapshotFormats(t testing.TB, n int) []snapshotFormat {
+// snapshotCases builds three small indexes over n taxi trips, each
+// written as TQLIVE02: one shard and two with nothing pending, and two
+// shards with a pending delta and tombstones.
+func snapshotCases(t testing.TB, n int) []snapshotCase {
 	t.Helper()
 	users := TaxiTrips(NewYorkCity(), n, 41)
 	opts := IndexOptions{Ordering: ZOrdering}
-	fz, err := NewIndex(users, opts)
+	one, err := NewIndex(users, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Shards = 2
-	sfz, err := NewIndex(users, opts)
+	two, err := NewIndex(users, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []snapshotFormat{
-		{"TQSNAP04", fz, (*Index).WriteFrozenSnapshot},
-		{"TQSHRD03", sfz, (*Index).WriteFrozenSnapshot},
-		{"TQLIVE02", churnedLiveIndex(t, users), (*Index).WriteSnapshot},
+	return []snapshotCase{
+		{"1 shard", one},
+		{"2 shards", two},
+		{"2 shards, churned", churnedLiveIndex(t, users)},
 	}
 }
 
@@ -115,11 +113,11 @@ func churnedLiveIndex(t testing.TB, users []*Trajectory) *Index {
 	return lv
 }
 
-func snapshotBytes(t testing.TB, f snapshotFormat) []byte {
+func snapshotBytes(t testing.TB, c snapshotCase) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := f.write(f.x, &buf); err != nil {
-		t.Fatalf("%s: write: %v", f.name, err)
+	if err := c.x.WriteSnapshot(&buf); err != nil {
+		t.Fatalf("%s: write: %v", c.name, err)
 	}
 	return buf.Bytes()
 }
@@ -133,9 +131,9 @@ func pick(cond bool, a, b int) int {
 
 // TestSnapshotRoundTripByteIdentical: restoring a snapshot and
 // re-snapshotting the restored index reproduces the original stream
-// byte for byte, for every format under both owners.
+// byte for byte, for every case under both owners.
 func TestSnapshotRoundTripByteIdentical(t *testing.T) {
-	for _, f := range snapshotFormats(t, 60) {
+	for _, f := range snapshotCases(t, 60) {
 		first := snapshotBytes(t, f)
 		for _, owner := range snapshotOwners {
 			x, err := f.parse(first, owner)
@@ -143,7 +141,7 @@ func TestSnapshotRoundTripByteIdentical(t *testing.T) {
 				t.Fatalf("%s, %s: %v", f.name, owner, err)
 			}
 			var second bytes.Buffer
-			if err := f.write(x, &second); err != nil {
+			if err := x.WriteSnapshot(&second); err != nil {
 				t.Fatalf("%s, %s: rewrite: %v", f.name, owner, err)
 			}
 			if !bytes.Equal(first, second.Bytes()) {
@@ -156,7 +154,7 @@ func TestSnapshotRoundTripByteIdentical(t *testing.T) {
 // TestSnapshotTruncation: every proper prefix of a valid stream is an
 // ErrBadSnapshot under both owners and never panics.
 func TestSnapshotTruncation(t *testing.T) {
-	for _, f := range snapshotFormats(t, 30) {
+	for _, f := range snapshotCases(t, 30) {
 		data := snapshotBytes(t, f)
 		// Every length would be O(n²); step through all short prefixes
 		// (headers, counts) and sample the long tail densely.
@@ -175,11 +173,11 @@ func TestSnapshotTruncation(t *testing.T) {
 }
 
 // TestSnapshotBitFlip: flipping any single bit of a valid stream is an
-// ErrBadSnapshot under both owners and never panics — every byte of every
-// format is covered by a checksum (or is the checksum itself, or a pad
+// ErrBadSnapshot under both owners and never panics — every byte of a
+// stream is covered by a checksum (or is the checksum itself, or a pad
 // checked to be zero).
 func TestSnapshotBitFlip(t *testing.T) {
-	for _, f := range snapshotFormats(t, 30) {
+	for _, f := range snapshotCases(t, 30) {
 		data := snapshotBytes(t, f)
 		// Flipping every byte of every stream is O(n²) decode work; cover
 		// all of the header/count region and sample the bulk + trailer.
@@ -200,14 +198,14 @@ func TestSnapshotBitFlip(t *testing.T) {
 	}
 }
 
-// TestSnapshotForgedLengthBuysNoMemory: a few-KB container whose first
+// TestSnapshotForgedLengthBuysNoMemory: a few-KB stream whose first
 // frame claims a terabyte (or 4 EiB) is an ErrBadSnapshot from the stream
 // reader, which allocated for the bytes that arrived, not the bytes
 // announced.
 func TestSnapshotForgedLengthBuysNoMemory(t *testing.T) {
-	for _, f := range snapshotFormats(t, 30)[1:] {
+	for _, f := range snapshotCases(t, 30) {
 		image := snapshotBytes(t, f)
-		lo, _ := framePayload(image)
+		lo, _ := framePayload(image, 0)
 		for _, claim := range []uint64{1 << 40, 1 << 62} {
 			data := bytes.Clone(image)
 			binary.LittleEndian.PutUint64(data[lo-8:], claim)
@@ -229,15 +227,14 @@ func TestSnapshotForgedLengthBuysNoMemory(t *testing.T) {
 // reader under both owners. Neither may panic or fail with anything but
 // an ErrBadSnapshot, and the two must agree on accept/reject, but for the
 // one difference they have by design: only a mapped open sees (and
-// rejects) bytes after a container's last frame.
+// rejects) bytes after the last frame. The retired magics are seeds too,
+// for the reader to refuse by name.
 func fuzzSnapshot(f *testing.F) {
-	for i, sf := range snapshotFormats(f, 30) {
-		data := snapshotBytes(f, sf)
+	for _, c := range snapshotCases(f, 30) {
+		data := snapshotBytes(f, c)
 		f.Add(data)
 		f.Add(data[:64])
-		if i > 0 {
-			f.Add(forgeUnknownKind(f, data))
-		}
+		f.Add(forgeUnknownKind(f, data))
 	}
 	for _, magic := range []string{"TQSNAP04", "TQSHRD03", "TQLIVE02", "TQSNAP03", "TQSHRD02", "TQLIVE01", "TQSNAP02", "TQSHRD01", ""} {
 		f.Add([]byte(magic))
@@ -262,13 +259,13 @@ func fuzzSnapshot(f *testing.F) {
 	})
 }
 
-// FuzzReadSnapshot is the fuzz target for every snapshot reader.
+// FuzzReadSnapshot is the fuzz target for the snapshot reader.
 func FuzzReadSnapshot(f *testing.F) { fuzzSnapshot(f) }
 
 // FuzzReadShardedSnapshot and FuzzReadLiveSnapshot are FuzzReadSnapshot
 // under the names the two containers' targets had; they keep those
 // targets' seed subtests running under plain go test. There is one reader
-// for the three formats: fuzz the one above.
+// for the one format: fuzz the one above.
 func FuzzReadShardedSnapshot(f *testing.F) { fuzzSnapshot(f) }
 func FuzzReadLiveSnapshot(f *testing.F)    { fuzzSnapshot(f) }
 

@@ -1,7 +1,7 @@
 package trajcover
 
-// Live snapshot persistence (TQLIVE02; snapshot.go has the framing). An
-// Index checkpoints without stopping writes: the writer captures
+// A shard's frame (TQLIVE02; snapshot.go has the container). An Index
+// checkpoints without stopping writes: the writer captures
 // each shard's current epoch — one atomic pointer load per shard — and
 // serializes from those immutable values while inserts, deletes, and even
 // background rebuilds keep running. Each shard's frame records the full
@@ -67,18 +67,14 @@ func writeLivePayload(w io.Writer, ep *query.Epoch) error {
 }
 
 // readShardPayload decodes one shard's frame and reassembles its epoch:
-// a frozen base, and in a live frame the tombstones and delta after it,
-// which NewEpoch revalidates against the restored base, refusing unknown
-// and repeated tombstone IDs. A frozen frame's epoch has nothing pending.
-// The delta section is copied to the heap under either owner: the
-// overlay is small and outlives any base.
-func readShardPayload(c *cursor, live bool) (*query.Epoch, error) {
+// a frozen base, then the tombstones and delta after it, which NewEpoch
+// revalidates against the restored base, refusing unknown and repeated
+// tombstone IDs. The delta section is copied to the heap under either
+// owner: the overlay is small and outlives any base.
+func readShardPayload(c *cursor) (*query.Epoch, error) {
 	f, err := readFrozenPayload(c)
 	if err != nil {
 		return nil, err
-	}
-	if !live {
-		return query.NewEpoch(f, nil, nil, 0)
 	}
 	c.pin = nil // the base holds the pin; the rest of the frame is copied
 	nDead := c.u64()
@@ -103,18 +99,11 @@ func readShardPayload(c *cursor, live bool) (*query.Epoch, error) {
 	return ep, badSnapshot(err)
 }
 
-// writeLiveSnapshot serializes a captured epoch set as a TQLIVE02
-// container.
-func writeLiveSnapshot(w io.Writer, eps []*query.Epoch, kind string) error {
-	return writeContainer(w, liveMagic, kind, len(eps),
-		func(i int) uint64 { return livePayloadSize(eps[i]) },
-		func(w io.Writer, i int) error { return writeLivePayload(w, eps[i]) })
-}
-
 // WriteSnapshot checkpoints the index as a TQLIVE02 stream. The epoch
 // set is captured atomically per shard up front, so the snapshot is a
 // consistent cut of each shard while writes continue to land in
-// successor epochs.
+// successor epochs. Pending writes are recorded as they are; a caller
+// that wants every shard's base folded first calls Compact.
 func (x *Index) WriteSnapshot(w io.Writer) error {
 	return writeLiveSnapshot(w, x.s.Epochs(), x.s.PartitionerKind())
 }

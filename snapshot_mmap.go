@@ -1,8 +1,7 @@
 package trajcover
 
-// Mapped snapshot restore. OpenMappedLiveSnapshot maps a
-// TQSNAP04/TQSHRD03/TQLIVE02 file and aliases
-// the frozen column slices (node rects, upper-bound columns, bucket and
+// Mapped snapshot restore. OpenMappedLiveSnapshot maps a TQLIVE02 file
+// and aliases the frozen column slices (node rects, upper-bound columns, bucket and
 // entry slabs, the trajectory table's four columns) directly onto the
 // mapping via
 // internal/mmap — a restore that costs one CRC pass plus the structural
@@ -33,9 +32,9 @@ package trajcover
 // plausibility and structural validation — a truncated or bit-flipped
 // file is a loud ErrBadSnapshot at open, never a fault inside a query.
 // Every recorded length is compared with its points, as the copy does,
-// so an open reads each point once. One difference, deliberate: a
-// container file with bytes after its last frame is rejected, where a
-// stream reader stops reading and never sees them.
+// so an open reads each point once. One difference, deliberate: a file
+// with bytes after its last frame is rejected, where a stream reader
+// stops reading and never sees them.
 
 import (
 	"fmt"
@@ -51,10 +50,10 @@ type mappedToken struct {
 	m *mmap.Mapping
 }
 
-// OpenMappedLiveSnapshot restores an Index from a file in any of the
-// three framings by mapping it: the CRCs are verified once, every shard's
-// frozen base columns alias the one mapping (zero-copy on little-endian
-// hosts; a TQLIVE02 file's delta trajectories are copied to the heap),
+// OpenMappedLiveSnapshot restores an Index from a TQLIVE02 file by
+// mapping it: the CRCs are verified once, every shard's frozen base
+// columns alias the one mapping (zero-copy on little-endian hosts; the
+// delta trajectories are copied to the heap),
 // while the restored index stays fully mutable — writes land in heap
 // epochs, and background rebuilds fold mapped trajectories into heap
 // bases, retiring the mapping once nothing references it. Answers are
@@ -76,12 +75,9 @@ func OpenMappedLiveSnapshot(path string, pol LivePolicy) (*Index, error) {
 	return x, nil
 }
 
-// openMappedIndex parses a whole file image: a TQSNAP04 image as one
-// payload, a container frame by frame, rejecting bytes after the last.
+// openMappedIndex parses a whole file image frame by frame, rejecting
+// bytes after the last.
 func openMappedIndex(data []byte, tok *mappedToken, pol LivePolicy) (*Index, error) {
-	if len(data) >= 8 && string(data[:8]) == frozenMagic {
-		return parseFrozenSnapshot(data, tok, pol)
-	}
 	c := &cursor{b: data}
 	x, err := readContainer(c.next, tok, pol)
 	if err == nil && c.remaining() != 0 {

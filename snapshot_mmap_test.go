@@ -9,6 +9,7 @@ package trajcover
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -79,33 +80,30 @@ func assertMappedAnswers(t *testing.T, name string, want, got *Index) {
 	}
 }
 
-// TestMappedFrozenMatchesHeap: OpenMappedLiveSnapshot of a TQSNAP04 file
-// answers bit-identically to ReadLiveSnapshot of the same file, and the
-// mapped restore's WriteFrozenSnapshot reproduces the file byte for byte.
+// TestMappedFrozenMatchesHeap: OpenMappedLiveSnapshot of a one-shard
+// built index's file, nothing pending, answers bit-identically to
+// ReadLiveSnapshot of the same file, and the mapped restore's
+// WriteSnapshot reproduces the file byte for byte.
 func TestMappedFrozenMatchesHeap(t *testing.T) {
-	checkMappedFrozen(t, "TQSNAP04", 1)
+	checkMappedFrozen(t, 1)
 }
 
-// TestMappedFrozenShardedMatchesHeap: the sharded container, TQSHRD03,
-// same contract.
+// TestMappedFrozenShardedMatchesHeap: the same at three shards.
 func TestMappedFrozenShardedMatchesHeap(t *testing.T) {
-	checkMappedFrozen(t, "TQSHRD03", 3)
+	checkMappedFrozen(t, 3)
 }
 
-func checkMappedFrozen(t *testing.T, name string, shards int) {
+func checkMappedFrozen(t *testing.T, shards int) {
 	ny := NewYorkCity()
 	users := TaxiTrips(ny, 60, 41)
 	idx, err := NewIndex(users, IndexOptions{Ordering: ZOrdering, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := writeTempSnapshot(t, "frozen.tqsnap", func(w *os.File) error { return idx.WriteFrozenSnapshot(w) })
+	path := writeTempSnapshot(t, "index.tqlive", func(w *os.File) error { return idx.WriteSnapshot(w) })
 	orig, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if string(orig[:8]) != name {
-		t.Fatalf("%d shards wrote %q, want %s", shards, orig[:8], name)
 	}
 	heap, err := ReadLiveSnapshot(bytes.NewReader(orig), LivePolicy{Manual: true})
 	if err != nil {
@@ -118,10 +116,10 @@ func checkMappedFrozen(t *testing.T, name string, shards int) {
 	if mapped.NumShards() != shards {
 		t.Fatalf("NumShards = %d, want %d", mapped.NumShards(), shards)
 	}
-	assertMappedAnswers(t, name+" mapped", heap, mapped)
+	assertMappedAnswers(t, fmt.Sprintf("%d shards mapped", shards), heap, mapped)
 
 	var out bytes.Buffer
-	if err := mapped.WriteFrozenSnapshot(&out); err != nil {
+	if err := mapped.WriteSnapshot(&out); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(orig, out.Bytes()) {
@@ -196,21 +194,22 @@ func TestMappedZeroCopyMode(t *testing.T) {
 	t.Logf("mmap zero-copy aliasing: %v", mmap.ZeroCopy())
 }
 
-// benchSnapshotPath builds a moderately sized frozen snapshot of taxi
-// trips once per benchmark run.
+// benchSnapshotPath writes the snapshot of a moderately sized built index
+// of taxi trips once per benchmark run.
 func benchSnapshotPath(b *testing.B) string {
 	b.Helper()
 	return benchSnapshotOf(b, TaxiTrips(NewYorkCity(), 20000, 47), IndexOptions{Ordering: ZOrdering})
 }
 
-// benchSnapshotOf writes a frozen snapshot of users under opts.
+// benchSnapshotOf writes the snapshot of an index built over users under
+// opts.
 func benchSnapshotOf(b *testing.B, users []*Trajectory, opts IndexOptions) string {
 	b.Helper()
 	idx, err := NewIndex(users, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return writeTempSnapshot(b, "bench.tqsnap", func(w *os.File) error { return idx.WriteFrozenSnapshot(w) })
+	return writeTempSnapshot(b, "bench.tqlive", func(w *os.File) error { return idx.WriteSnapshot(w) })
 }
 
 func BenchmarkHeapRestore(b *testing.B) {

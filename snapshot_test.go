@@ -12,7 +12,7 @@ import (
 	"testing"
 )
 
-// TestSnapshotRoundTrip: a frozen snapshot of every variant and ordering
+// TestSnapshotRoundTrip: a snapshot of every variant and ordering
 // restores to the same corpus and the same answers.
 func TestSnapshotRoundTrip(t *testing.T) {
 	users, routes := smallWorkload(t)
@@ -26,7 +26,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := fz.WriteFrozenSnapshot(&buf); err != nil {
+		if err := fz.WriteSnapshot(&buf); err != nil {
 			t.Fatal(err)
 		}
 		back, err := ReadLiveSnapshot(&buf, LivePolicy{})
@@ -65,7 +65,7 @@ func TestSnapshotPersistsMaxDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := frozenRestore(t, idx)
+	back := snapshotRestore(t, idx)
 	if got := back.s.Base(0).MaxDepth(); got != 5 {
 		t.Fatalf("restored MaxDepth = %d, want 5", got)
 	}
@@ -84,7 +84,8 @@ func TestSnapshotPersistsMaxDepth(t *testing.T) {
 }
 
 // TestSnapshotPreservesInsertedTrajectories: trajectories inserted after
-// the build are in the frozen snapshot like the ones built over.
+// the build are in the snapshot, as a pending delta, and answer like the
+// ones built over.
 func TestSnapshotPreservesInsertedTrajectories(t *testing.T) {
 	users, routes := smallWorkload(t)
 	idx, err := NewIndex(users[:1500], IndexOptions{Bounds: Rect{MaxX: 30000, MaxY: 40000}})
@@ -96,7 +97,7 @@ func TestSnapshotPreservesInsertedTrajectories(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	back := frozenRestore(t, idx)
+	back := snapshotRestore(t, idx)
 	if back.Len() != len(users) {
 		t.Fatalf("restored %d trajectories, want %d", back.Len(), len(users))
 	}
@@ -115,9 +116,10 @@ func TestSnapshotPreservesInsertedTrajectories(t *testing.T) {
 }
 
 // TestShardedSnapshotRoundTrip: the recorded partition — shard count,
-// shard sizes, partitioner kind — and the answers survive a frozen round
-// trip through both readers, and the restored index takes writes. One shard is a TQSNAP04 stream, which records no partitioner:
-// a grid-built one restores as hash and still takes inserts.
+// shard sizes, partitioner kind — and the answers survive a round trip
+// through both readers, and the restored index takes writes. Every shard
+// count writes TQLIVE02, which records the partitioner kind: a
+// grid-built one-shard index restores as grid.
 func TestShardedSnapshotRoundTrip(t *testing.T) {
 	users, routes := smallWorkload(t)
 	for _, opts := range []IndexOptions{
@@ -130,17 +132,13 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := writeTempSnapshot(t, "frozen.snap", func(w *os.File) error { return idx.WriteFrozenSnapshot(w) })
+		path := writeTempSnapshot(t, "index.tqlive", func(w *os.File) error { return idx.WriteSnapshot(w) })
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := "TQSHRD03"
-		if opts.Shards == 1 {
-			want = "TQSNAP04"
-		}
-		if string(data[:8]) != want {
-			t.Fatalf("%+v: wrote %q, want %s", opts, data[:8], want)
+		if string(data[:8]) != "TQLIVE02" {
+			t.Fatalf("%+v: wrote %q, want TQLIVE02", opts, data[:8])
 		}
 		heap, err := ReadLiveSnapshot(bytes.NewReader(data), LivePolicy{Manual: true})
 		if err != nil {
@@ -151,12 +149,15 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("%+v: mapped: %v", opts, err)
 		}
 		for _, back := range []*Index{heap, mapped} {
+			if got := back.s.PartitionerKind(); got != idx.s.PartitionerKind() {
+				t.Fatalf("%+v: restored partitioner %q, want %q", opts, got, idx.s.PartitionerKind())
+			}
 			checkShardedRestore(t, idx, back, routes)
 		}
 	}
 }
 
-// checkShardedRestore requires back, restored from idx's frozen snapshot,
+// checkShardedRestore requires back, restored from idx's snapshot,
 // to hold idx's partition and answers, and to take an insert.
 func checkShardedRestore(t *testing.T, idx *Index, back *Index, routes []*Facility) {
 	t.Helper()
@@ -200,7 +201,7 @@ func checkShardedRestore(t *testing.T, idx *Index, back *Index, routes []*Facili
 
 // assertRejected requires every image to be an ErrBadSnapshot under both
 // owners.
-func assertRejected(t *testing.T, f snapshotFormat, images map[string][]byte) {
+func assertRejected(t *testing.T, f snapshotCase, images map[string][]byte) {
 	t.Helper()
 	for what, data := range images {
 		for _, owner := range snapshotOwners {
@@ -215,7 +216,7 @@ func assertRejected(t *testing.T, f snapshotFormat, images map[string][]byte) {
 // sweeps make — a whole payload byte, two thirds of the stream gone, a
 // foreign magic, nothing at all.
 func TestSnapshotDetectsCorruption(t *testing.T) {
-	f := snapshotFormats(t, 30)[0]
+	f := snapshotCases(t, 30)[0]
 	good := snapshotBytes(t, f)
 	flipped := bytes.Clone(good)
 	flipped[len(flipped)/2] ^= 0xFF
@@ -229,11 +230,11 @@ func TestSnapshotDetectsCorruption(t *testing.T) {
 	})
 }
 
-// TestShardedSnapshotDetectsCorruption: the same for the two containers —
-// a whole byte of some frame (the frame CRC must catch it), a whole byte
+// TestShardedSnapshotDetectsCorruption: the same for the container at
+// every shard count — a whole byte of some frame (the frame CRC must catch it), a whole byte
 // of the header, and a stream cut inside the last frame's trailer.
 func TestShardedSnapshotDetectsCorruption(t *testing.T) {
-	for _, f := range snapshotFormats(t, 30)[1:] {
+	for _, f := range snapshotCases(t, 30) {
 		good := snapshotBytes(t, f)
 		frame := bytes.Clone(good)
 		frame[len(frame)/2] ^= 0xFF
@@ -247,7 +248,7 @@ func TestShardedSnapshotDetectsCorruption(t *testing.T) {
 	}
 }
 
-// forgeUnknownKind returns a copy of a TQSHRD03 or TQLIVE02 stream whose
+// forgeUnknownKind returns a copy of a hash-partitioned stream whose
 // header records the partitioner kind "hasq", which no partitioner
 // writes, with the header CRC fixed so that only the kind is wrong.
 func forgeUnknownKind(t testing.TB, data []byte) []byte {
@@ -262,7 +263,7 @@ func forgeUnknownKind(t testing.TB, data []byte) []byte {
 	return d
 }
 
-// TestSnapshotUnknownPartitionerKind: a container recording a partitioner
+// TestSnapshotUnknownPartitionerKind: a stream recording a partitioner
 // kind other than hash or grid is a malformed snapshot under every
 // reader, streamed and mapped, and under OpenIndex's checkpoint restore.
 func TestSnapshotUnknownPartitionerKind(t *testing.T) {
@@ -282,9 +283,9 @@ func TestSnapshotUnknownPartitionerKind(t *testing.T) {
 			return err
 		},
 	}
-	for _, sf := range snapshotFormats(t, 30)[1:] {
+	for _, sf := range snapshotCases(t, 30) {
 		data := forgeUnknownKind(t, snapshotBytes(t, sf))
-		path := filepath.Join(t.TempDir(), sf.name)
+		path := filepath.Join(t.TempDir(), "forged.tqlive")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -327,31 +328,34 @@ func TestSnapshotUnknownPartitionerKind(t *testing.T) {
 }
 
 // TestSnapshotFormatsAreDistinguished: the reader, under both owners,
-// takes all three readable framings, and refuses every other stream with
-// an error that names what the stream is — the retired rebuild and record
-// formats included, which say they are no longer readable rather than
-// "bad magic".
+// takes the one readable format at every shard count, and refuses every
+// other stream with an error that names what the stream is — the retired
+// rebuild, record and frozen formats included, which say they are no
+// longer readable rather than "bad magic". So does OpenIndex, over a WAL
+// directory whose checkpoint opens with a retired magic.
 func TestSnapshotFormatsAreDistinguished(t *testing.T) {
-	formats := snapshotFormats(t, 30)
-	body := snapshotBytes(t, formats[0])[8:]
+	cases := snapshotCases(t, 30)
+	body := snapshotBytes(t, cases[0])[8:]
 	streams := map[string][]byte{
 		"TQSNAP01": append([]byte("TQSNAP01"), body...),
 		"TQSNAP0":  []byte("TQSNAP0"),
 	}
-	for _, retired := range []string{"TQSNAP02", "TQSHRD01", "TQSNAP03", "TQSHRD02", "TQLIVE01"} {
+	for _, retired := range []string{"TQSNAP02", "TQSHRD01", "TQSNAP03", "TQSHRD02", "TQLIVE01", "TQSNAP04", "TQSHRD03"} {
 		streams[retired] = append([]byte(retired), body...)
 	}
 	lens := map[string]int{}
-	for _, g := range formats {
-		streams[g.name] = snapshotBytes(t, g)
-		lens[g.name] = g.x.Len()
+	for _, c := range cases {
+		streams[c.name] = snapshotBytes(t, c)
+		lens[c.name] = c.x.Len()
 	}
 	says := func(name string) string {
 		switch name {
 		case "TQSNAP02", "TQSHRD01":
-			return "rebuild-format snapshot (" + name + ") is no longer readable; rebuild the index and write a frozen snapshot"
+			return "rebuild-format snapshot (" + name + ") is no longer readable; rebuild the index and write a new snapshot"
 		case "TQSNAP03", "TQSHRD02", "TQLIVE01":
 			return "record-format snapshot (" + name + ") is no longer readable; rebuild the index and write a new snapshot"
+		case "TQSNAP04", "TQSHRD03":
+			return "frozen-format snapshot (" + name + ") is no longer readable; restore it with an earlier build and write it again with WriteSnapshot"
 		case "TQSNAP01":
 			return "bad magic"
 		}
@@ -374,66 +378,68 @@ func TestSnapshotFormatsAreDistinguished(t *testing.T) {
 		}
 	}
 
-	// A WAL directory whose checkpoint is in a retired live format: the
-	// open fails saying so, without bootstrapping a corpus over the log
-	// and without touching a file of the directory.
-	dir := t.TempDir()
-	pol := LivePolicy{Manual: true}
-	users := TaxiTrips(NewYorkCity(), 40, 41)
-	lv, err := OpenIndex(WALOptions{Dir: dir}, pol, func() (*Index, error) {
-		return NewIndex(users[:30], IndexOptions{Shards: 2, Policy: pol})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range users[30:] {
-		if err := lv.Insert(u); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := lv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ckpts, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.tqlive"))
-	if err != nil || len(ckpts) != 1 {
-		t.Fatalf("checkpoints %v, %v; want one", ckpts, err)
-	}
-	data, err := os.ReadFile(ckpts[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(data, "TQLIVE01")
-	if err := os.WriteFile(ckpts[0], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	files := func() map[string]string {
-		t.Helper()
-		ents, err := os.ReadDir(dir)
+	// A WAL directory whose checkpoint is in a retired format: the open
+	// fails saying so, without bootstrapping a corpus over the log and
+	// without touching a file of the directory.
+	for _, retired := range []string{"TQLIVE01", "TQSNAP04", "TQSHRD03"} {
+		dir := t.TempDir()
+		pol := LivePolicy{Manual: true}
+		users := TaxiTrips(NewYorkCity(), 40, 41)
+		lv, err := OpenIndex(WALOptions{Dir: dir}, pol, func() (*Index, error) {
+			return NewIndex(users[:30], IndexOptions{Shards: 2, Policy: pol})
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := map[string]string{}
-		for _, e := range ents {
-			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		for _, u := range users[30:] {
+			if err := lv.Insert(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := lv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ckpts, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.tqlive"))
+		if err != nil || len(ckpts) != 1 {
+			t.Fatalf("checkpoints %v, %v; want one", ckpts, err)
+		}
+		data, err := os.ReadFile(ckpts[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(data, retired)
+		if err := os.WriteFile(ckpts[0], data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		files := func() map[string]string {
+			t.Helper()
+			ents, err := os.ReadDir(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out[e.Name()] = string(b)
+			out := map[string]string{}
+			for _, e := range ents {
+				b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[e.Name()] = string(b)
+			}
+			return out
 		}
-		return out
-	}
-	before := files()
-	if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg")); len(segs) == 0 {
-		t.Fatalf("no WAL segment beside the checkpoint: %d files", len(before))
-	}
-	_, err = OpenIndex(WALOptions{Dir: dir}, pol, func() (*Index, error) {
-		t.Error("bootstrap called over a WAL directory with a checkpoint")
-		return nil, errors.New("bootstrap called")
-	})
-	if want := says("TQLIVE01"); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), want) {
-		t.Errorf("OpenIndex over a TQLIVE01 checkpoint: err = %v, want ErrBadSnapshot saying %q", err, want)
-	}
-	if after := files(); !reflect.DeepEqual(before, after) {
-		t.Errorf("the failed open changed the WAL directory: %d files before, %d after", len(before), len(after))
+		before := files()
+		if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg")); len(segs) == 0 {
+			t.Fatalf("no WAL segment beside the checkpoint: %d files", len(before))
+		}
+		_, err = OpenIndex(WALOptions{Dir: dir}, pol, func() (*Index, error) {
+			t.Error("bootstrap called over a WAL directory with a checkpoint")
+			return nil, errors.New("bootstrap called")
+		})
+		if want := says(retired); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), want) {
+			t.Errorf("OpenIndex over a %s checkpoint: err = %v, want ErrBadSnapshot saying %q", retired, err, want)
+		}
+		if after := files(); !reflect.DeepEqual(before, after) {
+			t.Errorf("the failed open of a %s checkpoint changed the WAL directory: %d files before, %d after", retired, len(before), len(after))
+		}
 	}
 }

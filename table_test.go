@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"runtime"
@@ -195,10 +194,11 @@ func TestIndexHeapPerTrajectory(t *testing.T) {
 // table no offset or length column, so its Bytes are the node and bucket
 // columns and 36 bytes a trajectory (ID, two points) while it is only
 // read, 40 once a Lookup has built the by-ID permutation; and its
-// TQSNAP04 file is the magic, the 13-word payload header, those columns
-// without the lookup permutation, the offsets and lengths the file still
-// records, the endpoints (32 bytes an entry), the pads after the 4-byte
-// column groups, and the CRC.
+// TQLIVE02 file is the container around one frame, the 13-word payload
+// header, those columns without the lookup permutation, the offsets and
+// lengths the file still records, the endpoints (32 bytes an entry), the
+// pads after the 4-byte column groups, and the frame's empty tombstone
+// and delta sections.
 func assertTwoPointBytes(t *testing.T, fz *Index) {
 	t.Helper()
 	f := fz.s.Base(0)
@@ -226,14 +226,19 @@ func assertTwoPointBytes(t *testing.T, fz *Index) {
 	nn, nb, nt, np := uint64(len(c.NodeRect)), uint64(len(c.BktMinStart)), uint64(f.Table().Len()), uint64(f.Table().TotalPoints())
 	pads := pad8(4*(3*nn+1)) + pad8(4*(nn+nb+2)) + pad8(4*(2*nt+1))
 	table := 4*nt + 4*(nt+1) + 8*nt + 16*np
-	file := 8 + 13*8 + 2*point*uint64(f.NumEntries()) + uint64(nodesAndBuckets) + table + pads + 4
+	// The container: magic, shard count, kind length and "hash", header
+	// CRC and pad, the frame's length, and after its payload its CRC and
+	// pad. Nothing pending: a tombstone count, the delta's row and point
+	// counts, and its one offset padded to 8.
+	const container, pending = 8 + 8 + 8 + 8 + 8 + 8, 8 + 16 + 8
+	file := container + 13*8 + 2*point*uint64(f.NumEntries()) + uint64(nodesAndBuckets) + table + pads + pending
 	var buf bytes.Buffer
-	if err := fz.WriteFrozenSnapshot(&buf); err != nil {
+	if err := fz.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if uint64(buf.Len()) != file {
-		t.Fatalf("TwoPoint snapshot is %d bytes, want %d: 112 of magic and header + 32 × %d entries + %d of node and bucket columns + %d of table columns + %d of pads + 4 of CRC",
-			buf.Len(), file, f.NumEntries(), nodesAndBuckets, table, pads)
+		t.Fatalf("TwoPoint snapshot is %d bytes, want %d: %d of container + 104 of header + 32 × %d entries + %d of node and bucket columns + %d of table columns + %d of pads + %d of empty tombstones and delta",
+			buf.Len(), file, container, f.NumEntries(), nodesAndBuckets, table, pads, pending)
 	}
 	t.Logf("TwoPoint snapshot: %.1f bytes per trajectory", float64(buf.Len())/float64(nt))
 }
@@ -254,9 +259,9 @@ func lookupBuilt(t *testing.T, what string, tab *trajectory.Table) bool {
 
 // TestReadsBuildNoLookup: only a write looks a trajectory up by ID, so
 // only a write builds a table's by-ID permutation. TopK, ServiceValues,
-// MaxCoverage, WriteSnapshot and WriteFrozenSnapshot on a two-shard
-// Index, and the heap and mapped restores of both its snapshots with the
-// same reads, leave every base table at 36 bytes a two-point trip; the
+// MaxCoverage and WriteSnapshot on a two-shard Index, and the heap and
+// mapped restores of its snapshot with the same reads, leave every base
+// table at 36 bytes a two-point trip; the
 // first Delete of an ID builds the permutation of the shard holding it.
 func TestReadsBuildNoLookup(t *testing.T) {
 	ny := NewYorkCity()
@@ -276,8 +281,8 @@ func TestReadsBuildNoLookup(t *testing.T) {
 		return out
 	}
 	// read runs every read on x, checks that none built a permutation,
-	// and returns x's live and frozen snapshots.
-	read := func(name string, x *Index) (live, frozen []byte) {
+	// and returns x's snapshot.
+	read := func(name string, x *Index) []byte {
 		t.Helper()
 		if _, err := x.TopK(routes, 3, q); err != nil {
 			t.Fatal(err)
@@ -288,11 +293,8 @@ func TestReadsBuildNoLookup(t *testing.T) {
 		if _, err := x.MaxCoverage(routes, 3, q, CoverageOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		var lb, fb bytes.Buffer
-		if err := x.WriteSnapshot(&lb); err != nil {
-			t.Fatal(err)
-		}
-		if err := x.WriteFrozenSnapshot(&fb); err != nil {
+		var buf bytes.Buffer
+		if err := x.WriteSnapshot(&buf); err != nil {
 			t.Fatal(err)
 		}
 		for i, tab := range tables(x) {
@@ -300,22 +302,20 @@ func TestReadsBuildNoLookup(t *testing.T) {
 				t.Fatalf("%s: reads built shard %d's lookup permutation", name, i)
 			}
 		}
-		return lb.Bytes(), fb.Bytes()
+		return buf.Bytes()
 	}
-	live, frozen := read("Index", idx)
-	for format, data := range map[string][]byte{"TQLIVE02": live, "TQSHRD03": frozen} {
-		heap, err := ReadLiveSnapshot(bytes.NewReader(data), pol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		read("ReadLiveSnapshot of "+format, heap)
-		path := writeTempSnapshot(t, "idx.snap", func(w *os.File) error { _, err := w.Write(data); return err })
-		mapped, err := OpenMappedLiveSnapshot(path, pol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		read("OpenMappedLiveSnapshot of "+format, mapped)
+	data := read("Index", idx)
+	heap, err := ReadLiveSnapshot(bytes.NewReader(data), pol)
+	if err != nil {
+		t.Fatal(err)
 	}
+	read("ReadLiveSnapshot", heap)
+	path := writeTempSnapshot(t, "idx.tqlive", func(w *os.File) error { _, err := w.Write(data); return err })
+	mapped, err := OpenMappedLiveSnapshot(path, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read("OpenMappedLiveSnapshot", mapped)
 
 	tabs := tables(idx)
 	if ok, err := idx.Delete(tabs[1].ID(0)); !ok || err != nil {
@@ -424,8 +424,9 @@ func TestTableBytesMultipoint(t *testing.T) {
 
 // TestSnapshotRoundTripEveryVariant: for every variant and ordering, over
 // two-point and multipoint trajectories, write → read → write is
-// byte-identical through the heap and mapped readers, frozen and live,
-// and every restore answers bit-identically to the index NewIndex built —
+// byte-identical through the heap and mapped readers, as built and with
+// writes pending, and every restore answers bit-identically to the index
+// NewIndex built —
 // a snapshot records the entry columns the variant holds, and the mapped
 // table aliases the columns the heap table holds copies of.
 func TestSnapshotRoundTripEveryVariant(t *testing.T) {
@@ -448,7 +449,7 @@ func TestSnapshotRoundTripEveryVariant(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				path := writeTempSnapshot(t, "frozen.tqsnap", func(w *os.File) error { return fz.WriteFrozenSnapshot(w) })
+				path := writeTempSnapshot(t, "built.tqlive", func(w *os.File) error { return fz.WriteSnapshot(w) })
 				orig, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatal(err)
@@ -464,7 +465,7 @@ func TestSnapshotRoundTripEveryVariant(t *testing.T) {
 				for what, x := range map[string]*Index{"heap": heap, "mapped": mapped} {
 					assertMappedAnswers(t, name+" "+what+" restore", fz, x)
 					var out bytes.Buffer
-					if err := x.WriteFrozenSnapshot(&out); err != nil {
+					if err := x.WriteSnapshot(&out); err != nil {
 						t.Fatal(err)
 					}
 					if !bytes.Equal(orig, out.Bytes()) {
@@ -488,7 +489,7 @@ func TestSnapshotRoundTripEveryVariant(t *testing.T) {
 					}
 				}
 				assertLiveRoundTrip(t, name, lv, pol)
-				// A restored frozen base too, once it holds a tombstone for
+				// A restored built index too, once it holds a tombstone for
 				// the compaction to fold.
 				if ok, err := heap.Delete(users[5].ID); err != nil || !ok {
 					t.Fatalf("Delete(%d) = %v, %v", users[5].ID, ok, err)
@@ -653,24 +654,38 @@ var hostileTrajectoryCases = []struct {
 
 func putU32(p []byte, at int, v uint32) { binary.LittleEndian.PutUint32(p[at:], v) }
 
-// framePayload locates the first frame's payload in a container image:
-// magic, shard count, kind, header CRC, pad; then the frame's length,
-// payload, CRC and pad.
-func framePayload(data []byte) (lo, hi int) {
+// framePayload locates frame i's payload in a snapshot image: after the
+// magic, shard count, kind, header CRC and pad, each frame is its
+// length, payload, CRC and pad.
+func framePayload(data []byte, i int) (lo, hi int) {
 	kl := int(binary.LittleEndian.Uint32(data[16:]))
 	lo = 20 + kl + 4 + int(pad8(uint64(kl))) + 8
-	return lo, lo + int(binary.LittleEndian.Uint64(data[lo-8:]))
+	for ; ; i-- {
+		hi = lo + int(binary.LittleEndian.Uint64(data[lo-8:]))
+		if i == 0 {
+			return lo, hi
+		}
+		lo = hi + 8 + 8
+	}
 }
 
 // hostileSnapshot is one forged image.
 type hostileSnapshot struct {
-	format, name string
-	data         []byte
+	image, name string
+	data        []byte
 }
 
-// hostileSnapshots forges every case into a valid TQSNAP04, one-shard
-// TQSHRD03 and one-shard TQLIVE02 image of its variant — a delta case
-// into the TQLIVE02 image only — checksums recomputed.
+// hostileImages are the images a case is forged into: an index written
+// with nothing pending, the same index with a delta pending — the only
+// image a delta case is forged into — and a two-shard index, forged in
+// its second frame.
+var hostileImages = []struct {
+	name  string
+	frame int
+}{{"1 shard", 0}, {"1 shard with a delta", 0}, {"2 shards", 1}}
+
+// hostileSnapshots forges every case into each of its hostileImages of
+// its variant, checksums recomputed.
 func hostileSnapshots(t testing.TB) (out []hostileSnapshot) {
 	t.Helper()
 	ny := NewYorkCity()
@@ -685,63 +700,56 @@ func hostileSnapshots(t testing.TB) (out []hostileSnapshot) {
 		if images[key] == nil {
 			images[key] = hostileBaseImages(t, corpus[c.multipoint], IndexOptions{Variant: c.variant, Ordering: ZOrdering})
 		}
-		for _, format := range []string{"TQSNAP04", "TQSHRD03", "TQLIVE02"} {
-			if c.delta && format != "TQLIVE02" {
+		for _, im := range hostileImages {
+			if c.delta && im.name != "1 shard with a delta" {
 				continue
 			}
-			d := bytes.Clone(images[key][format])
-			lo, hi := 8, len(d)-4
-			if format != "TQSNAP04" {
-				lo, hi = framePayload(d)
-			}
+			d := bytes.Clone(images[key][im.name])
+			lo, hi := framePayload(d, im.frame)
 			l := layoutOf(t, d[lo:hi])
 			if c.multipoint && l.np == 2*l.nt {
 				t.Fatalf("%s: the check-in base has no multipoint row", c.name)
 			}
 			c.forge(d[lo:hi], l)
-			if format == "TQSNAP04" {
-				binary.LittleEndian.PutUint32(d[hi:], crc32.ChecksumIEEE(d[:hi]))
-			} else {
-				binary.LittleEndian.PutUint32(d[hi:], crc32.ChecksumIEEE(d[lo:hi]))
-			}
-			out = append(out, hostileSnapshot{format, c.variant.String() + ": " + c.name, d})
+			binary.LittleEndian.PutUint32(d[hi:], crc32.ChecksumIEEE(d[lo:hi]))
+			out = append(out, hostileSnapshot{im.name, c.variant.String() + ": " + c.name, d})
 		}
 	}
 	return out
 }
 
-// hostileBaseImages writes one index over all but the last four users in
-// each format: a one-shard index as TQSNAP04 and as a one-frame TQSHRD03
-// container, then with the last four inserted as its delta as TQLIVE02.
+// hostileBaseImages writes the hostileImages of indexes over all but the
+// last four users: one shard, then with the last four inserted as its
+// delta, and two shards.
 func hostileBaseImages(t testing.TB, users []*Trajectory, opts IndexOptions) map[string][]byte {
 	t.Helper()
 	base, delta := users[:len(users)-4], users[len(users)-4:]
 	opts.Policy = LivePolicy{Manual: true}
+	images := map[string][]byte{}
+	write := func(name string, idx *Index) {
+		var buf bytes.Buffer
+		if err := idx.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		images[name] = buf.Bytes()
+	}
 	idx, err := NewIndex(base, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	images := map[string][]byte{}
-	write := func(format string, write func(io.Writer) error) {
-		var buf bytes.Buffer
-		if err := write(&buf); err != nil {
-			t.Fatal(err)
-		}
-		images[format] = buf.Bytes()
-	}
-	f := idx.s.Base(0)
-	write("TQSNAP04", idx.WriteFrozenSnapshot)
-	write("TQSHRD03", func(w io.Writer) error {
-		return writeContainer(w, shardedFrozenMagic, "hash", 1,
-			func(int) uint64 { return frozenPayloadSize(f) },
-			func(w io.Writer, _ int) error { return writeFrozenPayload(w, f) })
-	})
+	write("1 shard", idx)
 	for _, u := range delta {
 		if err := idx.Insert(u); err != nil {
 			t.Fatal(err)
 		}
 	}
-	write("TQLIVE02", idx.WriteSnapshot)
+	write("1 shard with a delta", idx)
+	opts.Shards = 2
+	two, err := NewIndex(base, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write("2 shards", two)
 	return images
 }
 
@@ -757,14 +765,10 @@ func hostileBaseImages(t testing.TB, users []*Trajectory, opts IndexOptions) map
 // reader copies the bytes or aliases them; neither panics or serves the
 // forgery's index.
 func TestSnapshotHostileTrajectorySection(t *testing.T) {
-	readers := map[string]snapshotFormat{}
-	for _, f := range snapshotFormats(t, 30) {
-		readers[f.name] = f
-	}
 	for _, h := range hostileSnapshots(t) {
-		for _, owner := range []string{"copy", "alias"} {
-			if _, err := readers[h.format].parse(h.data, owner); !errors.Is(err, ErrBadSnapshot) {
-				t.Errorf("%s, %s: %s reader returned %v, want ErrBadSnapshot", h.format, h.name, owner, err)
+		for _, owner := range snapshotOwners {
+			if _, err := parseSnapshot(h.name, h.data, owner); !errors.Is(err, ErrBadSnapshot) {
+				t.Errorf("%s, %s: %s reader returned %v, want ErrBadSnapshot", h.image, h.name, owner, err)
 			}
 		}
 	}
@@ -842,7 +846,7 @@ func TestLiveSnapshotRejectsBadTombstones(t *testing.T) {
 		{"id of no base trajectory", func(dead []byte) { binary.LittleEndian.PutUint32(dead[12:], uint32(users[25].ID)) }, false},
 	} {
 		d := bytes.Clone(buf.Bytes())
-		lo, hi := framePayload(d)
+		lo, hi := framePayload(d, 0)
 		c.forge(d[lo+int(frozenPayloadSize(fz)):])
 		binary.LittleEndian.PutUint32(d[hi:], crc32.ChecksumIEEE(d[lo:hi]))
 		_, herr := ReadLiveSnapshot(bytes.NewReader(d), LivePolicy{Manual: true})
@@ -869,7 +873,7 @@ func TestTwoPointAnswersMatchBruteForce(t *testing.T) {
 	routes := BusRoutes(ny, 24, 8, 17)
 	subjects := allFlavorsWith(t, users, IndexOptions{Ordering: ZOrdering}, 3)
 	fz := subjects[1]
-	path := writeTempSnapshot(t, "twopoint.tqsnap", func(w *os.File) error { return fz.WriteFrozenSnapshot(w) })
+	path := writeTempSnapshot(t, "twopoint.tqlive", func(w *os.File) error { return fz.WriteSnapshot(w) })
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
