@@ -1,14 +1,17 @@
-// Package mmap maps read-only snapshot files into memory and aliases
-// typed column slices directly onto the mapping, so a frozen index can
-// serve from the page cache instead of a heap restore.
+// Package mmap maps read-only snapshot files into memory, and holds the
+// one column codec: a snapshot column or an exchange frame's column is
+// its values' little-endian 4- or 8-byte words, so View lays a typed
+// slice over such bytes — in place on a mapping, where a frozen index
+// then serves from the page cache instead of a heap restore — and Bytes
+// gives a slice's bytes to write.
 //
 // Two independent fallbacks keep every platform correct:
 //
 //   - Platforms without mmap (no unix build tag) read the whole file
 //     into a heap buffer; callers see the same []byte either way.
-//   - Architectures where the on-disk little-endian layout cannot be
-//     aliased in place (big-endian, or a misaligned input slice) decode
-//     into fresh heap slices instead of casting.
+//   - Where a column cannot be aliased in place (a big-endian host, or a
+//     misaligned input slice) View copies it to the heap, reversing each
+//     word on a big-endian host, and Bytes copies it out the same way.
 //
 // Aliased slices are views into the mapping: they are valid only while
 // the Mapping is retained, and writing to them faults (PROT_READ). The

@@ -7,8 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"unsafe"
 
 	"github.com/trajcover/trajcover/internal/geo"
+	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
 func TestOpenAndRelease(t *testing.T) {
@@ -65,105 +67,152 @@ func TestOpenMissing(t *testing.T) {
 	}
 }
 
-// TestViewsMatchDecode pins every aliased view to the explicit
-// little-endian decode — on aliasing builds this proves the unsafe cast
-// reads the same values the portable path does.
-func TestViewsMatchDecode(t *testing.T) {
-	// 8-aligned backing buffer (make of []byte is at least 8-aligned for
-	// sizes >= 8 in practice; force it via a uint64 slice to be sure).
-	back := make([]uint64, 16)
-	b := make([]byte, 0, len(back)*8)
-	vals := []uint64{0, 1, 0xdeadbeefcafef00d, math.Float64bits(3.5), ^uint64(0)}
-	for _, v := range vals {
-		b = binary.LittleEndian.AppendUint64(b, v)
-	}
-	_ = back
+// column is one column of each type, reduced to bytes: its values'
+// memory, encoding/binary's little- and big-endian encodings of them, and
+// the codec's functions over it as bytes in and bytes out.
+type column struct {
+	name         string
+	mem, le, be  []byte
+	view         func([]byte) []byte // View's values, as their memory
+	bytes        func() []byte       // Bytes of the values
+	viewSwapped  func([]byte) []byte // the big-endian host's View, as memory
+	bytesSwapped func([]byte) []byte // the big-endian host's Bytes of View's values
+	aliased      func([]byte) bool   // whether View lays the values over b
+}
 
-	u := U64s(b)
-	for i, v := range vals {
-		if u[i] != v {
-			t.Fatalf("U64s[%d] = %x, want %x", i, u[i], v)
+func columnOf[T Column](t *testing.T, name string, vals []T) column {
+	encode := func(order binary.ByteOrder) []byte {
+		var buf bytes.Buffer
+		if err := binary.Write(&buf, order, vals); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		return buf.Bytes()
 	}
-	f := F64s(b[3*8 : 4*8])
-	if f[0] != 3.5 {
-		t.Fatalf("F64s = %v, want 3.5", f[0])
-	}
-
-	ib := binary.LittleEndian.AppendUint32(nil, 7)
-	ib = binary.LittleEndian.AppendUint32(ib, 0xffffffff)
-	i32 := I32s(ib)
-	if i32[0] != 7 || i32[1] != -1 {
-		t.Fatalf("I32s = %v, want [7 -1]", i32)
-	}
-	u32 := U32s[uint32](ib)
-	if u32[0] != 7 || u32[1] != 0xffffffff {
-		t.Fatalf("U32s = %v", u32)
-	}
-
-	var rb []byte
-	for _, v := range []float64{1, 2, 3, 4, -1, -2, -3, -4} {
-		rb = binary.LittleEndian.AppendUint64(rb, math.Float64bits(v))
-	}
-	rects := Rects(rb)
-	want := []geo.Rect{{MinX: 1, MinY: 2, MaxX: 3, MaxY: 4}, {MinX: -1, MinY: -2, MaxX: -3, MaxY: -4}}
-	for i := range want {
-		if rects[i] != want[i] {
-			t.Fatalf("Rects[%d] = %+v, want %+v", i, rects[i], want[i])
-		}
-	}
-	pts := Points(rb)
-	if len(pts) != 4 || pts[0] != (geo.Point{X: 1, Y: 2}) || pts[3] != (geo.Point{X: -3, Y: -4}) {
-		t.Fatalf("Points = %+v", pts)
+	return column{
+		name: name, mem: bytesOf(vals), le: encode(binary.LittleEndian), be: encode(binary.BigEndian),
+		view:         func(b []byte) []byte { return bytesOf(View[T](b)) },
+		bytes:        func() []byte { return Bytes(vals) },
+		viewSwapped:  func(b []byte) []byte { return bytesOf(viewSwapped[T](b)) },
+		bytesSwapped: func(b []byte) []byte { return bytesSwapped(viewSwapped[T](b)) },
+		aliased: func(b []byte) bool {
+			v := View[T](b)
+			return len(v) > 0 && unsafe.Pointer(unsafe.SliceData(v)) == unsafe.Pointer(unsafe.SliceData(b))
+		},
 	}
 }
 
-// TestMisalignedFallsBack feeds a deliberately misaligned slice and
-// checks the view still decodes correctly (via the copy path) instead of
-// panicking.
+// columns holds the six column types, their values chosen for their
+// bits: a uint32 of another name, -0.0, NaN payloads, extremes.
+func columns(t *testing.T) []column {
+	nan1, nan2 := math.Float64frombits(0x7ff8_0000_dead_beef), math.Float64frombits(0xfff0_0000_0000_0001)
+	negZero := math.Copysign(0, -1)
+	return []column{
+		columnOf(t, "uint64", []uint64{0, 1, 0xdeadbeefcafef00d, ^uint64(0)}),
+		columnOf(t, "trajectory.ID", []trajectory.ID{0, 7, 0x01020304, math.MaxUint32}),
+		columnOf(t, "int32", []int32{7, -1, math.MinInt32, math.MaxInt32}),
+		columnOf(t, "float64", []float64{0, negZero, nan1, nan2, math.Inf(-1), math.SmallestNonzeroFloat64, 3.5}),
+		columnOf(t, "geo.Rect", []geo.Rect{{MinX: 1, MinY: 2, MaxX: 3, MaxY: 4}, {MinX: negZero, MinY: nan1, MaxX: math.MaxFloat64, MaxY: math.Inf(-1)}}),
+		columnOf(t, "geo.Point", []geo.Point{{X: 1, Y: -2}, {X: negZero, Y: nan2}, {X: math.Pi, Y: 1e-300}}),
+	}
+}
+
+// at copies b to byte offset off of an 8-aligned buffer and returns the
+// copy.
+func at(b []byte, off int) []byte {
+	back := bytesOf(make([]uint64, (off+len(b))/8+1))
+	return back[off : off+copy(back[off:], b) : off+len(b)]
+}
+
+// TestViewsMatchDecode pins View to encoding/binary's little-endian
+// decode for every column type: aligned, it reads the values bit for bit,
+// laid over the bytes where this host aliases.
+func TestViewsMatchDecode(t *testing.T) {
+	for _, c := range columns(t) {
+		b := at(c.le, 0)
+		if got := c.view(b); !bytes.Equal(got, c.mem) {
+			t.Fatalf("View[%s] reads %x, want %x", c.name, got, c.mem)
+		}
+		if c.aliased(b) != ZeroCopy() {
+			t.Fatalf("View[%s] aliased %v, ZeroCopy %v", c.name, c.aliased(b), ZeroCopy())
+		}
+	}
+}
+
+// TestMisalignedFallsBack feeds every column at offsets no column type
+// is aligned to (and at 4, where only the 4-byte ones are): the view
+// takes the copy path and reads the same values instead of panicking.
 func TestMisalignedFallsBack(t *testing.T) {
-	raw := make([]byte, 8+1)
-	binary.LittleEndian.PutUint64(raw[1:], 42)
-	u := U64s(raw[1:])
-	if len(u) != 1 || u[0] != 42 {
-		t.Fatalf("U64s misaligned = %v, want [42]", u)
+	for _, c := range columns(t) {
+		for _, off := range []int{1, 3, 4, 7} {
+			b := at(c.le, off)
+			if got := c.view(b); !bytes.Equal(got, c.mem) {
+				t.Fatalf("View[%s] at offset %d reads %x, want %x", c.name, off, got, c.mem)
+			}
+			if c.aliased(b) && off%4 != 0 {
+				t.Fatalf("View[%s] aliased bytes at offset %d", c.name, off)
+			}
+		}
+		// A trailing remainder is not a value.
+		if got := c.view(append(at(c.le, 1), 0xEE)); !bytes.Equal(got, c.mem) {
+			t.Fatalf("View[%s] with a trailing byte reads %x, want %x", c.name, got, c.mem)
+		}
 	}
 }
 
 func TestEmptyViews(t *testing.T) {
-	if len(U64s(nil)) != 0 || len(I32s(nil)) != 0 || len(Rects(nil)) != 0 {
-		t.Fatal("empty input produced non-empty view")
+	for _, c := range columns(t) {
+		for _, b := range [][]byte{nil, {}, {1}} {
+			if len(c.view(b)) != 0 || len(c.viewSwapped(b)) != 0 || len(c.bytesSwapped(b)) != 0 {
+				t.Fatalf("View[%s] of %d bytes produced a value", c.name, len(b))
+			}
+		}
+	}
+	if View[geo.Rect](nil) == nil {
+		t.Fatal("View of no bytes is nil, want an empty column")
+	}
+	if len(Bytes[float64](nil)) != 0 || len(Bytes([]geo.Point{})) != 0 {
+		t.Fatal("Bytes of an empty column is not empty")
 	}
 }
 
-// TestAppendMatchesEncode pins the column writers to the explicit
-// little-endian encode, and the views to what they wrote: a column
+// TestAppendMatchesEncode pins Bytes to encoding/binary's little-endian
+// encode for every column type, and View to what it wrote: a column
 // appended at an odd offset (so the view takes the copy path) reads back
 // bit for bit.
 func TestAppendMatchesEncode(t *testing.T) {
-	vals := []float64{0, -0.0, 3.5, math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(-1)}
-	pts := []geo.Point{{X: 1, Y: -2}, {X: math.Pi, Y: 1e-300}, {X: -0.0, Y: 7}}
-	for _, prefix := range [][]byte{nil, {0xAA}, make([]byte, 8)} {
-		f := AppendF64s(append([]byte(nil), prefix...), vals)
-		if want := encodeF64s(append([]byte(nil), prefix...), vals); !bytes.Equal(f, want) {
-			t.Fatalf("AppendF64s after %d bytes = %x, want %x", len(prefix), f, want)
+	for _, c := range columns(t) {
+		if got := c.bytes(); !bytes.Equal(got, c.le) {
+			t.Fatalf("Bytes[%s] = %x, want %x", c.name, got, c.le)
 		}
-		for i, v := range F64s(f[len(prefix):]) {
-			if math.Float64bits(v) != math.Float64bits(vals[i]) {
-				t.Fatalf("F64s[%d] after %d bytes = %v, want %v", i, len(prefix), v, vals[i])
-			}
-		}
-		p := AppendPoints(append([]byte(nil), prefix...), pts)
-		if want := encodePoints(append([]byte(nil), prefix...), pts); !bytes.Equal(p, want) {
-			t.Fatalf("AppendPoints after %d bytes = %x, want %x", len(prefix), p, want)
-		}
-		for i, pt := range Points(p[len(prefix):]) {
-			if math.Float64bits(pt.X) != math.Float64bits(pts[i].X) || math.Float64bits(pt.Y) != math.Float64bits(pts[i].Y) {
-				t.Fatalf("Points[%d] after %d bytes = %v, want %v", i, len(prefix), pt, pts[i])
+		for _, prefix := range [][]byte{nil, {0xAA}, make([]byte, 8)} {
+			b := append(append([]byte(nil), prefix...), c.bytes()...)
+			if got := c.view(b[len(prefix):]); !bytes.Equal(got, c.mem) {
+				t.Fatalf("View[%s] after %d bytes reads %x, want %x", c.name, len(prefix), got, c.mem)
 			}
 		}
 	}
-	if got := AppendPoints([]byte{1}, nil); !bytes.Equal(got, []byte{1}) {
-		t.Fatalf("AppendPoints(nil) = %x", got)
+}
+
+// TestBigEndianPath drives the big-endian host's View and Bytes on any
+// host: reversing each word of a column's little-endian bytes must give
+// encoding/binary's big-endian encoding of the same values — the memory
+// a big-endian host reads them from — at every offset, and reversing it
+// again the little-endian bytes Bytes must write.
+func TestBigEndianPath(t *testing.T) {
+	for _, c := range columns(t) {
+		for _, off := range []int{0, 1, 4} {
+			b := at(c.le, off)
+			if got := c.viewSwapped(b); !bytes.Equal(got, c.be) {
+				t.Fatalf("swapped View[%s] at offset %d = %x, want %x", c.name, off, got, c.be)
+			}
+			if got := c.bytesSwapped(b); !bytes.Equal(got, c.le) {
+				t.Fatalf("swapped Bytes[%s] at offset %d = %x, want %x", c.name, off, got, c.le)
+			}
+		}
+	}
+	b := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}
+	swapWords(b, 4)
+	if !bytes.Equal(b, []byte{4, 3, 2, 1, 8, 7, 6, 5, 9}) {
+		t.Fatalf("swapWords by 4 = %v", b)
 	}
 }

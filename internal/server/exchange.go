@@ -55,10 +55,12 @@ package server
 //	    3  zero             u8
 //	    4  body             the JSON error document, to the end of the payload
 //
-// With the 8-byte frame header and the 32-byte head, the coordinate
-// column starts 8-aligned in any buffer that is, so mmap.Points aliases
-// it; a misaligned buffer (or a big-endian build) takes mmap's copying
-// fallback and decodes to the same facilities.
+// Every column is written and read by internal/mmap's one codec:
+// mmap.Bytes of the column, mmap.View over its bytes. With the 8-byte
+// frame header and the 32-byte head, the coordinate column starts
+// 8-aligned in any buffer that is, so mmap.View aliases it; a misaligned
+// buffer (or a big-endian build) takes View's copy and decodes to the
+// same facilities.
 //
 // This is not a public API: the frame layout may change with the
 // frontend, and the upgrade token names its version.
@@ -78,6 +80,7 @@ import (
 	"time"
 
 	trajcover "github.com/trajcover/trajcover"
+	"github.com/trajcover/trajcover/internal/geo"
 	"github.com/trajcover/trajcover/internal/mmap"
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
@@ -171,20 +174,14 @@ func AppendQueryFrame(dst []byte, t trajectory.FacilityTable, p QueryParams) []b
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(t.TotalStops()))
 	dst = binary.LittleEndian.AppendUint32(dst, 0)
-	for i := range n {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(t.ID(i)))
+	ids, off, stops := t.Columns()
+	dst = append(dst, mmap.Bytes(ids)...)
+	if off == nil {
+		off = []uint32{0} // the zero table's
 	}
-	off := uint32(0)
-	for i := range n {
-		dst = binary.LittleEndian.AppendUint32(dst, off)
-		off += uint32(len(t.Stops(i)))
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, off)
+	dst = append(dst, mmap.Bytes(off)...)
 	dst = binary.LittleEndian.AppendUint32(dst, 0)
-	for i := range n {
-		dst = mmap.AppendPoints(dst, t.Stops(i))
-	}
-	return dst
+	return append(dst, mmap.Bytes(stops)...)
 }
 
 // QueryFrame is a decoded query frame. Decode reuses its storage, so one
@@ -244,9 +241,9 @@ func (qf *QueryFrame) Decode(payload []byte) error {
 		return badRequestf("exchange: query frame sets reserved bits")
 	}
 	t, err := trajectory.NewFacilityTable(
-		mmap.U32s[trajectory.ID](payload[queryHeadLen:queryHeadLen+4*n]),
-		mmap.U32s[uint32](payload[queryHeadLen+4*n:columns-4]),
-		mmap.Points(payload[columns:]))
+		mmap.View[trajectory.ID](payload[queryHeadLen:queryHeadLen+4*n]),
+		mmap.View[uint32](payload[queryHeadLen+4*n:columns-4]),
+		mmap.View[geo.Point](payload[columns:]))
 	if err != nil {
 		return badRequestf("exchange: %v", err)
 	}
@@ -264,7 +261,7 @@ func (qf *QueryFrame) Decode(payload []byte) error {
 // AppendFloatsFrame appends the values frame holding vals, the reply to
 // the query of that ordinal.
 func AppendFloatsFrame(dst []byte, ordinal uint16, vals []float64) []byte {
-	return mmap.AppendF64s(appendFrameHeader(dst, FrameValues, ordinal, 8*len(vals)), vals)
+	return append(appendFrameHeader(dst, FrameValues, ordinal, 8*len(vals)), mmap.Bytes(vals)...)
 }
 
 // AppendErrorFrame appends the error frame carrying an HTTP error answer
@@ -322,7 +319,7 @@ func ReadReply(r io.Reader, buf []byte, n int, ordinal uint16) (vals []float64, 
 		return nil, true, err
 	}
 	if kind == FrameValues {
-		return mmap.F64s(payload), true, nil
+		return mmap.View[float64](payload), true, nil
 	}
 	if len(payload) < errorHeadLen {
 		return nil, true, badRequestf("exchange: error frame of %d bytes is shorter than its %d-byte head", len(payload), errorHeadLen)

@@ -54,6 +54,12 @@ func (t FacilityTable) Stops(i int) []geo.Point {
 	return t.stops[lo:hi:hi]
 }
 
+// Columns returns the table's three columns (read-only); the zero
+// table's offsets are nil.
+func (t FacilityTable) Columns() (ids []ID, off []uint32, stops []geo.Point) {
+	return t.ids, t.off, t.stops
+}
+
 // TotalStops returns the number of stops across the table.
 func (t FacilityTable) TotalStops() int { return len(t.stops) }
 

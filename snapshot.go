@@ -34,6 +34,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"unsafe"
 
 	"github.com/trajcover/trajcover/internal/geo"
 	"github.com/trajcover/trajcover/internal/mmap"
@@ -137,12 +138,25 @@ func (c *cursor) u64() uint64 {
 	return 0
 }
 
-// column takes n values of the given byte width off the cursor as a []T:
-// viewed where they sit under a pin (internal/mmap decodes to the heap by
-// itself where the host cannot alias), a copy of exactly n values
-// otherwise.
-func column[T any](c *cursor, n, width uint64, as func([]byte) []T) []T {
-	v := view(c, n, width, as)
+// align takes the zero pad that realigns the payload to 8 bytes after a
+// 4-byte column group.
+func (c *cursor) align() { c.take(pad8(uint64(c.off))) }
+
+// width returns the byte width of a T.
+func width[T mmap.Column]() uint64 {
+	var zero T
+	return uint64(unsafe.Sizeof(zero))
+}
+
+// pad8 returns the zero bytes needed to realign a stream to 8 after
+// size bytes.
+func pad8(size uint64) uint64 { return (8 - size%8) % 8 }
+
+// column takes n values of T off the cursor: viewed where they sit under
+// a pin (mmap.View copies by itself where the host cannot alias), a copy
+// of exactly n values otherwise.
+func column[T mmap.Column](c *cursor, n uint64) []T {
+	v := view[T](c, n)
 	if c.err == nil && c.pin == nil {
 		v = append(make([]T, 0, len(v)), v...)
 	}
@@ -152,25 +166,17 @@ func column[T any](c *cursor, n, width uint64, as func([]byte) []T) []T {
 // view is column viewed where the values sit under any owner, for a
 // column the parse checks and does not keep: the view is valid only
 // until the cursor's bytes are reused.
-func view[T any](c *cursor, n, width uint64, as func([]byte) []T) []T {
-	if c.err == nil && n > uint64(c.remaining())/width {
-		c.err = fmt.Errorf("%w: column of %d %d-byte values exceeds the %d bytes remaining", ErrBadSnapshot, n, width, c.remaining())
+func view[T mmap.Column](c *cursor, n uint64) []T {
+	w := width[T]()
+	if c.err == nil && n > uint64(c.remaining())/w {
+		c.err = fmt.Errorf("%w: column of %d %d-byte values exceeds the %d bytes remaining", ErrBadSnapshot, n, w, c.remaining())
 	}
-	b := c.take(n * width)
+	b := c.take(n * w)
 	if c.err != nil {
 		return nil
 	}
-	return as(b)
+	return mmap.View[T](b)
 }
-
-func (c *cursor) rects(n uint64) []geo.Rect   { return column(c, n, 32, mmap.Rects) }
-func (c *cursor) points(n uint64) []geo.Point { return column(c, n, 16, mmap.Points) }
-func (c *cursor) i32s(n uint64) []int32       { return column(c, n, 4, mmap.I32s) }
-func (c *cursor) f64s(n uint64) []float64     { return column(c, n, 8, mmap.F64s) }
-func (c *cursor) u64s(n uint64) []uint64      { return column(c, n, 8, mmap.U64s) }
-
-// pointView is points viewed under any owner (view).
-func (c *cursor) pointView(n uint64) []geo.Point { return view(c, n, 16, mmap.Points) }
 
 // table takes a trajectory section of nt rows and np points off the
 // cursor — four columns: IDs, offsets (nt+1 of them, zero-padded to 8
@@ -180,11 +186,11 @@ func (c *cursor) pointView(n uint64) []geo.Point { return view(c, n, 16, mmap.Po
 // 2·nt points has no multipoint row, and NewTable derives both from the
 // points, so there they are only viewed.
 func (c *cursor) table(nt, np uint64) (*trajectory.Table, error) {
-	ids := column(c, nt, 4, mmap.U32s[trajectory.ID])
-	off := view(c, nt+1, 4, mmap.U32s[uint32])
-	c.take(pad8(4 * (2*nt + 1)))
-	length := view(c, nt, 8, mmap.F64s)
-	points := c.points(np)
+	ids := column[trajectory.ID](c, nt)
+	off := view[uint32](c, nt+1)
+	c.align()
+	length := view[float64](c, nt)
+	points := column[geo.Point](c, np)
 	if c.err != nil {
 		return nil, c.err
 	}
@@ -242,28 +248,35 @@ const (
 )
 
 // writeLiveSnapshot writes a captured epoch set as a TQLIVE02 container:
-// the CRC'd header, then per shard its frame's length (livePayloadSize
-// returns exactly what writeLivePayload writes, so no frame is
-// buffered), the payload, its CRC and a pad. The pads keep every payload
-// 8-aligned in the file — the header is 24+len(kind) bytes, a frame
-// 8+payload+4+4 — because a mapped open aliases columns at file offsets.
+// the CRC'd header, then per shard its frame's length (what a counting
+// pass of the frame's writer counts, so no frame is buffered), the
+// payload, its CRC and a pad. The pads keep every payload 8-aligned in
+// the file — the header is 24+len(kind) bytes, a frame 8+payload+4+4 —
+// because a mapped open aliases columns at file offsets.
 func writeLiveSnapshot(w io.Writer, eps []*query.Epoch, kind string) error {
 	head := []byte(liveMagic)
 	head = binary.LittleEndian.AppendUint64(head, uint64(len(eps)))
 	head = binary.LittleEndian.AppendUint32(head, uint32(len(kind)))
 	head = append(head, kind...)
 	head = binary.LittleEndian.AppendUint32(head, crc32.ChecksumIEEE(head))
-	head = append(head, make([]byte, pad8(uint64(len(kind))))...)
+	head = append(head, zeros[:pad8(uint64(len(kind)))]...)
 	if _, err := w.Write(head); err != nil {
 		return err
 	}
 	for _, ep := range eps {
-		if err := binary.Write(w, binary.LittleEndian, livePayloadSize(ep)); err != nil {
+		s, err := shardFrameOf(ep)
+		if err != nil {
+			return err
+		}
+		var size frame
+		s.write(&size)
+		if err := binary.Write(w, binary.LittleEndian, size.n); err != nil {
 			return err
 		}
 		crc := crc32.NewIEEE()
-		if err := writeLivePayload(io.MultiWriter(w, crc), ep); err != nil {
-			return err
+		out := frame{w: io.MultiWriter(w, crc)}
+		if s.write(&out); out.err != nil {
+			return out.err
 		}
 		var trailer [8]byte // the CRC, then four zero pad bytes
 		binary.LittleEndian.PutUint32(trailer[:], crc.Sum32())

@@ -10,15 +10,19 @@ package trajcover
 // trajectory section: the four columns of
 // the trajectory.Table (IDs, point offsets, lengths, points) in ordinal
 // order (entry-slab first appearance, so entTraj values resolve by
-// position). The bytes on disk are the columns in memory. Restoring is
-// the CRC check, a copy or an aliasing of each column, and the structural
-// validation of trajectory.NewTable and tqtree.FrozenFromColumns — no
-// tree rebuild, no sorting but the check that the table's IDs are unique.
+// position). Every column, written and read, goes through internal/mmap's
+// one codec: the writer puts mmap.Bytes of each column, its memory as it
+// stands on a little-endian host, and the reader takes mmap.View of its
+// bytes. Restoring is the CRC check, a copy or an aliasing of each
+// column, and the structural validation of trajectory.NewTable and
+// tqtree.FrozenFromColumns — no tree rebuild, no sorting but the check
+// that the table's IDs are unique.
 //
 // Every multi-byte column starts at an offset that is a multiple of 8
-// from the payload start (zero pad bytes follow the 4-byte column groups
-// and the container headers/frames where needed), for the mapped open
-// (snapshot_mmap.go): 8-alignment lets the reader alias
+// from the payload start (after each 4-byte column group, frame.align
+// writes and cursor.align takes the zero pad the running byte count
+// calls for; the container pads its header and frames), for the mapped
+// open (snapshot_mmap.go): 8-alignment lets the reader alias
 // float64/uint64/Rect/Point columns directly onto a page-aligned file
 // mapping. Pad bytes are covered by the CRCs like any other payload byte.
 // The trajectory section records each trajectory's offset and length;
@@ -26,223 +30,142 @@ package trajcover
 // with no multipoint row keeps neither column (trajectory.NewTable).
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 
 	"github.com/trajcover/trajcover/internal/geo"
+	"github.com/trajcover/trajcover/internal/mmap"
 	"github.com/trajcover/trajcover/internal/service"
 	"github.com/trajcover/trajcover/internal/tqtree"
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
-// colWriter batches little-endian column writes through one buffer so a
-// whole payload costs a handful of Write calls per column instead of one
-// per value.
-type colWriter struct {
+// frame writes a frame's payload to w or, with w nil, only counts its
+// bytes: a frame's length prefix is what a counting pass over the code
+// that writes it counts. A stored column goes out as one Write of its
+// memory (mmap.Bytes); a derived one, which the payload records and the
+// index does not hold, is generated through a bounded scratch chunk, and
+// the counting pass only adds its size.
+type frame struct {
 	w   io.Writer
-	buf []byte
+	n   uint64 // bytes written or counted since the payload's start
 	err error
 }
 
-func newColWriter(w io.Writer) *colWriter {
-	return &colWriter{w: w, buf: make([]byte, 0, 1<<16)}
-}
-
-func (cw *colWriter) flushIfFull() {
-	if len(cw.buf) >= (1<<16)-16 {
-		cw.flush()
+func (f *frame) write(b []byte) {
+	f.n += uint64(len(b))
+	if f.w != nil && f.err == nil && len(b) > 0 {
+		_, f.err = f.w.Write(b)
 	}
 }
 
-func (cw *colWriter) flush() {
-	if cw.err == nil && len(cw.buf) > 0 {
-		_, cw.err = cw.w.Write(cw.buf)
+// zeros is the source of the pads.
+var zeros [8]byte
+
+// align writes the zero pad that realigns the payload to 8 bytes after a
+// 4-byte column group (cursor.align takes it).
+func (f *frame) align() { f.write(zeros[:pad8(f.n)]) }
+
+// put writes a stored column as it sits in memory.
+func put[T mmap.Column](f *frame, vs []T) {
+	if f.w == nil {
+		f.n += uint64(len(vs)) * width[T]()
+		return
 	}
-	cw.buf = cw.buf[:0]
+	f.write(mmap.Bytes(vs))
 }
 
-func (cw *colWriter) u64(v uint64) {
-	cw.buf = binary.LittleEndian.AppendUint64(cw.buf, v)
-	cw.flushIfFull()
-}
+// chunkLen bounds the scratch a derived column is generated through.
+const chunkLen = 4096
 
-func (cw *colWriter) u32(v uint32) {
-	cw.buf = binary.LittleEndian.AppendUint32(cw.buf, v)
-	cw.flushIfFull()
-}
-
-func (cw *colWriter) u64s(vs []uint64) {
-	for _, v := range vs {
-		cw.u64(v)
+// derive writes an n-value column through a scratch chunk, fill(dst,
+// lo) setting dst[i] to value lo+i, chunk after chunk in order; counting,
+// it calls fill for none.
+func derive[T mmap.Column](f *frame, n int, fill func(dst []T, lo int)) {
+	if f.w == nil {
+		f.n += uint64(n) * width[T]()
+		return
 	}
-}
-
-func (cw *colWriter) f64s(vs []float64) {
-	for _, v := range vs {
-		cw.u64(math.Float64bits(v))
-	}
-}
-
-// words writes a column of 4-byte values.
-func words[T ~int32 | ~uint32](cw *colWriter, vs []T) {
-	for _, v := range vs {
-		cw.u32(uint32(v))
-	}
-}
-
-func (cw *colWriter) rects(vs []geo.Rect) {
-	for _, r := range vs {
-		cw.u64(math.Float64bits(r.MinX))
-		cw.u64(math.Float64bits(r.MinY))
-		cw.u64(math.Float64bits(r.MaxX))
-		cw.u64(math.Float64bits(r.MaxY))
+	chunk := make([]T, min(n, chunkLen))
+	for lo := 0; lo < n; lo += len(chunk) {
+		dst := chunk[:min(len(chunk), n-lo)]
+		fill(dst, lo)
+		put(f, dst)
 	}
 }
 
-func (cw *colWriter) point(p geo.Point) {
-	cw.u64(math.Float64bits(p.X))
-	cw.u64(math.Float64bits(p.Y))
-}
-
-func (cw *colWriter) points(vs []geo.Point) {
-	for _, p := range vs {
-		cw.point(p)
-	}
-}
-
-// ends writes the EntFirst and EntLast columns of f, which a
-// whole-trajectory base does not hold: entry by entry, from EntryEnds.
-func (cw *colWriter) ends(f *tqtree.Frozen) {
-	ne := int32(f.NumEntries())
-	for e := range ne {
-		a, _ := f.EntryEnds(e)
-		cw.point(a)
-	}
-	for e := range ne {
-		_, b := f.EntryEnds(e)
-		cw.point(b)
-	}
-}
-
-// pad writes n zero bytes (n < 8; realigns the stream to 8 bytes after
-// a 4-byte column group).
-func (cw *colWriter) pad(n int) {
-	for i := 0; i < n; i++ {
-		cw.buf = append(cw.buf, 0)
-	}
-	cw.flushIfFull()
-}
-
-// table writes t as a trajectory section, the four columns cursor.table
-// reads; the row and point counts go in the header before it. The offsets
-// and lengths are written row by row from the table's accessors, which
-// derive them where the table holds neither.
-func (cw *colWriter) table(t *trajectory.Table) {
+// putTable writes t as a trajectory section, the four columns
+// cursor.table reads; the row and point counts go in the header before
+// it. The offsets and lengths are derived row by row from the table's
+// accessors, which compute them where the table holds neither.
+func putTable(f *frame, t *trajectory.Table) {
 	ids, points := t.Columns()
-	words(cw, ids)
+	put(f, ids)
 	var off uint32
-	cw.u32(off)
-	for i := range int32(len(ids)) {
-		off += uint32(t.NumPoints(i))
-		cw.u32(off)
-	}
-	cw.pad(i32Pad(2*uint64(len(ids)) + 1))
-	for i := range int32(len(ids)) {
-		cw.u64(math.Float64bits(t.Length(i)))
-	}
-	cw.points(points)
+	derive(f, len(ids)+1, func(dst []uint32, lo int) {
+		for i := range dst {
+			if row := lo + i; row > 0 {
+				off += uint32(t.NumPoints(int32(row - 1)))
+			}
+			dst[i] = off
+		}
+	})
+	f.align()
+	derive(f, len(ids), func(dst []float64, lo int) {
+		for i := range dst {
+			dst[i] = t.Length(int32(lo + i))
+		}
+	})
+	put(f, points)
 }
 
-// pad8 returns the zero bytes needed to realign a stream to 8 after
-// size bytes.
-func pad8(size uint64) uint64 { return (8 - size%8) % 8 }
-
-// i32Pad returns the pad after an n-value 4-byte column group.
-func i32Pad(n uint64) int { return int(pad8(4 * n)) }
-
-// tableSize is the encoded size of a trajectory section of nt rows and np
-// points.
-func tableSize(nt, np uint64) uint64 {
-	return 4*(2*nt+1) + pad8(4*(2*nt+1)) + 8*nt + 16*np
-}
-
-// frozenPayloadSize returns the exact encoded byte size of
-// writeFrozenPayload's output — the base's share of a frame's length
-// prefix (livePayloadSize), written without buffering the frame.
-func frozenPayloadSize(f *tqtree.Frozen) uint64 {
-	c := f.Columns()
-	nn := uint64(len(c.NodeRect))
-	nb := uint64(len(c.BktMinStart))
-	ne := uint64(f.NumEntries())
-	size := uint64(13 * 8)                            // header
-	size += nn * 32                                   // node rects
-	size += nn * 4 * 2                                // childBase, childCount
-	size += (nn + 1) * 4                              // entryOff
-	size += pad8(4 * (3*nn + 1))                      // realign after the int32 group
-	size += nn * 8 * 2 * uint64(service.NumScenarios) // ownUB + treeUB
-	if c.Ordering == tqtree.ZOrder {
-		size += (nn + 1) * 4            // bucketOff
-		size += (nb + 1) * 4            // bktEntryOff
-		size += pad8(4 * (nn + nb + 2)) // realign after the int32 group
-		size += nb * 8 * 2              // bktMinStart, bktMaxStart
-		size += nb * 32 * 3             // bucket MBRs
-	}
-	size += ne * 16 * 2                              // entFirst, entLast
-	size += 32 * uint64(len(c.EntMBR))               // where held
-	size += 4 * uint64(len(c.EntTraj)+len(c.EntSeg)) // where held: 8·ne bytes, 8-aligned
-	tab := f.Table()
-	return size + tableSize(uint64(tab.Len()), uint64(tab.TotalPoints()))
-}
-
-// writeFrozenPayload encodes the frozen index: a fixed header, the column
+// writeFrozenPayload writes the frozen index: a fixed header, the column
 // slices in fixed order, then the trajectory section.
-func writeFrozenPayload(w io.Writer, f *tqtree.Frozen) error {
-	c := f.Columns()
-	tab := f.Table()
-	cw := newColWriter(w)
-	cw.u64(uint64(c.Variant))
-	cw.u64(uint64(c.Ordering))
-	cw.u64(uint64(c.Beta))
-	cw.u64(uint64(c.MaxDepth))
-	cw.u64(math.Float64bits(c.Bounds.MinX))
-	cw.u64(math.Float64bits(c.Bounds.MinY))
-	cw.u64(math.Float64bits(c.Bounds.MaxX))
-	cw.u64(math.Float64bits(c.Bounds.MaxY))
-	cw.u64(uint64(len(c.NodeRect)))
-	cw.u64(uint64(len(c.BktMinStart)))
-	cw.u64(uint64(f.NumEntries()))
-	cw.u64(uint64(tab.Len()))
-	cw.u64(uint64(tab.TotalPoints()))
-
-	nn := uint64(len(c.NodeRect))
-	nb := uint64(len(c.BktMinStart))
-	cw.rects(c.NodeRect)
-	words(cw, c.ChildBase)
-	words(cw, c.ChildCount)
-	words(cw, c.EntryOff)
-	cw.pad(i32Pad(3*nn + 1))
-	cw.f64s(c.OwnUB)
-	cw.f64s(c.TreeUB)
+func writeFrozenPayload(f *frame, fz *tqtree.Frozen) {
+	c := fz.Columns()
+	tab := fz.Table()
+	put(f, []uint64{uint64(c.Variant), uint64(c.Ordering), uint64(c.Beta), uint64(c.MaxDepth)})
+	put(f, []geo.Rect{c.Bounds})
+	put(f, []uint64{uint64(len(c.NodeRect)), uint64(len(c.BktMinStart)), uint64(fz.NumEntries()), uint64(tab.Len()), uint64(tab.TotalPoints())})
+	put(f, c.NodeRect)
+	put(f, c.ChildBase)
+	put(f, c.ChildCount)
+	put(f, c.EntryOff)
+	f.align()
+	put(f, c.OwnUB)
+	put(f, c.TreeUB)
 	if c.Ordering == tqtree.ZOrder {
-		words(cw, c.BucketOff)
-		words(cw, c.BktEntryOff)
-		cw.pad(i32Pad(nn + nb + 2))
-		cw.u64s(c.BktMinStart)
-		cw.u64s(c.BktMaxStart)
-		cw.rects(c.BktStartMBR)
-		cw.rects(c.BktEndMBR)
-		cw.rects(c.BktFullMBR)
+		put(f, c.BucketOff)
+		put(f, c.BktEntryOff)
+		f.align()
+		put(f, c.BktMinStart)
+		put(f, c.BktMaxStart)
+		put(f, c.BktStartMBR)
+		put(f, c.BktEndMBR)
+		put(f, c.BktFullMBR)
 	}
-	cw.ends(f)
+	if c.EntFirst != nil {
+		put(f, c.EntFirst)
+		put(f, c.EntLast)
+	} else {
+		// A whole-trajectory base's endpoints are its table rows'.
+		derive(f, fz.NumEntries(), func(dst []geo.Point, lo int) {
+			for i := range dst {
+				dst[i], _ = fz.EntryEnds(int32(lo + i))
+			}
+		})
+		derive(f, fz.NumEntries(), func(dst []geo.Point, lo int) {
+			for i := range dst {
+				_, dst[i] = fz.EntryEnds(int32(lo + i))
+			}
+		})
+	}
 	// Nil where the variant does not hold them: nothing is written.
-	cw.rects(c.EntMBR)
-	words(cw, c.EntTraj)
-	words(cw, c.EntSeg)
-	cw.table(tab)
-	cw.flush()
-	return cw.err
+	put(f, c.EntMBR)
+	put(f, c.EntTraj)
+	put(f, c.EntSeg)
+	putTable(f, tab)
 }
 
 // readFrozenPayload decodes a frozen payload off the cursor and
@@ -285,35 +208,35 @@ func readFrozenPayload(cur *cursor) (*tqtree.Frozen, error) {
 		return nil, fmt.Errorf("%w: basic ordering with %d buckets", ErrBadSnapshot, nb)
 	}
 
-	c.NodeRect = cur.rects(nn)
-	c.ChildBase = cur.i32s(nn)
-	c.ChildCount = cur.i32s(nn)
-	c.EntryOff = cur.i32s(nn + 1)
-	cur.take(pad8(4 * (3*nn + 1)))
-	c.OwnUB = cur.f64s(nn * uint64(service.NumScenarios))
-	c.TreeUB = cur.f64s(nn * uint64(service.NumScenarios))
+	c.NodeRect = column[geo.Rect](cur, nn)
+	c.ChildBase = column[int32](cur, nn)
+	c.ChildCount = column[int32](cur, nn)
+	c.EntryOff = column[int32](cur, nn+1)
+	cur.align()
+	c.OwnUB = column[float64](cur, nn*uint64(service.NumScenarios))
+	c.TreeUB = column[float64](cur, nn*uint64(service.NumScenarios))
 	if c.Ordering == tqtree.ZOrder {
-		c.BucketOff = cur.i32s(nn + 1)
-		c.BktEntryOff = cur.i32s(nb + 1)
-		cur.take(pad8(4 * (nn + nb + 2)))
-		c.BktMinStart = cur.u64s(nb)
-		c.BktMaxStart = cur.u64s(nb)
-		c.BktStartMBR = cur.rects(nb)
-		c.BktEndMBR = cur.rects(nb)
-		c.BktFullMBR = cur.rects(nb)
+		c.BucketOff = column[int32](cur, nn+1)
+		c.BktEntryOff = column[int32](cur, nb+1)
+		cur.align()
+		c.BktMinStart = column[uint64](cur, nb)
+		c.BktMaxStart = column[uint64](cur, nb)
+		c.BktStartMBR = column[geo.Rect](cur, nb)
+		c.BktEndMBR = column[geo.Rect](cur, nb)
+		c.BktFullMBR = column[geo.Rect](cur, nb)
 	}
 	if c.Variant.HoldsEntryOrdinals() {
-		c.EntFirst, c.EntLast = cur.points(ne), cur.points(ne)
+		c.EntFirst, c.EntLast = column[geo.Point](cur, ne), column[geo.Point](cur, ne)
 	} else {
 		// Checked against the table and dropped: viewed under any owner.
-		c.EntFirst, c.EntLast = cur.pointView(ne), cur.pointView(ne)
+		c.EntFirst, c.EntLast = view[geo.Point](cur, ne), view[geo.Point](cur, ne)
 	}
 	if c.Variant.HoldsEntryMBRs() {
-		c.EntMBR = cur.rects(ne)
+		c.EntMBR = column[geo.Rect](cur, ne)
 	}
 	if c.Variant.HoldsEntryOrdinals() {
-		c.EntTraj = cur.i32s(ne)
-		c.EntSeg = cur.i32s(ne)
+		c.EntTraj = column[int32](cur, ne)
+		c.EntSeg = column[int32](cur, ne)
 	}
 	tab, err := cur.table(nt, np)
 	if err != nil {

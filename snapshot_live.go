@@ -7,7 +7,11 @@ package trajcover
 // background rebuilds keep running. Each shard's frame records the full
 // epoch state: the frozen base payload, the tombstone IDs (sorted, so
 // output is deterministic), and the delta trajectories as a trajectory
-// section like the base's.
+// section like the base's. The frame is written by one function,
+// shardFrame.write, twice: a counting pass gives the frame's length
+// prefix, then a pass that writes each column as it sits in memory
+// (snapshot_frozen.go's frame), so no frame is buffered and no size is
+// worked out by hand.
 //
 // Restoring reassembles the epochs verbatim — frozen columns copied or
 // aliased and bounds-checked, tombstones and delta revalidated against
@@ -19,51 +23,39 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/trajcover/trajcover/internal/mmap"
 	"github.com/trajcover/trajcover/internal/query"
+	"github.com/trajcover/trajcover/internal/tqtree"
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
 
-// livePayloadSize returns the exact encoded size of one epoch's frame
-// payload — used to length-prefix frames without buffering them.
-func livePayloadSize(ep *query.Epoch) uint64 {
-	size := frozenPayloadSize(ep.Base())
-	size += 8 + 4*uint64(ep.TombstoneCount())
-	size += pad8(4 * uint64(ep.TombstoneCount())) // realign after the u32 tombstones
-	np := 0
-	for _, u := range ep.Delta() {
-		np += u.Len()
-	}
-	return size + 16 + tableSize(uint64(len(ep.Delta())), uint64(np))
+// shardFrame is what one epoch's frame records beyond its base, built
+// once for both of the frame's passes: the sorted tombstone IDs and the
+// delta as a table.
+type shardFrame struct {
+	base  *tqtree.Frozen
+	dead  []trajectory.ID
+	delta *trajectory.Table
 }
 
-// writeLivePayload encodes one epoch: frozen base columns, sorted
-// tombstone IDs (padded back to 8-alignment), then the delta's row and
-// point counts and its trajectories in overlay order, as a trajectory
-// section.
-func writeLivePayload(w io.Writer, ep *query.Epoch) error {
-	if err := writeFrozenPayload(w, ep.Base()); err != nil {
-		return err
-	}
-	delta := ep.Delta()
-	tb := trajectory.NewTableBuilder(len(delta), 0)
-	for _, u := range delta {
+func shardFrameOf(ep *query.Epoch) (shardFrame, error) {
+	tb := trajectory.NewTableBuilder(len(ep.Delta()), 0)
+	for _, u := range ep.Delta() {
 		tb.Append(u)
 	}
-	tab, err := tb.Build()
-	if err != nil {
-		return err
-	}
-	dead := ep.TombstoneIDs()
-	cw := newColWriter(w)
-	cw.u64(uint64(len(dead)))
-	words(cw, dead)
-	cw.pad(i32Pad(uint64(len(dead))))
-	cw.u64(uint64(tab.Len()))
-	cw.u64(uint64(tab.TotalPoints()))
-	cw.table(tab)
-	cw.flush()
-	return cw.err
+	delta, err := tb.Build()
+	return shardFrame{base: ep.Base(), dead: ep.TombstoneIDs(), delta: delta}, err
+}
+
+// write writes one epoch's frame: frozen base columns, sorted tombstone
+// IDs (padded back to 8-alignment), then the delta's row and point counts
+// and its trajectories in overlay order, as a trajectory section.
+func (s shardFrame) write(f *frame) {
+	writeFrozenPayload(f, s.base)
+	put(f, []uint64{uint64(len(s.dead))})
+	put(f, s.dead)
+	f.align()
+	put(f, []uint64{uint64(s.delta.Len()), uint64(s.delta.TotalPoints())})
+	putTable(f, s.delta)
 }
 
 // readShardPayload decodes one shard's frame and reassembles its epoch:
@@ -81,8 +73,8 @@ func readShardPayload(c *cursor) (*query.Epoch, error) {
 	if c.err == nil && nDead > uint64(f.NumTrajectories()) {
 		return nil, fmt.Errorf("%w: %d tombstones over %d base trajectories", ErrBadSnapshot, nDead, f.NumTrajectories())
 	}
-	dead := column(c, nDead, 4, mmap.U32s[trajectory.ID])
-	c.take(pad8(4 * nDead))
+	dead := column[trajectory.ID](c, nDead)
+	c.align()
 	nDelta, np := c.u64(), c.u64()
 	tab, err := c.table(nDelta, np)
 	if err != nil {

@@ -1,13 +1,12 @@
 package trajcover
 
 // Mapped snapshot restore. OpenMappedLiveSnapshot maps a TQLIVE02 file
-// and aliases the frozen column slices (node rects, upper-bound columns, bucket and
-// entry slabs, the trajectory table's four columns) directly onto the
-// mapping via
-// internal/mmap — a restore that costs one CRC pass plus the structural
-// validation, no per-point work and no column copies (on little-endian
-// hosts; elsewhere the views decode into heap and everything below still
-// holds). The OS pages the columns in and out on demand, so one process
+// and aliases the frozen column slices (node rects, upper-bound columns,
+// bucket and entry slabs, the trajectory table's four columns) directly
+// onto the mapping with mmap.View — a restore that costs one CRC pass
+// plus the structural validation, no per-point work and no column copies
+// (on little-endian hosts; elsewhere View copies each column to the heap,
+// its words reversed, and everything below still holds). The OS pages the columns in and out on demand, so one process
 // can serve snapshots larger than RAM and restarts touch only the pages a
 // query walks.
 //

@@ -836,6 +836,8 @@ func TestLiveSnapshotRejectsBadTombstones(t *testing.T) {
 	if err := writeLiveSnapshot(&buf, []*query.Epoch{ep}, shard.Hash{}.Kind()); err != nil {
 		t.Fatal(err)
 	}
+	var base frame // counts the frame's base payload, which the tombstones follow
+	writeFrozenPayload(&base, fz)
 	for _, c := range []struct {
 		name  string
 		forge func(dead []byte) // the tombstone section: count, then u32 IDs
@@ -847,7 +849,7 @@ func TestLiveSnapshotRejectsBadTombstones(t *testing.T) {
 	} {
 		d := bytes.Clone(buf.Bytes())
 		lo, hi := framePayload(d, 0)
-		c.forge(d[lo+int(frozenPayloadSize(fz)):])
+		c.forge(d[lo+int(base.n):])
 		binary.LittleEndian.PutUint32(d[hi:], crc32.ChecksumIEEE(d[lo:hi]))
 		_, herr := ReadLiveSnapshot(bytes.NewReader(d), LivePolicy{Manual: true})
 		path := writeTempSnapshot(t, "live.tqlive", func(w *os.File) error { _, err := w.Write(d); return err })
