@@ -5,11 +5,11 @@
 // adapted to trajectory records and the CRC framing idiom of the
 // snapshot formats.
 //
-// Layout: a WAL directory holds numbered segment files
-//
-//	wal-00000001.seg
-//	wal-00000002.seg
-//	...
+// Layout: a WAL directory holds numbered segment files (wal-00000001.seg,
+// wal-00000002.seg, ...) and the checkpoints that cut them
+// (checkpoint-00000002.tqlive covers every segment below 2). This package
+// alone names, lists, scans, repairs and removes them, all through
+// Options.FS.
 //
 // Each segment starts with an 16-byte header (8-byte magic "TQWAL001",
 // uint64 segment index) followed by records framed as
@@ -20,11 +20,14 @@
 // encoding shared with the snapshot formats (uint32 id, uint32 npts,
 // float64 x/y pairs) for inserts, or a uint32 id for deletes.
 //
-// Recovery contract (the torn-tail rule): a truncated or CRC-corrupt
-// FINAL record of the FINAL segment is a torn tail — the crash landed
-// mid-append — and is silently dropped. Any earlier framing or CRC
-// failure means bytes the log previously claimed durable are gone, and
-// replay fails hard rather than serving a silently wrong corpus.
+// Recovery contract (the torn-tail rule): a truncated header, frame or
+// payload, an implausible length, a CRC mismatch or an undecodable
+// record with nothing after it in the FINAL segment is a torn tail —
+// the crash landed mid-append — and is silently dropped. The same
+// damage anywhere else means bytes the log claimed durable are gone,
+// and replay fails hard with ErrCorrupt. A failed read is neither. One
+// scanner applies this rule for Replay and for Open's repair, so a
+// reopened log replays what it replayed before.
 //
 // Write path: appends are serialized by the caller (the live index's
 // writer lock), buffered, and made durable per the configured
@@ -46,7 +49,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,8 +120,9 @@ type Options struct {
 	// SegmentBytes rotates to a fresh segment once the current one
 	// grows past this size (<= 0: 64 MiB).
 	SegmentBytes int64
-	// FS is the filesystem all segment IO goes through (nil: the real
-	// OS). Tests inject a faultfs.Injector here to script disk faults.
+	// FS is the filesystem all segment and checkpoint IO goes through
+	// (nil: the real OS). Tests inject a faultfs.Injector here to script
+	// disk faults.
 	FS faultfs.FS
 }
 
@@ -205,68 +211,86 @@ type Log struct {
 	maxFsync atomic.Int64
 }
 
-// segmentName formats a segment file name.
-func segmentName(idx uint64) string { return fmt.Sprintf("wal-%08d.seg", idx) }
+// fileKind is one numbered file family of a WAL directory.
+type fileKind struct{ prefix, suffix string }
 
-// parseSegmentName inverts segmentName; ok is false for foreign files.
-func parseSegmentName(name string) (uint64, bool) {
-	var idx uint64
-	if _, err := fmt.Sscanf(name, "wal-%d.seg", &idx); err != nil {
-		return 0, false
-	}
-	if name != segmentName(idx) {
-		return 0, false
-	}
-	return idx, true
+var (
+	segmentFile    = fileKind{"wal-", ".seg"}
+	checkpointFile = fileKind{"checkpoint-", ".tqlive"}
+)
+
+// name formats the file of index idx.
+func (k fileKind) name(idx uint64) string {
+	return fmt.Sprintf("%s%08d%s", k.prefix, idx, k.suffix)
 }
 
-// ListSegments returns the live segment indexes in dir, sorted.
-func ListSegments(dir string) ([]uint64, error) {
-	return listSegments(faultfs.OS, dir)
+// parse inverts name; ok is false for foreign files.
+func (k fileKind) parse(name string) (idx uint64, ok bool) {
+	digits, hasPrefix := strings.CutPrefix(name, k.prefix)
+	digits, hasSuffix := strings.CutSuffix(digits, k.suffix)
+	idx, err := strconv.ParseUint(digits, 10, 64)
+	return idx, hasPrefix && hasSuffix && err == nil && name == k.name(idx)
 }
 
-func listSegments(fsys faultfs.FS, dir string) ([]uint64, error) {
+// listing is one read of a WAL directory: its segment and checkpoint
+// indexes, ascending, and the names of abandoned checkpoint .tmp files.
+type listing struct {
+	segs, ckpts []uint64
+	tmps        []string
+}
+
+func listDir(fsys faultfs.FS, dir string) (listing, error) {
 	ents, err := fsys.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return listing{}, err
 	}
-	var segs []uint64
+	var ls listing
 	for _, e := range ents {
-		if idx, ok := parseSegmentName(e.Name()); ok {
-			segs = append(segs, idx)
+		name := e.Name()
+		base, isTmp := strings.CutSuffix(name, ".tmp")
+		if idx, ok := segmentFile.parse(name); ok {
+			ls.segs = append(ls.segs, idx)
+		} else if cut, ok := checkpointFile.parse(base); ok && isTmp {
+			ls.tmps = append(ls.tmps, name)
+		} else if ok {
+			ls.ckpts = append(ls.ckpts, cut)
 		}
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	return segs, nil
+	slices.Sort(ls.segs)
+	slices.Sort(ls.ckpts)
+	return ls, nil
+}
+
+// LatestCheckpoint returns the path and cut of the newest checkpoint in
+// dir, or path "" when there is none.
+func LatestCheckpoint(fsys faultfs.FS, dir string) (path string, cut uint64, err error) {
+	ls, err := listDir(fsys, dir)
+	if err != nil || len(ls.ckpts) == 0 {
+		return "", 0, err
+	}
+	cut = ls.ckpts[len(ls.ckpts)-1]
+	return filepath.Join(dir, checkpointFile.name(cut)), cut, nil
 }
 
 // Replay reads every record of every segment in dir in order, calling
-// apply for each. A torn tail (truncated or CRC-corrupt final record of
-// the final segment) is reported via torn and otherwise ignored; any
-// earlier failure returns ErrCorrupt. A directory with no segments
-// replays zero records.
+// apply for each. A torn tail is reported via torn and otherwise
+// ignored; any earlier damage returns ErrCorrupt. A directory with no
+// segments replays zero records.
 func Replay(dir string, apply func(Record) error) (n int, torn bool, err error) {
-	return ReplayFrom(dir, 0, apply)
+	return ReplayFrom(faultfs.OS, dir, 0, apply)
 }
 
-// ReplayFrom is Replay restricted to segments with index >= from — the
-// recovery path after a checkpoint cut at `from`: pre-cut segments are
-// covered by the checkpoint snapshot (they linger only when a crash hit
-// between the checkpoint rename and the segment removal) and are
-// skipped. A positive `from` must name an existing segment: the cut
-// segment is created by the checkpoint's rotation and only ever removed
-// by a LATER checkpoint, so its absence means lost history.
-func ReplayFrom(dir string, from uint64, apply func(Record) error) (n int, torn bool, err error) {
-	all, err := ListSegments(dir)
+// ReplayFrom is Replay through fsys from segment `from` on — the
+// recovery path after a checkpoint cut at `from`, which covers any
+// lingering earlier segment. A positive `from` must name an existing
+// segment: the checkpoint's rotation created it and only a LATER
+// checkpoint removes it, so its absence means lost history.
+func ReplayFrom(fsys faultfs.FS, dir string, from uint64, apply func(Record) error) (n int, torn bool, err error) {
+	ls, err := listDir(fsys, dir)
 	if err != nil {
 		return 0, false, err
 	}
-	segs := all[:0:0]
-	for _, idx := range all {
-		if idx >= from {
-			segs = append(segs, idx)
-		}
-	}
+	segs := ls.segs[sortedSearch(ls.segs, from):]
 	if from > 0 && (len(segs) == 0 || segs[0] != from) {
 		return 0, false, fmt.Errorf("%w: checkpoint cut segment %d missing", ErrCorrupt, from)
 	}
@@ -274,100 +298,204 @@ func ReplayFrom(dir string, from uint64, apply func(Record) error) (n int, torn 
 		if i > 0 && idx != segs[i-1]+1 {
 			return n, false, fmt.Errorf("%w: segment gap %d -> %d", ErrCorrupt, segs[i-1], idx)
 		}
-		final := i == len(segs)-1
-		sn, st, err := replaySegment(filepath.Join(dir, segmentName(idx)), idx, final, apply)
+		sn, _, st, err := scanFile(fsys, dir, idx, i == len(segs)-1, apply)
 		n += sn
 		if err != nil {
 			return n, false, err
 		}
-		if st {
-			torn = true
-		}
+		torn = st
 	}
 	return n, torn, nil
 }
 
-// replaySegment reads one segment. final marks the last live segment —
-// the only place a torn tail is legal.
-func replaySegment(path string, idx uint64, final bool, apply func(Record) error) (int, bool, error) {
-	f, err := os.Open(path)
+// sortedSearch is the first position in ascending s holding >= v.
+func sortedSearch(s []uint64, v uint64) int {
+	i, _ := slices.BinarySearch(s, v)
+	return i
+}
+
+// scanFile opens segment idx of dir through fsys and scans it.
+func scanFile(fsys faultfs.FS, dir string, idx uint64, final bool, apply func(Record) error) (n int, good int64, torn bool, err error) {
+	f, err := faultfs.Open(fsys, filepath.Join(dir, segmentFile.name(idx)))
 	if err != nil {
-		return 0, false, err
+		return 0, 0, false, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
+	return scanSegment(f, idx, final, apply)
+}
 
-	var hdr [16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		// Even the header is torn-tail territory: a crash can die between
-		// creating a rotated segment and writing its header.
-		if final {
-			return 0, true, nil
+// scanSegment is the one walk of the segment format, shared by replay
+// and Open's tail repair; it applies the torn-tail rule (package
+// comment), final marking the last live segment. It calls apply (which
+// may be nil) for each record and returns the records read, the byte
+// offset just past the last record it accepted (0 when it accepted no
+// header), and whether it stopped at a torn tail. A read error other
+// than running out of bytes says nothing about the bytes on disk, so it
+// is returned as it is.
+func scanSegment(r io.Reader, idx uint64, final bool, apply func(Record) error) (n int, good int64, torn bool, err error) {
+	br := bufio.NewReaderSize(r, 1<<16)
+	// stop ends the scan at a defect; rest is io.EOF when nothing
+	// follows the defect, nil when bytes do, or the read error.
+	stop := func(rest error, format string, args ...any) (int, int64, bool, error) {
+		switch {
+		case rest == io.EOF && final:
+			return n, good, true, nil
+		case rest != nil && rest != io.EOF:
+			return n, good, false, rest
 		}
-		return 0, false, fmt.Errorf("%w: segment %d: truncated header", ErrCorrupt, idx)
+		return n, good, false, fmt.Errorf("%w: segment %d: %s", ErrCorrupt, idx, fmt.Sprintf(format, args...))
+	}
+	var hdr [16]byte
+	if err := fill(br, hdr[:]); err != nil {
+		// A crash can die between creating a rotated segment and
+		// writing its header.
+		return stop(err, "truncated header")
 	}
 	if [8]byte(hdr[:8]) != Magic {
-		return 0, false, fmt.Errorf("%w: segment %d: bad magic", ErrCorrupt, idx)
+		return stop(nil, "bad magic")
 	}
 	if got := binary.LittleEndian.Uint64(hdr[8:]); got != idx {
-		return 0, false, fmt.Errorf("%w: segment %d: header names segment %d", ErrCorrupt, idx, got)
+		return stop(nil, "header names segment %d", got)
 	}
-
-	n := 0
+	good = int64(len(hdr))
+	var frame [8]byte
+	var payload []byte // reused: decodeRecord copies what it keeps
 	for {
-		var frame [8]byte
-		if _, err := io.ReadFull(br, frame[:]); err != nil {
+		if err := peek(br); err != nil {
 			if err == io.EOF {
-				return n, false, nil // clean end of segment
+				err = nil // clean end of segment
 			}
-			// Partial frame header.
-			if final {
-				return n, true, nil
-			}
-			return n, false, fmt.Errorf("%w: segment %d: truncated record frame after %d records", ErrCorrupt, idx, n)
+			return n, good, false, err
 		}
-		payloadLen := binary.LittleEndian.Uint32(frame[:4])
-		wantCRC := binary.LittleEndian.Uint32(frame[4:])
-		if payloadLen == 0 || payloadLen > maxRecordBytes {
-			if final && peekEOF(br) {
-				return n, true, nil // a torn length field at the very tail
-			}
-			return n, false, fmt.Errorf("%w: segment %d: implausible record length %d", ErrCorrupt, idx, payloadLen)
+		if err := fill(br, frame[:]); err != nil {
+			return stop(err, "truncated record frame after %d records", n)
 		}
-		payload := make([]byte, payloadLen)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			if final {
-				return n, true, nil
-			}
-			return n, false, fmt.Errorf("%w: segment %d: truncated record payload after %d records", ErrCorrupt, idx, n)
+		size := binary.LittleEndian.Uint32(frame[:4])
+		if size == 0 || size > maxRecordBytes {
+			return stop(peek(br), "implausible record length %d", size)
 		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			// A CRC failure is a tolerated torn tail only when it is the
-			// very last record on disk; a mismatch with more bytes behind
-			// it is corruption of data the log had claimed durable.
-			if final && peekEOF(br) {
-				return n, true, nil
-			}
-			return n, false, fmt.Errorf("%w: segment %d: record %d checksum mismatch", ErrCorrupt, idx, n)
+		payload = slices.Grow(payload[:0], int(size))[:size]
+		if err := fill(br, payload); err != nil {
+			return stop(err, "truncated record payload after %d records", n)
+		}
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[4:]) {
+			return stop(peek(br), "record %d checksum mismatch", n)
 		}
 		rec, err := decodeRecord(payload)
 		if err != nil {
-			if final && peekEOF(br) {
-				return n, true, nil
-			}
-			return n, false, fmt.Errorf("%w: segment %d: record %d: %v", ErrCorrupt, idx, n, err)
+			return stop(peek(br), "record %d: %v", n, err)
 		}
-		if err := apply(rec); err != nil {
-			return n, false, err
+		if apply != nil {
+			if err := apply(rec); err != nil {
+				return n, good, false, err
+			}
 		}
 		n++
+		good += int64(len(frame)) + int64(size)
 	}
 }
 
-// peekEOF reports whether the reader has no bytes left.
-func peekEOF(br *bufio.Reader) bool {
+// fill reads all of buf; running out of bytes, before or inside it, is io.EOF.
+func fill(br *bufio.Reader, buf []byte) error {
+	if _, err := io.ReadFull(br, buf); err != io.ErrUnexpectedEOF {
+		return err
+	}
+	return io.EOF
+}
+
+// peek is io.EOF when br is empty, nil when it is not, or the read error.
+func peek(br *bufio.Reader) error {
 	_, err := br.Peek(1)
-	return err == io.EOF
+	return err
+}
+
+// repairTail readies the final segment idx for appends and returns its
+// size. A read error leaves the file untouched. A scan that stopped at a
+// defect, torn or ErrCorrupt, cuts the file back to its last accepted
+// record, or removes it when no header was accepted (size 0: Open
+// reuses its index, so no gap is left).
+func repairTail(fsys faultfs.FS, dir string, idx uint64) (size int64, err error) {
+	_, good, torn, err := scanFile(fsys, dir, idx, true, nil)
+	if err != nil && !errors.Is(err, ErrCorrupt) {
+		return 0, err
+	}
+	if err == nil && !torn {
+		return good, nil
+	}
+	path := filepath.Join(dir, segmentFile.name(idx))
+	if good == 0 {
+		err = fsys.Remove(path)
+	} else {
+		err = fsys.Truncate(path, good)
+	}
+	if err == nil {
+		err = fsys.SyncDir(dir)
+	}
+	return good, err
+}
+
+// Checkpoint makes the checkpoint whose cut is segment cut durable:
+// write streams it into a .tmp file, which is fsynced and renamed into
+// place before the directory is fsynced. Then RemoveBefore(cut) drops
+// what it covers; a failure there does not undo the checkpoint. It
+// returns the checkpoint's path.
+func (l *Log) Checkpoint(cut uint64, write func(io.Writer) error) (string, error) {
+	path := filepath.Join(l.dir, checkpointFile.name(cut))
+	tmp := path + ".tmp"
+	f, err := faultfs.Create(l.fs, tmp)
+	if err != nil {
+		return "", err
+	}
+	bw := bufio.NewWriterSize(f, 1<<16)
+	err = write(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = l.fs.Rename(tmp, path)
+	}
+	if err == nil {
+		err = l.fs.SyncDir(l.dir)
+	}
+	if err != nil {
+		l.fs.Remove(tmp)
+		return "", err
+	}
+	return path, l.RemoveBefore(cut)
+}
+
+// RemoveBefore drops, from one listing of the directory, every segment
+// and every checkpoint below cut and every abandoned checkpoint .tmp
+// file — the truncation half of a checkpoint, called once the
+// checkpoint at cut is durable. The current segment always stays.
+func (l *Log) RemoveBefore(cut uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ls, err := listDir(l.fs, l.dir)
+	if err != nil {
+		return err
+	}
+	stale := ls.tmps
+	for _, idx := range ls.segs[:sortedSearch(ls.segs, min(cut, l.seg))] {
+		stale = append(stale, segmentFile.name(idx))
+		delete(l.segSizes, idx)
+	}
+	for _, c := range ls.ckpts[:sortedSearch(ls.ckpts, cut)] {
+		stale = append(stale, checkpointFile.name(c))
+	}
+	for _, name := range stale {
+		if err := l.fs.Remove(filepath.Join(l.dir, name)); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+	}
+	l.first = max(l.first, min(cut, l.seg))
+	return l.fs.SyncDir(l.dir)
 }
 
 // maxRecordBytes bounds one record so a corrupt length field fails fast
@@ -440,16 +568,16 @@ func decodeRecord(payload []byte) (Record, error) {
 
 // Open opens the log in dir for appending, creating the directory and
 // the first segment as needed. Existing segments are left in place —
-// replay them first with Replay — except a torn tail, which Open
-// truncates away so the next append lands on a clean record boundary.
-// Appends continue in a freshly rotated segment, never by seeking into
-// an old one: replayed bytes are immutable history.
+// replay them first with Replay — except the final one, which Open
+// repairs (repairTail) so the next append lands on a clean record
+// boundary. Appends continue in a freshly rotated segment, never by
+// seeking into an old one: replayed bytes are immutable history.
 func Open(dir string, opts Options) (*Log, error) {
 	opts = opts.withDefaults()
 	if err := opts.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	segs, err := listSegments(opts.FS, dir)
+	ls, err := listDir(opts.FS, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -457,30 +585,32 @@ func Open(dir string, opts Options) (*Log, error) {
 		dir:        dir,
 		opts:       opts,
 		fs:         opts.FS,
+		first:      1,
 		segSizes:   map[uint64]int64{},
 		stopTicker: make(chan struct{}),
 		tickerDone: make(chan struct{}),
 	}
 	l.scond = sync.NewCond(&l.smu)
 	next := uint64(1)
-	if len(segs) > 0 {
-		l.first = segs[0]
-		next = segs[len(segs)-1] + 1
-		for _, idx := range segs {
-			path := filepath.Join(dir, segmentName(idx))
-			if idx == segs[len(segs)-1] {
-				if err := truncateTornTail(opts.FS, path, idx); err != nil {
-					return nil, err
-				}
-			}
-			info, err := opts.FS.Stat(path)
+	if segs := ls.segs; len(segs) > 0 {
+		last := segs[len(segs)-1]
+		size, err := repairTail(opts.FS, dir, last)
+		if err != nil {
+			return nil, err
+		}
+		next = last
+		if size > 0 {
+			l.segSizes[last] = size
+			next = last + 1
+		}
+		for _, idx := range segs[:len(segs)-1] {
+			info, err := opts.FS.Stat(filepath.Join(dir, segmentFile.name(idx)))
 			if err != nil {
 				return nil, err
 			}
 			l.segSizes[idx] = info.Size()
 		}
-	} else {
-		l.first = next
+		l.first = segs[0]
 	}
 	if err := l.openSegment(next); err != nil {
 		return nil, err
@@ -493,57 +623,10 @@ func Open(dir string, opts Options) (*Log, error) {
 	return l, nil
 }
 
-// truncateTornTail scans the final segment and truncates it to the end
-// of its last intact record, so a torn append cannot shadow future
-// appends. Corruption before the tail is left for Replay to refuse.
-func truncateTornTail(fsys faultfs.FS, path string, idx uint64) error {
-	f, err := faultfs.Open(fsys, path)
-	if err != nil {
-		return err
-	}
-	good := int64(0)
-	br := bufio.NewReaderSize(f, 1<<16)
-	var hdr [16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err == nil && [8]byte(hdr[:8]) == Magic {
-		good = 16
-		for {
-			var frame [8]byte
-			if _, err := io.ReadFull(br, frame[:]); err != nil {
-				break
-			}
-			payloadLen := binary.LittleEndian.Uint32(frame[:4])
-			wantCRC := binary.LittleEndian.Uint32(frame[4:])
-			if payloadLen == 0 || payloadLen > maxRecordBytes {
-				break
-			}
-			payload := make([]byte, payloadLen)
-			if _, err := io.ReadFull(br, payload); err != nil {
-				break
-			}
-			if crc32.ChecksumIEEE(payload) != wantCRC {
-				break
-			}
-			good += 8 + int64(payloadLen)
-		}
-	}
-	f.Close()
-	info, err := fsys.Stat(path)
-	if err != nil {
-		return err
-	}
-	if info.Size() == good {
-		return nil
-	}
-	if err := fsys.Truncate(path, good); err != nil {
-		return err
-	}
-	return fsys.SyncDir(filepath.Dir(path))
-}
-
 // openSegment creates and syncs segment idx and makes it current.
 // Caller holds mu or has exclusive access.
 func (l *Log) openSegment(idx uint64) error {
-	path := filepath.Join(l.dir, segmentName(idx))
+	path := filepath.Join(l.dir, segmentFile.name(idx))
 	f, err := l.fs.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
@@ -756,27 +839,6 @@ func (l *Log) Rotate() (uint64, error) {
 		return 0, err
 	}
 	return l.seg, nil
-}
-
-// RemoveBefore deletes every segment with index < cut — the truncation
-// half of a checkpoint, called only after the checkpoint snapshot is
-// durable.
-func (l *Log) RemoveBefore(cut uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for idx := l.first; idx < cut && idx < l.seg; idx++ {
-		if err := l.fs.Remove(filepath.Join(l.dir, segmentName(idx))); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-		delete(l.segSizes, idx)
-	}
-	if cut > l.first {
-		l.first = cut
-		if l.first > l.seg {
-			l.first = l.seg
-		}
-	}
-	return l.fs.SyncDir(l.dir)
 }
 
 // Stats returns the log's counters.

@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
+	"os"
 	"testing"
 
 	"github.com/trajcover/trajcover/internal/faultfs"
@@ -173,4 +175,39 @@ func TestLogENOSPCRotation(t *testing.T) {
 	if err := l.Err(); err == nil {
 		t.Fatal("log must wedge after failed rotation")
 	}
+}
+
+// TestReopenReadFaultLeavesSegment: a read that fails while Open scans
+// the final segment says nothing about the bytes on disk, so Open
+// returns the error and leaves the segment as it was; a later replay
+// reads every durable record.
+func TestReopenReadFaultLeavesSegment(t *testing.T) {
+	dir := t.TempDir()
+	recs := testHistory(6)
+	appendAll(t, dir, Options{}, recs)
+	path := lastSegmentPath(t, dir)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := faultfs.NewInjector(nil, 1)
+	inj.Add(faultfs.Rule{Op: faultfs.OpRead, Path: "wal-", Nth: 1})
+	if l, err := Open(dir, Options{FS: inj}); !errors.Is(err, faultfs.ErrInjected) {
+		if l != nil {
+			l.Close()
+		}
+		t.Fatalf("Open under a read fault = %v, want the injected error", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("Open under a read fault rewrote the segment: %d bytes -> %d", len(before), len(after))
+	}
+	got, torn := collect(t, dir)
+	if torn {
+		t.Fatal("intact log reported torn")
+	}
+	assertRecordsEqual(t, recs, got)
 }

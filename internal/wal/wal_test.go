@@ -2,8 +2,10 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/trajcover/trajcover/internal/faultfs"
 	"github.com/trajcover/trajcover/internal/geo"
 	"github.com/trajcover/trajcover/internal/trajectory"
 )
@@ -129,10 +132,7 @@ func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
 	recs := testHistory(60)
 	appendAll(t, dir, Options{SegmentBytes: 512}, recs)
-	segs, err := ListSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	segs := listSegments(t, dir)
 	if len(segs) < 3 {
 		t.Fatalf("expected >= 3 segments at 512-byte budget, got %d", len(segs))
 	}
@@ -157,17 +157,24 @@ func TestReopenAppendsNewSegment(t *testing.T) {
 	assertRecordsEqual(t, recs, got)
 }
 
-// lastSegmentPath returns the path of the final live segment.
-func lastSegmentPath(t *testing.T, dir string) string {
+// listSegments returns the segment indexes in dir, ascending.
+func listSegments(t *testing.T, dir string) []uint64 {
 	t.Helper()
-	segs, err := ListSegments(dir)
+	ls, err := listDir(faultfs.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ls.segs
+}
+
+// lastSegmentPath returns the path of the final live segment.
+func lastSegmentPath(t *testing.T, dir string) string {
+	t.Helper()
+	segs := listSegments(t, dir)
 	if len(segs) == 0 {
 		t.Fatal("no segments")
 	}
-	return filepath.Join(dir, segmentName(segs[len(segs)-1]))
+	return filepath.Join(dir, segmentFile.name(segs[len(segs)-1]))
 }
 
 // TestTornTailTruncationTolerated: every truncation of the final
@@ -348,10 +355,7 @@ func TestRotateRemoveBefore(t *testing.T) {
 		t.Fatal("unexpected torn tail")
 	}
 	assertRecordsEqual(t, recs[12:], got)
-	segs, err := ListSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	segs := listSegments(t, dir)
 	if segs[0] != cut {
 		t.Fatalf("oldest segment %d, want cut %d", segs[0], cut)
 	}
@@ -468,14 +472,11 @@ func TestClosedLogRejectsAppends(t *testing.T) {
 func TestSegmentGapHardError(t *testing.T) {
 	dir := t.TempDir()
 	appendAll(t, dir, Options{SegmentBytes: 256}, testHistory(30))
-	segs, err := ListSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	segs := listSegments(t, dir)
 	if len(segs) < 3 {
 		t.Fatalf("need >= 3 segments, got %d", len(segs))
 	}
-	if err := os.Remove(filepath.Join(dir, segmentName(segs[1]))); err != nil {
+	if err := os.Remove(filepath.Join(dir, segmentFile.name(segs[1]))); err != nil {
 		t.Fatal(err)
 	}
 	_, _, rerr := Replay(dir, func(Record) error { return nil })
@@ -585,5 +586,56 @@ func TestReplayApplyErrorPropagates(t *testing.T) {
 	_, _, err := Replay(dir, func(Record) error { return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("replay error = %v, want %v", err, boom)
+	}
+}
+
+// TestReopenAgreesWithReplay: Open repairs a log the way replay reads
+// it. For each damaged tail that replay tolerates, replay returns the
+// same records with no error before and after an Open and Close.
+func TestReopenAgreesWithReplay(t *testing.T) {
+	recs := testHistory(8)
+	for _, tc := range []struct {
+		name string
+		tear func(t *testing.T, dir string)
+	}{
+		{"torn header on the next segment", func(t *testing.T, dir string) {
+			segs := listSegments(t, dir)
+			next := segs[len(segs)-1] + 1
+			if err := os.WriteFile(filepath.Join(dir, segmentFile.name(next)), Magic[:5], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"final record with a valid CRC that does not decode", func(t *testing.T, dir string) {
+			payload := []byte{byte(OpDelete), 1, 0}
+			frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+			frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+			f, err := os.OpenFile(lastSegmentPath(t, dir), os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(append(frame, payload...)); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			appendAll(t, dir, Options{}, recs)
+			tc.tear(t, dir)
+			before, _ := collect(t, dir)
+			assertRecordsEqual(t, recs, before)
+			l, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			after, _ := collect(t, dir)
+			assertRecordsEqual(t, before, after)
+		})
 	}
 }

@@ -14,21 +14,18 @@ package trajcover
 //
 // Checkpoint protocol: capture the per-shard epoch cut and rotate the
 // WAL in one critical section (so the new segment index is an exact
-// cut), stream the capture to checkpoint-<cut>.tqlive via tmp + rename
-// + directory fsync, then drop the pre-cut segments and older
-// checkpoint files. Writes keep flowing the whole time — only the
-// capture itself (microseconds) excludes them.
+// cut), then hand the capture to the log's Checkpoint, which writes it
+// into the WAL directory (tmp + fsync + rename + directory fsync) and
+// drops the pre-cut segments and older checkpoints. internal/wal owns
+// every file name in the directory. Writes keep flowing the whole time —
+// only the capture itself (microseconds) excludes them.
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -134,8 +131,9 @@ type WALOptions struct {
 	SyncEvery time.Duration
 	// SegmentBytes rotates segment files past this size (0: 64 MiB).
 	SegmentBytes int64
-	// FS is the filesystem all WAL and checkpoint IO goes through
-	// (nil: the real OS). Tests inject a fault injector here.
+	// FS is the filesystem all WAL and checkpoint IO goes through,
+	// boot-time replay included (nil: the real OS). Tests inject a fault
+	// injector here.
 	FS FS
 	// ProbeMin and ProbeMax bound the degraded-mode recovery probe's
 	// capped exponential backoff with jitter (0: 100ms and 5s). Tests
@@ -185,9 +183,7 @@ type WALStats struct {
 // liveWAL is the durability state hung off an Index opened with
 // OpenIndex.
 type liveWAL struct {
-	dir  string
-	opts WALOptions // normalized: probe defaults applied
-	fs   faultfs.FS
+	opts WALOptions // normalized: probe defaults and FS applied
 	// mu serializes checkpoints (capture + file write + truncation).
 	mu sync.Mutex
 	// lastCkpt is the unix-nano completion time of the last checkpoint.
@@ -204,42 +200,6 @@ type liveWAL struct {
 	recoveries atomic.Uint64
 }
 
-// checkpointPrefix names checkpoint files; the embedded index is the
-// WAL cut, so the file itself records which segments remain relevant.
-const checkpointPrefix = "checkpoint-"
-
-func checkpointName(cut uint64) string {
-	return fmt.Sprintf("%s%08d.tqlive", checkpointPrefix, cut)
-}
-
-// parseCheckpointName inverts checkpointName; ok is false for foreign
-// files (including in-flight .tmp checkpoints).
-func parseCheckpointName(name string) (uint64, bool) {
-	var cut uint64
-	if _, err := fmt.Sscanf(name, checkpointPrefix+"%d.tqlive", &cut); err != nil {
-		return 0, false
-	}
-	if name != checkpointName(cut) {
-		return 0, false
-	}
-	return cut, true
-}
-
-// latestCheckpoint finds the newest durable checkpoint in dir,
-// returning its cut and path, or ok=false when none exists.
-func latestCheckpoint(fsys faultfs.FS, dir string) (cut uint64, path string, ok bool, err error) {
-	ents, err := fsys.ReadDir(dir)
-	if err != nil {
-		return 0, "", false, err
-	}
-	for _, e := range ents {
-		if c, isCkpt := parseCheckpointName(e.Name()); isCkpt && (!ok || c > cut) {
-			cut, path, ok = c, filepath.Join(dir, e.Name()), true
-		}
-	}
-	return cut, path, ok, nil
-}
-
 // OpenIndex opens (or creates) a durable index rooted at opts.Dir. On
 // first open the index comes from bootstrap — a closure building the
 // initial corpus (from a dataset, a snapshot, or empty) — and an initial
@@ -253,17 +213,17 @@ func OpenIndex(opts WALOptions, pol LivePolicy, bootstrap func() (*Index, error)
 		return nil, fmt.Errorf("trajcover: WAL dir required")
 	}
 	opts = opts.withProbeDefaults()
-	fsys := faultfs.OrOS(opts.FS)
-	if err := fsys.MkdirAll(opts.Dir, 0o755); err != nil {
+	opts.FS = faultfs.OrOS(opts.FS)
+	if err := opts.FS.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	cut, ckptPath, haveCkpt, err := latestCheckpoint(fsys, opts.Dir)
+	ckptPath, cut, err := wal.LatestCheckpoint(opts.FS, opts.Dir)
 	if err != nil {
 		return nil, err
 	}
 	var x *Index
-	if haveCkpt {
-		f, err := faultfs.Open(fsys, ckptPath)
+	if ckptPath != "" {
+		f, err := faultfs.Open(opts.FS, ckptPath)
 		if err != nil {
 			return nil, err
 		}
@@ -283,7 +243,7 @@ func OpenIndex(opts WALOptions, pol LivePolicy, bootstrap func() (*Index, error)
 	// Replay the acknowledged history since the checkpoint. Apply
 	// failures are corruption: the log recorded only writes the index
 	// had accepted, in apply order.
-	_, _, err = wal.ReplayFrom(opts.Dir, cut, func(rec wal.Record) error {
+	_, _, err = wal.ReplayFrom(opts.FS, opts.Dir, cut, func(rec wal.Record) error {
 		switch rec.Op {
 		case wal.OpInsert:
 			if err := x.s.Insert(rec.Trajectory); err != nil {
@@ -308,7 +268,7 @@ func OpenIndex(opts WALOptions, pol LivePolicy, bootstrap func() (*Index, error)
 		return nil, err
 	}
 	x.s.AttachWAL(log)
-	x.wal = &liveWAL{dir: opts.Dir, opts: opts, fs: fsys, stop: make(chan struct{})}
+	x.wal = &liveWAL{opts: opts, stop: make(chan struct{})}
 	// Checkpoint now: the restored-or-bootstrapped state becomes the
 	// recovery base, bounding the next boot's replay to this session's
 	// segments (and freeing the replayed ones). A failure here is a hard
@@ -370,7 +330,7 @@ func (x *Index) CheckpointTo(w io.Writer) error {
 		return err
 	}
 	defer x.wal.mu.Unlock()
-	f, err := faultfs.Open(x.wal.fs, path)
+	f, err := faultfs.Open(x.wal.opts.FS, path)
 	if err != nil {
 		return err
 	}
@@ -381,86 +341,22 @@ func (x *Index) CheckpointTo(w io.Writer) error {
 	return err
 }
 
-// checkpointLocked runs one checkpoint and returns the durable
-// checkpoint file's path. Caller holds x.wal.mu.
+// checkpointLocked runs one checkpoint — capture, then the log's
+// Checkpoint — and returns the durable checkpoint file's path. Caller
+// holds x.wal.mu.
 func (x *Index) checkpointLocked() (string, error) {
 	eps, cut, err := x.s.CheckpointCapture()
 	if err != nil {
 		return "", err
 	}
-	final := filepath.Join(x.wal.dir, checkpointName(cut))
-	tmp := final + ".tmp"
-	fsys := x.wal.fs
-	f, err := faultfs.Create(fsys, tmp)
+	path, err := x.s.WAL().Checkpoint(cut, func(w io.Writer) error {
+		return writeLiveSnapshot(w, eps, x.s.PartitionerKind())
+	})
 	if err != nil {
 		return "", err
-	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	err = writeLiveSnapshot(bw, eps, x.s.PartitionerKind())
-	if err == nil {
-		err = bw.Flush()
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fsys.Remove(tmp)
-		return "", err
-	}
-	if err := fsys.Rename(tmp, final); err != nil {
-		fsys.Remove(tmp)
-		return "", err
-	}
-	if err := fsys.SyncDir(x.wal.dir); err != nil {
-		return "", err
-	}
-	// The new checkpoint is durable: pre-cut segments and older
-	// checkpoints are now dead weight. Failures past this point do not
-	// undo the checkpoint.
-	if err := x.s.WAL().RemoveBefore(cut); err != nil {
-		return final, err
-	}
-	if err := removeOldCheckpoints(fsys, x.wal.dir, cut); err != nil {
-		return final, err
 	}
 	x.wal.lastCkpt.Store(time.Now().UnixNano())
-	return final, nil
-}
-
-// removeOldCheckpoints drops checkpoint files with cuts below keep,
-// plus any abandoned .tmp files.
-func removeOldCheckpoints(fsys faultfs.FS, dir string, keep uint64) error {
-	ents, err := fsys.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	var stale []string
-	for _, e := range ents {
-		name := e.Name()
-		if c, ok := parseCheckpointName(name); ok && c < keep {
-			stale = append(stale, name)
-			continue
-		}
-		// Abandoned in-flight checkpoints from a crashed writer.
-		if strings.HasSuffix(name, ".tmp") {
-			if _, ok := parseCheckpointName(strings.TrimSuffix(name, ".tmp")); ok {
-				stale = append(stale, name)
-			}
-		}
-	}
-	sort.Strings(stale)
-	for _, name := range stale {
-		if err := fsys.Remove(filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-	}
-	if len(stale) > 0 {
-		return fsys.SyncDir(dir)
-	}
-	return nil
+	return path, nil
 }
 
 // startProbe spawns the degraded-mode recovery goroutine if one is not
@@ -529,9 +425,10 @@ func (x *Index) probeLoop() {
 // refused; recovery replays nothing):
 //
 //  1. Close the wedged log (best effort; it already refuses writes)
-//     and open a successor over the same directory. wal.Open verifies
-//     and truncates the torn tail, and appends resume in a FRESH
-//     segment — replayed bytes are immutable history.
+//     and open a successor over the same directory. wal.Open cuts the
+//     live segment back to its last intact record, even past damage:
+//     memory is authoritative and step 3 checkpoints it. Appends resume
+//     in a FRESH segment — replayed bytes are immutable history.
 //  2. Swap the successor in while writes are still rejected, so no
 //     write can race the half-installed log.
 //  3. Checkpoint. The in-memory state may contain applied-but-unacked
@@ -545,7 +442,7 @@ func (x *Index) tryRecover() error {
 	if old := x.s.WAL(); old != nil {
 		old.Close()
 	}
-	log, err := wal.Open(w.dir, w.opts.walOptions())
+	log, err := wal.Open(w.opts.Dir, w.opts.walOptions())
 	if err != nil {
 		return err
 	}

@@ -16,8 +16,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -437,5 +441,89 @@ func TestDegradedTenantIsolation(t *testing.T) {
 	}
 	if deg := reg.Degraded(); len(deg) != 0 {
 		t.Fatalf("Degraded() after recovery = %v", deg)
+	}
+}
+
+// lastWALFile returns the highest index among dir's files named
+// prefix<index>suffix: the newest segment or checkpoint.
+func lastWALFile(t *testing.T, dir, prefix, suffix string) uint64 {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, prefix+"*"+suffix))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no %s*%s file in %s (err %v)", prefix, suffix, dir, err)
+	}
+	digits := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(names[len(names)-1]), prefix), suffix)
+	idx, err := strconv.ParseUint(digits, 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx
+}
+
+// refuseBootstrap stands in for the bootstrap of a reopened index.
+func refuseBootstrap() (*Index, error) {
+	return nil, fmt.Errorf("bootstrap must not run on reopen")
+}
+
+// TestReopenTornHeaderThenFailedCheckpoint: a crash tore the header of
+// the segment a rotation had just created, and the next boot's first
+// checkpoint fails with ENOSPC. That boot fails, but it must not strand
+// the log: the boot after it restores every acknowledged write.
+func TestReopenTornHeaderThenFailedCheckpoint(t *testing.T) {
+	base, ops, _ := crashWorkload(56)
+	dir := t.TempDir()
+	n := buildCrashedWALDir(t, dir, base, ops)
+	next := lastWALFile(t, dir, "wal-", ".seg") + 1
+	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("wal-%08d.seg", next)), []byte("TQWAL"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	inj := faultfs.NewInjector(nil, 56)
+	inj.Add(faultfs.Rule{Op: faultfs.OpCreate, Path: "checkpoint-", Nth: 1, Fault: faultfs.Fault{Err: faultfs.ErrNoSpace}})
+	if x, err := OpenIndex(faultWALOptions(dir, inj), crashPolicy(), refuseBootstrap); !errors.Is(err, syscall.ENOSPC) {
+		if x != nil {
+			x.Close()
+		}
+		t.Fatalf("boot whose checkpoint hits ENOSPC = %v, want ENOSPC", err)
+	}
+	x, err := OpenIndex(crashWALOptions(dir), crashPolicy(), refuseBootstrap)
+	if err != nil {
+		t.Fatalf("boot after the failed checkpoint: %v", err)
+	}
+	defer x.Close()
+	if got := matchPrefix(base, ops, corpusOf(t, x)); got != n {
+		t.Fatalf("reboot restored history prefix %d, want every acknowledged write (%d)", got, n)
+	}
+}
+
+// TestReopenReplaysThroughWALFS: the boot's replay reads the log
+// through WALOptions.FS, so a fault injected on opening the first
+// segment at the checkpoint's cut fails the boot.
+func TestReopenReplaysThroughWALFS(t *testing.T) {
+	base, ops, _ := crashWorkload(57)
+	dir := t.TempDir()
+	opts := crashWALOptions(dir)
+	opts.SegmentBytes = 512
+	x, err := OpenIndex(opts, crashPolicy(), crashBootstrap(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range ops[:40] {
+		applyOp(t, x, op)
+	}
+	if err := x.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cut := lastWALFile(t, dir, "checkpoint-", ".tqlive")
+	if last := lastWALFile(t, dir, "wal-", ".seg"); last <= cut {
+		t.Fatalf("want segments past the cut %d, newest is %d", cut, last)
+	}
+	inj := faultfs.NewInjector(nil, 57)
+	inj.Add(faultfs.Rule{Op: faultfs.OpOpen, Path: fmt.Sprintf("wal-%08d.seg", cut), Nth: 1})
+	opts.FS = inj
+	if x, err := OpenIndex(opts, crashPolicy(), refuseBootstrap); !errors.Is(err, faultfs.ErrInjected) {
+		if x != nil {
+			x.Close()
+		}
+		t.Fatalf("boot with segment %d unopenable = %v (%d faults injected), want the injected error", cut, err, inj.Injected())
 	}
 }
