@@ -55,7 +55,9 @@
 // splice, so the next member is simply asked from the top.
 //
 // Degradation. Per-member health probes remove unresponsive backends
-// and readmit them when they recover. When an entire group is unreachable
+// and readmit them when they recover; a member that answered an exchange
+// within the last probe interval is not probed, since the next read it
+// fails removes it at once. When an entire group is unreachable
 // the default answer is 503 with Retry-After (the frontend never silently
 // narrows the corpus); a client that opts in with ?partial=1 instead gets
 // 200 over the surviving groups plus a partial flag naming the missing

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"github.com/trajcover/trajcover/internal/server"
 	"github.com/trajcover/trajcover/internal/trajectory"
@@ -31,27 +32,79 @@ func backendError(m *feMember, status int, body []byte) error {
 // read is one frontend read: the client's request — its body, decoded
 // request and facility table, the query frame every group is sent (the
 // protocol is internal/server/exchange.go's), and the answer's bytes, all
-// in pooled storage — which each group must answer with one value per
-// facility of the table. ctx is the client's request, done when the
-// client leaves; the read's deadline bounds each exchange's connection
-// instead of a context of its own.
+// in a pooled server.QueryBuffer — which each group must answer with one
+// value per facility of the table. ctx is the client's request, done when
+// the client leaves; the read's deadline bounds each exchange's
+// connection instead of a context of its own. A read is pooled too
+// (reads), with the scatter's storage, so a steady stream of reads
+// allocates none of it.
 type read struct {
 	fe       *Frontend
 	ctx      context.Context
 	deadline time.Time
-	stop     func() bool // unhooks expireConns from ctx
+	stop     func() bool // unhooks expire from ctx
+	expire   func()      // expireConns, as the func value ctx's hook runs
 	buf      *server.QueryBuffer
 	req      *server.QueryRequest
 	table    trajectory.FacilityTable
+
+	// The scatter's storage: by group, the values and the error it
+	// brought back and the bytes its reply is read into; then the summed
+	// values, and the ranked answer.
+	vals    [][]float64
+	errs    []error
+	replies []byte
+	sums    []float64
+	ranked  []server.RankedJSON
+	wg      sync.WaitGroup
 
 	mu    sync.Mutex
 	conns []*exchangeConn // by group: the connection its exchange is on, or nil
 }
 
-// end releases what the read holds, once its answer is written.
+var reads = sync.Pool{New: func() any { return new(read) }}
+
+// maxPooledRead keeps a read whose storage has grown past it out of the
+// pool, as server.QueryBuffer does.
+const maxPooledRead = 1 << 20
+
+// newRead takes a read from the pool for the request of ctx, over fe's
+// groups, with its deadline and buf; its hook expires its exchanges'
+// connections if the client leaves.
+func (fe *Frontend) newRead(ctx context.Context, deadline time.Time, buf *server.QueryBuffer, req *server.QueryRequest, table trajectory.FacilityTable) *read {
+	rd := reads.Get().(*read)
+	if rd.expire == nil {
+		rd.expire = rd.expireConns
+	}
+	rd.fe, rd.ctx, rd.deadline, rd.buf, rd.req, rd.table = fe, ctx, deadline, buf, req, table
+	rd.conns = reuse(rd.conns, len(fe.groups))
+	rd.stop = context.AfterFunc(ctx, rd.expire)
+	return rd
+}
+
+// reuse is s's storage holding n zero values, regrown when it is shorter.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// end releases what the read holds, once its answer is written, and
+// gives the read back to the pool — unless the client left and
+// expireConns may still be running on it.
 func (rd *read) end() {
-	rd.stop()
+	unhooked := rd.stop()
 	rd.buf.Release()
+	clear(rd.vals)
+	clear(rd.errs)
+	rd.fe, rd.ctx, rd.stop, rd.buf, rd.req, rd.table = nil, nil, nil, nil, nil, trajectory.FacilityTable{}
+	size := cap(rd.replies) + 8*cap(rd.sums) + int(unsafe.Sizeof(server.RankedJSON{}))*cap(rd.ranked)
+	if unhooked && size <= maxPooledRead {
+		reads.Put(rd)
+	}
 }
 
 // err is why the read must ask no member further: its client left, or
@@ -135,6 +188,7 @@ func (rd *read) exchange(g int, m *feMember, reply []byte) ([]float64, error) {
 		vals, started, err := rd.roundTrip(c, reply)
 		rd.watch(g, nil)
 		if err == nil {
+			m.answered.Store(int64(rd.fe.since()))
 			m.putConn(c)
 			rd.fe.exchanges.Add(1)
 			rd.fe.exactRPCs.Add(1)
@@ -363,22 +417,20 @@ func (rd *read) askGroup(g *feGroup, reply []byte) ([]float64, error) {
 // group did answer.
 func (rd *read) serviceValues(partial bool) (sums []float64, missing []int, err error) {
 	groups := rd.fe.groups
-	vals := make([][]float64, len(groups))
-	errs := make([]error, len(groups))
-	size := 8 * rd.table.Len()
-	replies := make([]byte, len(groups)*size) // group g's values land in [g*size, (g+1)*size)
-	reply := func(g int) []byte { return replies[g*size : g*size : (g+1)*size] }
-	var wg sync.WaitGroup
-	for _, g := range groups[1:] {
-		wg.Add(1)
-		go func(g *feGroup) {
-			defer wg.Done()
-			vals[g.id], errs[g.id] = rd.askGroup(g, reply(g.id))
-		}(g)
+	rd.vals, rd.errs = reuse(rd.vals, len(groups)), reuse(rd.errs, len(groups))
+	if n := len(groups) * 8 * rd.table.Len(); cap(rd.replies) < n {
+		rd.replies = make([]byte, n)
 	}
-	vals[0], errs[0] = rd.askGroup(groups[0], reply(0))
-	wg.Wait()
-	for gi, gerr := range errs {
+	for _, g := range groups[1:] {
+		rd.wg.Add(1)
+		go func() {
+			defer rd.wg.Done()
+			rd.ask(g)
+		}()
+	}
+	rd.ask(groups[0])
+	rd.wg.Wait()
+	for gi, gerr := range rd.errs {
 		if gerr != nil {
 			missing = append(missing, gi)
 			if err == nil {
@@ -389,11 +441,19 @@ func (rd *read) serviceValues(partial bool) (sums []float64, missing []int, err 
 	if err != nil && (!partial || len(missing) == len(groups)) {
 		return nil, missing, err
 	}
-	sums = make([]float64, rd.table.Len())
-	for _, vs := range vals {
+	rd.sums = reuse(rd.sums, rd.table.Len())
+	for _, vs := range rd.vals {
 		for i, v := range vs {
-			sums[i] += v
+			rd.sums[i] += v
 		}
 	}
-	return sums, missing, nil
+	return rd.sums, missing, nil
+}
+
+// ask records group g's values, or why it has none, reading its reply
+// into bytes [g*size, (g+1)*size) of the read's storage, where size is
+// 8 bytes a facility.
+func (rd *read) ask(g *feGroup) {
+	size := 8 * rd.table.Len()
+	rd.vals[g.id], rd.errs[g.id] = rd.askGroup(g, rd.replies[g.id*size:g.id*size:(g.id+1)*size])
 }

@@ -664,14 +664,15 @@ func (w *nullWriter) Write(p []byte) (int, error) { return len(p), nil }
 //
 //   - the backend per exchange frame: a real backend asked over an
 //     exchange connection the frontend dialled, by a caller that
-//     allocates nothing — the frame's deadline context and the summed
-//     values;
+//     allocates nothing — the summed values (the frame's deadline is a
+//     pooled context that arms no timer);
 //   - the frontend per read: its handler driven straight, over members
 //     that allocate nothing (frameEcho) — the body, its decode into one
 //     facility table, the query frame and the answer's bytes live in a
-//     pooled server.QueryBuffer, so the count is the request deadline,
-//     two exchanges' bookkeeping, the merge and the ranking; nothing is
-//     per facility;
+//     pooled server.QueryBuffer, and the scatter's storage, the merge and
+//     the ranking in a pooled read, so the count is the hook that ends
+//     the exchanges if the client leaves (context.AfterFunc) and the
+//     second group's goroutine; nothing is per facility;
 //   - one whole /v1/topk, from a net/http client through the frontend to
 //     two real backends: one HTTP request and response, and two frames
 //     each way.
@@ -717,7 +718,7 @@ func TestExchangeAllocs(t *testing.T) {
 	}
 	frame := server.AppendQueryFrame(nil, table, server.QueryParams{Query: q, TimeoutMS: 60_000})
 	reply := make([]byte, 8*len(facs))
-	pin("backend per 128-facility exchange frame", 8, func() {
+	pin("backend per 128-facility exchange frame", 2, func() {
 		c.asked++
 		if _, err := c.Write(frame); err != nil {
 			t.Fatal(err)
@@ -742,7 +743,7 @@ func TestExchangeAllocs(t *testing.T) {
 	req := httptest.NewRequest(http.MethodPost, server.PathTopK, rd)
 	w := &nullWriter{h: http.Header{}}
 	before := fe.Stats()
-	pin("frontend per /v1/topk over two exchanges", 18, func() {
+	pin("frontend per /v1/topk over two exchanges", 4, func() {
 		rd.Reset(body)
 		w.status = 0
 		fe.Handler().ServeHTTP(w, req)
@@ -764,7 +765,7 @@ func TestExchangeAllocs(t *testing.T) {
 	defer fets.Close()
 	client := fets.Client()
 	answer := make([]byte, 0, 1<<12)
-	pin("one two-group /v1/topk, process-wide", 150, func() {
+	pin("one two-group /v1/topk, process-wide", 110, func() {
 		resp, err := client.Post(fets.URL+server.PathTopK, "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -20,10 +20,11 @@ import (
 )
 
 // FrontendConfig tunes the scatter-gather frontend. The zero value
-// probes every 250ms, gives each backend 2s to answer, serves requests
-// under a 2s default deadline capped at 30s, and hints 1s retries. Writes
-// and probes go through an HTTP transport of the frontend's own, which
-// Close closes; reads go over exchange connections it dials and pools.
+// probes every 250ms (a member that answers reads is not probed), gives
+// each backend 2s to answer, serves requests under a 2s default deadline
+// capped at 30s, and hints 1s retries. Writes and probes go through an
+// HTTP transport of the frontend's own, which Close closes; reads go over
+// exchange connections it dials and pools.
 type FrontendConfig struct {
 	// Groups is the shard-group map (ParseMap); at least one group.
 	Groups []Group
@@ -35,7 +36,11 @@ type FrontendConfig struct {
 	// none (<= 0: 2s); MaxTimeout caps timeout_ms (<= 0: 30s).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// ProbeInterval is the health-probe period (<= 0: 250ms).
+	// ProbeInterval is the health-probe period (<= 0: 250ms). Each tick
+	// probes the members whose health is unknown: those removed, and
+	// those no exchange has answered for a whole interval. A healthy
+	// member that answered within it is skipped — reads are its probe,
+	// and a read it fails removes it at once.
 	ProbeInterval time.Duration
 	// MaxBodyBytes caps request bodies (<= 0: 8 MiB).
 	MaxBodyBytes int64
@@ -72,7 +77,9 @@ const idleConnsPerBackend = 64
 
 // feMember is one backend process. healthy is the probe's verdict,
 // flipped false eagerly by any failed exchange or write (removal) and
-// true again only by a successful probe (readmission). addr, tls,
+// true again only by a successful probe (readmission); answered is when
+// an exchange last brought its values back, as time since the frontend
+// started, which spares a healthy member the probe. addr, tls,
 // handshake and noReply are what every exchange with it needs, built
 // once (newMember); idle are its exchange connections with no exchange
 // on them, each of which carries one exchange at a time.
@@ -83,6 +90,7 @@ type feMember struct {
 	handshake []byte
 	noReply   error
 	healthy   atomic.Bool
+	answered  atomic.Int64
 
 	mu     sync.Mutex
 	idle   []*exchangeConn
@@ -187,15 +195,22 @@ func (fe *Frontend) Close() {
 	fe.client.CloseIdleConnections()
 }
 
+// since is the time since the frontend started, on the monotonic clock.
+func (fe *Frontend) since() time.Duration { return time.Since(fe.start) }
+
 func (fe *Frontend) logf(format string, args ...any) {
 	if fe.cfg.Logf != nil {
 		fe.cfg.Logf(format, args...)
 	}
 }
 
-// probeLoop polls every member's /healthz. Any 200 — "ok" or
-// "degraded" — readmits: a degraded backend still serves reads, and
-// writes answer their own 503s. Non-200 or transport failure removes.
+// probeLoop polls the /healthz of every member whose health is unknown:
+// one removed, or one no exchange has answered for a whole
+// ProbeInterval. Any 200 — "ok" or "degraded" — readmits: a degraded
+// backend still serves reads, and writes answer their own 503s. Non-200
+// or transport failure removes. A member that answers reads is not
+// probed: if it begins draining, or fails, the next read it gets fails
+// over and removes it (askGroup), and from then on it is probed.
 func (fe *Frontend) probeLoop() {
 	defer close(fe.probeDone)
 	tick := time.NewTicker(fe.cfg.ProbeInterval)
@@ -208,6 +223,9 @@ func (fe *Frontend) probeLoop() {
 		}
 		for _, g := range fe.groups {
 			for _, m := range g.members {
+				if m.healthy.Load() && fe.since()-time.Duration(m.answered.Load()) < fe.cfg.ProbeInterval {
+					continue
+				}
 				up := fe.probe(m)
 				if was := m.healthy.Swap(up); was != up {
 					if up {
@@ -362,12 +380,7 @@ func (fe *Frontend) beginRead(w http.ResponseWriter, r *http.Request, needK bool
 	buf.Frame = server.AppendQueryFrame(buf.Frame[:0], table, server.QueryParams{
 		Query: q, Workers: req.Workers, TimeoutMS: max(timeout.Milliseconds(), 1),
 	})
-	rd := &read{
-		fe: fe, ctx: r.Context(), deadline: time.Now().Add(timeout),
-		buf: buf, req: req, table: table, conns: make([]*exchangeConn, len(fe.groups)),
-	}
-	rd.stop = context.AfterFunc(rd.ctx, rd.expireConns)
-	return rd, true
+	return fe.newRead(r.Context(), time.Now().Add(timeout), buf, req, table), true
 }
 
 // partial reports whether a read asked for ?partial=1.
@@ -386,7 +399,8 @@ func (fe *Frontend) handleTopK(w http.ResponseWriter, r *http.Request) {
 		fe.failRead(w, rd, err)
 		return
 	}
-	res := rank(rd.table, sums, rd.req.K)
+	rd.ranked = rank(rd.ranked, rd.table, sums, rd.req.K)
+	res := rd.ranked
 	if len(missing) > 0 {
 		fe.partials.Add(1)
 		server.WriteJSON(w, http.StatusOK, PartialTopKResponse{TopKResponse: server.TopKResponse{Results: res}, Partial: true, MissingGroups: missing})
@@ -399,9 +413,9 @@ func (fe *Frontend) handleTopK(w http.ResponseWriter, r *http.Request) {
 // rank is the in-process sharded top-k's sort-and-cut (query.Results),
 // with groups for shards, over the facilities' IDs: the summed exact
 // values in query.CompareRanked's order, cut at k (the decoder has
-// refused k < 1).
-func rank(t trajectory.FacilityTable, sums []float64, k int) []server.RankedJSON {
-	res := make([]server.RankedJSON, t.Len())
+// refused k < 1), in dst's storage.
+func rank(dst []server.RankedJSON, t trajectory.FacilityTable, sums []float64, k int) []server.RankedJSON {
+	res := reuse(dst, t.Len())
 	for i := range res {
 		res[i] = server.RankedJSON{ID: uint32(t.ID(i)), Service: sums[i]}
 	}

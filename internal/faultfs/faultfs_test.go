@@ -198,6 +198,24 @@ func TestInjectorRenameAndSyncDir(t *testing.T) {
 	}
 }
 
+func TestInjectorReadDir(t *testing.T) {
+	dir := t.TempDir()
+	in := NewInjector(nil, 1)
+	in.Add(Rule{Op: OpReadDir, Path: "sub", Nth: 1})
+	if err := in.MkdirAll(filepath.Join(dir, "sub"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := in.ReadDir(dir); err != nil {
+		t.Fatalf("readdir outside the rule's path: %v", err)
+	}
+	if _, err := in.ReadDir(filepath.Join(dir, "sub")); !errors.Is(err, ErrInjected) {
+		t.Fatalf("readdir: want ErrInjected, got %v", err)
+	}
+	if ents, err := in.ReadDir(dir); err != nil || len(ents) != 1 {
+		t.Fatalf("readdir after the fault: %v, %v; want the one entry", ents, err)
+	}
+}
+
 func TestOSPassthrough(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "f")

@@ -35,6 +35,7 @@ const (
 	OpRemove   Op = "remove"
 	OpMkdirAll Op = "mkdirall"
 	OpStat     Op = "stat"
+	OpReadDir  Op = "readdir"
 	OpTruncate Op = "truncate"
 	OpSyncDir  Op = "syncdir"
 )
@@ -226,6 +227,11 @@ func (in *Injector) MkdirAll(path string, perm fs.FileMode) error {
 }
 
 func (in *Injector) ReadDir(name string) ([]fs.DirEntry, error) {
+	if f, ok := in.check(OpReadDir, name); ok {
+		if err := apply(f); err != nil {
+			return nil, &fs.PathError{Op: "readdir", Path: name, Err: err}
+		}
+	}
 	return in.inner.ReadDir(name)
 }
 

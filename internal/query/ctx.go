@@ -11,28 +11,22 @@ package query
 // is the one place a query polls its deadline.
 //
 // The batch loop (addServiceValues in layout.go) polls CtxErr once per
-// facility. A nil context or one that can never be cancelled costs a
-// branch, far below the node-list evaluations a facility performs.
+// facility. A nil context costs a branch; any other costs its Err, which
+// for the serving tier's request deadline is a clock read and its
+// parent's Err — no channel and no timer — far below the node-list
+// evaluations a facility performs.
 
 import "context"
 
 // CtxErr is the one cancellation poll of this module: the batch loop
-// calls it between facilities, and Index's bound diagnostic too. nil and
-// never-cancellable contexts cost a branch, anything else a non-blocking
-// channel select. Done() is re-queried per poll rather than cached so
-// custom contexts (including test clocks) see every check.
+// calls it between facilities, and Index's bound diagnostic too. It
+// returns ctx.Err(), re-read per poll so that custom contexts (including
+// test clocks) see every check, and never asks for Done: a context that
+// makes its channel or timer lazily, as the serving tier's deadline does,
+// makes neither for a poll.
 func CtxErr(ctx context.Context) error {
 	if ctx == nil {
 		return nil
 	}
-	done := ctx.Done()
-	if done == nil {
-		return nil
-	}
-	select {
-	case <-done:
-		return ctx.Err()
-	default:
-		return nil
-	}
+	return ctx.Err()
 }

@@ -43,9 +43,10 @@ func TestResolveWorkers(t *testing.T) {
 	}
 }
 
-// countdownCtx is a context whose Done channel closes after n polls —
-// a deterministic way to cancel mid-query, since the batch loop polls
-// Done between facilities. Safe for concurrent polling.
+// countdownCtx is a context that ends after n polls of its Err — a
+// deterministic way to cancel mid-query, since the batch loop polls Err
+// between facilities. Its Done channel is closed by the time Err first
+// reports the end. Safe for concurrent polling.
 type countdownCtx struct {
 	n    atomic.Int64
 	ch   chan struct{}
@@ -58,20 +59,14 @@ func newCountdownCtx(n int64) *countdownCtx {
 	return c
 }
 
-func (c *countdownCtx) Done() <-chan struct{} {
-	if c.n.Add(-1) < 0 {
-		c.once.Do(func() { close(c.ch) })
-	}
-	return c.ch
-}
+func (c *countdownCtx) Done() <-chan struct{} { return c.ch }
 
 func (c *countdownCtx) Err() error {
-	select {
-	case <-c.ch:
+	if c.n.Add(-1) < 0 {
+		c.once.Do(func() { close(c.ch) })
 		return context.DeadlineExceeded
-	default:
-		return nil
 	}
+	return nil
 }
 
 func (c *countdownCtx) Deadline() (time.Time, bool) { return time.Time{}, false }

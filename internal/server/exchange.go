@@ -333,15 +333,16 @@ func ReadReply(r io.Reader, buf []byte, n int, ordinal uint16) (vals []float64, 
 
 // exchangeState is the storage one frame works in, pooled so that a
 // steady stream of exchanges allocates none of it: the query frame's
-// payload, which the decoded facilities alias, the decoded form, and the
-// reply frame. An exchange connection takes one when a frame starts
-// arriving and gives it back once the reply is written, so an idle
-// connection holds none.
+// payload, which the decoded facilities alias, the decoded form, the
+// reply frame and the frame's deadline. An exchange connection takes one
+// when a frame starts arriving and gives it back once the reply is
+// written, so an idle connection holds none.
 type exchangeState struct {
-	ordinal uint16 // the frame's number on its connection, which its reply carries
-	query   []byte
-	qf      QueryFrame
-	reply   []byte
+	ordinal  uint16 // the frame's number on its connection, which its reply carries
+	query    []byte
+	qf       QueryFrame
+	reply    []byte
+	deadline deadline
 }
 
 var exchangeStates = sync.Pool{New: func() any { return new(exchangeState) }}
@@ -533,7 +534,7 @@ func (s *Server) serveExchange(conn net.Conn, br *bufio.Reader, ep *endpointStat
 			reply = in.x.replyFrame(response{status: http.StatusServiceUnavailable, body: mustMarshal(ErrorResponse{Error: "server draining"}), retryAfter: true})
 		default:
 			var resp response
-			resp, timed = s.execute(ctx, ep, tid, false, in.x.qf.TimeoutMS, nil, in.x.run)
+			resp, timed = s.execute(ctx, &in.x.deadline, ep, tid, false, in.x.qf.TimeoutMS, nil, in.x.run)
 			reply = in.x.replyFrame(resp)
 		}
 		_, err := conn.Write(reply)

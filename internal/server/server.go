@@ -662,9 +662,9 @@ func quotaRejection(ep *endpointStats, tid string, reason tenant.RejectReason) r
 // executeTenant runs one unit of work on the handler's own goroutine on
 // behalf of a tenant (execute) and writes its answer; the exchange writes
 // execute's answer as a frame instead.
-func (s *Server) executeTenant(w http.ResponseWriter, r *http.Request, ep *endpointStats, tid string, isWrite bool, timeoutMS int64, cached *cachedRead, run runFunc) {
+func (s *Server) executeTenant(w http.ResponseWriter, r *http.Request, dl *deadline, ep *endpointStats, tid string, isWrite bool, timeoutMS int64, cached *cachedRead, run runFunc) {
 	start := time.Now()
-	resp, timed := s.execute(r.Context(), ep, tid, isWrite, timeoutMS, cached, run)
+	resp, timed := s.execute(r.Context(), dl, ep, tid, isWrite, timeoutMS, cached, run)
 	s.writeResponse(w, resp)
 	if timed {
 		ep.observe(time.Since(start))
@@ -673,15 +673,15 @@ func (s *Server) executeTenant(w http.ResponseWriter, r *http.Request, ep *endpo
 
 // execute runs one unit of work on behalf of a tenant: index resolution
 // (404 unknown on reads, lazy create on writes), per-tenant admission
-// (429 over quota), the request deadline under ctx, slot admission
-// (acquireSlot: 429, 503 or 504 in place of the work), and the work. It
-// returns the answer, and whether the caller should time it once written
-// — only requests that waited or ran, or were answered from the cache,
-// are timed: rejections return in microseconds and would dilute the
-// served mean. Gate slots are held until the work is done, so quotas
-// bound real waiting + running occupancy; a request that never gets a
-// slot gives its gate slots back at once. All terminal paths update the
-// endpoint's counters.
+// (429 over quota), the request deadline under ctx (dl, armed here),
+// slot admission (acquireSlot: 429, 503 or 504 in place of the work),
+// and the work. It returns the answer, and whether the caller should time
+// it once written — only requests that waited or ran, or were answered
+// from the cache, are timed: rejections return in microseconds and would
+// dilute the served mean. Gate slots are held until the work is done, so
+// quotas bound real waiting + running occupancy; a request that never
+// gets a slot gives its gate slots back at once. All terminal paths
+// update the endpoint's counters.
 //
 // cached, when non-nil, makes the work cacheable (reads on a server that
 // has a cache): the handler captures the index version v, probes the
@@ -695,7 +695,7 @@ func (s *Server) executeTenant(w http.ResponseWriter, r *http.Request, ep *endpo
 // applies to hits. A request whose hash came from an alias arrives
 // undecoded (cached.decode): only the miss pays for the decode, which
 // supplies timeoutMS.
-func (s *Server) execute(ctx context.Context, ep *endpointStats, tid string, isWrite bool, timeoutMS int64, cached *cachedRead, run runFunc) (response, bool) {
+func (s *Server) execute(ctx context.Context, dl *deadline, ep *endpointStats, tid string, isWrite bool, timeoutMS int64, cached *cachedRead, run runFunc) (response, bool) {
 	ep.requests.Add(1)
 
 	// The tenant resolves before its gate is looked up, so only a tenant
@@ -738,13 +738,13 @@ func (s *Server) execute(ctx context.Context, ep *endpointStats, tid string, isW
 		}
 	}
 
-	ctx, cancel := context.WithTimeout(ctx, s.requestTimeout(timeoutMS, lim))
-	defer cancel()
+	dl.arm(ctx, s.requestTimeout(timeoutMS, lim))
+	defer dl.disarm()
 	var resp response
-	status := s.acquireSlot(ctx)
+	status := s.acquireSlot(dl)
 	if status == 0 {
 		gate.Started()
-		resp = run(ctx, idx)
+		resp = run(dl, idx)
 		gate.Finished()
 		if cached != nil && resp.status == http.StatusOK && idx.Version() == key.Version {
 			// The answer's bytes are the request's own storage: the cache
@@ -754,7 +754,7 @@ func (s *Server) execute(ctx context.Context, ep *endpointStats, tid string, isW
 		s.releaseSlot()
 	} else {
 		gate.Cancel()
-		resp = rejection(ctx, status)
+		resp = rejection(dl, status)
 	}
 	release()
 	switch {
@@ -957,7 +957,7 @@ func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, path string, 
 		alias = aliasKey(path, r.Header.Get("X-Tenant"), buf.body)
 		if v, ok := s.cache.GetAlias(alias); ok {
 			hash, tid := parseAlias(v)
-			s.executeTenant(w, r, ep, tid, false, 0, &cachedRead{hash: hash, decode: rr.decodeOnMiss}, rr.run)
+			s.executeTenant(w, r, &buf.deadline, ep, tid, false, 0, &cachedRead{hash: hash, decode: rr.decodeOnMiss}, rr.run)
 			return
 		}
 	}
@@ -979,7 +979,7 @@ func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, path string, 
 		cached = &cachedRead{hash: CanonicalQueryHash(path, rr.req, k, rr.q)}
 		s.cache.Put(alias, aliasValue(cached.hash, tid))
 	}
-	s.executeTenant(w, r, ep, tid, false, rr.req.TimeoutMS, cached, rr.run)
+	s.executeTenant(w, r, &buf.deadline, ep, tid, false, rr.req.TimeoutMS, cached, rr.run)
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
@@ -1037,7 +1037,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		s.rejectDecode(w, ep, err)
 		return
 	}
-	s.executeTenant(w, r, ep, tid, true, req.TimeoutMS, nil, func(_ context.Context, idx *trajcover.Index) response {
+	s.executeTenant(w, r, new(deadline), ep, tid, true, req.TimeoutMS, nil, func(_ context.Context, idx *trajcover.Index) response {
 		unlock := s.replLock()
 		err := idx.Insert(u)
 		if err == nil && s.repl != nil {
@@ -1080,7 +1080,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		s.rejectDecode(w, ep, err)
 		return
 	}
-	s.executeTenant(w, r, ep, tid, true, req.TimeoutMS, nil, func(_ context.Context, idx *trajcover.Index) response {
+	s.executeTenant(w, r, new(deadline), ep, tid, true, req.TimeoutMS, nil, func(_ context.Context, idx *trajcover.Index) response {
 		unlock := s.replLock()
 		found, err := idx.Delete(trajcover.ID(req.ID))
 		if err == nil && found && s.repl != nil {
@@ -1114,7 +1114,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	}
 	// Compact is not deadline-aware below the swap points; give it the
 	// full MaxTimeout rather than the query default.
-	s.executeTenant(w, r, ep, tid, false, s.cfg.MaxTimeout.Milliseconds(), nil, func(_ context.Context, idx *trajcover.Index) response {
+	s.executeTenant(w, r, new(deadline), ep, tid, false, s.cfg.MaxTimeout.Milliseconds(), nil, func(_ context.Context, idx *trajcover.Index) response {
 		if err := idx.Compact(); err != nil {
 			return response{status: http.StatusInternalServerError, body: mustMarshal(ErrorResponse{Error: err.Error()})}
 		}

@@ -552,9 +552,10 @@ func checkDeclaredLength(r *http.Request, max int64) error {
 
 // QueryBuffer is the storage one /v1/topk or /v1/servicevalues request is
 // read, decoded and answered in — its body, the decoded request and
-// facility columns, the query API's facilities, and the answer's bytes —
-// pooled, so that a steady stream of reads allocates none of it once the
-// pool is warm. What it hands out is valid until Release.
+// facility columns, the query API's facilities, the answer's bytes and
+// the context its deadline is — pooled, so that a steady stream of reads
+// allocates none of it once the pool is warm. What it hands out is valid
+// until Release.
 type QueryBuffer struct {
 	// Answer is storage for the answer's bytes: append to Answer[:0] and
 	// keep the result here, so the next request reuses it.
@@ -563,10 +564,11 @@ type QueryBuffer struct {
 	// every shard group.
 	Frame []byte
 
-	body []byte
-	qb   queryBody
-	slab []trajcover.Facility
-	ptrs []*trajcover.Facility
+	body     []byte
+	qb       queryBody
+	slab     []trajcover.Facility
+	ptrs     []*trajcover.Facility
+	deadline deadline // the request's, armed by execute
 }
 
 var queryBuffers = sync.Pool{New: func() any { return new(QueryBuffer) }}

@@ -27,7 +27,9 @@
 // damage anywhere else means bytes the log claimed durable are gone,
 // and replay fails hard with ErrCorrupt. A failed read is neither. One
 // scanner applies this rule for Replay and for Open's repair, so a
-// reopened log replays what it replayed before.
+// reopened log replays what it replayed before. A boot (Recover) replays
+// and then opens, and hands the replay's scan of the final segment to
+// the repair, so it reads that segment once.
 //
 // Write path: appends are serialized by the caller (the live index's
 // writer lock), buffered, and made durable per the configured
@@ -290,22 +292,39 @@ func ReplayFrom(fsys faultfs.FS, dir string, from uint64, apply func(Record) err
 	if err != nil {
 		return 0, false, err
 	}
+	n, end, err := replay(fsys, dir, ls, from, apply)
+	return n, end.defect, err // a replay stops at no defect but a torn tail
+}
+
+// tail is what a scan found of a directory's final segment: its index,
+// the offset just past its last accepted record (scanSegment's good), and
+// whether it stopped at a defect the repair cuts away — a torn tail, or,
+// for Open's own scan, ErrCorrupt. The zero tail stands for no segment.
+type tail struct {
+	idx    uint64
+	good   int64
+	defect bool
+}
+
+// replay is ReplayFrom over the listing ls, returning also the final
+// segment's tail when it replayed one.
+func replay(fsys faultfs.FS, dir string, ls listing, from uint64, apply func(Record) error) (n int, end tail, err error) {
 	segs := ls.segs[sortedSearch(ls.segs, from):]
 	if from > 0 && (len(segs) == 0 || segs[0] != from) {
-		return 0, false, fmt.Errorf("%w: checkpoint cut segment %d missing", ErrCorrupt, from)
+		return 0, tail{}, fmt.Errorf("%w: checkpoint cut segment %d missing", ErrCorrupt, from)
 	}
 	for i, idx := range segs {
 		if i > 0 && idx != segs[i-1]+1 {
-			return n, false, fmt.Errorf("%w: segment gap %d -> %d", ErrCorrupt, segs[i-1], idx)
+			return n, tail{}, fmt.Errorf("%w: segment gap %d -> %d", ErrCorrupt, segs[i-1], idx)
 		}
-		sn, _, st, err := scanFile(fsys, dir, idx, i == len(segs)-1, apply)
+		sn, good, torn, err := scanFile(fsys, dir, idx, i == len(segs)-1, apply)
 		n += sn
 		if err != nil {
-			return n, false, err
+			return n, tail{}, err
 		}
-		torn = st
+		end = tail{idx: idx, good: good, defect: torn}
 	}
-	return n, torn, nil
+	return n, end, nil
 }
 
 // sortedSearch is the first position in ascending s holding >= v.
@@ -409,29 +428,24 @@ func peek(br *bufio.Reader) error {
 	return err
 }
 
-// repairTail readies the final segment idx for appends and returns its
-// size. A read error leaves the file untouched. A scan that stopped at a
-// defect, torn or ErrCorrupt, cuts the file back to its last accepted
-// record, or removes it when no header was accepted (size 0: Open
-// reuses its index, so no gap is left).
-func repairTail(fsys faultfs.FS, dir string, idx uint64) (size int64, err error) {
-	_, good, torn, err := scanFile(fsys, dir, idx, true, nil)
-	if err != nil && !errors.Is(err, ErrCorrupt) {
-		return 0, err
+// repairTail readies the final segment for appends and returns its size.
+// A tail with a defect, torn or ErrCorrupt, is cut back to its last
+// accepted record, or the file removed when no header was accepted (size
+// 0: Open reuses its index, so no gap is left).
+func repairTail(fsys faultfs.FS, dir string, end tail) (size int64, err error) {
+	if !end.defect {
+		return end.good, nil
 	}
-	if err == nil && !torn {
-		return good, nil
-	}
-	path := filepath.Join(dir, segmentFile.name(idx))
-	if good == 0 {
+	path := filepath.Join(dir, segmentFile.name(end.idx))
+	if end.good == 0 {
 		err = fsys.Remove(path)
 	} else {
-		err = fsys.Truncate(path, good)
+		err = fsys.Truncate(path, end.good)
 	}
 	if err == nil {
 		err = fsys.SyncDir(dir)
 	}
-	return good, err
+	return end.good, err
 }
 
 // Checkpoint makes the checkpoint whose cut is segment cut durable:
@@ -569,18 +583,54 @@ func decodeRecord(payload []byte) (Record, error) {
 // Open opens the log in dir for appending, creating the directory and
 // the first segment as needed. Existing segments are left in place —
 // replay them first with Replay — except the final one, which Open
-// repairs (repairTail) so the next append lands on a clean record
-// boundary. Appends continue in a freshly rotated segment, never by
-// seeking into an old one: replayed bytes are immutable history.
+// scans and repairs (repairTail) so the next append lands on a clean
+// record boundary. Appends continue in a freshly rotated segment, never
+// by seeking into an old one: replayed bytes are immutable history.
 func Open(dir string, opts Options) (*Log, error) {
-	opts = opts.withDefaults()
-	if err := opts.FS.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	ls, err := listDir(opts.FS, dir)
+	opts, ls, err := listForOpen(dir, opts)
 	if err != nil {
 		return nil, err
 	}
+	var end tail
+	if n := len(ls.segs); n > 0 {
+		idx := ls.segs[n-1]
+		_, good, torn, err := scanFile(opts.FS, dir, idx, true, nil)
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			return nil, err // a read error leaves the file untouched
+		}
+		end = tail{idx: idx, good: good, defect: torn || err != nil}
+	}
+	return open(dir, opts, ls, end)
+}
+
+// Recover is the boot path: ReplayFrom(opts.FS, dir, from, apply), then
+// Open, over one listing of dir, reading the final segment once — the
+// replay's scan of it is the tail Open's repair needs.
+func Recover(dir string, from uint64, opts Options, apply func(Record) error) (*Log, error) {
+	opts, ls, err := listForOpen(dir, opts)
+	if err != nil {
+		return nil, err
+	}
+	_, end, err := replay(opts.FS, dir, ls, from, apply)
+	if err != nil {
+		return nil, err
+	}
+	return open(dir, opts, ls, end)
+}
+
+// listForOpen applies opts' defaults, creates dir if need be and lists it.
+func listForOpen(dir string, opts Options) (Options, listing, error) {
+	opts = opts.withDefaults()
+	if err := opts.FS.MkdirAll(dir, 0o755); err != nil {
+		return opts, listing{}, err
+	}
+	ls, err := listDir(opts.FS, dir)
+	return opts, ls, err
+}
+
+// open is Open once dir is listed (ls) and its final segment scanned
+// (end, the zero tail when ls has no segment).
+func open(dir string, opts Options, ls listing, end tail) (*Log, error) {
 	l := &Log{
 		dir:        dir,
 		opts:       opts,
@@ -594,7 +644,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	next := uint64(1)
 	if segs := ls.segs; len(segs) > 0 {
 		last := segs[len(segs)-1]
-		size, err := repairTail(opts.FS, dir, last)
+		size, err := repairTail(opts.FS, dir, end)
 		if err != nil {
 			return nil, err
 		}

@@ -240,10 +240,10 @@ func OpenIndex(opts WALOptions, pol LivePolicy, bootstrap func() (*Index, error)
 			return nil, fmt.Errorf("trajcover: bootstrap returned no index")
 		}
 	}
-	// Replay the acknowledged history since the checkpoint. Apply
-	// failures are corruption: the log recorded only writes the index
-	// had accepted, in apply order.
-	_, _, err = wal.ReplayFrom(opts.FS, opts.Dir, cut, func(rec wal.Record) error {
+	// Replay the acknowledged history since the checkpoint and open the
+	// log after it. Apply failures are corruption: the log recorded only
+	// writes the index had accepted, in apply order.
+	log, err := wal.Recover(opts.Dir, cut, opts.walOptions(), func(rec wal.Record) error {
 		switch rec.Op {
 		case wal.OpInsert:
 			if err := x.s.Insert(rec.Trajectory); err != nil {
@@ -260,10 +260,6 @@ func OpenIndex(opts WALOptions, pol LivePolicy, bootstrap func() (*Index, error)
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	log, err := wal.Open(opts.Dir, opts.walOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -13,14 +13,18 @@ package trajcover
 // with TRAJCOVER_STRESS.
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -525,5 +529,170 @@ func TestReopenReplaysThroughWALFS(t *testing.T) {
 			x.Close()
 		}
 		t.Fatalf("boot with segment %d unopenable = %v (%d faults injected), want the injected error", cut, err, inj.Injected())
+	}
+}
+
+// countingFS counts the bytes read from each file opened through it.
+type countingFS struct {
+	faultfs.FS
+	mu   sync.Mutex
+	read map[string]int64 // by base name
+}
+
+type countingFile struct {
+	faultfs.File
+	fs *countingFS
+}
+
+func (c *countingFS) OpenFile(name string, flag int, perm fs.FileMode) (faultfs.File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return countingFile{File: f, fs: c}, nil
+}
+
+func (f countingFile) Read(p []byte) (int, error) {
+	n, err := f.File.Read(p)
+	f.fs.mu.Lock()
+	f.fs.read[filepath.Base(f.Name())] += int64(n)
+	f.fs.mu.Unlock()
+	return n, err
+}
+
+// TestReopenDecodesFinalSegmentOnce: a boot reads every segment past the
+// checkpoint's cut exactly once — the replay's scan of the final one is
+// what the log's tail repair needs, so nothing reads it again.
+func TestReopenDecodesFinalSegmentOnce(t *testing.T) {
+	base, ops, _ := crashWorkload(58)
+	dir := t.TempDir()
+	opts := crashWALOptions(dir)
+	opts.SegmentBytes = 4096
+	x, err := OpenIndex(opts, crashPolicy(), crashBootstrap(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range ops[:300] {
+		applyOp(t, x, op)
+	}
+	if err := x.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cut := lastWALFile(t, dir, "checkpoint-", ".tqlive")
+	last := lastWALFile(t, dir, "wal-", ".seg")
+	if last <= cut {
+		t.Fatalf("want segments past the cut %d, newest is %d", cut, last)
+	}
+	sizes := map[string]int64{}
+	for idx := cut; idx <= last; idx++ {
+		name := fmt.Sprintf("wal-%08d.seg", idx)
+		info, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes[name] = info.Size()
+	}
+
+	counting := &countingFS{FS: faultfs.OS, read: map[string]int64{}}
+	opts.FS = counting
+	x, err = OpenIndex(opts, crashPolicy(), refuseBootstrap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	if got := matchPrefix(base, ops, corpusOf(t, x)); got != 300 {
+		t.Fatalf("reboot restored history prefix %d, want 300", got)
+	}
+	for name, size := range sizes {
+		if got := counting.read[name]; got != size {
+			t.Errorf("boot read %d bytes of %s (%d bytes): want it read once", got, name, size)
+		}
+	}
+	t.Logf("segments %d..%d, the final one %d bytes, read %d", cut, last, sizes[fmt.Sprintf("wal-%08d.seg", last)], counting.read[fmt.Sprintf("wal-%08d.seg", last)])
+}
+
+// dirDigest maps every file in dir to a digest of its bytes.
+func dirDigest(t *testing.T, dir string) map[string][32]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][32]byte{}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = sha256.Sum256(b)
+	}
+	return out
+}
+
+// TestReopenListingFault: a boot that cannot list its WAL directory — the
+// checkpoint lookup's listing, or the log's own — fails with that error
+// before it writes anything, and the next boot restores every
+// acknowledged write.
+func TestReopenListingFault(t *testing.T) {
+	base, ops, _ := crashWorkload(59)
+	dir := t.TempDir()
+	n := buildCrashedWALDir(t, dir, base, ops)
+	before := dirDigest(t, dir)
+	for nth := uint64(1); nth <= 2; nth++ {
+		inj := faultfs.NewInjector(nil, 59)
+		inj.Add(faultfs.Rule{Op: faultfs.OpReadDir, Nth: nth})
+		if x, err := OpenIndex(faultWALOptions(dir, inj), crashPolicy(), refuseBootstrap); !errors.Is(err, faultfs.ErrInjected) {
+			if x != nil {
+				x.Close()
+			}
+			t.Fatalf("boot with listing %d failing = %v (%d faults injected), want the injected error", nth, err, inj.Injected())
+		}
+		if after := dirDigest(t, dir); !reflect.DeepEqual(before, after) {
+			t.Fatalf("boot with listing %d failing changed the directory: %d files before, %d after", nth, len(before), len(after))
+		}
+	}
+	x, err := OpenIndex(crashWALOptions(dir), crashPolicy(), refuseBootstrap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	if got := matchPrefix(base, ops, corpusOf(t, x)); got != n {
+		t.Fatalf("reboot restored history prefix %d, want every acknowledged write (%d)", got, n)
+	}
+}
+
+// TestCheckpointListingFault: a runtime checkpoint whose truncation
+// cannot list the directory (RemoveBefore) fails and degrades the index;
+// the probe recovers it, writes go on, and the next boot restores every
+// acknowledged write.
+func TestCheckpointListingFault(t *testing.T) {
+	base, ops, _ := crashWorkload(60)
+	dir := t.TempDir()
+	inj := faultfs.NewInjector(nil, 60)
+	x, err := OpenIndex(faultWALOptions(dir, inj), crashPolicy(), crashBootstrap(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range ops[:100] {
+		applyOp(t, x, op)
+	}
+	inj.Add(faultfs.Rule{Op: faultfs.OpReadDir, Nth: 1})
+	if err := x.Checkpoint(); !errors.Is(err, faultfs.ErrInjected) {
+		x.Close()
+		t.Fatalf("checkpoint with its listing failing = %v, want the injected error", err)
+	}
+	for _, op := range ops[100:200] {
+		applyOp(t, x, op)
+	}
+	if err := x.Close(); err != nil {
+		t.Fatal(err)
+	}
+	x, err = OpenIndex(crashWALOptions(dir), crashPolicy(), refuseBootstrap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	if got := matchPrefix(base, ops, corpusOf(t, x)); got != 200 {
+		t.Fatalf("reboot restored history prefix %d, want every acknowledged write (200)", got)
 	}
 }
